@@ -12,7 +12,7 @@ GO ?= go
 BENCH_COUNT ?= 6
 BENCH_PATTERN ?= .
 
-.PHONY: all build lint test race race-live short bench bench-sweep bench-net verify replay-corpus regen-corpus fuzz-smoke cluster-smoke acs-smoke sweep-smoke figures report clean
+.PHONY: all build lint test race race-live short bench bench-sweep bench-net bench-e2e verify replay-corpus regen-corpus fuzz-smoke cluster-smoke acs-smoke sweep-smoke figures report clean
 
 all: build lint test
 
@@ -55,14 +55,35 @@ bench-sweep:
 	$(GO) test -run XXX -bench BenchmarkSweepWorkers -benchmem -count=$(BENCH_COUNT) ./internal/sweep/
 
 # The network-path benchmarks tracked in BENCH_net.json (wire codec, batch
-# frames, link throughput, dedup window, decide latency under load). The
+# frames, link throughput, flush cost against the unacked backlog, dedup
+# window, decide latency under load). The
 # soak frames/decision row of the ledger comes from the race soak instead:
 #   go test -race -count=1 -run TestClusterSoak -v ./internal/cluster/
 # BENCH_FLAGS lets CI shrink benchtime for a smoke run.
 BENCH_FLAGS ?= -benchmem -benchtime=0.5s
 bench-net:
 	$(GO) test -run XXX -bench 'BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkBatchRoundTrip' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/wire/
-	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
+	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkLinkFlushBacklog|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
+
+# One set of runs of the repository's benchmark (BENCHMARK.json, bench/):
+# every workload x every seed, one `bash bench/run.sh ... -out SET` each,
+# appended to SET as JSON lines. With PARENT=<checkout of the parent commit>
+# and PARENT_SET=<file> the same command records the parent's set too, the
+# two sides taking turns, seed by seed, to go first — how a claimed gain has
+# to be measured (docs/perf.md); compare with
+#   bash bench/run.sh -compare $(PARENT_SET) $(SET)
+# Paths are used from two checkouts, so give them absolute.
+BENCH_WORKLOADS ?= decide.saturate decide.paced decide.crashed acs.append sweep.mp sweep.sm
+BENCH_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+bench-e2e:
+	@test -n "$(SET)" || { echo "usage: make bench-e2e SET=<file> [PARENT=<dir> PARENT_SET=<file>]"; exit 2; }
+	@test -z "$(PARENT)" || test -n "$(PARENT_SET)" || { echo "PARENT needs PARENT_SET=<file>"; exit 2; }
+	@change() { bash bench/run.sh -workload $$1 -seed $$2 -out $(SET); }; \
+	parent() { test -z "$(PARENT)" || bash $(PARENT)/bench/run.sh -workload $$1 -seed $$2 -out $(PARENT_SET); }; \
+	turn=0; for s in $(BENCH_SEEDS); do turn=$$((1 - turn)); for w in $(BENCH_WORKLOADS); do \
+		if [ $$turn -eq 1 ]; then parent $$w $$s && change $$w $$s; \
+		else change $$w $$s && parent $$w $$s; fi || exit 1; \
+	done; done
 
 # Empirical validation of every figure panel plus the impossibility
 # constructions (quick sizes; raise -n/-runs to go deeper).

@@ -1,7 +1,9 @@
 package acs
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,24 +53,31 @@ func TestNewRejectsLargeT(t *testing.T) {
 // attached to every node before it serves.
 func startAcsLoopback(t *testing.T, n, tt int, faults cluster.Faults, retransmit time.Duration) (*cluster.Loopback, []*Engine) {
 	t.Helper()
-	engines := make([]*Engine, n)
-	var mu sync.Mutex
-	lb, err := cluster.StartLoopback(cluster.LoopbackConfig{
+	return startAcsLoopbackCfg(t, cluster.LoopbackConfig{
 		N: n, K: tt + 1, T: tt,
 		Seed:       0xACE5,
 		Faults:     faults,
 		Retransmit: retransmit,
-		Attach: func(node *cluster.Node) {
-			e, err := New(Config{Node: node})
-			if err != nil {
-				t.Errorf("attach acs to node %d: %v", node.ID(), err)
-				return
-			}
-			mu.Lock()
-			engines[node.ID()] = e
-			mu.Unlock()
-		},
 	})
+}
+
+// startAcsLoopbackCfg is startAcsLoopback for a caller that sets more of the
+// cluster configuration; it fills in Attach.
+func startAcsLoopbackCfg(t *testing.T, cfg cluster.LoopbackConfig) (*cluster.Loopback, []*Engine) {
+	t.Helper()
+	engines := make([]*Engine, cfg.N)
+	var mu sync.Mutex
+	cfg.Attach = func(node *cluster.Node) {
+		e, err := New(Config{Node: node})
+		if err != nil {
+			t.Errorf("attach acs to node %d: %v", node.ID(), err)
+			return
+		}
+		mu.Lock()
+		engines[node.ID()] = e
+		mu.Unlock()
+	}
+	lb, err := cluster.StartLoopback(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +172,54 @@ func TestCommonSubsetCtl(t *testing.T) {
 				t.Errorf("node %d round %d slot %d = %+v, want held non-noop IN value %d", j, rounds[i], i, s, 100+i)
 			}
 		}
+	}
+}
+
+// TestFirstRoundNeedsNoRetransmit is the regression test for the proposals a
+// fresh connection lost. A link speaks v1 single-message frames until it has
+// heard the peer's Hello, and the v1 receive path had no case for acs-propose:
+// the first proposals of every connection were logged as unexpected, dropped,
+// and recovered only by the retransmit timer. With that timer at 2 s, the
+// first round of a fresh cluster (node 3 crashed, as the log requires) must
+// still close on every survivor well inside a second, and no frame may be
+// reported as unexpected.
+func TestFirstRoundNeedsNoRetransmit(t *testing.T) {
+	const n, tt, crashed = 4, 1, 3
+	var mu sync.Mutex
+	var unexpected []string
+	lb, engines := startAcsLoopbackCfg(t, cluster.LoopbackConfig{
+		N: n, K: tt + 1, T: tt,
+		Seed:       0xACE5,
+		Retransmit: 2 * time.Second,
+		Logf: func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "unexpected") {
+				mu.Lock()
+				unexpected = append(unexpected, line)
+				mu.Unlock()
+			}
+		},
+	})
+	defer lb.Close()
+	lb.Crash(crashed)
+
+	begin := time.Now()
+	round, err := engines[0].Submit(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, time.Second, "the first round to close on every survivor", func() bool {
+		for i := 0; i < n-1; i++ {
+			if engines[i].Closed() < round {
+				return false
+			}
+		}
+		return true
+	})
+	t.Logf("first round closed on all survivors in %v", time.Since(begin))
+	mu.Lock()
+	defer mu.Unlock()
+	if len(unexpected) > 0 {
+		t.Errorf("peer connections reported unexpected frames: %q", unexpected)
 	}
 }
 

@@ -74,6 +74,56 @@ func BenchmarkLinkThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkFlushBacklog measures one flush round against the size of the
+// unacked backlog, on the two links that carry a long one: to a peer that is
+// unreachable (dial in its backoff window) and to a live peer with every
+// frame in flight and none due yet. A round pays for the frames due, so
+// ns/op must not follow the backlog — the 100k rows stay within 2x of the 1k
+// rows — and scanned/op, the queue entries a round looked at, reads 0.
+func BenchmarkLinkFlushBacklog(b *testing.B) {
+	for _, peer := range []string{"unreachable", "inflight"} {
+		for _, backlog := range []int{1000, 100000} {
+			b.Run(fmt.Sprintf("peer=%s/backlog=%d", peer, backlog), func(b *testing.B) {
+				n, err := NewNode(Config{
+					ID: 0, N: 2, K: 1, T: 0,
+					Peers:      []string{"127.0.0.1:1", "127.0.0.1:1"},
+					Retransmit: time.Hour, // nothing in flight comes due while timing
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer n.Close()
+				l := n.links[1]
+				if peer == "inflight" {
+					n.peerVer[1].Store(wire.VersionBatch)
+					plantConn(l, newFailingConn(0))
+				} else {
+					l.nextDialAt = time.Now().Add(time.Hour)
+				}
+				for i := 0; i < backlog; i++ {
+					l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
+						Payload: types.Payload{Kind: types.KindEcho, Value: types.Value(i)}})
+				}
+				l.flush() // inflight: hands the whole backlog to the connection once
+				if sent := n.stats.msgsSent.Value(); peer == "inflight" && sent != int64(backlog) {
+					b.Fatalf("%d of %d frames in flight before timing", sent, backlog)
+				}
+				scanned := l.scanned
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					l.flush()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(l.scanned-scanned)/float64(b.N), "scanned/op")
+				if got := len(l.queue); got != backlog {
+					b.Fatalf("backlog = %d after timing, want %d", got, backlog)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkNodeDecideUnderLoad measures decide latency under concurrent
 // load: waves of FloodMin instances driven to local decision on every node
 // of a three-node loopback cluster. ns/op is the per-instance cost of a

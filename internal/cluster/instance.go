@@ -183,24 +183,37 @@ func (in *instance) tableSnapshot() wire.Table {
 	}
 }
 
-// statPairs reports this instance's counters in a fixed order. decided and
-// latency_us are read under one lock (and Decide stamps the latency before
-// flipping decided), so a pull can never observe decided=1 with a zero
-// latency torn mid-decision.
-func (in *instance) statPairs() []wire.StatPair {
-	prefix := fmt.Sprintf("inst.%d.", in.id)
-	decided := int64(0)
+// instStats is one instance's counters as raw numbers: what eviction
+// archives, so that completing an instance formats no name nobody may read.
+type instStats struct {
+	id         uint64
+	sent, recv int64
+	decided    int64
+	latencyUS  int64
+}
+
+// stats reads this instance's counters. decided and latency_us are read
+// under one lock (and Decide stamps the latency before flipping decided), so
+// a pull can never observe decided=1 with a zero latency torn mid-decision.
+func (in *instance) stats() instStats {
+	st := instStats{id: in.id, sent: in.sent.Load(), recv: in.recv.Load()}
 	in.mu.Lock()
 	if in.decided {
-		decided = 1
+		st.decided = 1
 	}
-	latency := in.latencyUS
+	st.latencyUS = in.latencyUS
 	in.mu.Unlock()
+	return st
+}
+
+// pairs names the counters, in a fixed order, for the Stats dump.
+func (st instStats) pairs() []wire.StatPair {
+	prefix := fmt.Sprintf("inst.%d.", st.id)
 	return []wire.StatPair{
-		{Name: prefix + "sent", Value: in.sent.Load()},
-		{Name: prefix + "recv", Value: in.recv.Load()},
-		{Name: prefix + "decided", Value: decided},
-		{Name: prefix + "latency_us", Value: latency},
+		{Name: prefix + "sent", Value: st.sent},
+		{Name: prefix + "recv", Value: st.recv},
+		{Name: prefix + "decided", Value: st.decided},
+		{Name: prefix + "latency_us", Value: st.latencyUS},
 	}
 }
 
@@ -250,7 +263,7 @@ func (a *instanceAPI) Broadcast(p types.Payload) {
 // Decide records the local decision, stamps the latency, and announces it to
 // every peer so that each node can assemble the full decision table. The
 // latency is stamped under the same lock and before decided flips so a
-// concurrent statPairs pull sees either neither or both.
+// concurrent stats pull sees either neither or both.
 func (a *instanceAPI) Decide(v types.Value) {
 	in := a.in
 	elapsed := time.Since(in.startedAt)

@@ -34,6 +34,18 @@ type link struct {
 	acks    []uint64       // outgoing transport acks, fire-and-forget
 	down    bool           // partitioned: hold all traffic
 	closed  bool
+	// cursor splits the queue: queue[:cursor] has been rolled through the
+	// fault injector at least once (sent, dropped or held back by an injected
+	// delay), queue[cursor:] has never been looked at. flush takes new frames
+	// from the cursor on and rescans the prefix only once retransmitAt — the
+	// earliest dueAt of any prefix frame, 0 for none — has passed, so one
+	// round costs the frames due now, not the frames unacked. An ack may leave
+	// retransmitAt stale-early; the rescan it triggers recomputes it.
+	cursor       int
+	retransmitAt int64
+	// scanned counts the queue entries flush has examined; the tests and
+	// BenchmarkLinkFlushBacklog read it to pin the cost of a round.
+	scanned int64
 
 	// ackScratch and sendScratch recycle flush's working slices: each round
 	// swaps the drained ack list against ackScratch and collects due frames
@@ -44,6 +56,9 @@ type link struct {
 
 	// wake signals the writer that there is new work (capacity 1).
 	wake chan struct{}
+
+	// epoch anchors the link's monotonic clock (see now).
+	epoch time.Time
 
 	// Writer-goroutine state.
 	conn       net.Conn
@@ -57,25 +72,37 @@ type link struct {
 	mDialFailures *obs.Counter
 	mRetransmits  *obs.Counter
 	mBackoff      *obs.Histogram
+	mQueueDepth   *obs.Gauge // unacked frames, set once per flush
+	mUnsent       *obs.Gauge // frames past the cursor, set once per flush
 }
 
-// pendingFrame is one sequenced message awaiting acknowledgment. The message
-// is stored as the flat wire.BatchMsg union, so queueing and flushing move
-// plain structs with no per-message boxing.
+// pendingFrame is one sequenced message awaiting acknowledgment (msg.Seq is
+// its sequence number). The message is stored as the flat wire.BatchMsg
+// union and the three stamps as link-clock nanoseconds (see link.now), so
+// the struct holds no pointer: queueing and flushing move plain structs, and
+// the collector never scans the backlog to a peer that stays away.
 type pendingFrame struct {
-	seq uint64
 	msg wire.BatchMsg
-	// lastAttempt is the time of the last transmission attempt (zero:
-	// never attempted); retransmission is due when it is older than the
+	// lastAttempt is when the frame was last rolled into a round that had a
+	// connection (0: never); retransmission is due once it is older than the
 	// retransmit interval.
-	lastAttempt time.Time
-	// notBefore holds the frame back until the given time (injected
-	// delay).
-	notBefore time.Time
+	lastAttempt int64
+	// notBefore holds the frame back until the given time (injected delay).
+	notBefore int64
 	// firstSent is the first time the frame was actually handed to the
-	// connection (zero: never transmitted); the transport ack round trip
-	// is measured from it.
-	firstSent time.Time
+	// connection (0: never transmitted); the transport ack round trip is
+	// measured from it.
+	firstSent int64
+}
+
+// dueAt is the link-clock time of the frame's next attempt: the end of its
+// injected delay while it has never been attempted, one retransmit interval
+// after its last attempt afterwards.
+func (p *pendingFrame) dueAt(retransmit time.Duration) int64 {
+	if p.lastAttempt == 0 {
+		return p.notBefore
+	}
+	return p.lastAttempt + int64(retransmit)
 }
 
 func newLink(n *Node, peer types.ProcessID, addr string) *link {
@@ -85,11 +112,20 @@ func newLink(n *Node, peer types.ProcessID, addr string) *link {
 		peer:          peer,
 		addr:          addr,
 		wake:          make(chan struct{}, 1),
+		epoch:         time.Now(),
 		mDials:        n.reg.Counter("kset_link_dials_total" + label),
 		mDialFailures: n.reg.Counter("kset_link_dial_failures_total" + label),
 		mRetransmits:  n.reg.Counter("kset_link_retransmits_total" + label),
 		mBackoff:      n.reg.Histogram("kset_link_backoff_seconds"+label, obs.DefaultLatencyBounds()),
+		mQueueDepth:   n.reg.Gauge("kset_link_queue_depth" + label),
+		mUnsent:       n.reg.Gauge("kset_link_unsent" + label),
 	}
+}
+
+// now reads the link's clock: monotonic nanoseconds since the link was
+// created, offset by one so that 0 can mean "never" in a pendingFrame.
+func (l *link) now() int64 {
+	return int64(time.Since(l.epoch)) + 1
 }
 
 // enqueue assigns the next sequence number to bm (a proto or decide message)
@@ -102,7 +138,7 @@ func (l *link) enqueue(bm wire.BatchMsg) {
 	}
 	l.nextSeq++
 	bm.Seq = l.nextSeq
-	l.queue = append(l.queue, pendingFrame{seq: bm.Seq, msg: bm})
+	l.queue = append(l.queue, pendingFrame{msg: bm})
 	l.mu.Unlock()
 	l.signal()
 }
@@ -126,7 +162,7 @@ func (l *link) enqueueAck(seq uint64) {
 func (l *link) ack(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ackLocked(seq)
+	l.ackLocked(seq, l.now())
 }
 
 // ackBatch removes every frame confirmed by one batch's piggybacked ack
@@ -134,16 +170,22 @@ func (l *link) ack(seq uint64) {
 func (l *link) ackBatch(seqs []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	now := l.now()
 	for _, seq := range seqs {
-		l.ackLocked(seq)
+		l.ackLocked(seq, now)
 	}
 }
 
-func (l *link) ackLocked(seq uint64) {
+func (l *link) ackLocked(seq uint64, now int64) {
 	for i := range l.queue {
-		if l.queue[i].seq == seq {
-			if first := l.queue[i].firstSent; !first.IsZero() {
-				l.node.stats.ackRTT.Observe(time.Since(first).Seconds())
+		// The queue is in seq order: a stale ack (a re-ack of a frame already
+		// confirmed) stops at the head instead of walking the backlog.
+		if l.queue[i].msg.Seq > seq {
+			return
+		}
+		if l.queue[i].msg.Seq == seq {
+			if first := l.queue[i].firstSent; first != 0 {
+				l.node.stats.ackRTT.Observe(time.Duration(now - first).Seconds())
 			}
 			// Acks overwhelmingly confirm the queue head in order; popping
 			// the front is O(1) and only an out-of-order ack pays the copy.
@@ -151,6 +193,9 @@ func (l *link) ackLocked(seq uint64) {
 				l.queue = l.queue[1:]
 			} else {
 				l.queue = append(l.queue[:i], l.queue[i+1:]...)
+			}
+			if i < l.cursor {
+				l.cursor--
 			}
 			return
 		}
@@ -235,17 +280,30 @@ var encBufs = sync.Pool{New: func() any {
 // a thousand messages.
 const batchMsgsPerFrame = 1024
 
-// flush performs one round of work: drain pending acks and transmission-due
-// frames under the lock (each attempt rolled through the fault injector),
-// then write them outside it — as coalesced batch frames with the acks
-// piggybacked when the peer speaks wire.VersionBatch, or as legacy
-// single-message frames otherwise.
+// flush performs one round of work, and its cost follows the work that is
+// due, not the unacked backlog. The connection comes first: while the peer is
+// unreachable and the dial is backing off, the round ends before the queue
+// or the ack list is touched, so a crashed peer costs its live neighbours
+// O(1) per wake however long its queue grows. With a connection in hand the
+// round drains the pending acks and the frames due now under the lock (each
+// attempt rolled through the fault injector), then writes them outside it —
+// as coalesced batch frames with the acks piggybacked when the peer speaks
+// wire.VersionBatch, or as legacy single-message frames otherwise.
 func (l *link) flush() {
-	now := time.Now()
 	l.mu.Lock()
-	if l.down {
+	l.mQueueDepth.Set(int64(len(l.queue)))
+	l.mUnsent.Set(int64(len(l.queue) - l.cursor))
+	if l.down || (len(l.queue) == 0 && len(l.acks) == 0) {
 		l.mu.Unlock()
 		return
+	}
+	if l.conn == nil {
+		// Dialing blocks: not under the lock.
+		l.mu.Unlock()
+		if !l.ensureConn() {
+			return
+		}
+		l.mu.Lock()
 	}
 	// Swap the ack list against the recycled scratch slice: the drained
 	// array is handed back as next round's l.acks once this round's writes
@@ -253,77 +311,85 @@ func (l *link) flush() {
 	acks := l.acks
 	l.acks = l.ackScratch[:0]
 	l.ackScratch = acks
-	sends := l.sendScratch[:0]
-	for i := range l.queue {
-		p := &l.queue[i]
-		if now.Before(p.notBefore) {
-			continue
-		}
-		isNew := p.lastAttempt.IsZero()
-		if !isNew && now.Sub(p.lastAttempt) < l.node.cfg.Retransmit {
-			continue
-		}
-		if !isNew {
-			l.node.stats.retransmits.Add(1)
-			l.mRetransmits.Add(1)
-		}
-		switch l.node.cfg.Faults.roll(l.rng) {
-		case actDrop:
-			l.node.stats.dropsInjected.Add(1)
-			p.lastAttempt = now
-		case actDelay:
-			// Only dilate frames that have never been sent; a retransmission
-			// is already late.
-			if isNew {
-				l.node.stats.delaysInjected.Add(1)
-				p.notBefore = now.Add(l.node.cfg.Faults.delay(l.rng))
-				continue
-			}
-			p.lastAttempt = now
-			l.markSent(p, now)
-			sends = append(sends, p.msg)
-		case actDup:
-			l.node.stats.dupsInjected.Add(1)
-			p.lastAttempt = now
-			l.markSent(p, now)
-			sends = append(sends, p.msg, p.msg)
-		default:
-			p.lastAttempt = now
-			l.markSent(p, now)
-			sends = append(sends, p.msg)
-		}
-	}
-	l.sendScratch = sends
+	sends := l.collectDue(l.now())
 	l.mu.Unlock()
 
-	if len(acks) == 0 && len(sends) == 0 {
-		return
-	}
-	// The acks were popped from the queue above; if the connection cannot be
-	// established (dial failure, backoff window) they must go back, or they
-	// are silently lost and the peer retransmits until the next inbound frame
-	// happens to trigger a re-ack. Sequenced frames survive in l.queue either
-	// way — acks are the only fire-and-forget payload here.
-	if !l.ensureConn() {
-		l.requeueAcks(acks)
-		return
-	}
-	if l.peerBatches() {
+	switch {
+	case len(acks) == 0 && len(sends) == 0:
+	case l.peerBatches():
 		l.flushBatch(acks, sends)
-	} else {
+	default:
 		l.flushV1(acks, sends)
 	}
-	if l.bw != nil {
-		if l.conn != nil {
-			if err := l.conn.SetWriteDeadline(time.Now().Add(l.node.cfg.WriteTimeout)); err != nil {
-				l.connFailed()
-				return
-			}
+	// Buffered is zero on a round that found nothing due; a fresh dial's
+	// Hello counts, so it never waits for the first frame.
+	if l.bw != nil && l.bw.Buffered() > 0 {
+		if err := l.conn.SetWriteDeadline(time.Now().Add(l.node.cfg.WriteTimeout)); err != nil {
+			l.connFailed()
+			return
 		}
 		if err := l.bw.Flush(); err != nil {
 			l.connFailed()
 		}
 	}
+}
+
+// collectDue gathers this round's transmissions into sendScratch in queue
+// order: prefix frames whose deadline has passed — looked at only once
+// retransmitAt says one has — then every frame past the cursor. Called with
+// l.mu held and a connection up, which is what makes each one an attempt.
+func (l *link) collectDue(now int64) []wire.BatchMsg {
+	retransmit := l.node.cfg.Retransmit
+	sends := l.sendScratch[:0]
+	first := l.cursor
+	if l.retransmitAt != 0 && now >= l.retransmitAt {
+		first, l.retransmitAt = 0, 0
+	}
+	for i := first; i < len(l.queue); i++ {
+		p := &l.queue[i]
+		if i >= l.cursor || p.dueAt(retransmit) <= now {
+			sends = l.attempt(p, now, sends)
+		}
+		if due := p.dueAt(retransmit); l.retransmitAt == 0 || due < l.retransmitAt {
+			l.retransmitAt = due
+		}
+	}
+	l.scanned += int64(len(l.queue) - first)
+	l.cursor = len(l.queue)
+	l.sendScratch = sends
+	return sends
+}
+
+// attempt rolls one due frame through the fault injector and appends what
+// survives to sends; every attempt after a frame's first counts as a
+// retransmission. Called with l.mu held.
+func (l *link) attempt(p *pendingFrame, now int64, sends []wire.BatchMsg) []wire.BatchMsg {
+	isNew := p.lastAttempt == 0
+	if !isNew {
+		l.node.stats.retransmits.Add(1)
+		l.mRetransmits.Add(1)
+	}
+	act := l.node.cfg.Faults.roll(l.rng)
+	// Only dilate frames that have never been sent; a retransmission is
+	// already late.
+	if act == actDelay && isNew {
+		l.node.stats.delaysInjected.Add(1)
+		p.notBefore = now + int64(l.node.cfg.Faults.delay(l.rng))
+		return sends
+	}
+	p.lastAttempt = now
+	switch act {
+	case actDrop:
+		l.node.stats.dropsInjected.Add(1)
+		return sends
+	case actDup:
+		l.node.stats.dupsInjected.Add(1)
+		sends = append(sends, p.msg)
+	}
+	if p.firstSent == 0 {
+		p.firstSent = now
+	}
+	return append(sends, p.msg)
 }
 
 // peerBatches reports whether this link may send batch frames: both this
@@ -392,14 +458,6 @@ func (l *link) flushV1(acks []uint64, sends []wire.BatchMsg) {
 		}
 		l.node.stats.framesSent.Add(1)
 		l.node.stats.msgsSent.Add(1)
-	}
-}
-
-// markSent stamps the first real transmission time (for the ack round-trip
-// histogram). Called under l.mu.
-func (l *link) markSent(p *pendingFrame, now time.Time) {
-	if p.firstSent.IsZero() {
-		p.firstSent = now
 	}
 }
 

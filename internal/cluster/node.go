@@ -107,10 +107,11 @@ const maxArchived = 1 << 12
 const maxRetired = 1 << 16
 
 // archived is the post-eviction residue of one instance: the final decision
-// table and the final stat counters, immutable once stored.
+// table and the final stat counters, immutable once stored. The counters are
+// kept raw; Stats names them if anyone ever pulls.
 type archived struct {
 	table wire.Table
-	pairs []wire.StatPair
+	stats instStats
 }
 
 // Node is one cluster member: a TCP listener, one outbound link per peer,
@@ -134,7 +135,8 @@ type Node struct {
 	liveIDs      map[uint64]struct{} // ids currently live in some shard
 	order        []uint64            // ids of live + archived instances, creation order
 	archive      map[uint64]*archived
-	archOrder    []uint64            // archived ids in eviction order (FIFO bound)
+	archOrder    []uint64            // archived ids: a ring of up to maxArchived (FIFO bound)
+	archHead     int                 // the oldest id's slot once the ring is full
 	retired      map[uint64]struct{} // ids rotated out of the archive
 	retiredFloor uint64              // ids <= floor are retired wholesale (fold)
 	retiredMax   uint64              // highest id ever tombstoned
@@ -579,6 +581,10 @@ func (n *Node) servePeer(conn net.Conn, from types.ProcessID) {
 			n.handleSequenced(from, wire.ProtoMsg(v))
 		case wire.Decide:
 			n.handleSequenced(from, wire.DecideMsg(v))
+		case wire.Propose:
+			// A fresh link speaks v1 until the peer's Hello is heard, so the
+			// first proposals of every connection arrive on this path.
+			n.handleSequenced(from, wire.ProposeMsg(v))
 		default:
 			n.logf("cluster: unexpected %v frame on peer connection", m.Type())
 		}
@@ -805,7 +811,7 @@ func (n *Node) notifyDecide(in *instance, node types.ProcessID, value types.Valu
 // repeatedly; the first caller wins.
 func (n *Node) evictInstance(in *instance) {
 	tbl := in.tableSnapshot()
-	pairs := in.statPairs()
+	stats := in.stats()
 	sh := in.shard
 	sh.mu.Lock()
 	if sh.instances[in.id] != in {
@@ -816,11 +822,13 @@ func (n *Node) evictInstance(in *instance) {
 	delete(sh.pending, in.id)
 	n.regMu.Lock()
 	delete(n.liveIDs, in.id)
-	n.archive[in.id] = &archived{table: tbl, pairs: pairs}
-	n.archOrder = append(n.archOrder, in.id)
-	if len(n.archOrder) > maxArchived {
-		drop := n.archOrder[0]
-		n.archOrder = append(n.archOrder[:0], n.archOrder[1:]...)
+	n.archive[in.id] = &archived{table: tbl, stats: stats}
+	if len(n.archOrder) < maxArchived {
+		n.archOrder = append(n.archOrder, in.id)
+	} else {
+		drop := n.archOrder[n.archHead]
+		n.archOrder[n.archHead] = in.id
+		n.archHead = (n.archHead + 1) % maxArchived
 		delete(n.archive, drop)
 		n.markRetiredLocked(drop)
 	}
@@ -1018,14 +1026,14 @@ func (n *Node) Stats() []wire.StatPair {
 			break
 		}
 		if inst := n.lookup(id); inst != nil {
-			pairs = append(pairs, inst.statPairs()...)
+			pairs = append(pairs, inst.stats().pairs()...)
 			continue
 		}
 		n.regMu.Lock()
 		arch := n.archive[id]
 		n.regMu.Unlock()
 		if arch != nil {
-			pairs = append(pairs, arch.pairs...)
+			pairs = append(pairs, arch.stats.pairs()...)
 		}
 	}
 	return pairs

@@ -194,7 +194,7 @@ func TestStatPairsTornRead(t *testing.T) {
 						return
 					default:
 					}
-					pairs := in.statPairs()
+					pairs := in.stats().pairs()
 					if pairs[2].Value == 1 && pairs[3].Value == 0 {
 						torn.Store(true)
 						return

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -294,5 +296,127 @@ func TestDedupWindowSemantics(t *testing.T) {
 	n.resetSeenIfNewSession(1, 42)
 	if deliver, accepted := place(1); !deliver || !accepted {
 		t.Errorf("seq 1 after session reset: deliver=%v accepted=%v, want true/true", deliver, accepted)
+	}
+}
+
+// TestDeadPeerFlushCostFixed pins the claim the link gauges exist to show: to
+// a peer that stays away the unacked queue grows — it is unbounded here — but
+// a flush round looks at none of it, however long it gets.
+func TestDeadPeerFlushCostFixed(t *testing.T) {
+	n := unservedNode(t, 0)
+	l := n.links[1]
+	depth := n.reg.Gauge(`kset_link_queue_depth{peer="1"}`)
+	unsent := n.reg.Gauge(`kset_link_unsent{peer="1"}`)
+	for round := 1; round <= 3; round++ {
+		for i := 0; i < 1000; i++ {
+			l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
+				Payload: types.Payload{Kind: types.KindEcho}})
+		}
+		l.flush() // the first dials and fails, the rest fall in its backoff window
+		want := int64(1000 * round)
+		if depth.Value() != want || unsent.Value() != want {
+			t.Errorf("round %d: queue_depth = %d, unsent = %d, want %d each",
+				round, depth.Value(), unsent.Value(), want)
+		}
+		if l.scanned != 0 {
+			t.Fatalf("round %d: flush scanned %d frames with no connection, want 0", round, l.scanned)
+		}
+	}
+	if got := l.mDialFailures.Value(); got != 1 {
+		t.Errorf("dial failures = %d, want 1 (later rounds are inside the backoff window)", got)
+	}
+	// What each of those frames holds while the peer is away.
+	if size := reflect.TypeOf(pendingFrame{}).Size(); size > 104 {
+		t.Errorf("pendingFrame is %d bytes, want <= 104", size)
+	}
+}
+
+// TestLinkOutageRecovery queues 20k frames at a peer that is down, brings the
+// peer up on the same address, and requires the whole backlog to arrive
+// exactly once and in sequence order, with the sender's queue drained to
+// zero by the returning acks. Nothing may be sent, or counted as a
+// retransmission, while there is no connection to send it on.
+func TestLinkOutageRecovery(t *testing.T) {
+	const frames = 20000
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerAddr := probe.Addr().String()
+	probe.Close()
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []string{ln0.Addr().String(), peerAddr}
+	sender, err := NewNode(Config{ID: 0, N: 2, K: 1, T: 0, Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	sender.Serve(ln0)
+
+	// Proposals reach the receiver's handler once per first acceptance, on
+	// the one goroutine serving the sender's connection: the order it sees is
+	// the arrival order, and a redelivery would show as a repeat.
+	for r := uint64(1); r <= frames; r++ {
+		sender.BroadcastPropose(wire.Propose{Round: r, Proposer: 0, Value: types.Value(r)})
+	}
+	l := sender.links[1]
+	depth := sender.reg.Gauge(`kset_link_queue_depth{peer="1"}`)
+	deadline := time.Now().Add(10 * time.Second)
+	for depth.Value() != frames { // a tick's flush publishes the depth
+		if time.Now().After(deadline) {
+			t.Fatalf("queue_depth = %d while the peer is down, want %d", depth.Value(), frames)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if sent, re := sender.stats.framesSent.Value(), sender.stats.retransmits.Value(); sent != 0 || re != 0 {
+		t.Errorf("while down: frames_sent = %d, retransmits = %d, want 0 and 0", sent, re)
+	}
+
+	var mu sync.Mutex
+	var got []uint64
+	receiver, err := NewNode(Config{ID: 1, N: 2, K: 1, T: 0, Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer receiver.Close()
+	receiver.SetProposeHandler(func(p wire.Propose) {
+		mu.Lock()
+		got = append(got, p.Round)
+		mu.Unlock()
+	})
+	ln1, err := net.Listen("tcp", peerAddr)
+	if err != nil {
+		t.Skipf("could not re-bind %s: %v", peerAddr, err)
+	}
+	receiver.Serve(ln1)
+
+	deadline = time.Now().Add(30 * time.Second)
+	for {
+		mu.Lock()
+		arrived := len(got)
+		mu.Unlock()
+		l.mu.Lock()
+		queued := len(l.queue)
+		l.mu.Unlock()
+		if arrived >= frames && queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("at deadline: %d of %d frames arrived, %d still queued", arrived, frames, queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != frames {
+		t.Fatalf("%d deliveries for %d frames", len(got), frames)
+	}
+	for i, r := range got {
+		if r != uint64(i+1) {
+			t.Fatalf("delivery %d is round %d, want %d: not exactly-once in seq order", i, r, i+1)
+		}
 	}
 }
