@@ -12,7 +12,7 @@ GO ?= go
 BENCH_COUNT ?= 6
 BENCH_PATTERN ?= .
 
-.PHONY: all build lint test race race-live short bench bench-sweep bench-net bench-e2e verify replay-corpus regen-corpus fuzz-smoke cluster-smoke acs-smoke sweep-smoke figures report clean
+.PHONY: all build lint loc test race race-live short bench bench-sweep bench-net bench-e2e verify replay-corpus regen-corpus fuzz-smoke cluster-smoke acs-smoke sweep-smoke figures report clean
 
 all: build lint test
 
@@ -27,6 +27,11 @@ build:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ksetlint
+
+# Non-test Go lines outside bench/: the yardstick a removal PR quotes before
+# and after in CHANGES.md.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs wc -l | tail -1
 
 test:
 	$(GO) test ./...
@@ -120,7 +125,8 @@ fuzz-smoke:
 # must answer (Prometheus exposition with the kset_ series present).
 # Finally a live two-node daemon pair driven by ksetctl: after a verified
 # instance, /metrics must show the batched transport actually engaged
-# (nonzero batch frames sent and acks piggybacked).
+# (nonzero batch frames sent and acks piggybacked), and `ksetctl stats` must
+# read the same counter over pull-metrics between the processes.
 cluster-smoke:
 	$(GO) test -race -count=1 -run TestClusterSoak -v ./internal/cluster/
 	$(GO) build -o ksetd-smoke ./cmd/ksetd
@@ -140,6 +146,7 @@ cluster-smoke:
 	./ksetctl-smoke run -peers 127.0.0.1:19711,127.0.0.1:19712 -instances 4 || status=1; \
 	curl -fsS http://127.0.0.1:19713/metrics | grep -E 'kset_batches_sent_total [1-9]' || status=1; \
 	curl -fsS http://127.0.0.1:19713/metrics | grep -E 'kset_acks_piggybacked_total [1-9]' || status=1; \
+	./ksetctl-smoke stats -peers 127.0.0.1:19711,127.0.0.1:19712 | grep -E 'kset_batches_sent_total +[1-9]' || status=1; \
 	kill $$pid0 $$pid1; rm -f ksetd-smoke ksetctl-smoke; exit $$status
 
 # The ordered-log acceptance run (docs/acs.md). First the race soak: a

@@ -11,23 +11,23 @@ import (
 
 	"kset/internal/cluster"
 	"kset/internal/grid"
+	"kset/internal/obs"
 	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
 )
 
 // decideHist is the histogram every node records one sample into per local
-// decision; bench uses its count as the completion signal (the Stats table
-// is clamped at wire.MaxStatsPairs, so per-instance counters cannot track
-// thousands of instances — the histogram can).
+// decision; bench uses its count as the completion signal.
 const decideHist = "kset_decide_latency_seconds"
 
-// benchCounters are the transport counters bench reports as deltas. They are
-// node-level stats, emitted ahead of the per-instance block, so the
-// MaxStatsPairs clamp never truncates them.
-var benchCounters = []string{
-	"node.frames_sent", "node.msgs_sent", "node.batches_sent", "node.acks_piggybacked",
-}
+// The transport counters bench reports as deltas over the run.
+const (
+	framesSent      = "kset_frames_sent_total"
+	msgsSent        = "kset_msgs_sent_total"
+	batchesSent     = "kset_batches_sent_total"
+	acksPiggybacked = "kset_acks_piggybacked_total"
+)
 
 // runBench floods the cluster with concurrent consensus instances and reports
 // throughput, decide-latency quantiles, and transport efficiency.
@@ -91,7 +91,8 @@ func runBench(args []string, out io.Writer) error {
 		return err
 	}
 	defer closeAll(mon)
-	baseDecided, baseStats, err := snapshot(mon)
+	// The baseline, so the report is a delta even on a long-lived cluster.
+	base, err := pullAll(mon)
 	if err != nil {
 		return err
 	}
@@ -134,18 +135,18 @@ func runBench(args []string, out io.Writer) error {
 	deadline := time.Now().Add(*timeout)
 	want := int64(*instances)
 	peakGoros := runtime.NumGoroutine()
+	var final []cluster.Metrics // the pull that saw every node done
 	for {
 		if g := runtime.NumGoroutine(); g > peakGoros {
 			peakGoros = g
 		}
-		counts, err := decideCounts(mon)
-		if err != nil {
+		if final, err = pullAll(mon); err != nil {
 			return err
 		}
 		done := true
-		slowest := int64(want)
-		for i := range counts {
-			d := counts[i] - baseDecided[i]
+		slowest := want
+		for i := range final {
+			d := decided(final[i]) - decided(base[i])
 			if d < want {
 				done = false
 			}
@@ -166,21 +167,15 @@ func runBench(args []string, out io.Writer) error {
 	// Report. The latency histograms are cumulative, so quantiles include any
 	// decisions recorded before the bench; against a fresh cluster (the
 	// loopback mode, or a just-started deployment) the baseline is zero.
-	var hists []wire.Hist
 	prior := int64(0)
-	for i, c := range mon {
-		m, err := c.Metrics()
-		if err != nil {
-			return fmt.Errorf("metrics from node %d: %w", i, err)
+	deltas := make(map[string]int64)
+	for i, m := range final {
+		prior += decided(base[i])
+		for _, name := range []string{framesSent, msgsSent, batchesSent, acksPiggybacked} {
+			deltas[name] += m.Value(name) - base[i].Value(name)
 		}
-		for _, h := range m.Hists {
-			if h.Name == decideHist {
-				hists = append(hists, h)
-			}
-		}
-		prior += baseDecided[i]
 	}
-	merged := wire.MergeHists(hists)
+	merged := obs.MergeSnapshots(decideHists(final))
 	totalDecisions := int64(*instances) * int64(n)
 
 	fmt.Fprintf(out, "bench: %d instances x %d nodes, %s, k=%d t=%d, %d workers\n",
@@ -207,27 +202,15 @@ func runBench(args []string, out io.Writer) error {
 			fmt.Fprintf(out, ", %d predate the bench", prior)
 		}
 		fmt.Fprintf(out, "): p50 %s  p95 %s  p99 %s  max %s\n",
-			usDuration(merged.Quantile(0.50)), usDuration(merged.Quantile(0.95)),
-			usDuration(merged.Quantile(0.99)), usDuration(float64(merged.MaxMicros)))
-	}
-
-	curStats, err := statSnapshots(mon)
-	if err != nil {
-		return err
-	}
-	deltas := make(map[string]int64, len(benchCounters))
-	for _, name := range benchCounters {
-		for i := range curStats {
-			deltas[name] += curStats[i][name] - baseStats[i][name]
-		}
+			secDuration(merged.Quantile(0.50)), secDuration(merged.Quantile(0.95)),
+			secDuration(merged.Quantile(0.99)), secDuration(merged.Max))
 	}
 	fmt.Fprintf(out, "transport: %d frames, %d msgs, %d batch frames, %d acks piggybacked\n",
-		deltas["node.frames_sent"], deltas["node.msgs_sent"],
-		deltas["node.batches_sent"], deltas["node.acks_piggybacked"])
-	if frames := deltas["node.frames_sent"]; frames > 0 {
+		deltas[framesSent], deltas[msgsSent], deltas[batchesSent], deltas[acksPiggybacked])
+	if frames := deltas[framesSent]; frames > 0 {
 		fmt.Fprintf(out, "transport: %.2f frames/decision, %.2f msgs/frame\n",
 			float64(frames)/float64(totalDecisions),
-			float64(deltas["node.msgs_sent"])/float64(frames))
+			float64(deltas[msgsSent])/float64(frames))
 	}
 	if *jsonlPath != "" {
 		rec := grid.BenchRecord{
@@ -240,16 +223,16 @@ func runBench(args []string, out io.Writer) error {
 			Decided:         int64(merged.Count),
 			ElapsedMicros:   elapsed.Microseconds(),
 			InstancesPerSec: float64(*instances) / elapsed.Seconds(),
-			Frames:          deltas["node.frames_sent"],
-			Messages:        deltas["node.msgs_sent"],
-			Batches:         deltas["node.batches_sent"],
-			AckPiggybacked:  deltas["node.acks_piggybacked"],
+			Frames:          deltas[framesSent],
+			Messages:        deltas[msgsSent],
+			Batches:         deltas[batchesSent],
+			AckPiggybacked:  deltas[acksPiggybacked],
 		}
 		if merged.Count > 0 {
-			rec.P50Micros = int64(merged.Quantile(0.50))
-			rec.P95Micros = int64(merged.Quantile(0.95))
-			rec.P99Micros = int64(merged.Quantile(0.99))
-			rec.MaxMicros = merged.MaxMicros
+			rec.P50Micros = secDuration(merged.Quantile(0.50)).Microseconds()
+			rec.P95Micros = secDuration(merged.Quantile(0.95)).Microseconds()
+			rec.P99Micros = secDuration(merged.Quantile(0.99)).Microseconds()
+			rec.MaxMicros = secDuration(merged.Max).Microseconds()
 		}
 		if rec.Frames > 0 {
 			rec.FramesPerDecision = float64(rec.Frames) / float64(totalDecisions)
@@ -301,47 +284,22 @@ func submitRange(addrs []string, lo, hi uint64, k, t int, proto theory.ProtocolI
 	return nil
 }
 
-// snapshot captures the per-node decide count and transport counters before
-// the load starts, so the report is a delta even on a long-lived cluster.
-func snapshot(mon []*cluster.Client) ([]int64, []map[string]int64, error) {
-	decided, err := decideCounts(mon)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats, err := statSnapshots(mon)
-	if err != nil {
-		return nil, nil, err
-	}
-	return decided, stats, nil
-}
-
-// decideCounts pulls each node's cumulative local-decision count from its
-// decide-latency histogram.
-func decideCounts(mon []*cluster.Client) ([]int64, error) {
-	counts := make([]int64, len(mon))
+// pullAll pulls every node's metric registry.
+func pullAll(mon []*cluster.Client) ([]cluster.Metrics, error) {
+	out := make([]cluster.Metrics, len(mon))
 	for i, c := range mon {
 		m, err := c.Metrics()
 		if err != nil {
 			return nil, fmt.Errorf("metrics from node %d: %w", i, err)
 		}
-		for _, h := range m.Hists {
-			if h.Name == decideHist {
-				counts[i] = int64(h.Count)
-				break
-			}
-		}
-	}
-	return counts, nil
-}
-
-func statSnapshots(mon []*cluster.Client) ([]map[string]int64, error) {
-	out := make([]map[string]int64, len(mon))
-	for i, c := range mon {
-		pairs, err := c.Stats()
-		if err != nil {
-			return nil, fmt.Errorf("stats from node %d: %w", i, err)
-		}
-		out[i] = statMap(pairs)
+		out[i] = m
 	}
 	return out, nil
+}
+
+// decided reads a node's cumulative local-decision count off its
+// decide-latency histogram.
+func decided(m cluster.Metrics) int64 {
+	h, _ := m.Hist(decideHist)
+	return int64(h.Count)
 }

@@ -1,7 +1,7 @@
 // Command ksetctl is the controller for a ksetd cluster: it starts
 // consensus instances (submitting each node's input), collects decision
-// tables, verifies them with the checker, and reports per-instance decision
-// latency and throughput counters.
+// tables, verifies them with the checker, and reports the cluster's decision
+// latency and its metric registries.
 //
 // Usage:
 //
@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"kset/internal/cluster"
+	"kset/internal/obs"
 	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
@@ -198,42 +199,14 @@ func runInstances(args []string, out io.Writer) error {
 	}
 	elapsed := time.Since(started)
 
-	// Report per-instance decision latency aggregated across every node (the
-	// old report quoted node 0 alone, hiding stragglers), plus the
+	// Report the decision latency merged across every node, plus the
 	// controller's wall-clock throughput.
-	perNode := make([]map[string]int64, 0, len(clients))
-	for i, c := range clients {
-		pairs, err := c.Stats()
-		if err != nil {
-			return fmt.Errorf("stats from node %d: %w", i, err)
-		}
-		perNode = append(perNode, statMap(pairs))
+	pulled, err := pullAll(clients)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(out, "\nper-instance decision latency across %d nodes:\n", len(perNode))
-	for id := *first; id <= last; id++ {
-		key := fmt.Sprintf("inst.%d.latency_us", id)
-		lmin, lmax, lsum, seen := int64(0), int64(0), int64(0), 0
-		for _, stats := range perNode {
-			us, ok := stats[key]
-			if !ok || us <= 0 {
-				continue
-			}
-			if seen == 0 || us < lmin {
-				lmin = us
-			}
-			if us > lmax {
-				lmax = us
-			}
-			lsum += us
-			seen++
-		}
-		if seen == 0 {
-			fmt.Fprintf(out, "  %s (no samples)\n", key)
-			continue
-		}
-		fmt.Fprintf(out, "  %s min %d mean %d max %d (%d nodes)\n",
-			key, lmin, lsum/int64(seen), lmax, seen)
-	}
+	fmt.Fprintln(out)
+	reportDecideLatency(out, decideHists(pulled), n, n)
 	fmt.Fprintf(out, "throughput: %d instance(s) in %v (%.1f/s)\n",
 		*instances, elapsed.Round(time.Millisecond),
 		float64(*instances)/elapsed.Seconds())
@@ -301,65 +274,62 @@ func runStats(args []string, out io.Writer) error {
 
 	// Dial each node independently: stats must degrade gracefully when part
 	// of the cluster is unreachable instead of failing the whole report.
-	var hists []wire.Hist
-	reachable := 0
+	var pulled []cluster.Metrics
 	for i, addr := range addrs {
 		c, err := cluster.DialNode(addr, 10*time.Second)
 		if err != nil {
 			fmt.Fprintf(out, "node %d (%s): unreachable: %v\n", i, addr, err)
 			continue
 		}
-		pairs, err := c.Stats()
-		if err != nil {
-			_ = c.Close()
-			return fmt.Errorf("stats from node %d: %w", i, err)
-		}
 		m, err := c.Metrics()
 		_ = c.Close()
 		if err != nil {
 			return fmt.Errorf("metrics from node %d: %w", i, err)
 		}
-		reachable++
+		pulled = append(pulled, m)
 		fmt.Fprintf(out, "node %d (%s):\n", i, addrs[i])
-		for _, p := range pairs {
-			fmt.Fprintf(out, "  %-24s %d\n", p.Name, p.Value)
-		}
-		for _, h := range m.Hists {
-			if h.Name == "kset_decide_latency_seconds" {
-				hists = append(hists, h)
-			}
+		for _, v := range m.Values {
+			fmt.Fprintf(out, "  %-44s %d\n", v.Name, v.Value)
 		}
 	}
-	if reachable == 0 {
+	if len(pulled) == 0 {
 		return fmt.Errorf("no node reachable")
 	}
-
-	// Cluster-wide decision latency: every node's histogram merged into one.
-	merged := wire.MergeHists(hists)
-	fmt.Fprintf(out, "\ncluster-wide decision latency (%d/%d nodes, %d decisions):\n",
-		reachable, len(addrs), merged.Count)
-	if merged.Count == 0 {
-		fmt.Fprintf(out, "  no decisions observed\n")
-		return nil
-	}
-	fmt.Fprintf(out, "  min %s  mean %s  p95 %s  max %s\n",
-		usDuration(float64(merged.MinMicros)), usDuration(merged.Mean()),
-		usDuration(merged.Quantile(0.95)), usDuration(float64(merged.MaxMicros)))
+	fmt.Fprintln(out)
+	reportDecideLatency(out, decideHists(pulled), len(pulled), len(addrs))
 	return nil
 }
 
-// usDuration renders a microsecond quantity as a duration rounded to whole
-// microseconds.
-func usDuration(us float64) time.Duration {
-	return time.Duration(us * float64(time.Microsecond)).Round(time.Microsecond)
+// decideHists picks every node's decide-latency histogram out of its pull.
+func decideHists(pulled []cluster.Metrics) []obs.HistSnapshot {
+	var hists []obs.HistSnapshot
+	for _, m := range pulled {
+		if h, ok := m.Hist(decideHist); ok {
+			hists = append(hists, h)
+		}
+	}
+	return hists
 }
 
-func statMap(pairs []wire.StatPair) map[string]int64 {
-	m := make(map[string]int64, len(pairs))
-	for _, p := range pairs {
-		m[p.Name] = p.Value
+// reportDecideLatency prints the cluster-wide decision latency: every
+// reachable node's decide histogram merged into one.
+func reportDecideLatency(out io.Writer, perNode []obs.HistSnapshot, reachable, nodes int) {
+	merged := obs.MergeSnapshots(perNode)
+	fmt.Fprintf(out, "cluster-wide decision latency (%d/%d nodes, %d decisions):\n",
+		reachable, nodes, merged.Count)
+	if merged.Count == 0 {
+		fmt.Fprintf(out, "  no decisions observed\n")
+		return
 	}
-	return m
+	fmt.Fprintf(out, "  min %s  mean %s  p95 %s  max %s\n",
+		secDuration(merged.Min), secDuration(merged.Mean()),
+		secDuration(merged.Quantile(0.95)), secDuration(merged.Max))
+}
+
+// secDuration renders a quantity of seconds as a duration rounded to whole
+// microseconds.
+func secDuration(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
 }
 
 func splitAddrs(s string) []string {

@@ -85,7 +85,6 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		dup      = fs.Float64("dup", 0, "probability a transmission attempt is duplicated")
 		delay    = fs.Float64("delay", 0, "probability a transmission attempt is delayed")
 		maxDelay = fs.Duration("max-delay", 20*time.Millisecond, "upper bound on injected delays")
-		wireVer  = fs.Int("wire-version", 0, "wire protocol version: 0 (default, batched) or 1 (legacy single-message frames)")
 		shards   = fs.Int("shards", 0, "shard event loops serving instances (0: GOMAXPROCS)")
 		acsMode  = fs.Bool("acs", false, "serve the agreement-on-common-subset engine and its ordered log")
 		quiet    = fs.Bool("quiet", false, "suppress diagnostics")
@@ -148,7 +147,6 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		DefaultProto: proto,
 		DefaultEll:   defaultEll,
 		Seed:         *seed,
-		WireVersion:  *wireVer,
 		Shards:       *shards,
 		Faults: cluster.Faults{
 			Drop:     *drop,

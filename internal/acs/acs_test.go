@@ -176,25 +176,24 @@ func TestCommonSubsetCtl(t *testing.T) {
 }
 
 // TestFirstRoundNeedsNoRetransmit is the regression test for the proposals a
-// fresh connection lost. A link speaks v1 single-message frames until it has
-// heard the peer's Hello, and the v1 receive path had no case for acs-propose:
-// the first proposals of every connection were logged as unexpected, dropped,
-// and recovered only by the retransmit timer. With that timer at 2 s, the
-// first round of a fresh cluster (node 3 crashed, as the log requires) must
-// still close on every survivor well inside a second, and no frame may be
-// reported as unexpected.
+// fresh connection lost, when a link's first frames took a second framing
+// whose receive path had no case for acs-propose and only the retransmit
+// timer recovered them. A link now sends batch frames from its first write:
+// with that timer at 2 s, the first round of a fresh cluster (node 3 crashed,
+// as the log requires) must close on every survivor well inside a second, and
+// no node may complain about a frame.
 func TestFirstRoundNeedsNoRetransmit(t *testing.T) {
 	const n, tt, crashed = 4, 1, 3
 	var mu sync.Mutex
-	var unexpected []string
+	var complaints []string
 	lb, engines := startAcsLoopbackCfg(t, cluster.LoopbackConfig{
 		N: n, K: tt + 1, T: tt,
 		Seed:       0xACE5,
 		Retransmit: 2 * time.Second,
 		Logf: func(format string, args ...any) {
-			if line := fmt.Sprintf(format, args...); strings.Contains(line, "unexpected") {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "frame") {
 				mu.Lock()
-				unexpected = append(unexpected, line)
+				complaints = append(complaints, line)
 				mu.Unlock()
 			}
 		},
@@ -218,8 +217,8 @@ func TestFirstRoundNeedsNoRetransmit(t *testing.T) {
 	t.Logf("first round closed on all survivors in %v", time.Since(begin))
 	mu.Lock()
 	defer mu.Unlock()
-	if len(unexpected) > 0 {
-		t.Errorf("peer connections reported unexpected frames: %q", unexpected)
+	if len(complaints) > 0 {
+		t.Errorf("nodes complained about frames: %q", complaints)
 	}
 }
 

@@ -95,7 +95,6 @@ func BenchmarkLinkFlushBacklog(b *testing.B) {
 				defer n.Close()
 				l := n.links[1]
 				if peer == "inflight" {
-					n.peerVer[1].Store(wire.VersionBatch)
 					plantConn(l, newFailingConn(0))
 				} else {
 					l.nextDialAt = time.Now().Add(time.Hour)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kset/internal/checker"
+	"kset/internal/obs"
 	"kset/internal/types"
 	"kset/internal/wire"
 )
@@ -89,29 +90,47 @@ func (c *Client) Table(instance uint64) (wire.Table, error) {
 	return tbl, nil
 }
 
-// Stats pulls the node's counters.
-func (c *Client) Stats() ([]wire.StatPair, error) {
-	reply, err := c.roundTrip(wire.PullStats{})
-	if err != nil {
-		return nil, err
-	}
-	st, ok := reply.(wire.Stats)
-	if !ok {
-		return nil, fmt.Errorf("%w: stats reply %#v", ErrProtocol, reply)
-	}
-	return st.Pairs, nil
+// Metrics is one node's registry as pulled over a control connection:
+// counters and gauges by registry name (labels included), histograms as obs
+// snapshots so that callers merge and take quantiles with the obs functions.
+type Metrics struct {
+	Values []wire.MetricValue // sorted by name
+	Hists  []obs.HistSnapshot // sorted by name
 }
 
-// Metrics pulls the node's histogram snapshots (latency metrics), sorted by
-// name.
-func (c *Client) Metrics() (wire.Metrics, error) {
+// Value returns the named counter or gauge, 0 if the node reported none.
+func (m Metrics) Value(name string) int64 {
+	for _, v := range m.Values {
+		if v.Name == name {
+			return v.Value
+		}
+	}
+	return 0
+}
+
+// Hist returns the named histogram, or false if the node reported none.
+func (m Metrics) Hist(name string) (obs.HistSnapshot, bool) {
+	for _, h := range m.Hists {
+		if h.Name == name {
+			return h, true
+		}
+	}
+	return obs.HistSnapshot{}, false
+}
+
+// Metrics pulls the node's metric registry.
+func (c *Client) Metrics() (Metrics, error) {
 	reply, err := c.roundTrip(wire.PullMetrics{})
 	if err != nil {
-		return wire.Metrics{}, err
+		return Metrics{}, err
 	}
-	m, ok := reply.(wire.Metrics)
+	wm, ok := reply.(wire.Metrics)
 	if !ok {
-		return wire.Metrics{}, fmt.Errorf("%w: metrics reply %#v", ErrProtocol, reply)
+		return Metrics{}, fmt.Errorf("%w: metrics reply %#v", ErrProtocol, reply)
+	}
+	m := Metrics{Values: wm.Values, Hists: make([]obs.HistSnapshot, len(wm.Hists))}
+	for i, h := range wm.Hists {
+		m.Hists[i] = histFromWire(h)
 	}
 	return m, nil
 }

@@ -134,7 +134,7 @@ func TestLateStartBuffersFrames(t *testing.T) {
 }
 
 // TestControlClient drives a node through the ksetctl client path: start via
-// control connection, pull tables and stats.
+// control connection, pull tables and metrics.
 func TestControlClient(t *testing.T) {
 	const n = 3
 	lb, err := StartLoopback(LoopbackConfig{N: n, K: 1, T: 0, Seed: 3})
@@ -183,22 +183,15 @@ func TestControlClient(t *testing.T) {
 		}
 	}
 
-	pairs, err := clients[0].Stats()
+	m, err := clients[0].Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := make(map[string]int64, len(pairs))
-	for _, p := range pairs {
-		stats[p.Name] = p.Value
+	if h, _ := m.Hist("kset_decide_latency_seconds"); h.Count != 1 || h.Min <= 0 {
+		t.Errorf("node 0 decide latency: count %d min %v, want the one instance with a positive latency", h.Count, h.Min)
 	}
-	if stats["inst.4.decided"] != 1 {
-		t.Errorf("node 0 stats: inst.4.decided = %d, want 1", stats["inst.4.decided"])
-	}
-	if stats["inst.4.latency_us"] <= 0 {
-		t.Errorf("node 0 stats: inst.4.latency_us = %d, want > 0", stats["inst.4.latency_us"])
-	}
-	if stats["node.frames_sent"] <= 0 {
-		t.Errorf("node 0 stats: node.frames_sent = %d, want > 0", stats["node.frames_sent"])
+	if got := m.Value("kset_frames_sent_total"); got <= 0 {
+		t.Errorf("node 0 kset_frames_sent_total = %d, want > 0", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kset/internal/mpnet"
@@ -40,15 +39,12 @@ type instance struct {
 	rows      []wire.TableRow // decision table, indexed by node id
 	decided   bool            // local process decided
 	tableDone bool            // full table observed (latency recorded once)
-	latencyUS int64           // local decision latency; stamped before decided flips
 	self      []types.Payload // pending self-deliveries (drained between events)
 
 	// startedAt is stamped at construction, before any frame can be
 	// delivered, and read from both the shard loop (Decide) and the
 	// connection readers (recordDecision); it is immutable thereafter.
 	startedAt time.Time
-	sent      atomic.Int64
-	recv      atomic.Int64
 }
 
 func newInstance(n *Node, id uint64, k, t int, proto theory.ProtocolID, ell int, input types.Value) (*instance, error) {
@@ -138,7 +134,6 @@ func (in *instance) start(backlog []wire.BatchMsg) {
 // self-sends it queued, mirroring mpnet's runtime. Called only from the
 // shard loop.
 func (in *instance) deliverProto(from types.ProcessID, p types.Payload) {
-	in.recv.Add(1)
 	in.proto.Deliver(&in.api, from, p)
 	in.drainSelf()
 }
@@ -183,40 +178,6 @@ func (in *instance) tableSnapshot() wire.Table {
 	}
 }
 
-// instStats is one instance's counters as raw numbers: what eviction
-// archives, so that completing an instance formats no name nobody may read.
-type instStats struct {
-	id         uint64
-	sent, recv int64
-	decided    int64
-	latencyUS  int64
-}
-
-// stats reads this instance's counters. decided and latency_us are read
-// under one lock (and Decide stamps the latency before flipping decided), so
-// a pull can never observe decided=1 with a zero latency torn mid-decision.
-func (in *instance) stats() instStats {
-	st := instStats{id: in.id, sent: in.sent.Load(), recv: in.recv.Load()}
-	in.mu.Lock()
-	if in.decided {
-		st.decided = 1
-	}
-	st.latencyUS = in.latencyUS
-	in.mu.Unlock()
-	return st
-}
-
-// pairs names the counters, in a fixed order, for the Stats dump.
-func (st instStats) pairs() []wire.StatPair {
-	prefix := fmt.Sprintf("inst.%d.", st.id)
-	return []wire.StatPair{
-		{Name: prefix + "sent", Value: st.sent},
-		{Name: prefix + "recv", Value: st.recv},
-		{Name: prefix + "decided", Value: st.decided},
-		{Name: prefix + "latency_us", Value: st.latencyUS},
-	}
-}
-
 // instanceAPI adapts the cluster transport to the mpnet.API the protocol
 // implementations were written against. All methods are called from the
 // owning shard's loop goroutine only.
@@ -246,7 +207,6 @@ func (a *instanceAPI) Send(to types.ProcessID, p types.Payload) {
 		return
 	}
 	if l := in.node.links[to]; l != nil {
-		in.sent.Add(1)
 		l.enqueue(wire.BatchMsg{
 			Kind: wire.TypeProto, Instance: in.id, From: in.node.cfg.ID, Payload: p,
 		})
@@ -260,10 +220,8 @@ func (a *instanceAPI) Broadcast(p types.Payload) {
 	}
 }
 
-// Decide records the local decision, stamps the latency, and announces it to
-// every peer so that each node can assemble the full decision table. The
-// latency is stamped under the same lock and before decided flips so a
-// concurrent stats pull sees either neither or both.
+// Decide records the local decision, observes its latency, and announces it
+// to every peer so that each node can assemble the full decision table.
 func (a *instanceAPI) Decide(v types.Value) {
 	in := a.in
 	elapsed := time.Since(in.startedAt)
@@ -271,7 +229,6 @@ func (a *instanceAPI) Decide(v types.Value) {
 	in.mu.Lock()
 	already := in.decided
 	if !already {
-		in.latencyUS = elapsed.Microseconds()
 		in.decided = true
 		in.rows[in.node.cfg.ID] = wire.TableRow{Decided: true, Value: v}
 		done = in.observeTableLocked()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -157,16 +158,9 @@ func (l *link) enqueueAck(seq uint64) {
 	l.signal()
 }
 
-// ack removes a frame the peer confirmed, observing the round trip from its
-// first transmission.
-func (l *link) ack(seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ackLocked(seq, l.now())
-}
-
 // ackBatch removes every frame confirmed by one batch's piggybacked ack
-// vector under a single lock acquisition.
+// vector under a single lock acquisition, observing each round trip from the
+// frame's first transmission.
 func (l *link) ackBatch(seqs []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -286,9 +280,8 @@ const batchMsgsPerFrame = 1024
 // or the ack list is touched, so a crashed peer costs its live neighbours
 // O(1) per wake however long its queue grows. With a connection in hand the
 // round drains the pending acks and the frames due now under the lock (each
-// attempt rolled through the fault injector), then writes them outside it —
-// as coalesced batch frames with the acks piggybacked when the peer speaks
-// wire.VersionBatch, or as legacy single-message frames otherwise.
+// attempt rolled through the fault injector), then writes them outside it as
+// coalesced batch frames with the acks piggybacked.
 func (l *link) flush() {
 	l.mu.Lock()
 	l.mQueueDepth.Set(int64(len(l.queue)))
@@ -314,12 +307,8 @@ func (l *link) flush() {
 	sends := l.collectDue(l.now())
 	l.mu.Unlock()
 
-	switch {
-	case len(acks) == 0 && len(sends) == 0:
-	case l.peerBatches():
+	if len(acks) > 0 || len(sends) > 0 {
 		l.flushBatch(acks, sends)
-	default:
-		l.flushV1(acks, sends)
 	}
 	// Buffered is zero on a round that found nothing due; a fresh dial's
 	// Hello counts, so it never waits for the first frame.
@@ -392,18 +381,11 @@ func (l *link) attempt(p *pendingFrame, now int64, sends []wire.BatchMsg) []wire
 	return append(sends, p.msg)
 }
 
-// peerBatches reports whether this link may send batch frames: both this
-// node's configured wire version and the version the peer announced in its
-// most recent Hello must be at least wire.VersionBatch. Until the peer's
-// Hello is heard, the link conservatively speaks v1.
-func (l *link) peerBatches() bool {
-	return l.node.cfg.WireVersion >= wire.VersionBatch &&
-		l.node.peerVer[l.peer].Load() >= wire.VersionBatch
-}
-
 // flushBatch writes one round as coalesced batch frames: the ack vector is
 // piggybacked on the first frame, and messages are chunked so each frame
-// stays small. The encode buffer is pooled, so the whole path is
+// stays small. The first failed write tears the connection down and ends the
+// round: unsent acks are requeued and the frames stay queued for
+// retransmission. The encode buffer is pooled, so the whole path is
 // allocation-free in steady state.
 func (l *link) flushBatch(acks []uint64, sends []wire.BatchMsg) {
 	bufp := encBufs.Get().(*[]byte)
@@ -436,28 +418,6 @@ func (l *link) flushBatch(acks []uint64, sends []wire.BatchMsg) {
 		l.node.stats.acksPiggybacked.Add(int64(len(ackChunk)))
 		acks = acks[len(ackChunk):]
 		sends = sends[len(msgChunk):]
-	}
-}
-
-// flushV1 writes one round as legacy single-message frames for a peer that
-// has not announced batch support. The first failed write tears the
-// connection down and ends the round immediately: everything unsent stays
-// queued (or is requeued, for acks) instead of burning one doomed write
-// attempt per remaining frame.
-func (l *link) flushV1(acks []uint64, sends []wire.BatchMsg) {
-	for i, seq := range acks {
-		if !l.write(wire.Ack{Seq: seq}) {
-			l.requeueAcks(acks[i:])
-			return
-		}
-		l.node.stats.framesSent.Add(1)
-	}
-	for i := range sends {
-		if !l.write(sends[i].Msg()) {
-			return
-		}
-		l.node.stats.framesSent.Add(1)
-		l.node.stats.msgsSent.Add(1)
 	}
 }
 
@@ -509,39 +469,27 @@ func (l *link) ensureConn() bool {
 	l.bw = bufio.NewWriter(conn)
 	l.node.stats.connects.Add(1)
 	l.node.log.Debug("dialed peer", obs.F("peer", int(l.peer)), obs.F("addr", l.addr))
-	hello := wire.Hello{
+	var hello bytes.Buffer
+	err = wire.WriteMsg(&hello, wire.Hello{
 		From:       l.node.cfg.ID,
 		Role:       wire.RolePeer,
 		N:          l.node.cfg.N,
 		Session:    l.node.session,
-		MaxVersion: uint8(l.node.cfg.WireVersion),
-	}
-	if !l.write(hello) {
+		MaxVersion: wire.VersionBatch,
+	})
+	if err != nil {
+		// Encoding is pure and NewNode validated every field.
+		l.node.logf("cluster: encode hello to peer %v: %v", l.peer, err)
+		l.dropConn()
 		return false
 	}
-	return true
+	return l.writeFrame(hello.Bytes())
 }
 
-// write encodes one frame into the buffered writer, applying the write
-// deadline. On failure the connection is torn down (the writer re-dials on
-// the next round) and queued frames survive for retransmission.
-func (l *link) write(m wire.Msg) bool {
-	if l.conn == nil {
-		return false
-	}
-	if err := l.conn.SetWriteDeadline(time.Now().Add(l.node.cfg.WriteTimeout)); err != nil {
-		l.connFailed()
-		return false
-	}
-	if err := wire.WriteMsg(l.bw, m); err != nil {
-		l.connFailed()
-		return false
-	}
-	return true
-}
-
-// writeFrame hands one pre-encoded frame (length prefix included) to the
-// buffered writer under the write deadline. Failure handling matches write.
+// writeFrame hands one encoded frame (length prefix included) to the buffered
+// writer under the write deadline. On failure the connection is torn down
+// (the writer re-dials on a later round) and queued frames survive for
+// retransmission.
 func (l *link) writeFrame(frame []byte) bool {
 	if l.conn == nil {
 		return false

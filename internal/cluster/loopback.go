@@ -31,10 +31,6 @@ type LoopbackConfig struct {
 	// Shards sets each node's Config.Shards (0: GOMAXPROCS).
 	Shards int
 	Logf   func(format string, args ...any)
-	// WireVersions, if non-nil, sets each node's Config.WireVersion — the
-	// mixed-version interop tests run v1-only and batching nodes in one
-	// cluster with it. nil leaves every node on the default.
-	WireVersions []int
 	// Attach, if non-nil, runs on each node after construction and before
 	// Serve — layered services (the ACS engine) register their handlers
 	// here, before any frame can arrive.
@@ -61,18 +57,8 @@ func StartLoopback(cfg LoopbackConfig) (*Loopback, error) {
 		listeners[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	if cfg.WireVersions != nil && len(cfg.WireVersions) != cfg.N {
-		for _, l := range listeners {
-			_ = l.Close()
-		}
-		return nil, fmt.Errorf("%w: %d wire versions for n=%d", ErrBadConfig, len(cfg.WireVersions), cfg.N)
-	}
 	lb := &Loopback{Addrs: addrs, Nodes: make([]*Node, cfg.N)}
 	for i := range lb.Nodes {
-		wv := 0
-		if cfg.WireVersions != nil {
-			wv = cfg.WireVersions[i]
-		}
 		node, err := NewNode(Config{
 			ID:           types.ProcessID(i),
 			N:            cfg.N,
@@ -84,7 +70,6 @@ func StartLoopback(cfg LoopbackConfig) (*Loopback, error) {
 			Seed:         cfg.Seed,
 			Faults:       cfg.Faults,
 			Retransmit:   cfg.Retransmit,
-			WireVersion:  wv,
 			Shards:       cfg.Shards,
 			Logf:         cfg.Logf,
 		})

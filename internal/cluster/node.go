@@ -69,11 +69,6 @@ type Config struct {
 	DialTimeout  time.Duration
 	WriteTimeout time.Duration
 	Retransmit   time.Duration
-	// WireVersion selects the transport framing offered to peers: zero or
-	// wire.VersionBatch enables coalesced batch frames (used per peer only
-	// after that peer's Hello advertises the same), wire.Version forces
-	// legacy single-message frames. Any other value is rejected.
-	WireVersion int
 	// Shards is the number of shard event loops serving instances (instance
 	// id modulo Shards selects the owning loop). Zero selects GOMAXPROCS;
 	// negative values are rejected.
@@ -106,14 +101,6 @@ const maxArchived = 1 << 12
 // re-broadcasts decides).
 const maxRetired = 1 << 16
 
-// archived is the post-eviction residue of one instance: the final decision
-// table and the final stat counters, immutable once stored. The counters are
-// kept raw; Stats names them if anyone ever pulls.
-type archived struct {
-	table wire.Table
-	stats instStats
-}
-
 // Node is one cluster member: a TCP listener, one outbound link per peer,
 // and a set of running consensus instances.
 type Node struct {
@@ -128,13 +115,12 @@ type Node struct {
 	shards []*shard
 
 	// regMu guards the node-wide instance registry: the archive of completed
-	// instances, retired-id tombstones, live-id set, creation order, and the
-	// accepted-connection list. Lock order: shard.mu before regMu; never the
-	// reverse.
+	// instances (their final tables, immutable once stored), retired-id
+	// tombstones, live-id set, and the accepted-connection list. Lock order:
+	// shard.mu before regMu; never the reverse.
 	regMu        sync.Mutex
 	liveIDs      map[uint64]struct{} // ids currently live in some shard
-	order        []uint64            // ids of live + archived instances, creation order
-	archive      map[uint64]*archived
+	archive      map[uint64]*wire.Table
 	archOrder    []uint64            // archived ids: a ring of up to maxArchived (FIFO bound)
 	archHead     int                 // the oldest id's slot once the ring is full
 	retired      map[uint64]struct{} // ids rotated out of the archive
@@ -152,11 +138,6 @@ type Node struct {
 	proposeH  func(wire.Propose)
 	decideObs func(id uint64, node types.ProcessID, value types.Value)
 	ctlH      func(wire.Msg) (wire.Msg, bool)
-
-	// peerVer[i] is the highest wire version peer i advertised in its most
-	// recent Hello (0 until heard). Links read it lock-free on every flush to
-	// decide between batch and legacy framing.
-	peerVer []atomic.Int32
 
 	reg   *obs.Registry
 	log   *obs.Logger
@@ -215,9 +196,9 @@ func (s *peerSeen) clear(seq uint64) {
 	s.bits[w/64] &^= 1 << (w % 64)
 }
 
-// nodeStats are the transport-level metrics exposed through PullStats, the
-// Prometheus endpoint, and the PullMetrics histogram snapshots. They live in
-// the node's obs registry; these fields are just the hot-path handles.
+// nodeStats are the transport-level metrics exposed through the Prometheus
+// endpoint and the PullMetrics reply. They live in the node's obs registry;
+// these fields are just the hot-path handles.
 type nodeStats struct {
 	framesSent      *obs.Counter
 	framesRecv      *obs.Counter
@@ -322,13 +303,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Retransmit == 0 {
 		cfg.Retransmit = 50 * time.Millisecond
 	}
-	switch cfg.WireVersion {
-	case 0:
-		cfg.WireVersion = wire.VersionBatch
-	case wire.Version, wire.VersionBatch:
-	default:
-		return nil, fmt.Errorf("%w: WireVersion %d (want %d or %d)", ErrBadConfig, cfg.WireVersion, wire.Version, wire.VersionBatch)
-	}
 	if cfg.DefaultProto == theory.ProtoNone {
 		cfg.DefaultProto = theory.ProtoFloodMin
 	}
@@ -336,10 +310,9 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		session:   uint64(time.Now().UnixNano()),
 		liveIDs:   make(map[uint64]struct{}),
-		archive:   make(map[uint64]*archived),
+		archive:   make(map[uint64]*wire.Table),
 		retired:   make(map[uint64]struct{}),
 		seen:      make([]peerSeen, cfg.N),
-		peerVer:   make([]atomic.Int32, cfg.N),
 		links:     make([]*link, cfg.N),
 		reg:       obs.NewRegistry(),
 		log:       cfg.Log.With(obs.F("node", cfg.ID)),
@@ -479,8 +452,8 @@ func (n *Node) untrackConn(conn net.Conn) {
 }
 
 // serveConn handles one inbound connection: a Hello identifying the sender,
-// then peer frames (proto/decide/ack) or control requests (start/pulls)
-// until the stream ends.
+// then batch frames from a peer or control requests (start/pulls) until the
+// stream ends.
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
@@ -513,11 +486,12 @@ func (n *Node) serveConn(conn net.Conn) {
 			n.logf("cluster: peer %v believes n=%d, ours is %d", hello.From, hello.N, n.cfg.N)
 			return
 		}
+		if hello.MaxVersion < wire.VersionBatch {
+			n.logf("cluster: peer %v offers wire version %d, sequenced traffic needs %d: connection refused",
+				hello.From, hello.MaxVersion, wire.VersionBatch)
+			return
+		}
 		n.resetSeenIfNewSession(hello.From, hello.Session)
-		// Record the peer's advertised wire version; the outbound link reads
-		// it on every flush to pick batch or legacy framing. A restarted peer
-		// running an older binary downgrades us here.
-		n.peerVer[hello.From].Store(int32(hello.MaxVersion))
 		n.servePeer(conn, hello.From)
 	case wire.RoleCtl:
 		n.serveCtl(conn)
@@ -538,9 +512,10 @@ func (n *Node) resetSeenIfNewSession(peer types.ProcessID, session uint64) {
 	}
 }
 
-// servePeer consumes frames from one peer connection. The frame buffer and
-// the decoded batch are reused across frames, so the steady-state receive
-// path performs no per-message allocation.
+// servePeer consumes batch frames, the only thing a peer sends after its
+// Hello, from one peer connection. The frame buffer and the decoded batch are
+// reused across frames, so the steady-state receive path performs no
+// per-message allocation.
 func (n *Node) servePeer(conn net.Conn, from types.ProcessID) {
 	var buf []byte
 	var batch wire.Batch
@@ -551,50 +526,25 @@ func (n *Node) servePeer(conn net.Conn, from types.ProcessID) {
 			return
 		}
 		n.stats.framesRecv.Add(1)
-		if wire.IsBatchFrame(buf) {
-			if err := wire.DecodeBatchInto(buf, &batch); err != nil {
-				n.logf("cluster: bad batch frame from peer %v: %v", from, err)
-				return
-			}
-			n.stats.batchesRecv.Add(1)
-			if len(batch.Acks) > 0 {
-				if l := n.links[from]; l != nil {
-					l.ackBatch(batch.Acks)
-				}
-			}
-			for i := range batch.Msgs {
-				n.handleSequenced(from, batch.Msgs[i])
-			}
-			continue
-		}
-		m, err := wire.Decode(buf)
-		if err != nil {
-			n.logf("cluster: bad frame from peer %v: %v", from, err)
+		if err := wire.DecodeBatchInto(buf, &batch); err != nil {
+			n.logf("cluster: bad batch frame from peer %v: %v", from, err)
 			return
 		}
-		switch v := m.(type) {
-		case wire.Ack:
+		n.stats.batchesRecv.Add(1)
+		if len(batch.Acks) > 0 {
 			if l := n.links[from]; l != nil {
-				l.ack(v.Seq)
+				l.ackBatch(batch.Acks)
 			}
-		case wire.Proto:
-			n.handleSequenced(from, wire.ProtoMsg(v))
-		case wire.Decide:
-			n.handleSequenced(from, wire.DecideMsg(v))
-		case wire.Propose:
-			// A fresh link speaks v1 until the peer's Hello is heard, so the
-			// first proposals of every connection arrive on this path.
-			n.handleSequenced(from, wire.ProposeMsg(v))
-		default:
-			n.logf("cluster: unexpected %v frame on peer connection", m.Type())
+		}
+		for i := range batch.Msgs {
+			n.handleSequenced(from, batch.Msgs[i])
 		}
 	}
 }
 
-// handleSequenced runs the reliability protocol for one sequenced message
-// (from a batch or a legacy single-message frame): authenticate the sender,
-// suppress duplicates, place the message (deliver to its instance, or buffer
-// until the instance starts), and acknowledge.
+// handleSequenced runs the reliability protocol for one sequenced message:
+// authenticate the sender, suppress duplicates, place the message (deliver
+// to its instance, or buffer until the instance starts), and acknowledge.
 func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg) {
 	// The transport stamps the authentic sender, as mpnet's network does: a
 	// message claiming another origin is dropped.
@@ -612,9 +562,7 @@ func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg) {
 	}
 	if fresh && bm.Kind == wire.TypePropose {
 		if h := n.proposeH; h != nil {
-			if p, ok := bm.Msg().(wire.Propose); ok {
-				h(p)
-			}
+			h(wire.Propose{Round: bm.Instance, Proposer: bm.Origin, Noop: bm.Noop, Value: bm.Value})
 		}
 	}
 	if accepted {
@@ -770,7 +718,6 @@ func (n *Node) registerInstance(id uint64, k, t int, proto theory.ProtocolID, el
 		return nil, nil, nil
 	}
 	n.liveIDs[id] = struct{}{}
-	n.order = append(n.order, id)
 	n.regMu.Unlock()
 	sh.instances[id] = inst
 	backlog := sh.pending[id]
@@ -803,15 +750,14 @@ func (n *Node) notifyDecide(in *instance, node types.ProcessID, value types.Valu
 	}
 }
 
-// evictInstance retires one instance: its final table and counters move to
-// the bounded archive, and the live entry plus any pending backlog leave
-// the owning shard. The archive entry is written inside the shard's
-// critical section, so a lookup that misses the live map is guaranteed to
-// find the archive already populated. Safe to call concurrently and
-// repeatedly; the first caller wins.
+// evictInstance retires one instance: its final table moves to the bounded
+// archive, and the live entry plus any pending backlog leave the owning
+// shard. The archive entry is written inside the shard's critical section,
+// so a lookup that misses the live map is guaranteed to find the archive
+// already populated. Safe to call concurrently and repeatedly; the first
+// caller wins.
 func (n *Node) evictInstance(in *instance) {
 	tbl := in.tableSnapshot()
-	stats := in.stats()
 	sh := in.shard
 	sh.mu.Lock()
 	if sh.instances[in.id] != in {
@@ -822,7 +768,7 @@ func (n *Node) evictInstance(in *instance) {
 	delete(sh.pending, in.id)
 	n.regMu.Lock()
 	delete(n.liveIDs, in.id)
-	n.archive[in.id] = &archived{table: tbl, stats: stats}
+	n.archive[in.id] = &tbl
 	if len(n.archOrder) < maxArchived {
 		n.archOrder = append(n.archOrder, in.id)
 	} else {
@@ -832,7 +778,6 @@ func (n *Node) evictInstance(in *instance) {
 		delete(n.archive, drop)
 		n.markRetiredLocked(drop)
 	}
-	n.compactOrderLocked()
 	n.regMu.Unlock()
 	sh.mu.Unlock()
 	n.stats.instancesActive.Add(-1)
@@ -849,26 +794,8 @@ func (n *Node) ReleaseInstance(id uint64) {
 	}
 }
 
-// compactOrderLocked rebuilds the creation-order id list once more than half
-// of it points at instances that are neither live nor archived, keeping
-// Stats iteration and memory proportional to what is actually retained.
-// Called with regMu held; the live-id set lets it decide without touching
-// any shard lock.
-func (n *Node) compactOrderLocked() {
-	if len(n.order) <= 2*(len(n.liveIDs)+len(n.archive)) {
-		return
-	}
-	kept := n.order[:0]
-	for _, id := range n.order {
-		if _, live := n.liveIDs[id]; live || n.archive[id] != nil {
-			kept = append(kept, id)
-		}
-	}
-	n.order = kept
-}
-
 // SetProposeHandler registers the upcall receiving each first-seen ACS
-// proposal frame. Must be set before Serve; invoked with no locks held.
+// proposal. Must be set before Serve; invoked with no locks held.
 func (n *Node) SetProposeHandler(h func(wire.Propose)) { n.proposeH = h }
 
 // SetDecideObserver registers the upcall receiving every decision-table row
@@ -884,11 +811,13 @@ func (n *Node) SetDecideObserver(f func(id uint64, node types.ProcessID, value t
 // before Serve.
 func (n *Node) SetCtlHandler(h func(wire.Msg) (wire.Msg, bool)) { n.ctlH = h }
 
-// BroadcastPropose stamps this node as the transport sender and enqueues the
-// proposal to every peer link; the engine delivers the local copy itself.
+// BroadcastPropose enqueues the proposal to every peer link with this node
+// as the transport sender; the engine delivers the local copy itself.
 func (n *Node) BroadcastPropose(p wire.Propose) {
-	p.From = n.cfg.ID
-	n.broadcastPeers(wire.ProposeMsg(p))
+	n.broadcastPeers(wire.BatchMsg{
+		Kind: wire.TypePropose, Instance: p.Round, From: n.cfg.ID,
+		Origin: p.Proposer, Noop: p.Noop, Value: p.Value,
+	})
 }
 
 // ID returns this node's process id.
@@ -945,7 +874,7 @@ func (n *Node) Table(id uint64) (wire.Table, bool) {
 	if arch == nil {
 		return wire.Table{}, false
 	}
-	tbl := arch.table
+	tbl := *arch
 	tbl.Rows = append([]wire.TableRow(nil), tbl.Rows...)
 	return tbl, true
 }
@@ -953,12 +882,20 @@ func (n *Node) Table(id uint64) (wire.Table, bool) {
 // Metrics returns the node's metric registry (ksetd serves it over HTTP).
 func (n *Node) Metrics() *obs.Registry { return n.reg }
 
-// MetricsSnapshot converts every histogram in the registry into the wire
-// representation (microsecond integers), sorted by name — the PullMetrics
-// reply.
+// MetricsSnapshot converts the registry into the PullMetrics reply: every
+// counter and gauge in one name-sorted list, every histogram in the wire
+// representation (microsecond integers), sorted by name.
 func (n *Node) MetricsSnapshot() wire.Metrics {
+	counters, gauges := n.reg.Values()
 	snaps := n.reg.Snapshots()
-	out := wire.Metrics{Hists: make([]wire.Hist, 0, len(snaps))}
+	out := wire.Metrics{
+		Values: make([]wire.MetricValue, 0, len(counters)+len(gauges)),
+		Hists:  make([]wire.Hist, 0, len(snaps)),
+	}
+	for _, v := range append(counters, gauges...) {
+		out.Values = append(out.Values, wire.MetricValue(v))
+	}
+	sort.Slice(out.Values, func(i, j int) bool { return out.Values[i].Name < out.Values[j].Name })
 	for _, s := range snaps {
 		out.Hists = append(out.Hists, histToWire(s))
 	}
@@ -990,53 +927,28 @@ func micros(seconds float64) int64 {
 	return int64(math.Round(seconds * 1e6))
 }
 
-// Stats assembles the expvar-style counter dump: node transport counters
-// first, then per-instance counters in ascending instance-id order.
-func (n *Node) Stats() []wire.StatPair {
-	pairs := []wire.StatPair{
-		{Name: "node.id", Value: int64(n.cfg.ID)},
-		{Name: "node.frames_sent", Value: n.stats.framesSent.Value()},
-		{Name: "node.frames_recv", Value: n.stats.framesRecv.Value()},
-		{Name: "node.batches_sent", Value: n.stats.batchesSent.Value()},
-		{Name: "node.batches_recv", Value: n.stats.batchesRecv.Value()},
-		{Name: "node.msgs_sent", Value: n.stats.msgsSent.Value()},
-		{Name: "node.msgs_recv", Value: n.stats.msgsRecv.Value()},
-		{Name: "node.acks_piggybacked", Value: n.stats.acksPiggybacked.Value()},
-		{Name: "node.retransmits", Value: n.stats.retransmits.Value()},
-		{Name: "node.faults.drop", Value: n.stats.dropsInjected.Value()},
-		{Name: "node.faults.delay", Value: n.stats.delaysInjected.Value()},
-		{Name: "node.faults.dup", Value: n.stats.dupsInjected.Value()},
-		{Name: "node.connects", Value: n.stats.connects.Value()},
-		{Name: "node.conn_failures", Value: n.stats.connFailures.Value()},
-		{Name: "node.decides_recv", Value: n.stats.decidesRecv.Value()},
+// histFromWire is the inverse of histToWire, up to the wire's microsecond
+// resolution: the last bucket becomes the overflow count again and an empty
+// histogram gets obs's infinite extrema back.
+func histFromWire(h wire.Hist) obs.HistSnapshot {
+	s := obs.HistSnapshot{
+		Name:   h.Name,
+		Count:  h.Count,
+		Sum:    float64(h.SumMicros) / 1e6,
+		Min:    math.Inf(1),
+		Max:    math.Inf(-1),
+		Counts: make([]uint64, len(h.Buckets)),
 	}
-	n.regMu.Lock()
-	ids := append([]uint64(nil), n.order...)
-	n.regMu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for idx, id := range ids {
-		// A node serving thousands of instances would overflow the wire's
-		// MaxStatsPairs limit and make the reply unencodable. Clamp the dump
-		// (node counters plus the earliest instances) and say how many
-		// instances were cut; histogram pulls stay complete regardless.
-		if len(pairs)+5 > wire.MaxStatsPairs {
-			pairs = append(pairs, wire.StatPair{
-				Name: "node.stats_truncated_instances", Value: int64(len(ids) - idx),
-			})
-			break
-		}
-		if inst := n.lookup(id); inst != nil {
-			pairs = append(pairs, inst.stats().pairs()...)
-			continue
-		}
-		n.regMu.Lock()
-		arch := n.archive[id]
-		n.regMu.Unlock()
-		if arch != nil {
-			pairs = append(pairs, arch.stats.pairs()...)
+	if h.Count > 0 {
+		s.Min, s.Max = float64(h.MinMicros)/1e6, float64(h.MaxMicros)/1e6
+	}
+	for i, b := range h.Buckets {
+		s.Counts[i] = b.Count
+		if i < len(h.Buckets)-1 {
+			s.Bounds = append(s.Bounds, float64(b.UpperMicros)/1e6)
 		}
 	}
-	return pairs
+	return s
 }
 
 // serveCtl answers control requests on one controller connection,
@@ -1061,8 +973,6 @@ func (n *Node) serveCtl(conn net.Conn) {
 				tbl = wire.Table{Instance: v.Instance}
 			}
 			reply = tbl
-		case wire.PullStats:
-			reply = wire.Stats{Pairs: n.Stats()}
 		case wire.PullMetrics:
 			reply = n.MetricsSnapshot()
 		case wire.SweepJob:

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"net"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"kset/internal/obs"
 	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
@@ -46,8 +50,8 @@ func TestConfigValidation(t *testing.T) {
 // pending acks before dialing, so a dial failure discarded them); flush now
 // asks for the connection first, so with none to be had it touches neither
 // acks nor queue: nothing is sent, nothing counts as a retransmission, and on
-// recovery the ack leaves ahead of the frame. This drives one link by hand
-// through dial failure, backoff, and recovery.
+// recovery the ack rides in the ack vector of the frame's own batch. This
+// drives one link by hand through dial failure, backoff, and recovery.
 func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 	// Bind-then-close yields an address that refuses connections now but can
 	// be re-bound later for the recovery phase.
@@ -111,7 +115,7 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 	}
 
 	// Recovery: the peer comes back on the same address; the next flush must
-	// deliver the ack first, then the frame.
+	// deliver both in one batch frame.
 	ln, err := net.Listen("tcp", peerAddr)
 	if err != nil {
 		t.Skipf("could not re-bind %s: %v", peerAddr, err)
@@ -131,23 +135,16 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := first.(wire.Hello); !ok {
-		t.Fatalf("first frame = %#v, want Hello", first)
+	if h, ok := first.(wire.Hello); !ok || h.MaxVersion != wire.VersionBatch {
+		t.Fatalf("first frame = %#v, want a Hello offering the batch framing", first)
 	}
 	second, err := wire.ReadMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, ok := second.(wire.Ack)
-	if !ok || ack.Seq != 7 {
-		t.Fatalf("second frame = %#v, want Ack{Seq:7}", second)
-	}
-	third, err := wire.ReadMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := third.(wire.Proto); !ok || p.Instance != 1 {
-		t.Fatalf("third frame = %#v, want the queued Proto", third)
+	b, ok := second.(wire.Batch)
+	if !ok || len(b.Acks) != 1 || b.Acks[0] != 7 || len(b.Msgs) != 1 || b.Msgs[0].Instance != 1 {
+		t.Fatalf("second frame = %#v, want one batch with ack 7 ahead of the queued proto", second)
 	}
 	l.mu.Lock()
 	acksLeft := len(l.acks)
@@ -161,10 +158,10 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 }
 
 // TestMetricsPull runs a real loopback instance to completion and checks the
-// PullMetrics path end to end: every node serves histogram snapshots over the
-// control connection, the decide-latency histogram has recorded the local
-// decision, the cluster-wide merge sees all three, and the Prometheus
-// exposition contains the histogram series.
+// PullMetrics path end to end: every node serves its counters, gauges and
+// histogram snapshots over the control connection, the decide-latency
+// histogram has recorded the local decision, the cluster-wide merge sees all
+// three, and the Prometheus exposition contains the histogram series.
 func TestMetricsPull(t *testing.T) {
 	const n = 3
 	lb, err := StartLoopback(LoopbackConfig{N: n, K: 1, T: 0, Seed: 11})
@@ -180,7 +177,7 @@ func TestMetricsPull(t *testing.T) {
 		awaitTable(t, node, 2, allAlive(n), deadline)
 	}
 
-	var perNode []wire.Hist
+	var perNode []obs.HistSnapshot
 	for i := range lb.Nodes {
 		c, err := DialNode(lb.Addrs[i], 5*time.Second)
 		if err != nil {
@@ -191,25 +188,27 @@ func TestMetricsPull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pull metrics from node %d: %v", i, err)
 		}
-		var found *wire.Hist
-		for j := range m.Hists {
-			if m.Hists[j].Name == "kset_decide_latency_seconds" {
-				found = &m.Hists[j]
-				break
-			}
-		}
-		if found == nil {
+		found, ok := m.Hist("kset_decide_latency_seconds")
+		if !ok {
 			t.Fatalf("node %d metrics lack kset_decide_latency_seconds (%d hists)", i, len(m.Hists))
 		}
 		if found.Count < 1 {
 			t.Errorf("node %d decide latency count = %d, want >= 1", i, found.Count)
 		}
-		if found.Count > 0 && (found.MinMicros <= 0 || found.MaxMicros < found.MinMicros) {
-			t.Errorf("node %d decide latency extrema [%d, %d] implausible", i, found.MinMicros, found.MaxMicros)
+		if found.Count > 0 && (found.Min <= 0 || found.Max < found.Min) {
+			t.Errorf("node %d decide latency extrema [%v, %v] implausible", i, found.Min, found.Max)
 		}
-		perNode = append(perNode, *found)
+		perNode = append(perNode, found)
+		// The counters and gauges travel in the same reply, read off the
+		// same registry the node's own handles update.
+		if got, want := m.Value("kset_msgs_recv_total"), lb.Nodes[i].stats.msgsRecv.Value(); got <= 0 || got > want {
+			t.Errorf("node %d pulled kset_msgs_recv_total = %d, registry now reads %d", i, got, want)
+		}
+		if !sort.SliceIsSorted(m.Values, func(a, b int) bool { return m.Values[a].Name < m.Values[b].Name }) {
+			t.Errorf("node %d metric values not sorted by name", i)
+		}
 	}
-	merged := wire.MergeHists(perNode)
+	merged := obs.MergeSnapshots(perNode)
 	if merged.Count != n {
 		t.Errorf("cluster-wide decide count = %d, want %d", merged.Count, n)
 	}
@@ -231,5 +230,34 @@ func TestMetricsPull(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestHistWireRoundTrip pins histFromWire as the inverse of histToWire up to
+// the wire's microsecond resolution — bounds and counts exactly, so that
+// snapshots pulled from different nodes still merge — and an empty histogram
+// back to obs's infinite extrema.
+func TestHistWireRoundTrip(t *testing.T) {
+	h := obs.NewHistogram(nil)
+	for _, v := range []float64{0.00004, 0.0007, 0.0007, 0.03, 45} {
+		h.Observe(v)
+	}
+	want := h.Snapshot("lat")
+	got := histFromWire(histToWire(want))
+	if got.Name != want.Name || got.Count != want.Count ||
+		!reflect.DeepEqual(got.Bounds, want.Bounds) || !reflect.DeepEqual(got.Counts, want.Counts) {
+		t.Errorf("round trip changed the histogram:\n%+v\nvs\n%+v", got, want)
+	}
+	for _, q := range []float64{0, 0.5, 0.95, 1} {
+		if d := got.Quantile(q) - want.Quantile(q); math.Abs(d) > 1e-6 {
+			t.Errorf("q%v moved by %v s, more than a microsecond", q, d)
+		}
+	}
+	if d := got.Mean() - want.Mean(); math.Abs(d) > 1e-6 {
+		t.Errorf("mean moved by %v s, more than a microsecond", d)
+	}
+	empty := histFromWire(histToWire(obs.NewHistogram(nil).Snapshot("lat")))
+	if empty.Count != 0 || !math.IsInf(empty.Min, 1) || !math.IsInf(empty.Max, -1) {
+		t.Errorf("empty histogram came back as count %d, extrema [%v, %v]", empty.Count, empty.Min, empty.Max)
 	}
 }

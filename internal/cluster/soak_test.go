@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -131,45 +130,31 @@ func TestClusterSoak(t *testing.T) {
 	}
 	<-flapDone
 
-	// The transport counters must show the adversary actually fired and the
-	// reliability layer actually worked.
-	pairs, err := clients[0].Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := make(map[string]int64, len(pairs))
-	for _, p := range pairs {
-		stats[p.Name] = p.Value
-	}
-	for _, name := range []string{"node.faults.drop", "node.retransmits"} {
-		if stats[name] <= 0 {
-			t.Errorf("stats: %s = %d, want > 0 (fault injection did not engage)", name, stats[name])
-		}
-	}
-	for id := uint64(1); id <= instances; id++ {
-		name := fmt.Sprintf("inst.%d.latency_us", id)
-		if stats[name] <= 0 {
-			t.Errorf("stats: %s = %d, want > 0", name, stats[name])
-		}
-	}
-
-	// Syscall accounting for the BENCH_net.json ledger: frames written per
-	// decision across the surviving nodes. Each frame is one length-prefixed
-	// write on a link, so this ratio is the soak's syscalls-per-decision.
+	// Every survivor decided every instance, and the transport counters must
+	// show the adversary actually fired and the reliability layer actually
+	// worked. Frames written per decision across the survivors go to the
+	// BENCH_net.json ledger: each frame is one length-prefixed write on a
+	// link, so the ratio is the soak's syscalls-per-decision.
 	var framesSent, decisions int64
 	for i := 0; i < n; i++ {
 		if clients[i] == nil {
 			continue
 		}
-		pairs, err := clients[i].Stats()
+		m, err := clients[i].Metrics()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := make(map[string]int64, len(pairs))
-		for _, p := range pairs {
-			m[p.Name] = p.Value
+		if h, _ := m.Hist("kset_decide_latency_seconds"); h.Count != instances {
+			t.Errorf("node %d: kset_decide_latency_seconds count = %d, want %d", i, h.Count, instances)
 		}
-		framesSent += m["node.frames_sent"]
+		if i == 0 {
+			for _, name := range []string{`kset_faults_injected_total{kind="drop"}`, "kset_retransmits_total"} {
+				if m.Value(name) <= 0 {
+					t.Errorf("node 0: %s = %d, want > 0 (fault injection did not engage)", name, m.Value(name))
+				}
+			}
+		}
+		framesSent += m.Value("kset_frames_sent_total")
 		decisions += int64(instances)
 	}
 	t.Logf("soak transport: %d frames sent for %d decisions (%.1f frames/decision)",

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,14 +95,31 @@ func TestRunSweepReassignsOnCrash(t *testing.T) {
 	lb := sweepTestCluster(t, 3)
 
 	// Node 2 is dead before the sweep starts: its worker's dials fail and its
-	// queue pulls are requeued until the worker is abandoned.
+	// queue pulls are requeued. The live workers could finish the grid before
+	// that worker is scheduled at all, so no delivery is accepted until it has
+	// failed a dial — which it logs before it needs the coordinator's lock
+	// OnShard runs under. Whether it goes on to fail maxNodeFails of them and
+	// is written off before the survivors finish is up to the scheduler;
+	// TestRunSweepAllNodesDead pins NodesFailed.
+	dead := lb.Addrs[2]
 	lb.Crash(2)
-	var crashMid sync.Once
+	deadDialed := make(chan struct{})
+	var dialedOnce, crashMid sync.Once
 	recs, stats, err := RunSweep(lb.Addrs, spec, SweepOptions{
 		ShardCells: 1, // one cell per shard: plenty of reassignment targets
 		Timeout:    30 * time.Second,
-		Logf:       t.Logf,
+		Logf: func(format string, args ...any) {
+			t.Logf(format, args...)
+			if strings.HasPrefix(format, "sweep: dial") && args[0] == dead {
+				dialedOnce.Do(func() { close(deadDialed) })
+			}
+		},
 		OnShard: func(delivered, total int) {
+			select {
+			case <-deadDialed:
+			case <-time.After(10 * time.Second):
+				t.Errorf("delivery %d: node 2's worker has not failed a dial yet", delivered)
+			}
 			if delivered >= 3 {
 				// Mid-sweep crash: node 1 dies while shards remain.
 				crashMid.Do(func() { lb.Crash(1) })
@@ -114,9 +132,6 @@ func TestRunSweepReassignsOnCrash(t *testing.T) {
 	if stats.Reassigns == 0 {
 		t.Error("no shard reassignments recorded despite a pre-crashed node")
 	}
-	if stats.NodesFailed == 0 {
-		t.Error("no failed nodes recorded despite a pre-crashed node")
-	}
 	gotCSV, gotJSONL := renderBoth(t, recs)
 	if gotCSV != localCSV {
 		t.Error("post-crash CSV differs from local run")
@@ -127,14 +142,19 @@ func TestRunSweepReassignsOnCrash(t *testing.T) {
 }
 
 // TestRunSweepAllNodesDead verifies the sweep fails loudly, not silently,
-// when no worker can take shards.
+// when no worker can take shards: it ends only once every node's worker has
+// been written off.
 func TestRunSweepAllNodesDead(t *testing.T) {
 	spec := sweepTestSpec(t)
 	lb := sweepTestCluster(t, 2)
 	lb.Close()
-	_, _, err := RunSweep(lb.Addrs, spec, SweepOptions{Timeout: 2 * time.Second, Logf: t.Logf})
+	_, stats, err := RunSweep(lb.Addrs, spec, SweepOptions{Timeout: 2 * time.Second, Logf: t.Logf})
 	if !errors.Is(err, ErrSweepFailed) {
 		t.Fatalf("RunSweep against dead cluster: %v, want ErrSweepFailed", err)
+	}
+	if stats.NodesFailed != 2 || stats.Reassigns != 2*maxNodeFails {
+		t.Errorf("NodesFailed = %d, Reassigns = %d, want both nodes written off after %d failures each",
+			stats.NodesFailed, stats.Reassigns, maxNodeFails)
 	}
 }
 

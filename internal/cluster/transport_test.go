@@ -3,8 +3,11 @@ package cluster
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,12 +59,11 @@ func (c *failingConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // unservedNode builds a node whose peers are unreachable, for driving the
 // link and dedup state directly.
-func unservedNode(t testing.TB, wireVersion int) *Node {
+func unservedNode(t testing.TB) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
 		ID: 0, N: 2, K: 1, T: 0,
-		Peers:       []string{"127.0.0.1:1", "127.0.0.1:1"},
-		WireVersion: wireVersion,
+		Peers: []string{"127.0.0.1:1", "127.0.0.1:1"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +88,7 @@ func plantConn(l *link, c net.Conn) {
 // exactly once.
 func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 	t.Run("sequenced frames survive", func(t *testing.T) {
-		n := unservedNode(t, wire.Version)
+		n := unservedNode(t)
 		l := n.links[1]
 		fc := newFailingConn(1) // every write fails
 		plantConn(l, fc)
@@ -116,32 +118,31 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 	})
 
 	t.Run("unsent acks requeued", func(t *testing.T) {
-		n := unservedNode(t, wire.Version)
+		n := unservedNode(t)
 		l := n.links[1]
-		// Each v1 frame is two conn writes (prefix, body) through the
-		// one-byte bufio; failing at call 3 lands mid-round, after the first
-		// ack made it out.
-		fc := newFailingConn(3)
+		// One ack vector too long for one frame: the one-byte bufio hands each
+		// frame to the conn in one write, so failing at call 2 lands
+		// mid-round, after the first frame's acks made it out.
+		fc := newFailingConn(2)
 		plantConn(l, fc)
-		for _, seq := range []uint64{1, 2, 3} {
+		for seq := uint64(1); seq <= wire.MaxBatchAcks+2; seq++ {
 			l.enqueueAck(seq)
 		}
 		l.flush()
 		l.mu.Lock()
 		acks := append([]uint64(nil), l.acks...)
 		l.mu.Unlock()
-		if len(acks) != 2 || acks[0] != 2 || acks[1] != 3 {
-			t.Errorf("requeued acks = %v, want [2 3]", acks)
+		if len(acks) != 2 || acks[0] != wire.MaxBatchAcks+1 || acks[1] != wire.MaxBatchAcks+2 {
+			t.Errorf("requeued acks = %v, want the two the failed frame carried", acks)
 		}
 		if got := n.stats.framesSent.Value(); got != 1 {
-			t.Errorf("frames_sent = %d, want 1 (the ack that completed)", got)
+			t.Errorf("frames_sent = %d, want 1 (the frame that completed)", got)
 		}
 	})
 
 	t.Run("batch path requeues acks", func(t *testing.T) {
-		n := unservedNode(t, wire.VersionBatch)
+		n := unservedNode(t)
 		l := n.links[1]
-		n.peerVer[1].Store(wire.VersionBatch) // pretend the peer negotiated
 		fc := newFailingConn(1)
 		plantConn(l, fc)
 		l.enqueueAck(7)
@@ -164,53 +165,60 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 	})
 }
 
-// TestMixedVersionInterop runs a cluster of one legacy (v1) node and two
-// batching nodes through a full consensus instance: the batching nodes must
-// fall back to single-message frames toward the v1 node while batching
-// between themselves, and every node must still assemble a checker-clean
-// table.
-func TestMixedVersionInterop(t *testing.T) {
-	lb, err := StartLoopback(LoopbackConfig{
-		N: 3, K: 1, T: 0, Seed: 7,
-		WireVersions: []int{wire.Version, wire.VersionBatch, wire.VersionBatch},
+// TestPeerHelloBelowBatchRefused pins the one thing left of version
+// negotiation: a peer whose Hello does not offer the batch framing is refused
+// by name, and nothing it sends afterwards is read, let alone delivered.
+func TestPeerHelloBelowBatchRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := make(chan string, 1) // the refusal is the only line this node logs
+	n, err := NewNode(Config{
+		ID: 0, N: 2, K: 1, T: 0,
+		Peers: []string{ln.Addr().String(), "127.0.0.1:1"},
+		Logf:  func(format string, args ...any) { logged <- fmt.Sprintf(format, args...) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lb.Close()
+	defer n.Close()
+	n.Serve(ln)
 
-	inputs := []types.Value{30, 10, 20}
-	startEverywhere(t, lb, 1, 1, 0, theory.ProtoFloodMin, inputs)
-	deadline := time.Now().Add(30 * time.Second)
-	survivors := allAlive(3)
-	for i, node := range lb.Nodes {
-		tbl := awaitTable(t, node, 1, survivors, deadline)
-		if _, err := VerifyTable(tbl, inputs, types.RV1, 7); err != nil {
-			t.Errorf("node %d table: %v", i, err)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteMsg(conn, wire.Hello{From: 1, Role: wire.RolePeer, N: 2, Session: 1}); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendBatchFrame(nil, nil, []wire.BatchMsg{{
+		Kind: wire.TypeDecide, Seq: 1, Instance: 1, From: 1, Value: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = conn.Write(frame) // the node may already have hung up
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read after a version-1 hello: %v, want the connection closed", err)
+	}
+	select {
+	case line := <-logged:
+		if want := "peer p2 offers wire version 1, sequenced traffic needs 2: connection refused"; !strings.Contains(line, want) {
+			t.Errorf("refusal logged as %q, want it to say %q", line, want)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no refusal logged")
 	}
-
-	// The v1 node must never see or emit a batch frame.
-	v1 := lb.Nodes[0]
-	if got := v1.stats.batchesSent.Value(); got != 0 {
-		t.Errorf("v1 node sent %d batches, want 0", got)
-	}
-	if got := v1.stats.batchesRecv.Value(); got != 0 {
-		t.Errorf("v1 node received %d batches, want 0", got)
-	}
-	// The two batching nodes ack each other's frames, so batches flow in
-	// both directions between them by the time the instance completes.
-	if got := lb.Nodes[1].stats.batchesSent.Value(); got == 0 {
-		t.Error("batching node 1 sent no batches")
-	}
-	if got := lb.Nodes[2].stats.batchesRecv.Value(); got == 0 {
-		t.Error("batching node 2 received no batches")
+	if frames, msgs := n.stats.framesRecv.Value(), n.stats.msgsRecv.Value(); frames != 0 || msgs != 0 {
+		t.Errorf("refused peer got %d frames read and %d messages accepted, want 0 and 0", frames, msgs)
 	}
 }
 
-// TestBatchTransportCounters pins the new observability counters on a
-// default (batching) cluster: batches flow both ways, acks ride on data
-// frames, and messages outnumber physical frames.
+// TestBatchTransportCounters pins the transport's observability counters:
+// batches flow both ways, acks ride on data frames, and messages outnumber
+// physical frames.
 func TestBatchTransportCounters(t *testing.T) {
 	lb, err := StartLoopback(LoopbackConfig{N: 2, K: 1, T: 0, Seed: 11})
 	if err != nil {
@@ -248,7 +256,7 @@ func TestBatchTransportCounters(t *testing.T) {
 // contiguous watermark, sequence numbers beyond the window are refused
 // unacknowledged, and a new session resets everything.
 func TestDedupWindowSemantics(t *testing.T) {
-	n := unservedNode(t, 0)
+	n := unservedNode(t)
 	if err := n.StartInstance(wire.Start{
 		Instance: 1, K: 1, T: 0, Proto: uint8(theory.ProtoTrivial), Input: 1,
 	}); err != nil {
@@ -303,7 +311,7 @@ func TestDedupWindowSemantics(t *testing.T) {
 // a peer that stays away the unacked queue grows — it is unbounded here — but
 // a flush round looks at none of it, however long it gets.
 func TestDeadPeerFlushCostFixed(t *testing.T) {
-	n := unservedNode(t, 0)
+	n := unservedNode(t)
 	l := n.links[1]
 	depth := n.reg.Gauge(`kset_link_queue_depth{peer="1"}`)
 	unsent := n.reg.Gauge(`kset_link_unsent{peer="1"}`)

@@ -166,16 +166,18 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 
 // bucketEdges returns the interpolation edges of bucket i, substituting the
 // observed extrema for the open ends (below the first bound, above the
-// last).
+// last). A snapshot built from a peer's reply may carry the overflow bucket
+// alone; the extrema are then all there is.
 func (s HistSnapshot) bucketEdges(i int) (lo, hi float64) {
-	if i == 0 {
-		lo = math.Min(s.Min, s.Bounds[0])
-	} else {
+	lo, hi = s.Min, s.Max
+	if i > 0 {
 		lo = s.Bounds[i-1]
+	} else if len(s.Bounds) > 0 {
+		lo = math.Min(s.Min, s.Bounds[0])
 	}
 	if i < len(s.Bounds) {
 		hi = s.Bounds[i]
-	} else {
+	} else if len(s.Bounds) > 0 {
 		hi = math.Max(s.Max, s.Bounds[len(s.Bounds)-1])
 	}
 	return lo, hi

@@ -177,6 +177,33 @@ func (r *Registry) Snapshots() []HistSnapshot {
 	return out
 }
 
+// Sample is one counter or gauge reading.
+type Sample struct {
+	Name  string
+	Value int64
+}
+
+// Values reads every counter and every gauge, each list sorted by name — the
+// one enumeration behind both the Prometheus exposition and the cluster's
+// pull-metrics reply. Nil registries return nothing.
+func (r *Registry) Values() (counters, gauges []Sample) {
+	if r == nil {
+		return nil, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return readSorted(r.counters), readSorted(r.gauges)
+}
+
+func readSorted[M interface{ Value() int64 }](m map[string]M) []Sample {
+	out := make([]Sample, 0, len(m))
+	for name, metric := range m {
+		out = append(out, Sample{Name: name, Value: metric.Value()})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // WritePrometheus writes every metric in the Prometheus text exposition
 // format (version 0.0.4), series sorted by name within each kind, one # TYPE
 // line per metric family. Nil registries write nothing.
@@ -184,29 +211,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	counterNames := sortedKeys(r.counters)
-	gaugeNames := sortedKeys(r.gauges)
-	counters := make([]*Counter, len(counterNames))
-	for i, name := range counterNames {
-		counters[i] = r.counters[name]
-	}
-	gauges := make([]*Gauge, len(gaugeNames))
-	for i, name := range gaugeNames {
-		gauges[i] = r.gauges[name]
-	}
-	r.mu.Unlock()
+	counters, gauges := r.Values()
 	snaps := r.Snapshots()
 
 	var b strings.Builder
 	typed := make(map[string]bool)
-	for i, name := range counterNames {
-		writeType(&b, typed, name, "counter")
-		fmt.Fprintf(&b, "%s %d\n", name, counters[i].Value())
+	for _, c := range counters {
+		writeType(&b, typed, c.Name, "counter")
+		fmt.Fprintf(&b, "%s %d\n", c.Name, c.Value)
 	}
-	for i, name := range gaugeNames {
-		writeType(&b, typed, name, "gauge")
-		fmt.Fprintf(&b, "%s %d\n", name, gauges[i].Value())
+	for _, g := range gauges {
+		writeType(&b, typed, g.Name, "gauge")
+		fmt.Fprintf(&b, "%s %d\n", g.Name, g.Value)
 	}
 	for _, s := range snaps {
 		writeType(&b, typed, s.Name, "histogram")
@@ -222,15 +238,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func sortedKeys[T any](m map[string]T) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // familyOf strips a label set from a series name: the # TYPE line names the

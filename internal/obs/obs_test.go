@@ -112,6 +112,17 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got, want := s.Mean(), 50.5; math.Abs(got-want) > 1e-9 {
 		t.Errorf("mean = %v, want %v", got, want)
 	}
+	// A single observation is every quantile — in a finite bucket, and in a
+	// snapshot that (pulled from a peer) has no finite bucket at all.
+	one := NewHistogram([]float64{10, 20})
+	one.Observe(12.5)
+	for _, s := range []HistSnapshot{one.Snapshot("h"), {Counts: []uint64{1}, Count: 1, Sum: 12.5, Min: 12.5, Max: 12.5}} {
+		for _, q := range []float64{0, 0.5, 0.95, 1} {
+			if got := s.Quantile(q); got != 12.5 {
+				t.Errorf("one sample, %d bounds: q%v = %v, want 12.5", len(s.Bounds), q, got)
+			}
+		}
+	}
 }
 
 func TestHistogramEmpty(t *testing.T) {

@@ -8,13 +8,12 @@ import (
 	"kset/internal/types"
 )
 
-// VersionBatch is the wire version of the batch frame introduced alongside
-// the v1 single-message frames. A batch frame coalesces many sequenced peer
-// messages and a piggybacked ack vector into one length-prefixed frame — one
-// write syscall carrying many instances' payloads — and is only sent to
-// peers whose Hello advertised MaxVersion >= VersionBatch. Every other frame
-// type still travels as a v1 single-message frame, so v1-only peers
-// interoperate untouched.
+// VersionBatch is the wire version of the batch frame, the one framing of
+// sequenced peer traffic: it coalesces many sequenced messages and a
+// piggybacked ack vector into one length-prefixed frame — one write syscall
+// carrying many instances' payloads. Every peer Hello must advertise it.
+// Control frames (the Hello itself, ctl requests and replies) are version-1
+// single-message frames.
 const VersionBatch = 2
 
 // Batch-frame limits, enforced during decode before any allocation or loop
@@ -34,14 +33,19 @@ const (
 )
 
 // BatchMsg is one sequenced peer message inside a batch frame: a flat union
-// of Proto, Decide, and Propose, so batches decode into reusable slices
-// without boxing every message into an interface. Kind selects which fields
-// are meaningful:
+// of the three kinds, so batches decode into reusable slices without boxing
+// every message into an interface. Seq sequences the message on its link for
+// the retransmit/ack reliability layer; it is unique per (sender node,
+// receiver node) link, not globally. Kind selects which fields are
+// meaningful:
 //
-//   - TypeProto:   Seq, Instance, From, Payload
-//   - TypeDecide:  Seq, Instance, From (the deciding node), Value
-//   - TypePropose: Seq, Instance (the ACS round), From (the transport
-//     sender), Origin (the proposer), Noop, Value
+//   - TypeProto:   one mpnet payload between two consensus processes —
+//     Seq, Instance, From, Payload
+//   - TypeDecide:  From decided Value in Instance, broadcast so that every
+//     node assembles the full decision table — Seq, Instance, From, Value
+//   - TypePropose: one proposal for an ACS round (see Propose) — Seq,
+//     Instance (the round), From (the transport sender), Origin (the
+//     proposer), Noop, Value
 type BatchMsg struct {
 	Kind     MsgType
 	Seq      uint64
@@ -51,38 +55,6 @@ type BatchMsg struct {
 	Noop     bool
 	Value    types.Value
 	Payload  types.Payload
-}
-
-// ProtoMsg wraps a Proto payload as a batch message.
-func ProtoMsg(p Proto) BatchMsg {
-	return BatchMsg{Kind: TypeProto, Seq: p.Seq, Instance: p.Instance, From: p.From, Payload: p.Payload}
-}
-
-// DecideMsg wraps a Decide announcement as a batch message.
-func DecideMsg(d Decide) BatchMsg {
-	return BatchMsg{Kind: TypeDecide, Seq: d.Seq, Instance: d.Instance, From: d.Node, Value: d.Value}
-}
-
-// ProposeMsg wraps an ACS round proposal as a batch message: the round
-// travels in the Instance slot and the proposer in Origin.
-func ProposeMsg(p Propose) BatchMsg {
-	return BatchMsg{Kind: TypePropose, Seq: p.Seq, Instance: p.Round, From: p.From,
-		Origin: p.Proposer, Noop: p.Noop, Value: p.Value}
-}
-
-// Msg converts the flat union back to the equivalent single-message frame
-// value (a Proto, Decide, or Propose).
-func (m BatchMsg) Msg() Msg {
-	switch m.Kind {
-	case TypeProto:
-		return Proto{Seq: m.Seq, Instance: m.Instance, From: m.From, Payload: m.Payload}
-	case TypeDecide:
-		return Decide{Seq: m.Seq, Instance: m.Instance, Node: m.From, Value: m.Value}
-	case TypePropose:
-		return Propose{Seq: m.Seq, Round: m.Instance, From: m.From,
-			Proposer: m.Origin, Noop: m.Noop, Value: m.Value}
-	}
-	return nil
 }
 
 // Batch is one decoded batch frame: the piggybacked ack vector plus the
@@ -96,12 +68,6 @@ type Batch struct {
 
 // Type implements Msg.
 func (Batch) Type() MsgType { return TypeBatch }
-
-// IsBatchFrame reports whether a frame body is a batch frame (version 2,
-// type batch) without decoding it.
-func IsBatchFrame(body []byte) bool {
-	return len(body) >= 2 && body[0] == VersionBatch && body[1] == byte(TypeBatch)
-}
 
 // AppendBatch appends the encoded batch frame body (version, type, ack
 // vector, messages) to dst and returns the extended slice. With a dst of

@@ -12,12 +12,13 @@ import (
 func protoMsgs(n int) []BatchMsg {
 	msgs := make([]BatchMsg, n)
 	for i := range msgs {
-		msgs[i] = ProtoMsg(Proto{
+		msgs[i] = BatchMsg{
+			Kind:     TypeProto,
 			Seq:      uint64(i + 1),
 			Instance: uint64(i % 7),
 			From:     types.ProcessID(i % 5),
 			Payload:  types.Payload{Kind: types.KindEcho, Value: types.Value(i), Origin: 1},
-		})
+		}
 	}
 	return msgs
 }
@@ -28,7 +29,7 @@ func protoMsgs(n int) []BatchMsg {
 func TestBatchFrameRoundTrip(t *testing.T) {
 	frames := []Batch{
 		{Acks: []uint64{9, 2, 500}, Msgs: protoMsgs(3)},
-		{Acks: nil, Msgs: []BatchMsg{DecideMsg(Decide{Seq: 4, Instance: 1, Node: 2, Value: -9})}},
+		{Acks: nil, Msgs: []BatchMsg{{Kind: TypeDecide, Seq: 4, Instance: 1, From: 2, Value: -9}}},
 		{Acks: []uint64{1}, Msgs: nil},
 		{},
 	}
@@ -50,9 +51,6 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !IsBatchFrame(buf) {
-			t.Fatalf("frame %d: not recognized as a batch frame", i)
-		}
 		if err := DecodeBatchInto(buf, &got); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -62,23 +60,6 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	}
 	if stream.Len() != 0 {
 		t.Errorf("%d bytes left over after reading all frames", stream.Len())
-	}
-}
-
-// TestBatchMsgConversions pins the flat union against the v1 frame types it
-// mirrors, in both directions.
-func TestBatchMsgConversions(t *testing.T) {
-	p := Proto{Seq: 7, Instance: 3, From: 2,
-		Payload: types.Payload{Kind: types.KindInit, Value: 11, Origin: 4}}
-	d := Decide{Seq: 8, Instance: 3, Node: 1, Value: -2}
-	if got := ProtoMsg(p).Msg(); !reflect.DeepEqual(got, p) {
-		t.Errorf("ProtoMsg round trip: %#v vs %#v", got, p)
-	}
-	if got := DecideMsg(d).Msg(); !reflect.DeepEqual(got, d) {
-		t.Errorf("DecideMsg round trip: %#v vs %#v", got, d)
-	}
-	if got := (BatchMsg{Kind: TypeAck}).Msg(); got != nil {
-		t.Errorf("non-payload kind converted to %#v, want nil", got)
 	}
 }
 

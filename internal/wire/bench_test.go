@@ -6,10 +6,11 @@ import (
 	"kset/internal/types"
 )
 
-// benchProto is the hot-path frame: one mpnet payload between two consensus
+// benchProto is the hot-path message: one mpnet payload between two consensus
 // processes, the message the cluster transport carries by the million.
-func benchProto() Proto {
-	return Proto{
+func benchProto() BatchMsg {
+	return BatchMsg{
+		Kind:     TypeProto,
 		Seq:      12345,
 		Instance: 42,
 		From:     3,
@@ -17,32 +18,33 @@ func benchProto() Proto {
 	}
 }
 
-// BenchmarkWireEncode measures encoding one protocol message the way the
-// link hot path does: AppendEncode into a caller-owned buffer reused across
-// frames, which must not allocate in steady state.
+// BenchmarkWireEncode measures what a paced link writes per message: one
+// stream frame holding a one-message batch, appended into a caller-owned
+// buffer reused across frames, which must not allocate in steady state.
 func BenchmarkWireEncode(b *testing.B) {
-	var m Msg = benchProto() // boxed once, not per frame
+	msgs := []BatchMsg{benchProto()}
 	buf := make([]byte, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = AppendEncode(buf[:0], m)
+		buf, err = AppendBatchFrame(buf[:0], nil, msgs)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkWireDecode measures decoding one protocol message the way the
-// receive hot path does.
+// BenchmarkWireDecode measures decoding that one-message batch frame the way
+// the receive path does, into a reused Batch.
 func BenchmarkWireDecode(b *testing.B) {
-	body, err := Encode(benchProto())
+	frame, err := AppendBatchFrame(nil, nil, []BatchMsg{benchProto()})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var dec Batch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(body); err != nil {
+		if err := DecodeBatchInto(frame[4:], &dec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,9 +59,8 @@ func BenchmarkBatchRoundTrip(b *testing.B) {
 	msgs := make([]BatchMsg, msgsPerFrame)
 	acks := make([]uint64, msgsPerFrame)
 	for i := range msgs {
-		p := benchProto()
-		p.Seq = uint64(i + 1)
-		msgs[i] = ProtoMsg(p)
+		msgs[i] = benchProto()
+		msgs[i].Seq = uint64(i + 1)
 		acks[i] = uint64(i + 1)
 	}
 	buf := make([]byte, 0, 4096)

@@ -50,20 +50,6 @@ func AppendEncode(dst []byte, m Msg) ([]byte, error) {
 	case StartAck:
 		e.u64(v.Instance)
 		e.pid(int64(v.From), 0)
-	case Proto:
-		e.u64(v.Seq)
-		e.u64(v.Instance)
-		e.pid(int64(v.From), 0)
-		e.u8(uint8(v.Payload.Kind))
-		e.i64(int64(v.Payload.Value))
-		e.pid(int64(v.Payload.Origin), 0)
-	case Ack:
-		e.u64(v.Seq)
-	case Decide:
-		e.u64(v.Seq)
-		e.u64(v.Instance)
-		e.pid(int64(v.Node), 0)
-		e.i64(int64(v.Value))
 	case PullTable:
 		e.u64(v.Instance)
 	case Table:
@@ -79,28 +65,17 @@ func AppendEncode(dst []byte, m Msg) ([]byte, error) {
 			}
 			e.i64(int64(r.Value))
 		}
-	case PullStats:
-		// No fields.
-	case Stats:
-		e.count(len(v.Pairs), MaxStatsPairs, "stats pairs")
-		for _, p := range v.Pairs {
-			if len(p.Name) > MaxName {
-				return dst, fmt.Errorf("%w: stats name %d bytes", ErrTooLarge, len(p.Name))
-			}
-			e.u16(uint16(len(p.Name)))
-			e.buf = append(e.buf, p.Name...)
-			e.i64(p.Value)
-		}
 	case PullMetrics:
 		// No fields.
 	case Metrics:
+		e.count(len(v.Values), MaxValues, "metrics values")
+		for _, mv := range v.Values {
+			e.name(mv.Name, "metrics value name")
+			e.i64(mv.Value)
+		}
 		e.count(len(v.Hists), MaxHists, "metrics hists")
 		for _, h := range v.Hists {
-			if len(h.Name) > MaxName {
-				return dst, fmt.Errorf("%w: metrics name %d bytes", ErrTooLarge, len(h.Name))
-			}
-			e.u16(uint16(len(h.Name)))
-			e.buf = append(e.buf, h.Name...)
+			e.name(h.Name, "metrics histogram name")
 			e.u64(h.Count)
 			e.i64(h.SumMicros)
 			e.i64(h.MinMicros)
@@ -111,13 +86,6 @@ func AppendEncode(dst []byte, m Msg) ([]byte, error) {
 				e.u64(b.Count)
 			}
 		}
-	case Propose:
-		e.u64(v.Seq)
-		e.u64(v.Round)
-		e.pid(int64(v.From), 0)
-		e.pid(int64(v.Proposer), 0)
-		e.bool(v.Noop)
-		e.i64(int64(v.Value))
 	case AcsSubmit:
 		e.i64(int64(v.Value))
 	case AcsAck:
@@ -235,24 +203,6 @@ func Decode(body []byte) (Msg, error) {
 		m = s
 	case TypeStartAck:
 		m = StartAck{Instance: d.u64(), From: types.ProcessID(d.pid(0))}
-	case TypeProto:
-		p := Proto{}
-		p.Seq = d.u64()
-		p.Instance = d.u64()
-		p.From = types.ProcessID(d.pid(0))
-		p.Payload.Kind = types.MsgKind(d.u8())
-		p.Payload.Value = types.Value(d.i64())
-		p.Payload.Origin = types.ProcessID(d.pid(0))
-		m = p
-	case TypeAck:
-		m = Ack{Seq: d.u64()}
-	case TypeDecide:
-		dc := Decide{}
-		dc.Seq = d.u64()
-		dc.Instance = d.u64()
-		dc.Node = types.ProcessID(d.pid(0))
-		dc.Value = types.Value(d.i64())
-		m = dc
 	case TypePullTable:
 		m = PullTable{Instance: d.u64()}
 	case TypeTable:
@@ -274,31 +224,6 @@ func Decode(body []byte) (Msg, error) {
 			}
 		}
 		m = tb
-	case TypePullStats:
-		m = PullStats{}
-	case TypeStats:
-		st := Stats{}
-		pairs := d.count(MaxStatsPairs, "stats pairs")
-		if d.err == nil {
-			if rem := len(d.buf) - d.off; pairs*10 > rem {
-				return nil, fmt.Errorf("%w: %d stats pairs in %d bytes", ErrBadFrame, pairs, rem)
-			}
-			st.Pairs = make([]StatPair, pairs)
-			for i := range st.Pairs {
-				st.Pairs[i].Name = d.name()
-				st.Pairs[i].Value = d.i64()
-			}
-		}
-		m = st
-	case TypePropose:
-		p := Propose{}
-		p.Seq = d.u64()
-		p.Round = d.u64()
-		p.From = types.ProcessID(d.pid(0))
-		p.Proposer = types.ProcessID(d.pid(0))
-		p.Noop = d.bool()
-		p.Value = types.Value(d.i64())
-		m = p
 	case TypeAcsSubmit:
 		m = AcsSubmit{Value: types.Value(d.i64())}
 	case TypeAcsAck:
@@ -398,6 +323,21 @@ func Decode(body []byte) (Msg, error) {
 		m = PullMetrics{}
 	case TypeMetrics:
 		mt := Metrics{}
+		values := d.count(MaxValues, "metrics values")
+		if d.err == nil {
+			// Each value is at least 10 bytes (empty name); reject counts the
+			// remaining bytes cannot satisfy before allocating.
+			if rem := len(d.buf) - d.off; values*10 > rem {
+				return nil, fmt.Errorf("%w: %d metric values in %d bytes", ErrBadFrame, values, rem)
+			}
+			if values > 0 {
+				mt.Values = make([]MetricValue, values)
+				for i := range mt.Values {
+					mt.Values[i].Name = d.name()
+					mt.Values[i].Value = d.i64()
+				}
+			}
+		}
 		hists := d.count(MaxHists, "metrics hists")
 		if d.err == nil {
 			// Each histogram is at least 38 bytes (empty name, no buckets);
@@ -745,7 +685,7 @@ func (d *decoder) sweepRecord(r *SweepRecord) {
 	r.FirstViolation = d.name()
 }
 
-// name reads a length-prefixed counter name.
+// name reads a length-prefixed name bounded by MaxName.
 func (d *decoder) name() string {
 	n := int(d.u16())
 	if d.err != nil {

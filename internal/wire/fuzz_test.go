@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// seedBodies returns encoded frame bodies covering every message type, used
-// to seed both fuzz targets (mirroring internal/trace's fuzz pattern).
+// seedBodies returns encoded frame bodies covering every message type, plus
+// the retired top-level bodies the decoder must keep rejecting, used to seed
+// both fuzz targets (mirroring internal/trace's fuzz pattern).
 func seedBodies(f *testing.F) [][]byte {
 	f.Helper()
-	var seeds [][]byte
+	seeds := retiredBodies()
 	for _, m := range sampleMsgs() {
 		body, err := Encode(m)
 		if err != nil {
@@ -29,7 +30,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version})
-	f.Add([]byte{Version, byte(TypeStats), 0, 0, 0, 0})
+	f.Add([]byte{Version, byte(TypeMetrics), 0, 0, 0, 0})
 	f.Add([]byte{VersionBatch, byte(TypeBatch), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{VersionBatch, byte(TypeBatch), 0xFF, 0xFF, 0xFF, 0xFF})
 	// The reused Batch starts dirty, as a steady-state receiver's does, so

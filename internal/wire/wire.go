@@ -1,8 +1,9 @@
 // Package wire defines the versioned binary protocol spoken between ksetd
 // cluster nodes (and between ksetctl and a node): a length-prefixed frame
-// carrying one message — either an mpnet protocol payload in flight between
-// two consensus processes, or one word of the small control vocabulary
-// (hello, instance-start, decide, ack, table/stats pulls).
+// carrying either one batch of sequenced peer messages (mpnet payloads,
+// decide announcements and ACS proposals in flight between two nodes, plus
+// transport acks; see batch.go) or one word of the small control vocabulary
+// (hello, instance-start, table/metrics pulls, the ACS and sweep requests).
 //
 // The codec is deliberately boring: fixed-width big-endian integers, one
 // type byte, no compression, no reflection. Decoding is strict — every frame
@@ -33,8 +34,8 @@ const Version = 1
 const (
 	MaxFrame      = 1 << 20 // bytes in one frame body
 	MaxProcs      = 1 << 12 // processes in a table
-	MaxStatsPairs = 1 << 12 // counters in a stats reply
-	MaxName       = 1 << 8  // bytes in a counter name
+	MaxValues     = 1 << 12 // counters and gauges in a metrics reply
+	MaxName       = 1 << 8  // bytes in a metric name
 	MaxHists      = 1 << 9  // histograms in a metrics reply
 	MaxBuckets    = 1 << 6  // finite buckets in one histogram
 	MaxLogEntries = 1 << 12 // ordered-log entries in one Log reply
@@ -53,28 +54,29 @@ var (
 // MsgType enumerates the frame types.
 type MsgType uint8
 
-// Frame types. Proto carries one mpnet payload between two consensus
-// processes; Ack acknowledges a sequenced peer frame at the transport level;
-// the rest are the control vocabulary.
+// Frame types. The numbers are fixed on the wire: a retired type keeps its
+// slot as a blank and is rejected like any unknown type. TypeProto,
+// TypeDecide and TypePropose are not frames of their own: they tag the
+// sequenced messages inside a batch frame (BatchMsg.Kind).
 const (
 	TypeHello MsgType = iota + 1
 	TypeStart
 	TypeStartAck
 	TypeProto
-	TypeAck
+	_
 	TypeDecide
 	TypePullTable
 	TypeTable
-	TypePullStats
-	TypeStats
+	_
+	_
 	TypePullMetrics
 	TypeMetrics
-	// TypeBatch is the version-2 coalesced frame: many sequenced peer
-	// messages plus a piggybacked ack vector in one write (see batch.go).
+	// TypeBatch is the version-2 coalesced frame carrying all sequenced peer
+	// traffic: many messages plus a piggybacked ack vector in one write (see
+	// batch.go).
 	TypeBatch
-	// TypePropose carries one node's proposal for an ACS round between
-	// peers (sequenced, reliable, batchable like Proto and Decide); the
-	// rest are the ACS/ordered-log control vocabulary spoken by ksetctl.
+	// TypePropose tags one node's proposal for an ACS round inside a batch;
+	// the rest are the ACS/ordered-log control vocabulary spoken by ksetctl.
 	TypePropose
 	TypeAcsSubmit
 	TypeAcsAck
@@ -100,18 +102,12 @@ func (t MsgType) String() string {
 		return "start-ack"
 	case TypeProto:
 		return "proto"
-	case TypeAck:
-		return "ack"
 	case TypeDecide:
 		return "decide"
 	case TypePullTable:
 		return "pull-table"
 	case TypeTable:
 		return "table"
-	case TypePullStats:
-		return "pull-stats"
-	case TypeStats:
-		return "stats"
 	case TypePullMetrics:
 		return "pull-metrics"
 	case TypeMetrics:
@@ -175,11 +171,11 @@ type Hello struct {
 	// restarted peer's sequence space restarts too (and its old process can
 	// no longer emit duplicates).
 	Session uint64
-	// MaxVersion advertises the highest wire version the sender speaks, so
-	// peers can negotiate the batch transport (VersionBatch). Values 0 and 1
-	// both mean v1-only and are omitted on the wire — a v1 Hello has no such
-	// byte — and decode reports an absent field as 1, keeping the encoding
-	// canonical.
+	// MaxVersion advertises the highest wire version the sender speaks. A
+	// peer must offer VersionBatch, the framing of all sequenced traffic, or
+	// the receiving node refuses the connection; controllers leave it unset.
+	// Values 0 and 1 are omitted on the wire and decode reports an absent
+	// field as 1, keeping the encoding canonical.
 	MaxVersion uint8
 }
 
@@ -206,31 +202,6 @@ type StartAck struct {
 	From     types.ProcessID
 }
 
-// Proto carries one mpnet payload from one consensus process to another.
-// Seq sequences the frame on its link for the retransmit/ack reliability
-// layer; it is unique per (sender node, receiver node) link, not globally.
-type Proto struct {
-	Seq      uint64
-	Instance uint64
-	From     types.ProcessID
-	Payload  types.Payload
-}
-
-// Ack acknowledges receipt of the sequenced peer frame Seq on this link.
-type Ack struct {
-	Seq uint64
-}
-
-// Decide announces that Node decided Value in Instance. Nodes broadcast it
-// to every peer so that each node assembles the full decision table that
-// internal/checker validates.
-type Decide struct {
-	Seq      uint64
-	Instance uint64
-	Node     types.ProcessID
-	Value    types.Value
-}
-
 // PullTable asks a node for its current decision table for an instance.
 type PullTable struct {
 	Instance uint64
@@ -250,24 +221,10 @@ type Table struct {
 	Rows     []TableRow
 }
 
-// PullStats asks a node for its counters.
-type PullStats struct{}
-
-// StatPair is one named counter value.
-type StatPair struct {
-	Name  string
-	Value int64
-}
-
-// Stats is the expvar-style counter dump of a node: transport and instance
-// counters in a fixed, deterministic order.
-type Stats struct {
-	Pairs []StatPair
-}
-
-// PullMetrics asks a node for histogram snapshots of its latency metrics
-// (decision latency, ack round trips, backoff) — the cluster-wide view
-// ksetctl aggregates across every node.
+// PullMetrics asks a node for its metric registry: every counter and gauge
+// plus histogram snapshots of its latency metrics (decision latency, ack
+// round trips, backoff) — the cluster-wide view ksetctl aggregates across
+// every node.
 type PullMetrics struct{}
 
 // HistBucket is one bucket of a histogram snapshot: the count of
@@ -294,21 +251,29 @@ type Hist struct {
 	Buckets   []HistBucket
 }
 
-// Metrics is a node's histogram snapshot dump, sorted by name.
-type Metrics struct {
-	Hists []Hist
+// MetricValue is one counter or gauge reading, named as in the registry
+// (labels included).
+type MetricValue struct {
+	Name  string
+	Value int64
 }
 
-// Propose carries one node's proposal for one ACS round. Seq sequences the
-// frame on its link exactly like Proto; From is the transport sender, which
-// is the proposer itself or a relaying node (every node re-broadcasts each
-// proposal it hears first-hand, so a proposal held by any correct node
-// eventually reaches all of them — the crash-tolerant reliable broadcast the
-// BKR reduction requires). Proposer names the round slot the value fills.
+// Metrics is a node's registry dump: counters and gauges in one name-sorted
+// list, histogram snapshots in another.
+type Metrics struct {
+	Values []MetricValue
+	Hists  []Hist
+}
+
+// Propose is one node's proposal for one ACS round as the cluster node hands
+// it to the ACS engine and takes it back for broadcast; between nodes it
+// travels as a TypePropose batch message. The transport sender is the
+// proposer itself or a relaying node (every node re-broadcasts each proposal
+// it hears first-hand, so a proposal held by any correct node eventually
+// reaches all of them — the crash-tolerant reliable broadcast the BKR
+// reduction requires). Proposer names the round slot the value fills.
 type Propose struct {
-	Seq      uint64
 	Round    uint64
-	From     types.ProcessID
 	Proposer types.ProcessID
 	// Noop marks a placeholder proposal from a node with nothing to append
 	// this round; noop slots are resolved like any other but excluded from
@@ -454,126 +419,14 @@ type SweepResult struct {
 	Records []SweepRecord
 }
 
-// Mean returns the mean observation in microseconds (0 when empty).
-func (h Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.SumMicros) / float64(h.Count)
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) in microseconds by linear
-// interpolation within the bucket containing it, clamped to [Min, Max]. An
-// empty histogram returns 0.
-func (h Hist) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	cum := uint64(0)
-	for i, b := range h.Buckets {
-		if b.Count == 0 {
-			continue
-		}
-		if float64(cum+b.Count) >= rank {
-			lo := float64(h.MinMicros)
-			if i > 0 {
-				lo = float64(h.Buckets[i-1].UpperMicros)
-			}
-			hi := float64(b.UpperMicros)
-			if hi > float64(h.MaxMicros) {
-				hi = float64(h.MaxMicros)
-			}
-			if lo > hi {
-				lo = hi
-			}
-			v := lo + (hi-lo)*(rank-float64(cum))/float64(b.Count)
-			return h.clamp(v)
-		}
-		cum += b.Count
-	}
-	return h.clamp(float64(h.MaxMicros))
-}
-
-func (h Hist) clamp(v float64) float64 {
-	if v < float64(h.MinMicros) {
-		return float64(h.MinMicros)
-	}
-	if v > float64(h.MaxMicros) {
-		return float64(h.MaxMicros)
-	}
-	return v
-}
-
-// MergeHists combines same-shaped histograms (identical names and bucket
-// bounds) into one — the cluster-wide aggregate of one metric pulled from
-// every node. Histograms whose bucket bounds differ from the first are
-// skipped; merging an empty slice yields a zero Hist.
-func MergeHists(hists []Hist) Hist {
-	var out Hist
-	first := true
-	for _, h := range hists {
-		if first {
-			out.Name = h.Name
-			out.Buckets = make([]HistBucket, len(h.Buckets))
-			copy(out.Buckets, h.Buckets)
-			for i := range out.Buckets {
-				out.Buckets[i].Count = 0
-			}
-			first = false
-		}
-		if !sameBucketBounds(out.Buckets, h.Buckets) {
-			continue
-		}
-		for i, b := range h.Buckets {
-			out.Buckets[i].Count += b.Count
-		}
-		if h.Count > 0 {
-			if out.Count == 0 || h.MinMicros < out.MinMicros {
-				out.MinMicros = h.MinMicros
-			}
-			if out.Count == 0 || h.MaxMicros > out.MaxMicros {
-				out.MaxMicros = h.MaxMicros
-			}
-		}
-		out.Count += h.Count
-		out.SumMicros += h.SumMicros
-	}
-	return out
-}
-
-func sameBucketBounds(a, b []HistBucket) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].UpperMicros != b[i].UpperMicros {
-			return false
-		}
-	}
-	return true
-}
-
 // Type implementations.
 func (Hello) Type() MsgType        { return TypeHello }
 func (Start) Type() MsgType        { return TypeStart }
 func (StartAck) Type() MsgType     { return TypeStartAck }
-func (Proto) Type() MsgType        { return TypeProto }
-func (Ack) Type() MsgType          { return TypeAck }
-func (Decide) Type() MsgType       { return TypeDecide }
 func (PullTable) Type() MsgType    { return TypePullTable }
 func (Table) Type() MsgType        { return TypeTable }
-func (PullStats) Type() MsgType    { return TypePullStats }
-func (Stats) Type() MsgType        { return TypeStats }
 func (PullMetrics) Type() MsgType  { return TypePullMetrics }
 func (Metrics) Type() MsgType      { return TypeMetrics }
-func (Propose) Type() MsgType      { return TypePropose }
 func (AcsSubmit) Type() MsgType    { return TypeAcsSubmit }
 func (AcsAck) Type() MsgType       { return TypeAcsAck }
 func (PullAcsRound) Type() MsgType { return TypePullAcsRound }

@@ -19,21 +19,17 @@ func sampleMsgs() []Msg {
 		Start{Instance: 42, K: 2, T: 1, Proto: 1, Ell: 0, Input: -7},
 		Start{Instance: 1<<63 + 9, K: 3, T: 2, Proto: 4, Ell: 2, Input: types.DefaultValue},
 		StartAck{Instance: 42, From: 0},
-		Proto{Seq: 17, Instance: 42, From: 1,
-			Payload: types.Payload{Kind: types.KindEcho, Value: 9, Origin: 2}},
-		Ack{Seq: 17},
-		Decide{Seq: 18, Instance: 42, Node: 4, Value: 3},
 		PullTable{Instance: 42},
 		Table{Instance: 42, K: 2, T: 1, Rows: []TableRow{
 			{Decided: true, Value: 3}, {Decided: false}, {Decided: true, Value: -1},
 		}},
-		PullStats{},
-		Stats{Pairs: []StatPair{
-			{Name: "node.frames_sent", Value: 128},
-			{Name: "inst.42.latency_us", Value: 913},
-		}},
 		PullMetrics{},
-		Metrics{Hists: []Hist{
+		Metrics{},
+		Metrics{Values: []MetricValue{{Name: "kset_frames_sent_total", Value: 128}}},
+		Metrics{Values: []MetricValue{
+			{Name: "kset_frames_sent_total", Value: 128},
+			{Name: `kset_link_unsent{peer="1"}`, Value: -1},
+		}, Hists: []Hist{
 			{
 				Name: "kset_decide_latency_seconds", Count: 3,
 				SumMicros: 5055, MinMicros: 500, MaxMicros: 5000,
@@ -50,16 +46,15 @@ func sampleMsgs() []Msg {
 		Batch{
 			Acks: []uint64{44},
 			Msgs: []BatchMsg{
-				ProtoMsg(Proto{Seq: 17, Instance: 42, From: 1,
-					Payload: types.Payload{Kind: types.KindEcho, Value: 9, Origin: 2}}),
-				DecideMsg(Decide{Seq: 18, Instance: 42, Node: 4, Value: 3}),
-				ProtoMsg(Proto{Seq: 19, Instance: 7, From: 0,
-					Payload: types.Payload{Kind: types.KindInput, Value: -5, Origin: 0}}),
-				ProposeMsg(Propose{Seq: 20, Round: 3, From: 1, Proposer: 2, Value: 11}),
+				{Kind: TypeProto, Seq: 17, Instance: 42, From: 1,
+					Payload: types.Payload{Kind: types.KindEcho, Value: 9, Origin: 2}},
+				{Kind: TypeDecide, Seq: 18, Instance: 42, From: 4, Value: 3},
+				{Kind: TypeProto, Seq: 19, Instance: 7, From: 0,
+					Payload: types.Payload{Kind: types.KindInput, Value: -5, Origin: 0}},
+				{Kind: TypePropose, Seq: 20, Instance: 3, From: 1, Origin: 2, Value: 11},
+				{Kind: TypePropose, Seq: 21, Instance: 4, From: 0, Origin: 0, Noop: true},
 			},
 		},
-		Propose{Seq: 21, Round: 3, From: 1, Proposer: 2, Value: 11},
-		Propose{Seq: 22, Round: 4, From: 0, Proposer: 0, Noop: true},
 		AcsSubmit{Value: 77},
 		AcsSubmit{Value: -3},
 		AcsAck{Round: 5},
@@ -144,12 +139,10 @@ func normalize(m Msg) Msg {
 			v.Rows = nil
 		}
 		return v
-	case Stats:
-		if len(v.Pairs) == 0 {
-			v.Pairs = nil
-		}
-		return v
 	case Metrics:
+		if len(v.Values) == 0 {
+			v.Values = nil
+		}
 		if len(v.Hists) == 0 {
 			v.Hists = nil
 		}
@@ -235,7 +228,7 @@ func TestStreamFraming(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
-	valid, err := Encode(Ack{Seq: 5})
+	valid, err := Encode(PullTable{Instance: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +240,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"version only", []byte{Version}},
 		{"bad version", append([]byte{9}, valid[1:]...)},
 		{"unknown type", []byte{Version, 0xEE}},
-		{"truncated ack", valid[:len(valid)-1]},
+		{"truncated pull-table", valid[:len(valid)-1]},
 		{"trailing bytes", append(append([]byte{}, valid...), 0)},
 		{"hello bad role", mustEncodePatch(t, Hello{From: 0, Role: RolePeer, N: 3}, 6, 7)},
 		{"bool not 0/1", mustEncodePatch(t,
@@ -255,7 +248,12 @@ func TestDecodeRejects(t *testing.T) {
 			22, 2)},
 		{"hello explicit v1 max version", append(mustEncode(t,
 			Hello{From: 0, Role: RolePeer, N: 3}), 1)},
-		{"batch wrong type byte", []byte{VersionBatch, uint8(TypeAck), 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"batch wrong type byte", []byte{VersionBatch, uint8(TypeProto), 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"metrics hostile value count", []byte{Version, uint8(TypeMetrics), 0xFF, 0xFF, 0xFF, 0xFF}},
+		{"metrics value count above limit", append([]byte{Version, uint8(TypeMetrics),
+			0, 0, 0x10, 0x01}, make([]byte, 10*(MaxValues+1)+4)...)},
+		{"metrics value count over bytes", []byte{Version, uint8(TypeMetrics),
+			0, 0, 0x10, 0x00, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0}},
 		{"batch hostile ack count", []byte{VersionBatch, uint8(TypeBatch), 0xFF, 0xFF, 0xFF, 0xFF}},
 		{"batch ack count over bytes", []byte{VersionBatch, uint8(TypeBatch),
 			0, 0, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8}},
@@ -270,6 +268,24 @@ func TestDecodeRejects(t *testing.T) {
 			t.Errorf("%s: Decode accepted %x", tc.name, tc.body)
 		}
 	}
+	// Frames the node no longer speaks at top level are malformed, not a
+	// second delivery path.
+	for i, body := range retiredBodies() {
+		if _, err := Decode(body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("retired body %d (%x): Decode error = %v, want ErrBadFrame", i, body, err)
+		}
+	}
+}
+
+// retiredBodies are well-formed version-1 bodies (every field zero) of the
+// frame types whose top-level form is gone: proto, ack, decide, acs-propose,
+// pull-stats and stats, by wire number and field bytes.
+func retiredBodies() [][]byte {
+	var bodies [][]byte
+	for _, b := range [][2]int{{4, 33}, {5, 8}, {6, 28}, {14, 33}, {9, 0}, {10, 4}} {
+		bodies = append(bodies, append([]byte{Version, byte(b[0])}, make([]byte, b[1])...))
+	}
+	return bodies
 }
 
 func mustEncode(t *testing.T, m Msg) []byte {
@@ -301,11 +317,12 @@ func TestEncodeRejects(t *testing.T) {
 		{"hello role", Hello{From: 0, Role: 9, N: 3}},
 		{"hello n negative", Hello{From: 0, Role: RolePeer, N: -1}},
 		{"hello n huge", Hello{From: 0, Role: RolePeer, N: MaxProcs + 1}},
-		{"pid negative", Proto{From: -2}},
-		{"pid huge", Decide{Node: MaxProcs}},
+		{"pid negative", StartAck{From: -2}},
+		{"pid huge", StartAck{From: MaxProcs}},
 		{"start k negative", Start{K: -1}},
 		{"table too wide", Table{Rows: make([]TableRow, MaxProcs+1)}},
-		{"stats name too long", Stats{Pairs: []StatPair{{Name: string(make([]byte, MaxName+1))}}}},
+		{"metrics value name too long", Metrics{Values: []MetricValue{{Name: string(make([]byte, MaxName+1))}}}},
+		{"metrics too many values", Metrics{Values: make([]MetricValue, MaxValues+1)}},
 		{"metrics name too long", Metrics{Hists: []Hist{{Name: string(make([]byte, MaxName+1))}}}},
 		{"metrics too many hists", Metrics{Hists: make([]Hist, MaxHists+1)}},
 		{"metrics too many buckets", Metrics{Hists: []Hist{{Name: "h", Buckets: make([]HistBucket, MaxBuckets+2)}}}},
@@ -313,8 +330,7 @@ func TestEncodeRejects(t *testing.T) {
 		{"batch too many msgs", Batch{Msgs: protoMsgs(MaxBatchMsgs + 1)}},
 		{"batch bad msg kind", Batch{Msgs: []BatchMsg{{Kind: TypeHello}}}},
 		{"batch msg pid", Batch{Msgs: []BatchMsg{{Kind: TypeProto, From: -1}}}},
-		{"propose pid", Propose{From: -1}},
-		{"propose proposer pid", Propose{Proposer: MaxProcs}},
+		{"batch propose origin pid", Batch{Msgs: []BatchMsg{{Kind: TypePropose, Origin: MaxProcs}}}},
 		{"acs-round too many slots", AcsRound{Slots: make([]AcsSlot, MaxProcs+1)}},
 		{"acs-round bad status", AcsRound{Slots: []AcsSlot{{Status: AcsOut + 1}}}},
 		{"pull-log max negative", PullLog{Max: -1}},
@@ -329,48 +345,19 @@ func TestEncodeRejects(t *testing.T) {
 	}
 }
 
-// TestHistAggregation pins the helpers ksetctl uses to turn per-node
-// histogram pulls into a cluster-wide latency summary.
-func TestHistAggregation(t *testing.T) {
-	mk := func(name string, counts [3]uint64, count uint64, sum, min, max int64) Hist {
-		return Hist{
-			Name: name, Count: count, SumMicros: sum, MinMicros: min, MaxMicros: max,
-			Buckets: []HistBucket{
-				{UpperMicros: 1000, Count: counts[0]},
-				{UpperMicros: 10000, Count: counts[1]},
-				{UpperMicros: math.MaxInt64, Count: counts[2]},
-			},
-		}
+// TestMetricsValuesAtLimit round-trips a metrics reply carrying exactly
+// MaxValues counters, the most a node may report.
+func TestMetricsValuesAtLimit(t *testing.T) {
+	m := Metrics{Values: make([]MetricValue, MaxValues)}
+	for i := range m.Values {
+		m.Values[i] = MetricValue{Name: "v", Value: int64(i)}
 	}
-	a := mk("lat", [3]uint64{2, 1, 0}, 3, 4500, 500, 3000)
-	b := mk("lat", [3]uint64{0, 2, 1}, 3, 32000, 2000, 20000)
-	merged := MergeHists([]Hist{a, b, {}})
-	if merged.Count != 6 {
-		t.Errorf("merged count = %d, want 6", merged.Count)
+	got, err := Decode(mustEncode(t, m))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if merged.MinMicros != 500 || merged.MaxMicros != 20000 {
-		t.Errorf("merged extrema = [%d, %d], want [500, 20000]", merged.MinMicros, merged.MaxMicros)
-	}
-	if merged.SumMicros != 36500 {
-		t.Errorf("merged sum = %d, want 36500", merged.SumMicros)
-	}
-	if got, want := merged.Mean(), 36500.0/6; got != want {
-		t.Errorf("merged mean = %v, want %v", got, want)
-	}
-	// Quantiles stay inside the observed range and order correctly.
-	p50, p95 := merged.Quantile(0.50), merged.Quantile(0.95)
-	if p50 < 500 || p95 > 20000 || p50 > p95 {
-		t.Errorf("quantiles out of order/range: p50=%v p95=%v", p50, p95)
-	}
-	if got := (Hist{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty hist quantile = %v, want 0", got)
-	}
-	// A single observation: every quantile is that observation.
-	one := mk("lat", [3]uint64{0, 1, 0}, 1, 2500, 2500, 2500)
-	for _, q := range []float64{0, 0.5, 0.95, 1} {
-		if got := one.Quantile(q); got != 2500 {
-			t.Errorf("one-sample q%.2f = %v, want 2500", q, got)
-		}
+	if !reflect.DeepEqual(normalize(got), normalize(m)) {
+		t.Error("metrics reply at the value limit changed in the round trip")
 	}
 }
 
