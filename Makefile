@@ -56,7 +56,7 @@ bench:
 
 # The benchmarks tracked in BENCH_sweep.json (hot-path + sweep engine).
 bench-sweep:
-	$(GO) test -run XXX -bench 'BenchmarkFig2RegionsMPCR|BenchmarkFig4RegionsMPByz|BenchmarkFig5RegionsSMCR|BenchmarkFig6RegionsSMByz|BenchmarkRunFloodMin|BenchmarkRunProtocolE/n=16|BenchmarkSolveEndToEnd|BenchmarkValidateCell|BenchmarkReportRun' -benchmem -count=$(BENCH_COUNT) .
+	$(GO) test -run XXX -bench 'BenchmarkFig2RegionsMPCR|BenchmarkFig4RegionsMPByz|BenchmarkFig5RegionsSMCR|BenchmarkFig6RegionsSMByz|BenchmarkRunFloodMin|BenchmarkRunProtocolE/n=16|BenchmarkAblationScheduler|BenchmarkSolveEndToEnd|BenchmarkValidateCell|BenchmarkReportRun' -benchmem -count=$(BENCH_COUNT) .
 	$(GO) test -run XXX -bench BenchmarkSweepWorkers -benchmem -count=$(BENCH_COUNT) ./internal/sweep/
 
 # The network-path benchmarks tracked in BENCH_net.json (wire codec, batch

@@ -24,6 +24,7 @@ import (
 	"kset/internal/harness"
 	"kset/internal/mplive"
 	"kset/internal/mpnet"
+	"kset/internal/prng"
 	"kset/internal/protocols/mp"
 	"kset/internal/protocols/sm"
 	"kset/internal/report"
@@ -269,38 +270,60 @@ func BenchmarkAblationEchoEll(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduler compares delivery policies on the same
-// workload: the scheduler is the simulator's hot loop.
+// BenchmarkAblationScheduler compares the delivery policies on the same
+// FloodMin workload across n: the scheduler is the simulator's hot loop, and
+// ns/event is what one pick plus one delivery costs under each policy. The
+// partition gate is drawn per run the way harness.MPSweep plans it (a random
+// split into 2-4 groups); group-gate is the fixed half/half isolation.
 func BenchmarkAblationScheduler(b *testing.B) {
-	const n, k, t = 16, 8, 7
-	inputs := distinct(n)
 	scheds := []struct {
 		name string
-		mk   func() mpnet.Scheduler
+		mk   func(n int, rng *prng.Source) mpnet.Scheduler
 	}{
-		{"fair-random", func() mpnet.Scheduler { return mpnet.FairRandom{} }},
-		{"fifo", func() mpnet.Scheduler { return mpnet.FIFO{} }},
-		{"group-gate", func() mpnet.Scheduler {
-			return mpnet.Isolate(n, []types.ProcessID{0, 1, 2, 3, 4, 5, 6, 7})
+		{"fair-random", func(int, *prng.Source) mpnet.Scheduler { return mpnet.FairRandom{} }},
+		{"fifo", func(int, *prng.Source) mpnet.Scheduler { return mpnet.FIFO{} }},
+		{"lifo", func(int, *prng.Source) mpnet.Scheduler { return mpnet.LIFO{} }},
+		{"channel-fifo", func(int, *prng.Source) mpnet.Scheduler { return mpnet.ChannelFIFO{} }},
+		{"group-gate", func(n int, _ *prng.Source) mpnet.Scheduler {
+			half := make([]types.ProcessID, n/2)
+			for i := range half {
+				half[i] = types.ProcessID(i)
+			}
+			return mpnet.Isolate(n, half)
+		}},
+		{"partition", func(n int, rng *prng.Source) mpnet.Scheduler {
+			groups := make([][]types.ProcessID, rng.Intn(3)+2)
+			for _, idx := range rng.Perm(n) {
+				g := rng.Intn(len(groups))
+				groups[g] = append(groups[g], types.ProcessID(idx))
+			}
+			return mpnet.NewGroupGate(n, groups)
 		}},
 	}
 	for _, s := range scheds {
-		s := s
-		b.Run(s.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := mpnet.Run(mpnet.Config{
-					N: n, T: t, K: k,
-					Inputs:      inputs,
-					NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-					Scheduler:   s.mk(),
-					Seed:        uint64(i) + 1,
-				})
-				if err != nil {
-					b.Fatal(err)
+		for _, n := range []int{8, 16, 24, 32} {
+			s, n := s, n
+			b.Run(fmt.Sprintf("%s/n=%d", s.name, n), func(b *testing.B) {
+				inputs := distinct(n)
+				rng := prng.New(uint64(n))
+				b.ReportAllocs()
+				var events int64
+				for i := 0; i < b.N; i++ {
+					rec, err := mpnet.Run(mpnet.Config{
+						N: n, T: n/2 - 1, K: n / 2,
+						Inputs:      inputs,
+						NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
+						Scheduler:   s.mk(n, rng),
+						Seed:        uint64(i) + 1,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += int64(rec.Events)
 				}
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			})
+		}
 	}
 }
 

@@ -72,57 +72,65 @@ type boundaryScheduler struct {
 	group       []int
 	victim      types.ProcessID
 	victimCross int
+	decided     []bool // scratch for decidedGroups, reused across picks
 }
 
 var _ mpnet.Scheduler = (*boundaryScheduler)(nil)
 
-// groupDecided reports whether every non-faulty member of g has decided,
-// ignoring the victim (which cannot decide before the gate opens).
-func (b *boundaryScheduler) groupDecided(view *mpnet.View, g int) bool {
-	for p := 0; p < view.N; p++ {
-		if b.group[p] != g || view.Faulty[p] || types.ProcessID(p) == b.victim {
-			continue
+// decidedGroups works out, in one walk over the processes, which groups have
+// every non-faulty member decided, ignoring the victim (which cannot decide
+// before the gate opens).
+func (b *boundaryScheduler) decidedGroups(view *mpnet.View) []bool {
+	if b.decided == nil {
+		groups := 0
+		for _, g := range b.group {
+			if g >= groups {
+				groups = g + 1
+			}
 		}
-		if !view.Decided[p] {
-			return false
+		b.decided = make([]bool, groups)
+	}
+	for g := range b.decided {
+		b.decided[g] = true
+	}
+	for p := 0; p < view.N; p++ {
+		if !view.Faulty[p] && types.ProcessID(p) != b.victim && !view.Decided[p] {
+			b.decided[b.group[p]] = false
 		}
 	}
-	return true
+	return b.decided
 }
 
 // Next implements mpnet.Scheduler.
-func (b *boundaryScheduler) Next(view *mpnet.View, inflight []mpnet.Envelope, rng *prng.Source) int {
-	eligible := make([]int, 0, len(inflight))
-	crossToVictim := -1
-	for i, env := range inflight {
-		sg, rg := b.group[env.From], b.group[env.To]
-		switch {
-		case env.To == b.victim && sg == rg:
-			// Victim's intra traffic waits for the foreign message.
-			if b.victimCross >= 1 {
-				eligible = append(eligible, i)
-			}
-		case env.To == b.victim:
-			// Foreign traffic to the victim flows once the sender's group
-			// has decided (it can no longer be confused by the leak).
-			if b.groupDecided(view, sg) {
-				crossToVictim = i
-			}
-		case sg == rg:
-			eligible = append(eligible, i)
-		default:
-			// Ordinary cross traffic: recipient gate.
-			if b.groupDecided(view, rg) && view.Decided[env.To] {
-				eligible = append(eligible, i)
+func (b *boundaryScheduler) Next(view *mpnet.View, pool *mpnet.Pool, rng *prng.Source) int {
+	decided := b.decidedGroups(view)
+	if b.victimCross == 0 {
+		// Foreign traffic to the victim flows once the sender's group has
+		// decided (it can no longer be confused by the leak); the last such
+		// message in pick order is the one that slips in.
+		envs := pool.Envelopes()
+		for i := len(envs) - 1; i >= 0; i-- {
+			env := &envs[i]
+			if sg := b.group[env.From]; env.To == b.victim && sg != b.group[env.To] && decided[sg] {
+				b.victimCross++
+				return i
 			}
 		}
 	}
-	if b.victimCross == 0 && crossToVictim >= 0 {
-		b.victimCross++
-		return crossToVictim
-	}
-	if len(eligible) == 0 {
-		return rng.Intn(len(inflight))
-	}
-	return eligible[rng.Intn(len(eligible))]
+	// The filter moves with every decision, not only with a group's: have the
+	// pool ask about every envelope at every pick.
+	return pool.PickAmong(rng, true, func(env *mpnet.Envelope) bool {
+		sg, rg := b.group[env.From], b.group[env.To]
+		switch {
+		case env.To == b.victim:
+			// Victim's intra traffic waits for the foreign message; more
+			// foreign traffic to it is never eligible.
+			return sg == rg && b.victimCross >= 1
+		case sg == rg:
+			return true
+		default:
+			// Ordinary cross traffic: recipient gate.
+			return decided[rg] && view.Decided[env.To]
+		}
+	})
 }

@@ -53,14 +53,14 @@ func TestPreferIntraOrdersIntraFirst(t *testing.T) {
 	}
 	rng := prng.New(7)
 	for i := 0; i < 50; i++ {
-		got := p.Next(testView(4), env, rng)
+		got := p.Next(testView(4), poolOf(4, env), rng)
 		if got == 0 {
 			t.Fatal("cross message delivered while intra traffic pending")
 		}
 	}
 	// Only cross traffic left: deliver it.
 	crossOnly := []Envelope{{From: 0, To: 2, Seq: 1}}
-	if got := p.Next(testView(4), crossOnly, rng); got != 0 {
+	if got := p.Next(testView(4), poolOf(4, crossOnly), rng); got != 0 {
 		t.Fatal("cross message not delivered when it is the only traffic")
 	}
 }

@@ -90,11 +90,25 @@ type View struct {
 	Messages int    // messages sent so far
 }
 
-// Scheduler chooses the next in-flight message to deliver. Returning an
-// index outside [0, len(inflight)) is a programming error and aborts the run.
-// The runtime guarantees inflight is non-empty when Next is called.
+// Scheduler chooses the next in-flight message to deliver: Next returns a
+// position in pool.Envelopes(). Returning a position outside [0, pool.Len())
+// is a programming error and aborts the run. The runtime guarantees the pool
+// is non-empty when Next is called.
+//
+// Cost contract. Next runs once per delivery, so it is the simulator's inner
+// loop, and a run must stay a function of its seed:
+//   - a pick costs O(1), or O(n*n/64) for a question about channels and
+//     O(in flight/64) for a filtered draw, never O(in flight): a policy about
+//     age, sequence numbers or channels asks the pool's index (Oldest,
+//     Newest, IndexOf, Channels, ChannelHead), and a policy that filters
+//     envelopes draws through Pool.PickAmong, which asks the filter about
+//     each message once and not once per pick;
+//   - anything per process or per group (a gate, a decided-set) is worked
+//     out once per call, before the draw, in O(n);
+//   - it allocates nothing, keeping any scratch it needs on the scheduler;
+//   - it draws from rng only what the choice needs, in a fixed order.
 type Scheduler interface {
-	Next(view *View, inflight []Envelope, rng *prng.Source) int
+	Next(view *View, pool *Pool, rng *prng.Source) int
 }
 
 // CrashAdversary injects crash failures. The runtime enforces the global

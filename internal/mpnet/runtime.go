@@ -93,16 +93,21 @@ type process struct {
 }
 
 type runtime struct {
-	cfg      Config
-	n, t, k  int
-	procs    []*process
-	inflight []Envelope
-	view     View
-	rng      *prng.Source
-	seq      int
-	budget   int
-	sched    Scheduler
-	err      error // first protocol/config bug detected mid-run
+	cfg     Config
+	n, t, k int
+	procs   []*process
+	pool    Pool
+	view    View
+	rng     *prng.Source
+	budget  int
+	sched   Scheduler
+	err     error // first protocol/config bug detected mid-run
+
+	// faults counts crashed plus Byzantine processes; undecided counts the
+	// correct (neither) processes that have not decided. Decide and crash
+	// move them, so the per-event checks do not walk the processes.
+	faults    int
+	undecided int
 
 	// compactNeeded is set when a crash may have left in-flight messages
 	// addressed to a dead process; compact() scans only then.
@@ -151,6 +156,9 @@ func (a *api) Decide(v types.Value) {
 	p.decided = true
 	p.decision = v
 	p.decidedAt = a.rt.view.Events
+	if !p.byz && !p.crashed {
+		a.rt.undecided--
+	}
 	a.rt.view.Decided[p.id] = true
 	a.rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: v})
 }
@@ -236,16 +244,15 @@ func newRuntime(cfg Config) *runtime {
 			p.proto = strat
 			p.byz = true
 			rt.view.Faulty[i] = true
+			rt.faults++
 		} else {
 			p.proto = cfg.NewProtocol(id)
+			rt.undecided++
 		}
 		p.a = api{rt: rt, p: p}
 		rt.procs[i] = p
 	}
-	// Every round of a full-information protocol keeps up to n*(n-1) point-to-
-	// point messages in flight; seed the queue with that capacity so steady
-	// state never regrows it.
-	rt.inflight = make([]Envelope, 0, n*n)
+	rt.pool.reset(n)
 	return rt
 }
 
@@ -254,17 +261,6 @@ func (rt *runtime) trace(ev TraceEvent) {
 		ev.EventIndex = rt.view.Events
 		rt.cfg.Trace(ev)
 	}
-}
-
-// faultCount returns crashed + Byzantine processes.
-func (rt *runtime) faultCount() int {
-	c := 0
-	for _, p := range rt.procs {
-		if p.crashed || p.byz {
-			c++
-		}
-	}
-	return c
 }
 
 // mayCrash reports whether the adversary is still within budget to crash a
@@ -276,11 +272,15 @@ func (rt *runtime) mayCrash(p *process) bool {
 	if p.byz {
 		return false // Byzantine processes already count as faulty
 	}
-	return rt.faultCount() < rt.t
+	return rt.faults < rt.t
 }
 
 func (rt *runtime) crash(p *process) {
 	p.crashed = true
+	rt.faults++
+	if !p.decided {
+		rt.undecided--
+	}
 	rt.view.Crashed[p.id] = true
 	rt.view.Faulty[p.id] = true
 	// Messages already in flight from p stay in flight: they were handed to
@@ -315,8 +315,7 @@ func (rt *runtime) send(from *process, to types.ProcessID, payload types.Payload
 		from.selfQueue = append(from.selfQueue, payload)
 		return
 	}
-	rt.inflight = append(rt.inflight, Envelope{From: from.id, To: to, Payload: payload, Seq: rt.seq})
-	rt.seq++
+	rt.pool.add(Envelope{From: from.id, To: to, Payload: payload})
 }
 
 // drainSelf delivers the payloads a process sent to itself during the handler
@@ -343,19 +342,6 @@ func (rt *runtime) halted(p *process) bool {
 	return rt.cfg.HaltOnDecide && p.decided && !p.byz
 }
 
-// deliverable reports whether any correct process is still undecided.
-func (rt *runtime) allCorrectDecided() bool {
-	for _, p := range rt.procs {
-		if p.crashed || p.byz {
-			continue
-		}
-		if !p.decided {
-			return false
-		}
-	}
-	return true
-}
-
 func (rt *runtime) run() error {
 	// Start phase. The crash adversary may prevent a process from ever
 	// starting (it executed zero instructions) or crash it mid-broadcast
@@ -378,11 +364,11 @@ func (rt *runtime) run() error {
 	}
 
 	budgetExhausted := false
-	for !rt.allCorrectDecided() {
+	for rt.undecided > 0 {
 		// Discard in-flight messages addressed to crashed processes; they
 		// can never be processed and would otherwise distort scheduling.
 		rt.compact()
-		if len(rt.inflight) == 0 {
+		if rt.pool.Len() == 0 {
 			// Quiescent with undecided correct processes: nothing can ever
 			// change in an event-driven system. The checker will flag the
 			// termination violation.
@@ -392,14 +378,12 @@ func (rt *runtime) run() error {
 			budgetExhausted = true
 			break
 		}
-		idx := rt.sched.Next(&rt.view, rt.inflight, rt.rng)
-		if idx < 0 || idx >= len(rt.inflight) {
-			return fmt.Errorf("%w: %d of %d", ErrBadSchedule, idx, len(rt.inflight))
+		idx := rt.sched.Next(&rt.view, &rt.pool, rt.rng)
+		if idx < 0 || idx >= rt.pool.Len() {
+			return fmt.Errorf("%w: %d of %d", ErrBadSchedule, idx, rt.pool.Len())
 		}
-		env := rt.inflight[idx]
-		last := len(rt.inflight) - 1
-		rt.inflight[idx] = rt.inflight[last]
-		rt.inflight = rt.inflight[:last]
+		env := rt.pool.env[idx]
+		rt.pool.remove(idx)
 		if r := rt.cfg.Recorder; r != nil {
 			r.Pick(env.Seq)
 		}
@@ -444,13 +428,7 @@ func (rt *runtime) compact() {
 		return
 	}
 	rt.compactNeeded = false
-	kept := rt.inflight[:0]
-	for _, env := range rt.inflight {
-		if !rt.procs[env.To].crashed {
-			kept = append(kept, env)
-		}
-	}
-	rt.inflight = kept
+	rt.pool.discardTo(rt.view.Crashed)
 }
 
 func (rt *runtime) record() *types.RunRecord {

@@ -15,8 +15,8 @@ type FairRandom struct{}
 var _ Scheduler = FairRandom{}
 
 // Next implements Scheduler.
-func (FairRandom) Next(_ *View, inflight []Envelope, rng *prng.Source) int {
-	return rng.Intn(len(inflight))
+func (FairRandom) Next(_ *View, pool *Pool, rng *prng.Source) int {
+	return rng.Intn(pool.Len())
 }
 
 // FIFO delivers the oldest in-flight message (global send order). Useful as
@@ -26,15 +26,7 @@ type FIFO struct{}
 var _ Scheduler = FIFO{}
 
 // Next implements Scheduler.
-func (FIFO) Next(_ *View, inflight []Envelope, _ *prng.Source) int {
-	best := 0
-	for i := 1; i < len(inflight); i++ {
-		if inflight[i].Seq < inflight[best].Seq {
-			best = i
-		}
-	}
-	return best
-}
+func (FIFO) Next(_ *View, pool *Pool, _ *prng.Source) int { return pool.Oldest() }
 
 // LIFO delivers the newest in-flight message first. An adversarially
 // "bursty" baseline: fresh traffic systematically overtakes old traffic,
@@ -45,50 +37,20 @@ type LIFO struct{}
 var _ Scheduler = LIFO{}
 
 // Next implements Scheduler.
-func (LIFO) Next(_ *View, inflight []Envelope, _ *prng.Source) int {
-	best := 0
-	for i := 1; i < len(inflight); i++ {
-		if inflight[i].Seq > inflight[best].Seq {
-			best = i
-		}
-	}
-	return best
-}
+func (LIFO) Next(_ *View, pool *Pool, _ *prng.Source) int { return pool.Newest() }
 
 // ChannelFIFO picks a random ordered channel (sender, recipient) with
 // traffic and delivers its oldest message: per-channel FIFO links with
 // random cross-channel interleaving, the classic "FIFO channels" refinement
-// of the asynchronous model.
+// of the asynchronous model. The draw is over the channels in (sender,
+// recipient) order.
 type ChannelFIFO struct{}
 
 var _ Scheduler = ChannelFIFO{}
 
 // Next implements Scheduler.
-func (ChannelFIFO) Next(view *View, inflight []Envelope, rng *prng.Source) int {
-	type channel struct{ from, to types.ProcessID }
-	oldest := make(map[channel]int)
-	for i, env := range inflight {
-		ch := channel{env.From, env.To}
-		if j, ok := oldest[ch]; !ok || env.Seq < inflight[j].Seq {
-			oldest[ch] = i
-		}
-	}
-	// Deterministic choice among channels: order by (from, to).
-	chans := make([]channel, 0, len(oldest))
-	//ksetlint:allow maporder.range keys are sorted immediately below
-	for ch := range oldest {
-		chans = append(chans, ch)
-	}
-	for i := 1; i < len(chans); i++ {
-		for j := i; j > 0; j-- {
-			a, b := chans[j-1], chans[j]
-			if a.from < b.from || (a.from == b.from && a.to <= b.to) {
-				break
-			}
-			chans[j-1], chans[j] = b, a
-		}
-	}
-	return oldest[chans[rng.Intn(len(chans))]]
+func (ChannelFIFO) Next(_ *View, pool *Pool, rng *prng.Source) int {
+	return pool.ChannelHead(rng.Intn(pool.Channels()))
 }
 
 // GroupGate realizes the partition schedules used throughout the paper's
@@ -103,10 +65,9 @@ func (ChannelFIFO) Next(view *View, inflight []Envelope, rng *prng.Source) int {
 // dam breaks.
 //
 // If no intra-group message is deliverable and some gate is still closed,
-// the scheduler falls back to delivering a cross-group message (the
-// asynchronous model only permits finite delay, and a wedged run would hide
-// violations rather than exhibit them). Constructions from the paper are
-// engineered so the fallback never fires before the decisions it needs.
+// the scheduler falls back to delivering a cross-group message
+// (Pool.PickAmong). Constructions from the paper are engineered so the
+// fallback never fires before the decisions it needs.
 type GroupGate struct {
 	// Group[i] is the group index of process i.
 	Group []int
@@ -114,6 +75,11 @@ type GroupGate struct {
 	// regardless of gates. The Byzantine constructions (Lemmas 3.9, 3.11)
 	// use it for the faulty set F, which "communicates with every group".
 	FromAlways []bool
+
+	// open is the gates' state at the previous pick and pending the scratch
+	// gates counts in.
+	open    []bool
+	pending []int
 }
 
 var _ Scheduler = (*GroupGate)(nil)
@@ -132,44 +98,49 @@ func NewGroupGate(n int, groups [][]types.ProcessID) *GroupGate {
 	return g
 }
 
-// gateOpen reports whether the recipient group of env accepts cross-group
-// traffic: every non-faulty member has decided. Faulty members (crashed or
-// Byzantine) are ignored — a Byzantine process may never decide, and waiting
-// for it would wedge the gate.
-func (g *GroupGate) gateOpen(view *View, group int) bool {
-	for p := 0; p < view.N; p++ {
-		if g.Group[p] != group {
-			continue
-		}
-		if view.Faulty[p] {
-			continue
-		}
-		if !view.Decided[p] {
-			return false
+// gates works out, in one walk over the processes, which groups accept
+// cross-group traffic: those whose every non-faulty member has decided.
+// Faulty members (crashed or Byzantine) are ignored — a Byzantine process may
+// never decide, and waiting for it would wedge the gate. The result is
+// indexed by group+1, since Group holds -1 for a process in no listed group;
+// changed reports whether it differs from the previous call's.
+func (g *GroupGate) gates(view *View) (open []bool, changed bool) {
+	groups := 1
+	for _, gi := range g.Group {
+		if gi+2 > groups {
+			groups = gi + 2
 		}
 	}
-	return true
+	if len(g.open) != groups {
+		g.open, g.pending = make([]bool, groups), make([]int, groups)
+		changed = true
+	}
+	for i := range g.pending {
+		g.pending[i] = 0
+	}
+	for p := 0; p < view.N; p++ {
+		if !view.Faulty[p] && !view.Decided[p] {
+			g.pending[g.Group[p]+1]++
+		}
+	}
+	for i, waiting := range g.pending {
+		if g.open[i] != (waiting == 0) {
+			g.open[i], changed = waiting == 0, true
+		}
+	}
+	return g.open, changed
 }
 
 // Next implements Scheduler.
-func (g *GroupGate) Next(view *View, inflight []Envelope, rng *prng.Source) int {
-	eligible := make([]int, 0, len(inflight))
-	for i, env := range inflight {
+func (g *GroupGate) Next(view *View, pool *Pool, rng *prng.Source) int {
+	open, changed := g.gates(view)
+	return pool.PickAmong(rng, changed, func(env *Envelope) bool {
 		if len(g.FromAlways) > 0 && g.FromAlways[env.From] {
-			eligible = append(eligible, i)
-			continue
+			return true
 		}
 		sg, rg := g.Group[env.From], g.Group[env.To]
-		if sg == rg || g.gateOpen(view, rg) {
-			eligible = append(eligible, i)
-		}
-	}
-	if len(eligible) == 0 {
-		// Fallback: release an arbitrary cross-group message to preserve
-		// the finite-delay guarantee of the model.
-		return rng.Intn(len(inflight))
-	}
-	return eligible[rng.Intn(len(eligible))]
+		return sg == rg || open[rg+1]
+	})
 }
 
 // Isolate returns a GroupGate in which each listed set of processes is its
@@ -222,17 +193,10 @@ func NewPreferIntra(n int, groups [][]types.ProcessID) *PreferIntra {
 }
 
 // Next implements Scheduler.
-func (p *PreferIntra) Next(_ *View, inflight []Envelope, rng *prng.Source) int {
-	intra := make([]int, 0, len(inflight))
-	for i, env := range inflight {
-		if p.Group[env.From] == p.Group[env.To] {
-			intra = append(intra, i)
-		}
-	}
-	if len(intra) > 0 {
-		return intra[rng.Intn(len(intra))]
-	}
-	return rng.Intn(len(inflight))
+func (p *PreferIntra) Next(_ *View, pool *Pool, rng *prng.Source) int {
+	return pool.PickAmong(rng, false, func(env *Envelope) bool {
+		return p.Group[env.From] == p.Group[env.To]
+	})
 }
 
 // DelayProcess holds every message *from* the given processes until all
@@ -256,7 +220,7 @@ func NewDelayProcess(n int, ids ...types.ProcessID) *DelayProcess {
 }
 
 // Next implements Scheduler.
-func (d *DelayProcess) Next(view *View, inflight []Envelope, rng *prng.Source) int {
+func (d *DelayProcess) Next(view *View, pool *Pool, rng *prng.Source) int {
 	allOthersDecided := true
 	for p := 0; p < view.N; p++ {
 		if d.Delayed[p] || view.Crashed[p] || view.Faulty[p] {
@@ -267,14 +231,8 @@ func (d *DelayProcess) Next(view *View, inflight []Envelope, rng *prng.Source) i
 			break
 		}
 	}
-	eligible := make([]int, 0, len(inflight))
-	for i, env := range inflight {
-		if allOthersDecided || !d.Delayed[env.From] {
-			eligible = append(eligible, i)
-		}
+	if allOthersDecided {
+		return rng.Intn(pool.Len())
 	}
-	if len(eligible) == 0 {
-		return rng.Intn(len(inflight))
-	}
-	return eligible[rng.Intn(len(eligible))]
+	return pool.PickAmong(rng, false, func(env *Envelope) bool { return !d.Delayed[env.From] })
 }

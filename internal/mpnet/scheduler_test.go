@@ -15,6 +15,20 @@ func envelopes(seqs ...int) []Envelope {
 	return out
 }
 
+// poolOf puts hand-written envelopes in flight in the given pick order. Their
+// sequence numbers must be distinct; the index is built from them on demand.
+func poolOf(n int, envs []Envelope) *Pool {
+	p := new(Pool)
+	p.reset(n)
+	p.env = append(p.env, envs...)
+	for _, env := range envs {
+		if env.Seq >= p.seq {
+			p.seq = env.Seq + 1
+		}
+	}
+	return p
+}
+
 func testView(n int) *View {
 	return &View{
 		N:       n,
@@ -26,7 +40,7 @@ func testView(n int) *View {
 
 func TestFIFOPicksOldest(t *testing.T) {
 	env := envelopes(5, 2, 9, 1, 7)
-	got := FIFO{}.Next(testView(3), env, prng.New(1))
+	got := FIFO{}.Next(testView(3), poolOf(3, env), prng.New(1))
 	if env[got].Seq != 1 {
 		t.Errorf("FIFO picked seq %d, want 1", env[got].Seq)
 	}
@@ -34,7 +48,7 @@ func TestFIFOPicksOldest(t *testing.T) {
 
 func TestLIFOPicksNewest(t *testing.T) {
 	env := envelopes(5, 2, 9, 1, 7)
-	got := LIFO{}.Next(testView(3), env, prng.New(1))
+	got := LIFO{}.Next(testView(3), poolOf(3, env), prng.New(1))
 	if env[got].Seq != 9 {
 		t.Errorf("LIFO picked seq %d, want 9", env[got].Seq)
 	}
@@ -49,7 +63,7 @@ func TestChannelFIFONeverReordersWithinChannel(t *testing.T) {
 	}
 	rng := prng.New(5)
 	for i := 0; i < 100; i++ {
-		got := ChannelFIFO{}.Next(testView(3), env, rng)
+		got := ChannelFIFO{}.Next(testView(3), poolOf(3, env), rng)
 		if env[got].From == 0 && env[got].Seq != 3 {
 			t.Fatalf("channel (0,1) delivered seq %d before 3", env[got].Seq)
 		}
@@ -64,7 +78,7 @@ func TestChannelFIFOIsFairAcrossChannels(t *testing.T) {
 	rng := prng.New(9)
 	seen := map[types.ProcessID]bool{}
 	for i := 0; i < 100; i++ {
-		got := ChannelFIFO{}.Next(testView(3), env, rng)
+		got := ChannelFIFO{}.Next(testView(3), poolOf(3, env), rng)
 		seen[env[got].From] = true
 	}
 	if !seen[0] || !seen[2] {
@@ -81,7 +95,7 @@ func TestDelayProcessHoldsSenderUntilOthersDecide(t *testing.T) {
 	}
 	rng := prng.New(1)
 	for i := 0; i < 50; i++ {
-		if got := d.Next(view, env, rng); env[got].From == 0 {
+		if got := d.Next(view, poolOf(3, env), rng); env[got].From == 0 {
 			t.Fatal("delayed sender's message delivered before others decided")
 		}
 	}
@@ -90,7 +104,7 @@ func TestDelayProcessHoldsSenderUntilOthersDecide(t *testing.T) {
 	view.Decided[2] = true
 	opened := false
 	for i := 0; i < 50; i++ {
-		if got := d.Next(view, env, rng); env[got].From == 0 {
+		if got := d.Next(view, poolOf(3, env), rng); env[got].From == 0 {
 			opened = true
 			break
 		}
@@ -103,7 +117,7 @@ func TestDelayProcessHoldsSenderUntilOthersDecide(t *testing.T) {
 func TestDelayProcessFallsBackWhenOnlyDelayedTraffic(t *testing.T) {
 	d := NewDelayProcess(2, 0)
 	env := []Envelope{{From: 0, To: 1, Seq: 1}}
-	if got := d.Next(testView(2), env, prng.New(1)); got != 0 {
+	if got := d.Next(testView(2), poolOf(2, env), prng.New(1)); got != 0 {
 		t.Fatal("fallback must deliver the only in-flight message")
 	}
 }
@@ -118,7 +132,7 @@ func TestGroupGateFromAlwaysBypassesGates(t *testing.T) {
 	}
 	rng := prng.New(2)
 	for i := 0; i < 50; i++ {
-		if got := g.Next(view, env, rng); got != 0 {
+		if got := g.Next(view, poolOf(4, env), rng); got != 0 {
 			t.Fatal("gated cross-group message delivered while FromAlways traffic pending")
 		}
 	}
@@ -131,7 +145,7 @@ func TestGroupGateIgnoresFaultyMembersWhenOpening(t *testing.T) {
 	view.Faulty[3] = true
 	view.Decided[2] = true
 	env := []Envelope{{From: 0, To: 2, Seq: 1}}
-	if got := g.Next(view, env, prng.New(3)); got != 0 {
+	if got := g.Next(view, poolOf(4, env), prng.New(3)); got != 0 {
 		t.Fatal("gate should be open: the only undecided member is faulty")
 	}
 }

@@ -13,14 +13,18 @@ import (
 	"strings"
 	"testing"
 
+	"kset/internal/adversary"
 	"kset/internal/mpnet"
 	"kset/internal/protocols/mp"
 	"kset/internal/types"
 )
 
 // mpTranscript runs one configured simulation and renders every trace
-// event plus the final record into one deterministic string.
-func mpTranscript(t *testing.T, scheduler mpnet.Scheduler, seed uint64) string {
+// event plus the final record into one deterministic string. Crash runs
+// carry a random crash adversary; Byzantine runs replace the last two
+// processes with a noise strategy (which draws from its process rng) and a
+// silent one.
+func mpTranscript(t *testing.T, scheduler mpnet.Scheduler, seed uint64, byzantine bool) string {
 	t.Helper()
 	n := 7
 	ins := make([]types.Value, n)
@@ -28,15 +32,23 @@ func mpTranscript(t *testing.T, scheduler mpnet.Scheduler, seed uint64) string {
 		ins[i] = types.Value(i % 3)
 	}
 	var b strings.Builder
-	rec, err := mpnet.Run(mpnet.Config{
+	cfg := mpnet.Config{
 		N: n, T: 2, K: 2,
 		Inputs:      ins,
 		NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-		Crash:       mpnet.NewRandomCrashes(0.02, seed+1),
 		Scheduler:   scheduler,
 		Seed:        seed,
 		Trace:       func(ev mpnet.TraceEvent) { fmt.Fprintln(&b, ev) },
-	})
+	}
+	if byzantine {
+		cfg.Byzantine = map[types.ProcessID]mpnet.Protocol{
+			5: adversary.NewRandomNoise(2),
+			6: adversary.Silent{},
+		}
+	} else {
+		cfg.Crash = mpnet.NewRandomCrashes(0.02, seed+1)
+	}
+	rec, err := mpnet.Run(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -45,23 +57,35 @@ func mpTranscript(t *testing.T, scheduler mpnet.Scheduler, seed uint64) string {
 }
 
 func TestSeedStability(t *testing.T) {
+	// The five policies harness.MPSweep plans, each on a crash run and on a
+	// Byzantine run.
 	schedulers := map[string]func() mpnet.Scheduler{
 		"fair-random":  func() mpnet.Scheduler { return mpnet.FairRandom{} },
-		"channel-fifo": func() mpnet.Scheduler { return mpnet.ChannelFIFO{} },
+		"fifo":         func() mpnet.Scheduler { return mpnet.FIFO{} },
 		"lifo":         func() mpnet.Scheduler { return mpnet.LIFO{} },
+		"channel-fifo": func() mpnet.Scheduler { return mpnet.ChannelFIFO{} },
+		"partition": func() mpnet.Scheduler {
+			return mpnet.NewGroupGate(7, [][]types.ProcessID{{0, 3, 5}, {1, 6}, {2, 4}})
+		},
 	}
 	for name, newSched := range schedulers {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 5; seed++ {
-				// Fresh scheduler values per run so no state can carry over.
-				first := mpTranscript(t, newSched(), seed)
-				second := mpTranscript(t, newSched(), seed)
-				if first != second {
-					t.Fatalf("seed %d: traces differ\n--- first ---\n%s\n--- second ---\n%s",
-						seed, first, second)
-				}
+		for _, byzantine := range []bool{false, true} {
+			name, newSched, byzantine := name, newSched, byzantine
+			if byzantine {
+				name += "/byzantine"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				for seed := uint64(1); seed <= 5; seed++ {
+					// Fresh scheduler values per run so no state can carry over.
+					first := mpTranscript(t, newSched(), seed, byzantine)
+					second := mpTranscript(t, newSched(), seed, byzantine)
+					if first != second {
+						t.Fatalf("seed %d: traces differ\n--- first ---\n%s\n--- second ---\n%s",
+							seed, first, second)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -70,9 +94,9 @@ func TestSeedStability(t *testing.T) {
 // comparison would pass. Different seeds must (for some seed pair) give
 // different transcripts.
 func TestSeedStabilityDistinguishesSeeds(t *testing.T) {
-	a := mpTranscript(t, mpnet.FairRandom{}, 1)
+	a := mpTranscript(t, mpnet.FairRandom{}, 1, false)
 	for seed := uint64(2); seed <= 8; seed++ {
-		if mpTranscript(t, mpnet.FairRandom{}, seed) != a {
+		if mpTranscript(t, mpnet.FairRandom{}, seed, false) != a {
 			return
 		}
 	}

@@ -29,16 +29,16 @@ type mpReplay struct {
 
 var _ mpnet.Scheduler = (*mpReplay)(nil)
 
-// Next implements mpnet.Scheduler.
-func (s *mpReplay) Next(_ *mpnet.View, inflight []mpnet.Envelope, _ *prng.Source) int {
-	for _, env := range inflight {
-		if env.Seq > s.maxSeen {
-			s.maxSeen = env.Seq
-		}
+// Next implements mpnet.Scheduler. Every question goes to the pool's index,
+// so a step costs O(1) however many messages are in flight — the shrinker
+// runs each candidate through here.
+func (s *mpReplay) Next(_ *mpnet.View, pool *mpnet.Pool, _ *prng.Source) int {
+	if newest := pool.Envelopes()[pool.Newest()].Seq; newest > s.maxSeen {
+		s.maxSeen = newest
 	}
 	for s.cursor < len(s.script) {
 		want := s.script[s.cursor]
-		if idx := seqIndex(inflight, want); idx >= 0 {
+		if idx := pool.IndexOf(want); idx >= 0 {
 			s.cursor++
 			return idx
 		}
@@ -50,26 +50,7 @@ func (s *mpReplay) Next(_ *mpnet.View, inflight []mpnet.Envelope, _ *prng.Source
 		// Not sent yet; deliver oldest-first until it appears.
 		break
 	}
-	return oldestIndex(inflight)
-}
-
-func seqIndex(inflight []mpnet.Envelope, seq int) int {
-	for i, env := range inflight {
-		if env.Seq == seq {
-			return i
-		}
-	}
-	return -1
-}
-
-func oldestIndex(inflight []mpnet.Envelope) int {
-	best := 0
-	for i := 1; i < len(inflight); i++ {
-		if inflight[i].Seq < inflight[best].Seq {
-			best = i
-		}
-	}
-	return best
+	return pool.Oldest()
 }
 
 // smReplay follows a recorded grant sequence. The shared-memory runtime
