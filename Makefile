@@ -41,9 +41,10 @@ race:
 
 # Un-shortened race run over the live (genuinely concurrent) runtimes, the
 # sweep engine (the worker pool behind -workers), the TCP cluster runtime
-# (including the fault-injected soak test), and the metrics registry.
+# (including the fault-injected soak test), the metrics registry, and the
+# turn-passing shared-memory simulator with the packages that run on it.
 race-live:
-	$(GO) test -race -count=1 ./internal/mplive/ ./internal/smlive/ ./internal/sweep/ ./internal/cluster/ ./internal/acs/ ./internal/obs/
+	$(GO) test -race -count=1 ./internal/mplive/ ./internal/smlive/ ./internal/sweep/ ./internal/cluster/ ./internal/acs/ ./internal/obs/ ./internal/smmem/ ./internal/trace/ ./internal/protocols/sm/
 
 short:
 	$(GO) test -short ./...
@@ -56,7 +57,7 @@ bench:
 
 # The benchmarks tracked in BENCH_sweep.json (hot-path + sweep engine).
 bench-sweep:
-	$(GO) test -run XXX -bench 'BenchmarkFig2RegionsMPCR|BenchmarkFig4RegionsMPByz|BenchmarkFig5RegionsSMCR|BenchmarkFig6RegionsSMByz|BenchmarkRunFloodMin|BenchmarkRunProtocolE/n=16|BenchmarkAblationScheduler|BenchmarkSolveEndToEnd|BenchmarkValidateCell|BenchmarkReportRun' -benchmem -count=$(BENCH_COUNT) .
+	$(GO) test -run XXX -bench 'BenchmarkFig2RegionsMPCR|BenchmarkFig4RegionsMPByz|BenchmarkFig5RegionsSMCR|BenchmarkFig6RegionsSMByz|BenchmarkRunFloodMin|BenchmarkRunProtocolE/n=16|BenchmarkAblationScheduler|BenchmarkSMGrant|BenchmarkSolveEndToEnd|BenchmarkValidateCell|BenchmarkReportRun' -benchmem -count=$(BENCH_COUNT) .
 	$(GO) test -run XXX -bench BenchmarkSweepWorkers -benchmem -count=$(BENCH_COUNT) ./internal/sweep/
 
 # The network-path benchmarks tracked in BENCH_net.json (wire codec, batch

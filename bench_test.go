@@ -327,6 +327,81 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	}
 }
 
+// BenchmarkSMGrant measures what the shared-memory runtime charges for one
+// granted register operation — the scheduler's pick, the operation on the
+// register map, and the hand-over of the turn to the process that was picked
+// — under the schedules harness.SMSweep plans (hold delays the last t
+// processes until the others have decided, starve until a deadline) and the
+// two kinds of witness: SIMULATION(FloodMin), whose pollers read unwritten
+// registers most of the time, and the native Protocol E.
+func BenchmarkSMGrant(b *testing.B) {
+	lastT := func(n, t int) (delayed, rest []types.ProcessID) {
+		for p := 0; p < n; p++ {
+			if p >= n-t {
+				delayed = append(delayed, types.ProcessID(p))
+			} else {
+				rest = append(rest, types.ProcessID(p))
+			}
+		}
+		return delayed, rest
+	}
+	scheds := []struct {
+		name string
+		mk   func(n, t int) smmem.Scheduler
+	}{
+		{"fair-random", func(int, int) smmem.Scheduler { return smmem.FairRandom{} }},
+		{"hold", func(n, t int) smmem.Scheduler {
+			delayed, rest := lastT(n, t)
+			return smmem.NewHold(n, delayed, rest)
+		}},
+		{"starve", func(n, t int) smmem.Scheduler {
+			delayed, _ := lastT(n, t)
+			s := smmem.NewStarve(n, delayed...)
+			// SIMULATION's pollers never return, so without a deadline the
+			// starved would wait for the operation budget to run out.
+			s.ReleaseAtOps = 8 * n * n
+			return s
+		}},
+	}
+	witnesses := []struct {
+		name string
+		k    func(n, t int) int
+		mk   func(types.ProcessID) smmem.Protocol
+	}{
+		{"sim-floodmin", func(_, t int) int { return t + 1 },
+			func(types.ProcessID) smmem.Protocol { return sm.NewSimulation(mp.NewFloodMin()) }},
+		{"protocol-e", func(int, int) int { return 2 },
+			func(types.ProcessID) smmem.Protocol { return sm.NewProtocolE() }},
+	}
+	for _, w := range witnesses {
+		for _, s := range scheds {
+			for _, n := range []int{8, 16, 24} {
+				w, s, n := w, s, n
+				b.Run(fmt.Sprintf("%s/%s/n=%d", w.name, s.name, n), func(b *testing.B) {
+					t := n/2 - 1
+					inputs := distinct(n)
+					b.ReportAllocs()
+					var ops int64
+					for i := 0; i < b.N; i++ {
+						rec, err := smmem.Run(smmem.Config{
+							N: n, T: t, K: w.k(n, t),
+							Inputs:      inputs,
+							NewProtocol: w.mk,
+							Scheduler:   s.mk(n, t),
+							Seed:        uint64(i) + 1,
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						ops += int64(rec.Events)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/regop")
+				})
+			}
+		}
+	}
+}
+
 // --- End-to-end: the public API path used by downstream code ---
 
 func BenchmarkSolveEndToEnd(b *testing.B) {

@@ -17,16 +17,41 @@ import (
 // envelope, or draws from the rng once more or once less, changes a hash.
 // bench/ checks the same identity on its own grids; this is the tier-1 copy.
 func TestMPRecordsGolden(t *testing.T) {
-	golden := []struct {
-		model types.Model
-		seed  uint64
-		want  string
-	}{
+	checkRecordsGolden(t, []goldenRecords{
 		{types.MPCR, 1, "f7cc39923c8dab4b"},
 		{types.MPCR, 2, "9f8d98117e61bcd9"},
 		{types.MPByz, 1, "e52479cde1b2a5ba"},
 		{types.MPByz, 2, "7fff93ed31675fd7"},
-	}
+	})
+}
+
+// TestSMRecordsGolden is the shared-memory counterpart: hashes computed while
+// smmem still ran a central scheduler goroutine behind two unbuffered
+// channels. SIMULATION over every message-passing witness, Protocols E and F,
+// the fair, hold and starve schedules, both crash adversaries and the
+// Byzantine register strategies run behind these cells, so a runtime that
+// grants in a different order, consults the crash adversary or the scheduler
+// once more or once less, or stamps a decision at a different operation count
+// changes a hash.
+func TestSMRecordsGolden(t *testing.T) {
+	checkRecordsGolden(t, []goldenRecords{
+		{types.SMCR, 1, "4e36569d3d97416a"},
+		{types.SMCR, 2, "2de4193e24ff7773"},
+		{types.SMByz, 1, "2697a29006ead904"},
+		{types.SMByz, 2, "6e1a3094c4a14ddc"},
+	})
+}
+
+// goldenRecords is one pinned sweep: the FNV-64a hash of the JSONL rendering
+// of the model's n = 8 grid at the given seed.
+type goldenRecords struct {
+	model types.Model
+	seed  uint64
+	want  string
+}
+
+func checkRecordsGolden(t *testing.T, golden []goldenRecords) {
+	t.Helper()
 	for _, g := range golden {
 		g := g
 		t.Run(fmt.Sprintf("%s/seed=%d", g.model, g.seed), func(t *testing.T) {

@@ -126,7 +126,17 @@ func (s *Simulation) Run(api smmem.API) {
 		return // no peers to poll; everything already happened locally
 	}
 
-	meStr := strconv.Itoa(int(me))
+	// The register each cursor points at, by name. Almost every poll finds
+	// its register unwritten, so a name is built when its cursor moves, not
+	// on every read.
+	p2pPrefix := "msg/" + strconv.Itoa(int(me)) + "/"
+	p2pFirst := p2pPrefix + "0"
+	bcName := make([]string, n)
+	p2pName := make([]string, n)
+	for q := range bcName {
+		bcName[q] = "bc/0"
+		p2pName[q] = p2pFirst
+	}
 	for {
 		for q := 0; q < n; q++ {
 			if types.ProcessID(q) == me {
@@ -135,22 +145,24 @@ func (s *Simulation) Run(api smmem.API) {
 			peer := types.ProcessID(q)
 			// Drain newly visible broadcasts of q.
 			for {
-				p, ok := api.Read(peer, "bc/"+strconv.Itoa(bcCursor[q]))
+				p, ok := api.Read(peer, bcName[q])
 				if !ok {
 					break
 				}
 				bcCursor[q]++
+				bcName[q] = "bc/" + strconv.Itoa(bcCursor[q])
 				s.Inner.Deliver(a, peer, p)
 				drainSelf()
 				flush()
 			}
 			// Drain newly visible point-to-point messages from q to me.
 			for {
-				p, ok := api.Read(peer, "msg/"+meStr+"/"+strconv.Itoa(p2pCursor[q]))
+				p, ok := api.Read(peer, p2pName[q])
 				if !ok {
 					break
 				}
 				p2pCursor[q]++
+				p2pName[q] = p2pPrefix + strconv.Itoa(p2pCursor[q])
 				s.Inner.Deliver(a, peer, p)
 				drainSelf()
 				flush()

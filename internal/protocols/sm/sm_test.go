@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"fmt"
 	"testing"
 
 	"kset/internal/mpnet"
@@ -221,5 +222,96 @@ func (p *p2pSummer) Deliver(api mpnet.API, _ types.ProcessID, pay types.Payload)
 func (p *p2pSummer) maybeDecide(api mpnet.API) {
 	if !api.HasDecided() && p.count == api.N() {
 		api.Decide(p.sum)
+	}
+}
+
+// chatter keeps answering: every delivery triggers one more broadcast and one
+// more point-to-point message back, up to a limit that takes the per-peer
+// cursors past 9 so the register names grow a digit.
+type chatter struct{ sent int }
+
+func (c *chatter) Start(api mpnet.API) {
+	api.Broadcast(types.Payload{Kind: types.KindInput, Value: api.Input()})
+}
+
+func (c *chatter) Deliver(api mpnet.API, from types.ProcessID, pay types.Payload) {
+	if from == api.ID() {
+		return
+	}
+	if c.sent == 25 {
+		if !api.HasDecided() {
+			api.Decide(pay.Value)
+		}
+		return
+	}
+	c.sent++
+	api.Broadcast(types.Payload{Kind: types.KindInput, Value: types.Value(c.sent)})
+	api.Send(from, types.Payload{Kind: types.KindInput, Value: types.Value(c.sent)})
+}
+
+// TestSimulationRegisterNames pins the register layout and the polling order
+// from the trace: a process writes bc/0, bc/1, ... and msg/<q>/0, msg/<q>/1,
+// ... in sequence, and every read of a peer is of exactly the register that
+// peer's cursor points at, the cursor moving on after a read that found a
+// value and only then.
+func TestSimulationRegisterNames(t *testing.T) {
+	const n = 4
+	type channel struct {
+		reader, owner types.ProcessID
+		p2p           bool
+	}
+	readCursor := map[channel]int{}
+	type outbox struct {
+		owner types.ProcessID
+		to    int // -1: broadcasts
+	}
+	written := map[outbox]int{}
+	reads, maxCursor := 0, 0
+	_, err := smmem.Run(smmem.Config{
+		N: n, T: 0, K: n,
+		Inputs:      []types.Value{1, 2, 3, 4},
+		NewProtocol: func(types.ProcessID) smmem.Protocol { return NewSimulation(&chatter{}) },
+		Seed:        7,
+		Trace: func(ev smmem.TraceEvent) {
+			switch ev.Type {
+			case smmem.EvWrite:
+				var to, seq int
+				box := outbox{owner: ev.Proc, to: -1}
+				if _, err := fmt.Sscanf(ev.Register, "msg/%d/%d", &to, &seq); err == nil {
+					box.to = to
+				} else if _, err := fmt.Sscanf(ev.Register, "bc/%d", &seq); err != nil {
+					t.Errorf("%s wrote %q: not a SIMULATION register", ev.Proc, ev.Register)
+					return
+				}
+				if seq != written[box] {
+					t.Errorf("%s wrote %q, its next there is number %d", ev.Proc, ev.Register, written[box])
+				}
+				written[box]++
+			case smmem.EvRead:
+				reads++
+				ch := channel{reader: ev.Proc, owner: ev.Owner}
+				bc := fmt.Sprintf("bc/%d", readCursor[ch])
+				ch.p2p = true
+				p2p := fmt.Sprintf("msg/%d/%d", int(ev.Proc), readCursor[ch])
+				switch ev.Register {
+				case bc:
+					ch.p2p = false
+				case p2p:
+				default:
+					t.Errorf("%s read %s/%q, its cursors there point at %q and %q", ev.Proc, ev.Owner, ev.Register, bc, p2p)
+					return
+				}
+				if ev.Present {
+					readCursor[ch]++
+					maxCursor = max(maxCursor, readCursor[ch])
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads == 0 || maxCursor < 11 {
+		t.Fatalf("%d reads, highest cursor %d: the run did not get far enough to pin multi-digit names", reads, maxCursor)
 	}
 }

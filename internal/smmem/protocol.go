@@ -6,12 +6,16 @@
 // impossible, mirroring the middleware systems the paper cites that
 // "guarantee that shared objects themselves do not fail".
 //
-// Atomicity and determinism come from a turn-based scheduler: each process
-// runs as a goroutine whose every register operation blocks until granted,
-// and the scheduler grants exactly one operation at a time, in an order
-// chosen by a (possibly adversarial) policy from a seeded random stream.
-// Operations are therefore trivially linearizable and a run is a pure
-// function of (protocol, parameters, adversary, seed).
+// Atomicity and determinism come from turn passing: each process runs as a
+// goroutine whose every register operation blocks until granted, exactly one
+// of them runs at any moment, and exactly one operation is granted at a
+// time, in an order chosen by a (possibly adversarial) policy from a seeded
+// random stream. There is no scheduler goroutine: the process that has just
+// posted its next operation asks the policy who goes next, performs that
+// process's operation on the memory and hands it the turn — one goroutine
+// switch per operation, none when the policy picks the asker. Operations are
+// therefore trivially linearizable and a run is a pure function of
+// (protocol, parameters, adversary, seed).
 //
 // Registers are created on first write and named by (owner, name) pairs;
 // dynamic creation supports the unbounded register sequences of the paper's
@@ -78,8 +82,14 @@ type View struct {
 }
 
 // Scheduler picks which pending process performs the next register
-// operation. pending is non-empty and sorted by process id; returning a
-// process not in pending is a programming error and aborts the run.
+// operation. pending is non-empty, sorted by process id and the runtime's own
+// list (read it, do not modify or keep it); returning a process not in
+// pending is a programming error and aborts the run.
+//
+// Next — like CrashAdversary.CrashBeforeOp, Config.Trace and the Recorder —
+// is called by whichever process goroutine holds the turn: never two calls
+// at once, so implementations may keep unguarded state, but not always from
+// the same goroutine.
 type Scheduler interface {
 	Next(view *View, pending []types.ProcessID, rng *prng.Source) types.ProcessID
 }

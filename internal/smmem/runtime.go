@@ -1,13 +1,17 @@
-// The runtime below uses goroutines, channels, and one mutex even though
-// smmem is a *deterministic* simulator: exactly one process goroutine
-// executes at any moment (the scheduler grants one operation at a time and
-// waits for every live goroutine to block again before the next grant), so
-// the schedule — and therefore the run — is still a pure function of the
-// seed. The race detector validates the handoff protocol; the seed-stability
-// test validates the determinism claim end to end.
+// The runtime below uses goroutines and channels even though smmem is a
+// *deterministic* simulator: exactly one process goroutine executes at any
+// moment. The process that has just posted its next register operation holds
+// the turn: it picks who goes next, performs that operation on the memory,
+// wakes the chosen process and parks (or simply carries on when it picked
+// itself). Everything the runtime shares — registers, scheduler state, the
+// view, the other processes' request slots — is touched by the turn holder
+// alone, and the turn moves through a channel, so the schedule — and
+// therefore the run — is still a pure function of the seed. The race detector
+// validates the handoff protocol; the seed-stability test and the reference
+// comparison (reference_test.go) validate the determinism claim end to end.
 //
-//ksetlint:file-allow determinism.sync one mutex guards the first-error slot; written only at handoff points
-//ksetlint:file-allow determinism.chan request/reply channels are the turn-based handoff, not free-running communication
+//ksetlint:file-allow determinism.sync one WaitGroup lets Run outlive every process goroutine; no lock, nothing is shared off-turn
+//ksetlint:file-allow determinism.chan one-slot wake channels carry the turn from process to process, not free-running communication
 //ksetlint:file-allow determinism.goroutine one goroutine per process, but strictly turn-based: never two runnable at once
 
 package smmem
@@ -79,34 +83,27 @@ type regKey struct {
 	name  string
 }
 
-// opKind enumerates the request types a process goroutine can post.
+// opKind enumerates the register operations a process can post.
 type opKind uint8
 
 const (
 	opRead opKind = iota + 1
 	opWrite
-	opExit // Protocol.Run returned
 )
-
-// request is posted by a process goroutine and granted by the scheduler.
-type request struct {
-	pid   types.ProcessID
-	kind  opKind
-	key   regKey
-	value types.Payload
-	reply chan reply
-}
-
-// reply carries the operation result; halt unwinds the goroutine.
-type reply struct {
-	value types.Payload
-	ok    bool
-	halt  bool
-}
 
 // haltSignal is panicked inside API calls to unwind a process goroutine
 // when the runtime halts or crashes it; the goroutine wrapper recovers it.
 type haltSignal struct{}
+
+// turn is what a process finds once it has posted its request and run the
+// schedule for as long as the turn was its to give.
+type turn uint8
+
+const (
+	turnMine turn = iota // it granted itself: the result is in its slot
+	turnAway             // another process runs: park until woken
+	turnOver             // it was crashed or the run ended: unwind
+)
 
 type smProcess struct {
 	id        types.ProcessID
@@ -120,14 +117,26 @@ type smProcess struct {
 	byz       bool
 	ops       int
 
-	reqCh chan<- request
-	rep   chan reply
+	// live: started or about to be, not crashed, Protocol.Run not returned.
+	// Whenever the scheduler is consulted every live process has a request
+	// posted in the slot below.
+	live bool
+
+	// The posted request and, once granted, its result (value and ok of a
+	// read; halt for a crash or the end of the run). The process writes the
+	// slot before it gives up the turn, the turn holder that grants it
+	// writes the result before it sends on wake.
+	kind  opKind
+	key   regKey
+	value types.Payload
+	ok    bool
+	halt  bool
+	wake  chan struct{}
 }
 
-// smAPI adapts a process to the API interface. Decide and the metadata
-// accessors touch only goroutine-local state plus the runtime's decision
-// board, which is written exclusively while the owning goroutine holds the
-// turn... Decide is special: it costs no memory op, so it must synchronize.
+// smAPI adapts a process to the API interface. Everything here runs on the
+// process's own goroutine while it is the only one running, so Decide and
+// the accessors need no synchronization.
 type smAPI struct {
 	p  *smProcess
 	rt *smRuntime
@@ -144,12 +153,13 @@ func (a *smAPI) Rand() *prng.Source  { return a.p.rng }
 func (a *smAPI) HasDecided() bool    { return a.p.decided }
 
 func (a *smAPI) Write(reg string, p types.Payload) {
-	a.op(request{pid: a.p.id, kind: opWrite, key: regKey{owner: a.p.id, name: reg}, value: p})
+	a.p.value = p
+	a.op(opWrite, regKey{owner: a.p.id, name: reg})
 }
 
 func (a *smAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) {
-	rep := a.op(request{pid: a.p.id, kind: opRead, key: regKey{owner: owner, name: reg}})
-	return rep.value, rep.ok
+	a.op(opRead, regKey{owner: owner, name: reg})
+	return a.p.value, a.p.ok
 }
 
 func (a *smAPI) WriteValue(reg string, v types.Value) {
@@ -162,9 +172,9 @@ func (a *smAPI) ReadValue(owner types.ProcessID, reg string) (types.Value, bool)
 }
 
 func (a *smAPI) Decide(v types.Value) {
-	// Deciding is a local action: it is reported with the process's next
-	// operation request, so the scheduler sees it before granting anything
-	// else. Store locally; the runtime collects it on the next request.
+	// Deciding is a local action: the decision board picks it up when the
+	// process posts its next request or returns, so the scheduler sees it
+	// before granting anything else.
 	p := a.p
 	if p.decided {
 		if !p.byz {
@@ -177,18 +187,24 @@ func (a *smAPI) Decide(v types.Value) {
 	p.decision = v
 }
 
-// op posts a request and blocks until granted; a halt reply unwinds the
-// goroutine via panic(haltSignal{}).
-func (a *smAPI) op(req request) reply {
-	req.reply = a.p.rep
-	a.rt.reqCh <- req
-	rep := <-a.p.rep
-	if rep.halt {
+// op posts a request and returns once it has been granted; a crash or the
+// end of the run unwinds the goroutine via panic(haltSignal{}) instead.
+func (a *smAPI) op(kind opKind, key regKey) {
+	p := a.p
+	p.kind, p.key = kind, key
+	switch a.rt.yield(p) {
+	case turnAway:
+		<-p.wake
+		if p.halt {
+			panic(haltSignal{})
+		}
+	case turnOver:
 		panic(haltSignal{})
 	}
-	return rep
 }
 
+// smRuntime is one run. Past newRuntime every field, and every smProcess,
+// belongs to whichever goroutine holds the turn.
 type smRuntime struct {
 	cfg     Config
 	n, t, k int
@@ -198,26 +214,29 @@ type smRuntime struct {
 	rng     *prng.Source
 	budget  int
 	sched   Scheduler
-	reqCh   chan request
 
-	mu  sync.Mutex
+	// pending lists the live processes in ascending id order: the
+	// scheduler's candidates. An id leaves on exit or crash only.
+	pending []types.ProcessID
+	started int // processes launched so far; the schedule begins at n
+
+	// faults counts crashed and Byzantine processes; undecided counts the
+	// correct ones the decision board does not show yet. Both stand in for
+	// walks over procs on every grant.
+	faults, undecided int
+
+	handoffs int // granted operations that moved the turn to another goroutine
+
+	wg  sync.WaitGroup
 	err error
 
 	budgetExhausted bool
 }
 
 func (rt *smRuntime) recordBug(err error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if rt.err == nil {
 		rt.err = err
 	}
-}
-
-func (rt *smRuntime) bug() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.err
 }
 
 // Run executes one shared-memory run to completion (all correct processes
@@ -229,8 +248,8 @@ func Run(cfg Config) (*types.RunRecord, error) {
 	}
 	rt := newRuntime(cfg)
 	rt.run()
-	if err := rt.bug(); err != nil {
-		return nil, err
+	if rt.err != nil {
+		return nil, rt.err
 	}
 	return rt.record(), nil
 }
@@ -277,7 +296,10 @@ func newRuntime(cfg Config) *smRuntime {
 		rng:    prng.New(cfg.Seed),
 		budget: cfg.MaxOps,
 		sched:  cfg.Scheduler,
-		reqCh:  make(chan request),
+
+		pending:   make([]types.ProcessID, n),
+		faults:    len(cfg.Byzantine),
+		undecided: n - len(cfg.Byzantine),
 	}
 	if rt.budget == 0 {
 		rt.budget = DefaultOpBudgetFactor*n*n + n
@@ -298,8 +320,8 @@ func newRuntime(cfg Config) *smRuntime {
 			id:    id,
 			input: cfg.Inputs[i],
 			rng:   rt.rng.Split(),
-			reqCh: rt.reqCh,
-			rep:   make(chan reply),
+			live:  true,
+			wake:  make(chan struct{}, 1),
 		}
 		if strat, ok := cfg.Byzantine[id]; ok {
 			p.proto = strat
@@ -309,6 +331,7 @@ func newRuntime(cfg Config) *smRuntime {
 			p.proto = cfg.NewProtocol(id)
 		}
 		rt.procs[i] = p
+		rt.pending[i] = id
 	}
 	return rt
 }
@@ -320,205 +343,170 @@ func (rt *smRuntime) trace(ev TraceEvent) {
 	}
 }
 
-func (rt *smRuntime) faultCount() int {
-	c := 0
-	for _, p := range rt.procs {
-		if p.crashed || p.byz {
-			c++
-		}
-	}
-	return c
-}
-
-func (rt *smRuntime) mayCrash(p *smProcess) bool {
-	return !p.crashed && !p.byz && rt.faultCount() < rt.t
-}
-
-func (rt *smRuntime) allCorrectDecided() bool {
-	for _, p := range rt.procs {
-		if p.crashed || p.byz {
-			continue
-		}
-		if !p.decided {
-			return false
-		}
-	}
-	return true
-}
-
-// run drives the turn-based schedule. Exactly one process goroutine executes
-// at any moment: the runtime waits for every live process to block on a
-// request (or exit) before granting the next operation, so runs are
-// deterministic.
+// run launches process 0 and waits until every process goroutine has
+// returned or been unwound; the processes schedule each other in between.
 func (rt *smRuntime) run() {
-	var wg sync.WaitGroup
-	wg.Add(rt.n)
+	rt.wg.Add(rt.n)
+	rt.started = 1
+	go rt.runProcess(rt.procs[0])
+	rt.wg.Wait()
+
 	for _, p := range rt.procs {
-		p := p
-		go func() {
-			defer wg.Done()
-			defer func() {
-				r := recover()
-				if r == nil {
-					// Protocol.Run returned normally: tell the runtime this
-					// process is gone.
-					rt.reqCh <- request{pid: p.id, kind: opExit, reply: p.rep}
-					return
-				}
-				if _, ok := r.(haltSignal); ok {
-					// Unwound by the runtime (halt or crash), which already
-					// accounts for this process; do not post an exit.
-					return
-				}
-				panic(r) // real bug: propagate
-			}()
-			p.proto.Run(&smAPI{p: p, rt: rt})
-		}()
-	}
-
-	// outstanding counts goroutines that are executing protocol code and
-	// have not yet blocked on a request or exited. Every read of shared
-	// per-process state below happens only when outstanding == 0, so the
-	// schedule is deterministic and race-free (requests on reqCh establish
-	// the happens-before edges).
-	//
-	// Pending requests live in a pid-indexed slice plus a membership bitset
-	// rather than a map: grants are the hot path of every shared-memory run,
-	// and the slice makes each grant allocation-free and yields the
-	// scheduler's ascending-pid candidate order without sorting.
-	outstanding := rt.n
-	pendingReq := make([]request, rt.n)
-	pendingSet := make([]bool, rt.n)
-	npending := 0
-
-	drain := func() {
-		for outstanding > 0 {
-			req := <-rt.reqCh
-			if req.kind != opExit {
-				pendingReq[req.pid] = req
-				pendingSet[req.pid] = true
-				npending++
-			}
-			outstanding--
+		if p.decided {
+			rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: p.decision})
 		}
 	}
+}
 
-	haltAll := func() {
-		// Halt replies commute: every pending goroutine unwinds without
-		// touching shared state, so wakeup order cannot affect the run.
-		for pid := 0; pid < rt.n; pid++ {
-			if !pendingSet[pid] {
-				continue
-			}
-			pendingSet[pid] = false
-			npending--
-			pendingReq[pid].reply <- reply{halt: true}
+// runProcess is the body of one process goroutine.
+func (rt *smRuntime) runProcess(p *smProcess) {
+	defer rt.wg.Done()
+	defer func() {
+		r := recover()
+		if r == nil {
+			// Protocol.Run returned normally: this process is gone, and its
+			// last act is to pass the turn on.
+			rt.drop(p)
+			rt.yield(p)
+			return
+		}
+		if _, ok := r.(haltSignal); ok {
+			// Unwound by the runtime (halt or crash), which already
+			// accounts for this process.
+			return
+		}
+		panic(r) // real bug: propagate
+	}()
+	p.proto.Run(&smAPI{p: p, rt: rt})
+}
+
+// refresh copies p's decision onto the decision board. A decision becomes
+// visible when the process posts its next request or returns; the operation
+// count at that moment is the decision's latency.
+func (rt *smRuntime) refresh(p *smProcess) {
+	if !p.decided || rt.view.Decided[p.id] {
+		return
+	}
+	p.decidedAt = rt.view.Ops
+	rt.view.Decided[p.id] = true
+	if !p.byz && !p.crashed {
+		rt.undecided--
+	}
+}
+
+// drop takes p out of the scheduler's candidates: it returned or crashed.
+func (rt *smRuntime) drop(p *smProcess) {
+	p.live = false
+	for i, id := range rt.pending {
+		if id == p.id {
+			rt.pending = append(rt.pending[:i], rt.pending[i+1:]...)
+			return
 		}
 	}
+}
 
-	ids := make([]types.ProcessID, 0, rt.n)
+// haltAll ends the run: every process still waiting for a grant is unwound.
+// Halts commute: a halted goroutine touches no shared state on its way out,
+// so wakeup order cannot affect the run. self is unwound by its caller.
+func (rt *smRuntime) haltAll(self *smProcess) turn {
+	for _, id := range rt.pending {
+		if p := rt.procs[id]; p != self {
+			p.halt = true
+			p.wake <- struct{}{}
+		}
+	}
+	return turnOver
+}
+
+// yield is called by the running process once its next request is posted, or
+// once it has returned. During start-up that launches the next process, so
+// the processes reach their first request one at a time in id order; after
+// it, self holds the turn and runs the schedule.
+func (rt *smRuntime) yield(self *smProcess) turn {
+	rt.refresh(self)
+	if rt.started < rt.n {
+		next := rt.procs[rt.started]
+		rt.started++
+		go rt.runProcess(next)
+		return turnAway
+	}
+	return rt.drive(self)
+}
+
+// drive grants operations for as long as the turn stays with self: until the
+// scheduler picks a process other than self (that process is woken with its
+// result and self parks or, having returned or crashed, leaves), picks self
+// itself (self carries on without a goroutine switch), or the run ends.
+// Grants are allocation-free: the candidates are kept across grants and the
+// request and result travel in the process's own slot.
+func (rt *smRuntime) drive(self *smProcess) turn {
+	away := turnAway
 	for {
-		drain()
-		if rt.bug() != nil {
-			haltAll()
-			break
-		}
-		if rt.allCorrectDecided() {
-			haltAll()
-			break
-		}
-		if npending == 0 {
+		switch {
+		case rt.err != nil, rt.undecided == 0:
+			return rt.haltAll(self)
+		case len(rt.pending) == 0:
 			// Every process exited or crashed without full decision:
 			// quiescent. The checker will flag termination if violated.
-			break
-		}
-		if rt.view.Ops >= rt.budget {
+			return turnOver
+		case rt.view.Ops >= rt.budget:
 			rt.budgetExhausted = true
-			haltAll()
-			break
+			return rt.haltAll(self)
 		}
 
-		// Refresh the decision board from goroutine-local state: a decision
-		// becomes visible when the process posts its next request or exit;
-		// the operation count at that moment is the decision's latency.
-		for _, p := range rt.procs {
-			if p.decided && !rt.view.Decided[p.id] {
-				p.decidedAt = rt.view.Ops
-			}
-			rt.view.Decided[p.id] = p.decided
-		}
-
-		ids = ids[:0]
-		for i := 0; i < rt.n; i++ {
-			if pendingSet[i] {
-				ids = append(ids, types.ProcessID(i))
-			}
-		}
-		pid := rt.sched.Next(&rt.view, ids, rt.rng)
-		if int(pid) < 0 || int(pid) >= rt.n || !pendingSet[pid] {
+		pid := rt.sched.Next(&rt.view, rt.pending, rt.rng)
+		if int(pid) < 0 || int(pid) >= rt.n || !rt.procs[pid].live {
 			rt.recordBug(fmt.Errorf("%w: %v", ErrBadSchedule, pid))
-			haltAll()
-			break
+			return rt.haltAll(self)
 		}
 		if r := rt.cfg.Recorder; r != nil {
 			r.Grant(pid)
 		}
-		req := pendingReq[pid]
 		p := rt.procs[pid]
 
-		if adv := rt.cfg.Crash; adv != nil && rt.mayCrash(p) &&
+		if adv := rt.cfg.Crash; adv != nil && !p.byz && rt.faults < rt.t &&
 			adv.CrashBeforeOp(&rt.view, pid, p.ops) {
 			if r := rt.cfg.Recorder; r != nil {
 				r.CrashAtOp(pid, p.ops)
 			}
 			p.crashed = true
+			rt.faults++
+			if !rt.view.Decided[pid] {
+				rt.undecided--
+			}
 			rt.view.Crashed[pid] = true
 			rt.view.Faulty[pid] = true
 			rt.trace(TraceEvent{Type: EvCrash, Proc: pid})
-			pendingSet[pid] = false
-			npending--
-			req.reply <- reply{halt: true}
+			rt.drop(p)
+			if p == self {
+				// Nobody else can take the turn from a crashed process:
+				// keep driving, unwind once it has moved on.
+				away = turnOver
+			} else {
+				p.halt = true
+				p.wake <- struct{}{}
+			}
 			continue
 		}
 
-		pendingSet[pid] = false
-		npending--
 		rt.view.Ops++
 		p.ops++
-		switch req.kind {
+		switch p.kind {
 		case opRead:
-			v, present := rt.regs[req.key]
-			rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: req.key.owner,
-				Register: req.key.name, Payload: v, Present: present})
-			outstanding++
-			req.reply <- reply{value: v, ok: present}
+			p.value, p.ok = rt.regs[p.key]
+			rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: p.key.owner,
+				Register: p.key.name, Payload: p.value, Present: p.ok})
 		case opWrite:
-			rt.regs[req.key] = req.value
-			rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: req.key.owner,
-				Register: req.key.name, Payload: req.value, Present: true})
-			outstanding++
-			req.reply <- reply{ok: true}
-		default:
-			rt.recordBug(fmt.Errorf("smmem: internal: unexpected op kind %d", req.kind))
-			haltAll()
+			rt.regs[p.key] = p.value
+			rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: p.key.owner,
+				Register: p.key.name, Payload: p.value, Present: true})
 		}
-		if rt.bug() != nil {
-			drain()
-			haltAll()
-			break
+		if p == self {
+			return turnMine
 		}
-	}
-
-	// Collect decisions made right before exits that are already drained.
-	wg.Wait()
-	for _, p := range rt.procs {
-		if p.decided && !rt.view.Decided[p.id] {
-			p.decidedAt = rt.view.Ops
-		}
-		rt.view.Decided[p.id] = p.decided
-		if p.decided {
-			rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: p.decision})
-		}
+		rt.handoffs++
+		p.wake <- struct{}{}
+		return away
 	}
 }
 

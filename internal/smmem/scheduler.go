@@ -94,18 +94,34 @@ func (h *Hold) Next(view *View, pending []types.ProcessID, rng *prng.Source) typ
 	if h.open(view) {
 		return pending[rng.Intn(len(pending))]
 	}
-	eligible := make([]types.ProcessID, 0, len(pending))
+	return pickExcluding(pending, h.Held, rng)
+}
+
+// pickExcluding draws uniformly among the pending processes not marked in
+// excluded. When every pending process is marked it draws among them all:
+// one is released arbitrarily to preserve the model's finite-delay
+// guarantee. Either way it is one rng draw and no allocation.
+func pickExcluding(pending []types.ProcessID, excluded []bool, rng *prng.Source) types.ProcessID {
+	eligible := 0
 	for _, pid := range pending {
-		if !h.Held[pid] {
-			eligible = append(eligible, pid)
+		if !excluded[pid] {
+			eligible++
 		}
 	}
-	if len(eligible) == 0 {
-		// All runnable processes are held: release one arbitrarily to
-		// preserve the model's finite-delay guarantee.
+	if eligible == 0 {
 		return pending[rng.Intn(len(pending))]
 	}
-	return eligible[rng.Intn(len(eligible))]
+	k := rng.Intn(eligible)
+	for _, pid := range pending {
+		if excluded[pid] {
+			continue
+		}
+		if k == 0 {
+			return pid
+		}
+		k--
+	}
+	panic("smmem: pickExcluding: unreachable")
 }
 
 // Starve never grants operations to the starved processes while any other
@@ -137,14 +153,5 @@ func (s *Starve) Next(view *View, pending []types.ProcessID, rng *prng.Source) t
 	if s.ReleaseAtOps > 0 && view.Ops >= s.ReleaseAtOps {
 		return pending[rng.Intn(len(pending))]
 	}
-	eligible := make([]types.ProcessID, 0, len(pending))
-	for _, pid := range pending {
-		if !s.Starved[pid] {
-			eligible = append(eligible, pid)
-		}
-	}
-	if len(eligible) == 0 {
-		return pending[rng.Intn(len(pending))]
-	}
-	return eligible[rng.Intn(len(eligible))]
+	return pickExcluding(pending, s.Starved, rng)
 }

@@ -181,3 +181,68 @@ func TestDecisionLatencyRecorded(t *testing.T) {
 		t.Errorf("first decision at op %d, impossibly early", lats[0])
 	}
 }
+
+// TestPickExcludingMatchesReference draws through pickExcluding and through
+// the old eligible-slice body from twin rng streams: same pick every time, and
+// the streams still agree afterwards, so neither drew more than the other.
+func TestPickExcludingMatchesReference(t *testing.T) {
+	shape := prng.New(11)
+	rng, refRng := prng.New(12), prng.New(12)
+	for round := 0; round < 2000; round++ {
+		n := shape.Intn(24) + 1
+		var pending []types.ProcessID
+		excluded := make([]bool, n)
+		for p := 0; p < n; p++ {
+			if shape.Intn(4) > 0 {
+				pending = append(pending, types.ProcessID(p))
+			}
+			// Every third round excludes everyone: the fallback draw.
+			excluded[p] = round%3 == 0 || shape.Intn(2) == 0
+		}
+		if len(pending) == 0 {
+			continue
+		}
+		got, want := pickExcluding(pending, excluded, rng), refPickExcluding(pending, excluded, refRng)
+		if got != want {
+			t.Fatalf("round %d: picked %v, reference %v (pending %v, excluded %v)", round, got, want, pending, excluded)
+		}
+	}
+	if rng.Uint64() != refRng.Uint64() {
+		t.Fatal("rng streams diverged: a pick drew more or less often than the reference")
+	}
+}
+
+// TestPicksDoNotAllocate: a grant is the hot path of every shared-memory run,
+// so no policy may allocate per pick — closed gate, open gate and the
+// everyone-excluded fallback included.
+func TestPicksDoNotAllocate(t *testing.T) {
+	const n = 16
+	pending := make([]types.ProcessID, n)
+	for i := range pending {
+		pending[i] = types.ProcessID(i)
+	}
+	closed, open := smView(n), smView(n)
+	for p := range open.Decided {
+		open.Decided[p] = true
+	}
+	holdAll := NewHold(n, pending, pids(0))
+	policies := []struct {
+		name  string
+		sched Scheduler
+		view  *View
+	}{
+		{"fair-random", FairRandom{}, closed},
+		{"round-robin", &RoundRobin{}, closed},
+		{"hold/closed", NewHold(n, pids(8, 9, 10, 11, 12, 13, 14, 15), pids(0, 1, 2, 3)), closed},
+		{"hold/open", NewHold(n, pids(8, 9, 10, 11, 12, 13, 14, 15), pids(0, 1, 2, 3)), open},
+		{"hold/all-held", holdAll, closed},
+		{"starve", NewStarve(n, 0, 15), closed},
+		{"starve/all-starved", NewStarve(n, pending...), closed},
+	}
+	for _, p := range policies {
+		rng := prng.New(3)
+		if allocs := testing.AllocsPerRun(200, func() { p.sched.Next(p.view, pending, rng) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per pick, want 0", p.name, allocs)
+		}
+	}
+}
