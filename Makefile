@@ -42,9 +42,11 @@ race:
 # Un-shortened race run over the live (genuinely concurrent) runtimes, the
 # sweep engine (the worker pool behind -workers), the TCP cluster runtime
 # (including the fault-injected soak test), the metrics registry, and the
-# turn-passing shared-memory simulator with the packages that run on it.
+# turn-passing shared-memory simulator with the packages that run on it, and
+# the message-passing simulator's run arena with the harness that hands one
+# to every job an Executor fans out.
 race-live:
-	$(GO) test -race -count=1 ./internal/mplive/ ./internal/smlive/ ./internal/sweep/ ./internal/cluster/ ./internal/acs/ ./internal/obs/ ./internal/smmem/ ./internal/trace/ ./internal/protocols/sm/
+	$(GO) test -race -count=1 ./internal/mplive/ ./internal/smlive/ ./internal/sweep/ ./internal/cluster/ ./internal/acs/ ./internal/obs/ ./internal/smmem/ ./internal/trace/ ./internal/protocols/sm/ ./internal/protocols/mp/ ./internal/mpnet/ ./internal/harness/
 
 short:
 	$(GO) test -short ./...
@@ -57,7 +59,7 @@ bench:
 
 # The benchmarks tracked in BENCH_sweep.json (hot-path + sweep engine).
 bench-sweep:
-	$(GO) test -run XXX -bench 'BenchmarkFig2RegionsMPCR|BenchmarkFig4RegionsMPByz|BenchmarkFig5RegionsSMCR|BenchmarkFig6RegionsSMByz|BenchmarkRunFloodMin|BenchmarkRunProtocolE/n=16|BenchmarkAblationScheduler|BenchmarkSMGrant|BenchmarkSolveEndToEnd|BenchmarkValidateCell|BenchmarkReportRun' -benchmem -count=$(BENCH_COUNT) .
+	$(GO) test -run XXX -bench 'BenchmarkFig2RegionsMPCR|BenchmarkFig4RegionsMPByz|BenchmarkFig5RegionsSMCR|BenchmarkFig6RegionsSMByz|BenchmarkRunFloodMin|BenchmarkRunProtocolC|BenchmarkRunProtocolD|BenchmarkEchoHandle|BenchmarkRunProtocolE/n=16|BenchmarkAblationScheduler|BenchmarkSMGrant|BenchmarkSolveEndToEnd|BenchmarkValidateCell|BenchmarkReportRun' -benchmem -count=$(BENCH_COUNT) .
 	$(GO) test -run XXX -bench BenchmarkSweepWorkers -benchmem -count=$(BENCH_COUNT) ./internal/sweep/
 
 # The network-path benchmarks tracked in BENCH_net.json (wire codec, batch
@@ -112,12 +114,15 @@ regen-corpus:
 # target: go fuzz allows a single -fuzz pattern match per run). The wire
 # seed corpus derives from the codec's sample messages, so the ACS
 # vocabulary (propose, acs-submit/ack, acs-round, log pulls) is fuzzed
-# automatically.
+# automatically. The last target feeds Protocols C and D and the l-echo
+# broadcast arbitrary kinds, origins and senders: no panic, and every call
+# equal to the map-based reference.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzTraceDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
+	$(GO) test -run XXX -fuzz FuzzProtocolDeliver -fuzztime 10s ./internal/protocols/mp/
 
 # Loopback 5-node TCP cluster under -race: concurrent FloodMin and
 # Protocol A instances over an adversarial transport, one crashed node, one

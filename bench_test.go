@@ -73,12 +73,16 @@ func distinct(n int) []types.Value {
 	return out
 }
 
+// benchMP makes its runs the way a sweep cell does, one after another on one
+// mpnet.Runner, so ns/run and allocs/run are those of a run on a warmed arena
+// (the first iteration, which builds it, is amortized over b.N).
 func benchMP(b *testing.B, n, k, t int, factory func(types.ProcessID) mpnet.Protocol) {
 	inputs := distinct(n)
 	b.ReportAllocs()
 	var events, messages int64
+	var runner mpnet.Runner
 	for i := 0; i < b.N; i++ {
-		rec, err := mpnet.Run(mpnet.Config{
+		rec, err := runner.Run(mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: factory,
@@ -122,8 +126,8 @@ func BenchmarkRunProtocolB(b *testing.B) {
 }
 
 func BenchmarkRunProtocolC(b *testing.B) {
-	// The l-echo broadcast costs O(n^3) messages; bench to n=32.
-	for _, n := range []int{8, 16, 32} {
+	// The l-echo broadcast costs O(n^3) messages; bench to n=48.
+	for _, n := range []int{12, 24, 48} {
 		n := n
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchMP(b, n, 3, n/8, func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolC(1) })
@@ -132,7 +136,7 @@ func BenchmarkRunProtocolC(b *testing.B) {
 }
 
 func BenchmarkRunProtocolD(b *testing.B) {
-	for _, n := range []int{8, 16, 32} {
+	for _, n := range []int{12, 24, 48} {
 		n := n
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			t := n / 4
@@ -141,6 +145,45 @@ func BenchmarkRunProtocolD(b *testing.B) {
 				b.Skip("Z(n,t) out of range")
 			}
 			benchMP(b, n, k, t, func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolD() })
+		})
+	}
+}
+
+// echoBenchAPI is the little of mpnet.API the l-echo bookkeeping reads.
+type echoBenchAPI struct {
+	mpnet.API
+	n, t int
+}
+
+func (a *echoBenchAPI) N() int                  { return a.n }
+func (a *echoBenchAPI) T() int                  { return a.t }
+func (a *echoBenchAPI) Broadcast(types.Payload) {}
+
+// BenchmarkEchoHandle is the l-echo bookkeeping on its own: one process's
+// EchoBroadcast, built and then fed the echoes of a fault-free run — every
+// process echoes every origin's value once, sender by sender, n*n Handle
+// calls that end in n acceptances. ns/echo = wall / Handle calls.
+func BenchmarkEchoHandle(b *testing.B) {
+	for _, n := range []int{12, 24, 48} {
+		n := n
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			api := &echoBenchAPI{n: n, t: (n - 1) / 3}
+			accepted := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := mp.NewEchoBroadcast(1, func(types.ProcessID, types.Value) { accepted++ })
+				for from := 0; from < n; from++ {
+					for origin := 0; origin < n; origin++ {
+						e.Handle(api, types.ProcessID(from), types.Payload{
+							Kind: types.KindEcho, Value: types.Value(origin + 1), Origin: types.ProcessID(origin),
+						})
+					}
+				}
+			}
+			if accepted != n*b.N {
+				b.Fatalf("%d acceptances in %d rounds of n=%d", accepted, b.N, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n), "ns/echo")
 		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kset/internal/mpnet"
 	"kset/internal/prng"
 	"kset/internal/trace"
 	"kset/internal/types"
@@ -38,6 +39,10 @@ type planScratch struct {
 	// scenario, so Capture can store them in a trace artifact without the
 	// hot path paying for a fresh slice per run.
 	byz []trace.ByzSpec
+	// mp is the simulator arena of a message-passing sweep's runs: the
+	// process table, the in-flight pool and its index, grown once per
+	// scratch instead of once per run.
+	mp mpnet.Runner
 }
 
 // faultyFor returns a cleared faulty vector of length n, reusing capacity.

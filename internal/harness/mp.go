@@ -112,7 +112,7 @@ func (s *MPSweep) Execute() *Summary {
 func (s *MPSweep) runOne(seed uint64, patterns []InputPattern, sc *planScratch) runResult {
 	rng := prng.New(seed)
 	cfg, scenario := s.plan(rng, patterns, seed, sc)
-	rec, err := mpnet.Run(cfg)
+	rec, err := sc.mp.Run(cfg)
 	if err != nil {
 		return runResult{scenario: scenario, runErr: err}
 	}

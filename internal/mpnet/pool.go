@@ -59,11 +59,24 @@ type slot struct {
 	chPrev, chNext int32 // neighbours on the channel, -1 at the ends
 }
 
-// reset readies an empty pool for n processes. Every round of a full-
-// information protocol keeps up to n*(n-1) point-to-point messages in flight;
-// starting with that capacity means steady state never regrows the slice.
+// reset readies an empty pool for n processes, on the arrays the last run
+// left when they are large enough: each is truncated here and written before
+// it is read (index sizes the channel ends, reindex fills them, PickAmong
+// appends its mark words), so nothing of the old run shows. Every round of a
+// full-information protocol keeps up to n*(n-1) point-to-point messages in
+// flight; starting with that capacity means steady state never regrows the
+// slice.
 func (p *Pool) reset(n int) {
-	*p = Pool{env: make([]Envelope, 0, n*n), n: n}
+	env := p.env[:0]
+	if cap(env) < n*n {
+		env = make([]Envelope, 0, n*n)
+	}
+	*p = Pool{
+		env: env, n: n,
+		slots: p.slots[:0],
+		head:  p.head[:0], tail: p.tail[:0], nonEmpty: p.nonEmpty[:0],
+		marks: p.marks[:0],
+	}
 }
 
 // Len returns the number of in-flight messages.
@@ -251,10 +264,15 @@ func (p *Pool) index() {
 	if !p.indexed {
 		p.indexed = true
 		nn := p.n * p.n
-		ends := make([]int32, 2*nn)
-		p.head, p.tail = ends[:nn:nn], ends[nn:]
-		p.nonEmpty = make([]uint64, (nn+63)/64)
-		p.slots = make([]slot, 0, p.seq+cap(p.env))
+		if cap(p.head) < nn {
+			ends := make([]int32, 2*nn)
+			p.head, p.tail = ends[:nn:nn], ends[nn:]
+			p.nonEmpty = make([]uint64, (nn+63)/64)
+		}
+		p.head, p.tail, p.nonEmpty = p.head[:nn], p.tail[:nn], p.nonEmpty[:(nn+63)/64]
+		if cap(p.slots) < p.seq+nn {
+			p.slots = make([]slot, 0, p.seq+nn)
+		}
 		p.reindex()
 	}
 }

@@ -85,7 +85,7 @@ type process struct {
 	sends     int // transmissions performed
 	// selfQueue holds payloads this process sent to itself; they are
 	// delivered immediately after the current handler returns. The backing
-	// array is reused across drains.
+	// array is reused across drains, and across a Runner's runs.
 	selfQueue []types.Payload
 	// a is the process's API adapter, built once at runtime setup so the hot
 	// dispatch path never allocates one per delivery.
@@ -95,7 +95,7 @@ type process struct {
 type runtime struct {
 	cfg     Config
 	n, t, k int
-	procs   []*process
+	procs   []process
 	pool    Pool
 	view    View
 	rng     *prng.Source
@@ -168,10 +168,31 @@ func (a *api) Decide(v types.Value) {
 // reports configuration or protocol bugs, never consensus-condition
 // violations.
 func Run(cfg Config) (*types.RunRecord, error) {
+	return new(Runner).Run(cfg)
+}
+
+// Runner executes runs one after another on one arena: the process table,
+// the view's slices, the in-flight pool with its index and marks, and every
+// process's self-delivery queue keep their arrays from one Run to the next,
+// so a sweep's later runs grow nothing the earlier ones already grew. A run
+// on a used Runner is the run a fresh one would make — same schedule, same
+// record, same Recorder and Trace streams — whatever ran before it and
+// however that ended; a returned RunRecord shares no memory with the arena.
+//
+// The zero value is ready to use. A Runner is not safe for concurrent use
+// and must not be copied after its first Run; it keeps the last Config (and
+// so the last run's protocol instances) reachable until the next Run.
+type Runner struct {
+	rt runtime
+}
+
+// Run is the package-level Run on this Runner's arena.
+func (r *Runner) Run(cfg Config) (*types.RunRecord, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	rt := newRuntime(cfg)
+	rt := &r.rt
+	rt.reset(cfg)
 	if err := rt.run(); err != nil {
 		return nil, err
 	}
@@ -211,14 +232,24 @@ func validate(cfg *Config) error {
 	return nil
 }
 
-func newRuntime(cfg Config) *runtime {
+// reset readies the runtime for one run of cfg, keeping every array a
+// previous run left behind that is large enough.
+func (rt *runtime) reset(cfg Config) {
 	n := cfg.N
-	rt := &runtime{
+	procs := rt.procs
+	*rt = runtime{
 		cfg: cfg,
 		n:   n, t: cfg.T, k: cfg.K,
 		rng:    prng.New(cfg.Seed),
 		budget: cfg.MaxEvents,
 		sched:  cfg.Scheduler,
+		pool:   rt.pool,
+		view: View{
+			N: n, T: cfg.T, K: cfg.K,
+			Decided: cleared(rt.view.Decided, n),
+			Crashed: cleared(rt.view.Crashed, n),
+			Faulty:  cleared(rt.view.Faulty, n),
+		},
 	}
 	if rt.budget == 0 {
 		rt.budget = DefaultEventBudgetFactor*n*n + n
@@ -226,19 +257,19 @@ func newRuntime(cfg Config) *runtime {
 	if rt.sched == nil {
 		rt.sched = FairRandom{}
 	}
-	rt.view = View{
-		N: n, T: cfg.T, K: cfg.K,
-		Decided: make([]bool, n),
-		Crashed: make([]bool, n),
-		Faulty:  make([]bool, n),
+	if cap(procs) < n {
+		// The old entries move over for the sake of their self queues.
+		procs = append(make([]process, 0, n), procs[:cap(procs)]...)
 	}
-	rt.procs = make([]*process, n)
-	for i := 0; i < n; i++ {
+	rt.procs = procs[:n]
+	for i := range rt.procs {
 		id := types.ProcessID(i)
-		p := &process{
-			id:    id,
-			input: cfg.Inputs[i],
-			rng:   rt.rng.Split(),
+		p := &rt.procs[i]
+		*p = process{
+			id:        id,
+			input:     cfg.Inputs[i],
+			rng:       rt.rng.Split(),
+			selfQueue: p.selfQueue[:0],
 		}
 		if strat, ok := cfg.Byzantine[id]; ok {
 			p.proto = strat
@@ -250,10 +281,21 @@ func newRuntime(cfg Config) *runtime {
 			rt.undecided++
 		}
 		p.a = api{rt: rt, p: p}
-		rt.procs[i] = p
 	}
 	rt.pool.reset(n)
-	return rt
+}
+
+// cleared returns s with length n and every element false, on s's array when
+// it is large enough.
+func cleared(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = false
+	}
+	return s
 }
 
 func (rt *runtime) trace(ev TraceEvent) {
@@ -346,7 +388,8 @@ func (rt *runtime) run() error {
 	// Start phase. The crash adversary may prevent a process from ever
 	// starting (it executed zero instructions) or crash it mid-broadcast
 	// via CrashDuringSend.
-	for _, p := range rt.procs {
+	for i := range rt.procs {
+		p := &rt.procs[i]
 		if adv := rt.cfg.Crash; adv != nil && rt.mayCrash(p) &&
 			adv.CrashBeforeDeliver(&rt.view, p.id, p.events) {
 			if r := rt.cfg.Recorder; r != nil {
@@ -388,7 +431,7 @@ func (rt *runtime) run() error {
 			r.Pick(env.Seq)
 		}
 
-		p := rt.procs[env.To]
+		p := &rt.procs[env.To]
 		if p.crashed || rt.halted(p) {
 			continue
 		}
@@ -445,7 +488,8 @@ func (rt *runtime) record() *types.RunRecord {
 		BudgetExhausted: rt.budgetExhausted,
 	}
 	rec.DecidedAtEvent = make([]int, rt.n)
-	for i, p := range rt.procs {
+	for i := range rt.procs {
+		p := &rt.procs[i]
 		rec.Decided[i] = p.decided
 		rec.Decisions[i] = p.decision
 		if p.decided {

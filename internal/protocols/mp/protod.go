@@ -26,8 +26,8 @@ type ProtocolD struct {
 	// own input; 0 means k, per the paper's text.
 	OwnDeciders int
 
-	echoedFor map[types.ProcessID]bool
-	echoers   map[echoKey]map[types.ProcessID]struct{}
+	echoedFor idSet
+	echoes    *echoTally
 }
 
 var _ mpnet.Protocol = (*ProtocolD)(nil)
@@ -49,8 +49,9 @@ func (d *ProtocolD) ownDeciders(api mpnet.API) int {
 
 // Start implements mpnet.Protocol.
 func (d *ProtocolD) Start(api mpnet.API) {
-	d.echoedFor = make(map[types.ProcessID]bool)
-	d.echoers = make(map[echoKey]map[types.ProcessID]struct{})
+	// Only the broadcasters, ids 0..t, are ever echoed for.
+	d.echoedFor = makeIDSet(api.T()+1, nil)
+	d.echoes = newEchoTally(api.T()+1, api.N())
 	// p1..p_{t+1} broadcast their inputs (ids 0..t).
 	if int(api.ID()) <= api.T() {
 		api.Broadcast(types.Payload{Kind: types.KindInit, Value: api.Input(), Origin: api.ID()})
@@ -69,31 +70,21 @@ func (d *ProtocolD) Deliver(api mpnet.API, from types.ProcessID, p types.Payload
 		if int(from) > api.T() {
 			return
 		}
-		if d.echoedFor[from] {
+		if !d.echoedFor.add(from) {
 			return
 		}
-		d.echoedFor[from] = true
 		api.Broadcast(types.Payload{Kind: types.KindEcho, Value: p.Value, Origin: from})
 	case types.KindEcho:
 		if int(p.Origin) > api.T() {
 			return
 		}
-		key := echoKey{origin: p.Origin, value: p.Value}
-		set, ok := d.echoers[key]
-		if !ok {
-			set = make(map[types.ProcessID]struct{})
-			d.echoers[key] = set
-		}
-		if _, dup := set[from]; dup {
-			return
-		}
-		set[from] = struct{}{}
-		if api.HasDecided() {
+		c := d.echoes.add(p.Origin, p.Value, from)
+		if c == nil || api.HasDecided() {
 			return
 		}
 		// A process outside the own-deciders accepts the first value with
 		// n-t identical echoes and decides it.
-		if len(set) >= api.N()-api.T() {
+		if c.echoers.count >= api.N()-api.T() {
 			api.Decide(p.Value)
 		}
 	}

@@ -97,18 +97,19 @@ func (s *Simulation) Run(api smmem.API) {
 	bcCursor := make([]int, n) // next broadcast to read, per peer
 	p2pCursor := make([]int, n)
 
+	// Both queues are walked by index and then truncated, never resliced
+	// from the front, so the next append reuses the backing array. A handler
+	// may enqueue more self-sends while draining; the walk picks those up.
 	drainSelf := func() {
-		for len(a.selfQueue) > 0 {
-			p := a.selfQueue[0]
-			a.selfQueue = a.selfQueue[1:]
-			s.Inner.Deliver(a, me, p)
+		for qi := 0; qi < len(a.selfQueue); qi++ {
+			s.Inner.Deliver(a, me, a.selfQueue[qi])
 		}
+		a.selfQueue = a.selfQueue[:0]
 	}
 
 	flush := func() {
-		for len(a.outbox) > 0 {
-			m := a.outbox[0]
-			a.outbox = a.outbox[1:]
+		for qi := 0; qi < len(a.outbox); qi++ {
+			m := a.outbox[qi]
 			if m.broadcast {
 				api.Write("bc/"+strconv.Itoa(bcSeq), m.payload)
 				bcSeq++
@@ -117,6 +118,7 @@ func (s *Simulation) Run(api smmem.API) {
 				msgSeq[m.to]++
 			}
 		}
+		a.outbox = a.outbox[:0]
 	}
 
 	s.Inner.Start(a)
