@@ -42,7 +42,8 @@ race:
 # Un-shortened race run over the live (genuinely concurrent) runtimes, the
 # sweep engine (the worker pool behind -workers), the TCP cluster runtime
 # (including the fault-injected soak test), the metrics registry, and the
-# turn-passing shared-memory simulator with the packages that run on it, and
+# shared-memory simulator (coroutines under one loop; iter.Pull is known to
+# the race detector) with the packages that run on it, and
 # the message-passing simulator's run arena with the harness that hands one
 # to every job an Executor fans out.
 race-live:

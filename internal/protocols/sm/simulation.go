@@ -86,11 +86,32 @@ func (a *simAPI) Broadcast(p types.Payload) {
 	a.outbox = append(a.outbox, outMsg{broadcast: true, payload: p})
 }
 
+// registerNames is a numbered register sequence's names, prefix+"0",
+// prefix+"1", ...: each is built once, however many peers' cursors pass it and
+// however often a poll finds it unwritten.
+type registerNames struct {
+	prefix string
+	made   []string
+}
+
+func (r *registerNames) at(i int) string {
+	for len(r.made) <= i {
+		r.made = append(r.made, r.prefix+strconv.Itoa(len(r.made)))
+	}
+	return r.made[i]
+}
+
 // Run implements smmem.Protocol.
 func (s *Simulation) Run(api smmem.API) {
 	n := api.N()
 	me := api.ID()
 	a := &simAPI{sm: api}
+
+	// Everyone numbers broadcasts the same way, so one table serves this
+	// process's own writes and its cursor into every peer; likewise the
+	// messages addressed to it.
+	bc := registerNames{prefix: "bc/"}
+	p2p := registerNames{prefix: "msg/" + strconv.Itoa(int(me)) + "/"}
 
 	bcSeq := 0                 // own broadcasts written
 	msgSeq := make([]int, n)   // own p2p messages written, per destination
@@ -111,7 +132,7 @@ func (s *Simulation) Run(api smmem.API) {
 		for qi := 0; qi < len(a.outbox); qi++ {
 			m := a.outbox[qi]
 			if m.broadcast {
-				api.Write("bc/"+strconv.Itoa(bcSeq), m.payload)
+				api.Write(bc.at(bcSeq), m.payload)
 				bcSeq++
 			} else {
 				api.Write("msg/"+strconv.Itoa(int(m.to))+"/"+strconv.Itoa(msgSeq[m.to]), m.payload)
@@ -128,17 +149,6 @@ func (s *Simulation) Run(api smmem.API) {
 		return // no peers to poll; everything already happened locally
 	}
 
-	// The register each cursor points at, by name. Almost every poll finds
-	// its register unwritten, so a name is built when its cursor moves, not
-	// on every read.
-	p2pPrefix := "msg/" + strconv.Itoa(int(me)) + "/"
-	p2pFirst := p2pPrefix + "0"
-	bcName := make([]string, n)
-	p2pName := make([]string, n)
-	for q := range bcName {
-		bcName[q] = "bc/0"
-		p2pName[q] = p2pFirst
-	}
 	for {
 		for q := 0; q < n; q++ {
 			if types.ProcessID(q) == me {
@@ -147,30 +157,28 @@ func (s *Simulation) Run(api smmem.API) {
 			peer := types.ProcessID(q)
 			// Drain newly visible broadcasts of q.
 			for {
-				p, ok := api.Read(peer, bcName[q])
+				p, ok := api.Read(peer, bc.at(bcCursor[q]))
 				if !ok {
 					break
 				}
 				bcCursor[q]++
-				bcName[q] = "bc/" + strconv.Itoa(bcCursor[q])
 				s.Inner.Deliver(a, peer, p)
 				drainSelf()
 				flush()
 			}
 			// Drain newly visible point-to-point messages from q to me.
 			for {
-				p, ok := api.Read(peer, p2pName[q])
+				p, ok := api.Read(peer, p2p.at(p2pCursor[q]))
 				if !ok {
 					break
 				}
 				p2pCursor[q]++
-				p2pName[q] = p2pPrefix + strconv.Itoa(p2pCursor[q])
 				s.Inner.Deliver(a, peer, p)
 				drainSelf()
 				flush()
 			}
 		}
-		// Loop forever: the runtime unwinds this goroutine once every
+		// Loop forever: the runtime unwinds this process once every
 		// correct process has decided (or the operation budget runs out).
 		// Each iteration performs at least 2(n-1) reads, so the scheduler
 		// always stays in control.

@@ -1,0 +1,159 @@
+package smmem_test
+
+// What running the processes as coroutines under Run's own loop promises
+// beyond the schedule: nothing is left behind on any way out of Run, and a
+// panic in protocol code comes out of Run like any other call's.
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"kset/internal/smmem"
+	"kset/internal/sweep"
+	"kset/internal/theory"
+	"kset/internal/trace"
+	"kset/internal/types"
+)
+
+func decidedCount(rec *types.RunRecord) int {
+	c := 0
+	for _, d := range rec.Decided {
+		if d {
+			c++
+		}
+	}
+	return c
+}
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	const n = 8
+	all := func(run func(smmem.API)) func(types.ProcessID) smmem.Protocol {
+		return func(types.ProcessID) smmem.Protocol { return runFunc(run) }
+	}
+	spin := all(func(api smmem.API) {
+		for {
+			_, _ = api.ReadValue(0, "v")
+		}
+	})
+	simulation, err := trace.ProtocolSpec{Proto: theory.ProtoFloodMin, Sim: true}.SMFactory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	everyoneAtOnce := map[types.ProcessID]int{}
+	for p := 0; p < n; p++ {
+		everyoneAtOnce[types.ProcessID(p)] = p % 3 // some before their first step
+	}
+	exits := []struct {
+		name    string
+		cfg     smmem.Config
+		wantErr error
+		check   func(*types.RunRecord) bool
+	}{
+		{name: "full-decision",
+			cfg:   smmem.Config{NewProtocol: all(func(api smmem.API) { scan(api, n) })},
+			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == n }},
+		{name: "quiescence",
+			cfg:   smmem.Config{NewProtocol: all(func(api smmem.API) { api.WriteValue("v", api.Input()) })},
+			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == 0 && !rec.BudgetExhausted }},
+		{name: "budget-exhaustion",
+			cfg:   smmem.Config{NewProtocol: spin, MaxOps: 50},
+			check: func(rec *types.RunRecord) bool { return rec.BudgetExhausted }},
+		{name: "bad-schedule",
+			cfg:     smmem.Config{NewProtocol: spin, Scheduler: &badPick{after: 5, pick: 99}},
+			wantErr: smmem.ErrBadSchedule},
+		{name: "double-decide",
+			cfg: smmem.Config{NewProtocol: all(func(api smmem.API) {
+				api.WriteValue("v", api.Input())
+				api.Decide(1)
+				if api.ID() == 3 {
+					api.Decide(2)
+				}
+				scanMin(api, n)
+			})},
+			wantErr: smmem.ErrDoubleDecide},
+		{name: "every-crash-the-budget-allows",
+			cfg: smmem.Config{NewProtocol: all(func(api smmem.API) { scan(api, n) }), MaxOps: 400,
+				Crash: &smmem.ScriptedCrashes{AtOp: everyoneAtOnce}},
+			check: func(rec *types.RunRecord) bool { return rec.FaultCount() == n-1 }},
+		{name: "simulation-pollers-never-return",
+			cfg:   smmem.Config{NewProtocol: simulation},
+			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == n }},
+	}
+	// No subtests: each would add a goroutine of its own that is still on its
+	// way out when the next baseline is read. For the same reason fewer
+	// goroutines than before is not a failure, only more.
+	for _, e := range exits {
+		cfg := e.cfg
+		cfg.N, cfg.T, cfg.K = n, n-1, n
+		cfg.Inputs, cfg.Seed = testInputs(n, 1), 1
+		before := runtime.NumGoroutine()
+		rec, err := smmem.Run(cfg)
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after Run, %d before", e.name, after, before)
+		}
+		switch {
+		case !errors.Is(err, e.wantErr):
+			t.Errorf("%s: error %v, want %v", e.name, err, e.wantErr)
+		case err == nil && !e.check(rec):
+			t.Errorf("%s: the run did not end the way this case is about: %+v", e.name, rec)
+		}
+	}
+}
+
+// TestProtocolPanicReachesCaller: a bug in one protocol instance is a panic
+// on the goroutine that called Run, with every other process unwound first —
+// so it stops one cell of a sweep (sweep.Pool re-raises it at Map's caller),
+// not the program.
+func TestProtocolPanicReachesCaller(t *testing.T) {
+	const n = 5
+	bug := errors.New("protocol bug")
+	unwound := make([]bool, n)
+	cfg := smmem.Config{
+		N: n, T: 2, K: n,
+		Inputs: testInputs(n, 1),
+		NewProtocol: func(id types.ProcessID) smmem.Protocol {
+			return runFunc(func(api smmem.API) {
+				defer func() { unwound[id] = true }()
+				if id == 2 {
+					api.WriteValue("v", api.Input())
+					_, _ = api.ReadValue(0, "v")
+					panic(bug)
+				}
+				scan(api, n)
+			})
+		},
+		Seed: 1,
+	}
+	caught := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+
+	before := runtime.NumGoroutine()
+	if r := caught(func() { _, _ = smmem.Run(cfg) }); r != bug {
+		t.Fatalf("Run's caller recovered %v, want the protocol's panic value", r)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the panic, %d before", after, before)
+	}
+	for id, done := range unwound {
+		if !done {
+			t.Errorf("process %d was left suspended", id)
+		}
+	}
+
+	r := caught(func() {
+		sweep.NewPool(2).Map(4, func(job int) {
+			if job == 2 {
+				_, _ = smmem.Run(cfg)
+			}
+		})
+	})
+	if !strings.Contains(fmt.Sprint(r), bug.Error()) {
+		t.Fatalf("Map's caller recovered %v, want the protocol's panic", r)
+	}
+}

@@ -68,6 +68,11 @@ func TestSMConfigValidation(t *testing.T) {
 		{"wrong inputs", Config{N: 3, K: 1, Inputs: distinctInputs(1), NewProtocol: newProto}, ErrBadConfig},
 		{"nil protocol", Config{N: 1, K: 1, Inputs: distinctInputs(1)}, ErrBadConfig},
 		{"bad k", Config{N: 1, T: 0, K: 0, Inputs: distinctInputs(1), NewProtocol: newProto}, ErrBadConfig},
+		{"negative max ops", Config{N: 1, K: 1, Inputs: distinctInputs(1), NewProtocol: newProto, MaxOps: -1}, ErrBadConfig},
+		{"nil byz strategy", Config{
+			N: 2, T: 1, K: 1, Inputs: distinctInputs(2), NewProtocol: newProto,
+			Byzantine: map[types.ProcessID]Protocol{1: nil},
+		}, ErrBadConfig},
 		{"byz out of range", Config{
 			N: 2, T: 1, K: 1, Inputs: distinctInputs(2), NewProtocol: newProto,
 			Byzantine: map[types.ProcessID]Protocol{7: protoFunc(func(API) {})},

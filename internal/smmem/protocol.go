@@ -6,16 +6,15 @@
 // impossible, mirroring the middleware systems the paper cites that
 // "guarantee that shared objects themselves do not fail".
 //
-// Atomicity and determinism come from turn passing: each process runs as a
-// goroutine whose every register operation blocks until granted, exactly one
-// of them runs at any moment, and exactly one operation is granted at a
-// time, in an order chosen by a (possibly adversarial) policy from a seeded
-// random stream. There is no scheduler goroutine: the process that has just
-// posted its next operation asks the policy who goes next, performs that
-// process's operation on the memory and hands it the turn — one goroutine
-// switch per operation, none when the policy picks the asker. Operations are
-// therefore trivially linearizable and a run is a pure function of
-// (protocol, parameters, adversary, seed).
+// Atomicity and determinism come from running one thing at a time: each
+// process is a coroutine, every register operation it performs suspends it
+// until granted, and one loop on the goroutine that called Run grants exactly
+// one operation at a time, in an order chosen by a (possibly adversarial)
+// policy from a seeded random stream — ask the policy who goes next, perform
+// that process's operation on the memory, resume it until it posts its next
+// one. No goroutine is started and nothing is shared between threads.
+// Operations are therefore trivially linearizable and a run is a pure
+// function of (protocol, parameters, adversary, seed).
 //
 // Registers are created on first write and named by (owner, name) pairs;
 // dynamic creation supports the unbounded register sequences of the paper's
@@ -29,16 +28,18 @@ import (
 )
 
 // Protocol is the behaviour of one shared-memory process: Run executes the
-// whole protocol, blocking inside API calls whenever it touches the memory.
+// whole protocol, suspended inside API calls whenever it touches the memory.
 // Run should return when the process is done; processes that must keep
 // "helping" (e.g. the SIMULATION wrapper) may loop forever and will be
-// unwound by the runtime once every correct process has decided.
+// unwound by the runtime once every correct process has decided. A panic in
+// Run ends the run and reaches the caller of smmem.Run.
 type Protocol interface {
 	Run(api API)
 }
 
 // API is the interface the runtime hands to shared-memory protocol code.
-// All methods must be called from the goroutine running Protocol.Run.
+// All methods must be called from within Protocol.Run, not from a goroutine it
+// starts.
 type API interface {
 	// ID returns this process's identity.
 	ID() types.ProcessID
@@ -87,16 +88,16 @@ type View struct {
 // pending is a programming error and aborts the run.
 //
 // Next — like CrashAdversary.CrashBeforeOp, Config.Trace and the Recorder —
-// is called by whichever process goroutine holds the turn: never two calls
-// at once, so implementations may keep unguarded state, but not always from
-// the same goroutine.
+// is always called on the goroutine that called Run, between two steps of the
+// processes, so implementations may keep unguarded state.
 type Scheduler interface {
 	Next(view *View, pending []types.ProcessID, rng *prng.Source) types.ProcessID
 }
 
 // CrashAdversary injects crash failures between register operations (an
 // atomic register operation cannot be half-performed). The runtime enforces
-// the fault budget t.
+// the fault budget t and, like Scheduler.Next, always calls it on the
+// goroutine that called Run.
 type CrashAdversary interface {
 	// CrashBeforeOp is consulted before granting p its opIndex-th
 	// operation; returning true crashes p instead.

@@ -9,10 +9,9 @@ import "kset/internal/types"
 // simulator is a pure function of it and the configuration.
 //
 // The runtime consults Config.Recorder with a single nil check per grant and
-// only ever calls it from whichever goroutine holds the turn, never
-// concurrently, so implementations need no locking and runs with recording
-// off pay nothing. internal/trace provides the capture implementation that
-// turns the stream into a portable artifact.
+// always calls it on the goroutine that called Run, so implementations need no
+// locking and runs with recording off pay nothing. internal/trace provides the
+// capture implementation that turns the stream into a portable artifact.
 type Recorder interface {
 	// Grant reports that the scheduler granted the next register operation
 	// to p. Every grant is reported, including grants consumed by a crash.

@@ -1,25 +1,28 @@
-// The runtime below uses goroutines and channels even though smmem is a
-// *deterministic* simulator: exactly one process goroutine executes at any
-// moment. The process that has just posted its next register operation holds
-// the turn: it picks who goes next, performs that operation on the memory,
-// wakes the chosen process and parks (or simply carries on when it picked
-// itself). Everything the runtime shares — registers, scheduler state, the
-// view, the other processes' request slots — is touched by the turn holder
-// alone, and the turn moves through a channel, so the schedule — and
-// therefore the run — is still a pure function of the seed. The race detector
-// validates the handoff protocol; the seed-stability test and the reference
-// comparison (reference_test.go) validate the determinism claim end to end.
+// The runtime below is one loop on the goroutine that called Run and one
+// coroutine (iter.Pull) per process. A process runs only inside the loop's
+// call to its next(): from the grant of its pending register operation to the
+// moment it posts the following one, or returns. Nothing is ever runnable
+// beside the loop — no goroutine is started, no channel, lock or wait group is
+// used — so registers, scheduler state, the view and the request slots need no
+// synchronization, the schedule is a pure function of the seed, and
+// Scheduler.Next, CrashAdversary.CrashBeforeOp, Config.Trace and the Recorder
+// are always called on Run's goroutine. A switch into or out of a coroutine
+// goes straight from one stack to the other without passing the run queue.
 //
-//ksetlint:file-allow determinism.sync one WaitGroup lets Run outlive every process goroutine; no lock, nothing is shared off-turn
-//ksetlint:file-allow determinism.chan one-slot wake channels carry the turn from process to process, not free-running communication
-//ksetlint:file-allow determinism.goroutine one goroutine per process, but strictly turn-based: never two runnable at once
+// The build constraint is for the iter import: the module's go line is 1.22
+// (it moves together with bench/go.mod's), the installed toolchain has the
+// package, and without the constraint go vet's stdversion check rejects
+// iter.Pull in a go1.22 file. There is no second runtime for older
+// toolchains.
+
+//go:build go1.23
 
 package smmem
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"iter"
 
 	"kset/internal/prng"
 	"kset/internal/types"
@@ -76,13 +79,6 @@ var (
 	ErrBadSchedule  = errors.New("smmem: scheduler chose a non-pending process")
 )
 
-// regKey names one register: single-writer means the owner is part of the
-// identity.
-type regKey struct {
-	owner types.ProcessID
-	name  string
-}
-
 // opKind enumerates the register operations a process can post.
 type opKind uint8
 
@@ -91,19 +87,10 @@ const (
 	opWrite
 )
 
-// haltSignal is panicked inside API calls to unwind a process goroutine
-// when the runtime halts or crashes it; the goroutine wrapper recovers it.
+// haltSignal is panicked inside API calls to unwind a process whose coroutine
+// the runtime has stopped (a crash, the end of the run); the coroutine's body
+// recovers it.
 type haltSignal struct{}
-
-// turn is what a process finds once it has posted its request and run the
-// schedule for as long as the turn was its to give.
-type turn uint8
-
-const (
-	turnMine turn = iota // it granted itself: the result is in its slot
-	turnAway             // another process runs: park until woken
-	turnOver             // it was crashed or the run ended: unwind
-)
 
 type smProcess struct {
 	id        types.ProcessID
@@ -117,29 +104,32 @@ type smProcess struct {
 	byz       bool
 	ops       int
 
-	// live: started or about to be, not crashed, Protocol.Run not returned.
-	// Whenever the scheduler is consulted every live process has a request
-	// posted in the slot below.
+	// live: not crashed, Protocol.Run not returned. Whenever the scheduler is
+	// consulted every live process has a request posted in the slot below.
 	live bool
 
-	// The posted request and, once granted, its result (value and ok of a
-	// read; halt for a crash or the end of the run). The process writes the
-	// slot before it gives up the turn, the turn holder that grants it
-	// writes the result before it sends on wake.
+	// The posted request (kind, register, value of a write) and, once
+	// granted, the result of a read. The process writes the slot and yields;
+	// the loop writes the result and resumes it.
 	kind  opKind
-	key   regKey
+	owner types.ProcessID
+	name  string
 	value types.Payload
 	ok    bool
-	halt  bool
-	wake  chan struct{}
+
+	// The coroutine: next resumes the process until its next request (true)
+	// or its return (false), stop makes the pending yield report false.
+	next func() (struct{}, bool)
+	stop func()
 }
 
-// smAPI adapts a process to the API interface. Everything here runs on the
-// process's own goroutine while it is the only one running, so Decide and
-// the accessors need no synchronization.
+// smAPI adapts a process to the API interface. Everything here runs inside
+// the loop's call to next, so Decide and the accessors need no
+// synchronization. yield is the process's side of the coroutine switch.
 type smAPI struct {
-	p  *smProcess
-	rt *smRuntime
+	p     *smProcess
+	rt    *smRuntime
+	yield func(struct{}) bool
 }
 
 var _ API = (*smAPI)(nil)
@@ -154,11 +144,11 @@ func (a *smAPI) HasDecided() bool    { return a.p.decided }
 
 func (a *smAPI) Write(reg string, p types.Payload) {
 	a.p.value = p
-	a.op(opWrite, regKey{owner: a.p.id, name: reg})
+	a.op(opWrite, a.p.id, reg)
 }
 
 func (a *smAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) {
-	a.op(opRead, regKey{owner: owner, name: reg})
+	a.op(opRead, owner, reg)
 	return a.p.value, a.p.ok
 }
 
@@ -188,46 +178,37 @@ func (a *smAPI) Decide(v types.Value) {
 }
 
 // op posts a request and returns once it has been granted; a crash or the
-// end of the run unwinds the goroutine via panic(haltSignal{}) instead.
-func (a *smAPI) op(kind opKind, key regKey) {
+// end of the run unwinds the process via panic(haltSignal{}) instead.
+func (a *smAPI) op(kind opKind, owner types.ProcessID, name string) {
 	p := a.p
-	p.kind, p.key = kind, key
-	switch a.rt.yield(p) {
-	case turnAway:
-		<-p.wake
-		if p.halt {
-			panic(haltSignal{})
-		}
-	case turnOver:
+	p.kind, p.owner, p.name = kind, owner, name
+	if !a.yield(struct{}{}) {
 		panic(haltSignal{})
 	}
 }
 
-// smRuntime is one run. Past newRuntime every field, and every smProcess,
-// belongs to whichever goroutine holds the turn.
+// smRuntime is one run.
 type smRuntime struct {
 	cfg     Config
 	n, t, k int
 	procs   []*smProcess
-	regs    map[regKey]types.Payload
 	view    View
 	rng     *prng.Source
 	budget  int
 	sched   Scheduler
 
+	// regs[owner] holds owner's registers by name, made on its first write.
+	regs []map[string]types.Payload
+
 	// pending lists the live processes in ascending id order: the
 	// scheduler's candidates. An id leaves on exit or crash only.
 	pending []types.ProcessID
-	started int // processes launched so far; the schedule begins at n
 
 	// faults counts crashed and Byzantine processes; undecided counts the
 	// correct ones the decision board does not show yet. Both stand in for
 	// walks over procs on every grant.
 	faults, undecided int
 
-	handoffs int // granted operations that moved the turn to another goroutine
-
-	wg  sync.WaitGroup
 	err error
 
 	budgetExhausted bool
@@ -240,14 +221,20 @@ func (rt *smRuntime) recordBug(err error) {
 }
 
 // Run executes one shared-memory run to completion (all correct processes
-// decided, quiescence, or budget exhaustion) and returns its record. All
-// process goroutines have exited by the time Run returns.
+// decided, quiescence, or budget exhaustion) and returns its record. Every
+// process has returned or been unwound by the time Run returns, also when it
+// returns by a panic out of protocol code, which reaches Run's caller.
 func Run(cfg Config) (*types.RunRecord, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
 	rt := newRuntime(cfg)
 	rt.run()
+	for _, p := range rt.procs {
+		if p.decided {
+			rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: p.decision})
+		}
+	}
 	if rt.err != nil {
 		return nil, rt.err
 	}
@@ -264,6 +251,9 @@ func validate(cfg *Config) error {
 	if cfg.T < 0 || cfg.K <= 0 {
 		return fmt.Errorf("%w: t=%d k=%d", ErrBadConfig, cfg.T, cfg.K)
 	}
+	if cfg.MaxOps < 0 {
+		return fmt.Errorf("%w: MaxOps=%d", ErrBadConfig, cfg.MaxOps)
+	}
 	if cfg.NewProtocol == nil {
 		return fmt.Errorf("%w: NewProtocol is nil", ErrBadConfig)
 	}
@@ -274,15 +264,15 @@ func validate(cfg *Config) error {
 	// Report the smallest offending id so the error is independent of map
 	// iteration order.
 	bad, found := types.ProcessID(0), false
-	for id := range cfg.Byzantine {
-		if int(id) < 0 || int(id) >= cfg.N {
+	for id, strat := range cfg.Byzantine {
+		if int(id) < 0 || int(id) >= cfg.N || strat == nil {
 			if !found || id < bad {
 				bad, found = id, true
 			}
 		}
 	}
 	if found {
-		return fmt.Errorf("%w: Byzantine id %d out of range", ErrBadConfig, bad)
+		return fmt.Errorf("%w: Byzantine id %d out of range or without a strategy", ErrBadConfig, bad)
 	}
 	return nil
 }
@@ -292,7 +282,7 @@ func newRuntime(cfg Config) *smRuntime {
 	rt := &smRuntime{
 		cfg: cfg,
 		n:   n, t: cfg.T, k: cfg.K,
-		regs:   make(map[regKey]types.Payload, 4*n),
+		regs:   make([]map[string]types.Payload, n),
 		rng:    prng.New(cfg.Seed),
 		budget: cfg.MaxOps,
 		sched:  cfg.Scheduler,
@@ -321,7 +311,6 @@ func newRuntime(cfg Config) *smRuntime {
 			input: cfg.Inputs[i],
 			rng:   rt.rng.Split(),
 			live:  true,
-			wake:  make(chan struct{}, 1),
 		}
 		if strat, ok := cfg.Byzantine[id]; ok {
 			p.proto = strat
@@ -343,41 +332,29 @@ func (rt *smRuntime) trace(ev TraceEvent) {
 	}
 }
 
-// run launches process 0 and waits until every process goroutine has
-// returned or been unwound; the processes schedule each other in between.
-func (rt *smRuntime) run() {
-	rt.wg.Add(rt.n)
-	rt.started = 1
-	go rt.runProcess(rt.procs[0])
-	rt.wg.Wait()
-
-	for _, p := range rt.procs {
-		if p.decided {
-			rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: p.decision})
-		}
+// body is what p's coroutine runs: the protocol, with the unwinding of a
+// stopped process ending here. Any other panic is a bug in the protocol and
+// comes out of the loop's next or stop.
+func (rt *smRuntime) body(p *smProcess) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(haltSignal); !ok {
+					panic(r)
+				}
+			}
+		}()
+		p.proto.Run(&smAPI{p: p, rt: rt, yield: yield})
 	}
 }
 
-// runProcess is the body of one process goroutine.
-func (rt *smRuntime) runProcess(p *smProcess) {
-	defer rt.wg.Done()
-	defer func() {
-		r := recover()
-		if r == nil {
-			// Protocol.Run returned normally: this process is gone, and its
-			// last act is to pass the turn on.
-			rt.drop(p)
-			rt.yield(p)
-			return
-		}
-		if _, ok := r.(haltSignal); ok {
-			// Unwound by the runtime (halt or crash), which already
-			// accounts for this process.
-			return
-		}
-		panic(r) // real bug: propagate
-	}()
-	p.proto.Run(&smAPI{p: p, rt: rt})
+// resume runs p until it posts its next request or returns, then takes it
+// off the candidates if it returned and copies its decision to the board.
+func (rt *smRuntime) resume(p *smProcess) {
+	if _, posted := p.next(); !posted {
+		rt.drop(p)
+	}
+	rt.refresh(p)
 }
 
 // refresh copies p's decision onto the decision board. A decision becomes
@@ -405,109 +382,92 @@ func (rt *smRuntime) drop(p *smProcess) {
 	}
 }
 
-// haltAll ends the run: every process still waiting for a grant is unwound.
-// Halts commute: a halted goroutine touches no shared state on its way out,
-// so wakeup order cannot affect the run. self is unwound by its caller.
-func (rt *smRuntime) haltAll(self *smProcess) turn {
-	for _, id := range rt.pending {
-		if p := rt.procs[id]; p != self {
-			p.halt = true
-			p.wake <- struct{}{}
+// run brings the processes to their first request one at a time in id order,
+// then grants operations until the run ends. Every coroutine has been ended
+// when it returns, however it returns.
+func (rt *smRuntime) run() {
+	defer func() {
+		for _, p := range rt.procs {
+			if p.stop != nil {
+				p.stop()
+			}
 		}
+	}()
+	for _, p := range rt.procs {
+		p.next, p.stop = iter.Pull(rt.body(p))
+		rt.resume(p)
 	}
-	return turnOver
+	for rt.grant() {
+	}
 }
 
-// yield is called by the running process once its next request is posted, or
-// once it has returned. During start-up that launches the next process, so
-// the processes reach their first request one at a time in id order; after
-// it, self holds the turn and runs the schedule.
-func (rt *smRuntime) yield(self *smProcess) turn {
-	rt.refresh(self)
-	if rt.started < rt.n {
-		next := rt.procs[rt.started]
-		rt.started++
-		go rt.runProcess(next)
-		return turnAway
+// grant performs one scheduling step — the next granted operation, or the
+// crash the adversary puts in its place — and reports whether the run goes
+// on. Grants are allocation-free: the candidates are kept across grants and
+// the request and result travel in the process's own slot.
+func (rt *smRuntime) grant() bool {
+	switch {
+	case rt.err != nil, rt.undecided == 0:
+		return false
+	case len(rt.pending) == 0:
+		// Every process exited or crashed without full decision:
+		// quiescent. The checker will flag termination if violated.
+		return false
+	case rt.view.Ops >= rt.budget:
+		rt.budgetExhausted = true
+		return false
 	}
-	return rt.drive(self)
-}
 
-// drive grants operations for as long as the turn stays with self: until the
-// scheduler picks a process other than self (that process is woken with its
-// result and self parks or, having returned or crashed, leaves), picks self
-// itself (self carries on without a goroutine switch), or the run ends.
-// Grants are allocation-free: the candidates are kept across grants and the
-// request and result travel in the process's own slot.
-func (rt *smRuntime) drive(self *smProcess) turn {
-	away := turnAway
-	for {
-		switch {
-		case rt.err != nil, rt.undecided == 0:
-			return rt.haltAll(self)
-		case len(rt.pending) == 0:
-			// Every process exited or crashed without full decision:
-			// quiescent. The checker will flag termination if violated.
-			return turnOver
-		case rt.view.Ops >= rt.budget:
-			rt.budgetExhausted = true
-			return rt.haltAll(self)
-		}
+	pid := rt.sched.Next(&rt.view, rt.pending, rt.rng)
+	if int(pid) < 0 || int(pid) >= rt.n || !rt.procs[pid].live {
+		rt.recordBug(fmt.Errorf("%w: %v", ErrBadSchedule, pid))
+		return false
+	}
+	if r := rt.cfg.Recorder; r != nil {
+		r.Grant(pid)
+	}
+	p := rt.procs[pid]
 
-		pid := rt.sched.Next(&rt.view, rt.pending, rt.rng)
-		if int(pid) < 0 || int(pid) >= rt.n || !rt.procs[pid].live {
-			rt.recordBug(fmt.Errorf("%w: %v", ErrBadSchedule, pid))
-			return rt.haltAll(self)
-		}
+	if adv := rt.cfg.Crash; adv != nil && !p.byz && rt.faults < rt.t &&
+		adv.CrashBeforeOp(&rt.view, pid, p.ops) {
 		if r := rt.cfg.Recorder; r != nil {
-			r.Grant(pid)
+			r.CrashAtOp(pid, p.ops)
 		}
-		p := rt.procs[pid]
-
-		if adv := rt.cfg.Crash; adv != nil && !p.byz && rt.faults < rt.t &&
-			adv.CrashBeforeOp(&rt.view, pid, p.ops) {
-			if r := rt.cfg.Recorder; r != nil {
-				r.CrashAtOp(pid, p.ops)
-			}
-			p.crashed = true
-			rt.faults++
-			if !rt.view.Decided[pid] {
-				rt.undecided--
-			}
-			rt.view.Crashed[pid] = true
-			rt.view.Faulty[pid] = true
-			rt.trace(TraceEvent{Type: EvCrash, Proc: pid})
-			rt.drop(p)
-			if p == self {
-				// Nobody else can take the turn from a crashed process:
-				// keep driving, unwind once it has moved on.
-				away = turnOver
-			} else {
-				p.halt = true
-				p.wake <- struct{}{}
-			}
-			continue
+		p.crashed = true
+		rt.faults++
+		if !rt.view.Decided[pid] {
+			rt.undecided--
 		}
-
-		rt.view.Ops++
-		p.ops++
-		switch p.kind {
-		case opRead:
-			p.value, p.ok = rt.regs[p.key]
-			rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: p.key.owner,
-				Register: p.key.name, Payload: p.value, Present: p.ok})
-		case opWrite:
-			rt.regs[p.key] = p.value
-			rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: p.key.owner,
-				Register: p.key.name, Payload: p.value, Present: true})
-		}
-		if p == self {
-			return turnMine
-		}
-		rt.handoffs++
-		p.wake <- struct{}{}
-		return away
+		rt.view.Crashed[pid] = true
+		rt.view.Faulty[pid] = true
+		rt.trace(TraceEvent{Type: EvCrash, Proc: pid})
+		rt.drop(p)
+		p.stop()
+		return true
 	}
+
+	rt.view.Ops++
+	p.ops++
+	switch p.kind {
+	case opRead:
+		// A read of a process that does not exist finds nothing, like a read
+		// of a register that was never written.
+		p.value, p.ok = types.Payload{}, false
+		if o := int(p.owner); o >= 0 && o < rt.n {
+			p.value, p.ok = rt.regs[o][p.name]
+		}
+		rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: p.owner,
+			Register: p.name, Payload: p.value, Present: p.ok})
+	case opWrite:
+		if rt.regs[pid] == nil {
+			rt.regs[pid] = make(map[string]types.Payload)
+		}
+		rt.regs[pid][p.name] = p.value
+		rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: pid,
+			Register: p.name, Payload: p.value, Present: true})
+	}
+	rt.resume(p)
+	return true
 }
 
 func (rt *smRuntime) record() *types.RunRecord {

@@ -212,6 +212,22 @@ func TestPickExcludingMatchesReference(t *testing.T) {
 	}
 }
 
+// refPickExcluding is the tail of Hold.Next and Starve.Next as it was: an
+// eligible slice built per pick. pickExcluding must make the same pick from
+// the same single draw.
+func refPickExcluding(pending []types.ProcessID, excluded []bool, rng *prng.Source) types.ProcessID {
+	eligible := make([]types.ProcessID, 0, len(pending))
+	for _, pid := range pending {
+		if !excluded[pid] {
+			eligible = append(eligible, pid)
+		}
+	}
+	if len(eligible) == 0 {
+		return pending[rng.Intn(len(pending))]
+	}
+	return eligible[rng.Intn(len(eligible))]
+}
+
 // TestPicksDoNotAllocate: a grant is the hot path of every shared-memory run,
 // so no policy may allocate per pick — closed gate, open gate and the
 // everyone-excluded fallback included.

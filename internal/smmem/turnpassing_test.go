@@ -1,18 +1,26 @@
 package smmem_test
 
-// Identity tests for turn passing: the production runtime against the old
-// central-scheduler runtime kept in reference_test.go. A run is compared by
-// everything it lets anyone observe — the record (or the error), the
-// Recorder's grant and crash stream, and the Trace event stream — so a grant
-// that goes to a different process, an adversary or scheduler consulted once
-// more or once less or with a different view, or a decision stamped at a
-// different operation count shows here with the set-up that produced it. A
-// lost wake-up or an access off the turn shows as a hang or, under -race, as
-// a report; CI runs this file repeatedly under -race for that.
+// Identity tests for the runtime's scheduling: a run is reduced to everything
+// it lets anyone observe — the record (or the error), the Recorder's grant and
+// crash stream, and the Trace event stream — and folded into one FNV-64a per
+// cell of the matrix below. The tables under testdata/ were computed on the
+// turn-passing runtime of PR 19, when it still agreed entry for entry with
+// the central scheduler before it, so a grant that goes to a different
+// process, an adversary or scheduler consulted once more or once less or with
+// a different view, or a decision stamped at a different operation count
+// changes the hash of the cell whose set-up produced it.
+//
+// KSET_REGEN_STREAMS=1 rewrites the tables instead of comparing: a deliberate
+// act after a change that is meant to alter schedules, never a fix for a
+// failing comparison.
 
 import (
 	"fmt"
-	"reflect"
+	"hash"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"kset/internal/adversary"
@@ -36,13 +44,11 @@ func (o *observed) CrashAtOp(p types.ProcessID, ops int) {
 	o.grants = append(o.grants, fmt.Sprint("crash ", p, " at op ", ops))
 }
 
-type smRun func(smmem.Config) (*types.RunRecord, error)
-
-func observe(run smRun, cfg smmem.Config) *observed {
+func observe(cfg smmem.Config) *observed {
 	o := &observed{}
 	cfg.Recorder = o
 	cfg.Trace = func(ev smmem.TraceEvent) { o.events = append(o.events, ev) }
-	rec, err := run(cfg)
+	rec, err := smmem.Run(cfg)
 	o.rec = rec
 	if err != nil {
 		o.err = err.Error()
@@ -50,46 +56,72 @@ func observe(run smRun, cfg smmem.Config) *observed {
 	return o
 }
 
-// requireSameRun runs two fresh copies of one configuration (schedulers and
-// adversaries carry state, so each runtime gets its own) and compares them.
-func requireSameRun(t *testing.T, label string, newCfg func() smmem.Config) *observed {
-	t.Helper()
-	got := observe(smmem.Run, newCfg())
-	want := observe(smmem.RunReference, newCfg())
-	if got.err != want.err {
-		t.Fatalf("%s: error %q, reference %q", label, got.err, want.err)
+// fold writes the run into h, every field of every event included.
+func (o *observed) fold(h hash.Hash64) {
+	if o.rec != nil {
+		fmt.Fprintf(h, "record %+v\n", *o.rec)
 	}
-	if !reflect.DeepEqual(got.rec, want.rec) {
-		t.Fatalf("%s: records differ\n got %+v\nwant %+v", label, got.rec, want.rec)
+	fmt.Fprintf(h, "error %q\n", o.err)
+	for _, g := range o.grants {
+		fmt.Fprintln(h, g)
 	}
-	if i := firstDiff(len(got.grants), len(want.grants), func(i int) bool { return got.grants[i] == want.grants[i] }); i >= 0 {
-		t.Fatalf("%s: recorder streams differ at entry %d (%d entries, reference %d)\n got %v\nwant %v",
-			label, i, len(got.grants), len(want.grants), tail(got.grants, i), tail(want.grants, i))
+	for _, ev := range o.events {
+		fmt.Fprintf(h, "%#v\n", ev)
 	}
-	if i := firstDiff(len(got.events), len(want.events), func(i int) bool { return got.events[i] == want.events[i] }); i >= 0 {
-		t.Fatalf("%s: trace streams differ at event %d (%d events, reference %d)\n got %v\nwant %v",
-			label, i, len(got.events), len(want.events), tail(got.events, i), tail(want.events, i))
-	}
-	return got
 }
 
-// firstDiff returns the first index at which two streams differ, -1 if none.
-func firstDiff(a, b int, same func(int) bool) int {
-	for i := 0; i < a && i < b; i++ {
-		if !same(i) {
-			return i
+// streamTable collects one hash per cell and compares the lot with a table
+// under testdata/ (or rewrites the table, see the file comment).
+type streamTable struct {
+	file  string
+	cells []string // "cell\thash", in the order the test visits them
+}
+
+// add folds the runs of one cell, seeds 1..seeds, into its line of the table.
+func (st *streamTable) add(cell string, seeds uint64, run func(seed uint64) *observed) {
+	h := fnv.New64a()
+	for seed := uint64(1); seed <= seeds; seed++ {
+		run(seed).fold(h)
+	}
+	st.cells = append(st.cells, fmt.Sprintf("%s\t%016x", cell, h.Sum64()))
+}
+
+// check compares with the committed table. complete says the test visited
+// every cell, so a line of the table it did not produce is stale.
+func (st *streamTable) check(t *testing.T, complete bool) {
+	t.Helper()
+	path := filepath.Join("testdata", st.file)
+	if os.Getenv("KSET_REGEN_STREAMS") == "1" {
+		if !complete {
+			t.Fatal("KSET_REGEN_STREAMS=1 needs the whole matrix: run without -short")
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(st.cells, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d cells to %s", len(st.cells), path)
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		cell, sum, _ := strings.Cut(line, "\t")
+		want[cell] = sum
+	}
+	for _, line := range st.cells {
+		cell, sum, _ := strings.Cut(line, "\t")
+		switch w, ok := want[cell]; {
+		case !ok:
+			t.Errorf("%s: cell %q is not in the table", path, cell)
+		case w != sum:
+			t.Errorf("%s: record, recorder or trace stream changed: hash %s, table %s", cell, sum, w)
 		}
 	}
-	if a != b {
-		return min(a, b)
+	if complete && len(want) != len(st.cells) {
+		t.Errorf("%s has %d cells, the test visited %d", path, len(want), len(st.cells))
 	}
-	return -1
-}
-
-// tail shows a stream from shortly before index i.
-func tail[T any](s []T, i int) []T {
-	lo, hi := max(i-2, 0), min(i+3, len(s))
-	return s[lo:hi]
 }
 
 type runFunc func(smmem.API)
@@ -220,60 +252,61 @@ func TestTurnPassingMatchesReference(t *testing.T) {
 			return s
 		}},
 	}
-	ns := []int{1, 3, 8, 16}
-	seeds := uint64(20)
-	if testing.Short() {
-		ns, seeds = []int{1, 3, 8}, 6
+	// The replay scheduler: capture the fair run, then replay its schedule as
+	// recorded and damaged the ways the shrinker damages it (cut short,
+	// entries dropped), which walks smReplay's skip and lowest-pending
+	// fallbacks.
+	damage := []struct {
+		name  string
+		apply func(full []int) []int
+	}{
+		{"recorded", func(full []int) []int { return full }},
+		{"cut", func(full []int) []int { return full[:len(full)/2] }},
+		{"thinned", func(full []int) []int {
+			thinned := make([]int, 0, len(full))
+			for i, p := range full {
+				if i%5 != 3 {
+					thinned = append(thinned, p)
+				}
+			}
+			return thinned
+		}},
 	}
+	const seeds = 20
+	ns := []int{1, 3, 8, 16}
+	if testing.Short() {
+		ns = []int{1, 3, 8}
+	}
+	table := &streamTable{file: "streams_matrix.golden"}
 	for _, n := range ns {
-		for seed := uint64(1); seed <= seeds; seed++ {
-			for fault := range faultModes {
-				for _, s := range schedulers {
-					label := fmt.Sprintf("%s n=%d seed=%d %s", s.name, n, seed, faultModes[fault].name)
-					requireSameRun(t, label, func() smmem.Config {
-						cfg, _, _ := matrixConfig(t, n, seed, fault)
-						cfg.Scheduler = s.make(n)
-						return cfg
-					})
-				}
-
-				// The replay scheduler: capture the fair run, then replay its
-				// schedule as recorded and damaged the ways the shrinker
-				// damages it (cut short, entries dropped), which walks
-				// smReplay's skip and lowest-pending fallbacks.
-				label := fmt.Sprintf("replay n=%d seed=%d %s", n, seed, faultModes[fault].name)
-				cfg, spec, byz := matrixConfig(t, n, seed, fault)
-				if len(cfg.Byzantine) > cfg.T {
-					continue
-				}
-				captured, _, err := trace.CaptureSM(cfg, types.RV2, spec, byz)
-				if err != nil {
-					t.Fatalf("%s: capture: %v", label, err)
-				}
-				full := captured.Schedule
-				thinned := make([]int, 0, len(full))
-				for i, p := range full {
-					if i%5 != 3 {
-						thinned = append(thinned, p)
+		for fault := range faultModes {
+			for _, s := range schedulers {
+				cell := fmt.Sprintf("%s %s n=%d", s.name, faultModes[fault].name, n)
+				table.add(cell, seeds, func(seed uint64) *observed {
+					cfg, _, _ := matrixConfig(t, n, seed, fault)
+					cfg.Scheduler = s.make(n)
+					return observe(cfg)
+				})
+			}
+			for _, d := range damage {
+				cell := fmt.Sprintf("replay-%s %s n=%d", d.name, faultModes[fault].name, n)
+				table.add(cell, seeds, func(seed uint64) *observed {
+					cfg, spec, byz := matrixConfig(t, n, seed, fault)
+					captured, _, err := trace.CaptureSM(cfg, types.RV2, spec, byz)
+					if err != nil {
+						t.Fatalf("%s seed=%d: capture: %v", cell, seed, err)
 					}
-				}
-				for _, script := range []struct {
-					name     string
-					schedule []int
-				}{{"recorded", full}, {"cut", full[:len(full)/2]}, {"thinned", thinned}} {
-					damaged := *captured
-					damaged.Schedule = script.schedule
-					requireSameRun(t, label+" "+script.name, func() smmem.Config {
-						cfg, err := trace.BuildSMConfig(&damaged)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return cfg
-					})
-				}
+					captured.Schedule = d.apply(captured.Schedule)
+					replay, err := trace.BuildSMConfig(captured)
+					if err != nil {
+						t.Fatalf("%s seed=%d: %v", cell, seed, err)
+					}
+					return observe(replay)
+				})
 			}
 		}
 	}
+	table.check(t, !testing.Short())
 }
 
 // badPick is FairRandom until its after-th pick, which names a process that
@@ -291,24 +324,28 @@ func (b *badPick) Next(_ *smmem.View, pending []types.ProcessID, rng *prng.Sourc
 }
 
 // TestTurnPassingMatchesReferenceEdges covers the paths a well-behaved
-// protocol under a well-behaved scheduler never takes.
+// protocol under a well-behaved scheduler never takes. Each edge is written
+// out for three processes with inputs 3, 1, 2 under round-robin and no
+// crashes (a custom scheduler where the edge is the scheduler; processes print
+// one-based, so id 0 is p1), and swept
+// over n, seeds, fair-random and round-robin with random crashes against
+// streams_edges.golden.
 func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
-	type namedSched struct {
-		name string
-		make func() smmem.Scheduler
-	}
-	both := []namedSched{
-		{"fair-random", func() smmem.Scheduler { return smmem.FairRandom{} }},
-		{"round-robin", func() smmem.Scheduler { return &smmem.RoundRobin{} }},
-	}
 	edges := []struct {
-		name    string
-		proto   func(n int) func(types.ProcessID) smmem.Protocol
-		sched   func() smmem.Scheduler // nil: fair-random and round-robin
-		maxOps  int
-		minN    int // smallest n at which the edge exists
-		wantErr error
-		check   func(t *testing.T, n int, o *observed)
+		name   string
+		proto  func(n int) func(types.ProcessID) smmem.Protocol
+		sched  func() smmem.Scheduler // nil: round-robin (and fair-random in the sweep)
+		maxOps int
+		minN   int // smallest n at which the edge exists
+
+		// Expected at n = 3: the error, or the record's columns and the
+		// granted process of every operation in order.
+		wantErr   error
+		decided   []bool
+		decisions []types.Value
+		decidedAt []int
+		grants    string
+		exhausted bool
 	}{
 		{
 			name: "returns-without-an-operation",
@@ -322,22 +359,22 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 					})
 				}
 			},
-			check: func(t *testing.T, n int, o *observed) {
-				if o.rec.Decided[0] {
-					t.Error("process 0 returned at once, yet is recorded as decided")
-				}
-			},
+			// p1 is never a candidate; p2 writes, reads p1's absent register
+			// and its own, decides; p3 one operation behind.
+			decided:   []bool{false, true, true},
+			decisions: []types.Value{0, 1, 1},
+			decidedAt: []int{-1, 7, 8},
+			grants:    "p2 p3 p2 p3 p2 p3 p2 p3",
 		},
 		{
 			name: "everyone-returns-at-once",
 			proto: func(int) func(types.ProcessID) smmem.Protocol {
 				return func(types.ProcessID) smmem.Protocol { return runFunc(func(smmem.API) {}) }
 			},
-			check: func(t *testing.T, n int, o *observed) {
-				if o.rec.Events != 0 || len(o.grants) != 0 {
-					t.Errorf("%d operations, %d grants in a run without requests", o.rec.Events, len(o.grants))
-				}
-			},
+			decided:   []bool{false, false, false},
+			decisions: []types.Value{0, 0, 0},
+			decidedAt: []int{-1, -1, -1},
+			grants:    "",
 		},
 		{
 			name: "decides-before-its-first-operation",
@@ -355,12 +392,12 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 					})
 				}
 			},
-			check: func(t *testing.T, n int, o *observed) {
-				if !o.rec.Decided[0] || o.rec.DecidedAtEvent[0] != 0 {
-					t.Errorf("process 0 decided before any operation, recorded decided=%v at %d",
-						o.rec.Decided[0], o.rec.DecidedAtEvent[0])
-				}
-			},
+			// p1 and p3 are on the board before anything is granted; p2
+			// needs two written registers and finds them on its first scan.
+			decided:   []bool{true, true, true},
+			decisions: []types.Value{3, 1, 2},
+			decidedAt: []int{0, 7, 0},
+			grants:    "p2 p3 p2 p3 p2 p3 p2",
 		},
 		{
 			name: "double-decide-at-start",
@@ -434,86 +471,86 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 					})
 				}
 			},
-			maxOps: 100,
-			check: func(t *testing.T, n int, o *observed) {
-				if !o.rec.BudgetExhausted || o.rec.Events != 100 {
-					t.Errorf("exhausted=%v after %d operations, want true after 100", o.rec.BudgetExhausted, o.rec.Events)
-				}
-			},
+			maxOps:    7,
+			decided:   []bool{false, false, false},
+			decisions: []types.Value{0, 0, 0},
+			decidedAt: []int{-1, -1, -1},
+			grants:    "p2 p3 p1 p2 p3 p1 p2", // round-robin starts after id 0
+			exhausted: true,
 		},
 	}
-	for _, e := range edges {
-		scheds := both
-		if e.sched != nil {
-			scheds = []namedSched{{"custom", e.sched}}
+
+	config := func(e int, n int, seed uint64, sched smmem.Scheduler) smmem.Config {
+		return smmem.Config{
+			N: n, T: (n - 1) / 2, K: n,
+			Inputs:      testInputs(n, seed),
+			NewProtocol: edges[e].proto(n),
+			Scheduler:   sched,
+			Seed:        seed,
+			MaxOps:      edges[e].maxOps,
+		}
+	}
+
+	for e, edge := range edges {
+		t.Run(edge.name, func(t *testing.T) {
+			var sched smmem.Scheduler = &smmem.RoundRobin{}
+			if edge.sched != nil {
+				sched = edge.sched()
+			}
+			cfg := config(e, 3, 1, sched)
+			cfg.Inputs = []types.Value{3, 1, 2}
+			o := observe(cfg)
+			if edge.wantErr != nil {
+				if o.rec != nil || !strings.HasPrefix(o.err, edge.wantErr.Error()) {
+					t.Fatalf("record %v, error %q, want no record and %v", o.rec, o.err, edge.wantErr)
+				}
+				return
+			}
+			if o.err != "" {
+				t.Fatal(o.err)
+			}
+			if grants := strings.ReplaceAll(strings.Join(o.grants, " "), "grant ", ""); grants != edge.grants {
+				t.Errorf("granted %q, want %q", grants, edge.grants)
+			}
+			rec := o.rec
+			if fmt.Sprint(rec.Decided, rec.Decisions, rec.DecidedAtEvent) != fmt.Sprint(edge.decided, edge.decisions, edge.decidedAt) {
+				t.Errorf("decided %v %v at %v, want %v %v at %v", rec.Decided, rec.Decisions, rec.DecidedAtEvent,
+					edge.decided, edge.decisions, edge.decidedAt)
+			}
+			if rec.Events != len(o.grants) || rec.BudgetExhausted != edge.exhausted {
+				t.Errorf("%d operations for %d grants, exhausted=%v, want exhausted=%v",
+					rec.Events, len(o.grants), rec.BudgetExhausted, edge.exhausted)
+			}
+		})
+	}
+
+	table := &streamTable{file: "streams_edges.golden"}
+	type namedSched struct {
+		name string
+		make func() smmem.Scheduler
+	}
+	sweep := []namedSched{
+		{"fair-random", func() smmem.Scheduler { return smmem.FairRandom{} }},
+		{"round-robin", func() smmem.Scheduler { return &smmem.RoundRobin{} }},
+	}
+	for e, edge := range edges {
+		scheds := sweep
+		if edge.sched != nil {
+			scheds = []namedSched{{"custom", edge.sched}}
 		}
 		for _, sched := range scheds {
 			for _, n := range []int{1, 3, 8, 16} {
-				if n < e.minN {
+				if n < edge.minN {
 					continue
 				}
-				for seed := uint64(1); seed <= 5; seed++ {
-					label := fmt.Sprintf("%s %s n=%d seed=%d", e.name, sched.name, n, seed)
-					o := requireSameRun(t, label, func() smmem.Config {
-						return smmem.Config{
-							N: n, T: (n - 1) / 2, K: n,
-							Inputs:      testInputs(n, seed),
-							NewProtocol: e.proto(n),
-							Scheduler:   sched.make(),
-							Crash:       smmem.NewRandomCrashes(0.01, prng.New(seed)),
-							Seed:        seed,
-							MaxOps:      e.maxOps,
-						}
-					})
-					switch {
-					case e.wantErr != nil:
-						if o.rec != nil || o.err == "" {
-							t.Fatalf("%s: no error, want %v", label, e.wantErr)
-						}
-						if want := e.wantErr.Error(); len(o.err) < len(want) || o.err[:len(want)] != want {
-							t.Fatalf("%s: error %q, want %v", label, o.err, e.wantErr)
-						}
-					case o.err != "":
-						t.Fatalf("%s: %s", label, o.err)
-					case e.check != nil:
-						e.check(t, n, o)
-					}
-				}
+				cell := fmt.Sprintf("%s %s n=%d", edge.name, sched.name, n)
+				table.add(cell, 5, func(seed uint64) *observed {
+					cfg := config(e, n, seed, sched.make())
+					cfg.Crash = smmem.NewRandomCrashes(0.01, prng.New(seed))
+					return observe(cfg)
+				})
 			}
 		}
 	}
-}
-
-// TestHandoffsPerGrant pins what turn passing is for: a granted operation
-// costs at most one goroutine switch, and none when the scheduler picks the
-// process that is already running — so a one-process run never switches.
-func TestHandoffsPerGrant(t *testing.T) {
-	for _, n := range []int{1, 3, 8, 16} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			rec, handoffs, err := smmem.RunCountingHandoffs(smmem.Config{
-				N: n, T: (n - 1) / 2, K: n,
-				Inputs: testInputs(n, seed),
-				NewProtocol: func(types.ProcessID) smmem.Protocol {
-					return runFunc(func(api smmem.API) { scan(api, (n+1)/2) })
-				},
-				Crash: smmem.NewRandomCrashes(0.02, prng.New(seed+1)),
-				Seed:  seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec.Events == 0 {
-				t.Fatalf("n=%d seed=%d: no operation granted, nothing measured", n, seed)
-			}
-			if handoffs > rec.Events {
-				t.Errorf("n=%d seed=%d: %d hand-offs for %d granted operations", n, seed, handoffs, rec.Events)
-			}
-			if n == 1 && handoffs != 0 {
-				t.Errorf("n=1 seed=%d: %d hand-offs, a lone process only ever grants itself", seed, handoffs)
-			}
-			if n > 1 && handoffs == 0 {
-				t.Errorf("n=%d seed=%d: no hand-off in %d operations: the counter is not counting", n, seed, rec.Events)
-			}
-		}
-	}
+	table.check(t, true)
 }
