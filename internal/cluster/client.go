@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -20,6 +21,7 @@ var ErrProtocol = errors.New("cluster: control protocol violation")
 // so a Client must not be shared between concurrent requesters.
 type Client struct {
 	conn    net.Conn
+	br      *bufio.Reader // replies are read through it, one syscall a reply
 	timeout time.Duration
 }
 
@@ -33,7 +35,7 @@ func DialNode(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, timeout: timeout}
+	c := &Client{conn: conn, br: bufio.NewReader(conn), timeout: timeout}
 	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -60,7 +62,7 @@ func (c *Client) roundTrip(req wire.Msg) (wire.Msg, error) {
 	if err := c.conn.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}
-	return wire.ReadMsg(c.conn)
+	return wire.ReadMsg(c.br)
 }
 
 // Start asks the node to start one consensus instance with the given local

@@ -18,7 +18,7 @@ import (
 // network deliveries instead of a simulated schedule. All protocol calls —
 // Start, Deliver, backlog replay, self-send draining — happen on the owning
 // shard's loop goroutine, preserving mpnet's single-threaded protocol
-// contract; connection readers only feed the shard mailbox and the decision
+// contract; connection readers only feed the shard inbox and the decision
 // table. An idle instance costs a map entry, not a goroutine.
 type instance struct {
 	node  *Node
@@ -30,16 +30,20 @@ type instance struct {
 	rng   *prng.Source
 	api   instanceAPI
 
-	// started is owned by the shard loop: set once the protocol's Start has
-	// run. A delivery observed before it forces a start-queue drain, so the
-	// protocol never sees Deliver before Start.
+	// Owned by the shard loop, read and written only there, so no lock:
+	// started is set once the protocol's Start has run (a delivery observed
+	// before it forces a start-queue drain, so the protocol never sees
+	// Deliver before Start); decided latches the local decision; self holds
+	// the pending self-deliveries, drained between events.
 	started bool
+	decided bool
+	self    []types.Payload
 
+	// mu guards the decision table, which the connection readers fill from
+	// peers' decide announcements while the shard loop fills its own row.
 	mu        sync.Mutex
 	rows      []wire.TableRow // decision table, indexed by node id
-	decided   bool            // local process decided
 	tableDone bool            // full table observed (latency recorded once)
-	self      []types.Payload // pending self-deliveries (drained between events)
 
 	// startedAt is stamped at construction, before any frame can be
 	// delivered, and read from both the shard loop (Decide) and the
@@ -68,18 +72,6 @@ func newInstance(n *Node, id uint64, k, t int, proto theory.ProtocolID, ell int,
 	}
 	in.api.in = in
 	return in, nil
-}
-
-// deliver routes one accepted peer message for this instance: protocol
-// messages go through the owning shard's mailbox to its loop goroutine;
-// decide announcements update the decision table directly.
-func (in *instance) deliver(bm wire.BatchMsg) {
-	switch bm.Kind {
-	case wire.TypeProto:
-		in.shard.enqueue(shardEvent{inst: in, from: bm.From, payload: bm.Payload})
-	case wire.TypeDecide:
-		in.recordDecision(bm.From, bm.Value)
-	}
 }
 
 // recordDecision fills one row of the decision table. The first announcement
@@ -151,19 +143,13 @@ func (in *instance) deliverBacklog(bm wire.BatchMsg) {
 }
 
 // drainSelf delivers self-sends queued during the previous handler, plus any
-// they generate, before the next network delivery.
+// they generate, before the next network delivery. The emptied queue keeps
+// its backing array for the next handler.
 func (in *instance) drainSelf() {
-	for {
-		in.mu.Lock()
-		if len(in.self) == 0 {
-			in.mu.Unlock()
-			return
-		}
-		p := in.self[0]
-		in.self = in.self[1:]
-		in.mu.Unlock()
-		in.proto.Deliver(&in.api, in.node.cfg.ID, p)
+	for i := 0; i < len(in.self); i++ {
+		in.proto.Deliver(&in.api, in.node.cfg.ID, in.self[i])
 	}
+	in.self = in.self[:0]
 }
 
 // tableSnapshot copies the current decision table.
@@ -198,9 +184,7 @@ func (a *instanceAPI) Rand() *prng.Source  { return a.in.rng }
 func (a *instanceAPI) Send(to types.ProcessID, p types.Payload) {
 	in := a.in
 	if to == in.node.cfg.ID {
-		in.mu.Lock()
 		in.self = append(in.self, p)
-		in.mu.Unlock()
 		return
 	}
 	if int(to) < 0 || int(to) >= in.node.cfg.N {
@@ -225,19 +209,15 @@ func (a *instanceAPI) Broadcast(p types.Payload) {
 func (a *instanceAPI) Decide(v types.Value) {
 	in := a.in
 	elapsed := time.Since(in.startedAt)
-	done := false
-	in.mu.Lock()
-	already := in.decided
-	if !already {
-		in.decided = true
-		in.rows[in.node.cfg.ID] = wire.TableRow{Decided: true, Value: v}
-		done = in.observeTableLocked()
-	}
-	in.mu.Unlock()
-	if already {
+	if in.decided {
 		in.node.logf("cluster: instance %d decided twice", in.id)
 		return
 	}
+	in.decided = true
+	in.mu.Lock()
+	in.rows[in.node.cfg.ID] = wire.TableRow{Decided: true, Value: v}
+	done := in.observeTableLocked()
+	in.mu.Unlock()
 	in.node.stats.decideLatency.Observe(elapsed.Seconds())
 	in.node.log.Info("decided",
 		obs.F("instance", in.id), obs.F("value", int64(v)),
@@ -249,9 +229,4 @@ func (a *instanceAPI) Decide(v types.Value) {
 }
 
 // HasDecided reports whether Decide has been called.
-func (a *instanceAPI) HasDecided() bool {
-	in := a.in
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.decided
-}
+func (a *instanceAPI) HasDecided() bool { return a.in.decided }

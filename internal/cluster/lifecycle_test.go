@@ -140,8 +140,9 @@ func TestEvictionBoundsMemory(t *testing.T) {
 		t.Errorf("kset_instances_active = %d after all evictions, want 0", v)
 	}
 
+	live := node.ActiveInstances()
 	node.regMu.Lock()
-	live, archivedN := len(node.liveIDs), len(node.archive)
+	archivedN := len(node.archive)
 	node.regMu.Unlock()
 	if live != 0 {
 		t.Errorf("%d live instances remain", live)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 // the connection the peer dials and is handled by Node.serveConn.
 //
 // Concurrency: the queue, ack list, and partition flag are guarded by mu and
-// touched by enqueuers (instance goroutines), the ack path (inbound reader
+// touched by enqueuers (shard loops), the ack path (inbound reader
 // goroutines) and the writer. The connection and the fault rng belong to the
 // writer goroutine alone.
 type link struct {
@@ -32,7 +33,7 @@ type link struct {
 	mu      sync.Mutex
 	queue   []pendingFrame // unacked sequenced frames in seq order
 	nextSeq uint64         // next sequence number to assign (first is 1)
-	acks    []uint64       // outgoing transport acks, fire-and-forget
+	acks    []uint64       // outgoing transport acks, fire-and-forget (see queueAcks)
 	down    bool           // partitioned: hold all traffic
 	closed  bool
 	// cursor splits the queue: queue[:cursor] has been rolled through the
@@ -47,6 +48,9 @@ type link struct {
 	// scanned counts the queue entries flush has examined; the tests and
 	// BenchmarkLinkFlushBacklog read it to pin the cost of a round.
 	scanned int64
+	// ackOnly counts the batch frames written with acks and no message; the
+	// tests read it once the writer has exited. Writer goroutine only.
+	ackOnly int64
 
 	// ackScratch and sendScratch recycle flush's working slices: each round
 	// swaps the drained ack list against ackScratch and collects due frames
@@ -144,18 +148,23 @@ func (l *link) enqueue(bm wire.BatchMsg) {
 	l.signal()
 }
 
-// enqueueAck queues a transport ack. Acks are not themselves sequenced or
-// retransmitted: a lost ack is recovered by the peer's retransmission, which
-// we re-ack.
-func (l *link) enqueueAck(seq uint64) {
+// queueAcks adds one inbound frame's transport acks under one lock and wakes
+// nobody: they leave with the next round that carries data, or on the
+// writer's tick when this direction is silent. The tick runs every half
+// retransmit interval, so a pending ack is written before the peer's
+// retransmit deadline. Acks are not themselves sequenced or retransmitted: a
+// lost ack is recovered by the peer's retransmission, which we re-ack. Every
+// round that writes drains the list; while the link cannot write
+// (partitioned, peer unreachable) it grows by one entry per accepted message
+// and is not bounded. Dropping acks to bound it would leave holes in the ack
+// stream, and the peer pays for each ack behind a hole with a walk of its
+// queue until the retransmission fills it.
+func (l *link) queueAcks(seqs []uint64) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
+	if !l.closed {
+		l.acks = append(l.acks, seqs...)
 	}
-	l.acks = append(l.acks, seq)
 	l.mu.Unlock()
-	l.signal()
 }
 
 // ackBatch removes every frame confirmed by one batch's piggybacked ack
@@ -226,6 +235,11 @@ func (l *link) close() {
 // writer is the link's goroutine: it dials (and re-dials with exponential
 // backoff), applies the fault injector, retransmits unacked frames, and
 // flushes acks. It exits when the node shuts down or the link is closed.
+//
+// Before each round it yields once: a producer that is already runnable (a
+// shard loop mid-drain, a reader holding a frame) gets to add its messages
+// to this round instead of the next; with nothing else runnable the yield
+// returns at once.
 func (l *link) writer() {
 	defer l.node.wg.Done()
 	defer l.dropConn()
@@ -241,16 +255,19 @@ func (l *link) writer() {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
+		ticked := false
 		select {
 		case <-l.node.done:
 			return
 		case <-l.wake:
 		case <-tick.C:
+			ticked = true
 		}
 		if l.isClosed() {
 			return
 		}
-		l.flush()
+		runtime.Gosched()
+		l.flush(ticked)
 	}
 }
 
@@ -279,14 +296,16 @@ const batchMsgsPerFrame = 1024
 // unreachable and the dial is backing off, the round ends before the queue
 // or the ack list is touched, so a crashed peer costs its live neighbours
 // O(1) per wake however long its queue grows. With a connection in hand the
-// round drains the pending acks and the frames due now under the lock (each
-// attempt rolled through the fault injector), then writes them outside it as
-// coalesced batch frames with the acks piggybacked.
-func (l *link) flush() {
+// round collects the frames due now under the lock (each attempt rolled
+// through the fault injector) and the pending acks, then writes them outside
+// it as coalesced batch frames with the acks piggybacked. Acks ride only on
+// data, except in a tick round (tick: the writer's ticker started it), the
+// one round that writes them alone.
+func (l *link) flush(tick bool) {
 	l.mu.Lock()
 	l.mQueueDepth.Set(int64(len(l.queue)))
 	l.mUnsent.Set(int64(len(l.queue) - l.cursor))
-	if l.down || (len(l.queue) == 0 && len(l.acks) == 0) {
+	if l.down || (len(l.queue) == 0 && (len(l.acks) == 0 || !tick)) {
 		l.mu.Unlock()
 		return
 	}
@@ -298,13 +317,23 @@ func (l *link) flush() {
 		}
 		l.mu.Lock()
 	}
+	sends := l.collectDue(l.now())
 	// Swap the ack list against the recycled scratch slice: the drained
 	// array is handed back as next round's l.acks once this round's writes
 	// are done (only this goroutine flushes, so the handoff cannot race).
-	acks := l.acks
-	l.acks = l.ackScratch[:0]
-	l.ackScratch = acks
-	sends := l.collectDue(l.now())
+	var acks []uint64
+	if len(sends) > 0 || tick {
+		acks = l.acks
+		l.acks = l.ackScratch[:0]
+		l.ackScratch = acks
+	}
+	// Everything enqueued so far is in this round, so a wake already pending
+	// announces work the round has taken: consume it rather than run an
+	// empty round. An enqueue after the unlock signals afresh.
+	select {
+	case <-l.wake:
+	default:
+	}
 	l.mu.Unlock()
 
 	if len(acks) > 0 || len(sends) > 0 {
@@ -411,6 +440,9 @@ func (l *link) flushBatch(acks []uint64, sends []wire.BatchMsg) {
 		if !l.writeFrame(frame) {
 			l.requeueAcks(acks)
 			return
+		}
+		if len(msgChunk) == 0 {
+			l.ackOnly++
 		}
 		l.node.stats.framesSent.Add(1)
 		l.node.stats.batchesSent.Add(1)

@@ -19,11 +19,13 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -116,10 +118,10 @@ type Node struct {
 
 	// regMu guards the node-wide instance registry: the archive of completed
 	// instances (their final tables, immutable once stored), retired-id
-	// tombstones, live-id set, and the accepted-connection list. Lock order:
-	// shard.mu before regMu; never the reverse.
+	// tombstones, and the accepted-connection list. Live instances are
+	// counted in their shards. Lock order: shard.mu before regMu; never the
+	// reverse.
 	regMu        sync.Mutex
-	liveIDs      map[uint64]struct{} // ids currently live in some shard
 	archive      map[uint64]*wire.Table
 	archOrder    []uint64            // archived ids: a ring of up to maxArchived (FIFO bound)
 	archHead     int                 // the oldest id's slot once the ring is full
@@ -309,7 +311,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		session:   uint64(time.Now().UnixNano()),
-		liveIDs:   make(map[uint64]struct{}),
 		archive:   make(map[uint64]*wire.Table),
 		retired:   make(map[uint64]struct{}),
 		seen:      make([]peerSeen, cfg.N),
@@ -463,7 +464,11 @@ func (n *Node) serveConn(conn net.Conn) {
 		n.logf("cluster: set hello read deadline: %v", err)
 		return
 	}
-	first, err := wire.ReadMsg(conn)
+	// Every read on the connection, the Hello included, goes through one
+	// buffered reader: a frame costs one read syscall or less, and nothing
+	// the peer sent right behind its Hello is lost to a second reader.
+	br := bufio.NewReader(conn)
+	first, err := wire.ReadMsg(br)
 	if err != nil {
 		return
 	}
@@ -492,9 +497,9 @@ func (n *Node) serveConn(conn net.Conn) {
 			return
 		}
 		n.resetSeenIfNewSession(hello.From, hello.Session)
-		n.servePeer(conn, hello.From)
+		n.servePeer(br, hello.From)
 	case wire.RoleCtl:
-		n.serveCtl(conn)
+		n.serveCtl(br, conn)
 	}
 }
 
@@ -513,15 +518,17 @@ func (n *Node) resetSeenIfNewSession(peer types.ProcessID, session uint64) {
 }
 
 // servePeer consumes batch frames, the only thing a peer sends after its
-// Hello, from one peer connection. The frame buffer and the decoded batch are
-// reused across frames, so the steady-state receive path performs no
-// per-message allocation.
-func (n *Node) servePeer(conn net.Conn, from types.ProcessID) {
+// Hello, from one peer connection. The frame buffer, the decoded batch and
+// the frame's hand-off lists are reused across frames, so the steady-state
+// receive path performs no per-message allocation.
+func (n *Node) servePeer(br *bufio.Reader, from types.ProcessID) {
 	var buf []byte
 	var batch wire.Batch
+	var fw frameWork
+	l := n.links[from]
 	for {
 		var err error
-		buf, err = wire.ReadFrameAppend(conn, buf[:0])
+		buf, err = wire.ReadFrameAppend(br, buf[:0])
 		if err != nil {
 			return
 		}
@@ -532,20 +539,44 @@ func (n *Node) servePeer(conn net.Conn, from types.ProcessID) {
 		}
 		n.stats.batchesRecv.Add(1)
 		if len(batch.Acks) > 0 {
-			if l := n.links[from]; l != nil {
-				l.ackBatch(batch.Acks)
-			}
+			l.ackBatch(batch.Acks)
 		}
 		for i := range batch.Msgs {
-			n.handleSequenced(from, batch.Msgs[i])
+			n.handleSequenced(from, batch.Msgs[i], &fw)
 		}
+		fw.finish(l)
 	}
 }
 
+// frameWork collects what one inbound frame hands to other goroutines, so
+// that each hand-off happens once per frame rather than once per message.
+type frameWork struct {
+	acks   []uint64 // sequence numbers accepted, to be acked
+	shards []*shard // shards whose inbox received protocol messages
+}
+
+// finish hands the frame's work over: its acks go onto the link in one
+// append that wakes nobody (see link.queueAcks), each shard that received
+// messages is woken once, and then the reader waits, holding no lock, for
+// room in any of those inboxes it left at the bound (shard.awaitRoom).
+func (fw *frameWork) finish(l *link) {
+	if len(fw.acks) > 0 {
+		l.queueAcks(fw.acks)
+	}
+	for _, sh := range fw.shards {
+		sh.signal()
+	}
+	for _, sh := range fw.shards {
+		sh.awaitRoom()
+	}
+	fw.acks, fw.shards = fw.acks[:0], fw.shards[:0]
+}
+
 // handleSequenced runs the reliability protocol for one sequenced message:
-// authenticate the sender, suppress duplicates, place the message (deliver
-// to its instance, or buffer until the instance starts), and acknowledge.
-func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg) {
+// authenticate the sender, suppress duplicates, place the message (queue it
+// for its instance's shard, or buffer until the instance starts), and record
+// the ack for the frame's end.
+func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg, fw *frameWork) {
 	// The transport stamps the authentic sender, as mpnet's network does: a
 	// message claiming another origin is dropped.
 	if bm.From != from {
@@ -558,7 +589,14 @@ func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg) {
 	}
 	inst, accepted, fresh := n.placeFrame(from, bm.Seq, bm)
 	if inst != nil {
-		inst.deliver(bm)
+		switch bm.Kind {
+		case wire.TypeProto:
+			if !slices.Contains(fw.shards, inst.shard) {
+				fw.shards = append(fw.shards, inst.shard)
+			}
+		case wire.TypeDecide:
+			inst.recordDecision(bm.From, bm.Value)
+		}
 	}
 	if fresh && bm.Kind == wire.TypePropose {
 		if h := n.proposeH; h != nil {
@@ -566,17 +604,17 @@ func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg) {
 		}
 	}
 	if accepted {
-		if l := n.links[from]; l != nil {
-			l.enqueueAck(bm.Seq)
-		}
+		fw.acks = append(fw.acks, bm.Seq)
 	}
 }
 
 // placeFrame decides one message's fate under the sender's dedup lock:
-// duplicate (re-ack, no delivery), deliverable (returns the instance;
-// delivery happens outside every lock), bufferable (stored in the owning
-// shard until the instance starts), or droppable (pending buffer full or
-// sequence beyond the dedup window: not acknowledged, the peer will retry).
+// duplicate (re-ack, no delivery), deliverable (returns the instance; a
+// protocol message is already in the owning shard's inbox, which the caller
+// wakes once per frame, and a decide is the caller's to apply outside every
+// lock), bufferable (stored in the owning shard until the instance starts),
+// or droppable (pending buffer full or sequence beyond the dedup window: not
+// acknowledged, the peer will retry).
 // fresh reports a first acceptance, as opposed to a re-acked duplicate. ACS
 // proposals never route to an instance (their Instance slot carries the
 // round number); the caller hands fresh ones to the propose handler. Frames
@@ -605,7 +643,12 @@ func (n *Node) placeFrame(from types.ProcessID, seq uint64, bm wire.BatchMsg) (i
 		sh := n.shardFor(bm.Instance)
 		sh.mu.Lock()
 		inst = sh.instances[bm.Instance]
-		if inst == nil && !n.completedInstance(bm.Instance) {
+		switch {
+		case inst != nil:
+			if bm.Kind == wire.TypeProto {
+				sh.appendLocked(shardEvent{inst: inst, from: bm.From, payload: bm.Payload})
+			}
+		case !n.completedInstance(bm.Instance):
 			if len(sh.pending[bm.Instance]) >= maxPendingFrames {
 				sh.mu.Unlock()
 				return nil, false, false
@@ -696,6 +739,13 @@ func (n *Node) registerInstance(id uint64, k, t int, proto theory.ProtocolID, el
 	if err != nil {
 		return nil, nil, err
 	}
+	return n.admit(inst)
+}
+
+// admit is the registry half of registerInstance, for an instance already
+// constructed (tests hand it one whose protocol they control).
+func (n *Node) admit(inst *instance) (*instance, []wire.BatchMsg, error) {
+	id := inst.id
 	sh := n.shardFor(id)
 	inst.shard = sh
 	sh.mu.Lock()
@@ -717,7 +767,6 @@ func (n *Node) registerInstance(id uint64, k, t int, proto theory.ProtocolID, el
 		sh.mu.Unlock()
 		return nil, nil, nil
 	}
-	n.liveIDs[id] = struct{}{}
 	n.regMu.Unlock()
 	sh.instances[id] = inst
 	backlog := sh.pending[id]
@@ -767,7 +816,6 @@ func (n *Node) evictInstance(in *instance) {
 	delete(sh.instances, in.id)
 	delete(sh.pending, in.id)
 	n.regMu.Lock()
-	delete(n.liveIDs, in.id)
 	n.archive[in.id] = &tbl
 	if len(n.archOrder) < maxArchived {
 		n.archOrder = append(n.archOrder, in.id)
@@ -831,9 +879,13 @@ func (n *Node) T() int { return n.cfg.T }
 
 // ActiveInstances returns the number of live (not yet evicted) instances.
 func (n *Node) ActiveInstances() int {
-	n.regMu.Lock()
-	defer n.regMu.Unlock()
-	return len(n.liveIDs)
+	total := 0
+	for _, sh := range n.shards {
+		sh.mu.Lock()
+		total += len(sh.instances)
+		sh.mu.Unlock()
+	}
+	return total
 }
 
 // Shards returns the number of shard event loops serving instances.
@@ -952,10 +1004,10 @@ func histFromWire(h wire.Hist) obs.HistSnapshot {
 }
 
 // serveCtl answers control requests on one controller connection,
-// request-reply, one writer (this goroutine).
-func (n *Node) serveCtl(conn net.Conn) {
+// request-reply, one writer (this goroutine); requests are read through br.
+func (n *Node) serveCtl(br *bufio.Reader, conn net.Conn) {
 	for {
-		m, err := wire.ReadMsg(conn)
+		m, err := wire.ReadMsg(br)
 		if err != nil {
 			return
 		}

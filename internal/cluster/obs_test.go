@@ -75,11 +75,11 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 
 	// One transport ack and one sequenced frame are waiting when the peer is
 	// unreachable.
-	l.enqueueAck(7)
+	l.queueAcks([]uint64{7})
 	l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
 		Payload: types.Payload{Kind: types.KindEcho}})
 
-	l.flush() // dial fails
+	l.flush(false) // dial fails
 	l.mu.Lock()
 	acks, queued := append([]uint64(nil), l.acks...), len(l.queue)
 	l.mu.Unlock()
@@ -100,7 +100,7 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 	// no connection took the frame, so it is still a first attempt waiting —
 	// not a retransmission — and the ack is still held.
 	time.Sleep(10 * time.Millisecond)
-	l.flush()
+	l.flush(false)
 	if got := n.stats.retransmits.Value() + l.mRetransmits.Value(); got != 0 {
 		t.Errorf("retransmits (node + per-peer) = %d while unreachable, want 0", got)
 	}
@@ -123,7 +123,7 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 	defer ln.Close()
 	l.nextDialAt = time.Time{} // cancel the backoff window
 	time.Sleep(10 * time.Millisecond)
-	l.flush()
+	l.flush(false)
 
 	conn, err := ln.Accept()
 	if err != nil {

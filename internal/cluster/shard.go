@@ -3,20 +3,24 @@ package cluster
 // The sharded instance engine: instead of one goroutine (plus a 256-slot
 // inbox) per consensus instance, the node runs a fixed pool of shard event
 // loops, each owning the instances whose id hashes to it (id % shards) and
-// draining one bounded mailbox. Connection readers route accepted protocol
-// frames to the owning shard, and the shard loop makes every protocol call —
-// Start, backlog replay, self-send draining, Deliver — so mpnet's
-// single-threaded-protocol contract holds per instance exactly as it did
-// with a dedicated goroutine. The steady-state cost of an idle instance
+// draining one bounded inbox. Connection readers append accepted protocol
+// messages to the owning shard's inbox, and the shard loop makes every
+// protocol call — Start, backlog replay, self-send draining, Deliver — so
+// mpnet's single-threaded-protocol contract holds per instance exactly as it
+// did with a dedicated goroutine. The steady-state cost of an idle instance
 // drops from a goroutine stack plus a 4 KiB channel to a map entry, and the
 // node's goroutine count is O(shards + peers) instead of O(instances).
 //
+// Hand-offs are per frame, not per message: a reader appends a whole frame's
+// messages inside the shard critical section placeFrame already holds, wakes
+// the loop once when the frame is done, and the loop swaps the entire inbox
+// out and processes it without touching the lock again.
+//
 // Lock order (outermost first): peerSeen.mu, then shard.mu, then Node.regMu.
 // Instance locks (instance.mu) are only ever taken with none of those held.
-// Shard loops never block while holding shard.mu: channel operations happen
-// outside every critical section, so a full mailbox stalls only the
-// connection reader feeding it (backpressure the retransmit layer rides
-// out), never a lock holder.
+// Nobody blocks while holding shard.mu: a reader that finds the inbox full
+// waits outside every lock, which stalls only that connection (backpressure
+// the retransmit layer rides out), never a lock holder.
 
 import (
 	"fmt"
@@ -29,9 +33,12 @@ import (
 
 // shardMailboxDepth bounds the deliveries queued between the connection
 // readers and one shard loop. The old engine spent 256 slots per instance;
-// one shared 4096-slot mailbox per shard serves thousands of instances in
-// far less memory, and the kset_shard_mailbox_depth gauge exposes the
-// occupancy so a stalled shard is visible on /metrics.
+// one shared 4096-event inbox per shard serves thousands of instances in far
+// less memory. A reader checks the bound once per frame, after appending it,
+// so the inbox can exceed the bound by at most one frame per peer connection
+// (batchMsgsPerFrame messages from this node's writers, wire.MaxBatchMsgs
+// from any peer); the kset_shard_mailbox_depth gauge exposes the occupancy so
+// a stalled shard is visible on /metrics.
 const shardMailboxDepth = 4096
 
 // shardEvent is one remote protocol message awaiting its shard loop.
@@ -58,15 +65,17 @@ type shard struct {
 	instances map[uint64]*instance       // live instances owned by this shard
 	pending   map[uint64][]wire.BatchMsg // frames for instances not started yet
 	starts    []startReq                 // registered instances awaiting Start
+	inbox     []shardEvent               // protocol deliveries awaiting the loop
+	// drained, while non-nil, is closed by the loop's next inbox swap: a
+	// reader that found the inbox at the bound waits on it.
+	drained chan struct{}
 
-	// mail carries protocol deliveries from the connection readers; wake
-	// (capacity 1) signals queued control work (starts). Both are consumed
-	// only by the shard loop.
-	mail chan shardEvent
+	// wake (capacity 1) tells the loop there is work: starts or an inbox
+	// that a reader finished appending a frame to. Consumed only by the loop.
 	wake chan struct{}
 
-	// depth tracks the mailbox occupancy, senders blocked on a full mailbox
-	// included (kset_shard_mailbox_depth{shard="i"}).
+	// depth is the inbox length, set on every append and every swap
+	// (kset_shard_mailbox_depth{shard="i"}).
 	depth *obs.Gauge
 }
 
@@ -76,7 +85,6 @@ func newShard(n *Node, idx int) *shard {
 		idx:       idx,
 		instances: make(map[uint64]*instance),
 		pending:   make(map[uint64][]wire.BatchMsg),
-		mail:      make(chan shardEvent, shardMailboxDepth),
 		wake:      make(chan struct{}, 1),
 		depth:     n.reg.Gauge(fmt.Sprintf(`kset_shard_mailbox_depth{shard="%d"}`, idx)),
 	}
@@ -87,20 +95,35 @@ func (n *Node) shardFor(id uint64) *shard {
 	return n.shards[id%uint64(len(n.shards))]
 }
 
-// enqueue hands one protocol delivery to the shard loop. A full mailbox
-// blocks the caller (a connection reader) until the loop drains or the node
-// shuts down; the loop itself never sends here, so the stall cannot cycle.
-func (sh *shard) enqueue(ev shardEvent) {
-	sh.depth.Add(1)
-	select {
-	case sh.mail <- ev:
-	case <-sh.node.done:
-		sh.depth.Add(-1)
-	}
+// appendLocked queues one protocol delivery for the loop. Called with sh.mu
+// held; the caller signals the loop once its frame is placed.
+func (sh *shard) appendLocked(ev shardEvent) {
+	sh.inbox = append(sh.inbox, ev)
+	sh.depth.Set(int64(len(sh.inbox)))
 }
 
-// signal nudges the shard loop to drain its start queue (capacity-1 channel,
-// never blocks).
+// awaitRoom blocks a connection reader, holding no lock, while the inbox is
+// at or over shardMailboxDepth: until the loop swaps the inbox out or the
+// node shuts down. The loop never waits here, so the stall cannot cycle.
+func (sh *shard) awaitRoom() {
+	sh.mu.Lock()
+	for len(sh.inbox) >= shardMailboxDepth {
+		if sh.drained == nil {
+			sh.drained = make(chan struct{})
+		}
+		drained := sh.drained
+		sh.mu.Unlock()
+		select {
+		case <-drained:
+		case <-sh.node.done:
+			return
+		}
+		sh.mu.Lock()
+	}
+	sh.mu.Unlock()
+}
+
+// signal nudges the shard loop (capacity-1 channel, never blocks).
 func (sh *shard) signal() {
 	select {
 	case sh.wake <- struct{}{}:
@@ -110,18 +133,35 @@ func (sh *shard) signal() {
 
 // loop is the shard goroutine: it starts registered instances and feeds
 // deliveries to their protocols until the node shuts down. One loop per
-// shard is the entire goroutine budget of the instance engine.
+// shard is the entire goroutine budget of the instance engine. Each wake
+// drains the inbox by swapping it against the batch just processed, so the
+// two backing arrays alternate and a steady-state swap allocates nothing.
 func (sh *shard) loop() {
 	defer sh.node.wg.Done()
+	var batch []shardEvent
 	for {
-		sh.runStarts()
 		select {
 		case <-sh.node.done:
 			return
 		case <-sh.wake:
-		case ev := <-sh.mail:
-			sh.depth.Add(-1)
-			sh.process(ev)
+		}
+		for {
+			sh.runStarts()
+			sh.mu.Lock()
+			batch, sh.inbox = sh.inbox, batch[:0]
+			sh.depth.Set(0)
+			if sh.drained != nil {
+				close(sh.drained)
+				sh.drained = nil
+			}
+			sh.mu.Unlock()
+			if len(batch) == 0 {
+				break
+			}
+			for i := range batch {
+				sh.process(batch[i])
+			}
+			clear(batch) // an evicted instance is not kept alive by a stale slot
 		}
 	}
 }
@@ -148,7 +188,7 @@ func (sh *shard) runStarts() {
 }
 
 // process feeds one delivery to its instance's protocol. A delivery can only
-// have been enqueued after its instance was registered, and registration
+// have been queued after its instance was registered, and registration
 // queues the start request before the instance becomes visible to
 // placeFrame — so if the instance has not started yet, draining the start
 // queue is guaranteed to run its Start first, preserving the protocol's

@@ -96,7 +96,7 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 			l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
 				Payload: types.Payload{Kind: types.KindEcho, Value: types.Value(i)}})
 		}
-		l.flush()
+		l.flush(false)
 		l.mu.Lock()
 		queued := len(l.queue)
 		l.mu.Unlock()
@@ -120,15 +120,18 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 	t.Run("unsent acks requeued", func(t *testing.T) {
 		n := unservedNode(t)
 		l := n.links[1]
-		// One ack vector too long for one frame: the one-byte bufio hands each
-		// frame to the conn in one write, so failing at call 2 lands
+		// One ack vector too long for one frame, written by a tick round (the
+		// only round that sends acks without data): the one-byte bufio hands
+		// each frame to the conn in one write, so failing at call 2 lands
 		// mid-round, after the first frame's acks made it out.
 		fc := newFailingConn(2)
 		plantConn(l, fc)
+		var seqs []uint64
 		for seq := uint64(1); seq <= wire.MaxBatchAcks+2; seq++ {
-			l.enqueueAck(seq)
+			seqs = append(seqs, seq)
 		}
-		l.flush()
+		l.queueAcks(seqs)
+		l.flush(true)
 		l.mu.Lock()
 		acks := append([]uint64(nil), l.acks...)
 		l.mu.Unlock()
@@ -145,10 +148,10 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 		l := n.links[1]
 		fc := newFailingConn(1)
 		plantConn(l, fc)
-		l.enqueueAck(7)
+		l.queueAcks([]uint64{7})
 		l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
 			Payload: types.Payload{Kind: types.KindEcho}})
-		l.flush()
+		l.flush(false)
 		l.mu.Lock()
 		acks := append([]uint64(nil), l.acks...)
 		queued := len(l.queue)
@@ -320,7 +323,7 @@ func TestDeadPeerFlushCostFixed(t *testing.T) {
 			l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
 				Payload: types.Payload{Kind: types.KindEcho}})
 		}
-		l.flush() // the first dials and fails, the rest fall in its backoff window
+		l.flush(false) // the first dials and fails, the rest fall in its backoff window
 		want := int64(1000 * round)
 		if depth.Value() != want || unsent.Value() != want {
 			t.Errorf("round %d: queue_depth = %d, unsent = %d, want %d each",

@@ -386,18 +386,15 @@ func Decode(body []byte) (Msg, error) {
 	return m, nil
 }
 
-// WriteMsg encodes m and writes it as one length-prefixed frame.
+// WriteMsg encodes m and writes it as one length-prefixed frame, prefix and
+// body in a single Write: on a raw connection one syscall and one segment.
 func WriteMsg(w io.Writer, m Msg) error {
-	body, err := Encode(m)
+	frame, err := AppendEncode(make([]byte, 4, 4+64), m)
 	if err != nil {
 		return err
 	}
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
-	if _, err := w.Write(prefix[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err = w.Write(frame)
 	return err
 }
 

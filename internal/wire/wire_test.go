@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"net"
 	"reflect"
 	"testing"
 
@@ -224,6 +225,38 @@ func TestStreamFraming(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("%d bytes left over after reading all frames", buf.Len())
+	}
+}
+
+// countingConn is a net.Conn that counts the Writes reaching it and keeps
+// their bytes; nothing else of the interface is called.
+type countingConn struct {
+	net.Conn
+	writes int
+	buf    bytes.Buffer
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.buf.Write(p)
+}
+
+// TestWriteMsgOneWrite pins WriteMsg to one Write per frame, length prefix
+// included: on a raw connection, one syscall and one segment per request and
+// per reply. The bytes still read back as the same frames.
+func TestWriteMsgOneWrite(t *testing.T) {
+	for _, m := range sampleMsgs() {
+		var c countingConn
+		if err := WriteMsg(&c, m); err != nil {
+			t.Fatalf("WriteMsg(%v): %v", m.Type(), err)
+		}
+		if c.writes != 1 {
+			t.Errorf("%v: %d Writes for one frame, want 1", m.Type(), c.writes)
+		}
+		got, err := ReadMsg(&c.buf)
+		if err != nil || !reflect.DeepEqual(normalize(m), normalize(got)) {
+			t.Errorf("%v: read back %#v, %v", m.Type(), got, err)
+		}
 	}
 }
 
