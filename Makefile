@@ -72,7 +72,7 @@ bench-sweep:
 BENCH_FLAGS ?= -benchmem -benchtime=0.5s
 bench-net:
 	$(GO) test -run XXX -bench 'BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkBatchRoundTrip' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/wire/
-	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkLinkFlushBacklog|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
+	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkLinkFlushBacklog|BenchmarkLinkEnqueueUnreachable|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
 
 # One set of runs of the repository's benchmark (BENCHMARK.json, bench/):
 # every workload x every seed, one `bash bench/run.sh ... -out SET` each,

@@ -115,12 +115,61 @@ func BenchmarkLinkFlushBacklog(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(l.scanned-scanned)/float64(b.N), "scanned/op")
-				if got := len(l.queue); got != backlog {
+				if got := l.queue.len(); got != backlog {
 					b.Fatalf("backlog = %d after timing, want %d", got, backlog)
 				}
 			})
 		}
 	}
+}
+
+// BenchmarkLinkEnqueueUnreachable measures enqueue to a peer whose dial has
+// failed and is backing off, behind a backlog of 10^4 and 10^6 frames. The
+// queue grows in fixed blocks, so ns/op and B/op (one 256-frame block per
+// 256 frames, 104 B) must not follow the backlog. Every backlog-many timed
+// frames the queue is cut back to the backlog, untimed, which bounds memory
+// at twice the backlog.
+func BenchmarkLinkEnqueueUnreachable(b *testing.B) {
+	for _, backlog := range []int{10000, 1000000} {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			n, err := NewNode(Config{
+				ID: 0, N: 2, K: 1, T: 0,
+				Peers: []string{"127.0.0.1:1", "127.0.0.1:1"},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer n.Close()
+			l := n.links[1]
+			if l.ensureConn() {
+				b.Fatal("dialed an address nothing listens on")
+			}
+			msg := wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
+				Payload: types.Payload{Kind: types.KindEcho}}
+			for i := 0; i < backlog; i++ {
+				l.enqueue(msg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%backlog == 0 {
+					b.StopTimer()
+					truncateQueue(&l.queue, backlog)
+					b.StartTimer()
+				}
+				l.enqueue(msg)
+			}
+		})
+	}
+}
+
+// truncateQueue drops the frames past the first n and the blocks that held
+// only those.
+func truncateQueue(q *frameQueue, n int) {
+	keep := (q.head + n + frameBlockLen - 1) >> frameBlockShift
+	clear(q.blocks[keep:])
+	q.blocks = q.blocks[:keep]
+	q.n = n
 }
 
 // BenchmarkNodeDecideUnderLoad measures decide latency under concurrent

@@ -53,7 +53,7 @@ func TestAckWithoutReverseTraffic(t *testing.T) {
 	waitFor(t, retransmit, "the stream to be acked", func() bool {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		return len(l.queue) == 0
+		return l.queue.len() == 0
 	})
 	t.Logf("acked %v after the last message was accepted", time.Since(received))
 	if got := sender.stats.retransmits.Value(); got != 0 {

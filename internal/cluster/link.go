@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kset/internal/obs"
@@ -31,10 +32,10 @@ type link struct {
 	addr string
 
 	mu      sync.Mutex
-	queue   []pendingFrame // unacked sequenced frames in seq order
-	nextSeq uint64         // next sequence number to assign (first is 1)
-	acks    []uint64       // outgoing transport acks, fire-and-forget (see queueAcks)
-	down    bool           // partitioned: hold all traffic
+	queue   frameQueue // unacked sequenced frames in seq order, in fixed blocks
+	nextSeq uint64     // next sequence number to assign (first is 1)
+	acks    []uint64   // outgoing transport acks, fire-and-forget (see queueAcks)
+	down    bool       // partitioned: hold all traffic
 	closed  bool
 	// cursor splits the queue: queue[:cursor] has been rolled through the
 	// fault injector at least once (sent, dropped or held back by an injected
@@ -48,9 +49,16 @@ type link struct {
 	// scanned counts the queue entries flush has examined; the tests and
 	// BenchmarkLinkFlushBacklog read it to pin the cost of a round.
 	scanned int64
-	// ackOnly counts the batch frames written with acks and no message; the
-	// tests read it once the writer has exited. Writer goroutine only.
+	// ackOnly counts the batch frames written with acks and no message, and
+	// rounds the flush rounds the writer has run; the tests read them once the
+	// writer has exited. Writer goroutine only.
 	ackOnly int64
+	rounds  int64
+
+	// unreachable is set by a failed dial and cleared by a successful one.
+	// While it is set enqueue does not wake the writer, whose dial is backing
+	// off: the writer's tick redials and flushes the backlog.
+	unreachable atomic.Bool
 
 	// ackScratch and sendScratch recycle flush's working slices: each round
 	// swaps the drained ack list against ackScratch and collects due frames
@@ -85,7 +93,8 @@ type link struct {
 // its sequence number). The message is stored as the flat wire.BatchMsg
 // union and the three stamps as link-clock nanoseconds (see link.now), so
 // the struct holds no pointer: queueing and flushing move plain structs, and
-// the collector never scans the backlog to a peer that stays away.
+// the collector never scans the backlog to a peer that stays away. A
+// frameQueue block holds 256 of them, about 26 KiB.
 type pendingFrame struct {
 	msg wire.BatchMsg
 	// lastAttempt is when the frame was last rolled into a round that had a
@@ -134,7 +143,8 @@ func (l *link) now() int64 {
 }
 
 // enqueue assigns the next sequence number to bm (a proto or decide message)
-// and queues it for reliable delivery.
+// and queues it for reliable delivery. It wakes the writer unless the peer is
+// unreachable: then the frame waits for the writer's tick.
 func (l *link) enqueue(bm wire.BatchMsg) {
 	l.mu.Lock()
 	if l.closed {
@@ -143,9 +153,11 @@ func (l *link) enqueue(bm wire.BatchMsg) {
 	}
 	l.nextSeq++
 	bm.Seq = l.nextSeq
-	l.queue = append(l.queue, pendingFrame{msg: bm})
+	l.queue.push(pendingFrame{msg: bm})
 	l.mu.Unlock()
-	l.signal()
+	if !l.unreachable.Load() {
+		l.signal()
+	}
 }
 
 // queueAcks adds one inbound frame's transport acks under one lock and wakes
@@ -180,23 +192,21 @@ func (l *link) ackBatch(seqs []uint64) {
 }
 
 func (l *link) ackLocked(seq uint64, now int64) {
-	for i := range l.queue {
+	for i := 0; i < l.queue.len(); i++ {
+		p := l.queue.at(i)
 		// The queue is in seq order: a stale ack (a re-ack of a frame already
 		// confirmed) stops at the head instead of walking the backlog.
-		if l.queue[i].msg.Seq > seq {
+		if p.msg.Seq > seq {
 			return
 		}
-		if l.queue[i].msg.Seq == seq {
-			if first := l.queue[i].firstSent; first != 0 {
+		if p.msg.Seq == seq {
+			if first := p.firstSent; first != 0 {
 				l.node.stats.ackRTT.Observe(time.Duration(now - first).Seconds())
 			}
 			// Acks overwhelmingly confirm the queue head in order; popping
-			// the front is O(1) and only an out-of-order ack pays the copy.
-			if i == 0 {
-				l.queue = l.queue[1:]
-			} else {
-				l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			}
+			// the front is O(1) and only an out-of-order ack pays a shift of
+			// the i frames its search walked past.
+			l.queue.remove(i)
 			if i < l.cursor {
 				l.cursor--
 			}
@@ -267,6 +277,7 @@ func (l *link) writer() {
 			return
 		}
 		runtime.Gosched()
+		l.rounds++
 		l.flush(ticked)
 	}
 }
@@ -295,7 +306,8 @@ const batchMsgsPerFrame = 1024
 // due, not the unacked backlog. The connection comes first: while the peer is
 // unreachable and the dial is backing off, the round ends before the queue
 // or the ack list is touched, so a crashed peer costs its live neighbours
-// O(1) per wake however long its queue grows. With a connection in hand the
+// O(1) per round however long its queue grows, and those rounds come on the
+// writer's tick alone (see unreachable). With a connection in hand the
 // round collects the frames due now under the lock (each attempt rolled
 // through the fault injector) and the pending acks, then writes them outside
 // it as coalesced batch frames with the acks piggybacked. Acks ride only on
@@ -303,9 +315,10 @@ const batchMsgsPerFrame = 1024
 // one round that writes them alone.
 func (l *link) flush(tick bool) {
 	l.mu.Lock()
-	l.mQueueDepth.Set(int64(len(l.queue)))
-	l.mUnsent.Set(int64(len(l.queue) - l.cursor))
-	if l.down || (len(l.queue) == 0 && (len(l.acks) == 0 || !tick)) {
+	queued := l.queue.len()
+	l.mQueueDepth.Set(int64(queued))
+	l.mUnsent.Set(int64(queued - l.cursor))
+	if l.down || (queued == 0 && (len(l.acks) == 0 || !tick)) {
 		l.mu.Unlock()
 		return
 	}
@@ -363,8 +376,9 @@ func (l *link) collectDue(now int64) []wire.BatchMsg {
 	if l.retransmitAt != 0 && now >= l.retransmitAt {
 		first, l.retransmitAt = 0, 0
 	}
-	for i := first; i < len(l.queue); i++ {
-		p := &l.queue[i]
+	queued := l.queue.len()
+	for i := first; i < queued; i++ {
+		p := l.queue.at(i)
 		if i >= l.cursor || p.dueAt(retransmit) <= now {
 			sends = l.attempt(p, now, sends)
 		}
@@ -372,8 +386,8 @@ func (l *link) collectDue(now int64) []wire.BatchMsg {
 			l.retransmitAt = due
 		}
 	}
-	l.scanned += int64(len(l.queue) - first)
-	l.cursor = len(l.queue)
+	l.scanned += int64(queued - first)
+	l.cursor = queued
 	l.sendScratch = sends
 	return sends
 }
@@ -479,6 +493,7 @@ func (l *link) ensureConn() bool {
 	l.mDials.Add(1)
 	conn, err := net.DialTimeout("tcp", l.addr, l.node.cfg.DialTimeout)
 	if err != nil {
+		l.unreachable.Store(true)
 		l.mDialFailures.Add(1)
 		if l.backoff == 0 {
 			l.backoff = 25 * time.Millisecond
@@ -495,6 +510,7 @@ func (l *link) ensureConn() bool {
 			obs.F("backoff", l.backoff.String()), obs.F("err", err.Error()))
 		return false
 	}
+	l.unreachable.Store(false)
 	l.backoff = 0
 	l.nextDialAt = time.Time{}
 	l.conn = conn

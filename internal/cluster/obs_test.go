@@ -81,7 +81,7 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 
 	l.flush(false) // dial fails
 	l.mu.Lock()
-	acks, queued := append([]uint64(nil), l.acks...), len(l.queue)
+	acks, queued := append([]uint64(nil), l.acks...), l.queue.len()
 	l.mu.Unlock()
 	if len(acks) != 1 || acks[0] != 7 {
 		t.Fatalf("after failed dial: acks = %v, want [7]", acks)
@@ -108,7 +108,7 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 		t.Errorf("frames sent = %d while unreachable, want 0", got)
 	}
 	l.mu.Lock()
-	acks, queued = append([]uint64(nil), l.acks...), len(l.queue)
+	acks, queued = append([]uint64(nil), l.acks...), l.queue.len()
 	l.mu.Unlock()
 	if len(acks) != 1 || acks[0] != 7 || queued != 1 {
 		t.Fatalf("after backoff round: acks = %v, %d queued frames, want [7] and 1", acks, queued)

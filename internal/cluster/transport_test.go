@@ -98,7 +98,7 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 		}
 		l.flush(false)
 		l.mu.Lock()
-		queued := len(l.queue)
+		queued := l.queue.len()
 		l.mu.Unlock()
 		if queued != 3 {
 			t.Errorf("after mid-flush failure: %d frames queued, want all 3", queued)
@@ -154,7 +154,7 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 		l.flush(false)
 		l.mu.Lock()
 		acks := append([]uint64(nil), l.acks...)
-		queued := len(l.queue)
+		queued := l.queue.len()
 		l.mu.Unlock()
 		if len(acks) != 1 || acks[0] != 7 {
 			t.Errorf("requeued acks = %v, want [7]", acks)
@@ -410,7 +410,7 @@ func TestLinkOutageRecovery(t *testing.T) {
 		arrived := len(got)
 		mu.Unlock()
 		l.mu.Lock()
-		queued := len(l.queue)
+		queued := l.queue.len()
 		l.mu.Unlock()
 		if arrived >= frames && queued == 0 {
 			break
@@ -429,5 +429,91 @@ func TestLinkOutageRecovery(t *testing.T) {
 		if r != uint64(i+1) {
 			t.Fatalf("delivery %d is round %d, want %d: not exactly-once in seq order", i, r, i+1)
 		}
+	}
+}
+
+// TestOutOfOrderAckAcrossBlocks sends a backlog several frameQueue blocks
+// long over a link that drops and duplicates, so acks arrive out of order and
+// remove frames from the middle of the queue. Every frame must arrive exactly
+// once, the queue must drain, and the cursor must never pass the queue's end.
+func TestOutOfOrderAckAcrossBlocks(t *testing.T) {
+	const frames = 6 * frameBlockLen
+	lb, err := StartLoopback(LoopbackConfig{N: 2, K: 1, T: 0, Seed: 26,
+		Retransmit: 10 * time.Millisecond,
+		Faults:     Faults{Drop: 0.2, Dup: 0.2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	sender, receiver := lb.Nodes[0], lb.Nodes[1]
+	var mu sync.Mutex
+	got := make(map[uint64]int)
+	receiver.SetProposeHandler(func(p wire.Propose) {
+		mu.Lock()
+		got[p.Round]++
+		mu.Unlock()
+	})
+	for r := uint64(1); r <= frames; r++ {
+		sender.BroadcastPropose(wire.Propose{Round: r, Proposer: 0, Value: types.Value(r)})
+	}
+	l := sender.links[1]
+	waitFor(t, 30*time.Second, "the backlog to be delivered and acked", func() bool {
+		l.mu.Lock()
+		queued, cursor := l.queue.len(), l.cursor
+		l.mu.Unlock()
+		if cursor > queued {
+			t.Fatalf("cursor %d past the queue's %d frames", cursor, queued)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == frames && queued == 0
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for r := uint64(1); r <= frames; r++ {
+		if got[r] != 1 {
+			t.Fatalf("round %d delivered %d times, want exactly once", r, got[r])
+		}
+	}
+	if sender.stats.dropsInjected.Value() == 0 || sender.stats.dupsInjected.Value() == 0 {
+		t.Errorf("drops %d, dups %d: the injector did not engage",
+			sender.stats.dropsInjected.Value(), sender.stats.dupsInjected.Value())
+	}
+}
+
+// TestUnreachablePeerNoWake pins that a writer whose dial is backing off is
+// not woken per message: after the first dial failure, 10^4 enqueues leave
+// its round count within the ticks that elapsed plus the round that dialed.
+func TestUnreachablePeerNoWake(t *testing.T) {
+	const retransmit = 100 * time.Millisecond // the writer ticks every 50 ms
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(Config{
+		ID: 0, N: 2, K: 1, T: 0,
+		Peers:      []string{ln.Addr().String(), "127.0.0.1:1"},
+		Retransmit: retransmit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	n.Serve(ln) // starts the writer
+	l := n.links[1]
+	msg := wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
+		Payload: types.Payload{Kind: types.KindEcho}}
+	l.enqueue(msg)
+	waitFor(t, 10*time.Second, "the first dial to fail", func() bool { return l.mDialFailures.Value() > 0 })
+	for i := 0; i < 10000; i++ {
+		l.enqueue(msg)
+	}
+	n.Close() // the writer has exited: rounds is final
+	ticks := int64(time.Since(begin) / (retransmit / 2))
+	if l.rounds > ticks+1 {
+		t.Errorf("writer ran %d rounds in %d ticks, want at most %d", l.rounds, ticks, ticks+1)
+	}
+	if got := l.queue.len(); got != 10001 {
+		t.Errorf("%d frames queued, want all 10001", got)
 	}
 }
