@@ -65,14 +65,15 @@ bench-sweep:
 
 # The network-path benchmarks tracked in BENCH_net.json (wire codec, batch
 # frames, link throughput, flush cost against the unacked backlog, dedup
-# window, decide latency under load). The
+# window, decide latency under load, one instance's register-to-evict
+# lifecycle). The
 # soak frames/decision row of the ledger comes from the race soak instead:
 #   go test -race -count=1 -run TestClusterSoak -v ./internal/cluster/
 # BENCH_FLAGS lets CI shrink benchtime for a smoke run.
 BENCH_FLAGS ?= -benchmem -benchtime=0.5s
 bench-net:
 	$(GO) test -run XXX -bench 'BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkBatchRoundTrip' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/wire/
-	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkLinkFlushBacklog|BenchmarkLinkEnqueueUnreachable|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
+	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkLinkFlushBacklog|BenchmarkLinkEnqueueUnreachable|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow|BenchmarkInstanceLifecycle' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
 
 # One set of runs of the repository's benchmark (BENCHMARK.json, bench/):
 # every workload x every seed, one `bash bench/run.sh ... -out SET` each,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -277,4 +278,44 @@ func BenchmarkDedupWindow(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkInstanceLifecycle measures one instance's whole registry life on
+// a one-node cluster: register, start, complete (ProtoTrivial decides in its
+// Start, which completes an N = 1 table) and evict into the archive. The
+// archive is filled before the timer starts, so every timed eviction also
+// rotates an older id into the tombstones. Starts go in waves of 256, each
+// wave waiting until its instances are evicted.
+func BenchmarkInstanceLifecycle(b *testing.B) {
+	n, err := NewNode(Config{ID: 0, N: 1, K: 1, T: 0, Peers: []string{"127.0.0.1:1"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	active := n.Metrics().Gauge("kset_instances_active")
+	next := uint64(1)
+	run := func(count int) {
+		for count > 0 {
+			wave := min(count, 256)
+			for i := 0; i < wave; i++ {
+				err := n.StartInstance(wire.Start{
+					Instance: next, K: 1, T: 0, Proto: uint8(theory.ProtoTrivial), Input: 1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			for deadline := time.Now().Add(10 * time.Second); active.Value() > 0; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					b.Fatalf("%d instances still live at deadline", active.Value())
+				}
+			}
+			count -= wave
+		}
+	}
+	run(2 * maxArchived)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }

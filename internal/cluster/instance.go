@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kset/internal/mpnet"
@@ -45,6 +46,10 @@ type instance struct {
 	rows      []wire.TableRow // decision table, indexed by node id
 	tableDone bool            // full table observed (latency recorded once)
 
+	// archived is set under mu by the eviction that wins: rows is frozen
+	// from then on, and the shard loop runs no more protocol code for it.
+	archived atomic.Bool
+
 	// startedAt is stamped at construction, before any frame can be
 	// delivered, and read from both the shard loop (Decide) and the
 	// connection readers (recordDecision); it is immutable thereafter.
@@ -74,16 +79,17 @@ func newInstance(n *Node, id uint64, k, t int, proto theory.ProtocolID, ell int,
 	return in, nil
 }
 
-// recordDecision fills one row of the decision table. The first announcement
-// wins; a correct node never announces twice with different values, and for
-// a faulty one any stable choice is as good as another. The decide observer
-// and the table-complete eviction run after the lock is released.
+// recordDecision fills one row of the decision table, unless the instance is
+// archived. The first announcement wins; a correct node never announces
+// twice with different values, and for a faulty one any stable choice is as
+// good as another. The decide observer and the table-complete eviction run
+// after the lock is released.
 func (in *instance) recordDecision(node types.ProcessID, val types.Value) {
 	if int(node) < 0 || int(node) >= len(in.rows) {
 		return
 	}
 	in.mu.Lock()
-	if in.rows[node].Decided {
+	if in.archived.Load() || in.rows[node].Decided {
 		in.mu.Unlock()
 		return
 	}
@@ -152,18 +158,6 @@ func (in *instance) drainSelf() {
 	in.self = in.self[:0]
 }
 
-// tableSnapshot copies the current decision table.
-func (in *instance) tableSnapshot() wire.Table {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return wire.Table{
-		Instance: in.id,
-		K:        in.k,
-		T:        in.t,
-		Rows:     append([]wire.TableRow(nil), in.rows...),
-	}
-}
-
 // instanceAPI adapts the cluster transport to the mpnet.API the protocol
 // implementations were written against. All methods are called from the
 // owning shard's loop goroutine only.
@@ -204,8 +198,9 @@ func (a *instanceAPI) Broadcast(p types.Payload) {
 	}
 }
 
-// Decide records the local decision, observes its latency, and announces it
-// to every peer so that each node can assemble the full decision table.
+// Decide observes the local decision's latency, announces it to every peer
+// so that each node can assemble the full decision table, and records it in
+// the local table (an instance archived meanwhile gets no row).
 func (a *instanceAPI) Decide(v types.Value) {
 	in := a.in
 	elapsed := time.Since(in.startedAt)
@@ -214,18 +209,16 @@ func (a *instanceAPI) Decide(v types.Value) {
 		return
 	}
 	in.decided = true
-	in.mu.Lock()
-	in.rows[in.node.cfg.ID] = wire.TableRow{Decided: true, Value: v}
-	done := in.observeTableLocked()
-	in.mu.Unlock()
 	in.node.stats.decideLatency.Observe(elapsed.Seconds())
-	in.node.log.Info("decided",
-		obs.F("instance", in.id), obs.F("value", int64(v)),
-		obs.F("latency_us", elapsed.Microseconds()))
+	if log := in.node.log; log.Enabled(obs.LevelInfo) {
+		log.Info("decided",
+			obs.F("instance", in.id), obs.F("value", int64(v)),
+			obs.F("latency_us", elapsed.Microseconds()))
+	}
 	in.node.broadcastPeers(wire.BatchMsg{
 		Kind: wire.TypeDecide, Instance: in.id, From: in.node.cfg.ID, Value: v,
 	})
-	in.node.notifyDecide(in, in.node.cfg.ID, v, done)
+	in.recordDecision(in.node.cfg.ID, v)
 }
 
 // HasDecided reports whether Decide has been called.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -110,9 +111,18 @@ func TestPendingFrameBuffering(t *testing.T) {
 // TestEvictionBoundsMemory is the bounded-memory regression test: thousands
 // of instances run to completion on one node, and the live map must shrink
 // back to zero — with the kset_instances_active gauge tracking it — while
-// the archive stays within its FIFO bound and still serves recent tables.
+// every shard's archive stays within its FIFO bound of ⌈maxArchived/S⌉ and
+// still serves recent tables.
 func TestEvictionBoundsMemory(t *testing.T) {
-	lb, err := StartLoopback(LoopbackConfig{N: 1, K: 1, T: 0, Seed: 3})
+	for _, shards := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testEvictionBoundsMemory(t, shards)
+		})
+	}
+}
+
+func testEvictionBoundsMemory(t *testing.T, shards int) {
+	lb, err := StartLoopback(LoopbackConfig{N: 1, K: 1, T: 0, Seed: 3, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +150,27 @@ func TestEvictionBoundsMemory(t *testing.T) {
 		t.Errorf("kset_instances_active = %d after all evictions, want 0", v)
 	}
 
-	live := node.ActiveInstances()
-	node.regMu.Lock()
-	archivedN := len(node.archive)
-	node.regMu.Unlock()
-	if live != 0 {
-		t.Errorf("%d live instances remain", live)
-	}
-	if archivedN != maxArchived {
-		t.Errorf("archive holds %d tables, want the bound %d", archivedN, maxArchived)
+	// Each shard holds exactly its bound, or every id it owns if fewer.
+	want := 0
+	for _, sh := range node.shards {
+		owned := total / shards
+		if sh.idx != 0 && sh.idx <= total%shards {
+			owned++
+		}
+		sh.mu.Lock()
+		archivedN, bound := len(sh.archived), min(owned, sh.archCap)
+		sh.mu.Unlock()
+		if archivedN != bound {
+			t.Errorf("shard %d archive holds %d tables, want %d (bound %d, %d ids owned)",
+				sh.idx, archivedN, bound, sh.archCap, owned)
+		}
+		want += bound
 	}
 
-	// Exactly maxArchived instances still serve tables (the FIFO bound
-	// dropped the other 500) and every served table carries that instance's
-	// own input. Eviction order is completion order, not id order — the
-	// instances ran concurrently — so which ids survive is not asserted.
+	// Exactly that many instances still serve tables (the FIFO bound dropped
+	// the rest) and every served table carries that instance's own input.
+	// Eviction order is completion order, not id order — the instances ran
+	// concurrently — so which ids survive is not asserted.
 	served := 0
 	for id := uint64(1); id <= total; id++ {
 		tbl, ok := node.Table(id)
@@ -166,8 +182,8 @@ func TestEvictionBoundsMemory(t *testing.T) {
 			t.Fatalf("archived table for instance %d = %+v", id, tbl)
 		}
 	}
-	if served != maxArchived {
-		t.Errorf("%d instances still served, want exactly the archive bound %d", served, maxArchived)
+	if served != want {
+		t.Errorf("%d instances still served, want exactly the archive bounds' %d", served, want)
 	}
 	if _, ok := node.Table(total + 1); ok {
 		t.Error("never-started instance served a table")

@@ -88,21 +88,6 @@ type Config struct {
 // bound only exists so a hostile peer cannot grow memory without limit.
 const maxPendingFrames = 1 << 16
 
-// maxArchived bounds the evicted-instance archive: decided tables kept so
-// controllers can still pull and verify an instance after its live state is
-// gone. Beyond the bound the oldest archives are dropped; frames addressed
-// to a dropped id are acknowledged and discarded.
-const maxArchived = 1 << 12
-
-// maxRetired bounds the exact tombstone set for ids that rotated out of the
-// archive. When it fills, the set folds into retiredFloor — every id at or
-// below the highest tombstone becomes retired wholesale — trading exactness
-// for bounded memory. The fold can retire a low id that was never started;
-// a Start for it still re-acks idempotently, which is the safe direction
-// (the alternative, resurrecting completed instances, re-runs protocols and
-// re-broadcasts decides).
-const maxRetired = 1 << 16
-
 // Node is one cluster member: a TCP listener, one outbound link per peer,
 // and a set of running consensus instances.
 type Node struct {
@@ -112,23 +97,14 @@ type Node struct {
 	links   []*link // indexed by peer id; links[cfg.ID] is nil
 
 	// shards are the instance event loops; instance id modulo len(shards)
-	// selects the owner. Live instances and pre-start frame buffers live in
-	// the shards, guarded by each shard's own mutex.
+	// selects the owner. Each shard is its ids' whole registry — live
+	// instances, pre-start frame buffers, archive and tombstones — guarded
+	// by the shard's own mutex.
 	shards []*shard
 
-	// regMu guards the node-wide instance registry: the archive of completed
-	// instances (their final tables, immutable once stored), retired-id
-	// tombstones, and the accepted-connection list. Live instances are
-	// counted in their shards. Lock order: shard.mu before regMu; never the
-	// reverse.
-	regMu        sync.Mutex
-	archive      map[uint64]*wire.Table
-	archOrder    []uint64            // archived ids: a ring of up to maxArchived (FIFO bound)
-	archHead     int                 // the oldest id's slot once the ring is full
-	retired      map[uint64]struct{} // ids rotated out of the archive
-	retiredFloor uint64              // ids <= floor are retired wholesale (fold)
-	retiredMax   uint64              // highest id ever tombstoned
-	conns        []net.Conn          // accepted connections, for shutdown
+	// connMu guards the accepted-connection list, kept for shutdown.
+	connMu sync.Mutex
+	conns  []net.Conn
 
 	seen   []peerSeen  // per-peer duplicate suppression, each with its own lock
 	closed atomic.Bool // set by Close before done is closed
@@ -169,7 +145,7 @@ const dedupWindow = 1 << 16
 // peer's state carries its own lock — held across the whole check-and-place
 // in placeFrame so overlapping connections from one peer cannot double-
 // deliver — and that lock is the outermost in the node's order (peerSeen.mu,
-// then shard.mu, then regMu).
+// then shard.mu).
 type peerSeen struct {
 	mu      sync.Mutex
 	session uint64
@@ -311,8 +287,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		session:   uint64(time.Now().UnixNano()),
-		archive:   make(map[uint64]*wire.Table),
-		retired:   make(map[uint64]struct{}),
 		seen:      make([]peerSeen, cfg.N),
 		links:     make([]*link, cfg.N),
 		reg:       obs.NewRegistry(),
@@ -332,7 +306,7 @@ func NewNode(cfg Config) (*Node, error) {
 	// stops them.
 	n.shards = make([]*shard, cfg.Shards)
 	for i := range n.shards {
-		n.shards[i] = newShard(n, i)
+		n.shards[i] = newShard(n, i, cfg.Shards)
 	}
 	for _, sh := range n.shards {
 		n.wg.Add(1)
@@ -386,10 +360,10 @@ func (n *Node) Close() {
 		n.wg.Wait()
 		return
 	}
-	n.regMu.Lock()
+	n.connMu.Lock()
 	conns := n.conns
 	n.conns = nil
-	n.regMu.Unlock()
+	n.connMu.Unlock()
 
 	close(n.done)
 	if n.ln != nil {
@@ -432,8 +406,8 @@ func (n *Node) acceptLoop() {
 // trackConn registers an accepted connection for shutdown; it reports false
 // when the node is already closed.
 func (n *Node) trackConn(conn net.Conn) bool {
-	n.regMu.Lock()
-	defer n.regMu.Unlock()
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
 	if n.closed.Load() {
 		return false
 	}
@@ -442,8 +416,8 @@ func (n *Node) trackConn(conn net.Conn) bool {
 }
 
 func (n *Node) untrackConn(conn net.Conn) {
-	n.regMu.Lock()
-	defer n.regMu.Unlock()
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
 	for i, c := range n.conns {
 		if c == conn {
 			n.conns = append(n.conns[:i], n.conns[i+1:]...)
@@ -648,7 +622,7 @@ func (n *Node) placeFrame(from types.ProcessID, seq uint64, bm wire.BatchMsg) (i
 			if bm.Kind == wire.TypeProto {
 				sh.appendLocked(shardEvent{inst: inst, from: bm.From, payload: bm.Payload})
 			}
-		case !n.completedInstance(bm.Instance):
+		case !sh.completedLocked(bm.Instance):
 			if len(sh.pending[bm.Instance]) >= maxPendingFrames {
 				sh.mu.Unlock()
 				return nil, false, false
@@ -663,42 +637,6 @@ func (n *Node) placeFrame(from types.ProcessID, seq uint64, bm wire.BatchMsg) (i
 		s.contig++
 	}
 	return inst, true, true
-}
-
-// completedInstance reports whether id already finished on this node —
-// archived, or rotated out of the archive into the tombstone set.
-func (n *Node) completedInstance(id uint64) bool {
-	n.regMu.Lock()
-	defer n.regMu.Unlock()
-	return n.archive[id] != nil || n.retiredLocked(id)
-}
-
-// retiredLocked reports whether id rotated out of the bounded archive.
-// Called with regMu held.
-func (n *Node) retiredLocked(id uint64) bool {
-	if id <= n.retiredFloor {
-		return true
-	}
-	_, ok := n.retired[id]
-	return ok
-}
-
-// markRetiredLocked tombstones an id dropped from the archive so a delayed
-// re-sent Start keeps re-acking idempotently instead of resurrecting the
-// completed instance. Beyond maxRetired exact entries the set folds into a
-// floor at the highest tombstone. Called with regMu held.
-func (n *Node) markRetiredLocked(id uint64) {
-	if id <= n.retiredFloor {
-		return
-	}
-	if id > n.retiredMax {
-		n.retiredMax = id
-	}
-	n.retired[id] = struct{}{}
-	if len(n.retired) > maxRetired {
-		n.retiredFloor = n.retiredMax
-		n.retired = make(map[uint64]struct{})
-	}
 }
 
 // StartInstance starts (or re-acknowledges) one consensus instance with the
@@ -749,26 +687,19 @@ func (n *Node) admit(inst *instance) (*instance, []wire.BatchMsg, error) {
 	sh := n.shardFor(id)
 	inst.shard = sh
 	sh.mu.Lock()
-	if sh.instances[id] != nil {
-		sh.mu.Unlock()
-		return nil, nil, nil
-	}
-	n.regMu.Lock()
 	if n.closed.Load() {
-		n.regMu.Unlock()
 		sh.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	if n.archive[id] != nil || n.retiredLocked(id) {
-		// Already completed and evicted (archived, or rotated into the
-		// tombstone set): a re-sent Start (ctl retry, ACS restart race) must
-		// not resurrect a finished instance.
-		n.regMu.Unlock()
+	// Running, or already completed and evicted (archived, or rotated into
+	// the tombstones): a re-sent Start (ctl retry, ACS restart race) must
+	// not resurrect a finished instance.
+	if sh.instances[id] != nil || sh.completedLocked(id) {
 		sh.mu.Unlock()
 		return nil, nil, nil
 	}
-	n.regMu.Unlock()
 	sh.instances[id] = inst
+	sh.maxID = max(sh.maxID, id)
 	backlog := sh.pending[id]
 	delete(sh.pending, id)
 	sh.starts = append(sh.starts, startReq{inst: inst, backlog: backlog})
@@ -799,37 +730,28 @@ func (n *Node) notifyDecide(in *instance, node types.ProcessID, value types.Valu
 	}
 }
 
-// evictInstance retires one instance: its final table moves to the bounded
-// archive, and the live entry plus any pending backlog leave the owning
-// shard. The archive entry is written inside the shard's critical section,
-// so a lookup that misses the live map is guaranteed to find the archive
+// evictInstance retires one instance. Setting its archived flag freezes its
+// decision table (no row is written after it) and stops its protocol; then,
+// in one shard critical section, the live entry and any pending backlog
+// leave the shard and the table's rows move, uncopied, to the shard's
+// bounded archive — so a lookup that misses the live map finds the archive
 // already populated. Safe to call concurrently and repeatedly; the first
 // caller wins.
 func (n *Node) evictInstance(in *instance) {
-	tbl := in.tableSnapshot()
-	sh := in.shard
-	sh.mu.Lock()
-	if sh.instances[in.id] != in {
-		sh.mu.Unlock()
+	in.mu.Lock()
+	won := !in.archived.Swap(true)
+	in.mu.Unlock()
+	if !won {
 		return
 	}
-	delete(sh.instances, in.id)
-	delete(sh.pending, in.id)
-	n.regMu.Lock()
-	n.archive[in.id] = &tbl
-	if len(n.archOrder) < maxArchived {
-		n.archOrder = append(n.archOrder, in.id)
-	} else {
-		drop := n.archOrder[n.archHead]
-		n.archOrder[n.archHead] = in.id
-		n.archHead = (n.archHead + 1) % maxArchived
-		delete(n.archive, drop)
-		n.markRetiredLocked(drop)
-	}
-	n.regMu.Unlock()
+	sh := in.shard
+	sh.mu.Lock()
+	sh.archiveLocked(in)
 	sh.mu.Unlock()
 	n.stats.instancesActive.Add(-1)
-	n.log.Debug("instance evicted", obs.F("instance", in.id))
+	if n.log.Enabled(obs.LevelDebug) {
+		n.log.Debug("instance evicted", obs.F("instance", in.id))
+	}
 }
 
 // ReleaseInstance retires an instance whose table will never complete
@@ -915,20 +837,23 @@ func (n *Node) SetPeerDown(peer types.ProcessID, down bool) {
 // Table returns the node's current decision table for an instance — live or
 // archived — or false if the instance is unknown.
 func (n *Node) Table(id uint64) (wire.Table, bool) {
-	// Eviction archives under the shard lock, so a live-map miss here means
-	// the archive write (if any) is already visible.
-	if inst := n.lookup(id); inst != nil {
-		return inst.tableSnapshot(), true
+	// Eviction moves an instance from the live map to the archive in one
+	// shard critical section, and both are read in one here, so a concurrent
+	// eviction cannot make the id look unknown.
+	sh := n.shardFor(id)
+	sh.mu.Lock()
+	inst := sh.instances[id]
+	arch, ok := sh.archived[id]
+	sh.mu.Unlock()
+	if inst != nil {
+		inst.mu.Lock()
+		defer inst.mu.Unlock()
+		arch, ok = archivedTable{k: inst.k, t: inst.t, rows: inst.rows}, true
 	}
-	n.regMu.Lock()
-	arch := n.archive[id]
-	n.regMu.Unlock()
-	if arch == nil {
+	if !ok {
 		return wire.Table{}, false
 	}
-	tbl := *arch
-	tbl.Rows = append([]wire.TableRow(nil), tbl.Rows...)
-	return tbl, true
+	return wire.Table{Instance: id, K: arch.k, T: arch.t, Rows: slices.Clone(arch.rows)}, true
 }
 
 // Metrics returns the node's metric registry (ksetd serves it over HTTP).

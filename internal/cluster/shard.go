@@ -16,14 +16,19 @@ package cluster
 // the loop once when the frame is done, and the loop swaps the entire inbox
 // out and processes it without touching the lock again.
 //
-// Lock order (outermost first): peerSeen.mu, then shard.mu, then Node.regMu.
-// Instance locks (instance.mu) are only ever taken with none of those held.
-// Nobody blocks while holding shard.mu: a reader that finds the inbox full
-// waits outside every lock, which stalls only that connection (backpressure
-// the retransmit layer rides out), never a lock holder.
+// Each shard is also its ids' whole registry — live, archived, tombstoned —
+// so admitting, placing and evicting take no node-wide lock.
+//
+// Lock order (outermost first): peerSeen.mu, then shard.mu. Instance locks
+// (instance.mu) are only ever taken with neither held. Nobody blocks while
+// holding shard.mu: a reader that finds the inbox full waits outside every
+// lock, which stalls only that connection (backpressure the retransmit
+// layer rides out), never a lock holder.
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"kset/internal/obs"
@@ -41,6 +46,23 @@ import (
 // a stalled shard is visible on /metrics.
 const shardMailboxDepth = 4096
 
+// maxArchived bounds the evicted-instance archive: decided tables kept so
+// controllers can still pull and verify an instance after its live state is
+// gone. Each of the S shards keeps its own ⌈maxArchived/S⌉ most recent
+// evictions; an older id is dropped and tombstoned, and frames addressed to
+// it are acknowledged and discarded.
+const maxArchived = 1 << 12
+
+// maxRetired bounds each shard's tombstones, counted in runs of consecutive
+// ids (consecutive on the shard: id/S). Ids retired in increasing order
+// extend one run; past maxRetired runs the set folds into a floor at its
+// highest id — every id at or below it becomes retired wholesale — trading
+// exactness for bounded memory. The fold can retire a low id that was never
+// started; a Start for it still re-acks idempotently, which is the safe
+// direction (the alternative, resurrecting completed instances, re-runs
+// protocols and re-broadcasts decides).
+const maxRetired = 1 << 16
+
 // shardEvent is one remote protocol message awaiting its shard loop.
 type shardEvent struct {
 	inst    *instance
@@ -55,6 +77,12 @@ type startReq struct {
 	backlog []wire.BatchMsg
 }
 
+// archivedTable is an evicted instance's final table: its own rows, frozen.
+type archivedTable struct {
+	k, t int
+	rows []wire.TableRow
+}
+
 // shard owns the instances whose id maps to it and runs their protocol code
 // on one loop goroutine.
 type shard struct {
@@ -64,8 +92,14 @@ type shard struct {
 	mu        sync.Mutex
 	instances map[uint64]*instance       // live instances owned by this shard
 	pending   map[uint64][]wire.BatchMsg // frames for instances not started yet
-	starts    []startReq                 // registered instances awaiting Start
-	inbox     []shardEvent               // protocol deliveries awaiting the loop
+	archived  map[uint64]archivedTable   // completed instances' final tables
+	ring      []uint64                   // archived ids in eviction order, up to archCap
+	head      int                        // the oldest id's slot once the ring is full
+	archCap   int
+	retired   idRuns       // tombstones of ids rotated out of the ring, as id/S
+	maxID     uint64       // the highest id ever admitted; above it nothing completed
+	starts    []startReq   // registered instances awaiting Start
+	inbox     []shardEvent // protocol deliveries awaiting the loop
 	// drained, while non-nil, is closed by the loop's next inbox swap: a
 	// reader that found the inbox at the bound waits on it.
 	drained chan struct{}
@@ -74,17 +108,21 @@ type shard struct {
 	// that a reader finished appending a frame to. Consumed only by the loop.
 	wake chan struct{}
 
+	spare []startReq // the loop's other start-queue array (runStarts)
+
 	// depth is the inbox length, set on every append and every swap
 	// (kset_shard_mailbox_depth{shard="i"}).
 	depth *obs.Gauge
 }
 
-func newShard(n *Node, idx int) *shard {
+func newShard(n *Node, idx, count int) *shard {
 	return &shard{
 		node:      n,
 		idx:       idx,
 		instances: make(map[uint64]*instance),
 		pending:   make(map[uint64][]wire.BatchMsg),
+		archived:  make(map[uint64]archivedTable),
+		archCap:   (maxArchived + count - 1) / count,
 		wake:      make(chan struct{}, 1),
 		depth:     n.reg.Gauge(fmt.Sprintf(`kset_shard_mailbox_depth{shard="%d"}`, idx)),
 	}
@@ -93,6 +131,35 @@ func newShard(n *Node, idx int) *shard {
 // shardFor maps an instance id to its owning shard.
 func (n *Node) shardFor(id uint64) *shard {
 	return n.shards[id%uint64(len(n.shards))]
+}
+
+// completedLocked reports whether id already finished on this shard:
+// archived, or rotated out of the archive into the tombstones. Called with
+// sh.mu held.
+func (sh *shard) completedLocked(id uint64) bool {
+	if id > sh.maxID {
+		return false // never admitted here
+	}
+	_, archived := sh.archived[id]
+	return archived || sh.retired.has(id/uint64(len(sh.node.shards)))
+}
+
+// archiveLocked moves an evicted instance from the live map to the archive,
+// keeping its rows slice, and once the ring is full rotates the oldest
+// archived id into the tombstones. Called with sh.mu held.
+func (sh *shard) archiveLocked(in *instance) {
+	delete(sh.instances, in.id)
+	delete(sh.pending, in.id)
+	sh.archived[in.id] = archivedTable{k: in.k, t: in.t, rows: in.rows}
+	if len(sh.ring) < sh.archCap {
+		sh.ring = append(sh.ring, in.id)
+		return
+	}
+	drop := sh.ring[sh.head]
+	sh.ring[sh.head] = in.id
+	sh.head = (sh.head + 1) % sh.archCap
+	delete(sh.archived, drop)
+	sh.retired.add(drop / uint64(len(sh.node.shards)))
 }
 
 // appendLocked queues one protocol delivery for the loop. Called with sh.mu
@@ -166,23 +233,26 @@ func (sh *shard) loop() {
 	}
 }
 
-// runStarts drains the start queue: each still-live instance gets its
+// runStarts drains the start queue, swapping the whole queue out per pass
+// as the loop swaps the inbox: each instance not yet archived gets its
 // protocol Start and backlog replay. An instance evicted before its start
 // request is processed (ReleaseInstance on a round that closed without it)
 // is skipped; its archived table is already final.
 func (sh *shard) runStarts() {
 	for {
 		sh.mu.Lock()
-		if len(sh.starts) == 0 {
-			sh.mu.Unlock()
-			return
-		}
-		req := sh.starts[0]
-		sh.starts = sh.starts[1:]
-		live := sh.instances[req.inst.id] == req.inst
+		reqs := sh.starts
+		sh.starts = sh.spare[:0]
 		sh.mu.Unlock()
-		if live {
-			req.inst.start(req.backlog)
+		for _, req := range reqs {
+			if !req.inst.archived.Load() {
+				req.inst.start(req.backlog)
+			}
+		}
+		clear(reqs)
+		sh.spare = reqs[:0]
+		if len(reqs) == 0 {
+			return
 		}
 	}
 }
@@ -198,11 +268,58 @@ func (sh *shard) process(ev shardEvent) {
 	if !in.started {
 		sh.runStarts()
 	}
-	sh.mu.Lock()
-	live := sh.instances[in.id] == in
-	sh.mu.Unlock()
-	if !live || !in.started {
+	if in.archived.Load() || !in.started {
 		return // evicted: late deliveries are dropped, as the old inbox drain did
 	}
 	in.deliverProto(ev.from, ev.payload)
+}
+
+// idRuns is a set of ids kept as sorted, disjoint, non-adjacent runs of
+// consecutive ids, plus a fold floor: past maxRetired runs every id at or
+// below the highest member becomes a member and the runs are dropped. An id
+// one above the last run extends it in O(1), so ids added in increasing
+// order keep one run and never fold.
+type idRuns struct {
+	runs   []idRun
+	floor  uint64 // with folded set, every id <= floor is a member
+	folded bool
+}
+
+type idRun struct{ lo, hi uint64 }
+
+func (s *idRuns) has(id uint64) bool {
+	if s.folded && id <= s.floor {
+		return true
+	}
+	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].hi >= id })
+	return i < len(s.runs) && s.runs[i].lo <= id
+}
+
+func (s *idRuns) add(id uint64) {
+	if last := len(s.runs) - 1; last >= 0 && id > s.runs[last].hi && id-1 == s.runs[last].hi {
+		s.runs[last].hi = id
+		return
+	}
+	if s.has(id) {
+		return
+	}
+	// i is the first run above id; the runs at i-1 and i may touch it.
+	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].lo > id })
+	left := i > 0 && s.runs[i-1].hi+1 == id
+	right := i < len(s.runs) && s.runs[i].lo-1 == id
+	switch {
+	case left && right:
+		s.runs[i-1].hi = s.runs[i].hi
+		s.runs = slices.Delete(s.runs, i, i+1)
+	case left:
+		s.runs[i-1].hi = id
+	case right:
+		s.runs[i].lo = id
+	default:
+		s.runs = slices.Insert(s.runs, i, idRun{id, id})
+	}
+	if len(s.runs) > maxRetired {
+		s.floor, s.folded = s.runs[len(s.runs)-1].hi, true
+		s.runs = s.runs[:0]
+	}
 }

@@ -98,6 +98,11 @@ type Field struct {
 // F builds a field.
 func F(key string, val any) Field { return Field{Key: key, Val: val} }
 
+// Enabled reports whether an event at level lv would be written: false on a
+// nil logger and below its minimum level. A caller guards a hot event with
+// it so that building the fields costs nothing when nobody listens.
+func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
+
 // Debug logs an event at debug level.
 func (l *Logger) Debug(event string, fields ...Field) { l.log(LevelDebug, event, fields) }
 
@@ -111,7 +116,7 @@ func (l *Logger) Warn(event string, fields ...Field) { l.log(LevelWarn, event, f
 func (l *Logger) Error(event string, fields ...Field) { l.log(LevelError, event, fields) }
 
 func (l *Logger) log(lv Level, event string, fields []Field) {
-	if l == nil || lv < l.min {
+	if !l.Enabled(lv) {
 		return
 	}
 	var b strings.Builder

@@ -54,6 +54,27 @@ func TestLoggerLevelFilter(t *testing.T) {
 	}
 }
 
+// TestLoggerEnabled pins the guard hot call sites use: a nil logger is off
+// at every level, a live one is off below its minimum and on at and above
+// it, and a With-derived logger keeps the parent's minimum.
+func TestLoggerEnabled(t *testing.T) {
+	var off *Logger
+	for _, lv := range []Level{LevelDebug, LevelInfo, LevelWarn, LevelError} {
+		if off.Enabled(lv) {
+			t.Errorf("nil logger enabled at %v", lv)
+		}
+	}
+	l := NewLogger(&strings.Builder{}, LevelInfo)
+	for _, l := range []*Logger{l, l.With(F("node", 1))} {
+		if l.Enabled(LevelDebug) {
+			t.Error("enabled below min (debug < info)")
+		}
+		if !l.Enabled(LevelInfo) || !l.Enabled(LevelError) {
+			t.Error("disabled at or above min")
+		}
+	}
+}
+
 func TestLoggerWith(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, LevelInfo)
