@@ -66,7 +66,7 @@ bench-sweep:
 # The network-path benchmarks tracked in BENCH_net.json (wire codec, batch
 # frames, link throughput, flush cost against the unacked backlog, dedup
 # window, decide latency under load, one instance's register-to-evict
-# lifecycle). The
+# lifecycle with ids completing in order and shuffled). The
 # soak frames/decision row of the ledger comes from the race soak instead:
 #   go test -race -count=1 -run TestClusterSoak -v ./internal/cluster/
 # BENCH_FLAGS lets CI shrink benchtime for a smoke run.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"kset/internal/prng"
 	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
@@ -282,29 +283,53 @@ func BenchmarkDedupWindow(b *testing.B) {
 
 // BenchmarkInstanceLifecycle measures one instance's whole registry life on
 // a one-node cluster: register, start, complete (ProtoTrivial decides in its
-// Start, which completes an N = 1 table) and evict into the archive. The
-// archive is filled before the timer starts, so every timed eviction also
-// rotates an older id into the tombstones. Starts go in waves of 256, each
-// wave waiting until its instances are evicted.
+// Start, which completes an N = 1 table) and evict into the archive ring and
+// the tombstones. The archive is filled before the timer starts, so every
+// timed eviction also overwrites an older table. Starts go in waves of 256,
+// each wave waiting until its instances are evicted. completion=in-order
+// starts a wave's ids in increasing order, so each shard's tombstones stay
+// one run; completion=shuffled starts them shuffled in windows of 64, so
+// ids complete out of order and the runs split and merge again as each
+// window closes.
 func BenchmarkInstanceLifecycle(b *testing.B) {
+	for _, shuffled := range []bool{false, true} {
+		name := "completion=in-order"
+		if shuffled {
+			name = "completion=shuffled"
+		}
+		b.Run(name, func(b *testing.B) { benchInstanceLifecycle(b, shuffled) })
+	}
+}
+
+func benchInstanceLifecycle(b *testing.B, shuffled bool) {
 	n, err := NewNode(Config{ID: 0, N: 1, K: 1, T: 0, Peers: []string{"127.0.0.1:1"}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer n.Close()
 	active := n.Metrics().Gauge("kset_instances_active")
+	r := prng.New(1)
 	next := uint64(1)
+	ids := make([]uint64, 0, 256)
 	run := func(count int) {
 		for count > 0 {
 			wave := min(count, 256)
+			ids = ids[:0]
 			for i := 0; i < wave; i++ {
+				ids = append(ids, next)
+				next++
+			}
+			for w := 0; shuffled && w < wave; w += 64 {
+				win := ids[w:min(w+64, wave)]
+				r.Shuffle(len(win), func(i, j int) { win[i], win[j] = win[j], win[i] })
+			}
+			for _, id := range ids {
 				err := n.StartInstance(wire.Start{
-					Instance: next, K: 1, T: 0, Proto: uint8(theory.ProtoTrivial), Input: 1,
+					Instance: id, K: 1, T: 0, Proto: uint8(theory.ProtoTrivial), Input: 1,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				next++
 			}
 			for deadline := time.Now().Add(10 * time.Second); active.Value() > 0; runtime.Gosched() {
 				if time.Now().After(deadline) {

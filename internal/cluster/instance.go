@@ -28,7 +28,7 @@ type instance struct {
 	k, t  int
 	input types.Value
 	proto mpnet.Protocol
-	rng   *prng.Source
+	rng   *prng.Source // built by the first instanceAPI.Rand call
 	api   instanceAPI
 
 	// Owned by the shard loop, read and written only there, so no lock:
@@ -62,16 +62,12 @@ func newInstance(n *Node, id uint64, k, t int, proto theory.ProtocolID, ell int,
 		return nil, fmt.Errorf("cluster: instance %d: %w", id, err)
 	}
 	in := &instance{
-		node:  n,
-		id:    id,
-		k:     k,
-		t:     t,
-		input: input,
-		proto: factory(n.cfg.ID),
-		// The seed mixes (node, instance) through splitmix64 (the same mixer
-		// grid cell seeds use): XOR/linear folding let distinct coordinate
-		// pairs cancel into identical streams.
-		rng:       prng.New(prng.MixSeed(n.cfg.Seed, uint64(n.cfg.ID), id)),
+		node:      n,
+		id:        id,
+		k:         k,
+		t:         t,
+		input:     input,
+		proto:     factory(n.cfg.ID),
 		rows:      make([]wire.TableRow, n.cfg.N),
 		startedAt: time.Now(),
 	}
@@ -170,7 +166,15 @@ func (a *instanceAPI) N() int              { return a.in.node.cfg.N }
 func (a *instanceAPI) T() int              { return a.in.t }
 func (a *instanceAPI) K() int              { return a.in.k }
 func (a *instanceAPI) Input() types.Value  { return a.in.input }
-func (a *instanceAPI) Rand() *prng.Source  { return a.in.rng }
+
+// Rand builds the stream on first use (FloodMin never draws). The seed mixes
+// (node, instance) through splitmix64: XOR folding let distinct pairs collide.
+func (a *instanceAPI) Rand() *prng.Source {
+	if a.in.rng == nil {
+		a.in.rng = prng.New(prng.MixSeed(a.in.node.cfg.Seed, uint64(a.in.node.cfg.ID), a.in.id))
+	}
+	return a.in.rng
+}
 
 // Send transmits p to process `to`. A self-send is queued locally and
 // delivered after the current handler returns, exactly as in mpnet: a
