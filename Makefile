@@ -118,13 +118,16 @@ regen-corpus:
 # vocabulary (propose, acs-submit/ack, acs-round, log pulls) is fuzzed
 # automatically. The last target feeds Protocols C and D and the l-echo
 # broadcast arbitrary kinds, origins and senders: no panic, and every call
-# equal to the map-based reference.
+# equal to the map-based reference. The last one runs smmem's API.Poll
+# against its Read-loop spelling on fuzzed write points, schedules and
+# crashes: record, Recorder and Trace streams equal.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzTraceDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzProtocolDeliver -fuzztime 10s ./internal/protocols/mp/
+	$(GO) test -run XXX -fuzz FuzzPollMatchesReadLoop -fuzztime 10s ./internal/smmem/
 
 # Loopback 5-node TCP cluster under -race: concurrent FloodMin and
 # Protocol A instances over an adversarial transport, one crashed node, one

@@ -314,6 +314,17 @@ func validate(cfg *Config) error {
 	if cfg.NewProtocol == nil {
 		return fmt.Errorf("%w: NewProtocol is nil", ErrBadConfig)
 	}
+	outside := func(id types.ProcessID) bool { return int(id) < 0 || int(id) >= cfg.N }
+	if id, bad := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, strat mpnet.Protocol) bool {
+		return outside(id) || strat == nil
+	}); bad {
+		return fmt.Errorf("%w: Byzantine id %d out of range or without a strategy", ErrBadConfig, id)
+	}
+	if id, bad := types.SmallestID(cfg.CrashAfterDeliveries, func(id types.ProcessID, at int) bool {
+		return outside(id) || at < 0
+	}); bad {
+		return fmt.Errorf("%w: crash of id %d out of range or before delivery 0", ErrBadConfig, id)
+	}
 	planned := len(cfg.Byzantine)
 	for id := range cfg.CrashAfterDeliveries {
 		if _, both := cfg.Byzantine[id]; !both {

@@ -2,6 +2,8 @@ package mplive
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,6 +191,41 @@ func TestLiveMatchesSimulatorOutcomeEnvelope(t *testing.T) {
 		}
 		if got := len(rec.CorrectDecisions()); got > tt+1 {
 			t.Errorf("%d distinct decisions, FloodMin guarantees <= t+1", got)
+		}
+	}
+}
+
+// TestLiveRejectsUnappliedFaults: a fault plan entry the run cannot apply is
+// a configuration error naming the smallest such id, not a run in which
+// every process is correct.
+func TestLiveRejectsUnappliedFaults(t *testing.T) {
+	const n = 4
+	var silent mpnet.Protocol = silentProto{}
+	cases := []struct {
+		name    string
+		byz     map[types.ProcessID]mpnet.Protocol
+		crashes map[types.ProcessID]int
+		wantID  int
+	}{
+		{name: "byzantine-id-past-n", byz: map[types.ProcessID]mpnet.Protocol{4: silent}, wantID: 4},
+		{name: "byzantine-id-negative", byz: map[types.ProcessID]mpnet.Protocol{-2: silent}, wantID: -2},
+		{name: "byzantine-without-strategy", byz: map[types.ProcessID]mpnet.Protocol{3: nil, 2: silent}, wantID: 3},
+		{name: "crash-id-past-n", crashes: map[types.ProcessID]int{9: 0}, wantID: 9},
+		{name: "crash-point-negative", crashes: map[types.ProcessID]int{2: -1}, wantID: 2},
+		{name: "smallest-of-several", crashes: map[types.ProcessID]int{6: 0, 5: -1, 4: 2, 1: -3, 9: 3}, wantID: 1},
+	}
+	for _, c := range cases {
+		// Several times, so a map order that leaks into the message shows.
+		for try := 0; try < 10; try++ {
+			_, err := Run(Config{
+				N: n, T: n - 1, K: 1, Inputs: distinctInputs(n),
+				NewProtocol: func(types.ProcessID) mpnet.Protocol { return silentProto{} },
+				Byzantine:   c.byz, CrashAfterDeliveries: c.crashes,
+				Timeout: time.Second,
+			})
+			if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), fmt.Sprintf("id %d ", c.wantID)) {
+				t.Fatalf("%s: error %v, want %v naming id %d", c.name, err, ErrBadConfig, c.wantID)
+			}
 		}
 	}
 }

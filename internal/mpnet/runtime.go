@@ -216,17 +216,9 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("%w: %d Byzantine processes exceed t=%d",
 			ErrFaultBudget, len(cfg.Byzantine), cfg.T)
 	}
-	// Report the smallest offending id so the error is independent of map
-	// iteration order.
-	bad, found := types.ProcessID(0), false
-	for id := range cfg.Byzantine {
-		if int(id) < 0 || int(id) >= cfg.N {
-			if !found || id < bad {
-				bad, found = id, true
-			}
-		}
-	}
-	if found {
+	if bad, found := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, _ Protocol) bool {
+		return int(id) < 0 || int(id) >= cfg.N
+	}); found {
 		return fmt.Errorf("%w: Byzantine id %d out of range", ErrBadConfig, bad)
 	}
 	return nil

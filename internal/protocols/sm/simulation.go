@@ -24,11 +24,15 @@ import (
 //	msg/<q>/<i> p's i-th point-to-point message to q
 //
 // Registers are written at most once by construction, so polling readers
-// see each message exactly once by advancing a cursor per channel. The
-// wrapper keeps polling (and therefore keeps the inner protocol echoing and
-// helping) until the runtime halts the run; this matches the paper's remark
-// that its Byzantine protocols terminate in the sense that correct processes
-// decide, not that they stop.
+// see each message exactly once by advancing a cursor per channel.
+// "Repeatedly reads" is one API.Poll over every channel's next register,
+// resumed after a hit from the channel it hit, so the reads are those of
+// draining each peer's broadcasts, then its messages to me, in turn; a read
+// that misses costs no switch into this process. The wrapper keeps polling
+// (and therefore keeps the inner protocol echoing and helping) until the
+// runtime halts the run; this matches the paper's remark that its Byzantine
+// protocols terminate in the sense that correct processes decide, not that
+// they stop.
 //
 // Because even a Byzantine process can only write its own registers, the
 // transformation preserves sender authenticity exactly as the
@@ -113,10 +117,8 @@ func (s *Simulation) Run(api smmem.API) {
 	bc := registerNames{prefix: "bc/"}
 	p2p := registerNames{prefix: "msg/" + strconv.Itoa(int(me)) + "/"}
 
-	bcSeq := 0                 // own broadcasts written
-	msgSeq := make([]int, n)   // own p2p messages written, per destination
-	bcCursor := make([]int, n) // next broadcast to read, per peer
-	p2pCursor := make([]int, n)
+	bcSeq := 0               // own broadcasts written
+	msgSeq := make([]int, n) // own p2p messages written, per destination
 
 	// Both queues are walked by index and then truncated, never resliced
 	// from the front, so the next append reuses the backing array. A handler
@@ -149,38 +151,24 @@ func (s *Simulation) Run(api smmem.API) {
 		return // no peers to poll; everything already happened locally
 	}
 
-	for {
-		for q := 0; q < n; q++ {
-			if types.ProcessID(q) == me {
-				continue
-			}
-			peer := types.ProcessID(q)
-			// Drain newly visible broadcasts of q.
-			for {
-				p, ok := api.Read(peer, bc.at(bcCursor[q]))
-				if !ok {
-					break
-				}
-				bcCursor[q]++
-				s.Inner.Deliver(a, peer, p)
-				drainSelf()
-				flush()
-			}
-			// Drain newly visible point-to-point messages from q to me.
-			for {
-				p, ok := api.Read(peer, p2p.at(p2pCursor[q]))
-				if !ok {
-					break
-				}
-				p2pCursor[q]++
-				s.Inner.Deliver(a, peer, p)
-				drainSelf()
-				flush()
-			}
+	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
+	// chans[c] is channel c's next register, cursor[c] its messages read.
+	chans := make([]smmem.Reg, 0, 2*(n-1))
+	for q := 0; q < n; q++ {
+		if peer := types.ProcessID(q); peer != me {
+			chans = append(chans, smmem.Reg{Owner: peer, Name: bc.at(0)}, smmem.Reg{Owner: peer, Name: p2p.at(0)})
 		}
-		// Loop forever: the runtime unwinds this process once every
-		// correct process has decided (or the operation budget runs out).
-		// Each iteration performs at least 2(n-1) reads, so the scheduler
-		// always stays in control.
+	}
+	cursor, names := make([]int, len(chans)), [2]*registerNames{&bc, &p2p}
+	// Loop forever: the runtime unwinds this process once every correct
+	// process has decided (or the operation budget runs out).
+	for c := 0; ; {
+		var p types.Payload
+		c, p = api.Poll(c, chans)
+		s.Inner.Deliver(a, chans[c].Owner, p)
+		drainSelf()
+		flush()
+		cursor[c]++
+		chans[c].Name = names[c%2].at(cursor[c])
 	}
 }

@@ -55,6 +55,18 @@ func (f *fakeMem) Read(owner types.ProcessID, reg string) (types.Payload, bool) 
 	return p, ok
 }
 
+// Poll reads each register once from start; nothing else can write while
+// it waits, so a full round of misses would be a wait forever.
+func (f *fakeMem) Poll(start int, regs []smmem.Reg) (int, types.Payload) {
+	for i := range regs {
+		c := (start + i) % len(regs)
+		if p, ok := f.Read(regs[c].Owner, regs[c].Name); ok {
+			return c, p
+		}
+	}
+	panic("fakeMem: Poll would wait forever")
+}
+
 func (f *fakeMem) WriteValue(reg string, v types.Value) {
 	f.Write(reg, types.Payload{Kind: types.KindInput, Value: v})
 }

@@ -162,6 +162,18 @@ func (a *liveAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) 
 	return a.rt.mem.read(regKey{owner: owner, name: reg})
 }
 
+// Poll is the loop of Reads its contract describes.
+func (a *liveAPI) Poll(start int, regs []smmem.Reg) (int, types.Payload) {
+	if start < 0 || start >= len(regs) {
+		panic(fmt.Sprintf("smlive: Poll from index %d of %d registers", start, len(regs)))
+	}
+	for i := start; ; i = (i + 1) % len(regs) {
+		if p, ok := a.Read(regs[i].Owner, regs[i].Name); ok {
+			return i, p
+		}
+	}
+}
+
 func (a *liveAPI) WriteValue(reg string, v types.Value) {
 	a.Write(reg, types.Payload{Kind: types.KindInput, Value: v})
 }
@@ -319,6 +331,17 @@ func validate(cfg *Config) error {
 	}
 	if cfg.NewProtocol == nil {
 		return fmt.Errorf("%w: NewProtocol is nil", ErrBadConfig)
+	}
+	outside := func(id types.ProcessID) bool { return int(id) < 0 || int(id) >= cfg.N }
+	if id, bad := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, strat smmem.Protocol) bool {
+		return outside(id) || strat == nil
+	}); bad {
+		return fmt.Errorf("%w: Byzantine id %d out of range or without a strategy", ErrBadConfig, id)
+	}
+	if id, bad := types.SmallestID(cfg.CrashAfterOps, func(id types.ProcessID, at int) bool {
+		return outside(id) || at < 0
+	}); bad {
+		return fmt.Errorf("%w: crash of id %d out of range or before operation 0", ErrBadConfig, id)
 	}
 	planned := len(cfg.Byzantine)
 	for id := range cfg.CrashAfterOps {

@@ -2,6 +2,8 @@ package smlive
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,5 +160,40 @@ func TestLiveValidation(t *testing.T) {
 		CrashAfterOps: map[types.ProcessID]int{0: 1},
 	}); !errors.Is(err, ErrFaultBudget) {
 		t.Errorf("budget: %v", err)
+	}
+}
+
+// TestLiveRejectsUnappliedFaults: a fault plan entry the run cannot apply is
+// a configuration error naming the smallest such id, not a run in which
+// every process is correct.
+func TestLiveRejectsUnappliedFaults(t *testing.T) {
+	const n = 4
+	garbage := adversary.NewGarbageWriter(8)
+	cases := []struct {
+		name    string
+		byz     map[types.ProcessID]smmem.Protocol
+		crashes map[types.ProcessID]int
+		wantID  int
+	}{
+		{name: "byzantine-id-past-n", byz: map[types.ProcessID]smmem.Protocol{99: garbage}, wantID: 99},
+		{name: "byzantine-id-negative", byz: map[types.ProcessID]smmem.Protocol{-2: garbage, 3: nil}, wantID: -2},
+		{name: "byzantine-without-strategy", byz: map[types.ProcessID]smmem.Protocol{1: nil, 2: garbage}, wantID: 1},
+		{name: "crash-id-past-n", crashes: map[types.ProcessID]int{7: 0}, wantID: 7},
+		{name: "crash-point-negative", crashes: map[types.ProcessID]int{1: -5}, wantID: 1},
+		{name: "smallest-of-several", crashes: map[types.ProcessID]int{6: 0, 5: -1, 4: 2, -1: 0, 9: 3}, wantID: -1},
+	}
+	for _, c := range cases {
+		// Several times, so a map order that leaks into the message shows.
+		for try := 0; try < 10; try++ {
+			_, err := Run(Config{
+				N: n, T: n - 1, K: 1, Inputs: uniformInputs(n, 1),
+				NewProtocol: func(types.ProcessID) smmem.Protocol { return spinner{} },
+				Byzantine:   c.byz, CrashAfterOps: c.crashes,
+				Timeout: time.Second,
+			})
+			if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), fmt.Sprintf("id %d ", c.wantID)) {
+				t.Fatalf("%s: error %v, want %v naming id %d", c.name, err, ErrBadConfig, c.wantID)
+			}
+		}
 	}
 }

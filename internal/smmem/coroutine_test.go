@@ -42,6 +42,23 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// p1 polls registers nobody writes, deciding first if decideFirst; the
+	// others scan for everyone's v but p1's.
+	neverHits := func(decideFirst bool) func(types.ProcessID) smmem.Protocol {
+		return func(id types.ProcessID) smmem.Protocol {
+			return runFunc(func(api smmem.API) {
+				if id != 0 {
+					scan(api, n-1)
+					return
+				}
+				if decideFirst {
+					api.Decide(api.Input())
+				}
+				_, _ = api.Poll(0, []smmem.Reg{{Owner: 1, Name: "never"}, {Owner: 2, Name: "never"}})
+				panic("a poll of registers nobody writes returned")
+			})
+		}
+	}
 	everyoneAtOnce := map[types.ProcessID]int{}
 	for p := 0; p < n; p++ {
 		everyoneAtOnce[types.ProcessID(p)] = p % 3 // some before their first step
@@ -78,6 +95,18 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			cfg: smmem.Config{NewProtocol: all(func(api smmem.API) { scan(api, n) }), MaxOps: 400,
 				Crash: &smmem.ScriptedCrashes{AtOp: everyoneAtOnce}},
 			check: func(rec *types.RunRecord) bool { return rec.FaultCount() == n-1 }},
+		{name: "poller-budget-exhaustion",
+			cfg:   smmem.Config{NewProtocol: neverHits(false), MaxOps: 300},
+			check: func(rec *types.RunRecord) bool { return rec.BudgetExhausted && decidedCount(rec) == n-1 }},
+		{name: "poller-crashes-mid-poll",
+			cfg: smmem.Config{NewProtocol: neverHits(false),
+				Crash: &smmem.ScriptedCrashes{AtOp: map[types.ProcessID]int{0: 5}}},
+			check: func(rec *types.RunRecord) bool {
+				return rec.FaultCount() == 1 && decidedCount(rec) == n-1 && !rec.BudgetExhausted
+			}},
+		{name: "poller-outlived-by-the-deciders",
+			cfg:   smmem.Config{NewProtocol: neverHits(true)},
+			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == n && !rec.BudgetExhausted }},
 		{name: "simulation-pollers-never-return",
 			cfg:   smmem.Config{NewProtocol: simulation},
 			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == n }},

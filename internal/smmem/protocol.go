@@ -14,7 +14,9 @@
 // that process's operation on the memory, resume it until it posts its next
 // one. No goroutine is started and nothing is shared between threads.
 // Operations are therefore trivially linearizable and a run is a pure
-// function of (protocol, parameters, adversary, seed).
+// function of (protocol, parameters, adversary, seed). A poll (API.Poll) is a
+// loop of reads, each granted and traced as one Read, that the loop itself
+// moves past a miss: a waiting process is not resumed until a read hits.
 //
 // Registers are created on first write and named by (owner, name) pairs;
 // dynamic creation supports the unbounded register sequences of the paper's
@@ -61,6 +63,13 @@ type API interface {
 	WriteValue(reg string, v types.Value)
 	// ReadValue is shorthand for Read returning just the payload value.
 	ReadValue(owner types.ProcessID, reg string) (v types.Value, ok bool)
+	// Poll reads regs[start], regs[start+1], ... cyclically until a read
+	// finds a value, and returns that register's index and payload. It is
+	// the loop of Reads it replaces: each read is one granted operation,
+	// scheduled, budgeted, crashable and traced as a Read. No process code
+	// runs between them, so a decision made before the call is visible once
+	// the first read is posted. An empty list or a start outside it panics.
+	Poll(start int, regs []Reg) (int, types.Payload)
 	// Decide records this process's irrevocable decision; it costs no
 	// memory operation. A correct process must decide at most once.
 	Decide(v types.Value)
@@ -68,6 +77,12 @@ type API interface {
 	HasDecided() bool
 	// Rand returns this process's private deterministic random stream.
 	Rand() *prng.Source
+}
+
+// Reg names one register for Poll: owner's register called Name.
+type Reg struct {
+	Owner types.ProcessID
+	Name  string
 }
 
 // View exposes run state to schedulers and adversaries. Slices are owned by

@@ -1,13 +1,15 @@
 // The runtime below is one loop on the goroutine that called Run and one
 // coroutine (iter.Pull) per process. A process runs only inside the loop's
 // call to its next(): from the grant of its pending register operation to the
-// moment it posts the following one, or returns. Nothing is ever runnable
-// beside the loop — no goroutine is started, no channel, lock or wait group is
-// used — so registers, scheduler state, the view and the request slots need no
-// synchronization, the schedule is a pure function of the seed, and
-// Scheduler.Next, CrashAdversary.CrashBeforeOp, Config.Trace and the Recorder
-// are always called on Run's goroutine. A switch into or out of a coroutine
-// goes straight from one stack to the other without passing the run queue.
+// moment it posts the following one, or returns (a poll read that misses
+// resumes nothing: the loop posts the poll's next register itself). Nothing
+// is ever runnable beside the loop — no goroutine is started, no channel, lock
+// or wait group is used — so registers, scheduler state, the view and the
+// request slots need no synchronization, the schedule is a pure function of
+// the seed, and Scheduler.Next, CrashAdversary.CrashBeforeOp, Config.Trace and
+// the Recorder are always called on Run's goroutine. A switch into or out of a
+// coroutine goes straight from one stack to the other without passing the run
+// queue.
 //
 // The build constraint is for the iter import: the module's go line is 1.22
 // (it moves together with bench/go.mod's), the installed toolchain has the
@@ -85,6 +87,7 @@ type opKind uint8
 const (
 	opRead opKind = iota + 1
 	opWrite
+	opPoll
 )
 
 // haltSignal is panicked inside API calls to unwind a process whose coroutine
@@ -116,6 +119,10 @@ type smProcess struct {
 	name  string
 	value types.Payload
 	ok    bool
+
+	// A poll's registers and the index of the one posted.
+	poll []Reg
+	at   int
 
 	// The coroutine: next resumes the process until its next request (true)
 	// or its return (false), stop makes the pending yield report false.
@@ -150,6 +157,15 @@ func (a *smAPI) Write(reg string, p types.Payload) {
 func (a *smAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) {
 	a.op(opRead, owner, reg)
 	return a.p.value, a.p.ok
+}
+
+func (a *smAPI) Poll(start int, regs []Reg) (int, types.Payload) {
+	if start < 0 || start >= len(regs) {
+		panic(fmt.Sprintf("smmem: Poll from index %d of %d registers", start, len(regs)))
+	}
+	a.p.poll, a.p.at = regs, start
+	a.op(opPoll, regs[start].Owner, regs[start].Name)
+	return a.p.at, a.p.value
 }
 
 func (a *smAPI) WriteValue(reg string, v types.Value) {
@@ -261,17 +277,9 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("%w: %d Byzantine processes exceed t=%d",
 			ErrFaultBudget, len(cfg.Byzantine), cfg.T)
 	}
-	// Report the smallest offending id so the error is independent of map
-	// iteration order.
-	bad, found := types.ProcessID(0), false
-	for id, strat := range cfg.Byzantine {
-		if int(id) < 0 || int(id) >= cfg.N || strat == nil {
-			if !found || id < bad {
-				bad, found = id, true
-			}
-		}
-	}
-	if found {
+	if bad, found := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, strat Protocol) bool {
+		return int(id) < 0 || int(id) >= cfg.N || strat == nil
+	}); found {
 		return fmt.Errorf("%w: Byzantine id %d out of range or without a strategy", ErrBadConfig, bad)
 	}
 	return nil
@@ -449,7 +457,7 @@ func (rt *smRuntime) grant() bool {
 	rt.view.Ops++
 	p.ops++
 	switch p.kind {
-	case opRead:
+	case opRead, opPoll:
 		// A read of a process that does not exist finds nothing, like a read
 		// of a register that was never written.
 		p.value, p.ok = types.Payload{}, false
@@ -458,6 +466,15 @@ func (rt *smRuntime) grant() bool {
 		}
 		rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: p.owner,
 			Register: p.name, Payload: p.value, Present: p.ok})
+		if p.kind == opPoll && !p.ok {
+			// A poll read that misses runs no process code, so nothing can
+			// have been decided: post the next register and stay suspended.
+			if p.at++; p.at == len(p.poll) {
+				p.at = 0
+			}
+			p.owner, p.name = p.poll[p.at].Owner, p.poll[p.at].Name
+			return true
+		}
 	case opWrite:
 		if rt.regs[pid] == nil {
 			rt.regs[pid] = make(map[string]types.Payload)

@@ -19,6 +19,18 @@ type ProcessID int
 // String renders the id in the paper's p1..pn convention.
 func (p ProcessID) String() string { return "p" + strconv.Itoa(int(p)+1) }
 
+// SmallestID returns the smallest id of m whose entry is bad, so that a
+// configuration error naming it does not depend on map iteration order.
+func SmallestID[V any](m map[ProcessID]V, bad func(ProcessID, V) bool) (ProcessID, bool) {
+	least, found := ProcessID(0), false
+	for id, v := range m {
+		if (!found || id < least) && bad(id, v) {
+			least, found = id, true
+		}
+	}
+	return least, found
+}
+
 // Value is a protocol input or decision value. The paper allows the input
 // domain to be unconstrained; int64 is enough for every construction we run
 // (the proofs only ever need n+1 distinct values).
