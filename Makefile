@@ -119,8 +119,8 @@ regen-corpus:
 # automatically. The last target feeds Protocols C and D and the l-echo
 # broadcast arbitrary kinds, origins and senders: no panic, and every call
 # equal to the map-based reference. The last one runs smmem's API.Poll
-# against its Read-loop spelling on fuzzed write points, schedules and
-# crashes: record, Recorder and Trace streams equal.
+# against its Read-loop spelling on fuzzed write points, hit handlers,
+# schedules and crashes: record, Recorder and Trace streams equal.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzTraceDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace/

@@ -26,9 +26,13 @@ import (
 // Registers are written at most once by construction, so polling readers
 // see each message exactly once by advancing a cursor per channel.
 // "Repeatedly reads" is one API.Poll over every channel's next register,
-// resumed after a hit from the channel it hit, so the reads are those of
-// draining each peer's broadcasts, then its messages to me, in turn; a read
-// that misses costs no switch into this process. The wrapper keeps polling
+// going on after a hit from the channel it hit, so the reads are those of
+// draining each peer's broadcasts, then its messages to me, in turn. The
+// poll's handler delivers the message, drains the self-sends and moves the
+// channel's cursor; it ends the poll only when the inner protocol has
+// something to send, and the wrapper then writes it and polls again. A read
+// that misses costs no switch into this process, nor does a hit that sends
+// nothing. The wrapper keeps polling
 // (and therefore keeps the inner protocol echoing and helping) until the
 // runtime halts the run; this matches the paper's remark that its Byzantine
 // protocols terminate in the sense that correct processes decide, not that
@@ -105,70 +109,111 @@ func (r *registerNames) at(i int) string {
 	return r.made[i]
 }
 
-// Run implements smmem.Protocol.
-func (s *Simulation) Run(api smmem.API) {
-	n := api.N()
-	me := api.ID()
-	a := &simAPI{sm: api}
+// simRun is one process's SIMULATION: the inner protocol's API, the names
+// and counts of its writes, and its poll over the incoming channels. It is
+// one allocation, and its deliver method the poll's handler.
+type simRun struct {
+	inner mpnet.Protocol
+	api   simAPI
+	me    types.ProcessID
 
 	// Everyone numbers broadcasts the same way, so one table serves this
 	// process's own writes and its cursor into every peer; likewise the
 	// messages addressed to it.
-	bc := registerNames{prefix: "bc/"}
-	p2p := registerNames{prefix: "msg/" + strconv.Itoa(int(me)) + "/"}
+	bc, p2p registerNames
+	bcSeq   int // own broadcasts written
+	// sent[q] names the messages to q and msgSeq[q] counts those written;
+	// both are made at the first point-to-point send, sent[q]'s prefix at
+	// the first one to q.
+	sent   []registerNames
+	msgSeq []int
 
-	bcSeq := 0               // own broadcasts written
-	msgSeq := make([]int, n) // own p2p messages written, per destination
+	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
+	// chans[c] is channel c's next register, cursor[c] its messages read,
+	// and last the channel of the last hit.
+	chans  []smmem.Reg
+	cursor []int
+	last   int
+}
 
-	// Both queues are walked by index and then truncated, never resliced
-	// from the front, so the next append reuses the backing array. A handler
-	// may enqueue more self-sends while draining; the walk picks those up.
-	drainSelf := func() {
-		for qi := 0; qi < len(a.selfQueue); qi++ {
-			s.Inner.Deliver(a, me, a.selfQueue[qi])
-		}
-		a.selfQueue = a.selfQueue[:0]
+// Run implements smmem.Protocol.
+func (s *Simulation) Run(api smmem.API) {
+	n, me := api.N(), api.ID()
+	r := &simRun{inner: s.Inner, me: me,
+		bc:  registerNames{prefix: "bc/"},
+		p2p: registerNames{prefix: "msg/" + strconv.Itoa(int(me)) + "/"},
 	}
+	r.api.sm = api
 
-	flush := func() {
-		for qi := 0; qi < len(a.outbox); qi++ {
-			m := a.outbox[qi]
-			if m.broadcast {
-				api.Write(bc.at(bcSeq), m.payload)
-				bcSeq++
-			} else {
-				api.Write("msg/"+strconv.Itoa(int(m.to))+"/"+strconv.Itoa(msgSeq[m.to]), m.payload)
-				msgSeq[m.to]++
-			}
-		}
-		a.outbox = a.outbox[:0]
-	}
-
-	s.Inner.Start(a)
-	drainSelf()
-	flush()
+	r.inner.Start(&r.api)
+	r.drainSelf()
+	r.flush()
 	if n == 1 {
 		return // no peers to poll; everything already happened locally
 	}
 
-	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
-	// chans[c] is channel c's next register, cursor[c] its messages read.
-	chans := make([]smmem.Reg, 0, 2*(n-1))
+	r.chans = make([]smmem.Reg, 0, 2*(n-1))
 	for q := 0; q < n; q++ {
 		if peer := types.ProcessID(q); peer != me {
-			chans = append(chans, smmem.Reg{Owner: peer, Name: bc.at(0)}, smmem.Reg{Owner: peer, Name: p2p.at(0)})
+			r.chans = append(r.chans, smmem.Reg{Owner: peer, Name: r.bc.at(0)}, smmem.Reg{Owner: peer, Name: r.p2p.at(0)})
 		}
 	}
-	cursor, names := make([]int, len(chans)), [2]*registerNames{&bc, &p2p}
+	r.cursor = make([]int, len(r.chans))
+	deliver := r.deliver // one method value for every poll, not an allocation per call
 	// Loop forever: the runtime unwinds this process once every correct
 	// process has decided (or the operation budget runs out).
-	for c := 0; ; {
-		var p types.Payload
-		c, p = api.Poll(c, chans)
-		s.Inner.Deliver(a, chans[c].Owner, p)
-		drainSelf()
-		flush()
-		cursor[c]++
-		chans[c].Name = names[c%2].at(cursor[c])
+	for {
+		api.Poll(r.last, r.chans, deliver)
+		r.flush()
 	}
+}
+
+// deliver is the poll's handler: it hands the message found on channel c to
+// the inner protocol, drains the self-sends and moves the channel on. The
+// poll goes on from the channel while the inner protocol has nothing to send.
+func (r *simRun) deliver(c int, p types.Payload) bool {
+	r.last = c
+	r.inner.Deliver(&r.api, r.chans[c].Owner, p)
+	r.drainSelf()
+	r.cursor[c]++
+	names := &r.bc
+	if c%2 == 1 {
+		names = &r.p2p
+	}
+	r.chans[c].Name = names.at(r.cursor[c])
+	return len(r.api.outbox) == 0
+}
+
+// Both queues are walked by index and then truncated, never resliced from
+// the front, so the next append reuses the backing array. A handler may
+// enqueue more self-sends while draining; the walk picks those up.
+func (r *simRun) drainSelf() {
+	a := &r.api
+	for qi := 0; qi < len(a.selfQueue); qi++ {
+		r.inner.Deliver(a, r.me, a.selfQueue[qi])
+	}
+	a.selfQueue = a.selfQueue[:0]
+}
+
+func (r *simRun) flush() {
+	a := &r.api
+	for qi := 0; qi < len(a.outbox); qi++ {
+		m := a.outbox[qi]
+		if m.broadcast {
+			a.sm.Write(r.bc.at(r.bcSeq), m.payload)
+			r.bcSeq++
+			continue
+		}
+		if r.sent == nil {
+			n := a.sm.N()
+			r.sent, r.msgSeq = make([]registerNames, n), make([]int, n)
+		}
+		to := &r.sent[m.to]
+		if to.prefix == "" {
+			to.prefix = "msg/" + strconv.Itoa(int(m.to)) + "/"
+		}
+		a.sm.Write(to.at(r.msgSeq[m.to]), m.payload)
+		r.msgSeq[m.to]++
+	}
+	a.outbox = a.outbox[:0]
 }

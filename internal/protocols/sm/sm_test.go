@@ -55,13 +55,18 @@ func (f *fakeMem) Read(owner types.ProcessID, reg string) (types.Payload, bool) 
 	return p, ok
 }
 
-// Poll reads each register once from start; nothing else can write while
-// it waits, so a full round of misses would be a wait forever.
-func (f *fakeMem) Poll(start int, regs []smmem.Reg) (int, types.Payload) {
-	for i := range regs {
-		c := (start + i) % len(regs)
-		if p, ok := f.Read(regs[c].Owner, regs[c].Name); ok {
-			return c, p
+// Poll reads from start until hit ends the poll; nothing else can write
+// while it waits, so a full round of misses would be a wait forever.
+func (f *fakeMem) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
+	for c, misses := start, 0; misses < len(regs); {
+		p, ok := f.Read(regs[c].Owner, regs[c].Name)
+		switch {
+		case !ok:
+			c, misses = (c+1)%len(regs), misses+1
+		case !hit(c, p):
+			return
+		default:
+			misses = 0
 		}
 	}
 	panic("fakeMem: Poll would wait forever")

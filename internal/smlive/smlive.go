@@ -162,14 +162,20 @@ func (a *liveAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) 
 	return a.rt.mem.read(regKey{owner: owner, name: reg})
 }
 
-// Poll is the loop of Reads its contract describes.
-func (a *liveAPI) Poll(start int, regs []smmem.Reg) (int, types.Payload) {
+// Poll is the loop of Reads its contract describes: a miss moves to the next
+// register, a hit goes to hit, which ends the poll or has it read regs[i]
+// again.
+func (a *liveAPI) Poll(start int, regs []smmem.Reg, hit func(i int, p types.Payload) bool) {
 	if start < 0 || start >= len(regs) {
 		panic(fmt.Sprintf("smlive: Poll from index %d of %d registers", start, len(regs)))
 	}
-	for i := start; ; i = (i + 1) % len(regs) {
-		if p, ok := a.Read(regs[i].Owner, regs[i].Name); ok {
-			return i, p
+	for i := start; ; {
+		p, ok := a.Read(regs[i].Owner, regs[i].Name)
+		switch {
+		case !ok:
+			i = (i + 1) % len(regs)
+		case !hit(i, p):
+			return
 		}
 	}
 }

@@ -54,8 +54,29 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				if decideFirst {
 					api.Decide(api.Input())
 				}
-				_, _ = api.Poll(0, []smmem.Reg{{Owner: 1, Name: "never"}, {Owner: 2, Name: "never"}})
+				api.Poll(0, []smmem.Reg{{Owner: 1, Name: "never"}, {Owner: 2, Name: "never"}},
+					func(int, types.Payload) bool { panic("a poll of registers nobody writes hit") })
 				panic("a poll of registers nobody writes returned")
+			})
+		}
+	}
+	// p1 polls everyone's v with a handler that panics on the loop's stack
+	// at its first hit, or makes a memory operation there; the others scan.
+	badHandler := func(hit func(api smmem.API)) func(types.ProcessID) smmem.Protocol {
+		return func(id types.ProcessID) smmem.Protocol {
+			return runFunc(func(api smmem.API) {
+				if id != 0 {
+					scan(api, n-1)
+					return
+				}
+				var regs []smmem.Reg
+				for q := 1; q < n; q++ {
+					regs = append(regs, smmem.Reg{Owner: types.ProcessID(q), Name: "v"})
+				}
+				api.Poll(0, regs, func(int, types.Payload) bool {
+					hit(api)
+					return true
+				})
 			})
 		}
 	}
@@ -68,6 +89,8 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		cfg     smmem.Config
 		wantErr error
 		check   func(*types.RunRecord) bool
+		// wantPanic: Run panics with a value naming it, with no record.
+		wantPanic string
 	}{
 		{name: "full-decision",
 			cfg:   smmem.Config{NewProtocol: all(func(api smmem.API) { scan(api, n) })},
@@ -110,6 +133,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		{name: "simulation-pollers-never-return",
 			cfg:   smmem.Config{NewProtocol: simulation},
 			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == n }},
+		{name: "poll-handler-panics",
+			cfg:       smmem.Config{NewProtocol: badHandler(func(smmem.API) { panic("handler bug") })},
+			wantPanic: "handler bug"},
+		{name: "poll-handler-writes",
+			cfg:       smmem.Config{NewProtocol: badHandler(func(api smmem.API) { api.WriteValue("w", 1) })},
+			wantPanic: "smmem: Write inside a Poll handler"},
 	}
 	// No subtests: each would add a goroutine of its own that is still on its
 	// way out when the next baseline is read. For the same reason fewer
@@ -119,11 +148,21 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		cfg.N, cfg.T, cfg.K = n, n-1, n
 		cfg.Inputs, cfg.Seed = testInputs(n, 1), 1
 		before := runtime.NumGoroutine()
-		rec, err := smmem.Run(cfg)
+		var rec *types.RunRecord
+		var err error
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			rec, err = smmem.Run(cfg)
+			return nil
+		}()
 		if after := runtime.NumGoroutine(); after > before {
 			t.Errorf("%s: %d goroutines after Run, %d before", e.name, after, before)
 		}
 		switch {
+		case e.wantPanic != "" || r != nil:
+			if e.wantPanic == "" || !strings.Contains(fmt.Sprint(r), e.wantPanic) {
+				t.Errorf("%s: Run panicked with %v, want a panic naming %q", e.name, r, e.wantPanic)
+			}
 		case !errors.Is(err, e.wantErr):
 			t.Errorf("%s: error %v, want %v", e.name, err, e.wantErr)
 		case err == nil && !e.check(rec):

@@ -1,9 +1,12 @@
 package smmem_test
 
-// API.Poll is specified as the loop of Reads it replaces. The tests below run
-// a native protocol twice, once polling with Poll and once with that loop
-// written out, and require everything the run shows the outside — the record
-// or error, the Recorder stream and the Trace stream — to be equal.
+// API.Poll is specified as the loop of Reads it replaces, its handler called
+// on every hit. The tests below run a native protocol twice, once polling
+// with Poll and once with that loop written out, and require everything the
+// run shows the outside — the record or error, the Recorder stream and the
+// Trace stream — to be equal. The protocol's handlers go on, stop, read a
+// register they found again, move a channel on and decide, each in both
+// spellings.
 
 import (
 	"fmt"
@@ -18,42 +21,64 @@ import (
 )
 
 // pollFunc is one spelling of a poll: API.Poll or readLoop.
-type pollFunc func(api smmem.API, start int, regs []smmem.Reg) (int, types.Payload)
+type pollFunc func(api smmem.API, start int, regs []smmem.Reg, hit func(int, types.Payload) bool)
 
-func apiPoll(api smmem.API, start int, regs []smmem.Reg) (int, types.Payload) {
-	return api.Poll(start, regs)
+func apiPoll(api smmem.API, start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
+	api.Poll(start, regs, hit)
 }
 
-// readLoop is Poll's contract written with Read.
-func readLoop(api smmem.API, start int, regs []smmem.Reg) (int, types.Payload) {
-	for i := start; ; i = (i + 1) % len(regs) {
-		if p, ok := api.Read(regs[i].Owner, regs[i].Name); ok {
-			return i, p
+// readLoop is Poll's contract written with Read: a miss moves to the next
+// register, a hit goes to hit, which ends the poll or has it read regs[i]
+// again.
+func readLoop(api smmem.API, start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
+	for i := start; ; {
+		p, ok := api.Read(regs[i].Owner, regs[i].Name)
+		switch {
+		case !ok:
+			i = (i + 1) % len(regs)
+		case !hit(i, p):
+			return
 		}
 	}
 }
 
+// What a process's handler does with a hit, after counting it (pollPlan).
+const (
+	// Move the channel to its next register and go on, as SIMULATION does
+	// when the message it delivered sends nothing.
+	goOn = iota
+	// Move the channel on and end the poll; the process then writes its
+	// next bc/ register and polls again from the channel after the one that
+	// hit.
+	stopAndWrite
+	// Go on without moving the channel on every other hit, so the poll reads
+	// the register it just found again.
+	rereadEveryOther
+	pollModes
+)
+
 // pollPlan is one set-up of the native poll protocol. Process p performs
 // gaps[p][w] reads of its own unwritten register before it writes bc/w, so
 // the writes land at planned operations. It then polls every peer's next
-// bc/ register and decides the smallest value seen after need[p] hits
-// (before its first poll if need[p] is 0). Odd ids resume a poll from the
-// channel after the one that hit, even ids from the same one, as SIMULATION
-// does; every third process returns once it has decided.
+// bc/ register, handling hits as mode[p] says, and decides the smallest
+// value seen after need[p] hits — inside the handler, or before its first
+// poll if need[p] is 0. Every third process then ends its poll and returns.
 type pollPlan struct {
 	gaps [][]int
 	need []int
+	mode []int
 }
 
 func seededPollPlan(n int, seed uint64) pollPlan {
 	rng := prng.New(seed ^ 0x9011)
-	plan := pollPlan{gaps: make([][]int, n), need: make([]int, n)}
+	plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n)}
 	for p := range plan.gaps {
 		plan.gaps[p] = make([]int, 1+rng.Intn(3))
 		for w := range plan.gaps[p] {
 			plan.gaps[p][w] = rng.Intn(4)
 		}
 		plan.need[p] = rng.Intn(2 * n)
+		plan.mode[p] = rng.Intn(pollModes)
 	}
 	return plan
 }
@@ -61,8 +86,9 @@ func seededPollPlan(n int, seed uint64) pollPlan {
 func (pl pollPlan) factory(poll pollFunc) func(types.ProcessID) smmem.Protocol {
 	return func(id types.ProcessID) smmem.Protocol {
 		return runFunc(func(api smmem.API) {
-			for w, gap := range pl.gaps[id] {
-				for i := 0; i < gap; i++ {
+			w := 0
+			for ; w < len(pl.gaps[id]); w++ {
+				for i := 0; i < pl.gaps[id][w]; i++ {
 					_, _ = api.Read(id, "unwritten")
 				}
 				api.WriteValue("bc/"+strconv.Itoa(w), api.Input()+types.Value(w))
@@ -74,27 +100,36 @@ func (pl pollPlan) factory(poll pollFunc) func(types.ProcessID) smmem.Protocol {
 				}
 			}
 			cursor := make([]int, len(regs))
-			hits, minV := 0, api.Input()
+			hits, minV, done, c := 0, api.Input(), false, 0
 			if pl.need[id] == 0 {
 				api.Decide(minV)
 			}
-			for c := 0; ; {
-				var p types.Payload
-				c, p = poll(api, c, regs)
+			hit := func(i int, p types.Payload) bool {
+				c = i
 				if hits++; p.Value < minV {
 					minV = p.Value
 				}
 				if hits == pl.need[id] {
 					api.Decide(minV)
-					if id%3 == 1 {
-						return
+					if done = id%3 == 1; done {
+						return false
 					}
 				}
-				cursor[c]++
-				regs[c].Name = "bc/" + strconv.Itoa(cursor[c])
-				if id%2 == 1 {
-					c = (c + 1) % len(regs)
+				if pl.mode[id] == rereadEveryOther && hits%2 == 1 {
+					return true
 				}
+				cursor[i]++
+				regs[i].Name = "bc/" + strconv.Itoa(cursor[i])
+				return pl.mode[id] != stopAndWrite
+			}
+			for {
+				poll(api, c, regs, hit)
+				if done {
+					return
+				}
+				api.WriteValue("bc/"+strconv.Itoa(w), minV)
+				w++
+				c = (c + 1) % len(regs)
 			}
 		})
 	}
@@ -137,11 +172,11 @@ func (s *scripted) Next(_ *smmem.View, pending []types.ProcessID, _ *prng.Source
 	return pending[0]
 }
 
-// pollDifference names the first thing that tells the two runs apart, or
+// streamDifference names the first thing that tells the two runs apart, or
 // returns "".
-func pollDifference(got, want *observed) string {
+func streamDifference(got, want *observed) string {
 	if g, w := fmt.Sprintf("%+v", got.rec), fmt.Sprintf("%+v", want.rec); g != w || got.err != want.err {
-		return fmt.Sprintf("record %s error %q, Read loop %s error %q", g, got.err, w, want.err)
+		return fmt.Sprintf("record %s error %q, want %s error %q", g, got.err, w, want.err)
 	}
 	for i := 0; i < len(got.grants) || i < len(want.grants); i++ {
 		if i >= len(got.grants) || i >= len(want.grants) || got.grants[i] != want.grants[i] {
@@ -176,7 +211,7 @@ func (pt *pollTally) add(o *observed) {
 func comparePoll(t *testing.T, cell string, build func(pollFunc) smmem.Config, tally *pollTally) {
 	t.Helper()
 	got, want := observe(build(apiPoll)), observe(build(readLoop))
-	if d := pollDifference(got, want); d != "" {
+	if d := streamDifference(got, want); d != "" {
 		t.Errorf("%s: Poll differs from its Read loop: %s", cell, d)
 	}
 	tally.add(got)
@@ -251,7 +286,8 @@ func TestPollMatchesReadLoop(t *testing.T) {
 }
 
 // FuzzPollMatchesReadLoop: the bytes choose n (2–6), every process's write
-// points and decision threshold, the scheduler and its seed, and crash points.
+// points, decision threshold and handler, the scheduler and its seed, and
+// crash points.
 func FuzzPollMatchesReadLoop(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -267,16 +303,17 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 			return int(b)
 		}
 		n := 2 + next()%5
-		plan := pollPlan{gaps: make([][]int, n), need: make([]int, n)}
+		plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n)}
 		for p := range plan.gaps {
 			plan.gaps[p] = make([]int, 1+next()%3)
 			for w := range plan.gaps[p] {
 				plan.gaps[p][w] = next() % 6
 			}
 			plan.need[p] = next() % (2 * n)
+			plan.mode[p] = next() % pollModes
 		}
 		seed := uint64(next()<<8 | next())
-		roundRobin := next()%2 == 1
+		sched, slow := next()%4, types.ProcessID(next()%n)
 		crashes := map[types.ProcessID]int{}
 		for c := next() % n; c > 0; c-- {
 			crashes[types.ProcessID(next()%n)] = next() % 20
@@ -291,25 +328,40 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 				MaxOps:      100 * n,
 				Crash:       &smmem.ScriptedCrashes{AtOp: crashes},
 			}
-			if roundRobin {
+			switch sched {
+			case 1:
 				cfg.Scheduler = &smmem.RoundRobin{}
+			case 2:
+				s := smmem.NewStarve(n, slow)
+				s.ReleaseAtOps = 30 * n
+				cfg.Scheduler = s
+			case 3:
+				h := smmem.NewHold(n, []types.ProcessID{slow}, []types.ProcessID{(slow + 1) % types.ProcessID(n)})
+				h.ReleaseAtOps = 50 * n
+				cfg.Scheduler = h
 			}
 			return cfg
 		}, tally)
 	})
 }
 
-// TestPollEdges pins the index a poll returns and the reads it performs at
-// the ends of its list, and its panics. Process p1 writes a at its second
-// operation (after a read of x, which nobody writes) and decides; p2 reads x
-// early times, polls once and decides what it found. Under round-robin p2
-// goes first: p2, p1, p2, p1, p2, then p2 alone.
+// TestPollEdges pins the index a poll hands its handler and the reads it
+// performs at the ends of its list, and its panics. Process p1 writes a at
+// its second operation (after a read of x, which nobody writes), then b, and
+// decides; p2 reads x early times, polls once — its handler goes on again
+// times, so the poll reads the register it found again unless move changes
+// the list, then ends it — and decides what it found. Under round-robin p2
+// goes first: p2, p1, p2, p1, p2, p1, then p2 alone. A handler that makes a
+// memory operation panics out of Run.
 func TestPollEdges(t *testing.T) {
 	cases := []struct {
 		name  string
 		start int
 		regs  []string // p1's registers, polled by p2
 		early int      // p2's reads of x before it polls
+		again int      // hits p2's handler goes on after
+		move  func(regs []smmem.Reg)
+		inHit func(api smmem.API)
 
 		wantIndex int
 		wantReads string // all of p2's reads, "name+" for a hit
@@ -327,6 +379,28 @@ func TestPollEdges(t *testing.T) {
 			wantPanic: "Poll from index 2 of 2 registers"},
 		{name: "negative-start", start: -1, regs: []string{"a"},
 			wantPanic: "Poll from index -1 of 1 registers"},
+		{name: "go-on-reads-the-hit-again", start: 0, regs: []string{"x", "a"}, again: 2,
+			wantIndex: 1, wantReads: "x a x a+ a+ a+"},
+		// After x x x x every write is done; y and z miss, then a hit
+		// points the list at z and b: one miss more would have missed on
+		// every register, but the list changed, so b is still read.
+		{name: "go-on-after-changing-the-list", start: 0, regs: []string{"x", "y", "a"}, early: 3, again: 1,
+			move:      func(regs []smmem.Reg) { regs[0].Name, regs[2].Name = "b", "z" },
+			wantIndex: 0, wantReads: "x x x x y a+ z b+"},
+		{name: "read-in-handler", start: 0, regs: []string{"a"},
+			inHit:     func(api smmem.API) { _, _ = api.Read(0, "a") },
+			wantPanic: "smmem: Read inside a Poll handler"},
+		{name: "readvalue-in-handler", start: 0, regs: []string{"a"},
+			inHit:     func(api smmem.API) { _, _ = api.ReadValue(0, "x") },
+			wantPanic: "smmem: Read inside a Poll handler"},
+		{name: "write-in-handler", start: 0, regs: []string{"a"},
+			inHit:     func(api smmem.API) { api.WriteValue("b", 1) },
+			wantPanic: "smmem: Write inside a Poll handler"},
+		{name: "poll-in-handler", start: 0, regs: []string{"a"},
+			inHit: func(api smmem.API) {
+				api.Poll(0, []smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload) bool { return false })
+			},
+			wantPanic: "smmem: Poll inside a Poll handler"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -343,13 +417,27 @@ func TestPollEdges(t *testing.T) {
 						if id == 0 {
 							_, _ = api.Read(0, "x")
 							api.WriteValue("a", 7)
+							api.WriteValue("b", 7)
 							api.Decide(7)
 							return
 						}
 						for i := 0; i < c.early; i++ {
 							_, _ = api.Read(0, "x")
 						}
-						index, value = api.Poll(c.start, regs)
+						again := c.again
+						api.Poll(c.start, regs, func(i int, p types.Payload) bool {
+							index, value = i, p
+							if c.inHit != nil {
+								c.inHit(api)
+							}
+							if again--; again < 0 {
+								return false
+							}
+							if c.move != nil {
+								c.move(regs)
+							}
+							return true
+						})
 						api.Decide(value.Value)
 					})
 				},
@@ -382,7 +470,7 @@ func TestPollEdges(t *testing.T) {
 				t.Fatal(r)
 			}
 			if got := strings.Join(reads, " "); index != c.wantIndex || value.Value != 7 || got != c.wantReads {
-				t.Errorf("Poll returned %d, %d after reads %q; want %d, 7 after %q", index, value.Value, got, c.wantIndex, c.wantReads)
+				t.Errorf("Poll's last hit was %d, %d after reads %q; want %d, 7 after %q", index, value.Value, got, c.wantIndex, c.wantReads)
 			}
 			if !rec.Decided[1] {
 				t.Errorf("p2 did not decide: %+v", rec)

@@ -16,7 +16,10 @@
 // Operations are therefore trivially linearizable and a run is a pure
 // function of (protocol, parameters, adversary, seed). A poll (API.Poll) is a
 // loop of reads, each granted and traced as one Read, that the loop itself
-// moves past a miss: a waiting process is not resumed until a read hits.
+// moves past a miss and hands a hit to the poll's handler on its own stack:
+// a waiting process is resumed only when the handler ends the poll. A miss
+// that no write since the poll's last pass over its list could have changed
+// is answered without looking the register up.
 //
 // Registers are created on first write and named by (owner, name) pairs;
 // dynamic creation supports the unbounded register sequences of the paper's
@@ -63,13 +66,20 @@ type API interface {
 	WriteValue(reg string, v types.Value)
 	// ReadValue is shorthand for Read returning just the payload value.
 	ReadValue(owner types.ProcessID, reg string) (v types.Value, ok bool)
-	// Poll reads regs[start], regs[start+1], ... cyclically until a read
-	// finds a value, and returns that register's index and payload. It is
-	// the loop of Reads it replaces: each read is one granted operation,
-	// scheduled, budgeted, crashable and traced as a Read. No process code
-	// runs between them, so a decision made before the call is visible once
-	// the first read is posted. An empty list or a start outside it panics.
-	Poll(start int, regs []Reg) (int, types.Payload)
+	// Poll reads regs[start], regs[start+1], ... cyclically and hands every
+	// read that finds a value to hit, with the register's index. When hit
+	// returns true the poll goes on from regs[i] — which hit may have
+	// replaced — and when it returns false Poll returns. It is the loop of
+	// Reads it replaces: each read is one granted operation, scheduled,
+	// budgeted, crashable and traced as a Read. No process code runs
+	// between the reads but hit, so a decision made before the call is
+	// visible once the first read is posted, and one made in hit once hit
+	// returns. hit may change process state and call Decide, HasDecided and
+	// the accessors; a memory operation (Read, Write, Poll and their
+	// shorthands) inside it panics under Run, which calls hit on its own
+	// goroutine between two grants. An empty list or a start outside it
+	// panics too.
+	Poll(start int, regs []Reg, hit func(i int, p types.Payload) bool)
 	// Decide records this process's irrevocable decision; it costs no
 	// memory operation. A correct process must decide at most once.
 	Decide(v types.Value)
@@ -100,7 +110,12 @@ type View struct {
 // Scheduler picks which pending process performs the next register
 // operation. pending is non-empty, sorted by process id and the runtime's own
 // list (read it, do not modify or keep it); returning a process not in
-// pending is a programming error and aborts the run.
+// pending is a programming error and aborts the run. Within one run — one
+// *View, the same pointer from the run's first pick to its last — pending
+// only shrinks: a process leaves it when it returns or crashes and never
+// comes back. A policy may therefore keep what it derives from pending until
+// the view changes or len(pending) drops, and may keep the view pointer to
+// tell runs apart.
 //
 // Next — like CrashAdversary.CrashBeforeOp, Config.Trace and the Recorder —
 // is always called on the goroutine that called Run, between two steps of the

@@ -1,15 +1,16 @@
 // The runtime below is one loop on the goroutine that called Run and one
 // coroutine (iter.Pull) per process. A process runs only inside the loop's
 // call to its next(): from the grant of its pending register operation to the
-// moment it posts the following one, or returns (a poll read that misses
-// resumes nothing: the loop posts the poll's next register itself). Nothing
-// is ever runnable beside the loop — no goroutine is started, no channel, lock
-// or wait group is used — so registers, scheduler state, the view and the
-// request slots need no synchronization, the schedule is a pure function of
-// the seed, and Scheduler.Next, CrashAdversary.CrashBeforeOp, Config.Trace and
-// the Recorder are always called on Run's goroutine. A switch into or out of a
-// coroutine goes straight from one stack to the other without passing the run
-// queue.
+// moment it posts the following one, or returns — or, for a poll read that
+// hits, inside the loop's call to the poll's handler. A poll read that misses
+// runs no process code: the loop posts the poll's next register itself.
+// Nothing is ever runnable beside the loop — no goroutine is started, no
+// channel, lock or wait group is used — so registers, scheduler state, the
+// view and the request slots need no synchronization, the schedule is a pure
+// function of the seed, and Scheduler.Next, CrashAdversary.CrashBeforeOp,
+// Config.Trace, the Recorder and every poll's handler are always called on
+// Run's goroutine. A switch into or out of a coroutine goes straight from one
+// stack to the other without passing the run queue.
 //
 // The build constraint is for the iter import: the module's go line is 1.22
 // (it moves together with bench/go.mod's), the installed toolchain has the
@@ -120,9 +121,17 @@ type smProcess struct {
 	value types.Payload
 	ok    bool
 
-	// A poll's registers and the index of the one posted.
-	poll []Reg
-	at   int
+	// A poll: its registers, the index of the one posted and the handler of
+	// its hits; inHit is set while the handler runs. missed counts the
+	// poll's reads in a row that found nothing while the runtime's write
+	// count stood at writes: once it reaches len(poll), every register of
+	// the list is unwritten until the next write anywhere.
+	poll   []Reg
+	at     int
+	hit    func(int, types.Payload) bool
+	inHit  bool
+	missed int
+	writes int
 
 	// The coroutine: next resumes the process until its next request (true)
 	// or its return (false), stop makes the pending yield report false.
@@ -159,13 +168,13 @@ func (a *smAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) {
 	return a.p.value, a.p.ok
 }
 
-func (a *smAPI) Poll(start int, regs []Reg) (int, types.Payload) {
+func (a *smAPI) Poll(start int, regs []Reg, hit func(i int, p types.Payload) bool) {
 	if start < 0 || start >= len(regs) {
 		panic(fmt.Sprintf("smmem: Poll from index %d of %d registers", start, len(regs)))
 	}
-	a.p.poll, a.p.at = regs, start
+	p := a.p
+	p.poll, p.at, p.hit, p.missed = regs, start, hit, 0
 	a.op(opPoll, regs[start].Owner, regs[start].Name)
-	return a.p.at, a.p.value
 }
 
 func (a *smAPI) WriteValue(reg string, v types.Value) {
@@ -179,8 +188,8 @@ func (a *smAPI) ReadValue(owner types.ProcessID, reg string) (types.Value, bool)
 
 func (a *smAPI) Decide(v types.Value) {
 	// Deciding is a local action: the decision board picks it up when the
-	// process posts its next request or returns, so the scheduler sees it
-	// before granting anything else.
+	// process posts its next request or returns, or its poll's handler
+	// returns, so the scheduler sees it before granting anything else.
 	p := a.p
 	if p.decided {
 		if !p.byz {
@@ -193,10 +202,19 @@ func (a *smAPI) Decide(v types.Value) {
 	p.decision = v
 }
 
+// opNames names the operations for the panic of one made inside a poll's
+// handler.
+var opNames = [...]string{opRead: "Read", opWrite: "Write", opPoll: "Poll"}
+
 // op posts a request and returns once it has been granted; a crash or the
-// end of the run unwinds the process via panic(haltSignal{}) instead.
+// end of the run unwinds the process via panic(haltSignal{}) instead. Inside
+// a poll's handler, on the loop's own stack, there is no coroutine to yield
+// from: an operation there panics.
 func (a *smAPI) op(kind opKind, owner types.ProcessID, name string) {
 	p := a.p
+	if p.inHit {
+		panic("smmem: " + opNames[kind] + " inside a Poll handler")
+	}
 	p.kind, p.owner, p.name = kind, owner, name
 	if !a.yield(struct{}{}) {
 		panic(haltSignal{})
@@ -208,13 +226,15 @@ type smRuntime struct {
 	cfg     Config
 	n, t, k int
 	procs   []*smProcess
-	view    View
+	view    *View // its own allocation: a policy that keeps it keeps nothing else of the run
 	rng     *prng.Source
 	budget  int
 	sched   Scheduler
 
-	// regs[owner] holds owner's registers by name, made on its first write.
-	regs []map[string]types.Payload
+	// regs[owner] holds owner's registers by name, made on its first write;
+	// writes counts the writes granted so far.
+	regs   []map[string]types.Payload
+	writes int
 
 	// pending lists the live processes in ascending id order: the
 	// scheduler's candidates. An id leaves on exit or crash only.
@@ -305,7 +325,7 @@ func newRuntime(cfg Config) *smRuntime {
 	if rt.sched == nil {
 		rt.sched = FairRandom{}
 	}
-	rt.view = View{
+	rt.view = &View{
 		N: n, T: cfg.T, K: cfg.K,
 		Decided: make([]bool, n),
 		Crashed: make([]bool, n),
@@ -426,7 +446,7 @@ func (rt *smRuntime) grant() bool {
 		return false
 	}
 
-	pid := rt.sched.Next(&rt.view, rt.pending, rt.rng)
+	pid := rt.sched.Next(rt.view, rt.pending, rt.rng)
 	if int(pid) < 0 || int(pid) >= rt.n || !rt.procs[pid].live {
 		rt.recordBug(fmt.Errorf("%w: %v", ErrBadSchedule, pid))
 		return false
@@ -437,7 +457,7 @@ func (rt *smRuntime) grant() bool {
 	p := rt.procs[pid]
 
 	if adv := rt.cfg.Crash; adv != nil && !p.byz && rt.faults < rt.t &&
-		adv.CrashBeforeOp(&rt.view, pid, p.ops) {
+		adv.CrashBeforeOp(rt.view, pid, p.ops) {
 		if r := rt.cfg.Recorder; r != nil {
 			r.CrashAtOp(pid, p.ops)
 		}
@@ -457,34 +477,70 @@ func (rt *smRuntime) grant() bool {
 	rt.view.Ops++
 	p.ops++
 	switch p.kind {
-	case opRead, opPoll:
-		// A read of a process that does not exist finds nothing, like a read
-		// of a register that was never written.
-		p.value, p.ok = types.Payload{}, false
-		if o := int(p.owner); o >= 0 && o < rt.n {
-			p.value, p.ok = rt.regs[o][p.name]
-		}
+	case opRead:
+		p.value, p.ok = rt.lookup(p.owner, p.name)
 		rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: p.owner,
 			Register: p.name, Payload: p.value, Present: p.ok})
-		if p.kind == opPoll && !p.ok {
-			// A poll read that misses runs no process code, so nothing can
-			// have been decided: post the next register and stay suspended.
-			if p.at++; p.at == len(p.poll) {
-				p.at = 0
-			}
-			p.owner, p.name = p.poll[p.at].Owner, p.poll[p.at].Name
-			return true
-		}
+	case opPoll:
+		rt.pollRead(p)
+		return true
 	case opWrite:
 		if rt.regs[pid] == nil {
 			rt.regs[pid] = make(map[string]types.Payload)
 		}
 		rt.regs[pid][p.name] = p.value
+		rt.writes++
 		rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: pid,
 			Register: p.name, Payload: p.value, Present: true})
 	}
 	rt.resume(p)
 	return true
+}
+
+// lookup reads owner's register name. A read of a process that does not
+// exist finds nothing, like a read of a register that was never written.
+func (rt *smRuntime) lookup(owner types.ProcessID, name string) (types.Payload, bool) {
+	if o := int(owner); o >= 0 && o < rt.n {
+		p, ok := rt.regs[o][name]
+		return p, ok
+	}
+	return types.Payload{}, false
+}
+
+// pollRead performs p's granted poll read. A miss runs no process code, so
+// nothing can have been decided: it posts the poll's next register and p
+// stays suspended. A hit runs the poll's handler here, on the loop's stack;
+// if the handler goes on polling, its decision goes to the board as at a
+// posted request and the read of regs[at] is posted, else p is resumed and
+// its Poll returns. A read is answered without a lookup once the poll has
+// missed on every register of its list since the last write anywhere.
+func (rt *smRuntime) pollRead(p *smProcess) {
+	if p.writes != rt.writes {
+		p.writes, p.missed = rt.writes, 0
+	}
+	p.value, p.ok = types.Payload{}, false
+	if p.missed < len(p.poll) {
+		p.value, p.ok = rt.lookup(p.owner, p.name)
+	}
+	rt.trace(TraceEvent{Type: EvRead, Proc: p.id, Owner: p.owner,
+		Register: p.name, Payload: p.value, Present: p.ok})
+	if p.ok {
+		p.inHit = true
+		more := p.hit(p.at, p.value)
+		p.inHit = false
+		if !more {
+			rt.resume(p)
+			return
+		}
+		rt.refresh(p)
+		p.missed = 0
+	} else {
+		p.missed++
+		if p.at++; p.at == len(p.poll) {
+			p.at = 0
+		}
+	}
+	p.owner, p.name = p.poll[p.at].Owner, p.poll[p.at].Name
 }
 
 func (rt *smRuntime) record() *types.RunRecord {

@@ -41,6 +41,9 @@ func (r *RoundRobin) Next(_ *View, pending []types.ProcessID, _ *prng.Source) ty
 // (Lemmas 4.3 and 4.9): the held processes "do not take any step until after
 // all processes in g decide", where g is the watched set. Once every
 // non-crashed watched process has decided, the held processes are released.
+//
+// Held and Watch must not change while a run uses the policy; a Hold may be
+// reused for any number of runs, one after the other.
 type Hold struct {
 	// Held[p] marks processes that may not take steps while the gate is
 	// closed.
@@ -55,6 +58,14 @@ type Hold struct {
 	// schedule admissible even when the watched processes can never decide
 	// (e.g. because a protocol's other participants spin forever).
 	ReleaseAtOps int
+
+	kept kept
+	// The gate of the kept run: opened once it is open, watched the first
+	// watched process it may still wait for. Decisions and faults are never
+	// undone and the operation count only grows, so an open gate stays open
+	// and a process that stopped holding it never holds it again.
+	opened  bool
+	watched int
 }
 
 var _ Scheduler = (*Hold)(nil)
@@ -73,61 +84,86 @@ func NewHold(n int, held, watch []types.ProcessID) *Hold {
 }
 
 // open reports whether every non-faulty watched process has decided (or the
-// release deadline has passed).
+// release deadline has passed), latching the answer once it is yes.
 func (h *Hold) open(view *View) bool {
-	if h.ReleaseAtOps > 0 && view.Ops >= h.ReleaseAtOps {
+	if h.opened {
 		return true
 	}
-	for p := 0; p < view.N; p++ {
-		if !h.Watch[p] || view.Faulty[p] {
-			continue
-		}
-		if !view.Decided[p] {
+	if h.ReleaseAtOps > 0 && view.Ops >= h.ReleaseAtOps {
+		h.opened = true
+		return true
+	}
+	for ; h.watched < view.N; h.watched++ {
+		if p := h.watched; h.Watch[p] && !view.Faulty[p] && !view.Decided[p] {
 			return false
 		}
 	}
+	h.opened = true
 	return true
 }
 
 // Next implements Scheduler.
 func (h *Hold) Next(view *View, pending []types.ProcessID, rng *prng.Source) types.ProcessID {
+	if h.kept.newRun(view) {
+		h.opened, h.watched = false, 0
+	}
 	if h.open(view) {
 		return pending[rng.Intn(len(pending))]
 	}
-	return pickExcluding(pending, h.Held, rng)
+	return h.kept.pick(pending, h.Held, rng)
 }
 
-// pickExcluding draws uniformly among the pending processes not marked in
-// excluded. When every pending process is marked it draws among them all:
-// one is released arbitrarily to preserve the model's finite-delay
-// guarantee. Either way it is one rng draw and no allocation.
-func pickExcluding(pending []types.ProcessID, excluded []bool, rng *prng.Source) types.ProcessID {
-	eligible := 0
-	for _, pid := range pending {
-		if !excluded[pid] {
-			eligible++
+// kept is what Hold and Starve keep of one run between picks: the run's view
+// and the pending processes their policy does not exclude, in pending's
+// order, rebuilt only when len(pending) is not the one they were taken from
+// (within a run pending only shrinks, see Scheduler).
+type kept struct {
+	view     *View
+	pending  int // len(pending) eligible was taken from; -1 before the first pick of a run
+	eligible []types.ProcessID
+}
+
+// newRun reports whether view is not the kept run's, and if so starts
+// keeping it with nothing derived yet. Holding the pointer keeps a finished
+// run's View from being reused for the next one.
+func (k *kept) newRun(view *View) bool {
+	if view == k.view {
+		return false
+	}
+	k.view, k.pending = view, -1
+	return true
+}
+
+// pick draws uniformly among the pending processes not marked in excluded.
+// When every pending process is marked it draws among them all: one is
+// released arbitrarily to preserve the model's finite-delay guarantee.
+// Either way it is one rng draw, and no allocation after the first pick.
+func (k *kept) pick(pending []types.ProcessID, excluded []bool, rng *prng.Source) types.ProcessID {
+	if len(pending) != k.pending {
+		k.pending = len(pending)
+		if cap(k.eligible) < len(pending) {
+			k.eligible = make([]types.ProcessID, 0, len(pending))
+		}
+		k.eligible = k.eligible[:0]
+		for _, pid := range pending {
+			if !excluded[pid] {
+				k.eligible = append(k.eligible, pid)
+			}
 		}
 	}
-	if eligible == 0 {
+	if len(k.eligible) == 0 {
 		return pending[rng.Intn(len(pending))]
 	}
-	k := rng.Intn(eligible)
-	for _, pid := range pending {
-		if excluded[pid] {
-			continue
-		}
-		if k == 0 {
-			return pid
-		}
-		k--
-	}
-	panic("smmem: pickExcluding: unreachable")
+	return k.eligible[rng.Intn(len(k.eligible))]
 }
 
 // Starve never grants operations to the starved processes while any other
 // process is pending. It models maximal asymmetric slowness (a legal
 // asynchronous schedule as long as starved processes are eventually run,
 // which happens once everyone else decides or exits).
+//
+// Starved must not change while a run uses the policy; a Starve may be
+// reused for any number of runs, one after the other.
 type Starve struct {
 	// Starved[p] marks the processes to starve.
 	Starved []bool
@@ -135,6 +171,8 @@ type Starve struct {
 	// operations have been granted, keeping the schedule admissible (finite
 	// delay) even when the non-starved processes never exit.
 	ReleaseAtOps int
+
+	kept kept
 }
 
 var _ Scheduler = (*Starve)(nil)
@@ -150,8 +188,9 @@ func NewStarve(n int, ids ...types.ProcessID) *Starve {
 
 // Next implements Scheduler.
 func (s *Starve) Next(view *View, pending []types.ProcessID, rng *prng.Source) types.ProcessID {
+	s.kept.newRun(view)
 	if s.ReleaseAtOps > 0 && view.Ops >= s.ReleaseAtOps {
 		return pending[rng.Intn(len(pending))]
 	}
-	return pickExcluding(pending, s.Starved, rng)
+	return s.kept.pick(pending, s.Starved, rng)
 }

@@ -182,38 +182,55 @@ func TestDecisionLatencyRecorded(t *testing.T) {
 	}
 }
 
-// TestPickExcludingMatchesReference draws through pickExcluding and through
-// the old eligible-slice body from twin rng streams: same pick every time, and
-// the streams still agree afterwards, so neither drew more than the other.
-func TestPickExcludingMatchesReference(t *testing.T) {
+// TestKeptPicksMatchReference draws through Starve and a closed Hold and
+// through the old eligible-slice body from twin rng streams, over runs in
+// which pending shrinks at random: same pick every time, and the streams
+// still agree afterwards, so neither drew more than the other. Each policy
+// serves several runs in a row, whose pending lists reach the same lengths
+// with other processes in them, so a list kept from an earlier run or from a
+// longer pending list shows.
+func TestKeptPicksMatchReference(t *testing.T) {
 	shape := prng.New(11)
-	rng, refRng := prng.New(12), prng.New(12)
-	for round := 0; round < 2000; round++ {
+	for round := 0; round < 300; round++ {
 		n := shape.Intn(24) + 1
-		var pending []types.ProcessID
 		excluded := make([]bool, n)
-		for p := 0; p < n; p++ {
-			if shape.Intn(4) > 0 {
-				pending = append(pending, types.ProcessID(p))
-			}
+		for p := range excluded {
 			// Every third round excludes everyone: the fallback draw.
 			excluded[p] = round%3 == 0 || shape.Intn(2) == 0
 		}
-		if len(pending) == 0 {
-			continue
+		watch := make([]bool, n)
+		watch[shape.Intn(n)] = true
+		policies := []Scheduler{&Starve{Starved: excluded}, &Hold{Held: excluded, Watch: watch}}
+		for _, sched := range policies {
+			seed := shape.Uint64()
+			rng, refRng := prng.New(seed), prng.New(seed)
+			for run := 0; run < 3; run++ {
+				view := smView(n) // nobody decided: the Hold's gate stays closed
+				pending := make([]types.ProcessID, n)
+				for p := range pending {
+					pending[p] = types.ProcessID(p)
+				}
+				for len(pending) > 0 {
+					for draws := shape.Intn(4); draws >= 0; draws-- {
+						got, want := sched.Next(view, pending, rng), refPickExcluding(pending, excluded, refRng)
+						if got != want {
+							t.Fatalf("round %d %T run %d: picked %v, reference %v (pending %v, excluded %v)",
+								round, sched, run, got, want, pending, excluded)
+						}
+					}
+					gone := shape.Intn(len(pending))
+					pending = append(pending[:gone], pending[gone+1:]...)
+				}
+			}
+			if rng.Uint64() != refRng.Uint64() {
+				t.Fatalf("round %d %T: rng streams diverged: a pick drew more or less often than the reference", round, sched)
+			}
 		}
-		got, want := pickExcluding(pending, excluded, rng), refPickExcluding(pending, excluded, refRng)
-		if got != want {
-			t.Fatalf("round %d: picked %v, reference %v (pending %v, excluded %v)", round, got, want, pending, excluded)
-		}
-	}
-	if rng.Uint64() != refRng.Uint64() {
-		t.Fatal("rng streams diverged: a pick drew more or less often than the reference")
 	}
 }
 
 // refPickExcluding is the tail of Hold.Next and Starve.Next as it was: an
-// eligible slice built per pick. pickExcluding must make the same pick from
+// eligible slice built per pick. The kept list must make the same pick from
 // the same single draw.
 func refPickExcluding(pending []types.ProcessID, excluded []bool, rng *prng.Source) types.ProcessID {
 	eligible := make([]types.ProcessID, 0, len(pending))
