@@ -121,6 +121,8 @@ regen-corpus:
 # equal to the map-based reference. The last one runs smmem's API.Poll
 # against its Read-loop spelling on fuzzed write points, hit handlers,
 # schedules and crashes: record, Recorder and Trace streams equal.
+# FuzzWindowMatchesOracle checks the cluster's window (peer dedup and the
+# shards' id windows) against a map-plus-watermark oracle.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzTraceDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace/
@@ -128,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzProtocolDeliver -fuzztime 10s ./internal/protocols/mp/
 	$(GO) test -run XXX -fuzz FuzzPollMatchesReadLoop -fuzztime 10s ./internal/smmem/
+	$(GO) test -run XXX -fuzz FuzzWindowMatchesOracle -fuzztime 10s ./internal/cluster/
 
 # Loopback 5-node TCP cluster under -race: concurrent FloodMin and
 # Protocol A instances over an adversarial transport, one crashed node, one

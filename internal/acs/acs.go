@@ -63,32 +63,35 @@ import (
 	"kset/internal/wire"
 )
 
-// Vote-instance id layout: the top bit namespaces ACS votes away from
-// ctl-started instances, the low 16 bits carry the proposer, the middle 47
-// the round.
-const (
-	idBit        = uint64(1) << 63
-	idRoundShift = 16
-	maxRound     = uint64(1)<<47 - 1
-)
+// idBit namespaces ACS vote instances away from ctl-started ones. Below it
+// slots are numbered densely, round·n + proposer, so consecutive rounds'
+// votes are consecutive ids and never jump the cluster's id window.
+const idBit = uint64(1) << 63
+
+// maxRound is the highest round whose vote ids stay below idBit on n nodes:
+// round·n + n−1 ≤ 2⁶³−1.
+func maxRound(n int) uint64 {
+	return (idBit - 1 - uint64(n-1)) / uint64(n)
+}
 
 // maxRetainedRounds bounds the closed-round states kept for PullAcsRound
 // replies; older rounds answer Closed with no slot detail.
 const maxRetainedRounds = 1 << 12
 
-// VoteInstance maps (round, proposer) to the cluster instance id of the
-// membership vote for that slot.
-func VoteInstance(round uint64, proposer types.ProcessID) uint64 {
-	return idBit | round<<idRoundShift | uint64(proposer)
+// VoteInstance maps (round, proposer) on n nodes to the cluster instance id
+// of the membership vote for that slot; round is at most maxRound(n).
+func VoteInstance(round uint64, proposer types.ProcessID, n int) uint64 {
+	return idBit | (round*uint64(n) + uint64(proposer))
 }
 
-// splitVoteInstance inverts VoteInstance; ok is false for ids outside the
-// ACS namespace.
-func splitVoteInstance(id uint64) (round uint64, proposer types.ProcessID, ok bool) {
+// splitVoteInstance inverts VoteInstance on n nodes; ok is false for ids
+// outside the ACS namespace.
+func splitVoteInstance(id uint64, n int) (round uint64, proposer types.ProcessID, ok bool) {
 	if id&idBit == 0 {
 		return 0, 0, false
 	}
-	return (id &^ idBit) >> idRoundShift, types.ProcessID(id & (1<<idRoundShift - 1)), true
+	slot := id &^ idBit
+	return slot / uint64(n), types.ProcessID(slot % uint64(n)), true
 }
 
 // Config configures an Engine.
@@ -186,7 +189,7 @@ func New(cfg Config) (*Engine, error) {
 // round closes (at the position the certificates agree on).
 func (e *Engine) Submit(v types.Value) (uint64, error) {
 	e.mu.Lock()
-	if e.maxAct >= maxRound {
+	if e.maxAct >= maxRound(e.n) {
 		e.mu.Unlock()
 		return 0, fmt.Errorf("acs: round space exhausted")
 	}
@@ -265,7 +268,7 @@ func (e *Engine) voteLocked(r uint64, st *roundState, proposer int, vote types.V
 	}
 	s.voted = true
 	err := e.node.StartInstance(wire.Start{
-		Instance: VoteInstance(r, types.ProcessID(proposer)),
+		Instance: VoteInstance(r, types.ProcessID(proposer), e.n),
 		K:        e.k,
 		T:        e.t,
 		Proto:    uint8(theory.ProtoFloodMin),
@@ -278,9 +281,10 @@ func (e *Engine) voteLocked(r uint64, st *roundState, proposer int, vote types.V
 }
 
 // onPropose handles one first-seen proposal frame from a peer: it activates
-// any rounds up to the proposal's, records the proposal, and votes.
+// any rounds up to the proposal's, records the proposal, and votes. Rounds
+// past maxRound, whose vote ids would overflow the namespace, are refused.
 func (e *Engine) onPropose(p wire.Propose) {
-	if p.Round == 0 || p.Round > maxRound || int(p.Proposer) < 0 || int(p.Proposer) >= e.n {
+	if p.Round == 0 || p.Round > maxRound(e.n) || int(p.Proposer) < 0 || int(p.Proposer) >= e.n {
 		return
 	}
 	e.mu.Lock()
@@ -300,8 +304,8 @@ func (e *Engine) onPropose(p wire.Propose) {
 // onDecide folds one decision-table row into the slot tallies and resolves
 // slot membership once a certificate forms.
 func (e *Engine) onDecide(id uint64, node types.ProcessID, value types.Value) {
-	r, proposer, ok := splitVoteInstance(id)
-	if !ok || int(node) < 0 || int(node) >= e.n || int(proposer) >= e.n {
+	r, proposer, ok := splitVoteInstance(id, e.n)
+	if !ok || int(node) < 0 || int(node) >= e.n {
 		return
 	}
 	e.mu.Lock()
@@ -372,7 +376,7 @@ func (e *Engine) tryCloseLocked() []event {
 		st.closed = true
 		e.next++
 		for i := range st.slots {
-			e.node.ReleaseInstance(VoteInstance(r, types.ProcessID(i)))
+			e.node.ReleaseInstance(VoteInstance(r, types.ProcessID(i), e.n))
 		}
 		if r > maxRetainedRounds {
 			delete(e.states, r-maxRetainedRounds)

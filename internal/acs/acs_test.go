@@ -2,6 +2,7 @@ package acs
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,25 +14,43 @@ import (
 	"kset/internal/wire"
 )
 
+// TestVoteInstanceRoundTrip checks the dense vote-id layout at n = 1, 4 and
+// wire.MaxProcs: every slot up to the largest legal round round-trips and
+// keeps the namespace bit, consecutive rounds are consecutive ids, the first
+// round past maxRound would overflow into the ctl namespace and a proposal
+// for it is refused, and a ctl-namespace id is not split.
 func TestVoteInstanceRoundTrip(t *testing.T) {
-	cases := []struct {
-		round    uint64
-		proposer types.ProcessID
-	}{
-		{1, 0}, {1, 3}, {42, 7}, {maxRound, types.ProcessID(wire.MaxProcs - 1)},
-	}
-	for _, tc := range cases {
-		id := VoteInstance(tc.round, tc.proposer)
-		if id&idBit == 0 {
-			t.Errorf("VoteInstance(%d, %d) = %#x lacks the namespace bit", tc.round, tc.proposer, id)
+	for _, n := range []int{1, 4, wire.MaxProcs} {
+		last := types.ProcessID(n - 1)
+		top := maxRound(n)
+		for _, tc := range []struct {
+			round    uint64
+			proposer types.ProcessID
+		}{{1, 0}, {1, last}, {42, last / 2}, {top, 0}, {top, last}} {
+			id := VoteInstance(tc.round, tc.proposer, n)
+			if id&idBit == 0 {
+				t.Errorf("n=%d: VoteInstance(%d, %d) = %#x lacks the namespace bit", n, tc.round, tc.proposer, id)
+			}
+			r, p, ok := splitVoteInstance(id, n)
+			if !ok || r != tc.round || p != tc.proposer {
+				t.Errorf("n=%d: split(VoteInstance(%d, %d)) = (%d, %d, %v)", n, tc.round, tc.proposer, r, p, ok)
+			}
 		}
-		r, p, ok := splitVoteInstance(id)
-		if !ok || r != tc.round || p != tc.proposer {
-			t.Errorf("split(VoteInstance(%d, %d)) = (%d, %d, %v)", tc.round, tc.proposer, r, p, ok)
+		if got, want := VoteInstance(8, 0, n), VoteInstance(7, last, n)+1; got != want {
+			t.Errorf("n=%d: round 8's first vote id %#x, want %#x right after round 7's last", n, got, want)
 		}
-	}
-	if _, _, ok := splitVoteInstance(7); ok {
-		t.Error("splitVoteInstance accepted a ctl-namespace instance id")
+		if hi, lo := bits.Mul64(top+1, uint64(n)); hi == 0 && lo+uint64(last) < idBit {
+			t.Errorf("n=%d: round %d past maxRound still fits below the namespace bit", n, top+1)
+		}
+		e := &Engine{n: n, states: make(map[uint64]*roundState)}
+		e.onPropose(wire.Propose{Round: top + 1, Proposer: last, Value: 1})
+		if e.maxAct != 0 || len(e.states) != 0 {
+			t.Errorf("n=%d: a proposal for round %d past maxRound activated rounds up to %d", n, top+1, e.maxAct)
+		}
+		if _, _, ok := splitVoteInstance(7, n); ok {
+			t.Errorf("n=%d: splitVoteInstance accepted a ctl-namespace instance id", n)
+		}
+		e.onDecide(7, 0, 1) // a ctl id: no round state to touch, no panic
 	}
 }
 

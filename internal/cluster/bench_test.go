@@ -284,13 +284,13 @@ func BenchmarkDedupWindow(b *testing.B) {
 // BenchmarkInstanceLifecycle measures one instance's whole registry life on
 // a one-node cluster: register, start, complete (ProtoTrivial decides in its
 // Start, which completes an N = 1 table) and evict into the archive ring and
-// the tombstones. The archive is filled before the timer starts, so every
+// the id window. The archive is filled before the timer starts, so every
 // timed eviction also overwrites an older table. Starts go in waves of 256,
 // each wave waiting until its instances are evicted. completion=in-order
-// starts a wave's ids in increasing order, so each shard's tombstones stay
-// one run; completion=shuffled starts them shuffled in windows of 64, so
-// ids complete out of order and the runs split and merge again as each
-// window closes.
+// starts a wave's ids in increasing order, so each eviction moves its
+// shard's watermark; completion=shuffled starts them shuffled in windows of
+// 64, so ids complete out of order and wait as bits above a gap until it
+// closes.
 func BenchmarkInstanceLifecycle(b *testing.B) {
 	for _, shuffled := range []bool{false, true} {
 		name := "completion=in-order"

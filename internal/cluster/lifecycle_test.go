@@ -173,16 +173,18 @@ func TestShardPendingFramesBound(t *testing.T) {
 	}
 }
 
-// TestPendingFramesHeldByNeverStartedIDs pins what a budget spent on ids
-// that never start costs a later instance: nothing but a Start frees their
-// frames, so the gauge stays at the plateau and every pre-Start frame for a
-// later id drops unacknowledged. The later instance still runs: once it has
-// started, the peer's retransmission of its dropped frame is accepted and
-// reaches it exactly once, and its frames bypass the spent budget.
-func TestPendingFramesHeldByNeverStartedIDs(t *testing.T) {
+// TestPendingFramesFreedByExpiry pins that a budget spent on ids that never
+// start comes back: frames for 16 never-started ids fill the shard's
+// pre-Start budget, so a pre-Start frame for a later id drops
+// unacknowledged. A Start more than dedupWindow above them slides the id
+// window past them: they expire, kset_ids_expired_total counts every id
+// passed, and their frames leave the budget. From then on a later id's
+// pre-Start frame buffers again and reaches its instance exactly once.
+func TestPendingFramesFreedByExpiry(t *testing.T) {
 	const never = 16
 	n := shardedNode(t, 1)
 	gauge := n.reg.Gauge(`kset_shard_pending_frames{shard="0"}`)
+	expired := n.reg.Counter("kset_ids_expired_total")
 	frame := func(seq, id uint64) wire.BatchMsg {
 		return wire.BatchMsg{Kind: wire.TypeProto, Seq: seq, Instance: id, From: 1,
 			Payload: types.Payload{Kind: types.KindEcho, Value: types.Value(seq)}}
@@ -194,37 +196,44 @@ func TestPendingFramesHeldByNeverStartedIDs(t *testing.T) {
 			t.Fatalf("frame seq %d refused below the budget", bm.Seq)
 		}
 	}
-	later := uint64(never + 1)
+	later, jump := uint64(never+1), uint64(never+dedupWindow)
 	early := frame(seq+1, later)
 	if inst, accepted, _ := n.placeFrame(1, early.Seq, early); inst != nil || accepted {
 		t.Fatalf("pre-Start frame for id %d on a spent budget: inst=%v accepted=%v, want dropped unacked", later, inst, accepted)
 	}
 
+	// The Start of id jump slides the window to [later, jump]: ids 0..never
+	// expire, the never-started ones with their frames.
+	if inst, _, err := n.registerInstance(jump, 1, 0, theory.ProtoTrivial, 0, 0); inst == nil || err != nil {
+		t.Fatalf("Start of id %d: inst=%v err=%v", jump, inst, err)
+	}
+	if got, ids := gauge.Value(), pendingInstanceCount(n); got != 0 || ids != 0 {
+		t.Fatalf("pending gauge %d over %d ids after the never-started ids expired, want 0 and 0", got, ids)
+	}
+	if got := expired.Value(); got != never+1 {
+		t.Fatalf("kset_ids_expired_total = %d, want the %d ids passed", got, never+1)
+	}
+
+	// The peer's retransmission of the dropped frame now buffers, and the
+	// later instance starts with it.
+	if inst, accepted, fresh := n.placeFrame(1, early.Seq, early); inst != nil || !accepted || !fresh || gauge.Value() != 1 {
+		t.Fatalf("retransmitted pre-Start frame: inst=%v accepted=%v fresh=%v, pending %d, want buffered", inst, accepted, fresh, gauge.Value())
+	}
 	var tl tally
 	in, err := newInstance(n, later, 1, 0, theory.ProtoTrivial, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.proto = &tallyProto{id: later, tally: &tl}
-	if inst, backlog, err := n.admit(in); inst == nil || err != nil || len(backlog) != 0 {
-		t.Fatalf("admit %d: inst=%v err=%v backlog %d, want started with none", later, inst, err, len(backlog))
-	}
-	for _, bm := range []wire.BatchMsg{early, frame(seq+2, later)} {
-		if inst, accepted, fresh := n.placeFrame(1, bm.Seq, bm); inst != in || !accepted || !fresh {
-			t.Fatalf("frame seq %d for started id %d: inst=%v accepted=%v fresh=%v, want delivered", bm.Seq, later, inst, accepted, fresh)
-		}
+	if inst, backlog, err := n.admit(in); inst == nil || err != nil || len(backlog) != 1 || backlog[0].Seq != early.Seq {
+		t.Fatalf("admit %d: inst=%v err=%v backlog %v, want started with seq %d", later, inst, err, backlog, early.Seq)
 	}
 	n.shards[0].signal()
-	waitFor(t, 10*time.Second, "both frames to be delivered", func() bool { return tl.count() == 2 })
+	waitFor(t, 10*time.Second, "the frame to be delivered", func() bool { return tl.count() == 1 })
 	tl.mu.Lock()
-	for _, v := range []types.Value{types.Value(seq + 1), types.Value(seq + 2)} {
-		if got := tl.got[v]; len(got) != 1 || got[0] != later {
-			t.Errorf("frame seq %d reached instances %v, want exactly [%d]", v, got, later)
-		}
-	}
-	tl.mu.Unlock()
-	if got, ids := gauge.Value(), pendingInstanceCount(n); got != maxPendingFrames || ids != never {
-		t.Fatalf("pending gauge %d over %d ids, want the plateau %d over the %d never started", got, ids, maxPendingFrames, never)
+	defer tl.mu.Unlock()
+	if got := tl.got[types.Value(early.Seq)]; len(got) != 1 || got[0] != later {
+		t.Fatalf("frame seq %d reached instances %v, want exactly [%d]", early.Seq, got, later)
 	}
 }
 

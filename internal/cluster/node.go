@@ -42,6 +42,8 @@ import (
 var (
 	ErrBadConfig = errors.New("cluster: invalid configuration")
 	ErrClosed    = errors.New("cluster: node closed")
+	// ErrRetired refuses a Start for an id already completed or expired.
+	ErrRetired = errors.New("cluster: instance id retired (completed or expired)")
 )
 
 // Config describes one cluster node.
@@ -86,8 +88,8 @@ type Config struct {
 // for instances that have not been started locally yet (their Start is still
 // in flight). Beyond the bound frames are dropped unacknowledged, so the peer
 // keeps retransmitting; the bound only exists so a hostile peer cannot grow
-// memory without limit, by one id or by many. Only an id's Start frees its
-// frames: those of an id that never starts hold the budget for good.
+// memory without limit, by one id or by many. An id's Start frees its
+// frames, and so does its expiry (shard.go) if it never starts.
 const maxPendingFrames = 1 << 16
 
 // Node is one cluster member: a TCP listener, one outbound link per peer,
@@ -100,8 +102,8 @@ type Node struct {
 
 	// shards are the instance event loops; instance id modulo len(shards)
 	// selects the owner. Each shard is its ids' whole registry — live
-	// instances, pre-start frame buffers, archive and tombstones — guarded
-	// by the shard's own mutex.
+	// instances, pre-start frame buffers, archive and the windows of retired
+	// ids — guarded by the shard's own mutex.
 	shards []*shard
 
 	// connMu guards the accepted-connection list, kept for shutdown.
@@ -130,50 +132,16 @@ type Node struct {
 	sweepPool *sweep.Pool
 }
 
-// dedupWindow bounds how far above the contiguous watermark a peer's
-// sequence numbers are accepted: seqs in (contig, contig+dedupWindow] are
-// tracked in a fixed bitset ring, anything beyond is dropped unacknowledged
-// (the peer retransmits until the window slides up). The window caps the
-// dedup state per peer at dedupWindow/8 bytes regardless of peer behavior
-// and keeps the accept path allocation-free; it must be a power of two.
-// 1<<16 costs 8 KiB per active peer and is far above the in-flight depth
-// any benchmark reaches (see BenchmarkDedupWindow in BENCH_net.json).
-const dedupWindow = 1 << 16
-
 // peerSeen suppresses re-deliveries of retransmitted or duplicated frames
-// from one peer: contig says every sequence number in [1, contig] was
-// accepted; bits is a dedupWindow-wide ring of accept flags for the numbers
-// above it, indexed by seq modulo the window (allocated on first use). Each
-// peer's state carries its own lock — held across the whole check-and-place
-// in placeFrame so overlapping connections from one peer cannot double-
-// deliver — and that lock is the outermost in the node's order (peerSeen.mu,
-// then shard.mu).
+// from one peer: win holds the sequence numbers accepted, from 1 on. Each
+// peer's state carries its own lock — held
+// across the whole check-and-place in placeFrame so overlapping connections
+// from one peer cannot double-deliver — and that lock is the outermost in
+// the node's order (peerSeen.mu, then shard.mu).
 type peerSeen struct {
 	mu      sync.Mutex
 	session uint64
-	contig  uint64
-	bits    []uint64
-}
-
-func (s *peerSeen) has(seq uint64) bool {
-	if s.bits == nil {
-		return false
-	}
-	w := seq % dedupWindow
-	return s.bits[w/64]&(1<<(w%64)) != 0
-}
-
-func (s *peerSeen) set(seq uint64) {
-	if s.bits == nil {
-		s.bits = make([]uint64, dedupWindow/64)
-	}
-	w := seq % dedupWindow
-	s.bits[w/64] |= 1 << (w % 64)
-}
-
-func (s *peerSeen) clear(seq uint64) {
-	w := seq % dedupWindow
-	s.bits[w/64] &^= 1 << (w % 64)
+	win     window
 }
 
 // nodeStats are the transport-level metrics exposed through the Prometheus
@@ -194,7 +162,8 @@ type nodeStats struct {
 	connects        *obs.Counter
 	connFailures    *obs.Counter
 	decidesRecv     *obs.Counter
-	tombstoneFolds  *obs.Counter
+	idsExpired      *obs.Counter
+	startsRetired   *obs.Counter
 	instancesActive *obs.Gauge
 
 	// decideLatency observes each local decision's start-to-decide time;
@@ -231,7 +200,8 @@ func (n *Node) initStats() {
 		connects:        n.reg.Counter("kset_connects_total"),
 		connFailures:    n.reg.Counter("kset_conn_failures_total"),
 		decidesRecv:     n.reg.Counter("kset_decides_recv_total"),
-		tombstoneFolds:  n.reg.Counter("kset_tombstone_folds_total"),
+		idsExpired:      n.reg.Counter("kset_ids_expired_total"),
+		startsRetired:   n.reg.Counter("kset_starts_retired_total"),
 		instancesActive: n.reg.Gauge("kset_instances_active"),
 		decideLatency:   n.reg.Histogram("kset_decide_latency_seconds", lat),
 		tableLatency:    n.reg.Histogram("kset_table_latency_seconds", lat),
@@ -299,6 +269,9 @@ func NewNode(cfg Config) (*Node, error) {
 		sweepPool: sweep.NewPool(0),
 	}
 	n.initStats()
+	for i := range n.seen {
+		n.seen[i].win.next = 1
+	}
 	for i := 0; i < cfg.N; i++ {
 		if types.ProcessID(i) == cfg.ID {
 			continue
@@ -490,8 +463,7 @@ func (n *Node) resetSeenIfNewSession(peer types.ProcessID, session uint64) {
 	defer s.mu.Unlock()
 	if s.session != session {
 		s.session = session
-		s.contig = 0
-		s.bits = nil
+		s.win = window{next: 1}
 	}
 }
 
@@ -596,8 +568,7 @@ func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg, fw *frame
 // fresh reports a first acceptance, as opposed to a re-acked duplicate. ACS
 // proposals never route to an instance (their Instance slot carries the
 // round number); the caller hands fresh ones to the propose handler. Frames
-// for a completed instance — tombstoned at its eviction — are accepted and
-// dropped: the instance already finished, only the ack matters. Holding the
+// for a retired id are accepted and dropped: only the ack matters. Holding the
 // per-peer lock across the whole check-and-place keeps check+buffer+mark
 // atomic, so frames from different peers place in parallel while one peer's
 // retransmissions cannot double-deliver.
@@ -608,46 +579,41 @@ func (n *Node) placeFrame(from types.ProcessID, seq uint64, bm wire.BatchMsg) (i
 	if n.closed.Load() {
 		return nil, false, false
 	}
-	if seq <= s.contig {
+	if s.win.has(seq) {
 		return nil, true, false // duplicate: already accepted, just re-ack
 	}
-	if seq > s.contig+dedupWindow {
+	if s.win.beyond(seq) {
 		return nil, false, false // beyond the window: drop unacked, the peer retries
-	}
-	if s.has(seq) {
-		return nil, true, false
 	}
 	if bm.Kind != wire.TypePropose {
 		sh := n.shardFor(bm.Instance)
 		sh.mu.Lock()
 		inst = sh.instances[bm.Instance]
-		switch {
+		switch ids, pos := sh.idWindow(bm.Instance); {
 		case inst != nil:
 			if bm.Kind == wire.TypeProto {
 				sh.appendLocked(shardEvent{inst: inst, from: bm.From, payload: bm.Payload})
 			}
-		case !sh.completedLocked(bm.Instance):
-			if sh.pendingN >= maxPendingFrames {
-				sh.mu.Unlock()
-				return nil, false, false
-			}
+		case ids.has(pos):
+		case sh.pendingN >= maxPendingFrames:
+			sh.mu.Unlock()
+			return nil, false, false
+		default:
 			sh.pending[bm.Instance] = append(sh.pending[bm.Instance], bm)
 			sh.pendingN++
 			sh.pendingDepth.Set(int64(sh.pendingN))
 		}
 		sh.mu.Unlock()
 	}
-	s.set(seq)
-	for s.has(s.contig + 1) {
-		s.clear(s.contig + 1)
-		s.contig++
-	}
+	s.win.set(seq)
 	return inst, true, true
 }
 
 // StartInstance starts (or re-acknowledges) one consensus instance with the
 // given local input. Zero K/T/Proto select the node defaults. It is the
-// local half of the ctl Start frame and is what tests call directly.
+// local half of the ctl Start frame and is what tests call directly. A Start
+// for a retired id runs nothing, counts in kset_starts_retired_total and is
+// acked like a running one (naming it in the reply needs a wire change).
 func (n *Node) StartInstance(s wire.Start) error {
 	k, t := s.K, s.T
 	if k == 0 {
@@ -664,19 +630,21 @@ func (n *Node) StartInstance(s wire.Start) error {
 	if k <= 0 || t < 0 || t >= n.cfg.N {
 		return fmt.Errorf("%w: instance %d k=%d t=%d", ErrBadConfig, s.Instance, k, t)
 	}
-	inst, _, err := n.registerInstance(s.Instance, k, t, proto, ell, s.Input)
-	if err != nil || inst == nil {
-		return err // nil instance: already running or completed, idempotent re-ack
+	_, _, err := n.registerInstance(s.Instance, k, t, proto, ell, s.Input)
+	if errors.Is(err, ErrRetired) {
+		n.stats.startsRetired.Add(1)
+		return nil
 	}
-	return nil
+	return err
 }
 
 // registerInstance creates the instance record, claims any frames buffered
 // before the Start arrived, and queues the protocol Start on the owning
 // shard's loop. It never blocks — ACS upcalls call it while holding the
 // engine lock — and returns a nil instance for an id that is already
-// running or completed (the idempotent re-ack path). The claimed backlog is
-// returned for tests that verify the handoff; the shard loop replays it.
+// running (the idempotent re-ack path), ErrRetired for one already retired.
+// The claimed backlog is returned for tests that verify the handoff; the
+// shard loop replays it.
 func (n *Node) registerInstance(id uint64, k, t int, proto theory.ProtocolID, ell int, input types.Value) (*instance, []wire.BatchMsg, error) {
 	inst, err := newInstance(n, id, k, t, proto, ell, input)
 	if err != nil {
@@ -686,7 +654,8 @@ func (n *Node) registerInstance(id uint64, k, t int, proto theory.ProtocolID, el
 }
 
 // admit is the registry half of registerInstance, for an instance already
-// constructed (tests hand it one whose protocol they control).
+// constructed (tests hand it one whose protocol they control). An id beyond
+// its shard's id window first slides the window up to it.
 func (n *Node) admit(inst *instance) (*instance, []wire.BatchMsg, error) {
 	id := inst.id
 	sh := n.shardFor(id)
@@ -696,24 +665,27 @@ func (n *Node) admit(inst *instance) (*instance, []wire.BatchMsg, error) {
 		sh.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	// Running or completed: a re-sent Start (ctl retry, ACS restart race)
-	// must not resurrect a finished instance.
-	if sh.instances[id] != nil || sh.completedLocked(id) {
+	// A re-sent Start (ctl retry, ACS restart race) must not resurrect a
+	// retired instance nor start a running one twice.
+	ids, pos := sh.idWindow(id)
+	if ids.has(pos) {
+		sh.mu.Unlock()
+		return nil, nil, ErrRetired
+	}
+	if sh.instances[id] != nil {
 		sh.mu.Unlock()
 		return nil, nil, nil
 	}
+	stranded := sh.expireLocked(id)
 	sh.instances[id] = inst
-	sh.maxID = max(sh.maxID, id)
-	backlog := sh.pending[id] // on an empty map this returns before hashing
-	if backlog != nil {
-		delete(sh.pending, id)
-		sh.pendingN -= len(backlog)
-		sh.pendingDepth.Set(int64(sh.pendingN))
-	}
+	backlog := sh.takePendingLocked(id)
 	sh.starts = append(sh.starts, startReq{inst: inst, backlog: backlog})
 	sh.mu.Unlock()
 	sh.signal()
 	n.stats.instancesActive.Add(1)
+	for _, in := range stranded {
+		n.evictInstance(in)
+	}
 	return inst, backlog, nil
 }
 
@@ -740,8 +712,8 @@ func (n *Node) notifyDecide(in *instance, node types.ProcessID, value types.Valu
 
 // evictInstance retires one instance. Setting its archived flag freezes its
 // decision table (no row is written after it) and stops its protocol; then,
-// in one shard critical section, the id leaves the live map for the
-// tombstones and its rows, uncopied, go into the archive ring. Safe to call
+// in one shard critical section, the id leaves the live map for its id
+// window and its rows, uncopied, go into the archive ring. Safe to call
 // concurrently and repeatedly; the first caller wins.
 func (n *Node) evictInstance(in *instance) {
 	in.mu.Lock()
@@ -752,13 +724,9 @@ func (n *Node) evictInstance(in *instance) {
 	}
 	sh := in.shard
 	sh.mu.Lock()
-	folded, floorID := sh.archiveLocked(in)
+	sh.archiveLocked(in)
 	sh.mu.Unlock()
 	n.stats.instancesActive.Add(-1)
-	if folded {
-		n.stats.tombstoneFolds.Add(1)
-		n.log.Warn("tombstones folded", obs.F("shard", sh.idx), obs.F("floor", floorID))
-	}
 	if n.log.Enabled(obs.LevelDebug) {
 		n.log.Debug("instance evicted", obs.F("instance", in.id))
 	}

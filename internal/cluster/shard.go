@@ -16,8 +16,13 @@ package cluster
 // the loop once when the frame is done, and the loop swaps the entire inbox
 // out and processes it without touching the lock again.
 //
-// Each shard is also its ids' whole registry — live, archived, tombstoned —
-// so admitting, placing and evicting take no node-wide lock.
+// Each shard is also its ids' whole registry — live, archived, retired — so
+// admitting, placing and evicting take no node-wide lock.
+//
+// Retired ids live in one window (window.go) per id namespace — the top bit
+// splits ctl ids from ACS votes — at position id / S. Ids rise monotonically
+// within W = dedupWindow: a Start more than W above the watermark expires
+// the ids it passes (expireLocked).
 //
 // Lock order (outermost first): peerSeen.mu, then shard.mu. Instance locks
 // (instance.mu) are only ever taken with neither held. Nobody blocks while
@@ -27,9 +32,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
-	"slices"
-	"sort"
 	"sync"
 
 	"kset/internal/obs"
@@ -51,20 +53,6 @@ const shardMailboxDepth = 4096
 // still pull and verify an instance after its live state is gone: each of
 // the S shards keeps its ⌈maxArchived/S⌉ most recent evictions in a ring.
 const maxArchived = 1 << 12
-
-// maxRetired bounds each shard's tombstones — every id it ever evicted —
-// counted in runs of consecutive ids (consecutive on the shard: id/S). Ids
-// evicted in increasing order extend one run; past maxRetired runs the set
-// folds into a floor at the highest id whose table has rotated out of the
-// archive ring — every id at or below it becomes retired wholesale — trading
-// exactness for bounded memory. Ids evicted within the ring's latest archCap
-// evictions stay exact runs above the floor, so an instance that completed
-// early does not retire lower ids still about to start (an ACS round's
-// later votes). The fold can retire a low id that was never started; a
-// Start for it still re-acks idempotently, which is the safe direction (the
-// alternative, resurrecting completed instances, re-runs protocols and
-// re-broadcasts decides).
-const maxRetired = 1 << 16
 
 // shardEvent is one remote protocol message awaiting its shard loop.
 type shardEvent struct {
@@ -100,14 +88,9 @@ type shard struct {
 	ring      []archivedTable            // the latest archCap evictions' tables, grown on use
 	head      int                        // the next slot to write: the oldest table once full
 	archCap   int
-	// low and prevLow are the lowest ids written to the ring in this lap of
-	// head and in the last one; every table in the ring is above one of them.
-	low, prevLow uint64
-	rotated      uint64       // the highest id/S whose table the ring overwrote: the fold floor
-	retired      idRuns       // tombstones of every evicted id, as id/S
-	maxID        uint64       // the highest id ever admitted; above it nothing completed
-	starts       []startReq   // registered instances awaiting Start
-	inbox        []shardEvent // protocol deliveries awaiting the loop
+	ids       [2]window    // retired ids per namespace (id>>63), at id / S
+	starts    []startReq   // registered instances awaiting Start
+	inbox     []shardEvent // protocol deliveries awaiting the loop
 	// drained, while non-nil, is closed by the loop's next inbox swap: a
 	// reader that found the inbox at the bound waits on it.
 	drained chan struct{}
@@ -132,8 +115,7 @@ func newShard(n *Node, idx, count int) *shard {
 		instances: make(map[uint64]*instance),
 		pending:   make(map[uint64][]wire.BatchMsg),
 		archCap:   (maxArchived + count - 1) / count,
-		low:       math.MaxUint64,
-		prevLow:   math.MaxUint64,
+		ids:       [2]window{{}, {next: 1 << 63 / uint64(count)}}, // ACS positions start at the bit's
 		wake:      make(chan struct{}, 1),
 		depth:     n.reg.Gauge(fmt.Sprintf(`kset_shard_mailbox_depth{shard="%d"}`, idx)),
 
@@ -146,43 +128,72 @@ func (n *Node) shardFor(id uint64) *shard {
 	return n.shards[id%uint64(len(n.shards))]
 }
 
-// completedLocked reports whether id already finished (was evicted and so
-// tombstoned) on this shard. Called with sh.mu held.
-func (sh *shard) completedLocked(id uint64) bool {
-	return id <= sh.maxID && sh.retired.has(id/uint64(len(sh.node.shards)))
+// idWindow returns the window of id's namespace on this shard and id's
+// position in it; the id is retired (completed or expired) if it is a member.
+func (sh *shard) idWindow(id uint64) (*window, uint64) {
+	return &sh.ids[id>>63], id / uint64(len(sh.node.shards))
+}
+
+// expireLocked slides id's window up to make id its top position when id
+// lies beyond the ring. Each ring id passed without completing expires: it
+// is counted, its frames are dropped and a live instance there is returned
+// for the caller to evict after unlocking. A jump past the whole ring drops
+// the frames of the ids above it too, uncounted. Called with sh.mu held.
+func (sh *shard) expireLocked(id uint64) (stranded []*instance) {
+	ids, pos := sh.idWindow(id)
+	if !ids.beyond(pos) {
+		return nil
+	}
+	s, to := uint64(len(sh.node.shards)), pos-dedupWindow+1
+	if to-ids.next > dedupWindow {
+		//ksetlint:allow maporder.range each passed id's frames leave the budget; the result is order-independent
+		for p := range sh.pending {
+			if p>>63 == id>>63 && p/s < to {
+				sh.takePendingLocked(p)
+			}
+		}
+	}
+	ids.expire(to, func(pos uint64) {
+		id := pos*s + uint64(sh.idx)
+		if in := sh.instances[id]; in != nil {
+			stranded = append(stranded, in)
+		}
+		sh.takePendingLocked(id)
+		sh.node.stats.idsExpired.Add(1)
+	})
+	return stranded
+}
+
+// takePendingLocked removes the frames buffered for id from the shard's
+// budget and returns them. Called with sh.mu held.
+func (sh *shard) takePendingLocked(id uint64) []wire.BatchMsg {
+	frames := sh.pending[id] // on an empty map this returns before hashing
+	if frames != nil {
+		delete(sh.pending, id)
+		sh.pendingN -= len(frames)
+		sh.pendingDepth.Set(int64(sh.pendingN))
+	}
+	return frames
 }
 
 // archiveLocked moves an evicted instance from the live map into the
 // archive ring's next slot (the oldest table's, once full), keeping its rows
-// slice, and tombstones its id. It reports a fold of the tombstones with the
-// highest id the fold retired. Called with sh.mu held.
-func (sh *shard) archiveLocked(in *instance) (folded bool, floorID uint64) {
+// slice, and sets its id in its window. Called with sh.mu held.
+func (sh *shard) archiveLocked(in *instance) {
 	delete(sh.instances, in.id)
-	s := uint64(len(sh.node.shards))
 	if len(sh.ring) < sh.archCap {
 		sh.ring = append(sh.ring, archivedTable{})
-	} else {
-		sh.rotated = max(sh.rotated, sh.ring[sh.head].id/s)
 	}
 	sh.ring[sh.head] = archivedTable{id: in.id, k: in.k, t: in.t, rows: in.rows}
-	sh.low = min(sh.low, in.id)
-	if sh.head = (sh.head + 1) % sh.archCap; sh.head == 0 {
-		sh.prevLow, sh.low = sh.low, math.MaxUint64
-	}
-	if !sh.retired.add(in.id / s) {
-		return false, 0
-	}
-	// Past maxRetired runs the ring has rotated, and every run above the
-	// floor holds only ids still in the ring: at most archCap runs remain.
-	sh.retired.fold(sh.rotated)
-	return true, sh.retired.floor*s + uint64(sh.idx)
+	sh.head = (sh.head + 1) % sh.archCap
+	ids, pos := sh.idWindow(in.id)
+	ids.set(pos)
 }
 
-// archivedLocked finds a completed id's table in the ring, newest first. An
-// id below every table the ring can still hold skips the walk, so old ids
-// cost no scan under the shard lock when ids complete roughly in order.
+// archivedLocked finds a retired id's table in the ring, newest first; an
+// id its window does not count as retired costs no walk.
 func (sh *shard) archivedLocked(id uint64) (archivedTable, bool) {
-	if id < min(sh.low, sh.prevLow) || !sh.completedLocked(id) {
+	if ids, pos := sh.idWindow(id); !ids.has(pos) {
 		return archivedTable{}, false
 	}
 	for i := 1; i <= len(sh.ring); i++ {
@@ -303,67 +314,4 @@ func (sh *shard) process(ev shardEvent) {
 		return // evicted: late deliveries are dropped, as the old inbox drain did
 	}
 	in.deliverProto(ev.from, ev.payload)
-}
-
-// idRuns is a set of ids kept as sorted, disjoint, non-adjacent runs of
-// consecutive ids, plus a fold floor: once folded, every id at or below the
-// floor is a member and every run lies above it. An id one above the last
-// run extends it in O(1), so ids added in increasing order keep one run.
-type idRuns struct {
-	runs   []idRun
-	floor  uint64 // with folded set, every id <= floor is a member
-	folded bool
-}
-
-type idRun struct{ lo, hi uint64 }
-
-func (s *idRuns) has(id uint64) bool {
-	if s.folded && id <= s.floor {
-		return true
-	}
-	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].hi >= id })
-	return i < len(s.runs) && s.runs[i].lo <= id
-}
-
-// add inserts id and reports whether the runs now number more than
-// maxRetired, for the caller to fold.
-func (s *idRuns) add(id uint64) (full bool) {
-	if last := len(s.runs) - 1; last >= 0 && id > s.runs[last].hi && id-1 == s.runs[last].hi {
-		s.runs[last].hi = id
-		return false
-	}
-	if s.has(id) {
-		return false
-	}
-	// i is the first run above id; the runs at i-1 and i may touch it.
-	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].lo > id })
-	left := i > 0 && s.runs[i-1].hi+1 == id
-	right := i < len(s.runs) && s.runs[i].lo-1 == id
-	switch {
-	case left && right:
-		s.runs[i-1].hi = s.runs[i].hi
-		s.runs = slices.Delete(s.runs, i, i+1)
-	case left:
-		s.runs[i-1].hi = id
-	case right:
-		s.runs[i].lo = id
-	default:
-		s.runs = slices.Insert(s.runs, i, idRun{id, id})
-	}
-	return len(s.runs) > maxRetired
-}
-
-// fold makes every id at or below floor a member and drops the runs it
-// covers; a run that reaches down to floor+1 joins the floor.
-func (s *idRuns) fold(floor uint64) {
-	if s.folded {
-		floor = max(floor, s.floor)
-	}
-	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].hi > floor })
-	if i < len(s.runs) && s.runs[i].lo <= floor+1 {
-		floor = s.runs[i].hi
-		i++
-	}
-	s.runs = slices.Delete(s.runs, 0, i)
-	s.floor, s.folded = floor, true
 }

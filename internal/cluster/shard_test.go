@@ -1,18 +1,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"kset/internal/mpnet"
-	"kset/internal/obs"
 	"kset/internal/prng"
 	"kset/internal/theory"
 	"kset/internal/types"
@@ -38,8 +36,8 @@ func shardedNode(t testing.TB, shards int) *Node {
 // TestStaleStartAfterArchiveRotation is the resurrection regression test:
 // once an id rotates out of the bounded archive, a delayed re-sent Start
 // used to pass the instances/archive check in registerInstance and re-run
-// the completed instance (re-broadcasting its decide). The tombstones must
-// keep rotated ids on the idempotent re-ack path, on every shard.
+// the completed instance (re-broadcasting its decide). The id windows must
+// keep rotated ids retired, on every shard.
 func TestStaleStartAfterArchiveRotation(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -64,25 +62,31 @@ func testStaleStartAfterArchiveRotation(t *testing.T, shards int) {
 		n.ReleaseInstance(id)
 	}
 	for id := uint64(1); id <= 2*s; id++ {
-		if !tombstoned(n, id) {
-			t.Fatalf("rotated id %d not tombstoned", id)
+		if !retiredUnserved(n, id) {
+			t.Fatalf("rotated id %d not retired", id)
 		}
 	}
-	if tombstoned(n, 2*s+1) {
-		t.Fatalf("id %d is still archived but reported tombstoned", 2*s+1)
+	if retiredUnserved(n, 2*s+1) {
+		t.Fatalf("id %d is still archived but reported rotated out", 2*s+1)
 	}
-	// Ids retired in order are consecutive on their shard (id/S): one run.
+	// Ids retired in order are consecutive on their shard (id/S): the
+	// watermark passes all of them, but for shard 0's id 0, which nobody
+	// started and which holds its watermark until a Start W above expires it.
 	for _, sh := range n.shards {
-		if runs := len(sh.retired.runs); runs != 1 || sh.retired.folded {
-			t.Fatalf("shard %d keeps %d tombstone runs (folded %v), want 1", sh.idx, runs, sh.retired.folded)
+		want := (total-uint64(sh.idx))/s + 1
+		if sh.idx == 0 {
+			want = 0
+		}
+		if next := sh.ids[0].next; next != want {
+			t.Fatalf("shard %d watermark at %d, want %d", sh.idx, next, want)
 		}
 	}
 
-	// The stale Start replay: before the tombstones, this resurrected the
+	// The stale Start replay: before retired ids were kept, this resurrected the
 	// instance (non-nil return) and re-ran the protocol.
 	inst, _, err := n.registerInstance(1, 1, 0, theory.ProtoTrivial, 0, types.Value(1))
-	if err != nil || inst != nil {
-		t.Fatalf("stale re-Start of rotated id 1: inst=%v err=%v, want nil/nil (idempotent re-ack)", inst, err)
+	if !errors.Is(err, ErrRetired) || inst != nil {
+		t.Fatalf("stale re-Start of rotated id 1: inst=%v err=%v, want nil/ErrRetired", inst, err)
 	}
 	if n.ActiveInstances() != 0 {
 		t.Fatalf("%d live instances after stale re-Start, want 0", n.ActiveInstances())
@@ -100,257 +104,24 @@ func testStaleStartAfterArchiveRotation(t *testing.T, shards int) {
 	}
 }
 
-// tombstoned reports whether id completed and its table rotated out of its
+// retiredUnserved reports whether id is retired and its table rotated out of its
 // shard's archive ring.
-func tombstoned(n *Node, id uint64) bool {
+func retiredUnserved(n *Node, id uint64) bool {
 	sh := n.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	_, archived := sh.archivedLocked(id)
-	return !archived && sh.completedLocked(id)
+	ids, pos := sh.idWindow(id)
+	return !archived && ids.has(pos)
 }
 
-// TestRetiredTombstoneFold exercises the bounded-memory fold: past
-// maxRetired runs the tombstones collapse into a floor, everything at or
-// below it stays retired — ids in the gaps included — and the runs above it
-// stay exact. Ids retired in increasing order never fill the runs. On a node
-// the floor is the highest id whose table rotated out of the archive ring,
-// so ids between it and the newest eviction still start with their
-// backlogs; the fold is visible: kset_tombstone_folds_total counts it and
-// one warn line names the shard and the floor.
-func TestRetiredTombstoneFold(t *testing.T) {
-	var s idRuns
-	// Even ids: each is a run of its own, so the (maxRetired+1)th fills the set.
-	for i := uint64(1); i <= maxRetired+1; i++ {
-		if full := s.add(2 * i); full != (i == maxRetired+1) {
-			t.Fatalf("add %d reported full=%v", 2*i, full)
-		}
-	}
-	top, floor := uint64(2*(maxRetired+1)), uint64(maxRetired)
-	s.fold(floor)
-	if above := maxRetired + 1 - maxRetired/2; !s.folded || s.floor != floor || len(s.runs) != above {
-		t.Fatalf("after the fold: folded=%v floor=%d runs=%d, want true/%d/%d", s.folded, s.floor, len(s.runs), floor, above)
-	}
-	checkRuns(t, &s)
-	for id, want := range map[uint64]bool{0: true, 1: true, 3: true, floor - 1: true, floor: true,
-		floor + 1: false, floor + 2: true, top - 1: false, top: true, top + 1: false} {
-		if s.has(id) != want {
-			t.Fatalf("after the fold: has(%d) = %v, want %v", id, !want, want)
-		}
-	}
-	// Adding at or below the floor is a no-op; above it grows the runs again.
-	runs := len(s.runs)
-	s.add(5)
-	s.add(top + 10)
-	if !s.has(top+10) || s.has(top+9) || len(s.runs) != runs+1 {
-		t.Fatalf("fresh tombstone after fold: has=%v runs=%d, want %d", s.has(top+10), len(s.runs), runs+1)
-	}
-	// A floor one below a run absorbs it; a lower floor never lowers it.
-	s.fold(floor + 1)
-	if s.floor != floor+2 || len(s.runs) != runs || s.has(floor+3) {
-		t.Fatalf("fold onto a run: floor=%d runs=%d, want %d/%d", s.floor, len(s.runs), floor+2, runs)
-	}
-	s.fold(1)
-	if s.floor != floor+2 {
-		t.Fatalf("a lower fold moved the floor to %d", s.floor)
-	}
-
-	var inc idRuns
-	for id := uint64(0); id < 4*maxRetired; id++ {
-		if inc.add(id) {
-			t.Fatalf("increasing ids filled the runs at %d", id)
-		}
-	}
-	if len(inc.runs) != 1 || inc.runs[0] != (idRun{0, 4*maxRetired - 1}) {
-		t.Fatalf("increasing ids: runs=%v, want one run [0, %d]", inc.runs, 4*maxRetired-1)
-	}
-
-	var logs syncBuffer
-	n, err := NewNode(Config{
-		ID: 0, N: 2, K: 1, T: 0, Shards: 1,
-		Peers: []string{"127.0.0.1:1", "127.0.0.1:1"},
-		Log:   obs.NewLogger(&logs, obs.LevelWarn),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.Close)
-	sh := n.shards[0]
-	pending := n.reg.Gauge(`kset_shard_pending_frames{shard="0"}`)
-	frame := func(seq, id uint64) (*instance, bool) {
-		inst, accepted, _ := n.placeFrame(1, seq, wire.BatchMsg{Kind: wire.TypeProto, Seq: seq, Instance: id, From: 1})
-		return inst, accepted
-	}
-	// Evicting the even ids 2..top in order rotates ring slots from the
-	// (archCap+1)th eviction on; at the fold the latest overwritten table is
-	// id top - 2*archCap. Ids 3 (below it) and top-1 (above it, below the
-	// newest eviction) never start before the fold; their frames buffer.
-	floor = top - 2*uint64(sh.archCap)
-	mid := top - 1
-	if _, accepted := frame(1, 3); !accepted {
-		t.Fatal("frame for unstarted id 3 refused")
-	}
-	if _, accepted := frame(2, mid); !accepted || pending.Value() != 2 {
-		t.Fatalf("frame for unstarted id %d: accepted=%v, pending gauge %d, want true/2", mid, accepted, pending.Value())
-	}
-	for i := uint64(1); i <= maxRetired+1; i++ {
-		inst, _, err := n.registerInstance(2*i, 1, 0, theory.ProtoTrivial, 0, 0)
-		if err != nil || inst == nil {
-			t.Fatalf("register %d: inst=%v err=%v", 2*i, inst, err)
-		}
-		n.evictInstance(inst)
-	}
-	if folds := n.reg.Counter("kset_tombstone_folds_total").Value(); folds != 1 {
-		t.Fatalf("kset_tombstone_folds_total = %d, want 1", folds)
-	}
-	line := fmt.Sprintf(`level=warn event="tombstones folded" node=p1 shard=0 floor=%d`, floor)
-	if got := logs.String(); strings.Count(got, "tombstones folded") != 1 || !strings.Contains(got, line) {
-		t.Fatalf("log %q, want one line containing %q", got, line)
-	}
-	sh.mu.Lock()
-	folded, runs := sh.retired.folded, len(sh.retired.runs)
-	sh.mu.Unlock()
-	if !folded || runs != sh.archCap {
-		t.Fatalf("after the fold: folded=%v, %d runs, want true and the ring's %d", folded, runs, sh.archCap)
-	}
-	for _, id := range []uint64{1, 3, floor - 1, floor} {
-		if !completed(n, id) {
-			t.Fatalf("id %d at or below the floor %d not retired", id, floor)
-		}
-	}
-	for _, id := range []uint64{floor + 1, mid, top + 1} {
-		if completed(n, id) {
-			t.Fatalf("id %d above the floor %d retired by the fold", id, floor)
-		}
-	}
-
-	// Below the floor: frames and a Start re-ack, and id 3's buffered frame
-	// stays — nothing but its Start frees the pending budget.
-	if inst, accepted := frame(3, 3); inst != nil || !accepted || pending.Value() != 2 {
-		t.Fatalf("frame for folded id 3: inst=%v accepted=%v pending %d, want acked and dropped", inst, accepted, pending.Value())
-	}
-	if inst, _, err := n.registerInstance(3, 1, 0, theory.ProtoTrivial, 0, 0); inst != nil || err != nil {
-		t.Fatalf("Start of folded id 3: inst=%v err=%v, want the idempotent re-ack", inst, err)
-	}
-	// Above it, a late vote keeps buffering and then starts with its backlog.
-	if _, accepted := frame(4, mid); !accepted || pending.Value() != 3 {
-		t.Fatalf("frame for id %d after the fold: accepted=%v, pending gauge %d, want true/3", mid, accepted, pending.Value())
-	}
-	inst, backlog, err := n.registerInstance(mid, 1, 0, theory.ProtoTrivial, 0, 0)
-	if inst == nil || err != nil || len(backlog) != 2 || backlog[0].Seq != 2 || backlog[1].Seq != 4 {
-		t.Fatalf("Start of id %d after the fold: inst=%v err=%v backlog %v, want it started with seqs 2 and 4", mid, inst, err, backlog)
-	}
-	if pending.Value() != 1 {
-		t.Fatalf("pending gauge %d after id %d started, want id 3's 1", pending.Value(), mid)
-	}
-}
-
-// completed reports whether id's shard counts it as completed.
-func completed(n *Node, id uint64) bool {
+// isRetired reports whether id's shard counts it as retired.
+func isRetired(n *Node, id uint64) bool {
 	sh := n.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.completedLocked(id)
-}
-
-// syncBuffer is a strings.Builder safe for a logger's writes and a test's
-// reads from different goroutines.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
-// TestIDRuns checks idRuns against a map oracle on seeded random adds over
-// two windows — the bottom of the id space, 0 included, and the top,
-// math.MaxUint64 included — so that adds land out of order, extend a run on
-// either side, fill the gap between two runs and repeat members. After every
-// add the runs must stay sorted, disjoint and non-adjacent and answer has
-// exactly like the oracle. A second phase fills maxRetired+1 runs (added out
-// of order within blocks), folds at a floor among them and checks has
-// against the oracle and the floor, on both sides of it.
-func TestIDRuns(t *testing.T) {
-	const span = 96
-	window := func(r *prng.Source) uint64 {
-		v := uint64(r.Intn(span))
-		if r.Intn(2) == 0 {
-			return v
-		}
-		return math.MaxUint64 - v
-	}
-	for seed := uint64(1); seed <= 20; seed++ {
-		r := prng.New(seed)
-		var s idRuns
-		oracle := make(map[uint64]bool)
-		for step := 0; step < 300; step++ {
-			id := window(r)
-			s.add(id)
-			oracle[id] = true
-			checkRuns(t, &s)
-			for v := uint64(0); v < span; v++ {
-				for _, id := range []uint64{v, math.MaxUint64 - v} {
-					if s.has(id) != oracle[id] {
-						t.Fatalf("seed %d step %d: has(%d) = %v, oracle %v (runs %v)", seed, step, id, s.has(id), oracle[id], s.runs)
-					}
-				}
-			}
-		}
-		if s.folded {
-			t.Fatalf("seed %d: folded with %d runs", seed, len(s.runs))
-		}
-	}
-
-	// The fold: ids 3i (never adjacent) in shuffled blocks of 64 until the
-	// runs are full, then a floor in the middle of them.
-	r := prng.New(99)
-	var s idRuns
-	oracle := make(map[uint64]bool)
-	var ids []uint64
-	for i := uint64(1); i <= maxRetired+1; i++ {
-		ids = append(ids, 3*i)
-	}
-	for b := 0; b < len(ids); b += 64 {
-		block := ids[b:min(b+64, len(ids))]
-		r.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
-	}
-	for i, id := range ids {
-		full := s.add(id)
-		oracle[id] = true
-		if want := i == len(ids)-1; full != want || len(s.runs) != i+1 {
-			t.Fatalf("add %d: full=%v runs=%d, want %v/%d", i, full, len(s.runs), want, i+1)
-		}
-	}
-	floor := uint64(3*(maxRetired/2) + 1)
-	s.fold(floor)
-	if !s.folded || s.floor != floor {
-		t.Fatalf("fold: folded=%v floor=%d, want true/%d", s.folded, s.floor, floor)
-	}
-	top := uint64(3 * (maxRetired + 1))
-	for step := 0; step < 4000; step++ {
-		id := floor - 50 + uint64(r.Intn(200))
-		if step%2 == 1 {
-			id = top - 150 + uint64(r.Intn(200))
-		}
-		if r.Intn(2) == 0 {
-			s.add(id)
-			oracle[id] = true
-		}
-		checkRuns(t, &s)
-		if want := id <= floor || oracle[id]; s.has(id) != want {
-			t.Fatalf("after fold: has(%d) = %v, want %v", id, s.has(id), want)
-		}
-	}
+	ids, pos := sh.idWindow(id)
+	return ids.has(pos)
 }
 
 // TestCompletedIDsMatchOracle checks the shard registry against a map
@@ -359,10 +130,11 @@ func TestIDRuns(t *testing.T) {
 // order — until every shard's archive ring has rotated. After every
 // eviction, for each id of the current window, the id whose table the
 // eviction rotated out of the ring, an id above every admitted one and an
-// earlier id drawn at random: completedLocked matches the oracle, Table serves exactly the live ids and
-// each shard's archCap latest evictions with their own rows, and a re-sent
-// Start of any admitted id is the idempotent re-ack. Once a window closes,
-// each shard's tombstones are one run again.
+// earlier id drawn at random: the id window's membership matches the
+// oracle, Table serves exactly the live ids and each shard's archCap latest
+// evictions with their own rows, and a re-sent Start of any admitted id is
+// refused as retired once it completed and re-acked while it runs. Once a
+// window closes, each shard's watermark has passed every id in it.
 func TestCompletedIDsMatchOracle(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -386,11 +158,8 @@ func testCompletedIDsMatchOracle(t *testing.T, shards int) {
 	check := func(id uint64) {
 		t.Helper()
 		sh := n.shardFor(id)
-		sh.mu.Lock()
-		got := sh.completedLocked(id)
-		sh.mu.Unlock()
-		if got != completed[id] {
-			t.Fatalf("completedLocked(%d) = %v, oracle %v", id, got, completed[id])
+		if got := isRetired(n, id); got != completed[id] {
+			t.Fatalf("retired(%d) = %v, oracle %v", id, got, completed[id])
 		}
 		at, evicted := evictedAt[id]
 		want := live[id] != nil || (evicted && evictions[sh.idx]-at <= archCap)
@@ -406,13 +175,17 @@ func testCompletedIDsMatchOracle(t *testing.T, shards int) {
 	}
 	reStart := func(id uint64) {
 		t.Helper()
-		if inst, _, err := n.registerInstance(id, 1, 0, theory.ProtoTrivial, 0, 0); inst != nil || err != nil {
-			t.Fatalf("re-sent Start of id %d: inst=%v err=%v, want the idempotent re-ack", id, inst, err)
+		want := error(nil) // live: the idempotent re-ack
+		if completed[id] {
+			want = ErrRetired
+		}
+		if inst, _, err := n.registerInstance(id, 1, 0, theory.ProtoTrivial, 0, 0); inst != nil || !errors.Is(err, want) {
+			t.Fatalf("re-sent Start of id %d: inst=%v err=%v, want nil/%v", id, inst, err, want)
 		}
 	}
 
 	for w := 0; w < windows; w++ {
-		lo := uint64(w*window + 1)
+		lo := uint64(w * window)
 		ids := make([]uint64, window)
 		for i := range ids {
 			id := lo + uint64(i)
@@ -446,21 +219,22 @@ func testCompletedIDsMatchOracle(t *testing.T, shards int) {
 				check(order[idx][e-archCap-1]) // just rotated out
 			}
 			check(lo + window + uint64(r.Intn(windows*window)))
-			earlier := 1 + uint64(r.Intn(int(lo)+window-1))
+			earlier := uint64(r.Intn(int(lo) + window))
 			check(earlier)
 			reStart(id)
 			reStart(earlier)
 		}
 		for _, sh := range n.shards {
 			sh.mu.Lock()
-			runs, folded := len(sh.retired.runs), sh.retired.folded
+			next := sh.ids[0].next
 			sh.mu.Unlock()
-			if runs != 1 || folded {
-				t.Fatalf("window %d closed: shard %d keeps %d tombstone runs (folded %v), want 1", w, sh.idx, runs, folded)
+			// The shard's ids below lo+window, counted from id 0.
+			if want := (lo + window - uint64(sh.idx) + uint64(shards) - 1) / uint64(shards); next != want {
+				t.Fatalf("window %d closed: shard %d watermark at %d, want %d", w, sh.idx, next, want)
 			}
 		}
 	}
-	for id := uint64(1); id <= uint64(windows*window)+window; id++ {
+	for id := uint64(0); id <= uint64(windows*window)+window; id++ {
 		check(id)
 	}
 	for i, e := range evictions {
@@ -475,23 +249,6 @@ type idleProto struct{}
 
 func (idleProto) Start(mpnet.API)                                   {}
 func (idleProto) Deliver(mpnet.API, types.ProcessID, types.Payload) {}
-
-// checkRuns fails unless the runs are sorted, disjoint, non-adjacent and
-// above the fold floor.
-func checkRuns(t *testing.T, s *idRuns) {
-	t.Helper()
-	for i, r := range s.runs {
-		if r.lo > r.hi {
-			t.Fatalf("run %d = %v is empty", i, r)
-		}
-		if s.folded && r.lo <= s.floor {
-			t.Fatalf("run %d = %v at or below the floor %d", i, r, s.floor)
-		}
-		if i > 0 && s.runs[i-1].hi+1 >= r.lo {
-			t.Fatalf("runs %v and %v overlap or touch", s.runs[i-1], r)
-		}
-	}
-}
 
 // TestInstanceSeedMixing is the PRNG-collision regression test. The old
 // derivation (Seed ^ id ^ 0xabcd*nodeID) let distinct (node, instance)
@@ -611,9 +368,9 @@ func TestCrossShardLifecycleRaces(t *testing.T) {
 	if v := n.Metrics().Gauge("kset_instances_active").Value(); v != 0 {
 		t.Fatalf("kset_instances_active = %d, want 0", v)
 	}
-	// Every id ended archived (or tombstoned): a replayed Start re-acks.
+	// Every id ended retired: a replayed Start is refused.
 	for id := uint64(0); id < ids; id++ {
-		if inst, _, err := n.registerInstance(id, 1, 0, theory.ProtoTrivial, 0, 1); err != nil || inst != nil {
+		if inst, _, err := n.registerInstance(id, 1, 0, theory.ProtoTrivial, 0, 1); !errors.Is(err, ErrRetired) || inst != nil {
 			t.Fatalf("released id %d resurrected: inst=%v err=%v", id, inst, err)
 		}
 	}
