@@ -118,9 +118,10 @@ regen-corpus:
 # vocabulary (propose, acs-submit/ack, acs-round, log pulls) is fuzzed
 # automatically. The last target feeds Protocols C and D and the l-echo
 # broadcast arbitrary kinds, origins and senders: no panic, and every call
-# equal to the map-based reference. The last one runs smmem's API.Poll
-# against its Read-loop spelling on fuzzed write points, hit handlers,
-# schedules and crashes: record, Recorder and Trace streams equal.
+# equal to the map-based reference. The next two run smmem's API.Poll and
+# API.Scan against their Read-loop spellings on fuzzed write points, hit
+# handlers and visitors (writes included), schedules and crashes: record,
+# Recorder and Trace streams equal.
 # FuzzWindowMatchesOracle checks the cluster's window (peer dedup and the
 # shards' id windows) against a map-plus-watermark oracle.
 fuzz-smoke:
@@ -130,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzProtocolDeliver -fuzztime 10s ./internal/protocols/mp/
 	$(GO) test -run XXX -fuzz FuzzPollMatchesReadLoop -fuzztime 10s ./internal/smmem/
+	$(GO) test -run XXX -fuzz FuzzScanMatchesReadLoop -fuzztime 10s ./internal/smmem/
 	$(GO) test -run XXX -fuzz FuzzWindowMatchesOracle -fuzztime 10s ./internal/cluster/
 
 # Loopback 5-node TCP cluster under -race: concurrent FloodMin and

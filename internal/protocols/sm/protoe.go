@@ -20,6 +20,10 @@ import (
 // its scan, which must be v. Hence at most two values, v and v0, are ever
 // decided. Registers not yet written are skipped by the scan; only values
 // actually read must be identical.
+//
+// The scan is one API.Scan of every process's register in id order: n
+// granted reads, whose visitor keeps the count, the first value and whether
+// every value read equals it, with the process resumed once, after the last.
 type ProtocolE struct {
 	// Default is the default decision value v0; zero value means
 	// types.DefaultValue.
@@ -34,20 +38,11 @@ func NewProtocolE() *ProtocolE { return &ProtocolE{Default: types.DefaultValue} 
 // Run implements smmem.Protocol.
 func (e *ProtocolE) Run(api smmem.API) {
 	api.WriteValue(InputRegister, api.Input())
-	values, _ := scanValues(api)
+	scan := newInputScan(api)
+	scan.run(api)
 	decision := e.Default
-	if len(values) > 0 {
-		common := values[0]
-		identical := true
-		for _, v := range values[1:] {
-			if v != common {
-				identical = false
-				break
-			}
-		}
-		if identical {
-			decision = common
-		}
+	if scan.read > 0 && scan.same {
+		decision = scan.first
 	}
 	api.Decide(decision)
 }

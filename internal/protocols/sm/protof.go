@@ -20,6 +20,10 @@ import (
 // t+1 writes of values v1..v_{t+1} complete, any scan reads r = t+i values
 // with i >= 1, and deciding v requires i of them to equal v, forcing v to be
 // among v1..v_{t+1}. With the default value that is at most t+2 <= k.
+//
+// Each scan is one API.Scan of every process's register in id order, whose
+// visitor counts the registers written and the values equal to one's own
+// input; a rescan reuses the list and the visitor and allocates nothing.
 type ProtocolF struct {
 	// Default is the default decision value v0; zero value means
 	// types.DefaultValue.
@@ -35,27 +39,15 @@ func NewProtocolF() *ProtocolF { return &ProtocolF{Default: types.DefaultValue} 
 func (f *ProtocolF) Run(api smmem.API) {
 	api.WriteValue(InputRegister, api.Input())
 	n, t := api.N(), api.T()
-	for {
-		values, r := scanValues(api)
-		if r < n-t {
-			continue // rescan until enough registers are written
-		}
-		if r <= t {
-			api.Decide(api.Input())
-			return
-		}
-		i := r - t
-		votes := 0
-		for _, v := range values {
-			if v == api.Input() {
-				votes++
-			}
-		}
-		if votes >= i {
-			api.Decide(api.Input())
-		} else {
-			api.Decide(f.Default)
-		}
-		return
+	scan := newInputScan(api)
+	scan.run(api)
+	for scan.read < n-t { // rescan until enough registers are written
+		scan.run(api)
+	}
+	// r = scan.read = t+i: own input if r <= t or at least i votes for it.
+	if r := scan.read; r <= t || scan.votes >= r-t {
+		api.Decide(api.Input())
+	} else {
+		api.Decide(f.Default)
 	}
 }

@@ -28,15 +28,14 @@ import (
 // "Repeatedly reads" is one API.Poll over every channel's next register,
 // going on after a hit from the channel it hit, so the reads are those of
 // draining each peer's broadcasts, then its messages to me, in turn. The
-// poll's handler delivers the message, drains the self-sends and moves the
-// channel's cursor; it ends the poll only when the inner protocol has
-// something to send, and the wrapper then writes it and polls again. A read
-// that misses costs no switch into this process, nor does a hit that sends
-// nothing. The wrapper keeps polling
-// (and therefore keeps the inner protocol echoing and helping) until the
-// runtime halts the run; this matches the paper's remark that its Byzantine
-// protocols terminate in the sense that correct processes decide, not that
-// they stop.
+// poll's handler delivers the message, drains the self-sends, moves the
+// channel's cursor and writes what the inner protocol sent; those writes are
+// the process's next operations, then the poll goes on. The handler never
+// ends the poll, so after the writes of the inner protocol's Start no read
+// or write switches into this process. The wrapper keeps polling (and therefore keeps
+// the inner protocol echoing and helping) until the runtime halts the run;
+// this matches the paper's remark that its Byzantine protocols terminate in
+// the sense that correct processes decide, not that they stop.
 //
 // Because even a Byzantine process can only write its own registers, the
 // transformation preserves sender authenticity exactly as the
@@ -59,7 +58,7 @@ type outMsg struct {
 }
 
 // simAPI adapts the shared-memory API to mpnet.API for the inner protocol.
-// Sends are queued and flushed to registers by the wrapper loop; self-sends
+// Sends are queued and flushed to registers by the wrapper; self-sends
 // short-circuit through a local queue, matching the immediate self-delivery
 // of the message-passing runtime.
 type simAPI struct {
@@ -129,11 +128,9 @@ type simRun struct {
 	msgSeq []int
 
 	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
-	// chans[c] is channel c's next register, cursor[c] its messages read,
-	// and last the channel of the last hit.
+	// chans[c] is channel c's next register and cursor[c] its messages read.
 	chans  []smmem.Reg
 	cursor []int
-	last   int
 }
 
 // Run implements smmem.Protocol.
@@ -159,20 +156,16 @@ func (s *Simulation) Run(api smmem.API) {
 		}
 	}
 	r.cursor = make([]int, len(r.chans))
-	deliver := r.deliver // one method value for every poll, not an allocation per call
-	// Loop forever: the runtime unwinds this process once every correct
-	// process has decided (or the operation budget runs out).
-	for {
-		api.Poll(r.last, r.chans, deliver)
-		r.flush()
-	}
+	// The handler never ends the poll, so it never returns: the runtime
+	// unwinds this process once every correct process has decided (or the
+	// operation budget runs out).
+	api.Poll(0, r.chans, r.deliver)
 }
 
 // deliver is the poll's handler: it hands the message found on channel c to
-// the inner protocol, drains the self-sends and moves the channel on. The
-// poll goes on from the channel while the inner protocol has nothing to send.
+// the inner protocol, drains the self-sends, moves the channel on and writes
+// what the inner protocol sent. The poll goes on from the channel.
 func (r *simRun) deliver(c int, p types.Payload) bool {
-	r.last = c
 	r.inner.Deliver(&r.api, r.chans[c].Owner, p)
 	r.drainSelf()
 	r.cursor[c]++
@@ -181,7 +174,8 @@ func (r *simRun) deliver(c int, p types.Payload) bool {
 		names = &r.p2p
 	}
 	r.chans[c].Name = names.at(r.cursor[c])
-	return len(r.api.outbox) == 0
+	r.flush()
+	return true
 }
 
 // Both queues are walked by index and then truncated, never resliced from

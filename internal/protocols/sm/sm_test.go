@@ -23,6 +23,7 @@ type fakeMem struct {
 	decided  bool
 	decision types.Value
 	reads    int
+	scans    [][]smmem.Reg // the list of every Scan, in call order
 }
 
 var _ smmem.API = (*fakeMem)(nil)
@@ -72,6 +73,15 @@ func (f *fakeMem) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload)
 	panic("fakeMem: Poll would wait forever")
 }
 
+// Scan is the loop of Reads it replaces.
+func (f *fakeMem) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool)) {
+	f.scans = append(f.scans, append([]smmem.Reg(nil), regs...))
+	for i := range regs {
+		p, ok := f.Read(regs[i].Owner, regs[i].Name)
+		visit(i, p, ok)
+	}
+}
+
 func (f *fakeMem) WriteValue(reg string, v types.Value) {
 	f.Write(reg, types.Payload{Kind: types.KindInput, Value: v})
 }
@@ -115,8 +125,13 @@ func TestProtocolEDecidesDefaultOnMixedScan(t *testing.T) {
 func TestProtocolEScansExactlyOnce(t *testing.T) {
 	m := newFakeMem(0, 5, 2, 2, 3)
 	NewProtocolE().Run(m)
-	if m.reads != 5 {
-		t.Fatalf("reads = %d, want one scan of n=5 registers", m.reads)
+	if m.reads != 5 || len(m.scans) != 1 || len(m.scans[0]) != 5 {
+		t.Fatalf("%d reads in %d scans, want one scan of n=5 registers", m.reads, len(m.scans))
+	}
+	for q, reg := range m.scans[0] {
+		if reg != (smmem.Reg{Owner: types.ProcessID(q), Name: InputRegister}) {
+			t.Errorf("the scan's register %d is %+v, want every process's %q in id order", q, reg, InputRegister)
+		}
 	}
 }
 

@@ -164,7 +164,8 @@ func (a *liveAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) 
 
 // Poll is the loop of Reads its contract describes: a miss moves to the next
 // register, a hit goes to hit, which ends the poll or has it read regs[i]
-// again.
+// again. hit's writes go to memory as it makes them; as hit reads nothing,
+// that is the same as right after it returns.
 func (a *liveAPI) Poll(start int, regs []smmem.Reg, hit func(i int, p types.Payload) bool) {
 	if start < 0 || start >= len(regs) {
 		panic(fmt.Sprintf("smlive: Poll from index %d of %d registers", start, len(regs)))
@@ -177,6 +178,15 @@ func (a *liveAPI) Poll(start int, regs []smmem.Reg, hit func(i int, p types.Payl
 		case !hit(i, p):
 			return
 		}
+	}
+}
+
+// Scan is the loop of Reads its contract describes: every read, hit or miss,
+// goes to visit.
+func (a *liveAPI) Scan(regs []smmem.Reg, visit func(i int, p types.Payload, ok bool)) {
+	for i := range regs {
+		p, ok := a.Read(regs[i].Owner, regs[i].Name)
+		visit(i, p, ok)
 	}
 }
 

@@ -60,9 +60,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			})
 		}
 	}
-	// p1 polls everyone's v with a handler that panics on the loop's stack
-	// at its first hit, or makes a memory operation there; the others scan.
-	badHandler := func(hit func(api smmem.API)) func(types.ProcessID) smmem.Protocol {
+	// p1 polls (or scans) everyone's v with a handler that panics on the
+	// loop's stack at its first call, or reads there; the others scan.
+	badHandler := func(poll bool, hit func(api smmem.API)) func(types.ProcessID) smmem.Protocol {
 		return func(id types.ProcessID) smmem.Protocol {
 			return runFunc(func(api smmem.API) {
 				if id != 0 {
@@ -72,6 +72,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				var regs []smmem.Reg
 				for q := 1; q < n; q++ {
 					regs = append(regs, smmem.Reg{Owner: types.ProcessID(q), Name: "v"})
+				}
+				if !poll {
+					api.Scan(regs, func(int, types.Payload, bool) { hit(api) })
+					return
 				}
 				api.Poll(0, regs, func(int, types.Payload) bool {
 					hit(api)
@@ -134,11 +138,11 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			cfg:   smmem.Config{NewProtocol: simulation},
 			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == n }},
 		{name: "poll-handler-panics",
-			cfg:       smmem.Config{NewProtocol: badHandler(func(smmem.API) { panic("handler bug") })},
+			cfg:       smmem.Config{NewProtocol: badHandler(true, func(smmem.API) { panic("handler bug") })},
 			wantPanic: "handler bug"},
-		{name: "poll-handler-writes",
-			cfg:       smmem.Config{NewProtocol: badHandler(func(api smmem.API) { api.WriteValue("w", 1) })},
-			wantPanic: "smmem: Write inside a Poll handler"},
+		{name: "scan-handler-reads",
+			cfg:       smmem.Config{NewProtocol: badHandler(false, func(api smmem.API) { _, _ = api.Read(1, "v") })},
+			wantPanic: "smmem: Read inside a Scan handler"},
 	}
 	// No subtests: each would add a goroutine of its own that is still on its
 	// way out when the next baseline is read. For the same reason fewer

@@ -1,11 +1,13 @@
 package smmem_test
 
-// API.Poll is specified as the loop of Reads it replaces, its handler called
-// on every hit. The tests below run a native protocol twice, once polling
-// with Poll and once with that loop written out, and require everything the
-// run shows the outside — the record or error, the Recorder stream and the
-// Trace stream — to be equal. The protocol's handlers go on, stop, read a
-// register they found again, move a channel on and decide, each in both
+// API.Poll and API.Scan are specified as the loops of Reads they replace,
+// the handler called on every hit of a poll and the visitor on every read of
+// a scan, and the writes either makes performed right after it returns. The
+// tests below run a native protocol twice, once with the API's own calls and
+// once with those loops written out, and require everything the run shows
+// the outside — the record or error, the Recorder stream and the Trace
+// stream — to be equal. The protocols' handlers go on, stop, read a register
+// they found again, move a channel on, write and decide, each in both
 // spellings.
 
 import (
@@ -20,32 +22,80 @@ import (
 	"kset/internal/types"
 )
 
-// pollFunc is one spelling of a poll: API.Poll or readLoop.
-type pollFunc func(api smmem.API, start int, regs []smmem.Reg, hit func(int, types.Payload) bool)
+// spelling is one way of writing a poll and a scan: the process's protocol
+// runs on spell(api).
+type spelling func(smmem.API) smmem.API
 
-func apiPoll(api smmem.API, start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
-	api.Poll(start, regs, hit)
+// native is the API's own Poll and Scan.
+func native(api smmem.API) smmem.API { return api }
+
+// readLoops is Poll and Scan written with Read.
+func readLoops(api smmem.API) smmem.API { return &loopAPI{API: api} }
+
+// loopAPI's Poll and Scan are the loops of their contracts: a poll's miss
+// moves to the next register and a hit goes to hit, which ends the poll or
+// has it read regs[i] again; a scan hands every read to visit. A write
+// inside the handler waits in queue and is written right after it returns.
+type loopAPI struct {
+	smmem.API
+	inHandler bool
+	queue     []queuedWrite
 }
 
-// readLoop is Poll's contract written with Read: a miss moves to the next
-// register, a hit goes to hit, which ends the poll or has it read regs[i]
-// again.
-func readLoop(api smmem.API, start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
+type queuedWrite struct {
+	reg string
+	p   types.Payload
+}
+
+func (l *loopAPI) Write(reg string, p types.Payload) {
+	if l.inHandler {
+		l.queue = append(l.queue, queuedWrite{reg, p})
+		return
+	}
+	l.API.Write(reg, p)
+}
+
+func (l *loopAPI) WriteValue(reg string, v types.Value) {
+	l.Write(reg, types.Payload{Kind: types.KindInput, Value: v})
+}
+
+// handled follows a handler's return: its writes, in order.
+func (l *loopAPI) handled() {
+	l.inHandler = false
+	for _, w := range l.queue {
+		l.API.Write(w.reg, w.p)
+	}
+	l.queue = l.queue[:0]
+}
+
+func (l *loopAPI) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
 	for i := start; ; {
-		p, ok := api.Read(regs[i].Owner, regs[i].Name)
-		switch {
-		case !ok:
+		p, ok := l.Read(regs[i].Owner, regs[i].Name)
+		if !ok {
 			i = (i + 1) % len(regs)
-		case !hit(i, p):
+			continue
+		}
+		l.inHandler = true
+		more := hit(i, p)
+		l.handled()
+		if !more {
 			return
 		}
 	}
 }
 
+func (l *loopAPI) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool)) {
+	for i := range regs {
+		p, ok := l.Read(regs[i].Owner, regs[i].Name)
+		l.inHandler = true
+		visit(i, p, ok)
+		l.handled()
+	}
+}
+
 // What a process's handler does with a hit, after counting it (pollPlan).
 const (
-	// Move the channel to its next register and go on, as SIMULATION does
-	// when the message it delivered sends nothing.
+	// Move the channel to its next register and go on, as SIMULATION does.
 	goOn = iota
 	// Move the channel on and end the poll; the process then writes its
 	// next bc/ register and polls again from the channel after the one that
@@ -62,16 +112,19 @@ const (
 // the writes land at planned operations. It then polls every peer's next
 // bc/ register, handling hits as mode[p] says, and decides the smallest
 // value seen after need[p] hits — inside the handler, or before its first
-// poll if need[p] is 0. Every third process then ends its poll and returns.
+// poll if need[p] is 0. On every hit its handler first writes the smallest
+// value seen to its next hitWrites[p] bc/ registers. Every third process
+// ends its poll when it decides there, and returns.
 type pollPlan struct {
-	gaps [][]int
-	need []int
-	mode []int
+	gaps      [][]int
+	need      []int
+	mode      []int
+	hitWrites []int
 }
 
 func seededPollPlan(n int, seed uint64) pollPlan {
 	rng := prng.New(seed ^ 0x9011)
-	plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n)}
+	plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n), hitWrites: make([]int, n)}
 	for p := range plan.gaps {
 		plan.gaps[p] = make([]int, 1+rng.Intn(3))
 		for w := range plan.gaps[p] {
@@ -79,13 +132,15 @@ func seededPollPlan(n int, seed uint64) pollPlan {
 		}
 		plan.need[p] = rng.Intn(2 * n)
 		plan.mode[p] = rng.Intn(pollModes)
+		plan.hitWrites[p] = rng.Intn(3)
 	}
 	return plan
 }
 
-func (pl pollPlan) factory(poll pollFunc) func(types.ProcessID) smmem.Protocol {
+func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol {
 	return func(id types.ProcessID) smmem.Protocol {
 		return runFunc(func(api smmem.API) {
+			api = spell(api)
 			w := 0
 			for ; w < len(pl.gaps[id]); w++ {
 				for i := 0; i < pl.gaps[id][w]; i++ {
@@ -109,6 +164,10 @@ func (pl pollPlan) factory(poll pollFunc) func(types.ProcessID) smmem.Protocol {
 				if hits++; p.Value < minV {
 					minV = p.Value
 				}
+				for j := 0; j < pl.hitWrites[id]; j++ {
+					api.Write("bc/"+strconv.Itoa(w), types.Payload{Kind: types.KindEcho, Value: minV})
+					w++
+				}
 				if hits == pl.need[id] {
 					api.Decide(minV)
 					if done = id%3 == 1; done {
@@ -123,7 +182,7 @@ func (pl pollPlan) factory(poll pollFunc) func(types.ProcessID) smmem.Protocol {
 				return pl.mode[id] != stopAndWrite
 			}
 			for {
-				poll(api, c, regs, hit)
+				api.Poll(c, regs, hit)
 				if done {
 					return
 				}
@@ -137,12 +196,12 @@ func (pl pollPlan) factory(poll pollFunc) func(types.ProcessID) smmem.Protocol {
 
 // pollConfig is one run of the plan without its poll spelling; faults is an
 // index into the matrix's faultModes.
-func pollConfig(n int, seed uint64, plan pollPlan, fault int) func(pollFunc) smmem.Config {
-	return func(poll pollFunc) smmem.Config {
+func pollConfig(n int, seed uint64, plan pollPlan, fault int) func(spelling) smmem.Config {
+	return func(spell spelling) smmem.Config {
 		cfg := smmem.Config{
 			N: n, T: (n - 1) / 2, K: n/2 + 1,
 			Inputs:      testInputs(n, seed),
-			NewProtocol: plan.factory(poll),
+			NewProtocol: plan.factory(spell),
 			Seed:        seed,
 			MaxOps:      150 * n,
 		}
@@ -191,33 +250,50 @@ func streamDifference(got, want *observed) string {
 	return ""
 }
 
-// pollTally counts the poll reads of a run that missed and that hit, so a
-// test can tell that it exercised both.
-type pollTally struct{ misses, hits int }
+// tally counts what the runs of a comparison exercised: the reads of
+// registers named prefix+... that missed and that hit, and the writes made
+// inside handlers, which the test protocols mark with KindEcho.
+type tally struct {
+	prefix                      string
+	misses, hits, handlerWrites int
+}
 
-func (pt *pollTally) add(o *observed) {
+func (ty *tally) add(o *observed) {
 	for _, ev := range o.events {
-		if ev.Type == smmem.EvRead && strings.HasPrefix(ev.Register, "bc/") {
-			if ev.Present {
-				pt.hits++
-			} else {
-				pt.misses++
-			}
+		switch {
+		case ev.Type == smmem.EvWrite && ev.Payload.Kind == types.KindEcho:
+			ty.handlerWrites++
+		case ev.Type != smmem.EvRead || !strings.HasPrefix(ev.Register, ty.prefix):
+		case ev.Present:
+			ty.hits++
+		default:
+			ty.misses++
 		}
 	}
 }
 
-// comparePoll runs both spellings of one configuration.
-func comparePoll(t *testing.T, cell string, build func(pollFunc) smmem.Config, tally *pollTally) {
+func (ty *tally) check(t *testing.T) {
 	t.Helper()
-	got, want := observe(build(apiPoll)), observe(build(readLoop))
-	if d := streamDifference(got, want); d != "" {
-		t.Errorf("%s: Poll differs from its Read loop: %s", cell, d)
+	if ty.misses == 0 || ty.hits == 0 || ty.handlerWrites == 0 {
+		t.Errorf("the matrix read %d misses and %d hits and wrote %d times in handlers, want all three", ty.misses, ty.hits, ty.handlerWrites)
 	}
-	tally.add(got)
 }
 
-func TestPollMatchesReadLoop(t *testing.T) {
+// compareSpellings runs both spellings of one configuration.
+func compareSpellings(t *testing.T, cell string, build func(spelling) smmem.Config, ty *tally) {
+	t.Helper()
+	got, want := observe(build(native)), observe(build(readLoops))
+	if d := streamDifference(got, want); d != "" {
+		t.Errorf("%s: the API's call differs from its Read loop: %s", cell, d)
+	}
+	ty.add(got)
+}
+
+// compareMatrix compares the spellings of config's runs for every n of ns,
+// every fault mode, seeds 1–12 and every scheduler below, and replays each
+// fair run's grants and crash points as recorded and cut in half.
+func compareMatrix(t *testing.T, ns []int, config func(n int, seed uint64, fault int) func(spelling) smmem.Config, ty *tally) {
+	t.Helper()
 	held := func(from, to int) []types.ProcessID {
 		var ids []types.ProcessID
 		for p := from; p < to; p++ {
@@ -243,31 +319,28 @@ func TestPollMatchesReadLoop(t *testing.T) {
 		}},
 	}
 	const seeds = 12
-	var tally pollTally
-	for _, n := range []int{2, 3, 8} {
+	for _, n := range ns {
 		for fault := range faultModes {
 			for seed := uint64(1); seed <= seeds; seed++ {
-				build := pollConfig(n, seed, seededPollPlan(n, seed), fault)
+				build := config(n, seed, fault)
 				for _, s := range schedulers {
 					cell := fmt.Sprintf("%s %s n=%d seed=%d", s.name, faultModes[fault].name, n, seed)
-					comparePoll(t, cell, func(poll pollFunc) smmem.Config {
-						cfg := build(poll)
+					compareSpellings(t, cell, func(spell spelling) smmem.Config {
+						cfg := build(spell)
 						cfg.Scheduler = s.make(n)
 						return cfg
-					}, &tally)
+					}, ty)
 				}
-				// Replay: record the fair run, then replay its grants and
-				// crash points as recorded and cut in half.
 				rec := &trace.SMRecorder{}
-				cfg := build(apiPoll)
+				cfg := build(native)
 				cfg.Recorder = rec
 				if _, err := smmem.Run(cfg); err != nil {
 					t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 				}
 				for _, cut := range []int{len(rec.Schedule), len(rec.Schedule) / 2} {
 					cell := fmt.Sprintf("replay-%d/%d %s n=%d seed=%d", cut, len(rec.Schedule), faultModes[fault].name, n, seed)
-					comparePoll(t, cell, func(poll pollFunc) smmem.Config {
-						cfg := build(poll)
+					compareSpellings(t, cell, func(spell spelling) smmem.Config {
+						cfg := build(spell)
 						cfg.Scheduler = &scripted{script: rec.Schedule[:cut]}
 						crashes := &smmem.ScriptedCrashes{AtOp: map[types.ProcessID]int{}}
 						for _, c := range rec.Crashes {
@@ -275,19 +348,24 @@ func TestPollMatchesReadLoop(t *testing.T) {
 						}
 						cfg.Crash = crashes
 						return cfg
-					}, &tally)
+					}, ty)
 				}
 			}
 		}
 	}
-	if tally.misses == 0 || tally.hits == 0 {
-		t.Errorf("the matrix polled %d misses and %d hits, want both", tally.misses, tally.hits)
-	}
+}
+
+func TestPollMatchesReadLoop(t *testing.T) {
+	ty := &tally{prefix: "bc/"}
+	compareMatrix(t, []int{2, 3, 8}, func(n int, seed uint64, fault int) func(spelling) smmem.Config {
+		return pollConfig(n, seed, seededPollPlan(n, seed), fault)
+	}, ty)
+	ty.check(t)
 }
 
 // FuzzPollMatchesReadLoop: the bytes choose n (2–6), every process's write
-// points, decision threshold and handler, the scheduler and its seed, and
-// crash points.
+// points, decision threshold, handler and handler writes, the scheduler and
+// its seed, and crash points.
 func FuzzPollMatchesReadLoop(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -303,7 +381,7 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 			return int(b)
 		}
 		n := 2 + next()%5
-		plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n)}
+		plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n), hitWrites: make([]int, n)}
 		for p := range plan.gaps {
 			plan.gaps[p] = make([]int, 1+next()%3)
 			for w := range plan.gaps[p] {
@@ -311,6 +389,7 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 			}
 			plan.need[p] = next() % (2 * n)
 			plan.mode[p] = next() % pollModes
+			plan.hitWrites[p] = next() % 3
 		}
 		seed := uint64(next()<<8 | next())
 		sched, slow := next()%4, types.ProcessID(next()%n)
@@ -318,12 +397,11 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 		for c := next() % n; c > 0; c-- {
 			crashes[types.ProcessID(next()%n)] = next() % 20
 		}
-		tally := &pollTally{}
-		comparePoll(t, fmt.Sprintf("n=%d seed=%d", n, seed), func(poll pollFunc) smmem.Config {
+		compareSpellings(t, fmt.Sprintf("n=%d seed=%d", n, seed), func(spell spelling) smmem.Config {
 			cfg := smmem.Config{
 				N: n, T: n - 1, K: n,
 				Inputs:      testInputs(n, seed),
-				NewProtocol: plan.factory(poll),
+				NewProtocol: plan.factory(spell),
 				Seed:        seed,
 				MaxOps:      100 * n,
 				Crash:       &smmem.ScriptedCrashes{AtOp: crashes},
@@ -341,38 +419,192 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 				cfg.Scheduler = h
 			}
 			return cfg
-		}, tally)
+		}, &tally{})
 	})
 }
 
-// TestPollEdges pins the index a poll hands its handler and the reads it
-// performs at the ends of its list, and its panics. Process p1 writes a at
-// its second operation (after a read of x, which nobody writes), then b, and
-// decides; p2 reads x early times, polls once — its handler goes on again
-// times, so the poll reads the register it found again unless move changes
-// the list, then ends it — and decides what it found. Under round-robin p2
-// goes first: p2, p1, p2, p1, p2, p1, then p2 alone. A handler that makes a
-// memory operation panics out of Run.
+// scanPlan is one set-up of the native scan protocol. Process p writes s/0,
+// then goes through rounds[p] rounds: gaps[p] reads of a register nobody
+// writes, a scan of an empty list in the second round, and one scan of
+// every process's s/<r> in round r with the unwritten register swapped in
+// at index r. Its visitor keeps the smallest value found, decides it at the
+// need[p]-th hit, and on every every[p]-th read, hit or miss, then writes it
+// plus the read's index to p's next s/ register (never if every[p] is 0).
+// A process that has not decided after its rounds decides then and returns.
+type scanPlan struct {
+	rounds, gaps, every, need []int
+}
+
+func seededScanPlan(n int, seed uint64) scanPlan {
+	rng := prng.New(seed ^ 0x5ca7)
+	plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n)}
+	for p := range plan.rounds {
+		plan.rounds[p] = 1 + rng.Intn(4)
+		plan.gaps[p] = rng.Intn(3)
+		plan.every[p] = rng.Intn(4)
+		plan.need[p] = rng.Intn(2 * n)
+	}
+	return plan
+}
+
+func (pl scanPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol {
+	return func(id types.ProcessID) smmem.Protocol {
+		return runFunc(func(api smmem.API) {
+			api = spell(api)
+			n := api.N()
+			api.WriteValue("s/0", api.Input())
+			w, reads, hits, minV := 1, 0, 0, api.Input()
+			visit := func(i int, p types.Payload, ok bool) {
+				if ok {
+					if hits++; p.Value < minV {
+						minV = p.Value
+					}
+					if hits == pl.need[id] {
+						api.Decide(minV)
+					}
+				}
+				if reads++; pl.every[id] > 0 && reads%pl.every[id] == 0 {
+					api.Write("s/"+strconv.Itoa(w), types.Payload{Kind: types.KindEcho, Value: minV + types.Value(i)})
+					w++
+				}
+			}
+			regs := make([]smmem.Reg, n+1)
+			for r := 0; r < pl.rounds[id]; r++ {
+				for i := 0; i < pl.gaps[id]; i++ {
+					_, _ = api.Read(id, "unwritten")
+				}
+				if r == 1 {
+					api.Scan(nil, visit)
+				}
+				for q := 0; q < n; q++ {
+					regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/" + strconv.Itoa(r)}
+				}
+				regs[n] = smmem.Reg{Owner: id, Name: "unwritten"}
+				regs[n], regs[r%(n+1)] = regs[r%(n+1)], regs[n]
+				api.Scan(regs, visit)
+			}
+			if !api.HasDecided() {
+				api.Decide(minV)
+			}
+		})
+	}
+}
+
+func scanConfig(n int, seed uint64, plan scanPlan, fault int) func(spelling) smmem.Config {
+	return func(spell spelling) smmem.Config {
+		cfg := smmem.Config{
+			N: n, T: (n - 1) / 2, K: n/2 + 1,
+			Inputs:      testInputs(n, seed),
+			NewProtocol: plan.factory(spell),
+			Seed:        seed,
+			MaxOps:      150 * n,
+		}
+		faultModes[fault].apply(&cfg, seed)
+		return cfg
+	}
+}
+
+func TestScanMatchesReadLoop(t *testing.T) {
+	ty := &tally{prefix: "s/"}
+	compareMatrix(t, []int{2, 3, 8}, func(n int, seed uint64, fault int) func(spelling) smmem.Config {
+		return scanConfig(n, seed, seededScanPlan(n, seed), fault)
+	}, ty)
+	ty.check(t)
+}
+
+// FuzzScanMatchesReadLoop: the bytes choose n (2–6), every process's rounds,
+// gaps, decision threshold and visitor writes, the scheduler and its seed,
+// and crash points.
+func FuzzScanMatchesReadLoop(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 3, 1, 1, 0, 3, 2, 1, 2, 0, 2, 1, 2, 200, 17, 3, 1, 4, 1, 2})
+	f.Add([]byte{3, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n := 2 + next()%5
+		plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n)}
+		for p := range plan.rounds {
+			plan.rounds[p] = 1 + next()%4
+			plan.gaps[p] = next() % 3
+			plan.every[p] = next() % 4
+			plan.need[p] = next() % (2 * n)
+		}
+		seed := uint64(next()<<8 | next())
+		sched, slow := next()%4, types.ProcessID(next()%n)
+		crashes := map[types.ProcessID]int{}
+		for c := next() % n; c > 0; c-- {
+			crashes[types.ProcessID(next()%n)] = next() % 20
+		}
+		compareSpellings(t, fmt.Sprintf("n=%d seed=%d", n, seed), func(spell spelling) smmem.Config {
+			cfg := smmem.Config{
+				N: n, T: n - 1, K: n,
+				Inputs:      testInputs(n, seed),
+				NewProtocol: plan.factory(spell),
+				Seed:        seed,
+				MaxOps:      100 * n,
+				Crash:       &smmem.ScriptedCrashes{AtOp: crashes},
+			}
+			switch sched {
+			case 1:
+				cfg.Scheduler = &smmem.RoundRobin{}
+			case 2:
+				s := smmem.NewStarve(n, slow)
+				s.ReleaseAtOps = 30 * n
+				cfg.Scheduler = s
+			case 3:
+				h := smmem.NewHold(n, []types.ProcessID{slow}, []types.ProcessID{(slow + 1) % types.ProcessID(n)})
+				h.ReleaseAtOps = 50 * n
+				cfg.Scheduler = h
+			}
+			return cfg
+		}, &tally{})
+	})
+}
+
+// TestPollEdges pins the index a poll hands its handler and the operations
+// it performs at the ends of its list, where a handler's writes go, and its
+// panics; and the same for a scan. Process p1 writes a at its second
+// operation (after a read of x, which nobody writes), then b, and decides;
+// p2 reads x early times, polls once — its handler goes on again times, so
+// the poll reads the register it found again unless move changes the list,
+// then ends it — or scans once, and decides what it found last unless it has
+// decided. Under round-robin p2 goes first: p2, p1, p2, p1, p2, p1, then p2
+// alone. A handler that reads, polls or scans panics out of Run.
 func TestPollEdges(t *testing.T) {
 	cases := []struct {
 		name  string
+		scan  bool // p2 scans its list instead of polling it
 		start int
 		regs  []string // p1's registers, polled by p2
 		early int      // p2's reads of x before it polls
 		again int      // hits p2's handler goes on after
 		move  func(regs []smmem.Reg)
-		inHit func(api smmem.API)
+		inHit func(api smmem.API) // on every hit
+		// p2 crashes before its crashAt-th operation, or the run stops
+		// after maxOps; 0 for neither.
+		crashAt, maxOps int
 
-		wantIndex int
-		wantReads string // all of p2's reads, "name+" for a hit
-		wantPanic string
+		wantIndex int    // of the last hit, -1 for none
+		wantOps   string // all of p2's operations: "name" a read that missed, "name+" a hit, "=name" a write
+		// Operations granted when p2's decision reached the board; 0 for
+		// not pinned.
+		wantDecidedAt int
+		wantPanic     string
 	}{
 		{name: "start-at-last-wraps", start: 2, regs: []string{"a", "x", "y"},
-			wantIndex: 0, wantReads: "y a x y a+"},
+			wantIndex: 0, wantOps: "y a x y a+"},
 		{name: "one-register", start: 0, regs: []string{"a"},
-			wantIndex: 0, wantReads: "a a a+"},
+			wantIndex: 0, wantOps: "a a a+"},
 		{name: "hit-on-first-read", start: 1, regs: []string{"x", "a"}, early: 2,
-			wantIndex: 1, wantReads: "x x a+"},
+			wantIndex: 1, wantOps: "x x a+"},
 		{name: "empty-list", start: 0, regs: nil,
 			wantPanic: "Poll from index 0 of 0 registers"},
 		{name: "start-past-the-end", start: 2, regs: []string{"a", "x"},
@@ -380,27 +612,56 @@ func TestPollEdges(t *testing.T) {
 		{name: "negative-start", start: -1, regs: []string{"a"},
 			wantPanic: "Poll from index -1 of 1 registers"},
 		{name: "go-on-reads-the-hit-again", start: 0, regs: []string{"x", "a"}, again: 2,
-			wantIndex: 1, wantReads: "x a x a+ a+ a+"},
+			wantIndex: 1, wantOps: "x a x a+ a+ a+"},
 		// After x x x x every write is done; y and z miss, then a hit
 		// points the list at z and b: one miss more would have missed on
 		// every register, but the list changed, so b is still read.
 		{name: "go-on-after-changing-the-list", start: 0, regs: []string{"x", "y", "a"}, early: 3, again: 1,
 			move:      func(regs []smmem.Reg) { regs[0].Name, regs[2].Name = "b", "z" },
-			wantIndex: 0, wantReads: "x x x x y a+ z b+"},
+			wantIndex: 0, wantOps: "x x x x y a+ z b+"},
+		// A handler's writes are p2's next operations, before the poll's
+		// next read, also while p1 still runs.
+		{name: "write-in-handler", start: 0, regs: []string{"a"}, again: 1,
+			inHit:     func(api smmem.API) { api.WriteValue("w", 1); api.WriteValue("v", 2) },
+			wantIndex: 0, wantOps: "a a a+ =w =v a+ =w =v"},
+		{name: "write-in-handler-then-end", start: 0, regs: []string{"a"},
+			inHit:     func(api smmem.API) { api.WriteValue("w", 1); api.WriteValue("v", 2) },
+			wantIndex: 0, wantOps: "a a a+ =w =v"},
 		{name: "read-in-handler", start: 0, regs: []string{"a"},
 			inHit:     func(api smmem.API) { _, _ = api.Read(0, "a") },
 			wantPanic: "smmem: Read inside a Poll handler"},
 		{name: "readvalue-in-handler", start: 0, regs: []string{"a"},
 			inHit:     func(api smmem.API) { _, _ = api.ReadValue(0, "x") },
 			wantPanic: "smmem: Read inside a Poll handler"},
-		{name: "write-in-handler", start: 0, regs: []string{"a"},
-			inHit:     func(api smmem.API) { api.WriteValue("b", 1) },
-			wantPanic: "smmem: Write inside a Poll handler"},
 		{name: "poll-in-handler", start: 0, regs: []string{"a"},
 			inHit: func(api smmem.API) {
 				api.Poll(0, []smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload) bool { return false })
 			},
 			wantPanic: "smmem: Poll inside a Poll handler"},
+		{name: "scan-in-handler", start: 0, regs: []string{"a"},
+			inHit:     func(api smmem.API) { api.Scan([]smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload, bool) {}) },
+			wantPanic: "smmem: Scan inside a Poll handler"},
+		// A scan of nothing is no operation: p2 decides at once.
+		{name: "scan-empty-list", scan: true, regs: nil,
+			wantIndex: -1, wantOps: ""},
+		{name: "scan-one-register", scan: true, regs: []string{"a"}, early: 2,
+			wantIndex: 0, wantOps: "x x a+"},
+		{name: "scan-reads-each-once", scan: true, regs: []string{"x", "a", "y", "b"}, early: 2,
+			wantIndex: 3, wantOps: "x x x a+ y b+"},
+		// Decided in the visit of a: on the board at that read's grant,
+		// the fifth, so the run ends when p1 decides after the sixth. Were
+		// it on the board only once the scan is over, p2 would read x and
+		// y too and its decision show at the eighth.
+		{name: "scan-decide-in-visit", scan: true, regs: []string{"a", "x", "y"}, early: 2,
+			inHit:     func(api smmem.API) { api.Decide(7) },
+			wantIndex: 0, wantOps: "x x a+", wantDecidedAt: 5},
+		{name: "scan-write-in-visit", scan: true, regs: []string{"a", "x"}, early: 2,
+			inHit:     func(api smmem.API) { api.WriteValue("w", 1) },
+			wantIndex: 0, wantOps: "x x a+ =w x"},
+		{name: "scan-crash-mid-scan", scan: true, regs: []string{"a", "x", "y"}, early: 2, crashAt: 4,
+			wantIndex: 0, wantOps: "x x a+ x"},
+		{name: "scan-budget-ends-mid-scan", scan: true, regs: []string{"a", "x", "y"}, early: 2, maxOps: 6,
+			wantIndex: 0, wantOps: "x x a+"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -410,7 +671,7 @@ func TestPollEdges(t *testing.T) {
 				regs = append(regs, smmem.Reg{Owner: 0, Name: name})
 			}
 			cfg := smmem.Config{
-				N: 2, T: 0, K: 2,
+				N: 2, T: 1, K: 2,
 				Inputs: []types.Value{7, 8},
 				NewProtocol: func(id types.ProcessID) smmem.Protocol {
 					return runFunc(func(api smmem.API) {
@@ -424,40 +685,61 @@ func TestPollEdges(t *testing.T) {
 						for i := 0; i < c.early; i++ {
 							_, _ = api.Read(0, "x")
 						}
-						again := c.again
-						api.Poll(c.start, regs, func(i int, p types.Payload) bool {
+						found := func(i int, p types.Payload) {
 							index, value = i, p
 							if c.inHit != nil {
 								c.inHit(api)
 							}
-							if again--; again < 0 {
-								return false
-							}
-							if c.move != nil {
-								c.move(regs)
-							}
-							return true
-						})
-						api.Decide(value.Value)
+						}
+						again := c.again
+						if c.scan {
+							api.Scan(regs, func(i int, p types.Payload, ok bool) {
+								if ok {
+									found(i, p)
+								}
+							})
+						} else {
+							api.Poll(c.start, regs, func(i int, p types.Payload) bool {
+								found(i, p)
+								if again--; again < 0 {
+									return false
+								}
+								if c.move != nil {
+									c.move(regs)
+								}
+								return true
+							})
+						}
+						if !api.HasDecided() {
+							api.Decide(value.Value)
+						}
 					})
 				},
 				Scheduler: &smmem.RoundRobin{},
 				Seed:      1,
+				MaxOps:    c.maxOps,
 			}
-			var reads []string
+			if c.crashAt > 0 {
+				cfg.Crash = &smmem.ScriptedCrashes{AtOp: map[types.ProcessID]int{1: c.crashAt}}
+			}
+			var ops []string
 			cfg.Trace = func(ev smmem.TraceEvent) {
 				switch {
-				case ev.Type != smmem.EvRead || ev.Proc != 1:
+				case ev.Proc != 1:
+				case ev.Type == smmem.EvWrite:
+					ops = append(ops, "="+ev.Register)
+				case ev.Type != smmem.EvRead:
 				case ev.Present:
-					reads = append(reads, ev.Register+"+")
+					ops = append(ops, ev.Register+"+")
 				default:
-					reads = append(reads, ev.Register)
+					ops = append(ops, ev.Register)
 				}
 			}
 			var rec *types.RunRecord
+			var err error
 			r := func() (r any) {
 				defer func() { r = recover() }()
-				rec, _ = smmem.Run(cfg)
+				rec, err = smmem.Run(cfg)
 				return nil
 			}()
 			if c.wantPanic != "" {
@@ -466,14 +748,20 @@ func TestPollEdges(t *testing.T) {
 				}
 				return
 			}
-			if r != nil {
-				t.Fatal(r)
+			if r != nil || err != nil {
+				t.Fatal(r, err)
 			}
-			if got := strings.Join(reads, " "); index != c.wantIndex || value.Value != 7 || got != c.wantReads {
-				t.Errorf("Poll's last hit was %d, %d after reads %q; want %d, 7 after %q", index, value.Value, got, c.wantIndex, c.wantReads)
+			if got := strings.Join(ops, " "); index != c.wantIndex || (index >= 0 && value.Value != 7) || got != c.wantOps {
+				t.Errorf("the last hit was %d, %d after operations %q; want %d, 7 after %q", index, value.Value, got, c.wantIndex, c.wantOps)
 			}
-			if !rec.Decided[1] {
-				t.Errorf("p2 did not decide: %+v", rec)
+			cut := c.crashAt > 0 || c.maxOps > 0
+			switch {
+			case rec.Decided[1] == cut:
+				t.Errorf("p2 decided %v, want %v: %+v", rec.Decided[1], !cut, rec)
+			case c.crashAt > 0 && !rec.Faulty[1], c.maxOps > 0 && !rec.BudgetExhausted:
+				t.Errorf("the run did not end the way this case is about: %+v", rec)
+			case c.wantDecidedAt > 0 && rec.DecidedAtEvent[1] != c.wantDecidedAt:
+				t.Errorf("p2's decision reached the board at operation %d, want %d", rec.DecidedAtEvent[1], c.wantDecidedAt)
 			}
 		})
 	}

@@ -19,7 +19,11 @@
 // moves past a miss and hands a hit to the poll's handler on its own stack:
 // a waiting process is resumed only when the handler ends the poll. A miss
 // that no write since the poll's last pass over its list could have changed
-// is answered without looking the register up.
+// is answered without looking the register up. A scan (API.Scan) reads a
+// list once in order the same way, handing every read to its visitor, and
+// resumes the process once, after the last. The writes a handler or visitor
+// makes are the process's next operations: the loop grants them one by one
+// after it returns, before the call's next read.
 //
 // Registers are created on first write and named by (owner, name) pairs;
 // dynamic creation supports the unbounded register sequences of the paper's
@@ -70,16 +74,41 @@ type API interface {
 	// read that finds a value to hit, with the register's index. When hit
 	// returns true the poll goes on from regs[i] — which hit may have
 	// replaced — and when it returns false Poll returns. It is the loop of
-	// Reads it replaces: each read is one granted operation, scheduled,
-	// budgeted, crashable and traced as a Read. No process code runs
-	// between the reads but hit, so a decision made before the call is
-	// visible once the first read is posted, and one made in hit once hit
-	// returns. hit may change process state and call Decide, HasDecided and
-	// the accessors; a memory operation (Read, Write, Poll and their
-	// shorthands) inside it panics under Run, which calls hit on its own
+	// Reads it replaces, with the writes hit makes performed in order right
+	// after it returns:
+	//
+	//	for i := start; ; {
+	//		p, ok := Read(regs[i].Owner, regs[i].Name)
+	//		if !ok { i = (i + 1) % len(regs); continue }
+	//		more := hit(i, p) // then hit's writes, each a Write
+	//		if !more { return }
+	//	}
+	//
+	// Each read and each write is one granted operation, scheduled,
+	// budgeted, crashable and traced. No process code runs between them but
+	// hit, so a decision made before the call is visible once the first
+	// read is posted, and one made in hit once hit returns, before its
+	// writes. hit may change process state, call Decide, HasDecided and the
+	// accessors, and Write and WriteValue; a Read, Poll or Scan (and
+	// ReadValue) inside it panics under Run, which calls hit on its own
 	// goroutine between two grants. An empty list or a start outside it
 	// panics too.
 	Poll(start int, regs []Reg, hit func(i int, p types.Payload) bool)
+	// Scan reads regs[0], ..., regs[len(regs)-1] once each, in order, and
+	// hands every read, hit or miss, to visit. It is the loop
+	//
+	//	for i := range regs {
+	//		p, ok := Read(regs[i].Owner, regs[i].Name)
+	//		visit(i, p, ok) // then visit's writes, each a Write
+	//	}
+	//
+	// and visit is bound by the rules of Poll's hit: under Run it is called
+	// on Run's goroutine, a decision made in it is visible once it returns,
+	// its writes are the process's next operations, and a Read, Poll or
+	// Scan inside it panics. The process resumes once, after the last read
+	// and the writes that follow it. An empty list returns at once, without
+	// an operation.
+	Scan(regs []Reg, visit func(i int, p types.Payload, ok bool))
 	// Decide records this process's irrevocable decision; it costs no
 	// memory operation. A correct process must decide at most once.
 	Decide(v types.Value)
@@ -89,7 +118,7 @@ type API interface {
 	Rand() *prng.Source
 }
 
-// Reg names one register for Poll: owner's register called Name.
+// Reg names one register for Poll and Scan: owner's register called Name.
 type Reg struct {
 	Owner types.ProcessID
 	Name  string

@@ -2,8 +2,10 @@
 // coroutine (iter.Pull) per process. A process runs only inside the loop's
 // call to its next(): from the grant of its pending register operation to the
 // moment it posts the following one, or returns — or, for a poll read that
-// hits, inside the loop's call to the poll's handler. A poll read that misses
-// runs no process code: the loop posts the poll's next register itself.
+// hits and for every scan read, inside the loop's call to the handler. A poll
+// read that misses runs no process code: the loop posts the poll's next
+// register itself. A handler's writes wait in the process's queue until it
+// returns; the loop then posts them one by one before the call's next read.
 // Nothing is ever runnable beside the loop — no goroutine is started, no
 // channel, lock or wait group is used — so registers, scheduler state, the
 // view and the request slots need no synchronization, the schedule is a pure
@@ -88,8 +90,15 @@ type opKind uint8
 const (
 	opRead opKind = iota + 1
 	opWrite
-	opPoll
+	opPoll // a read of a poll's list
+	opScan // a read of a scan's list
 )
+
+// queuedWrite is a write made inside a handler, posted once it returns.
+type queuedWrite struct {
+	name  string
+	value types.Payload
+}
 
 // haltSignal is panicked inside API calls to unwind a process whose coroutine
 // the runtime has stopped (a crash, the end of the run); the coroutine's body
@@ -121,22 +130,32 @@ type smProcess struct {
 	value types.Payload
 	ok    bool
 
-	// A poll: its registers, the index of the one posted and the handler of
-	// its hits; inHit is set while the handler runs. missed counts the
+	// A poll or a scan in progress (call is opPoll or opScan, 0 outside
+	// both): its registers, the index of the one posted, and the handler of
+	// a poll's hits or the visitor of a scan's reads. inHandler is set while
+	// either runs and over once it has ended the call. The handler's writes
+	// wait in queue; queued counts those already posted. missed counts the
 	// poll's reads in a row that found nothing while the runtime's write
-	// count stood at writes: once it reaches len(poll), every register of
+	// count stood at writes: once it reaches len(regs), every register of
 	// the list is unwritten until the next write anywhere.
-	poll   []Reg
-	at     int
-	hit    func(int, types.Payload) bool
-	inHit  bool
-	missed int
-	writes int
+	call      opKind
+	regs      []Reg
+	at        int
+	hit       func(int, types.Payload) bool
+	visit     func(int, types.Payload, bool)
+	inHandler bool
+	over      bool
+	queue     []queuedWrite
+	queued    int
+	missed    int
+	writes    int
 
 	// The coroutine: next resumes the process until its next request (true)
 	// or its return (false), stop makes the pending yield report false.
 	next func() (struct{}, bool)
 	stop func()
+
+	api smAPI // what the protocol's Run is handed
 }
 
 // smAPI adapts a process to the API interface. Everything here runs inside
@@ -159,22 +178,38 @@ func (a *smAPI) Rand() *prng.Source  { return a.p.rng }
 func (a *smAPI) HasDecided() bool    { return a.p.decided }
 
 func (a *smAPI) Write(reg string, p types.Payload) {
+	if a.p.inHandler {
+		a.p.queue = append(a.p.queue, queuedWrite{name: reg, value: p})
+		return
+	}
 	a.p.value = p
 	a.op(opWrite, a.p.id, reg)
 }
 
 func (a *smAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) {
+	a.outsideHandler(opRead)
 	a.op(opRead, owner, reg)
 	return a.p.value, a.p.ok
 }
 
 func (a *smAPI) Poll(start int, regs []Reg, hit func(i int, p types.Payload) bool) {
+	a.outsideHandler(opPoll)
 	if start < 0 || start >= len(regs) {
 		panic(fmt.Sprintf("smmem: Poll from index %d of %d registers", start, len(regs)))
 	}
 	p := a.p
-	p.poll, p.at, p.hit, p.missed = regs, start, hit, 0
+	p.call, p.regs, p.at, p.hit, p.missed = opPoll, regs, start, hit, 0
 	a.op(opPoll, regs[start].Owner, regs[start].Name)
+}
+
+func (a *smAPI) Scan(regs []Reg, visit func(i int, p types.Payload, ok bool)) {
+	a.outsideHandler(opScan)
+	if len(regs) == 0 {
+		return
+	}
+	p := a.p
+	p.call, p.regs, p.at, p.visit = opScan, regs, 0, visit
+	a.op(opScan, regs[0].Owner, regs[0].Name)
 }
 
 func (a *smAPI) WriteValue(reg string, v types.Value) {
@@ -188,8 +223,8 @@ func (a *smAPI) ReadValue(owner types.ProcessID, reg string) (types.Value, bool)
 
 func (a *smAPI) Decide(v types.Value) {
 	// Deciding is a local action: the decision board picks it up when the
-	// process posts its next request or returns, or its poll's handler
-	// returns, so the scheduler sees it before granting anything else.
+	// process posts its next request or returns, or its handler returns, so
+	// the scheduler sees it before granting anything else.
 	p := a.p
 	if p.decided {
 		if !p.byz {
@@ -202,19 +237,22 @@ func (a *smAPI) Decide(v types.Value) {
 	p.decision = v
 }
 
-// opNames names the operations for the panic of one made inside a poll's
-// handler.
-var opNames = [...]string{opRead: "Read", opWrite: "Write", opPoll: "Poll"}
+// opNames names the operations for the panic of one made inside a handler.
+var opNames = [...]string{opRead: "Read", opPoll: "Poll", opScan: "Scan"}
+
+// outsideHandler panics inside a handler, which runs on the loop's own stack
+// with no coroutine to yield from: a read, poll or scan cannot wait there for
+// its grant. (A write is queued instead, see Write.)
+func (a *smAPI) outsideHandler(kind opKind) {
+	if p := a.p; p.inHandler {
+		panic("smmem: " + opNames[kind] + " inside a " + opNames[p.call] + " handler")
+	}
+}
 
 // op posts a request and returns once it has been granted; a crash or the
-// end of the run unwinds the process via panic(haltSignal{}) instead. Inside
-// a poll's handler, on the loop's own stack, there is no coroutine to yield
-// from: an operation there panics.
+// end of the run unwinds the process via panic(haltSignal{}) instead.
 func (a *smAPI) op(kind opKind, owner types.ProcessID, name string) {
 	p := a.p
-	if p.inHit {
-		panic("smmem: " + opNames[kind] + " inside a Poll handler")
-	}
 	p.kind, p.owner, p.name = kind, owner, name
 	if !a.yield(struct{}{}) {
 		panic(haltSignal{})
@@ -225,8 +263,8 @@ func (a *smAPI) op(kind opKind, owner types.ProcessID, name string) {
 type smRuntime struct {
 	cfg     Config
 	n, t, k int
-	procs   []*smProcess
-	view    *View // its own allocation: a policy that keeps it keeps nothing else of the run
+	procs   []smProcess // one allocation; the runtime keeps pointers into it
+	view    *View       // its own allocation: a policy that keeps it keeps nothing else of the run
 	rng     *prng.Source
 	budget  int
 	sched   Scheduler
@@ -266,8 +304,8 @@ func Run(cfg Config) (*types.RunRecord, error) {
 	}
 	rt := newRuntime(cfg)
 	rt.run()
-	for _, p := range rt.procs {
-		if p.decided {
+	for i := range rt.procs {
+		if p := &rt.procs[i]; p.decided {
 			rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: p.decision})
 		}
 	}
@@ -331,15 +369,12 @@ func newRuntime(cfg Config) *smRuntime {
 		Crashed: make([]bool, n),
 		Faulty:  make([]bool, n),
 	}
-	rt.procs = make([]*smProcess, n)
+	rt.procs = make([]smProcess, n)
 	for i := 0; i < n; i++ {
 		id := types.ProcessID(i)
-		p := &smProcess{
-			id:    id,
-			input: cfg.Inputs[i],
-			rng:   rt.rng.Split(),
-			live:  true,
-		}
+		p := &rt.procs[i]
+		p.id, p.input, p.rng, p.live = id, cfg.Inputs[i], rt.rng.Split(), true
+		p.api = smAPI{p: p, rt: rt}
 		if strat, ok := cfg.Byzantine[id]; ok {
 			p.proto = strat
 			p.byz = true
@@ -347,7 +382,6 @@ func newRuntime(cfg Config) *smRuntime {
 		} else {
 			p.proto = cfg.NewProtocol(id)
 		}
-		rt.procs[i] = p
 		rt.pending[i] = id
 	}
 	return rt
@@ -372,7 +406,8 @@ func (rt *smRuntime) body(p *smProcess) iter.Seq[struct{}] {
 				}
 			}
 		}()
-		p.proto.Run(&smAPI{p: p, rt: rt, yield: yield})
+		p.api.yield = yield
+		p.proto.Run(&p.api)
 	}
 }
 
@@ -386,8 +421,8 @@ func (rt *smRuntime) resume(p *smProcess) {
 }
 
 // refresh copies p's decision onto the decision board. A decision becomes
-// visible when the process posts its next request or returns; the operation
-// count at that moment is the decision's latency.
+// visible when the process posts its next request or returns, or its handler
+// returns; the operation count at that moment is the decision's latency.
 func (rt *smRuntime) refresh(p *smProcess) {
 	if !p.decided || rt.view.Decided[p.id] {
 		return
@@ -415,13 +450,14 @@ func (rt *smRuntime) drop(p *smProcess) {
 // when it returns, however it returns.
 func (rt *smRuntime) run() {
 	defer func() {
-		for _, p := range rt.procs {
-			if p.stop != nil {
+		for i := range rt.procs {
+			if p := &rt.procs[i]; p.stop != nil {
 				p.stop()
 			}
 		}
 	}()
-	for _, p := range rt.procs {
+	for i := range rt.procs {
+		p := &rt.procs[i]
 		p.next, p.stop = iter.Pull(rt.body(p))
 		rt.resume(p)
 	}
@@ -454,7 +490,7 @@ func (rt *smRuntime) grant() bool {
 	if r := rt.cfg.Recorder; r != nil {
 		r.Grant(pid)
 	}
-	p := rt.procs[pid]
+	p := &rt.procs[pid]
 
 	if adv := rt.cfg.Crash; adv != nil && !p.byz && rt.faults < rt.t &&
 		adv.CrashBeforeOp(rt.view, pid, p.ops) {
@@ -481,9 +517,6 @@ func (rt *smRuntime) grant() bool {
 		p.value, p.ok = rt.lookup(p.owner, p.name)
 		rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: p.owner,
 			Register: p.name, Payload: p.value, Present: p.ok})
-	case opPoll:
-		rt.pollRead(p)
-		return true
 	case opWrite:
 		if rt.regs[pid] == nil {
 			rt.regs[pid] = make(map[string]types.Payload)
@@ -492,6 +525,16 @@ func (rt *smRuntime) grant() bool {
 		rt.writes++
 		rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: pid,
 			Register: p.name, Payload: p.value, Present: true})
+		if p.call != 0 {
+			rt.proceed(p) // a handler's write
+			return true
+		}
+	case opPoll:
+		rt.pollRead(p)
+		return true
+	case opScan:
+		rt.scanRead(p)
+		return true
 	}
 	rt.resume(p)
 	return true
@@ -509,38 +552,69 @@ func (rt *smRuntime) lookup(owner types.ProcessID, name string) (types.Payload, 
 
 // pollRead performs p's granted poll read. A miss runs no process code, so
 // nothing can have been decided: it posts the poll's next register and p
-// stays suspended. A hit runs the poll's handler here, on the loop's stack;
-// if the handler goes on polling, its decision goes to the board as at a
-// posted request and the read of regs[at] is posted, else p is resumed and
-// its Poll returns. A read is answered without a lookup once the poll has
-// missed on every register of its list since the last write anywhere.
+// stays suspended. A hit runs the poll's handler here, on the loop's stack,
+// and proceeds from there. A read is answered without a lookup once the poll
+// has missed on every register of its list since the last write anywhere.
 func (rt *smRuntime) pollRead(p *smProcess) {
 	if p.writes != rt.writes {
 		p.writes, p.missed = rt.writes, 0
 	}
 	p.value, p.ok = types.Payload{}, false
-	if p.missed < len(p.poll) {
+	if p.missed < len(p.regs) {
 		p.value, p.ok = rt.lookup(p.owner, p.name)
 	}
 	rt.trace(TraceEvent{Type: EvRead, Proc: p.id, Owner: p.owner,
 		Register: p.name, Payload: p.value, Present: p.ok})
-	if p.ok {
-		p.inHit = true
-		more := p.hit(p.at, p.value)
-		p.inHit = false
-		if !more {
-			rt.resume(p)
-			return
-		}
-		rt.refresh(p)
-		p.missed = 0
-	} else {
+	if !p.ok {
 		p.missed++
-		if p.at++; p.at == len(p.poll) {
+		if p.at++; p.at == len(p.regs) {
 			p.at = 0
 		}
+		p.owner, p.name = p.regs[p.at].Owner, p.regs[p.at].Name
+		return
 	}
-	p.owner, p.name = p.poll[p.at].Owner, p.poll[p.at].Name
+	p.inHandler = true
+	p.over = !p.hit(p.at, p.value)
+	p.inHandler = false
+	p.missed = 0
+	rt.proceed(p)
+}
+
+// scanRead performs p's granted scan read and hands it, hit or miss, to the
+// scan's visitor on the loop's stack; the scan is over after its last
+// register.
+func (rt *smRuntime) scanRead(p *smProcess) {
+	p.value, p.ok = rt.lookup(p.owner, p.name)
+	rt.trace(TraceEvent{Type: EvRead, Proc: p.id, Owner: p.owner,
+		Register: p.name, Payload: p.value, Present: p.ok})
+	p.inHandler = true
+	p.visit(p.at, p.value, p.ok)
+	p.inHandler = false
+	p.at++
+	p.over = p.at == len(p.regs)
+	rt.proceed(p)
+}
+
+// proceed follows a handler that returned, and each of its writes once
+// granted: it posts the handler's next queued write, or else the call's read
+// of regs[at] — the decision going to the board as at a posted request — or,
+// once the handler has ended the call, resumes p, whose Poll or Scan returns.
+func (rt *smRuntime) proceed(p *smProcess) {
+	if p.queued < len(p.queue) {
+		w := &p.queue[p.queued]
+		p.queued++
+		rt.refresh(p)
+		p.kind, p.name, p.value = opWrite, w.name, w.value
+		return
+	}
+	p.queue, p.queued = p.queue[:0], 0
+	if p.over {
+		p.call = 0
+		rt.resume(p)
+		return
+	}
+	rt.refresh(p)
+	p.kind, p.owner, p.name = p.call, p.regs[p.at].Owner, p.regs[p.at].Name
 }
 
 func (rt *smRuntime) record() *types.RunRecord {
@@ -560,7 +634,8 @@ func (rt *smRuntime) record() *types.RunRecord {
 		BudgetExhausted: rt.budgetExhausted,
 	}
 	rec.DecidedAtEvent = make([]int, rt.n)
-	for i, p := range rt.procs {
+	for i := range rt.procs {
+		p := &rt.procs[i]
 		rec.Decided[i] = p.decided
 		rec.Decisions[i] = p.decision
 		if p.decided {
