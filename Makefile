@@ -39,15 +39,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Un-shortened race run over the live (genuinely concurrent) runtimes, the
-# sweep engine (the worker pool behind -workers), the TCP cluster runtime
-# (including the fault-injected soak test), the metrics registry, and the
+# Un-shortened race run over the TCP cluster runtime (including the
+# fault-injected soak test) and ACS on it, the sweep engine (the worker pool
+# behind -workers), the metrics registry, and the
 # shared-memory simulator (coroutines under one loop; iter.Pull is known to
 # the race detector) with the packages that run on it, and
 # the message-passing simulator's run arena with the harness that hands one
 # to every job an Executor fans out.
 race-live:
-	$(GO) test -race -count=1 ./internal/mplive/ ./internal/smlive/ ./internal/sweep/ ./internal/cluster/ ./internal/acs/ ./internal/obs/ ./internal/smmem/ ./internal/trace/ ./internal/protocols/sm/ ./internal/protocols/mp/ ./internal/mpnet/ ./internal/harness/
+	$(GO) test -race -count=1 ./internal/sweep/ ./internal/cluster/ ./internal/acs/ ./internal/obs/ ./internal/smmem/ ./internal/trace/ ./internal/protocols/sm/ ./internal/protocols/mp/ ./internal/mpnet/ ./internal/harness/
 
 short:
 	$(GO) test -short ./...

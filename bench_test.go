@@ -18,17 +18,14 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"kset"
 	"kset/internal/harness"
-	"kset/internal/mplive"
 	"kset/internal/mpnet"
 	"kset/internal/prng"
 	"kset/internal/protocols/mp"
 	"kset/internal/protocols/sm"
 	"kset/internal/report"
-	"kset/internal/smlive"
 	"kset/internal/smmem"
 	"kset/internal/theory"
 	"kset/internal/types"
@@ -222,59 +219,6 @@ func BenchmarkRunProtocolF(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			t := n / 4
 			benchSM(b, n, t+2, t, func(types.ProcessID) smmem.Protocol { return sm.NewProtocolF() })
-		})
-	}
-}
-
-// BenchmarkRunLive measures the goroutine/channel runtime: real concurrency,
-// per-message delivery goroutines, sub-millisecond delays.
-func BenchmarkRunLive(b *testing.B) {
-	for _, n := range []int{8, 16} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			inputs := distinct(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rec, err := mplive.Run(mplive.Config{
-					N: n, T: n/2 - 1, K: n / 2,
-					Inputs:      inputs,
-					NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-					Seed:        uint64(i) + 1,
-					MaxDelay:    200 * time.Microsecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rec.BudgetExhausted {
-					b.Fatal("live run timed out")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunLiveSM measures the concurrent shared-memory runtime with
-// Protocol E.
-func BenchmarkRunLiveSM(b *testing.B) {
-	for _, n := range []int{8, 16} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			inputs := distinct(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rec, err := smlive.Run(smlive.Config{
-					N: n, T: n - 1, K: 2,
-					Inputs:      inputs,
-					NewProtocol: func(types.ProcessID) smmem.Protocol { return sm.NewProtocolE() },
-					Seed:        uint64(i) + 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rec.BudgetExhausted {
-					b.Fatal("live SM run timed out")
-				}
-			}
 		})
 	}
 }

@@ -23,11 +23,11 @@ func TestBadModule(t *testing.T) {
 		"internal/cluster/cluster.go:25:2: goroutinelife.leak",
 		"internal/cluster/cluster.go:37:2: errflow.unchecked",
 		"internal/cluster/cluster.go:37:2: lockheldio.io",
-		"internal/mplive/mplive.go:18:7: lockdiscipline.blocking",
-		"internal/mplive/mplive.go:25:2: lockdiscipline.return",
 		"internal/mpnet/mpnet.go:6:2: prngflow.import",
 		"internal/mpnet/mpnet.go:12:37: determinism.time",
 		"internal/mpnet/mpnet.go:18:2: maporder.range",
+		"internal/obs/obs.go:18:7: lockdiscipline.blocking",
+		"internal/obs/obs.go:25:2: lockdiscipline.return",
 		"internal/wire/wire.go:8:9: wirebounds.alloc",
 		"internal/wire/wire.go:17:14: wirebounds.loop",
 		"ksetlint: 11 finding(s)",
@@ -210,7 +210,7 @@ func TestList(t *testing.T) {
 			t.Errorf("-list missing rule description %q:\n%s", r, got)
 		}
 	}
-	if !strings.Contains(got, "kset/internal/mplive") || !strings.Contains(got, "kset/cmd/ksetd") {
+	if !strings.Contains(got, "kset/internal/cluster") || !strings.Contains(got, "kset/cmd/ksetd") {
 		t.Errorf("-list should show audited packages:\n%s", got)
 	}
 }

@@ -1,10 +1,14 @@
 // Command ksetrun executes a single k-set consensus run and prints its
 // trace and outcome. It can run the witness protocol of any solvable cell,
-// or one of the paper's impossibility-proof constructions (-demo).
+// or one of the paper's impossibility-proof constructions (-demo). With
+// -live, a crash-model message-passing cell runs instead as one instance on
+// an in-process loopback cluster: n nodes over real TCP on 127.0.0.1, the
+// substrate ksetd serves. Such a run has no event trace and no replay.
 //
 // Usage:
 //
 //	ksetrun -model mp/cr -validity rv1 -n 8 -k 3 -t 2 -seed 7
+//	ksetrun -live -model mp/cr -n 6 -k 3 -t 2  # the same cell over TCP
 //	ksetrun -model sm/byz -validity wv2 -n 6 -k 2 -t 3 -inputs 4,4,4,4,4,4
 //	ksetrun -demo lemma3.3 -n 8 -k 2 -t 5      # Figure 3's run, violated live
 //	ksetrun -demo list                          # list available demos
@@ -21,13 +25,14 @@ import (
 	"kset/internal/adversary"
 	"kset/internal/ascii"
 	"kset/internal/checker"
+	"kset/internal/cluster"
 	"kset/internal/harness"
-	"kset/internal/mplive"
 	"kset/internal/mpnet"
-	"kset/internal/smlive"
 	"kset/internal/smmem"
 	"kset/internal/theory"
+	"kset/internal/trace"
 	"kset/internal/types"
+	"kset/internal/wire"
 )
 
 func main() {
@@ -55,7 +60,7 @@ func run(args []string, out io.Writer) error {
 		inputs   = fs.String("inputs", "", "comma-separated inputs (default: 1..n)")
 		quiet    = fs.Bool("quiet", false, "suppress the event trace")
 		diagram  = fs.Bool("diagram", false, "render a space-time diagram instead of a raw trace")
-		live     = fs.Bool("live", false, "run on the live goroutine runtime (real concurrency) instead of the deterministic simulator")
+		live     = fs.Bool("live", false, "run a crash-model message-passing cell on a loopback TCP cluster instead of the deterministic simulator")
 		demo     = fs.String("demo", "", "run a paper construction instead (see -demo list)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -86,6 +91,17 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *live {
+		switch {
+		case *diagram:
+			return fmt.Errorf("-diagram requires the deterministic simulator; drop -live")
+		case m.Comm == types.SharedMemory:
+			return fmt.Errorf("-live runs on a TCP cluster and %s is a shared-memory model; drop -live", m)
+		case m.Failure == types.Byzantine:
+			return fmt.Errorf("-live has no Byzantine nodes and %s is a Byzantine model; drop -live", m)
+		}
+	}
+
 	res := theory.Classify(m, v, *n, *k, *t)
 	fmt.Fprintf(out, "SC(k=%d, t=%d, %s) in %s with n=%d: %s", *k, *t, v, m, *n, res.Status)
 	switch res.Status {
@@ -99,28 +115,20 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("no witness protocol for an open point")
 	}
 
-	if *live && *diagram {
-		return fmt.Errorf("-diagram requires the deterministic simulator; drop -live")
-	}
-
 	var rec *types.RunRecord
 	var dia *ascii.Diagram
 	switch m.Comm {
 	case types.MessagePassing:
-		factory, err := harness.MPFactory(res)
-		if err != nil {
-			return err
-		}
 		if *live {
-			fmt.Fprintln(out, "live goroutine runtime: schedule chosen by the Go scheduler, no event trace")
-			rec, err = mplive.Run(mplive.Config{
-				N: *n, T: *t, K: *k,
-				Inputs: vals, NewProtocol: factory, Seed: *seed,
-			})
+			rec, err = runLive(out, res, *n, *k, *t, *seed, vals)
 			if err != nil {
 				return err
 			}
 			break
+		}
+		factory, err := harness.MPFactory(res)
+		if err != nil {
+			return err
 		}
 		cfg := mpnet.Config{
 			N: *n, T: *t, K: *k,
@@ -142,17 +150,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *live {
-			fmt.Fprintln(out, "live goroutine runtime: schedule chosen by the Go scheduler, no event trace")
-			rec, err = smlive.Run(smlive.Config{
-				N: *n, T: *t, K: *k,
-				Inputs: vals, NewProtocol: factory, Seed: *seed,
-			})
-			if err != nil {
-				return err
-			}
-			break
-		}
 		cfg := smmem.Config{
 			N: *n, T: *t, K: *k,
 			Inputs: vals, NewProtocol: factory, Seed: *seed,
@@ -171,6 +168,19 @@ func run(args []string, out io.Writer) error {
 	}
 	printOutcome(out, rec, v)
 	return nil
+}
+
+// runLive runs the cell's witness as instance 1 on an n-node loopback
+// cluster.
+func runLive(out io.Writer, res theory.Result, n, k, t int, seed uint64, inputs []types.Value) (*types.RunRecord, error) {
+	fmt.Fprintf(out, "loopback cluster: %d nodes over TCP, schedule chosen by the network and the Go scheduler, no event trace\n", n)
+	lb, err := cluster.StartLoopback(cluster.LoopbackConfig{N: n, K: k, T: t, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	defer lb.Close()
+	spec := trace.SpecFor(res)
+	return lb.RunInstance(wire.Start{Instance: 1, K: k, T: t, Proto: uint8(spec.Proto), Ell: spec.Ell}, inputs)
 }
 
 func runDemo(out io.Writer, name string, n, k, t int, quiet bool) error {

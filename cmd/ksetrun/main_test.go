@@ -116,24 +116,20 @@ func TestLiveMessagePassingRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"live goroutine runtime", "termination  ok", "agreement    ok", "RV1          ok"} {
+	for _, want := range []string{"loopback cluster: 6 nodes over TCP", "termination  ok", "agreement    ok", "RV1          ok"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestLiveSharedMemoryRun(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-live", "-model", "sm/cr", "-validity", "rv1",
-		"-n", "5", "-k", "2", "-t", "1", "-seed", "4"}, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"live goroutine runtime", "termination  ok", "RV1          ok"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+func TestLiveRefusesSharedMemoryAndByzantine(t *testing.T) {
+	for _, model := range []string{"sm/cr", "mp/byz"} {
+		var b strings.Builder
+		err := run([]string{"-live", "-model", model, "-validity", "wv2",
+			"-n", "8", "-k", "4", "-t", "1", "-seed", "4"}, &b)
+		if err == nil || !strings.Contains(err.Error(), "-live") {
+			t.Errorf("%s: err = %v, want a refusal naming -live", model, err)
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Livecluster: run the same protocol code on the live goroutine-and-channel
-// runtime — one goroutine per process, one per in-flight message, random
-// real-time delivery delays — instead of the deterministic simulator. This
-// is the "does it survive real concurrency" demonstration: the Go scheduler
-// becomes part of the adversary, and the checker must still pass.
+// Livecluster: run the same protocol code on a loopback TCP cluster — n
+// in-process nodes, each a full ksetd node with real TCP links to the
+// others on 127.0.0.1 — instead of the deterministic simulator. This is the
+// "does it survive real concurrency" demonstration: the kernel's network
+// stack and the Go scheduler become part of the adversary, three nodes are
+// killed before the start, and the checker must still pass.
 //
 // Run with:
 //
@@ -15,12 +16,11 @@ import (
 	"log"
 	"time"
 
-	"kset/internal/adversary"
 	"kset/internal/checker"
-	"kset/internal/mplive"
-	"kset/internal/mpnet"
-	"kset/internal/protocols/mp"
+	"kset/internal/cluster"
+	"kset/internal/theory"
 	"kset/internal/types"
+	"kset/internal/wire"
 )
 
 func main() {
@@ -34,56 +34,24 @@ func main() {
 		inputs[i] = types.Value(i%5 + 1)
 	}
 
-	fmt.Printf("live cluster: %d goroutine processes, FloodMin, t=%d crashes planned\n", n, t)
+	fmt.Printf("loopback cluster: %d nodes over TCP, FloodMin, nodes 0, 4 and 9 crashed before the start\n", n)
 	start := time.Now()
-	rec, err := mplive.Run(mplive.Config{
-		N: n, T: t, K: k,
-		Inputs:      inputs,
-		NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-		CrashAfterDeliveries: map[types.ProcessID]int{
-			0: 0,
-			4: 2,
-			9: 5,
-		},
-		MaxDelay: 2 * time.Millisecond,
-		Seed:     uint64(time.Now().UnixNano()), // live runs need no replay
-	})
+	lb, err := cluster.StartLoopback(cluster.LoopbackConfig{N: n, K: k, T: t, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("run completed in %v, %d messages\n", time.Since(start).Round(time.Millisecond), rec.Messages)
+	defer lb.Close()
+	for _, i := range []int{0, 4, 9} {
+		lb.Crash(i)
+	}
+	rec, err := lb.RunInstance(wire.Start{Instance: 1, K: k, T: t, Proto: uint8(theory.ProtoFloodMin)}, inputs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("run completed in %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("decisions: %v (k=%d)\n", rec.CorrectDecisions(), k)
 	if err := checker.CheckAll(rec, types.RV1); err != nil {
-		log.Fatalf("violation under live scheduling: %v", err)
+		log.Fatalf("violation on the loopback cluster: %v", err)
 	}
 	fmt.Println("RV1, agreement and termination hold under real concurrency.")
-
-	// Round two: Byzantine equivocator under live scheduling.
-	fmt.Printf("\nlive cluster: Protocol C(1) vs persona equivocator, n=%d t=1\n", n)
-	uniform := make([]types.Value, n)
-	for i := range uniform {
-		uniform[i] = 7
-	}
-	personas := make(map[types.ProcessID]types.Value, n)
-	for i := 0; i < n; i++ {
-		personas[types.ProcessID(i)] = types.Value(i%4 + 20)
-	}
-	rec, err = mplive.Run(mplive.Config{
-		N: n, T: 1, K: k,
-		Inputs:      uniform,
-		NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolC(1) },
-		Byzantine: map[types.ProcessID]mpnet.Protocol{
-			n - 1: adversary.NewPersonaEcho(personas, 20),
-		},
-		MaxDelay: time.Millisecond,
-		Seed:     uint64(time.Now().UnixNano()) + 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("decisions: %v\n", rec.CorrectDecisions())
-	if err := checker.CheckAll(rec, types.SV2); err != nil {
-		log.Fatalf("violation under live scheduling: %v", err)
-	}
-	fmt.Println("SV2 holds live: all correct processes decided 7.")
 }

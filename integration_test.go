@@ -2,26 +2,26 @@ package kset_test
 
 import (
 	"testing"
-	"time"
 
 	"kset"
 	"kset/internal/checker"
-	"kset/internal/mplive"
+	"kset/internal/cluster"
 	"kset/internal/mpnet"
 	"kset/internal/protocols/mp"
 	"kset/internal/protocols/sm"
-	"kset/internal/smlive"
 	"kset/internal/smmem"
+	"kset/internal/theory"
 	"kset/internal/types"
+	"kset/internal/wire"
 )
 
-// TestSameProtocolAcrossFourRuntimes runs FloodMin on the deterministic
-// simulator, the live goroutine runtime, and (via SIMULATION) both
-// shared-memory runtimes, on the same workload. All four must satisfy
-// SC(k, t, RV1); decisions may differ because schedules differ, but every
-// decision must be within FloodMin's envelope: one of the t+1 smallest
+// TestSameProtocolAcrossThreeSubstrates runs FloodMin on the deterministic
+// simulator, on shared memory via SIMULATION, and on the loopback TCP
+// cluster with one node crashed, on the same workload. All three must
+// satisfy SC(k, t, RV1); decisions may differ because schedules differ, but
+// every decision must be within FloodMin's envelope: one of the t+1 smallest
 // inputs.
-func TestSameProtocolAcrossFourRuntimes(t *testing.T) {
+func TestSameProtocolAcrossThreeSubstrates(t *testing.T) {
 	const n, k, tt = 6, 3, 2
 	inputs := []types.Value{40, 10, 60, 20, 50, 30}
 	smallest := map[types.Value]bool{10: true, 20: true, 30: true} // t+1 = 3 smallest
@@ -49,18 +49,6 @@ func TestSameProtocolAcrossFourRuntimes(t *testing.T) {
 	}
 	check("simulator", sim)
 
-	live, err := mplive.Run(mplive.Config{
-		N: n, T: tt, K: k,
-		Inputs:      inputs,
-		NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-		Seed:        9,
-		MaxDelay:    time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("live", live)
-
 	shared, err := smmem.Run(smmem.Config{
 		N: n, T: tt, K: k,
 		Inputs: inputs,
@@ -74,18 +62,17 @@ func TestSameProtocolAcrossFourRuntimes(t *testing.T) {
 	}
 	check("simulation-over-shared-memory", shared)
 
-	liveShared, err := smlive.Run(smlive.Config{
-		N: n, T: tt, K: k,
-		Inputs: inputs,
-		NewProtocol: func(types.ProcessID) smmem.Protocol {
-			return sm.NewSimulation(mp.NewFloodMin())
-		},
-		Seed: 9,
-	})
+	lb, err := cluster.StartLoopback(cluster.LoopbackConfig{N: n, K: k, T: tt, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("simulation-over-live-shared-memory", liveShared)
+	defer lb.Close()
+	lb.Crash(n - 1)
+	live, err := lb.RunInstance(wire.Start{Instance: 1, K: k, T: tt, Proto: uint8(theory.ProtoFloodMin)}, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loopback-cluster", live)
 }
 
 // TestSolveAcrossAllModels drives the public API once per model at a point

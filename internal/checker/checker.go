@@ -2,8 +2,8 @@
 // termination, agreement, and each of the paper's six validity conditions —
 // against a completed run record. It is deliberately independent of every
 // protocol and runtime: a protocol cannot self-certify, and the same checks
-// apply to the deterministic simulator, the live goroutine runtime, and the
-// shared-memory runtime.
+// apply to the deterministic simulator, the shared-memory runtime, and the
+// decision tables of the TCP cluster.
 //
 // Condition definitions follow Section 2 of the paper exactly:
 //

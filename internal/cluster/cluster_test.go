@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"kset/internal/checker"
 	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
@@ -47,18 +49,6 @@ func awaitTable(t *testing.T, node *Node, instance uint64, survivors []bool, dea
 	}
 }
 
-func tableComplete(tbl wire.Table, survivors []bool) bool {
-	if len(tbl.Rows) != len(survivors) {
-		return false
-	}
-	for i, alive := range survivors {
-		if alive && !tbl.Rows[i].Decided {
-			return false
-		}
-	}
-	return true
-}
-
 func allAlive(n int) []bool {
 	out := make([]bool, n)
 	for i := range out {
@@ -76,22 +66,66 @@ func TestLoopbackSingleInstance(t *testing.T) {
 	defer lb.Close()
 
 	inputs := []types.Value{7, 3, 9}
-	startEverywhere(t, lb, 1, 1, 0, theory.ProtoFloodMin, inputs)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for i, node := range lb.Nodes {
-		tbl := awaitTable(t, node, 1, allAlive(n), deadline)
-		rec, err := VerifyTable(tbl, inputs, types.RV1, 1)
-		if err != nil {
-			t.Fatalf("node %d: %v\nrecord: %v", i, err, rec)
-		}
-		// k=1, t=0 FloodMin is consensus on the minimum input.
-		for j, row := range tbl.Rows {
-			if row.Value != 3 {
-				t.Errorf("node %d row %d: decided %d, want 3", i, j, row.Value)
-			}
+	rec, err := lb.RunInstance(wire.Start{Instance: 1, K: 1, T: 0, Proto: uint8(theory.ProtoFloodMin)}, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.CheckAll(rec, types.RV1); err != nil {
+		t.Fatalf("%v\nrecord: %v", err, rec)
+	}
+	// k=1, t=0 FloodMin is consensus on the minimum input.
+	for i, v := range rec.Decisions {
+		if !rec.Decided[i] || v != 3 {
+			t.Errorf("row %d: decided %v %d, want 3", i, rec.Decided[i], v)
 		}
 	}
+}
+
+// TestRunInstanceEdges covers RunInstance's other outcomes: a node crashed
+// before the start is a faulty row, a short input list is a configuration
+// error, and a cluster with no live node fails instead of waiting.
+func TestRunInstanceEdges(t *testing.T) {
+	start := wire.Start{Instance: 1, K: 2, T: 1, Proto: uint8(theory.ProtoFloodMin)}
+	t.Run("crashed", func(t *testing.T) {
+		lb, err := StartLoopback(LoopbackConfig{N: 4, K: 2, T: 1, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lb.Close()
+		lb.Crash(2)
+		rec, err := lb.RunInstance(start, []types.Value{4, 1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Faulty[2] || rec.FaultCount() != 1 {
+			t.Errorf("faulty = %v, want only row 2", rec.Faulty)
+		}
+		if err := checker.CheckAll(rec, types.RV1); err != nil {
+			t.Errorf("%v\nrecord: %v", err, rec)
+		}
+	})
+	t.Run("inputs", func(t *testing.T) {
+		lb, err := StartLoopback(LoopbackConfig{N: 3, K: 2, T: 1, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lb.Close()
+		if _, err := lb.RunInstance(start, []types.Value{1, 2}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("2 inputs for 3 nodes: err = %v, want ErrBadConfig", err)
+		}
+	})
+	t.Run("all-crashed", func(t *testing.T) {
+		lb, err := StartLoopback(LoopbackConfig{N: 2, K: 1, T: 1, Seed: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lb.Close()
+		lb.Crash(0)
+		lb.Crash(1)
+		if _, err := lb.RunInstance(start, []types.Value{1, 2}); err == nil {
+			t.Error("every node crashed: RunInstance returned no error")
+		}
+	})
 }
 
 // TestLateStartBuffersFrames starts an instance on two nodes first, lets
@@ -243,13 +277,11 @@ func TestMinimalRetransmitInterval(t *testing.T) {
 	}
 	defer lb.Close()
 
-	inputs := []types.Value{4, 6}
-	startEverywhere(t, lb, 1, 1, 0, theory.ProtoFloodMin, inputs)
-	deadline := time.Now().Add(10 * time.Second)
-	for i, node := range lb.Nodes {
-		tbl := awaitTable(t, node, 1, allAlive(n), deadline)
-		if _, err := VerifyTable(tbl, inputs, types.RV1, 1); err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
+	rec, err := lb.RunInstance(wire.Start{Instance: 1, K: 1, T: 0, Proto: uint8(theory.ProtoFloodMin)}, []types.Value{4, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.CheckAll(rec, types.RV1); err != nil {
+		t.Fatal(err)
 	}
 }

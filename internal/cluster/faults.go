@@ -15,8 +15,7 @@ import (
 // All injection decisions are drawn from a deterministic stream seeded from
 // (node seed, peer id), so two runs with the same seeds inject the same
 // faults at the same decision points (real-time interleaving still varies —
-// the Go scheduler and the kernel are part of the adversary here, exactly as
-// in internal/mplive).
+// the Go scheduler and the kernel are part of the adversary here).
 type Faults struct {
 	// Drop is the probability a transmission attempt is discarded. The
 	// frame stays queued and is retransmitted after the retransmit

@@ -2,8 +2,9 @@
 // daemon that serves any number of concurrent k-set consensus instances over
 // persistent TCP connections to its peers, running the same
 // internal/protocols implementations — unchanged — that the deterministic
-// simulator (internal/mpnet) and the goroutine runtime (internal/mplive)
-// execute.
+// simulator (internal/mpnet) executes. Loopback runs n such nodes in one
+// process over 127.0.0.1; RunInstance drives one instance across them, the
+// path `ksetrun -live` and examples/livecluster take.
 //
 // The paper's asynchronous message-passing model promises a reliable
 // complete network with arbitrary finite delays. TCP gives reliability only

@@ -13,14 +13,14 @@
 //   - prngflow: all randomness must flow through internal/prng, and every
 //     prng.New seed must derive from parameters, constants, or other
 //     deterministic draws.
-//   - lockdiscipline: the genuinely concurrent live runtimes must release
-//     every mutex on every return path and never hold one across a blocking
-//     channel operation.
+//   - lockdiscipline: packages with real mutexes must release every mutex
+//     on every return path and never hold one across a blocking channel
+//     operation.
 //
-// The live stack (cluster transport, wire codec, obs, the live runtimes and
-// the daemons) is nondeterministic by nature, so it is held to a different
-// contract — the crash-fault, reliable-network model the protocols assume
-// must survive real IO:
+// The live stack (cluster transport, ACS, wire codec, obs and the binaries
+// that talk to live nodes) is nondeterministic by nature, so it is held to
+// a different contract — the crash-fault, reliable-network model the
+// protocols assume must survive real IO:
 //
 //   - errflow: errors from IO-bearing calls (conn reads/writes, deadline
 //     setters, Close, Flush, encode/decode) must be checked or explicitly
@@ -111,9 +111,9 @@ func DefaultAnalyzers() []Analyzer {
 // DefaultScopes maps each analyzer to the import-path prefixes it audits.
 // The determinism contract covers every package that executes or inspects
 // simulated runs, plus the wire codec (pure computation by design); the lock
-// discipline contract covers the runtimes that use real mutexes (the live
-// ones, smmem's turn-based goroutine pool, the cluster runtime, and the obs
-// metrics registry, whose map is mutex-guarded). The cluster runtime is
+// discipline contract covers the cluster runtime and ACS on it, the grid
+// sweep, the obs metrics registry (whose map is mutex-guarded), and smmem.
+// The cluster runtime is
 // inherently nondeterministic (real network, real clocks) so it stays out of
 // the determinism scope, but its map iteration and randomness sourcing are
 // held to the same standard as the simulators.
@@ -170,8 +170,6 @@ func DefaultScopes() map[string][]string {
 			"kset/internal/acs",
 		},
 		"lockdiscipline": {
-			"kset/internal/mplive",
-			"kset/internal/smlive",
 			"kset/internal/smmem",
 			"kset/internal/cluster",
 			"kset/internal/acs",
@@ -189,15 +187,13 @@ func DefaultScopes() map[string][]string {
 
 // liveStack is the scope of the concurrency-safety analyzers: every package
 // that performs real IO or runs real goroutines in production paths — the
-// cluster transport, the wire codec, observability, the live runtimes, and
-// both daemon binaries.
+// cluster transport and ACS on it, the wire codec, observability, and the
+// binaries that talk to live nodes.
 var liveStack = []string{
 	"kset/internal/cluster",
 	"kset/internal/acs",
 	"kset/internal/wire",
 	"kset/internal/obs",
-	"kset/internal/mplive",
-	"kset/internal/smlive",
 	"kset/cmd/ksetd",
 	"kset/cmd/ksetctl",
 	"kset/cmd/ksetsweep",

@@ -210,7 +210,7 @@ func TestInScope(t *testing.T) {
 		"kset/internal/mpnet/sub":    true,
 		"kset/internal/mpnetx":       false,
 		"kset/internal/protocols/mp": true,
-		"kset/internal/mplive":       false,
+		"kset/internal/smmem":        false,
 	} {
 		if got := InScope(path, prefixes); got != want {
 			t.Errorf("InScope(%q) = %v, want %v", path, got, want)

@@ -1,5 +1,5 @@
 // Package fixture exercises the lockdiscipline analyzer against the mutex
-// patterns of the live runtimes.
+// patterns of the packages that use real mutexes.
 package fixture
 
 import "sync"
@@ -93,7 +93,7 @@ func (s *store) waitUnderLock() {
 }
 
 // nonBlockingSelect never blocks: a select with default under a lock is
-// the live runtimes' notify pattern and stays legal.
+// the live node's notify pattern and stays legal.
 func (s *store) nonBlockingSelect(v int) {
 	s.mu.Lock()
 	select {

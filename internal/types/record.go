@@ -7,7 +7,7 @@ import (
 )
 
 // RunRecord is the outcome of one protocol run, produced by every runtime
-// (deterministic MP simulator, live MP runtime, SM memory). The checker
+// (deterministic MP simulator, SM memory, the TCP cluster's decision tables). The checker
 // package validates termination, agreement and the six validity conditions
 // from a RunRecord alone, independently of the protocol that produced it.
 type RunRecord struct {
@@ -34,7 +34,7 @@ type RunRecord struct {
 	// DecidedAtEvent[i] is the global event index (message deliveries for
 	// MP, register operations for SM) at which process i's decision became
 	// visible, or -1 if it never decided. Nil when the runtime does not
-	// track latency (the live goroutine runtime).
+	// track latency (a record cluster.BuildRecord assembles from a table).
 	DecidedAtEvent []int
 
 	// Events counts scheduler events consumed (message deliveries for MP,
