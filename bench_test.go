@@ -414,7 +414,7 @@ func BenchmarkSolveEndToEnd(b *testing.B) {
 func BenchmarkValidateCell(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sum, err := harness.ValidateCell(types.MPCR, types.RV1, 16, 8, 7, 8, uint64(i)+1)
+		sum, err := harness.ValidateCell(types.MPCR, types.RV1, 16, 8, 7, harness.CellOpts{Runs: 8, Seed: uint64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,11 +42,6 @@ func main() {
 	}
 }
 
-var demoNames = []string{
-	"lemma3.2", "lemma3.3", "lemma3.5", "lemma3.6", "lemma3.9", "lemma3.10",
-	"lemma4.3", "lemma4.9", "boundary",
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ksetrun", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -69,8 +64,8 @@ func run(args []string, out io.Writer) error {
 
 	if *demo == "list" {
 		fmt.Fprintln(out, "available demos (impossibility-proof constructions):")
-		for _, d := range demoNames {
-			fmt.Fprintln(out, "  ", d)
+		for _, e := range adversary.Registry {
+			fmt.Fprintln(out, "  ", e.Name)
 		}
 		return nil
 	}
@@ -184,65 +179,24 @@ func runLive(out io.Writer, res theory.Result, n, k, t int, seed uint64, inputs 
 }
 
 func runDemo(out io.Writer, name string, n, k, t int, quiet bool) error {
-	var (
-		mpCons *adversary.MPConstruction
-		smCons *adversary.SMConstruction
-		err    error
-	)
-	switch name {
-	case "lemma3.2":
-		mpCons, err = adversary.Lemma32FloodMin(n, k, t)
-	case "lemma3.3":
-		mpCons, err = adversary.Lemma33ProtocolA(n, k, t)
-	case "lemma3.5":
-		mpCons, err = adversary.Lemma35FloodMin(n, k, t)
-	case "lemma3.6":
-		mpCons, err = adversary.Lemma36ProtocolB(n, k, t)
-	case "boundary":
-		mpCons, err = adversary.BoundaryProtocolA(n, k)
-	case "lemma3.9":
-		mpCons, err = adversary.Lemma39ProtocolA(n, k, t)
-	case "lemma3.10":
-		mpCons, err = adversary.Lemma310FloodMin(n, k, t)
-	case "lemma4.3":
-		smCons, err = adversary.Lemma43ProtocolF(n, k, t)
-	case "lemma4.9":
-		smCons, err = adversary.Lemma49ProtocolE(n, k, t)
-	default:
+	build, ok := adversary.Lookup(name)
+	if !ok {
 		return fmt.Errorf("unknown demo %q (try -demo list)", name)
 	}
+	cons, err := build(n, k, t)
 	if err != nil {
 		return err
 	}
-
-	if mpCons != nil {
-		fmt.Fprintf(out, "construction %s (%s): expecting a %s violation\n\n",
-			mpCons.Name, mpCons.Lemma, mpCons.Expect)
-		cfg := mpCons.FreshConfig()
-		cfg.Seed = 1
-		if !quiet {
-			cfg.Trace = func(ev mpnet.TraceEvent) { fmt.Fprintln(out, ev) }
-		}
-		rec, err := mpnet.Run(cfg)
-		if err != nil {
-			return err
-		}
-		printOutcome(out, rec, mpCons.Validity)
-		return nil
+	fmt.Fprintf(out, "construction %s (%s): expecting a %s violation\n\n", cons.Name, cons.Lemma, cons.Expect)
+	trace := out
+	if quiet {
+		trace = nil
 	}
-
-	fmt.Fprintf(out, "construction %s (%s): expecting a %s violation\n\n",
-		smCons.Name, smCons.Lemma, smCons.Expect)
-	cfg := smCons.Config
-	cfg.Seed = 1
-	if !quiet {
-		cfg.Trace = func(ev smmem.TraceEvent) { fmt.Fprintln(out, ev) }
-	}
-	rec, err := smmem.Run(cfg)
+	rec, err := cons.Run(1, trace)
 	if err != nil {
 		return err
 	}
-	printOutcome(out, rec, smCons.Validity)
+	printOutcome(out, rec, cons.Validity)
 	return nil
 }
 

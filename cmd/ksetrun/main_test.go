@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"kset/internal/adversary"
 )
 
 func TestSolvableRunOutcome(t *testing.T) {
@@ -52,9 +54,9 @@ func TestDemoList(t *testing.T) {
 	if err := run([]string{"-demo", "list"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range demoNames {
-		if !strings.Contains(b.String(), d) {
-			t.Errorf("demo list missing %s", d)
+	for _, e := range adversary.Registry {
+		if !strings.Contains(b.String(), e.Name) {
+			t.Errorf("demo list missing %s", e.Name)
 		}
 	}
 }

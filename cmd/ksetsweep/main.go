@@ -29,7 +29,6 @@ import (
 
 	"kset/internal/cluster"
 	"kset/internal/grid"
-	"kset/internal/sweep"
 )
 
 func main() {
@@ -76,11 +75,7 @@ func run(args []string, out io.Writer) error {
 	)
 	switch {
 	case *local:
-		var exec grid.Executor
-		if *workers != 1 {
-			exec = sweep.NewPool(*workers).Map
-		}
-		records = spec.Run(exec)
+		records = spec.Run(grid.FanOut(*workers))
 	case *peers != "":
 		addrs := splitAddrs(*peers)
 		if len(addrs) == 0 {

@@ -31,7 +31,6 @@ import (
 	"kset/internal/grid"
 	"kset/internal/harness"
 	"kset/internal/shrink"
-	"kset/internal/sweep"
 	"kset/internal/theory"
 	"kset/internal/trace"
 )
@@ -59,7 +58,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	exec := executorFor(*workers)
+	exec := grid.FanOut(*workers)
 	if *saveFailures != "" {
 		if err := os.MkdirAll(*saveFailures, 0o755); err != nil {
 			return err
@@ -84,8 +83,12 @@ func run(args []string, out io.Writer) error {
 	for _, f := range figures {
 		fmt.Fprintf(out, "=== Figure %d (%s, n=%d) ===\n", f.Number, f.Model, *n)
 		// One shared classifier pass covers all six validity panels.
-		for _, g := range theory.ComputeFigure(f.Model, *n) {
-			failures += validatePanel(out, g, *runs, *samples, *seed, exec, *saveFailures)
+		panels := theory.ComputeFigure(f.Model, *n)
+		checks := grid.ValidatePanels(panels, func(g *theory.Grid) uint64 {
+			return *seed + uint64(*n)*1000 + uint64(g.Validity)
+		}, *samples, *runs, exec)
+		for i, g := range panels {
+			failures += renderPanel(out, g, checks[i], *saveFailures)
 		}
 		fmt.Fprintln(out)
 	}
@@ -96,57 +99,17 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// executorFor builds the sweep executor for a worker count; one worker means
-// serial execution on the calling goroutine.
-func executorFor(workers int) harness.Executor {
-	if workers == 1 {
-		return nil
-	}
-	return sweep.NewPool(workers).Map
-}
-
-// validatePanel samples solvable cells of one already-classified panel and
-// sweeps each. The flow is plan (draw every sampled cell and its sweep seed
-// in canonical order), execute (fan cell sweeps across the executor), render
-// (print results in plan order) — so the output never depends on worker
-// count.
-func validatePanel(out io.Writer, g *theory.Grid, runs, samples int, seed uint64, exec harness.Executor, saveDir string) int {
-	n := g.N
+// renderPanel prints one panel's counts and its validated cells, saving a
+// shrunk artifact of every violation under saveDir when it is set, and
+// returns the number of failed cells.
+func renderPanel(out io.Writer, g *theory.Grid, checks []grid.CellCheck, saveDir string) int {
 	s, i, o := g.Count()
 	fmt.Fprintf(out, "%-4s panel: %4d solvable / %4d impossible / %3d open cells\n", g.Validity, s, i, o)
-	if s == 0 {
-		return 0
-	}
-
-	type cellJob struct {
-		c    theory.CellPoint
-		seed uint64
-		sum  *harness.Summary
-		err  error
-	}
-	sampled := grid.SamplePanel(g, samples, seed+uint64(n)*1000+uint64(g.Validity))
-	jobs := make([]cellJob, len(sampled))
-	for j, sc := range sampled {
-		jobs[j] = cellJob{c: sc.Cell, seed: sc.Seed}
-	}
-	validate := func(j int) {
-		jb := &jobs[j]
-		jb.sum, jb.err = harness.ValidateCellExec(g.Model, g.Validity, n, jb.c.K, jb.c.T, runs, jb.seed, exec)
-	}
-	if exec == nil {
-		for j := range jobs {
-			validate(j)
-		}
-	} else {
-		exec(len(jobs), validate)
-	}
-
 	failures := 0
-	for j := range jobs {
-		jb := &jobs[j]
-		c, sum := jb.c, jb.sum
-		if jb.err != nil {
-			fmt.Fprintf(out, "     cell k=%-3d t=%-3d ERROR: %v\n", c.K, c.T, jb.err)
+	for _, chk := range checks {
+		c, sum := chk.Cell, chk.Sum
+		if chk.Err != nil {
+			fmt.Fprintf(out, "     cell k=%-3d t=%-3d ERROR: %v\n", c.K, c.T, chk.Err)
 			failures++
 			continue
 		}
@@ -207,106 +170,25 @@ func saveFailure(dir string, g *theory.Grid, c theory.CellPoint, runSeed uint64)
 	return path, nil
 }
 
-// runConstructions executes each scripted counterexample at a representative
-// point and reports the exhibited violation. Constructions are built
-// sequentially (each builder returns a fresh instance, so distinct
-// constructions are independent jobs), executed across the executor, and
-// reported in build order.
+// runConstructions runs every construction at its representative point for
+// n (the evaluation report's table) across the executor and reports the
+// exhibited violations in table order.
 func runConstructions(out io.Writer, n int, exec harness.Executor) error {
 	fmt.Fprintf(out, "impossibility constructions at n=%d:\n\n", n)
-	type consJob struct {
-		skip                string // non-empty: builder declined; print and move on
-		name, lemma, expect string
-		run                 func() (*harness.RunOutcome, error)
-		result              *harness.RunOutcome
-		err                 error
-	}
-	var jobs []consJob
-
-	type mpCase struct {
-		build func(n, k, t int) (*adversary.MPConstruction, error)
-		k, t  int
-	}
-	// Representative points scale with n.
-	mpCases := []mpCase{
-		{adversary.Lemma32FloodMin, 2, (n - 1) / 2},
-		{adversary.Lemma33ProtocolA, 2, (n+2)/2*2/2 + n/4 + 1},
-		{adversary.Lemma35FloodMin, 2, 1},
-		{adversary.Lemma36ProtocolB, 2, (2*n + 4) / 5},
-		{adversary.Lemma39ProtocolA, 2, n/2 + 1},
-		{adversary.Lemma310FloodMin, 2, 1},
-	}
-	if cons, err := adversary.BoundaryProtocolA(n, 2); err != nil {
-		jobs = append(jobs, consJob{skip: fmt.Sprintf("  (boundary probe skipped: %v)\n", err)})
-	} else {
-		jobs = append(jobs, consJob{
-			name: cons.Name, lemma: cons.Lemma, expect: cons.Expect,
-			run: func() (*harness.RunOutcome, error) { return harness.RunConstruction(cons, 8) },
-		})
-	}
-	for _, c := range mpCases {
-		cons, err := c.build(n, c.k, c.t)
-		if err != nil {
-			jobs = append(jobs, consJob{skip: fmt.Sprintf("  (skipped at k=%d t=%d: %v)\n", c.k, c.t, err)})
-			continue
+	reps := adversary.Representatives(n)
+	exec.Run(len(reps), func(j int) { reps[j].Run() })
+	for _, r := range reps {
+		c := r.Cons
+		switch {
+		case c == nil:
+			fmt.Fprintf(out, "  (%s probe skipped: %v)\n", r.Name, r.Err)
+		case r.RunErr != nil:
+			return r.RunErr
+		case r.Out == nil:
+			fmt.Fprintf(out, "  %-28s %-22s expected %-11s NO VIOLATION EXHIBITED\n", c.Name, c.Lemma, c.Expect)
+		default:
+			fmt.Fprintf(out, "  %-28s %-22s exhibited: %v\n", c.Name, c.Lemma, r.Out.Violation)
 		}
-		jobs = append(jobs, consJob{
-			name: cons.Name, lemma: cons.Lemma, expect: cons.Expect,
-			run: func() (*harness.RunOutcome, error) { return harness.RunConstruction(cons, 8) },
-		})
-	}
-
-	smBuilders := []struct {
-		build func(n, k, t int) (*adversary.SMConstruction, error)
-		k, t  int
-	}{
-		{adversary.Lemma43ProtocolF, 2, n/2 + 1},
-		{adversary.Lemma49ProtocolE, 2, 1},
-	}
-	for _, c := range smBuilders {
-		cons, err := c.build(n, c.k, c.t)
-		if err != nil {
-			jobs = append(jobs, consJob{skip: fmt.Sprintf("  (skipped at k=%d t=%d: %v)\n", c.k, c.t, err)})
-			continue
-		}
-		jobs = append(jobs, consJob{
-			name: cons.Name, lemma: cons.Lemma, expect: cons.Expect,
-			run: func() (*harness.RunOutcome, error) { return harness.RunSMConstruction(cons, 8) },
-		})
-	}
-
-	runJob := func(j int) {
-		jb := &jobs[j]
-		if jb.run != nil {
-			jb.result, jb.err = jb.run()
-		}
-	}
-	if exec == nil {
-		for j := range jobs {
-			runJob(j)
-		}
-	} else {
-		exec(len(jobs), runJob)
-	}
-
-	for j := range jobs {
-		jb := &jobs[j]
-		if jb.skip != "" {
-			fmt.Fprint(out, jb.skip)
-			continue
-		}
-		if jb.err != nil {
-			return jb.err
-		}
-		reportOutcome(out, jb.name, jb.lemma, jb.expect, jb.result)
 	}
 	return nil
-}
-
-func reportOutcome(out io.Writer, name, lemma, expect string, result *harness.RunOutcome) {
-	if result == nil {
-		fmt.Fprintf(out, "  %-28s %-22s expected %-11s NO VIOLATION EXHIBITED\n", name, lemma, expect)
-		return
-	}
-	fmt.Fprintf(out, "  %-28s %-22s exhibited: %v\n", name, lemma, result.Err)
 }

@@ -18,7 +18,6 @@ import (
 
 	"kset/internal/adversary"
 	"kset/internal/checker"
-	"kset/internal/harness"
 	"kset/internal/mpnet"
 	"kset/internal/protocols/mp"
 	"kset/internal/types"
@@ -72,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := harness.RunConstruction(cons, 1)
+	out, err := cons.Violate(1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,5 +79,5 @@ func main() {
 		log.Fatal("construction unexpectedly produced no violation")
 	}
 	fmt.Printf("liar claims input 0 (real inputs are 1..%d):\n", n)
-	fmt.Printf("  exhibited: %v\n", out.Err)
+	fmt.Printf("  exhibited: %v\n", out.Violation)
 }

@@ -14,7 +14,6 @@ import (
 
 	"kset"
 	"kset/internal/adversary"
-	"kset/internal/harness"
 )
 
 func main() {
@@ -47,14 +46,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := harness.RunSMConstruction(cons, 4)
+	out, err := cons.Violate(4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if out == nil {
 		log.Fatal("construction produced no violation")
 	}
-	fmt.Printf("  %v\n", out.Err)
+	fmt.Printf("  %v\n", out.Violation)
 }
 
 // printCompact renders the panel at half resolution so it fits a terminal.

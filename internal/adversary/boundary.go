@@ -26,7 +26,7 @@ import (
 // This shows the open points are genuinely outside Protocol A's region (its
 // Lemma 3.7 proof needs k*(n-t) > n, which fails at equality); whether any
 // other protocol solves them is the question the paper leaves open.
-func BoundaryProtocolA(n, k int) (*MPConstruction, error) {
+func BoundaryProtocolA(n, k int) (*Construction, error) {
 	if k < 2 || k >= n {
 		return nil, fmt.Errorf("%w: need 2 <= k < n, got n=%d k=%d", ErrOutOfRange, n, k)
 	}
@@ -48,16 +48,15 @@ func BoundaryProtocolA(n, k int) (*MPConstruction, error) {
 	newSched := func() mpnet.Scheduler {
 		return &boundaryScheduler{group: group, victim: victim}
 	}
-	return &MPConstruction{
+	return &Construction{
 		Name:     "boundary-protocolA",
 		Lemma:    "open point k*t = (k-1)*n (after Lemma 3.7)",
 		Expect:   "agreement",
 		Validity: types.WV2,
-		Config: mpnet.Config{
+		MP: &mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolA() },
-			Scheduler:   newSched(),
 		},
 		NewScheduler: newSched,
 	}, nil

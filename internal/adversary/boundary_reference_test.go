@@ -89,7 +89,7 @@ func TestBoundarySchedulerMatchesReference(t *testing.T) {
 		for seed := uint64(1); seed <= 20; seed++ {
 			for _, crashes := range []bool{false, true} {
 				run := func(sched mpnet.Scheduler) (*types.RunRecord, []string) {
-					cfg := cons.FreshConfig()
+					cfg := *cons.MP
 					log := &pickLog{}
 					cfg.Scheduler, cfg.Recorder, cfg.Seed = sched, log, seed
 					if crashes {

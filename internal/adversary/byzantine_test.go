@@ -179,7 +179,7 @@ func TestLemma33GroupSizesMatchProof(t *testing.T) {
 	// k groups of n-t plus a non-empty remainder partition all n processes,
 	// visible through the inputs: values 1..k over blocks of n-t, then k+1.
 	counts := map[types.Value]int{}
-	for _, v := range cons.Config.Inputs {
+	for _, v := range cons.MP.Inputs {
 		counts[v]++
 	}
 	for g := 1; g <= k; g++ {

@@ -3,7 +3,9 @@ package adversary
 import (
 	"errors"
 	"fmt"
+	"io"
 
+	"kset/internal/checker"
 	"kset/internal/mpnet"
 	"kset/internal/protocols/mp"
 	"kset/internal/protocols/sm"
@@ -15,10 +17,11 @@ import (
 // hold at the requested point.
 var ErrOutOfRange = errors.New("adversary: construction preconditions not met")
 
-// MPConstruction packages one message-passing counterexample run: a
-// ready-to-run configuration realizing a proof construction from the paper,
-// plus the condition it is expected to break.
-type MPConstruction struct {
+// Construction packages one counterexample run: a ready-to-run
+// configuration realizing a proof construction from the paper, in either
+// memory model, plus the condition it is expected to break. Exactly one of
+// MP and SM is set.
+type Construction struct {
 	// Name identifies the construction.
 	Name string
 	// Lemma cites the impossibility proof whose run shape this realizes.
@@ -28,31 +31,130 @@ type MPConstruction struct {
 	Expect string
 	// Validity is the condition the attacked protocol claims.
 	Validity types.Validity
-	// Config is the runnable setup (Seed may be overridden by the caller).
-	Config mpnet.Config
-	// NewScheduler, when set, builds a fresh scheduler for each run:
-	// required for constructions whose schedulers carry per-run state
-	// (Config.Scheduler then only serves single-shot use).
+	// MP is a message-passing construction's setup (Seed is set per run).
+	MP *mpnet.Config
+	// NewScheduler, when set, builds MP's scheduler afresh for every run:
+	// constructions whose schedulers carry per-run state need it.
 	NewScheduler func() mpnet.Scheduler
+	// SM is a shared-memory construction's setup (Seed is set per run).
+	SM *smmem.Config
 }
 
-// FreshConfig returns a copy of Config safe for one run, rebuilding the
-// scheduler when the construction declares per-run scheduler state.
-func (c *MPConstruction) FreshConfig() mpnet.Config {
-	cfg := c.Config
+// Run executes the construction once with the given seed. A non-nil trace
+// receives every simulator event, one line each.
+func (c *Construction) Run(seed uint64, trace io.Writer) (*types.RunRecord, error) {
+	if c.SM != nil {
+		cfg := *c.SM
+		cfg.Seed = seed
+		if trace != nil {
+			cfg.Trace = func(ev smmem.TraceEvent) { fmt.Fprintln(trace, ev) }
+		}
+		return smmem.Run(cfg)
+	}
+	cfg := *c.MP
+	cfg.Seed = seed
 	if c.NewScheduler != nil {
 		cfg.Scheduler = c.NewScheduler()
 	}
-	return cfg
+	if trace != nil {
+		cfg.Trace = func(ev mpnet.TraceEvent) { fmt.Fprintln(trace, ev) }
+	}
+	return mpnet.Run(cfg)
 }
 
-// SMConstruction is the shared-memory analogue of MPConstruction.
-type SMConstruction struct {
-	Name     string
-	Lemma    string
-	Expect   string
-	Validity types.Validity
-	Config   smmem.Config
+// Outcome is a construction run that broke a condition.
+type Outcome struct {
+	Record    *types.RunRecord
+	Violation error
+}
+
+// Violate runs the construction under up to seeds seeds (1, then
+// 2654435762, …) and returns the first run that breaks a condition, or nil
+// if, unexpectedly, every run held. Deterministic constructions violate on
+// the first seed; the further seeds serve the few that need scheduling luck.
+func (c *Construction) Violate(seeds int) (*Outcome, error) {
+	for i := 0; i < max(seeds, 1); i++ {
+		rec, err := c.Run(uint64(i)*2654435761+1, nil)
+		if err != nil {
+			return nil, fmt.Errorf("adversary: construction %s failed to run: %w", c.Name, err)
+		}
+		if err := checker.CheckAll(rec, c.Validity); err != nil {
+			return &Outcome{Record: rec, Violation: err}, nil
+		}
+	}
+	return nil, nil
+}
+
+// Builder builds a construction at (n, k, t), or declines with an
+// ErrOutOfRange error when the point is outside its preconditions.
+type Builder func(n, k, t int) (*Construction, error)
+
+// Entry is one construction in the registry: the name ksetrun -demo takes,
+// its builder, and the fault bound of its representative point at n (where
+// ksetverify -constructions and the evaluation report run it, at k = 2).
+type Entry struct {
+	Name  string
+	Build Builder
+	T     func(n int) int
+}
+
+// Registry lists every construction, in the evaluation report's row order.
+var Registry = []Entry{
+	{"lemma3.2", Lemma32FloodMin, func(n int) int { return (n - 1) / 2 }},
+	{"lemma3.3", Lemma33ProtocolA, func(n int) int { return n - n/4 }},
+	{"lemma3.5", Lemma35FloodMin, func(int) int { return 1 }},
+	{"lemma3.6", Lemma36ProtocolB, func(n int) int { return (2*n + 4) / 5 }},
+	{"boundary", func(n, k, _ int) (*Construction, error) { return BoundaryProtocolA(n, k) },
+		func(n int) int { return n / 2 }},
+	{"lemma3.9", Lemma39ProtocolA, func(n int) int { return n/2 + 1 }},
+	{"lemma3.10", Lemma310FloodMin, func(int) int { return 1 }},
+	{"lemma4.3", Lemma43ProtocolF, func(n int) int { return n/2 + 1 }},
+	{"lemma4.9", Lemma49ProtocolE, func(int) int { return 1 }},
+}
+
+// Lookup returns the registry's builder of the given name.
+func Lookup(name string) (Builder, bool) {
+	for _, e := range Registry {
+		if e.Name == name {
+			return e.Build, true
+		}
+	}
+	return nil, false
+}
+
+// Representative is one registry entry at its representative point.
+type Representative struct {
+	Entry
+	K, T int
+	// Cons is the built construction; nil when the builder declined with
+	// Err.
+	Cons *Construction
+	Err  error
+	// Out and RunErr are Run's result: the first violating run (nil if
+	// every run held) or the error that stopped a run.
+	Out    *Outcome
+	RunErr error
+}
+
+// Representatives builds every registry entry at its representative point
+// for n, in registry order. Builders return fresh instances, so their Run
+// calls are independent jobs for a fan-out.
+func Representatives(n int) []Representative {
+	out := make([]Representative, len(Registry))
+	for i, e := range Registry {
+		r := Representative{Entry: e, K: 2, T: e.T(n)}
+		r.Cons, r.Err = e.Build(n, r.K, r.T)
+		out[i] = r
+	}
+	return out
+}
+
+// Run runs a built construction under up to 8 seeds (see Violate) and
+// records the result in r.
+func (r *Representative) Run() {
+	if r.Cons != nil {
+		r.Out, r.RunErr = r.Cons.Violate(8)
+	}
 }
 
 // Lemma33ProtocolA realizes the run of Lemma 3.3 (Figure 3) against
@@ -63,7 +165,7 @@ type SMConstruction struct {
 // input y that can never decide alone and, once its gate falls back open,
 // sees mixed values and decides the default. That is k+1 distinct decisions:
 // an agreement violation, deterministic for every seed.
-func Lemma33ProtocolA(n, k, t int) (*MPConstruction, error) {
+func Lemma33ProtocolA(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < 1 || t > n {
 		return nil, fmt.Errorf("%w: n=%d k=%d t=%d outside 2<=k<n, 1<=t<=n", ErrOutOfRange, n, k, t)
 	}
@@ -95,12 +197,12 @@ func Lemma33ProtocolA(n, k, t int) (*MPConstruction, error) {
 		rest = append(rest, types.ProcessID(next))
 	}
 	groups = append(groups, rest)
-	return &MPConstruction{
+	return &Construction{
 		Name:     "lemma3.3-protocolA",
 		Lemma:    "Lemma 3.3",
 		Expect:   "agreement",
 		Validity: types.WV2,
-		Config: mpnet.Config{
+		MP: &mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolA() },
@@ -116,7 +218,7 @@ func Lemma33ProtocolA(n, k, t int) (*MPConstruction, error) {
 // p_{t+i}. Under FIFO delivery, correct process p_{t+j} then decides j while
 // processes beyond p_{2t} decide t+1, for t+1 > k distinct decisions.
 // Requires n >= 2t+1.
-func Lemma32FloodMin(n, k, t int) (*MPConstruction, error) {
+func Lemma32FloodMin(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < k {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= k, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
@@ -134,12 +236,12 @@ func Lemma32FloodMin(n, k, t int) (*MPConstruction, error) {
 		// last of them the correct process p_{t+i}.
 		atSend[types.ProcessID(i-1)] = t + i
 	}
-	return &MPConstruction{
+	return &Construction{
 		Name:     "lemma3.2-floodmin",
 		Lemma:    "Lemma 3.2",
 		Expect:   "agreement",
 		Validity: types.RV1,
-		Config: mpnet.Config{
+		MP: &mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
@@ -154,7 +256,7 @@ func Lemma32FloodMin(n, k, t int) (*MPConstruction, error) {
 // only process whose input is v1) crashes right after its last send. Every
 // correct decision then equals the input of a faulty process only: an SV1
 // violation.
-func Lemma35FloodMin(n, k, t int) (*MPConstruction, error) {
+func Lemma35FloodMin(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < 1 {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= 1, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
@@ -162,12 +264,12 @@ func Lemma35FloodMin(n, k, t int) (*MPConstruction, error) {
 	for i := range inputs {
 		inputs[i] = types.Value(i + 1)
 	}
-	return &MPConstruction{
+	return &Construction{
 		Name:     "lemma3.5-floodmin",
 		Lemma:    "Lemma 3.5",
 		Expect:   "SV1",
 		Validity: types.SV1,
-		Config: mpnet.Config{
+		MP: &mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
@@ -188,7 +290,7 @@ func Lemma35FloodMin(n, k, t int) (*MPConstruction, error) {
 //
 // Preconditions: (2k+1)t >= kn, n > 2t (so group size n-2t >= 1) and a
 // non-empty remainder, i.e. k(n-2t) < n.
-func Lemma36ProtocolB(n, k, t int) (*MPConstruction, error) {
+func Lemma36ProtocolB(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < 1 {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= 1, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
@@ -222,12 +324,12 @@ func Lemma36ProtocolB(n, k, t int) (*MPConstruction, error) {
 		i++
 	}
 	groups = append(groups, rest)
-	return &MPConstruction{
+	return &Construction{
 		Name:     "lemma3.6-protocolB",
 		Lemma:    "Lemma 3.6",
 		Expect:   "agreement",
 		Validity: types.SV2,
-		Config: mpnet.Config{
+		MP: &mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolB() },
@@ -248,7 +350,7 @@ func Lemma36ProtocolB(n, k, t int) (*MPConstruction, error) {
 // into k+1 groups of size >= n-2t; the t faulty processes claim persona v_i
 // to group g_i, so every member of g_i sees |g_i| + t >= n-t unanimous v_i
 // messages — k+1 distinct decisions.
-func Lemma39ProtocolA(n, k, t int) (*MPConstruction, error) {
+func Lemma39ProtocolA(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < k {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= k, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
@@ -280,12 +382,12 @@ func Lemma39ProtocolA(n, k, t int) (*MPConstruction, error) {
 		groups = append(groups, fgroup)
 		gate := mpnet.NewGroupGate(n, groups)
 		gate.FromAlways = fromAlways
-		return &MPConstruction{
+		return &Construction{
 			Name:     "lemma3.9-protocolA-case1",
 			Lemma:    "Lemma 3.9 (case t >= n/2)",
 			Expect:   "agreement",
 			Validity: types.WV2,
-			Config: mpnet.Config{
+			MP: &mpnet.Config{
 				N: n, T: t, K: k,
 				Inputs:      inputs,
 				NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolA() },
@@ -337,12 +439,12 @@ func Lemma39ProtocolA(n, k, t int) (*MPConstruction, error) {
 	groups = append(groups, fgroup)
 	gate := mpnet.NewGroupGate(n, groups)
 	gate.FromAlways = fromAlways
-	return &MPConstruction{
+	return &Construction{
 		Name:     "lemma3.9-protocolA-case2",
 		Lemma:    "Lemma 3.9 (case t < n/2)",
 		Expect:   "agreement",
 		Validity: types.WV2,
-		Config: mpnet.Config{
+		MP: &mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolA() },
@@ -357,7 +459,7 @@ func Lemma39ProtocolA(n, k, t int) (*MPConstruction, error) {
 // FloodMin process decides 0 — a value that is nobody's input. RV1 is
 // violated with one fault, at every point, matching the lemma's "no protocol
 // for SC(k, t, RV1)" in MP/Byz.
-func Lemma310FloodMin(n, k, t int) (*MPConstruction, error) {
+func Lemma310FloodMin(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < 1 {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= 1, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
@@ -365,12 +467,12 @@ func Lemma310FloodMin(n, k, t int) (*MPConstruction, error) {
 	for i := range inputs {
 		inputs[i] = types.Value(i + 1)
 	}
-	return &MPConstruction{
+	return &Construction{
 		Name:     "lemma3.10-floodmin",
 		Lemma:    "Lemma 3.10",
 		Expect:   "RV1",
 		Validity: types.RV1,
-		Config: mpnet.Config{
+		MP: &mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
@@ -390,7 +492,7 @@ func Lemma310FloodMin(n, k, t int) (*MPConstruction, error) {
 // of g therefore decides its own value, for any intra-group interleaving;
 // the released processes then scan r >= t+2 registers holding all-distinct
 // values and decide the default — t+2 > k distinct decisions in total.
-func Lemma43ProtocolF(n, k, t int) (*SMConstruction, error) {
+func Lemma43ProtocolF(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < k || 2*t < n {
 		return nil, fmt.Errorf("%w: need 2 <= k < n, t >= k, 2t >= n; got n=%d k=%d t=%d",
 			ErrOutOfRange, n, k, t)
@@ -409,12 +511,12 @@ func Lemma43ProtocolF(n, k, t int) (*SMConstruction, error) {
 	for i := t + 1; i < n; i++ {
 		held = append(held, types.ProcessID(i))
 	}
-	return &SMConstruction{
+	return &Construction{
 		Name:     "lemma4.3-protocolF",
 		Lemma:    "Lemma 4.3",
 		Expect:   "agreement",
 		Validity: types.SV2,
-		Config: smmem.Config{
+		SM: &smmem.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) smmem.Protocol { return sm.NewProtocolF() },
@@ -431,7 +533,7 @@ func Lemma43ProtocolF(n, k, t int) (*SMConstruction, error) {
 // processes started with v", violating RV2 with a single fault. (Protocol E
 // only claims WV2 in SM/Byz, which this run does not violate: it has a
 // failure.)
-func Lemma49ProtocolE(n, k, t int) (*SMConstruction, error) {
+func Lemma49ProtocolE(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < 1 {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= 1, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
@@ -441,12 +543,12 @@ func Lemma49ProtocolE(n, k, t int) (*SMConstruction, error) {
 		inputs[i] = v
 	}
 	liar := types.ProcessID(n - 1)
-	return &SMConstruction{
+	return &Construction{
 		Name:     "lemma4.9-protocolE",
 		Lemma:    "Lemma 4.9",
 		Expect:   "RV2",
 		Validity: types.RV2,
-		Config: smmem.Config{
+		SM: &smmem.Config{
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) smmem.Protocol { return sm.NewProtocolE() },

@@ -2,93 +2,103 @@ package adversary
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"kset/internal/checker"
-	"kset/internal/mpnet"
-	"kset/internal/smmem"
 )
 
-// runMP executes a construction once and returns the checker verdict.
-func runMP(t *testing.T, c *MPConstruction, seed uint64) error {
+// wantViolation runs a construction once and requires it to break the
+// condition it names, in a run that delivered something.
+func wantViolation(t *testing.T, c *Construction, seed uint64) {
 	t.Helper()
-	cfg := c.FreshConfig()
-	cfg.Seed = seed
-	rec, err := mpnet.Run(cfg)
+	if c.Name == "" || c.Lemma == "" || c.Expect == "" {
+		t.Fatalf("construction metadata incomplete: %+v", c)
+	}
+	rec, err := c.Run(seed, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", c.Name, err)
 	}
-	return checker.CheckAll(rec, c.Validity)
+	var v *checker.Violation
+	if err := checker.CheckAll(rec, c.Validity); !errors.As(err, &v) {
+		t.Fatalf("%s: want a %s violation, got %v", c.Name, c.Expect, err)
+	}
+	if v.Condition != c.Expect {
+		t.Errorf("%s: violated %s, want %s", c.Name, v.Condition, c.Expect)
+	}
+	if rec.Events == 0 {
+		t.Errorf("%s: the violating run has no events", c.Name)
+	}
 }
 
-func runSM(t *testing.T, c *SMConstruction, seed uint64) error {
+// point is one construction table row: a registry name at (n, k, t), under
+// the subtest label it runs as.
+type point struct {
+	label   string
+	name    string
+	n, k, t int
+}
+
+// mpPoints and smPoints are the hand-picked rows of the construction table,
+// one per message-passing and shared-memory lemma (and both cases of
+// Lemma 3.9).
+var (
+	mpPoints = []point{
+		{"lemma3.2", "lemma3.2", 9, 2, 3},
+		{"lemma3.3", "lemma3.3", 9, 2, 7},
+		{"lemma3.5", "lemma3.5", 8, 3, 1},
+		{"lemma3.6", "lemma3.6", 10, 2, 4},
+		{"lemma3.9-case1", "lemma3.9", 8, 2, 5},  // t >= n/2
+		{"lemma3.9-case2", "lemma3.9", 10, 2, 4}, // t < n/2
+		{"lemma3.10", "lemma3.10", 8, 3, 2},
+		{"boundary", "boundary", 8, 2, 4},
+	}
+	smPoints = []point{
+		{"lemma4.3", "lemma4.3", 8, 2, 4},
+		{"lemma4.9", "lemma4.9", 6, 2, 1},
+	}
+)
+
+// runPoints runs each row as a subtest: the construction is looked up by its
+// registry name (so every name ksetrun -demo offers must resolve) and either
+// declines (the boundary probe at odd n) or breaks exactly the condition it
+// names.
+func runPoints(t *testing.T, points []point) {
 	t.Helper()
-	cfg := c.Config
-	cfg.Seed = seed
-	rec, err := smmem.Run(cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", c.Name, err)
-	}
-	return checker.CheckAll(rec, c.Validity)
-}
-
-func wantViolation(t *testing.T, name string, err error) {
-	t.Helper()
-	if err == nil {
-		t.Fatalf("%s: no violation exhibited", name)
-	}
-	if !errors.Is(err, checker.ErrViolation) {
-		t.Fatalf("%s: unexpected error kind: %v", name, err)
-	}
-}
-
-func TestAllMPConstructionsViolate(t *testing.T) {
-	builders := []struct {
-		name  string
-		build func() (*MPConstruction, error)
-	}{
-		{"lemma3.2", func() (*MPConstruction, error) { return Lemma32FloodMin(9, 2, 3) }},
-		{"lemma3.3", func() (*MPConstruction, error) { return Lemma33ProtocolA(9, 2, 7) }},
-		{"lemma3.5", func() (*MPConstruction, error) { return Lemma35FloodMin(8, 3, 1) }},
-		{"lemma3.6", func() (*MPConstruction, error) { return Lemma36ProtocolB(10, 2, 4) }},
-		{"lemma3.9-case1", func() (*MPConstruction, error) { return Lemma39ProtocolA(8, 2, 5) }},
-		{"lemma3.9-case2", func() (*MPConstruction, error) { return Lemma39ProtocolA(10, 2, 4) }},
-		{"lemma3.10", func() (*MPConstruction, error) { return Lemma310FloodMin(8, 3, 2) }},
-		{"boundary", func() (*MPConstruction, error) { return BoundaryProtocolA(8, 2) }},
-	}
-	for _, b := range builders {
-		b := b
-		t.Run(b.name, func(t *testing.T) {
-			cons, err := b.build()
+	for _, p := range points {
+		t.Run(p.label, func(t *testing.T) {
+			build, ok := Lookup(p.name)
+			if !ok {
+				t.Fatalf("no construction named %q", p.name)
+			}
+			cons, err := build(p.n, p.k, p.t)
 			if err != nil {
+				if p.name == "boundary" && p.n%2 == 1 && errors.Is(err, ErrOutOfRange) {
+					return
+				}
 				t.Fatal(err)
 			}
-			if cons.Name == "" || cons.Lemma == "" || cons.Expect == "" {
-				t.Fatalf("construction metadata incomplete: %+v", cons)
-			}
-			wantViolation(t, cons.Name, runMP(t, cons, 1))
+			wantViolation(t, cons, 1)
 		})
 	}
 }
 
-func TestAllSMConstructionsViolate(t *testing.T) {
-	builders := []struct {
-		name  string
-		build func() (*SMConstruction, error)
-	}{
-		{"lemma4.3", func() (*SMConstruction, error) { return Lemma43ProtocolF(8, 2, 4) }},
-		{"lemma4.9", func() (*SMConstruction, error) { return Lemma49ProtocolE(6, 2, 1) }},
+func TestAllMPConstructionsViolate(t *testing.T) { runPoints(t, mpPoints) }
+
+func TestAllSMConstructionsViolate(t *testing.T) { runPoints(t, smPoints) }
+
+// TestAllConstructionsViolate runs every registry entry, of both memory
+// models, at the representative points ksetverify -constructions and the
+// report use.
+func TestAllConstructionsViolate(t *testing.T) {
+	var points []point
+	for _, n := range []int{9, 10, 12, 16} {
+		for _, r := range Representatives(n) {
+			label := fmt.Sprintf("%s/n=%d,k=%d,t=%d", r.Name, n, r.K, r.T)
+			points = append(points, point{label, r.Name, n, r.K, r.T})
+		}
 	}
-	for _, b := range builders {
-		b := b
-		t.Run(b.name, func(t *testing.T) {
-			cons, err := b.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantViolation(t, cons.Name, runSM(t, cons, 1))
-		})
-	}
+	runPoints(t, points)
 }
 
 func TestConstructionsAreDeterministicAcrossSeeds(t *testing.T) {
@@ -98,14 +108,12 @@ func TestConstructionsAreDeterministicAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := uint64(1); seed <= 8; seed++ {
-		wantViolation(t, cons.Name, runMP(t, cons, seed))
-	}
 	bnd, err := BoundaryProtocolA(12, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
-		wantViolation(t, bnd.Name, runMP(t, bnd, seed))
+		wantViolation(t, cons, seed)
+		wantViolation(t, bnd, seed)
 	}
 }

@@ -8,12 +8,6 @@ import (
 	"kset/internal/theory"
 )
 
-// Executor fans jobs out across workers. It must call run for every job in
-// 0..jobs-1 exactly once and return only when all calls finished. nil means
-// serial execution. Structurally identical to sweep.Executor, so a
-// sweep.Pool's Map method satisfies it directly.
-type Executor func(jobs int, run func(job int))
-
 // maxViolationChars bounds the first_violation field so records stay well
 // under the wire codec's string limit.
 const maxViolationChars = 200
@@ -52,7 +46,7 @@ func (s *Spec) RunCell(idx uint64) Record {
 	if res.Status != theory.Solvable {
 		return rec
 	}
-	sum, err := harness.ValidateCellWith(c.Model, c.Validity, c.N, c.K, c.T, harness.CellOpts{
+	sum, err := harness.ValidateCell(c.Model, c.Validity, c.N, c.K, c.T, harness.CellOpts{
 		Runs:     s.Runs,
 		Seed:     rec.Seed,
 		FaultCap: c.Plan.Cap(c.T),
@@ -117,17 +111,12 @@ func truncate(s string) string {
 }
 
 // RunRange executes the half-open cell range [first, first+count) through
-// exec and returns the records in enumeration order. This is the shard
-// primitive: concatenating any partitioning of ranges reproduces Run.
-func (s *Spec) RunRange(first uint64, count int, exec Executor) []Record {
+// exec (nil = serial) and returns the records in enumeration order. This is
+// the shard primitive: concatenating any partitioning of ranges reproduces
+// Run.
+func (s *Spec) RunRange(first uint64, count int, exec harness.Executor) []Record {
 	recs := make([]Record, count)
-	if exec == nil {
-		for i := range recs {
-			recs[i] = s.RunCell(first + uint64(i))
-		}
-		return recs
-	}
-	exec(count, func(i int) {
+	exec.Run(count, func(i int) {
 		recs[i] = s.RunCell(first + uint64(i))
 	})
 	return recs
@@ -135,6 +124,6 @@ func (s *Spec) RunRange(first uint64, count int, exec Executor) []Record {
 
 // Run executes the whole grid through exec (nil = serial) and returns the
 // records in enumeration order.
-func (s *Spec) Run(exec Executor) []Record {
+func (s *Spec) Run(exec harness.Executor) []Record {
 	return s.RunRange(0, int(s.NumCells()), exec)
 }

@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"kset/internal/harness"
 	"kset/internal/prng"
+	"kset/internal/sweep"
 	"kset/internal/theory"
 )
 
@@ -32,4 +34,51 @@ func SamplePanel(g *theory.Grid, samples int, rngSeed uint64) []SampledCell {
 		out = append(out, SampledCell{Cell: cells[idx], Seed: rng.Uint64()})
 	}
 	return out
+}
+
+// CellCheck is one sampled cell with the outcome of its validation sweep.
+type CellCheck struct {
+	SampledCell
+	Sum *harness.Summary
+	Err error
+}
+
+// ValidatePanels samples up to samples solvable cells from every panel (the
+// draw seeded with rngSeed(panel)) and validates each sampled cell's witness
+// with runs randomized runs. Every cell is planned first, in panel order;
+// the sweeps fan out through exec (each sweep fans its runs out through it
+// too); checks[i] holds panels[i]'s cells in draw order, so the result is
+// identical for any executor. ksetverify and ksetreport both validate
+// through it, each with its own seed formula and renderer.
+func ValidatePanels(panels []*theory.Grid, rngSeed func(*theory.Grid) uint64, samples, runs int, exec harness.Executor) [][]CellCheck {
+	type job struct {
+		g *theory.Grid
+		c *CellCheck
+	}
+	var jobs []job
+	checks := make([][]CellCheck, len(panels))
+	for i, g := range panels {
+		sampled := SamplePanel(g, samples, rngSeed(g))
+		checks[i] = make([]CellCheck, len(sampled))
+		for j, sc := range sampled {
+			checks[i][j].SampledCell = sc
+			jobs = append(jobs, job{g, &checks[i][j]})
+		}
+	}
+	exec.Run(len(jobs), func(j int) {
+		g, c := jobs[j].g, jobs[j].c
+		c.Sum, c.Err = harness.ValidateCell(g.Model, g.Validity, g.N, c.Cell.K, c.Cell.T,
+			harness.CellOpts{Runs: runs, Seed: c.Seed, Exec: exec})
+	})
+	return checks
+}
+
+// FanOut is the executor of a -workers count: nil (serial on the
+// calling goroutine) for one worker, otherwise a new sweep pool's Map
+// (0 = GOMAXPROCS workers).
+func FanOut(workers int) harness.Executor {
+	if workers == 1 {
+		return nil
+	}
+	return sweep.NewPool(workers).Map
 }

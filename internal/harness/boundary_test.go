@@ -32,15 +32,15 @@ func TestBoundaryPointBreaksProtocolA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", c.n, c.k, err)
 		}
-		out, err := RunConstruction(cons, 4)
+		out, err := cons.Violate(4)
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", c.n, c.k, err)
 		}
 		if out == nil {
 			t.Fatalf("n=%d k=%d t=%d: Protocol A survived the boundary construction", c.n, c.k, tt)
 		}
-		if !strings.Contains(out.Err.Error(), "agreement") {
-			t.Errorf("n=%d k=%d: expected agreement violation, got %v", c.n, c.k, out.Err)
+		if !strings.Contains(out.Violation.Error(), "agreement") {
+			t.Errorf("n=%d k=%d: expected agreement violation, got %v", c.n, c.k, out.Violation)
 		}
 		if got := len(out.Record.CorrectDecisions()); got != c.k+1 {
 			t.Errorf("n=%d k=%d: %d distinct decisions, construction predicts %d",

@@ -32,15 +32,15 @@ func TestLemma33ConstructionViolatesAgreement(t *testing.T) {
 		if res := theory.Classify(types.MPCR, types.WV2, c.n, c.k, c.t); res.Status != theory.Impossible {
 			t.Errorf("n=%d k=%d t=%d: classifier says %v, want impossible", c.n, c.k, c.t, res.Status)
 		}
-		out, err := RunConstruction(cons, 4)
+		out, err := cons.Violate(4)
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
 		if out == nil {
 			t.Fatalf("n=%d k=%d t=%d: construction did not violate any condition", c.n, c.k, c.t)
 		}
-		if !strings.Contains(out.Err.Error(), "agreement") {
-			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Err)
+		if !strings.Contains(out.Violation.Error(), "agreement") {
+			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Violation)
 		}
 		// The construction is engineered to produce exactly k+1 decisions.
 		if got := len(out.Record.CorrectDecisions()); got != c.k+1 {
@@ -61,15 +61,15 @@ func TestLemma32ConstructionBreaksFloodMin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
-		out, err := RunConstruction(cons, 1)
+		out, err := cons.Violate(1)
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
 		if out == nil {
 			t.Fatalf("n=%d k=%d t=%d: construction did not violate any condition", c.n, c.k, c.t)
 		}
-		if !strings.Contains(out.Err.Error(), "agreement") {
-			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Err)
+		if !strings.Contains(out.Violation.Error(), "agreement") {
+			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Violation)
 		}
 		// FIFO + mid-broadcast crashes yield exactly t+1 distinct decisions.
 		if got := len(out.Record.CorrectDecisions()); got != c.t+1 {
@@ -84,15 +84,15 @@ func TestLemma35ConstructionBreaksSV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunConstruction(cons, 1)
+	out, err := cons.Violate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == nil {
 		t.Fatal("construction did not violate any condition")
 	}
-	if !strings.Contains(out.Err.Error(), "SV1") {
-		t.Errorf("expected SV1 violation, got %v", out.Err)
+	if !strings.Contains(out.Violation.Error(), "SV1") {
+		t.Errorf("expected SV1 violation, got %v", out.Violation)
 	}
 }
 
@@ -107,15 +107,15 @@ func TestLemma36ConstructionBreaksProtocolB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
-		out, err := RunConstruction(cons, 4)
+		out, err := cons.Violate(4)
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
 		if out == nil {
 			t.Fatalf("n=%d k=%d t=%d: construction did not violate any condition", c.n, c.k, c.t)
 		}
-		if !strings.Contains(out.Err.Error(), "agreement") {
-			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Err)
+		if !strings.Contains(out.Violation.Error(), "agreement") {
+			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Violation)
 		}
 		// k group values plus the remainder's default (or junk) values.
 		if got := len(out.Record.CorrectDecisions()); got < c.k+1 {
@@ -148,7 +148,7 @@ func TestLemma39ConstructionViolatesAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
-		out, err := RunConstruction(cons, 4)
+		out, err := cons.Violate(4)
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
@@ -156,8 +156,8 @@ func TestLemma39ConstructionViolatesAgreement(t *testing.T) {
 			t.Fatalf("n=%d k=%d t=%d (%s): construction did not violate any condition",
 				c.n, c.k, c.t, cons.Name)
 		}
-		if !strings.Contains(out.Err.Error(), "agreement") {
-			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Err)
+		if !strings.Contains(out.Violation.Error(), "agreement") {
+			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Violation)
 		}
 	}
 }
@@ -167,15 +167,15 @@ func TestLemma310ConstructionBreaksRV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunConstruction(cons, 1)
+	out, err := cons.Violate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == nil {
 		t.Fatal("construction did not violate any condition")
 	}
-	if !strings.Contains(out.Err.Error(), "RV1") {
-		t.Errorf("expected RV1 violation, got %v", out.Err)
+	if !strings.Contains(out.Violation.Error(), "RV1") {
+		t.Errorf("expected RV1 violation, got %v", out.Violation)
 	}
 }
 
@@ -193,15 +193,15 @@ func TestLemma43ConstructionBreaksProtocolF(t *testing.T) {
 		if res := theory.Classify(types.SMCR, types.SV2, c.n, c.k, c.t); res.Status != theory.Impossible {
 			t.Errorf("n=%d k=%d t=%d: classifier says %v, want impossible", c.n, c.k, c.t, res.Status)
 		}
-		out, err := RunSMConstruction(cons, 4)
+		out, err := cons.Violate(4)
 		if err != nil {
 			t.Fatalf("n=%d k=%d t=%d: %v", c.n, c.k, c.t, err)
 		}
 		if out == nil {
 			t.Fatalf("n=%d k=%d t=%d: construction did not violate any condition", c.n, c.k, c.t)
 		}
-		if !strings.Contains(out.Err.Error(), "agreement") {
-			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Err)
+		if !strings.Contains(out.Violation.Error(), "agreement") {
+			t.Errorf("n=%d k=%d t=%d: expected agreement violation, got %v", c.n, c.k, c.t, out.Violation)
 		}
 		// Every member of g decides its own input, and the released
 		// processes decide the default: t+2 distinct decisions.
@@ -217,14 +217,14 @@ func TestLemma49ConstructionBreaksProtocolERV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunSMConstruction(cons, 4)
+	out, err := cons.Violate(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == nil {
 		t.Fatal("construction did not violate any condition")
 	}
-	if !strings.Contains(out.Err.Error(), "RV2") {
-		t.Errorf("expected RV2 violation, got %v", out.Err)
+	if !strings.Contains(out.Violation.Error(), "RV2") {
+		t.Errorf("expected RV2 violation, got %v", out.Violation)
 	}
 }

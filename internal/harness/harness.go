@@ -1,15 +1,19 @@
 // Package harness drives experiments: it runs protocols across randomized
 // adversarial scenarios (schedules, crash patterns, Byzantine strategy
 // mixes, input workloads) and checks every run against the SC(k, t, C)
-// conditions, and it executes the paper's scripted counterexample
-// constructions. It is the engine behind cmd/ksetverify, the protocol test
-// suites and EXPERIMENTS.md.
+// conditions. MPSweep and SMSweep each plan their own model's scenarios and
+// share one engine; ValidateCell and CaptureCellRun build a solvable cell's
+// witness sweep through one constructor. It is the engine behind
+// internal/grid (and through it ksetsweep, ksetverify and ksetreport), the
+// protocol test suites and EXPERIMENTS.md. The paper's scripted
+// counterexample constructions run themselves (internal/adversary).
 package harness
 
 import (
 	"fmt"
 	"strings"
 
+	"kset/internal/checker"
 	"kset/internal/mpnet"
 	"kset/internal/prng"
 	"kset/internal/trace"
@@ -28,6 +32,19 @@ import (
 // (seeds pre-drawn in canonical order, results written to job-indexed
 // slots), so every merge is byte-identical regardless of worker count.
 type Executor func(jobs int, run func(job int))
+
+// Run calls run for every job 0..jobs-1 through e, or in order on the
+// calling goroutine when e is nil: the one nil-means-serial spelling every
+// fan-out in the evaluation path goes through.
+func (e Executor) Run(jobs int, run func(job int)) {
+	if e == nil {
+		for i := 0; i < jobs; i++ {
+			run(i)
+		}
+		return
+	}
+	e(jobs, run)
+}
 
 // planScratch holds per-run planning buffers that serial sweeps reuse across
 // runs (parallel sweeps give every job its own, since jobs run concurrently).
@@ -55,6 +72,105 @@ func (sc *planScratch) faultyFor(n int) []bool {
 		sc.faulty[i] = false
 	}
 	return sc.faulty
+}
+
+// planFaults makes the opening draws of every scenario, in the order the
+// seeded goldens pin: the fault count f (usually the full budget t,
+// sometimes fewer, sometimes none, then clamped by faultCap), the faulty set
+// (sc.perm[:f], left in place for the caller), and the input pattern and
+// vector (sc.inputs).
+func (sc *planScratch) planFaults(rng *prng.Source, n, t, faultCap int, patterns []InputPattern) (f int, faulty []bool, pattern InputPattern) {
+	f = t
+	switch rng.Intn(4) {
+	case 0:
+		if t > 0 {
+			f = rng.Intn(t + 1)
+		}
+	case 1:
+		f = 0
+	}
+	f = clampFaults(f, faultCap)
+	faulty = sc.faultyFor(n)
+	sc.perm = rng.PermInto(sc.perm, n)
+	for _, idx := range sc.perm[:f] {
+		faulty[idx] = true
+	}
+	pattern = patterns[rng.Intn(len(patterns))]
+	sc.inputs = GenInputsInto(sc.inputs, pattern, n, faulty, rng)
+	return f, faulty, pattern
+}
+
+// runResult is one run's outcome, held in a run-indexed slot until the
+// canonical-order merge.
+type runResult struct {
+	scenario  string
+	rec       *types.RunRecord
+	runErr    error
+	violation error
+}
+
+// verdict is a run's result slot: its error, or its record and the checker's
+// verdict on it.
+func verdict(scenario string, rec *types.RunRecord, err error, v types.Validity) runResult {
+	if err != nil {
+		return runResult{scenario: scenario, runErr: err}
+	}
+	return runResult{scenario: scenario, rec: rec, violation: checker.CheckAll(rec, v)}
+}
+
+// execute is the engine behind MPSweep.Execute and SMSweep.Execute; runOne
+// plans, executes and checks the run of one seed. Every run's seed is drawn
+// in canonical order up front, so each run depends only on its own seed and
+// the runs are independent jobs. Serially they share one planScratch — one
+// simulator arena for the whole sweep; through exec every job gets its own.
+// Results merge in run order, so the summary is identical for any Executor.
+// (Shared-memory records carry Messages = 0, so one merge serves both.)
+func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, exec Executor,
+	runOne func(seed uint64, patterns []InputPattern, sc *planScratch) runResult) *Summary {
+	if runs == 0 {
+		runs = 32
+	}
+	patterns = orAllPatterns(patterns)
+	master := prng.New(baseSeed)
+	seeds := make([]uint64, runs)
+	for i := range seeds {
+		seeds[i] = master.Uint64()
+	}
+	results := make([]runResult, runs)
+	if exec == nil {
+		var sc planScratch
+		for i, seed := range seeds {
+			results[i] = runOne(seed, patterns, &sc)
+		}
+	} else {
+		exec(runs, func(i int) {
+			var sc planScratch
+			results[i] = runOne(seeds[i], patterns, &sc)
+		})
+	}
+	sum := &Summary{Name: name, Runs: runs}
+	for i, r := range results {
+		if r.runErr != nil {
+			sum.addRunError(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.runErr})
+			continue
+		}
+		sum.Events += int64(r.rec.Events)
+		sum.Messages += int64(r.rec.Messages)
+		sum.observe(r.rec)
+		if r.violation != nil {
+			sum.addViolation(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.violation, Record: r.rec})
+		}
+	}
+	return sum
+}
+
+// needSpec is Capture's precondition: artifacts store the protocol spec, not
+// the factory.
+func needSpec(spec trace.ProtocolSpec, name string) error {
+	if spec.Zero() {
+		return fmt.Errorf("harness: sweep %q has no protocol spec to capture", name)
+	}
+	return nil
 }
 
 // InputPattern names a workload shape for process inputs.
@@ -97,6 +213,14 @@ func (p InputPattern) String() string {
 // AllPatterns lists every input pattern.
 func AllPatterns() []InputPattern {
 	return []InputPattern{Distinct, Uniform, UniformCorrect, TwoValues, SmallDomain, Grouped}
+}
+
+// orAllPatterns is a sweep's Patterns field with nil meaning every pattern.
+func orAllPatterns(p []InputPattern) []InputPattern {
+	if len(p) == 0 {
+		return AllPatterns()
+	}
+	return p
 }
 
 // GenInputs produces an input vector of length n for the pattern.

@@ -155,8 +155,25 @@ func TestSMFactoryCoversNativeAndSimulated(t *testing.T) {
 }
 
 func TestValidateCellRejectsNonSolvable(t *testing.T) {
-	if _, err := ValidateCell(types.MPCR, types.SV1, 8, 3, 1, 4, 1); err == nil {
+	if _, err := ValidateCell(types.MPCR, types.SV1, 8, 3, 1, CellOpts{Runs: 4, Seed: 1}); err == nil {
 		t.Error("ValidateCell accepted an impossible cell")
+	}
+}
+
+// TestExecutorRun checks the nil-means-serial helper: a nil Executor runs
+// every job in order on the caller, a non-nil one is handed the jobs.
+func TestExecutorRun(t *testing.T) {
+	var got []int
+	Executor(nil).Run(4, func(i int) { got = append(got, i) })
+	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("nil executor ran %v, want 0..3 in order", got)
+	}
+	slots := make([]int, 64)
+	Executor(sweep.NewPool(4).Map).Run(len(slots), func(i int) { slots[i] = i + 1 })
+	for i, v := range slots {
+		if v != i+1 {
+			t.Fatalf("pool executor: slot %d = %d", i, v)
+		}
 	}
 }
 
@@ -232,14 +249,14 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 		{types.MPByz, types.SV2, 10, 4, 1}, // Protocol C(l)
 		{types.MPByz, types.WV1, 10, 6, 2}, // Protocol D
 	} {
-		serial, err := ValidateCellWith(cell.m, cell.v, cell.n, cell.k, cell.t, CellOpts{Runs: 24, Seed: 9})
+		serial, err := ValidateCell(cell.m, cell.v, cell.n, cell.k, cell.t, CellOpts{Runs: 24, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !serial.OK() {
 			t.Fatalf("serial sweep failed: %v", serial)
 		}
-		parallel, err := ValidateCellWith(cell.m, cell.v, cell.n, cell.k, cell.t,
+		parallel, err := ValidateCell(cell.m, cell.v, cell.n, cell.k, cell.t,
 			CellOpts{Runs: 24, Seed: 9, Exec: sweep.NewPool(4).Map})
 		if err != nil {
 			t.Fatal(err)

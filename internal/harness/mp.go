@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"kset/internal/adversary"
-	"kset/internal/checker"
 	"kset/internal/mpnet"
 	"kset/internal/prng"
 	"kset/internal/trace"
@@ -53,100 +51,25 @@ type MPSweep struct {
 	Spec trace.ProtocolSpec
 }
 
-// runResult is one run's outcome, held in a run-indexed slot until the
-// canonical-order merge.
-type runResult struct {
-	scenario  string
-	rec       *types.RunRecord
-	runErr    error
-	violation error
-}
-
 // Execute runs the sweep.
 func (s *MPSweep) Execute() *Summary {
-	runs := s.Runs
-	if runs == 0 {
-		runs = 32
-	}
-	patterns := s.Patterns
-	if len(patterns) == 0 {
-		patterns = AllPatterns()
-	}
-	sum := &Summary{Name: s.Name, Runs: runs}
-	// Draw every run's seed in canonical order up front; each run then
-	// depends only on its own seed, making the runs independent jobs.
-	master := prng.New(s.BaseSeed)
-	seeds := make([]uint64, runs)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
-	}
-	results := make([]runResult, runs)
-	if s.Exec == nil {
-		// Serial: one planning scratch reused across all runs.
-		var sc planScratch
-		for i, seed := range seeds {
-			results[i] = s.runOne(seed, patterns, &sc)
-		}
-	} else {
-		s.Exec(runs, func(i int) {
-			var sc planScratch
-			results[i] = s.runOne(seeds[i], patterns, &sc)
-		})
-	}
-	for i, r := range results {
-		if r.runErr != nil {
-			sum.addRunError(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.runErr})
-			continue
-		}
-		sum.Events += int64(r.rec.Events)
-		sum.Messages += int64(r.rec.Messages)
-		sum.observe(r.rec)
-		if r.violation != nil {
-			sum.addViolation(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.violation, Record: r.rec})
-		}
-	}
-	return sum
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, s.runOne)
 }
 
-// runOne plans, executes and checks a single run.
+// runOne plans, executes and checks a single run on sc's simulator arena.
 func (s *MPSweep) runOne(seed uint64, patterns []InputPattern, sc *planScratch) runResult {
-	rng := prng.New(seed)
-	cfg, scenario := s.plan(rng, patterns, seed, sc)
+	cfg, scenario := s.plan(prng.New(seed), patterns, seed, sc)
 	rec, err := sc.mp.Run(cfg)
-	if err != nil {
-		return runResult{scenario: scenario, runErr: err}
-	}
-	return runResult{scenario: scenario, rec: rec, violation: checker.CheckAll(rec, s.Validity)}
+	return verdict(scenario, rec, err, s.Validity)
 }
 
 // plan derives one scenario from the run's random stream.
 func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, sc *planScratch) (mpnet.Config, string) {
 	n, t := s.N, s.T
-	// Plan the faulty set: usually the full budget t (worst case), sometimes
-	// fewer, sometimes none.
-	f := t
-	switch rng.Intn(4) {
-	case 0:
-		if t > 0 {
-			f = rng.Intn(t + 1)
-		}
-	case 1:
-		f = 0
-	}
-	f = clampFaults(f, s.FaultCap)
-	faulty := sc.faultyFor(n)
-	sc.perm = rng.PermInto(sc.perm, n)
-	for _, idx := range sc.perm[:f] {
-		faulty[idx] = true
-	}
-
-	pattern := patterns[rng.Intn(len(patterns))]
-	sc.inputs = GenInputsInto(sc.inputs, pattern, n, faulty, rng)
-	inputs := sc.inputs
-
+	f, faulty, pattern := sc.planFaults(rng, n, t, s.FaultCap, patterns)
 	cfg := mpnet.Config{
 		N: n, T: t, K: s.K,
-		Inputs:       inputs,
+		Inputs:       sc.inputs,
 		NewProtocol:  s.NewProtocol,
 		Seed:         rng.Uint64(),
 		MaxEvents:    s.MaxEvents,
@@ -269,37 +192,10 @@ func randomByzSpec(p types.ProcessID, n int, rng *prng.Source) trace.ByzSpec {
 // returning the portable trace artifact plus the fresh run record. Requires
 // Spec to be set.
 func (s *MPSweep) Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error) {
-	if s.Spec.Zero() {
-		return nil, nil, fmt.Errorf("harness: sweep %q has no protocol spec to capture", s.Name)
-	}
-	patterns := s.Patterns
-	if len(patterns) == 0 {
-		patterns = AllPatterns()
+	if err := needSpec(s.Spec, s.Name); err != nil {
+		return nil, nil, err
 	}
 	var sc planScratch
-	rng := prng.New(runSeed)
-	cfg, _ := s.plan(rng, patterns, runSeed, &sc)
+	cfg, _ := s.plan(prng.New(runSeed), orAllPatterns(s.Patterns), runSeed, &sc)
 	return trace.CaptureMP(cfg, s.Validity, s.Spec, sc.byz)
-}
-
-// RunConstruction executes one scripted counterexample and returns the first
-// condition violation it exhibits (nil if, unexpectedly, all conditions
-// held). Deterministic constructions violate on the first seed; seed
-// variation is provided for the few that need scheduling luck.
-func RunConstruction(c *adversary.MPConstruction, seeds int) (*RunOutcome, error) {
-	if seeds <= 0 {
-		seeds = 1
-	}
-	for i := 0; i < seeds; i++ {
-		cfg := c.FreshConfig()
-		cfg.Seed = uint64(i)*2654435761 + 1
-		rec, err := mpnet.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("harness: construction %s failed to run: %w", c.Name, err)
-		}
-		if err := checker.CheckAll(rec, c.Validity); err != nil {
-			return &RunOutcome{Seed: cfg.Seed, Scenario: c.Name, Err: err, Record: rec}, nil
-		}
-	}
-	return nil, nil
 }

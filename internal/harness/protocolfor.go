@@ -44,56 +44,6 @@ func SMFactory(r theory.Result) (func(types.ProcessID) smmem.Protocol, error) {
 	return f, nil
 }
 
-// CaptureCellRun re-derives one run of a solvable cell's randomized sweep —
-// identified by the per-run seed a Summary outcome records — and re-executes
-// it with recording on, returning the portable trace artifact. This is how
-// cmd/ksetverify turns a sweep violation into a replayable artifact.
-func CaptureCellRun(m types.Model, v types.Validity, n, k, t int, runSeed uint64) (*trace.Trace, *types.RunRecord, error) {
-	r := theory.Classify(m, v, n, k, t)
-	if r.Status != theory.Solvable {
-		return nil, nil, fmt.Errorf("%w: cell %v/%v n=%d k=%d t=%d is %v", ErrNoWitness, m, v, n, k, t, r.Status)
-	}
-	byz := m.Failure == types.Byzantine
-	switch m.Comm {
-	case types.MessagePassing:
-		factory, err := MPFactory(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		s := &MPSweep{
-			N: n, K: k, T: t, Validity: v,
-			NewProtocol: factory, Byzantine: byz, Spec: trace.SpecFor(r),
-		}
-		return s.Capture(runSeed)
-	case types.SharedMemory:
-		factory, err := SMFactory(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		s := &SMSweep{
-			N: n, K: k, T: t, Validity: v,
-			NewProtocol: factory, Byzantine: byz, Spec: trace.SpecFor(r),
-		}
-		return s.Capture(runSeed)
-	default:
-		return nil, nil, fmt.Errorf("%w: %v", types.ErrUnknownModel, m)
-	}
-}
-
-// ValidateCell empirically validates one solvable cell of a figure panel: it
-// instantiates the witness protocol and sweeps randomized adversarial
-// scenarios, checking every run. Runs controls the sweep size.
-func ValidateCell(m types.Model, v types.Validity, n, k, t, runs int, seed uint64) (*Summary, error) {
-	return ValidateCellExec(m, v, n, k, t, runs, seed, nil)
-}
-
-// ValidateCellExec is ValidateCell with the sweep's runs fanned out through
-// exec (nil = serial). The summary is identical for any executor: run seeds
-// are pre-drawn and results merge in run order.
-func ValidateCellExec(m types.Model, v types.Validity, n, k, t, runs int, seed uint64, exec Executor) (*Summary, error) {
-	return ValidateCellWith(m, v, n, k, t, CellOpts{Runs: runs, Seed: seed, Exec: exec})
-}
-
 // CellOpts configures a cell-validation sweep beyond the problem parameters.
 type CellOpts struct {
 	// Runs is the number of randomized runs (0 = sweep default).
@@ -121,46 +71,66 @@ func clampFaults(f, faultCap int) int {
 	}
 }
 
-// ValidateCellWith is ValidateCellExec with the full option set.
-func ValidateCellWith(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Summary, error) {
+// ValidateCell empirically validates one solvable cell of a figure panel: it
+// instantiates the witness protocol and sweeps randomized adversarial
+// scenarios under o, checking every run. The summary is identical for any
+// o.Exec: run seeds are pre-drawn and results merge in run order.
+func ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Summary, error) {
+	s, err := newCellSweep(m, v, n, k, t, o)
+	if err != nil {
+		return nil, err
+	}
+	return s.Execute(), nil
+}
+
+// CaptureCellRun re-derives one run of a solvable cell's randomized sweep —
+// identified by the per-run seed a Summary outcome records — and re-executes
+// it with recording on, returning the portable trace artifact. This is how
+// cmd/ksetverify turns a sweep violation into a replayable artifact.
+func CaptureCellRun(m types.Model, v types.Validity, n, k, t int, runSeed uint64) (*trace.Trace, *types.RunRecord, error) {
+	s, err := newCellSweep(m, v, n, k, t, CellOpts{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Capture(runSeed)
+}
+
+// cellSweep is what MPSweep and SMSweep share: the sweep ValidateCell
+// executes and CaptureCellRun re-derives a run of.
+type cellSweep interface {
+	Execute() *Summary
+	Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error)
+}
+
+// newCellSweep builds the sweep of a solvable cell's witness protocol.
+func newCellSweep(m types.Model, v types.Validity, n, k, t int, o CellOpts) (cellSweep, error) {
 	r := theory.Classify(m, v, n, k, t)
 	if r.Status != theory.Solvable {
 		return nil, fmt.Errorf("%w: cell %v/%v n=%d k=%d t=%d is %v", ErrNoWitness, m, v, n, k, t, r.Status)
 	}
 	name := fmt.Sprintf("%v/%v n=%d k=%d t=%d via %s", m, v, n, k, t, r.Protocol)
+	byz := m.Failure == types.Byzantine
 	switch m.Comm {
 	case types.MessagePassing:
 		factory, err := MPFactory(r)
 		if err != nil {
 			return nil, err
 		}
-		s := &MPSweep{
+		return &MPSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
-			NewProtocol: factory,
-			Byzantine:   m.Failure == types.Byzantine,
-			Runs:        o.Runs,
-			BaseSeed:    o.Seed,
-			Exec:        o.Exec,
-			FaultCap:    o.FaultCap,
-			Spec:        trace.SpecFor(r),
-		}
-		return s.Execute(), nil
+			NewProtocol: factory, Byzantine: byz, Spec: trace.SpecFor(r),
+			Runs: o.Runs, BaseSeed: o.Seed, Exec: o.Exec, FaultCap: o.FaultCap,
+		}, nil
 	case types.SharedMemory:
 		factory, err := SMFactory(r)
 		if err != nil {
 			return nil, err
 		}
-		s := &SMSweep{
+		return &SMSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
-			NewProtocol: factory,
-			Byzantine:   m.Failure == types.Byzantine,
-			Runs:        o.Runs,
-			BaseSeed:    o.Seed,
-			Exec:        o.Exec,
-			FaultCap:    o.FaultCap,
-			Spec:        trace.SpecFor(r),
-		}
-		return s.Execute(), nil
+			NewProtocol: factory, Byzantine: byz, Spec: trace.SpecFor(r),
+			Runs: o.Runs, BaseSeed: o.Seed, Exec: o.Exec, FaultCap: o.FaultCap,
+		}, nil
 	default:
 		return nil, fmt.Errorf("%w: %v", types.ErrUnknownModel, m)
 	}

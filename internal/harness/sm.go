@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"kset/internal/adversary"
-	"kset/internal/checker"
 	"kset/internal/prng"
 	"kset/internal/smmem"
 	"kset/internal/trace"
@@ -50,85 +48,27 @@ type SMSweep struct {
 
 // Execute runs the sweep.
 func (s *SMSweep) Execute() *Summary {
-	runs := s.Runs
-	if runs == 0 {
-		runs = 32
-	}
-	patterns := s.Patterns
-	if len(patterns) == 0 {
-		patterns = AllPatterns()
-	}
-	sum := &Summary{Name: s.Name, Runs: runs}
-	master := prng.New(s.BaseSeed)
-	seeds := make([]uint64, runs)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
-	}
-	results := make([]runResult, runs)
-	if s.Exec == nil {
-		var sc planScratch
-		for i, seed := range seeds {
-			results[i] = s.runOne(seed, patterns, &sc)
-		}
-	} else {
-		s.Exec(runs, func(i int) {
-			var sc planScratch
-			results[i] = s.runOne(seeds[i], patterns, &sc)
-		})
-	}
-	for i, r := range results {
-		if r.runErr != nil {
-			sum.addRunError(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.runErr})
-			continue
-		}
-		sum.Events += int64(r.rec.Events)
-		sum.observe(r.rec)
-		if r.violation != nil {
-			sum.addViolation(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.violation, Record: r.rec})
-		}
-	}
-	return sum
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, s.runOne)
 }
 
 // runOne plans, executes and checks a single run.
 func (s *SMSweep) runOne(seed uint64, patterns []InputPattern, sc *planScratch) runResult {
-	rng := prng.New(seed)
-	cfg, scenario := s.plan(rng, patterns, seed, sc)
+	cfg, scenario := s.plan(prng.New(seed), patterns, seed, sc)
 	rec, err := smmem.Run(cfg)
-	if err != nil {
-		return runResult{scenario: scenario, runErr: err}
-	}
-	return runResult{scenario: scenario, rec: rec, violation: checker.CheckAll(rec, s.Validity)}
+	return verdict(scenario, rec, err, s.Validity)
 }
 
 // plan derives one scenario from the run's random stream.
 func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, sc *planScratch) (smmem.Config, string) {
 	n, t := s.N, s.T
-	f := t
-	switch rng.Intn(4) {
-	case 0:
-		if t > 0 {
-			f = rng.Intn(t + 1)
-		}
-	case 1:
-		f = 0
-	}
-	f = clampFaults(f, s.FaultCap)
-	faulty := sc.faultyFor(n)
+	f, _, pattern := sc.planFaults(rng, n, t, s.FaultCap, patterns)
 	faultyIDs := make([]types.ProcessID, 0, f)
-	sc.perm = rng.PermInto(sc.perm, n)
 	for _, idx := range sc.perm[:f] {
-		faulty[idx] = true
 		faultyIDs = append(faultyIDs, types.ProcessID(idx))
 	}
-
-	pattern := patterns[rng.Intn(len(patterns))]
-	sc.inputs = GenInputsInto(sc.inputs, pattern, n, faulty, rng)
-	inputs := sc.inputs
-
 	cfg := smmem.Config{
 		N: n, T: t, K: s.K,
-		Inputs:      inputs,
+		Inputs:      sc.inputs,
 		NewProtocol: s.NewProtocol,
 		Seed:        rng.Uint64(),
 		MaxOps:      s.MaxOps,
@@ -250,35 +190,10 @@ func randomSMByzSpec(p types.ProcessID, n int, rng *prng.Source) trace.ByzSpec {
 // and re-executes it with recording on, returning the portable trace
 // artifact plus the fresh run record. Requires Spec to be set.
 func (s *SMSweep) Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error) {
-	if s.Spec.Zero() {
-		return nil, nil, fmt.Errorf("harness: sweep %q has no protocol spec to capture", s.Name)
-	}
-	patterns := s.Patterns
-	if len(patterns) == 0 {
-		patterns = AllPatterns()
+	if err := needSpec(s.Spec, s.Name); err != nil {
+		return nil, nil, err
 	}
 	var sc planScratch
-	rng := prng.New(runSeed)
-	cfg, _ := s.plan(rng, patterns, runSeed, &sc)
+	cfg, _ := s.plan(prng.New(runSeed), orAllPatterns(s.Patterns), runSeed, &sc)
 	return trace.CaptureSM(cfg, s.Validity, s.Spec, sc.byz)
-}
-
-// RunSMConstruction executes one scripted shared-memory counterexample and
-// returns the first condition violation it exhibits.
-func RunSMConstruction(c *adversary.SMConstruction, seeds int) (*RunOutcome, error) {
-	if seeds <= 0 {
-		seeds = 1
-	}
-	for i := 0; i < seeds; i++ {
-		cfg := c.Config
-		cfg.Seed = uint64(i)*2654435761 + 1
-		rec, err := smmem.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("harness: construction %s failed to run: %w", c.Name, err)
-		}
-		if err := checker.CheckAll(rec, c.Validity); err != nil {
-			return &RunOutcome{Seed: cfg.Seed, Scenario: c.Name, Err: err, Record: rec}, nil
-		}
-	}
-	return nil, nil
 }

@@ -80,7 +80,7 @@ func TestSolvableCellsHoldUnderAdversarialSweeps(t *testing.T) {
 			if res.Status != theory.Solvable {
 				t.Fatalf("cell expected solvable, classifier says %v (%s)", res.Status, res.Lemma)
 			}
-			sum, err := ValidateCell(c.model, c.v, c.n, c.k, c.t, runs, 0xC0FFEE)
+			sum, err := ValidateCell(c.model, c.v, c.n, c.k, c.t, CellOpts{Runs: runs, Seed: 0xC0FFEE})
 			if err != nil {
 				t.Fatalf("ValidateCell: %v", err)
 			}

@@ -18,7 +18,6 @@ import (
 	"kset/internal/harness"
 	"kset/internal/mpnet"
 	"kset/internal/protocols/mp"
-	"kset/internal/sweep"
 	"kset/internal/theory"
 	"kset/internal/types"
 )
@@ -60,7 +59,7 @@ func (c *Config) defaults() {
 // Run executes the evaluation and writes the markdown report.
 func Run(w io.Writer, cfg Config) error {
 	cfg.defaults()
-	exec := executorFor(cfg.Workers)
+	exec := grid.FanOut(cfg.Workers)
 	start := time.Now() //ksetlint:allow determinism.time wall-clock banner only; no result depends on it
 	fmt.Fprintf(w, "# k-set consensus reproduction report\n\n")
 	fmt.Fprintf(w, "Parameters: sweeps at n=%d (%d runs x %d cells per panel), region tables at n=%d, seed %d.\n\n",
@@ -86,27 +85,6 @@ func Run(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// executorFor builds the fan-out executor for a worker count; one worker
-// means serial execution. The sweep engine holds all the concurrency — this
-// package stays goroutine-free, as the determinism lint requires.
-func executorFor(workers int) harness.Executor {
-	if workers == 1 {
-		return nil
-	}
-	return sweep.NewPool(workers).Map
-}
-
-// runJobs fans independent jobs across exec, serially when exec is nil.
-func runJobs(exec harness.Executor, jobs int, run func(job int)) {
-	if exec == nil {
-		for i := 0; i < jobs; i++ {
-			run(i)
-		}
-		return
-	}
-	exec(jobs, run)
-}
-
 func writeLattice(w io.Writer) {
 	fmt.Fprintf(w, "## Figure 1: validity lattice\n\n")
 	edges := theory.WeakerEdges()
@@ -124,7 +102,7 @@ func writeGridTables(w io.Writer, n int, exec harness.Executor) {
 	// are independent jobs.
 	figures := theory.Figures()
 	grids := make([][]*theory.Grid, len(figures))
-	runJobs(exec, len(figures), func(j int) {
+	exec.Run(len(figures), func(j int) {
 		grids[j] = theory.ComputeFigure(figures[j].Model, n)
 	})
 	for j, f := range figures {
@@ -141,42 +119,26 @@ func writeGridTables(w io.Writer, n int, exec harness.Executor) {
 func writeValidation(w io.Writer, cfg Config, exec harness.Executor) error {
 	fmt.Fprintf(w, "## Empirical validation of solvable cells (n=%d)\n\n", cfg.N)
 	fmt.Fprintf(w, "| panel | cell | witness | runs | outcome |\n|---|---|---|---|---|\n")
-	// Plan every sampled cell (and its sweep seed) in canonical panel order,
-	// fan the sweeps out, then render rows in plan order — byte-identical
-	// output for any worker count.
-	type cellJob struct {
-		g    *theory.Grid
-		c    theory.CellPoint
-		seed uint64
-		sum  *harness.Summary
-		err  error
-	}
-	var jobs []cellJob
+	failures := 0
 	for _, f := range theory.Figures() {
-		for _, g := range theory.ComputeFigure(f.Model, cfg.N) {
-			for _, sc := range grid.SamplePanel(g, cfg.Samples, cfg.Seed+uint64(f.Number)*100+uint64(g.Validity)) {
-				jobs = append(jobs, cellJob{g: g, c: sc.Cell, seed: sc.Seed})
+		panels := theory.ComputeFigure(f.Model, cfg.N)
+		checks := grid.ValidatePanels(panels, func(g *theory.Grid) uint64 {
+			return cfg.Seed + uint64(f.Number)*100 + uint64(g.Validity)
+		}, cfg.Samples, cfg.Runs, exec)
+		for i, g := range panels {
+			for _, c := range checks[i] {
+				if c.Err != nil {
+					return c.Err
+				}
+				outcome := "all conditions held"
+				if !c.Sum.OK() {
+					outcome = fmt.Sprintf("FAILED: %v", c.Sum.Violations[0].Err)
+					failures++
+				}
+				fmt.Fprintf(w, "| %s/%s | k=%d t=%d | %s | %d | %s |\n",
+					g.Model, g.Validity, c.Cell.K, c.Cell.T, g.At(c.Cell.K, c.Cell.T).Protocol, c.Sum.Runs, outcome)
 			}
 		}
-	}
-	runJobs(exec, len(jobs), func(j int) {
-		jb := &jobs[j]
-		jb.sum, jb.err = harness.ValidateCellExec(
-			jb.g.Model, jb.g.Validity, cfg.N, jb.c.K, jb.c.T, cfg.Runs, jb.seed, exec)
-	})
-	failures := 0
-	for j := range jobs {
-		jb := &jobs[j]
-		if jb.err != nil {
-			return jb.err
-		}
-		outcome := "all conditions held"
-		if !jb.sum.OK() {
-			outcome = fmt.Sprintf("FAILED: %v", jb.sum.Violations[0].Err)
-			failures++
-		}
-		fmt.Fprintf(w, "| %s/%s | k=%d t=%d | %s | %d | %s |\n",
-			jb.g.Model, jb.g.Validity, jb.c.K, jb.c.T, jb.g.At(jb.c.K, jb.c.T).Protocol, jb.sum.Runs, outcome)
 	}
 	if failures > 0 {
 		fmt.Fprintf(w, "\n**%d cell validations FAILED.**\n\n", failures)
@@ -189,71 +151,32 @@ func writeValidation(w io.Writer, cfg Config, exec harness.Executor) error {
 func writeConstructions(w io.Writer, n int, exec harness.Executor) error {
 	fmt.Fprintf(w, "## Impossibility constructions (n=%d)\n\n", n)
 	fmt.Fprintf(w, "| construction | lemma | expected | exhibited |\n|---|---|---|---|\n")
-
-	// Builders return fresh instances, so distinct constructions are
-	// independent jobs: build in table order, execute across the pool, render
-	// in table order. Builders that decline the (n, k, t) point are skipped.
-	type consJob struct {
-		name, lemma, expect string
-		run                 func() (*harness.RunOutcome, error)
-		out                 *harness.RunOutcome
-		err                 error
-	}
-	var jobs []consJob
-	add := func(cons *adversary.MPConstruction, err error) {
-		if err != nil {
-			return
+	// Builders that decline the representative point are left out.
+	reps := adversary.Representatives(n)
+	exec.Run(len(reps), func(j int) { reps[j].Run() })
+	for _, r := range reps {
+		c := r.Cons
+		switch {
+		case c == nil:
+		case r.RunErr != nil:
+			return r.RunErr
+		case r.Out == nil:
+			fmt.Fprintf(w, "| %s | %s | %s | NO VIOLATION |\n", c.Name, c.Lemma, c.Expect)
+		default:
+			fmt.Fprintf(w, "| %s | %s | %s | %d distinct decisions / %v |\n",
+				c.Name, c.Lemma, c.Expect, len(r.Out.Record.CorrectDecisions()), condition(r.Out.Violation))
 		}
-		jobs = append(jobs, consJob{
-			name: cons.Name, lemma: cons.Lemma, expect: cons.Expect,
-			run: func() (*harness.RunOutcome, error) { return harness.RunConstruction(cons, 8) },
-		})
-	}
-	addSM := func(cons *adversary.SMConstruction, err error) {
-		if err != nil {
-			return
-		}
-		jobs = append(jobs, consJob{
-			name: cons.Name, lemma: cons.Lemma, expect: cons.Expect,
-			run: func() (*harness.RunOutcome, error) { return harness.RunSMConstruction(cons, 8) },
-		})
-	}
-	add(adversary.Lemma32FloodMin(n, 2, (n-1)/2))
-	add(adversary.Lemma33ProtocolA(n, 2, n-n/4))
-	add(adversary.Lemma35FloodMin(n, 2, 1))
-	add(adversary.Lemma36ProtocolB(n, 2, (2*n+4)/5))
-	add(adversary.BoundaryProtocolA(n, 2))
-	add(adversary.Lemma39ProtocolA(n, 2, n/2+1))
-	add(adversary.Lemma310FloodMin(n, 2, 1))
-	addSM(adversary.Lemma43ProtocolF(n, 2, n/2+1))
-	addSM(adversary.Lemma49ProtocolE(n, 2, 1))
-
-	runJobs(exec, len(jobs), func(j int) {
-		jb := &jobs[j]
-		jb.out, jb.err = jb.run()
-	})
-	for j := range jobs {
-		jb := &jobs[j]
-		if jb.err != nil {
-			return jb.err
-		}
-		if jb.out == nil {
-			fmt.Fprintf(w, "| %s | %s | %s | NO VIOLATION |\n", jb.name, jb.lemma, jb.expect)
-			continue
-		}
-		fmt.Fprintf(w, "| %s | %s | %s | %d distinct decisions / %v |\n",
-			jb.name, jb.lemma, jb.expect, len(jb.out.Record.CorrectDecisions()), condition(jb.out))
 	}
 	fmt.Fprintln(w)
 	return nil
 }
 
-func condition(out *harness.RunOutcome) string {
+func condition(violation error) string {
 	var v *checker.Violation
-	if errors.As(out.Err, &v) {
+	if errors.As(violation, &v) {
 		return v.Condition + " violated"
 	}
-	return out.Err.Error()
+	return violation.Error()
 }
 
 func writeHalting(w io.Writer, cfg Config, exec harness.Executor) {
@@ -303,7 +226,7 @@ func writeHalting(w io.Writer, cfg Config, exec harness.Executor) {
 	// Each (trial, halting-mode) run is independent; DelayProcess schedulers
 	// are read-only after construction, so trials can share one safely.
 	verdicts := make([]string, len(trials)*2)
-	runJobs(exec, len(verdicts), func(j int) {
+	exec.Run(len(verdicts), func(j int) {
 		tr := trials[j/2]
 		verdicts[j] = verdictFor(tr.factory, tr.k, tr.t, tr.inputs, tr.sched, j%2 == 1)
 	})
@@ -336,7 +259,7 @@ func writeExhaustive(w io.Writer, exec harness.Executor) {
 	// Every (rule, k, t) cell is an independent exhaustive check.
 	cells := (n - 2) * (n - 1)
 	holds := make([]bool, len(rules)*cells)
-	runJobs(exec, len(holds), func(j int) {
+	exec.Run(len(holds), func(j int) {
 		r := rules[j/cells]
 		k := 2 + (j%cells)/(n-1)
 		t := 1 + (j%cells)%(n-1)
@@ -377,7 +300,7 @@ func writeGapProbes(w io.Writer, exec harness.Executor) {
 		}
 	}
 	holds := make([]bool, len(open))
-	runJobs(exec, len(open), func(j int) {
+	exec.Run(len(open), func(j int) {
 		holds[j] = exhaustive.Verify(exhaustive.ProtocolBRule{}, types.SV2, n, open[j].K, open[j].T, 0).Holds
 	})
 	for j, c := range open {
@@ -429,7 +352,7 @@ func writeLatency(w io.Writer, cfg Config, exec harness.Executor) {
 		}
 		jobs = append(jobs, latJob{idx: i})
 	}
-	runJobs(exec, len(jobs), func(j int) {
+	exec.Run(len(jobs), func(j int) {
 		tr := trials[jobs[j].idx]
 		jobs[j].rec, jobs[j].err = mpnet.Run(mpnet.Config{
 			N: n, T: tr.t, K: tr.k,

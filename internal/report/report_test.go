@@ -1,9 +1,39 @@
 package report
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
+
+// withoutBanner drops the final wall-clock line, the one part of a report
+// that differs from run to run.
+func withoutBanner(report string) string {
+	if i := strings.LastIndex(report, "\nGenerated in "); i >= 0 {
+		return report[:i]
+	}
+	return report
+}
+
+// TestReportMatchesCheckedIn regenerates docs/report.md with what `make
+// report` runs and requires the checked-in file, banner aside: a change that
+// moves any figure of the report has to regenerate it.
+func TestReportMatchesCheckedIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation")
+	}
+	want, err := os.ReadFile("../../docs/report.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := Run(&b, Config{N: 12, Runs: 16, Samples: 3, Seed: 1, GridN: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if got := withoutBanner(b.String()); got != withoutBanner(string(want)) {
+		t.Errorf("docs/report.md is stale: regenerate it with `make report`\n--- generated ---\n%s", got)
+	}
+}
 
 func TestReportEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -55,11 +85,7 @@ func TestWorkersDeterminism(t *testing.T) {
 		if err := Run(&b, Config{N: 6, Runs: 4, Samples: 1, Seed: 3, GridN: 10, Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		out := b.String()
-		if i := strings.LastIndex(out, "\nGenerated in "); i >= 0 {
-			out = out[:i]
-		}
-		return out
+		return withoutBanner(b.String())
 	}
 	serial := reportFor(1)
 	parallel := reportFor(8)

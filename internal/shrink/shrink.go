@@ -32,14 +32,10 @@ import (
 	"fmt"
 	"sort"
 
+	"kset/internal/harness"
 	"kset/internal/trace"
 	"kset/internal/types"
 )
-
-// Executor fans out independent jobs 0..jobs-1 and returns when all are
-// done; nil means serial. It is structurally identical to harness.Executor,
-// so internal/sweep's Pool.Map satisfies it.
-type Executor func(jobs int, run func(job int))
 
 // ErrNotViolating reports an attempt to shrink an artifact whose verdict is
 // ok, or whose re-execution no longer reproduces the recorded violation.
@@ -49,7 +45,7 @@ var ErrNotViolating = errors.New("shrink: artifact does not reproduce a violatio
 type Options struct {
 	// Exec evaluates candidate batches (nil = serial). The minimized
 	// artifact is identical for any executor.
-	Exec Executor
+	Exec harness.Executor
 }
 
 // Stats reports what a minimization did.
@@ -133,7 +129,7 @@ func Minimize(t *trace.Trace, opts Options) (*trace.Trace, *Stats, error) {
 // along with that candidate's fresh verdict. Returns -1 if none survive.
 // Taking the lowest index — not the first to finish — keeps the result
 // independent of worker count and scheduling.
-func firstSurvivor(cands []*trace.Trace, target string, exec Executor, stats *Stats) (int, trace.Verdict) {
+func firstSurvivor(cands []*trace.Trace, target string, exec harness.Executor, stats *Stats) (int, trace.Verdict) {
 	stats.Candidates += len(cands)
 	verdicts := make([]trace.Verdict, len(cands))
 	ok := make([]bool, len(cands))
@@ -145,13 +141,7 @@ func firstSurvivor(cands []*trace.Trace, target string, exec Executor, stats *St
 		verdicts[i] = v
 		ok[i] = !v.OK && v.Condition == target
 	}
-	if exec == nil {
-		for i := range cands {
-			eval(i)
-		}
-	} else {
-		exec(len(cands), eval)
-	}
+	exec.Run(len(cands), eval)
 	for i, accepted := range ok {
 		if accepted {
 			return i, verdicts[i]

@@ -9,7 +9,7 @@ import (
 
 // TestStarveHoldReusedMatchFresh: Starve and Hold keep their candidates, and
 // Hold its gate, from one pick to the next. One policy reused for run after
-// run — as harness.RunSMConstruction reuses a construction's — must show
+// run — as Construction.Violate reuses a construction's — must show
 // every run exactly as a fresh policy does: record, Recorder stream and
 // Trace stream. The runs' crash sets differ, so their pending lists shrink
 // through different processes to the same lengths, and a gate opened in one

@@ -23,8 +23,8 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sums := make([]*harness.Summary, jobs)
 				pool.Map(jobs, func(j int) {
-					sum, err := harness.ValidateCell(
-						types.MPCR, types.RV1, 12, 6, 5, 4, uint64(i*jobs+j)+1)
+					sum, err := harness.ValidateCell(types.MPCR, types.RV1, 12, 6, 5,
+						harness.CellOpts{Runs: 4, Seed: uint64(i*jobs+j) + 1})
 					if err != nil {
 						panic(err)
 					}

@@ -31,14 +31,7 @@ import (
 	"kset/internal/obs"
 )
 
-// Executor runs jobs 0..jobs-1, each exactly once, returning only when all
-// have finished. Implementations may run jobs concurrently; callers must make
-// jobs independent and write results into job-indexed slots. The type is
-// structurally identical to harness.Executor so a Pool's Map method can be
-// passed to the harness without the harness importing this package.
-type Executor func(jobs int, run func(job int))
-
-// Serial is the Executor that runs jobs in order on the calling goroutine.
+// Serial runs jobs 0..jobs-1 in order on the calling goroutine.
 func Serial(jobs int, run func(job int)) {
 	for i := 0; i < jobs; i++ {
 		run(i)
@@ -166,14 +159,3 @@ admit:
 
 // panicValue boxes a recovered panic for transport across goroutines.
 type panicValue struct{ value any }
-
-// Collect runs fn for every job through exec (nil means Serial) and returns
-// the results in canonical job order.
-func Collect[T any](exec Executor, jobs int, fn func(job int) T) []T {
-	if exec == nil {
-		exec = Serial
-	}
-	out := make([]T, jobs)
-	exec(jobs, func(i int) { out[i] = fn(i) })
-	return out
-}

@@ -106,28 +106,6 @@ func TestMapPanicPropagates(t *testing.T) {
 	})
 }
 
-// TestCollectCanonicalOrder checks that results land in job order no matter
-// how many workers execute them.
-func TestCollectCanonicalOrder(t *testing.T) {
-	want := Collect(Serial, 64, func(i int) int { return i * i })
-	for _, workers := range []int{1, 4, 8} {
-		p := NewPool(workers)
-		got := Collect(p.Map, 64, func(i int) int { return i * i })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestCollectNilExecutorIsSerial(t *testing.T) {
-	got := Collect(nil, 3, func(i int) int { return i + 1 })
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("Collect(nil, ...) = %v", got)
-	}
-}
-
 // TestInstrumentedMap checks the pool's throughput metrics: every job is
 // counted exactly once no matter how work was shared, spawns stay within the
 // worker bound, and an uninstrumented pool (nil handles) still works.

@@ -204,5 +204,5 @@ func Check(rec *RunRecord, v Validity) error { return checker.CheckAll(rec, v) }
 // outcome. A non-nil error means the point has no witness (impossible/open);
 // a summary with violations means a reproduction bug.
 func Validate(m Model, v Validity, n, k, t, runs int, seed uint64) (*harness.Summary, error) {
-	return harness.ValidateCell(m, v, n, k, t, runs, seed)
+	return harness.ValidateCell(m, v, n, k, t, harness.CellOpts{Runs: runs, Seed: seed})
 }
