@@ -125,10 +125,6 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 	}
 
 	logger := log.New(logw, fmt.Sprintf("ksetd[%d] ", *id), log.LstdFlags|log.Lmicroseconds)
-	logf := logger.Printf
-	if *quiet {
-		logf = nil
-	}
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		return err
@@ -154,8 +150,7 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 			Delay:    *delay,
 			MaxDelay: *maxDelay,
 		},
-		Logf: logf,
-		Log:  events,
+		Log: events,
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package acs
 
 import (
-	"fmt"
 	"math/bits"
 	"reflect"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"kset/internal/cluster"
+	"kset/internal/obs"
 	"kset/internal/types"
 	"kset/internal/wire"
 )
@@ -194,6 +194,24 @@ func TestCommonSubsetCtl(t *testing.T) {
 	}
 }
 
+// lockedWriter collects what the nodes of a test cluster log.
+type lockedWriter struct {
+	mu sync.Mutex
+	sb strings.Builder
+}
+
+func (w *lockedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sb.Write(p)
+}
+
+func (w *lockedWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sb.String()
+}
+
 // TestFirstRoundNeedsNoRetransmit is the regression test for the proposals a
 // fresh connection lost, when a link's first frames took a second framing
 // whose receive path had no case for acs-propose and only the retransmit
@@ -203,19 +221,12 @@ func TestCommonSubsetCtl(t *testing.T) {
 // no node may complain about a frame.
 func TestFirstRoundNeedsNoRetransmit(t *testing.T) {
 	const n, tt, crashed = 4, 1, 3
-	var mu sync.Mutex
-	var complaints []string
+	var logged lockedWriter
 	lb, engines := startAcsLoopbackCfg(t, cluster.LoopbackConfig{
 		N: n, K: tt + 1, T: tt,
 		Seed:       0xACE5,
 		Retransmit: 2 * time.Second,
-		Logf: func(format string, args ...any) {
-			if line := fmt.Sprintf(format, args...); strings.Contains(line, "frame") {
-				mu.Lock()
-				complaints = append(complaints, line)
-				mu.Unlock()
-			}
-		},
+		Log:        obs.NewLogger(&logged, obs.LevelWarn),
 	})
 	defer lb.Close()
 	lb.Crash(crashed)
@@ -234,8 +245,12 @@ func TestFirstRoundNeedsNoRetransmit(t *testing.T) {
 		return true
 	})
 	t.Logf("first round closed on all survivors in %v", time.Since(begin))
-	mu.Lock()
-	defer mu.Unlock()
+	var complaints []string
+	for _, line := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(line, "frame") {
+			complaints = append(complaints, line)
+		}
+	}
 	if len(complaints) > 0 {
 		t.Errorf("nodes complained about frames: %q", complaints)
 	}

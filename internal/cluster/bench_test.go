@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -73,6 +74,67 @@ func BenchmarkLinkThroughput(b *testing.B) {
 	b.StopTimer()
 	if fSent := lb.Nodes[0].stats.framesSent.Value(); fSent > 0 {
 		b.ReportMetric(float64(sent)/float64(fSent), "msgs/frame")
+	}
+}
+
+// BenchmarkLinkThroughputLossy measures the reliability layer under loss:
+// node 0 drops each transmission attempt with the given probability (its
+// peer drops nothing) and ns/op is the per-message cost of getting each wave
+// of benchWave messages acknowledged, not merely delivered — the sender's
+// queue drains only once the acks behind every hole have been applied. The
+// retransmit interval is 2 ms, so a dropped frame costs a round of waiting
+// and the rest is the cost of the acks.
+func BenchmarkLinkThroughputLossy(b *testing.B) {
+	for _, drop := range []float64{0, 0.01, 0.1} {
+		b.Run(fmt.Sprintf("drop=%g", drop), func(b *testing.B) {
+			listeners := make([]net.Listener, 2)
+			addrs := make([]string, 2)
+			for i := range listeners {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				listeners[i], addrs[i] = ln, ln.Addr().String()
+			}
+			nodes := make([]*Node, 2)
+			for i := range nodes {
+				cfg := Config{ID: types.ProcessID(i), N: 2, K: 1, T: 0, Peers: addrs, Seed: 1,
+					Retransmit: 2 * time.Millisecond}
+				if i == 0 {
+					cfg.Faults = Faults{Drop: drop}
+				}
+				node, err := NewNode(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer node.Close()
+				node.Serve(listeners[i])
+				nodes[i] = node
+			}
+			link := nodes[0].links[1]
+			unacked := func() int {
+				link.mu.Lock()
+				defer link.mu.Unlock()
+				return link.queue.len()
+			}
+			b.ResetTimer()
+			for sent := 0; sent < b.N; {
+				wave := min(benchWave, b.N-sent)
+				for i := 0; i < wave; i++ {
+					link.enqueue(wire.BatchMsg{Kind: wire.TypePropose, Instance: uint64(sent + i), From: 0, Origin: 0})
+				}
+				sent += wave
+				deadline := time.Now().Add(30 * time.Second)
+				for unacked() > 0 {
+					if time.Now().After(deadline) {
+						b.Fatalf("%d frames unacked at deadline", unacked())
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(nodes[0].stats.retransmits.Value())/float64(b.N), "retransmits/msg")
+		})
 	}
 }
 

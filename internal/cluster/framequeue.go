@@ -61,12 +61,20 @@ func (q *frameQueue) popFront() {
 	}
 }
 
-// remove drops the i-th frame, 0 <= i < len, by moving the i frames in front
-// of it back one place and popping the head: the cost is that of the search
-// that found i.
-func (q *frameQueue) remove(i int) {
-	for ; i > 0; i-- {
-		*q.at(i) = *q.at(i - 1)
+// dropIf drops those of the first n frames, n <= len, that drop (called
+// with each index from n-1 down to 0) reports true for, and returns their
+// number. Kept frames move back over dropped ones and the head pops, so the
+// cost is n however long the queue is.
+func (q *frameQueue) dropIf(n int, drop func(i int, p *pendingFrame) bool) int {
+	keep := n
+	for i := n - 1; i >= 0; i-- {
+		if p := q.at(i); !drop(i, p) {
+			keep--
+			*q.at(keep) = *p
+		}
 	}
-	q.popFront()
+	for i := 0; i < keep; i++ {
+		q.popFront()
+	}
+	return keep
 }

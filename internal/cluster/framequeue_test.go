@@ -21,9 +21,10 @@ func checkQueue(t *testing.T, step int, q *frameQueue, oracle []uint64) {
 }
 
 // TestFrameQueue runs a seeded random sequence of pushes, head pops and
-// removals at any index against a plain slice: the queue crosses block
-// boundaries, drains to empty and refills on its spare block, and removes at
-// the head, the middle and the tail of a queue several blocks long.
+// dropIf walks against a plain slice: the queue crosses block boundaries,
+// drains to empty and refills on its spare block, drops single frames at the
+// head, the middle and the tail of a queue several blocks long, and drops
+// random subsets of random prefixes, as acks with holes do.
 func TestFrameQueue(t *testing.T) {
 	var q frameQueue
 	var oracle []uint64
@@ -36,9 +37,33 @@ func TestFrameQueue(t *testing.T) {
 			oracle = append(oracle, next)
 		}
 	}
+	// dropSome drops each of the first n frames for which pick(index) holds.
+	dropSome := func(n int, pick func(i int) bool) {
+		picked := make([]bool, n)
+		var kept []uint64
+		for i, seq := range oracle {
+			if i < n {
+				picked[i] = pick(i)
+			}
+			if i >= n || !picked[i] {
+				kept = append(kept, seq)
+			}
+		}
+		next := n - 1
+		dropped := q.dropIf(n, func(i int, p *pendingFrame) bool {
+			if i != next || p.msg.Seq != oracle[i] {
+				t.Fatalf("dropIf visited index %d (seq %d), want %d (seq %d)", i, p.msg.Seq, next, oracle[next])
+			}
+			next--
+			return picked[i]
+		})
+		if dropped != len(oracle)-len(kept) {
+			t.Fatalf("dropIf reported %d dropped, oracle %d", dropped, len(oracle)-len(kept))
+		}
+		oracle = kept
+	}
 	remove := func(i int) {
-		q.remove(i)
-		oracle = append(oracle[:i], oracle[i+1:]...)
+		dropSome(i+1, func(j int) bool { return j == i })
 	}
 	step := 0
 	for cycle := 0; cycle < 4; cycle++ {
@@ -52,8 +77,10 @@ func TestFrameQueue(t *testing.T) {
 			case r < 8:
 				q.popFront()
 				oracle = oracle[1:]
-			default:
+			case r < 9:
 				remove(rng.Intn(q.len()))
+			default:
+				dropSome(rng.Intn(q.len()+1), func(int) bool { return rng.Intn(3) != 0 })
 			}
 			checkQueue(t, step, &q, oracle)
 		}

@@ -26,10 +26,11 @@ func waitFor(t *testing.T, within time.Duration, what string, cond func() bool) 
 }
 
 // TestAckWithoutReverseTraffic pins the silent-direction half of the ack
-// policy: acks wake no writer and ride on data, so when the receiver has no
-// data to send back they leave on its writer's tick, every half retransmit
-// interval. A one-directional stream must be fully acked before the sender's
-// retransmit deadline, and nothing may be sent twice.
+// policy: an acceptance wakes no writer and the ack state rides on data, so
+// when the receiver has no data to send back it leaves on its writer's tick,
+// every half retransmit interval. A one-directional stream must be fully
+// acked before the sender's retransmit deadline, and nothing may be sent
+// twice.
 func TestAckWithoutReverseTraffic(t *testing.T) {
 	const msgs = 500
 	const retransmit = time.Second // the receiver's tick: every 500 ms
@@ -62,16 +63,18 @@ func TestAckWithoutReverseTraffic(t *testing.T) {
 	if got := receiver.stats.msgsSent.Value(); got != 0 {
 		t.Errorf("receiver sent %d messages, want 0 (no reverse traffic)", got)
 	}
-	if receiver.stats.framesSent.Value() == 0 || receiver.stats.acksPiggybacked.Value() < msgs {
-		t.Errorf("receiver wrote %d frames carrying %d acks, want at least one frame and %d acks",
-			receiver.stats.framesSent.Value(), receiver.stats.acksPiggybacked.Value(), msgs)
+	// kset_acks_piggybacked_total counts, on the sender, the frames the
+	// receiver's ack states confirmed.
+	if receiver.stats.framesSent.Value() == 0 || sender.stats.acksPiggybacked.Value() < msgs {
+		t.Errorf("receiver wrote %d frames confirming %d messages, want at least one frame and %d messages",
+			receiver.stats.framesSent.Value(), sender.stats.acksPiggybacked.Value(), msgs)
 	}
 }
 
 // TestNoAckOnlyFramesUnderLoad pins the loaded half of the ack policy: with
-// traffic in both directions every ack rides on a data frame. The retransmit
-// interval is an hour, so no tick round runs during the test and any frame
-// written with acks and no message is a violation.
+// traffic in both directions every ack state rides on a data frame. The
+// retransmit interval is an hour, so no tick round runs during the test and
+// any frame written with no message is a violation.
 func TestNoAckOnlyFramesUnderLoad(t *testing.T) {
 	const n, instances, wave = 3, 600, 200
 	lb, err := StartLoopback(LoopbackConfig{N: n, K: 1, T: 0, Seed: 9, Retransmit: time.Hour})
@@ -107,7 +110,7 @@ func TestNoAckOnlyFramesUnderLoad(t *testing.T) {
 	for i, node := range nodes {
 		for peer, l := range node.links {
 			if l != nil && l.ackOnly != 0 {
-				t.Errorf("link %d->%d wrote %d frames with acks and no message", i, peer, l.ackOnly)
+				t.Errorf("link %d->%d wrote %d frames with no message", i, peer, l.ackOnly)
 			}
 		}
 		frames += node.stats.framesSent.Value()
@@ -117,7 +120,7 @@ func TestNoAckOnlyFramesUnderLoad(t *testing.T) {
 	if frames == 0 || acks == 0 {
 		t.Fatalf("%d frames carried %d acks: the load did not engage the transport", frames, acks)
 	}
-	t.Logf("%d frames, %.1f msgs and %.1f acks per frame", frames,
+	t.Logf("%d frames, %.1f msgs per frame, %.1f confirmed per frame", frames,
 		float64(msgs)/float64(frames), float64(acks)/float64(frames))
 }
 

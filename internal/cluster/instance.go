@@ -209,7 +209,7 @@ func (a *instanceAPI) Decide(v types.Value) {
 	in := a.in
 	elapsed := time.Since(in.startedAt)
 	if in.decided {
-		in.node.logf("cluster: instance %d decided twice", in.id)
+		in.node.log.Warn("instance decided twice", obs.F("instance", in.id))
 		return
 	}
 	in.decided = true

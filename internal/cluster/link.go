@@ -22,9 +22,11 @@ import (
 // injected faults. The inbound half (frames the peer sends us) arrives on
 // the connection the peer dials and is handled by Node.serveConn.
 //
-// Concurrency: the queue, ack list, and partition flag are guarded by mu and
-// touched by enqueuers (shard loops), the ack path (inbound reader
-// goroutines) and the writer. The connection and the fault rng belong to the
+// Concurrency: the queue and the partition flag are guarded by mu and
+// touched by enqueuers (shard loops), the ack path (the peer's reader
+// applying the ack state its frames carry) and the writer. The ack state
+// the writer sends is the node's dedup state for the peer (peerSeen), read
+// with no link lock held. The connection and the fault rng belong to the
 // writer goroutine alone.
 type link struct {
 	node *Node
@@ -34,9 +36,7 @@ type link struct {
 	mu      sync.Mutex
 	queue   frameQueue // unacked sequenced frames in seq order, in fixed blocks
 	nextSeq uint64     // next sequence number to assign (first is 1)
-	acks    []uint64   // outgoing transport acks, fire-and-forget (see queueAcks)
 	down    bool       // partitioned: hold all traffic
-	closed  bool
 	// cursor splits the queue: queue[:cursor] has been rolled through the
 	// fault injector at least once (sent, dropped or held back by an injected
 	// delay), queue[cursor:] has never been looked at. flush takes new frames
@@ -49,7 +49,7 @@ type link struct {
 	// scanned counts the queue entries flush has examined; the tests and
 	// BenchmarkLinkFlushBacklog read it to pin the cost of a round.
 	scanned int64
-	// ackOnly counts the batch frames written with acks and no message, and
+	// ackOnly counts the batch frames written with no message, and
 	// rounds the flush rounds the writer has run; the tests read them once the
 	// writer has exited. Writer goroutine only.
 	ackOnly int64
@@ -60,12 +60,16 @@ type link struct {
 	// off: the writer's tick redials and flushes the backlog.
 	unreachable atomic.Bool
 
-	// ackScratch and sendScratch recycle flush's working slices: each round
-	// swaps the drained ack list against ackScratch and collects due frames
-	// into sendScratch, so a steady-state flush allocates nothing. Both are
-	// touched only with mu held or by the writer goroutine between flushes.
-	ackScratch  []uint64
+	// accepted is raised by the reader when it accepts a message from the
+	// peer and cleared by the writer before it snapshots the ack state; it
+	// only lets a tick round write the ack state with no message.
+	accepted atomic.Bool
+
+	// sendScratch (due frames, mu held) and ackBuf (the ack state snapshot)
+	// recycle flush's working slices, so a steady-state flush allocates
+	// nothing.
 	sendScratch []wire.BatchMsg
+	ackBuf      wire.AckState
 
 	// wake signals the writer that there is new work (capacity 1).
 	wake chan struct{}
@@ -146,11 +150,10 @@ func (l *link) now() int64 {
 // and queues it for reliable delivery. It wakes the writer unless the peer is
 // unreachable: then the frame waits for the writer's tick.
 func (l *link) enqueue(bm wire.BatchMsg) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if l.node.closed.Load() {
 		return
 	}
+	l.mu.Lock()
 	l.nextSeq++
 	bm.Seq = l.nextSeq
 	l.queue.push(pendingFrame{msg: bm})
@@ -160,59 +163,37 @@ func (l *link) enqueue(bm wire.BatchMsg) {
 	}
 }
 
-// queueAcks adds one inbound frame's transport acks under one lock and wakes
-// nobody: they leave with the next round that carries data, or on the
-// writer's tick when this direction is silent. The tick runs every half
-// retransmit interval, so a pending ack is written before the peer's
-// retransmit deadline. Acks are not themselves sequenced or retransmitted: a
-// lost ack is recovered by the peer's retransmission, which we re-ack. Every
-// round that writes drains the list; while the link cannot write
-// (partitioned, peer unreachable) it grows by one entry per accepted message
-// and is not bounded. Dropping acks to bound it would leave holes in the ack
-// stream, and the peer pays for each ack behind a hole with a walk of its
-// queue until the retransmission fills it.
-func (l *link) queueAcks(seqs []uint64) {
-	l.mu.Lock()
-	if !l.closed {
-		l.acks = append(l.acks, seqs...)
+// ack applies one ack state the peer wrote: every queued frame it
+// acknowledges leaves the queue, observing its round trip from its first
+// transmission. A state naming another session — the peer's window for an
+// earlier incarnation of this node — acknowledges nothing. The frames a
+// state covers are a prefix of the queue, which one walk filters; the
+// cursor moves back by the dropped frames it had passed.
+func (l *link) ack(a wire.AckState) {
+	if a.Session() != l.node.session {
+		return
 	}
-	l.mu.Unlock()
-}
-
-// ackBatch removes every frame confirmed by one batch's piggybacked ack
-// vector under a single lock acquisition, observing each round trip from the
-// frame's first transmission.
-func (l *link) ackBatch(seqs []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
-	for _, seq := range seqs {
-		l.ackLocked(seq, now)
+	covered := 0
+	for covered < l.queue.len() && l.queue.at(covered).msg.Seq < a.End() {
+		covered++
 	}
-}
-
-func (l *link) ackLocked(seq uint64, now int64) {
-	for i := 0; i < l.queue.len(); i++ {
-		p := l.queue.at(i)
-		// The queue is in seq order: a stale ack (a re-ack of a frame already
-		// confirmed) stops at the head instead of walking the backlog.
-		if p.msg.Seq > seq {
-			return
+	now, sent := l.now(), 0
+	acked := l.queue.dropIf(covered, func(i int, p *pendingFrame) bool {
+		if !a.Has(p.msg.Seq) {
+			return false
 		}
-		if p.msg.Seq == seq {
-			if first := p.firstSent; first != 0 {
-				l.node.stats.ackRTT.Observe(time.Duration(now - first).Seconds())
-			}
-			// Acks overwhelmingly confirm the queue head in order; popping
-			// the front is O(1) and only an out-of-order ack pays a shift of
-			// the i frames its search walked past.
-			l.queue.remove(i)
-			if i < l.cursor {
-				l.cursor--
-			}
-			return
+		if first := p.firstSent; first != 0 {
+			l.node.stats.ackRTT.Observe(time.Duration(now - first).Seconds())
 		}
-	}
+		if i < l.cursor {
+			sent++
+		}
+		return true
+	})
+	l.cursor -= sent
+	l.node.stats.acksPiggybacked.Add(int64(acked))
 }
 
 // setDown partitions or heals the link. While down, nothing is sent; queued
@@ -233,18 +214,10 @@ func (l *link) signal() {
 	}
 }
 
-// close marks the link closed; the writer goroutine tears the connection
-// down when it exits.
-func (l *link) close() {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
-	l.signal()
-}
-
 // writer is the link's goroutine: it dials (and re-dials with exponential
 // backoff), applies the fault injector, retransmits unacked frames, and
-// flushes acks. It exits when the node shuts down or the link is closed.
+// writes the ack state. It exits when the node shuts down, tearing the
+// connection down.
 //
 // Before each round it yields once: a producer that is already runnable (a
 // shard loop mid-drain, a reader holding a frame) gets to add its messages
@@ -273,19 +246,13 @@ func (l *link) writer() {
 		case <-tick.C:
 			ticked = true
 		}
-		if l.isClosed() {
+		if l.node.closed.Load() {
 			return
 		}
 		runtime.Gosched()
 		l.rounds++
 		l.flush(ticked)
 	}
-}
-
-func (l *link) isClosed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
 }
 
 // encBufs pools batch-encode buffers across all links: flush borrows one,
@@ -305,20 +272,21 @@ const batchMsgsPerFrame = 1024
 // flush performs one round of work, and its cost follows the work that is
 // due, not the unacked backlog. The connection comes first: while the peer is
 // unreachable and the dial is backing off, the round ends before the queue
-// or the ack list is touched, so a crashed peer costs its live neighbours
-// O(1) per round however long its queue grows, and those rounds come on the
-// writer's tick alone (see unreachable). With a connection in hand the
-// round collects the frames due now under the lock (each attempt rolled
-// through the fault injector) and the pending acks, then writes them outside
-// it as coalesced batch frames with the acks piggybacked. Acks ride only on
-// data, except in a tick round (tick: the writer's ticker started it), the
-// one round that writes them alone.
+// is touched, so a crashed peer costs its live neighbours O(1) per round
+// however long its queue grows, and those rounds come on the writer's tick
+// alone (see unreachable). With a connection in hand the round collects the
+// frames due now under the lock (each attempt rolled through the fault
+// injector), then writes them outside it as coalesced batch frames, each
+// carrying the ack state. The ack state rides on data, except in a tick
+// round (tick: the writer's ticker started it) after the reader accepted a
+// frame, the one round that writes it alone.
 func (l *link) flush(tick bool) {
 	l.mu.Lock()
 	queued := l.queue.len()
 	l.mQueueDepth.Set(int64(queued))
 	l.mUnsent.Set(int64(queued - l.cursor))
-	if l.down || (queued == 0 && (len(l.acks) == 0 || !tick)) {
+	ackOnly := tick && l.accepted.Load()
+	if l.down || (queued == 0 && !ackOnly) {
 		l.mu.Unlock()
 		return
 	}
@@ -331,15 +299,6 @@ func (l *link) flush(tick bool) {
 		l.mu.Lock()
 	}
 	sends := l.collectDue(l.now())
-	// Swap the ack list against the recycled scratch slice: the drained
-	// array is handed back as next round's l.acks once this round's writes
-	// are done (only this goroutine flushes, so the handoff cannot race).
-	var acks []uint64
-	if len(sends) > 0 || tick {
-		acks = l.acks
-		l.acks = l.ackScratch[:0]
-		l.ackScratch = acks
-	}
 	// Everything enqueued so far is in this round, so a wake already pending
 	// announces work the round has taken: consume it rather than run an
 	// empty round. An enqueue after the unlock signals afresh.
@@ -349,8 +308,8 @@ func (l *link) flush(tick bool) {
 	}
 	l.mu.Unlock()
 
-	if len(acks) > 0 || len(sends) > 0 {
-		l.flushBatch(acks, sends)
+	if len(sends) > 0 || ackOnly {
+		l.flushBatch(sends)
 	}
 	// Buffered is zero on a round that found nothing due; a fresh dial's
 	// Hello counts, so it never waits for the first frame.
@@ -424,60 +383,41 @@ func (l *link) attempt(p *pendingFrame, now int64, sends []wire.BatchMsg) []wire
 	return append(sends, p.msg)
 }
 
-// flushBatch writes one round as coalesced batch frames: the ack vector is
-// piggybacked on the first frame, and messages are chunked so each frame
-// stays small. The first failed write tears the connection down and ends the
-// round: unsent acks are requeued and the frames stay queued for
-// retransmission. The encode buffer is pooled, so the whole path is
-// allocation-free in steady state.
-func (l *link) flushBatch(acks []uint64, sends []wire.BatchMsg) {
+// flushBatch writes one round as coalesced batch frames: messages are
+// chunked so each frame stays small, and every frame carries the ack state,
+// snapshotted once for the round after the accepted flag is cleared (an
+// acceptance the snapshot misses raises it again). The first failed write
+// tears the connection down and ends the round: the frames stay queued for
+// retransmission, and no ack is owed. The encode buffer is pooled, so the
+// whole path is allocation-free in steady state.
+func (l *link) flushBatch(sends []wire.BatchMsg) {
 	bufp := encBufs.Get().(*[]byte)
 	defer encBufs.Put(bufp)
-	for len(acks) > 0 || len(sends) > 0 {
-		ackChunk := acks
-		if len(ackChunk) > wire.MaxBatchAcks {
-			ackChunk = ackChunk[:wire.MaxBatchAcks]
-		}
-		msgChunk := sends
-		if len(msgChunk) > batchMsgsPerFrame {
-			msgChunk = msgChunk[:batchMsgsPerFrame]
-		}
-		frame, err := wire.AppendBatchFrame((*bufp)[:0], ackChunk, msgChunk)
+	l.accepted.Store(false)
+	l.ackBuf = l.node.ackState(l.peer, l.ackBuf)
+	for {
+		chunk := sends[:min(len(sends), batchMsgsPerFrame)]
+		frame, err := wire.AppendBatchFrame((*bufp)[:0], l.ackBuf, chunk)
 		if err != nil {
 			// Encoding is pure: this cannot happen for messages the enqueue
-			// path accepts. Requeue the acks and let the frames retransmit.
-			l.node.logf("cluster: encode batch to peer %v: %v", l.peer, err)
-			l.requeueAcks(acks)
+			// path accepts. The frames retransmit.
+			l.node.log.Warn("encode batch failed", obs.F("peer", int(l.peer)), obs.F("err", err.Error()))
 			return
 		}
 		*bufp = frame[:0]
 		if !l.writeFrame(frame) {
-			l.requeueAcks(acks)
 			return
 		}
-		if len(msgChunk) == 0 {
+		if len(chunk) == 0 {
 			l.ackOnly++
 		}
 		l.node.stats.framesSent.Add(1)
 		l.node.stats.batchesSent.Add(1)
-		l.node.stats.msgsSent.Add(int64(len(msgChunk)))
-		l.node.stats.acksPiggybacked.Add(int64(len(ackChunk)))
-		acks = acks[len(ackChunk):]
-		sends = sends[len(msgChunk):]
+		l.node.stats.msgsSent.Add(int64(len(chunk)))
+		if sends = sends[len(chunk):]; len(sends) == 0 {
+			return
+		}
 	}
-}
-
-// requeueAcks prepends acks that could not be sent back onto the outgoing
-// list, preserving their order ahead of any acks enqueued meanwhile.
-func (l *link) requeueAcks(acks []uint64) {
-	if len(acks) == 0 {
-		return
-	}
-	l.mu.Lock()
-	if !l.closed {
-		l.acks = append(append([]uint64(nil), acks...), l.acks...)
-	}
-	l.mu.Unlock()
 }
 
 // ensureConn dials the peer if no connection is up, honoring the backoff
@@ -527,7 +467,7 @@ func (l *link) ensureConn() bool {
 	})
 	if err != nil {
 		// Encoding is pure and NewNode validated every field.
-		l.node.logf("cluster: encode hello to peer %v: %v", l.peer, err)
+		l.node.log.Warn("encode hello failed", obs.F("peer", int(l.peer)), obs.F("err", err.Error()))
 		l.dropConn()
 		return false
 	}

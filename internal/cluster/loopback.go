@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"kset/internal/obs"
 	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
@@ -31,7 +32,8 @@ type LoopbackConfig struct {
 	Retransmit   time.Duration
 	// Shards sets each node's Config.Shards (0: GOMAXPROCS).
 	Shards int
-	Logf   func(format string, args ...any)
+	// Log is each node's Config.Log (nil: silent).
+	Log *obs.Logger
 	// Attach, if non-nil, runs on each node after construction and before
 	// Serve — layered services (the ACS engine) register their handlers
 	// here, before any frame can arrive.
@@ -72,7 +74,7 @@ func StartLoopback(cfg LoopbackConfig) (*Loopback, error) {
 			Faults:       cfg.Faults,
 			Retransmit:   cfg.Retransmit,
 			Shards:       cfg.Shards,
-			Logf:         cfg.Logf,
+			Log:          cfg.Log,
 		})
 		if err != nil {
 			for _, l := range listeners[i:] {

@@ -78,10 +78,9 @@ type Config struct {
 	// id modulo Shards selects the owning loop). Zero selects GOMAXPROCS;
 	// negative values are rejected.
 	Shards int
-	// Logf, if non-nil, receives diagnostic messages.
-	Logf func(format string, args ...any)
-	// Log, if non-nil, receives structured transport events (dials,
-	// connection failures, instance lifecycle) at their natural levels.
+	// Log, if non-nil, receives structured events at their natural levels:
+	// dials and instance lifecycle at debug, refused connections, bad
+	// frames and failed ctl requests at warn.
 	Log *obs.Logger
 }
 
@@ -134,15 +133,17 @@ type Node struct {
 }
 
 // peerSeen suppresses re-deliveries of retransmitted or duplicated frames
-// from one peer: win holds the sequence numbers accepted, from 1 on. Each
-// peer's state carries its own lock — held
-// across the whole check-and-place in placeFrame so overlapping connections
-// from one peer cannot double-deliver — and that lock is the outermost in
-// the node's order (peerSeen.mu, then shard.mu).
+// from one peer, and every batch frame to the peer carries it back as the
+// ack (ackState): win holds the sequence numbers accepted in the peer's
+// session, from 1 on, and top the highest. Each peer's state carries its own
+// lock — held across the whole check-and-place in placeFrame so overlapping
+// connections from one peer cannot double-deliver — and that lock is the
+// outermost in the node's order (peerSeen.mu, then shard.mu).
 type peerSeen struct {
 	mu      sync.Mutex
 	session uint64
 	win     window
+	top     uint64
 }
 
 // nodeStats are the transport-level metrics exposed through the Prometheus
@@ -347,21 +348,10 @@ func (n *Node) Close() {
 	if n.ln != nil {
 		_ = n.ln.Close()
 	}
-	for _, l := range n.links {
-		if l != nil {
-			l.close()
-		}
-	}
 	for _, c := range conns {
 		_ = c.Close()
 	}
 	n.wg.Wait()
-}
-
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
 }
 
 // acceptLoop accepts inbound connections until the listener closes.
@@ -413,7 +403,7 @@ func (n *Node) serveConn(conn net.Conn) {
 	defer n.untrackConn(conn)
 
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		n.logf("cluster: set hello read deadline: %v", err)
+		n.log.Warn("set hello read deadline failed", obs.F("err", err.Error()))
 		return
 	}
 	// Every read on the connection, the Hello included, goes through one
@@ -426,26 +416,26 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 	hello, ok := first.(wire.Hello)
 	if !ok {
-		n.logf("cluster: first frame was %v, want hello", first.Type())
+		n.log.Warn("first frame not a hello", obs.F("type", first.Type()))
 		return
 	}
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		n.logf("cluster: clear read deadline: %v", err)
+		n.log.Warn("clear read deadline failed", obs.F("err", err.Error()))
 		return
 	}
 	switch hello.Role {
 	case wire.RolePeer:
 		if int(hello.From) < 0 || int(hello.From) >= n.cfg.N || hello.From == n.cfg.ID {
-			n.logf("cluster: hello from invalid peer %d", hello.From)
+			n.log.Warn("hello from invalid peer", obs.F("peer", int(hello.From)))
 			return
 		}
 		if hello.N != n.cfg.N {
-			n.logf("cluster: peer %v believes n=%d, ours is %d", hello.From, hello.N, n.cfg.N)
+			n.log.Warn("peer disagrees on n", obs.F("peer", int(hello.From)), obs.F("n", hello.N), obs.F("ours", n.cfg.N))
 			return
 		}
 		if hello.MaxVersion < wire.VersionBatch {
-			n.logf("cluster: peer %v offers wire version %d, sequenced traffic needs %d: connection refused",
-				hello.From, hello.MaxVersion, wire.VersionBatch)
+			n.log.Warn("peer wire version refused", obs.F("peer", int(hello.From)),
+				obs.F("offers", hello.MaxVersion), obs.F("needs", wire.VersionBatch))
 			return
 		}
 		n.resetSeenIfNewSession(hello.From, hello.Session)
@@ -464,14 +454,14 @@ func (n *Node) resetSeenIfNewSession(peer types.ProcessID, session uint64) {
 	defer s.mu.Unlock()
 	if s.session != session {
 		s.session = session
-		s.win = window{next: 1}
+		s.win, s.top = window{next: 1}, 0
 	}
 }
 
 // servePeer consumes batch frames, the only thing a peer sends after its
-// Hello, from one peer connection. The frame buffer, the decoded batch and
-// the frame's hand-off lists are reused across frames, so the steady-state
-// receive path performs no per-message allocation.
+// Hello, from one peer connection, applying each frame's ack state to the
+// link back to the peer. The frame buffer, the decoded batch and the frame's
+// hand-off list are reused, so the receive path allocates nothing per message.
 func (n *Node) servePeer(br *bufio.Reader, from types.ProcessID) {
 	var buf []byte
 	var batch wire.Batch
@@ -485,13 +475,11 @@ func (n *Node) servePeer(br *bufio.Reader, from types.ProcessID) {
 		}
 		n.stats.framesRecv.Add(1)
 		if err := wire.DecodeBatchInto(buf, &batch); err != nil {
-			n.logf("cluster: bad batch frame from peer %v: %v", from, err)
+			n.log.Warn("bad batch frame", obs.F("peer", int(from)), obs.F("err", err.Error()))
 			return
 		}
 		n.stats.batchesRecv.Add(1)
-		if len(batch.Acks) > 0 {
-			l.ackBatch(batch.Acks)
-		}
+		l.ack(batch.Ack)
 		for i := range batch.Msgs {
 			n.handleSequenced(from, batch.Msgs[i], &fw)
 		}
@@ -502,17 +490,17 @@ func (n *Node) servePeer(br *bufio.Reader, from types.ProcessID) {
 // frameWork collects what one inbound frame hands to other goroutines, so
 // that each hand-off happens once per frame rather than once per message.
 type frameWork struct {
-	acks   []uint64 // sequence numbers accepted, to be acked
-	shards []*shard // shards whose inbox received protocol messages
+	accepted bool     // a message was accepted: the ack state changed
+	shards   []*shard // shards whose inbox received protocol messages
 }
 
-// finish hands the frame's work over: its acks go onto the link in one
-// append that wakes nobody (see link.queueAcks), each shard that received
+// finish hands the frame's work over: an acceptance raises the link's
+// accepted flag, waking nobody (link.flush), each shard that received
 // messages is woken once, and then the reader waits, holding no lock, for
 // room in any of those inboxes it left at the bound (shard.awaitRoom).
 func (fw *frameWork) finish(l *link) {
-	if len(fw.acks) > 0 {
-		l.queueAcks(fw.acks)
+	if fw.accepted {
+		l.accepted.Store(true)
 	}
 	for _, sh := range fw.shards {
 		sh.signal()
@@ -520,18 +508,18 @@ func (fw *frameWork) finish(l *link) {
 	for _, sh := range fw.shards {
 		sh.awaitRoom()
 	}
-	fw.acks, fw.shards = fw.acks[:0], fw.shards[:0]
+	fw.accepted, fw.shards = false, fw.shards[:0]
 }
 
 // handleSequenced runs the reliability protocol for one sequenced message:
 // authenticate the sender, suppress duplicates, place the message (queue it
 // for its instance's shard, or buffer until the instance starts), and record
-// the ack for the frame's end.
+// the acceptance for the frame's end.
 func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg, fw *frameWork) {
 	// The transport stamps the authentic sender, as mpnet's network does: a
 	// message claiming another origin is dropped.
 	if bm.From != from {
-		n.logf("cluster: peer %v forged sender %v", from, bm.From)
+		n.log.Warn("forged sender", obs.F("peer", int(from)), obs.F("claimed", int(bm.From)))
 		return
 	}
 	n.stats.msgsRecv.Add(1)
@@ -554,9 +542,7 @@ func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg, fw *frame
 			h(wire.Propose{Round: bm.Instance, Proposer: bm.Origin, Noop: bm.Noop, Value: bm.Value})
 		}
 	}
-	if accepted {
-		fw.acks = append(fw.acks, bm.Seq)
-	}
+	fw.accepted = fw.accepted || accepted
 }
 
 // placeFrame decides one message's fate under the sender's dedup lock:
@@ -607,7 +593,19 @@ func (n *Node) placeFrame(from types.ProcessID, seq uint64, bm wire.BatchMsg) (i
 		sh.mu.Unlock()
 	}
 	s.win.set(seq)
+	s.top = max(s.top, seq)
 	return inst, true, true
+}
+
+// ackState snapshots what this node acknowledges to peer into dst: the
+// peer's session, the watermark of its dedup window and, when a hole lies
+// below the highest seq accepted, the window's words from the watermark up
+// to that seq. It takes the peer's dedup lock alone.
+func (n *Node) ackState(peer types.ProcessID, dst wire.AckState) wire.AckState {
+	s := &n.seen[peer]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.win.appendWords(append(dst[:0], s.session, s.win.next), s.top)
 }
 
 // StartInstance starts (or re-acknowledges) one consensus instance with the
@@ -919,7 +917,7 @@ func (n *Node) serveCtl(br *bufio.Reader, conn net.Conn) {
 		switch v := m.(type) {
 		case wire.Start:
 			if err := n.StartInstance(v); err != nil {
-				n.logf("cluster: start instance %d: %v", v.Instance, err)
+				n.log.Warn("start instance failed", obs.F("instance", v.Instance), obs.F("err", err.Error()))
 				return
 			}
 			reply = wire.StartAck{Instance: v.Instance, From: n.cfg.ID}
@@ -941,13 +939,13 @@ func (n *Node) serveCtl(br *bufio.Reader, conn net.Conn) {
 				r, ok = h(m)
 			}
 			if !ok {
-				n.logf("cluster: unexpected %v frame on ctl connection", m.Type())
+				n.log.Warn("unexpected frame on ctl connection", obs.F("type", m.Type()))
 				return
 			}
 			reply = r
 		}
 		if err := conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout)); err != nil {
-			n.logf("cluster: ctl set write deadline: %v", err)
+			n.log.Warn("ctl set write deadline failed", obs.F("err", err.Error()))
 			return
 		}
 		if err := wire.WriteMsg(conn, reply); err != nil {

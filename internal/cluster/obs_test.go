@@ -45,14 +45,13 @@ func TestConfigValidation(t *testing.T) {
 	n.Close()
 }
 
-// TestFlushRequeuesAcksOnDialFailure pins what an unreachable peer costs and
-// keeps. It began as the regression test for the ack-loss bug (flush popped
-// pending acks before dialing, so a dial failure discarded them); flush now
-// asks for the connection first, so with none to be had it touches neither
-// acks nor queue: nothing is sent, nothing counts as a retransmission, and on
-// recovery the ack rides in the ack vector of the frame's own batch. This
-// drives one link by hand through dial failure, backoff, and recovery.
-func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
+// TestFlushKeepsFramesOnDialFailure pins what an unreachable peer costs and
+// keeps: flush asks for the connection first, so with none to be had it
+// leaves the queue alone — nothing is sent, nothing counts as a
+// retransmission — and on recovery the frame leaves in one batch frame with
+// the ack state. This drives one link by hand through dial failure, backoff,
+// and recovery.
+func TestFlushKeepsFramesOnDialFailure(t *testing.T) {
 	// Bind-then-close yields an address that refuses connections now but can
 	// be re-bound later for the recovery phase.
 	probe, err := net.Listen("tcp", "127.0.0.1:0")
@@ -73,19 +72,14 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 	defer n.Close()
 	l := n.links[1]
 
-	// One transport ack and one sequenced frame are waiting when the peer is
-	// unreachable.
-	l.queueAcks([]uint64{7})
+	// One sequenced frame is waiting when the peer is unreachable.
 	l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
 		Payload: types.Payload{Kind: types.KindEcho}})
 
 	l.flush(false) // dial fails
 	l.mu.Lock()
-	acks, queued := append([]uint64(nil), l.acks...), l.queue.len()
+	queued := l.queue.len()
 	l.mu.Unlock()
-	if len(acks) != 1 || acks[0] != 7 {
-		t.Fatalf("after failed dial: acks = %v, want [7]", acks)
-	}
 	if queued != 1 {
 		t.Fatalf("after failed dial: %d queued frames, want 1", queued)
 	}
@@ -98,7 +92,7 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 
 	// A second round past the retransmit interval, with the dial in backoff:
 	// no connection took the frame, so it is still a first attempt waiting —
-	// not a retransmission — and the ack is still held.
+	// not a retransmission.
 	time.Sleep(10 * time.Millisecond)
 	l.flush(false)
 	if got := n.stats.retransmits.Value() + l.mRetransmits.Value(); got != 0 {
@@ -108,14 +102,14 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 		t.Errorf("frames sent = %d while unreachable, want 0", got)
 	}
 	l.mu.Lock()
-	acks, queued = append([]uint64(nil), l.acks...), l.queue.len()
+	queued = l.queue.len()
 	l.mu.Unlock()
-	if len(acks) != 1 || acks[0] != 7 || queued != 1 {
-		t.Fatalf("after backoff round: acks = %v, %d queued frames, want [7] and 1", acks, queued)
+	if queued != 1 {
+		t.Fatalf("after backoff round: %d queued frames, want 1", queued)
 	}
 
 	// Recovery: the peer comes back on the same address; the next flush must
-	// deliver both in one batch frame.
+	// deliver the frame in one batch frame.
 	ln, err := net.Listen("tcp", peerAddr)
 	if err != nil {
 		t.Skipf("could not re-bind %s: %v", peerAddr, err)
@@ -143,14 +137,8 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, ok := second.(wire.Batch)
-	if !ok || len(b.Acks) != 1 || b.Acks[0] != 7 || len(b.Msgs) != 1 || b.Msgs[0].Instance != 1 {
-		t.Fatalf("second frame = %#v, want one batch with ack 7 ahead of the queued proto", second)
-	}
-	l.mu.Lock()
-	acksLeft := len(l.acks)
-	l.mu.Unlock()
-	if acksLeft != 0 {
-		t.Errorf("%d acks still queued after successful flush", acksLeft)
+	if !ok || len(b.Ack) != 2 || b.Ack[1] != 1 || len(b.Msgs) != 1 || b.Msgs[0].Instance != 1 {
+		t.Fatalf("second frame = %#v, want one batch with the queued proto and an empty ack state", second)
 	}
 	if got := n.stats.retransmits.Value(); got != 0 {
 		t.Errorf("retransmits = %d after the frame's first transmission, want 0", got)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"kset/internal/grid"
+	"kset/internal/obs"
 	"kset/internal/wire"
 )
 
@@ -20,13 +21,13 @@ func (n *Node) serveSweepJob(job wire.SweepJob) wire.SweepResult {
 	reply := wire.SweepResult{Job: job.Job, First: job.First}
 	spec, err := grid.SpecFromWire(job)
 	if err != nil {
-		n.logf("cluster: sweep job %d: %v", job.Job, err)
+		n.log.Warn("sweep job rejected", obs.F("job", job.Job), obs.F("err", err.Error()))
 		return reply
 	}
 	total := spec.NumCells()
 	if job.Count <= 0 || job.First >= total || uint64(job.Count) > total-job.First {
-		n.logf("cluster: sweep job %d: shard [%d,+%d) outside grid of %d cells",
-			job.Job, job.First, job.Count, total)
+		n.log.Warn("sweep shard outside grid", obs.F("job", job.Job),
+			obs.F("first", job.First), obs.F("count", job.Count), obs.F("cells", total))
 		return reply
 	}
 	n.stats.sweepJobs.Add(1)
@@ -40,7 +41,7 @@ func (n *Node) serveSweepJob(job wire.SweepJob) wire.SweepResult {
 	n.stats.sweepCells.Add(int64(len(recs)))
 	ws, err := grid.RecordsToWire(recs)
 	if err != nil {
-		n.logf("cluster: sweep job %d: pack records: %v", job.Job, err)
+		n.log.Warn("sweep records not packed", obs.F("job", job.Job), obs.F("err", err.Error()))
 		return reply
 	}
 	reply.Records = ws

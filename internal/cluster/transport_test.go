@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"kset/internal/obs"
 	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
@@ -84,8 +86,8 @@ func plantConn(l *link, c net.Conn) {
 // TestFlushStopsOnMidFlushWriteFailure is the regression test for the flush
 // loop's failure handling: when a write fails partway through a round, the
 // round must end immediately — remaining sequenced frames stay queued for
-// retransmission, unsent acks are requeued, and the connection is torn down
-// exactly once.
+// retransmission and the connection is torn down exactly once. Nothing is
+// owed on the ack side: the next frame carries the window as it is then.
 func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 	t.Run("sequenced frames survive", func(t *testing.T) {
 		n := unservedNode(t)
@@ -117,70 +119,42 @@ func TestFlushStopsOnMidFlushWriteFailure(t *testing.T) {
 		}
 	})
 
-	t.Run("unsent acks requeued", func(t *testing.T) {
-		n := unservedNode(t)
-		l := n.links[1]
-		// One ack vector too long for one frame, written by a tick round (the
-		// only round that sends acks without data): the one-byte bufio hands
-		// each frame to the conn in one write, so failing at call 2 lands
-		// mid-round, after the first frame's acks made it out.
-		fc := newFailingConn(2)
-		plantConn(l, fc)
-		var seqs []uint64
-		for seq := uint64(1); seq <= wire.MaxBatchAcks+2; seq++ {
-			seqs = append(seqs, seq)
-		}
-		l.queueAcks(seqs)
-		l.flush(true)
-		l.mu.Lock()
-		acks := append([]uint64(nil), l.acks...)
-		l.mu.Unlock()
-		if len(acks) != 2 || acks[0] != wire.MaxBatchAcks+1 || acks[1] != wire.MaxBatchAcks+2 {
-			t.Errorf("requeued acks = %v, want the two the failed frame carried", acks)
-		}
-		if got := n.stats.framesSent.Value(); got != 1 {
-			t.Errorf("frames_sent = %d, want 1 (the frame that completed)", got)
-		}
-	})
+}
 
-	t.Run("batch path requeues acks", func(t *testing.T) {
-		n := unservedNode(t)
-		l := n.links[1]
-		fc := newFailingConn(1)
-		plantConn(l, fc)
-		l.queueAcks([]uint64{7})
-		l.enqueue(wire.BatchMsg{Kind: wire.TypeProto, Instance: 1, From: 0,
-			Payload: types.Payload{Kind: types.KindEcho}})
-		l.flush(false)
-		l.mu.Lock()
-		acks := append([]uint64(nil), l.acks...)
-		queued := l.queue.len()
-		l.mu.Unlock()
-		if len(acks) != 1 || acks[0] != 7 {
-			t.Errorf("requeued acks = %v, want [7]", acks)
-		}
-		if queued != 1 {
-			t.Errorf("%d frames queued, want 1", queued)
-		}
-		if got := n.stats.batchesSent.Value(); got != 0 {
-			t.Errorf("batches_sent = %d, want 0", got)
-		}
-	})
+// syncBuffer is a bytes.Buffer safe for a node's goroutines to log into
+// while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestPeerHelloBelowBatchRefused pins the one thing left of version
-// negotiation: a peer whose Hello does not offer the batch framing is refused
-// by name, and nothing it sends afterwards is read, let alone delivered.
+// negotiation: a peer whose Hello does not offer the batch framing — a
+// version-1 peer, or a version-2 one whose batch frames carry a list of acks
+// — is refused by name, and nothing it sends afterwards is read, let alone
+// delivered.
 func TestPeerHelloBelowBatchRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged := make(chan string, 1) // the refusal is the only line this node logs
+	var logged syncBuffer
 	n, err := NewNode(Config{
 		ID: 0, N: 2, K: 1, T: 0,
 		Peers: []string{ln.Addr().String(), "127.0.0.1:1"},
-		Logf:  func(format string, args ...any) { logged <- fmt.Sprintf(format, args...) },
+		Log:   obs.NewLogger(&logged, obs.LevelWarn),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,34 +162,34 @@ func TestPeerHelloBelowBatchRefused(t *testing.T) {
 	defer n.Close()
 	n.Serve(ln)
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteMsg(conn, wire.Hello{From: 1, Role: wire.RolePeer, N: 2, Session: 1}); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := wire.AppendBatchFrame(nil, nil, []wire.BatchMsg{{
-		Kind: wire.TypeDecide, Seq: 1, Instance: 1, From: 1, Value: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = conn.Write(frame) // the node may already have hung up
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("read after a version-1 hello: %v, want the connection closed", err)
-	}
-	select {
-	case line := <-logged:
-		if want := "peer p2 offers wire version 1, sequenced traffic needs 2: connection refused"; !strings.Contains(line, want) {
-			t.Errorf("refusal logged as %q, want it to say %q", line, want)
+	for _, offered := range []uint8{1, 2} {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no refusal logged")
+		defer conn.Close()
+		hello := wire.Hello{From: 1, Role: wire.RolePeer, N: 2, Session: 1, MaxVersion: offered}
+		if err := wire.WriteMsg(conn, hello); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.AppendBatchFrame(nil, nil, []wire.BatchMsg{{
+			Kind: wire.TypeDecide, Seq: 1, Instance: 1, From: 1, Value: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = conn.Write(frame) // the node may already have hung up
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read after a version-%d hello: %v, want the connection closed", offered, err)
+		}
+		// The node logs the refusal before it closes the connection.
+		want := fmt.Sprintf(`event="peer wire version refused" node=p1 peer=1 offers=%d needs=3`, offered)
+		if line := logged.String(); !strings.Contains(line, want) {
+			t.Errorf("log %q does not say %q", line, want)
+		}
 	}
 	if frames, msgs := n.stats.framesRecv.Value(), n.stats.msgsRecv.Value(); frames != 0 || msgs != 0 {
-		t.Errorf("refused peer got %d frames read and %d messages accepted, want 0 and 0", frames, msgs)
+		t.Errorf("refused peers got %d frames read and %d messages accepted, want 0 and 0", frames, msgs)
 	}
 }
 

@@ -76,3 +76,18 @@ func (w *window) expire(to uint64, drop func(p uint64)) {
 	w.next = max(w.next, to)
 	w.advance()
 }
+
+// appendWords appends the ring's bits from the watermark up to top, which
+// must not lie beyond the ring, as words relative to the watermark: bit i of
+// word j is position next+64j+i. At most dedupWindow/64 words go.
+func (w *window) appendWords(dst []uint64, top uint64) []uint64 {
+	for p := w.next; p <= top; p += 64 {
+		i := p % dedupWindow
+		word := w.bits[i/64] >> (i % 64)
+		if i%64 != 0 {
+			word |= w.bits[(i/64+1)%(dedupWindow/64)] << (64 - i%64)
+		}
+		dst = append(dst, word)
+	}
+	return dst
+}

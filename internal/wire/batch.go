@@ -9,28 +9,55 @@ import (
 )
 
 // VersionBatch is the wire version of the batch frame, the one framing of
-// sequenced peer traffic: it coalesces many sequenced messages and a
-// piggybacked ack vector into one length-prefixed frame — one write syscall
+// sequenced peer traffic: it coalesces many sequenced messages and the
+// writer's ack state into one length-prefixed frame — one write syscall
 // carrying many instances' payloads. Every peer Hello must advertise it.
 // Control frames (the Hello itself, ctl requests and replies) are version-1
-// single-message frames.
-const VersionBatch = 2
+// single-message frames; version 2 batch frames carried a list of acks.
+const VersionBatch = 3
 
 // Batch-frame limits, enforced during decode before any allocation or loop
-// is sized by peer input.
+// is sized by peer input. MaxAckWords bit words span a dedup window of 2^16.
 const (
 	MaxBatchMsgs = 1 << 12 // sequenced messages in one batch frame
-	MaxBatchAcks = 1 << 12 // acks piggybacked on one batch frame
+	MaxAckWords  = 1 << 10 // bit words in one ack state
 )
 
-// Minimum encoded sizes used to reject hostile counts before looping:
-// an ack is one u64; the smallest batch message is a decide (kind, seq,
-// instance, pid, value).
-const (
-	ackWireSize   = 8
-	minBatchMsg   = 1 + 8 + 8 + 4 + 8
-	protoWireSize = 1 + 8 + 8 + 4 + 1 + 8 + 4
-)
+// minBatchMsg is the smallest encoded batch message, a decide (kind, seq,
+// instance, pid, value): hostile counts are rejected by it before looping.
+const minBatchMsg = 1 + 8 + 8 + 4 + 8
+
+// AckState is what a batch frame acknowledges: the writer's dedup window
+// over the seqs it accepted from the frame's reader. Word 0 names the
+// reader's session the window belongs to, word 1 is the watermark (every seq
+// below it is accepted), and bit i of the bit word j after them stands for
+// seq watermark+64j+i. Nil acknowledges nothing.
+type AckState []uint64
+
+// Session returns the session the state acknowledges; 0 for nil.
+func (a AckState) Session() uint64 {
+	if len(a) < 2 {
+		return 0
+	}
+	return a[0]
+}
+
+// End returns the seq from which on the state acknowledges nothing.
+func (a AckState) End() uint64 {
+	if len(a) < 2 {
+		return 0
+	}
+	return a[1] + 64*uint64(len(a)-2)
+}
+
+// Has reports whether the state acknowledges seq.
+func (a AckState) Has(seq uint64) bool {
+	if seq >= a.End() {
+		return false
+	}
+	k := seq - a[1]
+	return seq < a[1] || a[2+k/64]&(1<<(k%64)) != 0
+}
 
 // BatchMsg is one sequenced peer message inside a batch frame: a flat union
 // of the three kinds, so batches decode into reusable slices without boxing
@@ -57,12 +84,12 @@ type BatchMsg struct {
 	Payload  types.Payload
 }
 
-// Batch is one decoded batch frame: the piggybacked ack vector plus the
+// Batch is one decoded batch frame: the writer's ack state plus the
 // coalesced sequenced messages, in their original send order. DecodeBatchInto
 // reuses the slices across frames, so a steady-state receiver allocates
 // nothing per batch.
 type Batch struct {
-	Acks []uint64
+	Ack  AckState
 	Msgs []BatchMsg
 }
 
@@ -70,18 +97,21 @@ type Batch struct {
 func (Batch) Type() MsgType { return TypeBatch }
 
 // AppendBatch appends the encoded batch frame body (version, type, ack
-// vector, messages) to dst and returns the extended slice. With a dst of
-// sufficient capacity it performs no allocation. Field validation matches
-// Encode: anything AppendBatch accepts, DecodeBatchInto maps back to the
-// identical acks and msgs.
-func AppendBatch(dst []byte, acks []uint64, msgs []BatchMsg) ([]byte, error) {
+// state as a word count and the words, messages) to dst and returns the
+// extended slice. With a dst of sufficient capacity it performs no
+// allocation. Field validation matches Encode: anything AppendBatch
+// accepts, DecodeBatchInto maps back to the identical ack state and msgs.
+func AppendBatch(dst []byte, ack AckState, msgs []BatchMsg) ([]byte, error) {
 	start := len(dst)
 	e := encoder{buf: dst}
 	e.u8(VersionBatch)
 	e.u8(uint8(TypeBatch))
-	e.count(len(acks), MaxBatchAcks, "batch acks")
-	for _, seq := range acks {
-		e.u64(seq)
+	if len(ack) == 1 {
+		return dst, fmt.Errorf("%w: ack state of one word", ErrBadFrame)
+	}
+	e.count(len(ack), 2+MaxAckWords, "ack state words")
+	for _, w := range ack {
+		e.u64(w)
 	}
 	e.count(len(msgs), MaxBatchMsgs, "batch msgs")
 	for i := range msgs {
@@ -125,10 +155,10 @@ func AppendBatch(dst []byte, acks []uint64, msgs []BatchMsg) ([]byte, error) {
 // AppendBatchFrame appends a complete stream frame — the 4-byte length
 // prefix followed by the batch body — to dst. The caller hands the result to
 // one Write, so a whole flush round costs one syscall.
-func AppendBatchFrame(dst []byte, acks []uint64, msgs []BatchMsg) ([]byte, error) {
+func AppendBatchFrame(dst []byte, ack AckState, msgs []BatchMsg) ([]byte, error) {
 	orig := dst
 	dst = append(dst, 0, 0, 0, 0)
-	out, err := AppendBatch(dst, acks, msgs)
+	out, err := AppendBatch(dst, ack, msgs)
 	if err != nil {
 		return orig, err
 	}
@@ -141,7 +171,7 @@ func AppendBatchFrame(dst []byte, acks []uint64, msgs []BatchMsg) ([]byte, error
 // bounds-checked against the remaining bytes before the loop it sizes, and
 // no trailing bytes.
 func DecodeBatchInto(body []byte, b *Batch) error {
-	b.Acks = b.Acks[:0]
+	b.Ack = b.Ack[:0]
 	b.Msgs = b.Msgs[:0]
 	d := &decoder{buf: body}
 	if v := d.u8(); d.err == nil && v != VersionBatch {
@@ -150,13 +180,13 @@ func DecodeBatchInto(body []byte, b *Batch) error {
 	if t := MsgType(d.u8()); d.err == nil && t != TypeBatch {
 		return fmt.Errorf("%w: type %v in batch frame", ErrBadFrame, t)
 	}
-	acks := d.count(MaxBatchAcks, "batch acks")
+	words := d.count(2+MaxAckWords, "ack state words")
 	if d.err == nil {
-		if rem := len(d.buf) - d.off; acks*ackWireSize > rem {
-			return fmt.Errorf("%w: %d acks in %d bytes", ErrBadFrame, acks, rem)
+		if rem := len(d.buf) - d.off; words == 1 || words*8 > rem {
+			return fmt.Errorf("%w: ack state of %d words in %d bytes", ErrBadFrame, words, rem)
 		}
-		for i := 0; i < acks; i++ {
-			b.Acks = append(b.Acks, d.u64())
+		for i := 0; i < words; i++ {
+			b.Ack = append(b.Ack, d.u64())
 		}
 	}
 	msgs := d.count(MaxBatchMsgs, "batch msgs")

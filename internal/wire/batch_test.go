@@ -28,16 +28,17 @@ func protoMsgs(n int) []BatchMsg {
 // back with ReadFrameAppend, and decode into a reused Batch.
 func TestBatchFrameRoundTrip(t *testing.T) {
 	frames := []Batch{
-		{Acks: []uint64{9, 2, 500}, Msgs: protoMsgs(3)},
-		{Acks: nil, Msgs: []BatchMsg{{Kind: TypeDecide, Seq: 4, Instance: 1, From: 2, Value: -9}}},
-		{Acks: []uint64{1}, Msgs: nil},
+		{Ack: AckState{9, 2, 500}, Msgs: protoMsgs(3)},
+		{Ack: nil, Msgs: []BatchMsg{{Kind: TypeDecide, Seq: 4, Instance: 1, From: 2, Value: -9}}},
+		{Ack: AckState{1, 1}, Msgs: nil},
+		{Ack: fullAckState(), Msgs: protoMsgs(1)},
 		{},
 	}
 	var stream bytes.Buffer
 	var enc []byte
 	for _, f := range frames {
 		var err error
-		enc, err = AppendBatchFrame(enc[:0], f.Acks, f.Msgs)
+		enc, err = AppendBatchFrame(enc[:0], f.Ack, f.Msgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,6 +61,26 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	}
 	if stream.Len() != 0 {
 		t.Errorf("%d bytes left over after reading all frames", stream.Len())
+	}
+}
+
+// TestAckStateHas pins the reading of an ack state: every seq below the
+// watermark, and above it the seqs whose bits are set, relative to the
+// watermark; nil acknowledges nothing.
+func TestAckStateHas(t *testing.T) {
+	a := AckState{7, 100, 0b110, 1 << 63}
+	if a.Session() != 7 || a.End() != 228 {
+		t.Fatalf("session %d, end %d, want 7 and 228", a.Session(), a.End())
+	}
+	want := map[uint64]bool{1: true, 99: true, 101: true, 102: true, 227: true}
+	for seq := uint64(0); seq < 300; seq++ {
+		if got := a.Has(seq); got != (seq < 100 || want[seq]) {
+			t.Errorf("Has(%d) = %v", seq, got)
+		}
+	}
+	var none AckState
+	if none.Session() != 0 || none.Has(0) || none.Has(1) || none.End() != 0 {
+		t.Error("nil ack state acknowledges something")
 	}
 }
 

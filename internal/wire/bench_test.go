@@ -51,7 +51,7 @@ func BenchmarkWireDecode(b *testing.B) {
 }
 
 // BenchmarkBatchRoundTrip measures the batched hot path per message: a full
-// frame of coalesced protocol messages with a piggybacked ack vector encoded
+// frame of coalesced protocol messages with a 64-word ack state encoded
 // into a reused buffer and decoded back into a reused Batch. ns/op is the
 // per-message cost, and steady state must be allocation-free both ways.
 func BenchmarkBatchRoundTrip(b *testing.B) {

@@ -22,7 +22,7 @@ func Encode(m Msg) ([]byte, error) {
 // to Encode.
 func AppendEncode(dst []byte, m Msg) ([]byte, error) {
 	if b, ok := m.(Batch); ok {
-		return AppendBatch(dst, b.Acks, b.Msgs)
+		return AppendBatch(dst, b.Ack, b.Msgs)
 	}
 	start := len(dst)
 	e := encoder{buf: dst}
@@ -37,7 +37,7 @@ func AppendEncode(dst []byte, m Msg) ([]byte, error) {
 		e.u8(uint8(v.Role))
 		e.count(v.N, MaxProcs, "hello n")
 		e.u64(v.Session)
-		if v.MaxVersion >= VersionBatch {
+		if v.MaxVersion > Version {
 			e.u8(v.MaxVersion)
 		}
 	case Start:
@@ -184,7 +184,7 @@ func Decode(body []byte) (Msg, error) {
 		h.MaxVersion = 1
 		if d.err == nil && d.off < len(d.buf) {
 			mv := d.u8()
-			if d.err == nil && mv < VersionBatch {
+			if d.err == nil && mv <= Version {
 				// A v1-only sender omits the byte entirely; accepting an
 				// explicit 0 or 1 would break canonical encoding.
 				return nil, fmt.Errorf("%w: hello max version %d must be omitted", ErrBadFrame, mv)

@@ -33,9 +33,11 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{Version, byte(TypeMetrics), 0, 0, 0, 0})
 	f.Add([]byte{VersionBatch, byte(TypeBatch), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{VersionBatch, byte(TypeBatch), 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{VersionBatch, byte(TypeBatch), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0})
+	f.Add(v2BatchBody())
 	// The reused Batch starts dirty, as a steady-state receiver's does, so
 	// stale state leaking across decodes would surface as a mismatch.
-	reused := Batch{Acks: []uint64{99, 98}, Msgs: protoMsgs(2)}
+	reused := Batch{Ack: AckState{99, 98, 7}, Msgs: protoMsgs(2)}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := Decode(body)
 		// DecodeBatchInto must accept exactly the batch frames Decode
@@ -65,6 +67,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, s := range seedBodies(f) {
 		f.Add(s)
 	}
+	f.Add(v2BatchBody())
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := Decode(body)
 		if err != nil {

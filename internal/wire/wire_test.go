@@ -17,6 +17,7 @@ func sampleMsgs() []Msg {
 		Hello{From: -1, Role: RoleCtl, N: 5, MaxVersion: 1},
 		Hello{From: 3, Role: RolePeer, N: 5, Session: 0xfeedface, MaxVersion: 1},
 		Hello{From: 3, Role: RolePeer, N: 5, Session: 0xfeedface, MaxVersion: VersionBatch},
+		Hello{From: 3, Role: RolePeer, N: 5, Session: 0xfeedface, MaxVersion: 2},
 		Start{Instance: 42, K: 2, T: 1, Proto: 1, Ell: 0, Input: -7},
 		Start{Instance: 1<<63 + 9, K: 3, T: 2, Proto: 4, Ell: 2, Input: types.DefaultValue},
 		StartAck{Instance: 42, From: 0},
@@ -43,9 +44,10 @@ func sampleMsgs() []Msg {
 			{Name: "kset_ack_rtt_seconds"},
 		}},
 		Batch{},
-		Batch{Acks: []uint64{3, 9, 12}},
+		Batch{Ack: AckState{0xfeedface, 40}},
+		Batch{Ack: fullAckState()},
 		Batch{
-			Acks: []uint64{44},
+			Ack: AckState{0xfeedface, 40, 0b110},
 			Msgs: []BatchMsg{
 				{Kind: TypeProto, Seq: 17, Instance: 42, From: 1,
 					Payload: types.Payload{Kind: types.KindEcho, Value: 9, Origin: 2}},
@@ -154,8 +156,8 @@ func normalize(m Msg) Msg {
 		}
 		return v
 	case Batch:
-		if len(v.Acks) == 0 {
-			v.Acks = nil
+		if len(v.Ack) == 0 {
+			v.Ack = nil
 		}
 		if len(v.Msgs) == 0 {
 			v.Msgs = nil
@@ -287,14 +289,19 @@ func TestDecodeRejects(t *testing.T) {
 			0, 0, 0x10, 0x01}, make([]byte, 10*(MaxValues+1)+4)...)},
 		{"metrics value count over bytes", []byte{Version, uint8(TypeMetrics),
 			0, 0, 0x10, 0x00, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0}},
-		{"batch hostile ack count", []byte{VersionBatch, uint8(TypeBatch), 0xFF, 0xFF, 0xFF, 0xFF}},
-		{"batch ack count over bytes", []byte{VersionBatch, uint8(TypeBatch),
+		{"batch hostile ack word count", []byte{VersionBatch, uint8(TypeBatch), 0xFF, 0xFF, 0xFF, 0xFF}},
+		{"batch ack word count above limit", append([]byte{VersionBatch, uint8(TypeBatch),
+			0, 0, 0x04, 0x03}, make([]byte, 8*(2+MaxAckWords+1)+4)...)},
+		{"batch ack word count over bytes", []byte{VersionBatch, uint8(TypeBatch),
 			0, 0, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8}},
+		{"batch one-word ack state", []byte{VersionBatch, uint8(TypeBatch),
+			0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0}},
+		{"batch version 2", v2BatchBody()},
 		{"batch msg count over bytes", []byte{VersionBatch, uint8(TypeBatch),
 			0, 0, 0, 0, 0, 0, 0, 3, 1, 2}},
 		{"batch bad msg kind", mustEncodePatch(t, Batch{Msgs: []BatchMsg{
 			{Kind: TypeProto, Seq: 1, Instance: 1}}}, 10, 0xEE)},
-		{"batch trailing bytes", append(mustEncode(t, Batch{Acks: []uint64{1}}), 0)},
+		{"batch trailing bytes", append(mustEncode(t, Batch{Ack: AckState{1, 2}}), 0)},
 	}
 	for _, tc := range cases {
 		if _, err := Decode(tc.body); err == nil {
@@ -319,6 +326,22 @@ func retiredBodies() [][]byte {
 		bodies = append(bodies, append([]byte{Version, byte(b[0])}, make([]byte, b[1])...))
 	}
 	return bodies
+}
+
+// fullAckState is an ack state at its bound: MaxAckWords bit words, a whole
+// dedup window above the watermark.
+func fullAckState() AckState {
+	a := AckState{0xfeedface, 1 << 40}
+	for i := 0; i < MaxAckWords; i++ {
+		a = append(a, uint64(i)<<1|1<<63)
+	}
+	return a
+}
+
+// v2BatchBody is a version-2 batch frame carrying one ack and no message,
+// the framing version 3 replaced.
+func v2BatchBody() []byte {
+	return []byte{2, uint8(TypeBatch), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0}
 }
 
 func mustEncode(t *testing.T, m Msg) []byte {
@@ -359,7 +382,8 @@ func TestEncodeRejects(t *testing.T) {
 		{"metrics name too long", Metrics{Hists: []Hist{{Name: string(make([]byte, MaxName+1))}}}},
 		{"metrics too many hists", Metrics{Hists: make([]Hist, MaxHists+1)}},
 		{"metrics too many buckets", Metrics{Hists: []Hist{{Name: "h", Buckets: make([]HistBucket, MaxBuckets+2)}}}},
-		{"batch too many acks", Batch{Acks: make([]uint64, MaxBatchAcks+1)}},
+		{"batch ack state too many words", Batch{Ack: make(AckState, 2+MaxAckWords+1)}},
+		{"batch ack state of one word", Batch{Ack: AckState{1}}},
 		{"batch too many msgs", Batch{Msgs: protoMsgs(MaxBatchMsgs + 1)}},
 		{"batch bad msg kind", Batch{Msgs: []BatchMsg{{Kind: TypeHello}}}},
 		{"batch msg pid", Batch{Msgs: []BatchMsg{{Kind: TypeProto, From: -1}}}},
