@@ -237,16 +237,33 @@ func truncateQueue(q *frameQueue, n int) {
 }
 
 // BenchmarkNodeDecideUnderLoad measures decide latency under concurrent
-// load: waves of FloodMin instances driven to local decision on every node
-// of a three-node loopback cluster. ns/op is the per-instance cost of a
-// full start-to-decide cycle at benchWave-instance concurrency.
+// load: waves of FloodMin instances driven to local decision on every live
+// node of a loopback cluster. ns/op is the per-instance cost of a full
+// start-to-decide cycle at wave-instance concurrency. healthy is three nodes,
+// k = 1, t = 0, every table filling; crashed is four nodes, k = 2, t = 1,
+// with node 3 crashed before the first wave, so no table ever fills and
+// instances retire only as stranded. live_end reports node 0's live
+// instances once the timer stops, after up to a second for the last wave's
+// rows to land.
 func BenchmarkNodeDecideUnderLoad(b *testing.B) {
+	b.Run("healthy", func(b *testing.B) { benchDecideUnderLoad(b, 3, 1, 0, false) })
+	b.Run("crashed", func(b *testing.B) { benchDecideUnderLoad(b, 4, 2, 1, true) })
+}
+
+func benchDecideUnderLoad(b *testing.B, n, k, tt int, crash bool) {
 	const wave = 256
-	lb, err := StartLoopback(LoopbackConfig{N: 3, K: 1, T: 0, Seed: 2})
+	lb, err := StartLoopback(LoopbackConfig{N: n, K: k, T: tt, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer lb.Close()
+	if crash {
+		lb.Crash(n - 1)
+	}
+	live := lb.Nodes
+	if crash {
+		live = live[:n-1]
+	}
 
 	decidedOn := func(node *Node) int64 {
 		return int64(node.stats.decideLatency.Snapshot("x").Count)
@@ -263,9 +280,9 @@ func BenchmarkNodeDecideUnderLoad(b *testing.B) {
 		for i := 0; i < batch; i++ {
 			id := next
 			next++
-			for nd, node := range lb.Nodes {
+			for nd, node := range live {
 				err := node.StartInstance(wire.Start{
-					Instance: id, K: 1, T: 0,
+					Instance: id, K: k, T: tt,
 					Proto: uint8(theory.ProtoFloodMin),
 					Input: types.Value(int(id)*10 + nd),
 				})
@@ -278,7 +295,7 @@ func BenchmarkNodeDecideUnderLoad(b *testing.B) {
 		deadline := time.Now().Add(60 * time.Second)
 		for {
 			all := true
-			for _, node := range lb.Nodes {
+			for _, node := range live {
 				if decidedOn(node) < int64(done) {
 					all = false
 					break
@@ -288,11 +305,16 @@ func BenchmarkNodeDecideUnderLoad(b *testing.B) {
 				break
 			}
 			if time.Now().After(deadline) {
-				b.Fatalf("only %d/%d decided at deadline", decidedOn(lb.Nodes[0]), done)
+				b.Fatalf("only %d/%d decided at deadline", decidedOn(live[0]), done)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
+	b.StopTimer()
+	for settle := time.Now().Add(time.Second); live[0].ActiveInstances() > 0 && time.Now().Before(settle); {
+		time.Sleep(time.Millisecond)
+	}
+	b.ReportMetric(float64(live[0].ActiveInstances()), "live_end")
 }
 
 // BenchmarkDedupWindow measures the per-frame cost of the receive-side

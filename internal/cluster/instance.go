@@ -78,8 +78,9 @@ func newInstance(n *Node, id uint64, k, t int, proto theory.ProtocolID, ell int,
 // recordDecision fills one row of the decision table, unless the instance is
 // archived. The first announcement wins; a correct node never announces
 // twice with different values, and for a faulty one any stable choice is as
-// good as another. The decide observer and the table-complete eviction run
-// after the lock is released.
+// good as another. The decide observer and the eviction the row completes —
+// a full table, or a stranded one (strandedLocked) — run after the lock is
+// released.
 func (in *instance) recordDecision(node types.ProcessID, val types.Value) {
 	if int(node) < 0 || int(node) >= len(in.rows) {
 		return
@@ -91,8 +92,9 @@ func (in *instance) recordDecision(node types.ProcessID, val types.Value) {
 	}
 	in.rows[node] = wire.TableRow{Decided: true, Value: val}
 	done := in.observeTableLocked()
+	stranded := !done && in.strandedLocked()
 	in.mu.Unlock()
-	in.node.notifyDecide(in, node, val, done)
+	in.node.notifyDecide(in, node, val, done, stranded)
 }
 
 // observeTableLocked records the start-to-complete-table latency the first
@@ -111,6 +113,29 @@ func (in *instance) observeTableLocked() bool {
 	in.tableDone = true
 	in.node.stats.tableLatency.Observe(time.Since(in.startedAt).Seconds())
 	return true
+}
+
+// strandedLocked is the second completion rule: a ctl instance whose own
+// row and at least n − t rows are decided, and every undecided row's peer
+// unreachable — a dial to it failed and none has succeeded since — retires
+// with its table incomplete. That peer counts as one of the instance's t
+// faults: a row it sends later finds the id retired. ACS votes are left to
+// the engine's ReleaseInstance, which may still need a late row to resolve a
+// slot. Called with in.mu held.
+func (in *instance) strandedLocked() bool {
+	if in.id>>63 != 0 || in.archived.Load() || !in.rows[in.node.cfg.ID].Decided {
+		return false
+	}
+	missing := 0
+	for i := range in.rows {
+		if in.rows[i].Decided {
+			continue
+		}
+		if missing++; missing > in.t || !in.node.links[i].unreachable.Load() {
+			return false
+		}
+	}
+	return missing > 0 // a full table is the other rule's
 }
 
 // start runs the protocol's Start and replays the backlog buffered before

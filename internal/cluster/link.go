@@ -57,7 +57,10 @@ type link struct {
 
 	// unreachable is set by a failed dial and cleared by a successful one.
 	// While it is set enqueue does not wake the writer, whose dial is backing
-	// off: the writer's tick redials and flushes the backlog.
+	// off: the writer's tick redials and flushes the backlog. An instance
+	// missing only the rows of unreachable peers is stranded
+	// (instance.strandedLocked); the flip to set retires those whose rows
+	// were all in before it.
 	unreachable atomic.Bool
 
 	// accepted is raised by the reader when it accepts a message from the
@@ -433,7 +436,9 @@ func (l *link) ensureConn() bool {
 	l.mDials.Add(1)
 	conn, err := net.DialTimeout("tcp", l.addr, l.node.cfg.DialTimeout)
 	if err != nil {
-		l.unreachable.Store(true)
+		if !l.unreachable.Swap(true) {
+			l.node.retireStrandedAll()
+		}
 		l.mDialFailures.Add(1)
 		if l.backoff == 0 {
 			l.backoff = 25 * time.Millisecond

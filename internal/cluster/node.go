@@ -166,6 +166,7 @@ type nodeStats struct {
 	decidesRecv     *obs.Counter
 	idsExpired      *obs.Counter
 	startsRetired   *obs.Counter
+	stranded        *obs.Counter
 	instancesActive *obs.Gauge
 
 	// decideLatency observes each local decision's start-to-decide time;
@@ -204,6 +205,7 @@ func (n *Node) initStats() {
 		decidesRecv:     n.reg.Counter("kset_decides_recv_total"),
 		idsExpired:      n.reg.Counter("kset_ids_expired_total"),
 		startsRetired:   n.reg.Counter("kset_starts_retired_total"),
+		stranded:        n.reg.Counter("kset_instances_stranded_total"),
 		instancesActive: n.reg.Gauge("kset_instances_active"),
 		decideLatency:   n.reg.Histogram("kset_decide_latency_seconds", lat),
 		tableLatency:    n.reg.Histogram("kset_table_latency_seconds", lat),
@@ -675,14 +677,17 @@ func (n *Node) admit(inst *instance) (*instance, []wire.BatchMsg, error) {
 		sh.mu.Unlock()
 		return nil, nil, nil
 	}
-	stranded := sh.expireLocked(id)
+	expired := sh.expireLocked(id)
+	if id>>63 == 0 {
+		sh.ctlTop = max(sh.ctlTop, pos)
+	}
 	sh.instances[id] = inst
 	backlog := sh.takePendingLocked(id)
 	sh.starts = append(sh.starts, startReq{inst: inst, backlog: backlog})
 	sh.mu.Unlock()
 	sh.signal()
 	n.stats.instancesActive.Add(1)
-	for _, in := range stranded {
+	for _, in := range expired {
 		n.evictInstance(in)
 	}
 	return inst, backlog, nil
@@ -697,29 +702,66 @@ func (n *Node) lookup(id uint64) *instance {
 }
 
 // notifyDecide fans one decision-table row out to the registered decide
-// observer and, once the local table is complete, evicts the instance: its
-// protocol cannot be needed again (every process decided), so the live state
-// shrinks to an archived table. Called with no locks held.
-func (n *Node) notifyDecide(in *instance, node types.ProcessID, value types.Value, tableDone bool) {
+// observer and, once the row completes the instance, evicts it: with the
+// local table complete its protocol cannot be needed again (every process
+// decided), and with it stranded (instance.strandedLocked) every process
+// still missing is one of its t faults. Either way the live state shrinks to
+// an archived table. Called with no locks held.
+func (n *Node) notifyDecide(in *instance, node types.ProcessID, value types.Value, tableDone, stranded bool) {
 	if n.decideObs != nil {
 		n.decideObs(in.id, node, value)
 	}
-	if tableDone {
+	switch {
+	case tableDone:
 		n.evictInstance(in)
+	case stranded:
+		n.retireStranded(in)
 	}
 }
 
-// evictInstance retires one instance. Setting its archived flag freezes its
-// decision table (no row is written after it) and stops its protocol; then,
-// in one shard critical section, the id leaves the live map for its id
-// window and its rows, uncopied, go into the archive ring. Safe to call
-// concurrently and repeatedly; the first caller wins.
-func (n *Node) evictInstance(in *instance) {
+// retireStranded evicts an instance the stranded rule covers, counting it in
+// kset_instances_stranded_total if this call is the eviction that wins.
+func (n *Node) retireStranded(in *instance) {
+	if n.evictInstance(in) {
+		n.stats.stranded.Add(1)
+	}
+}
+
+// retireStrandedAll applies the stranded rule to every live ctl instance
+// once. A link runs it when its peer turns unreachable: an instance whose
+// rows were all in before that has no later row to run the rule for it. Each
+// shard's instances are collected under its lock; the rule runs under each
+// instance's own lock, with no shard lock held.
+func (n *Node) retireStrandedAll() {
+	var live []*instance
+	for _, sh := range n.shards {
+		sh.mu.Lock()
+		live = sh.liveCtlLocked(live[:0])
+		sh.mu.Unlock()
+		for _, in := range live {
+			in.mu.Lock()
+			stranded := in.strandedLocked()
+			in.mu.Unlock()
+			if stranded {
+				n.retireStranded(in)
+			}
+		}
+		clear(live) // retired instances are not kept alive by the scratch
+	}
+}
+
+// evictInstance retires one instance and reports whether this call did.
+// Setting its archived flag freezes its decision table (no row is written
+// after it) and stops its protocol; then, in one shard critical section, the
+// id leaves the live map for its id window and its rows, uncopied, go into
+// the archive ring. Safe to call concurrently and repeatedly; the first
+// caller wins.
+func (n *Node) evictInstance(in *instance) bool {
 	in.mu.Lock()
 	won := !in.archived.Swap(true)
 	in.mu.Unlock()
 	if !won {
-		return
+		return false
 	}
 	sh := in.shard
 	sh.mu.Lock()
@@ -729,6 +771,7 @@ func (n *Node) evictInstance(in *instance) {
 	if n.log.Enabled(obs.LevelDebug) {
 		n.log.Debug("instance evicted", obs.F("instance", in.id))
 	}
+	return true
 }
 
 // ReleaseInstance retires an instance whose table will never complete

@@ -89,6 +89,7 @@ type shard struct {
 	head      int                        // the next slot to write: the oldest table once full
 	archCap   int
 	ids       [2]window    // retired ids per namespace (id>>63), at id / S
+	ctlTop    uint64       // the highest ctl position admitted (liveCtlLocked)
 	starts    []startReq   // registered instances awaiting Start
 	inbox     []shardEvent // protocol deliveries awaiting the loop
 	// drained, while non-nil, is closed by the loop's next inbox swap: a
@@ -139,7 +140,7 @@ func (sh *shard) idWindow(id uint64) (*window, uint64) {
 // is counted, its frames are dropped and a live instance there is returned
 // for the caller to evict after unlocking. A jump past the whole ring drops
 // the frames of the ids above it too, uncounted. Called with sh.mu held.
-func (sh *shard) expireLocked(id uint64) (stranded []*instance) {
+func (sh *shard) expireLocked(id uint64) (expired []*instance) {
 	ids, pos := sh.idWindow(id)
 	if !ids.beyond(pos) {
 		return nil
@@ -156,12 +157,29 @@ func (sh *shard) expireLocked(id uint64) (stranded []*instance) {
 	ids.expire(to, func(pos uint64) {
 		id := pos*s + uint64(sh.idx)
 		if in := sh.instances[id]; in != nil {
-			stranded = append(stranded, in)
+			expired = append(expired, in)
 		}
 		sh.takePendingLocked(id)
 		sh.node.stats.idsExpired.Add(1)
 	})
-	return stranded
+	return expired
+}
+
+// liveCtlLocked appends the shard's live ctl instances to dst in id order.
+// Each sits at a position of the ctl window that is not a member, from the
+// watermark up to the highest admitted — at most dedupWindow positions, since
+// admitting slides the window to cover its id. Called with sh.mu held.
+func (sh *shard) liveCtlLocked(dst []*instance) []*instance {
+	ids, s := &sh.ids[0], uint64(len(sh.node.shards))
+	for pos := ids.next; pos <= sh.ctlTop; pos++ {
+		if ids.has(pos) {
+			continue
+		}
+		if in := sh.instances[pos*s+uint64(sh.idx)]; in != nil {
+			dst = append(dst, in)
+		}
+	}
+	return dst
 }
 
 // takePendingLocked removes the frames buffered for id from the shard's

@@ -14,7 +14,8 @@ import (
 // adversarial transport (seeded drops, delays, duplicates), one crashed
 // node, and one flapping link, serving concurrent FloodMin and Protocol A
 // instances. Every surviving node's decision table must pass the full
-// checker for the protocol's validity condition.
+// checker for the protocol's validity condition, and every instance must
+// retire as stranded once the survivors' rows are in.
 func TestClusterSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -156,6 +157,30 @@ func TestClusterSoak(t *testing.T) {
 		}
 		framesSent += m.Value("kset_frames_sent_total")
 		decisions += int64(instances)
+	}
+
+	// Node 4's row never arrives, and every survivor's link to it failed a
+	// dial: each instance retires as stranded once the survivors' rows are
+	// in, leaving no live instance behind.
+	for i := 0; i < n; i++ {
+		if clients[i] == nil {
+			continue
+		}
+		for {
+			m, err := clients[i].Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			active, stranded := m.Value("kset_instances_active"), m.Value("kset_instances_stranded_total")
+			if active == 0 && stranded == instances {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d: kset_instances_active = %d, kset_instances_stranded_total = %d, want 0 and %d",
+					i, active, stranded, instances)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 	t.Logf("soak transport: %d frames sent for %d decisions (%.1f frames/decision)",
 		framesSent, decisions, float64(framesSent)/float64(decisions))
