@@ -185,14 +185,16 @@ func (c *Client) AcsRound(round uint64) (wire.AcsRound, error) {
 }
 
 // Log pulls up to max ordered-log entries starting at index start, plus the
-// node's current log length.
+// node's current log length. A reply for another start index or with more
+// than max entries is a protocol violation: callers line up several nodes'
+// entries by position.
 func (c *Client) Log(start uint64, max int) (wire.Log, error) {
 	reply, err := c.roundTrip(wire.PullLog{Start: start, Max: max})
 	if err != nil {
 		return wire.Log{}, err
 	}
 	lg, ok := reply.(wire.Log)
-	if !ok {
+	if !ok || lg.Start != start || len(lg.Entries) > max {
 		return wire.Log{}, fmt.Errorf("%w: log reply %#v", ErrProtocol, reply)
 	}
 	return lg, nil

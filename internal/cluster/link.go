@@ -272,6 +272,13 @@ var encBufs = sync.Pool{New: func() any {
 // a thousand messages.
 const batchMsgsPerFrame = 1024
 
+// dialTimeout bounds one dial of a peer; writeTimeout bounds one write to a
+// peer or a ctl connection.
+const (
+	dialTimeout  = time.Second
+	writeTimeout = 2 * time.Second
+)
+
 // flush performs one round of work, and its cost follows the work that is
 // due, not the unacked backlog. The connection comes first: while the peer is
 // unreachable and the dial is backing off, the round ends before the queue
@@ -317,7 +324,7 @@ func (l *link) flush(tick bool) {
 	// Buffered is zero on a round that found nothing due; a fresh dial's
 	// Hello counts, so it never waits for the first frame.
 	if l.bw != nil && l.bw.Buffered() > 0 {
-		if err := l.conn.SetWriteDeadline(time.Now().Add(l.node.cfg.WriteTimeout)); err != nil {
+		if err := l.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			l.connFailed()
 			return
 		}
@@ -434,7 +441,7 @@ func (l *link) ensureConn() bool {
 		return false
 	}
 	l.mDials.Add(1)
-	conn, err := net.DialTimeout("tcp", l.addr, l.node.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", l.addr, dialTimeout)
 	if err != nil {
 		if !l.unreachable.Swap(true) {
 			l.node.retireStrandedAll()
@@ -487,7 +494,7 @@ func (l *link) writeFrame(frame []byte) bool {
 	if l.conn == nil {
 		return false
 	}
-	if err := l.conn.SetWriteDeadline(time.Now().Add(l.node.cfg.WriteTimeout)); err != nil {
+	if err := l.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		l.connFailed()
 		return false
 	}

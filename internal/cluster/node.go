@@ -68,12 +68,9 @@ type Config struct {
 	Seed uint64
 	// Faults configures the transport fault injector.
 	Faults Faults
-	// DialTimeout, WriteTimeout and Retransmit tune the transport; zero
-	// selects the defaults (1s, 2s, 50ms). Negative values are rejected by
-	// NewNode.
-	DialTimeout  time.Duration
-	WriteTimeout time.Duration
-	Retransmit   time.Duration
+	// Retransmit is the link's retransmit period; zero selects 50ms.
+	// Negative values are rejected by NewNode.
+	Retransmit time.Duration
 	// Shards is the number of shard event loops serving instances (instance
 	// id modulo Shards selects the owning loop). Zero selects GOMAXPROCS;
 	// negative values are rejected.
@@ -232,15 +229,9 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.K <= 0 || cfg.T < 0 || cfg.T >= cfg.N {
 		return nil, fmt.Errorf("%w: k=%d t=%d", ErrBadConfig, cfg.K, cfg.T)
 	}
-	// Timing knobs: zero selects the default, but a negative value is a
-	// configuration bug, not a choice — and a non-positive Retransmit would
-	// panic the link writer's ticker. Reject loudly instead.
-	if cfg.DialTimeout < 0 {
-		return nil, fmt.Errorf("%w: DialTimeout %v must be positive (or zero for the 1s default)", ErrBadConfig, cfg.DialTimeout)
-	}
-	if cfg.WriteTimeout < 0 {
-		return nil, fmt.Errorf("%w: WriteTimeout %v must be positive (or zero for the 2s default)", ErrBadConfig, cfg.WriteTimeout)
-	}
+	// Zero selects the default, but a negative Retransmit is a
+	// configuration bug, not a choice — it would panic the link writer's
+	// ticker. Reject loudly instead.
 	if cfg.Retransmit < 0 {
 		return nil, fmt.Errorf("%w: Retransmit %v must be positive (or zero for the 50ms default)", ErrBadConfig, cfg.Retransmit)
 	}
@@ -249,12 +240,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 2 * time.Second
 	}
 	if cfg.Retransmit == 0 {
 		cfg.Retransmit = 50 * time.Millisecond
@@ -987,7 +972,7 @@ func (n *Node) serveCtl(br *bufio.Reader, conn net.Conn) {
 			}
 			reply = r
 		}
-		if err := conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout)); err != nil {
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			n.log.Warn("ctl set write deadline failed", obs.F("err", err.Error()))
 			return
 		}

@@ -16,10 +16,9 @@ import (
 	"kset/internal/wire"
 )
 
-// TestConfigValidation pins NewNode's rejection of negative timing knobs: a
-// negative Retransmit used to slip through to the link writer (whose ticker
-// panics on non-positive periods), and negative deadlines silently produced
-// already-expired writes.
+// TestConfigValidation pins NewNode's rejection of a negative Retransmit,
+// which used to slip through to the link writer (whose ticker panics on
+// non-positive periods).
 func TestConfigValidation(t *testing.T) {
 	base := Config{ID: 0, N: 2, K: 1, T: 0, Peers: []string{"a", "b"}}
 	cases := []struct {
@@ -27,8 +26,6 @@ func TestConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"negative retransmit", func(c *Config) { c.Retransmit = -time.Millisecond }},
-		{"negative dial timeout", func(c *Config) { c.DialTimeout = -time.Second }},
-		{"negative write timeout", func(c *Config) { c.WriteTimeout = -time.Second }},
 	}
 	for _, tc := range cases {
 		cfg := base

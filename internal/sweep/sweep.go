@@ -27,8 +27,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"kset/internal/obs"
 )
 
 // Serial runs jobs 0..jobs-1 in order on the calling goroutine.
@@ -45,29 +43,6 @@ type Pool struct {
 	// sem admits extra workers beyond the calling goroutine: capacity is
 	// workers-1, so a pool of 1 never spawns a goroutine at all.
 	sem chan struct{}
-
-	// Metric handles, nil (no-op) until Instrument. Observed values never
-	// feed back into scheduling, so instrumentation cannot perturb the
-	// canonical-order determinism contract.
-	mJobs       *obs.Counter   // jobs executed across all Map calls
-	mSpawns     *obs.Counter   // extra worker goroutines spawned
-	mWorkerJobs *obs.Histogram // jobs one participant ran in one Map call
-}
-
-// workerJobsBounds buckets the per-participant job counts: powers of two up
-// to 4096 cover everything the evaluation commands fan out today.
-func workerJobsBounds() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-}
-
-// Instrument registers the pool's throughput metrics in reg and returns the
-// pool. Call it before the pool is shared: the handles are written without
-// synchronization. A nil registry leaves the pool uninstrumented.
-func (p *Pool) Instrument(reg *obs.Registry) *Pool {
-	p.mJobs = reg.Counter("kset_sweep_jobs_total")
-	p.mSpawns = reg.Counter("kset_sweep_worker_spawns_total")
-	p.mWorkerJobs = reg.Histogram("kset_sweep_worker_jobs", workerJobsBounds())
-	return p
 }
 
 // NewPool returns a pool bounded at workers concurrent executors (including
@@ -96,8 +71,6 @@ func (p *Pool) Map(jobs int, run func(job int)) {
 	}
 	if jobs == 1 || cap(p.sem) == 0 {
 		Serial(jobs, run)
-		p.mJobs.Add(int64(jobs))
-		p.mWorkerJobs.Observe(float64(jobs))
 		return
 	}
 
@@ -106,17 +79,11 @@ func (p *Pool) Map(jobs int, run func(job int)) {
 		panicked atomic.Pointer[panicValue]
 	)
 	work := func() {
-		mine := 0
-		defer func() {
-			p.mJobs.Add(int64(mine))
-			p.mWorkerJobs.Observe(float64(mine))
-		}()
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= jobs || panicked.Load() != nil {
 				return
 			}
-			mine++
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
@@ -139,7 +106,6 @@ admit:
 	for i := 0; i < want; i++ {
 		select {
 		case p.sem <- struct{}{}:
-			p.mSpawns.Add(1)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

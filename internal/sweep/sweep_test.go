@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"kset/internal/obs"
 )
 
 func TestSerialRunsAllInOrder(t *testing.T) {
@@ -104,37 +102,4 @@ func TestMapPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
-}
-
-// TestInstrumentedMap checks the pool's throughput metrics: every job is
-// counted exactly once no matter how work was shared, spawns stay within the
-// worker bound, and an uninstrumented pool (nil handles) still works.
-func TestInstrumentedMap(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPool(4).Instrument(reg)
-	const jobs = 100
-	var ran atomic.Int64
-	p.Map(jobs, func(int) { ran.Add(1) })
-	if ran.Load() != jobs {
-		t.Fatalf("ran %d of %d jobs", ran.Load(), jobs)
-	}
-	if got := reg.Counter("kset_sweep_jobs_total").Value(); got != jobs {
-		t.Errorf("jobs counter = %d, want %d", got, jobs)
-	}
-	if got := reg.Counter("kset_sweep_worker_spawns_total").Value(); got < 0 || got > 3 {
-		t.Errorf("spawns counter = %d, want 0..3", got)
-	}
-	// Per-participant observations: total observed jobs balance the counter.
-	snap := reg.Histogram("kset_sweep_worker_jobs", nil).Snapshot("kset_sweep_worker_jobs")
-	if snap.Sum != float64(jobs) {
-		t.Errorf("worker-jobs histogram sum = %v, want %d", snap.Sum, jobs)
-	}
-	// Serial path (pool of one) is also counted.
-	p1 := NewPool(1).Instrument(reg)
-	p1.Map(3, func(int) {})
-	if got := reg.Counter("kset_sweep_jobs_total").Value(); got != jobs+3 {
-		t.Errorf("jobs counter after serial map = %d, want %d", got, jobs+3)
-	}
-	// Uninstrumented pools must not panic.
-	NewPool(2).Map(10, func(int) {})
 }

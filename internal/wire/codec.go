@@ -21,369 +21,248 @@ func Encode(m Msg) ([]byte, error) {
 // allocation. On error dst is returned unextended. Validation is identical
 // to Encode.
 func AppendEncode(dst []byte, m Msg) ([]byte, error) {
-	if b, ok := m.(Batch); ok {
-		return AppendBatch(dst, b.Ack, b.Msgs)
-	}
-	start := len(dst)
-	e := encoder{buf: dst}
-	e.u8(Version)
-	e.u8(uint8(m.Type()))
-	switch v := m.(type) {
-	case Hello:
-		e.pid(int64(v.From), -1)
-		if v.Role != RolePeer && v.Role != RoleCtl {
-			return dst, fmt.Errorf("%w: hello role %d", ErrBadFrame, v.Role)
-		}
-		e.u8(uint8(v.Role))
-		e.count(v.N, MaxProcs, "hello n")
-		e.u64(v.Session)
-		if v.MaxVersion > Version {
-			e.u8(v.MaxVersion)
-		}
-	case Start:
-		e.u64(v.Instance)
-		e.count(v.K, MaxProcs, "start k")
-		e.count(v.T, MaxProcs, "start t")
-		e.u8(v.Proto)
-		e.count(v.Ell, MaxProcs, "start ell")
-		e.i64(int64(v.Input))
-	case StartAck:
-		e.u64(v.Instance)
-		e.pid(int64(v.From), 0)
-	case PullTable:
-		e.u64(v.Instance)
-	case Table:
-		e.u64(v.Instance)
-		e.count(v.K, MaxProcs, "table k")
-		e.count(v.T, MaxProcs, "table t")
-		e.count(len(v.Rows), MaxProcs, "table rows")
-		for _, r := range v.Rows {
-			if r.Decided {
-				e.u8(1)
-			} else {
-				e.u8(0)
-			}
-			e.i64(int64(r.Value))
-		}
-	case PullMetrics:
-		// No fields.
-	case Metrics:
-		e.count(len(v.Values), MaxValues, "metrics values")
-		for _, mv := range v.Values {
-			e.name(mv.Name, "metrics value name")
-			e.i64(mv.Value)
-		}
-		e.count(len(v.Hists), MaxHists, "metrics hists")
-		for _, h := range v.Hists {
-			e.name(h.Name, "metrics histogram name")
-			e.u64(h.Count)
-			e.i64(h.SumMicros)
-			e.i64(h.MinMicros)
-			e.i64(h.MaxMicros)
-			e.count(len(h.Buckets), MaxBuckets+1, "metrics buckets")
-			for _, b := range h.Buckets {
-				e.i64(b.UpperMicros)
-				e.u64(b.Count)
-			}
-		}
-	case AcsSubmit:
-		e.i64(int64(v.Value))
-	case AcsAck:
-		e.u64(v.Round)
-	case PullAcsRound:
-		e.u64(v.Round)
-	case AcsRound:
-		e.u64(v.Round)
-		e.bool(v.Closed)
-		e.count(len(v.Slots), MaxProcs, "acs-round slots")
-		for _, s := range v.Slots {
-			if s.Status > AcsOut {
-				return dst, fmt.Errorf("%w: acs slot status %d", ErrBadFrame, s.Status)
-			}
-			e.u8(s.Status)
-			e.bool(s.Held)
-			e.bool(s.Noop)
-			e.i64(int64(s.Value))
-		}
-	case PullLog:
-		e.u64(v.Start)
-		e.count(v.Max, MaxLogEntries, "pull-log max")
-	case Log:
-		e.u64(v.Total)
-		e.u64(v.Start)
-		e.count(len(v.Entries), MaxLogEntries, "log entries")
-		for _, le := range v.Entries {
-			e.u64(le.Round)
-			e.pid(int64(le.Proposer), 0)
-			e.i64(int64(le.Value))
-		}
-	case SweepJob:
-		e.u64(v.Job)
-		e.u64(v.Seed)
-		e.axis8(v.Models, "sweep models")
-		e.axis8(v.Validities, "sweep validities")
-		e.axisInts(v.Ns, "sweep n")
-		e.axisInts(v.Ks, "sweep k")
-		e.axisInts(v.Ts, "sweep t")
-		e.axis8(v.Plans, "sweep plans")
-		e.count(v.Trials, MaxSweepRuns, "sweep trials")
-		e.count(v.Runs, MaxSweepRuns, "sweep runs")
-		e.u64(v.First)
-		e.count(v.Count, MaxSweepCells, "sweep count")
-	case SweepResult:
-		e.u64(v.Job)
-		e.u64(v.First)
-		e.count(len(v.Records), MaxSweepCells, "sweep records")
-		for i := range v.Records {
-			e.sweepRecord(&v.Records[i])
-		}
-	default:
-		return dst, fmt.Errorf("%w: unknown message %T", ErrBadFrame, m)
-	}
-	if e.err != nil {
-		return dst, e.err
-	}
-	if len(e.buf)-start > MaxFrame {
-		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(e.buf)-start)
-	}
-	return e.buf, nil
+	c := coder{buf: dst, off: len(dst)}
+	t := m.Type()
+	c.header(&t)
+	c.walk(t, m)
+	return c.appended(dst)
 }
 
 // Decode parses one frame body. It is strict: the version and type must be
 // known, every count must respect the package limits, and the body must be
 // exactly the length its type demands — trailing bytes are an error.
 func Decode(body []byte) (Msg, error) {
-	d := &decoder{buf: body}
-	v := d.u8()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if v == VersionBatch {
-		var b Batch
-		if err := DecodeBatchInto(body, &b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	if v != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
-	}
-	t := MsgType(d.u8())
-	var m Msg
-	switch t {
-	case TypeHello:
-		h := Hello{}
-		h.From = types.ProcessID(d.pid(-1))
-		role := Role(d.u8())
-		if d.err == nil && role != RolePeer && role != RoleCtl {
-			return nil, fmt.Errorf("%w: hello role %d", ErrBadFrame, role)
-		}
-		h.Role = role
-		h.N = d.count(MaxProcs, "hello n")
-		h.Session = d.u64()
-		h.MaxVersion = 1
-		if d.err == nil && d.off < len(d.buf) {
-			mv := d.u8()
-			if d.err == nil && mv <= Version {
-				// A v1-only sender omits the byte entirely; accepting an
-				// explicit 0 or 1 would break canonical encoding.
-				return nil, fmt.Errorf("%w: hello max version %d must be omitted", ErrBadFrame, mv)
-			}
-			h.MaxVersion = mv
-		}
-		m = h
-	case TypeStart:
-		s := Start{}
-		s.Instance = d.u64()
-		s.K = d.count(MaxProcs, "start k")
-		s.T = d.count(MaxProcs, "start t")
-		s.Proto = d.u8()
-		s.Ell = d.count(MaxProcs, "start ell")
-		s.Input = types.Value(d.i64())
-		m = s
-	case TypeStartAck:
-		m = StartAck{Instance: d.u64(), From: types.ProcessID(d.pid(0))}
-	case TypePullTable:
-		m = PullTable{Instance: d.u64()}
-	case TypeTable:
-		tb := Table{}
-		tb.Instance = d.u64()
-		tb.K = d.count(MaxProcs, "table k")
-		tb.T = d.count(MaxProcs, "table t")
-		rows := d.count(MaxProcs, "table rows")
-		if d.err == nil {
-			// Each row is at least 9 bytes; reject counts the remaining
-			// bytes cannot satisfy before allocating.
-			if rem := len(d.buf) - d.off; rows*9 > rem {
-				return nil, fmt.Errorf("%w: %d table rows in %d bytes", ErrBadFrame, rows, rem)
-			}
-			tb.Rows = make([]TableRow, rows)
-			for i := range tb.Rows {
-				tb.Rows[i].Decided = d.bool()
-				tb.Rows[i].Value = types.Value(d.i64())
-			}
-		}
-		m = tb
-	case TypeAcsSubmit:
-		m = AcsSubmit{Value: types.Value(d.i64())}
-	case TypeAcsAck:
-		m = AcsAck{Round: d.u64()}
-	case TypePullAcsRound:
-		m = PullAcsRound{Round: d.u64()}
-	case TypeAcsRound:
-		ar := AcsRound{}
-		ar.Round = d.u64()
-		ar.Closed = d.bool()
-		slots := d.count(MaxProcs, "acs-round slots")
-		if d.err == nil {
-			// Each slot is 11 bytes; reject counts the remaining bytes
-			// cannot satisfy before allocating.
-			if rem := len(d.buf) - d.off; slots*11 > rem {
-				return nil, fmt.Errorf("%w: %d acs slots in %d bytes", ErrBadFrame, slots, rem)
-			}
-			if slots > 0 {
-				ar.Slots = make([]AcsSlot, slots)
-				for i := range ar.Slots {
-					s := &ar.Slots[i]
-					s.Status = d.u8()
-					if d.err == nil && s.Status > AcsOut {
-						return nil, fmt.Errorf("%w: acs slot status %d", ErrBadFrame, s.Status)
-					}
-					s.Held = d.bool()
-					s.Noop = d.bool()
-					s.Value = types.Value(d.i64())
-				}
-			}
-		}
-		m = ar
-	case TypePullLog:
-		pl := PullLog{}
-		pl.Start = d.u64()
-		pl.Max = d.count(MaxLogEntries, "pull-log max")
-		m = pl
-	case TypeLog:
-		lg := Log{}
-		lg.Total = d.u64()
-		lg.Start = d.u64()
-		entries := d.count(MaxLogEntries, "log entries")
-		if d.err == nil {
-			// Each entry is 20 bytes; reject counts the remaining bytes
-			// cannot satisfy before allocating.
-			if rem := len(d.buf) - d.off; entries*20 > rem {
-				return nil, fmt.Errorf("%w: %d log entries in %d bytes", ErrBadFrame, entries, rem)
-			}
-			if entries > 0 {
-				lg.Entries = make([]LogEntry, entries)
-				for i := range lg.Entries {
-					lg.Entries[i].Round = d.u64()
-					lg.Entries[i].Proposer = types.ProcessID(d.pid(0))
-					lg.Entries[i].Value = types.Value(d.i64())
-				}
-			}
-		}
-		m = lg
-	case TypeSweepJob:
-		sj := SweepJob{}
-		sj.Job = d.u64()
-		sj.Seed = d.u64()
-		sj.Models = d.axis8("sweep models")
-		sj.Validities = d.axis8("sweep validities")
-		sj.Ns = d.axisInts("sweep n")
-		sj.Ks = d.axisInts("sweep k")
-		sj.Ts = d.axisInts("sweep t")
-		sj.Plans = d.axis8("sweep plans")
-		sj.Trials = d.count(MaxSweepRuns, "sweep trials")
-		sj.Runs = d.count(MaxSweepRuns, "sweep runs")
-		sj.First = d.u64()
-		sj.Count = d.count(MaxSweepCells, "sweep count")
-		m = sj
-	case TypeSweepResult:
-		sr := SweepResult{}
-		sr.Job = d.u64()
-		sr.First = d.u64()
-		records := d.count(MaxSweepCells, "sweep records")
-		if d.err == nil {
-			// Each record is at least 93 bytes; reject counts the remaining
-			// bytes cannot satisfy before allocating.
-			if rem := len(d.buf) - d.off; records*93 > rem {
-				return nil, fmt.Errorf("%w: %d sweep records in %d bytes", ErrBadFrame, records, rem)
-			}
-			if records > 0 {
-				sr.Records = make([]SweepRecord, records)
-				for i := range sr.Records {
-					d.sweepRecord(&sr.Records[i])
-					if d.err != nil {
-						break
-					}
-				}
-			}
-		}
-		m = sr
-	case TypePullMetrics:
-		m = PullMetrics{}
-	case TypeMetrics:
-		mt := Metrics{}
-		values := d.count(MaxValues, "metrics values")
-		if d.err == nil {
-			// Each value is at least 10 bytes (empty name); reject counts the
-			// remaining bytes cannot satisfy before allocating.
-			if rem := len(d.buf) - d.off; values*10 > rem {
-				return nil, fmt.Errorf("%w: %d metric values in %d bytes", ErrBadFrame, values, rem)
-			}
-			if values > 0 {
-				mt.Values = make([]MetricValue, values)
-				for i := range mt.Values {
-					mt.Values[i].Name = d.name()
-					mt.Values[i].Value = d.i64()
-				}
-			}
-		}
-		hists := d.count(MaxHists, "metrics hists")
-		if d.err == nil {
-			// Each histogram is at least 38 bytes (empty name, no buckets);
-			// reject counts the remaining bytes cannot satisfy before
-			// allocating.
-			if rem := len(d.buf) - d.off; hists*38 > rem {
-				return nil, fmt.Errorf("%w: %d histograms in %d bytes", ErrBadFrame, hists, rem)
-			}
-			mt.Hists = make([]Hist, hists)
-			for i := range mt.Hists {
-				h := &mt.Hists[i]
-				h.Name = d.name()
-				h.Count = d.u64()
-				h.SumMicros = d.i64()
-				h.MinMicros = d.i64()
-				h.MaxMicros = d.i64()
-				buckets := d.count(MaxBuckets+1, "metrics buckets")
-				if d.err != nil {
-					break
-				}
-				if rem := len(d.buf) - d.off; buckets*16 > rem {
-					return nil, fmt.Errorf("%w: %d buckets in %d bytes", ErrBadFrame, buckets, rem)
-				}
-				if buckets > 0 {
-					h.Buckets = make([]HistBucket, buckets)
-					for j := range h.Buckets {
-						h.Buckets[j].UpperMicros = d.i64()
-						h.Buckets[j].Count = d.u64()
-					}
-				}
-			}
-		}
-		m = mt
-	default:
-		if d.err != nil {
-			return nil, d.err
-		}
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, uint8(t))
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %v", ErrBadFrame, len(d.buf)-d.off, t)
+	c := coder{buf: body, dec: true}
+	var t MsgType
+	c.header(&t)
+	m := c.walk(t, nil)
+	if err := c.done(); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// walk codes the body of one frame of type t through that type's walk:
+// encoding walks m, decoding walks the type's zero value (m is nil) and
+// returns it filled. This switch is the one table from frame type to walk.
+func (c *coder) walk(t MsgType, m Msg) Msg {
+	switch t {
+	case TypeHello:
+		return walkAs(c, m, (*Hello).code)
+	case TypeStart:
+		return walkAs(c, m, (*Start).code)
+	case TypeStartAck:
+		return walkAs(c, m, (*StartAck).code)
+	case TypePullTable:
+		return walkAs(c, m, (*PullTable).code)
+	case TypeTable:
+		return walkAs(c, m, (*Table).code)
+	case TypePullMetrics:
+		return walkAs(c, m, (*PullMetrics).code)
+	case TypeMetrics:
+		return walkAs(c, m, (*Metrics).code)
+	case TypeBatch:
+		return walkAs(c, m, (*Batch).code)
+	case TypeAcsSubmit:
+		return walkAs(c, m, (*AcsSubmit).code)
+	case TypeAcsAck:
+		return walkAs(c, m, (*AcsAck).code)
+	case TypePullAcsRound:
+		return walkAs(c, m, (*PullAcsRound).code)
+	case TypeAcsRound:
+		return walkAs(c, m, (*AcsRound).code)
+	case TypePullLog:
+		return walkAs(c, m, (*PullLog).code)
+	case TypeLog:
+		return walkAs(c, m, (*Log).code)
+	case TypeSweepJob:
+		return walkAs(c, m, (*SweepJob).code)
+	case TypeSweepResult:
+		return walkAs(c, m, (*SweepResult).code)
+	}
+	c.fail(fmt.Errorf("%w: unknown type %d", ErrBadFrame, uint8(t)))
+	return nil
+}
+
+// errNotFrame rejects a message whose concrete type is not the value type of
+// the frame its Type names (a *Hello, say).
+var errNotFrame = fmt.Errorf("%w: message is not its frame type's value", ErrBadFrame)
+
+// errTruncated rejects a body that ends inside a field.
+var errTruncated = fmt.Errorf("%w: truncated", ErrBadFrame)
+
+// walkAs runs the walk code over a T: a copy of m when encoding, the zero
+// value when decoding. It is small enough to inline into walk, where code
+// becomes a direct call and the walked copy stays on the stack.
+func walkAs[T Msg](c *coder, m Msg, code func(*T, *coder)) Msg {
+	v, ok := m.(T)
+	if !ok && !c.dec {
+		c.fail(errNotFrame)
+	}
+	code(&v, c)
+	if c.dec {
+		return v
+	}
+	return m
+}
+
+// Each frame type states its field order once, in its code method; the
+// coder runs it in either direction.
+
+func (h *Hello) code(c *coder) {
+	c.pid(&h.From, -1)
+	c.u8((*uint8)(&h.Role))
+	c.enum(h.Role == RolePeer || h.Role == RoleCtl, "hello role", uint8(h.Role))
+	c.count(&h.N, MaxProcs, "hello n")
+	c.u64(&h.Session)
+	// MaxVersion is a trailing byte a v1-only sender omits, decoded as 1 when
+	// absent; an explicit 0 or 1 would break canonical encoding.
+	if c.dec && c.left() > 0 || !c.dec && h.MaxVersion > Version {
+		c.u8(&h.MaxVersion)
+		c.enum(h.MaxVersion > Version, "hello max version (must be omitted)", h.MaxVersion)
+	} else if c.dec {
+		h.MaxVersion = 1
+	}
+}
+
+func (s *Start) code(c *coder) {
+	c.u64(&s.Instance)
+	c.count(&s.K, MaxProcs, "start k")
+	c.count(&s.T, MaxProcs, "start t")
+	c.u8(&s.Proto)
+	c.count(&s.Ell, MaxProcs, "start ell")
+	c.i64((*int64)(&s.Input))
+}
+
+func (a *StartAck) code(c *coder) {
+	c.u64(&a.Instance)
+	c.pid(&a.From, 0)
+}
+
+func (p *PullTable) code(c *coder) { c.u64(&p.Instance) }
+
+func (t *Table) code(c *coder) {
+	c.u64(&t.Instance)
+	c.count(&t.K, MaxProcs, "table k")
+	c.count(&t.T, MaxProcs, "table t")
+	rows := list(c, &t.Rows, MaxProcs, 1+8, "table rows")
+	for i := range rows {
+		c.bool(&rows[i].Decided)
+		c.i64((*int64)(&rows[i].Value))
+	}
+}
+
+func (*PullMetrics) code(*coder) {}
+
+func (m *Metrics) code(c *coder) {
+	values := list(c, &m.Values, MaxValues, 2+8, "metric values")
+	for i := range values {
+		c.name(&values[i].Name, "metric value name")
+		c.i64(&values[i].Value)
+	}
+	hists := list(c, &m.Hists, MaxHists, 2+4*8+4, "histograms")
+	for i := range hists {
+		h := &hists[i]
+		c.name(&h.Name, "histogram name")
+		c.u64(&h.Count)
+		c.i64(&h.SumMicros)
+		c.i64(&h.MinMicros)
+		c.i64(&h.MaxMicros)
+		buckets := list(c, &h.Buckets, MaxBuckets+1, 8+8, "histogram buckets")
+		for j := range buckets {
+			c.i64(&buckets[j].UpperMicros)
+			c.u64(&buckets[j].Count)
+		}
+	}
+}
+
+func (s *AcsSubmit) code(c *coder)    { c.i64((*int64)(&s.Value)) }
+func (a *AcsAck) code(c *coder)       { c.u64(&a.Round) }
+func (p *PullAcsRound) code(c *coder) { c.u64(&p.Round) }
+
+func (r *AcsRound) code(c *coder) {
+	c.u64(&r.Round)
+	c.bool(&r.Closed)
+	slots := list(c, &r.Slots, MaxProcs, 1+1+1+8, "acs slots")
+	for i := range slots {
+		s := &slots[i]
+		c.u8(&s.Status)
+		c.enum(s.Status <= AcsOut, "acs slot status", s.Status)
+		c.bool(&s.Held)
+		c.bool(&s.Noop)
+		c.i64((*int64)(&s.Value))
+	}
+}
+
+func (p *PullLog) code(c *coder) {
+	c.u64(&p.Start)
+	c.count(&p.Max, MaxLogEntries, "pull-log max")
+}
+
+func (l *Log) code(c *coder) {
+	c.u64(&l.Total)
+	c.u64(&l.Start)
+	entries := list(c, &l.Entries, MaxLogEntries, 8+4+8, "log entries")
+	for i := range entries {
+		c.u64(&entries[i].Round)
+		c.pid(&entries[i].Proposer, 0)
+		c.i64((*int64)(&entries[i].Value))
+	}
+}
+
+func (j *SweepJob) code(c *coder) {
+	c.u64(&j.Job)
+	c.u64(&j.Seed)
+	c.axis8(&j.Models, "sweep models")
+	c.axis8(&j.Validities, "sweep validities")
+	c.axisInts(&j.Ns, "sweep n")
+	c.axisInts(&j.Ks, "sweep k")
+	c.axisInts(&j.Ts, "sweep t")
+	c.axis8(&j.Plans, "sweep plans")
+	c.count(&j.Trials, MaxSweepRuns, "sweep trials")
+	c.count(&j.Runs, MaxSweepRuns, "sweep runs")
+	c.u64(&j.First)
+	c.count(&j.Count, MaxSweepCells, "sweep count")
+}
+
+// minSweepRecord is the smallest encoded sweep record: every name empty.
+const minSweepRecord = 8 + 1 + 1 + 3*4 + 1 + 4 + 8 + 1 + 2 + 2 + 3*4 + 3 + 8 + 8 + 4 + 8 + 8 + 2
+
+func (r *SweepResult) code(c *coder) {
+	c.u64(&r.Job)
+	c.u64(&r.First)
+	records := list(c, &r.Records, MaxSweepCells, minSweepRecord, "sweep records")
+	for i := range records {
+		records[i].code(c)
+	}
+}
+
+func (r *SweepRecord) code(c *coder) {
+	c.u64(&r.Cell)
+	c.u8(&r.Model)
+	c.u8(&r.Validity)
+	c.count(&r.N, MaxProcs, "sweep record n")
+	c.count(&r.K, MaxProcs, "sweep record k")
+	c.count(&r.T, MaxProcs, "sweep record t")
+	c.u8(&r.Plan)
+	c.count(&r.Trial, MaxSweepRuns, "sweep record trial")
+	c.u64(&r.Seed)
+	c.u8(&r.Status)
+	c.enum(r.Status >= SweepSolvable && r.Status <= SweepInvalid, "sweep record status", r.Status)
+	c.name(&r.Lemma, "sweep record lemma")
+	c.name(&r.Protocol, "sweep record protocol")
+	c.count(&r.Runs, MaxSweepRuns, "sweep record runs")
+	c.count(&r.Violations, MaxSweepRuns, "sweep record violations")
+	c.count(&r.RunErrors, MaxSweepRuns, "sweep record run errors")
+	c.bool(&r.TermOK)
+	c.bool(&r.AgreeOK)
+	c.bool(&r.ValidOK)
+	c.i64(&r.Events)
+	c.i64(&r.Messages)
+	c.count(&r.MaxDistinct, MaxProcs, "sweep record max distinct")
+	c.i64(&r.MeanDistinctMilli)
+	c.i64(&r.DefaultDecisions)
+	c.name(&r.FirstViolation, "sweep record violation text")
 }
 
 // WriteMsg encodes m and writes it as one length-prefixed frame, prefix and
@@ -416,285 +295,242 @@ func ReadMsg(r io.Reader) (Msg, error) {
 	return Decode(body)
 }
 
-// encoder appends big-endian fields, latching the first range error.
-type encoder struct {
+// coder walks one frame body in either direction. Encoding appends each
+// field it is handed to buf and never writes the field; decoding reads the
+// field from buf into the same place. Every check runs in both directions,
+// and the first error latches: later fields still walk, harmlessly, and the
+// entry point reports the error.
+type coder struct {
 	buf []byte
-	err error
-}
-
-func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
-
-// bool appends the canonical boolean byte (0 or 1).
-func (e *encoder) bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(v)) }
-
-// pid encodes a process id, which must lie in [min, MaxProcs).
-func (e *encoder) pid(v int64, min int64) {
-	if v < min || v >= MaxProcs {
-		e.fail(fmt.Errorf("%w: process id %d out of range [%d, %d)", ErrBadFrame, v, min, MaxProcs))
-		return
-	}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(int32(v)))
-}
-
-// count encodes a non-negative small integer bounded by limit.
-func (e *encoder) count(v, limit int, what string) {
-	if v < 0 || v > limit {
-		e.fail(fmt.Errorf("%w: %s %d outside [0, %d]", ErrBadFrame, what, v, limit))
-		return
-	}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(v))
-}
-
-// name appends a length-prefixed string bounded by MaxName.
-func (e *encoder) name(s, what string) {
-	if len(s) > MaxName {
-		e.fail(fmt.Errorf("%w: %s of %d bytes", ErrTooLarge, what, len(s)))
-		return
-	}
-	e.u16(uint16(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// axis8 appends one byte-coded sweep axis, bounded by MaxSweepAxis.
-func (e *encoder) axis8(vs []uint8, what string) {
-	e.count(len(vs), MaxSweepAxis, what)
-	e.buf = append(e.buf, vs...)
-}
-
-// axisInts appends one integer sweep axis; values are bounded by MaxProcs
-// like every other problem parameter on the wire.
-func (e *encoder) axisInts(vs []int, what string) {
-	e.count(len(vs), MaxSweepAxis, what)
-	for _, v := range vs {
-		e.count(v, MaxProcs, what)
-	}
-}
-
-// sweepRecord appends one sweep record in field order.
-func (e *encoder) sweepRecord(r *SweepRecord) {
-	e.u64(r.Cell)
-	e.u8(r.Model)
-	e.u8(r.Validity)
-	e.count(r.N, MaxProcs, "sweep record n")
-	e.count(r.K, MaxProcs, "sweep record k")
-	e.count(r.T, MaxProcs, "sweep record t")
-	e.u8(r.Plan)
-	e.count(r.Trial, MaxSweepRuns, "sweep record trial")
-	e.u64(r.Seed)
-	if r.Status < SweepSolvable || r.Status > SweepInvalid {
-		e.fail(fmt.Errorf("%w: sweep record status %d", ErrBadFrame, r.Status))
-		return
-	}
-	e.u8(r.Status)
-	e.name(r.Lemma, "sweep record lemma")
-	e.name(r.Protocol, "sweep record protocol")
-	e.count(r.Runs, MaxSweepRuns, "sweep record runs")
-	e.count(r.Violations, MaxSweepRuns, "sweep record violations")
-	e.count(r.RunErrors, MaxSweepRuns, "sweep record run errors")
-	e.bool(r.TermOK)
-	e.bool(r.AgreeOK)
-	e.bool(r.ValidOK)
-	e.i64(r.Events)
-	e.i64(r.Messages)
-	e.count(r.MaxDistinct, MaxProcs, "sweep record max distinct")
-	e.i64(r.MeanDistinctMilli)
-	e.i64(r.DefaultDecisions)
-	e.name(r.FirstViolation, "sweep record violation text")
-}
-
-func (e *encoder) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-// decoder consumes big-endian fields, latching the first error. Every read
-// checks the remaining length first, so no input can index past the buffer.
-type decoder struct {
-	buf []byte
+	// off is the read offset into buf when decoding, and where the frame
+	// body starts in buf when encoding.
 	off int
+	dec bool
 	err error
 }
 
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+// left returns the bytes the frame has left: the unread body when decoding,
+// the room under MaxFrame when encoding.
+func (c *coder) left() int {
+	if c.dec {
+		return len(c.buf) - c.off
 	}
-	if len(d.buf)-d.off < n {
-		d.fail(fmt.Errorf("%w: truncated (need %d bytes, have %d)", ErrBadFrame, n, len(d.buf)-d.off))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
+	return MaxFrame - (len(c.buf) - c.off)
 }
 
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *decoder) i64() int64 { return int64(d.u64()) }
-
-// bool reads a strict boolean: exactly 0 or 1, keeping the encoding
-// canonical.
-func (d *decoder) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail(fmt.Errorf("%w: boolean byte not 0 or 1", ErrBadFrame))
-		return false
-	}
-}
-
-// pid reads a process id and range-checks it against [min, MaxProcs).
-func (d *decoder) pid(min int32) int32 {
-	v := int32(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if v < min || v >= MaxProcs {
-		d.fail(fmt.Errorf("%w: process id %d out of range [%d, %d)", ErrBadFrame, v, min, MaxProcs))
-		return 0
-	}
-	return v
-}
-
-// count reads a bounded non-negative integer.
-func (d *decoder) count(limit int, what string) int {
-	v := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if int64(v) > int64(limit) {
-		d.fail(fmt.Errorf("%w: %s %d above limit %d", ErrBadFrame, what, v, limit))
-		return 0
-	}
-	return int(v)
-}
-
-// axis8 reads one byte-coded sweep axis, bounded by MaxSweepAxis.
-func (d *decoder) axis8(what string) []uint8 {
-	n := d.count(MaxSweepAxis, what)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint8, n)
-	copy(out, b)
-	return out
-}
-
-// axisInts reads one integer sweep axis, each value bounded by MaxProcs.
-func (d *decoder) axisInts(what string) []int {
-	n := d.count(MaxSweepAxis, what)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if rem := len(d.buf) - d.off; n*4 > rem {
-		d.fail(fmt.Errorf("%w: %s axis of %d values in %d bytes", ErrBadFrame, what, n, rem))
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.count(MaxProcs, what)
-	}
-	return out
-}
-
-// sweepRecord reads one sweep record in field order.
-func (d *decoder) sweepRecord(r *SweepRecord) {
-	r.Cell = d.u64()
-	r.Model = d.u8()
-	r.Validity = d.u8()
-	r.N = d.count(MaxProcs, "sweep record n")
-	r.K = d.count(MaxProcs, "sweep record k")
-	r.T = d.count(MaxProcs, "sweep record t")
-	r.Plan = d.u8()
-	r.Trial = d.count(MaxSweepRuns, "sweep record trial")
-	r.Seed = d.u64()
-	r.Status = d.u8()
-	if d.err == nil && (r.Status < SweepSolvable || r.Status > SweepInvalid) {
-		d.fail(fmt.Errorf("%w: sweep record status %d", ErrBadFrame, r.Status))
+// header codes the version and type bytes that open every frame body: the
+// batch frame is VersionBatch, every control frame Version.
+func (c *coder) header(t *MsgType) {
+	v := frameVersion(*t)
+	c.u8(&v)
+	if c.err == nil && v != Version && v != VersionBatch {
+		c.fail(fmt.Errorf("%w: got %d, want %d or %d", ErrVersion, v, Version, VersionBatch))
 		return
 	}
-	r.Lemma = d.name()
-	r.Protocol = d.name()
-	r.Runs = d.count(MaxSweepRuns, "sweep record runs")
-	r.Violations = d.count(MaxSweepRuns, "sweep record violations")
-	r.RunErrors = d.count(MaxSweepRuns, "sweep record run errors")
-	r.TermOK = d.bool()
-	r.AgreeOK = d.bool()
-	r.ValidOK = d.bool()
-	r.Events = d.i64()
-	r.Messages = d.i64()
-	r.MaxDistinct = d.count(MaxProcs, "sweep record max distinct")
-	r.MeanDistinctMilli = d.i64()
-	r.DefaultDecisions = d.i64()
-	r.FirstViolation = d.name()
+	c.u8((*uint8)(t))
+	if c.err == nil && frameVersion(*t) != v {
+		c.fail(fmt.Errorf("%w: type %d in a version %d frame", ErrBadFrame, uint8(*t), v))
+	}
 }
 
-// name reads a length-prefixed name bounded by MaxName.
-func (d *decoder) name() string {
-	n := int(d.u16())
-	if d.err != nil {
-		return ""
+func frameVersion(t MsgType) uint8 {
+	if t == TypeBatch {
+		return VersionBatch
+	}
+	return Version
+}
+
+// appended closes an encoding walk: the extended buffer, or dst unextended
+// and the error.
+func (c *coder) appended(dst []byte) ([]byte, error) {
+	if err := c.done(); err != nil {
+		return dst, err
+	}
+	return c.buf, nil
+}
+
+// done closes a walk: a decoded body must be used up exactly, and an encoded
+// one must fit MaxFrame.
+func (c *coder) done() error {
+	switch {
+	case c.err != nil:
+		return c.err
+	case c.dec && c.left() != 0:
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, c.left())
+	case !c.dec && c.left() < 0:
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(c.buf)-c.off)
+	}
+	return nil
+}
+
+func (c *coder) u8(p *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *p)
+	} else if c.off < len(c.buf) {
+		*p = c.buf[c.off]
+		c.off++
+	} else {
+		c.fail(errTruncated)
+	}
+}
+
+func (c *coder) u16(p *uint16) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint16(c.buf, *p)
+	} else if len(c.buf)-c.off >= 2 {
+		*p = binary.BigEndian.Uint16(c.buf[c.off:])
+		c.off += 2
+	} else {
+		c.fail(errTruncated)
+	}
+}
+
+func (c *coder) u32(p *uint32) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *p)
+	} else if len(c.buf)-c.off >= 4 {
+		*p = binary.BigEndian.Uint32(c.buf[c.off:])
+		c.off += 4
+	} else {
+		c.fail(errTruncated)
+	}
+}
+
+func (c *coder) u64(p *uint64) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *p)
+	} else if len(c.buf)-c.off >= 8 {
+		*p = binary.BigEndian.Uint64(c.buf[c.off:])
+		c.off += 8
+	} else {
+		c.fail(errTruncated)
+	}
+}
+
+func (c *coder) i64(p *int64) {
+	v := uint64(*p)
+	c.u64(&v)
+	if c.dec {
+		*p = int64(v)
+	}
+}
+
+// bool codes the canonical boolean byte: exactly 0 or 1.
+func (c *coder) bool(p *bool) {
+	var b uint8
+	if *p {
+		b = 1
+	}
+	c.u8(&b)
+	c.enum(b <= 1, "boolean byte", b)
+	if c.dec {
+		*p = b == 1
+	}
+}
+
+// enum fails the walk unless ok, the verdict on a coded byte v.
+func (c *coder) enum(ok bool, what string, v uint8) {
+	if !ok {
+		c.fail(fmt.Errorf("%w: %s %d", ErrBadFrame, what, v))
+	}
+}
+
+// pid codes a process id, which must lie in [min, MaxProcs).
+func (c *coder) pid(p *types.ProcessID, min types.ProcessID) {
+	v := uint32(*p)
+	c.u32(&v)
+	if c.dec {
+		*p = types.ProcessID(int32(v))
+	}
+	if *p < min || *p >= MaxProcs {
+		c.fail(fmt.Errorf("%w: process id %d out of range [%d, %d)", ErrBadFrame, *p, min, MaxProcs))
+	}
+}
+
+// count codes a non-negative integer bounded by limit.
+func (c *coder) count(p *int, limit int, what string) {
+	v := uint32(*p)
+	c.u32(&v)
+	if c.dec {
+		*p = int(v)
+	}
+	if *p < 0 || *p > limit {
+		c.fail(fmt.Errorf("%w: %s %d outside [0, %d]", ErrBadFrame, what, *p, limit))
+	}
+}
+
+// name codes a length-prefixed string bounded by MaxName.
+func (c *coder) name(p *string, what string) {
+	n := len(*p)
+	n16 := uint16(n)
+	c.u16(&n16)
+	if c.dec {
+		n = int(n16)
 	}
 	if n > MaxName {
-		d.fail(fmt.Errorf("%w: name of %d bytes", ErrBadFrame, n))
-		return ""
+		c.fail(fmt.Errorf("%w: %s of %d bytes", ErrTooLarge, what, n))
+		return
 	}
-	b := d.take(n)
-	if b == nil {
-		return ""
+	if !c.dec {
+		c.buf = append(c.buf, *p...)
+	} else if len(c.buf)-c.off >= n {
+		*p = string(c.buf[c.off : c.off+n])
+		c.off += n
+	} else {
+		c.fail(errTruncated)
 	}
-	return string(b)
+}
+
+// list codes the length of *s, a count bounded by limit, and when decoding
+// sizes *s to it, reusing its capacity. Each element takes at least min
+// bytes on the wire, so a count the frame's remaining bytes cannot satisfy
+// is rejected here — before anything is allocated or walked, and in either
+// direction. It returns the elements to walk, none after an error.
+func list[T any](c *coder, s *[]T, limit, min int, what string) []T {
+	n := len(*s)
+	c.count(&n, limit, what)
+	if c.err != nil {
+		return nil
+	}
+	if rem := c.left(); n*min > rem {
+		if c.dec {
+			c.fail(fmt.Errorf("%w: %d %s in %d bytes", ErrBadFrame, n, what, rem))
+		} else {
+			c.fail(fmt.Errorf("%w: %d %s in %d bytes under MaxFrame", ErrTooLarge, n, what, rem))
+		}
+		return nil
+	}
+	if !c.dec {
+		return *s
+	}
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
+}
+
+// axis8 codes one byte-coded sweep axis, bounded by MaxSweepAxis.
+func (c *coder) axis8(s *[]uint8, what string) {
+	vs := list(c, s, MaxSweepAxis, 1, what)
+	for i := range vs {
+		c.u8(&vs[i])
+	}
+}
+
+// axisInts codes one integer sweep axis; values are bounded by MaxProcs like
+// every other problem parameter on the wire.
+func (c *coder) axisInts(s *[]int, what string) {
+	vs := list(c, s, MaxSweepAxis, 4, what)
+	for i := range vs {
+		c.count(&vs[i], MaxProcs, what)
+	}
 }

@@ -6,12 +6,18 @@
 // (hello, instance-start, table/metrics pulls, the ACS and sweep requests).
 //
 // The codec is deliberately boring: fixed-width big-endian integers, one
-// type byte, no compression, no reflection. Decoding is strict — every frame
-// must carry the exact version, a known type, and exactly the bytes its type
-// demands, with every count and length bounds-checked before allocation — so
-// a malformed or hostile peer can be rejected without damage. Encoding is
-// canonical: decode(encode(m)) == m and encode(decode(b)) == b for every
-// accepted b, which FuzzWireRoundTrip enforces.
+// type byte, no compression, no reflection. Each frame type states its field
+// order once, in one walk (its code method) that a coder runs in either
+// direction: encoding appends each field, decoding reads it back into the
+// same place, and every check — counts against their limits, process-id
+// ranges, enum bytes, canonical booleans, name lengths, and the bytes-left
+// check before a list is sized — runs in both, so the encoder and the decoder
+// cannot drift apart. Decoding is strict — every frame must carry the exact
+// version, a known type, and exactly the bytes its type demands, with every
+// count and length bounds-checked before allocation — so a malformed or
+// hostile peer can be rejected without damage. Encoding is canonical:
+// decode(encode(m)) == m and encode(decode(b)) == b for every accepted b,
+// which FuzzWireRoundTrip enforces, and TestFrameBytesPinned pins the bytes.
 //
 // The package is pure computation (no I/O side effects beyond the supplied
 // readers and writers, no clocks, no goroutines) and sits in ksetlint's
