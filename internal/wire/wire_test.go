@@ -394,6 +394,7 @@ func TestEncodeRejects(t *testing.T) {
 		{"pull-log max huge", PullLog{Max: MaxLogEntries + 1}},
 		{"log too many entries", Log{Entries: make([]LogEntry, MaxLogEntries+1)}},
 		{"log entry pid", Log{Entries: []LogEntry{{Proposer: -1}}}},
+		{"pointer to a frame value", &PullTable{Instance: 1}},
 	}
 	for _, tc := range cases {
 		if _, err := Encode(tc.m); err == nil {
