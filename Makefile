@@ -22,7 +22,7 @@ build:
 
 # Static analysis: go vet plus the repo-specific analyzers — determinism,
 # map-order, prng-flow, lock-discipline, and the concurrency-safety suite
-# (errflow, goroutinelife, lockheldio, wirebounds). See docs/lint.md.
+# (errflow, goroutinelife, lockheldio). See docs/lint.md.
 # Exits non-zero on findings.
 lint:
 	$(GO) vet ./...

@@ -30,8 +30,9 @@
 //     cancellation), so nothing leaks past Close.
 //   - lockheldio: no blocking IO call (dial, conn write, time.Sleep) while
 //     a mutex is held — the deadlock/latency class behind the ack-flush bug.
-//   - wirebounds: decode paths in internal/wire must bounds-check every
-//     peer-supplied length before slicing or allocating from it.
+//
+// The wire decoder's bounds on peer-supplied lengths are not a rule here:
+// internal/wire's TestDecodeAllocBound holds them by behaviour.
 //
 // Legitimate exceptions are documented in the source with
 //
@@ -50,6 +51,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,7 +106,6 @@ func DefaultAnalyzers() []Analyzer {
 		NewErrFlow(),
 		NewGoroutineLife(),
 		NewLockHeldIO(),
-		NewWireBounds(),
 	}
 }
 
@@ -133,42 +134,14 @@ func DefaultScopes() map[string][]string {
 		"kset/internal/wire",
 		"kset/internal/grid",
 	}
+	simulatorsAndCluster := slices.Concat(deterministic, []string{
+		"kset/internal/cluster",
+		"kset/internal/acs",
+	})
 	return map[string][]string{
 		"determinism": deterministic,
-		"maporder": {
-			"kset/internal/protocols",
-			"kset/internal/mpnet",
-			"kset/internal/smmem",
-			"kset/internal/adversary",
-			"kset/internal/checker",
-			"kset/internal/exhaustive",
-			"kset/internal/theory",
-			"kset/internal/harness",
-			"kset/internal/report",
-			"kset/internal/trace",
-			"kset/internal/shrink",
-			"kset/internal/wire",
-			"kset/internal/grid",
-			"kset/internal/cluster",
-			"kset/internal/acs",
-		},
-		"prngflow": {
-			"kset/internal/protocols",
-			"kset/internal/mpnet",
-			"kset/internal/smmem",
-			"kset/internal/adversary",
-			"kset/internal/checker",
-			"kset/internal/exhaustive",
-			"kset/internal/theory",
-			"kset/internal/harness",
-			"kset/internal/report",
-			"kset/internal/trace",
-			"kset/internal/shrink",
-			"kset/internal/wire",
-			"kset/internal/grid",
-			"kset/internal/cluster",
-			"kset/internal/acs",
-		},
+		"maporder":    simulatorsAndCluster,
+		"prngflow":    simulatorsAndCluster,
 		"lockdiscipline": {
 			"kset/internal/smmem",
 			"kset/internal/cluster",
@@ -179,9 +152,6 @@ func DefaultScopes() map[string][]string {
 		"errflow":       liveStack,
 		"goroutinelife": liveStack,
 		"lockheldio":    liveStack,
-		"wirebounds": {
-			"kset/internal/wire",
-		},
 	}
 }
 

@@ -2,70 +2,68 @@ package wire
 
 import (
 	"encoding/binary"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-// hostileList is a frame body whose last field is a count claiming limit
-// elements, with no element bytes after it.
-func hostileList(version uint8, t MsgType, fields []byte, limit int) []byte {
-	body := append([]byte{version, uint8(t)}, fields...)
-	return binary.BigEndian.AppendUint32(body, uint32(limit))
-}
-
-// allocPerCall returns the bytes f allocates per call, averaged over a few
-// calls after a warm-up.
-func allocPerCall(f func()) uint64 {
-	const calls = 16
-	f()
+// decodeAlloc decodes body once and returns the bytes the call allocated, or
+// the value it panicked with.
+func decodeAlloc(body []byte) (alloc uint64, panicked any) {
 	var before, after runtime.MemStats
+	defer func() { panicked = recover() }()
 	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		f()
-	}
+	_, _ = Decode(body)
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / calls
+	return after.TotalAlloc - before.TotalAlloc, nil
 }
 
-// TestDecodeAllocBound pins the decoder's allocation bound at run time: a
-// frame that claims a list at its limit but carries no element bytes is
-// rejected before the list is sized. The wirebounds lint rule is name-based,
-// so it cannot tell a bytes-left check from any other mention of the count;
-// this test can.
+// TestDecodeAllocBound pins the decoder's allocation and truncation bounds
+// at run time, over every count field of every frame without naming one. In
+// each sample frame, each 4-byte window is patched to each list limit and to
+// 0xFFFFFFFF, and the frame is cut right after it: a window that lands on a
+// count claims that many elements with no element bytes behind it. Decoding
+// must not panic, and, accepted or not, must allocate at most 4 KiB plus 16
+// bytes per frame byte. A count added to any walk is reached the same way
+// once a sample frame carries it, so a new list needs no edit here.
 func TestDecodeAllocBound(t *testing.T) {
-	const maxAlloc = 4 << 10
-	zeros := func(n int) []byte { return make([]byte, n) }
-	// sweepAxes are the SweepJob fields before the i-th axis: job, seed and
-	// the i earlier axes, all empty.
-	sweepAxes := func(i int) []byte { return zeros(16 + 4*i) }
-	cases := []struct {
-		name string
-		body []byte
-	}{
-		{"table rows", hostileList(Version, TypeTable, zeros(16), MaxProcs)},
-		{"metric values", hostileList(Version, TypeMetrics, nil, MaxValues)},
-		{"histograms", hostileList(Version, TypeMetrics, zeros(4), MaxHists)},
-		{"buckets", hostileList(Version, TypeMetrics,
-			append([]byte{0, 0, 0, 0, 0, 0, 0, 1}, zeros(2+32)...), MaxBuckets+1)},
-		{"acs slots", hostileList(Version, TypeAcsRound, zeros(9), MaxProcs)},
-		{"log entries", hostileList(Version, TypeLog, zeros(16), MaxLogEntries)},
-		{"sweep models", hostileList(Version, TypeSweepJob, sweepAxes(0), MaxSweepAxis)},
-		{"sweep validities", hostileList(Version, TypeSweepJob, sweepAxes(1), MaxSweepAxis)},
-		{"sweep n", hostileList(Version, TypeSweepJob, sweepAxes(2), MaxSweepAxis)},
-		{"sweep k", hostileList(Version, TypeSweepJob, sweepAxes(3), MaxSweepAxis)},
-		{"sweep t", hostileList(Version, TypeSweepJob, sweepAxes(4), MaxSweepAxis)},
-		{"sweep plans", hostileList(Version, TypeSweepJob, sweepAxes(5), MaxSweepAxis)},
-		{"sweep records", hostileList(Version, TypeSweepResult, zeros(16), MaxSweepCells)},
-		{"ack words", hostileList(VersionBatch, TypeBatch, nil, 2+MaxAckWords)},
-		{"batch messages", hostileList(VersionBatch, TypeBatch, zeros(4), MaxBatchMsgs)},
+	limits := []uint32{
+		MaxProcs, MaxValues, MaxHists, MaxBuckets + 1, MaxLogEntries,
+		MaxSweepAxis, MaxSweepCells, 2 + MaxAckWords, MaxBatchMsgs, math.MaxUint32,
 	}
-	for _, tc := range cases {
-		if _, err := Decode(tc.body); err == nil {
-			t.Errorf("%s: Decode accepted %x", tc.name, tc.body)
+	slices.Sort(limits)
+	limits = slices.Compact(limits)
+	cases := 0
+	for _, m := range sampleMsgs() {
+		frame := mustEncode(t, m)
+		// The full ack state is 8 KiB of bit words behind the one count an
+		// empty batch already carries.
+		if len(frame) > 1<<10 {
 			continue
 		}
-		if got := allocPerCall(func() { _, _ = Decode(tc.body) }); got >= maxAlloc {
-			t.Errorf("%s: rejecting the frame allocated %d bytes, want under %d", tc.name, got, maxAlloc)
+		for off := 0; off+4 <= len(frame); off++ {
+			for _, v := range limits {
+				body := binary.BigEndian.AppendUint32(slices.Clip(frame[:off]), v)
+				bound := uint64(4<<10 + 16*len(body))
+				// A background allocation can land in one reading, notably
+				// under -race: only a reading over the bound is taken again,
+				// and the least of three counts.
+				least := uint64(math.MaxUint64)
+				for try := 0; try < 3 && least > bound; try++ {
+					alloc, panicked := decodeAlloc(body)
+					if panicked != nil {
+						t.Fatalf("%T, count %#x at offset %d: Decode panicked: %v", m, v, off, panicked)
+					}
+					least = min(least, alloc)
+				}
+				if least > bound {
+					t.Errorf("%T, count %#x at offset %d: Decode of %d bytes allocated %d, want at most %d",
+						m, v, off, len(body), least, bound)
+				}
+				cases++
+			}
 		}
 	}
+	t.Logf("%d patched frames", cases)
 }
