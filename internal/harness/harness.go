@@ -16,6 +16,7 @@ import (
 	"kset/internal/checker"
 	"kset/internal/mpnet"
 	"kset/internal/prng"
+	"kset/internal/smmem"
 	"kset/internal/trace"
 	"kset/internal/types"
 )
@@ -56,10 +57,11 @@ type planScratch struct {
 	// scenario, so Capture can store them in a trace artifact without the
 	// hot path paying for a fresh slice per run.
 	byz []trace.ByzSpec
-	// mp is the simulator arena of a message-passing sweep's runs: the
-	// process table, the in-flight pool and its index, grown once per
-	// scratch instead of once per run.
+	// mp and sm are the simulator arenas of a sweep's runs — mp's process
+	// table, in-flight pool and index, sm's process table and register
+	// store — grown once per scratch instead of once per run.
 	mp mpnet.Runner
+	sm smmem.Runner
 }
 
 // faultyFor returns a cleared faulty vector of length n, reusing capacity.

@@ -54,7 +54,7 @@ func (s *SMSweep) Execute() *Summary {
 // runOne plans, executes and checks a single run.
 func (s *SMSweep) runOne(seed uint64, patterns []InputPattern, sc *planScratch) runResult {
 	cfg, scenario := s.plan(prng.New(seed), patterns, seed, sc)
-	rec, err := smmem.Run(cfg)
+	rec, err := sc.sm.Run(cfg)
 	return verdict(scenario, rec, err, s.Validity)
 }
 

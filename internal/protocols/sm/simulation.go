@@ -24,12 +24,13 @@ import (
 //	msg/<q>/<i> p's i-th point-to-point message to q
 //
 // Registers are written at most once by construction, so polling readers
-// see each message exactly once by advancing a cursor per channel.
-// "Repeatedly reads" is one API.Poll over every channel's next register,
-// going on after a hit from the channel it hit, so the reads are those of
-// draining each peer's broadcasts, then its messages to me, in turn. The
-// poll's handler delivers the message, drains the self-sends, moves the
-// channel's cursor and writes what the inner protocol sent; those writes are
+// see each message exactly once by moving each channel's register on by its
+// index. "Repeatedly reads" is one API.Poll over every channel's next
+// register, smmem.Reg{peer, "bc/", i} or {peer, "msg/<me>/", i}, going on
+// after a hit from the channel it hit, so the reads are those of draining
+// each peer's broadcasts, then its messages to me, in turn. The poll's
+// handler delivers the message, drains the self-sends, moves the channel's
+// Index on and writes what the inner protocol sent; those writes are
 // the process's next operations, then the poll goes on. The handler never
 // ends the poll, so after the writes of the inner protocol's Start no read
 // or write switches into this process. The wrapper keeps polling (and therefore keeps
@@ -46,6 +47,9 @@ type Simulation struct {
 }
 
 var _ smmem.Protocol = (*Simulation)(nil)
+
+// broadcasts is the family of every process's broadcast registers.
+const broadcasts = "bc/"
 
 // NewSimulation wraps one process's message-passing protocol instance.
 func NewSimulation(inner mpnet.Protocol) *Simulation { return &Simulation{Inner: inner} }
@@ -94,8 +98,7 @@ func (a *simAPI) Broadcast(p types.Payload) {
 }
 
 // registerNames is a numbered register sequence's names, prefix+"0",
-// prefix+"1", ...: each is built once, however many peers' cursors pass it and
-// however often a poll finds it unwritten.
+// prefix+"1", ...: the texts of one process's writes, each built once.
 type registerNames struct {
 	prefix string
 	made   []string
@@ -116,11 +119,8 @@ type simRun struct {
 	api   simAPI
 	me    types.ProcessID
 
-	// Everyone numbers broadcasts the same way, so one table serves this
-	// process's own writes and its cursor into every peer; likewise the
-	// messages addressed to it.
-	bc, p2p registerNames
-	bcSeq   int // own broadcasts written
+	bc    registerNames // own broadcasts
+	bcSeq int           // own broadcasts written
 	// sent[q] names the messages to q and msgSeq[q] counts those written;
 	// both are made at the first point-to-point send, sent[q]'s prefix at
 	// the first one to q.
@@ -128,18 +128,14 @@ type simRun struct {
 	msgSeq []int
 
 	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
-	// chans[c] is channel c's next register and cursor[c] its messages read.
-	chans  []smmem.Reg
-	cursor []int
+	// chans[c] is channel c's next register, its Index the messages read.
+	chans []smmem.Reg
 }
 
 // Run implements smmem.Protocol.
 func (s *Simulation) Run(api smmem.API) {
 	n, me := api.N(), api.ID()
-	r := &simRun{inner: s.Inner, me: me,
-		bc:  registerNames{prefix: "bc/"},
-		p2p: registerNames{prefix: "msg/" + strconv.Itoa(int(me)) + "/"},
-	}
+	r := &simRun{inner: s.Inner, me: me, bc: registerNames{prefix: broadcasts}}
 	r.api.sm = api
 
 	r.inner.Start(&r.api)
@@ -149,13 +145,13 @@ func (s *Simulation) Run(api smmem.API) {
 		return // no peers to poll; everything already happened locally
 	}
 
+	toMe := "msg/" + strconv.Itoa(int(me)) + "/"
 	r.chans = make([]smmem.Reg, 0, 2*(n-1))
 	for q := 0; q < n; q++ {
 		if peer := types.ProcessID(q); peer != me {
-			r.chans = append(r.chans, smmem.Reg{Owner: peer, Name: r.bc.at(0)}, smmem.Reg{Owner: peer, Name: r.p2p.at(0)})
+			r.chans = append(r.chans, smmem.Reg{Owner: peer, Name: broadcasts}, smmem.Reg{Owner: peer, Name: toMe})
 		}
 	}
-	r.cursor = make([]int, len(r.chans))
 	// The handler never ends the poll, so it never returns: the runtime
 	// unwinds this process once every correct process has decided (or the
 	// operation budget runs out).
@@ -168,12 +164,7 @@ func (s *Simulation) Run(api smmem.API) {
 func (r *simRun) deliver(c int, p types.Payload) bool {
 	r.inner.Deliver(&r.api, r.chans[c].Owner, p)
 	r.drainSelf()
-	r.cursor[c]++
-	names := &r.bc
-	if c%2 == 1 {
-		names = &r.p2p
-	}
-	r.chans[c].Name = names.at(r.cursor[c])
+	r.chans[c].Index++
 	r.flush()
 	return true
 }

@@ -7,8 +7,8 @@ package smmem_test
 // once with those loops written out, and require everything the run shows
 // the outside — the record or error, the Recorder stream and the Trace
 // stream — to be equal. The protocols' handlers go on, stop, read a register
-// they found again, move a channel on, write and decide, each in both
-// spellings.
+// they found again, move a channel on by its text or its Index, rename
+// another channel's register, write and decide, each in both spellings.
 
 import (
 	"fmt"
@@ -34,8 +34,9 @@ func readLoops(api smmem.API) smmem.API { return &loopAPI{API: api} }
 
 // loopAPI's Poll and Scan are the loops of their contracts: a poll's miss
 // moves to the next register and a hit goes to hit, which ends the poll or
-// has it read regs[i] again; a scan hands every read to visit. A write
-// inside the handler waits in queue and is written right after it returns.
+// has it read regs[i] again; a scan hands every read to visit. Every read is
+// a Read of the register's text. A write inside the handler waits in queue
+// and is written right after it returns.
 type loopAPI struct {
 	smmem.API
 	inHandler bool
@@ -70,7 +71,7 @@ func (l *loopAPI) handled() {
 
 func (l *loopAPI) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
 	for i := start; ; {
-		p, ok := l.Read(regs[i].Owner, regs[i].Name)
+		p, ok := l.Read(regs[i].Owner, text(regs[i]))
 		if !ok {
 			i = (i + 1) % len(regs)
 			continue
@@ -86,7 +87,7 @@ func (l *loopAPI) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload)
 
 func (l *loopAPI) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool)) {
 	for i := range regs {
-		p, ok := l.Read(regs[i].Owner, regs[i].Name)
+		p, ok := l.Read(regs[i].Owner, text(regs[i]))
 		l.inHandler = true
 		visit(i, p, ok)
 		l.handled()
@@ -107,6 +108,20 @@ const (
 	pollModes
 )
 
+// How a process names its poll's registers (pollPlan.names).
+const (
+	// Reg{peer, "bc/<i>"}.
+	byText = iota
+	// Reg{peer, "bc/", i}: a hit moves the channel on by its Index.
+	byIndex
+	// Channels start out named by Index. Every hit, after moving its own
+	// channel on, renames the next channel's register in the other form —
+	// the same register under another Name, so the poll must look the
+	// new Name up to go on reading it.
+	byTurns
+	nameForms
+)
+
 // pollPlan is one set-up of the native poll protocol. Process p performs
 // gaps[p][w] reads of its own unwritten register before it writes bc/w, so
 // the writes land at planned operations. It then polls every peer's next
@@ -114,17 +129,19 @@ const (
 // value seen after need[p] hits — inside the handler, or before its first
 // poll if need[p] is 0. On every hit its handler first writes the smallest
 // value seen to its next hitWrites[p] bc/ registers. Every third process
-// ends its poll when it decides there, and returns.
+// ends its poll when it decides there, and returns. names[p] says how p
+// names the registers it polls.
 type pollPlan struct {
 	gaps      [][]int
 	need      []int
 	mode      []int
 	hitWrites []int
+	names     []int
 }
 
 func seededPollPlan(n int, seed uint64) pollPlan {
 	rng := prng.New(seed ^ 0x9011)
-	plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n), hitWrites: make([]int, n)}
+	plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n), hitWrites: make([]int, n), names: make([]int, n)}
 	for p := range plan.gaps {
 		plan.gaps[p] = make([]int, 1+rng.Intn(3))
 		for w := range plan.gaps[p] {
@@ -133,6 +150,10 @@ func seededPollPlan(n int, seed uint64) pollPlan {
 		plan.need[p] = rng.Intn(2 * n)
 		plan.mode[p] = rng.Intn(pollModes)
 		plan.hitWrites[p] = rng.Intn(3)
+	}
+	names := prng.New(seed ^ 0x4a3e)
+	for p := range plan.names {
+		plan.names[p] = names.Intn(nameForms)
 	}
 	return plan
 }
@@ -151,10 +172,22 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 			var regs []smmem.Reg
 			for q := 0; q < api.N(); q++ {
 				if peer := types.ProcessID(q); peer != id {
-					regs = append(regs, smmem.Reg{Owner: peer, Name: "bc/0"})
+					regs = append(regs, smmem.Reg{Owner: peer})
 				}
 			}
 			cursor := make([]int, len(regs))
+			byName := make([]bool, len(regs))
+			name := func(i int) {
+				if byName[i] {
+					regs[i].Name, regs[i].Index = "bc/"+strconv.Itoa(cursor[i]), 0
+				} else {
+					regs[i].Name, regs[i].Index = "bc/", cursor[i]
+				}
+			}
+			for i := range regs {
+				byName[i] = pl.names[id] == byText
+				name(i)
+			}
 			hits, minV, done, c := 0, api.Input(), false, 0
 			if pl.need[id] == 0 {
 				api.Decide(minV)
@@ -178,7 +211,11 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 					return true
 				}
 				cursor[i]++
-				regs[i].Name = "bc/" + strconv.Itoa(cursor[i])
+				name(i)
+				if j := (i + 1) % len(regs); pl.names[id] == byTurns {
+					byName[j] = !byName[j]
+					name(j)
+				}
 				return pl.mode[id] != stopAndWrite
 			}
 			for {
@@ -364,8 +401,8 @@ func TestPollMatchesReadLoop(t *testing.T) {
 }
 
 // FuzzPollMatchesReadLoop: the bytes choose n (2–6), every process's write
-// points, decision threshold, handler and handler writes, the scheduler and
-// its seed, and crash points.
+// points, decision threshold, handler, handler writes and register names,
+// the scheduler and its seed, and crash points.
 func FuzzPollMatchesReadLoop(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -381,7 +418,7 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 			return int(b)
 		}
 		n := 2 + next()%5
-		plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n), hitWrites: make([]int, n)}
+		plan := pollPlan{gaps: make([][]int, n), need: make([]int, n), mode: make([]int, n), hitWrites: make([]int, n), names: make([]int, n)}
 		for p := range plan.gaps {
 			plan.gaps[p] = make([]int, 1+next()%3)
 			for w := range plan.gaps[p] {
@@ -390,6 +427,7 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 			plan.need[p] = next() % (2 * n)
 			plan.mode[p] = next() % pollModes
 			plan.hitWrites[p] = next() % 3
+			plan.names[p] = next() % nameForms
 		}
 		seed := uint64(next()<<8 | next())
 		sched, slow := next()%4, types.ProcessID(next()%n)
@@ -431,18 +469,24 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 // need[p]-th hit, and on every every[p]-th read, hit or miss, then writes it
 // plus the read's index to p's next s/ register (never if every[p] is 0).
 // A process that has not decided after its rounds decides then and returns.
+// It names s/<r> Reg{q, "s/", r} if indexed[p], else Reg{q, "s/<r>"}.
 type scanPlan struct {
 	rounds, gaps, every, need []int
+	indexed                   []bool
 }
 
 func seededScanPlan(n int, seed uint64) scanPlan {
 	rng := prng.New(seed ^ 0x5ca7)
-	plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n)}
+	plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n), indexed: make([]bool, n)}
 	for p := range plan.rounds {
 		plan.rounds[p] = 1 + rng.Intn(4)
 		plan.gaps[p] = rng.Intn(3)
 		plan.every[p] = rng.Intn(4)
 		plan.need[p] = rng.Intn(2 * n)
+	}
+	names := prng.New(seed ^ 0x4a3e)
+	for p := range plan.indexed {
+		plan.indexed[p] = names.Intn(2) == 1
 	}
 	return plan
 }
@@ -478,6 +522,9 @@ func (pl scanPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 				}
 				for q := 0; q < n; q++ {
 					regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/" + strconv.Itoa(r)}
+					if pl.indexed[id] {
+						regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/", Index: r}
+					}
 				}
 				regs[n] = smmem.Reg{Owner: id, Name: "unwritten"}
 				regs[n], regs[r%(n+1)] = regs[r%(n+1)], regs[n]
@@ -513,8 +560,8 @@ func TestScanMatchesReadLoop(t *testing.T) {
 }
 
 // FuzzScanMatchesReadLoop: the bytes choose n (2–6), every process's rounds,
-// gaps, decision threshold and visitor writes, the scheduler and its seed,
-// and crash points.
+// gaps, decision threshold, visitor writes and register names, the
+// scheduler and its seed, and crash points.
 func FuzzScanMatchesReadLoop(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -530,12 +577,13 @@ func FuzzScanMatchesReadLoop(f *testing.F) {
 			return int(b)
 		}
 		n := 2 + next()%5
-		plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n)}
+		plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n), indexed: make([]bool, n)}
 		for p := range plan.rounds {
 			plan.rounds[p] = 1 + next()%4
 			plan.gaps[p] = next() % 3
 			plan.every[p] = next() % 4
 			plan.need[p] = next() % (2 * n)
+			plan.indexed[p] = next()%2 == 1
 		}
 		seed := uint64(next()<<8 | next())
 		sched, slow := next()%4, types.ProcessID(next()%n)

@@ -25,10 +25,14 @@
 // makes are the process's next operations: the loop grants them one by one
 // after it returns, before the call's next read.
 //
-// Registers are created on first write and named by (owner, name) pairs;
+// Registers are created on first write and named by an owner and a text;
 // dynamic creation supports the unbounded register sequences of the paper's
-// SIMULATION transformation. A register holds a types.Payload; protocols
-// that only need plain values use the KindInput payload wrapper.
+// SIMULATION transformation. A text that ends in a decimal index, like
+// "bc/5", is that index of a numbered family ("bc/"): the memory keeps each
+// owner's family as one slice, and a Reg may name the register by family
+// and index, so a poll that moves along a family reads by position and
+// never builds or hashes a name. A register holds a types.Payload;
+// protocols that only need plain values use the KindInput payload wrapper.
 package smmem
 
 import (
@@ -73,12 +77,13 @@ type API interface {
 	// Poll reads regs[start], regs[start+1], ... cyclically and hands every
 	// read that finds a value to hit, with the register's index. When hit
 	// returns true the poll goes on from regs[i] — which hit may have
-	// replaced — and when it returns false Poll returns. It is the loop of
-	// Reads it replaces, with the writes hit makes performed in order right
-	// after it returns:
+	// replaced, or moved on by its Index — and when it returns false Poll
+	// returns. It is the loop of Reads it replaces, with the writes hit
+	// makes performed in order right after it returns (text(r) is the text
+	// of the register r names, see Reg):
 	//
 	//	for i := start; ; {
-	//		p, ok := Read(regs[i].Owner, regs[i].Name)
+	//		p, ok := Read(regs[i].Owner, text(regs[i]))
 	//		if !ok { i = (i + 1) % len(regs); continue }
 	//		more := hit(i, p) // then hit's writes, each a Write
 	//		if !more { return }
@@ -92,22 +97,23 @@ type API interface {
 	// accessors, and Write and WriteValue; a Read, Poll or Scan (and
 	// ReadValue) inside it panics under Run, which calls hit on its own
 	// goroutine between two grants. An empty list or a start outside it
-	// panics too.
+	// panics too, and so does a read of a Reg whose Index is negative, or
+	// non-zero on a Name that does not end in '/'.
 	Poll(start int, regs []Reg, hit func(i int, p types.Payload) bool)
 	// Scan reads regs[0], ..., regs[len(regs)-1] once each, in order, and
 	// hands every read, hit or miss, to visit. It is the loop
 	//
 	//	for i := range regs {
-	//		p, ok := Read(regs[i].Owner, regs[i].Name)
+	//		p, ok := Read(regs[i].Owner, text(regs[i]))
 	//		visit(i, p, ok) // then visit's writes, each a Write
 	//	}
 	//
 	// and visit is bound by the rules of Poll's hit: under Run it is called
 	// on Run's goroutine, a decision made in it is visible once it returns,
 	// its writes are the process's next operations, and a Read, Poll or
-	// Scan inside it panics. The process resumes once, after the last read
-	// and the writes that follow it. An empty list returns at once, without
-	// an operation.
+	// Scan inside it, or a read of a Reg Poll rejects, panics. The process
+	// resumes once, after the last read and the writes that follow it. An
+	// empty list returns at once, without an operation.
 	Scan(regs []Reg, visit func(i int, p types.Payload, ok bool))
 	// Decide records this process's irrevocable decision; it costs no
 	// memory operation. A correct process must decide at most once.
@@ -118,10 +124,17 @@ type API interface {
 	Rand() *prng.Source
 }
 
-// Reg names one register for Poll and Scan: owner's register called Name.
+// Reg names one register for Poll and Scan: Owner's register whose text is
+// Name followed by the decimal Index when Name ends in '/', and Name itself
+// otherwise, where Index must be 0. A register is its text: Reg{Owner: q,
+// Name: "bc/", Index: 5}, Reg{Owner: q, Name: "bc/5"} and Read(q, "bc/5")
+// all read the register q's Write("bc/5", ...) writes. A poll or scan read
+// whose Name is one of the last two its process's reads looked up is read
+// by position in Name's family; any other Name is looked up at the read.
 type Reg struct {
 	Owner types.ProcessID
 	Name  string
+	Index int
 }
 
 // View exposes run state to schedulers and adversaries. Slices are owned by

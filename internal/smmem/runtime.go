@@ -123,12 +123,21 @@ type smProcess struct {
 
 	// The posted request (kind, register, value of a write) and, once
 	// granted, the result of a read. The process writes the slot and yields;
-	// the loop writes the result and resumes it.
+	// the loop writes the result and resumes it. A Read or Write names its
+	// register by its text, name; a poll's or a scan's read by the Reg
+	// {owner, name, index} it was posted from, regs[at].
 	kind  opKind
 	owner types.ProcessID
 	name  string
+	index int
 	value types.Payload
 	ok    bool
+
+	// names holds what the last two Names a poll or scan read looked up
+	// resolved to, kept across calls and runs. A read whose Name is one of
+	// them — SIMULATION's bc/ and msg/<me>/, E's and F's input — costs a
+	// string comparison, pointer-equal as a rule, and no lookup.
+	names [2]resolved
 
 	// A poll or a scan in progress (call is opPoll or opScan, 0 outside
 	// both): its registers, the index of the one posted, and the handler of
@@ -199,7 +208,8 @@ func (a *smAPI) Poll(start int, regs []Reg, hit func(i int, p types.Payload) boo
 	}
 	p := a.p
 	p.call, p.regs, p.at, p.hit, p.missed = opPoll, regs, start, hit, 0
-	a.op(opPoll, regs[start].Owner, regs[start].Name)
+	p.post(opPoll)
+	a.wait()
 }
 
 func (a *smAPI) Scan(regs []Reg, visit func(i int, p types.Payload, ok bool)) {
@@ -209,7 +219,8 @@ func (a *smAPI) Scan(regs []Reg, visit func(i int, p types.Payload, ok bool)) {
 	}
 	p := a.p
 	p.call, p.regs, p.at, p.visit = opScan, regs, 0, visit
-	a.op(opScan, regs[0].Owner, regs[0].Name)
+	p.post(opScan)
+	a.wait()
 }
 
 func (a *smAPI) WriteValue(reg string, v types.Value) {
@@ -249,14 +260,25 @@ func (a *smAPI) outsideHandler(kind opKind) {
 	}
 }
 
-// op posts a request and returns once it has been granted; a crash or the
-// end of the run unwinds the process via panic(haltSignal{}) instead.
+// op posts a Read or Write request and returns once it has been granted.
 func (a *smAPI) op(kind opKind, owner types.ProcessID, name string) {
 	p := a.p
 	p.kind, p.owner, p.name = kind, owner, name
+	a.wait()
+}
+
+// wait returns once the posted request has been granted; a crash or the end
+// of the run unwinds the process via panic(haltSignal{}) instead.
+func (a *smAPI) wait() {
 	if !a.yield(struct{}{}) {
 		panic(haltSignal{})
 	}
+}
+
+// post posts the read of regs[at] for the poll or scan in progress.
+func (p *smProcess) post(kind opKind) {
+	r := &p.regs[p.at]
+	p.kind, p.owner, p.name, p.index = kind, r.Owner, r.Name, r.Index
 }
 
 // smRuntime is one run.
@@ -269,10 +291,7 @@ type smRuntime struct {
 	budget  int
 	sched   Scheduler
 
-	// regs[owner] holds owner's registers by name, made on its first write;
-	// writes counts the writes granted so far.
-	regs   []map[string]types.Payload
-	writes int
+	mem memory
 
 	// pending lists the live processes in ascending id order: the
 	// scheduler's candidates. An id leaves on exit or crash only.
@@ -299,13 +318,36 @@ func (rt *smRuntime) recordBug(err error) {
 // process has returned or been unwound by the time Run returns, also when it
 // returns by a panic out of protocol code, which reaches Run's caller.
 func Run(cfg Config) (*types.RunRecord, error) {
+	return new(Runner).Run(cfg)
+}
+
+// Runner executes runs one after another on one arena: the process table
+// with every process's handler queue and resolved Names, the candidate list, and
+// the register store's family table and slices keep their memory from one
+// Run to the next, so a sweep's later runs grow nothing the earlier ones
+// already grew. Only the View is new in every run: Hold and Starve tell runs
+// apart by its pointer. A run on a used Runner is the run a fresh one would
+// make — same schedule, same record, same Recorder and Trace streams —
+// whatever ran before it and however that ended, a panic included; a
+// returned RunRecord shares no memory with the arena.
+//
+// The zero value is ready to use. A Runner is not safe for concurrent use
+// and must not be copied after its first Run; it keeps the last Config (and
+// so the last run's protocol instances) reachable until the next Run.
+type Runner struct {
+	rt smRuntime
+}
+
+// Run is the package-level Run on this Runner's arena.
+func (r *Runner) Run(cfg Config) (*types.RunRecord, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	rt := newRuntime(cfg)
+	rt := &r.rt
+	rt.reset(cfg)
 	rt.run()
 	for i := range rt.procs {
-		if p := &rt.procs[i]; p.decided {
+		if p := &rt.procs[i]; p.decided && rt.cfg.Trace != nil {
 			rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: p.decision})
 		}
 	}
@@ -343,17 +385,26 @@ func validate(cfg *Config) error {
 	return nil
 }
 
-func newRuntime(cfg Config) *smRuntime {
+// reset makes rt the start of the run cfg describes, on the memory of the
+// runs before it.
+func (rt *smRuntime) reset(cfg Config) {
 	n := cfg.N
-	rt := &smRuntime{
+	procs, pending, mem := rt.procs, rt.pending[:0], rt.mem
+	flags := make([]bool, 3*n)
+	*rt = smRuntime{
 		cfg: cfg,
 		n:   n, t: cfg.T, k: cfg.K,
-		regs:   make([]map[string]types.Payload, n),
 		rng:    prng.New(cfg.Seed),
 		budget: cfg.MaxOps,
 		sched:  cfg.Scheduler,
+		mem:    mem,
+		view: &View{
+			N: n, T: cfg.T, K: cfg.K,
+			Decided: flags[:n:n],
+			Crashed: flags[n : 2*n : 2*n],
+			Faulty:  flags[2*n:],
+		},
 
-		pending:   make([]types.ProcessID, n),
 		faults:    len(cfg.Byzantine),
 		undecided: n - len(cfg.Byzantine),
 	}
@@ -363,17 +414,19 @@ func newRuntime(cfg Config) *smRuntime {
 	if rt.sched == nil {
 		rt.sched = FairRandom{}
 	}
-	rt.view = &View{
-		N: n, T: cfg.T, K: cfg.K,
-		Decided: make([]bool, n),
-		Crashed: make([]bool, n),
-		Faulty:  make([]bool, n),
+	rt.mem.reset(n)
+	if cap(procs) < n {
+		// The old entries move over for the sake of their queues and Names.
+		procs = append(make([]smProcess, 0, n), procs[:cap(procs)]...)
 	}
-	rt.procs = make([]smProcess, n)
-	for i := 0; i < n; i++ {
+	rt.procs = procs[:n]
+	for i := range rt.procs {
 		id := types.ProcessID(i)
 		p := &rt.procs[i]
-		p.id, p.input, p.rng, p.live = id, cfg.Inputs[i], rt.rng.Split(), true
+		*p = smProcess{
+			id: id, input: cfg.Inputs[i], rng: rt.rng.Split(), live: true,
+			queue: p.queue[:0], names: p.names,
+		}
 		p.api = smAPI{p: p, rt: rt}
 		if strat, ok := cfg.Byzantine[id]; ok {
 			p.proto = strat
@@ -382,16 +435,26 @@ func newRuntime(cfg Config) *smRuntime {
 		} else {
 			p.proto = cfg.NewProtocol(id)
 		}
-		rt.pending[i] = id
+		pending = append(pending, id)
 	}
-	return rt
+	rt.pending = pending
 }
 
+// trace reports ev to Config.Trace. The loop calls it only when Trace is
+// set, so an untraced run never builds an event or a register's text.
 func (rt *smRuntime) trace(ev TraceEvent) {
-	if rt.cfg.Trace != nil {
-		ev.OpIndex = rt.view.Ops
-		rt.cfg.Trace(ev)
+	ev.OpIndex = rt.view.Ops
+	rt.cfg.Trace(ev)
+}
+
+// traceRead traces p's granted read under its register's text.
+func (rt *smRuntime) traceRead(p *smProcess) {
+	reg := p.name
+	if p.kind != opRead {
+		reg = regText(Reg{Name: p.name, Index: p.index})
 	}
+	rt.trace(TraceEvent{Type: EvRead, Proc: p.id, Owner: p.owner,
+		Register: reg, Payload: p.value, Present: p.ok})
 }
 
 // body is what p's coroutine runs: the protocol, with the unwinding of a
@@ -504,7 +567,9 @@ func (rt *smRuntime) grant() bool {
 		}
 		rt.view.Crashed[pid] = true
 		rt.view.Faulty[pid] = true
-		rt.trace(TraceEvent{Type: EvCrash, Proc: pid})
+		if rt.cfg.Trace != nil {
+			rt.trace(TraceEvent{Type: EvCrash, Proc: pid})
+		}
 		rt.drop(p)
 		p.stop()
 		return true
@@ -514,17 +579,18 @@ func (rt *smRuntime) grant() bool {
 	p.ops++
 	switch p.kind {
 	case opRead:
-		p.value, p.ok = rt.lookup(p.owner, p.name)
-		rt.trace(TraceEvent{Type: EvRead, Proc: pid, Owner: p.owner,
-			Register: p.name, Payload: p.value, Present: p.ok})
-	case opWrite:
-		if rt.regs[pid] == nil {
-			rt.regs[pid] = make(map[string]types.Payload)
+		f, i := rt.mem.byText(p.name)
+		p.value, p.ok = rt.mem.read(p.owner, f, i)
+		if rt.cfg.Trace != nil {
+			rt.traceRead(p)
 		}
-		rt.regs[pid][p.name] = p.value
-		rt.writes++
-		rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: pid,
-			Register: p.name, Payload: p.value, Present: true})
+	case opWrite:
+		f, i := rt.mem.byText(p.name)
+		rt.mem.write(pid, f, i, p.value)
+		if rt.cfg.Trace != nil {
+			rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: pid,
+				Register: p.name, Payload: p.value, Present: true})
+		}
 		if p.call != 0 {
 			rt.proceed(p) // a handler's write
 			return true
@@ -540,14 +606,32 @@ func (rt *smRuntime) grant() bool {
 	return true
 }
 
-// lookup reads owner's register name. A read of a process that does not
-// exist finds nothing, like a read of a register that was never written.
-func (rt *smRuntime) lookup(owner types.ProcessID, name string) (types.Payload, bool) {
-	if o := int(owner); o >= 0 && o < rt.n {
-		p, ok := rt.regs[o][name]
-		return p, ok
+// lookup performs p's granted poll or scan read of the Reg posted from
+// regs[at]. A read of a process that does not exist finds nothing, like a
+// read of a register that was never written.
+func (rt *smRuntime) lookup(p *smProcess) (types.Payload, bool) {
+	r := &p.names[0]
+	if r.fam == 0 || r.name != p.name {
+		if r = &p.names[1]; r.fam == 0 || r.name != p.name {
+			p.names[1] = p.names[0]
+			r = &p.names[0]
+			*r = rt.mem.resolve(p.name)
+		}
 	}
-	return types.Payload{}, false
+	// The entry keeps the Reg's own string, so its next comparison is
+	// pointer-equal also after an equal Name was built anew.
+	r.name = p.name
+	i := p.index
+	switch {
+	case r.at < 0 && i >= 0:
+	case r.at >= 0 && i == 0:
+		i = r.at
+	case r.at >= 0:
+		panic(fmt.Sprintf("smmem: register %+v: a non-zero Index needs a Name ending in /", Reg{Owner: p.owner, Name: p.name, Index: p.index}))
+	default:
+		panic(fmt.Sprintf("smmem: register %+v: negative Index", Reg{Owner: p.owner, Name: p.name, Index: p.index}))
+	}
+	return rt.mem.read(p.owner, r.fam, i)
 }
 
 // pollRead performs p's granted poll read. A miss runs no process code, so
@@ -556,21 +640,22 @@ func (rt *smRuntime) lookup(owner types.ProcessID, name string) (types.Payload, 
 // and proceeds from there. A read is answered without a lookup once the poll
 // has missed on every register of its list since the last write anywhere.
 func (rt *smRuntime) pollRead(p *smProcess) {
-	if p.writes != rt.writes {
-		p.writes, p.missed = rt.writes, 0
+	if p.writes != rt.mem.writes {
+		p.writes, p.missed = rt.mem.writes, 0
 	}
 	p.value, p.ok = types.Payload{}, false
 	if p.missed < len(p.regs) {
-		p.value, p.ok = rt.lookup(p.owner, p.name)
+		p.value, p.ok = rt.lookup(p)
 	}
-	rt.trace(TraceEvent{Type: EvRead, Proc: p.id, Owner: p.owner,
-		Register: p.name, Payload: p.value, Present: p.ok})
+	if rt.cfg.Trace != nil {
+		rt.traceRead(p)
+	}
 	if !p.ok {
 		p.missed++
 		if p.at++; p.at == len(p.regs) {
 			p.at = 0
 		}
-		p.owner, p.name = p.regs[p.at].Owner, p.regs[p.at].Name
+		p.post(opPoll)
 		return
 	}
 	p.inHandler = true
@@ -584,9 +669,10 @@ func (rt *smRuntime) pollRead(p *smProcess) {
 // scan's visitor on the loop's stack; the scan is over after its last
 // register.
 func (rt *smRuntime) scanRead(p *smProcess) {
-	p.value, p.ok = rt.lookup(p.owner, p.name)
-	rt.trace(TraceEvent{Type: EvRead, Proc: p.id, Owner: p.owner,
-		Register: p.name, Payload: p.value, Present: p.ok})
+	p.value, p.ok = rt.lookup(p)
+	if rt.cfg.Trace != nil {
+		rt.traceRead(p)
+	}
 	p.inHandler = true
 	p.visit(p.at, p.value, p.ok)
 	p.inHandler = false
@@ -614,7 +700,7 @@ func (rt *smRuntime) proceed(p *smProcess) {
 		return
 	}
 	rt.refresh(p)
-	p.kind, p.owner, p.name = p.call, p.regs[p.at].Owner, p.regs[p.at].Name
+	p.post(p.call)
 }
 
 func (rt *smRuntime) record() *types.RunRecord {

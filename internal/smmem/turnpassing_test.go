@@ -44,11 +44,14 @@ func (o *observed) CrashAtOp(p types.ProcessID, ops int) {
 	o.grants = append(o.grants, fmt.Sprint("crash ", p, " at op ", ops))
 }
 
-func observe(cfg smmem.Config) *observed {
+func observe(cfg smmem.Config) *observed { return observeOn(smmem.Run, cfg) }
+
+// observeOn observes the run cfg describes as run performs it.
+func observeOn(run func(smmem.Config) (*types.RunRecord, error), cfg smmem.Config) *observed {
 	o := &observed{}
 	cfg.Recorder = o
 	cfg.Trace = func(ev smmem.TraceEvent) { o.events = append(o.events, ev) }
-	rec, err := smmem.Run(cfg)
+	rec, err := run(cfg)
 	o.rec = rec
 	if err != nil {
 		o.err = err.Error()
@@ -222,36 +225,40 @@ func matrixConfig(t *testing.T, n int, seed uint64, fault int) (smmem.Config, tr
 	return cfg, spec, byz
 }
 
+// Schedulers of the matrix. Each builds its policy afresh per call.
+var matrixSchedulers = []struct {
+	name string
+	make func(n int) smmem.Scheduler
+}{
+	{"fair-random", func(int) smmem.Scheduler { return smmem.FairRandom{} }},
+	{"round-robin", func(int) smmem.Scheduler { return &smmem.RoundRobin{} }},
+	{"hold", func(n int) smmem.Scheduler {
+		h := smmem.NewHold(n, idRange(n/2, n), idRange(0, n/2))
+		h.ReleaseAtOps = 100 * n
+		return h
+	}},
+	{"hold-all", func(n int) smmem.Scheduler {
+		// Everyone held, nobody watched... until the gate's own
+		// fallback releases one at a time.
+		return smmem.NewHold(n, idRange(0, n), idRange(0, 1))
+	}},
+	{"starve", func(n int) smmem.Scheduler {
+		s := smmem.NewStarve(n, 0, types.ProcessID(n-1))
+		s.ReleaseAtOps = 60 * n
+		return s
+	}},
+}
+
+// idRange lists the ids from, ..., to-1.
+func idRange(from, to int) []types.ProcessID {
+	var ids []types.ProcessID
+	for p := from; p < to; p++ {
+		ids = append(ids, types.ProcessID(p))
+	}
+	return ids
+}
+
 func TestTurnPassingMatchesReference(t *testing.T) {
-	half := func(n, from, to int) []types.ProcessID {
-		var ids []types.ProcessID
-		for p := from; p < to && p < n; p++ {
-			ids = append(ids, types.ProcessID(p))
-		}
-		return ids
-	}
-	schedulers := []struct {
-		name string
-		make func(n int) smmem.Scheduler
-	}{
-		{"fair-random", func(int) smmem.Scheduler { return smmem.FairRandom{} }},
-		{"round-robin", func(int) smmem.Scheduler { return &smmem.RoundRobin{} }},
-		{"hold", func(n int) smmem.Scheduler {
-			h := smmem.NewHold(n, half(n, n/2, n), half(n, 0, n/2))
-			h.ReleaseAtOps = 100 * n
-			return h
-		}},
-		{"hold-all", func(n int) smmem.Scheduler {
-			// Everyone held, nobody watched... until the gate's own
-			// fallback releases one at a time.
-			return smmem.NewHold(n, half(n, 0, n), half(n, 0, 1))
-		}},
-		{"starve", func(n int) smmem.Scheduler {
-			s := smmem.NewStarve(n, 0, types.ProcessID(n-1))
-			s.ReleaseAtOps = 60 * n
-			return s
-		}},
-	}
 	// The replay scheduler: capture the fair run, then replay its schedule as
 	// recorded and damaged the ways the shrinker damages it (cut short,
 	// entries dropped), which walks smReplay's skip and lowest-pending
@@ -280,7 +287,7 @@ func TestTurnPassingMatchesReference(t *testing.T) {
 	table := &streamTable{file: "streams_matrix.golden"}
 	for _, n := range ns {
 		for fault := range faultModes {
-			for _, s := range schedulers {
+			for _, s := range matrixSchedulers {
 				cell := fmt.Sprintf("%s %s n=%d", s.name, faultModes[fault].name, n)
 				table.add(cell, seeds, func(seed uint64) *observed {
 					cfg, _, _ := matrixConfig(t, n, seed, fault)
