@@ -115,7 +115,11 @@ regen-corpus:
 	KSET_REGEN_TRACES=1 $(GO) test -run TestRegenerateCorpus -v ./cmd/ksetreplay/
 
 # Short fuzz pass over the trace and wire codecs (one invocation per
-# target: go fuzz allows a single -fuzz pattern match per run). The wire
+# target: go fuzz allows a single -fuzz pattern match per run). The trace
+# targets check that Decode never panics and accepts only Validate-clean
+# artifacts, and that Encode(Decode(x)) is x, byte for byte, for every x
+# Decode accepts; their seeds include spellings strconv reads but Encode
+# never writes (n 03, n +3, halt-on-decide 0 and F, inputs 01,…). The wire
 # seed corpus derives from the codec's sample messages, so the ACS
 # vocabulary (propose, acs-submit/ack, acs-round, log pulls) is fuzzed
 # automatically. The last target feeds Protocols C and D and the l-echo

@@ -7,24 +7,26 @@ import (
 	"kset/internal/theory"
 )
 
-// ParseProtocol maps a command-line protocol name to its identifier. The
+// liveProtocols are the protocols the cluster runtime hosts, in the order
+// ParseProtocol's error lists them.
+var liveProtocols = []theory.ProtocolID{
+	theory.ProtoFloodMin, theory.ProtoA, theory.ProtoB, theory.ProtoC, theory.ProtoD, theory.ProtoTrivial,
+}
+
+// ParseProtocol maps a command-line protocol name to its identifier: the
+// protocol's token ("floodmin", "a" … "d", "trivial") or its paper name
+// with a hyphen ("protocol-a"), in any case and with surrounding space. The
 // cluster runtime hosts the message-passing protocols; SIMULATION-only rows
 // (Protocols E and F) and the shared-memory side are not valid here.
 func ParseProtocol(s string) (theory.ProtocolID, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "floodmin":
-		return theory.ProtoFloodMin, nil
-	case "a", "protocol-a":
-		return theory.ProtoA, nil
-	case "b", "protocol-b":
-		return theory.ProtoB, nil
-	case "c", "protocol-c":
-		return theory.ProtoC, nil
-	case "d", "protocol-d":
-		return theory.ProtoD, nil
-	case "trivial":
-		return theory.ProtoTrivial, nil
-	default:
-		return theory.ProtoNone, fmt.Errorf("cluster: unknown protocol %q (want floodmin, a, b, c, d, or trivial)", s)
+	name := strings.ToLower(strings.TrimSpace(s))
+	want := make([]string, len(liveProtocols))
+	for i, p := range liveProtocols {
+		if name == p.Token() || name == strings.ReplaceAll(strings.ToLower(p.String()), " ", "-") {
+			return p, nil
+		}
+		want[i] = p.Token()
 	}
+	last := len(want) - 1
+	return theory.ProtoNone, fmt.Errorf("cluster: unknown protocol %q (want %s, or %s)", s, strings.Join(want[:last], ", "), want[last])
 }

@@ -1,0 +1,36 @@
+package cluster
+
+import (
+	"strings"
+	"testing"
+
+	"kset/internal/theory"
+)
+
+func TestParseProtocol(t *testing.T) {
+	accepted := map[string]theory.ProtocolID{
+		"floodmin":     theory.ProtoFloodMin,
+		" FloodMin ":   theory.ProtoFloodMin,
+		"a":            theory.ProtoA,
+		"Protocol-A":   theory.ProtoA,
+		"protocol-b":   theory.ProtoB,
+		"C":            theory.ProtoC,
+		"protocol-d\n": theory.ProtoD,
+		"trivial":      theory.ProtoTrivial,
+	}
+	for in, want := range accepted {
+		if got, err := ParseProtocol(in); err != nil || got != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "none", "e", "f", "protocol-e", "protocol-floodmin", "protocol-trivial", "protocol a", "sim"} {
+		_, err := ParseProtocol(in)
+		if err == nil {
+			t.Errorf("ParseProtocol(%q) accepted", in)
+			continue
+		}
+		if want := "(want floodmin, a, b, c, d, or trivial)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseProtocol(%q) error %q does not list %s", in, err, want)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"kset/internal/grid"
-	"kset/internal/obs"
 	"kset/internal/wire"
 )
 
@@ -31,9 +30,6 @@ type SweepOptions struct {
 	// selects the client default (5s). This is also the straggler bound: a
 	// node that sits on a shard longer than this loses it to reassignment.
 	Timeout time.Duration
-	// Reg, if non-nil, receives the coordinator's reassignment counter
-	// (kset_sweep_reassigns_total).
-	Reg *obs.Registry
 	// Logf, if non-nil, receives diagnostic messages.
 	Logf func(format string, args ...any)
 	// OnShard, if non-nil, is called after each shard's records are accepted,
@@ -87,10 +83,6 @@ func RunSweep(addrs []string, spec *grid.Spec, opt SweepOptions) ([]grid.Record,
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	var reassigns *obs.Counter
-	if opt.Reg != nil {
-		reassigns = opt.Reg.Counter("kset_sweep_reassigns_total")
-	}
 
 	total := spec.NumCells()
 	nshards := int((total + uint64(shardCells) - 1) / uint64(shardCells))
@@ -137,9 +129,6 @@ func RunSweep(addrs []string, spec *grid.Spec, opt SweepOptions) ([]grid.Record,
 		mu.Lock()
 		stats.Reassigns++
 		mu.Unlock()
-		if reassigns != nil {
-			reassigns.Add(1)
-		}
 		queue <- sh
 	}
 	abandon := func(addr string) {

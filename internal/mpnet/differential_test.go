@@ -192,7 +192,7 @@ func TestSchedulersMatchReference(t *testing.T) {
 							if reference {
 								pr.inner = ref
 							}
-							rec := &trace.MPRecorder{}
+							rec := &trace.Recorder{}
 							cfg.Scheduler, cfg.Recorder = pr, rec
 							record, err := mpnet.Run(cfg)
 							return outcome{record, err, rec.Schedule, rec.Crashes, pr.draws}

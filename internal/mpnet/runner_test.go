@@ -106,7 +106,7 @@ func arenaCases(seeds uint64) []arenaCase {
 // observe makes one run of cfg on r with a Recorder and a Trace attached.
 func observe(r *mpnet.Runner, cfg mpnet.Config) arenaOutcome {
 	var out arenaOutcome
-	rec := &trace.MPRecorder{}
+	rec := &trace.Recorder{}
 	stream := fnv.New64a()
 	cfg.Recorder = rec
 	cfg.Trace = func(ev mpnet.TraceEvent) {

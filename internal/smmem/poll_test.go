@@ -368,7 +368,7 @@ func compareMatrix(t *testing.T, ns []int, config func(n int, seed uint64, fault
 						return cfg
 					}, ty)
 				}
-				rec := &trace.SMRecorder{}
+				rec := &trace.Recorder{}
 				cfg := build(native)
 				cfg.Recorder = rec
 				if _, err := smmem.Run(cfg); err != nil {

@@ -1,6 +1,9 @@
 package theory
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 // ProtocolID names the protocols of the paper in a machine-usable way, so
 // the harness can instantiate the witness protocol of a solvable cell
@@ -45,4 +48,25 @@ func (p ProtocolID) String() string {
 	default:
 		return "protocol(" + strconv.Itoa(int(p)) + ")"
 	}
+}
+
+// Token returns the protocol's short lower-case name — "floodmin", "a" …
+// "f", "trivial" — as trace artifacts and the cluster's command lines spell
+// it, or "" for ProtoNone and values outside the list above.
+func (p ProtocolID) Token() string {
+	if p == ProtoNone || p > ProtoTrivial {
+		return ""
+	}
+	return strings.ToLower(strings.TrimPrefix(p.String(), "Protocol "))
+}
+
+// ProtocolByToken is Token's inverse: it reports false for any string Token
+// does not return.
+func ProtocolByToken(tok string) (ProtocolID, bool) {
+	for p := ProtoFloodMin; p <= ProtoTrivial; p++ {
+		if p.Token() == tok {
+			return p, true
+		}
+	}
+	return ProtoNone, false
 }

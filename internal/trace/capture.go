@@ -8,47 +8,41 @@ import (
 	"kset/internal/types"
 )
 
-// MPRecorder captures the decision stream of one message-passing run. Attach
-// it to Config.Recorder, run, then fold the captured schedule and crash
-// points into a Trace (CaptureMP does both).
-type MPRecorder struct {
-	// Schedule is the picked envelope sequence number per main-loop step.
+// Recorder captures the decision stream of one run of either simulator: it
+// is an mpnet.Recorder and an smmem.Recorder. Attach it to Config.Recorder,
+// run, then fold the captured schedule and crash points into a Trace
+// (CaptureMP and CaptureSM do both).
+type Recorder struct {
+	// Schedule is the picked envelope sequence number per main-loop step
+	// (message passing) or the granted process id per operation step
+	// (shared memory).
 	Schedule []int
 	// Crashes are the crash points in firing order.
 	Crashes []CrashSpec
 }
 
-var _ mpnet.Recorder = (*MPRecorder)(nil)
+var (
+	_ mpnet.Recorder = (*Recorder)(nil)
+	_ smmem.Recorder = (*Recorder)(nil)
+)
 
 // Pick implements mpnet.Recorder.
-func (r *MPRecorder) Pick(seq int) { r.Schedule = append(r.Schedule, seq) }
-
-// CrashAtEvent implements mpnet.Recorder.
-func (r *MPRecorder) CrashAtEvent(p types.ProcessID, events int) {
-	r.Crashes = append(r.Crashes, CrashSpec{Proc: p, Kind: CrashAtEvent, Index: events})
-}
-
-// CrashAtSend implements mpnet.Recorder.
-func (r *MPRecorder) CrashAtSend(p types.ProcessID, sends int) {
-	r.Crashes = append(r.Crashes, CrashSpec{Proc: p, Kind: CrashAtSend, Index: sends})
-}
-
-// SMRecorder captures the decision stream of one shared-memory run.
-type SMRecorder struct {
-	// Schedule is the granted process id per operation step.
-	Schedule []int
-	// Crashes are the crash points in firing order.
-	Crashes []CrashSpec
-}
-
-var _ smmem.Recorder = (*SMRecorder)(nil)
+func (r *Recorder) Pick(seq int) { r.Schedule = append(r.Schedule, seq) }
 
 // Grant implements smmem.Recorder.
-func (r *SMRecorder) Grant(p types.ProcessID) { r.Schedule = append(r.Schedule, int(p)) }
+func (r *Recorder) Grant(p types.ProcessID) { r.Schedule = append(r.Schedule, int(p)) }
+
+// CrashAtEvent implements mpnet.Recorder.
+func (r *Recorder) CrashAtEvent(p types.ProcessID, events int) { r.crash(p, CrashAtEvent, events) }
+
+// CrashAtSend implements mpnet.Recorder.
+func (r *Recorder) CrashAtSend(p types.ProcessID, sends int) { r.crash(p, CrashAtSend, sends) }
 
 // CrashAtOp implements smmem.Recorder.
-func (r *SMRecorder) CrashAtOp(p types.ProcessID, ops int) {
-	r.Crashes = append(r.Crashes, CrashSpec{Proc: p, Kind: CrashAtOp, Index: ops})
+func (r *Recorder) CrashAtOp(p types.ProcessID, ops int) { r.crash(p, CrashAtOp, ops) }
+
+func (r *Recorder) crash(p types.ProcessID, kind string, index int) {
+	r.Crashes = append(r.Crashes, CrashSpec{Proc: p, Kind: kind, Index: index})
 }
 
 // CaptureMP executes a message-passing run with recording on and folds it
@@ -59,60 +53,51 @@ func (r *SMRecorder) CrashAtOp(p types.ProcessID, ops int) {
 // stores in place of the opaque values. The run record is returned alongside
 // so callers can reuse it.
 func CaptureMP(cfg mpnet.Config, validity types.Validity, spec ProtocolSpec, byz []ByzSpec) (*Trace, *types.RunRecord, error) {
-	rec := &MPRecorder{}
+	rec := &Recorder{}
 	cfg.Recorder = rec
 	record, err := mpnet.Run(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: capture run: %w", err)
-	}
 	t := &Trace{
-		Version:      Version,
-		Model:        record.Model,
+		N: cfg.N, K: cfg.K, T: cfg.T,
 		Validity:     validity,
-		N:            cfg.N,
-		K:            cfg.K,
-		T:            cfg.T,
 		Seed:         cfg.Seed,
 		Budget:       cfg.MaxEvents,
 		HaltOnDecide: cfg.HaltOnDecide,
 		Protocol:     spec,
-		Inputs:       append([]types.Value(nil), cfg.Inputs...),
-		Byzantine:    append([]ByzSpec(nil), byz...),
-		Crashes:      rec.Crashes,
-		Schedule:     rec.Schedule,
-		Verdict:      VerdictOf(record, validity),
+		Inputs:       cfg.Inputs,
+		Byzantine:    byz,
 	}
-	sortFaults(t.Byzantine, t.Crashes)
-	if err := t.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return t, record, nil
+	return t.fold(rec, record, err)
 }
 
 // CaptureSM is CaptureMP for the shared-memory runtime.
 func CaptureSM(cfg smmem.Config, validity types.Validity, spec ProtocolSpec, byz []ByzSpec) (*Trace, *types.RunRecord, error) {
-	rec := &SMRecorder{}
+	rec := &Recorder{}
 	cfg.Recorder = rec
 	record, err := smmem.Run(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: capture run: %w", err)
-	}
 	t := &Trace{
-		Version:   Version,
-		Model:     record.Model,
+		N: cfg.N, K: cfg.K, T: cfg.T,
 		Validity:  validity,
-		N:         cfg.N,
-		K:         cfg.K,
-		T:         cfg.T,
 		Seed:      cfg.Seed,
 		Budget:    cfg.MaxOps,
 		Protocol:  spec,
-		Inputs:    append([]types.Value(nil), cfg.Inputs...),
-		Byzantine: append([]ByzSpec(nil), byz...),
-		Crashes:   rec.Crashes,
-		Schedule:  rec.Schedule,
-		Verdict:   VerdictOf(record, validity),
+		Inputs:    cfg.Inputs,
+		Byzantine: byz,
 	}
+	return t.fold(rec, record, err)
+}
+
+// fold completes t, which holds a run's parameters, with what the run did —
+// the decision stream rec recorded and the verdict its record earns — and
+// gives t its own copies of Inputs and Byzantine.
+func (t *Trace) fold(rec *Recorder, record *types.RunRecord, err error) (*Trace, *types.RunRecord, error) {
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: run: %w", err)
+	}
+	t.Version, t.Model = Version, record.Model
+	t.Inputs = append([]types.Value(nil), t.Inputs...)
+	t.Byzantine = append([]ByzSpec(nil), t.Byzantine...)
+	t.Schedule, t.Crashes = rec.Schedule, rec.Crashes
+	t.Verdict = VerdictOf(record, t.Validity)
 	sortFaults(t.Byzantine, t.Crashes)
 	if err := t.Validate(); err != nil {
 		return nil, nil, err

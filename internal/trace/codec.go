@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -30,9 +31,12 @@ import (
 //
 // byz and crash lines are sorted by process id and appear zero or more
 // times; schedule lines appear zero or more times and concatenate. Every
-// other line appears exactly once, in order. Encoding is canonical: two
-// equal artifacts encode to identical bytes, which the fuzz targets and the
-// shrinker's byte-identity regression test rely on.
+// other line appears exactly once, in order. Encode is the one statement of
+// the format, and it is canonical: two equal artifacts encode to identical
+// bytes. Decode accepts exactly the bytes Encode writes — it parses each
+// line by its keyword, validates, re-encodes and compares — so a line out of
+// order, repeated, missing, unknown or spelled any other way ("n 05",
+// "halt-on-decide 0", a CRLF line end) is rejected.
 
 // scheduleChunk is how many schedule entries go on one line, keeping
 // artifacts diffable without making them tall.
@@ -40,39 +44,6 @@ const scheduleChunk = 16
 
 // header is the first line of every artifact.
 const header = "ksettrace v1"
-
-// protocolToken maps a ProtocolID to its artifact token and back.
-var protocolTokens = []struct {
-	id    theory.ProtocolID
-	token string
-}{
-	{theory.ProtoTrivial, "trivial"},
-	{theory.ProtoFloodMin, "floodmin"},
-	{theory.ProtoA, "a"},
-	{theory.ProtoB, "b"},
-	{theory.ProtoC, "c"},
-	{theory.ProtoD, "d"},
-	{theory.ProtoE, "e"},
-	{theory.ProtoF, "f"},
-}
-
-func protocolToken(id theory.ProtocolID) (string, bool) {
-	for _, pt := range protocolTokens {
-		if pt.id == id {
-			return pt.token, true
-		}
-	}
-	return "", false
-}
-
-func parseProtocolToken(tok string) (theory.ProtocolID, bool) {
-	for _, pt := range protocolTokens {
-		if pt.token == tok {
-			return pt.id, true
-		}
-	}
-	return theory.ProtoNone, false
-}
 
 // Encode renders the artifact in the canonical text format. It fails if the
 // artifact does not Validate, so every encoded artifact is well-formed.
@@ -90,8 +61,8 @@ func Encode(t *Trace) ([]byte, error) {
 	fmt.Fprintf(&b, "seed %d\n", t.Seed)
 	fmt.Fprintf(&b, "budget %d\n", t.Budget)
 	fmt.Fprintf(&b, "halt-on-decide %t\n", t.HaltOnDecide)
-	tok, ok := protocolToken(t.Protocol.Proto)
-	if !ok {
+	tok := t.Protocol.Proto.Token()
+	if tok == "" {
 		return nil, fmt.Errorf("%w: protocol %v has no token", ErrBadTrace, t.Protocol.Proto)
 	}
 	b.WriteString("protocol " + tok)
@@ -103,7 +74,7 @@ func Encode(t *Trace) ([]byte, error) {
 	}
 	b.WriteByte('\n')
 	b.WriteString("inputs ")
-	writeValues(&b, t.Inputs)
+	writeList(&b, t.Inputs)
 	b.WriteByte('\n')
 	for _, bz := range t.Byzantine {
 		if err := encodeByz(&b, bz); err != nil {
@@ -119,7 +90,7 @@ func Encode(t *Trace) ([]byte, error) {
 			end = len(t.Schedule)
 		}
 		b.WriteString("schedule ")
-		writeInts(&b, t.Schedule[i:end])
+		writeList(&b, t.Schedule[i:end])
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "verdict %s\n", t.Verdict)
@@ -133,7 +104,7 @@ func encodeByz(b *strings.Builder, bz ByzSpec) error {
 	case ByzSilent, ByzSimSilent:
 	case ByzPersonaInput, ByzPersonaEcho, ByzSimPersonaInput, ByzSimPersonaEcho:
 		fmt.Fprintf(b, " default=%d personas=", bz.Default)
-		writeValues(b, bz.Personas)
+		writeList(b, bz.Personas)
 	case ByzEchoSplitter:
 		fmt.Fprintf(b, " shift=%d", bz.Shift)
 	case ByzRandomNoise:
@@ -147,7 +118,7 @@ func encodeByz(b *strings.Builder, bz ByzSpec) error {
 	return nil
 }
 
-func writeValues(b *strings.Builder, vs []types.Value) {
+func writeList[T ~int | ~int64](b *strings.Builder, vs []T) {
 	for i, v := range vs {
 		if i > 0 {
 			b.WriteByte(',')
@@ -156,322 +127,167 @@ func writeValues(b *strings.Builder, vs []types.Value) {
 	}
 }
 
-func writeInts(b *strings.Builder, vs []int) {
-	for i, v := range vs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-}
-
-// decoder walks the artifact line by line.
-type decoder struct {
-	lines []string
-	pos   int
-}
-
-func (d *decoder) next() (string, bool) {
-	if d.pos >= len(d.lines) {
-		return "", false
-	}
-	l := d.lines[d.pos]
-	d.pos++
-	return l, true
-}
-
-func (d *decoder) peek() (string, bool) {
-	if d.pos >= len(d.lines) {
-		return "", false
-	}
-	return d.lines[d.pos], true
-}
-
-// expect consumes the next line and returns its payload after the given
-// field prefix.
-func (d *decoder) expect(field string) (string, error) {
-	l, ok := d.next()
-	if !ok {
-		return "", fmt.Errorf("%w: truncated before %q line", ErrBadTrace, field)
-	}
-	rest, ok := strings.CutPrefix(l, field+" ")
-	if !ok {
-		return "", fmt.Errorf("%w: line %d: want %q field, got %q", ErrBadTrace, d.pos, field, l)
-	}
-	return rest, nil
-}
-
-func (d *decoder) expectInt(field string) (int, error) {
-	s, err := d.expect(field)
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("%w: line %d: bad %s %q", ErrBadTrace, d.pos, field, s)
-	}
-	return v, nil
-}
-
-// Decode parses the canonical text format. It never panics on malformed
-// input and always returns a Validate-clean artifact or an error.
+// Decode parses an artifact. Each line is read by its keyword into a Trace,
+// leniently; the result must Validate and Encode to the input byte for byte,
+// so Decode accepts exactly the bytes Encode writes, and its error names the
+// first line that differs. It never panics, and it allocates only what the
+// input's size bounds: Validate checks len(Inputs) == N before it sizes
+// anything by N.
 func Decode(data []byte) (*Trace, error) {
-	lines := strings.Split(string(data), "\n")
-	// A well-formed artifact ends with "end\n", leaving one empty trailing
-	// element after Split.
-	if len(lines) > 0 && lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	d := &decoder{lines: lines}
-	if l, ok := d.next(); !ok || l != header {
-		return nil, fmt.Errorf("%w: missing %q header", ErrBadTrace, header)
-	}
 	t := &Trace{Version: Version}
-	var err error
-	var s string
-	if s, err = d.expect("model"); err != nil {
-		return nil, err
-	}
-	if t.Model, err = types.ParseModel(s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if s, err = d.expect("validity"); err != nil {
-		return nil, err
-	}
-	if t.Validity, err = types.ParseValidity(s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if t.N, err = d.expectInt("n"); err != nil {
-		return nil, err
-	}
-	if t.K, err = d.expectInt("k"); err != nil {
-		return nil, err
-	}
-	if t.T, err = d.expectInt("t"); err != nil {
-		return nil, err
-	}
-	if s, err = d.expect("seed"); err != nil {
-		return nil, err
-	}
-	if t.Seed, err = strconv.ParseUint(s, 10, 64); err != nil {
-		return nil, fmt.Errorf("%w: bad seed %q", ErrBadTrace, s)
-	}
-	if t.Budget, err = d.expectInt("budget"); err != nil {
-		return nil, err
-	}
-	if s, err = d.expect("halt-on-decide"); err != nil {
-		return nil, err
-	}
-	if t.HaltOnDecide, err = strconv.ParseBool(s); err != nil {
-		return nil, fmt.Errorf("%w: bad halt-on-decide %q", ErrBadTrace, s)
-	}
-	if s, err = d.expect("protocol"); err != nil {
-		return nil, err
-	}
-	if t.Protocol, err = parseProtocol(s); err != nil {
-		return nil, err
-	}
-	if s, err = d.expect("inputs"); err != nil {
-		return nil, err
-	}
-	if t.Inputs, err = parseValues(s); err != nil {
-		return nil, err
-	}
-	for {
-		l, ok := d.peek()
-		if !ok || !strings.HasPrefix(l, "byz ") {
-			break
+	for i, line := range strings.Split(string(data), "\n") {
+		key, rest, _ := strings.Cut(line, " ")
+		if err := t.parseLine(key, rest); err != nil {
+			return nil, fmt.Errorf("%w: line %d: bad %s: %v", ErrBadTrace, i+1, key, err)
 		}
-		d.pos++
-		bz, err := parseByz(strings.TrimPrefix(l, "byz "))
-		if err != nil {
-			return nil, err
-		}
-		t.Byzantine = append(t.Byzantine, bz)
 	}
-	for {
-		l, ok := d.peek()
-		if !ok || !strings.HasPrefix(l, "crash ") {
-			break
-		}
-		d.pos++
-		c, err := parseCrash(strings.TrimPrefix(l, "crash "))
-		if err != nil {
-			return nil, err
-		}
-		t.Crashes = append(t.Crashes, c)
-	}
-	for {
-		l, ok := d.peek()
-		if !ok || !strings.HasPrefix(l, "schedule ") {
-			break
-		}
-		d.pos++
-		chunk, err := parseInts(strings.TrimPrefix(l, "schedule "))
-		if err != nil {
-			return nil, err
-		}
-		t.Schedule = append(t.Schedule, chunk...)
-	}
-	if s, err = d.expect("verdict"); err != nil {
+	enc, err := Encode(t)
+	if err != nil {
 		return nil, err
 	}
-	if t.Verdict, err = parseVerdict(s); err != nil {
-		return nil, err
-	}
-	if l, ok := d.next(); !ok || l != "end" {
-		return nil, fmt.Errorf("%w: missing \"end\" trailer", ErrBadTrace)
-	}
-	if l, ok := d.next(); ok {
-		return nil, fmt.Errorf("%w: trailing content %q after \"end\"", ErrBadTrace, l)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
+	if !bytes.Equal(enc, data) {
+		// data and enc agree before byte i, so the line holding it starts
+		// at the same offset in both.
+		i := 0
+		for i < len(data) && i < len(enc) && data[i] == enc[i] {
+			i++
+		}
+		start := bytes.LastIndexByte(data[:i], '\n') + 1
+		return nil, fmt.Errorf("%w: line %d is %q, canonical %q", ErrBadTrace,
+			bytes.Count(data[:start], []byte("\n"))+1, lineAt(data, start), lineAt(enc, start))
 	}
 	return t, nil
 }
 
-func parseProtocol(s string) (ProtocolSpec, error) {
-	fields := strings.Split(s, " ")
-	id, ok := parseProtocolToken(fields[0])
-	if !ok {
-		return ProtocolSpec{}, fmt.Errorf("%w: unknown protocol %q", ErrBadTrace, fields[0])
+// lineAt returns the line of b that starts at byte start, without its end.
+func lineAt(b []byte, start int) string {
+	line, _, _ := bytes.Cut(b[start:], []byte("\n"))
+	return string(line)
+}
+
+// parseLine reads one line's payload into t by its keyword. Unknown keywords
+// and the header and end lines read nothing: the comparison with Encode's
+// output rejects what they get wrong.
+func (t *Trace) parseLine(key, rest string) (err error) {
+	switch key {
+	case "model":
+		t.Model, err = types.ParseModel(rest)
+	case "validity":
+		t.Validity, err = types.ParseValidity(rest)
+	case "n":
+		t.N, err = strconv.Atoi(rest)
+	case "k":
+		t.K, err = strconv.Atoi(rest)
+	case "t":
+		t.T, err = strconv.Atoi(rest)
+	case "seed":
+		t.Seed, err = strconv.ParseUint(rest, 10, 64)
+	case "budget":
+		t.Budget, err = strconv.Atoi(rest)
+	case "halt-on-decide":
+		t.HaltOnDecide, err = strconv.ParseBool(rest)
+	case "protocol":
+		t.Protocol, err = parseProtocol(rest)
+	case "inputs":
+		t.Inputs, err = parseList[types.Value](rest)
+	case "byz":
+		var bz ByzSpec
+		bz, err = parseByz(rest)
+		t.Byzantine = append(t.Byzantine, bz)
+	case "crash":
+		var c CrashSpec
+		_, err = fmt.Sscanf(rest, "%d %s %d", &c.Proc, &c.Kind, &c.Index)
+		t.Crashes = append(t.Crashes, c)
+	case "schedule":
+		var chunk []int
+		chunk, err = parseList[int](rest)
+		t.Schedule = append(t.Schedule, chunk...)
+	case "verdict":
+		t.Verdict = parseVerdict(rest)
 	}
-	spec := ProtocolSpec{Proto: id}
+	return err
+}
+
+func parseProtocol(s string) (spec ProtocolSpec, err error) {
+	fields := strings.Split(s, " ")
+	var ok bool
+	if spec.Proto, ok = theory.ProtocolByToken(fields[0]); !ok {
+		return spec, fmt.Errorf("unknown protocol %q", fields[0])
+	}
 	for _, f := range fields[1:] {
+		ell, isEll := strings.CutPrefix(f, "ell=")
 		switch {
+		case isEll:
+			spec.Ell, err = strconv.Atoi(ell)
 		case f == "sim":
 			spec.Sim = true
-		case strings.HasPrefix(f, "ell="):
-			ell, err := strconv.Atoi(strings.TrimPrefix(f, "ell="))
-			if err != nil {
-				return ProtocolSpec{}, fmt.Errorf("%w: bad protocol field %q", ErrBadTrace, f)
-			}
-			spec.Ell = ell
-		default:
-			return ProtocolSpec{}, fmt.Errorf("%w: bad protocol field %q", ErrBadTrace, f)
 		}
 	}
-	return spec, nil
+	return spec, err
 }
 
 func parseByz(s string) (ByzSpec, error) {
 	fields := strings.Split(s, " ")
 	if len(fields) < 2 {
-		return ByzSpec{}, fmt.Errorf("%w: bad byz line %q", ErrBadTrace, s)
+		return ByzSpec{}, fmt.Errorf("%q has no strategy", s)
 	}
 	pid, err := strconv.Atoi(fields[0])
 	if err != nil {
-		return ByzSpec{}, fmt.Errorf("%w: bad byz process %q", ErrBadTrace, fields[0])
+		return ByzSpec{}, err
 	}
 	bz := ByzSpec{Proc: types.ProcessID(pid), Kind: fields[1]}
 	for _, f := range fields[2:] {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return ByzSpec{}, fmt.Errorf("%w: bad byz field %q", ErrBadTrace, f)
-		}
-		switch key {
-		case "personas":
-			if bz.Personas, err = parseValues(val); err != nil {
+		key, val, _ := strings.Cut(f, "=")
+		if key == "personas" {
+			if bz.Personas, err = parseList[types.Value](val); err != nil {
 				return ByzSpec{}, err
 			}
 			continue
 		}
-		iv, err := strconv.ParseInt(val, 10, 64)
+		v, err := strconv.ParseInt(val, 10, 64)
 		if err != nil {
-			return ByzSpec{}, fmt.Errorf("%w: bad byz field %q", ErrBadTrace, f)
+			return ByzSpec{}, err
 		}
 		switch key {
 		case "default":
-			bz.Default = types.Value(iv)
+			bz.Default = types.Value(v)
 		case "shift":
-			bz.Shift = types.Value(iv)
+			bz.Shift = types.Value(v)
 		case "burst":
-			bz.Burst = int(iv)
+			bz.Burst = int(v)
 		case "max":
-			bz.Max = int(iv)
+			bz.Max = int(v)
 		case "rounds":
-			bz.Rounds = int(iv)
-		default:
-			return ByzSpec{}, fmt.Errorf("%w: bad byz field %q", ErrBadTrace, f)
+			bz.Rounds = int(v)
 		}
-	}
-	// Re-encoding must reproduce the input bytes, so reject kinds (and by
-	// extension field combinations) the encoder would not emit.
-	var probe strings.Builder
-	if err := encodeByz(&probe, bz); err != nil {
-		return ByzSpec{}, err
-	}
-	if probe.String() != "byz "+s+"\n" {
-		return ByzSpec{}, fmt.Errorf("%w: non-canonical byz line %q", ErrBadTrace, s)
 	}
 	return bz, nil
 }
 
-func parseCrash(s string) (CrashSpec, error) {
-	fields := strings.Split(s, " ")
-	if len(fields) != 3 {
-		return CrashSpec{}, fmt.Errorf("%w: bad crash line %q", ErrBadTrace, s)
-	}
-	pid, err := strconv.Atoi(fields[0])
-	if err != nil {
-		return CrashSpec{}, fmt.Errorf("%w: bad crash process %q", ErrBadTrace, fields[0])
-	}
-	switch fields[1] {
-	case CrashAtEvent, CrashAtSend, CrashAtOp:
-	default:
-		return CrashSpec{}, fmt.Errorf("%w: bad crash kind %q", ErrBadTrace, fields[1])
-	}
-	idx, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return CrashSpec{}, fmt.Errorf("%w: bad crash index %q", ErrBadTrace, fields[2])
-	}
-	return CrashSpec{Proc: types.ProcessID(pid), Kind: fields[1], Index: idx}, nil
-}
-
-func parseVerdict(s string) (Verdict, error) {
+// parseVerdict inverts Verdict.String; what it cannot have come from fails
+// Validate or the comparison with Encode's output.
+func parseVerdict(s string) Verdict {
 	if s == "ok" {
-		return Verdict{OK: true}, nil
+		return Verdict{OK: true}
 	}
-	rest, ok := strings.CutPrefix(s, "violation ")
-	if !ok {
-		return Verdict{}, fmt.Errorf("%w: bad verdict %q", ErrBadTrace, s)
-	}
-	cond, detail, ok := strings.Cut(rest, " ")
-	if !ok || cond == "" || detail == "" {
-		return Verdict{}, fmt.Errorf("%w: bad verdict %q", ErrBadTrace, s)
-	}
-	return Verdict{Condition: cond, Detail: detail}, nil
+	cond, detail, _ := strings.Cut(strings.TrimPrefix(s, "violation "), " ")
+	return Verdict{Condition: cond, Detail: detail}
 }
 
-func parseValues(s string) ([]types.Value, error) {
+// parseList reads a comma-separated list of decimal integers; "" is the
+// empty list.
+func parseList[T ~int | ~int64](s string) ([]T, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ",")
-	vs := make([]types.Value, len(parts))
+	vs := make([]T, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseInt(p, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: bad value %q", ErrBadTrace, p)
+			return nil, err
 		}
-		vs[i] = types.Value(v)
-	}
-	return vs, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("%w: empty schedule line", ErrBadTrace)
-	}
-	parts := strings.Split(s, ",")
-	vs := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad schedule entry %q", ErrBadTrace, p)
-		}
-		vs[i] = v
+		vs[i] = T(v)
 	}
 	return vs, nil
 }

@@ -180,59 +180,43 @@ func Replay(t *Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		record   *types.RunRecord
-		schedule []int
-		crashes  []CrashSpec
-	)
-	switch t.Model.Comm {
-	case types.MessagePassing:
-		cfg, err := BuildMPConfig(t)
-		if err != nil {
-			return nil, err
-		}
-		rec := &MPRecorder{}
-		cfg.Recorder = rec
-		if record, err = mpnet.Run(cfg); err != nil {
-			return nil, fmt.Errorf("trace: replay run: %w", err)
-		}
-		schedule, crashes = rec.Schedule, rec.Crashes
-	case types.SharedMemory:
-		cfg, err := BuildSMConfig(t)
-		if err != nil {
-			return nil, err
-		}
-		rec := &SMRecorder{}
-		cfg.Recorder = rec
-		if record, err = smmem.Run(cfg); err != nil {
-			return nil, fmt.Errorf("trace: replay run: %w", err)
-		}
-		schedule, crashes = rec.Schedule, rec.Crashes
-	default:
-		return nil, fmt.Errorf("%w: %v", types.ErrUnknownModel, t.Model)
+	rec := &Recorder{}
+	record, err := run(t, rec)
+	if err != nil {
+		return nil, fmt.Errorf("trace: replay run: %w", err)
 	}
-	sortFaults(nil, crashes)
+	sortFaults(nil, rec.Crashes)
 	return &Result{
 		Record:   record,
 		Verdict:  VerdictOf(record, t.Validity),
-		Schedule: schedule,
-		Crashes:  crashes,
+		Schedule: rec.Schedule,
+		Crashes:  rec.Crashes,
 	}, nil
 }
 
 // Rerun re-executes an artifact without recording — the shrinker's hot path.
-func Rerun(t *Trace) (*types.RunRecord, error) {
+func Rerun(t *Trace) (*types.RunRecord, error) { return run(t, nil) }
+
+// run executes an artifact's configuration, recording into rec unless it is
+// nil.
+func run(t *Trace, rec *Recorder) (*types.RunRecord, error) {
 	switch t.Model.Comm {
 	case types.MessagePassing:
 		cfg, err := BuildMPConfig(t)
 		if err != nil {
 			return nil, err
+		}
+		if rec != nil {
+			cfg.Recorder = rec
 		}
 		return mpnet.Run(cfg)
 	case types.SharedMemory:
 		cfg, err := BuildSMConfig(t)
 		if err != nil {
 			return nil, err
+		}
+		if rec != nil {
+			cfg.Recorder = rec
 		}
 		return smmem.Run(cfg)
 	default:
@@ -255,19 +239,12 @@ func Evaluate(t *Trace) (Verdict, error) {
 // schedule) and the verdict is recomputed. Recapture is idempotent — a
 // recaptured artifact replays to itself.
 func Recapture(t *Trace) (*Trace, error) {
-	res, err := Replay(t)
-	if err != nil {
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	rec := &Recorder{}
+	record, err := run(t, rec)
 	out := *t
-	out.Inputs = append([]types.Value(nil), t.Inputs...)
-	out.Byzantine = append([]ByzSpec(nil), t.Byzantine...)
-	out.Schedule = res.Schedule
-	out.Crashes = res.Crashes
-	out.Verdict = res.Verdict
-	out.Model = res.Record.Model
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	norm, _, err := out.fold(rec, record, err)
+	return norm, err
 }

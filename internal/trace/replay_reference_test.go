@@ -99,12 +99,12 @@ func TestMPReplayMatchesReference(t *testing.T) {
 			for name, script := range damagedScripts(tr.Schedule, seed) {
 				candidate := *tr
 				candidate.Schedule = script
-				replay := func(sched mpnet.Scheduler) (*types.RunRecord, *MPRecorder) {
+				replay := func(sched mpnet.Scheduler) (*types.RunRecord, *Recorder) {
 					cfg, err := BuildMPConfig(&candidate)
 					if err != nil {
 						t.Fatalf("seed %d %s: BuildMPConfig: %v", seed, name, err)
 					}
-					rec := &MPRecorder{}
+					rec := &Recorder{}
 					cfg.Scheduler, cfg.Recorder = sched, rec
 					record, err := mpnet.Run(cfg)
 					if err != nil {

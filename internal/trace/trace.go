@@ -13,9 +13,9 @@
 // a checked-in regression artifact that internal/shrink can reduce to a
 // small counterexample.
 //
-// The package provides the canonical text codec (Encode/Decode), capture
-// recorders for both simulators (MPRecorder/SMRecorder via CaptureMP/
-// CaptureSM), and exact replay (Replay/Rerun/Evaluate): replaying an
+// The package provides the canonical text codec (Encode/Decode), one
+// capture Recorder for both simulators (via CaptureMP/CaptureSM), and
+// exact replay (Replay/Rerun/Evaluate): replaying an
 // unmodified artifact reproduces the identical decision sequence, run record
 // and verdict, because every simulator choice outside the recorded schedule
 // is a pure function of the configuration and seed.

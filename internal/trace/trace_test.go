@@ -249,11 +249,38 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"unsorted fields":  strings.Replace(text, "validity rv1\nn 3", "n 3\nvalidity rv1", 1),
 		"byz out of range": strings.Replace(text, "inputs 1,1,1\n", "inputs 1,1,1\nbyz 9 silent\n", 1),
 		"crash wrong kind": strings.Replace(text, "inputs 1,1,1\n", "inputs 1,1,1\ncrash 1 at-op 2\n", 1),
+		// Spellings strconv reads but Encode never writes.
+		"ell leading zero":   strings.Replace(text, "protocol floodmin", "protocol c ell=02", 1),
+		"crash leading zero": strings.Replace(text, "inputs 1,1,1\n", "inputs 1,1,1\ncrash 1 at-event 07\n", 1),
+		"repeated k":         strings.Replace(text, "k 1\n", "k 1\nk 1\n", 1),
+		"unknown line":       strings.Replace(text, "inputs 1,1,1\n", "inputs 1,1,1\nfoo bar\n", 1),
+		"crlf":               strings.ReplaceAll(text, "\n", "\r\n"),
+	}
+	for _, r := range respellings {
+		cases[strings.TrimSpace(r[1])] = strings.Replace(text, r[0], r[1], 1)
 	}
 	for name, in := range cases {
+		if in == text {
+			t.Fatalf("%s: the case does not change the artifact", name)
+		}
 		if _, err := Decode([]byte(in)); err == nil {
 			t.Errorf("%s: Decode accepted malformed input", name)
 		}
+	}
+	// The same content spelled as Encode writes it decodes, so the rows
+	// above fail on their spelling alone.
+	for _, in := range []string{
+		strings.Replace(text, "protocol floodmin", "protocol c ell=2", 1),
+		strings.Replace(text, "inputs 1,1,1\n", "inputs 1,1,1\ncrash 1 at-event 7\n", 1),
+	} {
+		if _, err := Decode([]byte(in)); err != nil {
+			t.Errorf("Decode rejected a canonical artifact: %v\n%s", err, in)
+		}
+	}
+	// The error names the first line that differs and its canonical form.
+	_, err = Decode([]byte(strings.Replace(text, "\nn 3\n", "\nn 03\n", 1)))
+	if want := `line 4 is "n 03", canonical "n 3"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Decode error %v, want it to contain %s", err, want)
 	}
 }
 
