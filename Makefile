@@ -31,7 +31,7 @@ lint:
 # Non-test Go lines outside bench/: the yardstick a removal PR quotes before
 # and after in CHANGES.md.
 loc:
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs wc -l | tail -1
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v _test.go | grep -v '^bench/' | xargs wc -l | tail -1
 
 test:
 	$(GO) test ./...

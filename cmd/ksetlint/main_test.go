@@ -222,6 +222,36 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestTypeErrorIsLoadError: a module that does not type-check is not
+// linted at all. ksetlint exits 2 with the load error, naming the package
+// and the position, and prints no findings, not even the time.Now one in
+// this audited package.
+func TestTypeErrorIsLoadError(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":                "module kset\n\ngo 1.22\n",
+		"internal/mpnet/bad.go": "package mpnet\n\nimport \"time\"\n\nvar x int = \"s\"\n\nvar t0 = time.Now()\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out, errs strings.Builder
+	if code := run([]string{"-C", root}, &out, &errs); code != 2 {
+		t.Errorf("exit = %d, want 2", code)
+	}
+	if !strings.Contains(errs.String(), "package kset/internal/mpnet") || !strings.Contains(errs.String(), "bad.go:5:13") {
+		t.Errorf("stderr should name the package and position, got %q", errs.String())
+	}
+	if out.String() != "" {
+		t.Errorf("a load error should print no findings, got:\n%s", out.String())
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var out, errs strings.Builder
 	if code := run([]string{"stray-arg"}, &out, &errs); code != 2 {

@@ -204,6 +204,8 @@ func (a *instanceAPI) Rand() *prng.Source {
 // Send transmits p to process `to`. A self-send is queued locally and
 // delivered after the current handler returns, exactly as in mpnet: a
 // process hears itself without network delay and without handler reentry.
+// A send to an id outside 0..n-1 is a protocol bug; it is dropped with a
+// warning.
 func (a *instanceAPI) Send(to types.ProcessID, p types.Payload) {
 	in := a.in
 	if to == in.node.cfg.ID {
@@ -211,6 +213,8 @@ func (a *instanceAPI) Send(to types.ProcessID, p types.Payload) {
 		return
 	}
 	if int(to) < 0 || int(to) >= in.node.cfg.N {
+		in.node.log.Warn("send to an id outside 0..n-1",
+			obs.F("instance", in.id), obs.F("to", int(to)), obs.F("n", in.node.cfg.N))
 		return
 	}
 	if l := in.node.links[to]; l != nil {

@@ -74,6 +74,30 @@ func unservedNode(t testing.TB) *Node {
 	return n
 }
 
+// TestSendOutOfRangeWarns: a protocol's send to an id outside 0..n-1 is
+// dropped, and the node says so in one warn line.
+func TestSendOutOfRangeWarns(t *testing.T) {
+	var logged syncBuffer
+	n, err := NewNode(Config{
+		ID: 0, N: 2, K: 1, T: 0,
+		Peers: []string{"127.0.0.1:1", "127.0.0.1:1"},
+		Log:   obs.NewLogger(&logged, obs.LevelWarn),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	in, err := newInstance(n, 7, 1, 0, theory.ProtoTrivial, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.api.Send(2, types.Payload{Kind: types.KindInput, Value: 1})
+	want := `event="send to an id outside 0..n-1" node=p1 instance=7 to=2 n=2`
+	if got := logged.String(); !strings.Contains(got, want) || strings.Count(got, "\n") != 1 {
+		t.Errorf("log %q, want the one line %q", got, want)
+	}
+}
+
 // plantConn installs a hand-wired connection on the link, bypassing the dial
 // path. The one-byte bufio buffer makes every frame write hit the conn
 // immediately, so a write failure surfaces mid-flush rather than at the

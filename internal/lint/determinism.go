@@ -57,7 +57,6 @@ func (*Determinism) Check(pkg *Package) []Finding {
 		out = append(out, Finding{Pos: pkg.Fset.Position(pos), Rule: rule, Msg: msg})
 	}
 	for _, file := range pkg.Files {
-		names := importNames(file)
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -85,17 +84,15 @@ func (*Determinism) Check(pkg *Package) []Finding {
 			case *ast.ChanType:
 				report(n.Pos(), "determinism.chan", "channel type in simulation code")
 			case *ast.RangeStmt:
-				if t := typeOf(pkg, n.X); t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						report(n.For, "determinism.chan", "range over channel in simulation code")
-					}
+				if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Chan); ok {
+					report(n.For, "determinism.chan", "range over channel in simulation code")
 				}
 			case *ast.CallExpr:
 				if builtinName(pkg, n) == "close" {
 					report(n.Pos(), "determinism.chan", "channel close in simulation code")
 				}
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					if pkgOfSelector(pkg, names, sel) == "time" && timeFuncs[sel.Sel.Name] {
+					if pkgOfSelector(pkg, sel) == "time" && timeFuncs[sel.Sel.Name] {
 						report(n.Pos(), "determinism.time",
 							fmt.Sprintf("time.%s: wall-clock dependence makes runs unreproducible", sel.Sel.Name))
 					}

@@ -19,12 +19,8 @@ import (
 // The sanctioned way to discard an error deliberately is a visible blank
 // assignment (`_ = c.Close()`), which documents the decision and is not
 // flagged; `defer c.Close()` teardown is likewise permitted. Calls whose
-// signature provably does not return an error are ignored, as are the
-// infallible buffer writers (strings.Builder, bytes.Buffer). When type
-// information is unavailable the analyzer flags only the distinctive names
-// that always return an error in this codebase (deadline setters, Flush,
-// WriteMsg/ReadMsg, WritePrometheus) — missing type info is treated as
-// unknown, never as proof.
+// signature does not return an error are ignored, as are the infallible
+// buffer writers (strings.Builder, bytes.Buffer).
 type ErrFlow struct{}
 
 // NewErrFlow returns the errflow analyzer.
@@ -51,15 +47,6 @@ var ioCallNames = map[string]bool{
 	"WritePrometheus": true,
 }
 
-// assumeErrorNames are flagged even without resolved type information: in
-// this codebase (and the standard library) these names always return an
-// error, so the unknown-type fallback stays useful inside the daemons where
-// stub imports can degrade resolution.
-var assumeErrorNames = map[string]bool{
-	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
-	"Flush": true, "WriteMsg": true, "ReadMsg": true, "WritePrometheus": true,
-}
-
 // Check implements Analyzer.
 func (*ErrFlow) Check(pkg *Package) []Finding {
 	var out []Finding
@@ -77,14 +64,8 @@ func (*ErrFlow) Check(pkg *Package) []Finding {
 			if !ok {
 				return true
 			}
-			name := sel.Sel.Name
-			if !ioCallNames[name] {
-				return true
-			}
-			if isInfallibleBuffer(pkg, sel.X) {
-				return true
-			}
-			if !callReturnsError(pkg, call, name) {
+			if !ioCallNames[sel.Sel.Name] || isInfallibleBuffer(pkg, sel.X) ||
+				!lastResultIsError(pkg.Info.TypeOf(call)) {
 				return true
 			}
 			out = append(out, Finding{
@@ -97,15 +78,6 @@ func (*ErrFlow) Check(pkg *Package) []Finding {
 		})
 	}
 	return out
-}
-
-// callReturnsError reports whether the call's last result is the error type.
-// With no type information it falls back to the assume-error name list.
-func callReturnsError(pkg *Package, call *ast.CallExpr, name string) bool {
-	if t := typeOf(pkg, call); t != nil {
-		return lastResultIsError(t)
-	}
-	return assumeErrorNames[name]
 }
 
 // lastResultIsError reports whether t — a call's result type, possibly a
@@ -124,10 +96,7 @@ func lastResultIsError(t types.Type) bool {
 // (possibly behind a pointer): their Write methods are documented to never
 // return a non-nil error, so dropping it carries no signal.
 func isInfallibleBuffer(pkg *Package, e ast.Expr) bool {
-	t := typeOf(pkg, e)
-	if t == nil {
-		return false
-	}
+	t := pkg.Info.TypeOf(e)
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}

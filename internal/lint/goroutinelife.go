@@ -43,18 +43,12 @@ func (*GoroutineLife) Rules() []Rule {
 
 // Check implements Analyzer.
 func (g *GoroutineLife) Check(pkg *Package) []Finding {
-	byObj := make(map[types.Object]*ast.FuncDecl)
-	byName := make(map[string][]*ast.FuncDecl)
+	bodies := make(map[types.Object]*ast.BlockStmt)
 	for _, file := range pkg.Files {
 		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				bodies[pkg.Info.Defs[fd.Name]] = fd.Body
 			}
-			if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-				byObj[obj] = fd
-			}
-			byName[fd.Name.Name] = append(byName[fd.Name.Name], fd)
 		}
 	}
 
@@ -69,9 +63,9 @@ func (g *GoroutineLife) Check(pkg *Package) []Finding {
 				return true
 			}
 			target := types.ExprString(gs.Call.Fun)
-			body, resolved := goTargetBody(pkg, byObj, byName, gs.Call)
+			body := goTargetBody(pkg, bodies, gs.Call)
 			switch {
-			case !resolved:
+			case body == nil:
 				report(gs.Pos(), "goroutinelife.opaque",
 					"go "+target+": target body is outside this package; prove its shutdown path or carry an allow directive")
 			case !hasShutdownEvidence(body):
@@ -86,42 +80,18 @@ func (g *GoroutineLife) Check(pkg *Package) []Finding {
 
 // goTargetBody resolves the body a go statement will run: a function
 // literal's own body, or the declaration of a same-package function or
-// method. Resolution prefers type information and falls back to matching by
-// name (accepting if any same-named declaration carries evidence, since the
-// fallback cannot distinguish receivers).
-func goTargetBody(pkg *Package, byObj map[types.Object]*ast.FuncDecl, byName map[string][]*ast.FuncDecl, call *ast.CallExpr) (*ast.BlockStmt, bool) {
+// method. It is nil when the target is declared elsewhere (another package,
+// an interface method) or is a function value.
+func goTargetBody(pkg *Package, bodies map[types.Object]*ast.BlockStmt, call *ast.CallExpr) *ast.BlockStmt {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
-		return fun.Body, true
+		return fun.Body
 	case *ast.Ident:
-		return declBody(pkg, byObj, byName, fun, fun.Name)
+		return bodies[pkg.Info.Uses[fun]]
 	case *ast.SelectorExpr:
-		return declBody(pkg, byObj, byName, fun.Sel, fun.Sel.Name)
+		return bodies[pkg.Info.Uses[fun.Sel]]
 	}
-	return nil, false
-}
-
-func declBody(pkg *Package, byObj map[types.Object]*ast.FuncDecl, byName map[string][]*ast.FuncDecl, id *ast.Ident, name string) (*ast.BlockStmt, bool) {
-	if obj := pkg.Info.Uses[id]; obj != nil {
-		if fd, ok := byObj[obj]; ok {
-			return fd.Body, true
-		}
-		// Resolved to something declared elsewhere (another package, an
-		// interface method): nothing to inspect.
-		if _, isFunc := obj.(*types.Func); isFunc {
-			return nil, false
-		}
-	}
-	// No type info: accept the name's candidates if any carries evidence.
-	for _, fd := range byName[name] {
-		if hasShutdownEvidence(fd.Body) {
-			return fd.Body, true
-		}
-	}
-	if cands := byName[name]; len(cands) > 0 {
-		return cands[0].Body, true
-	}
-	return nil, false
+	return nil
 }
 
 // hasShutdownEvidence reports whether a goroutine body contains a visible
@@ -129,9 +99,6 @@ func declBody(pkg *Package, byObj map[types.Object]*ast.FuncDecl, byName map[str
 // their own goroutines (or later), so their evidence does not terminate this
 // one.
 func hasShutdownEvidence(body *ast.BlockStmt) bool {
-	if body == nil {
-		return false
-	}
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {

@@ -11,7 +11,8 @@ import (
 
 // loadFixture parses and type-checks one or more fixture files as a single
 // package with the given import path. Standard-library imports resolve from
-// toolchain source; anything else degrades to a stub, exactly as in Load.
+// toolchain source; a type error or any other import fails the test, as it
+// fails Load.
 func loadFixture(t *testing.T, importPath string, files ...string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -19,7 +20,9 @@ func loadFixture(t *testing.T, importPath string, files ...string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newChecker(fset, map[string]*Package{importPath: pkg}).check(pkg)
+	if err := newChecker(fset, map[string]*Package{importPath: pkg}).check(pkg); err != nil {
+		t.Fatal(err)
+	}
 	return pkg
 }
 
@@ -153,10 +156,10 @@ func TestMapOrder(t *testing.T) {
 	checkFixture(t, NewMapOrder(), "kset/internal/fixture", "fixture.go")
 }
 
+// TestPrngFlow loads its fixture as kset/internal/prng itself, so the
+// fixture's New, MixSeed and Source are the blessed generator's.
 func TestPrngFlow(t *testing.T) {
-	a := NewPrngFlow()
-	a.PrngPath = "kset/internal/fixture"
-	checkFixture(t, a, "kset/internal/fixture", "fixture.go")
+	checkFixture(t, NewPrngFlow(), "kset/internal/prng", "fixture.go")
 }
 
 func TestLockDiscipline(t *testing.T) {

@@ -208,10 +208,8 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt, held heldSet) heldSet {
 		return mergeHeld(held, body)
 	case *ast.RangeStmt:
 		w.checkBlocking(s.X, held)
-		if t := typeOf(w.pkg, s.X); t != nil && len(held) > 0 {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				w.reportBlocking(s.Pos(), "range over channel", held)
-			}
+		if _, isChan := w.pkg.Info.TypeOf(s.X).Underlying().(*types.Chan); isChan && len(held) > 0 {
+			w.reportBlocking(s.Pos(), "range over channel", held)
 		}
 		body := w.walkStmts(s.Body.List, held.clone())
 		return mergeHeld(held, body)

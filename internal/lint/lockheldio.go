@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // LockHeldIO is the path-sensitive extension of the lockdiscipline engine
 // for the live stack: it reuses the same held-set simulation but flags
@@ -73,19 +70,13 @@ func isBlockingIOCall(pkg *Package, sel *ast.SelectorExpr) bool {
 	if isInfallibleBuffer(pkg, sel.X) {
 		return false
 	}
-	// Package-qualified calls: only the IO-bearing packages count, so a
-	// local helper package exporting a same-named pure function stays quiet.
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if obj := pkg.Info.Uses[id]; obj != nil {
-			if pn, ok := obj.(*types.PkgName); ok {
-				switch pn.Imported().Path() {
-				case "time", "net", "io", "os":
-					return true
-				default:
-					return InScope(pn.Imported().Path(), []string{"kset/internal/cluster", "kset/internal/wire"})
-				}
-			}
-		}
+	// A method call counts; of package-qualified calls only the IO-bearing
+	// packages do, so a local helper package exporting a same-named pure
+	// function stays quiet.
+	switch path := pkgOfSelector(pkg, sel); path {
+	case "", "time", "net", "io", "os":
+		return true
+	default:
+		return InScope(path, []string{"kset/internal/cluster", "kset/internal/wire"})
 	}
-	return true
 }

@@ -45,11 +45,7 @@ func (*MapOrder) Check(pkg *Package) []Finding {
 			if !ok {
 				return true
 			}
-			t := typeOf(pkg, rng.X)
-			if t == nil {
-				return true // unresolved: cannot be a map declared in-module
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
+			if _, isMap := pkg.Info.TypeOf(rng.X).Underlying().(*types.Map); !isMap {
 				return true
 			}
 			if effect := firstEffect(pkg, rng.Body); effect != "" {

@@ -20,14 +20,13 @@ import (
 //     prior deterministic draws — never from clocks, counters, or ambient
 //     state. Arguments of sanctioned calls stay under audit, so entropy
 //     cannot hide inside a MixSeed argument.
-type PrngFlow struct {
-	// PrngPath is the import path of the blessed generator package.
-	// Tests point it at fixture packages.
-	PrngPath string
-}
+type PrngFlow struct{}
 
-// NewPrngFlow returns the prngflow analyzer for kset/internal/prng.
-func NewPrngFlow() *PrngFlow { return &PrngFlow{PrngPath: "kset/internal/prng"} }
+// prngPath is the import path of the blessed generator package.
+const prngPath = "kset/internal/prng"
+
+// NewPrngFlow returns the prngflow analyzer.
+func NewPrngFlow() *PrngFlow { return &PrngFlow{} }
 
 // Name implements Analyzer.
 func (*PrngFlow) Name() string { return "prngflow" }
@@ -50,10 +49,9 @@ var forbiddenEntropy = map[string]string{
 // Check implements Analyzer. The generator package itself is the one place
 // entropy is defined; it stays out of the audit via the scope list, not
 // here, so fixtures can play both roles.
-func (p *PrngFlow) Check(pkg *Package) []Finding {
+func (*PrngFlow) Check(pkg *Package) []Finding {
 	var out []Finding
 	for _, file := range pkg.Files {
-		names := importNames(file)
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -69,10 +67,10 @@ func (p *PrngFlow) Check(pkg *Package) []Finding {
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !p.isPrngNew(pkg, names, call) || len(call.Args) != 1 {
+			if !ok || !isPrngNew(pkg, call) || len(call.Args) != 1 {
 				return true
 			}
-			if bad := p.badSeedCall(pkg, names, call.Args[0]); bad != nil {
+			if bad := badSeedCall(pkg, call.Args[0]); bad != nil {
 				out = append(out, Finding{
 					Pos:  pkg.Fset.Position(bad.Pos()),
 					Rule: "prngflow.seed",
@@ -86,39 +84,27 @@ func (p *PrngFlow) Check(pkg *Package) []Finding {
 	return out
 }
 
-// isPrngNew reports whether call invokes New from the blessed package,
-// whether qualified (prng.New(...)) or direct (fixtures compile the
-// analyzer's target package themselves).
-func (p *PrngFlow) isPrngNew(pkg *Package, names map[string]string, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "New" && pkgOfSelector(pkg, names, fun) == p.PrngPath
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return fn.Name() == "New" && fn.Pkg() != nil && fn.Pkg().Path() == p.PrngPath
-		}
-	}
-	return false
+// isPrngNew reports whether call invokes the blessed package's New,
+// qualified (prng.New(...)) or direct (the fixture is the package itself).
+func isPrngNew(pkg *Package, call *ast.CallExpr) bool {
+	fn := callee(pkg, call)
+	return inPrng(fn) && fn.Name() == "New" && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // badSeedCall returns the first call inside the seed expression that is not
 // a type conversion and not a call into the blessed package (a function
 // like MixSeed, or a method on a prng.Source), or nil if the seed is clean.
 // Sanctioned calls do not stop the walk: their arguments are audited too.
-func (p *PrngFlow) badSeedCall(pkg *Package, names map[string]string, seed ast.Expr) *ast.CallExpr {
+// The package is the audited definition of determinism, so calls into it
+// are clean seed components.
+func badSeedCall(pkg *Package, seed ast.Expr) *ast.CallExpr {
 	var bad *ast.CallExpr
 	ast.Inspect(seed, func(n ast.Node) bool {
 		if bad != nil {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isTypeConversion(pkg, call) {
-			return true
-		}
-		if p.prngCall(pkg, names, call) {
+		if !ok || isTypeConversion(pkg, call) || inPrng(callee(pkg, call)) {
 			return true
 		}
 		bad = call
@@ -127,22 +113,8 @@ func (p *PrngFlow) badSeedCall(pkg *Package, names map[string]string, seed ast.E
 	return bad
 }
 
-// prngCall reports whether call invokes the blessed package itself: a
-// package-level function (prng.MixSeed — the sanctioned seed mixer) or a
-// method on one of its types (rng.Uint64(): deterministic re-seeding). The
-// package is the audited definition of determinism, so calls into it are
-// clean seed components.
-func (p *PrngFlow) prngCall(pkg *Package, names map[string]string, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if pkgOfSelector(pkg, names, fun) == p.PrngPath {
-			return true
-		}
-		return namedPkgPath(typeOf(pkg, fun.X)) == p.PrngPath
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return fn.Pkg() != nil && fn.Pkg().Path() == p.PrngPath
-		}
-	}
-	return false
+// inPrng reports whether fn is a function or method declared in the blessed
+// package.
+func inPrng(fn *types.Func) bool {
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == prngPath
 }

@@ -1,6 +1,6 @@
-// Package fixture exercises the prngflow analyzer. The test points the
-// analyzer's PrngPath at this package, so the local Source/New stand in for
-// kset/internal/prng.
+// Package fixture exercises the prngflow analyzer. The test loads it under
+// the import path kset/internal/prng, so the local Source/New are the
+// blessed generator's.
 package fixture
 
 import (

@@ -3,77 +3,42 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 )
 
-// importNames maps the local name of each import in file to its path:
-// {"prng": "kset/internal/prng", ...}. Dot and blank imports are skipped
-// (the analyzers treat a dot import of a forbidden package as the import
-// finding alone).
-func importNames(file *ast.File) map[string]string {
-	names := make(map[string]string)
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := pathBase(path)
-		if imp.Name != nil {
-			name = imp.Name.Name
-			if name == "." || name == "_" {
-				continue
-			}
-		}
-		names[name] = path
-	}
-	return names
-}
-
-func pathBase(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
-}
-
-// pkgOfSelector resolves a selector like prng.New to the import path of its
-// package qualifier, or "" when the base is not a package name. It prefers
-// type information (which sees through shadowing) and falls back to the
-// file's import table when types did not resolve.
-func pkgOfSelector(pkg *Package, names map[string]string, sel *ast.SelectorExpr) string {
+// pkgOfSelector resolves a selector like time.Now to the import path of its
+// package qualifier, or "" when the base is not a package name (a variable
+// or type that shadows one included).
+func pkgOfSelector(pkg *Package, sel *ast.SelectorExpr) string {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return ""
 	}
-	if obj := pkg.Info.Uses[id]; obj != nil {
-		if pn, ok := obj.(*types.PkgName); ok {
-			return pn.Imported().Path()
-		}
-		return "" // a variable or type shadows the package name
+	if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
+		return pn.Imported().Path()
 	}
-	return names[id.Name]
+	return ""
+}
+
+// callee returns the function or method that call invokes by name, or nil
+// for a builtin, a conversion or a call of a function value.
+func callee(pkg *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := pkg.Info.Uses[id].(*types.Func)
+	return fn
 }
 
 // isTypeConversion reports whether call is a type conversion rather than a
-// function call, using type info when available and a builtin-name fallback
-// otherwise.
+// function call.
 func isTypeConversion(pkg *Package, call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	if tv, ok := pkg.Info.Types[fun]; ok {
-		return tv.IsType()
-	}
-	if id, ok := fun.(*ast.Ident); ok {
-		switch id.Name {
-		case "bool", "byte", "rune", "string",
-			"int", "int8", "int16", "int32", "int64",
-			"uint", "uint8", "uint16", "uint32", "uint64", "uintptr",
-			"float32", "float64", "complex64", "complex128":
-			return true
-		}
-	}
-	return false
+	return pkg.Info.Types[ast.Unparen(call.Fun)].IsType()
 }
 
 // builtinName returns the name of the builtin being called ("append",
@@ -83,44 +48,8 @@ func builtinName(pkg *Package, call *ast.CallExpr) string {
 	if !ok {
 		return ""
 	}
-	if obj := pkg.Info.Uses[id]; obj != nil {
-		if b, ok := obj.(*types.Builtin); ok {
-			return b.Name()
-		}
-		return ""
-	}
-	switch id.Name {
-	case "append", "len", "cap", "delete", "close", "copy", "clear",
-		"make", "new", "panic", "print", "println", "min", "max":
-		return id.Name
+	if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
 	}
 	return ""
-}
-
-// typeOf returns the resolved type of e, or nil when type-checking could
-// not determine it.
-func typeOf(pkg *Package, e ast.Expr) types.Type {
-	if tv, ok := pkg.Info.Types[e]; ok && tv.Type != nil {
-		if _, invalid := tv.Type.(*types.Basic); invalid && tv.Type.(*types.Basic).Kind() == types.Invalid {
-			return nil
-		}
-		return tv.Type
-	}
-	return nil
-}
-
-// namedPkgPath returns the package path of the (possibly pointer-wrapped)
-// named type of t, or "".
-func namedPkgPath(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path()
 }

@@ -209,6 +209,9 @@ func validate(cfg *Config) error {
 	if cfg.T < 0 || cfg.K <= 0 {
 		return fmt.Errorf("%w: t=%d k=%d", ErrBadConfig, cfg.T, cfg.K)
 	}
+	if cfg.MaxEvents < 0 {
+		return fmt.Errorf("%w: MaxEvents=%d", ErrBadConfig, cfg.MaxEvents)
+	}
 	if cfg.NewProtocol == nil {
 		return fmt.Errorf("%w: NewProtocol is nil", ErrBadConfig)
 	}
@@ -216,10 +219,10 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("%w: %d Byzantine processes exceed t=%d",
 			ErrFaultBudget, len(cfg.Byzantine), cfg.T)
 	}
-	if bad, found := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, _ Protocol) bool {
-		return int(id) < 0 || int(id) >= cfg.N
+	if bad, found := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, strat Protocol) bool {
+		return int(id) < 0 || int(id) >= cfg.N || strat == nil
 	}); found {
-		return fmt.Errorf("%w: Byzantine id %d out of range", ErrBadConfig, bad)
+		return fmt.Errorf("%w: Byzantine id %d out of range or without a strategy", ErrBadConfig, bad)
 	}
 	return nil
 }

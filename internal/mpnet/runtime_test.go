@@ -2,6 +2,7 @@ package mpnet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"kset/internal/prng"
@@ -196,6 +197,30 @@ func TestDoubleDecideIsAnError(t *testing.T) {
 	}
 }
 
+// outOfRange sends to each of -1 and n, ids no process has.
+type outOfRange struct{ n int }
+
+func (o outOfRange) Start(api API) {
+	api.Send(-1, types.Payload{})
+	api.Send(types.ProcessID(o.n), types.Payload{})
+}
+func (outOfRange) Deliver(API, types.ProcessID, types.Payload) {}
+
+func TestBadDestinationIsAnError(t *testing.T) {
+	_, err := Run(Config{
+		N: 3, T: 0, K: 1,
+		Inputs:      inputs(1, 2, 3),
+		NewProtocol: func(types.ProcessID) Protocol { return outOfRange{n: 3} },
+		Seed:        1,
+	})
+	if !errors.Is(err, ErrBadDestination) {
+		t.Fatalf("err = %v, want ErrBadDestination", err)
+	}
+	if !strings.Contains(err.Error(), "sent to -1") {
+		t.Errorf("err = %v, want the first bad send named", err)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	newProto := func(types.ProcessID) Protocol { return doubleDecider{} }
 	cases := []struct {
@@ -211,6 +236,11 @@ func TestConfigValidation(t *testing.T) {
 			N: 2, T: 0, K: 1, Inputs: inputs(1, 2), NewProtocol: newProto,
 			Byzantine: map[types.ProcessID]Protocol{0: doubleDecider{}},
 		}, ErrFaultBudget},
+		{"negative MaxEvents", Config{N: 1, K: 1, Inputs: inputs(1), NewProtocol: newProto, MaxEvents: -1}, ErrBadConfig},
+		{"nil Byzantine strategy", Config{
+			N: 2, T: 1, K: 1, Inputs: inputs(1, 2), NewProtocol: newProto,
+			Byzantine: map[types.ProcessID]Protocol{1: nil},
+		}, ErrBadConfig},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"fmt"
 	"strconv"
 
 	"kset/internal/mpnet"
@@ -84,10 +85,16 @@ func (a *simAPI) Decide(v types.Value) {
 	a.sm.Decide(v)
 }
 
+// Send queues p for process to. A send to an id outside 0..n-1 is a bug in
+// the simulated protocol; it panics here, naming the sender, rather than
+// when the outbox is flushed.
 func (a *simAPI) Send(to types.ProcessID, p types.Payload) {
 	if to == a.sm.ID() {
 		a.selfQueue = append(a.selfQueue, p)
 		return
+	}
+	if n := a.sm.N(); int(to) < 0 || int(to) >= n {
+		panic(fmt.Sprintf("sm: SIMULATION: %s sent to id %d, outside 0..%d for n=%d", a.sm.ID(), to, n-1, n))
 	}
 	a.outbox = append(a.outbox, outMsg{to: to, payload: p})
 }

@@ -226,6 +226,38 @@ func TestSimulationPointToPoint(t *testing.T) {
 	}
 }
 
+// strayer is a protocol whose process 1 sends to id n, which no process
+// has; the others wait.
+type strayer struct{}
+
+func (strayer) Start(api mpnet.API) {
+	if api.ID() == 1 {
+		api.Send(types.ProcessID(api.N()), types.Payload{Kind: types.KindInput, Value: api.Input()})
+	}
+}
+func (strayer) Deliver(mpnet.API, types.ProcessID, types.Payload) {}
+
+// TestSimulationSendOutOfRange: a send to an id outside 0..n-1 panics at
+// the send, and the panic that reaches Run's caller names the sender, the
+// id and n.
+func TestSimulationSendOutOfRange(t *testing.T) {
+	const n = 3
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		_, _ = smmem.Run(smmem.Config{
+			N: n, T: 0, K: 1,
+			Inputs:      []types.Value{1, 2, 3},
+			NewProtocol: func(types.ProcessID) smmem.Protocol { return NewSimulation(strayer{}) },
+			Seed:        1,
+		})
+	}()
+	msg, _ := r.(string)
+	if want := "sm: SIMULATION: p2 sent to id 3, outside 0..2 for n=3"; msg != want {
+		t.Errorf("Run's caller recovered %v, want %q", r, want)
+	}
+}
+
 // p2pSummer sends its input individually to each peer and decides the sum of
 // everything received (its own input included).
 type p2pSummer struct {
