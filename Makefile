@@ -129,7 +129,9 @@ regen-corpus:
 # handlers and visitors (writes included), schedules and crashes: record,
 # Recorder and Trace streams equal.
 # FuzzWindowMatchesOracle checks the cluster's window (peer dedup and the
-# shards' id windows) against a map-plus-watermark oracle.
+# shards' id windows) against a map-plus-watermark oracle. FuzzClassify
+# checks the classifier up to n = 200: total, and no cell left open that
+# one step of the paper's carry rules decides from another cell.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzTraceDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace/
@@ -139,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzPollMatchesReadLoop -fuzztime 10s ./internal/smmem/
 	$(GO) test -run XXX -fuzz FuzzScanMatchesReadLoop -fuzztime 10s ./internal/smmem/
 	$(GO) test -run XXX -fuzz FuzzWindowMatchesOracle -fuzztime 10s ./internal/cluster/
+	$(GO) test -run XXX -fuzz FuzzClassify -fuzztime 10s ./internal/theory/
 
 # Loopback 5-node TCP cluster under -race: concurrent FloodMin and
 # Protocol A instances over an adversarial transport, one crashed node, one

@@ -10,8 +10,8 @@
 //	ksetreport -n 16 -runs 32 -samples 4 > report.md
 //	ksetreport -workers 8           # fan sweeps across 8 workers
 //
-// The report is byte-identical for any -workers value (only the wall-clock
-// banner differs): jobs are planned and rendered in canonical order.
+// The report is byte-identical for any -workers value: jobs are planned and
+// rendered in canonical order.
 package main
 
 import (

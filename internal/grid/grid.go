@@ -178,15 +178,13 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, m := range s.Models {
-		switch m {
-		case types.MPCR, types.MPByz, types.SMCR, types.SMByz:
-		default:
-			return fmt.Errorf("grid: %w: %v", types.ErrUnknownModel, m)
+		if err := types.CheckModel(m); err != nil {
+			return fmt.Errorf("grid: %w", err)
 		}
 	}
 	for _, v := range s.Validities {
-		if v < types.SV1 || v > types.WV2 {
-			return fmt.Errorf("grid: %w: %d", types.ErrUnknownValidity, v)
+		if err := types.CheckValidity(v); err != nil {
+			return fmt.Errorf("grid: %w", err)
 		}
 	}
 	for _, p := range s.Plans {

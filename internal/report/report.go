@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/checker"
@@ -60,7 +59,6 @@ func (c *Config) defaults() {
 func Run(w io.Writer, cfg Config) error {
 	cfg.defaults()
 	exec := grid.FanOut(cfg.Workers)
-	start := time.Now() //ksetlint:allow determinism.time wall-clock banner only; no result depends on it
 	fmt.Fprintf(w, "# k-set consensus reproduction report\n\n")
 	fmt.Fprintf(w, "Parameters: sweeps at n=%d (%d runs x %d cells per panel), region tables at n=%d, seed %d.\n\n",
 		cfg.N, cfg.Runs, cfg.Samples, cfg.GridN, cfg.Seed)
@@ -79,9 +77,6 @@ func Run(w io.Writer, cfg Config) error {
 	writeExhaustive(w, exec)
 	writeGapProbes(w, exec)
 	writeLatency(w, cfg, exec)
-
-	//ksetlint:allow determinism.time wall-clock banner only; no result depends on it
-	fmt.Fprintf(w, "\nGenerated in %v.\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

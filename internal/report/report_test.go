@@ -6,17 +6,8 @@ import (
 	"testing"
 )
 
-// withoutBanner drops the final wall-clock line, the one part of a report
-// that differs from run to run.
-func withoutBanner(report string) string {
-	if i := strings.LastIndex(report, "\nGenerated in "); i >= 0 {
-		return report[:i]
-	}
-	return report
-}
-
 // TestReportMatchesCheckedIn regenerates docs/report.md with what `make
-// report` runs and requires the checked-in file, banner aside: a change that
+// report` runs and requires the checked-in file byte for byte: a change that
 // moves any figure of the report has to regenerate it.
 func TestReportMatchesCheckedIn(t *testing.T) {
 	if testing.Short() {
@@ -30,7 +21,7 @@ func TestReportMatchesCheckedIn(t *testing.T) {
 	if err := Run(&b, Config{N: 12, Runs: 16, Samples: 3, Seed: 1, GridN: 64}); err != nil {
 		t.Fatal(err)
 	}
-	if got := withoutBanner(b.String()); got != withoutBanner(string(want)) {
+	if got := b.String(); got != string(want) {
 		t.Errorf("docs/report.md is stale: regenerate it with `make report`\n--- generated ---\n%s", got)
 	}
 }
@@ -78,14 +69,13 @@ func TestReportEndToEnd(t *testing.T) {
 
 // TestWorkersDeterminism checks the parallel-report guarantee: the rendered
 // report is byte-identical whether jobs run serially or across 8 workers.
-// Only the wall-clock banner on the final line may differ.
 func TestWorkersDeterminism(t *testing.T) {
 	reportFor := func(workers int) string {
 		var b strings.Builder
 		if err := Run(&b, Config{N: 6, Runs: 4, Samples: 1, Seed: 3, GridN: 10, Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return withoutBanner(b.String())
+		return b.String()
 	}
 	serial := reportFor(1)
 	parallel := reportFor(8)

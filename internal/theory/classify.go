@@ -2,6 +2,7 @@ package theory
 
 import (
 	"fmt"
+	"strings"
 
 	"kset/internal/types"
 )
@@ -35,7 +36,8 @@ func (s Status) String() string {
 type Result struct {
 	Status Status
 	// Lemma cites the paper result that establishes the status
-	// ("Lemma 3.7", "Lemmas 3.12/3.13", ...). Empty for open points.
+	// ("Lemma 3.7", "Lemma 3.11 (via RV2 weaker than SV2)", ...). Empty for
+	// open points.
 	Lemma string
 	// Protocol names the protocol witnessing solvability (empty otherwise),
 	// e.g. "Protocol C(2) via SIMULATION".
@@ -48,18 +50,6 @@ type Result struct {
 	// carried to shared memory by the SIMULATION transformation.
 	ViaSimulation bool
 }
-
-func solvable(lemma, protocol string) Result {
-	return Result{Status: Solvable, Lemma: lemma, Protocol: protocol}
-}
-
-// withProto attaches the structured witness identity to a solvable result.
-func (r Result) withProto(p ProtocolID, ell int, viaSim bool) Result {
-	r.Proto, r.EchoEll, r.ViaSimulation = p, ell, viaSim
-	return r
-}
-
-func impossible(lemma string) Result { return Result{Status: Impossible, Lemma: lemma} }
 
 var open = Result{Status: Open}
 
@@ -107,6 +97,163 @@ func (e *echoEll) get() int {
 	return e.l
 }
 
+// lemma is one result of the paper: proto solves SC(k, t, validity) in
+// model wherever region holds (viaSim: an MP protocol run by SIMULATION),
+// or, when proto is ProtoNone, the problem is impossible there. Protocol C's
+// rows have no region function: theirs is Lemma 3.15's for the smallest
+// feasible l, found by the memoized BestEchoEll scan.
+type lemma struct {
+	model    types.Model
+	validity types.Validity
+	id       string
+	proto    ProtocolID
+	viaSim   bool
+	region   func(n, k, t int) bool
+}
+
+func always(_, _, _ int) bool          { return true }
+func floodMinRegion(_, k, t int) bool  { return FloodMinRegion(k, t) }
+func tAtLeastK(_, k, t int) bool       { return !FloodMinRegion(k, t) }
+func protocolFRegion(_, k, t int) bool { return ProtocolFRegion(k, t) }
+
+// lemmas lists the paper's results: 15 protocols, then 14 impossibilities
+// in lemma order. The protocols' order is the classifier's preference among
+// witnesses whose regions overlap: within a model, a protocol run directly
+// before one run by SIMULATION, and the paper's own protocols by letter
+// before FloodMin.
+var lemmas = []lemma{
+	{types.MPCR, types.RV2, "Lemma 3.7", ProtoA, false, ProtocolARegion},
+	{types.MPCR, types.SV2, "Lemma 3.8", ProtoB, false, ProtocolBRegion},
+	{types.MPCR, types.RV1, "Lemma 3.1", ProtoFloodMin, false, floodMinRegion},
+	{types.MPByz, types.WV2, "Lemma 3.12", ProtoA, false, func(n, k, t int) bool {
+		return 2*t < n && ProtocolAByzWV2Region(n, k, t)
+	}},
+	{types.MPByz, types.WV2, "Lemma 3.13", ProtoA, false, func(n, k, t int) bool {
+		return 2*t >= n && ProtocolAByzWV2Region(n, k, t)
+	}},
+	{types.MPByz, types.SV2, "Lemma 3.15", ProtoC, false, nil},
+	{types.MPByz, types.WV1, "Lemma 3.16", ProtoD, false, ProtocolDRegion},
+	{types.SMCR, types.RV2, "Lemma 4.5", ProtoE, false, always},
+	{types.SMCR, types.SV2, "Lemma 4.7", ProtoF, false, protocolFRegion},
+	{types.SMCR, types.SV2, "Lemma 4.6", ProtoB, true, ProtocolBRegion},
+	{types.SMCR, types.RV1, "Lemma 4.4", ProtoFloodMin, true, floodMinRegion},
+	{types.SMByz, types.WV2, "Lemma 4.10", ProtoE, false, always},
+	{types.SMByz, types.SV2, "Lemma 4.12", ProtoF, false, protocolFRegion},
+	{types.SMByz, types.SV2, "Lemma 4.11", ProtoC, true, nil},
+	{types.SMByz, types.WV1, "Lemma 4.13", ProtoD, true, ProtocolDRegion},
+
+	{types.MPCR, types.RV1, "Lemma 3.2", ProtoNone, false, tAtLeastK},
+	{types.MPCR, types.WV2, "Lemma 3.3", ProtoNone, false, Lemma33Impossible},
+	{types.MPCR, types.WV1, "Lemma 3.4", ProtoNone, false, tAtLeastK},
+	{types.MPCR, types.SV1, "Lemma 3.5", ProtoNone, false, always},
+	{types.MPCR, types.SV2, "Lemma 3.6", ProtoNone, false, Lemma36Impossible},
+	{types.MPByz, types.WV2, "Lemma 3.9", ProtoNone, false, Lemma39Impossible},
+	{types.MPByz, types.RV1, "Lemma 3.10", ProtoNone, false, always},
+	{types.MPByz, types.RV2, "Lemma 3.11", ProtoNone, false, Lemma311Impossible},
+	{types.SMCR, types.RV1, "Lemma 3.2 (holds in both crash models)", ProtoNone, false, tAtLeastK},
+	{types.SMCR, types.WV1, "Lemma 4.1", ProtoNone, false, tAtLeastK},
+	{types.SMCR, types.SV1, "Lemma 4.2", ProtoNone, false, always},
+	{types.SMCR, types.SV2, "Lemma 4.3", ProtoNone, false, Lemma43Impossible},
+	{types.SMByz, types.RV1, "Lemma 4.8", ProtoNone, false, always},
+	{types.SMByz, types.RV2, "Lemma 4.9", ProtoNone, false, Lemma49Impossible},
+}
+
+// impossibilityCarries reports whether an impossibility in model from holds
+// in model to: a crash is a legal Byzantine behaviour. Results stay within
+// one communication model; across them the named SIMULATION rows and the
+// rows each model has of its own already state every result.
+func impossibilityCarries(from, to types.Model) bool {
+	return from.Comm == to.Comm && (from.Failure == to.Failure || from.Failure == types.Crash)
+}
+
+// candidate is one lemma as it applies to one panel: its region and the
+// result it yields there, citation included.
+type candidate struct {
+	region func(n, k, t int) bool
+	result Result
+}
+
+// panels holds each panel's candidates in the order classifyInterior tries
+// them, indexed [Comm][Failure][Validity]; entries outside the paper's four
+// models and six validities stay empty. Built once at init, read-only after.
+var panels = func() (p [3][3][7][]candidate) {
+	for _, m := range types.AllModels() {
+		for _, v := range types.AllValidities() {
+			p[m.Comm][m.Failure][v] = candidates(m, v)
+		}
+	}
+	return p
+}()
+
+// candidates closes the lemma table for one panel under Figure 1 and the
+// crash-to-Byzantine carry, in the order classifyInterior tries them: the
+// model's protocols for v or a stronger validity, then the impossibilities
+// for v, then those for a weaker validity; within each, the model's own rows
+// before carried ones, in table order.
+func candidates(m types.Model, v types.Validity) []candidate {
+	var out []candidate
+	for rank := 0; rank < 5; rank++ {
+		for _, l := range lemmas {
+			if panelRank(l, m, v) == rank {
+				out = append(out, candidate{region: l.region, result: resultIn(l, m, v)})
+			}
+		}
+	}
+	return out
+}
+
+// panelRank places lemma l in panel (m, v)'s order, or returns -1 where l
+// does not reach the panel.
+func panelRank(l lemma, m types.Model, v types.Validity) int {
+	carried := 0
+	if l.model != m {
+		carried = 1
+	}
+	switch {
+	case l.proto != ProtoNone && l.model == m && WeakerOrEqual(v, l.validity):
+		return 0
+	case l.proto == ProtoNone && impossibilityCarries(l.model, m) && l.validity == v:
+		return 1 + carried
+	case l.proto == ProtoNone && impossibilityCarries(l.model, m) && WeakerOrEqual(l.validity, v):
+		return 3 + carried
+	}
+	return -1
+}
+
+// resultIn is the result lemma l yields in panel (m, v), its citation naming
+// the path by which l reaches the panel.
+func resultIn(l lemma, m types.Model, v types.Validity) Result {
+	r := Result{Status: Impossible, Lemma: l.id}
+	rel := "weaker"
+	if l.proto != ProtoNone {
+		r = Result{Status: Solvable, Lemma: l.id, Protocol: l.proto.String(), Proto: l.proto, ViaSimulation: l.viaSim}
+		if l.viaSim {
+			r.Protocol += " via SIMULATION"
+		}
+		rel = "stronger"
+	}
+	var via []string
+	if l.validity != v {
+		via = append(via, fmt.Sprintf("via %v %s than %v", l.validity, rel, v))
+	}
+	if l.model.Failure != m.Failure {
+		via = append(via, "crash impossibility carries to Byzantine")
+	}
+	if len(via) > 0 {
+		r.Lemma += " (" + strings.Join(via, "; ") + ")"
+	}
+	return r
+}
+
+// panelFor returns the candidates of panel (m, v), panicking on a model or
+// validity outside the paper's.
+func panelFor(m types.Model, v types.Validity) []candidate {
+	if types.CheckModel(m) != nil || types.CheckValidity(v) != nil {
+		panic(fmt.Sprintf("theory: Classify called with unknown model %v or validity %v", m, v))
+	}
+	return panels[m.Comm][m.Failure][v]
+}
+
 // Classify labels the point (k, t) of problem SC(k, t, validity) with n
 // processes in the given model, per the paper's Figures 2, 4, 5 and 6, plus
 // the boundary cases the paper settles in Section 2:
@@ -120,45 +267,57 @@ func (e *echoEll) get() int {
 //     nontrivial validity condition in all four models ([17] FLP for
 //     message passing, [24] Loui-Abu-Amara for shared memory).
 //
-// Classify panics on nonsensical parameters (n < 2, k < 1, t < 0) so misuse
-// is caught early.
+// Classify panics on nonsensical parameters (n < 2, k < 1, t < 0) and on a
+// model or validity outside the paper's, so misuse is caught early.
 func Classify(m types.Model, v types.Validity, n, k, t int) Result {
 	if n < 2 || k < 1 || t < 0 {
 		panic(fmt.Sprintf("theory: Classify called with nonsensical parameters: n=%d k=%d t=%d", n, k, t))
 	}
+	cands := panelFor(m, v)
+	sm := m.Comm == types.SharedMemory
 	if k >= n {
-		return solvable("Section 2 (k >= n is trivial)", "Trivial").
-			withProto(ProtoTrivial, 0, m.Comm == types.SharedMemory)
+		return Result{Status: Solvable, Lemma: "Section 2 (k >= n is trivial)", Protocol: "Trivial",
+			Proto: ProtoTrivial, ViaSimulation: sm}
 	}
 	if t == 0 {
-		return solvable("Section 2 (t = 0)", "FloodMin").withProto(ProtoFloodMin, 0, m.Comm == types.SharedMemory)
+		return Result{Status: Solvable, Lemma: "Section 2 (t = 0)", Protocol: "FloodMin",
+			Proto: ProtoFloodMin, ViaSimulation: sm}
 	}
 	if k == 1 {
-		if m.Comm == types.SharedMemory {
-			return impossible("Section 2 (k = 1: consensus, impossible by [24])")
+		if sm {
+			return Result{Status: Impossible, Lemma: "Section 2 (k = 1: consensus, impossible by [24])"}
 		}
-		return impossible("Section 2 (k = 1: consensus, impossible by [17])")
+		return Result{Status: Impossible, Lemma: "Section 2 (k = 1: consensus, impossible by [17])"}
 	}
 	ell := echoEll{n: n, k: k, t: t}
-	return classifyInterior(m, v, n, k, t, &ell)
+	return classifyInterior(cands, n, k, t, &ell)
 }
 
-// classifyInterior handles the non-boundary points 2 <= k <= n-1, t >= 1,
-// with the echo-region scan memoized in ell so figure-wide computations can
-// share it across validities.
-func classifyInterior(m types.Model, v types.Validity, n, k, t int, ell *echoEll) Result {
-	switch m {
-	case types.MPCR:
-		return classifyMPCR(v, n, k, t)
-	case types.MPByz:
-		return classifyMPByz(v, n, k, t, ell)
-	case types.SMCR:
-		return classifySMCR(v, n, k, t)
-	case types.SMByz:
-		return classifySMByz(v, n, k, t, ell)
-	default:
-		panic(fmt.Sprintf("theory: Classify called with unknown model %v", m))
+// classifyInterior handles the non-boundary points 2 <= k <= n-1, t >= 1:
+// the first candidate whose region holds decides the point, with the
+// echo-region scan memoized in ell so figure-wide computations can share it
+// across validities.
+func classifyInterior(cands []candidate, n, k, t int, ell *echoEll) Result {
+	for i := range cands {
+		c := &cands[i]
+		if c.region != nil {
+			if c.region(n, k, t) {
+				return c.result
+			}
+			continue
+		}
+		if l := ell.get(); l > 0 {
+			r := c.result
+			r.EchoEll = l
+			if r.ViaSimulation {
+				r.Protocol = protoCSimName(l)
+			} else {
+				r.Protocol = protoCName(l)
+			}
+			return r
+		}
 	}
+	return open
 }
 
 // classifyAll classifies one interior-or-boundary (k, t) point under every
@@ -177,193 +336,6 @@ func classifyAll(m types.Model, n, k, t int, out []Result) {
 	}
 	ell := echoEll{n: n, k: k, t: t}
 	for i, v := range vs {
-		out[i] = classifyInterior(m, v, n, k, t, &ell)
-	}
-}
-
-// classifyMPCR encodes Figure 2 (message passing, crash failures).
-func classifyMPCR(v types.Validity, n, k, t int) Result {
-	switch v {
-	case types.SV1:
-		// Lemma 3.5: never solvable for 2 <= k <= n-1.
-		return impossible("Lemma 3.5")
-	case types.SV2:
-		if ProtocolBRegion(n, k, t) {
-			return solvable("Lemma 3.8", "Protocol B").withProto(ProtoB, 0, false)
-		}
-		if Lemma36Impossible(n, k, t) {
-			return impossible("Lemma 3.6")
-		}
-		return open
-	case types.RV1:
-		if FloodMinRegion(k, t) {
-			return solvable("Lemma 3.1", "FloodMin").withProto(ProtoFloodMin, 0, false)
-		}
-		return impossible("Lemma 3.2")
-	case types.RV2:
-		if ProtocolARegion(n, k, t) {
-			return solvable("Lemma 3.7", "Protocol A").withProto(ProtoA, 0, false)
-		}
-		if Lemma33Impossible(n, k, t) {
-			// WV2 is weaker than RV2, so Lemma 3.3 carries upward.
-			return impossible("Lemma 3.3 (via WV2 weaker than RV2)")
-		}
-		// The isolated boundary points k*t == (k-1)*n, open in the paper.
-		return open
-	case types.WV1:
-		if t < k {
-			// WV1 is weaker than RV1; FloodMin solves it (Lemma 3.1).
-			return solvable("Lemma 3.1 (via RV1 stronger than WV1)", "FloodMin").withProto(ProtoFloodMin, 0, false)
-		}
-		return impossible("Lemma 3.4")
-	case types.WV2:
-		if ProtocolARegion(n, k, t) {
-			// WV2 is weaker than RV2; Protocol A solves it (Lemma 3.7).
-			return solvable("Lemma 3.7 (via RV2 stronger than WV2)", "Protocol A").withProto(ProtoA, 0, false)
-		}
-		if Lemma33Impossible(n, k, t) {
-			return impossible("Lemma 3.3")
-		}
-		return open
-	default:
-		panic(fmt.Sprintf("theory: unknown validity %v", v))
-	}
-}
-
-// classifyMPByz encodes Figure 4 (message passing, Byzantine failures).
-// Crash impossibilities carry over: a crash fault is a legal Byzantine
-// behaviour, so an MP/CR impossibility is an MP/Byz impossibility.
-func classifyMPByz(v types.Validity, n, k, t int, ell *echoEll) Result {
-	switch v {
-	case types.SV1:
-		return impossible("Lemma 3.5 (crash impossibility carries to Byzantine)")
-	case types.SV2:
-		if l := ell.get(); l > 0 {
-			return solvable("Lemma 3.15", protoCName(l)).withProto(ProtoC, l, false)
-		}
-		if Lemma36Impossible(n, k, t) {
-			return impossible("Lemma 3.6 (crash impossibility carries to Byzantine)")
-		}
-		return open
-	case types.RV1:
-		return impossible("Lemma 3.10")
-	case types.RV2:
-		// RV2 is weaker than SV2, so Protocol C(l) covers it.
-		if l := ell.get(); l > 0 {
-			return solvable("Lemma 3.15 (via SV2 stronger than RV2)", protoCName(l)).withProto(ProtoC, l, false)
-		}
-		if Lemma311Impossible(n, k, t) {
-			return impossible("Lemma 3.11")
-		}
-		return open
-	case types.WV1:
-		if ProtocolDRegion(n, k, t) {
-			return solvable("Lemma 3.16", "Protocol D").withProto(ProtoD, 0, false)
-		}
-		if t >= k {
-			return impossible("Lemma 3.4 (crash impossibility carries to Byzantine)")
-		}
-		return open // the substantial gap the paper leaves for WV1
-	case types.WV2:
-		if ProtocolAByzWV2Region(n, k, t) {
-			if 2*t < n {
-				return solvable("Lemma 3.12", "Protocol A").withProto(ProtoA, 0, false)
-			}
-			return solvable("Lemma 3.13", "Protocol A").withProto(ProtoA, 0, false)
-		}
-		// WV2 is weaker than SV2: Protocol C(l) regions carry down.
-		if l := ell.get(); l > 0 {
-			return solvable("Lemma 3.15 (via SV2 stronger than WV2)", protoCName(l)).withProto(ProtoC, l, false)
-		}
-		if Lemma39Impossible(n, k, t) {
-			return impossible("Lemma 3.9")
-		}
-		return open
-	default:
-		panic(fmt.Sprintf("theory: unknown validity %v", v))
-	}
-}
-
-// classifySMCR encodes Figure 5 (shared memory, crash failures).
-func classifySMCR(v types.Validity, n, k, t int) Result {
-	switch v {
-	case types.SV1:
-		return impossible("Lemma 4.2")
-	case types.SV2:
-		if ProtocolFRegion(k, t) {
-			return solvable("Lemma 4.7", "Protocol F").withProto(ProtoF, 0, false)
-		}
-		if ProtocolBRegion(n, k, t) {
-			return solvable("Lemma 4.6", "Protocol B via SIMULATION").withProto(ProtoB, 0, true)
-		}
-		if Lemma43Impossible(n, k, t) {
-			return impossible("Lemma 4.3")
-		}
-		return open
-	case types.RV1:
-		if FloodMinRegion(k, t) {
-			return solvable("Lemma 4.4", "FloodMin via SIMULATION").withProto(ProtoFloodMin, 0, true)
-		}
-		return impossible("Lemma 3.2 (holds in both crash models)")
-	case types.RV2:
-		// Lemma 4.5: Protocol E solves SC(k, t, RV2) for every k >= 2.
-		return solvable("Lemma 4.5", "Protocol E").withProto(ProtoE, 0, false)
-	case types.WV1:
-		if t < k {
-			return solvable("Lemma 4.4 (via RV1 stronger than WV1)", "FloodMin via SIMULATION").withProto(ProtoFloodMin, 0, true)
-		}
-		return impossible("Lemma 4.1")
-	case types.WV2:
-		// WV2 is weaker than RV2; Protocol E covers every k >= 2.
-		return solvable("Lemma 4.5 (via RV2 stronger than WV2)", "Protocol E").withProto(ProtoE, 0, false)
-	default:
-		panic(fmt.Sprintf("theory: unknown validity %v", v))
-	}
-}
-
-// classifySMByz encodes Figure 6 (shared memory, Byzantine failures).
-// SM/CR impossibilities carry over to SM/Byz.
-func classifySMByz(v types.Validity, n, k, t int, ell *echoEll) Result {
-	switch v {
-	case types.SV1:
-		return impossible("Lemma 4.2 (crash impossibility carries to Byzantine)")
-	case types.SV2:
-		if ProtocolFRegion(k, t) {
-			return solvable("Lemma 4.12", "Protocol F").withProto(ProtoF, 0, false)
-		}
-		if l := ell.get(); l > 0 {
-			return solvable("Lemma 4.11", protoCSimName(l)).withProto(ProtoC, l, true)
-		}
-		if Lemma43Impossible(n, k, t) {
-			return impossible("Lemma 4.3 (crash impossibility carries to Byzantine)")
-		}
-		return open
-	case types.RV1:
-		return impossible("Lemma 4.8")
-	case types.RV2:
-		if ProtocolFRegion(k, t) {
-			return solvable("Lemma 4.12 (via SV2 stronger than RV2)", "Protocol F").withProto(ProtoF, 0, false)
-		}
-		if l := ell.get(); l > 0 {
-			return solvable("Lemma 4.11 (via SV2 stronger than RV2)", protoCSimName(l)).withProto(ProtoC, l, true)
-		}
-		if Lemma49Impossible(n, k, t) {
-			return impossible("Lemma 4.9")
-		}
-		return open
-	case types.WV1:
-		if ProtocolDRegion(n, k, t) {
-			return solvable("Lemma 4.13", "Protocol D via SIMULATION").withProto(ProtoD, 0, true)
-		}
-		if t >= k {
-			return impossible("Lemma 4.1 (carries to Byzantine)")
-		}
-		return open // the substantial gap the paper leaves for WV1
-	case types.WV2:
-		// Lemma 4.10: Protocol E solves SC(k, t, WV2) for every k >= 2,
-		// for any t, even with Byzantine failures.
-		return solvable("Lemma 4.10", "Protocol E").withProto(ProtoE, 0, false)
-	default:
-		panic(fmt.Sprintf("theory: unknown validity %v", v))
+		out[i] = classifyInterior(panelFor(m, v), n, k, t, &ell)
 	}
 }

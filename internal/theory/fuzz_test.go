@@ -7,12 +7,15 @@ import (
 )
 
 // FuzzClassify: the classifier is total and internally consistent on any
-// in-range point, for every model and validity.
+// in-range point, for every model and validity, and no cell is left open
+// that one step of a carry rule decides (carryGaps).
 func FuzzClassify(f *testing.F) {
 	f.Add(8, 3, 2)
 	f.Add(64, 2, 32)
 	f.Add(5, 4, 5)
 	f.Add(100, 50, 99)
+	f.Add(64, 2, 22)
+	f.Add(4, 2, 1)
 	f.Fuzz(func(t *testing.T, n, k, tt int) {
 		if n < 3 || n > 200 || k < 2 || k > n-1 || tt < 1 || tt > n {
 			t.Skip()
@@ -34,6 +37,9 @@ func FuzzClassify(f *testing.F) {
 					t.Fatalf("bad status %v", r.Status)
 				}
 			}
+		}
+		if gaps := carryGaps(n, k, tt); len(gaps) > 0 {
+			t.Fatal(gaps[0])
 		}
 	})
 }

@@ -64,9 +64,7 @@ func TestClassifyAgreesWithBoundPredicates(t *testing.T) {
 						return false
 					}
 				case ProtoF:
-					// Protocol F needs k > t+1; Protocol B's region covers
-					// the SIMULATION fallback.
-					if !ProtocolFRegion(p.K, p.T) && !ProtocolBRegion(p.N, p.K, p.T) {
+					if !ProtocolFRegion(p.K, p.T) {
 						return false
 					}
 				}

@@ -128,19 +128,35 @@ func TestClassifyBoundaryCases(t *testing.T) {
 }
 
 func TestClassifyPanicsOutsideRange(t *testing.T) {
-	cases := []struct{ n, k, t int }{
-		{1, 1, 1},  // n too small
-		{8, 0, 1},  // k too small
-		{8, 3, -1}, // t negative
+	cases := []struct {
+		m       types.Model
+		v       types.Validity
+		n, k, t int
+	}{
+		{types.MPCR, types.RV1, 1, 1, 1},  // n too small
+		{types.MPCR, types.RV1, 8, 0, 1},  // k too small
+		{types.MPCR, types.RV1, 8, 3, -1}, // t negative
+		// An unknown model or validity panics at every point, the
+		// Section 2 boundary cases (k >= n, t = 0, k = 1) included.
+		{types.Model{}, types.RV1, 4, 2, 1},
+		{types.Model{}, types.RV1, 4, 4, 1},
+		{types.Model{}, types.RV1, 4, 2, 0},
+		{types.Model{}, types.RV1, 4, 1, 1},
+		{types.Model{Comm: 3, Failure: types.Crash}, types.RV1, 4, 2, 1},
+		{types.Model{Comm: types.SharedMemory, Failure: 9}, types.RV1, 4, 4, 1},
+		{types.MPCR, types.Validity(0), 4, 2, 1},
+		{types.MPCR, types.Validity(0), 4, 4, 1},
+		{types.SMByz, types.Validity(0), 4, 1, 1},
+		{types.SMByz, types.Validity(7), 4, 2, 0},
 	}
 	for _, c := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Classify(%d,%d,%d) did not panic", c.n, c.k, c.t)
+					t.Errorf("Classify(%v, %v, %d,%d,%d) did not panic", c.m, c.v, c.n, c.k, c.t)
 				}
 			}()
-			Classify(types.MPCR, types.RV1, c.n, c.k, c.t)
+			Classify(c.m, c.v, c.n, c.k, c.t)
 		}()
 	}
 }

@@ -153,6 +153,16 @@ func (m Model) String() string { return m.Comm.String() + "/" + m.Failure.String
 // ErrUnknownModel reports a model outside the paper's four.
 var ErrUnknownModel = errors.New("types: unknown model")
 
+// CheckModel returns ErrUnknownModel, wrapped, unless m is one of the
+// paper's four models.
+func CheckModel(m Model) error {
+	switch m {
+	case MPCR, MPByz, SMCR, SMByz:
+		return nil
+	}
+	return fmt.Errorf("%w: %v", ErrUnknownModel, m)
+}
+
 // ParseModel parses the paper abbreviations "mp/cr", "mp/byz", "sm/cr",
 // "sm/byz" (case-insensitive).
 func ParseModel(s string) (Model, error) {
@@ -218,6 +228,15 @@ func (v Validity) String() string {
 
 // ErrUnknownValidity reports a validity name outside the paper's six.
 var ErrUnknownValidity = errors.New("types: unknown validity condition")
+
+// CheckValidity returns ErrUnknownValidity, wrapped, unless v is one of the
+// paper's six conditions.
+func CheckValidity(v Validity) error {
+	if v >= SV1 && v <= WV2 {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", ErrUnknownValidity, v)
+}
 
 // ParseValidity parses "sv1", "SV2", etc. (case-insensitive).
 func ParseValidity(s string) (Validity, error) {

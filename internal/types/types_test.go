@@ -59,6 +59,29 @@ func TestModelString(t *testing.T) {
 	}
 }
 
+func TestCheckModelAndValidity(t *testing.T) {
+	for _, m := range AllModels() {
+		if err := CheckModel(m); err != nil {
+			t.Errorf("CheckModel(%v) = %v", m, err)
+		}
+	}
+	for _, m := range []Model{{}, {MessagePassing, 0}, {SharedMemory, 3}, {3, Crash}} {
+		if err := CheckModel(m); !errors.Is(err, ErrUnknownModel) {
+			t.Errorf("CheckModel(%v) = %v, want ErrUnknownModel", m, err)
+		}
+	}
+	for _, v := range AllValidities() {
+		if err := CheckValidity(v); err != nil {
+			t.Errorf("CheckValidity(%v) = %v", v, err)
+		}
+	}
+	for _, v := range []Validity{0, WV2 + 1, 255} {
+		if err := CheckValidity(v); !errors.Is(err, ErrUnknownValidity) {
+			t.Errorf("CheckValidity(%v) = %v, want ErrUnknownValidity", v, err)
+		}
+	}
+}
+
 func TestPayloadString(t *testing.T) {
 	p := Payload{Kind: KindEcho, Value: 5, Origin: 2}
 	if got := p.String(); got != "echo(5 from p3)" {

@@ -32,6 +32,7 @@
 package kset
 
 import (
+	"errors"
 	"fmt"
 
 	"kset/internal/checker"
@@ -95,6 +96,8 @@ const DefaultValue = types.DefaultValue
 // impossible (with lemma), or open. The figures' range is 2 <= k <= n-1 and
 // t >= 1; the boundary cases the paper settles in Section 2 are also
 // handled (k >= n trivially solvable, t = 0 solvable, k = 1 impossible).
+// It panics on a model or validity outside the paper's four and six, where
+// Solve and Validate return an error.
 func Classify(m Model, v Validity, n, k, t int) Classification {
 	return theory.Classify(m, v, n, k, t)
 }
@@ -120,6 +123,9 @@ type SolveConfig struct {
 // run record. It returns an error for impossible or open points, and for
 // any condition violation (which would be a bug in this reproduction).
 func Solve(cfg SolveConfig) (*RunRecord, error) {
+	if err := errors.Join(types.CheckModel(cfg.Model), types.CheckValidity(cfg.Validity)); err != nil {
+		return nil, fmt.Errorf("kset: %w", err)
+	}
 	res := theory.Classify(cfg.Model, cfg.Validity, cfg.N, cfg.K, cfg.T)
 	if res.Status != theory.Solvable {
 		return nil, fmt.Errorf("kset: SC(k=%d, t=%d, %v) in %v is %v (%s)",
@@ -133,8 +139,7 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 	}
 
 	var rec *RunRecord
-	switch cfg.Model.Comm {
-	case types.MessagePassing:
+	if cfg.Model.Comm == types.MessagePassing {
 		factory, err := harness.MPFactory(res)
 		if err != nil {
 			return nil, err
@@ -157,7 +162,7 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 		if err2 != nil {
 			return nil, err2
 		}
-	case types.SharedMemory:
+	} else {
 		factory, err := harness.SMFactory(res)
 		if err != nil {
 			return nil, err
@@ -180,8 +185,6 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 		if err2 != nil {
 			return nil, err2
 		}
-	default:
-		return nil, fmt.Errorf("%w: %v", types.ErrUnknownModel, cfg.Model)
 	}
 
 	// The runtimes label the record by the failures that actually occurred;
@@ -204,5 +207,8 @@ func Check(rec *RunRecord, v Validity) error { return checker.CheckAll(rec, v) }
 // outcome. A non-nil error means the point has no witness (impossible/open);
 // a summary with violations means a reproduction bug.
 func Validate(m Model, v Validity, n, k, t, runs int, seed uint64) (*harness.Summary, error) {
+	if err := errors.Join(types.CheckModel(m), types.CheckValidity(v)); err != nil {
+		return nil, fmt.Errorf("kset: %w", err)
+	}
 	return harness.ValidateCell(m, v, n, k, t, harness.CellOpts{Runs: runs, Seed: seed})
 }

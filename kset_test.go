@@ -1,8 +1,11 @@
 package kset
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"kset/internal/types"
 )
 
 func TestSolveFloodMinMPCR(t *testing.T) {
@@ -209,6 +212,34 @@ func TestValidateFacade(t *testing.T) {
 	}
 	if _, err := Validate(MPCR, RV1, 6, 3, 3, 8, 1); err == nil {
 		t.Error("impossible point accepted by Validate")
+	}
+}
+
+// TestUnknownVariantIsAnError: a model or validity outside the paper's is
+// an error from Solve and Validate at every point, the Section 2 boundary
+// cases (k >= n) included.
+func TestUnknownVariantIsAnError(t *testing.T) {
+	cases := []struct {
+		m    Model
+		v    Validity
+		k    int
+		want error
+	}{
+		{Model{}, RV1, 2, types.ErrUnknownModel},
+		{Model{}, RV1, 4, types.ErrUnknownModel},
+		{Model{Comm: types.SharedMemory, Failure: 7}, WV2, 2, types.ErrUnknownModel},
+		{MPCR, Validity(0), 2, types.ErrUnknownValidity},
+		{MPCR, Validity(0), 4, types.ErrUnknownValidity},
+		{SMByz, Validity(9), 3, types.ErrUnknownValidity},
+	}
+	for _, c := range cases {
+		_, err := Solve(SolveConfig{Model: c.m, Validity: c.v, N: 4, K: c.k, T: 1, Inputs: []Value{1, 2, 3, 4}, Seed: 1})
+		if !errors.Is(err, c.want) {
+			t.Errorf("Solve(%v, %v, k=%d): err = %v, want %v", c.m, c.v, c.k, err, c.want)
+		}
+		if _, err := Validate(c.m, c.v, 4, c.k, 1, 4, 1); !errors.Is(err, c.want) {
+			t.Errorf("Validate(%v, %v, k=%d): err = %v, want %v", c.m, c.v, c.k, err, c.want)
+		}
 	}
 }
 
