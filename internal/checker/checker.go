@@ -23,6 +23,7 @@ package checker
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"kset/internal/types"
 )
@@ -114,12 +115,12 @@ func CheckAll(rec *types.RunRecord, v types.Validity) error {
 
 // checkSV1: every correct decision is the input of some correct process.
 func checkSV1(rec *types.RunRecord) error {
-	correctInputs := valueSet(rec.CorrectInputs())
+	correctInputs := rec.CorrectInputs()
 	for i := 0; i < rec.N; i++ {
 		if rec.Faulty[i] || !rec.Decided[i] {
 			continue
 		}
-		if _, ok := correctInputs[rec.Decisions[i]]; !ok {
+		if !has(correctInputs, rec.Decisions[i]) {
 			return violation(rec, "SV1", "correct %s decided %d, not an input of any correct process",
 				types.ProcessID(i), rec.Decisions[i])
 		}
@@ -147,12 +148,12 @@ func checkSV2(rec *types.RunRecord) error {
 
 // checkRV1: every correct decision is the input of some process.
 func checkRV1(rec *types.RunRecord) error {
-	allInputs := valueSet(rec.AllInputs())
+	allInputs := rec.AllInputs()
 	for i := 0; i < rec.N; i++ {
 		if rec.Faulty[i] || !rec.Decided[i] {
 			continue
 		}
-		if _, ok := allInputs[rec.Decisions[i]]; !ok {
+		if !has(allInputs, rec.Decisions[i]) {
 			return violation(rec, "RV1", "correct %s decided %d, not an input of any process",
 				types.ProcessID(i), rec.Decisions[i])
 		}
@@ -183,12 +184,12 @@ func checkWV1(rec *types.RunRecord) error {
 	if rec.FaultCount() > 0 {
 		return nil
 	}
-	allInputs := valueSet(rec.AllInputs())
+	allInputs := rec.AllInputs()
 	for i := 0; i < rec.N; i++ {
 		if !rec.Decided[i] {
 			continue
 		}
-		if _, ok := allInputs[rec.Decisions[i]]; !ok {
+		if !has(allInputs, rec.Decisions[i]) {
 			return violation(rec, "WV1", "failure-free run: %s decided %d, not an input of any process",
 				types.ProcessID(i), rec.Decisions[i])
 		}
@@ -237,10 +238,9 @@ func uniformValue(rec *types.RunRecord, correctOnly bool) (types.Value, bool) {
 	return v, seen
 }
 
-func valueSet(vs []types.Value) map[types.Value]struct{} {
-	set := make(map[types.Value]struct{}, len(vs))
-	for _, v := range vs {
-		set[v] = struct{}{}
-	}
-	return set
+// has reports whether the ascending set vs (a RunRecord set helper's
+// result) holds v.
+func has(vs []types.Value, v types.Value) bool {
+	_, ok := slices.BinarySearch(vs, v)
+	return ok
 }

@@ -1,8 +1,11 @@
 package checker
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +170,137 @@ func TestValueSetHelpersProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The map-based set helpers and membership checks the record and the checker
+// used before they sorted small slices instead: the reference the
+// allocation-free versions must match.
+
+func refSorted(set map[types.Value]struct{}) []types.Value {
+	out := make([]types.Value, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// refSet collects the values v(i) of the processes 0..n-1 that keep accepts.
+func refSet(n int, keep func(i int) bool, v func(i int) types.Value) []types.Value {
+	set := make(map[types.Value]struct{})
+	for i := 0; i < n; i++ {
+		if keep(i) {
+			set[v(i)] = struct{}{}
+		}
+	}
+	return refSorted(set)
+}
+
+func refValueSet(vs []types.Value) map[types.Value]struct{} {
+	set := make(map[types.Value]struct{}, len(vs))
+	for _, v := range vs {
+		set[v] = struct{}{}
+	}
+	return set
+}
+
+// refMembership is checkSV1, checkRV1 and checkWV1 on map sets: every
+// decision of a process decider accepts must be in inputs.
+func refMembership(rec *types.RunRecord, cond, format string, inputs []types.Value, decider func(i int) bool) error {
+	set := refValueSet(inputs)
+	for i := 0; i < rec.N; i++ {
+		if !decider(i) {
+			continue
+		}
+		if _, ok := set[rec.Decisions[i]]; !ok {
+			return violation(rec, cond, format, types.ProcessID(i), rec.Decisions[i])
+		}
+	}
+	return nil
+}
+
+func refValidate(r *types.RunRecord) error {
+	if r.N <= 0 {
+		return fmt.Errorf("types: run record has n=%d", r.N)
+	}
+	for name, l := range map[string]int{
+		"inputs":    len(r.Inputs),
+		"faulty":    len(r.Faulty),
+		"decided":   len(r.Decided),
+		"decisions": len(r.Decisions),
+	} {
+		if l != r.N {
+			return fmt.Errorf("types: run record %s has length %d, want n=%d", name, l, r.N)
+		}
+	}
+	if f := r.FaultCount(); f > r.T {
+		return fmt.Errorf("types: run record has %d faulty processes, above bound t=%d", f, r.T)
+	}
+	return nil
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// TestSetHelpersMatchMapReference: the record's four set helpers, the
+// membership validity checks and Validate answer exactly as the map-based
+// versions did — same sets, same verdicts, same violation texts.
+func TestSetHelpersMatchMapReference(t *testing.T) {
+	prop := func(rr randomRecord, cut uint8) bool {
+		rec := rr.Rec
+		correct := func(i int) bool { return !rec.Faulty[i] }
+		decided := func(i int) bool { return rec.Decided[i] }
+		correctDecided := func(i int) bool { return !rec.Faulty[i] && rec.Decided[i] }
+		always := func(int) bool { return true }
+		input := func(i int) types.Value { return rec.Inputs[i] }
+		decision := func(i int) types.Value { return rec.Decisions[i] }
+		for _, c := range []struct{ got, want []types.Value }{
+			{rec.CorrectDecisions(), refSet(rec.N, correctDecided, decision)},
+			{rec.AllDecisions(), refSet(rec.N, decided, decision)},
+			{rec.CorrectInputs(), refSet(rec.N, correct, input)},
+			{rec.AllInputs(), refSet(rec.N, always, input)},
+		} {
+			if !slices.Equal(c.got, c.want) {
+				return false
+			}
+		}
+		refWV1 := error(nil)
+		if rec.FaultCount() == 0 {
+			refWV1 = refMembership(rec, "WV1", "failure-free run: %s decided %d, not an input of any process", rec.AllInputs(), decided)
+		}
+		for _, c := range []struct{ got, want error }{
+			{checkSV1(rec), refMembership(rec, "SV1", "correct %s decided %d, not an input of any correct process", rec.CorrectInputs(), correctDecided)},
+			{checkRV1(rec), refMembership(rec, "RV1", "correct %s decided %d, not an input of any process", rec.AllInputs(), correctDecided)},
+			{checkWV1(rec), refWV1},
+		} {
+			if errText(c.got) != errText(c.want) {
+				return false
+			}
+		}
+		// Shorten at most one of the four vectors, so the map's iteration
+		// order cannot pick between two complaints.
+		switch cut % 5 {
+		case 1:
+			rec.Inputs = rec.Inputs[:len(rec.Inputs)-1]
+		case 2:
+			rec.Faulty = rec.Faulty[:len(rec.Faulty)-1]
+		case 3:
+			rec.Decided = rec.Decided[:len(rec.Decided)-1]
+		case 4:
+			rec.Decisions = rec.Decisions[:len(rec.Decisions)-1]
+		}
+		if cut%5 == 0 {
+			rec.T = int(cut) % (rec.N + 1) // sometimes below the fault count
+		}
+		return errText(rec.Validate()) == errText(refValidate(rec))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Error(err)
 	}
 }

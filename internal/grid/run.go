@@ -5,12 +5,18 @@ import (
 
 	"kset/internal/checker"
 	"kset/internal/harness"
+	"kset/internal/sweep"
 	"kset/internal/theory"
 )
 
 // maxViolationChars bounds the first_violation field so records stay well
 // under the wire codec's string limit.
 const maxViolationChars = 200
+
+// arenas are the working sets of cell sweeps: a cell takes one, runs on it
+// and returns it, so the simulators' tables, the planning buffers and the
+// witness instances outlive the cell, one set per worker.
+var arenas sweep.FreeList[harness.Arena]
 
 // RunCell executes one cell of the grid: classify the point, and for
 // solvable cells run the randomized adversarial sweep behind it. Pure
@@ -46,11 +52,13 @@ func (s *Spec) RunCell(idx uint64) Record {
 	if res.Status != theory.Solvable {
 		return rec
 	}
-	sum, err := harness.ValidateCell(c.Model, c.Validity, c.N, c.K, c.T, harness.CellOpts{
+	a := arenas.Get()
+	sum, err := a.ValidateCell(c.Model, c.Validity, c.N, c.K, c.T, harness.CellOpts{
 		Runs:     s.Runs,
 		Seed:     rec.Seed,
 		FaultCap: c.Plan.Cap(c.T),
 	})
+	arenas.Put(a)
 	if err != nil {
 		// A solvable cell whose witness cannot be instantiated is a bug;
 		// surface it as a run error rather than aborting the sweep.

@@ -67,8 +67,10 @@ func ValidatePanels(panels []*theory.Grid, rngSeed func(*theory.Grid) uint64, sa
 	}
 	exec.Run(len(jobs), func(j int) {
 		g, c := jobs[j].g, jobs[j].c
-		c.Sum, c.Err = harness.ValidateCell(g.Model, g.Validity, g.N, c.Cell.K, c.Cell.T,
+		a := arenas.Get()
+		c.Sum, c.Err = a.ValidateCell(g.Model, g.Validity, g.N, c.Cell.K, c.Cell.T,
 			harness.CellOpts{Runs: runs, Seed: c.Seed, Exec: exec})
+		arenas.Put(a)
 	})
 	return checks
 }

@@ -3,7 +3,8 @@
 // mixes, input workloads) and checks every run against the SC(k, t, C)
 // conditions. MPSweep and SMSweep each plan their own model's scenarios and
 // share one engine; ValidateCell and CaptureCellRun build a solvable cell's
-// witness sweep through one constructor. It is the engine behind
+// witness sweep through one constructor, and an Arena carries a sweep's
+// working set from one cell to the next. It is the engine behind
 // internal/grid (and through it ksetsweep, ksetverify and ksetreport), the
 // protocol test suites and EXPERIMENTS.md. The paper's scripted
 // counterexample constructions run themselves (internal/adversary).
@@ -47,9 +48,23 @@ func (e Executor) Run(jobs int, run func(job int)) {
 	e(jobs, run)
 }
 
-// planScratch holds per-run planning buffers that serial sweeps reuse across
-// runs (parallel sweeps give every job its own, since jobs run concurrently).
-type planScratch struct {
+// Arena is the working set of a sweep's runs, kept from one run to the next
+// and from one cell to the next: the run's generator, the seed and result
+// slots, the planning buffers, the partition scheduler, the simulators'
+// arenas (mpnet's and smmem's Runner) and the message-passing witness's
+// protocol instances. A cell grows nothing an earlier cell on the same
+// Arena already grew. A summary computed on a used Arena is the one a fresh
+// Arena computes, and it shares no memory with the Arena.
+//
+// The zero value is ready to use. An Arena is not safe for concurrent use;
+// callers that fan cells out keep one per worker (internal/grid keeps a free
+// list of them). Serial runs share the Arena; a sweep whose Exec fans its
+// runs out gives every job its own, since jobs run concurrently.
+type Arena struct {
+	rng     prng.Source // the run's stream, reseeded per run
+	seeds   []uint64
+	results []runResult
+
 	faulty []bool
 	perm   []int
 	inputs []types.Value
@@ -57,31 +72,51 @@ type planScratch struct {
 	// scenario, so Capture can store them in a trace artifact without the
 	// hot path paying for a fresh slice per run.
 	byz []trace.ByzSpec
-	// mp and sm are the simulator arenas of a sweep's runs — mp's process
-	// table, in-flight pool and index, sm's process table and register
-	// store — grown once per scratch instead of once per run.
+	// gate is the partition scheduler, re-partitioned for every run that
+	// draws one.
+	gate mpnet.GroupGate
+
+	// mp and sm are the simulator arenas — mp's process table, in-flight
+	// pool and index, sm's process table and register store.
 	mp mpnet.Runner
 	sm smmem.Runner
+
+	// witness holds the instances of spec's message-passing witness, one per
+	// process id, built by build when an id first asks and restarted by
+	// every run after (see internal/protocols/mp).
+	spec    trace.ProtocolSpec
+	witness []mpnet.Protocol
+	build   func(types.ProcessID) mpnet.Protocol
 }
 
-// faultyFor returns a cleared faulty vector of length n, reusing capacity.
-func (sc *planScratch) faultyFor(n int) []bool {
-	if cap(sc.faulty) < n {
-		sc.faulty = make([]bool, n)
+// witnessFactory returns the factory of spec's witness that hands out the
+// arena's instances; build makes an instance the first time an id asks. A
+// spec other than the last one drops the last one's instances.
+func (a *Arena) witnessFactory(spec trace.ProtocolSpec, build func(types.ProcessID) mpnet.Protocol) func(types.ProcessID) mpnet.Protocol {
+	if spec != a.spec {
+		clear(a.witness)
+		a.spec = spec
 	}
-	sc.faulty = sc.faulty[:n]
-	for i := range sc.faulty {
-		sc.faulty[i] = false
+	a.build = build
+	return a.witnessFor
+}
+
+func (a *Arena) witnessFor(id types.ProcessID) mpnet.Protocol {
+	for int(id) >= len(a.witness) {
+		a.witness = append(a.witness, nil)
 	}
-	return sc.faulty
+	if a.witness[id] == nil {
+		a.witness[id] = a.build(id)
+	}
+	return a.witness[id]
 }
 
 // planFaults makes the opening draws of every scenario, in the order the
 // seeded goldens pin: the fault count f (usually the full budget t,
 // sometimes fewer, sometimes none, then clamped by faultCap), the faulty set
-// (sc.perm[:f], left in place for the caller), and the input pattern and
-// vector (sc.inputs).
-func (sc *planScratch) planFaults(rng *prng.Source, n, t, faultCap int, patterns []InputPattern) (f int, faulty []bool, pattern InputPattern) {
+// (a.perm[:f], left in place for the caller), and the input pattern and
+// vector (a.inputs).
+func (a *Arena) planFaults(rng *prng.Source, n, t, faultCap int, patterns []InputPattern) (f int, faulty []bool, pattern InputPattern) {
 	f = t
 	switch rng.Intn(4) {
 	case 0:
@@ -92,20 +127,35 @@ func (sc *planScratch) planFaults(rng *prng.Source, n, t, faultCap int, patterns
 		f = 0
 	}
 	f = clampFaults(f, faultCap)
-	faulty = sc.faultyFor(n)
-	sc.perm = rng.PermInto(sc.perm, n)
-	for _, idx := range sc.perm[:f] {
+	faulty = zeroed(a.faulty, n)
+	a.faulty = faulty
+	a.perm = rng.PermInto(a.perm, n)
+	for _, idx := range a.perm[:f] {
 		faulty[idx] = true
 	}
 	pattern = patterns[rng.Intn(len(patterns))]
-	sc.inputs = GenInputsInto(sc.inputs, pattern, n, faulty, rng)
+	a.inputs = GenInputsInto(a.inputs, pattern, n, faulty, rng)
 	return f, faulty, pattern
+}
+
+// scenario names a planned run: its input pattern, scheduler, adversary,
+// fault count and seed. Its text is built only for a run an outcome
+// records, a violation or a run error.
+type scenario struct {
+	pattern    InputPattern
+	sched, adv string
+	f          int
+	seed       uint64
+}
+
+func (s scenario) String() string {
+	return fmt.Sprintf("pattern=%s sched=%s adv=%s f=%d seed=%d", s.pattern, s.sched, s.adv, s.f, s.seed)
 }
 
 // runResult is one run's outcome, held in a run-indexed slot until the
 // canonical-order merge.
 type runResult struct {
-	scenario  string
+	scenario  scenario
 	rec       *types.RunRecord
 	runErr    error
 	violation error
@@ -113,7 +163,7 @@ type runResult struct {
 
 // verdict is a run's result slot: its error, or its record and the checker's
 // verdict on it.
-func verdict(scenario string, rec *types.RunRecord, err error, v types.Validity) runResult {
+func verdict(scenario scenario, rec *types.RunRecord, err error, v types.Validity) runResult {
 	if err != nil {
 		return runResult{scenario: scenario, runErr: err}
 	}
@@ -123,47 +173,59 @@ func verdict(scenario string, rec *types.RunRecord, err error, v types.Validity)
 // execute is the engine behind MPSweep.Execute and SMSweep.Execute; runOne
 // plans, executes and checks the run of one seed. Every run's seed is drawn
 // in canonical order up front, so each run depends only on its own seed and
-// the runs are independent jobs. Serially they share one planScratch — one
-// simulator arena for the whole sweep; through exec every job gets its own.
-// Results merge in run order, so the summary is identical for any Executor.
-// (Shared-memory records carry Messages = 0, so one merge serves both.)
-func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, exec Executor,
-	runOne func(seed uint64, patterns []InputPattern, sc *planScratch) runResult) *Summary {
+// the runs are independent jobs. Serially they all run on a; through exec
+// every job gets an Arena of its own. Results merge in run order, so the
+// summary is identical for any Executor. (Shared-memory records carry
+// Messages = 0, so one merge serves both.)
+func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, exec Executor, a *Arena,
+	runOne func(seed uint64, patterns []InputPattern, a *Arena) runResult) *Summary {
 	if runs == 0 {
 		runs = 32
 	}
 	patterns = orAllPatterns(patterns)
-	master := prng.New(baseSeed)
-	seeds := make([]uint64, runs)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
+	a.rng.Reset(baseSeed)
+	seeds := a.seeds[:0]
+	for i := 0; i < runs; i++ {
+		seeds = append(seeds, a.rng.Uint64())
 	}
-	results := make([]runResult, runs)
+	results := zeroed(a.results, runs)
+	a.seeds, a.results = seeds, results
 	if exec == nil {
-		var sc planScratch
 		for i, seed := range seeds {
-			results[i] = runOne(seed, patterns, &sc)
+			results[i] = runOne(seed, patterns, a)
 		}
 	} else {
 		exec(runs, func(i int) {
-			var sc planScratch
-			results[i] = runOne(seeds[i], patterns, &sc)
+			var job Arena
+			results[i] = runOne(seeds[i], patterns, &job)
 		})
 	}
 	sum := &Summary{Name: name, Runs: runs}
 	for i, r := range results {
 		if r.runErr != nil {
-			sum.addRunError(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.runErr})
+			sum.addRunError(RunOutcome{Seed: seeds[i], Scenario: r.scenario.String(), Err: r.runErr})
 			continue
 		}
 		sum.Events += int64(r.rec.Events)
 		sum.Messages += int64(r.rec.Messages)
 		sum.observe(r.rec)
 		if r.violation != nil {
-			sum.addViolation(RunOutcome{Seed: seeds[i], Scenario: r.scenario, Err: r.violation, Record: r.rec})
+			sum.addViolation(RunOutcome{Seed: seeds[i], Scenario: r.scenario.String(), Err: r.violation, Record: r.rec})
 		}
 	}
+	clear(results) // the records are the summary's now, not the arena's
 	return sum
+}
+
+// zeroed returns s with length n and every element zero, on s's array when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // needSpec is Capture's precondition: artifacts store the protocol spec, not

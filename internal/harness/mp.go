@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"kset/internal/mpnet"
 	"kset/internal/prng"
 	"kset/internal/trace"
@@ -52,24 +50,28 @@ type MPSweep struct {
 }
 
 // Execute runs the sweep.
-func (s *MPSweep) Execute() *Summary {
-	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, s.runOne)
+func (s *MPSweep) Execute() *Summary { return s.run(new(Arena)) }
+
+// run runs the sweep on a.
+func (s *MPSweep) run(a *Arena) *Summary {
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, a, s.runOne)
 }
 
-// runOne plans, executes and checks a single run on sc's simulator arena.
-func (s *MPSweep) runOne(seed uint64, patterns []InputPattern, sc *planScratch) runResult {
-	cfg, scenario := s.plan(prng.New(seed), patterns, seed, sc)
-	rec, err := sc.mp.Run(cfg)
-	return verdict(scenario, rec, err, s.Validity)
+// runOne plans, executes and checks a single run on a's simulator arena.
+func (s *MPSweep) runOne(seed uint64, patterns []InputPattern, a *Arena) runResult {
+	a.rng.Reset(seed)
+	cfg, sc := s.plan(&a.rng, patterns, seed, a)
+	rec, err := a.mp.Run(cfg)
+	return verdict(sc, rec, err, s.Validity)
 }
 
 // plan derives one scenario from the run's random stream.
-func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, sc *planScratch) (mpnet.Config, string) {
+func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a *Arena) (mpnet.Config, scenario) {
 	n, t := s.N, s.T
-	f, faulty, pattern := sc.planFaults(rng, n, t, s.FaultCap, patterns)
+	f, faulty, pattern := a.planFaults(rng, n, t, s.FaultCap, patterns)
 	cfg := mpnet.Config{
 		N: n, T: t, K: s.K,
-		Inputs:       sc.inputs,
+		Inputs:       a.inputs,
 		NewProtocol:  s.NewProtocol,
 		Seed:         rng.Uint64(),
 		MaxEvents:    s.MaxEvents,
@@ -82,7 +84,7 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 		cfg.Scheduler = mpnet.FIFO{}
 		schedName = "fifo"
 	case 1:
-		cfg.Scheduler = randomPartitionGate(n, rng, sc)
+		cfg.Scheduler = randomPartitionGate(n, rng, a)
 		schedName = "partition"
 	case 2:
 		cfg.Scheduler = mpnet.LIFO{}
@@ -95,7 +97,7 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 	}
 
 	advName := "none"
-	sc.byz = sc.byz[:0]
+	a.byz = a.byz[:0]
 	if s.Byzantine {
 		cfg.Byzantine = make(map[types.ProcessID]mpnet.Protocol, f)
 		for i := 0; i < n; i++ {
@@ -109,7 +111,7 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 				panic(err)
 			}
 			cfg.Byzantine[spec.Proc] = strat
-			sc.byz = append(sc.byz, spec)
+			a.byz = append(a.byz, spec)
 			advName = spec.Kind // last one labels the scenario
 		}
 		if f == 0 {
@@ -141,24 +143,23 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 		}
 	}
 
-	scenario := fmt.Sprintf("pattern=%s sched=%s adv=%s f=%d seed=%d", pattern, schedName, advName, f, seed)
-	return cfg, scenario
+	return cfg, scenario{pattern: pattern, sched: schedName, adv: advName, f: f, seed: seed}
 }
 
-// randomPartitionGate builds a GroupGate over a random partition into 2..4
-// groups.
-func randomPartitionGate(n int, rng *prng.Source, sc *planScratch) *mpnet.GroupGate {
+// randomPartitionGate re-partitions a's GroupGate at random into 2..4 groups:
+// processes in a random order, each drawing its group.
+func randomPartitionGate(n int, rng *prng.Source, a *Arena) *mpnet.GroupGate {
 	groupCount := rng.Intn(3) + 2
 	if groupCount > n {
 		groupCount = n
 	}
-	groups := make([][]types.ProcessID, groupCount)
-	sc.perm = rng.PermInto(sc.perm, n)
-	for _, idx := range sc.perm {
-		g := rng.Intn(groupCount)
-		groups[g] = append(groups[g], types.ProcessID(idx))
+	g := &a.gate
+	g.Group = zeroed(g.Group, n)
+	a.perm = rng.PermInto(a.perm, n)
+	for _, idx := range a.perm {
+		g.Group[idx] = rng.Intn(groupCount)
 	}
-	return mpnet.NewGroupGate(n, groups)
+	return g
 }
 
 // randomByzSpec draws one Byzantine strategy with random parameters, in
@@ -195,7 +196,7 @@ func (s *MPSweep) Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error
 	if err := needSpec(s.Spec, s.Name); err != nil {
 		return nil, nil, err
 	}
-	var sc planScratch
-	cfg, _ := s.plan(prng.New(runSeed), orAllPatterns(s.Patterns), runSeed, &sc)
-	return trace.CaptureMP(cfg, s.Validity, s.Spec, sc.byz)
+	var a Arena
+	cfg, _ := s.plan(prng.New(runSeed), orAllPatterns(s.Patterns), runSeed, &a)
+	return trace.CaptureMP(cfg, s.Validity, s.Spec, a.byz)
 }

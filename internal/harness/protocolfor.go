@@ -75,12 +75,21 @@ func clampFaults(f, faultCap int) int {
 // instantiates the witness protocol and sweeps randomized adversarial
 // scenarios under o, checking every run. The summary is identical for any
 // o.Exec: run seeds are pre-drawn and results merge in run order.
+// ValidateCell is new(Arena).ValidateCell.
 func ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Summary, error) {
-	s, err := newCellSweep(m, v, n, k, t, o)
+	return new(Arena).ValidateCell(m, v, n, k, t, o)
+}
+
+// ValidateCell is the package-level ValidateCell on a: the sweep runs on
+// a's working set, and with no o.Exec the message-passing witness runs on
+// a's instances, restarted run after run. The summary is the one a fresh
+// Arena gives.
+func (a *Arena) ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Summary, error) {
+	s, err := newCellSweep(m, v, n, k, t, o, a)
 	if err != nil {
 		return nil, err
 	}
-	return s.Execute(), nil
+	return s.run(a), nil
 }
 
 // CaptureCellRun re-derives one run of a solvable cell's randomized sweep —
@@ -88,7 +97,7 @@ func ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Su
 // it with recording on, returning the portable trace artifact. This is how
 // cmd/ksetverify turns a sweep violation into a replayable artifact.
 func CaptureCellRun(m types.Model, v types.Validity, n, k, t int, runSeed uint64) (*trace.Trace, *types.RunRecord, error) {
-	s, err := newCellSweep(m, v, n, k, t, CellOpts{})
+	s, err := newCellSweep(m, v, n, k, t, CellOpts{}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -96,14 +105,17 @@ func CaptureCellRun(m types.Model, v types.Validity, n, k, t int, runSeed uint64
 }
 
 // cellSweep is what MPSweep and SMSweep share: the sweep ValidateCell
-// executes and CaptureCellRun re-derives a run of.
+// runs and CaptureCellRun re-derives a run of.
 type cellSweep interface {
-	Execute() *Summary
+	run(a *Arena) *Summary
 	Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error)
 }
 
-// newCellSweep builds the sweep of a solvable cell's witness protocol.
-func newCellSweep(m types.Model, v types.Validity, n, k, t int, o CellOpts) (cellSweep, error) {
+// newCellSweep builds the sweep of a solvable cell's witness protocol. A
+// serial message-passing sweep (no o.Exec) takes its witness instances from
+// witnesses, when that is not nil: the sweep's runs are the only users of
+// the arena's instances then.
+func newCellSweep(m types.Model, v types.Validity, n, k, t int, o CellOpts, witnesses *Arena) (cellSweep, error) {
 	r := theory.Classify(m, v, n, k, t)
 	if r.Status != theory.Solvable {
 		return nil, fmt.Errorf("%w: cell %v/%v n=%d k=%d t=%d is %v", ErrNoWitness, m, v, n, k, t, r.Status)
@@ -115,6 +127,9 @@ func newCellSweep(m types.Model, v types.Validity, n, k, t int, o CellOpts) (cel
 		factory, err := MPFactory(r)
 		if err != nil {
 			return nil, err
+		}
+		if witnesses != nil && o.Exec == nil {
+			factory = witnesses.witnessFactory(trace.SpecFor(r), factory)
 		}
 		return &MPSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,

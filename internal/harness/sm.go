@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"kset/internal/prng"
 	"kset/internal/smmem"
 	"kset/internal/trace"
@@ -47,28 +45,32 @@ type SMSweep struct {
 }
 
 // Execute runs the sweep.
-func (s *SMSweep) Execute() *Summary {
-	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, s.runOne)
+func (s *SMSweep) Execute() *Summary { return s.run(new(Arena)) }
+
+// run runs the sweep on a.
+func (s *SMSweep) run(a *Arena) *Summary {
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, a, s.runOne)
 }
 
-// runOne plans, executes and checks a single run.
-func (s *SMSweep) runOne(seed uint64, patterns []InputPattern, sc *planScratch) runResult {
-	cfg, scenario := s.plan(prng.New(seed), patterns, seed, sc)
-	rec, err := sc.sm.Run(cfg)
-	return verdict(scenario, rec, err, s.Validity)
+// runOne plans, executes and checks a single run on a's simulator arena.
+func (s *SMSweep) runOne(seed uint64, patterns []InputPattern, a *Arena) runResult {
+	a.rng.Reset(seed)
+	cfg, sc := s.plan(&a.rng, patterns, seed, a)
+	rec, err := a.sm.Run(cfg)
+	return verdict(sc, rec, err, s.Validity)
 }
 
 // plan derives one scenario from the run's random stream.
-func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, sc *planScratch) (smmem.Config, string) {
+func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a *Arena) (smmem.Config, scenario) {
 	n, t := s.N, s.T
-	f, _, pattern := sc.planFaults(rng, n, t, s.FaultCap, patterns)
+	f, _, pattern := a.planFaults(rng, n, t, s.FaultCap, patterns)
 	faultyIDs := make([]types.ProcessID, 0, f)
-	for _, idx := range sc.perm[:f] {
+	for _, idx := range a.perm[:f] {
 		faultyIDs = append(faultyIDs, types.ProcessID(idx))
 	}
 	cfg := smmem.Config{
 		N: n, T: t, K: s.K,
-		Inputs:      sc.inputs,
+		Inputs:      a.inputs,
 		NewProtocol: s.NewProtocol,
 		Seed:        rng.Uint64(),
 		MaxOps:      s.MaxOps,
@@ -81,8 +83,8 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 	delaySet := func() []types.ProcessID {
 		size := rng.Intn(t + 1)
 		ids := make([]types.ProcessID, 0, size)
-		sc.perm = rng.PermInto(sc.perm, n)
-		for _, idx := range sc.perm[:size] {
+		a.perm = rng.PermInto(a.perm, n)
+		for _, idx := range a.perm[:size] {
 			ids = append(ids, types.ProcessID(idx))
 		}
 		return ids
@@ -123,7 +125,7 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 	}
 
 	advName := "none"
-	sc.byz = sc.byz[:0]
+	a.byz = a.byz[:0]
 	if s.Byzantine {
 		cfg.Byzantine = make(map[types.ProcessID]smmem.Protocol, f)
 		for _, id := range faultyIDs {
@@ -134,7 +136,7 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 				panic(err)
 			}
 			cfg.Byzantine[id] = strat
-			sc.byz = append(sc.byz, spec)
+			a.byz = append(a.byz, spec)
 			advName = spec.Kind
 		}
 		if f == 0 {
@@ -155,8 +157,7 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, s
 		}
 	}
 
-	scenario := fmt.Sprintf("pattern=%s sched=%s adv=%s f=%d seed=%d", pattern, schedName, advName, f, seed)
-	return cfg, scenario
+	return cfg, scenario{pattern: pattern, sched: schedName, adv: advName, f: f, seed: seed}
 }
 
 // randomSMByzSpec draws one shared-memory Byzantine strategy in serializable
@@ -193,7 +194,7 @@ func (s *SMSweep) Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error
 	if err := needSpec(s.Spec, s.Name); err != nil {
 		return nil, nil, err
 	}
-	var sc planScratch
-	cfg, _ := s.plan(prng.New(runSeed), orAllPatterns(s.Patterns), runSeed, &sc)
-	return trace.CaptureSM(cfg, s.Validity, s.Spec, sc.byz)
+	var a Arena
+	cfg, _ := s.plan(prng.New(runSeed), orAllPatterns(s.Patterns), runSeed, &a)
+	return trace.CaptureSM(cfg, s.Validity, s.Spec, a.byz)
 }

@@ -11,8 +11,8 @@
 //   - maporder: simulation packages must not range over maps when the loop
 //     body has effects, because map iteration order would leak into traces.
 //   - prngflow: all randomness must flow through internal/prng, and every
-//     prng.New seed must derive from parameters, constants, or other
-//     deterministic draws.
+//     prng.New or Source.Reset seed must derive from parameters, constants,
+//     or other deterministic draws.
 //   - lockdiscipline: packages with real mutexes must release every mutex
 //     on every return path and never hold one across a blocking channel
 //     operation.

@@ -13,9 +13,10 @@ import (
 //   - prngflow.import: imports of math/rand, math/rand/v2, or crypto/rand.
 //     math/rand's stream is not stable across Go releases and crypto/rand
 //     is real entropy; both break replay-from-seed.
-//   - prngflow.seed: a prng.New call whose seed expression involves a
-//     function call that is neither a type conversion nor a call into the
-//     blessed package itself (prng.MixSeed, draws from a prng.Source).
+//   - prngflow.seed: a prng.New or Source.Reset call whose seed expression
+//     involves a function call that is neither a type conversion nor a
+//     call into the blessed package itself (prng.MixSeed, draws from a
+//     prng.Source).
 //     Seeds must derive from parameters, constants, sanctioned mixing, and
 //     prior deterministic draws — never from clocks, counters, or ambient
 //     state. Arguments of sanctioned calls stay under audit, so entropy
@@ -67,15 +68,15 @@ func (*PrngFlow) Check(pkg *Package) []Finding {
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isPrngNew(pkg, call) || len(call.Args) != 1 {
+			if !ok || !isPrngSeeding(pkg, call) || len(call.Args) != 1 {
 				return true
 			}
 			if bad := badSeedCall(pkg, call.Args[0]); bad != nil {
 				out = append(out, Finding{
 					Pos:  pkg.Fset.Position(bad.Pos()),
 					Rule: "prngflow.seed",
-					Msg: fmt.Sprintf("prng.New seed calls %s: seeds must be parameters, constants, or prng draws",
-						types.ExprString(bad.Fun)),
+					Msg: fmt.Sprintf("prng.%s seed calls %s: seeds must be parameters, constants, or prng draws",
+						callee(pkg, call).Name(), types.ExprString(bad.Fun)),
 				})
 			}
 			return true
@@ -84,11 +85,16 @@ func (*PrngFlow) Check(pkg *Package) []Finding {
 	return out
 }
 
-// isPrngNew reports whether call invokes the blessed package's New,
-// qualified (prng.New(...)) or direct (the fixture is the package itself).
-func isPrngNew(pkg *Package, call *ast.CallExpr) bool {
+// isPrngSeeding reports whether call seeds a generator of the blessed
+// package: its New, qualified (prng.New(...)) or direct (the fixture is the
+// package itself), or the Reset method that reseeds a Source in place.
+func isPrngSeeding(pkg *Package, call *ast.CallExpr) bool {
 	fn := callee(pkg, call)
-	return inPrng(fn) && fn.Name() == "New" && fn.Type().(*types.Signature).Recv() == nil
+	if !inPrng(fn) {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv() != nil
+	return fn.Name() == "New" && !recv || fn.Name() == "Reset" && recv
 }
 
 // badSeedCall returns the first call inside the seed expression that is not

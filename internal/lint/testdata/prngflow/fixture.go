@@ -14,6 +14,9 @@ type Source struct{ state uint64 }
 // New mimics prng.New.
 func New(seed uint64) *Source { return &Source{state: seed} }
 
+// Reset mimics prng.Source.Reset: reseeding in place.
+func (s *Source) Reset(seed uint64) { s.state = seed }
+
 // Uint64 mimics a deterministic draw.
 func (s *Source) Uint64() uint64 {
 	s.state = s.state*6364136223846793005 + 1442695040888963407
@@ -36,6 +39,8 @@ func good(cfg config, i int) *Source {
 	c := New(uint64(i)*31 + 7)             // conversion of a parameter: fine
 	d := New(a.Uint64())                   // reseeding from a deterministic draw: fine
 	e := New(MixSeed(cfg.Seed, uint64(i))) // sanctioned mixing of parameters: fine
+	var f Source
+	f.Reset(a.Uint64()) // splitting in place from a deterministic draw: fine
 	_, _, _, _ = b, c, d, e
 	return a
 }
@@ -44,7 +49,7 @@ func bad() *Source {
 	x := New(uint64(time.Now().UnixNano()))          // want prngflow.seed
 	y := New(rand.Uint64())                          // want prngflow.seed
 	z := New(MixSeed(uint64(time.Now().UnixNano()))) // want prngflow.seed
-	_ = z
+	z.Reset(uint64(time.Now().UnixNano()))           // want prngflow.seed
 	return both(x, y)
 }
 

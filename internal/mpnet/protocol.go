@@ -88,6 +88,13 @@ type View struct {
 	Faulty   []bool // crashed or Byzantine
 	Events   int    // deliveries performed so far
 	Messages int    // messages sent so far
+	// Changes counts what can move Decided, Crashed and Faulty: every
+	// decision, every crash, and the start of every run. It only grows, also
+	// across the runs of one Runner, whose View is one value at one address
+	// in every run, so the pair (view, Changes) names the state of those
+	// slices: a scheduler that keeps an answer worked out from them may keep
+	// it while it sees the same View with the same Changes.
+	Changes uint64
 }
 
 // Scheduler chooses the next in-flight message to deliver: Next returns a
@@ -104,7 +111,10 @@ type View struct {
 //     envelopes draws through Pool.PickAmong, which asks the filter about
 //     each message once and not once per pick;
 //   - anything per process or per group (a gate, a decided-set) is worked
-//     out once per call, before the draw, in O(n);
+//     out in O(n) once per change, not once per call: it is a function of
+//     the View's slices, which move only when View.Changes does, so a
+//     policy keeps its answer with the View and Changes it saw and works it
+//     out again only when either differs (a new run, a decision, a crash);
 //   - it allocates nothing, keeping any scratch it needs on the scheduler;
 //   - it draws from rng only what the choice needs, in a fixed order.
 type Scheduler interface {

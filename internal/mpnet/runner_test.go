@@ -215,10 +215,11 @@ func TestRunnerRecordsOutliveTheArena(t *testing.T) {
 
 // TestWarmRunnerAllocations is the host-independent guard on the arena: once
 // a Runner has made a run of a configuration, another allocates only what a
-// run must own — the protocol instances and their state, one rng stream per
-// process and the record — a small constant per process, where a fresh
-// Runner also builds the process table, the view and the n*n pool and grows
-// every self queue.
+// run must own — the protocol instances and their state, which this test
+// builds anew for every run, and the record — a small constant per process,
+// where a fresh Runner also builds the process table, the view and the n*n
+// pool and grows every self queue. The processes' rng streams live in the
+// process table.
 func TestWarmRunnerAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -246,7 +247,7 @@ func TestWarmRunnerAllocations(t *testing.T) {
 			fresh := testing.AllocsPerRun(20, func() { run(new(mpnet.Runner)) })
 			t.Logf("%s: %.0f allocations per run on a warmed runner (%.1f per process), %.0f on a fresh one",
 				c.name, warm, warm/float64(c.n), fresh)
-			const perRun = 10 // the record and its six slices, the run's rng
+			const perRun = 10 // the record and its five slices
 			if limit := c.perProcess*float64(c.n) + perRun; warm > limit {
 				t.Errorf("%.0f allocations per warm run, want <= %.0f (%v per process + %d)", warm, limit, c.perProcess, perRun)
 			}
@@ -254,5 +255,55 @@ func TestWarmRunnerAllocations(t *testing.T) {
 				t.Errorf("a warmed runner allocates %.0f per run, a fresh one %.0f", warm, fresh)
 			}
 		})
+	}
+}
+
+// chatter never decides: it broadcasts its input at Start and passes every
+// delivery on to the next process, so a run keeps messages in flight until
+// its event budget ends it, with no decision or crash to move View.Changes.
+type chatter struct{}
+
+func (chatter) Start(api mpnet.API) {
+	api.Broadcast(types.Payload{Kind: types.KindInput, Value: api.Input()})
+}
+
+func (chatter) Deliver(api mpnet.API, from types.ProcessID, p types.Payload) {
+	api.Send(types.ProcessID((int(api.ID())+1)%api.N()), p)
+}
+
+// TestGroupGateReuseAcrossRuns reuses one GroupGate for two runs of one
+// Runner whose Byzantine sets differ, and requires of each the picks a fresh
+// gate makes on a fresh Runner. The Byzantine set decides which gates stand
+// open — a group of faulty processes only is open from the start — and no
+// decision or crash happens in either run, so a gate that kept its answer
+// for the same View at the same Changes within a run's counting alone
+// (the View is the Runner's one value) would carry the first run's gates
+// into the second.
+func TestGroupGateReuseAcrossRuns(t *testing.T) {
+	const n = 6
+	groups := [][]types.ProcessID{{0, 1}, {2, 3}, {4, 5}}
+	cfg := func(byz []types.ProcessID, gate *mpnet.GroupGate) mpnet.Config {
+		c := mpnet.Config{
+			N: n, T: 2, K: 3, Inputs: distinctValues(n), Seed: 11, MaxEvents: 120,
+			NewProtocol: func(types.ProcessID) mpnet.Protocol { return chatter{} },
+			Byzantine:   map[types.ProcessID]mpnet.Protocol{},
+			Scheduler:   gate,
+		}
+		for _, p := range byz {
+			c.Byzantine[p] = chatter{}
+		}
+		return c
+	}
+	var r mpnet.Runner
+	reused := mpnet.NewGroupGate(n, groups)
+	for _, byz := range [][]types.ProcessID{{0, 1}, {4, 5}, {0, 1}} {
+		got := observe(&r, cfg(byz, reused))
+		want := observe(new(mpnet.Runner), cfg(byz, mpnet.NewGroupGate(n, groups)))
+		if got.err != "" || want.err != "" {
+			t.Fatalf("Byzantine %v: %q, %q", byz, got.err, want.err)
+		}
+		if !reflect.DeepEqual(got.picks, want.picks) {
+			t.Fatalf("Byzantine %v: a reused gate picks %v,\na fresh one %v", byz, got.picks, want.picks)
+		}
 	}
 }

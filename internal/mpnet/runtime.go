@@ -75,7 +75,7 @@ type process struct {
 	id        types.ProcessID
 	proto     Protocol
 	input     types.Value
-	rng       *prng.Source
+	rng       prng.Source // split from the run's stream in place, see reset
 	decided   bool
 	decision  types.Value
 	decidedAt int
@@ -98,7 +98,7 @@ type runtime struct {
 	procs   []process
 	pool    Pool
 	view    View
-	rng     *prng.Source
+	rng     prng.Source
 	budget  int
 	sched   Scheduler
 	err     error // first protocol/config bug detected mid-run
@@ -129,7 +129,7 @@ func (a *api) T() int              { return a.rt.t }
 func (a *api) K() int              { return a.rt.k }
 func (a *api) Input() types.Value  { return a.p.input }
 func (a *api) HasDecided() bool    { return a.p.decided }
-func (a *api) Rand() *prng.Source  { return a.p.rng }
+func (a *api) Rand() *prng.Source  { return &a.p.rng }
 
 func (a *api) Send(to types.ProcessID, p types.Payload) {
 	a.rt.send(a.p, to, p)
@@ -160,6 +160,7 @@ func (a *api) Decide(v types.Value) {
 		a.rt.undecided--
 	}
 	a.rt.view.Decided[p.id] = true
+	a.rt.view.Changes++
 	a.rt.trace(TraceEvent{Type: EvDecide, Proc: p.id, Value: v})
 }
 
@@ -171,10 +172,12 @@ func Run(cfg Config) (*types.RunRecord, error) {
 	return new(Runner).Run(cfg)
 }
 
-// Runner executes runs one after another on one arena: the process table,
-// the view's slices, the in-flight pool with its index and marks, and every
-// process's self-delivery queue keep their arrays from one Run to the next,
-// so a sweep's later runs grow nothing the earlier ones already grew. A run
+// Runner executes runs one after another on one arena: the process table
+// with every process's generator, the view's slices, the in-flight pool with
+// its index and marks, and every process's self-delivery queue keep their
+// arrays from one Run to the next, so a sweep's later runs grow nothing the
+// earlier ones already grew. The View is the same value in every run; its
+// Changes count goes on growing across them. A run
 // on a used Runner is the run a fresh one would make — same schedule, same
 // record, same Recorder and Trace streams — whatever ran before it and
 // however that ended; a returned RunRecord shares no memory with the arena.
@@ -235,7 +238,6 @@ func (rt *runtime) reset(cfg Config) {
 	*rt = runtime{
 		cfg: cfg,
 		n:   n, t: cfg.T, k: cfg.K,
-		rng:    prng.New(cfg.Seed),
 		budget: cfg.MaxEvents,
 		sched:  cfg.Scheduler,
 		pool:   rt.pool,
@@ -244,8 +246,12 @@ func (rt *runtime) reset(cfg Config) {
 			Decided: cleared(rt.view.Decided, n),
 			Crashed: cleared(rt.view.Crashed, n),
 			Faulty:  cleared(rt.view.Faulty, n),
+			// A new run is a change: a scheduler that kept something per
+			// process from the last run must work it out again.
+			Changes: rt.view.Changes + 1,
 		},
 	}
+	rt.rng.Reset(cfg.Seed)
 	if rt.budget == 0 {
 		rt.budget = DefaultEventBudgetFactor*n*n + n
 	}
@@ -263,9 +269,9 @@ func (rt *runtime) reset(cfg Config) {
 		*p = process{
 			id:        id,
 			input:     cfg.Inputs[i],
-			rng:       rt.rng.Split(),
 			selfQueue: p.selfQueue[:0],
 		}
+		p.rng.Reset(rt.rng.Uint64())
 		if strat, ok := cfg.Byzantine[id]; ok {
 			p.proto = strat
 			p.byz = true
@@ -293,6 +299,9 @@ func cleared(s []bool, n int) []bool {
 	return s
 }
 
+// trace reports ev to Config.Trace when it is set. The per-message paths
+// (send, delivery) test Trace themselves, so an untraced run does not build
+// their events.
 func (rt *runtime) trace(ev TraceEvent) {
 	if rt.cfg.Trace != nil {
 		ev.EventIndex = rt.view.Events
@@ -320,6 +329,7 @@ func (rt *runtime) crash(p *process) {
 	}
 	rt.view.Crashed[p.id] = true
 	rt.view.Faulty[p.id] = true
+	rt.view.Changes++
 	// Messages already in flight from p stay in flight: they were handed to
 	// the network before the crash. Messages addressed to p will be
 	// discarded at delivery.
@@ -347,7 +357,9 @@ func (rt *runtime) send(from *process, to types.ProcessID, payload types.Payload
 	}
 	from.sends++
 	rt.view.Messages++
-	rt.trace(TraceEvent{Type: EvSend, Proc: from.id, Peer: to, Payload: payload})
+	if rt.cfg.Trace != nil {
+		rt.trace(TraceEvent{Type: EvSend, Proc: from.id, Peer: to, Payload: payload})
+	}
 	if to == from.id {
 		from.selfQueue = append(from.selfQueue, payload)
 		return
@@ -364,7 +376,9 @@ func (rt *runtime) drainSelf(p *process) {
 	a := &p.a
 	for qi := 0; qi < len(p.selfQueue) && !p.crashed && !rt.halted(p); qi++ {
 		payload := p.selfQueue[qi]
-		rt.trace(TraceEvent{Type: EvDeliver, Proc: p.id, Peer: p.id, Payload: payload})
+		if rt.cfg.Trace != nil {
+			rt.trace(TraceEvent{Type: EvDeliver, Proc: p.id, Peer: p.id, Payload: payload})
+		}
 		p.proto.Deliver(a, p.id, payload)
 	}
 	// Leftovers (crash or halt mid-drain) are droppable: a crashed or halted
@@ -416,7 +430,7 @@ func (rt *runtime) run() error {
 			budgetExhausted = true
 			break
 		}
-		idx := rt.sched.Next(&rt.view, &rt.pool, rt.rng)
+		idx := rt.sched.Next(&rt.view, &rt.pool, &rt.rng)
 		if idx < 0 || idx >= rt.pool.Len() {
 			return fmt.Errorf("%w: %d of %d", ErrBadSchedule, idx, rt.pool.Len())
 		}
@@ -440,7 +454,9 @@ func (rt *runtime) run() error {
 		}
 		rt.view.Events++
 		p.events++
-		rt.trace(TraceEvent{Type: EvDeliver, Proc: env.To, Peer: env.From, Payload: env.Payload})
+		if rt.cfg.Trace != nil {
+			rt.trace(TraceEvent{Type: EvDeliver, Proc: env.To, Peer: env.From, Payload: env.Payload})
+		}
 		p.proto.Deliver(&p.a, env.From, env.Payload)
 		rt.drainSelf(p)
 		if rt.err != nil {

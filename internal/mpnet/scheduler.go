@@ -74,12 +74,17 @@ type GroupGate struct {
 	// FromAlways marks senders whose messages are always eligible,
 	// regardless of gates. The Byzantine constructions (Lemmas 3.9, 3.11)
 	// use it for the faulty set F, which "communicates with every group".
+	//
+	// Group and FromAlways may be rewritten between runs (a sweep reuses
+	// one GroupGate, re-partitioned for every run), not during one.
 	FromAlways []bool
 
-	// open is the gates' state at the previous pick and pending the scratch
-	// gates counts in.
+	// open is the gates' state as of the View view at Changes changes, and
+	// pending the scratch gates counts in.
 	open    []bool
 	pending []int
+	view    *View
+	changes uint64
 }
 
 var _ Scheduler = (*GroupGate)(nil)
@@ -103,8 +108,14 @@ func NewGroupGate(n int, groups [][]types.ProcessID) *GroupGate {
 // Faulty members (crashed or Byzantine) are ignored — a Byzantine process may
 // never decide, and waiting for it would wedge the gate. The result is
 // indexed by group+1, since Group holds -1 for a process in no listed group;
-// changed reports whether it differs from the previous call's.
+// changed reports whether it differs from the previous call's. The walk is
+// made once per change of the View (see View.Changes); between changes the
+// gates stand as they are.
 func (g *GroupGate) gates(view *View) (open []bool, changed bool) {
+	if view == g.view && view.Changes == g.changes {
+		return g.open, false
+	}
+	g.view, g.changes = view, view.Changes
 	groups := 1
 	for _, gi := range g.Group {
 		if gi+2 > groups {
@@ -112,7 +123,10 @@ func (g *GroupGate) gates(view *View) (open []bool, changed bool) {
 		}
 	}
 	if len(g.open) != groups {
-		g.open, g.pending = make([]bool, groups), make([]int, groups)
+		if cap(g.open) < groups {
+			g.open, g.pending = make([]bool, groups), make([]int, groups)
+		}
+		g.open, g.pending = g.open[:groups], g.pending[:groups]
 		changed = true
 	}
 	for i := range g.pending {
@@ -202,10 +216,17 @@ func (p *PreferIntra) Next(_ *View, pool *Pool, rng *prng.Source) int {
 // DelayProcess holds every message *from* the given processes until all
 // other correct processes have decided, then releases them. It realizes the
 // "p's messages after time T are delayed until after all processes in g
-// decide" constructions of Lemmas 3.4 and 3.5.
+// decide" constructions of Lemmas 3.4 and 3.5. It keeps state between
+// picks, so runs that go on at once need one each.
 type DelayProcess struct {
 	// Delayed[p] marks senders whose outbound messages are held.
 	Delayed []bool
+
+	// released is whether every other correct process had decided as of the
+	// View view at Changes changes.
+	released bool
+	view     *View
+	changes  uint64
 }
 
 var _ Scheduler = (*DelayProcess)(nil)
@@ -221,18 +242,26 @@ func NewDelayProcess(n int, ids ...types.ProcessID) *DelayProcess {
 
 // Next implements Scheduler.
 func (d *DelayProcess) Next(view *View, pool *Pool, rng *prng.Source) int {
-	allOthersDecided := true
+	if view != d.view || view.Changes != d.changes {
+		d.view, d.changes = view, view.Changes
+		d.released = d.othersDecided(view)
+	}
+	if d.released {
+		return rng.Intn(pool.Len())
+	}
+	return pool.PickAmong(rng, false, func(env *Envelope) bool { return !d.Delayed[env.From] })
+}
+
+// othersDecided reports whether every correct process whose messages are not
+// held has decided.
+func (d *DelayProcess) othersDecided(view *View) bool {
 	for p := 0; p < view.N; p++ {
 		if d.Delayed[p] || view.Crashed[p] || view.Faulty[p] {
 			continue
 		}
 		if !view.Decided[p] {
-			allOthersDecided = false
-			break
+			return false
 		}
 	}
-	if allOthersDecided {
-		return rng.Intn(pool.Len())
-	}
-	return pool.PickAmong(rng, false, func(env *Envelope) bool { return !d.Delayed[env.From] })
+	return true
 }

@@ -8,7 +8,7 @@ package prng
 import "math/bits"
 
 // Source is a deterministic xoshiro256** generator. The zero value is not
-// usable; construct with New.
+// usable; construct with New, or seed a Source value with Reset.
 type Source struct {
 	s [4]uint64
 }
@@ -18,20 +18,29 @@ type Source struct {
 // streams; the same seed always gives the same stream.
 func New(seed uint64) *Source {
 	var src Source
+	src.Reset(seed)
+	return &src
+}
+
+// Reset reseeds s in place: afterwards s yields the stream New(seed) would.
+// A Source kept in a table or an arena is split from a parent by
+// s.Reset(parent.Uint64()), which gives each process or subsystem its own
+// stream, so that adding randomness in one place does not perturb another's
+// sequence, without allocating a generator per stream.
+func (s *Source) Reset(seed uint64) {
 	sm := seed
-	for i := range src.s {
+	for i := range s.s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		src.s[i] = z ^ (z >> 31)
+		s.s[i] = z ^ (z >> 31)
 	}
 	// A xoshiro state of all zeros is invalid; splitmix64 of any seed never
 	// produces it, but guard anyway so the invariant is local.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 1
+	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
+		s.s[0] = 1
 	}
-	return &src
 }
 
 // Uint64 returns the next 64 random bits.
@@ -123,8 +132,3 @@ func MixSeed(h uint64, vs ...uint64) uint64 {
 	}
 	return h
 }
-
-// Split derives an independent child generator. Used to give each process or
-// subsystem its own stream so that adding randomness in one place does not
-// perturb another's sequence.
-func (s *Source) Split() *Source { return New(s.Uint64()) }

@@ -15,6 +15,23 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNew: a used Source reseeded in place yields the stream of a
+// new one, so a process table that keeps its generators replays as before.
+func TestResetMatchesNew(t *testing.T) {
+	var used Source
+	used.Reset(7)
+	for i := 0; i < 100; i++ {
+		used.Uint64()
+	}
+	used.Reset(42)
+	fresh := New(42)
+	for i := 0; i < 1000; i++ {
+		if used.Uint64() != fresh.Uint64() {
+			t.Fatalf("reset stream diverges from New at step %d", i)
+		}
+	}
+}
+
 func TestDistinctSeedsDistinctStreams(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
@@ -117,10 +134,13 @@ func TestPermIsAPermutation(t *testing.T) {
 	}
 }
 
+// TestSplitStreamsAreIndependent splits two streams from one parent the way
+// the simulators seed their process tables, with Reset from a parent draw.
 func TestSplitStreamsAreIndependent(t *testing.T) {
 	parent := New(9)
-	a := parent.Split()
-	b := parent.Split()
+	var a, b Source
+	a.Reset(parent.Uint64())
+	b.Reset(parent.Uint64())
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == b.Uint64() {

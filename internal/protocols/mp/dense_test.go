@@ -186,7 +186,9 @@ func TestFirstPerSenderMatchesReference(t *testing.T) {
 		for seed := uint64(1); seed <= 20; seed++ {
 			rng := prng.New(prng.MixSeed(seed, uint64(n)))
 			hostile := hostileIDs(n)
-			f, ref := newFirstPerSender(n), newRefFirstPerSender(n)
+			var f firstPerSender
+			f.reset(n)
+			ref := newRefFirstPerSender(n)
 			domain := rng.Intn(3) + 1
 			for i := 0; i < 3*n+8; i++ {
 				sender := types.ProcessID(rng.Intn(n))
@@ -258,4 +260,65 @@ func FuzzProtocolDeliver(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReuseRestartsAsFresh holds every protocol to the restart contract: one
+// instance taken through a sequence of runs — n growing and shrinking across
+// the bitsets' word boundary, t, k and the process id changing, each run cut
+// off after a random share of a hostile stream — makes in every run the calls
+// a new instance makes on the same run.
+func TestReuseRestartsAsFresh(t *testing.T) {
+	protocols := []struct {
+		name string
+		mk   func() mpnet.Protocol
+	}{
+		{"floodmin", func() mpnet.Protocol { return NewFloodMin() }},
+		{"protocol-a", func() mpnet.Protocol { return NewProtocolA() }},
+		{"protocol-b", func() mpnet.Protocol { return NewProtocolB() }},
+		{"protocol-c1", func() mpnet.Protocol { return NewProtocolC(1) }},
+		{"protocol-c2", func() mpnet.Protocol { return NewProtocolC(2) }},
+		{"protocol-d", func() mpnet.Protocol { return NewProtocolD() }},
+		{"protocol-d-broadcasters", func() mpnet.Protocol { return NewProtocolDBroadcasters(2) }},
+		{"trivial", func() mpnet.Protocol { return NewTrivial() }},
+	}
+	rounds := 3
+	if testing.Short() {
+		rounds = 1
+	}
+	decides := 0
+	for _, p := range protocols {
+		rng := prng.New(prng.MixSeed(7, uint64(len(p.name))))
+		reused := p.mk()
+		for round := 0; round < rounds; round++ {
+			for _, n := range []int{4, 9, 65, 3, 24, 130, 1, 9, 70, 5} {
+				tt := rng.Intn((n + 2) / 3)
+				k := rng.Intn(n) + 1
+				id := types.ProcessID(rng.Intn(n))
+				stream := hostileStream(rng, n, 40*n+40)
+				stream = stream[:rng.Intn(len(stream)+1)]
+				for i := range stream {
+					if i%3 == 0 {
+						stream[i].p.Kind = types.KindInput
+					}
+				}
+				logs := [2]*callLog{newCallLog(id, n, tt, k), newCallLog(id, n, tt, k)}
+				for i, inst := range []mpnet.Protocol{reused, p.mk()} {
+					inst.Start(logs[i])
+					for _, d := range stream {
+						inst.Deliver(logs[i], d.from, d.p)
+					}
+				}
+				if !reflect.DeepEqual(logs[0].calls, logs[1].calls) {
+					t.Fatalf("%s round %d n=%d t=%d k=%d id=%d: a restarted instance's calls differ from a new one's\n got %v\nwant %v",
+						p.name, round, n, tt, k, id, logs[0].calls, logs[1].calls)
+				}
+				if logs[0].decided {
+					decides++
+				}
+			}
+		}
+	}
+	if decides == 0 {
+		t.Fatal("no run decided: equal logs say nothing")
+	}
 }

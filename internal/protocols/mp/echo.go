@@ -25,12 +25,14 @@ type echoCandidate struct {
 // that echoed it. It is the bookkeeping the l-echo broadcast and Protocol D
 // share.
 //
-// A correct origin has one candidate value, and a Byzantine one gets a second
-// only by equivocating, so each origin in 0..origins-1 has a short list that
-// is searched by value; the first entry of every list and its echoer bitset
-// are carved out of two blocks allocated up front. An origin outside that
-// range is payload nobody vouched for (see idSet): its candidates live in a
-// map, as all of them used to.
+// A correct origin has one candidate value, and a Byzantine echoer adds
+// another for any origin by echoing a value it never sent, so each origin in
+// 0..origins-1 has a short list that is searched by value; the first entry
+// of every list and its echoer bitset are carved out of two blocks allocated
+// up front. A list that grew past one entry keeps its array, and the later
+// entries their bitsets, for the next run. An origin outside that range is
+// payload nobody vouched for (see idSet): its candidates live in a map, as
+// all of them used to.
 type echoTally struct {
 	n        int // echoer sets are dense in 0..n-1
 	byOrigin [][]echoCandidate
@@ -38,18 +40,24 @@ type echoTally struct {
 	over     map[echoKey]*echoCandidate
 }
 
-func newEchoTally(origins, n int) *echoTally {
-	t := &echoTally{
-		n:        n,
-		byOrigin: make([][]echoCandidate, origins),
-		words:    make([]uint64, origins*idWords(n)),
+// reset empties the tally for origins 0..origins-1 and echoers 0..n-1, on
+// its blocks and lists when they are large enough.
+func (t *echoTally) reset(origins, n int) {
+	t.n = n
+	if cap(t.byOrigin) < origins {
+		t.byOrigin = make([][]echoCandidate, origins)
+		first := make([]echoCandidate, origins)
+		for o := range t.byOrigin {
+			// Room for one: the first candidate lands in the block.
+			t.byOrigin[o] = first[o : o : o+1]
+		}
 	}
-	first := make([]echoCandidate, origins)
+	t.byOrigin = t.byOrigin[:origins]
 	for o := range t.byOrigin {
-		// Empty, with room for one: the first append lands in the block.
-		t.byOrigin[o] = first[o : o : o+1]
+		t.byOrigin[o] = t.byOrigin[o][:0]
 	}
-	return t
+	t.words = zeroed(t.words, origins*idWords(n))
+	clear(t.over)
 }
 
 // add records that from echoed value for origin. It returns the candidate,
@@ -81,14 +89,21 @@ func (t *echoTally) candidate(origin types.ProcessID, value types.Value) *echoCa
 			return &cands[i]
 		}
 	}
-	var words []uint64
-	if len(cands) == 0 {
-		w := idWords(t.n)
-		words = t.words[int(origin)*w : (int(origin)+1)*w]
+	if len(cands) < cap(cands) {
+		// A slot an earlier run filled: its bitset is reused below.
+		cands = cands[:len(cands)+1]
+	} else {
+		cands = append(cands, echoCandidate{})
 	}
-	cands = append(cands, echoCandidate{value: value, echoers: makeIDSet(t.n, words)})
 	t.byOrigin[origin] = cands
-	return &cands[len(cands)-1]
+	c := &cands[len(cands)-1]
+	w := idWords(t.n)
+	words := t.words[int(origin)*w : (int(origin)+1)*w]
+	if len(cands) > 1 {
+		words = zeroed(c.echoers.bits, w)
+	}
+	*c = echoCandidate{value: value, echoers: makeIDSet(t.n, words)}
+	return c
 }
 
 // EchoBroadcast implements the paper's l-echo broadcast, the generalization
@@ -115,7 +130,8 @@ type EchoBroadcast struct {
 	// acceptance threshold, at most once per pair.
 	OnAccept func(origin types.ProcessID, v types.Value)
 
-	// Built by the first Handle, which is the first call to see n and t.
+	// Built by start: a host's Start, or else the first Handle, which is the
+	// first call to see n and t.
 	tally     *echoTally
 	echoed    idSet
 	threshold int
@@ -124,6 +140,18 @@ type EchoBroadcast struct {
 // NewEchoBroadcast constructs the component for one process.
 func NewEchoBroadcast(l int, onAccept func(types.ProcessID, types.Value)) *EchoBroadcast {
 	return &EchoBroadcast{L: l, OnAccept: onAccept}
+}
+
+// start readies the component for a fresh run of api's n and t, reusing the
+// memory of the last run's state.
+func (e *EchoBroadcast) start(api mpnet.API) {
+	n := api.N()
+	if e.tally == nil {
+		e.tally = new(echoTally)
+	}
+	e.tally.reset(n, n)
+	e.echoed.reset(n)
+	e.threshold = theory.EchoAcceptThreshold(n, api.T(), e.L)
 }
 
 // Broadcast l-echo-broadcasts value v from this process.
@@ -135,10 +163,7 @@ func (e *EchoBroadcast) Broadcast(api mpnet.API, v types.Value) {
 // so hosts may feed it their entire message stream.
 func (e *EchoBroadcast) Handle(api mpnet.API, from types.ProcessID, p types.Payload) {
 	if e.tally == nil {
-		n := api.N()
-		e.tally = newEchoTally(n, n)
-		e.echoed = makeIDSet(n, nil)
-		e.threshold = theory.EchoAcceptThreshold(n, api.T(), e.L)
+		e.start(api)
 	}
 	switch p.Kind {
 	case types.KindInit:

@@ -15,7 +15,7 @@ import (
 // t+1 <= k distinct values are decided, and every decision is some process's
 // input (RV1).
 type FloodMin struct {
-	rcvd *firstPerSender
+	rcvd firstPerSender
 }
 
 var _ mpnet.Protocol = (*FloodMin)(nil)
@@ -25,7 +25,7 @@ func NewFloodMin() *FloodMin { return &FloodMin{} }
 
 // Start implements mpnet.Protocol.
 func (f *FloodMin) Start(api mpnet.API) {
-	f.rcvd = newFirstPerSender(api.N())
+	f.rcvd.reset(api.N())
 	api.Broadcast(types.Payload{Kind: types.KindInput, Value: api.Input()})
 }
 

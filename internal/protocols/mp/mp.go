@@ -15,6 +15,15 @@
 // Every protocol keeps participating (relaying, echoing) after deciding, as
 // the paper requires for its Byzantine protocols ("termination is satisfied
 // only in the sense that correct processes decide, but not ... stop").
+//
+// Restart contract: Start begins a fresh run. An instance that ran before —
+// to its end, or cut off by a crash, a halt or the event budget — and is
+// started again, with the same or another n, t and k, forgets that run and
+// behaves as a new instance would; it keeps only the memory of its state
+// (the first-per-sender record, the id sets, the echo tally and its
+// EchoBroadcast), which it clears rather than allocates. So a run arena may
+// hand the same instances to one run after another (internal/harness does,
+// for a cell's witness). Deliver before the first Start is not allowed.
 package mp
 
 import (
@@ -44,6 +53,24 @@ func makeIDSet(n int, words []uint64) idSet {
 		words = make([]uint64, idWords(n))
 	}
 	return idSet{n: n, bits: words}
+}
+
+// reset empties the set and makes its dense range 0..n-1, on its own words
+// when they are enough.
+func (s *idSet) reset(n int) {
+	s.bits = zeroed(s.bits, idWords(n))
+	s.n, s.extra, s.count = n, s.extra[:0], 0
+}
+
+// zeroed returns s with length n and every element zero, on s's array when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // add puts id in the set, reporting whether it was new.
@@ -79,8 +106,13 @@ type firstPerSender struct {
 	vals []types.Value
 }
 
-func newFirstPerSender(n int) *firstPerSender {
-	return &firstPerSender{senders: makeIDSet(n, nil), vals: make([]types.Value, 0, n)}
+// reset empties the record for a run of n processes.
+func (f *firstPerSender) reset(n int) {
+	f.senders.reset(n)
+	if cap(f.vals) < n {
+		f.vals = make([]types.Value, 0, n)
+	}
+	f.vals = f.vals[:0]
 }
 
 // add records the first value from sender, reporting whether it was new.

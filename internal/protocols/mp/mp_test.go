@@ -321,7 +321,8 @@ func TestTrivialDecidesOwnInput(t *testing.T) {
 }
 
 func TestFirstPerSenderHelpers(t *testing.T) {
-	f := newFirstPerSender(4)
+	var f firstPerSender
+	f.reset(4)
 	if !f.add(1, 5) || f.add(1, 6) {
 		t.Fatal("add must record only the first value per sender")
 	}
@@ -339,7 +340,8 @@ func TestFirstPerSenderHelpers(t *testing.T) {
 	if m, ok := f.min(); !ok || m != 5 {
 		t.Fatalf("min = %v, %v; want 5, true", m, ok)
 	}
-	empty := newFirstPerSender(2)
+	var empty firstPerSender
+	empty.reset(2)
 	if _, ok := empty.allEqual(); ok {
 		t.Fatal("allEqual on empty should report false")
 	}

@@ -18,7 +18,7 @@ type ProtocolA struct {
 	// types.DefaultValue.
 	Default types.Value
 
-	rcvd *firstPerSender
+	rcvd firstPerSender
 }
 
 var _ mpnet.Protocol = (*ProtocolA)(nil)
@@ -28,7 +28,7 @@ func NewProtocolA() *ProtocolA { return &ProtocolA{Default: types.DefaultValue} 
 
 // Start implements mpnet.Protocol.
 func (a *ProtocolA) Start(api mpnet.API) {
-	a.rcvd = newFirstPerSender(api.N())
+	a.rcvd.reset(api.N())
 	api.Broadcast(types.Payload{Kind: types.KindInput, Value: api.Input()})
 }
 

@@ -17,7 +17,7 @@ type ProtocolB struct {
 	// types.DefaultValue.
 	Default types.Value
 
-	rcvd *firstPerSender
+	rcvd firstPerSender
 }
 
 var _ mpnet.Protocol = (*ProtocolB)(nil)
@@ -27,7 +27,7 @@ func NewProtocolB() *ProtocolB { return &ProtocolB{Default: types.DefaultValue} 
 
 // Start implements mpnet.Protocol.
 func (b *ProtocolB) Start(api mpnet.API) {
-	b.rcvd = newFirstPerSender(api.N())
+	b.rcvd.reset(api.N())
 	api.Broadcast(types.Payload{Kind: types.KindInput, Value: api.Input()})
 }
 

@@ -26,7 +26,7 @@ type ProtocolC struct {
 	Default types.Value
 
 	echo        *EchoBroadcast
-	accepted    *firstPerSender
+	accepted    firstPerSender
 	ownAccepted bool
 	pending     mpnet.API // api captured during callback dispatch
 }
@@ -43,10 +43,15 @@ func NewProtocolC(l int) *ProtocolC {
 
 // Start implements mpnet.Protocol.
 func (c *ProtocolC) Start(api mpnet.API) {
-	c.accepted = newFirstPerSender(api.N())
-	c.echo = NewEchoBroadcast(c.L, func(origin types.ProcessID, v types.Value) {
-		c.onAccept(c.pending, origin, v)
-	})
+	c.accepted.reset(api.N())
+	c.ownAccepted = false
+	if c.echo == nil {
+		c.echo = NewEchoBroadcast(c.L, func(origin types.ProcessID, v types.Value) {
+			c.onAccept(c.pending, origin, v)
+		})
+	}
+	c.echo.L = c.L
+	c.echo.start(api)
 	c.echo.Broadcast(api, api.Input())
 }
 

@@ -27,7 +27,7 @@ type ProtocolD struct {
 	OwnDeciders int
 
 	echoedFor idSet
-	echoes    *echoTally
+	echoes    echoTally
 }
 
 var _ mpnet.Protocol = (*ProtocolD)(nil)
@@ -50,8 +50,8 @@ func (d *ProtocolD) ownDeciders(api mpnet.API) int {
 // Start implements mpnet.Protocol.
 func (d *ProtocolD) Start(api mpnet.API) {
 	// Only the broadcasters, ids 0..t, are ever echoed for.
-	d.echoedFor = makeIDSet(api.T()+1, nil)
-	d.echoes = newEchoTally(api.T()+1, api.N())
+	d.echoedFor.reset(api.T() + 1)
+	d.echoes.reset(api.T()+1, api.N())
 	// p1..p_{t+1} broadcast their inputs (ids 0..t).
 	if int(api.ID()) <= api.T() {
 		api.Broadcast(types.Payload{Kind: types.KindInit, Value: api.Input(), Origin: api.ID()})

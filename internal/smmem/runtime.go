@@ -109,7 +109,7 @@ type smProcess struct {
 	id        types.ProcessID
 	proto     Protocol
 	input     types.Value
-	rng       *prng.Source
+	rng       prng.Source // split from the run's stream in place, see reset
 	decided   bool
 	decision  types.Value
 	decidedAt int
@@ -183,7 +183,7 @@ func (a *smAPI) N() int              { return a.rt.n }
 func (a *smAPI) T() int              { return a.rt.t }
 func (a *smAPI) K() int              { return a.rt.k }
 func (a *smAPI) Input() types.Value  { return a.p.input }
-func (a *smAPI) Rand() *prng.Source  { return a.p.rng }
+func (a *smAPI) Rand() *prng.Source  { return &a.p.rng }
 func (a *smAPI) HasDecided() bool    { return a.p.decided }
 
 func (a *smAPI) Write(reg string, p types.Payload) {
@@ -287,7 +287,7 @@ type smRuntime struct {
 	n, t, k int
 	procs   []smProcess // one allocation; the runtime keeps pointers into it
 	view    *View       // its own allocation: a policy that keeps it keeps nothing else of the run
-	rng     *prng.Source
+	rng     prng.Source
 	budget  int
 	sched   Scheduler
 
@@ -322,7 +322,8 @@ func Run(cfg Config) (*types.RunRecord, error) {
 }
 
 // Runner executes runs one after another on one arena: the process table
-// with every process's handler queue and resolved Names, the candidate list, and
+// with every process's generator, handler queue and resolved Names, the
+// candidate list, and
 // the register store's family table and slices keep their memory from one
 // Run to the next, so a sweep's later runs grow nothing the earlier ones
 // already grew. Only the View is new in every run: Hold and Starve tell runs
@@ -394,7 +395,6 @@ func (rt *smRuntime) reset(cfg Config) {
 	*rt = smRuntime{
 		cfg: cfg,
 		n:   n, t: cfg.T, k: cfg.K,
-		rng:    prng.New(cfg.Seed),
 		budget: cfg.MaxOps,
 		sched:  cfg.Scheduler,
 		mem:    mem,
@@ -408,6 +408,7 @@ func (rt *smRuntime) reset(cfg Config) {
 		faults:    len(cfg.Byzantine),
 		undecided: n - len(cfg.Byzantine),
 	}
+	rt.rng.Reset(cfg.Seed)
 	if rt.budget == 0 {
 		rt.budget = DefaultOpBudgetFactor*n*n + n
 	}
@@ -424,9 +425,10 @@ func (rt *smRuntime) reset(cfg Config) {
 		id := types.ProcessID(i)
 		p := &rt.procs[i]
 		*p = smProcess{
-			id: id, input: cfg.Inputs[i], rng: rt.rng.Split(), live: true,
+			id: id, input: cfg.Inputs[i], live: true,
 			queue: p.queue[:0], names: p.names,
 		}
+		p.rng.Reset(rt.rng.Uint64())
 		p.api = smAPI{p: p, rt: rt}
 		if strat, ok := cfg.Byzantine[id]; ok {
 			p.proto = strat
@@ -545,7 +547,7 @@ func (rt *smRuntime) grant() bool {
 		return false
 	}
 
-	pid := rt.sched.Next(rt.view, rt.pending, rt.rng)
+	pid := rt.sched.Next(rt.view, rt.pending, &rt.rng)
 	if int(pid) < 0 || int(pid) >= rt.n || !rt.procs[pid].live {
 		rt.recordBug(fmt.Errorf("%w: %v", ErrBadSchedule, pid))
 		return false

@@ -125,3 +125,36 @@ admit:
 
 // panicValue boxes a recovered panic for transport across goroutines.
 type panicValue struct{ value any }
+
+// FreeList keeps values for reuse by jobs that may run on any worker: Get
+// hands out a kept value, or a new zero one when none is kept, and Put takes
+// one back. It is how a job's working set (a harness.Arena) outlives the
+// job without being shared by two at once, and it holds as many values as
+// were ever out at once — one per worker for a pool's jobs. The zero value
+// is ready to use and safe for concurrent use.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get takes a value off the list, or returns a new zero one.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	n := len(l.free)
+	if n == 0 {
+		l.mu.Unlock()
+		return new(T)
+	}
+	v := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	l.mu.Unlock()
+	return v
+}
+
+// Put returns v to the list. The caller must not use v afterwards.
+func (l *FreeList[T]) Put(v *T) {
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
+}

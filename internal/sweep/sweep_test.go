@@ -103,3 +103,27 @@ func TestMapPanicPropagates(t *testing.T) {
 		}
 	})
 }
+
+// TestFreeListReuseAcrossWorkers: values a FreeList hands to jobs running at
+// once are distinct, and the list keeps no more values than were ever out at
+// once.
+func TestFreeListReuseAcrossWorkers(t *testing.T) {
+	var free FreeList[atomic.Int32]
+	pool := NewPool(4)
+	for round := 0; round < 20; round++ {
+		pool.Map(64, func(int) {
+			v := free.Get()
+			if v.Add(1) != 1 {
+				t.Error("two jobs hold one value at once")
+			}
+			v.Add(-1)
+			free.Put(v)
+		})
+	}
+	if kept := len(free.free); kept < 1 || kept > pool.Workers() {
+		t.Errorf("free list keeps %d values, want 1..%d", kept, pool.Workers())
+	}
+	if a, b := free.Get(), free.Get(); a == b {
+		t.Error("Get handed out one value twice")
+	}
+}

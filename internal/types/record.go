@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -68,46 +69,48 @@ func (r *RunRecord) FaultCount() int {
 // CorrectDecisions returns the set of distinct values decided by correct
 // processes, in ascending order.
 func (r *RunRecord) CorrectDecisions() []Value {
-	set := make(map[Value]struct{})
+	out := make([]Value, 0, len(r.Decisions))
 	for i := 0; i < r.N; i++ {
 		if !r.Faulty[i] && r.Decided[i] {
-			set[r.Decisions[i]] = struct{}{}
+			out = append(out, r.Decisions[i])
 		}
 	}
-	return sortedValues(set)
+	return distinct(out)
 }
 
 // AllDecisions returns the set of distinct values decided by any process
 // that decided, in ascending order. Used by the WV1/WV2 conditions, which
 // quantify over all processes in failure-free runs.
 func (r *RunRecord) AllDecisions() []Value {
-	set := make(map[Value]struct{})
+	out := make([]Value, 0, len(r.Decisions))
 	for i := 0; i < r.N; i++ {
 		if r.Decided[i] {
-			set[r.Decisions[i]] = struct{}{}
+			out = append(out, r.Decisions[i])
 		}
 	}
-	return sortedValues(set)
+	return distinct(out)
 }
 
-// CorrectInputs returns the set of distinct inputs of correct processes.
+// CorrectInputs returns the set of distinct inputs of correct processes, in
+// ascending order.
 func (r *RunRecord) CorrectInputs() []Value {
-	set := make(map[Value]struct{})
+	out := make([]Value, 0, len(r.Inputs))
 	for i := 0; i < r.N; i++ {
 		if !r.Faulty[i] {
-			set[r.Inputs[i]] = struct{}{}
+			out = append(out, r.Inputs[i])
 		}
 	}
-	return sortedValues(set)
+	return distinct(out)
 }
 
-// AllInputs returns the set of distinct inputs of all processes.
+// AllInputs returns the set of distinct inputs of all processes, in
+// ascending order.
 func (r *RunRecord) AllInputs() []Value {
-	set := make(map[Value]struct{})
+	out := make([]Value, 0, len(r.Inputs))
 	for i := 0; i < r.N; i++ {
-		set[r.Inputs[i]] = struct{}{}
+		out = append(out, r.Inputs[i])
 	}
-	return sortedValues(set)
+	return distinct(out)
 }
 
 // Validate performs structural sanity checks on the record itself (sizes
@@ -117,14 +120,17 @@ func (r *RunRecord) Validate() error {
 	if r.N <= 0 {
 		return fmt.Errorf("types: run record has n=%d", r.N)
 	}
-	for name, l := range map[string]int{
-		"inputs":    len(r.Inputs),
-		"faulty":    len(r.Faulty),
-		"decided":   len(r.Decided),
-		"decisions": len(r.Decisions),
+	for _, field := range [...]struct {
+		name string
+		l    int
+	}{
+		{"inputs", len(r.Inputs)},
+		{"faulty", len(r.Faulty)},
+		{"decided", len(r.Decided)},
+		{"decisions", len(r.Decisions)},
 	} {
-		if l != r.N {
-			return fmt.Errorf("types: run record %s has length %d, want n=%d", name, l, r.N)
+		if field.l != r.N {
+			return fmt.Errorf("types: run record %s has length %d, want n=%d", field.name, field.l, r.N)
 		}
 	}
 	if f := r.FaultCount(); f > r.T {
@@ -162,11 +168,9 @@ func (r *RunRecord) String() string {
 	return b.String()
 }
 
-func sortedValues(set map[Value]struct{}) []Value {
-	out := make([]Value, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// distinct sorts vs in place and drops repeated values, returning the
+// ascending set: the few values of a record need no map.
+func distinct(vs []Value) []Value {
+	slices.Sort(vs)
+	return slices.Compact(vs)
 }
