@@ -111,10 +111,12 @@ type View struct {
 //     envelopes draws through Pool.PickAmong, which asks the filter about
 //     each message once and not once per pick;
 //   - anything per process or per group (a gate, a decided-set) is worked
-//     out in O(n) once per change, not once per call: it is a function of
-//     the View's slices, which move only when View.Changes does, so a
-//     policy keeps its answer with the View and Changes it saw and works it
-//     out again only when either differs (a new run, a decision, a crash);
+//     out in O(n) at most once per call, before the draw. It is a function
+//     of the View's slices, which move only when View.Changes does, so a
+//     policy on the sweep's path (GroupGate) keeps its answer with the View
+//     and Changes it saw and works it out again only when either differs
+//     (a new run, a decision, a crash); one that keeps no such state
+//     (DelayProcess) can be shared by runs that go on at once;
 //   - it allocates nothing, keeping any scratch it needs on the scheduler;
 //   - it draws from rng only what the choice needs, in a fixed order.
 type Scheduler interface {

@@ -216,17 +216,10 @@ func (p *PreferIntra) Next(_ *View, pool *Pool, rng *prng.Source) int {
 // DelayProcess holds every message *from* the given processes until all
 // other correct processes have decided, then releases them. It realizes the
 // "p's messages after time T are delayed until after all processes in g
-// decide" constructions of Lemmas 3.4 and 3.5. It keeps state between
-// picks, so runs that go on at once need one each.
+// decide" constructions of Lemmas 3.4 and 3.5.
 type DelayProcess struct {
 	// Delayed[p] marks senders whose outbound messages are held.
 	Delayed []bool
-
-	// released is whether every other correct process had decided as of the
-	// View view at Changes changes.
-	released bool
-	view     *View
-	changes  uint64
 }
 
 var _ Scheduler = (*DelayProcess)(nil)
@@ -242,26 +235,18 @@ func NewDelayProcess(n int, ids ...types.ProcessID) *DelayProcess {
 
 // Next implements Scheduler.
 func (d *DelayProcess) Next(view *View, pool *Pool, rng *prng.Source) int {
-	if view != d.view || view.Changes != d.changes {
-		d.view, d.changes = view, view.Changes
-		d.released = d.othersDecided(view)
-	}
-	if d.released {
-		return rng.Intn(pool.Len())
-	}
-	return pool.PickAmong(rng, false, func(env *Envelope) bool { return !d.Delayed[env.From] })
-}
-
-// othersDecided reports whether every correct process whose messages are not
-// held has decided.
-func (d *DelayProcess) othersDecided(view *View) bool {
+	allOthersDecided := true
 	for p := 0; p < view.N; p++ {
 		if d.Delayed[p] || view.Crashed[p] || view.Faulty[p] {
 			continue
 		}
 		if !view.Decided[p] {
-			return false
+			allOthersDecided = false
+			break
 		}
 	}
-	return true
+	if allOthersDecided {
+		return rng.Intn(pool.Len())
+	}
+	return pool.PickAmong(rng, false, func(env *Envelope) bool { return !d.Delayed[env.From] })
 }

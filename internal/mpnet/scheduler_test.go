@@ -102,7 +102,6 @@ func TestDelayProcessHoldsSenderUntilOthersDecide(t *testing.T) {
 	// Everyone except the delayed process decided: gate opens.
 	view.Decided[1] = true
 	view.Decided[2] = true
-	view.Changes++ // the runtime counts every decision
 	opened := false
 	for i := 0; i < 50; i++ {
 		if got := d.Next(view, poolOf(3, env), rng); env[got].From == 0 {

@@ -190,27 +190,26 @@ func writeHalting(w io.Writer, cfg Config, exec harness.Executor) {
 		name    string
 		k, t    int
 		inputs  []types.Value
-		delay   bool // hold the last process's messages until the rest decide
+		sched   mpnet.Scheduler
 		factory func() mpnet.Protocol
 	}{
-		{"FloodMin", 3, 2, distinct, false, func() mpnet.Protocol { return mp.NewFloodMin() }},
-		{"Protocol A", 2, 3, uniform, false, func() mpnet.Protocol { return mp.NewProtocolA() }},
-		{"Protocol C(1)", 3, 1, uniform, true, func() mpnet.Protocol { return mp.NewProtocolC(1) }},
-		{"Protocol D", 3, 2, distinct, false, func() mpnet.Protocol { return mp.NewProtocolD() }},
+		{"FloodMin", 3, 2, distinct, nil, func() mpnet.Protocol { return mp.NewFloodMin() }},
+		{"Protocol A", 2, 3, uniform, nil, func() mpnet.Protocol { return mp.NewProtocolA() }},
+		{"Protocol C(1)", 3, 1, uniform,
+			mpnet.NewDelayProcess(n, types.ProcessID(n-1)),
+			func() mpnet.Protocol { return mp.NewProtocolC(1) }},
+		{"Protocol D", 3, 2, distinct, nil, func() mpnet.Protocol { return mp.NewProtocolD() }},
 	}
 	verdictFor := func(factory func() mpnet.Protocol, k, t int,
-		inputs []types.Value, delay, halt bool) string {
-		cfg := mpnet.Config{
+		inputs []types.Value, sched mpnet.Scheduler, halt bool) string {
+		rec, err := mpnet.Run(mpnet.Config{
 			N: n, T: t, K: k,
 			Inputs:       inputs,
 			NewProtocol:  func(types.ProcessID) mpnet.Protocol { return factory() },
+			Scheduler:    sched,
 			Seed:         5,
 			HaltOnDecide: halt,
-		}
-		if delay {
-			cfg.Scheduler = mpnet.NewDelayProcess(n, types.ProcessID(n-1))
-		}
-		rec, err := mpnet.Run(cfg)
+		})
 		if err != nil {
 			return "error: " + err.Error()
 		}
@@ -219,12 +218,12 @@ func writeHalting(w io.Writer, cfg Config, exec harness.Executor) {
 		}
 		return "terminates"
 	}
-	// Each (trial, halting-mode) run is independent and builds its own
-	// scheduler: a DelayProcess keeps state between picks.
+	// Each (trial, halting-mode) run is independent; DelayProcess schedulers
+	// are read-only after construction, so trials can share one safely.
 	verdicts := make([]string, len(trials)*2)
 	exec.Run(len(verdicts), func(j int) {
 		tr := trials[j/2]
-		verdicts[j] = verdictFor(tr.factory, tr.k, tr.t, tr.inputs, tr.delay, j%2 == 1)
+		verdicts[j] = verdictFor(tr.factory, tr.k, tr.t, tr.inputs, tr.sched, j%2 == 1)
 	})
 	for i, tr := range trials {
 		fmt.Fprintf(w, "| %s | %s | %s |\n", tr.name, verdicts[2*i], verdicts[2*i+1])
