@@ -14,27 +14,21 @@ type ExhaustiveVerdict = exhaustive.Verdict
 // protocols (FloodMin, Protocol A or Protocol B, identified by its
 // theory.ProtocolID re-exported constants below) at small scale: every input
 // pattern, every faulty set of size <= t, and every message-arrival subset.
+// It runs the shipped protocol code and judges validity with the checker.
 // Unlike Validate, which samples adversaries, this is a proof for the given
 // (n, k, t): a holding verdict means no adversary exists, and a failing one
-// carries a concrete counterexample.
+// carries a concrete counterexample. Any other protocol is an error naming it.
 //
-// Cost grows exponentially in n; keep n <= 6.
+// Cost grows exponentially in n; keep n <= 7.
 func VerifyOneShot(proto theory.ProtocolID, v Validity, n, k, t int) (ExhaustiveVerdict, error) {
-	var rule exhaustive.Rule
-	switch proto {
-	case ProtoFloodMin:
-		rule = exhaustive.FloodMinRule{}
-	case ProtoA:
-		rule = exhaustive.ProtocolARule{}
-	case ProtoB:
-		rule = exhaustive.ProtocolBRule{}
-	default:
-		return ExhaustiveVerdict{}, fmt.Errorf("kset: %v is not a one-shot protocol", proto)
-	}
 	if n < 2 || n > 7 {
 		return ExhaustiveVerdict{}, fmt.Errorf("kset: exhaustive verification supports 2 <= n <= 7, got %d", n)
 	}
-	return exhaustive.Verify(rule, v, n, k, t, 0), nil
+	verdict, err := exhaustive.Verify(proto, v, n, k, t, 0)
+	if err != nil {
+		return ExhaustiveVerdict{}, fmt.Errorf("kset: %w", err)
+	}
+	return verdict, nil
 }
 
 // One-shot protocol identifiers for VerifyOneShot.

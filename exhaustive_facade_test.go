@@ -3,6 +3,8 @@ package kset
 import (
 	"strings"
 	"testing"
+
+	"kset/internal/theory"
 )
 
 func TestVerifyOneShotFacade(t *testing.T) {
@@ -31,5 +33,13 @@ func TestVerifyOneShotRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := VerifyOneShot(99, RV2, 5, 3, 2); err == nil {
 		t.Error("non-one-shot protocol accepted")
+	}
+}
+
+func TestVerifyOneShotNamesNonOneShotProtocol(t *testing.T) {
+	for _, proto := range []theory.ProtocolID{theory.ProtoC, theory.ProtoD, theory.ProtoTrivial, 99} {
+		if _, err := VerifyOneShot(proto, SV2, 5, 3, 1); err == nil || !strings.Contains(err.Error(), proto.String()) {
+			t.Errorf("VerifyOneShot(%s): err = %v, want one naming the protocol", proto, err)
+		}
 	}
 }

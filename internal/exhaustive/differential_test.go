@@ -1,11 +1,14 @@
 package exhaustive
 
 import (
+	"slices"
 	"testing"
 
 	"kset/internal/mpnet"
 	"kset/internal/prng"
 	"kset/internal/protocols/mp"
+	"kset/internal/theory"
+	"kset/internal/trace"
 	"kset/internal/types"
 )
 
@@ -17,17 +20,12 @@ import (
 // says are impossible — or vice versa.
 func TestSimulatorDecisionsWithinAnalyticalMenus(t *testing.T) {
 	const n, tt = 6, 2
-	rules := []struct {
-		rule    Rule
-		factory func() mpnet.Protocol
-	}{
-		{FloodMinRule{}, func() mpnet.Protocol { return mp.NewFloodMin() }},
-		{ProtocolARule{}, func() mpnet.Protocol { return mp.NewProtocolA() }},
-		{ProtocolBRule{}, func() mpnet.Protocol { return mp.NewProtocolB() }},
-	}
 	rng := prng.New(0xD1FF)
-	for _, r := range rules {
-		r := r
+	for _, proto := range oneShot {
+		factory, err := trace.ProtocolSpec{Proto: proto}.MPFactory()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for round := 0; round < 40; round++ {
 			inputs := make([]types.Value, n)
 			for i := range inputs {
@@ -36,7 +34,7 @@ func TestSimulatorDecisionsWithinAnalyticalMenus(t *testing.T) {
 			cfg := mpnet.Config{
 				N: n, T: tt, K: n, // k is irrelevant to menus
 				Inputs:      inputs,
-				NewProtocol: func(types.ProcessID) mpnet.Protocol { return r.factory() },
+				NewProtocol: factory,
 				Seed:        rng.Uint64(),
 			}
 			if round%2 == 1 {
@@ -46,36 +44,33 @@ func TestSimulatorDecisionsWithinAnalyticalMenus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			menus := menusFor(r.rule, inputs, n, tt)
+			menus := menusFor(t, proto, inputs, n, tt)
 			for p := 0; p < n; p++ {
 				if !rec.Decided[p] {
 					continue
 				}
-				if _, ok := menus[p][rec.Decisions[p]]; !ok {
+				if !slices.Contains(menus[p], rec.Decisions[p]) {
 					t.Fatalf("%s: process %d decided %d, not in analytical menu %v (inputs %v)",
-						r.rule.Name(), p, rec.Decisions[p], menus[p], inputs)
+						proto, p, rec.Decisions[p], menus[p], inputs)
 				}
 			}
 		}
 	}
 }
 
-// menusFor computes every process's decision menu for an input vector.
-func menusFor(rule Rule, inputs []types.Value, n, t int) []map[types.Value]struct{} {
-	v := &verifier{rule: rule, n: n, t: t}
-	menus := make([]map[types.Value]struct{}, n)
-	for p := 0; p < n; p++ {
-		var others []int
-		for q := 0; q < n; q++ {
-			if q != p {
-				others = append(others, q)
-			}
-		}
-		menu := make(map[types.Value]struct{})
-		v.enumArrivals(inputs, others, []types.Value{inputs[p]}, n-t, menu)
-		menus[p] = menu
+// menusFor computes every process's decision menu for an input vector
+// through the driver.
+func menusFor(t *testing.T, proto theory.ProtocolID, inputs []types.Value, n, tt int) [][]types.Value {
+	t.Helper()
+	v, err := newVerifier(proto, types.RV1, n, n, tt, 0) // k and validity are irrelevant to menus
+	if err != nil {
+		t.Fatal(err)
 	}
-	return menus
+	copy(v.inputs, inputs)
+	if err := v.computeMenus(); err != nil {
+		t.Fatal(err)
+	}
+	return v.menus
 }
 
 // TestMenusAreSchedulerReachable is the converse direction, spot-checked:
@@ -84,7 +79,7 @@ func menusFor(rule Rule, inputs []types.Value, n, t int) []map[types.Value]struc
 func TestMenusAreSchedulerReachable(t *testing.T) {
 	const n, tt = 5, 2
 	inputs := []types.Value{3, 1, 4, 1, 5}
-	menu := menusFor(FloodMinRule{}, inputs, n, tt)[0]
+	menu := menusFor(t, theory.ProtoFloodMin, inputs, n, tt)[0]
 	seen := make(map[types.Value]struct{})
 	for seed := uint64(1); seed <= 200 && len(seen) < len(menu); seed++ {
 		rec, err := mpnet.Run(mpnet.Config{
@@ -104,7 +99,7 @@ func TestMenusAreSchedulerReachable(t *testing.T) {
 		t.Errorf("only %d of %d menu entries realized across seeds: %v of %v", len(seen), len(menu), seen, menu)
 	}
 	for d := range seen {
-		if _, ok := menu[d]; !ok {
+		if !slices.Contains(menu, d) {
 			t.Errorf("realized decision %d missing from menu %v", d, menu)
 		}
 	}

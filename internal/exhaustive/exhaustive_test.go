@@ -7,6 +7,19 @@ import (
 	"kset/internal/types"
 )
 
+// oneShot lists the protocols Verify proves.
+var oneShot = []theory.ProtocolID{theory.ProtoFloodMin, theory.ProtoA, theory.ProtoB}
+
+// mustVerify is Verify for a protocol that keeps the one-shot shape.
+func mustVerify(t *testing.T, proto theory.ProtocolID, validity types.Validity, n, k, tt, classes int) Verdict {
+	t.Helper()
+	verdict, err := Verify(proto, validity, n, k, tt, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return verdict
+}
+
 // TestRederiveFloodMinBoundary: exhaustive verification over every
 // adversary at n in {4, 5} re-derives Lemmas 3.1/3.2 exactly: FloodMin
 // solves SC(k, t, RV1) iff t < k.
@@ -14,7 +27,7 @@ func TestRederiveFloodMinBoundary(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		for k := 2; k <= n-1; k++ {
 			for tt := 1; tt <= n-1; tt++ {
-				verdict := Verify(FloodMinRule{}, types.RV1, n, k, tt, 0)
+				verdict := mustVerify(t, theory.ProtoFloodMin, types.RV1, n, k, tt, 0)
 				want := tt < k
 				if verdict.Holds != want {
 					detail := ""
@@ -37,7 +50,7 @@ func TestRederiveProtocolABoundary(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		for k := 2; k <= n-1; k++ {
 			for tt := 1; tt <= n-1; tt++ {
-				verdict := Verify(ProtocolARule{}, types.RV2, n, k, tt, 0)
+				verdict := mustVerify(t, theory.ProtoA, types.RV2, n, k, tt, 0)
 				want := theory.ProtocolARegion(n, k, tt)
 				if verdict.Holds != want {
 					detail := ""
@@ -58,7 +71,7 @@ func TestRederiveProtocolBBoundary(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		for k := 2; k <= n-1; k++ {
 			for tt := 1; tt <= n-1; tt++ {
-				verdict := Verify(ProtocolBRule{}, types.SV2, n, k, tt, 0)
+				verdict := mustVerify(t, theory.ProtoB, types.SV2, n, k, tt, 0)
 				want := theory.ProtocolBRegion(n, k, tt)
 				if verdict.Holds != want {
 					detail := ""
@@ -76,19 +89,16 @@ func TestRederiveProtocolBBoundary(t *testing.T) {
 // TestRederiveBoundariesAtN6 repeats the rederivation at n=6 (every input
 // vector over k+2 classes, every faulty set, every arrival subset).
 func TestRederiveBoundariesAtN6(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large exhaustive sweep")
-	}
 	const n = 6
 	for k := 2; k <= n-1; k++ {
 		for tt := 1; tt <= n-1; tt++ {
-			if got := Verify(FloodMinRule{}, types.RV1, n, k, tt, 0).Holds; got != (tt < k) {
+			if got := mustVerify(t, theory.ProtoFloodMin, types.RV1, n, k, tt, 0).Holds; got != (tt < k) {
 				t.Errorf("FloodMin n=6 k=%d t=%d: holds=%v, want %v", k, tt, got, tt < k)
 			}
-			if got := Verify(ProtocolARule{}, types.RV2, n, k, tt, 0).Holds; got != theory.ProtocolARegion(n, k, tt) {
+			if got := mustVerify(t, theory.ProtoA, types.RV2, n, k, tt, 0).Holds; got != theory.ProtocolARegion(n, k, tt) {
 				t.Errorf("ProtocolA n=6 k=%d t=%d: holds=%v, want %v", k, tt, got, theory.ProtocolARegion(n, k, tt))
 			}
-			if got := Verify(ProtocolBRule{}, types.SV2, n, k, tt, 0).Holds; got != theory.ProtocolBRegion(n, k, tt) {
+			if got := mustVerify(t, theory.ProtoB, types.SV2, n, k, tt, 0).Holds; got != theory.ProtocolBRegion(n, k, tt) {
 				t.Errorf("ProtocolB n=6 k=%d t=%d: holds=%v, want %v", k, tt, got, theory.ProtocolBRegion(n, k, tt))
 			}
 		}
@@ -102,8 +112,8 @@ func TestProtocolAWV2MatchesRV2Boundary(t *testing.T) {
 	const n = 5
 	for k := 2; k <= n-1; k++ {
 		for tt := 1; tt <= n-1; tt++ {
-			wv2 := Verify(ProtocolARule{}, types.WV2, n, k, tt, 0).Holds
-			rv2 := Verify(ProtocolARule{}, types.RV2, n, k, tt, 0).Holds
+			wv2 := mustVerify(t, theory.ProtoA, types.WV2, n, k, tt, 0).Holds
+			rv2 := mustVerify(t, theory.ProtoA, types.RV2, n, k, tt, 0).Holds
 			if wv2 != rv2 {
 				t.Errorf("k=%d t=%d: WV2 holds=%v but RV2 holds=%v", k, tt, wv2, rv2)
 			}
@@ -116,7 +126,7 @@ func TestProtocolAWV2MatchesRV2Boundary(t *testing.T) {
 // never breaks. (The verifier checks conditions separately; an agreement
 // witness proves the region boundary, an RV1 pass localizes the failure.)
 func TestFloodMinSatisfiesRV1EvenWhereAgreementFails(t *testing.T) {
-	verdict := Verify(FloodMinRule{}, types.RV1, 5, 2, 3, 0)
+	verdict := mustVerify(t, theory.ProtoFloodMin, types.RV1, 5, 2, 3, 0)
 	if verdict.Holds {
 		t.Fatal("expected failure at t > k")
 	}
@@ -128,7 +138,7 @@ func TestFloodMinSatisfiesRV1EvenWhereAgreementFails(t *testing.T) {
 // TestWitnessesAreConcrete: a failing verdict carries a usable
 // counterexample.
 func TestWitnessesAreConcrete(t *testing.T) {
-	verdict := Verify(FloodMinRule{}, types.RV1, 5, 2, 2, 0)
+	verdict := mustVerify(t, theory.ProtoFloodMin, types.RV1, 5, 2, 2, 0)
 	if verdict.Holds {
 		t.Fatal("FloodMin at t=k should fail")
 	}
@@ -146,7 +156,7 @@ func TestWitnessesAreConcrete(t *testing.T) {
 
 // TestConfigurationsCounted: the verifier reports how much it examined.
 func TestConfigurationsCounted(t *testing.T) {
-	verdict := Verify(ProtocolARule{}, types.RV2, 4, 3, 1, 2)
+	verdict := mustVerify(t, theory.ProtoA, types.RV2, 4, 3, 1, 2)
 	if !verdict.Holds {
 		t.Fatalf("expected hold: %v", verdict.Violation)
 	}
@@ -164,16 +174,16 @@ func TestClassQuantificationIsSaturated(t *testing.T) {
 	const n = 5
 	for k := 2; k <= n-1; k++ {
 		for tt := 1; tt <= n-1; tt++ {
-			for _, rule := range []Rule{FloodMinRule{}, ProtocolARule{}, ProtocolBRule{}} {
-				base := Verify(rule, types.RV2, n, k, tt, 0).Holds
+			for _, proto := range oneShot {
+				base := mustVerify(t, proto, types.RV2, n, k, tt, 0).Holds
 				classes := k + 2
 				if classes > n {
 					classes = n
 				}
-				wider := Verify(rule, types.RV2, n, k, tt, classes+1).Holds
+				wider := mustVerify(t, proto, types.RV2, n, k, tt, classes+1).Holds
 				if base != wider {
 					t.Errorf("%s n=%d k=%d t=%d: verdict flips with more classes (%v vs %v)",
-						rule.Name(), n, k, tt, base, wider)
+						proto, n, k, tt, base, wider)
 				}
 			}
 		}
@@ -182,24 +192,18 @@ func TestClassQuantificationIsSaturated(t *testing.T) {
 
 // TestMaxDistinctMatching exercises the bipartite matching directly.
 func TestMaxDistinctMatching(t *testing.T) {
-	menu := func(vs ...types.Value) map[types.Value]struct{} {
-		m := make(map[types.Value]struct{})
-		for _, v := range vs {
-			m[v] = struct{}{}
-		}
-		return m
-	}
+	menu := func(vs ...types.Value) []types.Value { return vs }
 	cases := []struct {
-		menus []map[types.Value]struct{}
+		menus [][]types.Value
 		want  int
 	}{
-		{[]map[types.Value]struct{}{menu(1), menu(1), menu(1)}, 1},
-		{[]map[types.Value]struct{}{menu(1, 2), menu(1, 2), nil}, 2},
-		{[]map[types.Value]struct{}{menu(1), menu(1, 2), menu(2, 3)}, 3},
+		{[][]types.Value{menu(1), menu(1), menu(1)}, 1},
+		{[][]types.Value{menu(1, 2), menu(1, 2), nil}, 2},
+		{[][]types.Value{menu(1), menu(1, 2), menu(2, 3)}, 3},
 		// Both processes can decide both values but there are only two
 		// processes: at most 2 distinct.
-		{[]map[types.Value]struct{}{menu(1, 2, 3), menu(1, 2, 3)}, 2},
-		{[]map[types.Value]struct{}{nil, nil}, 0},
+		{[][]types.Value{menu(1, 2, 3), menu(1, 2, 3)}, 2},
+		{[][]types.Value{nil, nil}, 0},
 	}
 	for i, c := range cases {
 		if got := maxDistinct(c.menus); got != c.want {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"kset/internal/adversary"
 	"kset/internal/checker"
@@ -74,8 +75,12 @@ func Run(w io.Writer, cfg Config) error {
 	}
 	writeHalting(w, cfg, exec)
 	writeTightness(w, cfg, exec)
-	writeExhaustive(w, exec)
-	writeGapProbes(w, exec)
+	if err := writeExhaustive(w, exec); err != nil {
+		return err
+	}
+	if err := writeGapProbes(w, exec); err != nil {
+		return err
+	}
 	writeLatency(w, cfg, exec)
 	return nil
 }
@@ -234,56 +239,52 @@ func writeHalting(w io.Writer, cfg Config, exec harness.Executor) {
 // writeExhaustive re-derives the one-shot protocols' region boundaries by
 // exhaustive small-scope verification (every input pattern, faulty set and
 // arrival subset at n=5).
-func writeExhaustive(w io.Writer, exec harness.Executor) {
+func writeExhaustive(w io.Writer, exec harness.Executor) error {
 	fmt.Fprintf(w, "## Exhaustive small-scope rederivation (n=5, all adversaries)\n\n")
 	fmt.Fprintf(w, "| protocol | condition | boundary re-derived | cells checked |\n|---|---|---|---|\n")
 	const n = 5
 	rules := []struct {
-		rule     exhaustive.Rule
+		proto    theory.ProtocolID
 		validity types.Validity
 		region   func(k, t int) bool
 		formula  string
 	}{
-		{exhaustive.FloodMinRule{}, types.RV1,
+		{theory.ProtoFloodMin, types.RV1,
 			func(k, t int) bool { return t < k }, "t < k"},
-		{exhaustive.ProtocolARule{}, types.RV2,
+		{theory.ProtoA, types.RV2,
 			func(k, t int) bool { return theory.ProtocolARegion(n, k, t) }, "kt < (k-1)n"},
-		{exhaustive.ProtocolBRule{}, types.SV2,
+		{theory.ProtoB, types.SV2,
 			func(k, t int) bool { return theory.ProtocolBRegion(n, k, t) }, "2kt < (k-1)n"},
 	}
-	// Every (rule, k, t) cell is an independent exhaustive check.
+	// Every (protocol, k, t) cell is an independent exhaustive check.
 	cells := (n - 2) * (n - 1)
-	holds := make([]bool, len(rules)*cells)
-	exec.Run(len(holds), func(j int) {
-		r := rules[j/cells]
-		k := 2 + (j%cells)/(n-1)
-		t := 1 + (j%cells)%(n-1)
-		holds[j] = exhaustive.Verify(r.rule, r.validity, n, k, t, 0).Holds
+	matches := make([]bool, len(rules)*cells)
+	errs := make([]error, len(matches))
+	exec.Run(len(matches), func(j int) {
+		r, k, t := rules[j/cells], 2+(j%cells)/(n-1), 1+(j%cells)%(n-1)
+		verdict, err := exhaustive.Verify(r.proto, r.validity, n, k, t, 0)
+		matches[j], errs[j] = verdict.Holds == r.region(k, t), err
 	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 	for ri, r := range rules {
-		match := true
-		for j := ri * cells; j < (ri+1)*cells; j++ {
-			k := 2 + (j%cells)/(n-1)
-			t := 1 + (j%cells)%(n-1)
-			if holds[j] != r.region(k, t) {
-				match = false
-			}
-		}
 		verdictStr := "EXACT: " + r.formula
-		if !match {
+		if slices.Contains(matches[ri*cells:(ri+1)*cells], false) {
 			verdictStr = "MISMATCH vs " + r.formula
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %d |\n", r.rule.Name(), r.validity, verdictStr, cells)
+		fmt.Fprintf(w, "| %s | %s | %s | %d |\n", r.proto, r.validity, verdictStr, cells)
 	}
 	fmt.Fprintln(w)
+	return nil
 }
 
 // writeGapProbes enumerates the open cells the paper leaves between
 // Protocol B's region (Lemma 3.8) and the SV2 impossibility (Lemma 3.6) at
 // a small n, and reports the exhaustive verdict for Protocol B at each:
 // B fails throughout the gap, so the gap is open only for OTHER protocols.
-func writeGapProbes(w io.Writer, exec harness.Executor) {
-	const n = 6 // exhaustive cost grows as (k+2)^n: keep small
+func writeGapProbes(w io.Writer, exec harness.Executor) error {
+	const n = 6 // exhaustive cost grows with the C(n+k+1, n) sorted vectors: keep small
 	fmt.Fprintf(w, "## Open-gap probes: MP/CR SV2 at n=%d\n\n", n)
 	fmt.Fprintf(w, "| cell | paper status | Protocol B (exhaustive) |\n|---|---|---|\n")
 	var open []theory.CellPoint
@@ -294,18 +295,23 @@ func writeGapProbes(w io.Writer, exec harness.Executor) {
 			}
 		}
 	}
-	holds := make([]bool, len(open))
+	verdicts := make([]exhaustive.Verdict, len(open))
+	errs := make([]error, len(open))
 	exec.Run(len(open), func(j int) {
-		holds[j] = exhaustive.Verify(exhaustive.ProtocolBRule{}, types.SV2, n, open[j].K, open[j].T, 0).Holds
+		verdicts[j], errs[j] = exhaustive.Verify(theory.ProtoB, types.SV2, n, open[j].K, open[j].T, 0)
 	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 	for j, c := range open {
 		outcome := "fails — gap open for other protocols"
-		if holds[j] {
+		if verdicts[j].Holds {
 			outcome = "HOLDS — candidate to close the gap"
 		}
 		fmt.Fprintf(w, "| k=%d t=%d | open | %s |\n", c.K, c.T, outcome)
 	}
 	fmt.Fprintln(w)
+	return nil
 }
 
 // writeLatency profiles decision latency (global delivery events until the
