@@ -44,10 +44,10 @@ race:
 # behind -workers), the metrics registry, and the
 # shared-memory simulator (coroutines under one loop; iter.Pull is known to
 # the race detector) with the packages that run on it, and
-# the message-passing simulator's run arena with the harness that hands one
-# to every job an Executor fans out, and the evaluators that fan out through
-# harness.Executor.Run (grid cells, shrink candidates, report sections,
-# ksetverify's panels and constructions).
+# the message-passing simulator's run arena with the harness arenas that keep
+# one per worker (a cell's runs run serially on the arena it takes), and the
+# evaluators that fan out through harness.Executor.Run (grid cells, shrink
+# candidates, report sections, ksetverify's cells and constructions).
 race-live:
 	$(GO) test -race -count=1 ./internal/sweep/ ./internal/cluster/ ./internal/acs/ ./internal/obs/ ./internal/smmem/ ./internal/trace/ ./internal/protocols/sm/ ./internal/protocols/mp/ ./internal/mpnet/ ./internal/harness/ ./internal/grid/ ./internal/shrink/ ./internal/report/ ./cmd/ksetverify/
 

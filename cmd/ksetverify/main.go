@@ -9,9 +9,10 @@
 //	ksetverify -fig all -n 10 -runs 24          # quick pass, all figures
 //	ksetverify -fig 2 -n 64 -runs 32 -samples 6 # Figure 2 at the paper's n
 //	ksetverify -constructions                    # counterexample demos only
-//	ksetverify -fig all -workers 8               # fan runs across 8 workers
+//	ksetverify -fig all -workers 8               # fan cells across 8 workers
 //
-// Sweeps fan out across -workers OS threads (default: GOMAXPROCS). Seeds are
+// Sampled cells fan out across -workers OS threads (default: GOMAXPROCS);
+// each cell's runs run serially on the worker that took it. Seeds are
 // pre-drawn and results merged in canonical order, so the output is
 // byte-identical for every worker count.
 //

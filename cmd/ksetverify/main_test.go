@@ -52,8 +52,8 @@ func TestVerifyConstructions(t *testing.T) {
 }
 
 // TestWorkersDeterminism is the parallel-sweep regression gate: the full
-// ksetverify output must be byte-identical whether runs execute serially or
-// fan out across 8 workers.
+// ksetverify output must be byte-identical whether cells validate serially
+// or fan out across 8 workers.
 func TestWorkersDeterminism(t *testing.T) {
 	outputFor := func(args ...string) string {
 		var b strings.Builder

@@ -23,7 +23,6 @@ package checker
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"kset/internal/types"
 )
@@ -70,8 +69,8 @@ func CheckTermination(rec *types.RunRecord) error {
 // CheckAgreement verifies that correct processes decided at most k distinct
 // values.
 func CheckAgreement(rec *types.RunRecord) error {
-	decided := rec.CorrectDecisions()
-	if len(decided) > rec.K {
+	if rec.CountCorrectDecisions() > rec.K {
+		decided := rec.CorrectDecisions()
 		return violation(rec, "agreement", "correct processes decided %d distinct values %v, bound k=%d",
 			len(decided), decided, rec.K)
 	}
@@ -115,12 +114,11 @@ func CheckAll(rec *types.RunRecord, v types.Validity) error {
 
 // checkSV1: every correct decision is the input of some correct process.
 func checkSV1(rec *types.RunRecord) error {
-	correctInputs := rec.CorrectInputs()
 	for i := 0; i < rec.N; i++ {
 		if rec.Faulty[i] || !rec.Decided[i] {
 			continue
 		}
-		if !has(correctInputs, rec.Decisions[i]) {
+		if !isInput(rec, rec.Decisions[i], true) {
 			return violation(rec, "SV1", "correct %s decided %d, not an input of any correct process",
 				types.ProcessID(i), rec.Decisions[i])
 		}
@@ -148,12 +146,11 @@ func checkSV2(rec *types.RunRecord) error {
 
 // checkRV1: every correct decision is the input of some process.
 func checkRV1(rec *types.RunRecord) error {
-	allInputs := rec.AllInputs()
 	for i := 0; i < rec.N; i++ {
 		if rec.Faulty[i] || !rec.Decided[i] {
 			continue
 		}
-		if !has(allInputs, rec.Decisions[i]) {
+		if !isInput(rec, rec.Decisions[i], false) {
 			return violation(rec, "RV1", "correct %s decided %d, not an input of any process",
 				types.ProcessID(i), rec.Decisions[i])
 		}
@@ -184,12 +181,11 @@ func checkWV1(rec *types.RunRecord) error {
 	if rec.FaultCount() > 0 {
 		return nil
 	}
-	allInputs := rec.AllInputs()
 	for i := 0; i < rec.N; i++ {
 		if !rec.Decided[i] {
 			continue
 		}
-		if !has(allInputs, rec.Decisions[i]) {
+		if !isInput(rec, rec.Decisions[i], false) {
 			return violation(rec, "WV1", "failure-free run: %s decided %d, not an input of any process",
 				types.ProcessID(i), rec.Decisions[i])
 		}
@@ -238,9 +234,13 @@ func uniformValue(rec *types.RunRecord, correctOnly bool) (types.Value, bool) {
 	return v, seen
 }
 
-// has reports whether the ascending set vs (a RunRecord set helper's
-// result) holds v.
-func has(vs []types.Value, v types.Value) bool {
-	_, ok := slices.BinarySearch(vs, v)
-	return ok
+// isInput reports whether v is the input of some (correct, if correctOnly)
+// process, scanning the record in place.
+func isInput(rec *types.RunRecord, v types.Value, correctOnly bool) bool {
+	for i := 0; i < rec.N; i++ {
+		if rec.Inputs[i] == v && !(correctOnly && rec.Faulty[i]) {
+			return true
+		}
+	}
+	return false
 }

@@ -180,3 +180,24 @@ func TestUndecidedProcessesAreSkippedByValidity(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckAllAllocatesNothing: a passing check of a run allocates nothing,
+// so no sweep run pays for it. The membership conditions (SV1, RV1, WV1) scan
+// the record in place.
+func TestCheckAllAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		v types.Validity
+		r *types.RunRecord
+	}{
+		{types.SV1, rec(2, 1, vals(4, 2, 7, 2), bools(false, false, true, false), vals(2, 4, 7, 2), nil)},
+		{types.RV1, rec(2, 1, vals(4, 2, 7, 2), bools(false, false, true, false), vals(7, 2, 1, 7), nil)},
+		{types.WV1, rec(3, 1, vals(4, 2, 7, 2), bools(false, false, false, false), vals(7, 4, 2, 7), nil)},
+	} {
+		if err := CheckAll(c.r, c.v); err != nil {
+			t.Fatalf("%v: %v", c.v, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = CheckAll(c.r, c.v) }); got != 0 {
+			t.Errorf("CheckAll(%v) makes %.0f allocations, want 0", c.v, got)
+		}
+	}
+}

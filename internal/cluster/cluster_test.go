@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"kset/internal/checker"
 	"kset/internal/theory"
+	"kset/internal/trace"
 	"kset/internal/types"
 	"kset/internal/wire"
 )
@@ -114,6 +116,19 @@ func TestRunInstanceEdges(t *testing.T) {
 		defer lb.Close()
 		if _, err := lb.RunInstance(start, []types.Value{1, 2}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("2 inputs for 3 nodes: err = %v, want ErrBadConfig", err)
+		}
+	})
+	t.Run("protocol", func(t *testing.T) {
+		lb, err := StartLoopback(LoopbackConfig{N: 3, K: 2, T: 1, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lb.Close()
+		// A shared-memory protocol is the Start's fault, not an artifact's.
+		e := wire.Start{Instance: 1, K: 2, T: 1, Proto: uint8(theory.ProtoE)}
+		err = lb.Nodes[0].StartInstance(e)
+		if err == nil || errors.Is(err, trace.ErrBadTrace) || !strings.Contains(err.Error(), theory.ProtoE.String()) {
+			t.Errorf("Start naming %s: err = %v, want an error naming it, not ErrBadTrace", theory.ProtoE, err)
 		}
 	})
 	t.Run("all-crashed", func(t *testing.T) {

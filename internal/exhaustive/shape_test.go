@@ -1,11 +1,13 @@
 package exhaustive
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"kset/internal/mpnet"
 	"kset/internal/theory"
+	"kset/internal/trace"
 	"kset/internal/types"
 )
 
@@ -60,6 +62,9 @@ func TestDriverRejectsBrokenShape(t *testing.T) {
 		verdict, err := Verify(proto, types.SV2, 4, 2, 1, 0)
 		if err == nil || !strings.Contains(err.Error(), proto.String()) {
 			t.Errorf("Verify(%s) = %+v, %v; want an error naming the protocol", proto, verdict, err)
+		}
+		if errors.Is(err, trace.ErrBadTrace) {
+			t.Errorf("Verify(%s): %v claims an invalid artifact; none was read", proto, err)
 		}
 	}
 	for _, c := range []struct {

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -262,5 +263,31 @@ func TestSamplePanelDeterministic(t *testing.T) {
 	}
 	if got := SamplePanel(g, 0, 42); got != nil {
 		t.Fatalf("zero sample request returned %v", got)
+	}
+}
+
+// TestValidatePanelsIdenticalAcrossWorkers validates the panels of two
+// figures serially and through a pool: the cells share the free list's
+// arenas, message-passing and shared-memory cells alike, and the checks must
+// not tell which worker ran which cell.
+func TestValidatePanelsIdenticalAcrossWorkers(t *testing.T) {
+	panels := append(theory.ComputeFigure(types.MPByz, 8), theory.ComputeFigure(types.SMCR, 8)...)
+	seed := func(g *theory.Grid) uint64 { return uint64(g.Model.Comm)*100 + uint64(g.Validity) }
+	serial := ValidatePanels(panels, seed, 3, 6, nil)
+	parallel := ValidatePanels(panels, seed, 3, 6, sweep.NewPool(4).Map)
+	cells := 0
+	for i, checks := range serial {
+		for _, c := range checks {
+			if c.Err != nil || !c.Sum.OK() {
+				t.Errorf("%v/%v k=%d t=%d: %v %v", panels[i].Model, panels[i].Validity, c.Cell.K, c.Cell.T, c.Err, c.Sum)
+			}
+			cells++
+		}
+	}
+	if cells < 2*len(panels) {
+		t.Fatalf("validated %d cells over %d panels; too few to share arenas", cells, len(panels))
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("ValidatePanels differs between a nil executor and 4 workers")
 	}
 }

@@ -53,7 +53,7 @@ func (s *Spec) RunCell(idx uint64) Record {
 		return rec
 	}
 	a := arenas.Get()
-	sum, err := a.ValidateCell(c.Model, c.Validity, c.N, c.K, c.T, harness.CellOpts{
+	sum, err := a.ValidateCell(c.Model, c.Validity, c.N, c.K, c.T, res, harness.CellOpts{
 		Runs:     s.Runs,
 		Seed:     rec.Seed,
 		FaultCap: c.Plan.Cap(c.T),

@@ -46,10 +46,10 @@ type CellCheck struct {
 // ValidatePanels samples up to samples solvable cells from every panel (the
 // draw seeded with rngSeed(panel)) and validates each sampled cell's witness
 // with runs randomized runs. Every cell is planned first, in panel order;
-// the sweeps fan out through exec (each sweep fans its runs out through it
-// too); checks[i] holds panels[i]'s cells in draw order, so the result is
-// identical for any executor. ksetverify and ksetreport both validate
-// through it, each with its own seed formula and renderer.
+// the cells fan out through exec, and each cell's runs run one after another
+// on the arena it takes; checks[i] holds panels[i]'s cells in draw order, so
+// the result is identical for any executor. ksetverify and ksetreport both
+// validate through it, each with its own seed formula and renderer.
 func ValidatePanels(panels []*theory.Grid, rngSeed func(*theory.Grid) uint64, samples, runs int, exec harness.Executor) [][]CellCheck {
 	type job struct {
 		g *theory.Grid
@@ -68,8 +68,9 @@ func ValidatePanels(panels []*theory.Grid, rngSeed func(*theory.Grid) uint64, sa
 	exec.Run(len(jobs), func(j int) {
 		g, c := jobs[j].g, jobs[j].c
 		a := arenas.Get()
-		c.Sum, c.Err = a.ValidateCell(g.Model, g.Validity, g.N, c.Cell.K, c.Cell.T,
-			harness.CellOpts{Runs: runs, Seed: c.Seed, Exec: exec})
+		k, t := c.Cell.K, c.Cell.T
+		c.Sum, c.Err = a.ValidateCell(g.Model, g.Validity, g.N, k, t, g.At(k, t),
+			harness.CellOpts{Runs: runs, Seed: c.Seed})
 		arenas.Put(a)
 	})
 	return checks

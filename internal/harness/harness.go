@@ -56,10 +56,9 @@ func (e Executor) Run(jobs int, run func(job int)) {
 // Arena already grew. A summary computed on a used Arena is the one a fresh
 // Arena computes, and it shares no memory with the Arena.
 //
-// The zero value is ready to use. An Arena is not safe for concurrent use;
-// callers that fan cells out keep one per worker (internal/grid keeps a free
-// list of them). Serial runs share the Arena; a sweep whose Exec fans its
-// runs out gives every job its own, since jobs run concurrently.
+// The zero value is ready to use. An Arena is not safe for concurrent use:
+// a sweep's runs run one after another on it, and callers that fan cells out
+// keep one per worker (internal/grid keeps a free list of them).
 type Arena struct {
 	rng     prng.Source // the run's stream, reseeded per run
 	seeds   []uint64
@@ -172,12 +171,10 @@ func verdict(scenario scenario, rec *types.RunRecord, err error, v types.Validit
 
 // execute is the engine behind MPSweep.Execute and SMSweep.Execute; runOne
 // plans, executes and checks the run of one seed. Every run's seed is drawn
-// in canonical order up front, so each run depends only on its own seed and
-// the runs are independent jobs. Serially they all run on a; through exec
-// every job gets an Arena of its own. Results merge in run order, so the
-// summary is identical for any Executor. (Shared-memory records carry
-// Messages = 0, so one merge serves both.)
-func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, exec Executor, a *Arena,
+// in canonical order up front, so each run depends only on its own seed; the
+// runs run one after another on a, and results merge in run order.
+// (Shared-memory records carry Messages = 0, so one merge serves both.)
+func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, a *Arena,
 	runOne func(seed uint64, patterns []InputPattern, a *Arena) runResult) *Summary {
 	if runs == 0 {
 		runs = 32
@@ -190,15 +187,8 @@ func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, ex
 	}
 	results := zeroed(a.results, runs)
 	a.seeds, a.results = seeds, results
-	if exec == nil {
-		for i, seed := range seeds {
-			results[i] = runOne(seed, patterns, a)
-		}
-	} else {
-		exec(runs, func(i int) {
-			var job Arena
-			results[i] = runOne(seeds[i], patterns, &job)
-		})
+	for i, seed := range seeds {
+		results[i] = runOne(seed, patterns, a)
 	}
 	sum := &Summary{Name: name, Runs: runs}
 	for i, r := range results {
@@ -379,7 +369,7 @@ func (s *Summary) observe(rec *types.RunRecord) {
 	if s.DistinctDecisions == nil {
 		s.DistinctDecisions = make(map[int]int)
 	}
-	s.DistinctDecisions[len(rec.CorrectDecisions())]++
+	s.DistinctDecisions[rec.CountCorrectDecisions()]++
 	for i := 0; i < rec.N; i++ {
 		if !rec.Faulty[i] && rec.Decided[i] && rec.Decisions[i] == types.DefaultValue {
 			s.DefaultDecisions++

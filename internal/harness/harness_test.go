@@ -233,37 +233,3 @@ func TestMPSweepIsDeterministicInBaseSeed(t *testing.T) {
 		t.Errorf("sweep not deterministic: (%d,%d) vs (%d,%d)", e1, m1, e2, m2)
 	}
 }
-
-// TestParallelExecuteMatchesSerial fans a sweep's runs out over real worker
-// goroutines and requires the serial summary: serially the runs share one
-// planning scratch and one simulator arena, in parallel every job has its
-// own, and neither may show in a result. Under -race it is the test that
-// would see two jobs on one arena.
-func TestParallelExecuteMatchesSerial(t *testing.T) {
-	for _, cell := range []struct {
-		m       types.Model
-		v       types.Validity
-		n, k, t int
-	}{
-		{types.MPCR, types.RV1, 12, 4, 3},
-		{types.MPByz, types.SV2, 10, 4, 1}, // Protocol C(l)
-		{types.MPByz, types.WV1, 10, 6, 2}, // Protocol D
-	} {
-		serial, err := ValidateCell(cell.m, cell.v, cell.n, cell.k, cell.t, CellOpts{Runs: 24, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serial.OK() {
-			t.Fatalf("serial sweep failed: %v", serial)
-		}
-		parallel, err := ValidateCell(cell.m, cell.v, cell.n, cell.k, cell.t,
-			CellOpts{Runs: 24, Seed: 9, Exec: sweep.NewPool(4).Map})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%v/%v n=%d k=%d t=%d: parallel summary differs\n serial   %+v\n parallel %+v",
-				cell.m, cell.v, cell.n, cell.k, cell.t, serial, parallel)
-		}
-	}
-}

@@ -28,8 +28,6 @@ type MPSweep struct {
 	BaseSeed uint64
 	// Patterns restricts input workloads (nil = all patterns).
 	Patterns []InputPattern
-	// MaxEvents overrides the per-run event budget (0 = runtime default).
-	MaxEvents int
 	// FaultCap clamps the planned fault count f of every scenario: 0 keeps
 	// the planner's full randomized budget (the historical behavior), a
 	// positive cap bounds f from above, and a negative cap forces fail-free
@@ -40,10 +38,6 @@ type MPSweep struct {
 	// semantics: processes stop executing once they decide. See the
 	// halting experiments for which protocols survive this.
 	HaltOnDecide bool
-	// Exec fans the runs out across workers (nil = serial). Each run is a
-	// pure function of its pre-drawn seed, and the summary is merged in run
-	// order, so the result is identical for any Executor.
-	Exec Executor
 	// Spec is the serializable identity of NewProtocol, required only by
 	// Capture (trace artifacts store the spec, not the factory).
 	Spec trace.ProtocolSpec
@@ -54,7 +48,7 @@ func (s *MPSweep) Execute() *Summary { return s.run(new(Arena)) }
 
 // run runs the sweep on a.
 func (s *MPSweep) run(a *Arena) *Summary {
-	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, a, s.runOne)
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, a, s.runOne)
 }
 
 // runOne plans, executes and checks a single run on a's simulator arena.
@@ -74,7 +68,6 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 		Inputs:       a.inputs,
 		NewProtocol:  s.NewProtocol,
 		Seed:         rng.Uint64(),
-		MaxEvents:    s.MaxEvents,
 		HaltOnDecide: s.HaltOnDecide,
 	}
 

@@ -50,9 +50,6 @@ type CellOpts struct {
 	Runs int
 	// Seed seeds the scenario stream.
 	Seed uint64
-	// Exec fans the runs out (nil = serial); the summary is identical for
-	// any executor.
-	Exec Executor
 	// FaultCap clamps the planned fault count of every scenario: 0 keeps
 	// the planner's full randomized budget, >0 bounds it from above, <0
 	// forces fail-free runs. See MPSweep.FaultCap.
@@ -72,20 +69,19 @@ func clampFaults(f, faultCap int) int {
 }
 
 // ValidateCell empirically validates one solvable cell of a figure panel: it
-// instantiates the witness protocol and sweeps randomized adversarial
-// scenarios under o, checking every run. The summary is identical for any
-// o.Exec: run seeds are pre-drawn and results merge in run order.
-// ValidateCell is new(Arena).ValidateCell.
+// classifies the cell, instantiates the witness protocol and sweeps
+// randomized adversarial scenarios under o, checking every run. It is
+// new(Arena).ValidateCell with the cell's classification.
 func ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Summary, error) {
-	return new(Arena).ValidateCell(m, v, n, k, t, o)
+	return new(Arena).ValidateCell(m, v, n, k, t, theory.Classify(m, v, n, k, t), o)
 }
 
-// ValidateCell is the package-level ValidateCell on a: the sweep runs on
-// a's working set, and with no o.Exec the message-passing witness runs on
-// a's instances, restarted run after run. The summary is the one a fresh
-// Arena gives.
-func (a *Arena) ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Summary, error) {
-	s, err := newCellSweep(m, v, n, k, t, o, a)
+// ValidateCell is the package-level ValidateCell on a, for a cell the caller
+// has already classified as r: the runs run one after another on a's working
+// set, and a message-passing witness runs on a's instances, restarted run
+// after run. The summary is the one a fresh Arena gives.
+func (a *Arena) ValidateCell(m types.Model, v types.Validity, n, k, t int, r theory.Result, o CellOpts) (*Summary, error) {
+	s, err := newCellSweep(m, v, n, k, t, r, o, a)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +93,7 @@ func (a *Arena) ValidateCell(m types.Model, v types.Validity, n, k, t int, o Cel
 // it with recording on, returning the portable trace artifact. This is how
 // cmd/ksetverify turns a sweep violation into a replayable artifact.
 func CaptureCellRun(m types.Model, v types.Validity, n, k, t int, runSeed uint64) (*trace.Trace, *types.RunRecord, error) {
-	s, err := newCellSweep(m, v, n, k, t, CellOpts{}, nil)
+	s, err := newCellSweep(m, v, n, k, t, theory.Classify(m, v, n, k, t), CellOpts{}, new(Arena))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,12 +107,10 @@ type cellSweep interface {
 	Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error)
 }
 
-// newCellSweep builds the sweep of a solvable cell's witness protocol. A
-// serial message-passing sweep (no o.Exec) takes its witness instances from
-// witnesses, when that is not nil: the sweep's runs are the only users of
-// the arena's instances then.
-func newCellSweep(m types.Model, v types.Validity, n, k, t int, o CellOpts, witnesses *Arena) (cellSweep, error) {
-	r := theory.Classify(m, v, n, k, t)
+// newCellSweep builds the sweep of a cell classified as r. A
+// message-passing sweep takes its witness instances from a: the sweep's runs
+// are the only users of a's instances.
+func newCellSweep(m types.Model, v types.Validity, n, k, t int, r theory.Result, o CellOpts, a *Arena) (cellSweep, error) {
 	if r.Status != theory.Solvable {
 		return nil, fmt.Errorf("%w: cell %v/%v n=%d k=%d t=%d is %v", ErrNoWitness, m, v, n, k, t, r.Status)
 	}
@@ -128,13 +122,11 @@ func newCellSweep(m types.Model, v types.Validity, n, k, t int, o CellOpts, witn
 		if err != nil {
 			return nil, err
 		}
-		if witnesses != nil && o.Exec == nil {
-			factory = witnesses.witnessFactory(trace.SpecFor(r), factory)
-		}
+		spec := trace.SpecFor(r)
 		return &MPSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
-			NewProtocol: factory, Byzantine: byz, Spec: trace.SpecFor(r),
-			Runs: o.Runs, BaseSeed: o.Seed, Exec: o.Exec, FaultCap: o.FaultCap,
+			NewProtocol: a.witnessFactory(spec, factory), Byzantine: byz, Spec: spec,
+			Runs: o.Runs, BaseSeed: o.Seed, FaultCap: o.FaultCap,
 		}, nil
 	case types.SharedMemory:
 		factory, err := SMFactory(r)
@@ -144,7 +136,7 @@ func newCellSweep(m types.Model, v types.Validity, n, k, t int, o CellOpts, witn
 		return &SMSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
 			NewProtocol: factory, Byzantine: byz, Spec: trace.SpecFor(r),
-			Runs: o.Runs, BaseSeed: o.Seed, Exec: o.Exec, FaultCap: o.FaultCap,
+			Runs: o.Runs, BaseSeed: o.Seed, FaultCap: o.FaultCap,
 		}, nil
 	default:
 		return nil, fmt.Errorf("%w: %v", types.ErrUnknownModel, m)

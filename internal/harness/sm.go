@@ -27,18 +27,12 @@ type SMSweep struct {
 	BaseSeed uint64
 	// Patterns restricts input workloads (nil = all patterns).
 	Patterns []InputPattern
-	// MaxOps overrides the per-run operation budget (0 = runtime default).
-	MaxOps int
 	// FaultCap clamps the planned fault count f of every scenario: 0 keeps
 	// the planner's full randomized budget, a positive cap bounds f from
 	// above, and a negative cap forces fail-free runs. The clamp applies
 	// after the planner's draws, so the scenario stream is unchanged for
 	// cap 0.
 	FaultCap int
-	// Exec fans the runs out across workers (nil = serial). Seeds are
-	// pre-drawn and the summary merged in run order, so the result is
-	// identical for any Executor.
-	Exec Executor
 	// Spec is the serializable identity of NewProtocol, required only by
 	// Capture (trace artifacts store the spec, not the factory).
 	Spec trace.ProtocolSpec
@@ -49,7 +43,7 @@ func (s *SMSweep) Execute() *Summary { return s.run(new(Arena)) }
 
 // run runs the sweep on a.
 func (s *SMSweep) run(a *Arena) *Summary {
-	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Exec, a, s.runOne)
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, a, s.runOne)
 }
 
 // runOne plans, executes and checks a single run on a's simulator arena.
@@ -73,7 +67,6 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 		Inputs:      a.inputs,
 		NewProtocol: s.NewProtocol,
 		Seed:        rng.Uint64(),
-		MaxOps:      s.MaxOps,
 	}
 
 	// Subsets used by Hold/Starve must stay within the fault budget so

@@ -393,9 +393,13 @@ func writeTightness(w io.Writer, cfg Config, exec harness.Executor) {
 		{"Protocol A", 3, (2*n - 1) / 3, types.RV2, func() mpnet.Protocol { return mp.NewProtocolA() }},
 		{"Protocol B", n - 2, n/4 + 1, types.SV2, func() mpnet.Protocol { return mp.NewProtocolB() }},
 	}
-	for _, tr := range trials {
+	// The trials are independent sweeps: they fan out, each running its
+	// runs serially, and render in trial order.
+	sums := make([]*harness.Summary, len(trials))
+	exec.Run(len(trials), func(j int) {
+		tr := trials[j]
 		if !validPoint(n, tr.k, tr.t) {
-			continue
+			return
 		}
 		s := &harness.MPSweep{
 			Name: tr.name, N: n, K: tr.k, T: tr.t,
@@ -403,11 +407,14 @@ func writeTightness(w io.Writer, cfg Config, exec harness.Executor) {
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return tr.factory() },
 			Runs:        cfg.Runs * 4,
 			BaseSeed:    cfg.Seed + 99,
-			Exec:        exec,
 		}
-		sum := s.Execute()
-		fmt.Fprintf(w, "| %s (t=%d) | %d | %d | %.2f | %d |\n",
-			tr.name, tr.t, tr.k, sum.MaxDistinct(), sum.MeanDistinct(), sum.DefaultDecisions)
+		sums[j] = s.Execute()
+	})
+	for j, tr := range trials {
+		if sum := sums[j]; sum != nil {
+			fmt.Fprintf(w, "| %s (t=%d) | %d | %d | %.2f | %d |\n",
+				tr.name, tr.t, tr.k, sum.MaxDistinct(), sum.MeanDistinct(), sum.DefaultDecisions)
+		}
 	}
 	fmt.Fprintln(w)
 }

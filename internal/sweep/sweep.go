@@ -13,10 +13,10 @@
 //     output bytes cannot depend on scheduling.
 //   - Pool.Map is "caller participates": the submitting goroutine also
 //     executes jobs, and extra workers are admitted through a global
-//     semaphore. Nested Map calls (a parallel sweep whose cells themselves
-//     parallelize their runs) therefore always make progress and cannot
-//     deadlock, and total concurrency stays bounded by the pool size rather
-//     than multiplying at each nesting level.
+//     semaphore. Concurrent Map calls on one pool (the cluster's sweep jobs,
+//     say) therefore always make progress, and total concurrency stays
+//     bounded by the pool size. The evaluators fan out one level only —
+//     cells, figures, report sections — and no Map runs inside another.
 //   - This package deliberately lives OUTSIDE the ksetlint simulation-package
 //     set (see internal/lint.DefaultScopes): simulation code stays
 //     goroutine-free, and all sync machinery is concentrated here.

@@ -88,7 +88,7 @@ func BuildMPConfig(t *Trace) (mpnet.Config, error) {
 	}
 	factory, err := t.Protocol.MPFactory()
 	if err != nil {
-		return mpnet.Config{}, err
+		return mpnet.Config{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
 	cfg := mpnet.Config{
 		N: t.N, T: t.T, K: t.K,
@@ -135,7 +135,7 @@ func BuildSMConfig(t *Trace) (smmem.Config, error) {
 	}
 	factory, err := t.Protocol.SMFactory()
 	if err != nil {
-		return smmem.Config{}, err
+		return smmem.Config{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
 	cfg := smmem.Config{
 		N: t.N, T: t.T, K: t.K,

@@ -65,10 +65,12 @@ func SpecFor(r theory.Result) ProtocolSpec {
 func (s ProtocolSpec) Zero() bool { return s.Proto == theory.ProtoNone }
 
 // MPFactory builds the per-process factory for a message-passing protocol
-// spec.
+// spec. Its error names the protocol and the model and leaves the context to
+// the caller: it is an artifact's fault (ErrBadTrace) only where the spec was
+// read from one.
 func (s ProtocolSpec) MPFactory() (func(types.ProcessID) mpnet.Protocol, error) {
 	if s.Sim {
-		return nil, fmt.Errorf("%w: SIMULATION protocol in message-passing model", ErrBadTrace)
+		return nil, fmt.Errorf("%v via SIMULATION is not a message-passing protocol", s.Proto)
 	}
 	switch s.Proto {
 	case theory.ProtoTrivial:
@@ -81,19 +83,20 @@ func (s ProtocolSpec) MPFactory() (func(types.ProcessID) mpnet.Protocol, error) 
 		return func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolB() }, nil
 	case theory.ProtoC:
 		if s.Ell < 1 {
-			return nil, fmt.Errorf("%w: Protocol C needs l >= 1, got %d", ErrBadTrace, s.Ell)
+			return nil, fmt.Errorf("Protocol C needs l >= 1, got %d", s.Ell)
 		}
 		ell := s.Ell
 		return func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolC(ell) }, nil
 	case theory.ProtoD:
 		return func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolD() }, nil
 	default:
-		return nil, fmt.Errorf("%w: %v is not a message-passing protocol", ErrBadTrace, s.Proto)
+		return nil, fmt.Errorf("%v is not a message-passing protocol", s.Proto)
 	}
 }
 
 // SMFactory builds the per-process factory for a shared-memory protocol
 // spec, wrapping message-passing protocols in SIMULATION when Sim is set.
+// Its errors are MPFactory's kind.
 func (s ProtocolSpec) SMFactory() (func(types.ProcessID) smmem.Protocol, error) {
 	if s.Sim {
 		inner, err := ProtocolSpec{Proto: s.Proto, Ell: s.Ell}.MPFactory()
@@ -108,7 +111,7 @@ func (s ProtocolSpec) SMFactory() (func(types.ProcessID) smmem.Protocol, error) 
 	case theory.ProtoF:
 		return func(types.ProcessID) smmem.Protocol { return sm.NewProtocolF() }, nil
 	default:
-		return nil, fmt.Errorf("%w: %v is not a native shared-memory protocol", ErrBadTrace, s.Proto)
+		return nil, fmt.Errorf("%v is not a native shared-memory protocol", s.Proto)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,6 +102,26 @@ func TestCaptureReplayMPCrash(t *testing.T) {
 			t.Fatalf("seed %d: empty schedule", seed)
 		}
 		roundTrip(t, tr, rec)
+	}
+}
+
+// TestReplayWrongProtocolIsBadTrace: an artifact whose protocol does not run
+// in its model is an invalid artifact, and the error names the protocol.
+func TestReplayWrongProtocolIsBadTrace(t *testing.T) {
+	cfg := mpnet.Config{
+		N: 4, T: 1, K: 2,
+		Inputs:      []types.Value{3, 1, 4, 1},
+		NewProtocol: mustMPFactory(t, ProtocolSpec{Proto: theory.ProtoFloodMin}),
+		Seed:        1,
+	}
+	tr, _, err := CaptureMP(cfg, types.RV1, ProtocolSpec{Proto: theory.ProtoFloodMin}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Protocol = ProtocolSpec{Proto: theory.ProtoE}
+	_, err = Replay(tr)
+	if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), theory.ProtoE.String()) {
+		t.Errorf("Replay of a message-passing artifact naming %s: err = %v, want ErrBadTrace naming it", theory.ProtoE, err)
 	}
 }
 

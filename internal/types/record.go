@@ -78,37 +78,37 @@ func (r *RunRecord) CorrectDecisions() []Value {
 	return distinct(out)
 }
 
+// CountCorrectDecisions returns len(CorrectDecisions()) without building
+// the set: a correct decision counts if no earlier correct process decided
+// the same value.
+func (r *RunRecord) CountCorrectDecisions() int {
+	count := 0
+	for i := 0; i < r.N; i++ {
+		if !r.Faulty[i] && r.Decided[i] && !r.correctlyDecidedBefore(i, r.Decisions[i]) {
+			count++
+		}
+	}
+	return count
+}
+
+// correctlyDecidedBefore reports whether a correct process below i decided v.
+func (r *RunRecord) correctlyDecidedBefore(i int, v Value) bool {
+	for j := 0; j < i; j++ {
+		if !r.Faulty[j] && r.Decided[j] && r.Decisions[j] == v {
+			return true
+		}
+	}
+	return false
+}
+
 // AllDecisions returns the set of distinct values decided by any process
-// that decided, in ascending order. Used by the WV1/WV2 conditions, which
-// quantify over all processes in failure-free runs.
+// that decided, in ascending order.
 func (r *RunRecord) AllDecisions() []Value {
 	out := make([]Value, 0, len(r.Decisions))
 	for i := 0; i < r.N; i++ {
 		if r.Decided[i] {
 			out = append(out, r.Decisions[i])
 		}
-	}
-	return distinct(out)
-}
-
-// CorrectInputs returns the set of distinct inputs of correct processes, in
-// ascending order.
-func (r *RunRecord) CorrectInputs() []Value {
-	out := make([]Value, 0, len(r.Inputs))
-	for i := 0; i < r.N; i++ {
-		if !r.Faulty[i] {
-			out = append(out, r.Inputs[i])
-		}
-	}
-	return distinct(out)
-}
-
-// AllInputs returns the set of distinct inputs of all processes, in
-// ascending order.
-func (r *RunRecord) AllInputs() []Value {
-	out := make([]Value, 0, len(r.Inputs))
-	for i := 0; i < r.N; i++ {
-		out = append(out, r.Inputs[i])
 	}
 	return distinct(out)
 }
