@@ -9,7 +9,6 @@
 //	        -instances 8 -k 2 -t 1 -protocol floodmin -validity rv1
 //	ksetctl run -peers ... -instances 1 -inputs 4,7,2
 //	ksetctl stats -peers host0:7000,host1:7000,host2:7000
-//	ksetctl bench -loopback 3 -instances 5000 -workers 16
 //	ksetctl acs propose -peers ... -node 1 -value 42
 //	ksetctl log append -peers ... -value 42
 //	ksetctl log tail -peers ... -start 0 -strict
@@ -22,11 +21,7 @@
 // agree entry by entry.
 //
 // run exits non-zero if any node's decision table fails the checker; the
-// cluster is the system under test and ksetctl is the judge. bench is the
-// load generator: it floods a cluster (a live one via -peers, or an
-// in-process loopback cluster via -loopback) with concurrent instances and
-// reports decisions/sec, decide-latency quantiles, and the transport's
-// frames-per-decision ratio.
+// cluster is the system under test and ksetctl is the judge.
 package main
 
 import (
@@ -46,6 +41,10 @@ import (
 	"kset/internal/wire"
 )
 
+// decideHist is the histogram every node records one sample into per local
+// decision.
+const decideHist = "kset_decide_latency_seconds"
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ksetctl:", err)
@@ -55,21 +54,19 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: ksetctl <run|stats|bench|acs|log> -peers ... [flags]")
+		return fmt.Errorf("usage: ksetctl <run|stats|acs|log> -peers ... [flags]")
 	}
 	switch args[0] {
 	case "run":
 		return runInstances(args[1:], out)
 	case "stats":
 		return runStats(args[1:], out)
-	case "bench":
-		return runBench(args[1:], out)
 	case "acs":
 		return runAcs(args[1:], out)
 	case "log":
 		return runLog(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want run, stats, bench, acs, or log)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want run, stats, acs, or log)", args[0])
 	}
 }
 
@@ -121,6 +118,12 @@ func runInstances(args []string, out io.Writer) error {
 	if *instances < 1 {
 		return fmt.Errorf("-instances %d: need at least 1", *instances)
 	}
+	// ctl ids live below the top bit; ids with it set are the ACS engine's
+	// vote instances, and nodes refuse a ctl start there.
+	last := *first + uint64(*instances) - 1
+	if last < *first || last>>63 != 0 {
+		return fmt.Errorf("-first %d -instances %d: ids must stay below 2^63 (the top bit is the ACS vote namespace)", *first, *instances)
+	}
 	v, err := types.ParseValidity(*validity)
 	if err != nil {
 		return err
@@ -161,7 +164,6 @@ func runInstances(args []string, out io.Writer) error {
 
 	// Submit every instance to every node, each with its own input.
 	started := time.Now()
-	last := *first + uint64(*instances) - 1
 	for id := *first; id <= last; id++ {
 		vals := inputsFor(id)
 		for i, c := range clients {
@@ -298,6 +300,19 @@ func runStats(args []string, out io.Writer) error {
 	fmt.Fprintln(out)
 	reportDecideLatency(out, decideHists(pulled), len(pulled), len(addrs))
 	return nil
+}
+
+// pullAll pulls every node's metric registry.
+func pullAll(clients []*cluster.Client) ([]cluster.Metrics, error) {
+	out := make([]cluster.Metrics, len(clients))
+	for i, c := range clients {
+		m, err := c.Metrics()
+		if err != nil {
+			return nil, fmt.Errorf("metrics from node %d: %w", i, err)
+		}
+		out[i] = m
+	}
+	return out, nil
 }
 
 // decideHists picks every node's decide-latency histogram out of its pull.

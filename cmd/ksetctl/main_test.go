@@ -1,14 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"kset/internal/cluster"
-	"kset/internal/grid"
 )
 
 // startCluster brings up an in-process 3-node cluster for the command to
@@ -136,6 +132,9 @@ func TestStatsToleratesUnreachableNode(t *testing.T) {
 }
 
 func TestBadUsage(t *testing.T) {
+	// The id-range cases name a live cluster, so only the range check can
+	// refuse them.
+	live := strings.Join(startCluster(t, 15).Addrs, ",")
 	var out strings.Builder
 	cases := [][]string{
 		nil,
@@ -146,94 +145,10 @@ func TestBadUsage(t *testing.T) {
 		{"run", "-peers", "a,b", "-validity", "nope"},        // bad validity
 		{"run", "-peers", "a,b", "-protocol", "heisenbyzzz"}, // bad protocol
 		{"stats"}, // missing -peers
-	}
-	for _, args := range cases {
-		if err := run(args, &out); err == nil {
-			t.Errorf("run(%v): expected error", args)
-		}
-	}
-}
 
-// TestBench drives the load generator end to end against both a caller-owned
-// cluster (-peers) and its self-hosted loopback mode.
-func TestBench(t *testing.T) {
-	lb := startCluster(t, 15)
-	var out strings.Builder
-	err := run([]string{
-		"bench",
-		"-peers", strings.Join(lb.Addrs, ","),
-		"-instances", "50",
-		"-workers", "4",
-	}, &out)
-	if err != nil {
-		t.Fatalf("bench: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"bench: 50 instances x 3 nodes, floodmin",
-		"throughput:",
-		"decide latency (150 samples): p50 ",
-		"frames/decision",
-		"acks piggybacked",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("bench output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestBenchLoopback(t *testing.T) {
-	jsonlPath := filepath.Join(t.TempDir(), "bench.jsonl")
-	var out strings.Builder
-	err := run([]string{
-		"bench", "-loopback", "2", "-instances", "50", "-workers", "4",
-		"-jsonl", jsonlPath,
-	}, &out)
-	if err != nil {
-		t.Fatalf("bench -loopback: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"loopback cluster: 2 nodes",
-		"bench: 50 instances x 2 nodes, floodmin",
-		"decide latency (100 samples): p50 ",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("bench output missing %q:\n%s", want, got)
-		}
-	}
-
-	// The machine-readable record mirrors the human report and shares the
-	// grid JSONL schema (kind discriminator, pinned field order).
-	data, err := os.ReadFile(jsonlPath)
-	if err != nil {
-		t.Fatalf("read bench jsonl: %v", err)
-	}
-	var rec grid.BenchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("unmarshal bench record: %v\n%s", err, data)
-	}
-	if rec.Kind != "bench" || rec.Nodes != 2 || rec.Instances != 50 || rec.Workers != 4 {
-		t.Errorf("bench record header: %+v", rec)
-	}
-	if rec.Protocol != "floodmin" || rec.Decided != 100 {
-		t.Errorf("bench record workload: %+v", rec)
-	}
-	if rec.ElapsedMicros <= 0 || rec.InstancesPerSec <= 0 || rec.P50Micros <= 0 {
-		t.Errorf("bench record measurements not positive: %+v", rec)
-	}
-	if rec.Frames <= 0 || rec.FramesPerDecision <= 0 {
-		t.Errorf("bench record transport deltas not positive: %+v", rec)
-	}
-}
-
-func TestBenchBadUsage(t *testing.T) {
-	var out strings.Builder
-	cases := [][]string{
-		{"bench"}, // neither -peers nor -loopback
-		{"bench", "-peers", "a,b", "-loopback", "2"}, // both
-		{"bench", "-loopback", "2", "-instances", "0"},
-		{"bench", "-loopback", "2", "-protocol", "heisenbyzzz"},
+		// An id range that wraps, and one that reaches the ACS vote namespace.
+		{"run", "-peers", live, "-first", "18446744073709551615", "-instances", "2"},
+		{"run", "-peers", live, "-first", "9223372036854775807", "-instances", "2"},
 	}
 	for _, args := range cases {
 		if err := run(args, &out); err == nil {

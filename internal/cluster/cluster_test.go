@@ -312,6 +312,40 @@ func fakeLogNode(ln net.Listener, reply func(wire.PullLog) wire.Log) error {
 	return wire.WriteMsg(conn, reply(pull))
 }
 
+// TestCtlStartInVoteNamespaceRefused pins that a ctl Start with the top bit
+// set, the ACS engine's vote namespace, is refused with the connection and
+// starts nothing, while a Start with a low id on a new connection still runs.
+func TestCtlStartInVoteNamespaceRefused(t *testing.T) {
+	lb, err := StartLoopback(LoopbackConfig{N: 1, K: 1, T: 0, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	start := func(id uint64) error {
+		c, err := DialNode(lb.Addrs[0], 5*time.Second)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		return c.Start(wire.Start{Instance: id, K: 1, T: 0, Proto: uint8(theory.ProtoFloodMin), Input: 7})
+	}
+
+	const vote = 1<<63 | 5
+	if err := start(vote); err == nil {
+		t.Fatalf("ctl start of id %#x succeeded, want it refused", uint64(vote))
+	}
+	if tbl, ok := lb.Nodes[0].Table(vote); ok {
+		t.Fatalf("refused id %#x has a table: %+v", uint64(vote), tbl)
+	}
+	if err := start(5); err != nil {
+		t.Fatalf("ctl start of id 5 after the refusal: %v", err)
+	}
+	tbl := awaitTable(t, lb.Nodes[0], 5, allAlive(1), time.Now().Add(10*time.Second))
+	if _, err := VerifyTable(tbl, []types.Value{7}, types.RV1, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStartIdempotent checks that a duplicate Start (a retried control
 // request) is acknowledged without spawning a second instance.
 func TestStartIdempotent(t *testing.T) {

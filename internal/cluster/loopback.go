@@ -11,9 +11,10 @@ import (
 	"kset/internal/wire"
 )
 
-// Loopback is an in-process cluster on 127.0.0.1, used by the tests, by
-// `ksetctl bench -loopback`, by `ksetrun -live` and by examples/livecluster: n nodes,
-// each a full Node with real TCP links to the others. Crashing a node (killing its process) and flapping links are
+// Loopback is an in-process cluster on 127.0.0.1, used by the tests, by the
+// benchmark driver's decide.* and acs.* workloads, by `ksetrun -live` and by
+// examples/livecluster: n nodes, each a full Node with real TCP links to the
+// others. Crashing a node (killing its process) and flapping links are
 // first-class operations so the soak tests can exercise the paper's failure
 // model against the real transport.
 type Loopback struct {

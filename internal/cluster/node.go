@@ -944,6 +944,13 @@ func (n *Node) serveCtl(br *bufio.Reader, conn net.Conn) {
 		var reply wire.Msg
 		switch v := m.(type) {
 		case wire.Start:
+			// Ids with the top bit set are the ACS engine's vote instances,
+			// which it starts itself; a ctl start there would take a vote's
+			// slot or slide the vote namespace's window past live votes.
+			if v.Instance>>63 != 0 {
+				n.log.Warn("ctl start in the ACS vote namespace refused", obs.F("instance", v.Instance))
+				return
+			}
 			if err := n.StartInstance(v); err != nil {
 				n.log.Warn("start instance failed", obs.F("instance", v.Instance), obs.F("err", err.Error()))
 				return

@@ -22,7 +22,7 @@ const StatusInvalid = "invalid"
 // MeanDistinctMilli carries the mean distinct-decision count in fixed-point
 // millis to keep floats off the wire and out of the output.
 type Record struct {
-	// Kind discriminates record types in mixed JSONL streams ("cell").
+	// Kind is the record type tag, always "cell".
 	Kind string `json:"kind"`
 	// Cell is the enumeration index within the spec's grid.
 	Cell uint64 `json:"cell"`
@@ -128,54 +128,6 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 		if err := writeJSONLine(w, &recs[i]); err != nil {
 			return fmt.Errorf("grid: write jsonl row %d: %w", i, err)
 		}
-	}
-	return nil
-}
-
-// BenchRecord is the machine-readable result of one ksetctl bench run. It
-// shares the JSONL stream discipline (and the kind discriminator) with the
-// sweep Record so bench and sweep outputs compose into one results file.
-// Latencies are microseconds; rates are derived from the wall clock of the
-// live cluster run and are not expected to be reproducible.
-type BenchRecord struct {
-	// Kind discriminates record types in mixed JSONL streams ("bench").
-	Kind string `json:"kind"`
-	// Protocol, Nodes, K, T identify the workload.
-	Protocol string `json:"protocol"`
-	Nodes    int    `json:"nodes"`
-	K        int    `json:"k"`
-	T        int    `json:"t"`
-	// Instances and Workers describe the offered load.
-	Instances int `json:"instances"`
-	Workers   int `json:"workers"`
-	// Decided counts decide latencies collected across the cluster.
-	Decided int64 `json:"decided"`
-	// ElapsedMicros is the wall-clock run time.
-	ElapsedMicros int64 `json:"elapsed_micros"`
-	// InstancesPerSec is the decision throughput.
-	InstancesPerSec float64 `json:"instances_per_sec"`
-	// P50/P95/P99/Max are decide-latency quantiles in microseconds.
-	P50Micros int64 `json:"p50_micros"`
-	P95Micros int64 `json:"p95_micros"`
-	P99Micros int64 `json:"p99_micros"`
-	MaxMicros int64 `json:"max_micros"`
-	// Frames, Messages, Batches and AckPiggybacked are transport deltas.
-	Frames         int64 `json:"frames"`
-	Messages       int64 `json:"messages"`
-	Batches        int64 `json:"batches"`
-	AckPiggybacked int64 `json:"acks_piggybacked"`
-	// FramesPerDecision and MsgsPerFrame are the batching efficiency ratios.
-	FramesPerDecision float64 `json:"frames_per_decision"`
-	MsgsPerFrame      float64 `json:"msgs_per_frame"`
-}
-
-// WriteBenchJSONL appends one bench record to a JSONL stream.
-func WriteBenchJSONL(w io.Writer, r *BenchRecord) error {
-	if r.Kind == "" {
-		r.Kind = "bench"
-	}
-	if err := writeJSONLine(w, r); err != nil {
-		return fmt.Errorf("grid: write bench jsonl: %w", err)
 	}
 	return nil
 }
