@@ -217,15 +217,15 @@ func (g *GarbageWriter) Run(api smmem.API) {
 	for i := 0; i < rounds; i++ {
 		switch i % 3 {
 		case 0:
-			api.WriteValue("input", types.Value(rng.Intn(1000))-500)
+			api.WriteValue("input", 0, types.Value(rng.Intn(1000))-500)
 		case 1:
-			api.Write("bc/0", types.Payload{
+			api.Write("bc/", 0, types.Payload{
 				Kind:   types.KindEcho,
 				Value:  types.Value(rng.Intn(1000)),
 				Origin: types.ProcessID(rng.Intn(api.N())),
 			})
 		case 2:
-			api.WriteValue("junk", types.Value(i))
+			api.WriteValue("junk", 0, types.Value(i))
 		}
 	}
 }

@@ -554,7 +554,7 @@ func Lemma49ProtocolE(n, k, t int) (*Construction, error) {
 			NewProtocol: func(types.ProcessID) smmem.Protocol { return sm.NewProtocolE() },
 			Byzantine: map[types.ProcessID]smmem.Protocol{
 				liar: smProtoFunc(func(api smmem.API) {
-					api.WriteValue(sm.InputRegister, v+1)
+					api.WriteValue(sm.InputRegister, 0, v+1)
 				}),
 			},
 			// The liar writes first; everyone else is held until it is done.

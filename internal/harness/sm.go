@@ -145,7 +145,7 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 			cfg.Crash = crash
 			advName = "scripted-crash"
 		default:
-			cfg.Crash = smmem.NewRandomCrashes(2.0/float64(4*n), prng.New(rng.Uint64()))
+			cfg.Crash = smmem.NewRandomCrashes(2.0/float64(4*n), rng.Uint64())
 			advName = "random-crash"
 		}
 	}

@@ -5,17 +5,6 @@ import (
 	"kset/internal/types"
 )
 
-// NoCrashes is a CrashAdversary that never crashes anyone.
-type NoCrashes struct{}
-
-var _ CrashAdversary = NoCrashes{}
-
-// CrashBeforeDeliver implements CrashAdversary.
-func (NoCrashes) CrashBeforeDeliver(*View, types.ProcessID, int) bool { return false }
-
-// CrashDuringSend implements CrashAdversary.
-func (NoCrashes) CrashDuringSend(*View, types.ProcessID, types.ProcessID, int) bool { return false }
-
 // RandomCrashes crashes processes at random points — before deliveries and
 // in the middle of broadcasts — up to the runtime's fault budget. Rate is
 // the per-opportunity crash probability; the runtime's budget enforcement
@@ -67,75 +56,4 @@ func (s *ScriptedCrashes) CrashBeforeDeliver(_ *View, p types.ProcessID, eventIn
 func (s *ScriptedCrashes) CrashDuringSend(_ *View, p types.ProcessID, _ types.ProcessID, sendIndex int) bool {
 	at, ok := s.AtSend[p]
 	return ok && sendIndex >= at
-}
-
-// TargetedCrashes crashes the processes holding designated input values
-// after they have transmitted to a prefix of recipients — the worst-case
-// crash pattern for FloodMin-style protocols, where losing the broadcasts
-// of the smallest inputs maximizes decision spread (the Lemma 3.2 shape,
-// but value-targeted rather than id-targeted).
-type TargetedCrashes struct {
-	// SendsBeforeCrash[p] is how many transmissions p completes before
-	// crashing. Built by NewTargetedCrashes from the input vector.
-	SendsBeforeCrash map[types.ProcessID]int
-}
-
-var _ CrashAdversary = (*TargetedCrashes)(nil)
-
-// NewTargetedCrashes targets the holders of the `count` smallest inputs,
-// crashing the i-th smallest holder after reach+i transmissions.
-func NewTargetedCrashes(inputs []types.Value, count, reach int) *TargetedCrashes {
-	type pair struct {
-		id types.ProcessID
-		v  types.Value
-	}
-	ranked := make([]pair, len(inputs))
-	for i, v := range inputs {
-		ranked[i] = pair{types.ProcessID(i), v}
-	}
-	for i := 1; i < len(ranked); i++ {
-		for j := i; j > 0 && ranked[j].v < ranked[j-1].v; j-- {
-			ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
-		}
-	}
-	if count > len(ranked) {
-		count = len(ranked)
-	}
-	t := &TargetedCrashes{SendsBeforeCrash: make(map[types.ProcessID]int, count)}
-	for i := 0; i < count; i++ {
-		t.SendsBeforeCrash[ranked[i].id] = reach + i
-	}
-	return t
-}
-
-// CrashBeforeDeliver implements CrashAdversary.
-func (t *TargetedCrashes) CrashBeforeDeliver(_ *View, _ types.ProcessID, _ int) bool {
-	return false
-}
-
-// CrashDuringSend implements CrashAdversary.
-func (t *TargetedCrashes) CrashDuringSend(_ *View, p types.ProcessID, _ types.ProcessID, sendIndex int) bool {
-	at, ok := t.SendsBeforeCrash[p]
-	return ok && sendIndex >= at
-}
-
-// CrashAfterDecide crashes each listed process immediately after it decides
-// (before it processes any further event). This realizes runs like the one
-// in Lemma 3.5's proof, where a process fails "right after sending its last
-// message".
-type CrashAfterDecide struct {
-	// Targets marks the processes to crash once they have decided.
-	Targets map[types.ProcessID]bool
-}
-
-var _ CrashAdversary = (*CrashAfterDecide)(nil)
-
-// CrashBeforeDeliver implements CrashAdversary.
-func (c *CrashAfterDecide) CrashBeforeDeliver(view *View, p types.ProcessID, _ int) bool {
-	return c.Targets[p] && view.Decided[p]
-}
-
-// CrashDuringSend implements CrashAdversary.
-func (c *CrashAfterDecide) CrashDuringSend(view *View, p types.ProcessID, _ types.ProcessID, _ int) bool {
-	return c.Targets[p] && view.Decided[p]
 }

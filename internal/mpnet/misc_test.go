@@ -8,31 +8,6 @@ import (
 	"kset/internal/types"
 )
 
-func TestNoCrashesNeverCrashes(t *testing.T) {
-	var nc NoCrashes
-	if nc.CrashBeforeDeliver(nil, 0, 0) || nc.CrashDuringSend(nil, 0, 1, 0) {
-		t.Error("NoCrashes crashed someone")
-	}
-}
-
-func TestCrashAfterDecide(t *testing.T) {
-	c := &CrashAfterDecide{Targets: map[types.ProcessID]bool{1: true}}
-	view := testView(3)
-	if c.CrashBeforeDeliver(view, 1, 0) || c.CrashDuringSend(view, 1, 0, 0) {
-		t.Error("crashed before the target decided")
-	}
-	view.Decided[1] = true
-	if !c.CrashBeforeDeliver(view, 1, 5) {
-		t.Error("did not crash the decided target before a delivery")
-	}
-	if !c.CrashDuringSend(view, 1, 0, 3) {
-		t.Error("did not crash the decided target during a send")
-	}
-	if c.CrashBeforeDeliver(view, 0, 5) {
-		t.Error("crashed a non-target")
-	}
-}
-
 func TestIsolateBuildsPartition(t *testing.T) {
 	g := Isolate(6, []types.ProcessID{0, 1}, []types.ProcessID{4})
 	// Groups: {0,1} -> 0, {4} -> 1, rest {2,3,5} -> 2.

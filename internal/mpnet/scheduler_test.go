@@ -150,30 +150,6 @@ func TestGroupGateIgnoresFaultyMembersWhenOpening(t *testing.T) {
 	}
 }
 
-func TestTargetedCrashesTruncatesSmallestHolders(t *testing.T) {
-	inputs := []types.Value{30, 10, 20, 40}
-	tc := NewTargetedCrashes(inputs, 2, 1)
-	// Holders of 10 (p2, id 1) and 20 (p3, id 2) are targeted.
-	if _, ok := tc.SendsBeforeCrash[1]; !ok {
-		t.Error("holder of the smallest input not targeted")
-	}
-	if _, ok := tc.SendsBeforeCrash[2]; !ok {
-		t.Error("holder of the second-smallest input not targeted")
-	}
-	if _, ok := tc.SendsBeforeCrash[0]; ok {
-		t.Error("non-target process targeted")
-	}
-	if !tc.CrashDuringSend(nil, 1, 0, 1) {
-		t.Error("target should crash at its reach limit")
-	}
-	if tc.CrashDuringSend(nil, 1, 0, 0) {
-		t.Error("target crashed before its reach limit")
-	}
-	if tc.CrashBeforeDeliver(nil, 1, 99) {
-		t.Error("TargetedCrashes must only crash during sends")
-	}
-}
-
 func TestHaltOnDecideStopsParticipation(t *testing.T) {
 	// With HaltOnDecide, a decided process consumes messages without
 	// processing: its protocol sees no deliveries after deciding.

@@ -37,7 +37,7 @@ func NewProtocolE() *ProtocolE { return &ProtocolE{Default: types.DefaultValue} 
 
 // Run implements smmem.Protocol.
 func (e *ProtocolE) Run(api smmem.API) {
-	api.WriteValue(InputRegister, api.Input())
+	api.WriteValue(InputRegister, 0, api.Input())
 	scan := newInputScan(api)
 	scan.run(api)
 	decision := e.Default

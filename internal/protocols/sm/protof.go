@@ -37,7 +37,7 @@ func NewProtocolF() *ProtocolF { return &ProtocolF{Default: types.DefaultValue} 
 
 // Run implements smmem.Protocol.
 func (f *ProtocolF) Run(api smmem.API) {
-	api.WriteValue(InputRegister, api.Input())
+	api.WriteValue(InputRegister, 0, api.Input())
 	n, t := api.N(), api.T()
 	scan := newInputScan(api)
 	scan.run(api)

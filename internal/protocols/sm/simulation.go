@@ -21,8 +21,8 @@ import (
 //
 // Register layout (owner p):
 //
-//	bc/<i>      p's i-th broadcast
-//	msg/<q>/<i> p's i-th point-to-point message to q
+//	Reg{p, "bc/", i}      p's i-th broadcast
+//	Reg{p, "msg/<q>/", i} p's i-th point-to-point message to q
 //
 // Registers are written at most once by construction, so polling readers
 // see each message exactly once by moving each channel's register on by its
@@ -51,6 +51,9 @@ var _ smmem.Protocol = (*Simulation)(nil)
 
 // broadcasts is the family of every process's broadcast registers.
 const broadcasts = "bc/"
+
+// messagesTo is the family of every process's point-to-point messages to q.
+func messagesTo(q types.ProcessID) string { return "msg/" + strconv.Itoa(int(q)) + "/" }
 
 // NewSimulation wraps one process's message-passing protocol instance.
 func NewSimulation(inner mpnet.Protocol) *Simulation { return &Simulation{Inner: inner} }
@@ -104,34 +107,19 @@ func (a *simAPI) Broadcast(p types.Payload) {
 	a.outbox = append(a.outbox, outMsg{broadcast: true, payload: p})
 }
 
-// registerNames is a numbered register sequence's names, prefix+"0",
-// prefix+"1", ...: the texts of one process's writes, each built once.
-type registerNames struct {
-	prefix string
-	made   []string
-}
-
-func (r *registerNames) at(i int) string {
-	for len(r.made) <= i {
-		r.made = append(r.made, r.prefix+strconv.Itoa(len(r.made)))
-	}
-	return r.made[i]
-}
-
-// simRun is one process's SIMULATION: the inner protocol's API, the names
-// and counts of its writes, and its poll over the incoming channels. It is
-// one allocation, and its deliver method the poll's handler.
+// simRun is one process's SIMULATION: the inner protocol's API, the
+// families and counts of its writes, and its poll over the incoming
+// channels. It is one allocation, and its deliver method the poll's handler.
 type simRun struct {
 	inner mpnet.Protocol
 	api   simAPI
 	me    types.ProcessID
 
-	bc    registerNames // own broadcasts
-	bcSeq int           // own broadcasts written
-	// sent[q] names the messages to q and msgSeq[q] counts those written;
-	// both are made at the first point-to-point send, sent[q]'s prefix at
+	bcSeq int // own broadcasts written
+	// toq[q] is the family of the messages to q and msgSeq[q] counts those
+	// written; both are made at the first point-to-point send, toq[q] at
 	// the first one to q.
-	sent   []registerNames
+	toq    []string
 	msgSeq []int
 
 	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
@@ -142,7 +130,7 @@ type simRun struct {
 // Run implements smmem.Protocol.
 func (s *Simulation) Run(api smmem.API) {
 	n, me := api.N(), api.ID()
-	r := &simRun{inner: s.Inner, me: me, bc: registerNames{prefix: broadcasts}}
+	r := &simRun{inner: s.Inner, me: me}
 	r.api.sm = api
 
 	r.inner.Start(&r.api)
@@ -152,7 +140,7 @@ func (s *Simulation) Run(api smmem.API) {
 		return // no peers to poll; everything already happened locally
 	}
 
-	toMe := "msg/" + strconv.Itoa(int(me)) + "/"
+	toMe := messagesTo(me)
 	r.chans = make([]smmem.Reg, 0, 2*(n-1))
 	for q := 0; q < n; q++ {
 		if peer := types.ProcessID(q); peer != me {
@@ -192,19 +180,18 @@ func (r *simRun) flush() {
 	for qi := 0; qi < len(a.outbox); qi++ {
 		m := a.outbox[qi]
 		if m.broadcast {
-			a.sm.Write(r.bc.at(r.bcSeq), m.payload)
+			a.sm.Write(broadcasts, r.bcSeq, m.payload)
 			r.bcSeq++
 			continue
 		}
-		if r.sent == nil {
+		if r.toq == nil {
 			n := a.sm.N()
-			r.sent, r.msgSeq = make([]registerNames, n), make([]int, n)
+			r.toq, r.msgSeq = make([]string, n), make([]int, n)
 		}
-		to := &r.sent[m.to]
-		if to.prefix == "" {
-			to.prefix = "msg/" + strconv.Itoa(int(m.to)) + "/"
+		if r.toq[m.to] == "" {
+			r.toq[m.to] = messagesTo(m.to)
 		}
-		a.sm.Write(to.at(r.msgSeq[m.to]), m.payload)
+		a.sm.Write(r.toq[m.to], r.msgSeq[m.to], m.payload)
 		r.msgSeq[m.to]++
 	}
 	a.outbox = a.outbox[:0]

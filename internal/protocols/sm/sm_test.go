@@ -19,7 +19,7 @@ type fakeMem struct {
 	input   types.Value
 	rng     *prng.Source
 
-	regs     map[string]types.Payload // "owner/name" -> payload
+	regs     map[smmem.Reg]types.Payload
 	decided  bool
 	decision types.Value
 	reads    int
@@ -32,12 +32,8 @@ func newFakeMem(id types.ProcessID, n, t, k int, input types.Value) *fakeMem {
 	return &fakeMem{
 		id: id, n: n, t: t, k: k, input: input,
 		rng:  prng.New(1),
-		regs: make(map[string]types.Payload),
+		regs: make(map[smmem.Reg]types.Payload),
 	}
-}
-
-func key(owner types.ProcessID, reg string) string {
-	return owner.String() + "/" + reg
 }
 
 func (f *fakeMem) ID() types.ProcessID { return f.id }
@@ -48,11 +44,13 @@ func (f *fakeMem) Input() types.Value  { return f.input }
 func (f *fakeMem) HasDecided() bool    { return f.decided }
 func (f *fakeMem) Rand() *prng.Source  { return f.rng }
 
-func (f *fakeMem) Write(reg string, p types.Payload) { f.regs[key(f.id, reg)] = p }
+func (f *fakeMem) Write(name string, index int, p types.Payload) {
+	f.regs[smmem.Reg{Owner: f.id, Name: name, Index: index}] = p
+}
 
-func (f *fakeMem) Read(owner types.ProcessID, reg string) (types.Payload, bool) {
+func (f *fakeMem) Read(r smmem.Reg) (types.Payload, bool) {
 	f.reads++
-	p, ok := f.regs[key(owner, reg)]
+	p, ok := f.regs[r]
 	return p, ok
 }
 
@@ -60,7 +58,7 @@ func (f *fakeMem) Read(owner types.ProcessID, reg string) (types.Payload, bool) 
 // while it waits, so a full round of misses would be a wait forever.
 func (f *fakeMem) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
 	for c, misses := start, 0; misses < len(regs); {
-		p, ok := f.Read(regs[c].Owner, regs[c].Name)
+		p, ok := f.Read(regs[c])
 		switch {
 		case !ok:
 			c, misses = (c+1)%len(regs), misses+1
@@ -77,18 +75,13 @@ func (f *fakeMem) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload)
 func (f *fakeMem) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool)) {
 	f.scans = append(f.scans, append([]smmem.Reg(nil), regs...))
 	for i := range regs {
-		p, ok := f.Read(regs[i].Owner, regs[i].Name)
+		p, ok := f.Read(regs[i])
 		visit(i, p, ok)
 	}
 }
 
-func (f *fakeMem) WriteValue(reg string, v types.Value) {
-	f.Write(reg, types.Payload{Kind: types.KindInput, Value: v})
-}
-
-func (f *fakeMem) ReadValue(owner types.ProcessID, reg string) (types.Value, bool) {
-	p, ok := f.Read(owner, reg)
-	return p.Value, ok
+func (f *fakeMem) WriteValue(name string, index int, v types.Value) {
+	f.Write(name, index, types.Payload{Kind: types.KindInput, Value: v})
 }
 
 func (f *fakeMem) Decide(v types.Value) {
@@ -99,7 +92,7 @@ func (f *fakeMem) Decide(v types.Value) {
 
 // seed pre-writes another process's input register.
 func (f *fakeMem) seed(owner types.ProcessID, v types.Value) {
-	f.regs[key(owner, InputRegister)] = types.Payload{Kind: types.KindInput, Value: v}
+	f.regs[smmem.Reg{Owner: owner, Name: InputRegister}] = types.Payload{Kind: types.KindInput, Value: v}
 }
 
 func TestProtocolEDecidesCommonValue(t *testing.T) {

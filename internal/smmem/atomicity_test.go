@@ -27,9 +27,9 @@ type scriptOp struct {
 func (s *opScript) Run(api API) {
 	for _, op := range s.writes {
 		if op.write {
-			api.WriteValue(op.reg, op.value)
+			api.WriteValue(op.reg, 0, op.value)
 		} else {
-			_, _ = api.ReadValue(op.owner, op.reg)
+			_, _ = api.Read(Reg{Owner: op.owner, Name: op.reg})
 		}
 	}
 	api.Decide(api.Input())

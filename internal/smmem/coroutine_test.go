@@ -35,7 +35,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 	spin := all(func(api smmem.API) {
 		for {
-			_, _ = api.ReadValue(0, "v")
+			_, _ = api.Read(smmem.Reg{Name: "v"})
 		}
 	})
 	simulation, err := trace.ProtocolSpec{Proto: theory.ProtoFloodMin, Sim: true}.SMFactory()
@@ -100,7 +100,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			cfg:   smmem.Config{NewProtocol: all(func(api smmem.API) { scan(api, n) })},
 			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == n }},
 		{name: "quiescence",
-			cfg:   smmem.Config{NewProtocol: all(func(api smmem.API) { api.WriteValue("v", api.Input()) })},
+			cfg:   smmem.Config{NewProtocol: all(func(api smmem.API) { api.WriteValue("v", 0, api.Input()) })},
 			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == 0 && !rec.BudgetExhausted }},
 		{name: "budget-exhaustion",
 			cfg:   smmem.Config{NewProtocol: spin, MaxOps: 50},
@@ -110,7 +110,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			wantErr: smmem.ErrBadSchedule},
 		{name: "double-decide",
 			cfg: smmem.Config{NewProtocol: all(func(api smmem.API) {
-				api.WriteValue("v", api.Input())
+				api.WriteValue("v", 0, api.Input())
 				api.Decide(1)
 				if api.ID() == 3 {
 					api.Decide(2)
@@ -141,7 +141,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			cfg:       smmem.Config{NewProtocol: badHandler(true, func(smmem.API) { panic("handler bug") })},
 			wantPanic: "handler bug"},
 		{name: "scan-handler-reads",
-			cfg:       smmem.Config{NewProtocol: badHandler(false, func(api smmem.API) { _, _ = api.Read(1, "v") })},
+			cfg:       smmem.Config{NewProtocol: badHandler(false, func(api smmem.API) { _, _ = api.Read(smmem.Reg{Owner: 1, Name: "v"}) })},
 			wantPanic: "smmem: Read inside a Scan handler"},
 	}
 	// No subtests: each would add a goroutine of its own that is still on its
@@ -190,8 +190,8 @@ func TestProtocolPanicReachesCaller(t *testing.T) {
 			return runFunc(func(api smmem.API) {
 				defer func() { unwound[id] = true }()
 				if id == 2 {
-					api.WriteValue("v", api.Input())
-					_, _ = api.ReadValue(0, "v")
+					api.WriteValue("v", 0, api.Input())
+					_, _ = api.Read(smmem.Reg{Name: "v"})
 					panic(bug)
 				}
 				scan(api, n)

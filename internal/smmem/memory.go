@@ -6,15 +6,13 @@ import (
 	"kset/internal/types"
 )
 
-// memory is the registers of a run. A register is identified by its text,
-// and the store splits the text into a family and an index: "bc/5" is index
-// 5 of family "bc/", "msg/3/7" index 7 of "msg/3/", and a text without a
-// canonical decimal tail ("input", "bc/", "bc/05") is index 0 of a family of
-// its own. Families are numbered from 1 in the order they are first named, and
-// each owner keeps each family's registers 0, 1, 2, ... as one dense slice,
-// so a read whose family is known is three slice indexings. A family's
-// slices are made at its first write, and a register written past its
-// family's end goes to spill, keyed by (owner, family, index), until the
+// memory is the registers of a run. A register is a Reg's (Owner, Name,
+// Index): Name is its family, numbered from 1 in the order the Runner first
+// sees it, and each owner keeps each family's registers 0, 1, 2, ... as one
+// dense slice, so a read whose family is known is three slice indexings. A
+// Name that does not end in '/' is a family of one register, index 0. A
+// family's slices are made at its first write, and a register written past
+// its family's end goes to spill, keyed by (owner, family, index), until the
 // slice reaches it; memory therefore stays proportional to the registers
 // written, however far apart their indices.
 //
@@ -22,12 +20,9 @@ import (
 // spill is cleared and the slices truncated, and the family table is kept
 // whole, so a family has one number for the Runner's life and a Name a
 // process resolved in one run still holds in the next. The table grows with the
-// distinct family names the Runner's runs use, which their protocols fix.
+// distinct Names the Runner's runs use, which their protocols fix.
 type memory struct {
-	// The family table: indexed[name] numbers the family of the texts name
-	// followed by a canonical decimal index, named[text] the family of the
-	// one register text.
-	indexed, named map[string]int
+	families map[string]int // the number of every Name seen
 	// regs[f][o] is o's registers of family f, all written; regs[f] is nil
 	// until f's first write.
 	regs   [][][]types.Payload
@@ -42,8 +37,8 @@ type spillKey struct {
 }
 
 func (m *memory) reset(n int) {
-	if m.indexed == nil {
-		m.indexed, m.named = make(map[string]int), make(map[string]int)
+	if m.families == nil {
+		m.families = make(map[string]int)
 		m.regs = make([][][]types.Payload, 1) // family 0 stands for none
 	}
 	clear(m.spill)
@@ -63,50 +58,19 @@ func (m *memory) reset(n int) {
 	}
 }
 
-// family returns the number table gives name, numbering a new family on
-// first sight.
-func (m *memory) family(table map[string]int, name string) int {
-	f, ok := table[name]
+// family returns the number of the family name, numbering it on first sight.
+func (m *memory) family(name string) int {
+	f, ok := m.families[name]
 	if !ok {
 		f = len(m.regs)
-		table[name] = f
+		m.families[name] = f
 		m.regs = append(m.regs, nil)
 	}
 	return f
 }
 
-// byText returns the family and index of the register whose text is text.
-func (m *memory) byText(text string) (f, i int) {
-	j := len(text)
-	for j > 0 && '0' <= text[j-1] && text[j-1] <= '9' {
-		j--
-	}
-	if tail := text[j:]; tail != "" && (tail == "0" || tail[0] != '0') {
-		if i, err := strconv.Atoi(tail); err == nil {
-			return m.family(m.indexed, text[:j]), i
-		}
-	}
-	return m.family(m.named, text), 0
-}
-
-// resolved is what a Reg's Name resolves to: its family, and the index the
-// Name fixes, or -1 when the Name ends in '/' and the index is the Reg's.
-// The zero value, family 0, is no Name.
-type resolved struct {
-	name    string
-	fam, at int
-}
-
-// resolve looks a Reg's Name up.
-func (m *memory) resolve(name string) resolved {
-	if name != "" && name[len(name)-1] == '/' {
-		return resolved{name, m.family(m.indexed, name), -1}
-	}
-	f, at := m.byText(name)
-	return resolved{name, f, at}
-}
-
-// regText is the text of the register r names.
+// regText is the text a trace prints for the register r names: Name followed
+// by the decimal Index when Name ends in '/', Name otherwise.
 func regText(r Reg) string {
 	if r.Name != "" && r.Name[len(r.Name)-1] == '/' {
 		return r.Name + strconv.Itoa(r.Index)

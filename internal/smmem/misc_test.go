@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"kset/internal/prng"
 	"kset/internal/types"
 )
 
@@ -34,19 +33,12 @@ func TestSMTraceEventStrings(t *testing.T) {
 	}
 }
 
-func TestSMNoCrashes(t *testing.T) {
-	var nc NoCrashes
-	if nc.CrashBeforeOp(nil, 0, 0) {
-		t.Error("NoCrashes crashed someone")
-	}
-}
-
 func TestSMRandomCrashesRespectsBudget(t *testing.T) {
 	rec, err := Run(Config{
 		N: 6, T: 2, K: 3,
 		Inputs:      distinctInputs(6),
 		NewProtocol: func(types.ProcessID) Protocol { return &writerReader{quorum: 4} },
-		Crash:       NewRandomCrashes(0.5, prng.New(3)),
+		Crash:       NewRandomCrashes(0.5, 3),
 		Seed:        3,
 	})
 	if err != nil {
@@ -109,7 +101,7 @@ func TestSMAPIAccessors(t *testing.T) {
 				} else {
 					api.Decide(api.Input())
 				}
-				api.WriteValue("done", 1)
+				api.WriteValue("done", 0, 1)
 			})
 		},
 		Seed: 8,

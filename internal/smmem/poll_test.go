@@ -7,12 +7,11 @@ package smmem_test
 // once with those loops written out, and require everything the run shows
 // the outside — the record or error, the Recorder stream and the Trace
 // stream — to be equal. The protocols' handlers go on, stop, read a register
-// they found again, move a channel on by its text or its Index, rename
-// another channel's register, write and decide, each in both spellings.
+// they found again, move a channel on by its Index, give another channel's
+// Reg a Name built anew, write and decide, each in both spellings.
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -35,8 +34,8 @@ func readLoops(api smmem.API) smmem.API { return &loopAPI{API: api} }
 // loopAPI's Poll and Scan are the loops of their contracts: a poll's miss
 // moves to the next register and a hit goes to hit, which ends the poll or
 // has it read regs[i] again; a scan hands every read to visit. Every read is
-// a Read of the register's text. A write inside the handler waits in queue
-// and is written right after it returns.
+// a Read of the Reg. A write inside the handler waits in queue and is
+// written right after it returns.
 type loopAPI struct {
 	smmem.API
 	inHandler bool
@@ -44,34 +43,35 @@ type loopAPI struct {
 }
 
 type queuedWrite struct {
-	reg string
-	p   types.Payload
+	name  string
+	index int
+	p     types.Payload
 }
 
-func (l *loopAPI) Write(reg string, p types.Payload) {
+func (l *loopAPI) Write(name string, index int, p types.Payload) {
 	if l.inHandler {
-		l.queue = append(l.queue, queuedWrite{reg, p})
+		l.queue = append(l.queue, queuedWrite{name, index, p})
 		return
 	}
-	l.API.Write(reg, p)
+	l.API.Write(name, index, p)
 }
 
-func (l *loopAPI) WriteValue(reg string, v types.Value) {
-	l.Write(reg, types.Payload{Kind: types.KindInput, Value: v})
+func (l *loopAPI) WriteValue(name string, index int, v types.Value) {
+	l.Write(name, index, types.Payload{Kind: types.KindInput, Value: v})
 }
 
 // handled follows a handler's return: its writes, in order.
 func (l *loopAPI) handled() {
 	l.inHandler = false
 	for _, w := range l.queue {
-		l.API.Write(w.reg, w.p)
+		l.API.Write(w.name, w.index, w.p)
 	}
 	l.queue = l.queue[:0]
 }
 
 func (l *loopAPI) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
 	for i := start; ; {
-		p, ok := l.Read(regs[i].Owner, text(regs[i]))
+		p, ok := l.Read(regs[i])
 		if !ok {
 			i = (i + 1) % len(regs)
 			continue
@@ -87,7 +87,7 @@ func (l *loopAPI) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload)
 
 func (l *loopAPI) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool)) {
 	for i := range regs {
-		p, ok := l.Read(regs[i].Owner, text(regs[i]))
+		p, ok := l.Read(regs[i])
 		l.inHandler = true
 		visit(i, p, ok)
 		l.handled()
@@ -108,16 +108,15 @@ const (
 	pollModes
 )
 
-// How a process names its poll's registers (pollPlan.names).
+// How a process names its poll's registers (pollPlan.names). Either way the
+// poll reads Reg{peer, "bc/", i}, and a hit moves the channel on by its
+// Index.
 const (
-	// Reg{peer, "bc/<i>"}.
-	byText = iota
-	// Reg{peer, "bc/", i}: a hit moves the channel on by its Index.
-	byIndex
-	// Channels start out named by Index. Every hit, after moving its own
-	// channel on, renames the next channel's register in the other form —
-	// the same register under another Name, so the poll must look the
-	// new Name up to go on reading it.
+	// Every Reg's Name is the one string "bc/".
+	shared = iota
+	// Every hit, after moving its own channel on, gives the next channel's
+	// Reg a Name built anew: the same register under an equal Name at
+	// another address, which the poll compares in full.
 	byTurns
 	nameForms
 )
@@ -165,28 +164,15 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 			w := 0
 			for ; w < len(pl.gaps[id]); w++ {
 				for i := 0; i < pl.gaps[id][w]; i++ {
-					_, _ = api.Read(id, "unwritten")
+					_, _ = api.Read(smmem.Reg{Owner: id, Name: "unwritten"})
 				}
-				api.WriteValue("bc/"+strconv.Itoa(w), api.Input()+types.Value(w))
+				api.WriteValue("bc/", w, api.Input()+types.Value(w))
 			}
 			var regs []smmem.Reg
 			for q := 0; q < api.N(); q++ {
 				if peer := types.ProcessID(q); peer != id {
-					regs = append(regs, smmem.Reg{Owner: peer})
+					regs = append(regs, smmem.Reg{Owner: peer, Name: "bc/"})
 				}
-			}
-			cursor := make([]int, len(regs))
-			byName := make([]bool, len(regs))
-			name := func(i int) {
-				if byName[i] {
-					regs[i].Name, regs[i].Index = "bc/"+strconv.Itoa(cursor[i]), 0
-				} else {
-					regs[i].Name, regs[i].Index = "bc/", cursor[i]
-				}
-			}
-			for i := range regs {
-				byName[i] = pl.names[id] == byText
-				name(i)
 			}
 			hits, minV, done, c := 0, api.Input(), false, 0
 			if pl.need[id] == 0 {
@@ -198,7 +184,7 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 					minV = p.Value
 				}
 				for j := 0; j < pl.hitWrites[id]; j++ {
-					api.Write("bc/"+strconv.Itoa(w), types.Payload{Kind: types.KindEcho, Value: minV})
+					api.Write("bc/", w, types.Payload{Kind: types.KindEcho, Value: minV})
 					w++
 				}
 				if hits == pl.need[id] {
@@ -210,11 +196,9 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 				if pl.mode[id] == rereadEveryOther && hits%2 == 1 {
 					return true
 				}
-				cursor[i]++
-				name(i)
+				regs[i].Index++
 				if j := (i + 1) % len(regs); pl.names[id] == byTurns {
-					byName[j] = !byName[j]
-					name(j)
+					regs[j].Name = strings.Clone("bc/")
 				}
 				return pl.mode[id] != stopAndWrite
 			}
@@ -223,7 +207,7 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 				if done {
 					return
 				}
-				api.WriteValue("bc/"+strconv.Itoa(w), minV)
+				api.WriteValue("bc/", w, minV)
 				w++
 				c = (c + 1) % len(regs)
 			}
@@ -469,15 +453,16 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 // need[p]-th hit, and on every every[p]-th read, hit or miss, then writes it
 // plus the read's index to p's next s/ register (never if every[p] is 0).
 // A process that has not decided after its rounds decides then and returns.
-// It names s/<r> Reg{q, "s/", r} if indexed[p], else Reg{q, "s/<r>"}.
+// It names s/<r> Reg{q, "s/", r}, with a Name built anew for every Reg if
+// fresh[p] and the one string "s/" otherwise.
 type scanPlan struct {
 	rounds, gaps, every, need []int
-	indexed                   []bool
+	fresh                     []bool
 }
 
 func seededScanPlan(n int, seed uint64) scanPlan {
 	rng := prng.New(seed ^ 0x5ca7)
-	plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n), indexed: make([]bool, n)}
+	plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n), fresh: make([]bool, n)}
 	for p := range plan.rounds {
 		plan.rounds[p] = 1 + rng.Intn(4)
 		plan.gaps[p] = rng.Intn(3)
@@ -485,8 +470,8 @@ func seededScanPlan(n int, seed uint64) scanPlan {
 		plan.need[p] = rng.Intn(2 * n)
 	}
 	names := prng.New(seed ^ 0x4a3e)
-	for p := range plan.indexed {
-		plan.indexed[p] = names.Intn(2) == 1
+	for p := range plan.fresh {
+		plan.fresh[p] = names.Intn(2) == 1
 	}
 	return plan
 }
@@ -496,7 +481,7 @@ func (pl scanPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 		return runFunc(func(api smmem.API) {
 			api = spell(api)
 			n := api.N()
-			api.WriteValue("s/0", api.Input())
+			api.WriteValue("s/", 0, api.Input())
 			w, reads, hits, minV := 1, 0, 0, api.Input()
 			visit := func(i int, p types.Payload, ok bool) {
 				if ok {
@@ -508,22 +493,22 @@ func (pl scanPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 					}
 				}
 				if reads++; pl.every[id] > 0 && reads%pl.every[id] == 0 {
-					api.Write("s/"+strconv.Itoa(w), types.Payload{Kind: types.KindEcho, Value: minV + types.Value(i)})
+					api.Write("s/", w, types.Payload{Kind: types.KindEcho, Value: minV + types.Value(i)})
 					w++
 				}
 			}
 			regs := make([]smmem.Reg, n+1)
 			for r := 0; r < pl.rounds[id]; r++ {
 				for i := 0; i < pl.gaps[id]; i++ {
-					_, _ = api.Read(id, "unwritten")
+					_, _ = api.Read(smmem.Reg{Owner: id, Name: "unwritten"})
 				}
 				if r == 1 {
 					api.Scan(nil, visit)
 				}
 				for q := 0; q < n; q++ {
-					regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/" + strconv.Itoa(r)}
-					if pl.indexed[id] {
-						regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/", Index: r}
+					regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/", Index: r}
+					if pl.fresh[id] {
+						regs[q].Name = strings.Clone("s/")
 					}
 				}
 				regs[n] = smmem.Reg{Owner: id, Name: "unwritten"}
@@ -577,13 +562,13 @@ func FuzzScanMatchesReadLoop(f *testing.F) {
 			return int(b)
 		}
 		n := 2 + next()%5
-		plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n), indexed: make([]bool, n)}
+		plan := scanPlan{rounds: make([]int, n), gaps: make([]int, n), every: make([]int, n), need: make([]int, n), fresh: make([]bool, n)}
 		for p := range plan.rounds {
 			plan.rounds[p] = 1 + next()%4
 			plan.gaps[p] = next() % 3
 			plan.every[p] = next() % 4
 			plan.need[p] = next() % (2 * n)
-			plan.indexed[p] = next()%2 == 1
+			plan.fresh[p] = next()%2 == 1
 		}
 		seed := uint64(next()<<8 | next())
 		sched, slow := next()%4, types.ProcessID(next()%n)
@@ -670,16 +655,13 @@ func TestPollEdges(t *testing.T) {
 		// A handler's writes are p2's next operations, before the poll's
 		// next read, also while p1 still runs.
 		{name: "write-in-handler", start: 0, regs: []string{"a"}, again: 1,
-			inHit:     func(api smmem.API) { api.WriteValue("w", 1); api.WriteValue("v", 2) },
+			inHit:     func(api smmem.API) { api.WriteValue("w", 0, 1); api.WriteValue("v", 0, 2) },
 			wantIndex: 0, wantOps: "a a a+ =w =v a+ =w =v"},
 		{name: "write-in-handler-then-end", start: 0, regs: []string{"a"},
-			inHit:     func(api smmem.API) { api.WriteValue("w", 1); api.WriteValue("v", 2) },
+			inHit:     func(api smmem.API) { api.WriteValue("w", 0, 1); api.WriteValue("v", 0, 2) },
 			wantIndex: 0, wantOps: "a a a+ =w =v"},
 		{name: "read-in-handler", start: 0, regs: []string{"a"},
-			inHit:     func(api smmem.API) { _, _ = api.Read(0, "a") },
-			wantPanic: "smmem: Read inside a Poll handler"},
-		{name: "readvalue-in-handler", start: 0, regs: []string{"a"},
-			inHit:     func(api smmem.API) { _, _ = api.ReadValue(0, "x") },
+			inHit:     func(api smmem.API) { _, _ = api.Read(smmem.Reg{Name: "a"}) },
 			wantPanic: "smmem: Read inside a Poll handler"},
 		{name: "poll-in-handler", start: 0, regs: []string{"a"},
 			inHit: func(api smmem.API) {
@@ -704,7 +686,7 @@ func TestPollEdges(t *testing.T) {
 			inHit:     func(api smmem.API) { api.Decide(7) },
 			wantIndex: 0, wantOps: "x x a+", wantDecidedAt: 5},
 		{name: "scan-write-in-visit", scan: true, regs: []string{"a", "x"}, early: 2,
-			inHit:     func(api smmem.API) { api.WriteValue("w", 1) },
+			inHit:     func(api smmem.API) { api.WriteValue("w", 0, 1) },
 			wantIndex: 0, wantOps: "x x a+ =w x"},
 		{name: "scan-crash-mid-scan", scan: true, regs: []string{"a", "x", "y"}, early: 2, crashAt: 4,
 			wantIndex: 0, wantOps: "x x a+ x"},
@@ -724,14 +706,14 @@ func TestPollEdges(t *testing.T) {
 				NewProtocol: func(id types.ProcessID) smmem.Protocol {
 					return runFunc(func(api smmem.API) {
 						if id == 0 {
-							_, _ = api.Read(0, "x")
-							api.WriteValue("a", 7)
-							api.WriteValue("b", 7)
+							_, _ = api.Read(smmem.Reg{Name: "x"})
+							api.WriteValue("a", 0, 7)
+							api.WriteValue("b", 0, 7)
 							api.Decide(7)
 							return
 						}
 						for i := 0; i < c.early; i++ {
-							_, _ = api.Read(0, "x")
+							_, _ = api.Read(smmem.Reg{Name: "x"})
 						}
 						found := func(i int, p types.Payload) {
 							index, value = i, p

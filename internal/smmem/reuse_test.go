@@ -111,14 +111,14 @@ var spoilers = []struct {
 	{"double-decide", smmem.ErrDoubleDecide.Error(), nil, func(api smmem.API) {
 		litter(api)
 		api.Decide(1)
-		_, _ = api.Read(0, "bc/1")
+		_, _ = api.Read(smmem.Reg{Name: "bc/", Index: 1})
 		api.Decide(2)
 	}},
 	{"bad-schedule", smmem.ErrBadSchedule.Error(), func() smmem.Scheduler { return &badPick{after: 40, pick: 99} },
 		func(api smmem.API) {
 			litter(api)
 			for {
-				_, _ = api.Read(0, "bc/7")
+				_, _ = api.Read(smmem.Reg{Name: "bc/", Index: 7})
 			}
 		}},
 	{"budget", "budget", nil, func(api smmem.API) {
@@ -130,7 +130,7 @@ var spoilers = []struct {
 		litter(api)
 		api.Poll(0, []smmem.Reg{{Owner: 0, Name: "bc/", Index: 1}, {Owner: 1, Name: "input"}},
 			func(int, types.Payload) bool {
-				api.WriteValue("bc/4", 7)
+				api.WriteValue("bc/", 4, 7)
 				if api.ID() == 9 {
 					panic("a spoiler's handler panics")
 				}
@@ -142,18 +142,18 @@ var spoilers = []struct {
 // litter writes what the spoilers leave behind: registers in every family
 // the matrix reads, in order, with gaps and far past the end.
 func litter(api smmem.API) {
-	api.WriteValue("input", 99)
+	api.WriteValue("input", 0, 99)
 	bc := []int{0, 1, 2, 1000}
 	if api.ID()%2 == 1 {
 		bc = []int{1, 3, 1000}
 	}
 	for _, i := range bc {
-		api.WriteValue(fmt.Sprint("bc/", i), 99)
+		api.WriteValue("bc/", i, 99)
 	}
 	for q := 0; q < api.N(); q++ {
-		api.WriteValue(fmt.Sprint("msg/", q, "/", q%3), 99)
+		api.WriteValue(fmt.Sprint("msg/", q, "/"), q%3, 99)
 	}
-	api.WriteValue("msg/1/1000000000", 99)
+	api.WriteValue("msg/1/", 1000000000, 99)
 }
 
 // spoil runs spoiler s on r and checks that it ended the way it is meant to.

@@ -96,7 +96,7 @@ const (
 
 // queuedWrite is a write made inside a handler, posted once it returns.
 type queuedWrite struct {
-	name  string
+	reg   Reg
 	value types.Payload
 }
 
@@ -123,20 +123,17 @@ type smProcess struct {
 
 	// The posted request (kind, register, value of a write) and, once
 	// granted, the result of a read. The process writes the slot and yields;
-	// the loop writes the result and resumes it. A Read or Write names its
-	// register by its text, name; a poll's or a scan's read by the Reg
-	// {owner, name, index} it was posted from, regs[at].
+	// the loop writes the result and resumes it. A write's register is the
+	// process's own, a poll's or a scan's read is posted from regs[at].
 	kind  opKind
-	owner types.ProcessID
-	name  string
-	index int
+	reg   Reg
 	value types.Payload
 	ok    bool
 
-	// names holds what the last two Names a poll or scan read looked up
-	// resolved to, kept across calls and runs. A read whose Name is one of
-	// them — SIMULATION's bc/ and msg/<me>/, E's and F's input — costs a
-	// string comparison, pointer-equal as a rule, and no lookup.
+	// names holds what the last two Names the process's operations looked
+	// up resolved to, kept across calls and runs. An operation whose Name is
+	// one of them — SIMULATION's bc/ and msg/<me>/, E's and F's input —
+	// costs a string comparison, pointer-equal as a rule, and no lookup.
 	names [2]resolved
 
 	// A poll or a scan in progress (call is opPoll or opScan, 0 outside
@@ -167,6 +164,14 @@ type smProcess struct {
 	api smAPI // what the protocol's Run is handed
 }
 
+// resolved is a Name, the number of its family and whether the Name ends
+// in '/', so takes an Index; the zero value, family 0, is no Name.
+type resolved struct {
+	name    string
+	fam     int
+	indexed bool
+}
+
 // smAPI adapts a process to the API interface. Everything here runs inside
 // the loop's call to next, so Decide and the accessors need no
 // synchronization. yield is the process's side of the coroutine switch.
@@ -186,18 +191,18 @@ func (a *smAPI) Input() types.Value  { return a.p.input }
 func (a *smAPI) Rand() *prng.Source  { return &a.p.rng }
 func (a *smAPI) HasDecided() bool    { return a.p.decided }
 
-func (a *smAPI) Write(reg string, p types.Payload) {
+func (a *smAPI) Write(name string, index int, p types.Payload) {
 	if a.p.inHandler {
-		a.p.queue = append(a.p.queue, queuedWrite{name: reg, value: p})
+		a.p.queue = append(a.p.queue, queuedWrite{Reg{a.p.id, name, index}, p})
 		return
 	}
 	a.p.value = p
-	a.op(opWrite, a.p.id, reg)
+	a.op(opWrite, Reg{a.p.id, name, index})
 }
 
-func (a *smAPI) Read(owner types.ProcessID, reg string) (types.Payload, bool) {
+func (a *smAPI) Read(r Reg) (types.Payload, bool) {
 	a.outsideHandler(opRead)
-	a.op(opRead, owner, reg)
+	a.op(opRead, r)
 	return a.p.value, a.p.ok
 }
 
@@ -223,13 +228,8 @@ func (a *smAPI) Scan(regs []Reg, visit func(i int, p types.Payload, ok bool)) {
 	a.wait()
 }
 
-func (a *smAPI) WriteValue(reg string, v types.Value) {
-	a.Write(reg, types.Payload{Kind: types.KindInput, Value: v})
-}
-
-func (a *smAPI) ReadValue(owner types.ProcessID, reg string) (types.Value, bool) {
-	p, ok := a.Read(owner, reg)
-	return p.Value, ok
+func (a *smAPI) WriteValue(name string, index int, v types.Value) {
+	a.Write(name, index, types.Payload{Kind: types.KindInput, Value: v})
 }
 
 func (a *smAPI) Decide(v types.Value) {
@@ -261,9 +261,8 @@ func (a *smAPI) outsideHandler(kind opKind) {
 }
 
 // op posts a Read or Write request and returns once it has been granted.
-func (a *smAPI) op(kind opKind, owner types.ProcessID, name string) {
-	p := a.p
-	p.kind, p.owner, p.name = kind, owner, name
+func (a *smAPI) op(kind opKind, r Reg) {
+	a.p.kind, a.p.reg = kind, r
 	a.wait()
 }
 
@@ -277,8 +276,7 @@ func (a *smAPI) wait() {
 
 // post posts the read of regs[at] for the poll or scan in progress.
 func (p *smProcess) post(kind opKind) {
-	r := &p.regs[p.at]
-	p.kind, p.owner, p.name, p.index = kind, r.Owner, r.Name, r.Index
+	p.kind, p.reg = kind, p.regs[p.at]
 }
 
 // smRuntime is one run.
@@ -449,14 +447,10 @@ func (rt *smRuntime) trace(ev TraceEvent) {
 	rt.cfg.Trace(ev)
 }
 
-// traceRead traces p's granted read under its register's text.
-func (rt *smRuntime) traceRead(p *smProcess) {
-	reg := p.name
-	if p.kind != opRead {
-		reg = regText(Reg{Name: p.name, Index: p.index})
-	}
-	rt.trace(TraceEvent{Type: EvRead, Proc: p.id, Owner: p.owner,
-		Register: reg, Payload: p.value, Present: p.ok})
+// traceOp traces p's granted read or write under its register's text.
+func (rt *smRuntime) traceOp(typ TraceEventType, p *smProcess, present bool) {
+	rt.trace(TraceEvent{Type: typ, Proc: p.id, Owner: p.reg.Owner,
+		Register: regText(p.reg), Payload: p.value, Present: present})
 }
 
 // body is what p's coroutine runs: the protocol, with the unwinding of a
@@ -581,17 +575,15 @@ func (rt *smRuntime) grant() bool {
 	p.ops++
 	switch p.kind {
 	case opRead:
-		f, i := rt.mem.byText(p.name)
-		p.value, p.ok = rt.mem.read(p.owner, f, i)
+		rt.read(p)
 		if rt.cfg.Trace != nil {
-			rt.traceRead(p)
+			rt.traceOp(EvRead, p, p.ok)
 		}
 	case opWrite:
-		f, i := rt.mem.byText(p.name)
+		f, i := rt.locate(p)
 		rt.mem.write(pid, f, i, p.value)
 		if rt.cfg.Trace != nil {
-			rt.trace(TraceEvent{Type: EvWrite, Proc: pid, Owner: pid,
-				Register: p.name, Payload: p.value, Present: true})
+			rt.traceOp(EvWrite, p, true)
 		}
 		if p.call != 0 {
 			rt.proceed(p) // a handler's write
@@ -608,32 +600,40 @@ func (rt *smRuntime) grant() bool {
 	return true
 }
 
-// lookup performs p's granted poll or scan read of the Reg posted from
-// regs[at]. A read of a process that does not exist finds nothing, like a
-// read of a register that was never written.
-func (rt *smRuntime) lookup(p *smProcess) (types.Payload, bool) {
+// locate returns the family and index of the register p's granted request
+// names: by the Name cache when the Name is one of the last two p's
+// requests looked up, by the family table otherwise.
+func (rt *smRuntime) locate(p *smProcess) (fam, i int) {
+	name := p.reg.Name
 	r := &p.names[0]
-	if r.fam == 0 || r.name != p.name {
-		if r = &p.names[1]; r.fam == 0 || r.name != p.name {
+	if r.fam == 0 || r.name != name {
+		if r = &p.names[1]; r.fam == 0 || r.name != name {
 			p.names[1] = p.names[0]
 			r = &p.names[0]
-			*r = rt.mem.resolve(p.name)
+			*r = resolved{fam: rt.mem.family(name), indexed: name != "" && name[len(name)-1] == '/'}
 		}
 	}
-	// The entry keeps the Reg's own string, so its next comparison is
+	// The entry keeps the request's own string, so its next comparison is
 	// pointer-equal also after an equal Name was built anew.
-	r.name = p.name
-	i := p.index
-	switch {
-	case r.at < 0 && i >= 0:
-	case r.at >= 0 && i == 0:
-		i = r.at
-	case r.at >= 0:
-		panic(fmt.Sprintf("smmem: register %+v: a non-zero Index needs a Name ending in /", Reg{Owner: p.owner, Name: p.name, Index: p.index}))
-	default:
-		panic(fmt.Sprintf("smmem: register %+v: negative Index", Reg{Owner: p.owner, Name: p.name, Index: p.index}))
+	r.name = name
+	if i = p.reg.Index; i < 0 || i > 0 && !r.indexed {
+		noRegister(p.reg)
 	}
-	return rt.mem.read(p.owner, r.fam, i)
+	return r.fam, i
+}
+
+// noRegister panics for r, which names no register.
+func noRegister(r Reg) {
+	if r.Index < 0 {
+		panic(fmt.Sprintf("smmem: register %+v: negative Index", r))
+	}
+	panic(fmt.Sprintf("smmem: register %+v: a non-zero Index needs a Name ending in /", r))
+}
+
+// read performs p's granted read.
+func (rt *smRuntime) read(p *smProcess) {
+	f, i := rt.locate(p)
+	p.value, p.ok = rt.mem.read(p.reg.Owner, f, i)
 }
 
 // pollRead performs p's granted poll read. A miss runs no process code, so
@@ -647,10 +647,10 @@ func (rt *smRuntime) pollRead(p *smProcess) {
 	}
 	p.value, p.ok = types.Payload{}, false
 	if p.missed < len(p.regs) {
-		p.value, p.ok = rt.lookup(p)
+		rt.read(p)
 	}
 	if rt.cfg.Trace != nil {
-		rt.traceRead(p)
+		rt.traceOp(EvRead, p, p.ok)
 	}
 	if !p.ok {
 		p.missed++
@@ -671,9 +671,9 @@ func (rt *smRuntime) pollRead(p *smProcess) {
 // scan's visitor on the loop's stack; the scan is over after its last
 // register.
 func (rt *smRuntime) scanRead(p *smProcess) {
-	p.value, p.ok = rt.lookup(p)
+	rt.read(p)
 	if rt.cfg.Trace != nil {
-		rt.traceRead(p)
+		rt.traceOp(EvRead, p, p.ok)
 	}
 	p.inHandler = true
 	p.visit(p.at, p.value, p.ok)
@@ -692,7 +692,7 @@ func (rt *smRuntime) proceed(p *smProcess) {
 		w := &p.queue[p.queued]
 		p.queued++
 		rt.refresh(p)
-		p.kind, p.name, p.value = opWrite, w.name, w.value
+		p.kind, p.reg, p.value = opWrite, w.reg, w.value
 		return
 	}
 	p.queue, p.queued = p.queue[:0], 0

@@ -14,17 +14,17 @@ type writerReader struct {
 }
 
 func (w *writerReader) Run(api API) {
-	api.WriteValue("v", api.Input())
+	api.WriteValue("v", 0, api.Input())
 	for {
 		var minV types.Value
 		count := 0
 		for q := 0; q < api.N(); q++ {
-			v, ok := api.ReadValue(types.ProcessID(q), "v")
+			p, ok := api.Read(Reg{Owner: types.ProcessID(q), Name: "v"})
 			if !ok {
 				continue
 			}
-			if count == 0 || v < minV {
-				minV = v
+			if count == 0 || p.Value < minV {
+				minV = p.Value
 			}
 			count++
 		}
@@ -126,9 +126,9 @@ func TestSingleWriterEnforcedByConstruction(t *testing.T) {
 		NewProtocol: func(id types.ProcessID) Protocol {
 			return protoFunc(func(api API) {
 				if api.ID() == 1 {
-					api.WriteValue("v", 42)
+					api.WriteValue("v", 0, 42)
 				}
-				if _, ok := api.ReadValue(0, "v"); ok {
+				if _, ok := api.Read(Reg{Name: "v"}); ok {
 					sawForeign = true
 				}
 				api.Decide(api.Input())
@@ -156,7 +156,7 @@ func TestBudgetExhaustionRecorded(t *testing.T) {
 		NewProtocol: func(types.ProcessID) Protocol {
 			return protoFunc(func(api API) {
 				for {
-					_, _ = api.ReadValue(0, "v")
+					_, _ = api.Read(Reg{Name: "v"})
 				}
 			})
 		},
@@ -179,7 +179,7 @@ func TestDoubleDecideIsAnError(t *testing.T) {
 			return protoFunc(func(api API) {
 				api.Decide(1)
 				api.Decide(2)
-				api.WriteValue("v", 1) // post a request so the bug is collected
+				api.WriteValue("v", 0, 1) // post a request so the bug is collected
 			})
 		},
 		Seed: 5,
@@ -232,7 +232,7 @@ func TestByzantineLimitedToOwnRegisters(t *testing.T) {
 		Byzantine: map[types.ProcessID]Protocol{
 			3: protoFunc(func(api API) {
 				for i := 0; ; i++ {
-					api.WriteValue("v", types.Value(1000+i%7))
+					api.WriteValue("v", 0, types.Value(1000+i%7))
 				}
 			}),
 		},

@@ -139,21 +139,6 @@ func TestStarveFallsBackWhenOnlyStarvedPending(t *testing.T) {
 	}
 }
 
-func TestCrashAfterDecideAdversary(t *testing.T) {
-	c := &CrashAfterDecide{Targets: map[types.ProcessID]bool{1: true}}
-	view := smView(3)
-	if c.CrashBeforeOp(view, 1, 0) {
-		t.Fatal("crashed before deciding")
-	}
-	view.Decided[1] = true
-	if !c.CrashBeforeOp(view, 1, 5) {
-		t.Fatal("did not crash after deciding")
-	}
-	if c.CrashBeforeOp(view, 0, 5) {
-		t.Fatal("non-target crashed")
-	}
-}
-
 func TestDecisionLatencyRecorded(t *testing.T) {
 	rec, err := Run(Config{
 		N: 3, T: 0, K: 3,

@@ -3,6 +3,7 @@ package smmem
 import (
 	"fmt"
 
+	"kset/internal/prng"
 	"kset/internal/types"
 )
 
@@ -64,14 +65,6 @@ func (e TraceEvent) String() string {
 	}
 }
 
-// NoCrashes is a CrashAdversary that never crashes anyone.
-type NoCrashes struct{}
-
-var _ CrashAdversary = NoCrashes{}
-
-// CrashBeforeOp implements CrashAdversary.
-func (NoCrashes) CrashBeforeOp(*View, types.ProcessID, int) bool { return false }
-
 // ScriptedCrashes crashes specific processes before specific operations.
 type ScriptedCrashes struct {
 	// AtOp[p] crashes p immediately before its AtOp[p]-th register
@@ -92,38 +85,17 @@ func (s *ScriptedCrashes) CrashBeforeOp(_ *View, p types.ProcessID, opIndex int)
 type RandomCrashes struct {
 	// Rate is the per-operation crash probability.
 	Rate float64
-	rng  randSource
-}
-
-// randSource is the minimal PRNG surface RandomCrashes needs; it matches
-// *prng.Source and keeps the dependency explicit for tests.
-type randSource interface {
-	Float64() float64
+	rng  *prng.Source
 }
 
 var _ CrashAdversary = (*RandomCrashes)(nil)
 
 // NewRandomCrashes builds a seeded random crash adversary.
-func NewRandomCrashes(rate float64, src randSource) *RandomCrashes {
-	return &RandomCrashes{Rate: rate, rng: src}
+func NewRandomCrashes(rate float64, seed uint64) *RandomCrashes {
+	return &RandomCrashes{Rate: rate, rng: prng.New(seed)}
 }
 
 // CrashBeforeOp implements CrashAdversary.
 func (r *RandomCrashes) CrashBeforeOp(_ *View, _ types.ProcessID, _ int) bool {
 	return r.rng.Float64() < r.Rate
-}
-
-// CrashAfterDecide crashes each listed process once it has decided,
-// realizing runs like Lemma 4.2's "crashes right after completing its last
-// write operation".
-type CrashAfterDecide struct {
-	// Targets marks the processes to crash once decided.
-	Targets map[types.ProcessID]bool
-}
-
-var _ CrashAdversary = (*CrashAfterDecide)(nil)
-
-// CrashBeforeOp implements CrashAdversary.
-func (c *CrashAfterDecide) CrashBeforeOp(view *View, p types.ProcessID, _ int) bool {
-	return c.Targets[p] && view.Decided[p]
 }

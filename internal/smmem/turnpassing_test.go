@@ -136,14 +136,14 @@ func (f runFunc) Run(api smmem.API) { f(api) }
 func scan(api smmem.API, quorum int) { api.Decide(scanMin(api, quorum)) }
 
 func scanMin(api smmem.API, quorum int) types.Value {
-	api.WriteValue("v", api.Input())
+	api.WriteValue("v", 0, api.Input())
 	for {
 		var minV types.Value
 		count := 0
 		for q := 0; q < api.N(); q++ {
-			if v, ok := api.ReadValue(types.ProcessID(q), "v"); ok {
-				if count == 0 || v < minV {
-					minV = v
+			if p, ok := api.Read(smmem.Reg{Owner: types.ProcessID(q), Name: "v"}); ok {
+				if count == 0 || p.Value < minV {
+					minV = p.Value
 				}
 				count++
 			}
@@ -180,7 +180,7 @@ var faultModes = []struct {
 		return nil
 	}},
 	{"random", func(cfg *smmem.Config, seed uint64) []trace.ByzSpec {
-		cfg.Crash = smmem.NewRandomCrashes(0.02, prng.New(seed+1))
+		cfg.Crash = smmem.NewRandomCrashes(0.02, seed+1)
 		return nil
 	}},
 	{"garbage-writer", func(cfg *smmem.Config, seed uint64) []trace.ByzSpec {
@@ -190,7 +190,7 @@ var faultModes = []struct {
 		p := types.ProcessID(int(seed) % cfg.N)
 		cfg.Byzantine = map[types.ProcessID]smmem.Protocol{p: adversary.NewGarbageWriter(24)}
 		// One more fault is left in the budget for n >= 8: crash too.
-		cfg.Crash = smmem.NewRandomCrashes(0.01, prng.New(seed+2))
+		cfg.Crash = smmem.NewRandomCrashes(0.01, seed+2)
 		return []trace.ByzSpec{{Proc: p, Kind: trace.ByzGarbageWriter, Rounds: 24}}
 	}},
 }
@@ -430,9 +430,9 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 				return func(id types.ProcessID) smmem.Protocol {
 					return runFunc(func(api smmem.API) {
 						if int(id) == n/2 {
-							api.WriteValue("v", api.Input())
+							api.WriteValue("v", 0, api.Input())
 							api.Decide(1)
-							_, _ = api.ReadValue(0, "v")
+							_, _ = api.Read(smmem.Reg{Name: "v"})
 							api.Decide(2)
 							return // the exit, not a request, brings the bug in
 						}
@@ -473,7 +473,7 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 				return func(types.ProcessID) smmem.Protocol {
 					return runFunc(func(api smmem.API) {
 						for {
-							_, _ = api.ReadValue(0, "v")
+							_, _ = api.Read(smmem.Reg{Name: "v"})
 						}
 					})
 				}
@@ -553,7 +553,7 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 				cell := fmt.Sprintf("%s %s n=%d", edge.name, sched.name, n)
 				table.add(cell, 5, func(seed uint64) *observed {
 					cfg := config(e, n, seed, sched.make())
-					cfg.Crash = smmem.NewRandomCrashes(0.01, prng.New(seed))
+					cfg.Crash = smmem.NewRandomCrashes(0.01, seed)
 					return observe(cfg)
 				})
 			}

@@ -232,19 +232,3 @@ func Evaluate(t *Trace) (Verdict, error) {
 	}
 	return VerdictOf(rec, t.Validity), nil
 }
-
-// Recapture replays an artifact and rebuilds it in normalized form: the
-// schedule and crash list become exactly what the re-execution did (a
-// shrunk candidate's truncated script is replaced by the full effective
-// schedule) and the verdict is recomputed. Recapture is idempotent — a
-// recaptured artifact replays to itself.
-func Recapture(t *Trace) (*Trace, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	rec := &Recorder{}
-	record, err := run(t, rec)
-	out := *t
-	norm, _, err := out.fold(rec, record, err)
-	return norm, err
-}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"kset/internal/mpnet"
-	"kset/internal/prng"
 	"kset/internal/smmem"
 	"kset/internal/theory"
 	"kset/internal/types"
@@ -152,7 +151,7 @@ func TestCaptureReplaySMCrash(t *testing.T) {
 			N: 4, T: 1, K: 2,
 			Inputs:      []types.Value{9, 2, 7, 2},
 			NewProtocol: mustSMFactory(t, ProtocolSpec{Proto: theory.ProtoE}),
-			Crash:       smmem.NewRandomCrashes(0.3, prng.New(seed)),
+			Crash:       smmem.NewRandomCrashes(0.3, seed),
 			Seed:        seed,
 		}
 		tr, rec, err := CaptureSM(cfg, types.RV1, ProtocolSpec{Proto: theory.ProtoE}, nil)
@@ -203,44 +202,6 @@ func TestViolationVerdictRoundTrip(t *testing.T) {
 		t.Fatalf("want termination violation, got %v", tr.Verdict)
 	}
 	roundTrip(t, tr, rec)
-}
-
-// Truncating a schedule (what the shrinker does) must still replay
-// deterministically via the fallback rules, and Recapture must normalize the
-// artifact to a fixed point.
-func TestRecaptureNormalizesTruncatedSchedule(t *testing.T) {
-	cfg := mpnet.Config{
-		N: 5, T: 2, K: 2,
-		Inputs:      []types.Value{3, 1, 4, 1, 5},
-		NewProtocol: mustMPFactory(t, ProtocolSpec{Proto: theory.ProtoFloodMin}),
-		Crash:       mpnet.NewRandomCrashes(0.4, 3),
-		Seed:        3,
-	}
-	tr, _, err := CaptureMP(cfg, types.RV1, ProtocolSpec{Proto: theory.ProtoFloodMin}, nil)
-	if err != nil {
-		t.Fatalf("CaptureMP: %v", err)
-	}
-	cut := *tr
-	cut.Schedule = tr.Schedule[:len(tr.Schedule)/3]
-	norm, err := Recapture(&cut)
-	if err != nil {
-		t.Fatalf("Recapture: %v", err)
-	}
-	again, err := Recapture(norm)
-	if err != nil {
-		t.Fatalf("Recapture(norm): %v", err)
-	}
-	a, err := Encode(norm)
-	if err != nil {
-		t.Fatalf("Encode(norm): %v", err)
-	}
-	b, err := Encode(again)
-	if err != nil {
-		t.Fatalf("Encode(again): %v", err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("Recapture not idempotent:\n%s\nvs\n%s", a, b)
-	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
