@@ -42,8 +42,8 @@ race:
 # Un-shortened race run over the TCP cluster runtime (including the
 # fault-injected soak test) and ACS on it, the sweep engine (the worker pool
 # behind -workers), the metrics registry, and the
-# shared-memory simulator (coroutines under one loop; iter.Pull is known to
-# the race detector) with the packages that run on it, and
+# shared-memory simulator (every process step on one loop's stack) with the
+# packages that run on it, and
 # the message-passing simulator's run arena with the harness arenas that keep
 # one per worker (a cell's runs run serially on the arena it takes), and the
 # evaluators that fan out through harness.Executor.Run (grid cells, shrink

@@ -207,8 +207,10 @@ var _ smmem.Protocol = (*GarbageWriter)(nil)
 // NewGarbageWriter builds the strategy.
 func NewGarbageWriter(rounds int) *GarbageWriter { return &GarbageWriter{Rounds: rounds} }
 
-// Run implements smmem.Protocol.
-func (g *GarbageWriter) Run(api smmem.API) {
+// Start implements smmem.Protocol: it queues every write at once. The
+// junk comes from the process's private stream, so it is the same whenever
+// it is drawn.
+func (g *GarbageWriter) Start(api smmem.API) {
 	rounds := g.Rounds
 	if rounds <= 0 {
 		rounds = 64

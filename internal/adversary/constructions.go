@@ -569,8 +569,8 @@ func Lemma49ProtocolE(n, k, t int) (*Construction, error) {
 // smProtoFunc adapts a function to smmem.Protocol.
 type smProtoFunc func(smmem.API)
 
-// Run implements smmem.Protocol.
-func (f smProtoFunc) Run(api smmem.API) { f(api) }
+// Start implements smmem.Protocol.
+func (f smProtoFunc) Start(api smmem.API) { f(api) }
 
 func correctIDs(n int, faulty types.ProcessID) []types.ProcessID {
 	out := make([]types.ProcessID, 0, n-1)

@@ -23,7 +23,7 @@ import (
 //
 // The scan is one API.Scan of every process's register in id order: n
 // granted reads, whose visitor keeps the count, the first value and whether
-// every value read equals it, with the process resumed once, after the last.
+// every value read equals it, and whose then decides.
 type ProtocolE struct {
 	// Default is the default decision value v0; zero value means
 	// types.DefaultValue.
@@ -35,14 +35,15 @@ var _ smmem.Protocol = (*ProtocolE)(nil)
 // NewProtocolE constructs a Protocol E instance for one process.
 func NewProtocolE() *ProtocolE { return &ProtocolE{Default: types.DefaultValue} }
 
-// Run implements smmem.Protocol.
-func (e *ProtocolE) Run(api smmem.API) {
+// Start implements smmem.Protocol.
+func (e *ProtocolE) Start(api smmem.API) {
 	api.WriteValue(InputRegister, 0, api.Input())
 	scan := newInputScan(api)
-	scan.run(api)
-	decision := e.Default
-	if scan.read > 0 && scan.same {
-		decision = scan.first
-	}
-	api.Decide(decision)
+	scan.run(api, func() {
+		decision := e.Default
+		if scan.read > 0 && scan.same {
+			decision = scan.first
+		}
+		api.Decide(decision)
+	})
 }

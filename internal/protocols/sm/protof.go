@@ -23,7 +23,8 @@ import (
 //
 // Each scan is one API.Scan of every process's register in id order, whose
 // visitor counts the registers written and the values equal to one's own
-// input; a rescan reuses the list and the visitor and allocates nothing.
+// input, and whose then scans again or decides; a rescan reuses the list,
+// the visitor and the then and allocates nothing.
 type ProtocolF struct {
 	// Default is the default decision value v0; zero value means
 	// types.DefaultValue.
@@ -35,19 +36,23 @@ var _ smmem.Protocol = (*ProtocolF)(nil)
 // NewProtocolF constructs a Protocol F instance for one process.
 func NewProtocolF() *ProtocolF { return &ProtocolF{Default: types.DefaultValue} }
 
-// Run implements smmem.Protocol.
-func (f *ProtocolF) Run(api smmem.API) {
+// Start implements smmem.Protocol.
+func (f *ProtocolF) Start(api smmem.API) {
 	api.WriteValue(InputRegister, 0, api.Input())
 	n, t := api.N(), api.T()
 	scan := newInputScan(api)
-	scan.run(api)
-	for scan.read < n-t { // rescan until enough registers are written
-		scan.run(api)
+	var scanned func()
+	scanned = func() {
+		if scan.read < n-t { // rescan until enough registers are written
+			scan.run(api, scanned)
+			return
+		}
+		// r = scan.read = t+i: own input if r <= t or at least i votes for it.
+		if r := scan.read; r <= t || scan.votes >= r-t {
+			api.Decide(api.Input())
+		} else {
+			api.Decide(f.Default)
+		}
 	}
-	// r = scan.read = t+i: own input if r <= t or at least i votes for it.
-	if r := scan.read; r <= t || scan.votes >= r-t {
-		api.Decide(api.Input())
-	} else {
-		api.Decide(f.Default)
-	}
+	scan.run(api, scanned)
 }

@@ -32,19 +32,36 @@ import (
 // each peer's broadcasts, then its messages to me, in turn. The poll's
 // handler delivers the message, drains the self-sends, moves the channel's
 // Index on and writes what the inner protocol sent; those writes are
-// the process's next operations, then the poll goes on. The handler never
-// ends the poll, so after the writes of the inner protocol's Start no read
-// or write switches into this process. The wrapper keeps polling (and therefore keeps
-// the inner protocol echoing and helping) until the runtime halts the run;
-// this matches the paper's remark that its Byzantine protocols terminate in
-// the sense that correct processes decide, not that they stop.
+// the process's next operations, then the poll goes on. So SIMULATION is an
+// adapter between two step interfaces: the inner protocol's Start and
+// Deliver run inside the process's Start and the poll's handler. The
+// handler never ends the poll: the wrapper keeps polling (and therefore
+// keeps the inner protocol echoing and helping) until the runtime stops the
+// run; this matches the paper's remark that its Byzantine protocols
+// terminate in the sense that correct processes decide, not that they stop.
 //
 // Because even a Byzantine process can only write its own registers, the
 // transformation preserves sender authenticity exactly as the
 // message-passing network does.
+//
+// A Simulation is one process's for one run: Start sets up what it keeps.
 type Simulation struct {
 	// Inner is the message-passing protocol instance to run.
 	Inner mpnet.Protocol
+
+	api simAPI // the inner protocol's API
+	me  types.ProcessID
+
+	bcSeq int // own broadcasts written
+	// toq[q] is the family of the messages to q and msgSeq[q] counts those
+	// written; both are made at the first point-to-point send, toq[q] at
+	// the first one to q.
+	toq    []string
+	msgSeq []int
+
+	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
+	// chans[c] is channel c's next register, its Index the messages read.
+	chans []smmem.Reg
 }
 
 var _ smmem.Protocol = (*Simulation)(nil)
@@ -107,92 +124,71 @@ func (a *simAPI) Broadcast(p types.Payload) {
 	a.outbox = append(a.outbox, outMsg{broadcast: true, payload: p})
 }
 
-// simRun is one process's SIMULATION: the inner protocol's API, the
-// families and counts of its writes, and its poll over the incoming
-// channels. It is one allocation, and its deliver method the poll's handler.
-type simRun struct {
-	inner mpnet.Protocol
-	api   simAPI
-	me    types.ProcessID
-
-	bcSeq int // own broadcasts written
-	// toq[q] is the family of the messages to q and msgSeq[q] counts those
-	// written; both are made at the first point-to-point send, toq[q] at
-	// the first one to q.
-	toq    []string
-	msgSeq []int
-
-	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
-	// chans[c] is channel c's next register, its Index the messages read.
-	chans []smmem.Reg
-}
-
-// Run implements smmem.Protocol.
-func (s *Simulation) Run(api smmem.API) {
+// Start implements smmem.Protocol.
+func (s *Simulation) Start(api smmem.API) {
 	n, me := api.N(), api.ID()
-	r := &simRun{inner: s.Inner, me: me}
-	r.api.sm = api
+	s.me = me
+	s.api.sm = api
 
-	r.inner.Start(&r.api)
-	r.drainSelf()
-	r.flush()
+	s.Inner.Start(&s.api)
+	s.drainSelf()
+	s.flush()
 	if n == 1 {
 		return // no peers to poll; everything already happened locally
 	}
 
 	toMe := messagesTo(me)
-	r.chans = make([]smmem.Reg, 0, 2*(n-1))
+	s.chans = make([]smmem.Reg, 0, 2*(n-1))
 	for q := 0; q < n; q++ {
 		if peer := types.ProcessID(q); peer != me {
-			r.chans = append(r.chans, smmem.Reg{Owner: peer, Name: broadcasts}, smmem.Reg{Owner: peer, Name: toMe})
+			s.chans = append(s.chans, smmem.Reg{Owner: peer, Name: broadcasts}, smmem.Reg{Owner: peer, Name: toMe})
 		}
 	}
-	// The handler never ends the poll, so it never returns: the runtime
-	// unwinds this process once every correct process has decided (or the
-	// operation budget runs out).
-	api.Poll(0, r.chans, r.deliver)
+	// The handler never ends the poll: the runtime stops this process once
+	// every correct process has decided (or the operation budget runs out).
+	api.Poll(0, s.chans, s.deliver, nil)
 }
 
 // deliver is the poll's handler: it hands the message found on channel c to
 // the inner protocol, drains the self-sends, moves the channel on and writes
 // what the inner protocol sent. The poll goes on from the channel.
-func (r *simRun) deliver(c int, p types.Payload) bool {
-	r.inner.Deliver(&r.api, r.chans[c].Owner, p)
-	r.drainSelf()
-	r.chans[c].Index++
-	r.flush()
+func (s *Simulation) deliver(c int, p types.Payload) bool {
+	s.Inner.Deliver(&s.api, s.chans[c].Owner, p)
+	s.drainSelf()
+	s.chans[c].Index++
+	s.flush()
 	return true
 }
 
 // Both queues are walked by index and then truncated, never resliced from
 // the front, so the next append reuses the backing array. A handler may
 // enqueue more self-sends while draining; the walk picks those up.
-func (r *simRun) drainSelf() {
-	a := &r.api
+func (s *Simulation) drainSelf() {
+	a := &s.api
 	for qi := 0; qi < len(a.selfQueue); qi++ {
-		r.inner.Deliver(a, r.me, a.selfQueue[qi])
+		s.Inner.Deliver(a, s.me, a.selfQueue[qi])
 	}
 	a.selfQueue = a.selfQueue[:0]
 }
 
-func (r *simRun) flush() {
-	a := &r.api
+func (s *Simulation) flush() {
+	a := &s.api
 	for qi := 0; qi < len(a.outbox); qi++ {
 		m := a.outbox[qi]
 		if m.broadcast {
-			a.sm.Write(broadcasts, r.bcSeq, m.payload)
-			r.bcSeq++
+			a.sm.Write(broadcasts, s.bcSeq, m.payload)
+			s.bcSeq++
 			continue
 		}
-		if r.toq == nil {
+		if s.toq == nil {
 			n := a.sm.N()
-			r.toq, r.msgSeq = make([]string, n), make([]int, n)
+			s.toq, s.msgSeq = make([]string, n), make([]int, n)
 		}
-		if r.toq[m.to] == "" {
-			r.toq[m.to] = messagesTo(m.to)
+		if s.toq[m.to] == "" {
+			s.toq[m.to] = messagesTo(m.to)
 		}
-		a.sm.Write(r.toq[m.to], r.msgSeq[m.to], m.payload)
-		r.msgSeq[m.to]++
+		a.sm.Write(s.toq[m.to], s.msgSeq[m.to], m.payload)
+		s.msgSeq[m.to]++
 	}
 	a.outbox = a.outbox[:0]
 }

@@ -63,10 +63,10 @@ func newInputScan(api smmem.API) *inputScan {
 	return s
 }
 
-// run scans once, starting the count afresh.
-func (s *inputScan) run(api smmem.API) {
+// run scans once, starting the count afresh; then follows the scan.
+func (s *inputScan) run(api smmem.API, then func()) {
 	s.read, s.votes, s.same = 0, 0, true
-	api.Scan(s.regs, s.visit)
+	api.Scan(s.regs, s.visit, then)
 }
 
 func (s *inputScan) see(_ int, p types.Payload, ok bool) {

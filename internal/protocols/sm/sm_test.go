@@ -12,7 +12,8 @@ import (
 )
 
 // fakeMem is an in-memory smmem.API for unit-testing shared-memory protocol
-// logic without the turn scheduler: all operations are immediate.
+// logic without the runtime: every operation is immediate, and a call's
+// handler and then run at once, inside the call.
 type fakeMem struct {
 	id      types.ProcessID
 	n, t, k int
@@ -48,35 +49,41 @@ func (f *fakeMem) Write(name string, index int, p types.Payload) {
 	f.regs[smmem.Reg{Owner: f.id, Name: name, Index: index}] = p
 }
 
-func (f *fakeMem) Read(r smmem.Reg) (types.Payload, bool) {
+func (f *fakeMem) read(r smmem.Reg) (types.Payload, bool) {
 	f.reads++
 	p, ok := f.regs[r]
 	return p, ok
 }
 
-// Poll reads from start until hit ends the poll; nothing else can write
-// while it waits, so a full round of misses would be a wait forever.
-func (f *fakeMem) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
+// Poll reads from start until hit ends the poll, then calls then. Nothing
+// else writes, so one pass that hits nothing leaves the process waiting for
+// ever: Poll returns without calling then.
+func (f *fakeMem) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool, then func()) {
 	for c, misses := start, 0; misses < len(regs); {
-		p, ok := f.Read(regs[c])
+		p, ok := f.read(regs[c])
 		switch {
 		case !ok:
 			c, misses = (c+1)%len(regs), misses+1
 		case !hit(c, p):
+			if then != nil {
+				then()
+			}
 			return
 		default:
 			misses = 0
 		}
 	}
-	panic("fakeMem: Poll would wait forever")
 }
 
-// Scan is the loop of Reads it replaces.
-func (f *fakeMem) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool)) {
+// Scan hands every read to visit, then calls then.
+func (f *fakeMem) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool), then func()) {
 	f.scans = append(f.scans, append([]smmem.Reg(nil), regs...))
 	for i := range regs {
-		p, ok := f.Read(regs[i])
+		p, ok := f.read(regs[i])
 		visit(i, p, ok)
+	}
+	if then != nil {
+		then()
 	}
 }
 
@@ -100,7 +107,7 @@ func TestProtocolEDecidesCommonValue(t *testing.T) {
 	m.seed(1, 6)
 	m.seed(2, 6)
 	// p4's register unwritten: skipped by the scan.
-	NewProtocolE().Run(m)
+	NewProtocolE().Start(m)
 	if !m.decided || m.decision != 6 {
 		t.Fatalf("decision = %v, want 6", m.decision)
 	}
@@ -109,7 +116,7 @@ func TestProtocolEDecidesCommonValue(t *testing.T) {
 func TestProtocolEDecidesDefaultOnMixedScan(t *testing.T) {
 	m := newFakeMem(0, 4, 1, 2, 6)
 	m.seed(1, 7)
-	NewProtocolE().Run(m)
+	NewProtocolE().Start(m)
 	if !m.decided || m.decision != types.DefaultValue {
 		t.Fatalf("decision = %v, want default", m.decision)
 	}
@@ -117,7 +124,7 @@ func TestProtocolEDecidesDefaultOnMixedScan(t *testing.T) {
 
 func TestProtocolEScansExactlyOnce(t *testing.T) {
 	m := newFakeMem(0, 5, 2, 2, 3)
-	NewProtocolE().Run(m)
+	NewProtocolE().Start(m)
 	if m.reads != 5 || len(m.scans) != 1 || len(m.scans[0]) != 5 {
 		t.Fatalf("%d reads in %d scans, want one scan of n=5 registers", m.reads, len(m.scans))
 	}
@@ -136,7 +143,7 @@ func TestProtocolFVotesRule(t *testing.T) {
 	m.seed(2, 5)
 	m.seed(3, 9)
 	m.seed(4, 9)
-	NewProtocolF().Run(m)
+	NewProtocolF().Start(m)
 	if !m.decided || m.decision != 5 {
 		t.Fatalf("decision = %v, want own input 5 (3 votes >= i=3)", m.decision)
 	}
@@ -146,7 +153,7 @@ func TestProtocolFVotesRule(t *testing.T) {
 	m2.seed(2, 9)
 	m2.seed(3, 9)
 	m2.seed(4, 8)
-	NewProtocolF().Run(m2)
+	NewProtocolF().Start(m2)
 	if !m2.decided || m2.decision != types.DefaultValue {
 		t.Fatalf("decision = %v, want default (1 vote < i=3)", m2.decision)
 	}
@@ -156,7 +163,7 @@ func TestProtocolFDecidesOwnWhenFewRegisters(t *testing.T) {
 	// n=4, t=3: n-t = 1, own write alone satisfies the scan; r = 1 <= t,
 	// so the process decides its own input outright.
 	m := newFakeMem(0, 4, 3, 2, 42)
-	NewProtocolF().Run(m)
+	NewProtocolF().Start(m)
 	if !m.decided || m.decision != 42 {
 		t.Fatalf("decision = %v, want 42 (r <= t branch)", m.decision)
 	}

@@ -24,15 +24,22 @@ type scriptOp struct {
 	value types.Value
 }
 
-func (s *opScript) Run(api API) {
-	for _, op := range s.writes {
-		if op.write {
-			api.WriteValue(op.reg, 0, op.value)
-		} else {
-			_, _ = api.Read(Reg{Owner: op.owner, Name: op.reg})
+func (s *opScript) Start(api API) { s.from(api, 0) }
+
+// from queues the script's writes from op i on up to its next read, which
+// it posts as a Scan of one register; after the last op the process
+// decides.
+func (s *opScript) from(api API, i int) {
+	for ; i < len(s.writes); i++ {
+		op := s.writes[i]
+		if !op.write {
+			api.Scan([]Reg{{Owner: op.owner, Name: op.reg}}, func(int, types.Payload, bool) {},
+				func() { s.from(api, i+1) })
+			return
 		}
+		api.WriteValue(op.reg, 0, op.value)
 	}
-	api.Decide(api.Input())
+	api.Scan(nil, nil, func() { api.Decide(api.Input()) })
 }
 
 // memShape is a quick generator for randomized memory workloads.

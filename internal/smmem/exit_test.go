@@ -1,8 +1,9 @@
 package smmem_test
 
-// What running the processes as coroutines under Run's own loop promises
-// beyond the schedule: nothing is left behind on any way out of Run, and a
-// panic in protocol code comes out of Run like any other call's.
+// What running every process's steps on Run's own loop promises beyond the
+// schedule: every way out of Run ends the run the way it is meant to and
+// leaves no goroutine behind, and a panic in protocol code comes out of Run
+// like any other call's.
 
 import (
 	"errors"
@@ -33,11 +34,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	all := func(run func(smmem.API)) func(types.ProcessID) smmem.Protocol {
 		return func(types.ProcessID) smmem.Protocol { return runFunc(run) }
 	}
-	spin := all(func(api smmem.API) {
-		for {
-			_, _ = api.Read(smmem.Reg{Name: "v"})
-		}
-	})
+	spinning := all(func(api smmem.API) { spin(api, smmem.Reg{Name: "v"}) })
 	simulation, err := trace.ProtocolSpec{Proto: theory.ProtoFloodMin, Sim: true}.SMFactory()
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +52,13 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 					api.Decide(api.Input())
 				}
 				api.Poll(0, []smmem.Reg{{Owner: 1, Name: "never"}, {Owner: 2, Name: "never"}},
-					func(int, types.Payload) bool { panic("a poll of registers nobody writes hit") })
-				panic("a poll of registers nobody writes returned")
+					func(int, types.Payload) bool { panic("a poll of registers nobody writes hit") },
+					func() { panic("a poll of registers nobody writes ended") })
 			})
 		}
 	}
 	// p1 polls (or scans) everyone's v with a handler that panics on the
-	// loop's stack at its first call, or reads there; the others scan.
+	// loop's stack at its first call, or scans there; the others scan.
 	badHandler := func(poll bool, hit func(api smmem.API)) func(types.ProcessID) smmem.Protocol {
 		return func(id types.ProcessID) smmem.Protocol {
 			return runFunc(func(api smmem.API) {
@@ -74,13 +71,13 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 					regs = append(regs, smmem.Reg{Owner: types.ProcessID(q), Name: "v"})
 				}
 				if !poll {
-					api.Scan(regs, func(int, types.Payload, bool) { hit(api) })
+					api.Scan(regs, func(int, types.Payload, bool) { hit(api) }, nil)
 					return
 				}
 				api.Poll(0, regs, func(int, types.Payload) bool {
 					hit(api)
 					return true
-				})
+				}, nil)
 			})
 		}
 	}
@@ -103,19 +100,18 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			cfg:   smmem.Config{NewProtocol: all(func(api smmem.API) { api.WriteValue("v", 0, api.Input()) })},
 			check: func(rec *types.RunRecord) bool { return decidedCount(rec) == 0 && !rec.BudgetExhausted }},
 		{name: "budget-exhaustion",
-			cfg:   smmem.Config{NewProtocol: spin, MaxOps: 50},
+			cfg:   smmem.Config{NewProtocol: spinning, MaxOps: 50},
 			check: func(rec *types.RunRecord) bool { return rec.BudgetExhausted }},
 		{name: "bad-schedule",
-			cfg:     smmem.Config{NewProtocol: spin, Scheduler: &badPick{after: 5, pick: 99}},
+			cfg:     smmem.Config{NewProtocol: spinning, Scheduler: &badPick{after: 5, pick: 99}},
 			wantErr: smmem.ErrBadSchedule},
 		{name: "double-decide",
 			cfg: smmem.Config{NewProtocol: all(func(api smmem.API) {
-				api.WriteValue("v", 0, api.Input())
 				api.Decide(1)
 				if api.ID() == 3 {
 					api.Decide(2)
 				}
-				scanMin(api, n)
+				scanMin(api, n, func(types.Value) {})
 			})},
 			wantErr: smmem.ErrDoubleDecide},
 		{name: "every-crash-the-budget-allows",
@@ -140,9 +136,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		{name: "poll-handler-panics",
 			cfg:       smmem.Config{NewProtocol: badHandler(true, func(smmem.API) { panic("handler bug") })},
 			wantPanic: "handler bug"},
-		{name: "scan-handler-reads",
-			cfg:       smmem.Config{NewProtocol: badHandler(false, func(api smmem.API) { _, _ = api.Read(smmem.Reg{Owner: 1, Name: "v"}) })},
-			wantPanic: "smmem: Read inside a Scan handler"},
+		{name: "scan-handler-scans",
+			cfg:       smmem.Config{NewProtocol: badHandler(false, func(api smmem.API) { after(api, nil) })},
+			wantPanic: "smmem: Scan while a Scan is in progress"},
 	}
 	// No subtests: each would add a goroutine of its own that is still on its
 	// way out when the next baseline is read. For the same reason fewer
@@ -176,23 +172,20 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestProtocolPanicReachesCaller: a bug in one protocol instance is a panic
-// on the goroutine that called Run, with every other process unwound first —
-// so it stops one cell of a sweep (sweep.Pool re-raises it at Map's caller),
-// not the program.
+// on the goroutine that called Run — so it stops one cell of a sweep
+// (sweep.Pool re-raises it at Map's caller), not the program.
 func TestProtocolPanicReachesCaller(t *testing.T) {
 	const n = 5
 	bug := errors.New("protocol bug")
-	unwound := make([]bool, n)
 	cfg := smmem.Config{
 		N: n, T: 2, K: n,
 		Inputs: testInputs(n, 1),
 		NewProtocol: func(id types.ProcessID) smmem.Protocol {
 			return runFunc(func(api smmem.API) {
-				defer func() { unwound[id] = true }()
 				if id == 2 {
 					api.WriteValue("v", 0, api.Input())
-					_, _ = api.Read(smmem.Reg{Name: "v"})
-					panic(bug)
+					read(api, smmem.Reg{Name: "v"}, func(types.Payload, bool) { panic(bug) })
+					return
 				}
 				scan(api, n)
 			})
@@ -211,11 +204,6 @@ func TestProtocolPanicReachesCaller(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines after the panic, %d before", after, before)
-	}
-	for id, done := range unwound {
-		if !done {
-			t.Errorf("process %d was left suspended", id)
-		}
 	}
 
 	r := caught(func() {

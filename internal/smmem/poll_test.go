@@ -1,14 +1,15 @@
 package smmem_test
 
-// API.Poll and API.Scan are specified as the loops of Reads they replace,
+// API.Poll and API.Scan are specified as the loops of reads they replace,
 // the handler called on every hit of a poll and the visitor on every read of
-// a scan, and the writes either makes performed right after it returns. The
-// tests below run a native protocol twice, once with the API's own calls and
-// once with those loops written out, and require everything the run shows
-// the outside — the record or error, the Recorder stream and the Trace
-// stream — to be equal. The protocols' handlers go on, stop, read a register
-// they found again, move a channel on by its Index, give another channel's
-// Reg a Name built anew, write and decide, each in both spellings.
+// a scan, the writes either makes performed right after it returns, and the
+// call's then after the last. The tests below run a native protocol twice,
+// once with the API's own calls and once with those loops written out a
+// read at a time, and require everything the run shows the outside — the
+// record or error, the Recorder stream and the Trace stream — to be equal.
+// The protocols' handlers go on, stop, read a register they found again,
+// move a channel on by its Index, give another channel's Reg a Name built
+// anew, write and decide, each in both spellings.
 
 import (
 	"fmt"
@@ -28,70 +29,57 @@ type spelling func(smmem.API) smmem.API
 // native is the API's own Poll and Scan.
 func native(api smmem.API) smmem.API { return api }
 
-// readLoops is Poll and Scan written with Read.
+// readLoops is Poll and Scan written a read at a time.
 func readLoops(api smmem.API) smmem.API { return &loopAPI{API: api} }
 
-// loopAPI's Poll and Scan are the loops of their contracts: a poll's miss
-// moves to the next register and a hit goes to hit, which ends the poll or
-// has it read regs[i] again; a scan hands every read to visit. Every read is
-// a Read of the Reg. A write inside the handler waits in queue and is
-// written right after it returns.
+// loopAPI's Poll and Scan are the loops of their contracts, every read its
+// own Scan of one register, whose then posts the loop's next read: a poll's
+// miss moves to the next register and a hit goes to hit, which ends the
+// poll or has it read regs[i] again; a scan hands every read to visit. The
+// handler runs in the one-register Scan's visitor, so its writes are
+// granted right after it returns, before the next read.
 type loopAPI struct {
 	smmem.API
-	inHandler bool
-	queue     []queuedWrite
 }
 
-type queuedWrite struct {
-	name  string
-	index int
-	p     types.Payload
-}
-
-func (l *loopAPI) Write(name string, index int, p types.Payload) {
-	if l.inHandler {
-		l.queue = append(l.queue, queuedWrite{name, index, p})
-		return
+func (l *loopAPI) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool, then func()) {
+	var found, more bool
+	var from func(i int)
+	from = func(i int) {
+		l.API.Scan(regs[i:i+1], func(_ int, p types.Payload, ok bool) {
+			if found = ok; ok {
+				more = hit(i, p)
+			}
+		}, func() {
+			switch {
+			case !found:
+				from((i + 1) % len(regs))
+			case more:
+				from(i)
+			case then != nil:
+				then()
+			}
+		})
 	}
-	l.API.Write(name, index, p)
+	from(start)
 }
 
-func (l *loopAPI) WriteValue(name string, index int, v types.Value) {
-	l.Write(name, index, types.Payload{Kind: types.KindInput, Value: v})
-}
-
-// handled follows a handler's return: its writes, in order.
-func (l *loopAPI) handled() {
-	l.inHandler = false
-	for _, w := range l.queue {
-		l.API.Write(w.name, w.index, w.p)
-	}
-	l.queue = l.queue[:0]
-}
-
-func (l *loopAPI) Poll(start int, regs []smmem.Reg, hit func(int, types.Payload) bool) {
-	for i := start; ; {
-		p, ok := l.Read(regs[i])
-		if !ok {
-			i = (i + 1) % len(regs)
-			continue
-		}
-		l.inHandler = true
-		more := hit(i, p)
-		l.handled()
-		if !more {
+func (l *loopAPI) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool), then func()) {
+	var from func(i int)
+	from = func(i int) {
+		if i == len(regs) {
+			if then != nil {
+				then()
+			}
 			return
 		}
+		l.API.Scan(regs[i:i+1], func(_ int, p types.Payload, ok bool) { visit(i, p, ok) }, func() { from(i + 1) })
 	}
-}
-
-func (l *loopAPI) Scan(regs []smmem.Reg, visit func(int, types.Payload, bool)) {
-	for i := range regs {
-		p, ok := l.Read(regs[i])
-		l.inHandler = true
-		visit(i, p, ok)
-		l.handled()
+	if len(regs) == 0 {
+		l.API.Scan(nil, nil, then)
+		return
 	}
+	from(0)
 }
 
 // What a process's handler does with a hit, after counting it (pollPlan).
@@ -161,23 +149,13 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 	return func(id types.ProcessID) smmem.Protocol {
 		return runFunc(func(api smmem.API) {
 			api = spell(api)
-			w := 0
-			for ; w < len(pl.gaps[id]); w++ {
-				for i := 0; i < pl.gaps[id][w]; i++ {
-					_, _ = api.Read(smmem.Reg{Owner: id, Name: "unwritten"})
-				}
-				api.WriteValue("bc/", w, api.Input()+types.Value(w))
-			}
 			var regs []smmem.Reg
 			for q := 0; q < api.N(); q++ {
 				if peer := types.ProcessID(q); peer != id {
 					regs = append(regs, smmem.Reg{Owner: peer, Name: "bc/"})
 				}
 			}
-			hits, minV, done, c := 0, api.Input(), false, 0
-			if pl.need[id] == 0 {
-				api.Decide(minV)
-			}
+			w, hits, minV, done, c := 0, 0, api.Input(), false, 0
 			hit := func(i int, p types.Payload) bool {
 				c = i
 				if hits++; p.Value < minV {
@@ -202,15 +180,32 @@ func (pl pollPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 				}
 				return pl.mode[id] != stopAndWrite
 			}
-			for {
-				api.Poll(c, regs, hit)
+			var polled func()
+			polled = func() {
 				if done {
 					return
 				}
 				api.WriteValue("bc/", w, minV)
 				w++
 				c = (c + 1) % len(regs)
+				api.Poll(c, regs, hit, polled)
 			}
+			var write func()
+			write = func() {
+				if w == len(pl.gaps[id]) {
+					if pl.need[id] == 0 {
+						api.Decide(minV)
+					}
+					api.Poll(c, regs, hit, polled)
+					return
+				}
+				reads(api, smmem.Reg{Owner: id, Name: "unwritten"}, pl.gaps[id][w], func() {
+					api.WriteValue("bc/", w, api.Input()+types.Value(w))
+					w++
+					after(api, write)
+				})
+			}
+			write()
 		})
 	}
 }
@@ -305,7 +300,7 @@ func compareSpellings(t *testing.T, cell string, build func(spelling) smmem.Conf
 	t.Helper()
 	got, want := observe(build(native)), observe(build(readLoops))
 	if d := streamDifference(got, want); d != "" {
-		t.Errorf("%s: the API's call differs from its Read loop: %s", cell, d)
+		t.Errorf("%s: the API's call differs from its read loop: %s", cell, d)
 	}
 	ty.add(got)
 }
@@ -482,7 +477,7 @@ func (pl scanPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 			api = spell(api)
 			n := api.N()
 			api.WriteValue("s/", 0, api.Input())
-			w, reads, hits, minV := 1, 0, 0, api.Input()
+			w, seen, hits, minV := 1, 0, 0, api.Input()
 			visit := func(i int, p types.Payload, ok bool) {
 				if ok {
 					if hits++; p.Value < minV {
@@ -492,32 +487,40 @@ func (pl scanPlan) factory(spell spelling) func(types.ProcessID) smmem.Protocol 
 						api.Decide(minV)
 					}
 				}
-				if reads++; pl.every[id] > 0 && reads%pl.every[id] == 0 {
+				if seen++; pl.every[id] > 0 && seen%pl.every[id] == 0 {
 					api.Write("s/", w, types.Payload{Kind: types.KindEcho, Value: minV + types.Value(i)})
 					w++
 				}
 			}
 			regs := make([]smmem.Reg, n+1)
-			for r := 0; r < pl.rounds[id]; r++ {
-				for i := 0; i < pl.gaps[id]; i++ {
-					_, _ = api.Read(smmem.Reg{Owner: id, Name: "unwritten"})
-				}
-				if r == 1 {
-					api.Scan(nil, visit)
-				}
-				for q := 0; q < n; q++ {
-					regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/", Index: r}
-					if pl.fresh[id] {
-						regs[q].Name = strings.Clone("s/")
+			var round func(r int)
+			round = func(r int) {
+				if r == pl.rounds[id] {
+					if !api.HasDecided() {
+						api.Decide(minV)
 					}
+					return
 				}
-				regs[n] = smmem.Reg{Owner: id, Name: "unwritten"}
-				regs[n], regs[r%(n+1)] = regs[r%(n+1)], regs[n]
-				api.Scan(regs, visit)
+				scanRound := func() {
+					for q := 0; q < n; q++ {
+						regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "s/", Index: r}
+						if pl.fresh[id] {
+							regs[q].Name = strings.Clone("s/")
+						}
+					}
+					regs[n] = smmem.Reg{Owner: id, Name: "unwritten"}
+					regs[n], regs[r%(n+1)] = regs[r%(n+1)], regs[n]
+					api.Scan(regs, visit, func() { round(r + 1) })
+				}
+				reads(api, smmem.Reg{Owner: id, Name: "unwritten"}, pl.gaps[id], func() {
+					if r == 1 {
+						api.Scan(nil, visit, scanRound)
+						return
+					}
+					scanRound()
+				})
 			}
-			if !api.HasDecided() {
-				api.Decide(minV)
-			}
+			round(0)
 		})
 	}
 }
@@ -610,7 +613,8 @@ func FuzzScanMatchesReadLoop(f *testing.F) {
 // the poll reads the register it found again unless move changes the list,
 // then ends it — or scans once, and decides what it found last unless it has
 // decided. Under round-robin p2 goes first: p2, p1, p2, p1, p2, p1, then p2
-// alone. A handler that reads, polls or scans panics out of Run.
+// alone. A handler that polls or scans panics out of Run, as does a second
+// call in the step that posts p2's poll or scan.
 func TestPollEdges(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -621,6 +625,8 @@ func TestPollEdges(t *testing.T) {
 		again int      // hits p2's handler goes on after
 		move  func(regs []smmem.Reg)
 		inHit func(api smmem.API) // on every hit
+		// In the step that posts p2's poll or scan, right after it.
+		inStep func(api smmem.API)
 		// p2 crashes before its crashAt-th operation, or the run stops
 		// after maxOps; 0 for neither.
 		crashAt, maxOps int
@@ -660,20 +666,44 @@ func TestPollEdges(t *testing.T) {
 		{name: "write-in-handler-then-end", start: 0, regs: []string{"a"},
 			inHit:     func(api smmem.API) { api.WriteValue("w", 0, 1); api.WriteValue("v", 0, 2) },
 			wantIndex: 0, wantOps: "a a a+ =w =v"},
-		{name: "read-in-handler", start: 0, regs: []string{"a"},
-			inHit:     func(api smmem.API) { _, _ = api.Read(smmem.Reg{Name: "a"}) },
-			wantPanic: "smmem: Read inside a Poll handler"},
-		{name: "poll-in-handler", start: 0, regs: []string{"a"},
+		// The step's writes go before the poll's first read.
+		{name: "write-in-the-polling-step", start: 0, regs: []string{"a"},
+			inStep:    func(api smmem.API) { api.WriteValue("w", 0, 1) },
+			wantIndex: 0, wantOps: "=w a a+"},
+		{name: "poll-in-hit", start: 0, regs: []string{"a"},
 			inHit: func(api smmem.API) {
-				api.Poll(0, []smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload) bool { return false })
+				api.Poll(0, []smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload) bool { return false }, nil)
 			},
-			wantPanic: "smmem: Poll inside a Poll handler"},
-		{name: "scan-in-handler", start: 0, regs: []string{"a"},
-			inHit:     func(api smmem.API) { api.Scan([]smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload, bool) {}) },
-			wantPanic: "smmem: Scan inside a Poll handler"},
+			wantPanic: "smmem: Poll while a Poll is in progress"},
+		{name: "scan-in-hit", start: 0, regs: []string{"a"},
+			inHit: func(api smmem.API) {
+				api.Scan([]smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload, bool) {}, nil)
+			},
+			wantPanic: "smmem: Scan while a Poll is in progress"},
+		{name: "scan-in-visit", scan: true, regs: []string{"a"}, early: 2,
+			inHit:     func(api smmem.API) { api.Scan(nil, nil, nil) },
+			wantPanic: "smmem: Scan while a Scan is in progress"},
+		{name: "poll-in-visit", scan: true, regs: []string{"a"}, early: 2,
+			inHit: func(api smmem.API) {
+				api.Poll(0, []smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload) bool { return false }, nil)
+			},
+			wantPanic: "smmem: Poll while a Scan is in progress"},
+		{name: "scan-after-a-poll-in-one-step", start: 0, regs: []string{"a"},
+			inStep:    func(api smmem.API) { api.Scan(nil, nil, nil) },
+			wantPanic: "smmem: Scan while a Poll is in progress"},
+		{name: "poll-after-a-scan-in-one-step", scan: true, regs: []string{"a"},
+			inStep: func(api smmem.API) {
+				api.Poll(0, []smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload) bool { return false }, nil)
+			},
+			wantPanic: "smmem: Poll while a Scan is in progress"},
 		// A scan of nothing is no operation: p2 decides at once.
 		{name: "scan-empty-list", scan: true, regs: nil,
 			wantIndex: -1, wantOps: ""},
+		// Its then runs after the writes of the step that posted it: p2's
+		// decision reaches the board after the write, the first operation.
+		{name: "scan-empty-list-after-writes", scan: true, regs: nil,
+			inStep:    func(api smmem.API) { api.WriteValue("w", 0, 1) },
+			wantIndex: -1, wantOps: "=w", wantDecidedAt: 1},
 		{name: "scan-one-register", scan: true, regs: []string{"a"}, early: 2,
 			wantIndex: 0, wantOps: "x x a+"},
 		{name: "scan-reads-each-once", scan: true, regs: []string{"x", "a", "y", "b"}, early: 2,
@@ -705,15 +735,14 @@ func TestPollEdges(t *testing.T) {
 				Inputs: []types.Value{7, 8},
 				NewProtocol: func(id types.ProcessID) smmem.Protocol {
 					return runFunc(func(api smmem.API) {
+						x := smmem.Reg{Name: "x"}
 						if id == 0 {
-							_, _ = api.Read(smmem.Reg{Name: "x"})
-							api.WriteValue("a", 0, 7)
-							api.WriteValue("b", 0, 7)
-							api.Decide(7)
+							read(api, x, func(types.Payload, bool) {
+								api.WriteValue("a", 0, 7)
+								api.WriteValue("b", 0, 7)
+								after(api, func() { api.Decide(7) })
+							})
 							return
-						}
-						for i := 0; i < c.early; i++ {
-							_, _ = api.Read(smmem.Reg{Name: "x"})
 						}
 						found := func(i int, p types.Payload) {
 							index, value = i, p
@@ -721,28 +750,35 @@ func TestPollEdges(t *testing.T) {
 								c.inHit(api)
 							}
 						}
+						decide := func() {
+							if !api.HasDecided() {
+								api.Decide(value.Value)
+							}
+						}
 						again := c.again
-						if c.scan {
-							api.Scan(regs, func(i int, p types.Payload, ok bool) {
-								if ok {
+						reads(api, x, c.early, func() {
+							if c.scan {
+								api.Scan(regs, func(i int, p types.Payload, ok bool) {
+									if ok {
+										found(i, p)
+									}
+								}, decide)
+							} else {
+								api.Poll(c.start, regs, func(i int, p types.Payload) bool {
 									found(i, p)
-								}
-							})
-						} else {
-							api.Poll(c.start, regs, func(i int, p types.Payload) bool {
-								found(i, p)
-								if again--; again < 0 {
-									return false
-								}
-								if c.move != nil {
-									c.move(regs)
-								}
-								return true
-							})
-						}
-						if !api.HasDecided() {
-							api.Decide(value.Value)
-						}
+									if again--; again < 0 {
+										return false
+									}
+									if c.move != nil {
+										c.move(regs)
+									}
+									return true
+								}, decide)
+							}
+							if c.inStep != nil {
+								c.inStep(api)
+							}
+						})
 					})
 				},
 				Scheduler: &smmem.RoundRobin{},

@@ -110,21 +110,20 @@ var spoilers = []struct {
 }{
 	{"double-decide", smmem.ErrDoubleDecide.Error(), nil, func(api smmem.API) {
 		litter(api)
-		api.Decide(1)
-		_, _ = api.Read(smmem.Reg{Name: "bc/", Index: 1})
-		api.Decide(2)
+		after(api, func() {
+			api.Decide(1)
+			read(api, smmem.Reg{Name: "bc/", Index: 1}, func(types.Payload, bool) { api.Decide(2) })
+		})
 	}},
 	{"bad-schedule", smmem.ErrBadSchedule.Error(), func() smmem.Scheduler { return &badPick{after: 40, pick: 99} },
 		func(api smmem.API) {
 			litter(api)
-			for {
-				_, _ = api.Read(smmem.Reg{Name: "bc/", Index: 7})
-			}
+			spin(api, smmem.Reg{Name: "bc/", Index: 7})
 		}},
 	{"budget", "budget", nil, func(api smmem.API) {
 		litter(api)
 		api.Poll(0, []smmem.Reg{{Owner: 1, Name: "bc/", Index: 900}, {Owner: 2, Name: "never"}},
-			func(int, types.Payload) bool { return true })
+			func(int, types.Payload) bool { return true }, nil)
 	}},
 	{"panic-in-handler", "a spoiler's handler panics", nil, func(api smmem.API) {
 		litter(api)
@@ -135,7 +134,7 @@ var spoilers = []struct {
 					panic("a spoiler's handler panics")
 				}
 				return true
-			})
+			}, nil)
 	}},
 }
 

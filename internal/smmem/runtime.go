@@ -1,33 +1,24 @@
-// The runtime below is one loop on the goroutine that called Run and one
-// coroutine (iter.Pull) per process. A process runs only inside the loop's
-// call to its next(): from the grant of its pending register operation to the
-// moment it posts the following one, or returns — or, for a poll read that
-// hits and for every scan read, inside the loop's call to the handler. A poll
-// read that misses runs no process code: the loop posts the poll's next
-// register itself. A handler's writes wait in the process's queue until it
-// returns; the loop then posts them one by one before the call's next read.
-// Nothing is ever runnable beside the loop — no goroutine is started, no
-// channel, lock or wait group is used — so registers, scheduler state, the
-// view and the request slots need no synchronization, the schedule is a pure
-// function of the seed, and Scheduler.Next, CrashAdversary.CrashBeforeOp,
-// Config.Trace, the Recorder and every poll's handler are always called on
-// Run's goroutine. A switch into or out of a coroutine goes straight from one
-// stack to the other without passing the run queue.
-//
-// The build constraint is for the iter import: the module's go line is 1.22
-// (it moves together with bench/go.mod's), the installed toolchain has the
-// package, and without the constraint go vet's stdversion check rejects
-// iter.Pull in a go1.22 file. There is no second runtime for older
-// toolchains.
-
-//go:build go1.23
+// The runtime below is one loop on the goroutine that called Run. A process
+// is a step machine (see Protocol): its code runs only inside a step — its
+// Start, the handler of a poll's hit or the visitor of a scan's read, or a
+// call's then — and every step runs on the loop's own stack. A step's writes
+// wait in the process's queue until it returns; proceed, the one path after
+// every step and every granted write, then posts them one by one, and after
+// the last the call's next read, or, once the call is over, runs its then.
+// A poll read that misses runs no process code: the loop posts the poll's
+// next register itself. Nothing is ever runnable beside the loop — no
+// goroutine is started, no channel, lock or wait group is used — so
+// registers, scheduler state, the view and the request slots need no
+// synchronization, the schedule is a pure function of the seed, and
+// Scheduler.Next, CrashAdversary.CrashBeforeOp, Config.Trace, the Recorder
+// and every step are always called on Run's goroutine.
 
 package smmem
 
 import (
 	"errors"
 	"fmt"
-	"iter"
+	"strings"
 
 	"kset/internal/prng"
 	"kset/internal/types"
@@ -84,26 +75,21 @@ var (
 	ErrBadSchedule  = errors.New("smmem: scheduler chose a non-pending process")
 )
 
-// opKind enumerates the register operations a process can post.
+// opKind enumerates the register operations a process can post, and its
+// calls: a poll's read is opPoll, a scan's opScan.
 type opKind uint8
 
 const (
-	opRead opKind = iota + 1
-	opWrite
-	opPoll // a read of a poll's list
-	opScan // a read of a scan's list
+	opWrite opKind = iota + 1
+	opPoll
+	opScan
 )
 
-// queuedWrite is a write made inside a handler, posted once it returns.
+// queuedWrite is a write a step made, posted once the step returns.
 type queuedWrite struct {
 	reg   Reg
 	value types.Payload
 }
-
-// haltSignal is panicked inside API calls to unwind a process whose coroutine
-// the runtime has stopped (a crash, the end of the run); the coroutine's body
-// recovers it.
-type haltSignal struct{}
 
 type smProcess struct {
 	id        types.ProcessID
@@ -117,14 +103,13 @@ type smProcess struct {
 	byz       bool
 	ops       int
 
-	// live: not crashed, Protocol.Run not returned. Whenever the scheduler is
-	// consulted every live process has a request posted in the slot below.
+	// live: not crashed, not returned. Whenever the scheduler is consulted
+	// every live process has a request posted in the slot below.
 	live bool
 
 	// The posted request (kind, register, value of a write) and, once
-	// granted, the result of a read. The process writes the slot and yields;
-	// the loop writes the result and resumes it. A write's register is the
-	// process's own, a poll's or a scan's read is posted from regs[at].
+	// granted, the result of a read. A write's register is the process's
+	// own, a poll's or a scan's read is posted from regs[at].
 	kind  opKind
 	reg   Reg
 	value types.Payload
@@ -136,32 +121,27 @@ type smProcess struct {
 	// costs a string comparison, pointer-equal as a rule, and no lookup.
 	names [2]resolved
 
-	// A poll or a scan in progress (call is opPoll or opScan, 0 outside
-	// both): its registers, the index of the one posted, and the handler of
-	// a poll's hits or the visitor of a scan's reads. inHandler is set while
-	// either runs and over once it has ended the call. The handler's writes
-	// wait in queue; queued counts those already posted. missed counts the
-	// poll's reads in a row that found nothing while the runtime's write
-	// count stood at writes: once it reaches len(regs), every register of
-	// the list is unwritten until the next write anywhere.
-	call      opKind
-	regs      []Reg
-	at        int
-	hit       func(int, types.Payload) bool
-	visit     func(int, types.Payload, bool)
-	inHandler bool
-	over      bool
-	queue     []queuedWrite
-	queued    int
-	missed    int
-	writes    int
+	// The call in progress (call is opPoll or opScan, 0 for none): its
+	// registers, the index of the one posted, the handler of a poll's hits
+	// or the visitor of a scan's reads, and then, the step after it. over is
+	// set once the call has had its last read. The steps' writes wait in
+	// queue; queued counts those already posted. missed counts the poll's
+	// reads in a row that found nothing while the runtime's write count
+	// stood at writes: once it reaches len(regs), every register of the
+	// list is unwritten until the next write anywhere.
+	call   opKind
+	regs   []Reg
+	at     int
+	hit    func(int, types.Payload) bool
+	visit  func(int, types.Payload, bool)
+	then   func()
+	over   bool
+	queue  []queuedWrite
+	queued int
+	missed int
+	writes int
 
-	// The coroutine: next resumes the process until its next request (true)
-	// or its return (false), stop makes the pending yield report false.
-	next func() (struct{}, bool)
-	stop func()
-
-	api smAPI // what the protocol's Run is handed
+	api smAPI // what the protocol's steps are handed
 }
 
 // resolved is a Name, the number of its family and whether the Name ends
@@ -172,13 +152,11 @@ type resolved struct {
 	indexed bool
 }
 
-// smAPI adapts a process to the API interface. Everything here runs inside
-// the loop's call to next, so Decide and the accessors need no
-// synchronization. yield is the process's side of the coroutine switch.
+// smAPI adapts a process to the API interface. Every step runs on the
+// loop's stack, so Decide and the accessors need no synchronization.
 type smAPI struct {
-	p     *smProcess
-	rt    *smRuntime
-	yield func(struct{}) bool
+	p  *smProcess
+	rt *smRuntime
 }
 
 var _ API = (*smAPI)(nil)
@@ -192,50 +170,46 @@ func (a *smAPI) Rand() *prng.Source  { return &a.p.rng }
 func (a *smAPI) HasDecided() bool    { return a.p.decided }
 
 func (a *smAPI) Write(name string, index int, p types.Payload) {
-	if a.p.inHandler {
-		a.p.queue = append(a.p.queue, queuedWrite{Reg{a.p.id, name, index}, p})
-		return
-	}
-	a.p.value = p
-	a.op(opWrite, Reg{a.p.id, name, index})
-}
-
-func (a *smAPI) Read(r Reg) (types.Payload, bool) {
-	a.outsideHandler(opRead)
-	a.op(opRead, r)
-	return a.p.value, a.p.ok
-}
-
-func (a *smAPI) Poll(start int, regs []Reg, hit func(i int, p types.Payload) bool) {
-	a.outsideHandler(opPoll)
-	if start < 0 || start >= len(regs) {
-		panic(fmt.Sprintf("smmem: Poll from index %d of %d registers", start, len(regs)))
-	}
-	p := a.p
-	p.call, p.regs, p.at, p.hit, p.missed = opPoll, regs, start, hit, 0
-	p.post(opPoll)
-	a.wait()
-}
-
-func (a *smAPI) Scan(regs []Reg, visit func(i int, p types.Payload, ok bool)) {
-	a.outsideHandler(opScan)
-	if len(regs) == 0 {
-		return
-	}
-	p := a.p
-	p.call, p.regs, p.at, p.visit = opScan, regs, 0, visit
-	p.post(opScan)
-	a.wait()
+	a.p.queue = append(a.p.queue, queuedWrite{Reg{a.p.id, name, index}, p})
 }
 
 func (a *smAPI) WriteValue(name string, index int, v types.Value) {
 	a.Write(name, index, types.Payload{Kind: types.KindInput, Value: v})
 }
 
+func (a *smAPI) Poll(start int, regs []Reg, hit func(i int, p types.Payload) bool, then func()) {
+	if start < 0 || start >= len(regs) {
+		panic(fmt.Sprintf("smmem: Poll from index %d of %d registers", start, len(regs)))
+	}
+	p := a.post(opPoll, regs, then)
+	p.at, p.hit, p.missed = start, hit, 0
+}
+
+func (a *smAPI) Scan(regs []Reg, visit func(i int, p types.Payload, ok bool), then func()) {
+	p := a.post(opScan, regs, then)
+	p.visit, p.over = visit, len(regs) == 0
+}
+
+// opNames names the calls for the panic of one posted while another is in
+// progress.
+var opNames = [...]string{opPoll: "Poll", opScan: "Scan"}
+
+// post makes a poll or a scan of regs, followed by then, the process's call
+// in progress. A process has at most one: a second call in one step, or a
+// call in a hit or a visitor, panics.
+func (a *smAPI) post(kind opKind, regs []Reg, then func()) *smProcess {
+	p := a.p
+	if p.call != 0 {
+		panic("smmem: " + opNames[kind] + " while a " + opNames[p.call] + " is in progress")
+	}
+	p.call, p.regs, p.at, p.then, p.over = kind, regs, 0, then, false
+	return p
+}
+
 func (a *smAPI) Decide(v types.Value) {
 	// Deciding is a local action: the decision board picks it up when the
-	// process posts its next request or returns, or its handler returns, so
-	// the scheduler sees it before granting anything else.
+	// step that made it returns, before the step's writes, so the scheduler
+	// sees it before granting anything else.
 	p := a.p
 	if p.decided {
 		if !p.byz {
@@ -246,37 +220,6 @@ func (a *smAPI) Decide(v types.Value) {
 	}
 	p.decided = true
 	p.decision = v
-}
-
-// opNames names the operations for the panic of one made inside a handler.
-var opNames = [...]string{opRead: "Read", opPoll: "Poll", opScan: "Scan"}
-
-// outsideHandler panics inside a handler, which runs on the loop's own stack
-// with no coroutine to yield from: a read, poll or scan cannot wait there for
-// its grant. (A write is queued instead, see Write.)
-func (a *smAPI) outsideHandler(kind opKind) {
-	if p := a.p; p.inHandler {
-		panic("smmem: " + opNames[kind] + " inside a " + opNames[p.call] + " handler")
-	}
-}
-
-// op posts a Read or Write request and returns once it has been granted.
-func (a *smAPI) op(kind opKind, r Reg) {
-	a.p.kind, a.p.reg = kind, r
-	a.wait()
-}
-
-// wait returns once the posted request has been granted; a crash or the end
-// of the run unwinds the process via panic(haltSignal{}) instead.
-func (a *smAPI) wait() {
-	if !a.yield(struct{}{}) {
-		panic(haltSignal{})
-	}
-}
-
-// post posts the read of regs[at] for the poll or scan in progress.
-func (p *smProcess) post(kind opKind) {
-	p.kind, p.reg = kind, p.regs[p.at]
 }
 
 // smRuntime is one run.
@@ -312,18 +255,16 @@ func (rt *smRuntime) recordBug(err error) {
 }
 
 // Run executes one shared-memory run to completion (all correct processes
-// decided, quiescence, or budget exhaustion) and returns its record. Every
-// process has returned or been unwound by the time Run returns, also when it
-// returns by a panic out of protocol code, which reaches Run's caller.
+// decided, quiescence, or budget exhaustion) and returns its record. A panic
+// out of protocol code reaches Run's caller.
 func Run(cfg Config) (*types.RunRecord, error) {
 	return new(Runner).Run(cfg)
 }
 
 // Runner executes runs one after another on one arena: the process table
-// with every process's generator, handler queue and resolved Names, the
-// candidate list, and
-// the register store's family table and slices keep their memory from one
-// Run to the next, so a sweep's later runs grow nothing the earlier ones
+// with every process's write queue and resolved Names, the candidate list,
+// and the register store's family table and slices keep their memory from
+// one Run to the next, so a sweep's later runs grow nothing the earlier ones
 // already grew. Only the View is new in every run: Hold and Starve tell runs
 // apart by its pointer. A run on a used Runner is the run a fresh one would
 // make — same schedule, same record, same Recorder and Trace streams —
@@ -453,35 +394,9 @@ func (rt *smRuntime) traceOp(typ TraceEventType, p *smProcess, present bool) {
 		Register: regText(p.reg), Payload: p.value, Present: present})
 }
 
-// body is what p's coroutine runs: the protocol, with the unwinding of a
-// stopped process ending here. Any other panic is a bug in the protocol and
-// comes out of the loop's next or stop.
-func (rt *smRuntime) body(p *smProcess) iter.Seq[struct{}] {
-	return func(yield func(struct{}) bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(haltSignal); !ok {
-					panic(r)
-				}
-			}
-		}()
-		p.api.yield = yield
-		p.proto.Run(&p.api)
-	}
-}
-
-// resume runs p until it posts its next request or returns, then takes it
-// off the candidates if it returned and copies its decision to the board.
-func (rt *smRuntime) resume(p *smProcess) {
-	if _, posted := p.next(); !posted {
-		rt.drop(p)
-	}
-	rt.refresh(p)
-}
-
 // refresh copies p's decision onto the decision board. A decision becomes
-// visible when the process posts its next request or returns, or its handler
-// returns; the operation count at that moment is the decision's latency.
+// visible when the step that made it returns; the operation count at that
+// moment is the decision's latency.
 func (rt *smRuntime) refresh(p *smProcess) {
 	if !p.decided || rt.view.Decided[p.id] {
 		return
@@ -504,21 +419,13 @@ func (rt *smRuntime) drop(p *smProcess) {
 	}
 }
 
-// run brings the processes to their first request one at a time in id order,
-// then grants operations until the run ends. Every coroutine has been ended
-// when it returns, however it returns.
+// run runs every process's Start in id order, each up to its first request,
+// then grants operations until the run ends.
 func (rt *smRuntime) run() {
-	defer func() {
-		for i := range rt.procs {
-			if p := &rt.procs[i]; p.stop != nil {
-				p.stop()
-			}
-		}
-	}()
 	for i := range rt.procs {
 		p := &rt.procs[i]
-		p.next, p.stop = iter.Pull(rt.body(p))
-		rt.resume(p)
+		p.proto.Start(&p.api)
+		rt.proceed(p)
 	}
 	for rt.grant() {
 	}
@@ -567,50 +474,44 @@ func (rt *smRuntime) grant() bool {
 			rt.trace(TraceEvent{Type: EvCrash, Proc: pid})
 		}
 		rt.drop(p)
-		p.stop()
 		return true
 	}
 
 	rt.view.Ops++
 	p.ops++
 	switch p.kind {
-	case opRead:
-		rt.read(p)
-		if rt.cfg.Trace != nil {
-			rt.traceOp(EvRead, p, p.ok)
-		}
 	case opWrite:
 		f, i := rt.locate(p)
 		rt.mem.write(pid, f, i, p.value)
 		if rt.cfg.Trace != nil {
 			rt.traceOp(EvWrite, p, true)
 		}
-		if p.call != 0 {
-			rt.proceed(p) // a handler's write
-			return true
-		}
+		rt.proceed(p)
 	case opPoll:
 		rt.pollRead(p)
-		return true
 	case opScan:
 		rt.scanRead(p)
-		return true
 	}
-	rt.resume(p)
 	return true
 }
 
 // locate returns the family and index of the register p's granted request
 // names: by the Name cache when the Name is one of the last two p's
-// requests looked up, by the family table otherwise.
+// requests looked up, by the family table otherwise. A Name is checked
+// before it enters the cache, so an operation that finds it there pays
+// nothing for the check.
 func (rt *smRuntime) locate(p *smProcess) (fam, i int) {
 	name := p.reg.Name
 	r := &p.names[0]
 	if r.fam == 0 || r.name != name {
 		if r = &p.names[1]; r.fam == 0 || r.name != name {
+			indexed := name != "" && name[len(name)-1] == '/'
+			if !indexed && strings.IndexByte(name, '/') >= 0 {
+				panic(fmt.Sprintf("smmem: register %+v: a Name with a / must end in /", p.reg))
+			}
 			p.names[1] = p.names[0]
 			r = &p.names[0]
-			*r = resolved{fam: rt.mem.family(name), indexed: name != "" && name[len(name)-1] == '/'}
+			*r = resolved{fam: rt.mem.family(name), indexed: indexed}
 		}
 	}
 	// The entry keeps the request's own string, so its next comparison is
@@ -637,10 +538,10 @@ func (rt *smRuntime) read(p *smProcess) {
 }
 
 // pollRead performs p's granted poll read. A miss runs no process code, so
-// nothing can have been decided: it posts the poll's next register and p
-// stays suspended. A hit runs the poll's handler here, on the loop's stack,
-// and proceeds from there. A read is answered without a lookup once the poll
-// has missed on every register of its list since the last write anywhere.
+// nothing can have been decided: it posts the poll's next register. A hit
+// runs the poll's handler, a step of p, and proceeds from there. A read is
+// answered without a lookup once the poll has missed on every register of
+// its list since the last write anywhere.
 func (rt *smRuntime) pollRead(p *smProcess) {
 	if p.writes != rt.mem.writes {
 		p.writes, p.missed = rt.mem.writes, 0
@@ -657,52 +558,55 @@ func (rt *smRuntime) pollRead(p *smProcess) {
 		if p.at++; p.at == len(p.regs) {
 			p.at = 0
 		}
-		p.post(opPoll)
+		p.reg = p.regs[p.at]
 		return
 	}
-	p.inHandler = true
 	p.over = !p.hit(p.at, p.value)
-	p.inHandler = false
 	p.missed = 0
 	rt.proceed(p)
 }
 
 // scanRead performs p's granted scan read and hands it, hit or miss, to the
-// scan's visitor on the loop's stack; the scan is over after its last
-// register.
+// scan's visitor, a step of p; the scan is over after its last register.
 func (rt *smRuntime) scanRead(p *smProcess) {
 	rt.read(p)
 	if rt.cfg.Trace != nil {
 		rt.traceOp(EvRead, p, p.ok)
 	}
-	p.inHandler = true
 	p.visit(p.at, p.value, p.ok)
-	p.inHandler = false
 	p.at++
 	p.over = p.at == len(p.regs)
 	rt.proceed(p)
 }
 
-// proceed follows a handler that returned, and each of its writes once
-// granted: it posts the handler's next queued write, or else the call's read
-// of regs[at] — the decision going to the board as at a posted request — or,
-// once the handler has ended the call, resumes p, whose Poll or Scan returns.
+// proceed follows every step of p and every write granted to it: it posts
+// the next write the step queued, or else the call's read of regs[at], or,
+// once the call is over, runs its then as p's next step and goes on from
+// there. A process with no call left has returned. Each time the decision
+// goes to the board first.
 func (rt *smRuntime) proceed(p *smProcess) {
-	if p.queued < len(p.queue) {
-		w := &p.queue[p.queued]
-		p.queued++
+	for {
 		rt.refresh(p)
-		p.kind, p.reg, p.value = opWrite, w.reg, w.value
-		return
-	}
-	p.queue, p.queued = p.queue[:0], 0
-	if p.over {
+		if p.queued < len(p.queue) {
+			w := &p.queue[p.queued]
+			p.queued++
+			p.kind, p.reg, p.value = opWrite, w.reg, w.value
+			return
+		}
+		p.queue, p.queued = p.queue[:0], 0
+		switch {
+		case p.call == 0:
+			rt.drop(p)
+			return
+		case !p.over:
+			p.kind, p.reg = p.call, p.regs[p.at]
+			return
+		}
 		p.call = 0
-		rt.resume(p)
-		return
+		if p.then != nil {
+			p.then()
+		}
 	}
-	rt.refresh(p)
-	p.post(p.call)
 }
 
 func (rt *smRuntime) record() *types.RunRecord {

@@ -7,32 +7,44 @@ import (
 	"kset/internal/types"
 )
 
-// writerReader writes its input, then reads everyone's register until it has
-// seen quorum written registers, then decides the minimum value seen.
+// writerReader writes its input, then scans everyone's register until one
+// scan has seen quorum written registers, then decides the minimum value
+// seen.
 type writerReader struct {
 	quorum int
 }
 
-func (w *writerReader) Run(api API) {
+func (w *writerReader) Start(api API) {
 	api.WriteValue("v", 0, api.Input())
-	for {
-		var minV types.Value
-		count := 0
-		for q := 0; q < api.N(); q++ {
-			p, ok := api.Read(Reg{Owner: types.ProcessID(q), Name: "v"})
-			if !ok {
-				continue
-			}
+	regs := make([]Reg, api.N())
+	for q := range regs {
+		regs[q] = Reg{Owner: types.ProcessID(q), Name: "v"}
+	}
+	var minV types.Value
+	count := 0
+	visit := func(_ int, p types.Payload, ok bool) {
+		if ok {
 			if count == 0 || p.Value < minV {
 				minV = p.Value
 			}
 			count++
 		}
+	}
+	var scanned func()
+	scanned = func() {
 		if count >= w.quorum {
 			api.Decide(minV)
 			return
 		}
+		count = 0
+		api.Scan(regs, visit, scanned)
 	}
+	api.Scan(regs, visit, scanned)
+}
+
+// spin reads r for ever.
+func spin(api API, r Reg) {
+	api.Scan([]Reg{r}, func(int, types.Payload, bool) {}, func() { spin(api, r) })
 }
 
 func distinctInputs(n int) []types.Value {
@@ -128,10 +140,9 @@ func TestSingleWriterEnforcedByConstruction(t *testing.T) {
 				if api.ID() == 1 {
 					api.WriteValue("v", 0, 42)
 				}
-				if _, ok := api.Read(Reg{Name: "v"}); ok {
-					sawForeign = true
-				}
-				api.Decide(api.Input())
+				api.Scan([]Reg{{Name: "v"}}, func(_ int, _ types.Payload, ok bool) {
+					sawForeign = sawForeign || ok
+				}, func() { api.Decide(api.Input()) })
 			})
 		},
 		Seed: 9,
@@ -146,7 +157,7 @@ func TestSingleWriterEnforcedByConstruction(t *testing.T) {
 
 type protoFunc func(API)
 
-func (f protoFunc) Run(api API) { f(api) }
+func (f protoFunc) Start(api API) { f(api) }
 
 func TestBudgetExhaustionRecorded(t *testing.T) {
 	// A protocol that spins forever without deciding.
@@ -154,11 +165,7 @@ func TestBudgetExhaustionRecorded(t *testing.T) {
 		N: 2, T: 0, K: 1,
 		Inputs: distinctInputs(2),
 		NewProtocol: func(types.ProcessID) Protocol {
-			return protoFunc(func(api API) {
-				for {
-					_, _ = api.Read(Reg{Name: "v"})
-				}
-			})
+			return protoFunc(func(api API) { spin(api, Reg{Name: "v"}) })
 		},
 		MaxOps: 100,
 		Seed:   5,
@@ -179,7 +186,6 @@ func TestDoubleDecideIsAnError(t *testing.T) {
 			return protoFunc(func(api API) {
 				api.Decide(1)
 				api.Decide(2)
-				api.WriteValue("v", 0, 1) // post a request so the bug is collected
 			})
 		},
 		Seed: 5,
@@ -231,9 +237,14 @@ func TestByzantineLimitedToOwnRegisters(t *testing.T) {
 		NewProtocol: func(types.ProcessID) Protocol { return &writerReader{quorum: 3} },
 		Byzantine: map[types.ProcessID]Protocol{
 			3: protoFunc(func(api API) {
-				for i := 0; ; i++ {
+				i := 0
+				var spam func()
+				spam = func() {
 					api.WriteValue("v", 0, types.Value(1000+i%7))
+					i++
+					api.Scan(nil, nil, spam)
 				}
+				spam()
 			}),
 		},
 		Seed: 31,

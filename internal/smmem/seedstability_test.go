@@ -1,8 +1,8 @@
 package smmem_test
 
 // Seed-stability golden test for the shared-memory runtime: one loop that
-// resumes one process coroutine at a time must make every run a pure function
-// of the seed. Running the same configuration twice must produce a
+// runs one process step at a time must make every run a pure function of
+// the seed. Running the same configuration twice must produce a
 // byte-identical operation trace and identical decisions — the runtime
 // counterpart of ksetlint's determinism analyzer.
 

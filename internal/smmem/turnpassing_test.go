@@ -127,31 +127,68 @@ func (st *streamTable) check(t *testing.T, complete bool) {
 	}
 }
 
+// runFunc is a protocol whose Start is the function.
 type runFunc func(smmem.API)
 
-func (f runFunc) Run(api smmem.API) { f(api) }
+func (f runFunc) Start(api smmem.API) { f(api) }
 
-// scan is a small native protocol: write the input, read everyone's register
-// until quorum of them are written, decide the minimum seen.
-func scan(api smmem.API, quorum int) { api.Decide(scanMin(api, quorum)) }
+// read reads r, as a Scan of r alone, and hands then what it found.
+func read(api smmem.API, r smmem.Reg, then func(p types.Payload, ok bool)) {
+	var p types.Payload
+	var ok bool
+	api.Scan([]smmem.Reg{r}, func(_ int, q types.Payload, found bool) { p, ok = q, found }, func() { then(p, ok) })
+}
 
-func scanMin(api smmem.API, quorum int) types.Value {
+// reads reads r count times, then runs then.
+func reads(api smmem.API, r smmem.Reg, count int, then func()) {
+	if count == 0 {
+		then()
+		return
+	}
+	read(api, r, func(types.Payload, bool) { reads(api, r, count-1, then) })
+}
+
+// spin reads r for ever.
+func spin(api smmem.API, r smmem.Reg) {
+	read(api, r, func(types.Payload, bool) { spin(api, r) })
+}
+
+// after runs then once the step's writes are granted, as the then of an
+// empty Scan.
+func after(api smmem.API, then func()) { api.Scan(nil, nil, then) }
+
+// scan is a small native protocol: write the input, scan everyone's
+// register until quorum of them are written, decide the minimum seen.
+func scan(api smmem.API, quorum int) { scanMin(api, quorum, api.Decide) }
+
+// scanMin writes the input and scans everyone's register until quorum of
+// them are written, then hands then the minimum seen.
+func scanMin(api smmem.API, quorum int, then func(types.Value)) {
 	api.WriteValue("v", 0, api.Input())
-	for {
-		var minV types.Value
-		count := 0
-		for q := 0; q < api.N(); q++ {
-			if p, ok := api.Read(smmem.Reg{Owner: types.ProcessID(q), Name: "v"}); ok {
-				if count == 0 || p.Value < minV {
-					minV = p.Value
-				}
-				count++
+	regs := make([]smmem.Reg, api.N())
+	for q := range regs {
+		regs[q] = smmem.Reg{Owner: types.ProcessID(q), Name: "v"}
+	}
+	var minV types.Value
+	count := 0
+	visit := func(_ int, p types.Payload, ok bool) {
+		if ok {
+			if count == 0 || p.Value < minV {
+				minV = p.Value
 			}
-		}
-		if count >= quorum {
-			return minV
+			count++
 		}
 	}
+	var scanned func()
+	scanned = func() {
+		if count >= quorum {
+			then(minV)
+			return
+		}
+		count = 0
+		api.Scan(regs, visit, scanned)
+	}
+	api.Scan(regs, visit, scanned)
 }
 
 func testInputs(n int, seed uint64) []types.Value {
@@ -196,7 +233,7 @@ var faultModes = []struct {
 }
 
 // Witness protocols of the matrix, by seed: the two native ones and
-// SIMULATION, whose pollers never return and are unwound by the runtime.
+// SIMULATION, whose pollers never end and are stopped by the runtime.
 var witnessSpecs = []trace.ProtocolSpec{
 	{Proto: theory.ProtoE},
 	{Proto: theory.ProtoFloodMin, Sim: true},
@@ -391,7 +428,7 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 						if id%2 == 0 {
 							api.Decide(api.Input())
 							if id%4 != 0 {
-								scanMin(api, (n+1)/2)
+								scanMin(api, (n+1)/2, func(types.Value) {})
 							}
 							return // for every fourth: decision and exit in one breath
 						}
@@ -431,10 +468,12 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 					return runFunc(func(api smmem.API) {
 						if int(id) == n/2 {
 							api.WriteValue("v", 0, api.Input())
-							api.Decide(1)
-							_, _ = api.Read(smmem.Reg{Name: "v"})
-							api.Decide(2)
-							return // the exit, not a request, brings the bug in
+							after(api, func() {
+								api.Decide(1)
+								// The exit, not a request, brings the bug in.
+								read(api, smmem.Reg{Name: "v"}, func(types.Payload, bool) { api.Decide(2) })
+							})
+							return
 						}
 						scan(api, n)
 					})
@@ -471,11 +510,7 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 			name: "budget-exhaustion",
 			proto: func(int) func(types.ProcessID) smmem.Protocol {
 				return func(types.ProcessID) smmem.Protocol {
-					return runFunc(func(api smmem.API) {
-						for {
-							_, _ = api.Read(smmem.Reg{Name: "v"})
-						}
-					})
+					return runFunc(func(api smmem.API) { spin(api, smmem.Reg{Name: "v"}) })
 				}
 			},
 			maxOps:    7,
