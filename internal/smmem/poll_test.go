@@ -670,12 +670,12 @@ func TestPollEdges(t *testing.T) {
 		{name: "write-in-the-polling-step", start: 0, regs: []string{"a"},
 			inStep:    func(api smmem.API) { api.WriteValue("w", 0, 1) },
 			wantIndex: 0, wantOps: "=w a a+"},
-		{name: "poll-in-hit", start: 0, regs: []string{"a"},
+		{name: "poll-in-handler", start: 0, regs: []string{"a"},
 			inHit: func(api smmem.API) {
 				api.Poll(0, []smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload) bool { return false }, nil)
 			},
 			wantPanic: "smmem: Poll while a Poll is in progress"},
-		{name: "scan-in-hit", start: 0, regs: []string{"a"},
+		{name: "scan-in-handler", start: 0, regs: []string{"a"},
 			inHit: func(api smmem.API) {
 				api.Scan([]smmem.Reg{{Owner: 0, Name: "a"}}, func(int, types.Payload, bool) {}, nil)
 			},
