@@ -4,6 +4,7 @@
 #   make bench    - benchstat-friendly benchmark run (BENCH_COUNT repeats,
 #                   BENCH_PATTERN filter); see docs/perf.md and BENCH_sweep.json
 #   make verify   - empirical validation of the figures (ksetverify)
+#   make examples - run every program under examples/
 
 GO ?= go
 
@@ -12,7 +13,7 @@ GO ?= go
 BENCH_COUNT ?= 6
 BENCH_PATTERN ?= .
 
-.PHONY: all build lint loc test race race-live short bench bench-sweep bench-net bench-e2e verify replay-corpus regen-corpus fuzz-smoke cluster-smoke acs-smoke sweep-smoke figures report clean
+.PHONY: all build lint loc test race race-live short bench bench-sweep bench-net bench-e2e verify examples replay-corpus regen-corpus fuzz-smoke cluster-smoke acs-smoke sweep-smoke figures report clean
 
 all: build lint test
 
@@ -44,8 +45,9 @@ race:
 # behind -workers), the metrics registry, and the
 # shared-memory simulator (every process step on one loop's stack) with the
 # packages that run on it, and
-# the message-passing simulator's run arena with the harness arenas that keep
-# one per worker (a cell's runs run serially on the arena it takes), and the
+# both simulators' run arenas with the harness arenas that keep one per
+# worker (a cell's runs run serially on the arena it takes, on its witness
+# instances of either simulator, restarted run after run), and the
 # evaluators that fan out through harness.Executor.Run (grid cells, shrink
 # candidates, report sections, ksetverify's cells and constructions).
 race-live:
@@ -102,6 +104,12 @@ bench-e2e:
 verify:
 	$(GO) run ./cmd/ksetverify -fig all -n 16 -runs 32 -samples 4
 	$(GO) run ./cmd/ksetverify -constructions -n 16
+
+# Run every program under examples/ (each exits within a second after its
+# build) and fail on the first that exits non-zero. Their output is not
+# checked, only that they run.
+examples:
+	@set -e; for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null; done
 
 # Replay every checked-in counterexample artifact through the real simulator
 # and verify the recorded verdicts reproduce. See docs/replay.md.

@@ -252,13 +252,14 @@ func Lemma32FloodMin(n, k, t int) (*Construction, error) {
 }
 
 // Lemma35FloodMin realizes Lemma 3.5's run against FloodMin: with all-
-// distinct inputs every process decides the minimum input v1, and p1 (the
-// only process whose input is v1) crashes right after its last send. Every
-// correct decision then equals the input of a faulty process only: an SV1
-// violation.
+// distinct inputs every process hears p1 (the only process whose input is
+// the minimum v1) first and decides v1, and p1 crashes right after its last
+// send. Every correct decision then equals the input of a faulty process
+// only: an SV1 violation. It needs n-t >= 2: at t = n-1 every process
+// decides its own input in its Start, before it hears anyone.
 func Lemma35FloodMin(n, k, t int) (*Construction, error) {
-	if k < 2 || k >= n || t < 1 {
-		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= 1, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
+	if k < 2 || k >= n || t < 1 || t > n-2 {
+		return nil, fmt.Errorf("%w: need 2 <= k < n and 1 <= t <= n-2, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
 	inputs := make([]types.Value, n)
 	for i := range inputs {
@@ -274,9 +275,24 @@ func Lemma35FloodMin(n, k, t int) (*Construction, error) {
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
 			// p1 crashes after its broadcast completes (n transmissions).
-			Crash: &mpnet.ScriptedCrashes{AtEvent: map[types.ProcessID]int{0: 1}},
+			Crash:     &mpnet.ScriptedCrashes{AtEvent: map[types.ProcessID]int{0: 1}},
+			Scheduler: keySenderFirst(n, 0),
 		},
 	}, nil
+}
+
+// keySenderFirst delivers the key sender's messages first, at every
+// process: each process is a group of its own and the key's messages are
+// always eligible, so any other message waits until its recipient has
+// decided or nothing else is in flight. Every process that decides after
+// hearing from n-t >= 2 senders has then heard the key.
+func keySenderFirst(n int, key types.ProcessID) *mpnet.GroupGate {
+	g := &mpnet.GroupGate{Group: make([]int, n), FromAlways: make([]bool, n)}
+	for i := range g.Group {
+		g.Group[i] = i
+	}
+	g.FromAlways[key] = true
+	return g
 }
 
 // Lemma36ProtocolB realizes the run shape of Lemma 3.6 against Protocol B in
@@ -455,13 +471,15 @@ func Lemma39ProtocolA(n, k, t int) (*Construction, error) {
 }
 
 // Lemma310FloodMin realizes Lemma 3.10's run: a single Byzantine process
-// claims an input (0) smaller than every real input (1..n), so every correct
-// FloodMin process decides 0 — a value that is nobody's input. RV1 is
-// violated with one fault, at every point, matching the lemma's "no protocol
-// for SC(k, t, RV1)" in MP/Byz.
+// claims an input (0) smaller than every real input (1..n), and every
+// correct FloodMin process hears it first and decides 0 — a value that is
+// nobody's input. RV1 is violated with one fault, at every point with
+// n-t >= 2, matching the lemma's "no protocol for SC(k, t, RV1)" in MP/Byz;
+// at t = n-1 every process decides its own input in its Start, before it
+// hears anyone.
 func Lemma310FloodMin(n, k, t int) (*Construction, error) {
-	if k < 2 || k >= n || t < 1 {
-		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= 1, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
+	if k < 2 || k >= n || t < 1 || t > n-2 {
+		return nil, fmt.Errorf("%w: need 2 <= k < n and 1 <= t <= n-2, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
 	inputs := make([]types.Value, n)
 	for i := range inputs {
@@ -479,6 +497,7 @@ func Lemma310FloodMin(n, k, t int) (*Construction, error) {
 			Byzantine: map[types.ProcessID]mpnet.Protocol{
 				types.ProcessID(n - 1): NewPersonaInput(nil, 0),
 			},
+			Scheduler: keySenderFirst(n, types.ProcessID(n-1)),
 		},
 	}, nil
 }

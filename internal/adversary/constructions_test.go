@@ -6,11 +6,21 @@ import (
 	"testing"
 
 	"kset/internal/checker"
+	"kset/internal/types"
 )
 
 // wantViolation runs a construction once and requires it to break the
 // condition it names, in a run that delivered something.
 func wantViolation(t *testing.T, c *Construction, seed uint64) {
+	t.Helper()
+	if rec := wantNamedViolation(t, c, seed); rec != nil && rec.Events == 0 {
+		t.Errorf("%s: the violating run has no events", c.Name)
+	}
+}
+
+// wantNamedViolation runs a construction once and requires it to break the
+// condition it names; it returns the run's record.
+func wantNamedViolation(t *testing.T, c *Construction, seed uint64) *types.RunRecord {
 	t.Helper()
 	if c.Name == "" || c.Lemma == "" || c.Expect == "" {
 		t.Fatalf("construction metadata incomplete: %+v", c)
@@ -21,14 +31,12 @@ func wantViolation(t *testing.T, c *Construction, seed uint64) {
 	}
 	var v *checker.Violation
 	if err := checker.CheckAll(rec, c.Validity); !errors.As(err, &v) {
-		t.Fatalf("%s: want a %s violation, got %v", c.Name, c.Expect, err)
+		t.Fatalf("%s: want a %s violation, got %v (%v)", c.Name, c.Expect, err, rec)
 	}
 	if v.Condition != c.Expect {
-		t.Errorf("%s: violated %s, want %s", c.Name, v.Condition, c.Expect)
+		t.Errorf("%s: violated %s, want %s (%v)", c.Name, v.Condition, c.Expect, rec)
 	}
-	if rec.Events == 0 {
-		t.Errorf("%s: the violating run has no events", c.Name)
-	}
+	return rec
 }
 
 // point is one construction table row: a registry name at (n, k, t), under
@@ -115,5 +123,36 @@ func TestConstructionsAreDeterministicAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		wantViolation(t, cons, seed)
 		wantViolation(t, bnd, seed)
+	}
+}
+
+// TestEveryAcceptedPointViolates runs every registry builder at every point
+// it accepts with 3 <= n <= 12, 1 <= k < n and 0 <= t < n, on seed 1, and
+// requires the condition it names there: a builder may accept a point only
+// where its run shows that condition. (At n - t = 1 a run may decide without
+// a delivery: every process decides at its Start.)
+func TestEveryAcceptedPointViolates(t *testing.T) {
+	for _, e := range Registry {
+		accepted := 0
+		for n := 3; n <= 12; n++ {
+			for k := 1; k < n; k++ {
+				for tt := 0; tt < n; tt++ {
+					cons, err := e.Build(n, k, tt)
+					if err != nil {
+						if !errors.Is(err, ErrOutOfRange) {
+							t.Fatalf("%s n=%d k=%d t=%d: %v", e.Name, n, k, tt, err)
+						}
+						continue
+					}
+					accepted++
+					t.Run(fmt.Sprintf("%s/n=%d,k=%d,t=%d", e.Name, n, k, tt), func(t *testing.T) {
+						wantNamedViolation(t, cons, 1)
+					})
+				}
+			}
+		}
+		if accepted == 0 {
+			t.Errorf("%s accepts no point with n <= 12", e.Name)
+		}
 	}
 }

@@ -82,12 +82,13 @@ func witnessCells(t *testing.T, ns []int) []arenaCell {
 }
 
 // TestArenaReuseMatchesFresh runs one Arena through a sequence of cells —
-// every message-passing witness in both failure models with n changing, a
-// shared-memory cell, a sweep whose witness instances come from the arena
-// and break agreement, and a sweep whose runs end in a protocol error — and
-// requires of every cell the summary a fresh Arena computes: the witness
-// instances, simulator tables, partition gate and buffers a cell leaves
-// behind may not show in the next.
+// every message-passing witness in both failure models with n changing,
+// shared-memory cells (SIMULATION(FloodMin) at n = 8, 12 and 8 again, then
+// Protocol E, each on the arena's instances), a sweep whose witness
+// instances come from the arena and break agreement, and a sweep whose runs
+// end in a protocol error — and requires of every cell the summary a fresh
+// Arena computes: the witness instances, simulator tables and records,
+// adversaries and buffers a cell leaves behind may not show in the next.
 func TestArenaReuseMatchesFresh(t *testing.T) {
 	cells := witnessCells(t, []int{6, 9, 7, 10, 8, 11, 12, 6, 10, 7, 9, 8, 12, 11})
 	violating := arenaCell{m: types.MPCR, n: 7, sweep: func(a *Arena) *MPSweep {
@@ -98,16 +99,29 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		return &MPSweep{Name: "trivial k=2", N: 7, K: 2, T: 2, Validity: types.RV1,
-			NewProtocol: a.witnessFactory(spec, build), Runs: 6, Patterns: []InputPattern{Distinct}}
+			NewProtocol: witnessFactory(a, spec, build), Runs: 6, Patterns: []InputPattern{Distinct}}
 	}}
 	failing := arenaCell{m: types.MPByz, n: 9, sweep: func(*Arena) *MPSweep {
 		return &MPSweep{Name: "double decide", N: 9, K: 3, T: 2, Validity: types.RV1, Byzantine: true,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return doubleDecider{} }, Runs: 6}
 	}}
+	// Shared-memory witnesses on the arena's instances: SIMULATION(FloodMin)
+	// restarted at another n and back, then Protocol E.
+	simAt := func(n int) arenaCell { return arenaCell{m: types.SMCR, v: types.RV1, n: n, k: 3, t: 2} }
+	protocolE := arenaCell{m: types.SMCR, v: types.RV2, n: 10, k: 2, t: 6}
+	for _, w := range []struct {
+		c    arenaCell
+		want string
+	}{{simAt(8), "FloodMin via SIMULATION"}, {simAt(12), "FloodMin via SIMULATION"}, {protocolE, "Protocol E"}} {
+		if r := theory.Classify(w.c.m, w.c.v, w.c.n, w.c.k, w.c.t); r.Protocol != w.want {
+			t.Fatalf("%v is witnessed by %s, want %s", w.c, r.Protocol, w.want)
+		}
+	}
 	seq := append([]arenaCell{}, cells[:len(cells)/2]...)
 	seq = append(seq, violating, arenaCell{m: types.SMByz, v: types.SV2, n: 8, k: 4, t: 1}, failing)
+	seq = append(seq, simAt(8), simAt(12), simAt(8), protocolE)
 	seq = append(seq, cells[len(cells)/2:]...)
-	seq = append(seq, violating, cells[0], failing, cells[len(cells)-1])
+	seq = append(seq, violating, cells[0], simAt(12), failing, protocolE, cells[len(cells)-1])
 
 	a := new(Arena)
 	violations, runErrors := 0, 0
@@ -147,9 +161,9 @@ func (doubleDecider) Deliver(api mpnet.API, _ types.ProcessID, p types.Payload) 
 
 // TestWarmArenaAllocs bounds the allocations of a cell on a warm arena:
 // Protocol C(1) in MP/Byz, the costliest witness of the message-passing
-// sweeps. With the witness instances, simulator tables, partition gate and
-// buffers kept, and the checker scanning records in place, what is left is
-// per run — the record, the Byzantine strategies and the crash scripts — and
+// sweeps. With the witness instances, simulator tables and records,
+// adversaries and buffers kept, and the checker scanning records in place,
+// what is left is per run — the Byzantine strategies the plan builds — and
 // per cell (the sweep and the summary).
 func TestWarmArenaAllocs(t *testing.T) {
 	if testing.Short() {
@@ -169,12 +183,58 @@ func TestWarmArenaAllocs(t *testing.T) {
 	}
 	cell()
 	got := testing.AllocsPerRun(20, cell)
-	// About 136: 12 runs at 11 allocations each, plus the cell's own. A
-	// fresh arena makes about 930; a warm cell made about 160 while the
-	// checker built its input sets per run and the cell was classified
-	// twice, and about 2,770 when every run built its protocol state,
-	// generators and partition gate anew.
-	if limit := 160.0; got > limit {
+	// About 44: the Byzantine strategies of 12 runs, about 3 a run, plus
+	// the cell's own. A fresh arena makes about 930; a warm cell made about
+	// 136 while every run allocated its record and its crash script, about
+	// 160 while the checker built its input sets per run and the cell was
+	// classified twice, and about 2,770 when every run built its protocol
+	// state, generators and partition gate anew.
+	if limit := 50.0; got > limit {
 		t.Errorf("a cell on a warm arena makes %.0f allocations, above %.0f", got, limit)
+	}
+}
+
+// TestWarmCellAllocsConstant: on a warm arena a crash-model cell allocates
+// only per cell — the sweep, its factory and the summary — so a 24-run cell
+// makes as many allocations as a 12-run one, for the shared-memory witnesses
+// (SIMULATION(FloodMin) and Protocol E, on the arena's instances) as for the
+// message-passing one (FloodMin). Each used to allocate per run: about 160,
+// 80 and 10 allocations at n = 16.
+func TestWarmCellAllocsConstant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are checked in the full run")
+	}
+	for _, c := range []struct {
+		m       types.Model
+		v       types.Validity
+		k, t    int
+		witness string
+	}{
+		{types.SMCR, types.RV1, 15, 14, "FloodMin via SIMULATION"},
+		{types.SMCR, types.RV2, 2, 15, "Protocol E"},
+		{types.MPCR, types.RV1, 15, 14, "FloodMin"},
+	} {
+		const n = 16
+		r := theory.Classify(c.m, c.v, n, c.k, c.t)
+		if r.Protocol != c.witness {
+			t.Fatalf("%v/%v n=%d k=%d t=%d is witnessed by %q, want %q", c.m, c.v, n, c.k, c.t, r.Protocol, c.witness)
+		}
+		a := new(Arena)
+		cell := func(runs int) func() {
+			return func() {
+				sum, err := a.ValidateCell(c.m, c.v, n, c.k, c.t, r, CellOpts{Runs: runs, Seed: 3})
+				if err != nil || !sum.OK() {
+					t.Fatalf("%s cell failed: %v %v", c.witness, err, sum)
+				}
+			}
+		}
+		cell(24)()
+		short, long := testing.AllocsPerRun(10, cell(12)), testing.AllocsPerRun(10, cell(24))
+		t.Logf("%s: %.0f allocations in a 12-run cell, %.0f in a 24-run cell", c.witness, short, long)
+		// Under -race a count moves by a few either way (see raceEnabled),
+		// while a run that allocates adds at least 12.
+		if d := long - short; d != 0 && !(raceEnabled && d > -6 && d < 6) {
+			t.Errorf("%s: a warm 12-run cell makes %.0f allocations and a 24-run cell %.0f: a run allocates", c.witness, short, long)
+		}
 	}
 }

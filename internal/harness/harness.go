@@ -49,65 +49,91 @@ func (e Executor) Run(jobs int, run func(job int)) {
 }
 
 // Arena is the working set of a sweep's runs, kept from one run to the next
-// and from one cell to the next: the run's generator, the seed and result
-// slots, the planning buffers, the partition scheduler, the simulators'
-// arenas (mpnet's and smmem's Runner) and the message-passing witness's
-// protocol instances. A cell grows nothing an earlier cell on the same
-// Arena already grew. A summary computed on a used Arena is the one a fresh
-// Arena computes, and it shares no memory with the Arena.
+// and from one cell to the next: the run's generator, the seeds, the
+// planning buffers, the adversaries a plan draws (the partition gate, Hold,
+// Starve and round-robin policies, both simulators' crash scripts and random
+// crashes and Byzantine tables), the simulators' arenas (mpnet's and
+// smmem's Runner, each with its run record) and the witness's protocol
+// instances. A cell grows nothing an earlier cell on the same Arena already
+// grew, so its allocations do not grow with its runs. A summary computed on
+// a used Arena is the one a fresh Arena computes, and it shares no memory
+// with the Arena.
 //
 // The zero value is ready to use. An Arena is not safe for concurrent use:
 // a sweep's runs run one after another on it, and callers that fan cells out
 // keep one per worker (internal/grid keeps a free list of them).
 type Arena struct {
-	rng     prng.Source // the run's stream, reseeded per run
-	seeds   []uint64
-	results []runResult
+	rng   prng.Source // the run's stream, reseeded per run
+	seeds []uint64
 
 	faulty []bool
 	perm   []int
 	inputs []types.Value
+	// faultyIDs lists a shared-memory scenario's faulty set.
+	faultyIDs []types.ProcessID
 	// byz collects the serializable Byzantine specs of the last planned
 	// scenario, so Capture can store them in a trace artifact without the
 	// hot path paying for a fresh slice per run.
 	byz []trace.ByzSpec
-	// gate is the partition scheduler, re-partitioned for every run that
-	// draws one.
-	gate mpnet.GroupGate
+
+	// The adversaries of the last planned scenario, rewritten by every plan
+	// that draws one: the partition gate, the shared-memory delaying and
+	// round-robin policies, the crash scripts and random crashes of both
+	// simulators, and the tables of Byzantine strategies.
+	gate       mpnet.GroupGate
+	hold       smmem.Hold
+	starve     smmem.Starve
+	roundRobin smmem.RoundRobin
+	mpScript   mpnet.ScriptedCrashes
+	mpRandom   mpnet.RandomCrashes
+	smScript   smmem.ScriptedCrashes
+	smRandom   smmem.RandomCrashes
+	mpByz      map[types.ProcessID]mpnet.Protocol
+	smByz      map[types.ProcessID]smmem.Protocol
 
 	// mp and sm are the simulator arenas — mp's process table, in-flight
-	// pool and index, sm's process table and register store.
+	// pool and index, sm's process table and register store, and each one's
+	// run record.
 	mp mpnet.Runner
 	sm smmem.Runner
 
-	// witness holds the instances of spec's message-passing witness, one per
-	// process id, built by build when an id first asks and restarted by
-	// every run after (see internal/protocols/mp).
+	// witness holds the instances of spec's witness, one per process id, of
+	// either simulator: built when an id first asks and restarted by every
+	// run after (see internal/protocols/mp and internal/protocols/sm).
 	spec    trace.ProtocolSpec
-	witness []mpnet.Protocol
-	build   func(types.ProcessID) mpnet.Protocol
+	witness []any
 }
 
-// witnessFactory returns the factory of spec's witness that hands out the
-// arena's instances; build makes an instance the first time an id asks. A
-// spec other than the last one drops the last one's instances.
-func (a *Arena) witnessFactory(spec trace.ProtocolSpec, build func(types.ProcessID) mpnet.Protocol) func(types.ProcessID) mpnet.Protocol {
+// witnessFactory returns the factory of spec's witness that hands out a's
+// instances; build makes an instance the first time an id asks. One table
+// serves both simulators, keyed by spec, which tells a message-passing
+// witness from the shared-memory one a SIMULATION wraps it in: a spec other
+// than the last one drops the last one's instances.
+func witnessFactory[P any](a *Arena, spec trace.ProtocolSpec, build func(types.ProcessID) P) func(types.ProcessID) P {
 	if spec != a.spec {
 		clear(a.witness)
 		a.spec = spec
 	}
-	a.build = build
-	return a.witnessFor
+	return func(id types.ProcessID) P {
+		for int(id) >= len(a.witness) {
+			a.witness = append(a.witness, nil)
+		}
+		w, ok := a.witness[id].(P)
+		if !ok {
+			w = build(id)
+			a.witness[id] = w
+		}
+		return w
+	}
 }
 
-func (a *Arena) witnessFor(id types.ProcessID) mpnet.Protocol {
-	for int(id) >= len(a.witness) {
-		a.witness = append(a.witness, nil)
+// cleared returns m empty, made when it is nil.
+func cleared[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
 	}
-	if a.witness[id] == nil {
-		a.witness[id] = a.build(id)
-	}
-	return a.witness[id]
+	clear(m)
+	return m
 }
 
 // planFaults makes the opening draws of every scenario, in the order the
@@ -151,31 +177,16 @@ func (s scenario) String() string {
 	return fmt.Sprintf("pattern=%s sched=%s adv=%s f=%d seed=%d", s.pattern, s.sched, s.adv, s.f, s.seed)
 }
 
-// runResult is one run's outcome, held in a run-indexed slot until the
-// canonical-order merge.
-type runResult struct {
-	scenario  scenario
-	rec       *types.RunRecord
-	runErr    error
-	violation error
-}
-
-// verdict is a run's result slot: its error, or its record and the checker's
-// verdict on it.
-func verdict(scenario scenario, rec *types.RunRecord, err error, v types.Validity) runResult {
-	if err != nil {
-		return runResult{scenario: scenario, runErr: err}
-	}
-	return runResult{scenario: scenario, rec: rec, violation: checker.CheckAll(rec, v)}
-}
-
 // execute is the engine behind MPSweep.Execute and SMSweep.Execute; runOne
-// plans, executes and checks the run of one seed. Every run's seed is drawn
-// in canonical order up front, so each run depends only on its own seed; the
-// runs run one after another on a, and results merge in run order.
-// (Shared-memory records carry Messages = 0, so one merge serves both.)
-func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, a *Arena,
-	runOne func(seed uint64, patterns []InputPattern, a *Arena) runResult) *Summary {
+// plans and executes the run of one seed on a and returns its scenario and
+// its record, which is a's until the next run. Every run's seed is drawn in
+// canonical order up front, so each run depends only on its own seed; the
+// runs run one after another on a, and each is checked against v and
+// observed as it ends, in run order. Only a record an outcome keeps is
+// copied out of a. (Shared-memory records carry Messages = 0, so one merge
+// serves both.)
+func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, v types.Validity, a *Arena,
+	runOne func(seed uint64, patterns []InputPattern, a *Arena) (scenario, *types.RunRecord, error)) *Summary {
 	if runs == 0 {
 		runs = 32
 	}
@@ -185,25 +196,21 @@ func execute(name string, runs int, baseSeed uint64, patterns []InputPattern, a 
 	for i := 0; i < runs; i++ {
 		seeds = append(seeds, a.rng.Uint64())
 	}
-	results := zeroed(a.results, runs)
-	a.seeds, a.results = seeds, results
-	for i, seed := range seeds {
-		results[i] = runOne(seed, patterns, a)
-	}
+	a.seeds = seeds
 	sum := &Summary{Name: name, Runs: runs}
-	for i, r := range results {
-		if r.runErr != nil {
-			sum.addRunError(RunOutcome{Seed: seeds[i], Scenario: r.scenario.String(), Err: r.runErr})
+	for _, seed := range seeds {
+		sc, rec, err := runOne(seed, patterns, a)
+		if err != nil {
+			sum.addRunError(seed, sc, err)
 			continue
 		}
-		sum.Events += int64(r.rec.Events)
-		sum.Messages += int64(r.rec.Messages)
-		sum.observe(r.rec)
-		if r.violation != nil {
-			sum.addViolation(RunOutcome{Seed: seeds[i], Scenario: r.scenario.String(), Err: r.violation, Record: r.rec})
+		sum.Events += int64(rec.Events)
+		sum.Messages += int64(rec.Messages)
+		sum.observe(rec)
+		if violation := checker.CheckAll(rec, v); violation != nil {
+			sum.addViolation(seed, sc, violation, rec)
 		}
 	}
-	clear(results) // the records are the summary's now, not the arena's
 	return sum
 }
 
@@ -425,14 +432,18 @@ func (s *Summary) String() string {
 
 const maxRecordedOutcomes = 16
 
-func (s *Summary) addViolation(o RunOutcome) {
+// addViolation records the violation of the run of seed while fewer than
+// maxRecordedOutcomes are recorded, with a copy of its record.
+func (s *Summary) addViolation(seed uint64, sc scenario, violation error, rec *types.RunRecord) {
 	if len(s.Violations) < maxRecordedOutcomes {
-		s.Violations = append(s.Violations, o)
+		s.Violations = append(s.Violations, RunOutcome{Seed: seed, Scenario: sc.String(), Err: violation, Record: rec.Clone()})
 	}
 }
 
-func (s *Summary) addRunError(o RunOutcome) {
+// addRunError records the error of the run of seed while fewer than
+// maxRecordedOutcomes are recorded.
+func (s *Summary) addRunError(seed uint64, sc scenario, err error) {
 	if len(s.RunErrors) < maxRecordedOutcomes {
-		s.RunErrors = append(s.RunErrors, o)
+		s.RunErrors = append(s.RunErrors, RunOutcome{Seed: seed, Scenario: sc.String(), Err: err})
 	}
 }

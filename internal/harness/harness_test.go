@@ -182,7 +182,7 @@ func TestSummaryString(t *testing.T) {
 	if got := s.String(); !strings.Contains(got, "all conditions held") {
 		t.Errorf("clean summary: %q", got)
 	}
-	s.addViolation(RunOutcome{Err: errFake("boom")})
+	s.addViolation(1, scenario{}, errFake("boom"), &types.RunRecord{})
 	if got := s.String(); !strings.Contains(got, "1 violations") || !strings.Contains(got, "boom") {
 		t.Errorf("dirty summary: %q", got)
 	}
@@ -194,8 +194,8 @@ func TestSummaryString(t *testing.T) {
 func TestSummaryCapsRecordedOutcomes(t *testing.T) {
 	s := &Summary{}
 	for i := 0; i < 100; i++ {
-		s.addViolation(RunOutcome{Err: errFake("v")})
-		s.addRunError(RunOutcome{Err: errFake("e")})
+		s.addViolation(uint64(i), scenario{}, errFake("v"), &types.RunRecord{})
+		s.addRunError(uint64(i), scenario{}, errFake("e"))
 	}
 	if len(s.Violations) != maxRecordedOutcomes || len(s.RunErrors) != maxRecordedOutcomes {
 		t.Errorf("outcome caps not applied: %d, %d", len(s.Violations), len(s.RunErrors))

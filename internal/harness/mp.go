@@ -48,15 +48,15 @@ func (s *MPSweep) Execute() *Summary { return s.run(new(Arena)) }
 
 // run runs the sweep on a.
 func (s *MPSweep) run(a *Arena) *Summary {
-	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, a, s.runOne)
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Validity, a, s.runOne)
 }
 
-// runOne plans, executes and checks a single run on a's simulator arena.
-func (s *MPSweep) runOne(seed uint64, patterns []InputPattern, a *Arena) runResult {
+// runOne plans and executes a single run on a's simulator arena.
+func (s *MPSweep) runOne(seed uint64, patterns []InputPattern, a *Arena) (scenario, *types.RunRecord, error) {
 	a.rng.Reset(seed)
 	cfg, sc := s.plan(&a.rng, patterns, seed, a)
 	rec, err := a.mp.Run(cfg)
-	return verdict(sc, rec, err, s.Validity)
+	return sc, rec, err
 }
 
 // plan derives one scenario from the run's random stream.
@@ -92,7 +92,8 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	advName := "none"
 	a.byz = a.byz[:0]
 	if s.Byzantine {
-		cfg.Byzantine = make(map[types.ProcessID]mpnet.Protocol, f)
+		a.mpByz = cleared(a.mpByz)
+		cfg.Byzantine = a.mpByz
 		for i := 0; i < n; i++ {
 			if !faulty[i] {
 				continue
@@ -113,10 +114,8 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	} else if f > 0 {
 		switch rng.Intn(2) {
 		case 0:
-			crash := &mpnet.ScriptedCrashes{
-				AtEvent: make(map[types.ProcessID]int),
-				AtSend:  make(map[types.ProcessID]int),
-			}
+			crash := &a.mpScript
+			crash.AtEvent, crash.AtSend = cleared(crash.AtEvent), cleared(crash.AtSend)
 			for i := 0; i < n; i++ {
 				if !faulty[i] {
 					continue
@@ -131,7 +130,8 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 			cfg.Crash = crash
 			advName = "scripted-crash"
 		default:
-			cfg.Crash = mpnet.NewRandomCrashes(2.0/float64(n), rng.Uint64())
+			a.mpRandom = mpnet.RandomCrashes{Rate: 2.0 / float64(n), Seed: rng.Uint64()}
+			cfg.Crash = &a.mpRandom
 			advName = "random-crash"
 		}
 	}

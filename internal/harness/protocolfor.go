@@ -78,8 +78,8 @@ func ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Su
 
 // ValidateCell is the package-level ValidateCell on a, for a cell the caller
 // has already classified as r: the runs run one after another on a's working
-// set, and a message-passing witness runs on a's instances, restarted run
-// after run. The summary is the one a fresh Arena gives.
+// set, and the witness runs on a's instances, restarted run after run. The
+// summary is the one a fresh Arena gives.
 func (a *Arena) ValidateCell(m types.Model, v types.Validity, n, k, t int, r theory.Result, o CellOpts) (*Summary, error) {
 	s, err := newCellSweep(m, v, n, k, t, r, o, a)
 	if err != nil {
@@ -107,9 +107,9 @@ type cellSweep interface {
 	Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error)
 }
 
-// newCellSweep builds the sweep of a cell classified as r. A
-// message-passing sweep takes its witness instances from a: the sweep's runs
-// are the only users of a's instances.
+// newCellSweep builds the sweep of a cell classified as r. The sweep takes
+// its witness instances from a: the sweep's runs are the only users of a's
+// instances.
 func newCellSweep(m types.Model, v types.Validity, n, k, t int, r theory.Result, o CellOpts, a *Arena) (cellSweep, error) {
 	if r.Status != theory.Solvable {
 		return nil, fmt.Errorf("%w: cell %v/%v n=%d k=%d t=%d is %v", ErrNoWitness, m, v, n, k, t, r.Status)
@@ -125,7 +125,7 @@ func newCellSweep(m types.Model, v types.Validity, n, k, t int, r theory.Result,
 		spec := trace.SpecFor(r)
 		return &MPSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
-			NewProtocol: a.witnessFactory(spec, factory), Byzantine: byz, Spec: spec,
+			NewProtocol: witnessFactory(a, spec, factory), Byzantine: byz, Spec: spec,
 			Runs: o.Runs, BaseSeed: o.Seed, FaultCap: o.FaultCap,
 		}, nil
 	case types.SharedMemory:
@@ -133,9 +133,10 @@ func newCellSweep(m types.Model, v types.Validity, n, k, t int, r theory.Result,
 		if err != nil {
 			return nil, err
 		}
+		spec := trace.SpecFor(r)
 		return &SMSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
-			NewProtocol: factory, Byzantine: byz, Spec: trace.SpecFor(r),
+			NewProtocol: witnessFactory(a, spec, factory), Byzantine: byz, Spec: spec,
 			Runs: o.Runs, BaseSeed: o.Seed, FaultCap: o.FaultCap,
 		}, nil
 	default:

@@ -43,25 +43,26 @@ func (s *SMSweep) Execute() *Summary { return s.run(new(Arena)) }
 
 // run runs the sweep on a.
 func (s *SMSweep) run(a *Arena) *Summary {
-	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, a, s.runOne)
+	return execute(s.Name, s.Runs, s.BaseSeed, s.Patterns, s.Validity, a, s.runOne)
 }
 
-// runOne plans, executes and checks a single run on a's simulator arena.
-func (s *SMSweep) runOne(seed uint64, patterns []InputPattern, a *Arena) runResult {
+// runOne plans and executes a single run on a's simulator arena.
+func (s *SMSweep) runOne(seed uint64, patterns []InputPattern, a *Arena) (scenario, *types.RunRecord, error) {
 	a.rng.Reset(seed)
 	cfg, sc := s.plan(&a.rng, patterns, seed, a)
 	rec, err := a.sm.Run(cfg)
-	return verdict(sc, rec, err, s.Validity)
+	return sc, rec, err
 }
 
 // plan derives one scenario from the run's random stream.
 func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a *Arena) (smmem.Config, scenario) {
 	n, t := s.N, s.T
 	f, _, pattern := a.planFaults(rng, n, t, s.FaultCap, patterns)
-	faultyIDs := make([]types.ProcessID, 0, f)
+	faultyIDs := a.faultyIDs[:0]
 	for _, idx := range a.perm[:f] {
 		faultyIDs = append(faultyIDs, types.ProcessID(idx))
 	}
+	a.faultyIDs = faultyIDs
 	cfg := smmem.Config{
 		N: n, T: t, K: s.K,
 		Inputs:      a.inputs,
@@ -72,15 +73,15 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	// Subsets used by Hold/Starve must stay within the fault budget so
 	// spinning protocols (F, SIMULATION pollers) are never wedged by a
 	// legal schedule: at most t processes may be delayed arbitrarily long
-	// without blocking the rest.
-	delaySet := func() []types.ProcessID {
+	// without blocking the rest. delaySet marks one in a zeroed marks.
+	delaySet := func(marks []bool) []bool {
+		marks = zeroed(marks, n)
 		size := rng.Intn(t + 1)
-		ids := make([]types.ProcessID, 0, size)
 		a.perm = rng.PermInto(a.perm, n)
 		for _, idx := range a.perm[:size] {
-			ids = append(ids, types.ProcessID(idx))
+			marks[idx] = true
 		}
-		return ids
+		return marks
 	}
 
 	// Delaying schedules must eventually release (the model allows only
@@ -90,26 +91,23 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	schedName := "fair"
 	switch rng.Intn(5) {
 	case 0:
-		cfg.Scheduler = &smmem.RoundRobin{}
+		a.roundRobin = smmem.RoundRobin{}
+		cfg.Scheduler = &a.roundRobin
 		schedName = "round-robin"
 	case 1:
-		held := delaySet()
-		var watch []types.ProcessID
-		heldSet := make(map[types.ProcessID]bool, len(held))
-		for _, p := range held {
-			heldSet[p] = true
+		// The held processes wait for every other process to decide.
+		hold := &a.hold
+		hold.Held = delaySet(hold.Held)
+		hold.Watch = zeroed(hold.Watch, n)
+		for i, held := range hold.Held {
+			hold.Watch[i] = !held
 		}
-		for i := 0; i < n; i++ {
-			if !heldSet[types.ProcessID(i)] {
-				watch = append(watch, types.ProcessID(i))
-			}
-		}
-		hold := smmem.NewHold(n, held, watch)
 		hold.ReleaseAtOps = release
 		cfg.Scheduler = hold
 		schedName = "hold"
 	case 2:
-		starve := smmem.NewStarve(n, delaySet()...)
+		starve := &a.starve
+		starve.Starved = delaySet(starve.Starved)
 		starve.ReleaseAtOps = release
 		cfg.Scheduler = starve
 		schedName = "starve"
@@ -120,7 +118,8 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	advName := "none"
 	a.byz = a.byz[:0]
 	if s.Byzantine {
-		cfg.Byzantine = make(map[types.ProcessID]smmem.Protocol, f)
+		a.smByz = cleared(a.smByz)
+		cfg.Byzantine = a.smByz
 		for _, id := range faultyIDs {
 			spec := randomSMByzSpec(id, n, rng)
 			strat, err := spec.SMProtocol()
@@ -138,14 +137,16 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	} else if f > 0 {
 		switch rng.Intn(2) {
 		case 0:
-			crash := &smmem.ScriptedCrashes{AtOp: make(map[types.ProcessID]int)}
+			crash := &a.smScript
+			crash.AtOp = cleared(crash.AtOp)
 			for _, id := range faultyIDs {
 				crash.AtOp[id] = rng.Intn(4 * n)
 			}
 			cfg.Crash = crash
 			advName = "scripted-crash"
 		default:
-			cfg.Crash = smmem.NewRandomCrashes(2.0/float64(4*n), rng.Uint64())
+			a.smRandom = smmem.RandomCrashes{Rate: 2.0 / float64(4*n), Seed: rng.Uint64()}
+			cfg.Crash = &a.smRandom
 			advName = "random-crash"
 		}
 	}

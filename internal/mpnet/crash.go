@@ -9,9 +9,16 @@ import (
 // in the middle of broadcasts — up to the runtime's fault budget. Rate is
 // the per-opportunity crash probability; the runtime's budget enforcement
 // keeps the total at or below t regardless of Rate.
+//
+// RandomCrashes{Rate: r, Seed: s} is ready to use, and assigning it anew
+// makes a used adversary a fresh one: a sweep keeps one for run after run.
 type RandomCrashes struct {
 	Rate float64
-	rng  *prng.Source
+	// Seed seeds the adversary's stream, which its first call draws from.
+	Seed uint64
+
+	rng    prng.Source
+	seeded bool
 }
 
 var _ CrashAdversary = (*RandomCrashes)(nil)
@@ -19,17 +26,26 @@ var _ CrashAdversary = (*RandomCrashes)(nil)
 // NewRandomCrashes builds a seeded random crash adversary. A Rate around
 // 2/n gives runs with a healthy mix of fault counts.
 func NewRandomCrashes(rate float64, seed uint64) *RandomCrashes {
-	return &RandomCrashes{Rate: rate, rng: prng.New(seed)}
+	return &RandomCrashes{Rate: rate, Seed: seed}
+}
+
+// crash draws one crash opportunity.
+func (r *RandomCrashes) crash() bool {
+	if !r.seeded {
+		r.rng.Reset(r.Seed)
+		r.seeded = true
+	}
+	return r.rng.Float64() < r.Rate
 }
 
 // CrashBeforeDeliver implements CrashAdversary.
 func (r *RandomCrashes) CrashBeforeDeliver(_ *View, _ types.ProcessID, _ int) bool {
-	return r.rng.Float64() < r.Rate
+	return r.crash()
 }
 
 // CrashDuringSend implements CrashAdversary.
 func (r *RandomCrashes) CrashDuringSend(_ *View, _ types.ProcessID, _ types.ProcessID, _ int) bool {
-	return r.rng.Float64() < r.Rate
+	return r.crash()
 }
 
 // ScriptedCrashes crashes specific processes at specific points, for

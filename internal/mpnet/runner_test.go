@@ -187,39 +187,55 @@ func TestRunnerMatchesFreshRuns(t *testing.T) {
 	}
 }
 
-// TestRunnerRecordsOutliveTheArena pins that a RunRecord owns its memory:
-// later runs on the same Runner, larger and smaller, leave it as it was.
-func TestRunnerRecordsOutliveTheArena(t *testing.T) {
+// TestRunnerRecordValidUntilNextRun pins who owns a record. A Runner's is
+// the arena's: every Run returns the same one, overwritten, so a Clone taken
+// before later runs — larger and smaller — is left as it was and equals the
+// record a fresh Run makes. The package-level Run's record is the caller's:
+// later runs leave it as it was.
+func TestRunnerRecordValidUntilNextRun(t *testing.T) {
 	var r mpnet.Runner
-	run := func(n int, seed uint64) *types.RunRecord {
-		cfg := mpnet.Config{
+	cfg := func(n int, seed uint64) mpnet.Config {
+		return mpnet.Config{
 			N: n, T: (n - 1) / 3, K: 2, Inputs: distinctValues(n), Seed: seed,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolC(1) },
 			Crash:       mpnet.NewRandomCrashes(1.0/float64(n), seed),
 		}
-		rec, err := r.Run(cfg)
+	}
+	run := func(run func(mpnet.Config) (*types.RunRecord, error), n int, seed uint64) *types.RunRecord {
+		rec, err := run(cfg(n, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rec
 	}
-	first := run(10, 1)
-	before := fmt.Sprintf("%+v", first)
+	first := run(r.Run, 10, 1)
+	kept := first.Clone()
+	owned := run(mpnet.Run, 10, 1)
+	if !reflect.DeepEqual(kept, owned) {
+		t.Fatalf("a Runner's record differs from a fresh Run's\nrunner %+v\n fresh %+v", kept, owned)
+	}
+	before, ownedBefore := fmt.Sprintf("%+v", kept), fmt.Sprintf("%+v", owned)
 	for i, n := range []int{10, 16, 4, 10} {
-		run(n, uint64(i+2))
-		if after := fmt.Sprintf("%+v", first); after != before {
-			t.Fatalf("a later run (n=%d) changed an earlier record\nbefore %s\n after %s", n, before, after)
+		if rec := run(r.Run, n, uint64(i+2)); rec != first {
+			t.Fatalf("run %d (n=%d) returned another record than the Runner's", i+2, n)
+		}
+		run(mpnet.Run, n, uint64(i+2))
+		if after := fmt.Sprintf("%+v", kept); after != before {
+			t.Fatalf("a later run (n=%d) changed a cloned record\nbefore %s\n after %s", n, before, after)
+		}
+		if after := fmt.Sprintf("%+v", owned); after != ownedBefore {
+			t.Fatalf("a later run (n=%d) changed a record of the package-level Run\nbefore %s\n after %s", n, ownedBefore, after)
 		}
 	}
 }
 
 // TestWarmRunnerAllocations is the host-independent guard on the arena: once
-// a Runner has made a run of a configuration, another allocates only what a
-// run must own — the protocol instances and their state, which this test
-// builds anew for every run, and the record — a small constant per process,
-// where a fresh Runner also builds the process table, the view and the n*n
-// pool and grows every self queue. The processes' rng streams live in the
-// process table.
+// a Runner has made a run of a configuration, another allocates only the
+// protocol instances and their state, which this test builds anew for every
+// run — a small constant per process — where a fresh Runner also builds the
+// process table, the view, the n*n pool and the record and grows every self
+// queue. The processes' rng streams live in the process table, and the
+// record is the arena's.
 func TestWarmRunnerAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -227,8 +243,8 @@ func TestWarmRunnerAllocations(t *testing.T) {
 		mk         func() mpnet.Protocol
 		perProcess float64
 	}{
-		{"floodmin/n=16", 16, 7, 8, func() mpnet.Protocol { return mp.NewFloodMin() }, 6},
-		{"protocol-c/n=12", 12, 3, 4, func() mpnet.Protocol { return mp.NewProtocolC(1) }, 13},
+		{"floodmin/n=16", 16, 7, 8, func() mpnet.Protocol { return mp.NewFloodMin() }, 4},
+		{"protocol-c/n=12", 12, 3, 4, func() mpnet.Protocol { return mp.NewProtocolC(1) }, 11},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -247,9 +263,8 @@ func TestWarmRunnerAllocations(t *testing.T) {
 			fresh := testing.AllocsPerRun(20, func() { run(new(mpnet.Runner)) })
 			t.Logf("%s: %.0f allocations per run on a warmed runner (%.1f per process), %.0f on a fresh one",
 				c.name, warm, warm/float64(c.n), fresh)
-			const perRun = 10 // the record and its five slices
-			if limit := c.perProcess*float64(c.n) + perRun; warm > limit {
-				t.Errorf("%.0f allocations per warm run, want <= %.0f (%v per process + %d)", warm, limit, c.perProcess, perRun)
+			if limit := c.perProcess * float64(c.n); warm > limit {
+				t.Errorf("%.0f allocations per warm run, want <= %.0f (%v per process)", warm, limit, c.perProcess)
 			}
 			if warm >= fresh {
 				t.Errorf("a warmed runner allocates %.0f per run, a fresh one %.0f", warm, fresh)

@@ -113,6 +113,9 @@ type runtime struct {
 	// addressed to a dead process; compact() scans only then.
 	compactNeeded   bool
 	budgetExhausted bool
+
+	// rec is the record of the last run, refilled by every run.
+	rec types.RunRecord
 }
 
 // api adapts a process to the API interface.
@@ -165,22 +168,31 @@ func (a *api) Decide(v types.Value) {
 }
 
 // Run executes one simulated run to quiescence, event-budget exhaustion, or
-// all-correct-decided, and returns the run record. The returned error
-// reports configuration or protocol bugs, never consensus-condition
-// violations.
+// all-correct-decided, and returns the run record, which is the caller's.
+// The returned error reports configuration or protocol bugs, never
+// consensus-condition violations.
 func Run(cfg Config) (*types.RunRecord, error) {
-	return new(Runner).Run(cfg)
+	rec, err := new(Runner).Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The record's header moves out of the Runner, which then is garbage:
+	// a record kept does not keep the run's processes and pool.
+	owned := *rec
+	return &owned, nil
 }
 
 // Runner executes runs one after another on one arena: the process table
 // with every process's generator, the view's slices, the in-flight pool with
-// its index and marks, and every process's self-delivery queue keep their
-// arrays from one Run to the next, so a sweep's later runs grow nothing the
-// earlier ones already grew. The View is the same value in every run; its
-// Changes count goes on growing across them. A run
-// on a used Runner is the run a fresh one would make — same schedule, same
-// record, same Recorder and Trace streams — whatever ran before it and
-// however that ended; a returned RunRecord shares no memory with the arena.
+// its index and marks, every process's self-delivery queue and the run
+// record keep their arrays from one Run to the next, so a sweep's later runs
+// grow nothing the earlier ones already grew. The View is the same value in
+// every run; its Changes count goes on growing across them. A run on a used
+// Runner is the run a fresh one would make — same schedule, same record,
+// same Recorder and Trace streams — whatever ran before it and however that
+// ended. The RunRecord a Run returns is the arena's: it is valid until the
+// next Run, which overwrites it, and a caller that keeps it longer keeps a
+// Clone.
 //
 // The zero value is ready to use. A Runner is not safe for concurrent use
 // and must not be copied after its first Run; it keeps the last Config (and
@@ -241,6 +253,7 @@ func (rt *runtime) reset(cfg Config) {
 		budget: cfg.MaxEvents,
 		sched:  cfg.Scheduler,
 		pool:   rt.pool,
+		rec:    rt.rec,
 		view: View{
 			N: n, T: cfg.T, K: cfg.K,
 			Decided: cleared(rt.view.Decided, n),
@@ -485,28 +498,19 @@ func (rt *runtime) compact() {
 	rt.pool.discardTo(rt.view.Crashed)
 }
 
+// record fills the arena's record in with the run that just ended.
 func (rt *runtime) record() *types.RunRecord {
-	rec := &types.RunRecord{
-		N: rt.n, T: rt.t, K: rt.k,
-		Model:           types.Model{Comm: types.MessagePassing, Failure: rt.failureMode()},
-		Inputs:          append([]types.Value(nil), rt.cfg.Inputs...),
-		Faulty:          append([]bool(nil), rt.view.Faulty...),
-		Decided:         make([]bool, rt.n),
-		Decisions:       make([]types.Value, rt.n),
-		Events:          rt.view.Events,
-		Messages:        rt.view.Messages,
-		Seed:            rt.cfg.Seed,
-		BudgetExhausted: rt.budgetExhausted,
-	}
-	rec.DecidedAtEvent = make([]int, rt.n)
+	rec := &rt.rec
+	rec.Reset(rt.cfg.Inputs, rt.view.Faulty)
+	rec.T, rec.K = rt.t, rt.k
+	rec.Model = types.Model{Comm: types.MessagePassing, Failure: rt.failureMode()}
+	rec.Events, rec.Messages = rt.view.Events, rt.view.Messages
+	rec.Seed, rec.BudgetExhausted = rt.cfg.Seed, rt.budgetExhausted
 	for i := range rt.procs {
 		p := &rt.procs[i]
-		rec.Decided[i] = p.decided
-		rec.Decisions[i] = p.decision
+		rec.Decided[i], rec.Decisions[i], rec.DecidedAtEvent[i] = p.decided, p.decision, -1
 		if p.decided {
 			rec.DecidedAtEvent[i] = p.decidedAt
-		} else {
-			rec.DecidedAtEvent[i] = -1
 		}
 	}
 	return rec

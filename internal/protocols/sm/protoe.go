@@ -24,10 +24,17 @@ import (
 // The scan is one API.Scan of every process's register in id order: n
 // granted reads, whose visitor keeps the count, the first value and whether
 // every value read equals it, and whose then decides.
+//
+// Start begins a fresh run: an instance that ran before restarts in place,
+// keeping its scan and its then, bound at the first Start.
 type ProtocolE struct {
 	// Default is the default decision value v0; zero value means
 	// types.DefaultValue.
 	Default types.Value
+
+	api  smmem.API
+	scan inputScan
+	then func()
 }
 
 var _ smmem.Protocol = (*ProtocolE)(nil)
@@ -38,12 +45,19 @@ func NewProtocolE() *ProtocolE { return &ProtocolE{Default: types.DefaultValue} 
 // Start implements smmem.Protocol.
 func (e *ProtocolE) Start(api smmem.API) {
 	api.WriteValue(InputRegister, 0, api.Input())
-	scan := newInputScan(api)
-	scan.run(api, func() {
-		decision := e.Default
-		if scan.read > 0 && scan.same {
-			decision = scan.first
-		}
-		api.Decide(decision)
-	})
+	e.api = api
+	e.scan.reset(api)
+	if e.then == nil {
+		e.then = e.scanned
+	}
+	e.scan.run(api, e.then)
+}
+
+// scanned is the scan's then: it decides by what the scan read.
+func (e *ProtocolE) scanned() {
+	decision := e.Default
+	if e.scan.read > 0 && e.scan.same {
+		decision = e.scan.first
+	}
+	e.api.Decide(decision)
 }

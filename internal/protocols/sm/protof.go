@@ -24,11 +24,17 @@ import (
 // Each scan is one API.Scan of every process's register in id order, whose
 // visitor counts the registers written and the values equal to one's own
 // input, and whose then scans again or decides; a rescan reuses the list,
-// the visitor and the then and allocates nothing.
+// the visitor and the then and allocates nothing. Start begins a fresh run:
+// an instance that ran before restarts in place, keeping its scan and its
+// then, bound at the first Start.
 type ProtocolF struct {
 	// Default is the default decision value v0; zero value means
 	// types.DefaultValue.
 	Default types.Value
+
+	api  smmem.API
+	scan inputScan
+	then func()
 }
 
 var _ smmem.Protocol = (*ProtocolF)(nil)
@@ -39,20 +45,26 @@ func NewProtocolF() *ProtocolF { return &ProtocolF{Default: types.DefaultValue} 
 // Start implements smmem.Protocol.
 func (f *ProtocolF) Start(api smmem.API) {
 	api.WriteValue(InputRegister, 0, api.Input())
-	n, t := api.N(), api.T()
-	scan := newInputScan(api)
-	var scanned func()
-	scanned = func() {
-		if scan.read < n-t { // rescan until enough registers are written
-			scan.run(api, scanned)
-			return
-		}
-		// r = scan.read = t+i: own input if r <= t or at least i votes for it.
-		if r := scan.read; r <= t || scan.votes >= r-t {
-			api.Decide(api.Input())
-		} else {
-			api.Decide(f.Default)
-		}
+	f.api = api
+	f.scan.reset(api)
+	if f.then == nil {
+		f.then = f.scanned
 	}
-	scan.run(api, scanned)
+	f.scan.run(api, f.then)
+}
+
+// scanned is every scan's then: it scans again or decides.
+func (f *ProtocolF) scanned() {
+	api, scan := f.api, &f.scan
+	n, t := api.N(), api.T()
+	if scan.read < n-t { // rescan until enough registers are written
+		scan.run(api, f.then)
+		return
+	}
+	// r = scan.read = t+i: own input if r <= t or at least i votes for it.
+	if r := scan.read; r <= t || scan.votes >= r-t {
+		api.Decide(api.Input())
+	} else {
+		api.Decide(f.Default)
+	}
 }

@@ -44,7 +44,15 @@ import (
 // transformation preserves sender authenticity exactly as the
 // message-passing network does.
 //
-// A Simulation is one process's for one run: Start sets up what it keeps.
+// Restart contract, as in internal/protocols/mp: Start begins a fresh run.
+// A Simulation that ran before — to its end, or cut off by a crash, the
+// operation budget or a panic — and is started again, with the same or
+// another n, t and k, forgets that run, restarts its Inner protocol, and
+// behaves as a new one would. It keeps only the memory of its state: the
+// channel list, the queues, the message counts (rebuilt when n changes), the
+// family of the messages to it and its poll handler, bound once. So a run
+// arena may hand the same instances to one run after another
+// (internal/harness does, for a cell's witness).
 type Simulation struct {
 	// Inner is the message-passing protocol instance to run.
 	Inner mpnet.Protocol
@@ -54,14 +62,18 @@ type Simulation struct {
 
 	bcSeq int // own broadcasts written
 	// toq[q] is the family of the messages to q and msgSeq[q] counts those
-	// written; both are made at the first point-to-point send, toq[q] at
-	// the first one to q.
+	// written; both are made at the first point-to-point send of a run with
+	// another n than the last, toq[q] at the first one to q.
 	toq    []string
 	msgSeq []int
 
 	// Channel 2j is the j-th peer's broadcasts, 2j+1 its messages to me;
 	// chans[c] is channel c's next register, its Index the messages read.
 	chans []smmem.Reg
+	// toMe is the family of the messages to me, made when me changes, and
+	// hit the poll's handler, s.deliver bound at the first Start.
+	toMe string
+	hit  func(int, types.Payload) bool
 }
 
 var _ smmem.Protocol = (*Simulation)(nil)
@@ -127,8 +139,17 @@ func (a *simAPI) Broadcast(p types.Payload) {
 // Start implements smmem.Protocol.
 func (s *Simulation) Start(api smmem.API) {
 	n, me := api.N(), api.ID()
+	if s.toMe == "" || me != s.me {
+		s.toMe = messagesTo(me)
+	}
 	s.me = me
-	s.api.sm = api
+	s.api = simAPI{sm: api, outbox: s.api.outbox[:0], selfQueue: s.api.selfQueue[:0]}
+	s.bcSeq = 0
+	if len(s.msgSeq) == n {
+		clear(s.msgSeq)
+	} else {
+		s.toq, s.msgSeq = nil, nil
+	}
 
 	s.Inner.Start(&s.api)
 	s.drainSelf()
@@ -137,16 +158,21 @@ func (s *Simulation) Start(api smmem.API) {
 		return // no peers to poll; everything already happened locally
 	}
 
-	toMe := messagesTo(me)
-	s.chans = make([]smmem.Reg, 0, 2*(n-1))
+	if cap(s.chans) < 2*(n-1) {
+		s.chans = make([]smmem.Reg, 0, 2*(n-1))
+	}
+	s.chans = s.chans[:0]
 	for q := 0; q < n; q++ {
 		if peer := types.ProcessID(q); peer != me {
-			s.chans = append(s.chans, smmem.Reg{Owner: peer, Name: broadcasts}, smmem.Reg{Owner: peer, Name: toMe})
+			s.chans = append(s.chans, smmem.Reg{Owner: peer, Name: broadcasts}, smmem.Reg{Owner: peer, Name: s.toMe})
 		}
+	}
+	if s.hit == nil {
+		s.hit = s.deliver
 	}
 	// The handler never ends the poll: the runtime stops this process once
 	// every correct process has decided (or the operation budget runs out).
-	api.Poll(0, s.chans, s.deliver, nil)
+	api.Poll(0, s.chans, s.hit, nil)
 }
 
 // deliver is the poll's handler: it hands the message found on channel c to

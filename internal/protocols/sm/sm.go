@@ -46,7 +46,8 @@ func buildInputRegs(n int) []smmem.Reg {
 // order, as one API.Scan, and what Protocols E and F decide by: how many
 // registers were written (unwritten ones are skipped), whether every value
 // read equals the first, and how many equal the process's own input. The
-// visitor is a method value bound once, so a rescan allocates nothing.
+// visitor is a method value bound once, so neither a rescan nor a restart
+// allocates.
 type inputScan struct {
 	regs  []smmem.Reg
 	visit func(int, types.Payload, bool)
@@ -57,10 +58,16 @@ type inputScan struct {
 	same        bool
 }
 
-func newInputScan(api smmem.API) *inputScan {
-	s := &inputScan{regs: inputRegs(api.N()), input: api.Input()}
-	s.visit = s.see
-	return s
+// reset readies s for a run of api's process: its list for n processes
+// (kept while n is the last run's) and its input.
+func (s *inputScan) reset(api smmem.API) {
+	if n := api.N(); len(s.regs) != n {
+		s.regs = inputRegs(n)
+	}
+	s.input = api.Input()
+	if s.visit == nil {
+		s.visit = s.see
+	}
 }
 
 // run scans once, starting the count afresh; then follows the scan.

@@ -151,17 +151,23 @@ type View struct {
 	Crashed []bool
 	Faulty  []bool
 	Ops     int // register operations granted so far
+	// Run numbers the runs of the Runner this View belongs to, from 1. A
+	// Runner's View is one value at one address in all of its runs, so the
+	// pair (view, Run) names one run.
+	Run uint64
 }
 
 // Scheduler picks which pending process performs the next register
 // operation. pending is non-empty, sorted by process id and the runtime's own
 // list (read it, do not modify or keep it); returning a process not in
 // pending is a programming error and aborts the run. Within one run — one
-// *View, the same pointer from the run's first pick to its last — pending
-// only shrinks: a process leaves it when it returns or crashes and never
-// comes back. A policy may therefore keep what it derives from pending until
-// the view changes or len(pending) drops, and may keep the view pointer to
-// tell runs apart.
+// *View with one View.Run, the same from the run's first pick to its last —
+// pending only shrinks: a process leaves it when it returns or crashes and
+// never comes back. A policy may therefore keep what it derives from pending
+// until the run changes or len(pending) drops. It tells runs apart by the
+// pair (view, view.Run): a Runner hands every one of its runs the same
+// *View, with Run one higher each time, and a policy that keeps the pointer
+// keeps that Runner's View from being another Runner's.
 //
 // Next — like CrashAdversary.CrashBeforeOp, Config.Trace and the Recorder —
 // is always called on the goroutine that called Run, between two steps of the

@@ -11,11 +11,13 @@ import (
 
 // TestStarveHoldReusedMatchFresh: Starve and Hold keep their candidates, and
 // Hold its gate, from one pick to the next. One policy reused for run after
-// run — as Construction.Violate reuses a construction's — must show
-// every run exactly as a fresh policy does: record, Recorder stream and
-// Trace stream. The runs' crash sets differ, so their pending lists shrink
-// through different processes to the same lengths, and a gate opened in one
-// run is closed at the start of the next.
+// run — as Construction.Violate reuses a construction's, on a fresh Runner
+// each time, and a sweep's arena reuses its own, on one Runner whose View is
+// the same pointer in every run — must show every run exactly as a fresh
+// policy on a fresh Runner does: record, Recorder stream and Trace stream.
+// The runs' crash sets differ, so their pending lists shrink through
+// different processes to the same lengths, and a gate opened in one run is
+// closed at the start of the next.
 func TestStarveHoldReusedMatchFresh(t *testing.T) {
 	policies := []struct {
 		name string
@@ -38,21 +40,24 @@ func TestStarveHoldReusedMatchFresh(t *testing.T) {
 	shrank := 0
 	for _, n := range []int{3, 8} {
 		for _, p := range policies {
-			reused := p.make(n)
+			reused, onRunner := p.make(n), p.make(n)
+			var r smmem.Runner
 			for seed := uint64(1); seed <= seeds; seed++ {
 				// The scripted and the random crashes of the matrix, in turn.
 				fault := 1 + int(seed)%2
-				run := func(sched smmem.Scheduler) *observed {
+				run := func(run func(smmem.Config) (*types.RunRecord, error), sched smmem.Scheduler) *observed {
 					cfg, _, _ := matrixConfig(t, n, seed, fault)
 					cfg.Scheduler = sched
-					return observe(cfg)
+					return observeOn(run, cfg)
 				}
-				want, got := run(p.make(n)), run(reused)
-				if d := streamDifference(got, want); d != "" {
-					t.Errorf("%s %s n=%d seed=%d: the reused policy differs from a fresh one: %s",
-						p.name, faultModes[fault].name, n, seed, d)
+				want := run(smmem.Run, p.make(n))
+				for _, got := range []*observed{run(smmem.Run, reused), run(r.Run, onRunner)} {
+					if d := streamDifference(got, want); d != "" {
+						t.Errorf("%s %s n=%d seed=%d: the reused policy differs from a fresh one: %s",
+							p.name, faultModes[fault].name, n, seed, d)
+					}
 				}
-				if got.rec != nil && got.rec.FaultCount() > 0 {
+				if want.rec != nil && want.rec.FaultCount() > 0 {
 					shrank++
 				}
 			}

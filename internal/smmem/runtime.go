@@ -227,7 +227,8 @@ type smRuntime struct {
 	cfg     Config
 	n, t, k int
 	procs   []smProcess // one allocation; the runtime keeps pointers into it
-	view    *View       // its own allocation: a policy that keeps it keeps nothing else of the run
+	view    View        // one value for every run of the Runner, told apart by View.Run
+	flags   []bool      // the view's Decided, Crashed and Faulty, in one array
 	rng     prng.Source
 	budget  int
 	sched   Scheduler
@@ -246,6 +247,9 @@ type smRuntime struct {
 	err error
 
 	budgetExhausted bool
+
+	// rec is the record of the last run, refilled by every run.
+	rec types.RunRecord
 }
 
 func (rt *smRuntime) recordBug(err error) {
@@ -255,21 +259,30 @@ func (rt *smRuntime) recordBug(err error) {
 }
 
 // Run executes one shared-memory run to completion (all correct processes
-// decided, quiescence, or budget exhaustion) and returns its record. A panic
-// out of protocol code reaches Run's caller.
+// decided, quiescence, or budget exhaustion) and returns its record, which
+// is the caller's. A panic out of protocol code reaches Run's caller.
 func Run(cfg Config) (*types.RunRecord, error) {
-	return new(Runner).Run(cfg)
+	rec, err := new(Runner).Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The record's header moves out of the Runner, which then is garbage:
+	// a record kept does not keep the run's processes and registers.
+	owned := *rec
+	return &owned, nil
 }
 
 // Runner executes runs one after another on one arena: the process table
 // with every process's write queue and resolved Names, the candidate list,
-// and the register store's family table and slices keep their memory from
-// one Run to the next, so a sweep's later runs grow nothing the earlier ones
-// already grew. Only the View is new in every run: Hold and Starve tell runs
-// apart by its pointer. A run on a used Runner is the run a fresh one would
+// the view's slices, the register store's family table and slices and the
+// run record keep their memory from one Run to the next, so a sweep's later
+// runs grow nothing the earlier ones already grew. The View is the same
+// value in every run, and its Run field numbers the runs: Hold and Starve
+// tell runs apart by it. A run on a used Runner is the run a fresh one would
 // make — same schedule, same record, same Recorder and Trace streams —
-// whatever ran before it and however that ended, a panic included; a
-// returned RunRecord shares no memory with the arena.
+// whatever ran before it and however that ended, a panic included. The
+// RunRecord a Run returns is the arena's: it is valid until the next Run,
+// which overwrites it, and a caller that keeps it longer keeps a Clone.
 //
 // The zero value is ready to use. A Runner is not safe for concurrent use
 // and must not be copied after its first Run; it keeps the last Config (and
@@ -330,18 +343,26 @@ func validate(cfg *Config) error {
 func (rt *smRuntime) reset(cfg Config) {
 	n := cfg.N
 	procs, pending, mem := rt.procs, rt.pending[:0], rt.mem
-	flags := make([]bool, 3*n)
+	flags := rt.flags
+	if cap(flags) < 3*n {
+		flags = make([]bool, 3*n)
+	}
+	flags = flags[:3*n]
+	clear(flags)
 	*rt = smRuntime{
 		cfg: cfg,
 		n:   n, t: cfg.T, k: cfg.K,
 		budget: cfg.MaxOps,
 		sched:  cfg.Scheduler,
 		mem:    mem,
-		view: &View{
+		flags:  flags,
+		rec:    rt.rec,
+		view: View{
 			N: n, T: cfg.T, K: cfg.K,
 			Decided: flags[:n:n],
 			Crashed: flags[n : 2*n : 2*n],
 			Faulty:  flags[2*n:],
+			Run:     rt.view.Run + 1,
 		},
 
 		faults:    len(cfg.Byzantine),
@@ -448,7 +469,7 @@ func (rt *smRuntime) grant() bool {
 		return false
 	}
 
-	pid := rt.sched.Next(rt.view, rt.pending, &rt.rng)
+	pid := rt.sched.Next(&rt.view, rt.pending, &rt.rng)
 	if int(pid) < 0 || int(pid) >= rt.n || !rt.procs[pid].live {
 		rt.recordBug(fmt.Errorf("%w: %v", ErrBadSchedule, pid))
 		return false
@@ -459,7 +480,7 @@ func (rt *smRuntime) grant() bool {
 	p := &rt.procs[pid]
 
 	if adv := rt.cfg.Crash; adv != nil && !p.byz && rt.faults < rt.t &&
-		adv.CrashBeforeOp(rt.view, pid, p.ops) {
+		adv.CrashBeforeOp(&rt.view, pid, p.ops) {
 		if r := rt.cfg.Recorder; r != nil {
 			r.CrashAtOp(pid, p.ops)
 		}
@@ -609,31 +630,22 @@ func (rt *smRuntime) proceed(p *smProcess) {
 	}
 }
 
+// record fills the arena's record in with the run that just ended.
 func (rt *smRuntime) record() *types.RunRecord {
 	mode := types.Crash
 	if len(rt.cfg.Byzantine) > 0 {
 		mode = types.Byzantine
 	}
-	rec := &types.RunRecord{
-		N: rt.n, T: rt.t, K: rt.k,
-		Model:           types.Model{Comm: types.SharedMemory, Failure: mode},
-		Inputs:          append([]types.Value(nil), rt.cfg.Inputs...),
-		Faulty:          append([]bool(nil), rt.view.Faulty...),
-		Decided:         make([]bool, rt.n),
-		Decisions:       make([]types.Value, rt.n),
-		Events:          rt.view.Ops,
-		Seed:            rt.cfg.Seed,
-		BudgetExhausted: rt.budgetExhausted,
-	}
-	rec.DecidedAtEvent = make([]int, rt.n)
+	rec := &rt.rec
+	rec.Reset(rt.cfg.Inputs, rt.view.Faulty)
+	rec.T, rec.K = rt.t, rt.k
+	rec.Model = types.Model{Comm: types.SharedMemory, Failure: mode}
+	rec.Events, rec.Seed, rec.BudgetExhausted = rt.view.Ops, rt.cfg.Seed, rt.budgetExhausted
 	for i := range rt.procs {
 		p := &rt.procs[i]
-		rec.Decided[i] = p.decided
-		rec.Decisions[i] = p.decision
+		rec.Decided[i], rec.Decisions[i], rec.DecidedAtEvent[i] = p.decided, p.decision, -1
 		if p.decided {
 			rec.DecidedAtEvent[i] = p.decidedAt
-		} else {
-			rec.DecidedAtEvent[i] = -1
 		}
 	}
 	return rec

@@ -43,7 +43,8 @@ func (r *RoundRobin) Next(_ *View, pending []types.ProcessID, _ *prng.Source) ty
 // non-crashed watched process has decided, the held processes are released.
 //
 // Held and Watch must not change while a run uses the policy; a Hold may be
-// reused for any number of runs, one after the other.
+// reused for any number of runs, one after the other, and its fields
+// rewritten between them.
 type Hold struct {
 	// Held[p] marks processes that may not take steps while the gate is
 	// closed.
@@ -114,23 +115,24 @@ func (h *Hold) Next(view *View, pending []types.ProcessID, rng *prng.Source) typ
 }
 
 // kept is what Hold and Starve keep of one run between picks: the run's view
-// and the pending processes their policy does not exclude, in pending's
-// order, rebuilt only when len(pending) is not the one they were taken from
-// (within a run pending only shrinks, see Scheduler).
+// and number, and the pending processes their policy does not exclude, in
+// pending's order, rebuilt only when len(pending) is not the one they were
+// taken from (within a run pending only shrinks, see Scheduler).
 type kept struct {
 	view     *View
+	run      uint64
 	pending  int // len(pending) eligible was taken from; -1 before the first pick of a run
 	eligible []types.ProcessID
 }
 
-// newRun reports whether view is not the kept run's, and if so starts
-// keeping it with nothing derived yet. Holding the pointer keeps a finished
-// run's View from being reused for the next one.
+// newRun reports whether view and its Run are not the kept run's, and if so
+// starts keeping that run with nothing derived yet. Holding the pointer keeps
+// the View's Runner from being another's.
 func (k *kept) newRun(view *View) bool {
-	if view == k.view {
+	if view == k.view && view.Run == k.run {
 		return false
 	}
-	k.view, k.pending = view, -1
+	k.view, k.run, k.pending = view, view.Run, -1
 	return true
 }
 
@@ -163,7 +165,8 @@ func (k *kept) pick(pending []types.ProcessID, excluded []bool, rng *prng.Source
 // which happens once everyone else decides or exits).
 //
 // Starved must not change while a run uses the policy; a Starve may be
-// reused for any number of runs, one after the other.
+// reused for any number of runs, one after the other, and its fields
+// rewritten between them.
 type Starve struct {
 	// Starved[p] marks the processes to starve.
 	Starved []bool

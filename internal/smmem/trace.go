@@ -81,21 +81,31 @@ func (s *ScriptedCrashes) CrashBeforeOp(_ *View, p types.ProcessID, opIndex int)
 }
 
 // RandomCrashes crashes processes at random operation boundaries, up to the
-// runtime's fault budget.
+// runtime's fault budget. RandomCrashes{Rate: r, Seed: s} is ready to use,
+// and assigning it anew makes a used adversary a fresh one: a sweep keeps
+// one for run after run.
 type RandomCrashes struct {
 	// Rate is the per-operation crash probability.
 	Rate float64
-	rng  *prng.Source
+	// Seed seeds the adversary's stream, which its first call draws from.
+	Seed uint64
+
+	rng    prng.Source
+	seeded bool
 }
 
 var _ CrashAdversary = (*RandomCrashes)(nil)
 
 // NewRandomCrashes builds a seeded random crash adversary.
 func NewRandomCrashes(rate float64, seed uint64) *RandomCrashes {
-	return &RandomCrashes{Rate: rate, rng: prng.New(seed)}
+	return &RandomCrashes{Rate: rate, Seed: seed}
 }
 
 // CrashBeforeOp implements CrashAdversary.
 func (r *RandomCrashes) CrashBeforeOp(_ *View, _ types.ProcessID, _ int) bool {
+	if !r.seeded {
+		r.rng.Reset(r.Seed)
+		r.seeded = true
+	}
 	return r.rng.Float64() < r.Rate
 }

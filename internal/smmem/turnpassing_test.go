@@ -52,6 +52,9 @@ func observeOn(run func(smmem.Config) (*types.RunRecord, error), cfg smmem.Confi
 	cfg.Recorder = o
 	cfg.Trace = func(ev smmem.TraceEvent) { o.events = append(o.events, ev) }
 	rec, err := run(cfg)
+	if rec != nil {
+		rec = rec.Clone() // a Runner's record is valid until its next run
+	}
 	o.rec = rec
 	if err != nil {
 		o.err = err.Error()

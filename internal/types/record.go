@@ -54,6 +54,44 @@ type RunRecord struct {
 	BudgetExhausted bool
 }
 
+// Reset readies r for a runtime to record a run of len(inputs) processes
+// into it: Inputs and Faulty become copies of inputs and faulty, Decided,
+// Decisions and DecidedAtEvent get length N for the runtime to fill in, and
+// every other field is zero. Each slice keeps its array when that is large
+// enough, so a runtime that keeps one record from run to run (mpnet's and
+// smmem's Runner) allocates nothing for it once it has recorded as large a
+// run.
+func (r *RunRecord) Reset(inputs []Value, faulty []bool) {
+	n := len(inputs)
+	*r = RunRecord{
+		N:              n,
+		Inputs:         append(r.Inputs[:0], inputs...),
+		Faulty:         append(r.Faulty[:0], faulty...),
+		Decided:        sized(r.Decided, n),
+		Decisions:      sized(r.Decisions, n),
+		DecidedAtEvent: sized(r.DecidedAtEvent, n),
+	}
+}
+
+// sized returns s with length n, on its array when that is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Clone returns a copy of r that shares no memory with it.
+func (r *RunRecord) Clone() *RunRecord {
+	c := *r
+	c.Inputs = slices.Clone(r.Inputs)
+	c.Faulty = slices.Clone(r.Faulty)
+	c.Decided = slices.Clone(r.Decided)
+	c.Decisions = slices.Clone(r.Decisions)
+	c.DecidedAtEvent = slices.Clone(r.DecidedAtEvent)
+	return &c
+}
+
 // FaultCount returns the number of actually-faulty processes f (f <= T in a
 // legal run).
 func (r *RunRecord) FaultCount() int {
