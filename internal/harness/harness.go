@@ -433,11 +433,20 @@ func (s *Summary) String() string {
 const maxRecordedOutcomes = 16
 
 // addViolation records the violation of the run of seed while fewer than
-// maxRecordedOutcomes are recorded, with a copy of its record.
+// maxRecordedOutcomes are recorded, with a copy of its record. rec is the
+// arena's and the next run overwrites it, so a checker.Violation is kept
+// pointing at the copy.
 func (s *Summary) addViolation(seed uint64, sc scenario, violation error, rec *types.RunRecord) {
-	if len(s.Violations) < maxRecordedOutcomes {
-		s.Violations = append(s.Violations, RunOutcome{Seed: seed, Scenario: sc.String(), Err: violation, Record: rec.Clone()})
+	if len(s.Violations) >= maxRecordedOutcomes {
+		return
 	}
+	kept := rec.Clone()
+	if v, ok := violation.(*checker.Violation); ok {
+		c := *v
+		c.Record = kept
+		violation = &c
+	}
+	s.Violations = append(s.Violations, RunOutcome{Seed: seed, Scenario: sc.String(), Err: violation, Record: kept})
 }
 
 // addRunError records the error of the run of seed while fewer than
