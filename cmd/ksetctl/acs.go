@@ -205,7 +205,7 @@ func requirePeers(peers string) ([]string, error) {
 	if peers == "" {
 		return nil, fmt.Errorf("-peers is required")
 	}
-	return splitAddrs(peers), nil
+	return cluster.ParseAddrs(peers), nil
 }
 
 // awaitRound polls every node until it reports the round closed, returning

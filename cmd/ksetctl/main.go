@@ -113,7 +113,7 @@ func runInstances(args []string, out io.Writer) error {
 	if *peers == "" {
 		return fmt.Errorf("-peers is required")
 	}
-	addrs := splitAddrs(*peers)
+	addrs := cluster.ParseAddrs(*peers)
 	n := len(addrs)
 	if *instances < 1 {
 		return fmt.Errorf("-instances %d: need at least 1", *instances)
@@ -272,7 +272,7 @@ func runStats(args []string, out io.Writer) error {
 	if *peers == "" {
 		return fmt.Errorf("-peers is required")
 	}
-	addrs := splitAddrs(*peers)
+	addrs := cluster.ParseAddrs(*peers)
 
 	// Dial each node independently: stats must degrade gracefully when part
 	// of the cluster is unreachable instead of failing the whole report.
@@ -345,17 +345,6 @@ func reportDecideLatency(out io.Writer, perNode []obs.HistSnapshot, reachable, n
 // microseconds.
 func secDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
-}
-
-func splitAddrs(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // parseInputs parses "4,7,2" into n values; empty means nil (generated).

@@ -31,12 +31,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -87,7 +86,7 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		maxDelay = fs.Duration("max-delay", 20*time.Millisecond, "upper bound on injected delays")
 		shards   = fs.Int("shards", 0, "shard event loops serving instances (0: GOMAXPROCS)")
 		acsMode  = fs.Bool("acs", false, "serve the agreement-on-common-subset engine and its ordered log")
-		quiet    = fs.Bool("quiet", false, "suppress diagnostics")
+		quiet    = fs.Bool("quiet", false, "suppress the event log")
 		metrics  = fs.String("metrics", "", "HTTP address serving /metrics and /healthz (empty: disabled)")
 		logLevel = fs.String("log-level", "info", "structured event log threshold: debug, info, warn, error")
 	)
@@ -97,7 +96,7 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 	if *peers == "" {
 		return fmt.Errorf("-peers is required")
 	}
-	addrs := splitAddrs(*peers)
+	addrs := cluster.ParseAddrs(*peers)
 	if *n == 0 {
 		*n = len(addrs)
 	}
@@ -124,12 +123,11 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		defaultEll = *ell
 	}
 
-	logger := log.New(logw, fmt.Sprintf("ksetd[%d] ", *id), log.LstdFlags|log.Lmicroseconds)
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
-	var events *obs.Logger
+	events := obs.Discard()
 	if !*quiet {
 		events = obs.NewLogger(logw, level)
 	}
@@ -166,7 +164,8 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 	if err := node.Start(); err != nil {
 		return err
 	}
-	logger.Printf("listening on %s as node %d of %d (acs=%v)", node.Addr(), *id, *n, *acsMode)
+	lifecycle := events.With("node", types.ProcessID(*id))
+	lifecycle.Info("listening", "addr", node.Addr(), "n", *n, "acs", *acsMode)
 
 	metricsAddr := ""
 	var msrv *http.Server
@@ -183,20 +182,20 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		go func() {
 			defer msrvWG.Done()
 			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
-				logger.Printf("metrics server: %v", err)
+				lifecycle.Error("metrics server failed", "err", err.Error())
 			}
 		}()
-		logger.Printf("metrics on http://%s/metrics", metricsAddr)
+		lifecycle.Info("metrics on", "url", "http://"+metricsAddr+"/metrics")
 	}
 
 	if ready != nil {
 		ready <- readyAddrs{Node: node.Addr(), Metrics: metricsAddr}
 	}
 	<-stop
-	logger.Printf("shutting down")
+	lifecycle.Info("shutting down")
 	if msrv != nil {
 		if err := msrv.Close(); err != nil {
-			logger.Printf("metrics server close: %v", err)
+			lifecycle.Warn("metrics server close failed", "err", err.Error())
 		}
 		msrvWG.Wait()
 	}
@@ -219,15 +218,4 @@ func metricsMux(node *cluster.Node) *http.ServeMux {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
-}
-
-func splitAddrs(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

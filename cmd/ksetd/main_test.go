@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -154,6 +155,62 @@ func TestDaemonServesAcs(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestDaemonLog pins ksetd's one event log: the lifecycle lines are info
+// events on the node's log, written with the node's id and without the old
+// "ksetd[N]" prefix, and -quiet silences the whole log. The buffer is read
+// only after run returns, by which time the node's goroutines have exited.
+func TestDaemonLog(t *testing.T) {
+	for _, quiet := range []bool{false, true} {
+		args := []string{
+			"-id", "0",
+			"-peers", "127.0.0.1:1",
+			"-listen", "127.0.0.1:0",
+			"-n", "1", "-k", "1", "-t", "0",
+			"-log-level", "info",
+		}
+		if quiet {
+			args = append(args, "-quiet")
+		}
+		var logged bytes.Buffer
+		stop := make(chan struct{})
+		ready := make(chan readyAddrs, 1)
+		errc := make(chan error, 1)
+		go func() { errc <- run(args, &logged, stop, ready) }()
+		select {
+		case <-ready:
+		case err := <-errc:
+			t.Fatalf("quiet=%v: daemon exited early: %v", quiet, err)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("quiet=%v: daemon did not come up", quiet)
+		}
+		close(stop)
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("quiet=%v: daemon shutdown: %v", quiet, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("quiet=%v: daemon did not shut down", quiet)
+		}
+		out := logged.String()
+		if quiet {
+			if out != "" {
+				t.Errorf("-quiet wrote %q", out)
+			}
+			continue
+		}
+		if !strings.Contains(out, " level=info event=listening node=p1 addr=127.0.0.1:") {
+			t.Errorf("no listening event carrying node=p1 in:\n%s", out)
+		}
+		if !strings.Contains(out, " level=info event=\"shutting down\" node=p1\n") {
+			t.Errorf("no shutting-down event in:\n%s", out)
+		}
+		if strings.Contains(out, "ksetd[") {
+			t.Errorf("a line still carries the ksetd[N] prefix:\n%s", out)
+		}
 	}
 }
 
@@ -320,13 +377,5 @@ func TestBadFlags(t *testing.T) {
 				t.Errorf("run(%v) error %q does not mention %q", tc.args, err, tc.want)
 			}
 		})
-	}
-}
-
-func TestSplitAddrs(t *testing.T) {
-	got := splitAddrs(" a:1, b:2 ,,c:3 ")
-	want := []string{"a:1", "b:2", "c:3"}
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Errorf("splitAddrs: got %v, want %v", got, want)
 	}
 }

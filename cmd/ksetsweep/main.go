@@ -24,7 +24,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"kset/internal/cluster"
@@ -77,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	case *local:
 		records = spec.Run(grid.FanOut(*workers))
 	case *peers != "":
-		addrs := splitAddrs(*peers)
+		addrs := cluster.ParseAddrs(*peers)
 		if len(addrs) == 0 {
 			return fmt.Errorf("no usable addresses in -peers %q", *peers)
 		}
@@ -130,17 +129,6 @@ func specFromFlags(models, validities, ns, ks, ts, faults string, trials, runs i
 		return nil, err
 	}
 	return s, nil
-}
-
-// splitAddrs parses the -peers list, dropping empty entries.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // writeOutputs renders the records to the requested files; with neither -csv

@@ -52,6 +52,7 @@ package acs
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -100,7 +101,7 @@ type Config struct {
 	// its upcalls on it; attach the engine before the node serves.
 	Node *cluster.Node
 	// Log, if non-nil, receives round lifecycle events.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // Engine is one node's ACS state machine. It owns no goroutines: all work
@@ -110,7 +111,7 @@ type Config struct {
 // upcall with no lock held.
 type Engine struct {
 	node *cluster.Node
-	log  *obs.Logger
+	log  *slog.Logger
 	self types.ProcessID
 	n, t int
 	k    int // vote-instance agreement bound, t+1
@@ -159,11 +160,14 @@ func New(cfg Config) (*Engine, error) {
 	if 2*t >= n {
 		return nil, fmt.Errorf("%w: acs needs t < n/2, got n=%d t=%d", cluster.ErrBadConfig, n, t)
 	}
+	if cfg.Log == nil {
+		cfg.Log = obs.Discard()
+	}
 	reg := cfg.Node.Metrics()
 	sizeBounds := []float64{0, 1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 	e := &Engine{
 		node:         cfg.Node,
-		log:          cfg.Log.With(obs.F("node", cfg.Node.ID())),
+		log:          cfg.Log.With("node", cfg.Node.ID()),
 		self:         cfg.Node.ID(),
 		n:            n,
 		t:            t,
@@ -525,9 +529,9 @@ func (e *Engine) emit(ev []event) {
 		switch v.kind {
 		case evClosed:
 			e.log.Info("acs round closed",
-				obs.F("round", v.round), obs.F("in", v.in), obs.F("log_len", v.logLen))
+				"round", v.round, "in", v.in, "log_len", v.logLen)
 		case evError:
-			e.log.Error("acs check failed", obs.F("err", v.err.Error()))
+			e.log.Error("acs check failed", "err", v.err.Error())
 		}
 	}
 }

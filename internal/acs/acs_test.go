@@ -1,6 +1,7 @@
 package acs
 
 import (
+	"log/slog"
 	"math/bits"
 	"reflect"
 	"strings"
@@ -226,7 +227,7 @@ func TestFirstRoundNeedsNoRetransmit(t *testing.T) {
 		N: n, K: tt + 1, T: tt,
 		Seed:       0xACE5,
 		Retransmit: 2 * time.Second,
-		Log:        obs.NewLogger(&logged, obs.LevelWarn),
+		Log:        obs.NewLogger(&logged, slog.LevelWarn),
 	})
 	defer lb.Close()
 	lb.Crash(crashed)

@@ -1,13 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"kset/internal/mpnet"
-	"kset/internal/obs"
 	"kset/internal/prng"
 	"kset/internal/theory"
 	"kset/internal/trace"
@@ -214,7 +215,7 @@ func (a *instanceAPI) Send(to types.ProcessID, p types.Payload) {
 	}
 	if int(to) < 0 || int(to) >= in.node.cfg.N {
 		in.node.log.Warn("send to an id outside 0..n-1",
-			obs.F("instance", in.id), obs.F("to", int(to)), obs.F("n", in.node.cfg.N))
+			"instance", in.id, "to", int(to), "n", in.node.cfg.N)
 		return
 	}
 	if l := in.node.links[to]; l != nil {
@@ -238,15 +239,15 @@ func (a *instanceAPI) Decide(v types.Value) {
 	in := a.in
 	elapsed := time.Since(in.startedAt)
 	if in.decided {
-		in.node.log.Warn("instance decided twice", obs.F("instance", in.id))
+		in.node.log.Warn("instance decided twice", "instance", in.id)
 		return
 	}
 	in.decided = true
 	in.node.stats.decideLatency.Observe(elapsed.Seconds())
-	if log := in.node.log; log.Enabled(obs.LevelInfo) {
+	if log := in.node.log; log.Enabled(context.Background(), slog.LevelInfo) {
 		log.Info("decided",
-			obs.F("instance", in.id), obs.F("value", int64(v)),
-			obs.F("latency_us", elapsed.Microseconds()))
+			"instance", in.id, "value", int64(v),
+			"latency_us", elapsed.Microseconds())
 	}
 	in.node.broadcastPeers(wire.BatchMsg{
 		Kind: wire.TypeDecide, Instance: in.id, From: in.node.cfg.ID, Value: v,

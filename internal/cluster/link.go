@@ -411,7 +411,7 @@ func (l *link) flushBatch(sends []wire.BatchMsg) {
 		if err != nil {
 			// Encoding is pure: this cannot happen for messages the enqueue
 			// path accepts. The frames retransmit.
-			l.node.log.Warn("encode batch failed", obs.F("peer", int(l.peer)), obs.F("err", err.Error()))
+			l.node.log.Warn("encode batch failed", "peer", int(l.peer), "err", err.Error())
 			return
 		}
 		*bufp = frame[:0]
@@ -458,8 +458,8 @@ func (l *link) ensureConn() bool {
 		l.mBackoff.Observe(l.backoff.Seconds())
 		l.nextDialAt = now.Add(l.backoff)
 		l.node.log.Debug("dial failed",
-			obs.F("peer", int(l.peer)), obs.F("addr", l.addr),
-			obs.F("backoff", l.backoff.String()), obs.F("err", err.Error()))
+			"peer", int(l.peer), "addr", l.addr,
+			"backoff", l.backoff.String(), "err", err.Error())
 		return false
 	}
 	l.unreachable.Store(false)
@@ -468,7 +468,7 @@ func (l *link) ensureConn() bool {
 	l.conn = conn
 	l.bw = bufio.NewWriter(conn)
 	l.node.stats.connects.Add(1)
-	l.node.log.Debug("dialed peer", obs.F("peer", int(l.peer)), obs.F("addr", l.addr))
+	l.node.log.Debug("dialed peer", "peer", int(l.peer), "addr", l.addr)
 	var hello bytes.Buffer
 	err = wire.WriteMsg(&hello, wire.Hello{
 		From:       l.node.cfg.ID,
@@ -479,7 +479,7 @@ func (l *link) ensureConn() bool {
 	})
 	if err != nil {
 		// Encoding is pure and NewNode validated every field.
-		l.node.log.Warn("encode hello failed", obs.F("peer", int(l.peer)), obs.F("err", err.Error()))
+		l.node.log.Warn("encode hello failed", "peer", int(l.peer), "err", err.Error())
 		l.dropConn()
 		return false
 	}

@@ -2,11 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"log/slog"
 	"net"
 	"time"
 
-	"kset/internal/obs"
-	"kset/internal/theory"
 	"kset/internal/types"
 	"kset/internal/wire"
 )
@@ -25,16 +24,14 @@ type Loopback struct {
 // LoopbackConfig configures StartLoopback. Zero values select the cluster
 // defaults documented on Config.
 type LoopbackConfig struct {
-	N, K, T      int
-	DefaultProto theory.ProtocolID
-	DefaultEll   int
-	Seed         uint64
-	Faults       Faults
-	Retransmit   time.Duration
+	N, K, T    int
+	Seed       uint64
+	Faults     Faults
+	Retransmit time.Duration
 	// Shards sets each node's Config.Shards (0: GOMAXPROCS).
 	Shards int
 	// Log is each node's Config.Log (nil: silent).
-	Log *obs.Logger
+	Log *slog.Logger
 	// Attach, if non-nil, runs on each node after construction and before
 	// Serve — layered services (the ACS engine) register their handlers
 	// here, before any frame can arrive.
@@ -64,18 +61,16 @@ func StartLoopback(cfg LoopbackConfig) (*Loopback, error) {
 	lb := &Loopback{Addrs: addrs, Nodes: make([]*Node, cfg.N)}
 	for i := range lb.Nodes {
 		node, err := NewNode(Config{
-			ID:           types.ProcessID(i),
-			N:            cfg.N,
-			K:            cfg.K,
-			T:            cfg.T,
-			Peers:        addrs,
-			DefaultProto: cfg.DefaultProto,
-			DefaultEll:   cfg.DefaultEll,
-			Seed:         cfg.Seed,
-			Faults:       cfg.Faults,
-			Retransmit:   cfg.Retransmit,
-			Shards:       cfg.Shards,
-			Log:          cfg.Log,
+			ID:         types.ProcessID(i),
+			N:          cfg.N,
+			K:          cfg.K,
+			T:          cfg.T,
+			Peers:      addrs,
+			Seed:       cfg.Seed,
+			Faults:     cfg.Faults,
+			Retransmit: cfg.Retransmit,
+			Shards:     cfg.Shards,
+			Log:        cfg.Log,
 		})
 		if err != nil {
 			for _, l := range listeners[i:] {

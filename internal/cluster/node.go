@@ -21,8 +21,10 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net"
 	"runtime"
@@ -75,10 +77,10 @@ type Config struct {
 	// id modulo Shards selects the owning loop). Zero selects GOMAXPROCS;
 	// negative values are rejected.
 	Shards int
-	// Log, if non-nil, receives structured events at their natural levels:
-	// dials and instance lifecycle at debug, refused connections, bad
-	// frames and failed ctl requests at warn.
-	Log *obs.Logger
+	// Log, if non-nil, receives structured events at their natural levels
+	// (obs.NewLogger builds one): dials and instance lifecycle at debug,
+	// refused connections, bad frames and failed ctl requests at warn.
+	Log *slog.Logger
 }
 
 // maxPendingFrames bounds the frames one shard buffers, across all its ids,
@@ -119,7 +121,7 @@ type Node struct {
 	ctlH      func(wire.Msg) (wire.Msg, bool)
 
 	reg   *obs.Registry
-	log   *obs.Logger
+	log   *slog.Logger
 	stats nodeStats
 	done  chan struct{}
 	wg    sync.WaitGroup
@@ -247,13 +249,16 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.DefaultProto == theory.ProtoNone {
 		cfg.DefaultProto = theory.ProtoFloodMin
 	}
+	if cfg.Log == nil {
+		cfg.Log = obs.Discard()
+	}
 	n := &Node{
 		cfg:       cfg,
 		session:   uint64(time.Now().UnixNano()),
 		seen:      make([]peerSeen, cfg.N),
 		links:     make([]*link, cfg.N),
 		reg:       obs.NewRegistry(),
-		log:       cfg.Log.With(obs.F("node", cfg.ID)),
+		log:       cfg.Log.With("node", cfg.ID),
 		done:      make(chan struct{}),
 		sweepPool: sweep.NewPool(0),
 	}
@@ -390,7 +395,7 @@ func (n *Node) serveConn(conn net.Conn) {
 	defer n.untrackConn(conn)
 
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		n.log.Warn("set hello read deadline failed", obs.F("err", err.Error()))
+		n.log.Warn("set hello read deadline failed", "err", err.Error())
 		return
 	}
 	// Every read on the connection, the Hello included, goes through one
@@ -403,26 +408,26 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 	hello, ok := first.(wire.Hello)
 	if !ok {
-		n.log.Warn("first frame not a hello", obs.F("type", first.Type()))
+		n.log.Warn("first frame not a hello", "type", first.Type())
 		return
 	}
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		n.log.Warn("clear read deadline failed", obs.F("err", err.Error()))
+		n.log.Warn("clear read deadline failed", "err", err.Error())
 		return
 	}
 	switch hello.Role {
 	case wire.RolePeer:
 		if int(hello.From) < 0 || int(hello.From) >= n.cfg.N || hello.From == n.cfg.ID {
-			n.log.Warn("hello from invalid peer", obs.F("peer", int(hello.From)))
+			n.log.Warn("hello from invalid peer", "peer", int(hello.From))
 			return
 		}
 		if hello.N != n.cfg.N {
-			n.log.Warn("peer disagrees on n", obs.F("peer", int(hello.From)), obs.F("n", hello.N), obs.F("ours", n.cfg.N))
+			n.log.Warn("peer disagrees on n", "peer", int(hello.From), "n", hello.N, "ours", n.cfg.N)
 			return
 		}
 		if hello.MaxVersion < wire.VersionBatch {
-			n.log.Warn("peer wire version refused", obs.F("peer", int(hello.From)),
-				obs.F("offers", hello.MaxVersion), obs.F("needs", wire.VersionBatch))
+			n.log.Warn("peer wire version refused", "peer", int(hello.From),
+				"offers", hello.MaxVersion, "needs", wire.VersionBatch)
 			return
 		}
 		n.resetSeenIfNewSession(hello.From, hello.Session)
@@ -462,7 +467,7 @@ func (n *Node) servePeer(br *bufio.Reader, from types.ProcessID) {
 		}
 		n.stats.framesRecv.Add(1)
 		if err := wire.DecodeBatchInto(buf, &batch); err != nil {
-			n.log.Warn("bad batch frame", obs.F("peer", int(from)), obs.F("err", err.Error()))
+			n.log.Warn("bad batch frame", "peer", int(from), "err", err.Error())
 			return
 		}
 		n.stats.batchesRecv.Add(1)
@@ -506,7 +511,7 @@ func (n *Node) handleSequenced(from types.ProcessID, bm wire.BatchMsg, fw *frame
 	// The transport stamps the authentic sender, as mpnet's network does: a
 	// message claiming another origin is dropped.
 	if bm.From != from {
-		n.log.Warn("forged sender", obs.F("peer", int(from)), obs.F("claimed", int(bm.From)))
+		n.log.Warn("forged sender", "peer", int(from), "claimed", int(bm.From))
 		return
 	}
 	n.stats.msgsRecv.Add(1)
@@ -753,8 +758,8 @@ func (n *Node) evictInstance(in *instance) bool {
 	sh.archiveLocked(in)
 	sh.mu.Unlock()
 	n.stats.instancesActive.Add(-1)
-	if n.log.Enabled(obs.LevelDebug) {
-		n.log.Debug("instance evicted", obs.F("instance", in.id))
+	if n.log.Enabled(context.Background(), slog.LevelDebug) {
+		n.log.Debug("instance evicted", "instance", in.id)
 	}
 	return true
 }
@@ -948,11 +953,11 @@ func (n *Node) serveCtl(br *bufio.Reader, conn net.Conn) {
 			// which it starts itself; a ctl start there would take a vote's
 			// slot or slide the vote namespace's window past live votes.
 			if v.Instance>>63 != 0 {
-				n.log.Warn("ctl start in the ACS vote namespace refused", obs.F("instance", v.Instance))
+				n.log.Warn("ctl start in the ACS vote namespace refused", "instance", v.Instance)
 				return
 			}
 			if err := n.StartInstance(v); err != nil {
-				n.log.Warn("start instance failed", obs.F("instance", v.Instance), obs.F("err", err.Error()))
+				n.log.Warn("start instance failed", "instance", v.Instance, "err", err.Error())
 				return
 			}
 			reply = wire.StartAck{Instance: v.Instance, From: n.cfg.ID}
@@ -974,13 +979,13 @@ func (n *Node) serveCtl(br *bufio.Reader, conn net.Conn) {
 				r, ok = h(m)
 			}
 			if !ok {
-				n.log.Warn("unexpected frame on ctl connection", obs.F("type", m.Type()))
+				n.log.Warn("unexpected frame on ctl connection", "type", m.Type())
 				return
 			}
 			reply = r
 		}
 		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-			n.log.Warn("ctl set write deadline failed", obs.F("err", err.Error()))
+			n.log.Warn("ctl set write deadline failed", "err", err.Error())
 			return
 		}
 		if err := wire.WriteMsg(conn, reply); err != nil {

@@ -30,3 +30,15 @@ func ParseProtocol(s string) (theory.ProtocolID, error) {
 	last := len(want) - 1
 	return theory.ProtoNone, fmt.Errorf("cluster: unknown protocol %q (want %s, or %s)", s, strings.Join(want[:last], ", "), want[last])
 }
+
+// ParseAddrs splits a command-line -peers list on commas, trims the space
+// around each address and drops empty entries.
+func ParseAddrs(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}

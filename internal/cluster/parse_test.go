@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +32,24 @@ func TestParseProtocol(t *testing.T) {
 		}
 		if want := "(want floodmin, a, b, c, d, or trivial)"; !strings.Contains(err.Error(), want) {
 			t.Errorf("ParseProtocol(%q) error %q does not list %s", in, err, want)
+		}
+	}
+}
+
+func TestParseAddrs(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"", nil},
+		{" , ,", nil},
+		{"a:1", []string{"a:1"}},
+		{" a:1, b:2 ,,c:3 ", []string{"a:1", "b:2", "c:3"}},
+		{"a:1,b:2,", []string{"a:1", "b:2"}},
+		{"\ta:1\n", []string{"a:1"}},
+	} {
+		if got := ParseAddrs(tc.in); !slices.Equal(got, tc.want) {
+			t.Errorf("ParseAddrs(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }

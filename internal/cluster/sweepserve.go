@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"kset/internal/grid"
-	"kset/internal/obs"
 	"kset/internal/wire"
 )
 
@@ -21,13 +20,13 @@ func (n *Node) serveSweepJob(job wire.SweepJob) wire.SweepResult {
 	reply := wire.SweepResult{Job: job.Job, First: job.First}
 	spec, err := grid.SpecFromWire(job)
 	if err != nil {
-		n.log.Warn("sweep job rejected", obs.F("job", job.Job), obs.F("err", err.Error()))
+		n.log.Warn("sweep job rejected", "job", job.Job, "err", err.Error())
 		return reply
 	}
 	total := spec.NumCells()
 	if job.Count <= 0 || job.First >= total || uint64(job.Count) > total-job.First {
-		n.log.Warn("sweep shard outside grid", obs.F("job", job.Job),
-			obs.F("first", job.First), obs.F("count", job.Count), obs.F("cells", total))
+		n.log.Warn("sweep shard outside grid", "job", job.Job,
+			"first", job.First, "count", job.Count, "cells", total)
 		return reply
 	}
 	n.stats.sweepJobs.Add(1)
@@ -41,7 +40,7 @@ func (n *Node) serveSweepJob(job wire.SweepJob) wire.SweepResult {
 	n.stats.sweepCells.Add(int64(len(recs)))
 	ws, err := grid.RecordsToWire(recs)
 	if err != nil {
-		n.log.Warn("sweep records not packed", obs.F("job", job.Job), obs.F("err", err.Error()))
+		n.log.Warn("sweep records not packed", "job", job.Job, "err", err.Error())
 		return reply
 	}
 	reply.Records = ws

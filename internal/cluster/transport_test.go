@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"reflect"
@@ -81,7 +82,7 @@ func TestSendOutOfRangeWarns(t *testing.T) {
 	n, err := NewNode(Config{
 		ID: 0, N: 2, K: 1, T: 0,
 		Peers: []string{"127.0.0.1:1", "127.0.0.1:1"},
-		Log:   obs.NewLogger(&logged, obs.LevelWarn),
+		Log:   obs.NewLogger(&logged, slog.LevelWarn),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +179,7 @@ func TestPeerHelloBelowBatchRefused(t *testing.T) {
 	n, err := NewNode(Config{
 		ID: 0, N: 2, K: 1, T: 0,
 		Peers: []string{ln.Addr().String(), "127.0.0.1:1"},
-		Log:   obs.NewLogger(&logged, obs.LevelWarn),
+		Log:   obs.NewLogger(&logged, slog.LevelWarn),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@ import "go/ast"
 // The fix is always the same shape the cluster transport already uses: grab
 // what you need under the lock, release it, then do the IO. The infallible
 // in-memory buffer writers (strings.Builder, bytes.Buffer) are exempt; a
-// mutex whose entire purpose is serializing one write (the obs logger's
-// line mutex) carries an allow directive saying so.
+// mutex whose entire purpose is serializing one write carries an allow
+// directive saying so.
 type LockHeldIO struct{}
 
 // NewLockHeldIO returns the lockheldio analyzer.

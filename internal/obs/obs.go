@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the cluster runtime: a
 // dependency-free metrics registry (atomic counters, gauges, and fixed-bucket
-// histograms with quantile snapshots) plus a structured, leveled event log.
+// histograms with quantile snapshots) plus the line format of the cluster's
+// structured event log (a log/slog logger, NewLogger).
 //
 // The package exists so that the empirical quantities the paper reasons about
 // — per-round message complexity, retransmission behavior, decision latency —
