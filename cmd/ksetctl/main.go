@@ -30,7 +30,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -138,7 +137,7 @@ func runInstances(args []string, out io.Writer) error {
 	if proto == theory.ProtoC {
 		protoEll = *ell
 	}
-	fixed, err := parseInputs(*inputs, n)
+	fixed, err := cluster.ParseInputs(*inputs, n)
 	if err != nil {
 		return err
 	}
@@ -345,24 +344,4 @@ func reportDecideLatency(out io.Writer, perNode []obs.HistSnapshot, reachable, n
 // microseconds.
 func secDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
-}
-
-// parseInputs parses "4,7,2" into n values; empty means nil (generated).
-func parseInputs(s string, n int) ([]types.Value, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("-inputs has %d values, cluster has %d nodes", len(parts), n)
-	}
-	out := make([]types.Value, n)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("-inputs entry %d: %v", i, err)
-		}
-		out[i] = types.Value(v)
-	}
-	return out, nil
 }

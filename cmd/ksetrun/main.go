@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"kset/internal/adversary"
 	"kset/internal/ascii"
@@ -73,9 +72,15 @@ func run(args []string, out io.Writer) error {
 		return runDemo(out, *demo, *n, *k, *t, *quiet)
 	}
 
-	vals, err := parseInputs(*inputs, *n)
+	vals, err := cluster.ParseInputs(*inputs, *n)
 	if err != nil {
 		return err
+	}
+	if vals == nil {
+		vals = make([]types.Value, *n)
+		for i := range vals {
+			vals[i] = types.Value(i + 1)
+		}
 	}
 	m, err := types.ParseModel(*model)
 	if err != nil {
@@ -226,27 +231,4 @@ func printOutcome(out io.Writer, rec *types.RunRecord, v types.Validity) {
 	report("termination", checker.CheckTermination(rec))
 	report("agreement", checker.CheckAgreement(rec))
 	report(v.String(), checker.CheckValidity(rec, v))
-}
-
-func parseInputs(s string, n int) ([]types.Value, error) {
-	if s == "" {
-		out := make([]types.Value, n)
-		for i := range out {
-			out[i] = types.Value(i + 1)
-		}
-		return out, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("-inputs lists %d values but -n is %d: every process needs exactly one input", len(parts), n)
-	}
-	out := make([]types.Value, n)
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad input %q: %w", p, err)
-		}
-		out[i] = types.Value(v)
-	}
-	return out, nil
 }

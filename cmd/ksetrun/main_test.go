@@ -15,7 +15,8 @@ func TestSolvableRunOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"solvable via FloodMin", "termination  ok", "agreement    ok", "RV1          ok"} {
+	// Without -inputs, process i proposes i.
+	for _, want := range []string{"solvable via FloodMin", "p1   input=1 ", "p6   input=6 ", "termination  ok", "agreement    ok", "RV1          ok"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -88,25 +89,6 @@ func TestDiagramOutput(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "DECIDES") {
 		t.Errorf("diagram missing decisions:\n%s", b.String())
-	}
-}
-
-func TestParseInputs(t *testing.T) {
-	vals, err := parseInputs("", 3)
-	if err != nil || len(vals) != 3 || vals[2] != 3 {
-		t.Errorf("default inputs: %v, %v", vals, err)
-	}
-	vals, err = parseInputs("5, -2, 7", 3)
-	if err != nil || vals[1] != -2 {
-		t.Errorf("explicit inputs: %v, %v", vals, err)
-	}
-	if _, err := parseInputs("1,2", 3); err == nil {
-		t.Error("wrong count accepted")
-	} else if !strings.Contains(err.Error(), "2") || !strings.Contains(err.Error(), "3") {
-		t.Errorf("length-mismatch error should name both counts: %v", err)
-	}
-	if _, err := parseInputs("1,x,3", 3); err == nil {
-		t.Error("non-numeric accepted")
 	}
 }
 

@@ -51,6 +51,7 @@
 package acs
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -523,13 +524,16 @@ const (
 	evError
 )
 
-// emit logs deferred events; called with no locks held.
+// emit logs deferred events; called with no locks held. A closure is
+// logged only when info is enabled, so a disabled log boxes no fields.
 func (e *Engine) emit(ev []event) {
 	for _, v := range ev {
 		switch v.kind {
 		case evClosed:
-			e.log.Info("acs round closed",
-				"round", v.round, "in", v.in, "log_len", v.logLen)
+			if e.log.Enabled(context.Background(), slog.LevelInfo) {
+				e.log.Info("acs round closed",
+					"round", v.round, "in", v.in, "log_len", v.logLen)
+			}
 		case evError:
 			e.log.Error("acs check failed", "err", v.err.Error())
 		}

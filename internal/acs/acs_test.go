@@ -436,3 +436,14 @@ func TestLogWindow(t *testing.T) {
 		t.Errorf("negative max returned entries: %+v", lg)
 	}
 }
+
+// TestEmitClosedDisabledAllocsNothing pins the guard on a round-closure
+// event: with the log off, emit boxes none of its fields. The round and
+// log length are past 255, where boxing an integer allocates.
+func TestEmitClosedDisabledAllocsNothing(t *testing.T) {
+	e := &Engine{log: obs.Discard().With("node", types.ProcessID(0))}
+	ev := []event{{kind: evClosed, round: 1 << 20, in: 3, logLen: 3 << 20}}
+	if got := testing.AllocsPerRun(100, func() { e.emit(ev) }); got != 0 {
+		t.Errorf("round-closure emit on a disabled log: %v allocs, want 0", got)
+	}
+}

@@ -28,36 +28,41 @@ func (Silent) Deliver(mpnet.API, types.ProcessID, types.Payload) {}
 // PersonaInput is the equivocation strategy of Lemmas 3.9, 3.10 and 3.11:
 // toward each recipient the faulty process claims a (possibly different)
 // input value, sending a per-recipient KindInput message instead of a
-// uniform broadcast. Recipients without an assigned persona receive Default.
+// uniform broadcast. Recipients past the end of Personas receive Default.
 // It attacks the input-broadcast protocols (FloodMin, A, B).
 type PersonaInput struct {
-	// Personas maps each recipient to the input value claimed toward it.
-	Personas map[types.ProcessID]types.Value
-	// Default is claimed toward unlisted recipients.
+	// Personas[q] is the input value claimed toward recipient q.
+	Personas []types.Value
+	// Default is claimed toward recipients past the end of Personas.
 	Default types.Value
 }
 
 var _ mpnet.Protocol = (*PersonaInput)(nil)
 
-// NewPersonaInput builds the strategy from a recipient->claimed-value map.
-func NewPersonaInput(personas map[types.ProcessID]types.Value, dflt types.Value) *PersonaInput {
+// NewPersonaInput builds the strategy from the per-recipient claims.
+func NewPersonaInput(personas []types.Value, dflt types.Value) *PersonaInput {
 	return &PersonaInput{Personas: personas, Default: dflt}
 }
 
 // Start implements mpnet.Protocol.
 func (s *PersonaInput) Start(api mpnet.API) {
 	for q := 0; q < api.N(); q++ {
-		to := types.ProcessID(q)
-		v, ok := s.Personas[to]
-		if !ok {
-			v = s.Default
-		}
-		api.Send(to, types.Payload{Kind: types.KindInput, Value: v})
+		v := persona(s.Personas, s.Default, q)
+		api.Send(types.ProcessID(q), types.Payload{Kind: types.KindInput, Value: v})
 	}
 }
 
 // Deliver implements mpnet.Protocol.
 func (s *PersonaInput) Deliver(mpnet.API, types.ProcessID, types.Payload) {}
+
+// persona is the value claimed toward recipient q: its entry in personas,
+// or dflt past the end.
+func persona(personas []types.Value, dflt types.Value, q int) types.Value {
+	if q < len(personas) {
+		return personas[q]
+	}
+	return dflt
+}
 
 // PersonaEcho attacks the echo-based protocols (C(l), D): toward each
 // recipient it plays a correct process whose input is the recipient's
@@ -65,31 +70,27 @@ func (s *PersonaInput) Deliver(mpnet.API, types.ProcessID, types.Payload) {}
 // is the "members of F behave as if they were correct and had v_i initially"
 // behaviour of Lemma 3.9's construction.
 type PersonaEcho struct {
-	// Personas maps each recipient to the input value claimed toward it.
-	Personas map[types.ProcessID]types.Value
-	// Default is claimed toward unlisted recipients.
+	// Personas[q] is the input value claimed toward recipient q.
+	Personas []types.Value
+	// Default is claimed toward recipients past the end of Personas.
 	Default types.Value
 
-	echoed map[types.ProcessID]bool
+	echoed []bool
 }
 
 var _ mpnet.Protocol = (*PersonaEcho)(nil)
 
-// NewPersonaEcho builds the strategy from a recipient->claimed-value map.
-func NewPersonaEcho(personas map[types.ProcessID]types.Value, dflt types.Value) *PersonaEcho {
+// NewPersonaEcho builds the strategy from the per-recipient claims.
+func NewPersonaEcho(personas []types.Value, dflt types.Value) *PersonaEcho {
 	return &PersonaEcho{Personas: personas, Default: dflt}
 }
 
 // Start implements mpnet.Protocol.
 func (s *PersonaEcho) Start(api mpnet.API) {
-	s.echoed = make(map[types.ProcessID]bool)
+	s.echoed = resetEchoed(s.echoed, api.N())
 	for q := 0; q < api.N(); q++ {
-		to := types.ProcessID(q)
-		v, ok := s.Personas[to]
-		if !ok {
-			v = s.Default
-		}
-		api.Send(to, types.Payload{Kind: types.KindInit, Value: v, Origin: api.ID()})
+		v := persona(s.Personas, s.Default, q)
+		api.Send(types.ProcessID(q), types.Payload{Kind: types.KindInit, Value: v, Origin: api.ID()})
 	}
 }
 
@@ -103,6 +104,16 @@ func (s *PersonaEcho) Deliver(api mpnet.API, from types.ProcessID, p types.Paylo
 	api.Broadcast(types.Payload{Kind: types.KindEcho, Value: p.Value, Origin: from})
 }
 
+// resetEchoed returns echoed as n false entries, reusing its array.
+func resetEchoed(echoed []bool, n int) []bool {
+	if cap(echoed) < n {
+		return make([]bool, n)
+	}
+	echoed = echoed[:n]
+	clear(echoed)
+	return echoed
+}
+
 // EchoSplitter attacks the l-echo acceptance rule directly (the counting
 // argument in Lemma 3.14's proof): for every init it observes, it echoes a
 // *different* fabricated value to each recipient, trying to push several
@@ -112,7 +123,7 @@ type EchoSplitter struct {
 	// distinct junk.
 	Shift types.Value
 
-	echoed map[types.ProcessID]bool
+	echoed []bool
 }
 
 var _ mpnet.Protocol = (*EchoSplitter)(nil)
@@ -122,7 +133,7 @@ func NewEchoSplitter(shift types.Value) *EchoSplitter { return &EchoSplitter{Shi
 
 // Start implements mpnet.Protocol: announce a junk value of our own.
 func (s *EchoSplitter) Start(api mpnet.API) {
-	s.echoed = make(map[types.ProcessID]bool)
+	s.echoed = resetEchoed(s.echoed, api.N())
 	api.Broadcast(types.Payload{Kind: types.KindInit, Value: 900000 + s.Shift, Origin: api.ID()})
 }
 

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"kset/internal/mpnet"
@@ -58,37 +59,47 @@ func TestSilentSendsNothing(t *testing.T) {
 }
 
 func TestPersonaInputClaimsPerRecipient(t *testing.T) {
-	api := newRecordingAPI(3, 4)
-	s := NewPersonaInput(map[types.ProcessID]types.Value{0: 10, 1: 20}, 99)
-	s.Start(api)
-	if len(api.sent) != 4 {
-		t.Fatalf("sent %d messages, want one per process", len(api.sent))
-	}
-	byTo := map[types.ProcessID]types.Value{}
-	for _, m := range api.sent {
-		if m.payload.Kind != types.KindInput {
-			t.Errorf("wrong kind %v", m.payload.Kind)
+	for _, tc := range []struct {
+		name     string
+		personas []types.Value
+		want     []types.Value // claim toward p1..p4
+	}{
+		{"one per recipient", []types.Value{10, 20, 30, 40}, []types.Value{10, 20, 30, 40}},
+		{"shorter than n", []types.Value{10, 20}, []types.Value{10, 20, 99, 99}},
+		{"none", nil, []types.Value{99, 99, 99, 99}},
+	} {
+		api := newRecordingAPI(3, 4)
+		NewPersonaInput(tc.personas, 99).Start(api)
+		if len(api.sent) != 4 {
+			t.Fatalf("%s: sent %d messages, want one per process", tc.name, len(api.sent))
 		}
-		byTo[m.to] = m.payload.Value
-	}
-	if byTo[0] != 10 || byTo[1] != 20 {
-		t.Errorf("personas not honoured: %v", byTo)
-	}
-	if byTo[2] != 99 || byTo[3] != 99 {
-		t.Errorf("default persona not used: %v", byTo)
+		got := make([]types.Value, 4)
+		for _, m := range api.sent {
+			if m.payload.Kind != types.KindInput {
+				t.Errorf("%s: wrong kind %v", tc.name, m.payload.Kind)
+			}
+			got[m.to] = m.payload.Value
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: claims %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestPersonaEchoInitsPerRecipientAndEchoesHonestly(t *testing.T) {
 	api := newRecordingAPI(3, 4)
-	s := NewPersonaEcho(map[types.ProcessID]types.Value{0: 7}, 5)
+	s := NewPersonaEcho([]types.Value{7}, 5)
 	s.Start(api)
 	if len(api.sent) != 4 {
 		t.Fatalf("sent %d init messages, want 4", len(api.sent))
 	}
 	for _, m := range api.sent {
-		if m.payload.Kind != types.KindInit || m.payload.Origin != 3 {
-			t.Errorf("bad init %v", m.payload)
+		want := types.Value(5)
+		if m.to == 0 {
+			want = 7
+		}
+		if m.payload.Kind != types.KindInit || m.payload.Origin != 3 || m.payload.Value != want {
+			t.Errorf("bad init to %v: %v, want value %d", m.to, m.payload, want)
 		}
 	}
 	api.sent = nil
@@ -107,6 +118,13 @@ func TestPersonaEchoInitsPerRecipientAndEchoesHonestly(t *testing.T) {
 	s.Deliver(api, 0, types.Payload{Kind: types.KindInit, Value: 43, Origin: 0})
 	if len(api.sent) != 0 {
 		t.Error("echoed a second init for the same sender")
+	}
+	// Start clears what was echoed: a restarted strategy echoes p1 again.
+	s.Start(api)
+	api.sent = nil
+	s.Deliver(api, 0, types.Payload{Kind: types.KindInit, Value: 43, Origin: 0})
+	if len(api.sent) != 4 {
+		t.Errorf("restarted strategy echoed %d messages, want broadcast of 4", len(api.sent))
 	}
 }
 

@@ -381,11 +381,11 @@ func Lemma39ProtocolA(n, k, t int) (*Construction, error) {
 		}
 		// Correct processes: ids 0..t (t+1 of them), personas v_i = i+1.
 		// Faulty: ids t+1..n-1.
-		personas := make(map[types.ProcessID]types.Value, t+1)
+		personas := make([]types.Value, t+1)
 		groups := make([][]types.ProcessID, 0, t+2)
 		for i := 0; i <= t; i++ {
 			inputs[i] = types.Value(i + 1)
-			personas[types.ProcessID(i)] = types.Value(i + 1)
+			personas[i] = types.Value(i + 1)
 			groups = append(groups, []types.ProcessID{types.ProcessID(i)})
 		}
 		var fgroup []types.ProcessID
@@ -422,14 +422,14 @@ func Lemma39ProtocolA(n, k, t int) (*Construction, error) {
 		return nil, fmt.Errorf("%w: cannot fit k+1 groups of %d plus %d faulty in n=%d",
 			ErrOutOfRange, size, t, n)
 	}
-	personas := make(map[types.ProcessID]types.Value, n-t)
+	personas := make([]types.Value, n-t)
 	groups := make([][]types.ProcessID, 0, k+2)
 	next := 0
 	for gi := 0; gi <= k; gi++ {
 		members := make([]types.ProcessID, 0, size)
 		for j := 0; j < size; j++ {
 			inputs[next] = types.Value(gi + 1)
-			personas[types.ProcessID(next)] = types.Value(gi + 1)
+			personas[next] = types.Value(gi + 1)
 			members = append(members, types.ProcessID(next))
 			next++
 		}
@@ -439,7 +439,7 @@ func Lemma39ProtocolA(n, k, t int) (*Construction, error) {
 	var rest []types.ProcessID
 	for ; next < n-t; next++ {
 		inputs[next] = types.Value(k + 1)
-		personas[types.ProcessID(next)] = types.Value(k + 1)
+		personas[next] = types.Value(k + 1)
 		rest = append(rest, types.ProcessID(next))
 	}
 	if len(rest) > 0 {

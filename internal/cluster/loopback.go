@@ -12,7 +12,7 @@ import (
 
 // Loopback is an in-process cluster on 127.0.0.1, used by the tests, by the
 // benchmark driver's decide.* and acs.* workloads, by `ksetrun -live` and by
-// examples/livecluster: n nodes, each a full Node with real TCP links to the
+// ExampleStartLoopback: n nodes, each a full Node with real TCP links to the
 // others. Crashing a node (killing its process) and flapping links are
 // first-class operations so the soak tests can exercise the paper's failure
 // model against the real transport.

@@ -4,7 +4,7 @@
 // internal/protocols implementations — unchanged — that the deterministic
 // simulator (internal/mpnet) executes. Loopback runs n such nodes in one
 // process over 127.0.0.1; RunInstance drives one instance across them, the
-// path `ksetrun -live` and examples/livecluster take.
+// path `ksetrun -live` and ExampleStartLoopback take.
 //
 // The paper's asynchronous message-passing model promises a reliable
 // complete network with arbitrary finite delays. TCP gives reliability only

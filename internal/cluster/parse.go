@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"kset/internal/theory"
+	"kset/internal/types"
 )
 
 // liveProtocols are the protocols the cluster runtime hosts, in the order
@@ -41,4 +43,26 @@ func ParseAddrs(s string) []string {
 		}
 	}
 	return out
+}
+
+// ParseInputs reads a command-line -inputs list such as "4,7,2": exactly n
+// comma-separated integers, one input per process, the space around each
+// trimmed. An empty list is nil, leaving the inputs to the caller.
+func ParseInputs(s string, n int) ([]types.Value, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	if len(parts) != n {
+		return nil, fmt.Errorf("cluster: -inputs lists %d values for %d processes: every process needs exactly one input", len(parts), n)
+	}
+	out := make([]types.Value, n)
+	for i, p := range parts {
+		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: -inputs entry %d: %w", i, err)
+		}
+		out[i] = types.Value(v)
+	}
+	return out, nil
 }

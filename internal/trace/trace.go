@@ -152,24 +152,17 @@ type ByzSpec struct {
 	Rounds int
 }
 
-// personaMap converts the dense persona slice to the adversary map form.
-func (b ByzSpec) personaMap() map[types.ProcessID]types.Value {
-	m := make(map[types.ProcessID]types.Value, len(b.Personas))
-	for i, v := range b.Personas {
-		m[types.ProcessID(i)] = v
-	}
-	return m
-}
-
-// MPProtocol materializes the strategy for the message-passing runtime.
+// MPProtocol materializes the strategy for the message-passing runtime. A
+// persona strategy reads b.Personas in place, so the slice must not change
+// while it runs.
 func (b ByzSpec) MPProtocol() (mpnet.Protocol, error) {
 	switch b.Kind {
 	case ByzSilent:
 		return adversary.Silent{}, nil
 	case ByzPersonaInput:
-		return adversary.NewPersonaInput(b.personaMap(), b.Default), nil
+		return adversary.NewPersonaInput(b.Personas, b.Default), nil
 	case ByzPersonaEcho:
-		return adversary.NewPersonaEcho(b.personaMap(), b.Default), nil
+		return adversary.NewPersonaEcho(b.Personas, b.Default), nil
 	case ByzEchoSplitter:
 		return adversary.NewEchoSplitter(b.Shift), nil
 	case ByzRandomNoise:
@@ -183,7 +176,8 @@ func (b ByzSpec) MPProtocol() (mpnet.Protocol, error) {
 	}
 }
 
-// SMProtocol materializes the strategy for the shared-memory runtime.
+// SMProtocol materializes the strategy for the shared-memory runtime; a
+// persona strategy reads b.Personas in place, as MPProtocol's does.
 func (b ByzSpec) SMProtocol() (smmem.Protocol, error) {
 	switch b.Kind {
 	case ByzGarbageWriter:
@@ -191,9 +185,9 @@ func (b ByzSpec) SMProtocol() (smmem.Protocol, error) {
 	case ByzSimSilent:
 		return adversary.SMPersona(adversary.Silent{}), nil
 	case ByzSimPersonaInput:
-		return adversary.SMPersona(adversary.NewPersonaInput(b.personaMap(), b.Default)), nil
+		return adversary.SMPersona(adversary.NewPersonaInput(b.Personas, b.Default)), nil
 	case ByzSimPersonaEcho:
-		return adversary.SMPersona(adversary.NewPersonaEcho(b.personaMap(), b.Default)), nil
+		return adversary.SMPersona(adversary.NewPersonaEcho(b.Personas, b.Default)), nil
 	default:
 		return nil, fmt.Errorf("%w: %q is not a shared-memory Byzantine strategy", ErrBadTrace, b.Kind)
 	}

@@ -27,8 +27,9 @@
 // Lower layers are available for direct use: the deterministic
 // message-passing simulator (internal/mpnet), the shared-memory runtime
 // (internal/smmem), the protocols (internal/protocols/...), the adversary
-// library and the experiment harness. The examples/ directory shows the
-// intended entry points.
+// library and the experiment harness. The Example functions of this package
+// and of internal/adversary, internal/protocols/sm and internal/cluster show
+// the intended entry points; go test checks what they print.
 package kset
 
 import (
