@@ -120,7 +120,11 @@ regen-corpus:
 # targets check that Decode never panics and accepts only Validate-clean
 # artifacts, and that Encode(Decode(x)) is x, byte for byte, for every x
 # Decode accepts; their seeds include spellings strconv reads but Encode
-# never writes (n 03, n +3, halt-on-decide 0 and F, inputs 01,…). The wire
+# never writes (n 03, n +3, halt-on-decide 0 and F, inputs 01,…).
+# FuzzReplaySchedule replays the corpus artifacts under fuzzed schedules,
+# one entry per byte: Replay never fails, and replaying the schedule and
+# crash points it re-records is exact (same schedule, crashes, record and
+# verdict). The wire
 # seed corpus derives from the codec's sample messages, so the ACS
 # vocabulary (propose, acs-submit/ack, acs-round, log pulls) is fuzzed
 # automatically. The last target feeds Protocols C and D and the l-echo
@@ -136,6 +140,7 @@ regen-corpus:
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzTraceDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace/
+	$(GO) test -run XXX -fuzz FuzzReplaySchedule -fuzztime 10s ./internal/trace/
 	$(GO) test -run XXX -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzProtocolDeliver -fuzztime 10s ./internal/protocols/mp/

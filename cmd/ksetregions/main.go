@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 
 	"kset/internal/ascii"
 	"kset/internal/sweep"
@@ -139,21 +140,15 @@ func runDiff(out io.Writer, pair, validity string, n int) error {
 	if err != nil {
 		return err
 	}
-	sep := -1
-	for i := range pair {
-		if pair[i] == ':' {
-			sep = i
-			break
-		}
-	}
-	if sep < 0 {
+	a, b, ok := strings.Cut(pair, ":")
+	if !ok {
 		return fmt.Errorf("-diff wants two models separated by ':', got %q", pair)
 	}
-	ma, err := types.ParseModel(pair[:sep])
+	ma, err := types.ParseModel(a)
 	if err != nil {
 		return err
 	}
-	mb, err := types.ParseModel(pair[sep+1:])
+	mb, err := types.ParseModel(b)
 	if err != nil {
 		return err
 	}

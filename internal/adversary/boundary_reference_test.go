@@ -67,7 +67,7 @@ func (b *refBoundaryScheduler) Next(view *mpnet.View, pool *mpnet.Pool, rng *prn
 // pickLog is a Recorder keeping everything it is told.
 type pickLog struct{ events []string }
 
-func (l *pickLog) Pick(seq int) { l.events = append(l.events, fmt.Sprint(seq)) }
+func (l *pickLog) Pick(idx int) { l.events = append(l.events, fmt.Sprint(idx)) }
 func (l *pickLog) CrashAtEvent(p types.ProcessID, events int) {
 	l.events = append(l.events, fmt.Sprintf("%s@event%d", p, events))
 }

@@ -17,8 +17,7 @@ import (
 // passes a filter (PickAmong) is a function of the order alone.
 //
 // The index answers, in O(1) and without allocating, which envelope is the
-// oldest, the newest, the one with a given send sequence number, and the
-// oldest on each ordered channel; Channels and ChannelHead cost O(n*n/64).
+// oldest, the newest, and the oldest on each ordered channel; Channels and ChannelHead cost O(n*n/64).
 // PickAmong keeps, for the one filter a run's policy applies, a mark per
 // envelope, so a filtered draw costs O(in flight/64) and the filter runs once
 // per message rather than once per message per pick. Index and marks are
@@ -97,16 +96,6 @@ func (p *Pool) Oldest() int {
 func (p *Pool) Newest() int {
 	p.index()
 	return int(p.slots[p.newest].idx)
-}
-
-// IndexOf returns the position of the in-flight message with send sequence
-// number seq, or -1 if no such message is in flight.
-func (p *Pool) IndexOf(seq int) int {
-	p.index()
-	if seq < 0 || seq >= len(p.slots) {
-		return -1
-	}
-	return int(p.slots[seq].idx)
 }
 
 // Channels returns the number of ordered channels (sender, recipient) with

@@ -107,7 +107,7 @@ type View struct {
 //   - a pick costs O(1), or O(n*n/64) for a question about channels and
 //     O(in flight/64) for a filtered draw, never O(in flight): a policy about
 //     age, sequence numbers or channels asks the pool's index (Oldest,
-//     Newest, IndexOf, Channels, ChannelHead), and a policy that filters
+//     Newest, Channels, ChannelHead), and a policy that filters
 //     envelopes draws through Pool.PickAmong, which asks the filter about
 //     each message once and not once per pick;
 //   - anything per process or per group (a gate, a decided-set) is worked

@@ -12,11 +12,12 @@ import "kset/internal/types"
 // runs with recording off pay nothing. internal/trace provides the capture
 // implementation that turns the stream into a portable artifact.
 type Recorder interface {
-	// Pick reports that the scheduler selected the in-flight envelope with
-	// the given send sequence number. Every main-loop choice is reported,
+	// Pick reports that the scheduler selected the in-flight envelope at
+	// position idx of pool order (Pool.Envelopes), which is what
+	// Scheduler.Next returned. Every main-loop choice is reported,
 	// including picks that end in a crash or are consumed by a crashed or
 	// halted recipient without a delivery.
-	Pick(seq int)
+	Pick(idx int)
 	// CrashAtEvent reports that p crashed immediately before processing its
 	// events-th event (0 = before Start). The counter matches
 	// ScriptedCrashes.AtEvent, so a recorded run replays its crashes with a

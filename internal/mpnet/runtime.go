@@ -450,7 +450,7 @@ func (rt *runtime) run() error {
 		env := rt.pool.env[idx]
 		rt.pool.remove(idx)
 		if r := rt.cfg.Recorder; r != nil {
-			r.Pick(env.Seq)
+			r.Pick(idx)
 		}
 
 		p := &rt.procs[env.To]

@@ -7,12 +7,12 @@
 // The minimizer is a delta-debugging loop over four reduction passes:
 //
 //	truncate  — drop a suffix of the recorded schedule, letting replay's
-//	            deterministic fallback (oldest message / lowest process id)
-//	            finish the run;
+//	            fair fallback (oldest message first / round robin) finish
+//	            the run;
 //	drop-fault — remove one Byzantine or crash fault entirely;
 //	coalesce  — replace one distinct input value with the smallest input,
 //	            reducing the input alphabet;
-//	retire    — remove the highest process id, shrinking n.
+//	retire    — remove the highest process id, shrinking n while n > t.
 //
 // Every accepted candidate strictly decreases the artifact's cost (schedule
 // length, fault count, distinct inputs, n — no pass increases another's
@@ -21,10 +21,12 @@
 // index) surviving candidate wins, so the result is byte-identical for any
 // worker count.
 //
-// A shrunk artifact is generally not schedule-exact — its truncated script
-// plus the fallback rules still determine one unique run, but Replay's
-// re-recorded schedule is longer than the script. Its verdict is always the
-// one its own re-execution produced.
+// No pass needs to repair the schedule it leaves: every schedule entry is a
+// choice among what the runtime offers at its step (trace.Trace.Schedule),
+// so any candidate's script determines one run. A shrunk artifact is
+// generally not schedule-exact — Replay's re-recorded schedule runs past the
+// truncated script — and its verdict is always the one its own re-execution
+// produced.
 package shrink
 
 import (
@@ -231,12 +233,14 @@ func coalesceCandidates(t *trace.Trace) []*trace.Trace {
 	return out
 }
 
-// retireCandidates removes the highest process id: n shrinks by one, its
-// input and any fault entry for it disappear, and (shared-memory) schedule
-// entries granting it are dropped. Message-passing schedule entries are
-// sequence numbers, which replay's fallback rules reinterpret gracefully.
+// retireCandidates removes the highest process id: n shrinks by one, and its
+// input and any fault entry for it disappear. It offers nothing once t >= n,
+// since a smaller n would leave the model (t > n). The schedule is kept as
+// it is: a shared-memory entry granting the retired process names no
+// pending process and is skipped, and a message-passing entry is a position
+// in whatever pool the smaller run has.
 func retireCandidates(t *trace.Trace) []*trace.Trace {
-	if t.N <= 1 {
+	if t.N <= 1 || t.T >= t.N {
 		return nil
 	}
 	last := types.ProcessID(t.N - 1)
@@ -259,15 +263,6 @@ func retireCandidates(t *trace.Trace) []*trace.Trace {
 			c.Crashes = append(c.Crashes[:i], c.Crashes[i+1:]...)
 			break
 		}
-	}
-	if t.Model.Comm == types.SharedMemory {
-		kept := c.Schedule[:0]
-		for _, s := range c.Schedule {
-			if s < c.N {
-				kept = append(kept, s)
-			}
-		}
-		c.Schedule = kept
 	}
 	return []*trace.Trace{c}
 }

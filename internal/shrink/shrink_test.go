@@ -12,13 +12,20 @@ import (
 	"kset/internal/types"
 )
 
+// sweeper is the part of harness.MPSweep and harness.SMSweep violatingTrace
+// uses.
+type sweeper interface {
+	Execute() *harness.Summary
+	Capture(runSeed uint64) (*trace.Trace, *types.RunRecord, error)
+}
+
 // violatingTrace captures a reproducible violation by sweeping a protocol
 // outside its solvable region and capturing the first violating run seed.
-func violatingTrace(t *testing.T, s *harness.MPSweep) *trace.Trace {
+func violatingTrace(t *testing.T, s sweeper) *trace.Trace {
 	t.Helper()
 	sum := s.Execute()
 	if len(sum.Violations) == 0 {
-		t.Fatalf("sweep %q found no violation; pick harsher parameters", s.Name)
+		t.Fatalf("sweep %q found no violation; pick harsher parameters", sum.Name)
 	}
 	tr, _, err := s.Capture(sum.Violations[0].Seed)
 	if err != nil {
@@ -46,6 +53,24 @@ func floodMinByzSweep() *harness.MPSweep {
 	}
 }
 
+// simFloodMinByzSweep is FloodMin through SIMULATION in shared memory with
+// Byzantine processes, the sweep behind the corpus's SM/Byz RV1 artifact.
+func simFloodMinByzSweep() *harness.SMSweep {
+	spec := trace.ProtocolSpec{Proto: theory.ProtoFloodMin, Sim: true}
+	factory, err := spec.SMFactory()
+	if err != nil {
+		panic(err)
+	}
+	return &harness.SMSweep{
+		Name: "sim-floodmin-byz", N: 5, K: 2, T: 2, Validity: types.RV1,
+		NewProtocol: factory,
+		Byzantine:   true,
+		Runs:        64,
+		BaseSeed:    1,
+		Spec:        spec,
+	}
+}
+
 func cost(t *trace.Trace) [4]int {
 	distinct := map[types.Value]bool{}
 	for _, v := range t.Inputs {
@@ -55,36 +80,70 @@ func cost(t *trace.Trace) [4]int {
 }
 
 func TestMinimizeKeepsViolationAndShrinks(t *testing.T) {
-	tr := violatingTrace(t, floodMinByzSweep())
-	min, stats, err := Minimize(tr, Options{})
-	if err != nil {
-		t.Fatalf("Minimize: %v", err)
+	for _, c := range []struct {
+		name  string
+		sweep sweeper
+	}{
+		{"mp-floodmin-byz", floodMinByzSweep()},
+		{"sm-sim-floodmin-byz", simFloodMinByzSweep()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := violatingTrace(t, c.sweep)
+			min, stats, err := Minimize(tr, Options{})
+			if err != nil {
+				t.Fatalf("Minimize: %v", err)
+			}
+			if min.Verdict.OK || min.Verdict.Condition != tr.Verdict.Condition {
+				t.Fatalf("minimized verdict %v, want condition %q", min.Verdict, tr.Verdict.Condition)
+			}
+			// The minimized artifact must still reproduce from scratch.
+			v, err := trace.Evaluate(min)
+			if err != nil {
+				t.Fatalf("Evaluate(min): %v", err)
+			}
+			if v != min.Verdict {
+				t.Fatalf("minimized artifact does not reproduce: %v vs %v", v, min.Verdict)
+			}
+			before, after := cost(tr), cost(min)
+			for i := range after {
+				if after[i] > before[i] {
+					t.Errorf("cost component %d grew: %d -> %d", i, before[i], after[i])
+				}
+			}
+			if after == before {
+				t.Logf("note: nothing shrank (already minimal): %v", after)
+			}
+			if stats.Candidates == 0 {
+				t.Errorf("no candidates evaluated")
+			}
+			if len(min.Schedule) == len(tr.Schedule) && len(tr.Schedule) > 0 {
+				t.Errorf("schedule not truncated at all (len %d); truncate pass inert?", len(tr.Schedule))
+			}
+		})
 	}
-	if min.Verdict.OK || min.Verdict.Condition != tr.Verdict.Condition {
-		t.Fatalf("minimized verdict %v, want condition %q", min.Verdict, tr.Verdict.Condition)
-	}
-	// The minimized artifact must still reproduce from scratch.
-	v, err := trace.Evaluate(min)
-	if err != nil {
-		t.Fatalf("Evaluate(min): %v", err)
-	}
-	if v != min.Verdict {
-		t.Fatalf("minimized artifact does not reproduce: %v vs %v", v, min.Verdict)
-	}
-	before, after := cost(tr), cost(min)
-	for i := range after {
-		if after[i] > before[i] {
-			t.Errorf("cost component %d grew: %d -> %d", i, before[i], after[i])
+}
+
+// TestRetireStaysInModel: retiring a process offers a candidate while
+// n > t, and none once t = n, since a smaller n would put t above it.
+func TestRetireStaysInModel(t *testing.T) {
+	for _, c := range []struct {
+		n, t  int
+		cands int
+	}{
+		{5, 4, 1},
+		{4, 4, 0},
+		{1, 0, 0},
+	} {
+		tr := &trace.Trace{N: c.n, T: c.t, Inputs: make([]types.Value, c.n)}
+		got := retireCandidates(tr)
+		if len(got) != c.cands {
+			t.Errorf("n=%d t=%d: %d retire candidates, want %d", c.n, c.t, len(got), c.cands)
 		}
-	}
-	if after == before {
-		t.Logf("note: nothing shrank (already minimal): %v", after)
-	}
-	if stats.Candidates == 0 {
-		t.Errorf("no candidates evaluated")
-	}
-	if len(min.Schedule) == len(tr.Schedule) && len(tr.Schedule) > 0 {
-		t.Errorf("schedule not truncated at all (len %d); truncate pass inert?", len(tr.Schedule))
+		for _, r := range got {
+			if r.T > r.N {
+				t.Errorf("n=%d t=%d: candidate at n=%d, below t", c.n, c.t, r.N)
+			}
+		}
 	}
 }
 

@@ -301,8 +301,8 @@ func idRange(from, to int) []types.ProcessID {
 func TestTurnPassingMatchesReference(t *testing.T) {
 	// The replay scheduler: capture the fair run, then replay its schedule as
 	// recorded and damaged the ways the shrinker damages it (cut short,
-	// entries dropped), which walks smReplay's skip and lowest-pending
-	// fallbacks.
+	// entries dropped), which walks smReplay's skip of a process that is not
+	// pending and its round-robin fallback past the end of the script.
 	damage := []struct {
 		name  string
 		apply func(full []int) []int

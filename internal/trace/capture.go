@@ -13,9 +13,9 @@ import (
 // run, then fold the captured schedule and crash points into a Trace
 // (CaptureMP and CaptureSM do both).
 type Recorder struct {
-	// Schedule is the picked envelope sequence number per main-loop step
-	// (message passing) or the granted process id per operation step
-	// (shared memory).
+	// Schedule is the picked envelope's position in pool order per
+	// main-loop step (message passing) or the granted process id per
+	// operation step (shared memory).
 	Schedule []int
 	// Crashes are the crash points in firing order.
 	Crashes []CrashSpec
@@ -27,7 +27,7 @@ var (
 )
 
 // Pick implements mpnet.Recorder.
-func (r *Recorder) Pick(seq int) { r.Schedule = append(r.Schedule, seq) }
+func (r *Recorder) Pick(idx int) { r.Schedule = append(r.Schedule, idx) }
 
 // Grant implements smmem.Recorder.
 func (r *Recorder) Grant(p types.ProcessID) { r.Schedule = append(r.Schedule, int(p)) }

@@ -12,7 +12,7 @@ import (
 
 // The canonical text format, line by line and in this exact order:
 //
-//	ksettrace v1
+//	ksettrace v2
 //	model mp/byz
 //	validity sv1
 //	n 6
@@ -42,9 +42,6 @@ import (
 // artifacts diffable without making them tall.
 const scheduleChunk = 16
 
-// header is the first line of every artifact.
-const header = "ksettrace v1"
-
 // Encode renders the artifact in the canonical text format. It fails if the
 // artifact does not Validate, so every encoded artifact is well-formed.
 func Encode(t *Trace) ([]byte, error) {
@@ -52,7 +49,7 @@ func Encode(t *Trace) ([]byte, error) {
 		return nil, err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", header)
+	fmt.Fprintf(&b, "ksettrace v%d\n", t.Version)
 	fmt.Fprintf(&b, "model %s\n", strings.ToLower(t.Model.String()))
 	fmt.Fprintf(&b, "validity %s\n", strings.ToLower(t.Validity.String()))
 	fmt.Fprintf(&b, "n %d\n", t.N)
@@ -165,11 +162,14 @@ func lineAt(b []byte, start int) string {
 	return string(line)
 }
 
-// parseLine reads one line's payload into t by its keyword. Unknown keywords
-// and the header and end lines read nothing: the comparison with Encode's
-// output rejects what they get wrong.
+// parseLine reads one line's payload into t by its keyword. The header
+// line reads the version, which Validate checks, so an artifact of another
+// version is refused by its version. Unknown keywords and the end line read
+// nothing: the comparison with Encode's output rejects what they get wrong.
 func (t *Trace) parseLine(key, rest string) (err error) {
 	switch key {
+	case "ksettrace":
+		t.Version, err = strconv.Atoi(strings.TrimPrefix(rest, "v"))
 	case "model":
 		t.Model, err = types.ParseModel(rest)
 	case "validity":

@@ -132,3 +132,56 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReplaySchedule replays the corpus artifacts under fuzzed schedules, one
+// entry per byte. Every list of non-negative entries is a schedule, so
+// Replay never fails; and the run a schedule chooses is re-recorded
+// exactly, so replaying the re-recorded schedule and crash points yields the
+// same schedule, crashes, record and verdict.
+func FuzzReplaySchedule(f *testing.F) {
+	paths, err := filepath.Glob("../../testdata/traces/*.ktr")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no corpus artifacts (%v)", err)
+	}
+	var corpus []*Trace
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tr, err := Decode(data)
+		if err != nil {
+			f.Fatalf("%s: %v", p, err)
+		}
+		corpus = append(corpus, tr)
+		sched := make([]byte, len(tr.Schedule))
+		for j, e := range tr.Schedule {
+			sched[j] = byte(e)
+		}
+		f.Add(uint8(i), sched)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, sched []byte) {
+		tr := *corpus[int(which)%len(corpus)]
+		tr.Schedule = make([]int, len(sched))
+		for i, b := range sched {
+			tr.Schedule[i] = int(b)
+		}
+		first, err := Replay(&tr)
+		if err != nil {
+			t.Fatalf("Replay of schedule %v: %v", tr.Schedule, err)
+		}
+		tr.Schedule, tr.Crashes = first.Schedule, first.Crashes
+		again, err := Replay(&tr)
+		if err != nil {
+			t.Fatalf("Replay of the re-recorded schedule: %v", err)
+		}
+		if !reflect.DeepEqual(again.Schedule, first.Schedule) || !reflect.DeepEqual(again.Crashes, first.Crashes) {
+			t.Fatalf("re-recorded schedule does not replay exactly:\n got %v %v\nwant %v %v",
+				again.Schedule, again.Crashes, first.Schedule, first.Crashes)
+		}
+		if again.Verdict != first.Verdict || !reflect.DeepEqual(again.Record, first.Record) {
+			t.Fatalf("re-recorded schedule changes the run:\n got %v %+v\nwant %v %+v",
+				again.Verdict, again.Record, first.Verdict, first.Record)
+		}
+	})
+}

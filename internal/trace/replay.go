@@ -9,74 +9,64 @@ import (
 	"kset/internal/types"
 )
 
-// mpReplay is a scheduler that follows a recorded pick sequence. Replaying
-// an unmodified artifact never leaves the script: every scripted sequence
-// number is in flight when its step comes up, because the runtime's choices
-// are a pure function of the schedule and the seed.
-//
-// Shrunk candidates diverge, so the scheduler degrades deterministically: a
-// scripted message that was already seen in flight (and is gone now) was
-// consumed by the divergence and its entry is skipped; one not yet sent may
-// still appear, so the scheduler delivers the oldest in-flight message and
-// retries the entry next step; an exhausted script falls back to oldest-
-// first entirely. The fallback never reads the rng, so replay cannot
-// perturb the process random streams.
-type mpReplay struct {
-	script  []int
+// script is a recorded schedule read front to back. Every entry is a
+// choice among what the runtime offers at its step, so every list of
+// non-negative entries is a schedule some run follows, and replay needs no
+// divergence logic: an unmodified artifact replays exactly, a shrunk one
+// replays to the run its entries choose.
+type script struct {
+	entries []int
 	cursor  int
-	maxSeen int // highest send sequence number ever observed in flight
 }
+
+// next returns the next entry, or false once the script is exhausted.
+func (s *script) next() (int, bool) {
+	if s.cursor == len(s.entries) {
+		return 0, false
+	}
+	s.cursor++
+	return s.entries[s.cursor-1], true
+}
+
+// mpReplay follows a recorded pick sequence: an entry picks the envelope at
+// position entry mod Len in pool order. Past the end of the script it
+// delivers oldest-first, which is fair and reads no rng, so replay cannot
+// perturb the process random streams.
+type mpReplay struct{ script }
 
 var _ mpnet.Scheduler = (*mpReplay)(nil)
 
-// Next implements mpnet.Scheduler. Every question goes to the pool's index,
-// so a step costs O(1) however many messages are in flight — the shrinker
-// runs each candidate through here.
+// Next implements mpnet.Scheduler in O(1).
 func (s *mpReplay) Next(_ *mpnet.View, pool *mpnet.Pool, _ *prng.Source) int {
-	if newest := pool.Envelopes()[pool.Newest()].Seq; newest > s.maxSeen {
-		s.maxSeen = newest
-	}
-	for s.cursor < len(s.script) {
-		want := s.script[s.cursor]
-		if idx := pool.IndexOf(want); idx >= 0 {
-			s.cursor++
-			return idx
-		}
-		if want <= s.maxSeen {
-			// Was in flight once and is gone: it can never match again.
-			s.cursor++
-			continue
-		}
-		// Not sent yet; deliver oldest-first until it appears.
-		break
+	if e, ok := s.next(); ok {
+		return e % pool.Len()
 	}
 	return pool.Oldest()
 }
 
 // smReplay follows a recorded grant sequence. The shared-memory runtime
-// keeps every live process pending whenever the scheduler runs, so a
-// scripted process that is not pending has exited or crashed and its entry
-// is skipped for good; an exhausted script falls back to the lowest pending
-// process id. The fallback never reads the rng.
+// keeps every live process pending whenever the scheduler runs, so an entry
+// naming a process that is not pending (it has exited or crashed, or it is
+// no process at all) is skipped. Past the end of the script it grants round
+// robin: a fallback that always granted the same process would let a
+// process that polls for the others spin forever. Neither reads the rng.
 type smReplay struct {
-	script []int
-	cursor int
+	script
+	rest smmem.RoundRobin
 }
 
 var _ smmem.Scheduler = (*smReplay)(nil)
 
 // Next implements smmem.Scheduler.
-func (s *smReplay) Next(_ *smmem.View, pending []types.ProcessID, _ *prng.Source) types.ProcessID {
-	for s.cursor < len(s.script) {
-		want := types.ProcessID(s.script[s.cursor])
-		s.cursor++
+func (s *smReplay) Next(v *smmem.View, pending []types.ProcessID, rng *prng.Source) types.ProcessID {
+	for e, ok := s.next(); ok; e, ok = s.next() {
 		for _, p := range pending {
-			if p == want {
-				return want
+			if int(p) == e {
+				return p
 			}
 		}
 	}
-	return pending[0]
+	return s.rest.Next(v, pending, rng)
 }
 
 // BuildMPConfig reconstructs the runnable message-passing configuration of
@@ -97,7 +87,7 @@ func BuildMPConfig(t *Trace) (mpnet.Config, error) {
 		Seed:         t.Seed,
 		MaxEvents:    t.Budget,
 		HaltOnDecide: t.HaltOnDecide,
-		Scheduler:    &mpReplay{script: t.Schedule},
+		Scheduler:    &mpReplay{script{entries: t.Schedule}},
 	}
 	if len(t.Byzantine) > 0 {
 		cfg.Byzantine = make(map[types.ProcessID]mpnet.Protocol, len(t.Byzantine))
@@ -143,7 +133,7 @@ func BuildSMConfig(t *Trace) (smmem.Config, error) {
 		NewProtocol: factory,
 		Seed:        t.Seed,
 		MaxOps:      t.Budget,
-		Scheduler:   &smReplay{script: t.Schedule},
+		Scheduler:   &smReplay{script: script{entries: t.Schedule}},
 	}
 	if len(t.Byzantine) > 0 {
 		cfg.Byzantine = make(map[types.ProcessID]smmem.Protocol, len(t.Byzantine))

@@ -38,7 +38,7 @@ import (
 )
 
 // Version is the current artifact format version.
-const Version = 1
+const Version = 2
 
 // ErrBadTrace reports a structurally invalid artifact.
 var ErrBadTrace = errors.New("trace: invalid artifact")
@@ -276,11 +276,13 @@ type Trace struct {
 	Byzantine []ByzSpec
 	// Crashes lists the recorded crash points, sorted by process id.
 	Crashes []CrashSpec
-	// Schedule is the full ordered decision sequence: envelope send
-	// sequence numbers (message-passing picks) or granted process ids
-	// (shared-memory grants). Replay follows it exactly; if it runs out or
-	// diverges (a shrunk candidate), a deterministic fallback policy —
-	// lowest sequence number / lowest pid — takes over.
+	// Schedule is the full ordered decision sequence, one choice per step
+	// among what the runtime offers: the position of the picked envelope in
+	// pool order (message passing, taken modulo the number in flight), or
+	// the granted process id (shared memory, skipped when that process is
+	// not pending). Any list of non-negative entries is a schedule. Past its
+	// end replay continues oldest-first (message passing) or round robin
+	// (shared memory).
 	Schedule []int
 	// Verdict is the checker outcome the original run produced.
 	Verdict Verdict
@@ -291,7 +293,7 @@ func (t *Trace) Validate() error {
 	if t.Version != Version {
 		return fmt.Errorf("%w: unsupported version %d", ErrBadTrace, t.Version)
 	}
-	if t.N <= 0 || t.K <= 0 || t.T < 0 {
+	if t.N <= 0 || t.K <= 0 || t.T < 0 || t.T > t.N {
 		return fmt.Errorf("%w: n=%d k=%d t=%d", ErrBadTrace, t.N, t.K, t.T)
 	}
 	if len(t.Inputs) != t.N {
@@ -327,7 +329,7 @@ func (t *Trace) Validate() error {
 		faulty[c.Proc] = true
 	}
 	for _, s := range t.Schedule {
-		if s < 0 || (t.Model.Comm == types.SharedMemory && s >= t.N) {
+		if s < 0 {
 			return fmt.Errorf("%w: schedule entry %d out of range", ErrBadTrace, s)
 		}
 	}

@@ -221,7 +221,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	text := string(data)
 	cases := map[string]string{
 		"empty":            "",
-		"bad header":       strings.Replace(text, "ksettrace v1", "ksettrace v9", 1),
+		"bad header":       strings.Replace(text, "ksettrace v2", "ksettrace v9", 1),
+		"t above n":        strings.Replace(text, "\nt 1\n", "\nt 4\n", 1),
 		"missing end":      strings.TrimSuffix(text, "end\n"),
 		"trailing junk":    text + "junk\n",
 		"bad model":        strings.Replace(text, "model mp/cr", "model carrier-pigeon", 1),
@@ -259,10 +260,15 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("Decode rejected a canonical artifact: %v\n%s", err, in)
 		}
 	}
-	// The error names the first line that differs and its canonical form.
-	_, err = Decode([]byte(strings.Replace(text, "\nn 3\n", "\nn 03\n", 1)))
-	if want := `line 4 is "n 03", canonical "n 3"`; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Decode error %v, want it to contain %s", err, want)
+	// The error names the first line that differs and its canonical form,
+	// or an artifact's format version when it is not this one.
+	for in, want := range map[string]string{
+		strings.Replace(text, "\nn 3\n", "\nn 03\n", 1):          `line 4 is "n 03", canonical "n 3"`,
+		strings.Replace(text, "ksettrace v2", "ksettrace v1", 1): "unsupported version 1",
+	} {
+		if _, err := Decode([]byte(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Decode error %v, want it to contain %s", err, want)
+		}
 	}
 }
 
