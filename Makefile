@@ -132,7 +132,8 @@ regen-corpus:
 # equal to the map-based reference. The next two run smmem's API.Poll and
 # API.Scan against their Read-loop spellings on fuzzed write points, hit
 # handlers and visitors (writes included), schedules and crashes: record,
-# Recorder and Trace streams equal.
+# the grant and crash stream trace.Recorder records around the scheduler and
+# crash adversary, and the Trace stream equal.
 # FuzzWindowMatchesOracle checks the cluster's window (peer dedup and the
 # shards' id windows) against a map-plus-watermark oracle. FuzzClassify
 # checks the classifier up to n = 200: total, and no cell left open that

@@ -154,7 +154,7 @@ func TestSeedReplayExactness(t *testing.T) {
 		N: 7, T: 2, K: 3,
 		Inputs:      []types.Value{3, 1, 4, 1, 5, 9, 2},
 		NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-		Crash:       &mpnet.ScriptedCrashes{AtSend: map[types.ProcessID]int{0: 3}},
+		Crash:       types.ScriptedCrashes{{Proc: 0, Kind: types.CrashAtSend, Index: 3}},
 		Seed:        31337,
 	}
 	a, err := mpnet.Run(cfg)

@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -64,21 +63,11 @@ func (b *refBoundaryScheduler) Next(view *mpnet.View, pool *mpnet.Pool, rng *prn
 	return eligible[rng.Intn(len(eligible))]
 }
 
-// pickLog is a Recorder keeping everything it is told.
-type pickLog struct{ events []string }
-
-func (l *pickLog) Pick(idx int) { l.events = append(l.events, fmt.Sprint(idx)) }
-func (l *pickLog) CrashAtEvent(p types.ProcessID, events int) {
-	l.events = append(l.events, fmt.Sprintf("%s@event%d", p, events))
-}
-func (l *pickLog) CrashAtSend(p types.ProcessID, sends int) {
-	l.events = append(l.events, fmt.Sprintf("%s@send%d", p, sends))
-}
-
 // TestBoundarySchedulerMatchesReference runs the boundary construction under
 // boundaryScheduler and under its old body, with and without random crashes
 // (faulty members change which groups count as decided), and requires the
-// identical pick sequence, crash points and record.
+// identical event stream (every send, delivery and crash, in order) and
+// record.
 func TestBoundarySchedulerMatchesReference(t *testing.T) {
 	for _, p := range []struct{ n, k int }{{4, 2}, {8, 2}, {12, 3}, {16, 4}, {24, 4}} {
 		cons, err := BoundaryProtocolA(p.n, p.k)
@@ -90,16 +79,17 @@ func TestBoundarySchedulerMatchesReference(t *testing.T) {
 			for _, crashes := range []bool{false, true} {
 				run := func(sched mpnet.Scheduler) (*types.RunRecord, []string) {
 					cfg := *cons.MP
-					log := &pickLog{}
-					cfg.Scheduler, cfg.Recorder, cfg.Seed = sched, log, seed
+					var events []string
+					cfg.Scheduler, cfg.Seed = sched, seed
+					cfg.Trace = func(ev mpnet.TraceEvent) { events = append(events, ev.String()) }
 					if crashes {
-						cfg.Crash = mpnet.NewRandomCrashes(2.0/float64(p.n), seed)
+						cfg.Crash = &types.RandomCrashes{Rate: 2.0 / float64(p.n), Seed: seed}
 					}
 					rec, err := mpnet.Run(cfg)
 					if err != nil {
 						t.Fatalf("n=%d k=%d seed %d: %v", p.n, p.k, seed, err)
 					}
-					return rec, log.events
+					return rec, events
 				}
 				wantRec, want := run(&refBoundaryScheduler{group: prod.group, victim: prod.victim})
 				gotRec, got := run(cons.NewScheduler())

@@ -229,12 +229,12 @@ func Lemma32FloodMin(n, k, t int) (*Construction, error) {
 	for i := range inputs {
 		inputs[i] = types.Value(i + 1)
 	}
-	atSend := make(map[types.ProcessID]int, t)
+	crashes := make(types.ScriptedCrashes, t)
 	for i := 1; i <= t; i++ {
 		// Crasher p_i (id i-1) transmits to recipients in id order and
 		// crashes after t+i sends, so its value reaches ids 0..t+i-1, the
 		// last of them the correct process p_{t+i}.
-		atSend[types.ProcessID(i-1)] = t + i
+		crashes[i-1] = types.CrashPoint{Proc: types.ProcessID(i - 1), Kind: types.CrashAtSend, Index: t + i}
 	}
 	return &Construction{
 		Name:     "lemma3.2-floodmin",
@@ -245,7 +245,7 @@ func Lemma32FloodMin(n, k, t int) (*Construction, error) {
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-			Crash:       &mpnet.ScriptedCrashes{AtSend: atSend},
+			Crash:       crashes,
 			Scheduler:   mpnet.FIFO{},
 		},
 	}, nil
@@ -275,7 +275,7 @@ func Lemma35FloodMin(n, k, t int) (*Construction, error) {
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
 			// p1 crashes after its broadcast completes (n transmissions).
-			Crash:     &mpnet.ScriptedCrashes{AtEvent: map[types.ProcessID]int{0: 1}},
+			Crash:     types.ScriptedCrashes{{Proc: 0, Kind: types.CrashAtEvent, Index: 1}},
 			Scheduler: keySenderFirst(n, 0),
 		},
 	}, nil

@@ -15,7 +15,7 @@ func TestDiagramRendersRunEvents(t *testing.T) {
 		N: 3, T: 1, K: 2,
 		Inputs:      []types.Value{1, 2, 3},
 		NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewFloodMin() },
-		Crash:       &mpnet.ScriptedCrashes{AtEvent: map[types.ProcessID]int{2: 1}},
+		Crash:       types.ScriptedCrashes{{Proc: 2, Kind: types.CrashAtEvent, Index: 1}},
 		Seed:        3,
 		Trace:       d.Observe,
 	})

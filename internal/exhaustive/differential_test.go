@@ -38,7 +38,7 @@ func TestSimulatorDecisionsWithinAnalyticalMenus(t *testing.T) {
 				Seed:        rng.Uint64(),
 			}
 			if round%2 == 1 {
-				cfg.Crash = mpnet.NewRandomCrashes(0.05, rng.Uint64())
+				cfg.Crash = &types.RandomCrashes{Rate: 0.05, Seed: rng.Uint64()}
 			}
 			rec, err := mpnet.Run(cfg)
 			if err != nil {

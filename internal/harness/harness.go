@@ -78,16 +78,14 @@ type Arena struct {
 
 	// The adversaries of the last planned scenario, rewritten by every plan
 	// that draws one: the partition gate, the shared-memory delaying and
-	// round-robin policies, the crash scripts and random crashes of both
-	// simulators, and the tables of Byzantine strategies.
+	// round-robin policies, the crash script and random crashes either
+	// simulator runs against, and the tables of Byzantine strategies.
 	gate       mpnet.GroupGate
 	hold       smmem.Hold
 	starve     smmem.Starve
 	roundRobin smmem.RoundRobin
-	mpScript   mpnet.ScriptedCrashes
-	mpRandom   mpnet.RandomCrashes
-	smScript   smmem.ScriptedCrashes
-	smRandom   smmem.RandomCrashes
+	script     types.ScriptedCrashes
+	random     types.RandomCrashes
 	mpByz      map[types.ProcessID]mpnet.Protocol
 	smByz      map[types.ProcessID]smmem.Protocol
 

@@ -114,24 +114,25 @@ func (s *MPSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	} else if f > 0 {
 		switch rng.Intn(2) {
 		case 0:
-			crash := &a.mpScript
-			crash.AtEvent, crash.AtSend = cleared(crash.AtEvent), cleared(crash.AtSend)
+			a.script = a.script[:0]
 			for i := 0; i < n; i++ {
 				if !faulty[i] {
 					continue
 				}
+				c := types.CrashPoint{Proc: types.ProcessID(i), Kind: types.CrashAtEvent}
 				if rng.Bool() {
-					crash.AtEvent[types.ProcessID(i)] = rng.Intn(3 * n)
+					c.Index = rng.Intn(3 * n)
 				} else {
 					// Truncate a broadcast mid-flight.
-					crash.AtSend[types.ProcessID(i)] = rng.Intn(2*n) + 1
+					c.Kind, c.Index = types.CrashAtSend, rng.Intn(2*n)+1
 				}
+				a.script = append(a.script, c)
 			}
-			cfg.Crash = crash
+			cfg.Crash = &a.script
 			advName = "scripted-crash"
 		default:
-			a.mpRandom = mpnet.RandomCrashes{Rate: 2.0 / float64(n), Seed: rng.Uint64()}
-			cfg.Crash = &a.mpRandom
+			a.random = types.RandomCrashes{Rate: 2.0 / float64(n), Seed: rng.Uint64()}
+			cfg.Crash = &a.random
 			advName = "random-crash"
 		}
 	}

@@ -137,16 +137,15 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	} else if f > 0 {
 		switch rng.Intn(2) {
 		case 0:
-			crash := &a.smScript
-			crash.AtOp = cleared(crash.AtOp)
+			a.script = a.script[:0]
 			for _, id := range faultyIDs {
-				crash.AtOp[id] = rng.Intn(4 * n)
+				a.script = append(a.script, types.CrashPoint{Proc: id, Kind: types.CrashAtOp, Index: rng.Intn(4 * n)})
 			}
-			cfg.Crash = crash
+			cfg.Crash = &a.script
 			advName = "scripted-crash"
 		default:
-			a.smRandom = smmem.RandomCrashes{Rate: 2.0 / float64(4*n), Seed: rng.Uint64()}
-			cfg.Crash = &a.smRandom
+			a.random = types.RandomCrashes{Rate: 2.0 / float64(4*n), Seed: rng.Uint64()}
+			cfg.Crash = &a.random
 			advName = "random-crash"
 		}
 	}

@@ -133,6 +133,7 @@ func DefaultScopes() map[string][]string {
 		"kset/internal/shrink",
 		"kset/internal/wire",
 		"kset/internal/grid",
+		"kset/internal/types",
 	}
 	simulatorsAndCluster := slices.Concat(deterministic, []string{
 		"kset/internal/cluster",

@@ -115,7 +115,7 @@ func TestRuntimeAccountingInvariants(t *testing.T) {
 			},
 		}
 		if s.CrashRate > 0 {
-			cfg.Crash = NewRandomCrashes(float64(s.CrashRate)/100, s.Seed+1)
+			cfg.Crash = &types.RandomCrashes{Rate: float64(s.CrashRate) / 100, Seed: s.Seed + 1}
 		}
 		rec, err := Run(cfg)
 		if err != nil {

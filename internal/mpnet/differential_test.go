@@ -112,24 +112,23 @@ var faultModes = []struct {
 	{"no-crashes", func(*mpnet.Config, uint64) []bool { return nil }},
 	{"scripted-crashes", func(cfg *mpnet.Config, seed uint64) []bool {
 		rng := prng.New(seed ^ 0x5c)
-		crash := &mpnet.ScriptedCrashes{
-			AtEvent: make(map[types.ProcessID]int),
-			AtSend:  make(map[types.ProcessID]int),
-		}
+		var crashes types.ScriptedCrashes
 		for _, idx := range rng.Perm(cfg.N)[:cfg.T] {
+			c := types.CrashPoint{Proc: types.ProcessID(idx), Kind: types.CrashAtEvent}
 			if rng.Bool() {
-				crash.AtEvent[types.ProcessID(idx)] = rng.Intn(3 * cfg.N)
+				c.Index = rng.Intn(3 * cfg.N)
 			} else {
-				crash.AtSend[types.ProcessID(idx)] = rng.Intn(2*cfg.N) + 1
+				c.Kind, c.Index = types.CrashAtSend, rng.Intn(2*cfg.N)+1
 			}
+			crashes = append(crashes, c)
 		}
-		cfg.Crash = crash
+		cfg.Crash = crashes
 		return nil
 	}},
 	{"random-crashes", func(cfg *mpnet.Config, seed uint64) []bool {
 		// Crashes at arbitrary points of the run: the path that discards
 		// in-flight messages and rebuilds the index.
-		cfg.Crash = mpnet.NewRandomCrashes(2.0/float64(cfg.N), seed+1)
+		cfg.Crash = &types.RandomCrashes{Rate: 2.0 / float64(cfg.N), Seed: seed + 1}
 		return nil
 	}},
 	{"byzantine", func(cfg *mpnet.Config, seed uint64) []bool {
@@ -152,14 +151,14 @@ type outcome struct {
 	rec     *types.RunRecord
 	err     error
 	picks   []int
-	crashes []trace.CrashSpec
+	crashes []types.CrashPoint
 	draws   []int
 }
 
 // TestSchedulersMatchReference is the differential oracle for the indexed
 // pool: every production policy against its old body (reference_test.go), on
-// the same configuration and seed, must report the same Recorder.Pick
-// sequence, the same crash points, the same number of rng draws at every
+// the same configuration and seed, must record the same pick sequence, the
+// same crash points, the same number of rng draws at every
 // pick and the same RunRecord — while the pool's index is walked against the
 // envelope slice before every pick.
 func TestSchedulersMatchReference(t *testing.T) {
@@ -193,7 +192,8 @@ func TestSchedulersMatchReference(t *testing.T) {
 								pr.inner = ref
 							}
 							rec := &trace.Recorder{}
-							cfg.Scheduler, cfg.Recorder = pr, rec
+							cfg.Scheduler = pr
+							rec.MP(&cfg)
 							record, err := mpnet.Run(cfg)
 							return outcome{record, err, rec.Schedule, rec.Crashes, pr.draws}
 						}

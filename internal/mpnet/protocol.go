@@ -100,7 +100,9 @@ type View struct {
 // Scheduler chooses the next in-flight message to deliver: Next returns a
 // position in pool.Envelopes(). Returning a position outside [0, pool.Len())
 // is a programming error and aborts the run. The runtime guarantees the pool
-// is non-empty when Next is called.
+// is non-empty when Next is called, and calls it exactly once per main-loop
+// pick, so a wrapper that notes what Next returns sees the run's pick order
+// (internal/trace records runs that way).
 //
 // Cost contract. Next runs once per delivery, so it is the simulator's inner
 // loop, and a run must stay a function of its seed:
@@ -121,20 +123,4 @@ type View struct {
 //   - it draws from rng only what the choice needs, in a fixed order.
 type Scheduler interface {
 	Next(view *View, pool *Pool, rng *prng.Source) int
-}
-
-// CrashAdversary injects crash failures. The runtime enforces the global
-// fault budget: once t processes have crashed (or are Byzantine), further
-// crash requests are ignored, so adversaries may be sloppy about counting.
-type CrashAdversary interface {
-	// CrashBeforeDeliver is consulted before delivering an event to p
-	// (Start counts as the first event, with eventIndex 0). Returning true
-	// crashes p instead of delivering.
-	CrashBeforeDeliver(view *View, p types.ProcessID, eventIndex int) bool
-	// CrashDuringSend is consulted before each point-to-point transmission
-	// by p, including each constituent send of a broadcast; sendIndex
-	// counts p's transmissions. Returning true crashes p immediately: this
-	// send and everything after it are lost, so a broadcast is truncated
-	// mid-flight.
-	CrashDuringSend(view *View, p types.ProcessID, to types.ProcessID, sendIndex int) bool
 }

@@ -30,7 +30,7 @@ type arenaOutcome struct {
 	rec     *types.RunRecord
 	err     string
 	picks   []int
-	crashes []trace.CrashSpec
+	crashes []types.CrashPoint
 	events  int
 	stream  uint64
 }
@@ -108,7 +108,7 @@ func observe(r *mpnet.Runner, cfg mpnet.Config) arenaOutcome {
 	var out arenaOutcome
 	rec := &trace.Recorder{}
 	stream := fnv.New64a()
-	cfg.Recorder = rec
+	rec.MP(&cfg)
 	cfg.Trace = func(ev mpnet.TraceEvent) {
 		out.events++
 		fmt.Fprintln(stream, ev)
@@ -198,7 +198,7 @@ func TestRunnerRecordValidUntilNextRun(t *testing.T) {
 		return mpnet.Config{
 			N: n, T: (n - 1) / 3, K: 2, Inputs: distinctValues(n), Seed: seed,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolC(1) },
-			Crash:       mpnet.NewRandomCrashes(1.0/float64(n), seed),
+			Crash:       &types.RandomCrashes{Rate: 1.0 / float64(n), Seed: seed},
 		}
 	}
 	run := func(run func(mpnet.Config) (*types.RunRecord, error), n int, seed uint64) *types.RunRecord {

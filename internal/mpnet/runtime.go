@@ -31,8 +31,9 @@ type Config struct {
 	// in the run record.
 	Byzantine map[types.ProcessID]Protocol
 
-	// Crash injects crash failures; nil means no crashes.
-	Crash CrashAdversary
+	// Crash injects crash failures at deliveries (types.CrashAtEvent) and
+	// transmissions (types.CrashAtSend); nil means no crashes.
+	Crash types.CrashAdversary
 
 	// Scheduler chooses delivery order; nil means FairRandom.
 	Scheduler Scheduler
@@ -55,10 +56,6 @@ type Config struct {
 	// Trace, if non-nil, observes every event (sends, deliveries, crashes,
 	// decisions).
 	Trace func(TraceEvent)
-
-	// Recorder, if non-nil, observes the run's scheduling decisions (picks
-	// and crash points) for later replay. See internal/trace.
-	Recorder Recorder
 }
 
 // Errors reported by Run for misconfigured or buggy setups (as opposed to
@@ -188,8 +185,8 @@ func Run(cfg Config) (*types.RunRecord, error) {
 // record keep their arrays from one Run to the next, so a sweep's later runs
 // grow nothing the earlier ones already grew. The View is the same value in
 // every run; its Changes count goes on growing across them. A run on a used
-// Runner is the run a fresh one would make — same schedule, same record,
-// same Recorder and Trace streams — whatever ran before it and however that
+// Runner is the run a fresh one would make — same picks, same crashes, same
+// record and Trace stream — whatever ran before it and however that
 // ended. The RunRecord a Run returns is the arena's: it is valid until the
 // next Run, which overwrites it, and a caller that keeps it longer keeps a
 // Clone.
@@ -234,9 +231,7 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("%w: %d Byzantine processes exceed t=%d",
 			ErrFaultBudget, len(cfg.Byzantine), cfg.T)
 	}
-	if bad, found := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, strat Protocol) bool {
-		return int(id) < 0 || int(id) >= cfg.N || strat == nil
-	}); found {
+	if bad, found := types.SmallestBadID(cfg.Byzantine, cfg.N); found {
 		return fmt.Errorf("%w: Byzantine id %d out of range or without a strategy", ErrBadConfig, bad)
 	}
 	return nil
@@ -322,16 +317,12 @@ func (rt *runtime) trace(ev TraceEvent) {
 	}
 }
 
-// mayCrash reports whether the adversary is still within budget to crash a
-// currently-correct process.
-func (rt *runtime) mayCrash(p *process) bool {
-	if p.crashed {
-		return false
-	}
-	if p.byz {
-		return false // Byzantine processes already count as faulty
-	}
-	return rt.faults < rt.t
+// crashes asks the crash adversary whether p, which has not crashed, crashes
+// at this site, where p's kind counter reads index. A Byzantine process
+// (already faulty) and a spent fault budget are never asked about.
+func (rt *runtime) crashes(p *process, kind types.CrashKind, index int) bool {
+	adv := rt.cfg.Crash
+	return adv != nil && !p.byz && rt.faults < rt.t && adv.Crash(p.id, kind, index)
 }
 
 func (rt *runtime) crash(p *process) {
@@ -360,11 +351,7 @@ func (rt *runtime) send(from *process, to types.ProcessID, payload types.Payload
 		}
 		return
 	}
-	if adv := rt.cfg.Crash; adv != nil && rt.mayCrash(from) &&
-		adv.CrashDuringSend(&rt.view, from.id, to, from.sends) {
-		if r := rt.cfg.Recorder; r != nil {
-			r.CrashAtSend(from.id, from.sends)
-		}
+	if rt.crashes(from, types.CrashAtSend, from.sends) {
 		rt.crash(from)
 		return
 	}
@@ -409,14 +396,10 @@ func (rt *runtime) halted(p *process) bool {
 func (rt *runtime) run() error {
 	// Start phase. The crash adversary may prevent a process from ever
 	// starting (it executed zero instructions) or crash it mid-broadcast
-	// via CrashDuringSend.
+	// at a transmission.
 	for i := range rt.procs {
 		p := &rt.procs[i]
-		if adv := rt.cfg.Crash; adv != nil && rt.mayCrash(p) &&
-			adv.CrashBeforeDeliver(&rt.view, p.id, p.events) {
-			if r := rt.cfg.Recorder; r != nil {
-				r.CrashAtEvent(p.id, p.events)
-			}
+		if rt.crashes(p, types.CrashAtEvent, p.events) {
 			rt.crash(p)
 			continue
 		}
@@ -449,19 +432,12 @@ func (rt *runtime) run() error {
 		}
 		env := rt.pool.env[idx]
 		rt.pool.remove(idx)
-		if r := rt.cfg.Recorder; r != nil {
-			r.Pick(idx)
-		}
 
 		p := &rt.procs[env.To]
 		if p.crashed || rt.halted(p) {
 			continue
 		}
-		if adv := rt.cfg.Crash; adv != nil && rt.mayCrash(p) &&
-			adv.CrashBeforeDeliver(&rt.view, p.id, p.events) {
-			if r := rt.cfg.Recorder; r != nil {
-				r.CrashAtEvent(p.id, p.events)
-			}
+		if rt.crashes(p, types.CrashAtEvent, p.events) {
 			rt.crash(p)
 			continue
 		}

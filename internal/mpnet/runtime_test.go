@@ -76,12 +76,12 @@ func TestRunDeterministicForSeed(t *testing.T) {
 		N: 7, T: 2, K: 3,
 		Inputs:      distinctInputs(7),
 		NewProtocol: func(types.ProcessID) Protocol { return &broadcaster{quorum: 5} },
-		Crash:       NewRandomCrashes(0.05, 99),
+		Crash:       &types.RandomCrashes{Rate: 0.05, Seed: 99},
 	}
 	run := func(seed uint64) string {
 		c := cfg
 		c.Seed = seed
-		c.Crash = NewRandomCrashes(0.05, seed+1)
+		c.Crash = &types.RandomCrashes{Rate: 0.05, Seed: seed + 1}
 		rec, err := Run(c)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -117,7 +117,7 @@ func TestScriptedCrashBeforeStart(t *testing.T) {
 		N: 4, T: 1, K: 2,
 		Inputs:      distinctInputs(4),
 		NewProtocol: func(types.ProcessID) Protocol { return &broadcaster{quorum: 3} },
-		Crash:       &ScriptedCrashes{AtEvent: map[types.ProcessID]int{0: 0}},
+		Crash:       types.ScriptedCrashes{{Proc: 0, Kind: types.CrashAtEvent, Index: 0}},
 		Seed:        3,
 	})
 	if err != nil {
@@ -144,7 +144,7 @@ func TestScriptedCrashMidBroadcastTruncates(t *testing.T) {
 		N: 4, T: 1, K: 2,
 		Inputs:      distinctInputs(4),
 		NewProtocol: func(types.ProcessID) Protocol { return &broadcaster{quorum: 3} },
-		Crash:       &ScriptedCrashes{AtSend: map[types.ProcessID]int{0: 1}},
+		Crash:       types.ScriptedCrashes{{Proc: 0, Kind: types.CrashAtSend, Index: 1}},
 		Seed:        5,
 		Trace: func(ev TraceEvent) {
 			if ev.Type == EvDeliver && ev.Peer == 0 {
@@ -166,7 +166,7 @@ func TestFaultBudgetEnforced(t *testing.T) {
 		N: 6, T: 2, K: 3,
 		Inputs:      distinctInputs(6),
 		NewProtocol: func(types.ProcessID) Protocol { return &broadcaster{quorum: 4} },
-		Crash:       NewRandomCrashes(1.0, 11),
+		Crash:       &types.RandomCrashes{Rate: 1.0, Seed: 11},
 		Seed:        11,
 	})
 	if err != nil {

@@ -46,7 +46,7 @@ func mpTranscript(t *testing.T, scheduler mpnet.Scheduler, seed uint64, byzantin
 			6: adversary.Silent{},
 		}
 	} else {
-		cfg.Crash = mpnet.NewRandomCrashes(0.02, seed+1)
+		cfg.Crash = &types.RandomCrashes{Rate: 0.02, Seed: seed + 1}
 	}
 	rec, err := mpnet.Run(cfg)
 	if err != nil {

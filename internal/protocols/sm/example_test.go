@@ -26,11 +26,11 @@ func ExampleNewProtocolE() {
 		N: n, T: n - 1, K: 2,
 		Inputs:      inputs,
 		NewProtocol: func(types.ProcessID) smmem.Protocol { return sm.NewProtocolE() },
-		Crash: &smmem.ScriptedCrashes{AtOp: map[types.ProcessID]int{
-			1: 0, // before its first step
-			3: 2, // between write and scan
-			5: 4, // mid-scan
-		}},
+		Crash: types.ScriptedCrashes{
+			{Proc: 1, Kind: types.CrashAtOp, Index: 0}, // before its first step
+			{Proc: 3, Kind: types.CrashAtOp, Index: 2}, // between write and scan
+			{Proc: 5, Kind: types.CrashAtOp, Index: 4}, // mid-scan
+		},
 		Seed: 5,
 	})
 	if err != nil {

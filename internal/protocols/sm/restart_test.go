@@ -89,7 +89,7 @@ func restartConfig(rng *prng.Source, n int) func() smmem.Config {
 			cfg.Scheduler = smmem.NewStarve(n, starved)
 		}
 		if crashes {
-			cfg.Crash = smmem.NewRandomCrashes(0.01, crashSeed)
+			cfg.Crash = &types.RandomCrashes{Rate: 0.01, Seed: crashSeed}
 		}
 		return cfg
 	}

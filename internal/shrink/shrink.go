@@ -160,7 +160,7 @@ func clone(t *trace.Trace) *trace.Trace {
 	for i, b := range out.Byzantine {
 		out.Byzantine[i].Personas = append([]types.Value(nil), b.Personas...)
 	}
-	out.Crashes = append([]trace.CrashSpec(nil), t.Crashes...)
+	out.Crashes = append([]types.CrashPoint(nil), t.Crashes...)
 	out.Schedule = append([]int(nil), t.Schedule...)
 	return &out
 }

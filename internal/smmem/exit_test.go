@@ -81,9 +81,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			})
 		}
 	}
-	everyoneAtOnce := map[types.ProcessID]int{}
+	var everyoneAtOnce types.ScriptedCrashes
 	for p := 0; p < n; p++ {
-		everyoneAtOnce[types.ProcessID(p)] = p % 3 // some before their first step
+		// Some before their first step.
+		everyoneAtOnce = append(everyoneAtOnce, types.CrashPoint{Proc: types.ProcessID(p), Kind: types.CrashAtOp, Index: p % 3})
 	}
 	exits := []struct {
 		name    string
@@ -116,14 +117,14 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			wantErr: smmem.ErrDoubleDecide},
 		{name: "every-crash-the-budget-allows",
 			cfg: smmem.Config{NewProtocol: all(func(api smmem.API) { scan(api, n) }), MaxOps: 400,
-				Crash: &smmem.ScriptedCrashes{AtOp: everyoneAtOnce}},
+				Crash: everyoneAtOnce},
 			check: func(rec *types.RunRecord) bool { return rec.FaultCount() == n-1 }},
 		{name: "poller-budget-exhaustion",
 			cfg:   smmem.Config{NewProtocol: neverHits(false), MaxOps: 300},
 			check: func(rec *types.RunRecord) bool { return rec.BudgetExhausted && decidedCount(rec) == n-1 }},
 		{name: "poller-crashes-mid-poll",
 			cfg: smmem.Config{NewProtocol: neverHits(false),
-				Crash: &smmem.ScriptedCrashes{AtOp: map[types.ProcessID]int{0: 5}}},
+				Crash: types.ScriptedCrashes{{Proc: 0, Kind: types.CrashAtOp, Index: 5}}},
 			check: func(rec *types.RunRecord) bool {
 				return rec.FaultCount() == 1 && decidedCount(rec) == n-1 && !rec.BudgetExhausted
 			}},

@@ -38,7 +38,7 @@ func TestSMRandomCrashesRespectsBudget(t *testing.T) {
 		N: 6, T: 2, K: 3,
 		Inputs:      distinctInputs(6),
 		NewProtocol: func(types.ProcessID) Protocol { return &writerReader{quorum: 4} },
-		Crash:       NewRandomCrashes(0.5, 3),
+		Crash:       &types.RandomCrashes{Rate: 0.5, Seed: 3},
 		Seed:        3,
 	})
 	if err != nil {

@@ -349,7 +349,7 @@ func compareMatrix(t *testing.T, ns []int, config func(n int, seed uint64, fault
 				}
 				rec := &trace.Recorder{}
 				cfg := build(native)
-				cfg.Recorder = rec
+				rec.SM(&cfg)
 				if _, err := smmem.Run(cfg); err != nil {
 					t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 				}
@@ -358,11 +358,7 @@ func compareMatrix(t *testing.T, ns []int, config func(n int, seed uint64, fault
 					compareSpellings(t, cell, func(spell spelling) smmem.Config {
 						cfg := build(spell)
 						cfg.Scheduler = &scripted{script: rec.Schedule[:cut]}
-						crashes := &smmem.ScriptedCrashes{AtOp: map[types.ProcessID]int{}}
-						for _, c := range rec.Crashes {
-							crashes.AtOp[c.Proc] = c.Index
-						}
-						cfg.Crash = crashes
+						cfg.Crash = types.ScriptedCrashes(rec.Crashes)
 						return cfg
 					}, ty)
 				}
@@ -410,9 +406,9 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 		}
 		seed := uint64(next()<<8 | next())
 		sched, slow := next()%4, types.ProcessID(next()%n)
-		crashes := map[types.ProcessID]int{}
+		var crashes types.ScriptedCrashes
 		for c := next() % n; c > 0; c-- {
-			crashes[types.ProcessID(next()%n)] = next() % 20
+			crashes = append(crashes, types.CrashPoint{Proc: types.ProcessID(next() % n), Kind: types.CrashAtOp, Index: next() % 20})
 		}
 		compareSpellings(t, fmt.Sprintf("n=%d seed=%d", n, seed), func(spell spelling) smmem.Config {
 			cfg := smmem.Config{
@@ -421,7 +417,7 @@ func FuzzPollMatchesReadLoop(f *testing.F) {
 				NewProtocol: plan.factory(spell),
 				Seed:        seed,
 				MaxOps:      100 * n,
-				Crash:       &smmem.ScriptedCrashes{AtOp: crashes},
+				Crash:       crashes,
 			}
 			switch sched {
 			case 1:
@@ -575,9 +571,9 @@ func FuzzScanMatchesReadLoop(f *testing.F) {
 		}
 		seed := uint64(next()<<8 | next())
 		sched, slow := next()%4, types.ProcessID(next()%n)
-		crashes := map[types.ProcessID]int{}
+		var crashes types.ScriptedCrashes
 		for c := next() % n; c > 0; c-- {
-			crashes[types.ProcessID(next()%n)] = next() % 20
+			crashes = append(crashes, types.CrashPoint{Proc: types.ProcessID(next() % n), Kind: types.CrashAtOp, Index: next() % 20})
 		}
 		compareSpellings(t, fmt.Sprintf("n=%d seed=%d", n, seed), func(spell spelling) smmem.Config {
 			cfg := smmem.Config{
@@ -586,7 +582,7 @@ func FuzzScanMatchesReadLoop(f *testing.F) {
 				NewProtocol: plan.factory(spell),
 				Seed:        seed,
 				MaxOps:      100 * n,
-				Crash:       &smmem.ScriptedCrashes{AtOp: crashes},
+				Crash:       crashes,
 			}
 			switch sched {
 			case 1:
@@ -786,7 +782,7 @@ func TestPollEdges(t *testing.T) {
 				MaxOps:    c.maxOps,
 			}
 			if c.crashAt > 0 {
-				cfg.Crash = &smmem.ScriptedCrashes{AtOp: map[types.ProcessID]int{1: c.crashAt}}
+				cfg.Crash = types.ScriptedCrashes{{Proc: 1, Kind: types.CrashAtOp, Index: c.crashAt}}
 			}
 			var ops []string
 			cfg.Trace = func(ev smmem.TraceEvent) {

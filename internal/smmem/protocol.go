@@ -169,19 +169,11 @@ type View struct {
 // *View, with Run one higher each time, and a policy that keeps the pointer
 // keeps that Runner's View from being another Runner's.
 //
-// Next — like CrashAdversary.CrashBeforeOp, Config.Trace and the Recorder —
-// is always called on the goroutine that called Run, between two steps of the
-// processes, so implementations may keep unguarded state.
+// Next — like the crash adversary's Crash and Config.Trace — is always
+// called on the goroutine that called Run, between two steps of the
+// processes, so implementations may keep unguarded state. Each grant is
+// exactly one call, so a wrapper that notes what Next returns sees the
+// run's grant order (internal/trace records runs that way).
 type Scheduler interface {
 	Next(view *View, pending []types.ProcessID, rng *prng.Source) types.ProcessID
-}
-
-// CrashAdversary injects crash failures between register operations (an
-// atomic register operation cannot be half-performed). The runtime enforces
-// the fault budget t and, like Scheduler.Next, always calls it on the
-// goroutine that called Run.
-type CrashAdversary interface {
-	// CrashBeforeOp is consulted before granting p its opIndex-th
-	// operation; returning true crashes p instead.
-	CrashBeforeOp(view *View, p types.ProcessID, opIndex int) bool
 }

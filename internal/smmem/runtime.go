@@ -10,8 +10,8 @@
 // goroutine is started, no channel, lock or wait group is used — so
 // registers, scheduler state, the view and the request slots need no
 // synchronization, the schedule is a pure function of the seed, and
-// Scheduler.Next, CrashAdversary.CrashBeforeOp, Config.Trace, the Recorder
-// and every step are always called on Run's goroutine.
+// Scheduler.Next, the crash adversary's Crash, Config.Trace and every step
+// are always called on Run's goroutine.
 
 package smmem
 
@@ -47,8 +47,9 @@ type Config struct {
 	// their own registers (single-writer is enforced by the memory).
 	Byzantine map[types.ProcessID]Protocol
 
-	// Crash injects crash failures; nil means no crashes.
-	Crash CrashAdversary
+	// Crash injects crash failures before register operations
+	// (types.CrashAtOp); nil means no crashes.
+	Crash types.CrashAdversary
 
 	// Scheduler picks operation interleaving; nil means FairRandom.
 	Scheduler Scheduler
@@ -61,10 +62,6 @@ type Config struct {
 
 	// Trace, if non-nil, observes every operation, decision and crash.
 	Trace func(TraceEvent)
-
-	// Recorder, if non-nil, observes the run's scheduling decisions (grants
-	// and crash points) for later replay. See internal/trace.
-	Recorder Recorder
 }
 
 // Errors reported by Run for misconfigured or buggy setups.
@@ -279,7 +276,7 @@ func Run(cfg Config) (*types.RunRecord, error) {
 // runs grow nothing the earlier ones already grew. The View is the same
 // value in every run, and its Run field numbers the runs: Hold and Starve
 // tell runs apart by it. A run on a used Runner is the run a fresh one would
-// make — same schedule, same record, same Recorder and Trace streams —
+// make — same grants, same crashes, same record and Trace stream —
 // whatever ran before it and however that ended, a panic included. The
 // RunRecord a Run returns is the arena's: it is valid until the next Run,
 // which overwrites it, and a caller that keeps it longer keeps a Clone.
@@ -330,9 +327,7 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("%w: %d Byzantine processes exceed t=%d",
 			ErrFaultBudget, len(cfg.Byzantine), cfg.T)
 	}
-	if bad, found := types.SmallestID(cfg.Byzantine, func(id types.ProcessID, strat Protocol) bool {
-		return int(id) < 0 || int(id) >= cfg.N || strat == nil
-	}); found {
+	if bad, found := types.SmallestBadID(cfg.Byzantine, cfg.N); found {
 		return fmt.Errorf("%w: Byzantine id %d out of range or without a strategy", ErrBadConfig, bad)
 	}
 	return nil
@@ -474,16 +469,10 @@ func (rt *smRuntime) grant() bool {
 		rt.recordBug(fmt.Errorf("%w: %v", ErrBadSchedule, pid))
 		return false
 	}
-	if r := rt.cfg.Recorder; r != nil {
-		r.Grant(pid)
-	}
 	p := &rt.procs[pid]
 
 	if adv := rt.cfg.Crash; adv != nil && !p.byz && rt.faults < rt.t &&
-		adv.CrashBeforeOp(&rt.view, pid, p.ops) {
-		if r := rt.cfg.Recorder; r != nil {
-			r.CrashAtOp(pid, p.ops)
-		}
+		adv.Crash(pid, types.CrashAtOp, p.ops) {
 		p.crashed = true
 		rt.faults++
 		if !rt.view.Decided[pid] {

@@ -103,7 +103,7 @@ func TestCrashedProcessTakesNoSteps(t *testing.T) {
 		N: 4, T: 1, K: 2,
 		Inputs:      distinctInputs(4),
 		NewProtocol: func(types.ProcessID) Protocol { return &writerReader{quorum: 3} },
-		Crash:       &ScriptedCrashes{AtOp: map[types.ProcessID]int{0: 0}},
+		Crash:       types.ScriptedCrashes{{Proc: 0, Kind: types.CrashAtOp, Index: 0}},
 		Seed:        3,
 		Trace: func(ev TraceEvent) {
 			if (ev.Type == EvRead || ev.Type == EvWrite) && ev.Proc == 0 {

@@ -31,7 +31,7 @@ func smTranscript(t *testing.T, scheduler smmem.Scheduler, seed uint64) string {
 		N: n, T: 2, K: 3,
 		Inputs:      ins,
 		NewProtocol: func(types.ProcessID) smmem.Protocol { return sm.NewProtocolE() },
-		Crash:       smmem.NewRandomCrashes(0.01, seed+1),
+		Crash:       &types.RandomCrashes{Rate: 0.01, Seed: seed + 1},
 		Scheduler:   scheduler,
 		Seed:        seed,
 		Trace:       func(ev smmem.TraceEvent) { fmt.Fprintln(&b, ev) },

@@ -3,7 +3,6 @@ package smmem
 import (
 	"fmt"
 
-	"kset/internal/prng"
 	"kset/internal/types"
 )
 
@@ -63,49 +62,4 @@ func (e TraceEvent) String() string {
 	default:
 		return fmt.Sprintf("[%5d] %s %s", e.OpIndex, e.Type, e.Proc)
 	}
-}
-
-// ScriptedCrashes crashes specific processes before specific operations.
-type ScriptedCrashes struct {
-	// AtOp[p] crashes p immediately before its AtOp[p]-th register
-	// operation (0 = before its first, i.e. p never takes a step).
-	AtOp map[types.ProcessID]int
-}
-
-var _ CrashAdversary = (*ScriptedCrashes)(nil)
-
-// CrashBeforeOp implements CrashAdversary.
-func (s *ScriptedCrashes) CrashBeforeOp(_ *View, p types.ProcessID, opIndex int) bool {
-	at, ok := s.AtOp[p]
-	return ok && opIndex >= at
-}
-
-// RandomCrashes crashes processes at random operation boundaries, up to the
-// runtime's fault budget. RandomCrashes{Rate: r, Seed: s} is ready to use,
-// and assigning it anew makes a used adversary a fresh one: a sweep keeps
-// one for run after run.
-type RandomCrashes struct {
-	// Rate is the per-operation crash probability.
-	Rate float64
-	// Seed seeds the adversary's stream, which its first call draws from.
-	Seed uint64
-
-	rng    prng.Source
-	seeded bool
-}
-
-var _ CrashAdversary = (*RandomCrashes)(nil)
-
-// NewRandomCrashes builds a seeded random crash adversary.
-func NewRandomCrashes(rate float64, seed uint64) *RandomCrashes {
-	return &RandomCrashes{Rate: rate, Seed: seed}
-}
-
-// CrashBeforeOp implements CrashAdversary.
-func (r *RandomCrashes) CrashBeforeOp(_ *View, _ types.ProcessID, _ int) bool {
-	if !r.seeded {
-		r.rng.Reset(r.Seed)
-		r.seeded = true
-	}
-	return r.rng.Float64() < r.Rate
 }

@@ -39,17 +39,15 @@ type observed struct {
 	events []smmem.TraceEvent
 }
 
-func (o *observed) Grant(p types.ProcessID) { o.grants = append(o.grants, fmt.Sprint("grant ", p)) }
-func (o *observed) CrashAtOp(p types.ProcessID, ops int) {
-	o.grants = append(o.grants, fmt.Sprint("crash ", p, " at op ", ops))
-}
-
 func observe(cfg smmem.Config) *observed { return observeOn(smmem.Run, cfg) }
 
-// observeOn observes the run cfg describes as run performs it.
+// observeOn observes the run cfg describes as run performs it. The grant
+// stream lists each crash right after the grant it took, which is its
+// process's last.
 func observeOn(run func(smmem.Config) (*types.RunRecord, error), cfg smmem.Config) *observed {
 	o := &observed{}
-	cfg.Recorder = o
+	var r trace.Recorder
+	r.SM(&cfg)
 	cfg.Trace = func(ev smmem.TraceEvent) { o.events = append(o.events, ev) }
 	rec, err := run(cfg)
 	if rec != nil {
@@ -58,6 +56,20 @@ func observeOn(run func(smmem.Config) (*types.RunRecord, error), cfg smmem.Confi
 	o.rec = rec
 	if err != nil {
 		o.err = err.Error()
+	}
+	last := make(map[int]int, cfg.N)
+	for i, p := range r.Schedule {
+		last[p] = i
+	}
+	crashAt := make(map[int]types.CrashPoint, len(r.Crashes))
+	for _, c := range r.Crashes {
+		crashAt[last[int(c.Proc)]] = c
+	}
+	for i, p := range r.Schedule {
+		o.grants = append(o.grants, fmt.Sprint("grant ", types.ProcessID(p)))
+		if c, ok := crashAt[i]; ok {
+			o.grants = append(o.grants, fmt.Sprint("crash ", c.Proc, " at op ", c.Index))
+		}
 	}
 	return o
 }
@@ -210,17 +222,18 @@ var faultModes = []struct {
 }{
 	{"no-crash", func(*smmem.Config, uint64) []trace.ByzSpec { return nil }},
 	{"scripted", func(cfg *smmem.Config, seed uint64) []trace.ByzSpec {
-		at := map[types.ProcessID]int{}
+		var crashes types.ScriptedCrashes
 		for i := 0; i < cfg.T; i++ {
 			// Distinct victims; op 0 now and then so a process dies before
 			// it ever takes a step.
-			at[types.ProcessID((int(seed)+3*i)%cfg.N)] = (int(seed) * (i + 1)) % 7
+			crashes = append(crashes, types.CrashPoint{Proc: types.ProcessID((int(seed) + 3*i) % cfg.N),
+				Kind: types.CrashAtOp, Index: (int(seed) * (i + 1)) % 7})
 		}
-		cfg.Crash = &smmem.ScriptedCrashes{AtOp: at}
+		cfg.Crash = crashes
 		return nil
 	}},
 	{"random", func(cfg *smmem.Config, seed uint64) []trace.ByzSpec {
-		cfg.Crash = smmem.NewRandomCrashes(0.02, seed+1)
+		cfg.Crash = &types.RandomCrashes{Rate: 0.02, Seed: seed + 1}
 		return nil
 	}},
 	{"garbage-writer", func(cfg *smmem.Config, seed uint64) []trace.ByzSpec {
@@ -230,7 +243,7 @@ var faultModes = []struct {
 		p := types.ProcessID(int(seed) % cfg.N)
 		cfg.Byzantine = map[types.ProcessID]smmem.Protocol{p: adversary.NewGarbageWriter(24)}
 		// One more fault is left in the budget for n >= 8: crash too.
-		cfg.Crash = smmem.NewRandomCrashes(0.01, seed+2)
+		cfg.Crash = &types.RandomCrashes{Rate: 0.01, Seed: seed + 2}
 		return []trace.ByzSpec{{Proc: p, Kind: trace.ByzGarbageWriter, Rounds: 24}}
 	}},
 }
@@ -591,7 +604,7 @@ func TestTurnPassingMatchesReferenceEdges(t *testing.T) {
 				cell := fmt.Sprintf("%s %s n=%d", edge.name, sched.name, n)
 				table.add(cell, 5, func(seed uint64) *observed {
 					cfg := config(e, n, seed, sched.make())
-					cfg.Crash = smmem.NewRandomCrashes(0.01, seed)
+					cfg.Crash = &types.RandomCrashes{Rate: 0.01, Seed: seed}
 					return observe(cfg)
 				})
 			}

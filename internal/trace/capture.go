@@ -2,47 +2,99 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"kset/internal/mpnet"
+	"kset/internal/prng"
 	"kset/internal/smmem"
 	"kset/internal/types"
 )
 
-// Recorder captures the decision stream of one run of either simulator: it
-// is an mpnet.Recorder and an smmem.Recorder. Attach it to Config.Recorder,
-// run, then fold the captured schedule and crash points into a Trace
-// (CaptureMP and CaptureSM do both).
+// Recorder captures the decision stream of one run of either simulator.
+// MP and SM attach it to a configuration from outside the runtime, by
+// wrapping the configuration's scheduler and crash adversary: each pick or
+// grant is exactly one Scheduler.Next call, and the runtime crashes a
+// process exactly when its crash adversary says yes, so the wrappers see
+// every decision the run makes, in order. A choice the runtime refuses
+// (ErrBadSchedule) aborts the run and is not recorded. CaptureMP and
+// CaptureSM fold the stream into a Trace.
 type Recorder struct {
 	// Schedule is the picked envelope's position in pool order per
 	// main-loop step (message passing) or the granted process id per
 	// operation step (shared memory).
 	Schedule []int
 	// Crashes are the crash points in firing order.
-	Crashes []CrashSpec
+	Crashes []types.CrashPoint
 }
 
-var (
-	_ mpnet.Recorder = (*Recorder)(nil)
-	_ smmem.Recorder = (*Recorder)(nil)
-)
+// MP makes cfg's run record into r. A nil scheduler is the runtime's
+// default, FairRandom.
+func (r *Recorder) MP(cfg *mpnet.Config) {
+	if cfg.Scheduler == nil {
+		cfg.Scheduler = mpnet.FairRandom{}
+	}
+	cfg.Scheduler = mpPicks{cfg.Scheduler, r}
+	cfg.Crash = r.crashes(cfg.Crash)
+}
 
-// Pick implements mpnet.Recorder.
-func (r *Recorder) Pick(idx int) { r.Schedule = append(r.Schedule, idx) }
+// SM makes cfg's run record into r. A nil scheduler is the runtime's
+// default, FairRandom.
+func (r *Recorder) SM(cfg *smmem.Config) {
+	if cfg.Scheduler == nil {
+		cfg.Scheduler = smmem.FairRandom{}
+	}
+	cfg.Scheduler = smGrants{cfg.Scheduler, r}
+	cfg.Crash = r.crashes(cfg.Crash)
+}
 
-// Grant implements smmem.Recorder.
-func (r *Recorder) Grant(p types.ProcessID) { r.Schedule = append(r.Schedule, int(p)) }
+// crashes wraps adv in a crashLog; no adversary stays none.
+func (r *Recorder) crashes(adv types.CrashAdversary) types.CrashAdversary {
+	if adv == nil {
+		return nil
+	}
+	return crashLog{adv, r}
+}
 
-// CrashAtEvent implements mpnet.Recorder.
-func (r *Recorder) CrashAtEvent(p types.ProcessID, events int) { r.crash(p, CrashAtEvent, events) }
+// mpPicks records every pick of sched that the runtime takes.
+type mpPicks struct {
+	sched mpnet.Scheduler
+	r     *Recorder
+}
 
-// CrashAtSend implements mpnet.Recorder.
-func (r *Recorder) CrashAtSend(p types.ProcessID, sends int) { r.crash(p, CrashAtSend, sends) }
+func (s mpPicks) Next(v *mpnet.View, pool *mpnet.Pool, rng *prng.Source) int {
+	idx := s.sched.Next(v, pool, rng)
+	if idx >= 0 && idx < pool.Len() {
+		s.r.Schedule = append(s.r.Schedule, idx)
+	}
+	return idx
+}
 
-// CrashAtOp implements smmem.Recorder.
-func (r *Recorder) CrashAtOp(p types.ProcessID, ops int) { r.crash(p, CrashAtOp, ops) }
+// smGrants records every grant of sched that the runtime takes.
+type smGrants struct {
+	sched smmem.Scheduler
+	r     *Recorder
+}
 
-func (r *Recorder) crash(p types.ProcessID, kind string, index int) {
-	r.Crashes = append(r.Crashes, CrashSpec{Proc: p, Kind: kind, Index: index})
+func (s smGrants) Next(v *smmem.View, pending []types.ProcessID, rng *prng.Source) types.ProcessID {
+	p := s.sched.Next(v, pending, rng)
+	if slices.Contains(pending, p) {
+		s.r.Schedule = append(s.r.Schedule, int(p))
+	}
+	return p
+}
+
+// crashLog records every crash adv calls.
+type crashLog struct {
+	adv types.CrashAdversary
+	r   *Recorder
+}
+
+func (c crashLog) Crash(p types.ProcessID, kind types.CrashKind, index int) bool {
+	if !c.adv.Crash(p, kind, index) {
+		return false
+	}
+	c.r.Crashes = append(c.r.Crashes, types.CrashPoint{Proc: p, Kind: kind, Index: index})
+	return true
 }
 
 // CaptureMP executes a message-passing run with recording on and folds it
@@ -54,7 +106,7 @@ func (r *Recorder) crash(p types.ProcessID, kind string, index int) {
 // so callers can reuse it.
 func CaptureMP(cfg mpnet.Config, validity types.Validity, spec ProtocolSpec, byz []ByzSpec) (*Trace, *types.RunRecord, error) {
 	rec := &Recorder{}
-	cfg.Recorder = rec
+	rec.MP(&cfg)
 	record, err := mpnet.Run(cfg)
 	t := &Trace{
 		N: cfg.N, K: cfg.K, T: cfg.T,
@@ -72,7 +124,7 @@ func CaptureMP(cfg mpnet.Config, validity types.Validity, spec ProtocolSpec, byz
 // CaptureSM is CaptureMP for the shared-memory runtime.
 func CaptureSM(cfg smmem.Config, validity types.Validity, spec ProtocolSpec, byz []ByzSpec) (*Trace, *types.RunRecord, error) {
 	rec := &Recorder{}
-	cfg.Recorder = rec
+	rec.SM(&cfg)
 	record, err := smmem.Run(cfg)
 	t := &Trace{
 		N: cfg.N, K: cfg.K, T: cfg.T,

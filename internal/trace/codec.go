@@ -195,7 +195,7 @@ func (t *Trace) parseLine(key, rest string) (err error) {
 		bz, err = parseByz(rest)
 		t.Byzantine = append(t.Byzantine, bz)
 	case "crash":
-		var c CrashSpec
+		var c types.CrashPoint
 		_, err = fmt.Sscanf(rest, "%d %s %d", &c.Proc, &c.Kind, &c.Index)
 		t.Crashes = append(t.Crashes, c)
 	case "schedule":

@@ -36,7 +36,7 @@ func seedArtifacts(f *testing.F) [][]byte {
 		N: 2, K: 2, T: 1, Seed: 9,
 		Protocol: ProtocolSpec{Proto: theory.ProtoE},
 		Inputs:   []types.Value{5, 5},
-		Crashes:  []CrashSpec{{Proc: 1, Kind: CrashAtOp, Index: 4}},
+		Crashes:  []types.CrashPoint{{Proc: 1, Kind: types.CrashAtOp, Index: 4}},
 		Schedule: []int{0, 1, 0},
 		Verdict:  Verdict{OK: false, Condition: "termination", Detail: "stalled"},
 	}

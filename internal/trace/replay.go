@@ -100,19 +100,7 @@ func BuildMPConfig(t *Trace) (mpnet.Config, error) {
 		}
 	}
 	if len(t.Crashes) > 0 {
-		sc := &mpnet.ScriptedCrashes{
-			AtEvent: make(map[types.ProcessID]int),
-			AtSend:  make(map[types.ProcessID]int),
-		}
-		for _, c := range t.Crashes {
-			switch c.Kind {
-			case CrashAtEvent:
-				sc.AtEvent[c.Proc] = c.Index
-			case CrashAtSend:
-				sc.AtSend[c.Proc] = c.Index
-			}
-		}
-		cfg.Crash = sc
+		cfg.Crash = types.ScriptedCrashes(t.Crashes)
 	}
 	return cfg, nil
 }
@@ -146,11 +134,7 @@ func BuildSMConfig(t *Trace) (smmem.Config, error) {
 		}
 	}
 	if len(t.Crashes) > 0 {
-		sc := &smmem.ScriptedCrashes{AtOp: make(map[types.ProcessID]int)}
-		for _, c := range t.Crashes {
-			sc.AtOp[c.Proc] = c.Index
-		}
-		cfg.Crash = sc
+		cfg.Crash = types.ScriptedCrashes(t.Crashes)
 	}
 	return cfg, nil
 }
@@ -162,7 +146,7 @@ type Result struct {
 	Record   *types.RunRecord
 	Verdict  Verdict
 	Schedule []int
-	Crashes  []CrashSpec
+	Crashes  []types.CrashPoint
 }
 
 // Replay re-executes an artifact with recording on.
@@ -197,7 +181,7 @@ func run(t *Trace, rec *Recorder) (*types.RunRecord, error) {
 			return nil, err
 		}
 		if rec != nil {
-			cfg.Recorder = rec
+			rec.MP(&cfg)
 		}
 		return mpnet.Run(cfg)
 	case types.SharedMemory:
@@ -206,7 +190,7 @@ func run(t *Trace, rec *Recorder) (*types.RunRecord, error) {
 			return nil, err
 		}
 		if rec != nil {
-			cfg.Recorder = rec
+			rec.SM(&cfg)
 		}
 		return smmem.Run(cfg)
 	default:

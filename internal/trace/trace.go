@@ -193,27 +193,6 @@ func (b ByzSpec) SMProtocol() (smmem.Protocol, error) {
 	}
 }
 
-// Crash point kinds: the local counter a recorded crash is keyed on.
-const (
-	// CrashAtEvent crashes the process before its Index-th delivered event
-	// (message-passing; 0 = before Start).
-	CrashAtEvent = "at-event"
-	// CrashAtSend crashes the process before its Index-th transmission
-	// (message-passing), truncating a broadcast mid-flight.
-	CrashAtSend = "at-send"
-	// CrashAtOp crashes the process before its Index-th register operation
-	// (shared-memory).
-	CrashAtOp = "at-op"
-)
-
-// CrashSpec is one recorded crash failure, keyed on the local counter that
-// makes it replayable with a scripted adversary.
-type CrashSpec struct {
-	Proc  types.ProcessID
-	Kind  string
-	Index int
-}
-
 // Verdict is the checker outcome recorded in (and recomputed from) a run.
 type Verdict struct {
 	// OK reports that termination, agreement and the validity condition all
@@ -274,8 +253,9 @@ type Trace struct {
 	// Byzantine lists the Byzantine processes and their strategies, sorted
 	// by process id.
 	Byzantine []ByzSpec
-	// Crashes lists the recorded crash points, sorted by process id.
-	Crashes []CrashSpec
+	// Crashes lists the recorded crash points, sorted by process id; replay
+	// hands them to the runtime as its types.ScriptedCrashes.
+	Crashes []types.CrashPoint
 	// Schedule is the full ordered decision sequence, one choice per step
 	// among what the runtime offers: the position of the picked envelope in
 	// pool order (message passing, taken modulo the number in flight), or
@@ -319,9 +299,9 @@ func (t *Trace) Validate() error {
 		if c.Index < 0 {
 			return fmt.Errorf("%w: crash index %d", ErrBadTrace, c.Index)
 		}
-		wantKind := c.Kind == CrashAtEvent || c.Kind == CrashAtSend
+		wantKind := c.Kind == types.CrashAtEvent || c.Kind == types.CrashAtSend
 		if t.Model.Comm == types.SharedMemory {
-			wantKind = c.Kind == CrashAtOp
+			wantKind = c.Kind == types.CrashAtOp
 		}
 		if !wantKind {
 			return fmt.Errorf("%w: crash kind %q in %s model", ErrBadTrace, c.Kind, t.Model)
@@ -360,7 +340,7 @@ func checkFaultEntry(label string, pid, n int, unsorted bool, faulty []bool) err
 }
 
 // sortFaults puts byz and crash lists in canonical (pid-ascending) order.
-func sortFaults(byz []ByzSpec, crashes []CrashSpec) {
+func sortFaults(byz []ByzSpec, crashes []types.CrashPoint) {
 	sort.Slice(byz, func(i, j int) bool { return byz[i].Proc < byz[j].Proc })
 	sort.Slice(crashes, func(i, j int) bool { return crashes[i].Proc < crashes[j].Proc })
 }

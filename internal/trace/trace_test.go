@@ -90,7 +90,7 @@ func TestCaptureReplayMPCrash(t *testing.T) {
 			N: 5, T: 2, K: 2,
 			Inputs:      []types.Value{3, 1, 4, 1, 5},
 			NewProtocol: mustMPFactory(t, ProtocolSpec{Proto: theory.ProtoFloodMin}),
-			Crash:       mpnet.NewRandomCrashes(0.4, seed),
+			Crash:       &types.RandomCrashes{Rate: 0.4, Seed: seed},
 			Seed:        seed,
 		}
 		tr, rec, err := CaptureMP(cfg, types.RV1, ProtocolSpec{Proto: theory.ProtoFloodMin}, nil)
@@ -151,7 +151,7 @@ func TestCaptureReplaySMCrash(t *testing.T) {
 			N: 4, T: 1, K: 2,
 			Inputs:      []types.Value{9, 2, 7, 2},
 			NewProtocol: mustSMFactory(t, ProtocolSpec{Proto: theory.ProtoE}),
-			Crash:       smmem.NewRandomCrashes(0.3, seed),
+			Crash:       &types.RandomCrashes{Rate: 0.3, Seed: seed},
 			Seed:        seed,
 		}
 		tr, rec, err := CaptureSM(cfg, types.RV1, ProtocolSpec{Proto: theory.ProtoE}, nil)

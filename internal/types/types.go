@@ -19,12 +19,14 @@ type ProcessID int
 // String renders the id in the paper's p1..pn convention.
 func (p ProcessID) String() string { return "p" + strconv.Itoa(int(p)+1) }
 
-// SmallestID returns the smallest id of m whose entry is bad, so that a
-// configuration error naming it does not depend on map iteration order.
-func SmallestID[V any](m map[ProcessID]V, bad func(ProcessID, V) bool) (ProcessID, bool) {
+// SmallestBadID returns the smallest id of m that is outside 0..n-1 or
+// maps to the zero V (a nil strategy), so that a configuration error naming
+// it does not depend on map iteration order.
+func SmallestBadID[V comparable](m map[ProcessID]V, n int) (ProcessID, bool) {
+	var zero V
 	least, found := ProcessID(0), false
 	for id, v := range m {
-		if (!found || id < least) && bad(id, v) {
+		if (int(id) < 0 || int(id) >= n || v == zero) && (!found || id < least) {
 			least, found = id, true
 		}
 	}

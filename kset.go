@@ -113,8 +113,10 @@ type SolveConfig struct {
 	Inputs []Value
 	// Seed makes the run reproducible (scheduling, adversary choices).
 	Seed uint64
-	// Crash lists processes to crash at seeded random points (crash
-	// models); must have at most T entries.
+	// Crash lists processes to crash: at most T distinct ids in 0..N-1.
+	// The i-th one crashes before its ((i*7) mod N + 1)-th event in message
+	// passing and before its ((i*5) mod 2N + 1)-th register operation in
+	// shared memory; the points do not depend on Seed.
 	Crash []ProcessID
 }
 
@@ -138,6 +140,22 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 	if len(cfg.Crash) > cfg.T {
 		return nil, fmt.Errorf("kset: %d crash targets exceed t=%d", len(cfg.Crash), cfg.T)
 	}
+	var crashes types.ScriptedCrashes
+	listed := make([]bool, cfg.N)
+	for i, p := range cfg.Crash {
+		if p < 0 || int(p) >= cfg.N {
+			return nil, fmt.Errorf("kset: crash target %d out of range for n=%d", int(p), cfg.N)
+		}
+		if listed[p] {
+			return nil, fmt.Errorf("kset: crash target %d listed twice", int(p))
+		}
+		listed[p] = true
+		c := types.CrashPoint{Proc: p, Kind: types.CrashAtEvent, Index: (i*7)%cfg.N + 1}
+		if cfg.Model.Comm == types.SharedMemory {
+			c.Kind, c.Index = types.CrashAtOp, (i*5)%(2*cfg.N)+1
+		}
+		crashes = append(crashes, c)
+	}
 
 	var rec *RunRecord
 	if cfg.Model.Comm == types.MessagePassing {
@@ -151,12 +169,8 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 			NewProtocol: factory,
 			Seed:        cfg.Seed,
 		}
-		if len(cfg.Crash) > 0 {
-			at := make(map[ProcessID]int, len(cfg.Crash))
-			for i, p := range cfg.Crash {
-				at[p] = (i*7)%cfg.N + 1
-			}
-			mcfg.Crash = &mpnet.ScriptedCrashes{AtEvent: at}
+		if len(crashes) > 0 {
+			mcfg.Crash = crashes
 		}
 		var err2 error
 		rec, err2 = mpnet.Run(mcfg)
@@ -174,12 +188,8 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 			NewProtocol: factory,
 			Seed:        cfg.Seed,
 		}
-		if len(cfg.Crash) > 0 {
-			at := make(map[ProcessID]int, len(cfg.Crash))
-			for i, p := range cfg.Crash {
-				at[p] = (i*5)%(2*cfg.N) + 1
-			}
-			scfg.Crash = &smmem.ScriptedCrashes{AtOp: at}
+		if len(crashes) > 0 {
+			scfg.Crash = crashes
 		}
 		var err2 error
 		rec, err2 = smmem.Run(scfg)

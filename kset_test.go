@@ -72,18 +72,26 @@ func TestSolveRejectsImpossiblePoint(t *testing.T) {
 }
 
 func TestSolveRejectsBadInputs(t *testing.T) {
-	if _, err := Solve(SolveConfig{
-		Model: MPCR, Validity: RV1, N: 6, K: 3, T: 2,
-		Inputs: []Value{1},
-	}); err == nil {
-		t.Error("wrong input length accepted")
-	}
-	if _, err := Solve(SolveConfig{
-		Model: MPCR, Validity: RV1, N: 6, K: 3, T: 2,
-		Inputs: []Value{1, 2, 3, 4, 5, 6},
-		Crash:  []ProcessID{0, 1, 2},
-	}); err == nil {
-		t.Error("too many crash targets accepted")
+	six := []Value{1, 2, 3, 4, 5, 6}
+	for _, c := range []struct {
+		name   string
+		model  Model
+		inputs []Value
+		crash  []ProcessID
+		want   string
+	}{
+		{"wrong input length", MPCR, []Value{1}, nil, "1 inputs for n=6"},
+		{"too many crash targets", MPCR, six, []ProcessID{0, 1, 2}, "3 crash targets exceed t=2"},
+		{"crash target past n", MPCR, six, []ProcessID{6}, "crash target 6 out of range for n=6"},
+		{"negative crash target", MPCR, six, []ProcessID{-1}, "crash target -1 out of range for n=6"},
+		{"crash target listed twice", MPCR, six, []ProcessID{4, 4}, "crash target 4 listed twice"},
+		{"shared memory crash target past n", SMCR, six, []ProcessID{1, 9}, "crash target 9 out of range for n=6"},
+		{"shared memory crash target listed twice", SMCR, six, []ProcessID{2, 2}, "crash target 2 listed twice"},
+	} {
+		_, err := Solve(SolveConfig{Model: c.model, Validity: RV1, N: 6, K: 3, T: 2, Inputs: c.inputs, Crash: c.crash})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one saying %q", c.name, err, c.want)
+		}
 	}
 }
 
