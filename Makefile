@@ -164,7 +164,7 @@ cluster-smoke:
 	$(GO) build -o ksetd-smoke ./cmd/ksetd
 	$(GO) build -o ksetctl-smoke ./cmd/ksetctl
 	./ksetd-smoke -id 0 -peers 127.0.0.1:19707 -listen 127.0.0.1:19707 \
-		-metrics 127.0.0.1:19708 -n 1 -k 1 -t 0 -quiet & pid=$$!; \
+		-metrics 127.0.0.1:19708 -k 1 -t 0 -quiet & pid=$$!; \
 	sleep 1; status=0; \
 	curl -fsS http://127.0.0.1:19708/healthz || status=1; \
 	curl -fsS http://127.0.0.1:19708/metrics | grep -q kset_frames_sent_total || status=1; \

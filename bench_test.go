@@ -272,11 +272,11 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		{"lifo", func(int, *prng.Source) mpnet.Scheduler { return mpnet.LIFO{} }},
 		{"channel-fifo", func(int, *prng.Source) mpnet.Scheduler { return mpnet.ChannelFIFO{} }},
 		{"group-gate", func(n int, _ *prng.Source) mpnet.Scheduler {
-			half := make([]types.ProcessID, n/2)
-			for i := range half {
-				half[i] = types.ProcessID(i)
+			groups := [][]types.ProcessID{nil, nil}
+			for i := 0; i < n; i++ {
+				groups[2*i/n] = append(groups[2*i/n], types.ProcessID(i))
 			}
-			return mpnet.Isolate(n, half)
+			return mpnet.NewGroupGate(n, groups)
 		}},
 		{"partition", func(n int, rng *prng.Source) mpnet.Scheduler {
 			groups := make([][]types.ProcessID, rng.Intn(3)+2)

@@ -6,15 +6,15 @@
 //
 // Usage:
 //
-//	ksetd -id 0 -peers host0:7000,host1:7000,host2:7000 -n 3 -k 2 -t 1
+//	ksetd -id 0 -peers host0:7000,host1:7000,host2:7000 -k 2 -t 1
 //	ksetd -id 1 -peers ... -listen :7000 -protocol floodmin -seed 7 \
 //	      -drop 0.1 -delay 0.2 -max-delay 5ms
 //	ksetd -id 0 -peers ... -metrics :9100 -log-level debug
 //	ksetd -id 0 -peers ... -t 1 -acs
 //
-// The -peers list must name every node in id order; entry -id is this
-// node's advertised address. Instances are started by ksetctl (or any
-// controller speaking the wire protocol).
+// The -peers list must name every node in id order, so its length is the
+// cluster size n; entry -id is this node's advertised address. Instances
+// are started by ksetctl (or any controller speaking the wire protocol).
 //
 // With -acs the node additionally runs the agreement-on-common-subset
 // engine (internal/acs): controllers can submit values with `ksetctl log
@@ -76,7 +76,6 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		listen   = fs.String("listen", "", "listen address (default: the -peers entry for -id)")
 		protocol = fs.String("protocol", "floodmin", "default protocol: floodmin, a, b, c, d, trivial")
 		ell      = fs.Int("ell", 1, "echo parameter l for protocol c")
-		n        = fs.Int("n", 0, "cluster size (default: len(peers))")
 		k        = fs.Int("k", 1, "default agreement bound")
 		t        = fs.Int("t", 0, "default failure bound")
 		seed     = fs.Uint64("seed", 1, "fault-injection and protocol seed")
@@ -97,22 +96,20 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		return fmt.Errorf("-peers is required")
 	}
 	addrs := cluster.ParseAddrs(*peers)
-	if *n == 0 {
-		*n = len(addrs)
-	}
-	// Validate the core sizing flags up front: a bad -n/-k/-t should fail
-	// here with the flag named, not deep inside instance registration.
-	if *n <= 0 {
-		return fmt.Errorf("-n %d: cluster size must be positive (got no -peers entries?)", *n)
+	n := len(addrs)
+	// Validate the core sizing flags up front: a bad -peers/-k/-t should
+	// fail here with the flag named, not deep inside instance registration.
+	if n == 0 {
+		return fmt.Errorf("-peers %q: no usable addresses", *peers)
 	}
 	if *k <= 0 {
 		return fmt.Errorf("-k %d: agreement bound must be positive", *k)
 	}
-	if *t < 0 || *t >= *n {
-		return fmt.Errorf("-t %d: failure bound must satisfy 0 <= t < n (n=%d)", *t, *n)
+	if *t < 0 || *t >= n {
+		return fmt.Errorf("-t %d: failure bound must satisfy 0 <= t < n (n=%d)", *t, n)
 	}
-	if *acsMode && 2**t >= *n {
-		return fmt.Errorf("-acs with -t %d -n %d: acs requires 2t < n so that IN/OUT certificates cannot collide", *t, *n)
+	if *acsMode && 2**t >= n {
+		return fmt.Errorf("-acs with -t %d and n=%d: acs requires 2t < n so that IN/OUT certificates cannot collide", *t, n)
 	}
 	proto, err := cluster.ParseProtocol(*protocol)
 	if err != nil {
@@ -133,7 +130,7 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 	}
 	node, err := cluster.NewNode(cluster.Config{
 		ID:           types.ProcessID(*id),
-		N:            *n,
+		N:            n,
 		K:            *k,
 		T:            *t,
 		Peers:        addrs,
@@ -165,7 +162,7 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		return err
 	}
 	lifecycle := events.With("node", types.ProcessID(*id))
-	lifecycle.Info("listening", "addr", node.Addr(), "n", *n, "acs", *acsMode)
+	lifecycle.Info("listening", "addr", node.Addr(), "n", n, "acs", *acsMode)
 
 	metricsAddr := ""
 	var msrv *http.Server

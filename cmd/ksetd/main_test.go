@@ -28,7 +28,7 @@ func TestDaemonServesControl(t *testing.T) {
 			"-id", "0",
 			"-peers", "127.0.0.1:1",
 			"-listen", "127.0.0.1:0",
-			"-n", "1", "-k", "1", "-t", "0",
+			"-k", "1", "-t", "0",
 			"-protocol", "floodmin",
 			"-quiet",
 		}, io.Discard, stop, ready)
@@ -97,7 +97,7 @@ func TestDaemonServesAcs(t *testing.T) {
 			"-id", "0",
 			"-peers", "127.0.0.1:1",
 			"-listen", "127.0.0.1:0",
-			"-n", "1", "-k", "1", "-t", "0",
+			"-k", "1", "-t", "0",
 			"-acs",
 			"-quiet",
 		}, io.Discard, stop, ready)
@@ -168,7 +168,7 @@ func TestDaemonLog(t *testing.T) {
 			"-id", "0",
 			"-peers", "127.0.0.1:1",
 			"-listen", "127.0.0.1:0",
-			"-n", "1", "-k", "1", "-t", "0",
+			"-k", "1", "-t", "0",
 			"-log-level", "info",
 		}
 		if quiet {
@@ -228,7 +228,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			"-peers", "127.0.0.1:1",
 			"-listen", "127.0.0.1:0",
 			"-metrics", "127.0.0.1:0",
-			"-n", "1", "-k", "1", "-t", "0",
+			"-k", "1", "-t", "0",
 			"-quiet",
 		}, io.Discard, stop, ready)
 	}()
@@ -355,13 +355,13 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{"missing peers", []string{"-peers", ""}, "-peers"},
 		{"unknown protocol", []string{"-peers", "a,b", "-protocol", "nope"}, "nope"},
-		{"id out of range", []string{"-peers", "a,b", "-id", "7", "-n", "2"}, ""},
+		{"id out of range", []string{"-peers", "a,b", "-id", "7"}, ""},
 		{"zero k", []string{"-peers", "a,b", "-k", "0"}, "-k 0"},
 		{"negative k", []string{"-peers", "a,b", "-k", "-3"}, "-k -3"},
-		{"negative n", []string{"-peers", "a,b", "-n", "-1"}, "-n -1"},
+		{"no usable peers", []string{"-peers", " , "}, "-peers"},
 		{"negative t", []string{"-peers", "a,b", "-t", "-1"}, "-t -1"},
 		{"t equals n", []string{"-peers", "a,b", "-t", "2"}, "-t 2"},
-		{"t exceeds n", []string{"-peers", "a,b,c", "-n", "3", "-t", "5"}, "-t 5"},
+		{"t exceeds n", []string{"-peers", "a,b,c", "-t", "5"}, "-t 5"},
 		{"acs needs 2t<n", []string{"-peers", "a,b", "-t", "1", "-acs"}, "2t < n"},
 		{"unknown log level", []string{"-peers", "a,b", "-log-level", "loud"}, "loud"},
 	}

@@ -159,11 +159,7 @@ func shrinkFile(out io.Writer, path, outPath string, workers int) error {
 	if err != nil {
 		return err
 	}
-	opts := shrink.Options{}
-	if workers > 1 {
-		opts.Exec = sweep.NewPool(workers).Map
-	}
-	min, stats, err := shrink.Minimize(t, opts)
+	min, stats, err := shrink.Minimize(t, shrink.Options{Exec: sweep.NewPool(workers).Map})
 	if err != nil {
 		return err
 	}

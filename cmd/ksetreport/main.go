@@ -45,6 +45,20 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A figure has cells only from n = 3; a size below its least checks
+	// nothing and must not read as a pass.
+	if *n < 3 {
+		return fmt.Errorf("-n %d: need at least 3", *n)
+	}
+	if *gridN < 3 {
+		return fmt.Errorf("-gridn %d: need at least 3", *gridN)
+	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs %d: need at least 1", *runs)
+	}
+	if *samples < 1 {
+		return fmt.Errorf("-samples %d: need at least 1", *samples)
+	}
 	return report.Run(out, report.Config{
 		N: *n, Runs: *runs, Samples: *samples, Seed: *seed, GridN: *gridN, Workers: *workers,
 	})

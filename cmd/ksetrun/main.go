@@ -25,7 +25,6 @@ import (
 	"kset/internal/ascii"
 	"kset/internal/checker"
 	"kset/internal/cluster"
-	"kset/internal/harness"
 	"kset/internal/mpnet"
 	"kset/internal/smmem"
 	"kset/internal/theory"
@@ -126,7 +125,7 @@ func run(args []string, out io.Writer) error {
 			}
 			break
 		}
-		factory, err := harness.MPFactory(res)
+		factory, err := trace.SpecFor(res).MPFactory()
 		if err != nil {
 			return err
 		}
@@ -146,7 +145,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	case types.SharedMemory:
-		factory, err := harness.SMFactory(res)
+		factory, err := trace.SpecFor(res).SMFactory()
 		if err != nil {
 			return err
 		}

@@ -28,6 +28,7 @@ import (
 
 	"kset/internal/cluster"
 	"kset/internal/grid"
+	"kset/internal/sweep"
 )
 
 func main() {
@@ -74,7 +75,7 @@ func run(args []string, out io.Writer) error {
 	)
 	switch {
 	case *local:
-		records = spec.Run(grid.FanOut(*workers))
+		records = spec.Run(sweep.NewPool(*workers).Map)
 	case *peers != "":
 		addrs := cluster.ParseAddrs(*peers)
 		if len(addrs) == 0 {

@@ -32,6 +32,7 @@ import (
 	"kset/internal/grid"
 	"kset/internal/harness"
 	"kset/internal/shrink"
+	"kset/internal/sweep"
 	"kset/internal/theory"
 	"kset/internal/trace"
 )
@@ -59,7 +60,18 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	exec := grid.FanOut(*workers)
+	// A figure has cells only from n = 3; a size below its least checks
+	// nothing and must not read as a pass.
+	if *n < 3 {
+		return fmt.Errorf("-n %d: need at least 3", *n)
+	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs %d: need at least 1", *runs)
+	}
+	if *samples < 1 {
+		return fmt.Errorf("-samples %d: need at least 1", *samples)
+	}
+	exec := sweep.NewPool(*workers).Map
 	if *saveFailures != "" {
 		if err := os.MkdirAll(*saveFailures, 0o755); err != nil {
 			return err

@@ -76,6 +76,22 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsSizesThatCheckNothing: -samples 0 runs no cell, -runs -3
+// no run and -n 0 or 2 has no figure cell (-n 1 panicked), so none may
+// report the cells validated: each is refused, naming the flag.
+func TestVerifyRejectsSizesThatCheckNothing(t *testing.T) {
+	for _, args := range [][]string{{"-samples", "0"}, {"-samples", "-2"}, {"-runs", "-3"}, {"-runs", "0"}, {"-n", "0"}, {"-n", "2"}} {
+		var b strings.Builder
+		err := run(append([]string{"-fig", "2", "-n", "6"}, args...), &b)
+		if err == nil || !strings.Contains(err.Error(), args[0]+" "+args[1]) {
+			t.Errorf("%v: err = %v, want one naming %s %s", args, err, args[0], args[1])
+		}
+		if strings.Contains(b.String(), "validated") || strings.Contains(b.String(), "runs ok") {
+			t.Errorf("%v: reported a validation:\n%s", args, b.String())
+		}
+	}
+}
+
 func TestVerifyUnknownFigure(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-fig", "7"}, &b); err == nil {

@@ -311,9 +311,9 @@ func TestAcsSoak(t *testing.T) {
 	go func() {
 		defer close(flapDone)
 		for i := 0; i < 10; i++ {
-			lb.SetLinkDown(0, 1, true)
+			lb.Nodes[0].SetPeerDown(1, true)
 			time.Sleep(10 * time.Millisecond)
-			lb.SetLinkDown(0, 1, false)
+			lb.Nodes[0].SetPeerDown(1, false)
 			time.Sleep(10 * time.Millisecond)
 		}
 	}()

@@ -44,10 +44,6 @@ func BoundaryProtocolA(n, k int) (*Construction, error) {
 		group[i] = i / size
 		inputs[i] = types.Value(i/size + 1)
 	}
-	victim := types.ProcessID(n - 1) // last member of the last group
-	newSched := func() mpnet.Scheduler {
-		return &boundaryScheduler{group: group, victim: victim}
-	}
 	return &Construction{
 		Name:     "boundary-protocolA",
 		Lemma:    "open point k*t = (k-1)*n (after Lemma 3.7)",
@@ -57,8 +53,9 @@ func BoundaryProtocolA(n, k int) (*Construction, error) {
 			N: n, T: t, K: k,
 			Inputs:      inputs,
 			NewProtocol: func(types.ProcessID) mpnet.Protocol { return mp.NewProtocolA() },
+			// The victim is the last member of the last group.
+			Scheduler: &boundaryScheduler{group: group, victim: types.ProcessID(n - 1)},
 		},
-		NewScheduler: newSched,
 	}, nil
 }
 
@@ -66,10 +63,13 @@ func BoundaryProtocolA(n, k int) (*Construction, error) {
 // victim, whose intra-group messages are held until it has received one
 // message from a fully-decided foreign group. Cross-group traffic to
 // non-victims follows the usual recipient gate (held until the recipient's
-// group has decided).
+// group has decided). The victim's foreign message is counted per run: a
+// new (view, view.Run) pair starts the count again.
 type boundaryScheduler struct {
 	group       []int
 	victim      types.ProcessID
+	view        *mpnet.View
+	run         uint64
 	victimCross int
 	decided     []bool // scratch for decidedGroups, reused across picks
 }
@@ -102,6 +102,9 @@ func (b *boundaryScheduler) decidedGroups(view *mpnet.View) []bool {
 
 // Next implements mpnet.Scheduler.
 func (b *boundaryScheduler) Next(view *mpnet.View, pool *mpnet.Pool, rng *prng.Source) int {
+	if view != b.view || view.Run != b.run {
+		b.view, b.run, b.victimCross = view, view.Run, 0
+	}
 	decided := b.decidedGroups(view)
 	if b.victimCross == 0 {
 		// Foreign traffic to the victim flows once the sender's group has

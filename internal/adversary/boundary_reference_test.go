@@ -74,7 +74,7 @@ func TestBoundarySchedulerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod := cons.NewScheduler().(*boundaryScheduler)
+		prod := cons.MP.Scheduler.(*boundaryScheduler)
 		for seed := uint64(1); seed <= 20; seed++ {
 			for _, crashes := range []bool{false, true} {
 				run := func(sched mpnet.Scheduler) (*types.RunRecord, []string) {
@@ -92,11 +92,51 @@ func TestBoundarySchedulerMatchesReference(t *testing.T) {
 					return rec, events
 				}
 				wantRec, want := run(&refBoundaryScheduler{group: prod.group, victim: prod.victim})
-				gotRec, got := run(cons.NewScheduler())
+				gotRec, got := run(prod)
 				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRec, wantRec) {
 					t.Fatalf("n=%d k=%d seed %d crashes %v: run differs from the reference\n got %v\nwant %v\n got %+v\nwant %+v",
 						p.n, p.k, seed, crashes, got, want, gotRec, wantRec)
 				}
+			}
+		}
+	}
+}
+
+// TestBoundaryRestartMatchesFresh: the boundary construction's scheduler
+// counts the victim's foreign message per run and starts the count again on
+// a new (view, Run) pair. The construction's one config, run after run on a
+// single mpnet.Runner, must give every run's picks and record exactly as a
+// freshly built construction does.
+func TestBoundaryRestartMatchesFresh(t *testing.T) {
+	for _, p := range []struct{ n, k int }{{4, 2}, {12, 3}} {
+		cons, err := BoundaryProtocolA(p.n, p.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r mpnet.Runner
+		for seed := uint64(1); seed <= 6; seed++ {
+			run := func(run func(mpnet.Config) (*types.RunRecord, error), cfg mpnet.Config) (*types.RunRecord, []string) {
+				var events []string
+				cfg.Seed = seed
+				cfg.Trace = func(ev mpnet.TraceEvent) { events = append(events, ev.String()) }
+				if seed%2 == 0 {
+					cfg.Crash = &types.RandomCrashes{Rate: 2.0 / float64(p.n), Seed: seed}
+				}
+				rec, err := run(cfg)
+				if err != nil {
+					t.Fatalf("n=%d k=%d seed %d: %v", p.n, p.k, seed, err)
+				}
+				return rec.Clone(), events
+			}
+			fresh, err := BoundaryProtocolA(p.n, p.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRec, want := run(mpnet.Run, *fresh.MP)
+			gotRec, got := run(r.Run, *cons.MP)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRec, wantRec) {
+				t.Fatalf("n=%d k=%d seed %d: the reused construction's run differs from a fresh one's\n got %v\nwant %v",
+					p.n, p.k, seed, got, want)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ package adversary
 
 import (
 	"kset/internal/mpnet"
-	"kset/internal/protocols/sm"
 	"kset/internal/smmem"
 	"kset/internal/types"
 )
@@ -241,10 +240,4 @@ func (g *GarbageWriter) Start(api smmem.API) {
 			api.WriteValue("junk", 0, types.Value(i))
 		}
 	}
-}
-
-// SMPersona runs the paper's SIMULATION of a message-passing Byzantine
-// strategy over shared memory, so every MP attack also works in SM/Byz.
-func SMPersona(inner mpnet.Protocol) smmem.Protocol {
-	return sm.NewSimulation(inner)
 }

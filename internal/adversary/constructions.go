@@ -32,11 +32,11 @@ type Construction struct {
 	// Validity is the condition the attacked protocol claims.
 	Validity types.Validity
 	// MP is a message-passing construction's setup (Seed is set per run).
+	// Its Scheduler serves every run: one that keeps state for a run starts
+	// it afresh on a new (view, View.Run) pair (see mpnet.Scheduler).
 	MP *mpnet.Config
-	// NewScheduler, when set, builds MP's scheduler afresh for every run:
-	// constructions whose schedulers carry per-run state need it.
-	NewScheduler func() mpnet.Scheduler
-	// SM is a shared-memory construction's setup (Seed is set per run).
+	// SM is a shared-memory construction's setup (Seed is set per run), with
+	// the same rule for its Scheduler (see smmem.Scheduler).
 	SM *smmem.Config
 }
 
@@ -53,9 +53,6 @@ func (c *Construction) Run(seed uint64, trace io.Writer) (*types.RunRecord, erro
 	}
 	cfg := *c.MP
 	cfg.Seed = seed
-	if c.NewScheduler != nil {
-		cfg.Scheduler = c.NewScheduler()
-	}
 	if trace != nil {
 		cfg.Trace = func(ev mpnet.TraceEvent) { fmt.Fprintln(trace, ev) }
 	}

@@ -140,8 +140,8 @@ func TestFailureFreeUniformProperty(t *testing.T) {
 	}
 }
 
-// TestValueSetHelpersProperty: CorrectDecisions is always a subset of
-// AllDecisions, and both are sorted ascending without duplicates.
+// TestValueSetHelpersProperty: CorrectDecisions is always a subset of the
+// values any process decided, sorted ascending without duplicates.
 func TestValueSetHelpersProperty(t *testing.T) {
 	sortedNoDup := func(vs []types.Value) bool {
 		for i := 1; i < len(vs); i++ {
@@ -154,16 +154,12 @@ func TestValueSetHelpersProperty(t *testing.T) {
 	prop := func(rr randomRecord) bool {
 		rec := rr.Rec
 		correct := rec.CorrectDecisions()
-		all := rec.AllDecisions()
-		if !sortedNoDup(correct) || !sortedNoDup(all) {
+		if !sortedNoDup(correct) {
 			return false
 		}
-		allSet := make(map[types.Value]bool, len(all))
-		for _, v := range all {
-			allSet[v] = true
-		}
+		all := refSet(rec.N, func(i int) bool { return rec.Decided[i] }, func(i int) types.Value { return rec.Decisions[i] })
 		for _, v := range correct {
-			if !allSet[v] {
+			if !slices.Contains(all, v) {
 				return false
 			}
 		}
@@ -248,7 +244,7 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// TestSetHelpersMatchMapReference: the record's four set helpers, the
+// TestSetHelpersMatchMapReference: the record's set helpers, the
 // membership validity checks and Validate answer exactly as the map-based
 // versions did — same sets, same verdicts, same violation texts.
 func TestSetHelpersMatchMapReference(t *testing.T) {
@@ -261,15 +257,8 @@ func TestSetHelpersMatchMapReference(t *testing.T) {
 		input := func(i int) types.Value { return rec.Inputs[i] }
 		decision := func(i int) types.Value { return rec.Decisions[i] }
 		correctDecisions := refSet(rec.N, correctDecided, decision)
-		for _, c := range []struct{ got, want []types.Value }{
-			{rec.CorrectDecisions(), correctDecisions},
-			{rec.AllDecisions(), refSet(rec.N, decided, decision)},
-		} {
-			if !slices.Equal(c.got, c.want) {
-				return false
-			}
-		}
-		if rec.CountCorrectDecisions() != len(correctDecisions) {
+		if !slices.Equal(rec.CorrectDecisions(), correctDecisions) ||
+			rec.CountCorrectDecisions() != len(correctDecisions) {
 			return false
 		}
 		correctInputs, allInputs := refSet(rec.N, correct, input), refSet(rec.N, always, input)

@@ -168,13 +168,6 @@ func tableComplete(tbl wire.Table, alive []bool) bool {
 	return true
 }
 
-// SetLinkDown partitions (or heals) the directed link from node i to node j.
-func (lb *Loopback) SetLinkDown(i, j int, down bool) {
-	if i >= 0 && i < len(lb.Nodes) && lb.Nodes[i] != nil {
-		lb.Nodes[i].SetPeerDown(types.ProcessID(j), down)
-	}
-}
-
 // Close shuts down every surviving node.
 func (lb *Loopback) Close() {
 	for i, n := range lb.Nodes {

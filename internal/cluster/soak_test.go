@@ -58,9 +58,9 @@ func TestClusterSoak(t *testing.T) {
 	go func() {
 		defer close(flapDone)
 		for i := 0; i < 10; i++ {
-			lb.SetLinkDown(0, 1, true)
+			lb.Nodes[0].SetPeerDown(1, true)
 			time.Sleep(15 * time.Millisecond)
-			lb.SetLinkDown(0, 1, false)
+			lb.Nodes[0].SetPeerDown(1, false)
 			time.Sleep(15 * time.Millisecond)
 		}
 	}()

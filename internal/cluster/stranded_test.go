@@ -180,8 +180,8 @@ func TestStrandedPartitionedPeerStaysLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lb.Close()
-	lb.SetLinkDown(0, 3, true)
-	lb.SetLinkDown(3, 0, true)
+	lb.Nodes[0].SetPeerDown(3, true)
+	lb.Nodes[3].SetPeerDown(0, true)
 	inputs := []types.Value{1, 2, 3, 4}
 	for id := uint64(1); id <= instances; id++ {
 		startEverywhere(t, lb, id, k, tt, theory.ProtoFloodMin, inputs)
@@ -195,8 +195,8 @@ func TestStrandedPartitionedPeerStaysLive(t *testing.T) {
 	if live, got := node.ActiveInstances(), strandedCount(node); live != instances || got != 0 {
 		t.Fatalf("node 0 while partitioned: %d live, %d stranded, want %d and 0", live, got, instances)
 	}
-	lb.SetLinkDown(0, 3, false)
-	lb.SetLinkDown(3, 0, false)
+	lb.Nodes[0].SetPeerDown(3, false)
+	lb.Nodes[3].SetPeerDown(0, false)
 	for i, nd := range lb.Nodes {
 		awaitRetired(t, nd, 30*time.Second)
 		if got := strandedCount(nd); got != 0 {

@@ -3,7 +3,6 @@ package grid
 import (
 	"kset/internal/harness"
 	"kset/internal/prng"
-	"kset/internal/sweep"
 	"kset/internal/theory"
 )
 
@@ -74,14 +73,4 @@ func ValidatePanels(panels []*theory.Grid, rngSeed func(*theory.Grid) uint64, sa
 		arenas.Put(a)
 	})
 	return checks
-}
-
-// FanOut is the executor of a -workers count: nil (serial on the
-// calling goroutine) for one worker, otherwise a new sweep pool's Map
-// (0 = GOMAXPROCS workers).
-func FanOut(workers int) harness.Executor {
-	if workers == 1 {
-		return nil
-	}
-	return sweep.NewPool(workers).Map
 }

@@ -58,7 +58,7 @@ func TestMPSweepCaptureReplay(t *testing.T) {
 	if r.Status != theory.Solvable {
 		t.Fatalf("cell unexpectedly %v", r.Status)
 	}
-	factory, err := MPFactory(r)
+	factory, err := trace.SpecFor(r).MPFactory()
 	if err != nil {
 		t.Fatalf("MPFactory: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestSMSweepCaptureReplay(t *testing.T) {
 	if r.Status != theory.Solvable {
 		t.Fatalf("cell unexpectedly %v", r.Status)
 	}
-	factory, err := SMFactory(r)
+	factory, err := trace.SpecFor(r).SMFactory()
 	if err != nil {
 		t.Fatalf("SMFactory: %v", err)
 	}

@@ -282,16 +282,11 @@ func orAllPatterns(p []InputPattern) []InputPattern {
 	return p
 }
 
-// GenInputs produces an input vector of length n for the pattern.
-// faulty[i], when non-nil, marks processes planned to be faulty
-// (UniformCorrect gives them deviating values).
-func GenInputs(pattern InputPattern, n int, faulty []bool, rng *prng.Source) []types.Value {
-	return GenInputsInto(nil, pattern, n, faulty, rng)
-}
-
-// GenInputsInto is GenInputs writing into dst when it has capacity — the
-// same draws, one fewer allocation per run in serial sweep loops. The
-// returned slice is only valid until the next call with the same dst.
+// GenInputsInto produces an input vector of length n for the pattern,
+// writing into dst when it has capacity (a nil dst allocates). faulty[i],
+// when non-nil, marks processes planned to be faulty (UniformCorrect gives
+// them deviating values). The returned slice is only valid until the next
+// call with the same dst.
 func GenInputsInto(dst []types.Value, pattern InputPattern, n int, faulty []bool, rng *prng.Source) []types.Value {
 	out := dst
 	if cap(out) < n {

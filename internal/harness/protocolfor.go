@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"kset/internal/mpnet"
-	"kset/internal/smmem"
 	"kset/internal/theory"
 	"kset/internal/trace"
 	"kset/internal/types"
@@ -14,35 +12,6 @@ import (
 // ErrNoWitness reports a classification with no runnable witness protocol
 // (an impossible or open cell).
 var ErrNoWitness = errors.New("harness: classification has no witness protocol")
-
-// MPFactory builds the per-process protocol factory for the witness protocol
-// of a solvable message-passing cell. The construction itself lives with the
-// trace artifact's ProtocolSpec so that replayed artifacts and live sweeps
-// instantiate witnesses through the same code path.
-func MPFactory(r theory.Result) (func(types.ProcessID) mpnet.Protocol, error) {
-	if r.Status != theory.Solvable || r.ViaSimulation {
-		return nil, fmt.Errorf("%w: %s %q", ErrNoWitness, r.Status, r.Protocol)
-	}
-	f, err := trace.SpecFor(r).MPFactory()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoWitness, err)
-	}
-	return f, nil
-}
-
-// SMFactory builds the per-process protocol factory for the witness protocol
-// of a solvable shared-memory cell, wrapping message-passing witnesses in
-// the SIMULATION transformation when the classification says so.
-func SMFactory(r theory.Result) (func(types.ProcessID) smmem.Protocol, error) {
-	if r.Status != theory.Solvable {
-		return nil, fmt.Errorf("%w: %s", ErrNoWitness, r.Status)
-	}
-	f, err := trace.SpecFor(r).SMFactory()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoWitness, err)
-	}
-	return f, nil
-}
 
 // CellOpts configures a cell-validation sweep beyond the problem parameters.
 type CellOpts struct {
@@ -79,8 +48,11 @@ func ValidateCell(m types.Model, v types.Validity, n, k, t int, o CellOpts) (*Su
 // ValidateCell is the package-level ValidateCell on a, for a cell the caller
 // has already classified as r: the runs run one after another on a's working
 // set, and the witness runs on a's instances, restarted run after run. The
-// summary is the one a fresh Arena gives.
+// summary is the one a fresh Arena gives. A negative o.Runs is an error.
 func (a *Arena) ValidateCell(m types.Model, v types.Validity, n, k, t int, r theory.Result, o CellOpts) (*Summary, error) {
+	if o.Runs < 0 {
+		return nil, fmt.Errorf("harness: CellOpts.Runs=%d is negative", o.Runs)
+	}
 	s, err := newCellSweep(m, v, n, k, t, r, o, a)
 	if err != nil {
 		return nil, err
@@ -116,24 +88,23 @@ func newCellSweep(m types.Model, v types.Validity, n, k, t int, r theory.Result,
 	}
 	name := fmt.Sprintf("%v/%v n=%d k=%d t=%d via %s", m, v, n, k, t, r.Protocol)
 	byz := m.Failure == types.Byzantine
+	spec := trace.SpecFor(r)
 	switch m.Comm {
 	case types.MessagePassing:
-		factory, err := MPFactory(r)
+		factory, err := spec.MPFactory()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrNoWitness, err)
 		}
-		spec := trace.SpecFor(r)
 		return &MPSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
 			NewProtocol: witnessFactory(a, spec, factory), Byzantine: byz, Spec: spec,
 			Runs: o.Runs, BaseSeed: o.Seed, FaultCap: o.FaultCap,
 		}, nil
 	case types.SharedMemory:
-		factory, err := SMFactory(r)
+		factory, err := spec.SMFactory()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrNoWitness, err)
 		}
-		spec := trace.SpecFor(r)
 		return &SMSweep{
 			Name: name, N: n, K: k, T: t, Validity: v,
 			NewProtocol: witnessFactory(a, spec, factory), Byzantine: byz, Spec: spec,

@@ -91,7 +91,6 @@ func (s *SMSweep) plan(rng *prng.Source, patterns []InputPattern, seed uint64, a
 	schedName := "fair"
 	switch rng.Intn(5) {
 	case 0:
-		a.roundRobin = smmem.RoundRobin{}
 		cfg.Scheduler = &a.roundRobin
 		schedName = "round-robin"
 	case 1:

@@ -8,10 +8,10 @@ import (
 	"kset/internal/types"
 )
 
-func TestIsolateBuildsPartition(t *testing.T) {
-	g := Isolate(6, []types.ProcessID{0, 1}, []types.ProcessID{4})
-	// Groups: {0,1} -> 0, {4} -> 1, rest {2,3,5} -> 2.
-	want := []int{0, 0, 2, 2, 1, 2}
+func TestNewGroupGateBuildsPartition(t *testing.T) {
+	g := NewGroupGate(6, [][]types.ProcessID{{0, 1}, {4}, {2, 3}})
+	// Groups: {0,1} -> 0, {4} -> 1, {2,3} -> 2; 5 is in no listed group.
+	want := []int{0, 0, 2, 2, 1, -1}
 	for i, w := range want {
 		if g.Group[i] != w {
 			t.Errorf("Group[%d] = %d, want %d", i, g.Group[i], w)

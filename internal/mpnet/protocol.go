@@ -95,6 +95,9 @@ type View struct {
 	// slices: a scheduler that keeps an answer worked out from them may keep
 	// it while it sees the same View with the same Changes.
 	Changes uint64
+	// Run numbers the runs of the Runner this View belongs to, from 1, so
+	// the pair (view, Run) names one run (see Scheduler).
+	Run uint64
 }
 
 // Scheduler chooses the next in-flight message to deliver: Next returns a
@@ -103,6 +106,12 @@ type View struct {
 // is non-empty when Next is called, and calls it exactly once per main-loop
 // pick, so a wrapper that notes what Next returns sees the run's pick order
 // (internal/trace records runs that way).
+//
+// A scheduler serves any number of runs, one after the other, and tells
+// them apart by the pair (view, view.Run): a Runner hands every one of its
+// runs the same *View, with Run one higher each time. A policy that keeps
+// state for one run starts it afresh when that pair is not the one it kept,
+// and keeping the pointer keeps that Runner's View from being another's.
 //
 // Cost contract. Next runs once per delivery, so it is the simulator's inner
 // loop, and a run must stay a function of its seed:

@@ -184,12 +184,12 @@ func Run(cfg Config) (*types.RunRecord, error) {
 // its index and marks, every process's self-delivery queue and the run
 // record keep their arrays from one Run to the next, so a sweep's later runs
 // grow nothing the earlier ones already grew. The View is the same value in
-// every run; its Changes count goes on growing across them. A run on a used
-// Runner is the run a fresh one would make — same picks, same crashes, same
-// record and Trace stream — whatever ran before it and however that
-// ended. The RunRecord a Run returns is the arena's: it is valid until the
-// next Run, which overwrites it, and a caller that keeps it longer keeps a
-// Clone.
+// every run; its Changes count goes on growing across them, and its Run
+// numbers them. A run on a used Runner is the run a fresh one would make —
+// same picks, same crashes, same record and Trace stream — whatever ran
+// before it and however that ended. The RunRecord a Run returns is the
+// arena's: it is valid until the next Run, which overwrites it, and a caller
+// that keeps it longer keeps a Clone.
 //
 // The zero value is ready to use. A Runner is not safe for concurrent use
 // and must not be copied after its first Run; it keeps the last Config (and
@@ -257,6 +257,7 @@ func (rt *runtime) reset(cfg Config) {
 			// A new run is a change: a scheduler that kept something per
 			// process from the last run must work it out again.
 			Changes: rt.view.Changes + 1,
+			Run:     rt.view.Run + 1,
 		},
 	}
 	rt.rng.Reset(cfg.Seed)

@@ -157,29 +157,6 @@ func (g *GroupGate) Next(view *View, pool *Pool, rng *prng.Source) int {
 	})
 }
 
-// Isolate returns a GroupGate in which each listed set of processes is its
-// own group and every unlisted process forms the final group together.
-func Isolate(n int, sets ...[]types.ProcessID) *GroupGate {
-	assigned := make([]bool, n)
-	groups := make([][]types.ProcessID, 0, len(sets)+1)
-	for _, s := range sets {
-		groups = append(groups, s)
-		for _, p := range s {
-			assigned[p] = true
-		}
-	}
-	var rest []types.ProcessID
-	for i := 0; i < n; i++ {
-		if !assigned[i] {
-			rest = append(rest, types.ProcessID(i))
-		}
-	}
-	if len(rest) > 0 {
-		groups = append(groups, rest)
-	}
-	return NewGroupGate(n, groups)
-}
-
 // PreferIntra delivers intra-group messages while any exist, then
 // cross-group ones: every process hears its whole neighbourhood before the
 // outside world. Unlike GroupGate it never blocks on decisions, so it is

@@ -45,9 +45,6 @@ func (c *Counter) Add(d int64) {
 	c.v.Add(d)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (0 for a nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -10,7 +10,7 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	c.Inc()
+	c.Add(1)
 	c.Add(5)
 	if got := c.Value(); got != 0 {
 		t.Errorf("nil counter value = %d", got)
@@ -40,7 +40,7 @@ func TestRegistrySharesMetrics(t *testing.T) {
 	if a != b {
 		t.Fatal("same name returned distinct counters")
 	}
-	a.Inc()
+	a.Add(1)
 	b.Add(2)
 	if got := r.Counter("hits").Value(); got != 3 {
 		t.Errorf("counter = %d, want 3", got)
@@ -186,7 +186,7 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Counter("c").Inc()
+				r.Counter("c").Add(1)
 				r.Gauge("g").Add(1)
 			}
 		}()

@@ -18,6 +18,7 @@ import (
 	"kset/internal/harness"
 	"kset/internal/mpnet"
 	"kset/internal/protocols/mp"
+	"kset/internal/sweep"
 	"kset/internal/theory"
 	"kset/internal/types"
 )
@@ -59,7 +60,7 @@ func (c *Config) defaults() {
 // Run executes the evaluation and writes the markdown report.
 func Run(w io.Writer, cfg Config) error {
 	cfg.defaults()
-	exec := grid.FanOut(cfg.Workers)
+	exec := sweep.NewPool(cfg.Workers).Map
 	fmt.Fprintf(w, "# k-set consensus reproduction report\n\n")
 	fmt.Fprintf(w, "Parameters: sweeps at n=%d (%d runs x %d cells per panel), region tables at n=%d, seed %d.\n\n",
 		cfg.N, cfg.Runs, cfg.Samples, cfg.GridN, cfg.Seed)

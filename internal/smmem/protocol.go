@@ -153,7 +153,7 @@ type View struct {
 	Ops     int // register operations granted so far
 	// Run numbers the runs of the Runner this View belongs to, from 1. A
 	// Runner's View is one value at one address in all of its runs, so the
-	// pair (view, Run) names one run.
+	// pair (view, Run) names one run (see Scheduler).
 	Run uint64
 }
 
@@ -164,10 +164,12 @@ type View struct {
 // *View with one View.Run, the same from the run's first pick to its last —
 // pending only shrinks: a process leaves it when it returns or crashes and
 // never comes back. A policy may therefore keep what it derives from pending
-// until the run changes or len(pending) drops. It tells runs apart by the
-// pair (view, view.Run): a Runner hands every one of its runs the same
-// *View, with Run one higher each time, and a policy that keeps the pointer
-// keeps that Runner's View from being another Runner's.
+// until the run changes or len(pending) drops. A scheduler serves any number
+// of runs, one after the other, and tells them apart by the pair (view,
+// view.Run): a Runner hands every one of its runs the same *View, with Run
+// one higher each time. A policy that keeps state for one run starts it
+// afresh when that pair is not the one it kept, and keeping the pointer
+// keeps that Runner's View from being another's.
 //
 // Next — like the crash adversary's Crash and Config.Trace — is always
 // called on the goroutine that called Run, between two steps of the

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"kset/internal/prng"
 	"kset/internal/smmem"
 	"kset/internal/types"
 )
@@ -66,6 +67,54 @@ func TestStarveHoldReusedMatchFresh(t *testing.T) {
 	if shrank == 0 {
 		t.Error("no run crashed a process: pending never shrank")
 	}
+}
+
+// TestRoundRobinRestartMatchesFresh: RoundRobin keeps the process it granted
+// last and starts again above process 0 on every new (view, Run) pair. One
+// RoundRobin reused run after run on fresh Runners, and one on a single
+// Runner, must show every run as a fresh RoundRobin does: record, Recorder
+// stream and Trace stream. Some run before the last ends on a grant to a
+// process other than 0, so a RoundRobin that carried its last grant over
+// would make the next run's first grant differently.
+func TestRoundRobinRestartMatchesFresh(t *testing.T) {
+	const seeds = 8
+	for _, n := range []int{3, 8} {
+		reused, onRunner := &lastGrant{inner: &smmem.RoundRobin{}}, &lastGrant{inner: &smmem.RoundRobin{}}
+		var r smmem.Runner
+		carried := 0
+		for seed := uint64(1); seed <= seeds; seed++ {
+			fault := int(seed) % len(faultModes)
+			run := func(run func(smmem.Config) (*types.RunRecord, error), sched smmem.Scheduler) *observed {
+				cfg, _, _ := matrixConfig(t, n, seed, fault)
+				cfg.Scheduler = sched
+				return observeOn(run, cfg)
+			}
+			want := run(smmem.Run, &smmem.RoundRobin{})
+			for _, got := range []*observed{run(smmem.Run, reused), run(r.Run, onRunner)} {
+				if d := streamDifference(got, want); d != "" {
+					t.Errorf("n=%d seed=%d %s: the reused RoundRobin differs from a fresh one: %s",
+						n, seed, faultModes[fault].name, d)
+				}
+			}
+			if seed < seeds && reused.last != 0 {
+				carried++
+			}
+		}
+		if carried == 0 {
+			t.Errorf("n=%d: every run ended on a grant to process 0, where a fresh RoundRobin starts anyway", n)
+		}
+	}
+}
+
+// lastGrant notes the process its scheduler granted last.
+type lastGrant struct {
+	inner smmem.Scheduler
+	last  types.ProcessID
+}
+
+func (s *lastGrant) Next(v *smmem.View, pending []types.ProcessID, rng *prng.Source) types.ProcessID {
+	s.last = s.inner.Next(v, pending, rng)
+	return s.last
 }
 
 // TestRunnerReusedMatchesFresh: one Runner runs the whole stream matrix —

@@ -18,15 +18,21 @@ func (FairRandom) Next(_ *View, pending []types.ProcessID, rng *prng.Source) typ
 }
 
 // RoundRobin grants operations in increasing process id order, wrapping
-// around. A deterministic baseline schedule.
+// around, starting above process 0 in every run. A deterministic baseline
+// schedule; one RoundRobin may be reused for any number of runs, one after
+// the other.
 type RoundRobin struct {
+	kept kept
 	last int
 }
 
 var _ Scheduler = (*RoundRobin)(nil)
 
 // Next implements Scheduler.
-func (r *RoundRobin) Next(_ *View, pending []types.ProcessID, _ *prng.Source) types.ProcessID {
+func (r *RoundRobin) Next(view *View, pending []types.ProcessID, _ *prng.Source) types.ProcessID {
+	if r.kept.newRun(view) {
+		r.last = 0
+	}
 	for _, pid := range pending {
 		if int(pid) > r.last {
 			r.last = int(pid)
@@ -114,10 +120,11 @@ func (h *Hold) Next(view *View, pending []types.ProcessID, rng *prng.Source) typ
 	return h.kept.pick(pending, h.Held, rng)
 }
 
-// kept is what Hold and Starve keep of one run between picks: the run's view
-// and number, and the pending processes their policy does not exclude, in
-// pending's order, rebuilt only when len(pending) is not the one they were
-// taken from (within a run pending only shrinks, see Scheduler).
+// kept is what RoundRobin, Hold and Starve keep of one run between picks: the
+// run's view and number and, for Hold and Starve, the pending processes
+// their policy does not exclude, in pending's order, rebuilt only when
+// len(pending) is not the one they were taken from (within a run pending
+// only shrinks, see Scheduler).
 type kept struct {
 	view     *View
 	run      uint64

@@ -29,13 +29,6 @@ import (
 	"sync/atomic"
 )
 
-// Serial runs jobs 0..jobs-1 in order on the calling goroutine.
-func Serial(jobs int, run func(job int)) {
-	for i := 0; i < jobs; i++ {
-		run(i)
-	}
-}
-
 // Pool is a bounded worker pool. The zero value is not usable; construct with
 // NewPool. A Pool may be shared by any number of goroutines and reused across
 // any number of Map calls; the worker bound is global across all of them.
@@ -70,7 +63,9 @@ func (p *Pool) Map(jobs int, run func(job int)) {
 		return
 	}
 	if jobs == 1 || cap(p.sem) == 0 {
-		Serial(jobs, run)
+		for i := 0; i < jobs; i++ {
+			run(i)
+		}
 		return
 	}
 

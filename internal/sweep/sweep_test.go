@@ -1,22 +1,39 @@
 package sweep
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
+// TestSerialRunsAllInOrder: a one-worker pool runs jobs 0..n-1 in order on
+// the calling goroutine and starts no goroutine, which is what lets a
+// -workers 1 evaluator stand for the serial loop.
 func TestSerialRunsAllInOrder(t *testing.T) {
+	caller, goroutines := goroutineID(), runtime.NumGoroutine()
 	var got []int
-	Serial(5, func(i int) { got = append(got, i) })
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("Serial order wrong: %v", got)
+	NewPool(1).Map(5, func(i int) {
+		if id := goroutineID(); id != caller {
+			t.Errorf("job %d ran on goroutine %s, the caller is %s", i, id, caller)
 		}
+		if g := runtime.NumGoroutine(); g != goroutines {
+			t.Errorf("job %d: %d goroutines, %d before Map", i, g, goroutines)
+		}
+		got = append(got, i)
+	})
+	if !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("one-worker Map ran %v, want 0..4 in order", got)
 	}
-	if len(got) != 5 {
-		t.Fatalf("Serial ran %d of 5 jobs", len(got))
-	}
+}
+
+// goroutineID is the number in the first line of the calling goroutine's
+// stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
 }
 
 func TestMapRunsEveryJobExactlyOnce(t *testing.T) {

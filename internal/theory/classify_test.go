@@ -62,7 +62,7 @@ func TestLatticeConsistency(t *testing.T) {
 				for _, d := range types.AllValidities() {
 					rd := Classify(m, d, n, k, tt)
 					for _, c := range types.AllValidities() {
-						if !StrictlyWeaker(c, d) {
+						if c == d || !WeakerOrEqual(c, d) {
 							continue
 						}
 						rc := Classify(m, c, n, k, tt)
@@ -166,10 +166,10 @@ func carryGaps(n, k, t int) []string {
 			}
 			found := false
 			for _, u := range types.AllValidities() {
-				if !found && StrictlyWeaker(v, u) {
+				if !found && v != u && WeakerOrEqual(v, u) {
 					found = decide(m, u, Solvable)
 				}
-				if !found && StrictlyWeaker(u, v) {
+				if !found && u != v && WeakerOrEqual(u, v) {
 					found = decide(m, u, Impossible)
 				}
 			}

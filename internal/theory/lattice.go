@@ -60,13 +60,3 @@ func WeakerOrEqual(c, d types.Validity) bool {
 	}
 	return false
 }
-
-// StrictlyWeaker reports whether SC(c) is strictly weaker than SC(d).
-func StrictlyWeaker(c, d types.Validity) bool {
-	return c != d && WeakerOrEqual(c, d)
-}
-
-// Comparable reports whether two conditions are ordered in the lattice.
-func Comparable(c, d types.Validity) bool {
-	return WeakerOrEqual(c, d) || WeakerOrEqual(d, c)
-}

@@ -86,24 +86,22 @@ func TestIncomparablePairs(t *testing.T) {
 		{types.RV2, types.WV1},
 	}
 	for _, pair := range incomparable {
-		if Comparable(pair[0], pair[1]) {
+		if WeakerOrEqual(pair[0], pair[1]) || WeakerOrEqual(pair[1], pair[0]) {
 			t.Errorf("%v and %v should be incomparable", pair[0], pair[1])
 		}
 	}
-	if !Comparable(types.SV1, types.WV2) {
-		t.Error("SV1 and WV2 should be comparable (top and bottom)")
-	}
 }
 
-// TestStrictlyWeaker spot-checks strictness.
-func TestStrictlyWeaker(t *testing.T) {
-	if StrictlyWeaker(types.SV1, types.SV1) {
-		t.Error("a condition is not strictly weaker than itself")
+// TestWeakerIsStrictOffDiagonal spot-checks strictness: the order is
+// reflexive, and WV2 lies strictly below SV1.
+func TestWeakerIsStrictOffDiagonal(t *testing.T) {
+	if !WeakerOrEqual(types.SV1, types.SV1) {
+		t.Error("a condition is weaker than or equal to itself")
 	}
-	if !StrictlyWeaker(types.WV2, types.SV1) {
+	if !WeakerOrEqual(types.WV2, types.SV1) {
 		t.Error("WV2 is strictly weaker than SV1")
 	}
-	if StrictlyWeaker(types.SV1, types.WV2) {
+	if WeakerOrEqual(types.SV1, types.WV2) {
 		t.Error("SV1 is not weaker than WV2")
 	}
 }

@@ -168,9 +168,6 @@ func Replay(t *Trace) (*Result, error) {
 	}, nil
 }
 
-// Rerun re-executes an artifact without recording — the shrinker's hot path.
-func Rerun(t *Trace) (*types.RunRecord, error) { return run(t, nil) }
-
 // run executes an artifact's configuration, recording into rec unless it is
 // nil.
 func run(t *Trace, rec *Recorder) (*types.RunRecord, error) {
@@ -198,9 +195,10 @@ func run(t *Trace, rec *Recorder) (*types.RunRecord, error) {
 	}
 }
 
-// Evaluate re-executes an artifact and returns the fresh verdict.
+// Evaluate re-executes an artifact without recording — the shrinker's hot
+// path — and returns the fresh verdict.
 func Evaluate(t *Trace) (Verdict, error) {
-	rec, err := Rerun(t)
+	rec, err := run(t, nil)
 	if err != nil {
 		return Verdict{}, err
 	}

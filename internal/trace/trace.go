@@ -15,7 +15,7 @@
 //
 // The package provides the canonical text codec (Encode/Decode), one
 // capture Recorder for both simulators (via CaptureMP/CaptureSM), and
-// exact replay (Replay/Rerun/Evaluate): replaying an
+// exact replay (Replay/Evaluate): replaying an
 // unmodified artifact reproduces the identical decision sequence, run record
 // and verdict, because every simulator choice outside the recorded schedule
 // is a pure function of the configuration and seed.
@@ -183,11 +183,11 @@ func (b ByzSpec) SMProtocol() (smmem.Protocol, error) {
 	case ByzGarbageWriter:
 		return adversary.NewGarbageWriter(b.Rounds), nil
 	case ByzSimSilent:
-		return adversary.SMPersona(adversary.Silent{}), nil
+		return sm.NewSimulation(adversary.Silent{}), nil
 	case ByzSimPersonaInput:
-		return adversary.SMPersona(adversary.NewPersonaInput(b.Personas, b.Default)), nil
+		return sm.NewSimulation(adversary.NewPersonaInput(b.Personas, b.Default)), nil
 	case ByzSimPersonaEcho:
-		return adversary.SMPersona(adversary.NewPersonaEcho(b.Personas, b.Default)), nil
+		return sm.NewSimulation(adversary.NewPersonaEcho(b.Personas, b.Default)), nil
 	default:
 		return nil, fmt.Errorf("%w: %q is not a shared-memory Byzantine strategy", ErrBadTrace, b.Kind)
 	}

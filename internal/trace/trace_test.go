@@ -272,6 +272,39 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestProtocolSpecFactories: each factory builds every protocol of its
+// model, and refuses a spec of the other model, an impossible cell's spec
+// and Protocol C without l.
+func TestProtocolSpecFactories(t *testing.T) {
+	impossible := SpecFor(theory.Result{Status: theory.Impossible})
+	for _, c := range []struct {
+		spec   ProtocolSpec
+		mp, sm bool
+	}{
+		{ProtocolSpec{Proto: theory.ProtoTrivial}, true, false},
+		{ProtocolSpec{Proto: theory.ProtoFloodMin}, true, false},
+		{ProtocolSpec{Proto: theory.ProtoA}, true, false},
+		{ProtocolSpec{Proto: theory.ProtoB}, true, false},
+		{ProtocolSpec{Proto: theory.ProtoC, Ell: 1}, true, false},
+		{ProtocolSpec{Proto: theory.ProtoC}, false, false},
+		{ProtocolSpec{Proto: theory.ProtoD}, true, false},
+		{ProtocolSpec{Proto: theory.ProtoE}, false, true},
+		{ProtocolSpec{Proto: theory.ProtoF}, false, true},
+		{ProtocolSpec{Proto: theory.ProtoB, Sim: true}, false, true},
+		{ProtocolSpec{Proto: theory.ProtoC, Sim: true}, false, false},
+		{impossible, false, false},
+	} {
+		mpf, err := c.spec.MPFactory()
+		if (err == nil) != c.mp || (err == nil && mpf(0) == nil) {
+			t.Errorf("%+v: MPFactory err = %v, want accepted %v and a protocol", c.spec, err, c.mp)
+		}
+		smf, err := c.spec.SMFactory()
+		if (err == nil) != c.sm || (err == nil && smf(1) == nil) {
+			t.Errorf("%+v: SMFactory err = %v, want accepted %v and a protocol", c.spec, err, c.sm)
+		}
+	}
+}
+
 func mustMPFactory(t *testing.T, s ProtocolSpec) func(types.ProcessID) mpnet.Protocol {
 	t.Helper()
 	f, err := s.MPFactory()

@@ -139,18 +139,6 @@ func (r *RunRecord) correctlyDecidedBefore(i int, v Value) bool {
 	return false
 }
 
-// AllDecisions returns the set of distinct values decided by any process
-// that decided, in ascending order.
-func (r *RunRecord) AllDecisions() []Value {
-	out := make([]Value, 0, len(r.Decisions))
-	for i := 0; i < r.N; i++ {
-		if r.Decided[i] {
-			out = append(out, r.Decisions[i])
-		}
-	}
-	return distinct(out)
-}
-
 // Validate performs structural sanity checks on the record itself (sizes
 // consistent, fault count within T). It does not check the consensus
 // conditions; that is the checker package's job.

@@ -112,9 +112,6 @@ func TestRunRecordSets(t *testing.T) {
 	if got := r.CorrectDecisions(); len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Errorf("CorrectDecisions = %v, want [3 5]", got)
 	}
-	if got := r.AllDecisions(); len(got) != 2 {
-		t.Errorf("AllDecisions = %v (p2 undecided must be excluded)", got)
-	}
 	if got := r.CountCorrectDecisions(); got != 2 {
 		t.Errorf("CountCorrectDecisions = %d, want 2", got)
 	}

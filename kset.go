@@ -41,6 +41,7 @@ import (
 	"kset/internal/mpnet"
 	"kset/internal/smmem"
 	"kset/internal/theory"
+	"kset/internal/trace"
 	"kset/internal/types"
 )
 
@@ -159,7 +160,7 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 
 	var rec *RunRecord
 	if cfg.Model.Comm == types.MessagePassing {
-		factory, err := harness.MPFactory(res)
+		factory, err := trace.SpecFor(res).MPFactory()
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +179,7 @@ func Solve(cfg SolveConfig) (*RunRecord, error) {
 			return nil, err2
 		}
 	} else {
-		factory, err := harness.SMFactory(res)
+		factory, err := trace.SpecFor(res).SMFactory()
 		if err != nil {
 			return nil, err
 		}
@@ -216,10 +217,14 @@ func Check(rec *RunRecord, v Validity) error { return checker.CheckAll(rec, v) }
 // Validate empirically validates a solvable point: it sweeps the witness
 // protocol across `runs` randomized adversarial scenarios and reports the
 // outcome. A non-nil error means the point has no witness (impossible/open);
-// a summary with violations means a reproduction bug.
+// a summary with violations means a reproduction bug, and so does an error
+// for runs below 1, which would validate nothing.
 func Validate(m Model, v Validity, n, k, t, runs int, seed uint64) (*harness.Summary, error) {
 	if err := errors.Join(types.CheckModel(m), types.CheckValidity(v)); err != nil {
 		return nil, fmt.Errorf("kset: %w", err)
+	}
+	if runs < 1 {
+		return nil, fmt.Errorf("kset: runs=%d, need at least 1", runs)
 	}
 	return harness.ValidateCell(m, v, n, k, t, harness.CellOpts{Runs: runs, Seed: seed})
 }

@@ -223,6 +223,16 @@ func TestValidateFacade(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonPositiveRuns: a validation of no runs checks
+// nothing, so it is an error and not an OK summary.
+func TestValidateRejectsNonPositiveRuns(t *testing.T) {
+	for _, runs := range []int{-5, 0} {
+		if sum, err := Validate(MPCR, RV1, 8, 3, 2, runs, 1); err == nil || sum != nil {
+			t.Errorf("Validate with runs=%d: summary %v, err %v, want only an error", runs, sum, err)
+		}
+	}
+}
+
 // TestUnknownVariantIsAnError: a model or validity outside the paper's is
 // an error from Solve and Validate at every point, the Section 2 boundary
 // cases (k >= n) included.
