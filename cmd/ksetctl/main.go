@@ -22,6 +22,8 @@
 //
 // run exits non-zero if any node's decision table fails the checker; the
 // cluster is the system under test and ksetctl is the judge.
+//
+//ksetlint:package-allow determinism the client dials live nodes over TCP with deadlines and times the calls it reports
 package main
 
 import (
@@ -29,7 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -234,7 +236,7 @@ func decisionsOf(clients []*cluster.Client, id uint64) []types.Value {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -24,6 +24,8 @@
 // With -metrics ADDR the node also serves HTTP: GET /metrics returns the
 // node's counters and latency histograms in the Prometheus text exposition
 // format, and GET /healthz returns 200 "ok" while the node is up.
+//
+//ksetlint:package-allow determinism the daemon serves real sockets, signals and HTTP on goroutines
 package main
 
 import (

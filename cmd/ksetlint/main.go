@@ -6,10 +6,12 @@
 //	ksetlint [-C dir] [-rule prefix] [-json] [-sarif file] [-list]
 //
 // It walks the module rooted at -C (default "."), applies every analyzer to
-// the packages in its scope, and prints findings as file:line:col lines —
+// every package, and prints findings as file:line:col lines —
 // or, with -json, as a machine-readable report on stdout. With -sarif FILE
 // the findings are additionally written as SARIF 2.1.0 for code-scanning
-// ingestion. Exit status: 0 clean, 1 findings, 2 usage or load error.
+// ingestion. -list prints each analyzer's rule ids and the packages of the
+// module that opt out of it. Exit status: 0 clean, 1 findings, 2 usage or
+// load error.
 package main
 
 import (
@@ -34,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rule := fs.String("rule", "", "only report findings whose rule id has this prefix (e.g. errflow, maporder.range)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON report on stdout")
 	sarifFile := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	list := fs.Bool("list", false, "list analyzers, rule ids, and audited packages, then exit")
+	list := fs.Bool("list", false, "list analyzers, rule ids, and the packages that opt out, then exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -44,17 +46,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	analyzers := lint.DefaultAnalyzers()
-	scopes := lint.DefaultScopes()
 	if *rule != "" && !knownRulePrefix(analyzers, *rule) {
 		fmt.Fprintf(stderr, "ksetlint: -rule %q matches no analyzer; see -list\n", *rule)
 		return 2
 	}
 	if *list {
-		printList(stdout, analyzers, scopes)
+		pkgs, err := lint.Load(*dir)
+		if err != nil {
+			fmt.Fprintf(stderr, "ksetlint: %v\n", err)
+			return 2
+		}
+		printList(stdout, analyzers, pkgs)
 		return 0
 	}
 
-	findings, err := lint.Run(*dir, analyzers, scopes)
+	findings, err := lint.Run(*dir, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "ksetlint: %v\n", err)
 		return 2
@@ -92,19 +98,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printList writes each analyzer with its audited package prefixes and the
-// rule ids it can emit, then the engine's directive-audit rule.
-func printList(w io.Writer, analyzers []lint.Analyzer, scopes map[string][]string) {
+// printList writes each analyzer with the packages of pkgs that opt out of
+// it and the rule ids it can emit, then the engine's directive-audit rule.
+func printList(w io.Writer, analyzers []lint.Analyzer, pkgs []*lint.Package) {
 	sorted := append([]lint.Analyzer(nil), analyzers...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
 	for _, a := range sorted {
-		fmt.Fprintf(w, "%s: %s\n", a.Name(), strings.Join(scopes[a.Name()], " "))
+		fmt.Fprintf(w, "%s: every package", a.Name())
+		if exempt := lint.Exempt(pkgs, a.Name()); len(exempt) > 0 {
+			fmt.Fprintf(w, " except %s", strings.Join(exempt, " "))
+		}
+		fmt.Fprintln(w)
 		for _, r := range a.Rules() {
 			fmt.Fprintf(w, "  %s: %s\n", r.ID, r.Doc)
 		}
 	}
 	allow := lint.AllowRule()
-	fmt.Fprintf(w, "lint: every audited package\n  %s: %s\n", allow.ID, allow.Doc)
+	fmt.Fprintf(w, "lint: every package\n  %s: %s\n", allow.ID, allow.Doc)
 }
 
 func writeSARIFFile(path string, findings []lint.Finding, analyzers []lint.Analyzer, root string) error {

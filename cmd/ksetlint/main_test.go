@@ -193,10 +193,13 @@ func TestLintRuntimeBudget(t *testing.T) {
 	}
 }
 
+// TestList reads the fixture module: every analyzer audits every package,
+// and the two packages that declare themselves live opt out of
+// determinism.
 func TestList(t *testing.T) {
 	var out, errs strings.Builder
-	if code := run([]string{"-list"}, &out, &errs); code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
+	if code := run([]string{"-list", "-C", filepath.Join("testdata", "badmod")}, &out, &errs); code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr: %s", code, errs.String())
 	}
 	got := out.String()
 	for _, a := range []string{
@@ -217,8 +220,15 @@ func TestList(t *testing.T) {
 			t.Errorf("-list missing rule description %q:\n%s", r, got)
 		}
 	}
-	if !strings.Contains(got, "kset/internal/cluster") || !strings.Contains(got, "kset/cmd/ksetd") {
-		t.Errorf("-list should show audited packages:\n%s", got)
+	for _, line := range []string{
+		"determinism: every package except kset/internal/cluster kset/internal/obs\n",
+		"errflow: every package\n",
+		"maporder: every package\n",
+		"lint: every package\n",
+	} {
+		if !strings.Contains(got, line) {
+			t.Errorf("-list missing line %q:\n%s", line, got)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package cluster is a driver-test fixture: a live transport violating the
-// concurrency-safety contracts — a dropped deadline error, a goroutine with
-// no shutdown path, and a connection write under the mutex.
+// Package cluster is a ksetlint fixture: a live transport with IO bugs.
+//
+//ksetlint:package-allow determinism a live transport on real sockets; its dropped errors, leaked goroutine and IO under the mutex are reported
 package cluster
 
 import (

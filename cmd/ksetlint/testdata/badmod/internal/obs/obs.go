@@ -1,6 +1,6 @@
-// Package obs is a driver-test fixture: live-stack code violating lock
-// discipline. It is outside the determinism scope, so the channel use is
-// legal but the mutex handling is not.
+// Package obs is a ksetlint fixture: live code with bad lock discipline.
+//
+//ksetlint:package-allow determinism the mailbox is live: its channel is legal, its mutex handling is not
 package obs
 
 import "sync"

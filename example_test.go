@@ -161,7 +161,11 @@ func ExampleValidate() {
 
 	// Figure 5, SV2 panel: Protocol F (k > t+1), Protocol B via SIMULATION,
 	// impossibility for t >= n/2 and t >= k (Lemma 4.3).
-	g := kset.ComputeGrid(kset.SMCR, kset.SV2, n)
+	g, err := kset.ComputeGrid(kset.SMCR, kset.SV2, n)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	fmt.Printf("Figure 5, SV2 panel at n=%d:\n\n", n)
 	for t := g.TMax(); t >= g.TMin(); t -= 2 {
 		fmt.Printf("t=%3d |", t)

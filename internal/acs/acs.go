@@ -48,6 +48,8 @@
 // be mixed and a slot can in principle stall unresolved — the FLP
 // impossibility applies; a deterministic asynchronous protocol cannot do
 // better — though the proposal relay makes mixed votes rare in practice.
+//
+//ksetlint:package-allow determinism the log runs on the live cluster: rounds close on real messages, timers and locks
 package acs
 
 import (

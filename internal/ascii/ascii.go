@@ -13,7 +13,7 @@ package ascii
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"kset/internal/theory"
@@ -76,10 +76,13 @@ func RenderGrid(g *theory.Grid) string {
 }
 
 // RenderFigure renders all six panels of one region figure in the paper's
-// validity order, with the figure number in the header.
+// validity order, with the figure number in the header. It refuses n < 3.
 func RenderFigure(m types.Model, n int) (string, error) {
 	fig, err := theory.FigureForModel(m)
 	if err != nil {
+		return "", err
+	}
+	if err := theory.CheckFigureN(n); err != nil {
 		return "", err
 	}
 	var b strings.Builder
@@ -133,7 +136,7 @@ func RenderLattice() string {
 	for d := range edges {
 		ds = append(ds, d)
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	for _, d := range ds {
 		for _, c := range edges[d] {
 			fmt.Fprintf(&b, "  %s => %s\n", d, c)

@@ -17,6 +17,8 @@
 //
 // Decisions are validated by internal/checker from assembled decision
 // tables, exactly like simulator runs: a node cannot self-certify.
+//
+//ksetlint:package-allow determinism the TCP runtime runs on real sockets, clocks, goroutines and locks; its tables are judged by the checker
 package cluster
 
 import (

@@ -8,9 +8,9 @@ import (
 	"strconv"
 )
 
-// Determinism enforces the core simulation contract: inside the audited
-// packages a run may depend on nothing but (protocol, parameters,
-// adversary, seed). It reports, with one rule id each:
+// Determinism enforces the core simulation contract: a run may depend on
+// nothing but (protocol, parameters, adversary, seed). It reports, with one
+// rule id each:
 //
 //   - determinism.time: wall-clock reads and timer operations (time.Now,
 //     time.Sleep, time.Since, timers, tickers). time.Duration values and
@@ -21,9 +21,7 @@ import (
 //     select, close, range over a channel).
 //   - determinism.sync: imports of sync and sync/atomic.
 //
-// The deterministic shared-memory runtime (internal/smmem) legitimately
-// uses goroutines in a strict turn-based regime; such files carry
-// file-level allow directives explaining why.
+// A live package opts out with //ksetlint:package-allow determinism.
 type Determinism struct{}
 
 // NewDeterminism returns the determinism analyzer.

@@ -3,56 +3,39 @@
 //
 // Every empirical claim in this repository rests on the invariant stated in
 // internal/prng: a run is a pure function of (protocol, parameters,
-// adversary, seed). The analyzers in this package make that invariant
-// machine-checked rather than aspirational:
+// adversary, seed). Run applies every analyzer to every package:
 //
-//   - determinism: simulation packages must not read wall clocks, launch
-//     goroutines, use channels, or reach for sync primitives.
-//   - maporder: simulation packages must not range over maps when the loop
-//     body has effects, because map iteration order would leak into traces.
-//   - prngflow: all randomness must flow through internal/prng, and every
-//     prng.New or Source.Reset seed must derive from parameters, constants,
-//     or other deterministic draws.
-//   - lockdiscipline: packages with real mutexes must release every mutex
-//     on every return path and never hold one across a blocking channel
-//     operation.
+//   - determinism: no wall clock, goroutine, channel or sync primitive.
+//   - maporder: no effectful range over a map, whose order is randomized.
+//   - prngflow: all randomness through internal/prng, seeded from
+//     parameters, constants or other draws.
+//   - lockdiscipline: every mutex released on every return path, and none
+//     held across a blocking channel operation.
+//   - errflow: errors from IO-bearing calls checked, or discarded with `_ =`.
+//   - goroutinelife: every go statement tied to a provable shutdown path.
+//   - lockheldio: no blocking IO call while a mutex is held.
 //
-// The live stack (cluster transport, ACS, wire codec, obs and the binaries
-// that talk to live nodes) is nondeterministic by nature, so it is held to
-// a different contract — the crash-fault, reliable-network model the
-// protocols assume must survive real IO:
+// A package that is concurrent and on real clocks by nature (the cluster
+// runtime, ACS on it, obs, the sweep pool, the daemon and its client)
+// declares itself live, and so exempt from determinism alone, with
 //
-//   - errflow: errors from IO-bearing calls (conn reads/writes, deadline
-//     setters, Close, Flush, encode/decode) must be checked or explicitly
-//     discarded with a blank assignment.
-//   - goroutinelife: every go statement must be tied to a provable shutdown
-//     path (WaitGroup Add/Done pairing, done-channel receive, or context
-//     cancellation), so nothing leaks past Close.
-//   - lockheldio: no blocking IO call (dial, conn write, time.Sleep) while
-//     a mutex is held — the deadlock/latency class behind the ack-flush bug.
+//	//ksetlint:package-allow determinism <reason>
 //
-// The wire decoder's bounds on peer-supplied lengths are not a rule here:
-// internal/wire's TestDecodeAllocBound holds them by behaviour.
-//
-// Legitimate exceptions are documented in the source with
-//
-//	//ksetlint:allow <rule> <reason>
-//
-// on (or immediately above) the offending line, or
-//
-//	//ksetlint:file-allow <rule> <reason>
-//
-// anywhere at the top level of a file to waive one rule for the whole file.
-// A directive must carry a reason; a bare directive is itself reported.
-// See docs/lint.md for the full contract.
+// Any other exception is waived where it fires, with
+// //ksetlint:allow <rule> <reason> on or just above the line, or
+// //ksetlint:file-allow <rule> <reason> for a whole file. A directive must
+// carry a reason, and one that suppresses nothing is itself reported. The
+// wire decoder's bounds on peer-supplied lengths are not a rule here:
+// internal/wire's TestDecodeAllocBound holds them by behaviour. See
+// docs/lint.md for the full contract.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -109,83 +92,11 @@ func DefaultAnalyzers() []Analyzer {
 	}
 }
 
-// DefaultScopes maps each analyzer to the import-path prefixes it audits.
-// The determinism contract covers every package that executes or inspects
-// simulated runs, plus the wire codec (pure computation by design); the lock
-// discipline contract covers the cluster runtime and ACS on it, the grid
-// sweep, the obs metrics registry (whose map is mutex-guarded), and smmem.
-// The cluster runtime is
-// inherently nondeterministic (real network, real clocks) so it stays out of
-// the determinism scope, but its map iteration and randomness sourcing are
-// held to the same standard as the simulators.
-func DefaultScopes() map[string][]string {
-	deterministic := []string{
-		"kset/internal/protocols",
-		"kset/internal/mpnet",
-		"kset/internal/smmem",
-		"kset/internal/adversary",
-		"kset/internal/checker",
-		"kset/internal/exhaustive",
-		"kset/internal/theory",
-		"kset/internal/harness",
-		"kset/internal/report",
-		"kset/internal/trace",
-		"kset/internal/shrink",
-		"kset/internal/wire",
-		"kset/internal/grid",
-		"kset/internal/types",
-	}
-	simulatorsAndCluster := slices.Concat(deterministic, []string{
-		"kset/internal/cluster",
-		"kset/internal/acs",
-	})
-	return map[string][]string{
-		"determinism": deterministic,
-		"maporder":    simulatorsAndCluster,
-		"prngflow":    simulatorsAndCluster,
-		"lockdiscipline": {
-			"kset/internal/smmem",
-			"kset/internal/cluster",
-			"kset/internal/acs",
-			"kset/internal/obs",
-			"kset/internal/grid",
-		},
-		"errflow":       liveStack,
-		"goroutinelife": liveStack,
-		"lockheldio":    liveStack,
-	}
-}
-
-// liveStack is the scope of the concurrency-safety analyzers: every package
-// that performs real IO or runs real goroutines in production paths — the
-// cluster transport and ACS on it, the wire codec, observability, and the
-// binaries that talk to live nodes.
-var liveStack = []string{
-	"kset/internal/cluster",
-	"kset/internal/acs",
-	"kset/internal/wire",
-	"kset/internal/obs",
-	"kset/cmd/ksetd",
-	"kset/cmd/ksetctl",
-	"kset/cmd/ksetsweep",
-}
-
-// InScope reports whether import path is covered by one of the prefixes.
-// A prefix matches the exact package or any package below it.
-func InScope(path string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// Run loads the module rooted at dir and applies every analyzer to the
-// packages its scope selects, honoring allow directives. The returned
-// findings are sorted by position. Findings include misuse of the directive
-// syntax itself (rule "lint.allow", e.g. a reasonless or unused directive).
-func Run(dir string, analyzers []Analyzer, scopes map[string][]string) ([]Finding, error) {
+// Run loads the module rooted at dir and applies every analyzer to every
+// package, honoring allow directives. The returned findings are sorted by
+// position. Findings include misuse of the directive syntax itself (rule
+// "lint.allow", e.g. a reasonless or unused directive).
+func Run(dir string, analyzers []Analyzer) ([]Finding, error) {
 	pkgs, err := Load(dir)
 	if err != nil {
 		return nil, err
@@ -195,74 +106,95 @@ func Run(dir string, analyzers []Analyzer, scopes map[string][]string) ([]Findin
 		allows := collectAllows(pkg)
 		all = append(all, allows.malformed...)
 		for _, a := range analyzers {
-			scope, ok := scopes[a.Name()]
-			if !ok {
-				continue
-			}
-			if !InScope(pkg.Path, scope) {
-				continue
-			}
 			for _, f := range a.Check(pkg) {
-				if allows.suppresses(f) {
-					continue
+				if !allows.suppresses(f) {
+					all = append(all, f)
 				}
-				all = append(all, f)
 			}
 		}
 		all = append(all, allows.unused()...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i].Pos, all[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
+	slices.SortStableFunc(all, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Column, b.Pos.Column))
 	})
 	return all, nil
 }
 
-// allowDirective is one parsed //ksetlint:allow or //ksetlint:file-allow.
-type allowDirective struct {
-	pos      token.Position
-	rule     string // rule id or bare analyzer name
-	fileWide bool
-	used     bool
+// Exempt returns the import paths of the packages in pkgs that opt out of
+// the named analyzer with a package-allow directive, in load order. Only
+// determinism can be opted out of, so for any other analyzer it is empty.
+func Exempt(pkgs []*Package, analyzer string) []string {
+	var out []string
+	for _, pkg := range pkgs {
+		if slices.ContainsFunc(collectAllows(pkg).directives, func(d *allowDirective) bool {
+			return d.scope == packageScope && d.rule == analyzer
+		}) {
+			out = append(out, pkg.Path)
+		}
+	}
+	return out
 }
 
-// matches reports whether the directive waives rule: either exactly, or the
-// directive names the whole analyzer (the segment before the first dot).
-func (d *allowDirective) matches(rule string) bool {
-	if d.rule == rule {
-		return true
+// directiveScope is how far one allow directive reaches.
+type directiveScope int
+
+const (
+	lineScope    directiveScope = iota // its own line and the line below
+	fileScope                          // the file it is in
+	packageScope                       // every file of its package
+)
+
+// directiveKinds are the three directive spellings, narrowest first.
+var directiveKinds = []struct {
+	prefix string
+	scope  directiveScope
+}{
+	{"//ksetlint:allow", lineScope},
+	{"//ksetlint:file-allow", fileScope},
+	{"//ksetlint:package-allow", packageScope},
+}
+
+// liveAnalyzer is the one analyzer a package-allow may name: a package
+// declares itself live (concurrent, on real clocks) as a whole, and every
+// other rule is waived where it fires.
+const liveAnalyzer = "determinism"
+
+// allowDirective is one parsed allow, file-allow or package-allow.
+type allowDirective struct {
+	pos     token.Position
+	endLine int    // the line the comment ends on
+	rule    string // rule id or bare analyzer name
+	scope   directiveScope
+	used    bool
+}
+
+// waives reports whether the directive reaches f and names its rule, either
+// exactly or as the whole analyzer (the segment before the first dot).
+func (d *allowDirective) waives(f Finding) bool {
+	analyzer, _, _ := strings.Cut(f.Rule, ".")
+	if d.rule != f.Rule && d.rule != analyzer {
+		return false
 	}
-	analyzer, _, ok := strings.Cut(rule, ".")
-	return ok && d.rule == analyzer
+	switch d.scope {
+	case lineScope:
+		return d.pos.Filename == f.Pos.Filename && (f.Pos.Line == d.endLine || f.Pos.Line == d.endLine+1)
+	case fileScope:
+		return d.pos.Filename == f.Pos.Filename
+	}
+	return true
 }
 
 type allowSet struct {
-	// byFileLine indexes line-level directives by filename then line.
-	byFileLine map[string]map[int][]*allowDirective
-	// fileWide indexes file-level directives by filename.
-	fileWide  map[string][]*allowDirective
-	malformed []Finding
+	directives []*allowDirective // in source order
+	malformed  []Finding
 }
-
-const (
-	allowPrefix     = "//ksetlint:allow"
-	fileAllowPrefix = "//ksetlint:file-allow"
-)
 
 // collectAllows parses every ksetlint directive in pkg. A line-level
 // directive suppresses findings on its own line or the line directly below
 // it (so it can ride at end-of-line or as a lead comment).
 func collectAllows(pkg *Package) *allowSet {
-	s := &allowSet{
-		byFileLine: make(map[string]map[int][]*allowDirective),
-		fileWide:   make(map[string][]*allowDirective),
-	}
+	s := &allowSet{}
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -275,91 +207,62 @@ func collectAllows(pkg *Package) *allowSet {
 
 func (s *allowSet) add(pkg *Package, c *ast.Comment) {
 	text := strings.TrimSpace(c.Text)
-	var rest string
-	var fileWide bool
-	switch {
-	case strings.HasPrefix(text, fileAllowPrefix):
-		rest, fileWide = text[len(fileAllowPrefix):], true
-	case strings.HasPrefix(text, allowPrefix):
-		rest = text[len(allowPrefix):]
-	default:
+	for _, kind := range directiveKinds {
+		rest, ok := strings.CutPrefix(text, kind.prefix)
+		if !ok {
+			continue
+		}
+		pos := pkg.Fset.Position(c.Pos())
+		fields := strings.Fields(rest)
+		switch {
+		case len(fields) < 2:
+			s.malformed = append(s.malformed, Finding{
+				Pos:  pos,
+				Rule: "lint.allow",
+				Msg:  "allow directive needs a rule and a reason: " + kind.prefix + " <rule> <reason>",
+			})
+		case kind.scope == packageScope && fields[0] != liveAnalyzer:
+			s.malformed = append(s.malformed, Finding{
+				Pos:  pos,
+				Rule: "lint.allow",
+				Msg:  "package-allow names only " + liveAnalyzer + " (a live package); waive " + strconv.Quote(fields[0]) + " where it fires",
+			})
+		default:
+			s.directives = append(s.directives, &allowDirective{
+				pos: pos, endLine: pkg.Fset.Position(c.End()).Line, rule: fields[0], scope: kind.scope,
+			})
+		}
 		return
 	}
-	pos := pkg.Fset.Position(c.Pos())
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		s.malformed = append(s.malformed, Finding{
-			Pos:  pos,
-			Rule: "lint.allow",
-			Msg:  "allow directive needs a rule and a reason: //ksetlint:allow <rule> <reason>",
-		})
-		return
-	}
-	d := &allowDirective{pos: pos, rule: fields[0], fileWide: fileWide}
-	if fileWide {
-		s.fileWide[pos.Filename] = append(s.fileWide[pos.Filename], d)
-		return
-	}
-	byLine := s.byFileLine[pos.Filename]
-	if byLine == nil {
-		byLine = make(map[int][]*allowDirective)
-		s.byFileLine[pos.Filename] = byLine
-	}
-	end := pkg.Fset.Position(c.End()).Line
-	byLine[end] = append(byLine[end], d)
 }
 
-// suppresses consumes the first directive that waives f, if any.
+// suppresses consumes the narrowest directive that waives f, if any.
 func (s *allowSet) suppresses(f Finding) bool {
-	for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
-		for _, d := range s.byFileLine[f.Pos.Filename][line] {
-			if d.matches(f.Rule) {
-				d.used = true
-				return true
-			}
+	var best *allowDirective
+	for _, d := range s.directives {
+		if d.waives(f) && (best == nil || d.scope < best.scope) {
+			best = d
 		}
 	}
-	for _, d := range s.fileWide[f.Pos.Filename] {
-		if d.matches(f.Rule) {
-			d.used = true
-			return true
-		}
+	if best == nil {
+		return false
 	}
-	return false
+	best.used = true
+	return true
 }
 
-// unused reports directives that suppressed nothing: stale waivers must be
-// deleted, not accumulated.
+// unused reports, in source order, the directives that suppressed nothing:
+// stale waivers must be deleted, not accumulated.
 func (s *allowSet) unused() []Finding {
 	var out []Finding
-	report := func(d *allowDirective) {
-		if d.used {
-			return
-		}
-		out = append(out, Finding{
-			Pos:  d.pos,
-			Rule: "lint.allow",
-			Msg:  "allow directive for " + strconv.Quote(d.rule) + " suppresses nothing; delete it",
-		})
-	}
-	for _, byLine := range s.byFileLine {
-		for _, ds := range byLine {
-			for _, d := range ds {
-				report(d)
-			}
+	for _, d := range s.directives {
+		if !d.used {
+			out = append(out, Finding{
+				Pos:  d.pos,
+				Rule: "lint.allow",
+				Msg:  "allow directive for " + strconv.Quote(d.rule) + " suppresses nothing; delete it",
+			})
 		}
 	}
-	for _, ds := range s.fileWide {
-		for _, d := range ds {
-			report(d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,19 +133,10 @@ func checkFixture(t *testing.T, a Analyzer, importPath string, files ...string) 
 }
 
 func sameRules(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	g := append([]string(nil), got...)
-	w := append([]string(nil), want...)
-	sortStrings(g)
-	sortStrings(w)
-	for i := range g {
-		if g[i] != w[i] {
-			return false
-		}
-	}
-	return true
+	g, w := slices.Clone(got), slices.Clone(want)
+	slices.Sort(g)
+	slices.Sort(w)
+	return slices.Equal(g, w)
 }
 
 func TestDeterminism(t *testing.T) {
@@ -180,10 +172,12 @@ func TestLockHeldIO(t *testing.T) {
 
 // TestRulesMetadata pins the contract -list and the SARIF emitter rely on:
 // every analyzer in the default suite declares at least one rule, every rule
-// id starts with the analyzer's name, and every analyzer has a scope.
+// id starts with the analyzer's name, and the one analyzer a package may opt
+// out of is in the suite.
 func TestRulesMetadata(t *testing.T) {
-	scopes := DefaultScopes()
+	names := make(map[string]bool)
 	for _, a := range DefaultAnalyzers() {
+		names[a.Name()] = true
 		rules := a.Rules()
 		if len(rules) == 0 {
 			t.Errorf("%s: no rules declared", a.Name())
@@ -196,23 +190,57 @@ func TestRulesMetadata(t *testing.T) {
 				t.Errorf("%s: rule %q has no description", a.Name(), r.ID)
 			}
 		}
-		if len(scopes[a.Name()]) == 0 {
-			t.Errorf("%s: no scope in DefaultScopes", a.Name())
-		}
+	}
+	if !names[liveAnalyzer] {
+		t.Errorf("package-allow names %q, which is not in the suite", liveAnalyzer)
 	}
 }
 
-func TestInScope(t *testing.T) {
-	prefixes := []string{"kset/internal/mpnet", "kset/internal/protocols"}
-	for path, want := range map[string]bool{
-		"kset/internal/mpnet":        true,
-		"kset/internal/mpnet/sub":    true,
-		"kset/internal/mpnetx":       false,
-		"kset/internal/protocols/mp": true,
-		"kset/internal/smmem":        false,
-	} {
-		if got := InScope(path, prefixes); got != want {
-			t.Errorf("InScope(%q) = %v, want %v", path, got, want)
+// TestPackageAllow: a package-allow determinism waives the analyzer in every
+// file of its package. One that waives nothing is stale; one that names a
+// rule id or another analyzer, or gives no reason, is malformed and waives
+// nothing. All three are lint.allow findings.
+func TestPackageAllow(t *testing.T) {
+	checkFixture(t, NewDeterminism(), "kset/internal/live", "live.go", "live_spawn.go")
+	checkFixture(t, NewDeterminism(), "kset/internal/stale", "stale.go")
+	checkFixture(t, NewDeterminism(), "kset/internal/misnamed", "misnamed.go")
+}
+
+// TestTreeCoverage pins what ksetlint audits in this module: Run applies
+// every analyzer to every loaded package, and only these packages opt out
+// of determinism. A new package is audited by all seven analyzers.
+func TestTreeCoverage(t *testing.T) {
+	pkgs, err := Load(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := []string{
+		"kset/cmd/ksetctl",
+		"kset/cmd/ksetd",
+		"kset/internal/acs",
+		"kset/internal/cluster",
+		"kset/internal/obs",
+		"kset/internal/sweep",
+	}
+	for _, a := range DefaultAnalyzers() {
+		var want []string
+		if a.Name() == liveAnalyzer {
+			want = live
 		}
+		if got := Exempt(pkgs, a.Name()); !slices.Equal(got, want) {
+			t.Errorf("%s: packages opting out = %v, want %v", a.Name(), got, want)
+		}
+	}
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Path)
+	}
+	for _, p := range append(live, "kset", "kset/cmd/ksetsweep", "kset/cmd/ksetverify", "kset/internal/lint") {
+		if !slices.Contains(paths, p) {
+			t.Errorf("package %s not loaded; loaded %v", p, paths)
+		}
+	}
+	if len(DefaultAnalyzers()) != 7 {
+		t.Errorf("suite has %d analyzers, want 7", len(DefaultAnalyzers()))
 	}
 }

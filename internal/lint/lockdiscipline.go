@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -76,10 +77,20 @@ type lockState struct {
 
 type heldSet map[string]*lockState
 
+// names returns the held locks' keys, sorted.
+func (h heldSet) names() []string {
+	names := make([]string, 0, len(h))
+	for k := range h {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func (h heldSet) clone() heldSet {
 	c := make(heldSet, len(h))
-	for k, v := range h {
-		cp := *v
+	for _, k := range h.names() {
+		cp := *h[k]
 		c[k] = &cp
 	}
 	return c
@@ -89,21 +100,12 @@ func (h heldSet) clone() heldSet {
 // must release explicitly.
 func (h heldSet) manual() []string {
 	var out []string
-	for k, s := range h {
-		if !s.deferred {
+	for _, k := range h.names() {
+		if !h[k].deferred {
 			out = append(out, k)
 		}
 	}
-	sortStrings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 type lockWalker struct {
@@ -329,23 +331,13 @@ func (w *lockWalker) checkBlocking(n ast.Node, held heldSet) {
 }
 
 func (w *lockWalker) reportHeldIO(pos token.Pos, what string, held heldSet) {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
 	w.report(pos, "lockheldio.io",
-		fmt.Sprintf("%s while holding %s: IO under a lock stalls every contender and can deadlock shutdown", what, lockRecv(keys[0])))
+		fmt.Sprintf("%s while holding %s: IO under a lock stalls every contender and can deadlock shutdown", what, lockRecv(held.names()[0])))
 }
 
 func (w *lockWalker) reportBlocking(pos token.Pos, what string, held heldSet) {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
 	w.report(pos, "lockdiscipline.blocking",
-		fmt.Sprintf("%s while holding %s: blocking under a lock can deadlock the runtime", what, lockRecv(keys[0])))
+		fmt.Sprintf("%s while holding %s: blocking under a lock can deadlock the runtime", what, lockRecv(held.names()[0])))
 }
 
 // selectHasDefault reports whether a select statement has a default clause
@@ -370,7 +362,8 @@ func mergeHeld(a, b heldSet) heldSet {
 		return a
 	}
 	out := a.clone()
-	for k, v := range b {
+	for _, k := range b.names() {
+		v := b[k]
 		if cur, ok := out[k]; ok {
 			cur.deferred = cur.deferred && v.deferred
 			continue
@@ -410,10 +403,6 @@ func lockKey(recv, op string) string {
 
 // lockRecv recovers the receiver expression from a lock key for messages.
 func lockRecv(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return key[:i]
-		}
-	}
-	return key
+	recv, _, _ := strings.Cut(key, "\x00")
+	return recv
 }

@@ -73,10 +73,9 @@ func isBlockingIOCall(pkg *Package, sel *ast.SelectorExpr) bool {
 	// A method call counts; of package-qualified calls only the IO-bearing
 	// packages do, so a local helper package exporting a same-named pure
 	// function stays quiet.
-	switch path := pkgOfSelector(pkg, sel); path {
-	case "", "time", "net", "io", "os":
+	switch pkgOfSelector(pkg, sel) {
+	case "", "time", "net", "io", "os", "kset/internal/cluster", "kset/internal/wire":
 		return true
-	default:
-		return InScope(path, []string{"kset/internal/cluster", "kset/internal/wire"})
 	}
+	return false
 }

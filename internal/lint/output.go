@@ -152,12 +152,8 @@ func WriteSARIF(w io.Writer, findings []Finding, analyzers []Analyzer, root stri
 // file is outside root, or paths mix absolute and relative) the cleaned
 // original is used.
 func relPath(root, file string) string {
-	if rel, err := filepath.Rel(root, file); err == nil && !filepath.IsAbs(rel) && rel != ".." && !startsWithDotDot(rel) {
+	if rel, err := filepath.Rel(root, file); err == nil && filepath.IsLocal(rel) {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(filepath.Clean(file))
-}
-
-func startsWithDotDot(rel string) bool {
-	return len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
 }

@@ -47,9 +47,8 @@ var forbiddenEntropy = map[string]string{
 	"crypto/rand":  "real entropy is unreproducible by construction",
 }
 
-// Check implements Analyzer. The generator package itself is the one place
-// entropy is defined; it stays out of the audit via the scope list, not
-// here, so fixtures can play both roles.
+// Check implements Analyzer. It audits internal/prng itself too: the
+// generator derives its streams from seeds alone.
 func (*PrngFlow) Check(pkg *Package) []Finding {
 	var out []Finding
 	for _, file := range pkg.Files {

@@ -1,8 +1,11 @@
 // Package fixture exercises the maporder analyzer: effectful map ranges are
-// flagged, order-insensitive folds and the collect-sort idiom are not.
+// flagged, order-insensitive folds and the collect-then-sort idiom are not.
 package fixture
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 type trace struct{ lines []string }
 
@@ -55,11 +58,11 @@ func pureFolds(m map[string]int) (int, int) {
 	return count, maxv
 }
 
-// collectThenSort is the blessed idiom: the collection loop documents
-// itself with a directive and the sort restores determinism.
-func collectThenSort(m map[string]int, tr *trace) {
+// collectThenSort is the blessed idiom: the loop only appends the key to a
+// local slice, and the very next statement sorts it, with any of the three
+// sorts the analyzer knows, in a block or a case clause.
+func collectThenSort(m map[string]int, ids map[int]bool, tr *trace) []int {
 	keys := make([]string, 0, len(m))
-	//ksetlint:allow maporder.range keys are sorted immediately below
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -67,6 +70,52 @@ func collectThenSort(m map[string]int, tr *trace) {
 	for _, k := range keys {
 		tr.emit(k)
 	}
+	var out []int
+	switch {
+	case len(ids) > 0:
+		for id := range ids {
+			out = append(out, id)
+		}
+		sort.Ints(out)
+	default:
+		for id := range ids {
+			out = append(out, id)
+		}
+		slices.Sort(out)
+	}
+	return out
+}
+
+var pkgKeys []string
+
+// notTheIdiom: a sort of another slice, a statement between the loop and
+// the sort, values collected instead of keys, a body that does more than
+// append, and a package-level slice that other code sees unsorted.
+func notTheIdiom(m map[string]int, other []string, tr *trace) {
+	var a, b, d []string
+	var c []int
+	for k := range m { // want maporder.range
+		a = append(a, k)
+	}
+	sort.Strings(other)
+	for k := range m { // want maporder.range
+		b = append(b, k)
+	}
+	tr.emit("collected")
+	sort.Strings(b)
+	for _, v := range m { // want maporder.range
+		c = append(c, v)
+	}
+	sort.Ints(c)
+	for k := range m { // want maporder.range
+		d = append(d, k)
+		tr.emit(k)
+	}
+	sort.Strings(d)
+	for k := range m { // want maporder.range
+		pkgKeys = append(pkgKeys, k)
+	}
+	sort.Strings(pkgKeys)
 }
 
 // sliceRange is not a map: never flagged, effects or not.

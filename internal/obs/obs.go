@@ -17,9 +17,10 @@
 //     so two snapshots of the same state are byte-identical.
 //
 // The package deliberately has no I/O of its own beyond the writers handed to
-// it; the HTTP endpoint lives in ksetd. It sits in ksetlint's lockdiscipline
-// scope: the registry's map is mutex-guarded, and every lock is released on
-// every path.
+// it; the HTTP endpoint lives in ksetd. The registry's map is mutex-guarded,
+// and ksetlint's lockdiscipline holds every lock to be released on every path.
+//
+//ksetlint:package-allow determinism live goroutines share the registry under a mutex and atomics, and histograms time wall-clock latency
 package obs
 
 import (
@@ -162,8 +163,8 @@ func (r *Registry) Snapshots() []HistSnapshot {
 	for name := range r.hists {
 		names = append(names, name)
 	}
-	hists := make([]*Histogram, len(names))
 	sort.Strings(names)
+	hists := make([]*Histogram, len(names))
 	for i, name := range names {
 		hists[i] = r.hists[name]
 	}
@@ -194,11 +195,15 @@ func (r *Registry) Values() (counters, gauges []Sample) {
 }
 
 func readSorted[M interface{ Value() int64 }](m map[string]M) []Sample {
-	out := make([]Sample, 0, len(m))
-	for name, metric := range m {
-		out = append(out, Sample{Name: name, Value: metric.Value()})
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.Strings(names)
+	out := make([]Sample, len(names))
+	for i, name := range names {
+		out[i] = Sample{Name: name, Value: m[name].Value()}
+	}
 	return out
 }
 

@@ -17,9 +17,11 @@
 //     say) therefore always make progress, and total concurrency stays
 //     bounded by the pool size. The evaluators fan out one level only —
 //     cells, figures, report sections — and no Map runs inside another.
-//   - This package deliberately lives OUTSIDE the ksetlint simulation-package
-//     set (see internal/lint.DefaultScopes): simulation code stays
-//     goroutine-free, and all sync machinery is concentrated here.
+//   - This package declares itself live to ksetlint, exempt from the
+//     determinism analyzer alone: simulation code stays goroutine-free, and
+//     all sync machinery is concentrated here.
+//
+//ksetlint:package-allow determinism the pool runs jobs on goroutines under a semaphore; results land in job-indexed slots, so no output depends on scheduling
 package sweep
 
 import (

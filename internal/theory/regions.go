@@ -31,6 +31,15 @@ func (g *Grid) TMax() int { return g.N }
 // At returns the classification of point (k, t).
 func (g *Grid) At(k, t int) Result { return g.Cells[t-1][k-2] }
 
+// CheckFigureN refuses a figure size with no cell: k runs over [2, n-1],
+// so a panel needs n >= 3. ComputeGrid and ComputeFigure do not check it.
+func CheckFigureN(n int) error {
+	if n < 3 {
+		return fmt.Errorf("n = %d: a figure panel needs n >= 3 (k runs over [2, n-1])", n)
+	}
+	return nil
+}
+
 // ComputeGrid classifies every point of one panel of Figures 2/4/5/6.
 func ComputeGrid(m types.Model, v types.Validity, n int) *Grid {
 	g := newGrid(m, v, n)

@@ -20,8 +20,8 @@
 // which FuzzWireRoundTrip enforces, and TestFrameBytesPinned pins the bytes.
 //
 // The package is pure computation (no I/O side effects beyond the supplied
-// readers and writers, no clocks, no goroutines) and sits in ksetlint's
-// determinism scope.
+// readers and writers, no clocks, no goroutines), and ksetlint holds it to
+// its determinism analyzer.
 package wire
 
 import (

@@ -210,6 +210,26 @@ func TestRenderFigureFacade(t *testing.T) {
 	}
 }
 
+// TestFigureSizeRefused: below n = 3 a panel has no cell (k runs over
+// [2, n-1]), so both figure entry points return an error instead of
+// panicking or rendering empty panels.
+func TestFigureSizeRefused(t *testing.T) {
+	for _, n := range []int{2, 1, 0, -3} {
+		if g, err := ComputeGrid(MPCR, SV1, n); err == nil || g != nil {
+			t.Errorf("ComputeGrid(n=%d) = %v, %v; want nil and an error", n, g, err)
+		}
+		if out, err := RenderFigure(MPCR, n); err == nil || out != "" {
+			t.Errorf("RenderFigure(n=%d) = %d bytes, %v; want none and an error", n, len(out), err)
+		}
+	}
+	if _, err := ComputeGrid(MPCR, SV1, 3); err != nil {
+		t.Errorf("ComputeGrid(n=3): %v", err)
+	}
+	if _, err := RenderFigure(MPCR, 3); err != nil {
+		t.Errorf("RenderFigure(n=3): %v", err)
+	}
+}
+
 func TestValidateFacade(t *testing.T) {
 	sum, err := Validate(MPCR, RV1, 6, 3, 2, 8, 1)
 	if err != nil {
@@ -262,7 +282,10 @@ func TestUnknownVariantIsAnError(t *testing.T) {
 }
 
 func TestWriteGridCSVFacade(t *testing.T) {
-	g := ComputeGrid(MPCR, RV1, 8)
+	g, err := ComputeGrid(MPCR, RV1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := WriteGridCSV(&b, g); err != nil {
 		t.Fatal(err)
