@@ -176,9 +176,9 @@ cluster-smoke:
 		-quiet & pid1=$$!; \
 	sleep 1; status=0; \
 	./ksetctl-smoke run -peers 127.0.0.1:19711,127.0.0.1:19712 -instances 4 || status=1; \
-	curl -fsS http://127.0.0.1:19713/metrics | grep -E 'kset_batches_sent_total [1-9]' || status=1; \
+	curl -fsS http://127.0.0.1:19713/metrics | grep -E 'kset_frames_sent_total [1-9]' || status=1; \
 	curl -fsS http://127.0.0.1:19713/metrics | grep -E 'kset_acks_piggybacked_total [1-9]' || status=1; \
-	./ksetctl-smoke stats -peers 127.0.0.1:19711,127.0.0.1:19712 | grep -E 'kset_batches_sent_total +[1-9]' || status=1; \
+	./ksetctl-smoke stats -peers 127.0.0.1:19711,127.0.0.1:19712 | grep -E 'kset_frames_sent_total +[1-9]' || status=1; \
 	kill $$pid0 $$pid1; rm -f ksetd-smoke ksetctl-smoke; exit $$status
 
 # The ordered-log acceptance run (docs/acs.md). First the race soak: a

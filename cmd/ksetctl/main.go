@@ -102,7 +102,7 @@ func runInstances(args []string, out io.Writer) error {
 		first     = fs.Uint64("first", 1, "id of the first instance")
 		k         = fs.Int("k", 0, "agreement bound (0: node default)")
 		t         = fs.Int("t", 0, "failure bound (0: node default)")
-		protocol  = fs.String("protocol", "", "protocol (empty: node default)")
+		protocol  = fs.String("protocol", "floodmin", "protocol each instance runs: floodmin, a, b, c, d, trivial")
 		ell       = fs.Int("ell", 1, "echo parameter l for protocol c")
 		validity  = fs.String("validity", "rv1", "validity condition to verify (sv1..wv2)")
 		inputs    = fs.String("inputs", "", "comma-separated inputs for a single instance")
@@ -129,11 +129,9 @@ func runInstances(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	proto := theory.ProtoNone
-	if *protocol != "" {
-		if proto, err = cluster.ParseProtocol(*protocol); err != nil {
-			return err
-		}
+	proto, err := cluster.ParseProtocol(*protocol)
+	if err != nil {
+		return err
 	}
 	protoEll := 0
 	if proto == theory.ProtoC {

@@ -7,14 +7,15 @@
 // Usage:
 //
 //	ksetd -id 0 -peers host0:7000,host1:7000,host2:7000 -k 2 -t 1
-//	ksetd -id 1 -peers ... -listen :7000 -protocol floodmin -seed 7 \
+//	ksetd -id 1 -peers ... -listen :7000 -seed 7 \
 //	      -drop 0.1 -delay 0.2 -max-delay 5ms
 //	ksetd -id 0 -peers ... -metrics :9100 -log-level debug
 //	ksetd -id 0 -peers ... -t 1 -acs
 //
 // The -peers list must name every node in id order, so its length is the
 // cluster size n; entry -id is this node's advertised address. Instances
-// are started by ksetctl (or any controller speaking the wire protocol).
+// are started by ksetctl (or any controller speaking the wire protocol), and
+// each Start names the protocol it runs (FloodMin when it names none).
 //
 // With -acs the node additionally runs the agreement-on-common-subset
 // engine (internal/acs): controllers can submit values with `ksetctl log
@@ -45,7 +46,6 @@ import (
 	"kset/internal/acs"
 	"kset/internal/cluster"
 	"kset/internal/obs"
-	"kset/internal/theory"
 	"kset/internal/types"
 )
 
@@ -76,8 +76,6 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		id       = fs.Int("id", 0, "this node's process id (0..n-1)")
 		peers    = fs.String("peers", "", "comma-separated peer addresses in id order (required)")
 		listen   = fs.String("listen", "", "listen address (default: the -peers entry for -id)")
-		protocol = fs.String("protocol", "floodmin", "default protocol: floodmin, a, b, c, d, trivial")
-		ell      = fs.Int("ell", 1, "echo parameter l for protocol c")
 		k        = fs.Int("k", 1, "default agreement bound")
 		t        = fs.Int("t", 0, "default failure bound")
 		seed     = fs.Uint64("seed", 1, "fault-injection and protocol seed")
@@ -113,14 +111,6 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 	if *acsMode && 2**t >= n {
 		return fmt.Errorf("-acs with -t %d and n=%d: acs requires 2t < n so that IN/OUT certificates cannot collide", *t, n)
 	}
-	proto, err := cluster.ParseProtocol(*protocol)
-	if err != nil {
-		return err
-	}
-	defaultEll := 0
-	if proto == theory.ProtoC {
-		defaultEll = *ell
-	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -131,16 +121,14 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 		events = obs.NewLogger(logw, level)
 	}
 	node, err := cluster.NewNode(cluster.Config{
-		ID:           types.ProcessID(*id),
-		N:            n,
-		K:            *k,
-		T:            *t,
-		Peers:        addrs,
-		Listen:       *listen,
-		DefaultProto: proto,
-		DefaultEll:   defaultEll,
-		Seed:         *seed,
-		Shards:       *shards,
+		ID:     types.ProcessID(*id),
+		N:      n,
+		K:      *k,
+		T:      *t,
+		Peers:  addrs,
+		Listen: *listen,
+		Seed:   *seed,
+		Shards: *shards,
 		Faults: cluster.Faults{
 			Drop:     *drop,
 			Dup:      *dup,

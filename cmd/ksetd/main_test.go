@@ -29,7 +29,6 @@ func TestDaemonServesControl(t *testing.T) {
 			"-peers", "127.0.0.1:1",
 			"-listen", "127.0.0.1:0",
 			"-k", "1", "-t", "0",
-			"-protocol", "floodmin",
 			"-quiet",
 		}, io.Discard, stop, ready)
 	}()
@@ -354,7 +353,6 @@ func TestBadFlags(t *testing.T) {
 		want string // substring the error must contain ("" = any error)
 	}{
 		{"missing peers", []string{"-peers", ""}, "-peers"},
-		{"unknown protocol", []string{"-peers", "a,b", "-protocol", "nope"}, "nope"},
 		{"id out of range", []string{"-peers", "a,b", "-id", "7"}, ""},
 		{"zero k", []string{"-peers", "a,b", "-k", "0"}, "-k 0"},
 		{"negative k", []string{"-peers", "a,b", "-k", "-3"}, "-k -3"},

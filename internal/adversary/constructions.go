@@ -10,6 +10,7 @@ import (
 	"kset/internal/protocols/mp"
 	"kset/internal/protocols/sm"
 	"kset/internal/smmem"
+	"kset/internal/theory"
 	"kset/internal/types"
 )
 
@@ -166,7 +167,7 @@ func Lemma33ProtocolA(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < 1 || t > n {
 		return nil, fmt.Errorf("%w: n=%d k=%d t=%d outside 2<=k<n, 1<=t<=n", ErrOutOfRange, n, k, t)
 	}
-	if k*t <= (k-1)*n {
+	if !theory.Lemma33Impossible(n, k, t) {
 		return nil, fmt.Errorf("%w: need k*t > (k-1)*n (Lemma 3.3 region), got n=%d k=%d t=%d",
 			ErrOutOfRange, n, k, t)
 	}
@@ -216,7 +217,7 @@ func Lemma33ProtocolA(n, k, t int) (*Construction, error) {
 // processes beyond p_{2t} decide t+1, for t+1 > k distinct decisions.
 // Requires n >= 2t+1.
 func Lemma32FloodMin(n, k, t int) (*Construction, error) {
-	if k < 2 || k >= n || t < k {
+	if k < 2 || k >= n || theory.FloodMinRegion(k, t) {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= k, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
 	if n < 2*t+1 {
@@ -307,7 +308,7 @@ func Lemma36ProtocolB(n, k, t int) (*Construction, error) {
 	if k < 2 || k >= n || t < 1 {
 		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= 1, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
 	}
-	if (2*k+1)*t < k*n {
+	if !theory.Lemma36Impossible(n, k, t) {
 		return nil, fmt.Errorf("%w: need (2k+1)t >= kn (Lemma 3.6 region), got n=%d k=%d t=%d",
 			ErrOutOfRange, n, k, t)
 	}
@@ -352,7 +353,7 @@ func Lemma36ProtocolB(n, k, t int) (*Construction, error) {
 }
 
 // Lemma39ProtocolA realizes Lemma 3.9's run against Protocol A in MP/Byz at
-// a point with t >= k:
+// a point of the lemma's region, t >= k and (2k+1)t >= kn:
 //
 // Case t >= n/2: the n-t-1 faulty processes F isolate the t+1 correct
 // processes from one another and present persona v_i to correct p_i, so each
@@ -364,8 +365,10 @@ func Lemma36ProtocolB(n, k, t int) (*Construction, error) {
 // to group g_i, so every member of g_i sees |g_i| + t >= n-t unanimous v_i
 // messages — k+1 distinct decisions.
 func Lemma39ProtocolA(n, k, t int) (*Construction, error) {
-	if k < 2 || k >= n || t < k {
-		return nil, fmt.Errorf("%w: need 2 <= k < n and t >= k, got n=%d k=%d t=%d", ErrOutOfRange, n, k, t)
+	// t >= n/2 implies (2k+1)t >= kn, so the region covers both cases.
+	if k < 2 || k >= n || !theory.Lemma39Impossible(n, k, t) {
+		return nil, fmt.Errorf("%w: need 2 <= k < n, t >= k and (2k+1)t >= kn (Lemma 3.9 region), got n=%d k=%d t=%d",
+			ErrOutOfRange, n, k, t)
 	}
 	inputs := make([]types.Value, n)
 	byz := make(map[types.ProcessID]mpnet.Protocol)
@@ -410,10 +413,6 @@ func Lemma39ProtocolA(n, k, t int) (*Construction, error) {
 		}, nil
 	}
 
-	if (2*k+1)*t < k*n {
-		return nil, fmt.Errorf("%w: need (2k+1)t >= kn in case t < n/2, got n=%d k=%d t=%d",
-			ErrOutOfRange, n, k, t)
-	}
 	size := n - 2*t
 	if (k+1)*size+t > n {
 		return nil, fmt.Errorf("%w: cannot fit k+1 groups of %d plus %d faulty in n=%d",
@@ -509,8 +508,8 @@ func Lemma310FloodMin(n, k, t int) (*Construction, error) {
 // the released processes then scan r >= t+2 registers holding all-distinct
 // values and decide the default — t+2 > k distinct decisions in total.
 func Lemma43ProtocolF(n, k, t int) (*Construction, error) {
-	if k < 2 || k >= n || t < k || 2*t < n {
-		return nil, fmt.Errorf("%w: need 2 <= k < n, t >= k, 2t >= n; got n=%d k=%d t=%d",
+	if k < 2 || k >= n || !theory.Lemma43Impossible(n, k, t) {
+		return nil, fmt.Errorf("%w: need 2 <= k < n, t >= k, 2t >= n (Lemma 4.3 region); got n=%d k=%d t=%d",
 			ErrOutOfRange, n, k, t)
 	}
 	if t+1 >= n {

@@ -32,12 +32,13 @@ type instance struct {
 	rng   *prng.Source // built by the first instanceAPI.Rand call
 	api   instanceAPI
 
+	// backlog holds the frames buffered before the Start arrived, claimed
+	// by admit under the shard lock and replayed by start.
+	backlog []wire.BatchMsg
+
 	// Owned by the shard loop, read and written only there, so no lock:
-	// started is set once the protocol's Start has run (a delivery observed
-	// before it forces a start-queue drain, so the protocol never sees
-	// Deliver before Start); decided latches the local decision; self holds
-	// the pending self-deliveries, drained between events.
-	started bool
+	// decided latches the local decision; self holds the pending
+	// self-deliveries, drained between events.
 	decided bool
 	self    []types.Payload
 
@@ -141,13 +142,13 @@ func (in *instance) strandedLocked() bool {
 
 // start runs the protocol's Start and replays the backlog buffered before
 // the instance was registered. Called only from the shard loop.
-func (in *instance) start(backlog []wire.BatchMsg) {
-	in.started = true
+func (in *instance) start() {
 	in.proto.Start(&in.api)
 	in.drainSelf()
-	for _, m := range backlog {
+	for _, m := range in.backlog {
 		in.deliverBacklog(m)
 	}
+	in.backlog = nil
 }
 
 // deliverProto feeds one network message to the protocol, then drains the

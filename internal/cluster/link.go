@@ -422,7 +422,6 @@ func (l *link) flushBatch(sends []wire.BatchMsg) {
 			l.ackOnly++
 		}
 		l.node.stats.framesSent.Add(1)
-		l.node.stats.batchesSent.Add(1)
 		l.node.stats.msgsSent.Add(int64(len(chunk)))
 		if sends = sends[len(chunk):]; len(sends) == 0 {
 			return

@@ -63,10 +63,6 @@ type Config struct {
 	Peers []string
 	// Listen is the address to bind; empty means Peers[ID].
 	Listen string
-	// DefaultProto and DefaultEll name the witness protocol run when a
-	// Start frame carries protocol 0.
-	DefaultProto theory.ProtocolID
-	DefaultEll   int
 	// Seed drives the per-link fault injection streams and per-instance
 	// protocol randomness.
 	Seed uint64
@@ -153,8 +149,6 @@ type peerSeen struct {
 type nodeStats struct {
 	framesSent      *obs.Counter
 	framesRecv      *obs.Counter
-	batchesSent     *obs.Counter
-	batchesRecv     *obs.Counter
 	msgsSent        *obs.Counter
 	msgsRecv        *obs.Counter
 	acksPiggybacked *obs.Counter
@@ -179,10 +173,9 @@ type nodeStats struct {
 	tableLatency  *obs.Histogram
 	ackRTT        *obs.Histogram
 
-	// Grid-sweep service metrics: jobs served, cells executed, and the
-	// wall-clock latency of each cell (seconds).
+	// Grid-sweep service metrics: jobs served, and the wall-clock latency of
+	// each cell executed (seconds), whose count is the cells executed.
 	sweepJobs        *obs.Counter
-	sweepCells       *obs.Counter
 	sweepCellLatency *obs.Histogram
 }
 
@@ -192,8 +185,6 @@ func (n *Node) initStats() {
 	n.stats = nodeStats{
 		framesSent:      n.reg.Counter("kset_frames_sent_total"),
 		framesRecv:      n.reg.Counter("kset_frames_recv_total"),
-		batchesSent:     n.reg.Counter("kset_batches_sent_total"),
-		batchesRecv:     n.reg.Counter("kset_batches_recv_total"),
 		msgsSent:        n.reg.Counter("kset_msgs_sent_total"),
 		msgsRecv:        n.reg.Counter("kset_msgs_recv_total"),
 		acksPiggybacked: n.reg.Counter("kset_acks_piggybacked_total"),
@@ -213,7 +204,6 @@ func (n *Node) initStats() {
 		ackRTT:          n.reg.Histogram("kset_ack_rtt_seconds", lat),
 
 		sweepJobs:        n.reg.Counter("kset_sweep_jobs_total"),
-		sweepCells:       n.reg.Counter("kset_sweep_cells_total"),
 		sweepCellLatency: n.reg.Histogram("kset_sweep_cell_seconds", lat),
 	}
 }
@@ -247,9 +237,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.Retransmit == 0 {
 		cfg.Retransmit = 50 * time.Millisecond
-	}
-	if cfg.DefaultProto == theory.ProtoNone {
-		cfg.DefaultProto = theory.ProtoFloodMin
 	}
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard()
@@ -472,7 +459,6 @@ func (n *Node) servePeer(br *bufio.Reader, from types.ProcessID) {
 			n.log.Warn("bad batch frame", "peer", int(from), "err", err.Error())
 			return
 		}
-		n.stats.batchesRecv.Add(1)
 		l.ack(batch.Ack)
 		for i := range batch.Msgs {
 			n.handleSequenced(from, batch.Msgs[i], &fw)
@@ -603,10 +589,11 @@ func (n *Node) ackState(peer types.ProcessID, dst wire.AckState) wire.AckState {
 }
 
 // StartInstance starts (or re-acknowledges) one consensus instance with the
-// given local input. Zero K/T/Proto select the node defaults. It is the
-// local half of the ctl Start frame and is what tests call directly. A Start
-// for a retired id runs nothing, counts in kset_starts_retired_total and is
-// acked like a running one (naming it in the reply needs a wire change).
+// given local input. Zero K/T select the node defaults, and protocol 0 runs
+// FloodMin. It is the local half of the ctl Start frame and is what tests
+// call directly. A Start for a retired id runs nothing, counts in
+// kset_starts_retired_total and is acked like a running one (naming it in
+// the reply needs a wire change).
 func (n *Node) StartInstance(s wire.Start) error {
 	k, t := s.K, s.T
 	if k == 0 {
@@ -616,14 +603,13 @@ func (n *Node) StartInstance(s wire.Start) error {
 		t = n.cfg.T
 	}
 	proto := theory.ProtocolID(s.Proto)
-	ell := s.Ell
 	if proto == theory.ProtoNone {
-		proto, ell = n.cfg.DefaultProto, n.cfg.DefaultEll
+		proto = theory.ProtoFloodMin
 	}
 	if k <= 0 || t < 0 || t >= n.cfg.N {
 		return fmt.Errorf("%w: instance %d k=%d t=%d", ErrBadConfig, s.Instance, k, t)
 	}
-	_, _, err := n.registerInstance(s.Instance, k, t, proto, ell, s.Input)
+	_, _, err := n.registerInstance(s.Instance, k, t, proto, s.Ell, s.Input)
 	if errors.Is(err, ErrRetired) {
 		n.stats.startsRetired.Add(1)
 		return nil
@@ -632,8 +618,8 @@ func (n *Node) StartInstance(s wire.Start) error {
 }
 
 // registerInstance creates the instance record, claims any frames buffered
-// before the Start arrived, and queues the protocol Start on the owning
-// shard's loop. It never blocks — ACS upcalls call it while holding the
+// before the Start arrived, and queues its Start in the owning shard's
+// inbox. It never blocks — ACS upcalls call it while holding the
 // engine lock — and returns a nil instance for an id that is already
 // running (the idempotent re-ack path), ErrRetired for one already retired.
 // The claimed backlog is returned for tests that verify the handoff; the
@@ -673,9 +659,12 @@ func (n *Node) admit(inst *instance) (*instance, []wire.BatchMsg, error) {
 	if id>>63 == 0 {
 		sh.ctlTop = max(sh.ctlTop, pos)
 	}
+	// The Start queues in the critical section that makes the instance
+	// visible to placeFrame, so every delivery for it queues behind it.
 	sh.instances[id] = inst
 	backlog := sh.takePendingLocked(id)
-	sh.starts = append(sh.starts, startReq{inst: inst, backlog: backlog})
+	inst.backlog = backlog
+	sh.appendLocked(shardEvent{inst: inst, from: startEvent})
 	sh.mu.Unlock()
 	sh.signal()
 	n.stats.instancesActive.Add(1)

@@ -3,11 +3,12 @@ package cluster
 // The sharded instance engine: instead of one goroutine (plus a 256-slot
 // inbox) per consensus instance, the node runs a fixed pool of shard event
 // loops, each owning the instances whose id hashes to it (id % shards) and
-// draining one bounded inbox. Connection readers append accepted protocol
-// messages to the owning shard's inbox, and the shard loop makes every
-// protocol call — Start, backlog replay, self-send draining, Deliver — so
-// mpnet's single-threaded-protocol contract holds per instance exactly as it
-// did with a dedicated goroutine. The steady-state cost of an idle instance
+// draining one bounded inbox. Admission appends an instance's Start and
+// connection readers append accepted protocol messages to the owning shard's
+// inbox, and the shard loop makes every protocol call — Start, backlog
+// replay, self-send draining, Deliver — in inbox order, so mpnet's
+// single-threaded-protocol contract holds per instance exactly as it did
+// with a dedicated goroutine. The steady-state cost of an idle instance
 // drops from a goroutine stack plus a 4 KiB channel to a map entry, and the
 // node's goroutine count is O(shards + peers) instead of O(instances).
 //
@@ -39,8 +40,8 @@ import (
 	"kset/internal/wire"
 )
 
-// shardMailboxDepth bounds the deliveries queued between the connection
-// readers and one shard loop. The old engine spent 256 slots per instance;
+// shardMailboxDepth bounds the events queued between the connection readers
+// and one shard loop. The old engine spent 256 slots per instance;
 // one shared 4096-event inbox per shard serves thousands of instances in far
 // less memory. A reader checks the bound once per frame, after appending it,
 // so the inbox can exceed the bound by at most one frame per peer connection
@@ -54,19 +55,16 @@ const shardMailboxDepth = 4096
 // the S shards keeps its ⌈maxArchived/S⌉ most recent evictions in a ring.
 const maxArchived = 1 << 12
 
-// shardEvent is one remote protocol message awaiting its shard loop.
+// shardEvent is one event awaiting its shard loop: an instance's Start
+// (from == startEvent) or a remote protocol message.
 type shardEvent struct {
 	inst    *instance
 	from    types.ProcessID
 	payload types.Payload
 }
 
-// startReq is one registered instance awaiting its protocol Start on the
-// shard loop, carrying the frames buffered before the Start arrived.
-type startReq struct {
-	inst    *instance
-	backlog []wire.BatchMsg
-}
+// startEvent is the sender of a Start event; no process has a negative id.
+const startEvent types.ProcessID = -1
 
 // archivedTable is an evicted instance's final table: its own rows, frozen.
 type archivedTable struct {
@@ -90,17 +88,14 @@ type shard struct {
 	archCap   int
 	ids       [2]window    // retired ids per namespace (id>>63), at id / S
 	ctlTop    uint64       // the highest ctl position admitted (liveCtlLocked)
-	starts    []startReq   // registered instances awaiting Start
-	inbox     []shardEvent // protocol deliveries awaiting the loop
+	inbox     []shardEvent // starts and protocol deliveries awaiting the loop
 	// drained, while non-nil, is closed by the loop's next inbox swap: a
 	// reader that found the inbox at the bound waits on it.
 	drained chan struct{}
 
-	// wake (capacity 1) tells the loop there is work: starts or an inbox
-	// that a reader finished appending a frame to. Consumed only by the loop.
+	// wake (capacity 1) tells the loop there is work in the inbox: a start,
+	// or a frame a reader finished appending. Consumed only by the loop.
 	wake chan struct{}
-
-	spare []startReq // the loop's other start-queue array (runStarts)
 
 	// depth is the inbox length, set on every append and every swap
 	// (kset_shard_mailbox_depth{shard="i"}); pendingDepth is pendingN
@@ -222,8 +217,8 @@ func (sh *shard) archivedLocked(id uint64) (archivedTable, bool) {
 	return archivedTable{}, false
 }
 
-// appendLocked queues one protocol delivery for the loop. Called with sh.mu
-// held; the caller signals the loop once its frame is placed.
+// appendLocked queues one event for the loop. Called with sh.mu held; the
+// caller signals the loop once its start or frame is placed.
 func (sh *shard) appendLocked(ev shardEvent) {
 	sh.inbox = append(sh.inbox, ev)
 	sh.depth.Set(int64(len(sh.inbox)))
@@ -258,8 +253,8 @@ func (sh *shard) signal() {
 	}
 }
 
-// loop is the shard goroutine: it starts registered instances and feeds
-// deliveries to their protocols until the node shuts down. One loop per
+// loop is the shard goroutine: it feeds starts and deliveries to their
+// instances' protocols until the node shuts down. One loop per
 // shard is the entire goroutine budget of the instance engine. Each wake
 // drains the inbox by swapping it against the batch just processed, so the
 // two backing arrays alternate and a steady-state swap allocates nothing.
@@ -273,7 +268,6 @@ func (sh *shard) loop() {
 		case <-sh.wake:
 		}
 		for {
-			sh.runStarts()
 			sh.mu.Lock()
 			batch, sh.inbox = sh.inbox, batch[:0]
 			sh.depth.Set(0)
@@ -293,43 +287,17 @@ func (sh *shard) loop() {
 	}
 }
 
-// runStarts drains the start queue, swapping the whole queue out per pass
-// as the loop swaps the inbox: each instance not yet archived gets its
-// protocol Start and backlog replay. An instance evicted before its start
-// request is processed (ReleaseInstance on a round that closed without it)
-// is skipped; its archived table is already final.
-func (sh *shard) runStarts() {
-	for {
-		sh.mu.Lock()
-		reqs := sh.starts
-		sh.starts = sh.spare[:0]
-		sh.mu.Unlock()
-		for _, req := range reqs {
-			if !req.inst.archived.Load() {
-				req.inst.start(req.backlog)
-			}
-		}
-		clear(reqs)
-		sh.spare = reqs[:0]
-		if len(reqs) == 0 {
-			return
-		}
-	}
-}
-
-// process feeds one delivery to its instance's protocol. A delivery can only
-// have been queued after its instance was registered, and registration
-// queues the start request before the instance becomes visible to
-// placeFrame — so if the instance has not started yet, draining the start
-// queue is guaranteed to run its Start first, preserving the protocol's
-// Start-before-Deliver contract across the two queues.
+// process feeds one event to its instance's protocol. An instance evicted
+// before its Start event comes up (ReleaseInstance on a round that closed
+// without it) never starts, and late deliveries to an evicted instance are
+// dropped: its archived table is already final.
 func (sh *shard) process(ev shardEvent) {
 	in := ev.inst
-	if !in.started {
-		sh.runStarts()
+	switch {
+	case in.archived.Load():
+	case ev.from == startEvent:
+		in.start()
+	default:
+		in.deliverProto(ev.from, ev.payload)
 	}
-	if in.archived.Load() || !in.started {
-		return // evicted: late deliveries are dropped, as the old inbox drain did
-	}
-	in.deliverProto(ev.from, ev.payload)
 }

@@ -376,6 +376,88 @@ func TestCrossShardLifecycleRaces(t *testing.T) {
 	}
 }
 
+// orderProto is a tallyProto that also counts, in early, every Deliver
+// handed to it before its Start. started is touched only on the shard loop.
+type orderProto struct {
+	tallyProto
+	started bool
+	early   *atomic.Int64
+}
+
+func (p *orderProto) Start(mpnet.API) { p.started = true }
+
+func (p *orderProto) Deliver(api mpnet.API, from types.ProcessID, m types.Payload) {
+	if !p.started {
+		p.early.Add(1)
+	}
+	p.tallyProto.Deliver(api, from, m)
+}
+
+// TestStartBeforeDeliver races admission against frame placement: one
+// goroutine admits instances while another, as a connection reader would,
+// places a frame for each id the moment the id is visible. A Start queued
+// anywhere but in the critical section that publishes its instance lets such
+// a frame reach the inbox first. No Deliver may come before its instance's
+// Start, and every frame must reach its own instance exactly once.
+func TestStartBeforeDeliver(t *testing.T) {
+	const ids = 30000
+	n := shardedNode(t, 1) // one shard lock: admission and placement contend on every id
+	var early atomic.Int64
+	var tl tally
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for id := uint64(1); id <= ids; id++ {
+			in, err := newInstance(n, id, 1, 0, theory.ProtoTrivial, 0, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			in.proto = &orderProto{tallyProto: tallyProto{id: id, tally: &tl}, early: &early}
+			if inst, _, err := n.admit(in); inst == nil || err != nil {
+				t.Errorf("admit %d: inst=%v err=%v", id, inst, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		deadline := time.Now().Add(10 * time.Second)
+		for id := uint64(1); id <= ids; id++ {
+			for n.lookup(id) == nil {
+				if time.Now().After(deadline) {
+					t.Errorf("id %d never became visible", id)
+					return
+				}
+			}
+			bm := wire.BatchMsg{Kind: wire.TypeProto, Seq: id, Instance: id, From: 1,
+				Payload: types.Payload{Kind: types.KindEcho, Value: types.Value(id)}}
+			inst, accepted, fresh := n.placeFrame(1, id, bm)
+			if inst == nil || !accepted || !fresh {
+				t.Errorf("frame for visible id %d: inst=%v accepted=%v fresh=%v, want queued", id, inst, accepted, fresh)
+				return
+			}
+			inst.shard.signal()
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	waitFor(t, 10*time.Second, "every frame to be delivered", func() bool { return tl.count() == ids })
+	if got := early.Load(); got != 0 {
+		t.Fatalf("%d of %d deliveries came before their instance's Start", got, ids)
+	}
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	for id := uint64(1); id <= ids; id++ {
+		if got := tl.got[types.Value(id)]; len(got) != 1 || got[0] != id {
+			t.Fatalf("frame for id %d reached instances %v, want exactly [%d]", id, got, id)
+		}
+	}
+}
+
 // TestGoroutinesBoundedByShards pins the tentpole's resource claim: a
 // thousand live instances must not add goroutines — the engine's budget is
 // the fixed shard pool, not O(instances).

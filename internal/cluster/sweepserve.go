@@ -37,7 +37,6 @@ func (n *Node) serveSweepJob(job wire.SweepJob) wire.SweepResult {
 			n.stats.sweepCellLatency.Observe(time.Since(start).Seconds())
 		})
 	})
-	n.stats.sweepCells.Add(int64(len(recs)))
 	ws, err := grid.RecordsToWire(recs)
 	if err != nil {
 		n.log.Warn("sweep records not packed", "job", job.Job, "err", err.Error())

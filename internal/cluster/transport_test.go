@@ -240,8 +240,8 @@ func TestBatchTransportCounters(t *testing.T) {
 	}
 	for i, node := range lb.Nodes {
 		for name, c := range map[string]int64{
-			"batches_sent":     node.stats.batchesSent.Value(),
-			"batches_recv":     node.stats.batchesRecv.Value(),
+			"frames_sent":      node.stats.framesSent.Value(),
+			"frames_recv":      node.stats.framesRecv.Value(),
 			"msgs_sent":        node.stats.msgsSent.Value(),
 			"msgs_recv":        node.stats.msgsRecv.Value(),
 			"acks_piggybacked": node.stats.acksPiggybacked.Value(),

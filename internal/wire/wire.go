@@ -194,8 +194,7 @@ type Start struct {
 	// K and T are the agreement and fault bounds for this instance.
 	K, T int
 	// Proto and Ell name the witness protocol (theory.ProtocolID; Ell is
-	// the echo parameter when Proto is Protocol C). Proto 0 selects the
-	// node's configured default.
+	// the echo parameter when Proto is Protocol C). Proto 0 runs FloodMin.
 	Proto uint8
 	Ell   int
 	// Input is this node's input value.
