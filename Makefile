@@ -186,8 +186,10 @@ cluster-smoke:
 # injected transport faults closes 50 ACS rounds with byte-identical logs
 # on every survivor. Then the same shape live: four `ksetd -acs` daemons,
 # node 3 killed, 50 values appended round-robin through ksetctl (each
-# append verifies the entry landed at the same index on every survivor),
-# and a final strict tail that fails on any divergence or length mismatch.
+# append verifies its round's vector on every survivor and that the entry
+# landed at the same index everywhere; the first append's output is kept and
+# must confirm the vector), and a final strict tail that fails on any
+# divergence or length mismatch.
 acs-smoke:
 	$(GO) test -race -count=1 -run TestAcsSoak -v ./internal/acs/
 	$(GO) build -o ksetd-smoke ./cmd/ksetd
@@ -199,7 +201,9 @@ acs-smoke:
 	./ksetd-smoke -id 2 -peers $$peers -t 1 -acs -quiet & pid2=$$!; \
 	sleep 1; kill $$pid3; status=0; \
 	survivors=127.0.0.1:19721,127.0.0.1:19722,127.0.0.1:19723; \
-	i=0; while [ $$i -lt 50 ]; do \
+	out=$$(./ksetctl-smoke log append -peers $$survivors -node 0 -value 1000) || status=1; \
+	echo "$$out"; echo "$$out" | grep -q 'vector identical on 3 nodes' || status=1; \
+	i=1; while [ $$i -lt 50 ]; do \
 		./ksetctl-smoke log append -peers $$survivors -node $$((i % 3)) \
 			-value $$((1000 + i)) > /dev/null || { status=1; break; }; \
 		i=$$((i + 1)); \

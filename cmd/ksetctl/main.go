@@ -1,7 +1,8 @@
 // Command ksetctl is the controller for a ksetd cluster: it starts
-// consensus instances (submitting each node's input), collects decision
-// tables, verifies them with the checker, and reports the cluster's decision
-// latency and its metric registries.
+// consensus instances (submitting each node's input), collects every node's
+// decision table, requires the copies to agree, verifies the agreed one with
+// the checker, and reports the cluster's decision latency and its metric
+// registries.
 //
 // Usage:
 //
@@ -9,19 +10,19 @@
 //	        -instances 8 -k 2 -t 1 -protocol floodmin -validity rv1
 //	ksetctl run -peers ... -instances 1 -inputs 4,7,2
 //	ksetctl stats -peers host0:7000,host1:7000,host2:7000
-//	ksetctl acs propose -peers ... -node 1 -value 42
-//	ksetctl log append -peers ... -value 42
+//	ksetctl log append -peers ... -node 1 -value 42
 //	ksetctl log tail -peers ... -start 0 -strict
 //
-// acs propose submits one value to a node running with -acs, waits for the
-// assigned round to close cluster-wide, and verifies every node reports the
-// same agreed vector. log append does the same through the ordered-log lens
-// (waits until the value is logged at the same index everywhere); log tail
-// pulls a window of the ordered log from every node and verifies the copies
-// agree entry by entry.
+// run waits until every node's table has every row decided and requires the
+// tables to agree, then runs the checker once on the agreed table. log append
+// submits one value to a node running with -acs, waits for the value's round
+// to close on every node, verifies and prints the round vector, and checks
+// that every node logged the value at the same index; log tail pulls a
+// window of the ordered log from every node and verifies the copies agree
+// entry by entry.
 //
-// run exits non-zero if any node's decision table fails the checker; the
-// cluster is the system under test and ksetctl is the judge.
+// run exits non-zero if the tables disagree or the agreed one fails the
+// checker; the cluster is the system under test and ksetctl is the judge.
 //
 //ksetlint:package-allow determinism the client dials live nodes over TCP with deadlines and times the calls it reports
 package main
@@ -55,19 +56,17 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: ksetctl <run|stats|acs|log> -peers ... [flags]")
+		return fmt.Errorf("usage: ksetctl <run|stats|log> -peers ... [flags]")
 	}
 	switch args[0] {
 	case "run":
 		return runInstances(args[1:], out)
 	case "stats":
 		return runStats(args[1:], out)
-	case "acs":
-		return runAcs(args[1:], out)
 	case "log":
 		return runLog(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want run, stats, acs, or log)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want run, stats, or log)", args[0])
 	}
 }
 
@@ -111,10 +110,10 @@ func runInstances(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *peers == "" {
-		return fmt.Errorf("-peers is required")
+	addrs, err := requirePeers(*peers)
+	if err != nil {
+		return err
 	}
-	addrs := cluster.ParseAddrs(*peers)
 	n := len(addrs)
 	if *instances < 1 {
 		return fmt.Errorf("-instances %d: need at least 1", *instances)
@@ -178,25 +177,28 @@ func runInstances(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "started %d instance(s) on %d nodes\n", *instances, n)
 
-	// Collect: poll every node until its table shows every node decided (no
-	// crashed nodes in a ksetctl-driven run — all n answered Start), then
-	// verify each table with the full checker.
+	// Collect: wait until every node's table has every row decided (no
+	// crashed nodes in a ksetctl-driven run — all n answered Start) and the
+	// tables agree, then verify the agreed table with the full checker.
 	deadline := time.Now().Add(*timeout)
+	live := make([]bool, n)
+	for i := range live {
+		live[i] = true
+	}
 	failures := 0
 	for id := *first; id <= last; id++ {
-		vals := inputsFor(id)
-		for i, c := range clients {
-			tbl, err := awaitTable(c, id, deadline)
-			if err != nil {
-				return fmt.Errorf("instance %d on node %d: %w", id, i, err)
-			}
-			if _, err := cluster.VerifyTable(tbl, vals, v, 0); err != nil {
-				failures++
-				fmt.Fprintf(out, "FAIL instance %d node %d: %v\n", id, i, err)
-			}
+		tbl, err := cluster.CollectTables(id, live, func(i int) (wire.Table, error) {
+			return clients[i].Table(id)
+		}, deadline)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(out, "instance %d: verified on %d nodes, decisions %v\n",
-			id, n, decisionsOf(clients, id))
+		if _, err := cluster.VerifyTable(tbl, inputsFor(id), v, 0); err != nil {
+			failures++
+			fmt.Fprintf(out, "FAIL instance %d: %v\n", id, err)
+			continue
+		}
+		fmt.Fprintf(out, "instance %d: identical on %d nodes, decisions %v\n", id, n, decided(tbl))
 	}
 	elapsed := time.Since(started)
 
@@ -212,53 +214,22 @@ func runInstances(args []string, out io.Writer) error {
 		*instances, elapsed.Round(time.Millisecond),
 		float64(*instances)/elapsed.Seconds())
 	if failures > 0 {
-		return fmt.Errorf("%d table(s) failed verification", failures)
+		return fmt.Errorf("%d instance(s) failed verification", failures)
 	}
 	fmt.Fprintf(out, "all decision tables checker-clean (%s)\n", strings.ToUpper(*validity))
 	return nil
 }
 
-// decisionsOf summarizes the distinct decided values node 0 observed.
-func decisionsOf(clients []*cluster.Client, id uint64) []types.Value {
-	tbl, err := clients[0].Table(id)
-	if err != nil {
-		return nil
-	}
-	set := map[types.Value]bool{}
+// decided lists the distinct values tbl's rows decided, in ascending order.
+func decided(tbl wire.Table) []types.Value {
+	var vals []types.Value
 	for _, row := range tbl.Rows {
 		if row.Decided {
-			set[row.Value] = true
+			vals = append(vals, row.Value)
 		}
 	}
-	out := make([]types.Value, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func awaitTable(c *cluster.Client, id uint64, deadline time.Time) (wire.Table, error) {
-	for {
-		tbl, err := c.Table(id)
-		if err != nil {
-			return wire.Table{}, err
-		}
-		complete := len(tbl.Rows) > 0
-		for _, row := range tbl.Rows {
-			if !row.Decided {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			return tbl, nil
-		}
-		if time.Now().After(deadline) {
-			return wire.Table{}, fmt.Errorf("undecided at deadline: %+v", tbl)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	slices.Sort(vals)
+	return slices.Compact(vals)
 }
 
 func runStats(args []string, out io.Writer) error {
@@ -268,10 +239,10 @@ func runStats(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *peers == "" {
-		return fmt.Errorf("-peers is required")
+	addrs, err := requirePeers(*peers)
+	if err != nil {
+		return err
 	}
-	addrs := cluster.ParseAddrs(*peers)
 
 	// Dial each node independently: stats must degrade gracefully when part
 	// of the cluster is unreachable instead of failing the whole report.

@@ -50,46 +50,42 @@ func DialNode(addr string, timeout time.Duration) (*Client, error) {
 // Close closes the control connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request and reads one reply under the deadline.
-func (c *Client) roundTrip(req wire.Msg) (wire.Msg, error) {
+// call sends req and reads one reply under the deadline. The reply must be
+// an R that echoes req (echoes nil: any R does); anything else is
+// ErrProtocol.
+func call[R wire.Msg](c *Client, req wire.Msg, echoes func(R) bool) (R, error) {
+	var zero R
 	deadline := time.Now().Add(c.timeout)
 	if err := c.conn.SetWriteDeadline(deadline); err != nil {
-		return nil, err
+		return zero, err
 	}
 	if err := wire.WriteMsg(c.conn, req); err != nil {
-		return nil, err
+		return zero, err
 	}
 	if err := c.conn.SetReadDeadline(deadline); err != nil {
-		return nil, err
+		return zero, err
 	}
-	return wire.ReadMsg(c.br)
+	reply, err := wire.ReadMsg(c.br)
+	if err != nil {
+		return zero, err
+	}
+	r, ok := reply.(R)
+	if !ok || (echoes != nil && !echoes(r)) {
+		return zero, fmt.Errorf("%w: reply %#v to %T", ErrProtocol, reply, req)
+	}
+	return r, nil
 }
 
 // Start asks the node to start one consensus instance with the given local
 // input, blocking until the node acknowledges it.
 func (c *Client) Start(s wire.Start) error {
-	reply, err := c.roundTrip(s)
-	if err != nil {
-		return err
-	}
-	ack, ok := reply.(wire.StartAck)
-	if !ok || ack.Instance != s.Instance {
-		return fmt.Errorf("%w: start reply %#v", ErrProtocol, reply)
-	}
-	return nil
+	_, err := call(c, s, func(a wire.StartAck) bool { return a.Instance == s.Instance })
+	return err
 }
 
 // Table pulls the node's current decision table for an instance.
 func (c *Client) Table(instance uint64) (wire.Table, error) {
-	reply, err := c.roundTrip(wire.PullTable{Instance: instance})
-	if err != nil {
-		return wire.Table{}, err
-	}
-	tbl, ok := reply.(wire.Table)
-	if !ok || tbl.Instance != instance {
-		return wire.Table{}, fmt.Errorf("%w: table reply %#v", ErrProtocol, reply)
-	}
-	return tbl, nil
+	return call(c, wire.PullTable{Instance: instance}, func(t wire.Table) bool { return t.Instance == instance })
 }
 
 // Metrics is one node's registry as pulled over a control connection:
@@ -122,13 +118,9 @@ func (m Metrics) Hist(name string) (obs.HistSnapshot, bool) {
 
 // Metrics pulls the node's metric registry.
 func (c *Client) Metrics() (Metrics, error) {
-	reply, err := c.roundTrip(wire.PullMetrics{})
+	wm, err := call[wire.Metrics](c, wire.PullMetrics{}, nil)
 	if err != nil {
 		return Metrics{}, err
-	}
-	wm, ok := reply.(wire.Metrics)
-	if !ok {
-		return Metrics{}, fmt.Errorf("%w: metrics reply %#v", ErrProtocol, reply)
 	}
 	m := Metrics{Values: wm.Values, Hists: make([]obs.HistSnapshot, len(wm.Hists))}
 	for i, h := range wm.Hists {
@@ -142,30 +134,20 @@ func (c *Client) Metrics() (Metrics, error) {
 // asked for means the node rejected or could not complete the shard, and the
 // caller should run it elsewhere.
 func (c *Client) SweepJob(job wire.SweepJob) (wire.SweepResult, error) {
-	reply, err := c.roundTrip(job)
-	if err != nil {
-		return wire.SweepResult{}, err
-	}
-	res, ok := reply.(wire.SweepResult)
-	if !ok || res.Job != job.Job {
-		return wire.SweepResult{}, fmt.Errorf("%w: sweep reply %#v", ErrProtocol, reply)
-	}
-	return res, nil
+	return call(c, job, func(r wire.SweepResult) bool { return r.Job == job.Job })
 }
 
 // AcsSubmit hands one value to the node's ACS engine for inclusion in an
-// upcoming round, returning the round the value was assigned to.
+// upcoming round, returning the round the value was assigned to. A node
+// without an engine closes the connection on the request, so that case is
+// the read error.
 func (c *Client) AcsSubmit(v types.Value) (uint64, error) {
-	reply, err := c.roundTrip(wire.AcsSubmit{Value: v})
+	ack, err := call[wire.AcsAck](c, wire.AcsSubmit{Value: v}, nil)
 	if err != nil {
 		return 0, err
 	}
-	ack, ok := reply.(wire.AcsAck)
-	if !ok {
-		return 0, fmt.Errorf("%w: acs submit reply %#v", ErrProtocol, reply)
-	}
 	if ack.Round == 0 {
-		return 0, fmt.Errorf("%w: acs submit rejected (node not serving acs?)", ErrProtocol)
+		return 0, fmt.Errorf("cluster: the node's acs engine refused value %d", v)
 	}
 	return ack.Round, nil
 }
@@ -173,15 +155,7 @@ func (c *Client) AcsSubmit(v types.Value) (uint64, error) {
 // AcsRound pulls the node's view of one ACS round: per-proposer slot status
 // and, once closed, the agreed membership vector.
 func (c *Client) AcsRound(round uint64) (wire.AcsRound, error) {
-	reply, err := c.roundTrip(wire.PullAcsRound{Round: round})
-	if err != nil {
-		return wire.AcsRound{}, err
-	}
-	ar, ok := reply.(wire.AcsRound)
-	if !ok || ar.Round != round {
-		return wire.AcsRound{}, fmt.Errorf("%w: acs round reply %#v", ErrProtocol, reply)
-	}
-	return ar, nil
+	return call(c, wire.PullAcsRound{Round: round}, func(r wire.AcsRound) bool { return r.Round == round })
 }
 
 // Log pulls up to max ordered-log entries starting at index start, plus the
@@ -189,15 +163,76 @@ func (c *Client) AcsRound(round uint64) (wire.AcsRound, error) {
 // than max entries is a protocol violation: callers line up several nodes'
 // entries by position.
 func (c *Client) Log(start uint64, max int) (wire.Log, error) {
-	reply, err := c.roundTrip(wire.PullLog{Start: start, Max: max})
-	if err != nil {
-		return wire.Log{}, err
+	return call(c, wire.PullLog{Start: start, Max: max}, func(l wire.Log) bool {
+		return l.Start == start && len(l.Entries) <= max
+	})
+}
+
+// pollEvery is Poll's interval between calls of done.
+const pollEvery = 5 * time.Millisecond
+
+// errDeadline is Poll's error once the deadline passes with done false.
+var errDeadline = errors.New("not done at deadline")
+
+// Poll calls done every 5 ms until it reports true, fails, or the deadline
+// passes; done runs at least once. It is the controller's one wait.
+func Poll(deadline time.Time, done func() (bool, error)) error {
+	for {
+		ok, err := done()
+		if ok || err != nil {
+			return err
+		}
+		if time.Now().After(deadline) {
+			return errDeadline
+		}
+		time.Sleep(pollEvery)
 	}
-	lg, ok := reply.(wire.Log)
-	if !ok || lg.Start != start || len(lg.Entries) > max {
-		return wire.Log{}, fmt.Errorf("%w: log reply %#v", ErrProtocol, reply)
+}
+
+// CollectTables waits until every live node's decision table for instance
+// has every live row decided, and returns the table once the copies agree on
+// every live row. live[i] marks node i as running the instance; table(i)
+// pulls node i's current table (empty while it has none). A row of a node
+// outside live is neither awaited nor compared, so a crashed node's row
+// stays undecided in the result.
+func CollectTables(instance uint64, live []bool, table func(i int) (wire.Table, error), deadline time.Time) (wire.Table, error) {
+	var agreed wire.Table
+	ref := -1
+	for i, alive := range live {
+		if !alive {
+			continue
+		}
+		var tbl wire.Table
+		err := Poll(deadline, func() (bool, error) {
+			var err error
+			if tbl, err = table(i); err != nil || len(tbl.Rows) != len(live) {
+				return false, err
+			}
+			for j, a := range live {
+				if a && !tbl.Rows[j].Decided {
+					return false, nil
+				}
+			}
+			return true, nil
+		})
+		if err != nil {
+			return wire.Table{}, fmt.Errorf("cluster: instance %d on node %d: %w: rows %+v", instance, i, err, tbl.Rows)
+		}
+		if ref < 0 {
+			agreed, ref = tbl, i
+			continue
+		}
+		for j, a := range live {
+			if a && tbl.Rows[j] != agreed.Rows[j] {
+				return wire.Table{}, fmt.Errorf("cluster: instance %d: row %d is %+v on node %d but %+v on node %d",
+					instance, j, agreed.Rows[j], ref, tbl.Rows[j], i)
+			}
+		}
 	}
-	return lg, nil
+	if ref < 0 {
+		return wire.Table{}, fmt.Errorf("%w: instance %d has no live node", ErrClosed, instance)
+	}
+	return agreed, nil
 }
 
 // BuildRecord converts one node's decision table into the RunRecord shape

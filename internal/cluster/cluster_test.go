@@ -37,20 +37,19 @@ func startEverywhere(t *testing.T, lb *Loopback, instance uint64, k, tt int, pro
 	}
 }
 
-// awaitTable polls one node's decision table until every surviving node's
-// row is decided, or the deadline passes.
-func awaitTable(t *testing.T, node *Node, instance uint64, survivors []bool, deadline time.Time) wire.Table {
+// collect waits, through CollectTables, until every node marked live holds
+// the instance's table with every live row decided, and returns the table
+// they agree on.
+func collect(t *testing.T, lb *Loopback, instance uint64, live []bool, deadline time.Time) wire.Table {
 	t.Helper()
-	for {
-		tbl, ok := node.Table(instance)
-		if ok && tableComplete(tbl, survivors) {
-			return tbl
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node %d: instance %d incomplete at deadline: %+v", node.cfg.ID, instance, tbl)
-		}
-		time.Sleep(2 * time.Millisecond)
+	tbl, err := CollectTables(instance, live, func(i int) (wire.Table, error) {
+		tbl, _ := lb.Nodes[i].Table(instance)
+		return tbl, nil
+	}, deadline)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tbl
 }
 
 func allAlive(n int) []bool {
@@ -175,12 +174,9 @@ func TestLateStartBuffersFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for i, node := range lb.Nodes {
-		tbl := awaitTable(t, node, 9, allAlive(n), deadline)
-		if _, err := VerifyTable(tbl, inputs, types.RV1, 2); err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
+	tbl := collect(t, lb, 9, allAlive(n), time.Now().Add(10*time.Second))
+	if _, err := VerifyTable(tbl, inputs, types.RV1, 2); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -213,25 +209,14 @@ func TestControlClient(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for i, c := range clients {
-		var tbl wire.Table
-		for {
-			tbl, err = c.Table(4)
-			if err != nil {
-				t.Fatalf("pull table from node %d: %v", i, err)
-			}
-			if tableComplete(tbl, allAlive(n)) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("node %d table incomplete: %+v", i, tbl)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if _, err := VerifyTable(tbl, inputs, types.RV1, 3); err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
+	tbl, err := CollectTables(4, allAlive(n), func(i int) (wire.Table, error) {
+		return clients[i].Table(4)
+	}, time.Now().Add(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyTable(tbl, inputs, types.RV1, 3); err != nil {
+		t.Fatal(err)
 	}
 
 	m, err := clients[0].Metrics()
@@ -340,7 +325,7 @@ func TestCtlStartInVoteNamespaceRefused(t *testing.T) {
 	if err := start(5); err != nil {
 		t.Fatalf("ctl start of id 5 after the refusal: %v", err)
 	}
-	tbl := awaitTable(t, lb.Nodes[0], 5, allAlive(1), time.Now().Add(10*time.Second))
+	tbl := collect(t, lb, 5, allAlive(1), time.Now().Add(10*time.Second))
 	if _, err := VerifyTable(tbl, []types.Value{7}, types.RV1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -367,16 +352,13 @@ func TestStartIdempotent(t *testing.T) {
 			t.Fatalf("duplicate start on node %d: %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for i, node := range lb.Nodes {
-		tbl := awaitTable(t, node, 5, allAlive(n), deadline)
-		if _, err := VerifyTable(tbl, inputs, types.RV1, 4); err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		for j, row := range tbl.Rows {
-			if row.Value == 99 {
-				t.Errorf("node %d row %d decided the duplicate-start input", i, j)
-			}
+	tbl := collect(t, lb, 5, allAlive(n), time.Now().Add(10*time.Second))
+	if _, err := VerifyTable(tbl, inputs, types.RV1, 4); err != nil {
+		t.Fatal(err)
+	}
+	for j, row := range tbl.Rows {
+		if row.Value == 99 {
+			t.Errorf("row %d decided the duplicate-start input", j)
 		}
 	}
 }

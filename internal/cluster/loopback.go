@@ -104,68 +104,33 @@ const runInstanceDeadline = 10 * time.Second
 
 // RunInstance runs one instance across the cluster and returns its record.
 // It starts s on every live node with inputs[i] as node i's input (s.Input
-// is ignored), then waits until every live node's table shows every live
-// row decided. The tables must agree on every live row; the record is built
-// from the first live node's table, so a crashed node's row (nil in
-// lb.Nodes) counts as faulty. The record's seed is the cluster's Seed.
+// is ignored), then collects the tables with CollectTables, so they must
+// agree on every live row and a crashed node's row (nil in lb.Nodes) counts
+// as faulty. The record's seed is the cluster's Seed.
 func (lb *Loopback) RunInstance(s wire.Start, inputs []types.Value) (*types.RunRecord, error) {
 	if len(inputs) != len(lb.Nodes) {
 		return nil, fmt.Errorf("%w: %d inputs for %d nodes", ErrBadConfig, len(inputs), len(lb.Nodes))
 	}
 	live := make([]bool, len(lb.Nodes))
-	var nodes []*Node
+	var seed uint64
 	for i, node := range lb.Nodes {
 		if node == nil {
 			continue
 		}
-		live[i] = true
-		nodes = append(nodes, node)
+		live[i], seed = true, node.cfg.Seed
 		s.Input = inputs[i]
 		if err := node.StartInstance(s); err != nil {
 			return nil, fmt.Errorf("start instance %d on node %d: %w", s.Instance, i, err)
 		}
 	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("%w: every loopback node is crashed", ErrClosed)
+	tbl, err := CollectTables(s.Instance, live, func(i int) (wire.Table, error) {
+		tbl, _ := lb.Nodes[i].Table(s.Instance)
+		return tbl, nil
+	}, time.Now().Add(runInstanceDeadline))
+	if err != nil {
+		return nil, err
 	}
-	tables := make([]wire.Table, len(nodes))
-	deadline := time.Now().Add(runInstanceDeadline)
-	for i := 0; i < len(nodes); {
-		tbl, ok := nodes[i].Table(s.Instance)
-		if ok && tableComplete(tbl, live) {
-			tables[i] = tbl
-			i++
-			continue
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("cluster: instance %d: node %d's table incomplete after %v: %+v",
-				s.Instance, nodes[i].cfg.ID, runInstanceDeadline, tbl.Rows)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	for _, tbl := range tables[1:] {
-		for j, alive := range live {
-			if alive && tbl.Rows[j] != tables[0].Rows[j] {
-				return nil, fmt.Errorf("cluster: instance %d: tables disagree on row %d: %+v vs %+v",
-					s.Instance, j, tables[0].Rows[j], tbl.Rows[j])
-			}
-		}
-	}
-	return BuildRecord(tables[0], inputs, nodes[0].cfg.Seed)
-}
-
-// tableComplete reports whether tbl has one row per process and every row
-// marked alive is decided.
-func tableComplete(tbl wire.Table, alive []bool) bool {
-	if len(tbl.Rows) != len(alive) {
-		return false
-	}
-	for i, a := range alive {
-		if a && !tbl.Rows[i].Decided {
-			return false
-		}
-	}
-	return true
+	return BuildRecord(tbl, inputs, seed)
 }
 
 // Close shuts down every surviving node.

@@ -158,9 +158,7 @@ func TestMetricsPull(t *testing.T) {
 	inputs := []types.Value{4, 1, 6}
 	startEverywhere(t, lb, 2, 1, 0, theory.ProtoFloodMin, inputs)
 	deadline := time.Now().Add(10 * time.Second)
-	for _, node := range lb.Nodes {
-		awaitTable(t, node, 2, allAlive(n), deadline)
-	}
+	collect(t, lb, 2, allAlive(n), deadline)
 
 	var perNode []obs.HistSnapshot
 	for i := range lb.Nodes {

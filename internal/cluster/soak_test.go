@@ -110,23 +110,21 @@ func TestClusterSoak(t *testing.T) {
 		}
 	}
 
-	// Every surviving node must assemble a checker-clean decision table for
-	// every instance: all four survivors decided, at most k distinct values,
-	// and the protocol's validity condition. The crashed node's undecided
-	// row is the one allowed fault (t=1).
+	// Every surviving node must assemble the same checker-clean decision
+	// table for every instance: all four survivors decided, at most k
+	// distinct values, and the protocol's validity condition. The crashed
+	// node's undecided row is the one allowed fault (t=1).
 	deadline := time.Now().Add(60 * time.Second)
 	for id := uint64(1); id <= instances; id++ {
 		proto, validity := protoFor(id)
-		inputs := inputsFor(id)
-		for i := 0; i < n; i++ {
-			if clients[i] == nil {
-				continue
-			}
-			tbl := awaitClientTable(t, clients[i], id, survivors, deadline)
-			rec, err := VerifyTable(tbl, inputs, validity, seed)
-			if err != nil {
-				t.Errorf("instance %d (%v) on node %d: %v\nrecord: %v", id, proto, i, err, rec)
-			}
+		tbl, err := CollectTables(id, survivors, func(i int) (wire.Table, error) {
+			return clients[i].Table(id)
+		}, deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := VerifyTable(tbl, inputsFor(id), validity, seed); err != nil {
+			t.Errorf("instance %d (%v): %v\nrecord: %v", id, proto, err, rec)
 		}
 	}
 	<-flapDone
@@ -184,23 +182,4 @@ func TestClusterSoak(t *testing.T) {
 	}
 	t.Logf("soak transport: %d frames sent for %d decisions (%.1f frames/decision)",
 		framesSent, decisions, float64(framesSent)/float64(decisions))
-}
-
-// awaitClientTable polls a node's table through its control connection until
-// every survivor's row is decided.
-func awaitClientTable(t *testing.T, c *Client, instance uint64, survivors []bool, deadline time.Time) wire.Table {
-	t.Helper()
-	for {
-		tbl, err := c.Table(instance)
-		if err != nil {
-			t.Fatalf("pull table for instance %d: %v", instance, err)
-		}
-		if tableComplete(tbl, survivors) {
-			return tbl
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("instance %d incomplete at deadline: %+v", instance, tbl)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

@@ -189,7 +189,7 @@ func TestStrandedPartitionedPeerStaysLive(t *testing.T) {
 	node := lb.Nodes[0]
 	deadline := time.Now().Add(30 * time.Second)
 	for id := uint64(1); id <= instances; id++ {
-		awaitTable(t, node, id, []bool{true, true, true, false}, deadline)
+		collect(t, lb, id, []bool{true, true, true, false}, deadline)
 	}
 	time.Sleep(50 * time.Millisecond) // ten retransmit intervals with the partition up
 	if live, got := node.ActiveInstances(), strandedCount(node); live != instances || got != 0 {
@@ -239,10 +239,8 @@ func TestStrandedAfterRowsIn(t *testing.T) {
 		start(id)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for _, node := range survivors {
-		for id := uint64(1); id <= instances; id++ {
-			awaitTable(t, node, id, []bool{true, true, false}, deadline)
-		}
+	for id := uint64(1); id <= instances; id++ {
+		collect(t, lb, id, []bool{true, true, false}, deadline)
 	}
 	time.Sleep(50 * time.Millisecond) // node 2 is up: its links stay reachable
 	for i, node := range survivors {

@@ -234,9 +234,7 @@ func TestBatchTransportCounters(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	survivors := allAlive(2)
 	for id := uint64(1); id <= 4; id++ {
-		for _, node := range lb.Nodes {
-			awaitTable(t, node, id, survivors, deadline)
-		}
+		collect(t, lb, id, survivors, deadline)
 	}
 	for i, node := range lb.Nodes {
 		for name, c := range map[string]int64{

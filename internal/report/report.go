@@ -23,7 +23,9 @@ import (
 	"kset/internal/types"
 )
 
-// Config sizes the evaluation.
+// Config sizes the evaluation. N and GridN must be at least 3 and Runs and
+// Samples at least 1, as ksetreport's flag checks ensure: a figure has cells
+// only from n = 3, and a smaller size checks nothing.
 type Config struct {
 	// N is the system size for empirical sweeps (grids are additionally
 	// computed at the paper's 64).
@@ -34,7 +36,7 @@ type Config struct {
 	Samples int
 	// Seed drives the sampling and sweeps.
 	Seed uint64
-	// GridN is the size for the region-count tables (default 64).
+	// GridN is the size for the region-count tables (the paper's is 64).
 	GridN int
 	// Workers is the worker-thread count for sweeps and grid passes
 	// (0 = GOMAXPROCS, 1 = serial). The report is byte-identical for every
@@ -42,24 +44,8 @@ type Config struct {
 	Workers int
 }
 
-func (c *Config) defaults() {
-	if c.N == 0 {
-		c.N = 10
-	}
-	if c.Runs == 0 {
-		c.Runs = 16
-	}
-	if c.Samples == 0 {
-		c.Samples = 3
-	}
-	if c.GridN == 0 {
-		c.GridN = 64
-	}
-}
-
 // Run executes the evaluation and writes the markdown report.
 func Run(w io.Writer, cfg Config) error {
-	cfg.defaults()
 	exec := sweep.NewPool(cfg.Workers).Map
 	fmt.Fprintf(w, "# k-set consensus reproduction report\n\n")
 	fmt.Fprintf(w, "Parameters: sweeps at n=%d (%d runs x %d cells per panel), region tables at n=%d, seed %d.\n\n",

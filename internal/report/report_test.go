@@ -83,16 +83,3 @@ func TestWorkersDeterminism(t *testing.T) {
 		t.Errorf("report differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
-
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.defaults()
-	if c.N != 10 || c.Runs != 16 || c.Samples != 3 || c.GridN != 64 {
-		t.Errorf("defaults wrong: %+v", c)
-	}
-	c2 := Config{N: 5, Runs: 2, Samples: 1, GridN: 8}
-	c2.defaults()
-	if c2.N != 5 || c2.GridN != 8 {
-		t.Errorf("explicit values overridden: %+v", c2)
-	}
-}
